@@ -2,8 +2,10 @@
 """Run the full verification battery and write a JSON report.
 
 Drives every `ellded verify` family over a representative parameter grid and
-collects pass/fail counts plus worst-case residuals per family.  Intended as
-the one-shot reproduction script for the identity checks.
+collects per family: pass/fail counts, wall time, and either the worst
+floating-point residual or, for exact families, the number of nonzero exact
+residuals.  Intended as the one-shot reproduction script for the identity
+checks.
 
 Usage:
     python3 scripts/run_verification.py [--out report.json] [--seed 7] [--fast]
@@ -67,22 +69,28 @@ def run_sweep(cfg: SweepConfig) -> dict:
     t0 = time.time()
     for family, argv in command_grid(cfg):
         buf = io.StringIO()
+        t_cmd = time.perf_counter()
         with redirect_stdout(buf):
             code = cli_main(argv)
         stats = families.setdefault(
-            family, {"checks": 0, "failed": 0, "worst_residual": 0.0})
+            family, {"checks": 0, "failed": 0, "elapsed_s": 0.0})
+        stats["elapsed_s"] += time.perf_counter() - t_cmd
         for line in buf.getvalue().splitlines():
             rec = json.loads(line)
             stats["checks"] += 1
             if not rec["pass"]:
                 stats["failed"] += 1
             r = rec["residual"]
-            if isinstance(r, str):  # exact rational residual
-                num = int(r.split("/")[0])
-                r = abs(num) and float("inf")
-            stats["worst_residual"] = max(stats["worst_residual"], float(r))
+            if isinstance(r, str):  # exact rational residual "num/den"
+                stats["nonzero_exact"] = (stats.get("nonzero_exact", 0)
+                                          + (not r.startswith("0/")))
+            else:
+                stats["worst_residual"] = max(stats.get("worst_residual", 0.0),
+                                              float(r))
         if code not in (0,):
             stats["exit_codes"] = stats.get("exit_codes", []) + [code]
+    for stats in families.values():
+        stats["elapsed_s"] = round(stats["elapsed_s"], 2)
     return {
         "seed": cfg.seed,
         "fast": cfg.fast,
@@ -109,9 +117,13 @@ def main(argv=None) -> int:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
     for family, stats in sorted(report["families"].items()):
+        if "nonzero_exact" in stats:
+            margin = f"nonzero_exact={stats['nonzero_exact']}"
+        else:
+            margin = f"worst_residual={stats['worst_residual']:.3e}"
         print(f"{family:22s} checks={stats['checks']:5d} "
               f"failed={stats['failed']:3d} "
-              f"worst_residual={stats['worst_residual']:.3e}")
+              f"elapsed={stats['elapsed_s']:6.2f}s {margin}")
     print(f"elapsed {report['elapsed_s']}s -> {cfg.out}")
     return 0 if report["all_pass"] else 1
 

@@ -1,20 +1,22 @@
 """Exact rational layer: Bernoulli machinery, Apostol-Dedekind sums and their
 reciprocity polynomial.
 
-Everything in this module is computed with arbitrary-precision rationals
-(`fractions.Fraction`), so "zero" means the exact rational zero.  The periodic
-Bernoulli function uses the Fourier-series value at integers, i.e.
-bernoulli_function(1, integer) == 0, not B_1 = -1/2.
+Everything in this module is computed exactly, with arbitrary-precision
+integers and rationals (`fractions.Fraction`), so "zero" means the exact
+rational zero.  The periodic Bernoulli function uses the Fourier-series value
+at integers, i.e. bernoulli_function(1, integer) == 0, not B_1 = -1/2.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, Tuple, Union
+from types import MappingProxyType
+from typing import Dict, Iterable, Mapping, Tuple, Union
 
 Coeff = Union[Fraction, complex]
 ExpPair = Tuple[int, int]
@@ -30,17 +32,12 @@ __all__ = [
     "verify_apostol_reciprocity",
     "dim_data",
     "rational_str",
-    "parse_rational",
 ]
 
 
 def rational_str(r: Fraction) -> str:
     """Canonical "num/den" form, denominator always shown (so zero is "0/1")."""
     return f"{r.numerator}/{r.denominator}"
-
-
-def parse_rational(s: str) -> Fraction:
-    return Fraction(s)
 
 
 @dataclass(frozen=True)
@@ -97,9 +94,19 @@ def bernoulli_number(k: int) -> Fraction:
     return _bernoulli_cache[k]
 
 
+@functools.lru_cache(maxsize=None)
 def _bernoulli_poly_coeffs(k: int) -> Tuple[Fraction, ...]:
     # B_k(x) = sum_j C(k, j) B_j x^{k-j}; coefficients in descending powers.
     return tuple(Fraction(math.comb(k, j)) * bernoulli_number(j) for j in range(k + 1))
+
+
+@functools.lru_cache(maxsize=None)
+def _bernoulli_int_coeffs(k: int) -> Tuple[int, Tuple[int, ...]]:
+    """(D, (D C(k, j) B_j)_j): D is the lcm of the denominators of B_0..B_k,
+    so D B_k(x) has integer coefficients (descending powers)."""
+    coeffs = _bernoulli_poly_coeffs(k)
+    d = math.lcm(*(c.denominator for c in coeffs))
+    return d, tuple(c.numerator * (d // c.denominator) for c in coeffs)
 
 
 def bernoulli_polynomial(k: int, x: Union[Fraction, int]) -> Fraction:
@@ -132,8 +139,12 @@ def apostol_sum(k: int, q: int, p: int) -> Fraction:
     sum would differ by (p^{1-k} - 1) B_k / 2, which vanishes for odd k >= 3
     but would break the exact vanishing of the even-k sums.
 
-    Direct O(p) exact summation; this deliberately doubles as the oracle for
-    the elliptic degeneration checks.
+    Direct O(p) summation, term by term from the definition, in exact integer
+    arithmetic: with r = mu q mod p and D the lcm of the Bernoulli denominators,
+    P(r) = D p^k B_k(r/p) is an integer polynomial in r, the sawtooth is
+    (2 mu - p) / (2p), and the single division is by 2 D p^{k+1} at the end.
+    It uses no reciprocity law, so it doubles as the independent oracle for
+    the exact reciprocity check and the elliptic degeneration checks.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -141,10 +152,19 @@ def apostol_sum(k: int, q: int, p: int) -> Fraction:
         raise ValueError("p must be >= 1")
     if math.gcd(p, q) != 1:
         raise ValueError(f"gcd(p, q) must be 1, got ({p}, {q})")
-    acc = Fraction(0)
+    d, table = _bernoulli_int_coeffs(k)
+    # c_j = D C(k, j) B_j p^j, so that P(r) = sum_j c_j r^{k-j}
+    coeffs = [c * p**j for j, c in enumerate(table)]
+    # gcd(p, q) = 1 and 1 <= mu <= p-1 give 1 <= r <= p-1: r/p is never an
+    # integer, so the k = 1 Fourier value B~_1(integer) = 0 never applies here.
+    acc = 0
     for mu in range(1, p):
-        acc += (Fraction(mu, p) - Fraction(1, 2)) * bernoulli_function(k, Fraction(mu * q, p))
-    return acc
+        r = mu * q % p
+        poly = 0
+        for c in coeffs:
+            poly = poly * r + c
+        acc += (2 * mu - p) * poly
+    return Fraction(acc, 2 * d * p ** (k + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +328,12 @@ def g_poly(w: int) -> LaurentPoly:
     """
     if w < 2 or w % 2 != 0:
         raise ValueError("w must be an even integer >= 2")
+    # LaurentPoly is mutable: every call gets its own copy of the cached table
+    return LaurentPoly(dict(_g_poly_coeffs(w)))
+
+
+@functools.lru_cache(maxsize=None)
+def _g_poly_coeffs(w: int) -> Mapping[ExpPair, Coeff]:
     coeffs: Dict[ExpPair, Coeff] = {}
     wfact = math.factorial(w)
     for j in range(w // 2 + 2):
@@ -316,7 +342,7 @@ def g_poly(w: int) -> LaurentPoly:
         if c != 0:
             coeffs[(2 * j - 1, w + 1 - 2 * j)] = coeffs.get((2 * j - 1, w + 1 - 2 * j), Fraction(0)) + c
     coeffs[(-1, -1)] = -bernoulli_number(w + 2) / (2 * (w + 2))
-    return LaurentPoly(coeffs)
+    return MappingProxyType(coeffs)
 
 
 def verify_apostol_reciprocity(w: int, pair: CoprimePair) -> Fraction:

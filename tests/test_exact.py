@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ellded.exact import (
@@ -92,6 +92,16 @@ coprime_pairs = st.tuples(
 ).filter(lambda t: math.gcd(*t) == 1)
 
 
+def reference_apostol_sum(k, q, p):
+    """The definition summed term by term in `Fraction`s: the oracle the
+    integer kernel of `apostol_sum` must reproduce exactly."""
+    return sum(
+        ((Fraction(mu, p) - Fraction(1, 2)) * bernoulli_function(k, Fraction(mu * q, p))
+         for mu in range(1, p)),
+        Fraction(0),
+    )
+
+
 class TestApostolSum:
     def test_empty(self):
         assert apostol_sum(3, 7, 1) == 0
@@ -116,6 +126,27 @@ class TestApostolSum:
         p, q = pq
         assert apostol_sum(k, q + p, p) == apostol_sum(k, q, p)
 
+    @given(k=st.integers(1, 14), pq=st.tuples(st.integers(1, 150), st.integers(-200, 200))
+           .filter(lambda t: math.gcd(*t) == 1))
+    @settings(deadline=None)
+    @example(k=1, pq=(1, 0))
+    @example(k=1, pq=(7, -3))
+    @example(k=4, pq=(9, -200))
+    def test_matches_fraction_reference(self, k, pq):
+        p, q = pq
+        assert apostol_sum(k, q, p) == reference_apostol_sum(k, q, p)
+
+    @pytest.mark.parametrize("k,q,p,value", [
+        (11, 1, 1009, "-23486956567426268888113323683110356/"
+                      "1103577477657749245825477904470609"),
+        (13, 377, 1999, "3165211165216101226105773550188439551499038/"
+                        "8138911451501750747538217172562287688025999"),
+        (3, 1234, 1999, "57616590/7988005999"),
+    ])
+    def test_golden_values(self, k, q, p, value):
+        # computed by the term-by-term Fraction formula
+        assert rational_str(apostol_sum(k, q, p)) == value
+
 
 class TestGPoly:
     def test_symmetric(self):
@@ -134,6 +165,13 @@ class TestGPoly:
     def test_odd_w_rejected(self):
         with pytest.raises(ValueError):
             g_poly(3)
+
+    def test_fresh_object_per_call(self):
+        g1, g2 = g_poly(4), g_poly(4)
+        assert g1 == g2 and g1 is not g2 and g1.coeffs is not g2.coeffs
+        g1.coeffs[(0, 0)] = Fraction(1)
+        g1.coeffs.pop((-1, -1))
+        assert g_poly(4) == g2
 
     @pytest.mark.parametrize("w", [2, 4, 6, 8, 10])
     def test_three_term_identity_symbolically(self, w):

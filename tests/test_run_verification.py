@@ -1,0 +1,43 @@
+"""The verification sweep script: per-family report fields."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_verification.py"
+_spec = importlib.util.spec_from_file_location("run_verification", SCRIPT)
+run_verification = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(run_verification)
+
+
+def test_fast_sweep_fields():
+    report = run_verification.run_sweep(run_verification.SweepConfig(fast=True))
+    assert report["all_pass"]
+    families = report["families"]
+    for stats in families.values():
+        assert stats["elapsed_s"] >= 0
+    assert sum(s["elapsed_s"] for s in families.values()) <= report["elapsed_s"] + 0.1
+    exact = families["apostol-reciprocity"]
+    assert exact["nonzero_exact"] == 0 and "worst_residual" not in exact
+    for family, stats in families.items():
+        if family != "apostol-reciprocity":
+            assert "nonzero_exact" not in stats
+            assert 0 <= stats["worst_residual"] < 1e-6
+
+
+def test_nonzero_exact_residual_is_counted(monkeypatch):
+    residuals = ["0/1", "-1/9", "3/4"]
+
+    def fake_cli(argv):
+        for r in residuals:
+            print(json.dumps({"residual": r, "pass": r == "0/1"}))
+        return 1
+
+    monkeypatch.setattr(run_verification, "cli_main", fake_cli)
+    monkeypatch.setattr(run_verification, "command_grid",
+                        lambda cfg: [("apostol-reciprocity", [])])
+    report = run_verification.run_sweep(run_verification.SweepConfig())
+    stats = report["families"]["apostol-reciprocity"]
+    assert stats["nonzero_exact"] == 2 and stats["failed"] == 2
+    assert "worst_residual" not in stats
+    assert not report["all_pass"]

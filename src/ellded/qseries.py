@@ -2,9 +2,15 @@
 Bernoulli functions and brute-force lattice-sum oracles.
 
 All evaluation is binary64 complex with explicit truncation-error tracking
-(`ComplexVal.err` bounds the discarded series tails via geometric estimates).
-Summation is in a fixed ascending order with compensated (Kahan) accumulation
-so repeated runs are bit-identical.
+(`ComplexVal.err` bounds the discarded series tails via geometric estimates,
+plus a first-order bound on the rounding).
+Each series runs in a fixed ascending order with compensated (Kahan)
+accumulation per point, so repeated runs are bit-identical.
+
+The Weierstrass and elliptic Bernoulli functions are array kernels
+(`*_points`) that run one series over a whole batch of points: every point
+keeps its own Kahan state, stopping rule and tail bound, and drops out of the
+batch once it has converged.  The scalar functions are one-point calls to them.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ import math
 import threading
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import List, Tuple
 
 import numpy as np
@@ -25,6 +32,7 @@ TWO_PI_I = 2j * math.pi
 __all__ = [
     "TauPoint",
     "ComplexVal",
+    "ComplexArray",
     "SeriesPolicy",
     "LatticeCutoff",
     "SlowNomeWarning",
@@ -33,8 +41,11 @@ __all__ = [
     "eisenstein_normalized",
     "eisenstein_tau_derivative",
     "elliptic_bernoulli",
+    "elliptic_bernoulli_points",
     "weierstrass_zeta",
+    "weierstrass_zeta_points",
     "weierstrass_p_deriv",
+    "weierstrass_p_deriv_points",
     "weierstrass_zeta_deriv",
     "sigma_log_tau_derivative",
     "kronecker_direct",
@@ -130,6 +141,66 @@ class ComplexVal:
 
     def to_json_obj(self) -> dict:
         return {"re": self.value.real, "im": self.value.imag, "err": self.err}
+
+
+def _abs(v):
+    """|v| elementwise, rounded as Python's abs(complex) rounds it."""
+    v = np.asarray(v)
+    return np.hypot(v.real, v.imag)
+
+
+def _cmul(a, b):
+    """a * b elementwise, rounded as Python's complex product rounds it."""
+    a, b = np.asarray(a), np.asarray(b)
+    re = a.real * b.real - a.imag * b.imag
+    out = np.empty(re.shape, dtype=complex)
+    out.real = re
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+@dataclass(frozen=True)
+class ComplexArray:
+    """`ComplexVal` elementwise over a numpy array of points.
+
+    The arithmetic applies ComplexVal's err rules elementwise and rounds as
+    Python complex arithmetic does, so each element of a result equals the
+    same expression in ComplexVals.  Operands are ComplexArrays, ComplexVals
+    or plain numbers and arrays (taken as exact); keep a ComplexArray on the
+    left."""
+
+    value: np.ndarray
+    err: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.value)
+
+    def __getitem__(self, i: int) -> ComplexVal:
+        return ComplexVal(complex(self.value[i]), float(self.err[i]))
+
+    def __add__(self, other):
+        if isinstance(other, (ComplexArray, ComplexVal)):
+            return ComplexArray(
+                self.value + other.value,
+                self.err + other.err + _EPS * (_abs(self.value) + _abs(other.value)),
+            )
+        return ComplexArray(self.value + other, self.err + _EPS * _abs(other))
+
+    def __neg__(self):
+        return ComplexArray(-self.value, self.err)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, (ComplexArray, ComplexVal)):
+            a, b = _abs(self.value), _abs(other.value)
+            return ComplexArray(
+                _cmul(self.value, other.value),
+                a * other.err + b * self.err + self.err * other.err + _EPS * a * b,
+            )
+        return ComplexArray(_cmul(self.value, other),
+                            (self.err + _EPS * _abs(self.value)) * _abs(other))
 
 
 @dataclass(frozen=True)
@@ -269,15 +340,28 @@ def _eisenstein_q_sum(n: int, tau: TauPoint, policy: SeriesPolicy,
     return acc.value, tail
 
 
+@lru_cache(maxsize=None)
+def _eisenstein_consts(n: int) -> Tuple[complex, complex, float, float]:
+    """const and pref of E_{2n}, |pref|, and the first-order relative
+    rounding of const and pref: math.pi carries 2n half-ulps into
+    (2 pi i)^{2n}, the binary powering and the B_{2n} and factorial
+    divisions a few more, and pref * s one."""
+    pref = 2 * TWO_PI_I ** (2 * n) / math.factorial(2 * n - 1)
+    const = -(TWO_PI_I ** (2 * n)) * float(bernoulli_number(2 * n)) / math.factorial(2 * n)
+    return const, pref, abs(pref), 2.0**-53 * (2 * n + 2 * (2 * n).bit_length() + 4)
+
+
 def eisenstein(n: int, tau: TauPoint, policy: SeriesPolicy = DEFAULT_POLICY) -> ComplexVal:
     """Eisenstein series E_{2n}(tau) = 2 zeta(2n) + (2 (2 pi i)^{2n} / (2n-1)!)
     sum_k sigma_{2n-1}(k) q^k, with 2 zeta(2n) = -(2 pi i)^{2n} B_{2n} / (2n)!."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    pref = 2 * TWO_PI_I ** (2 * n) / math.factorial(2 * n - 1)
-    const = -(TWO_PI_I ** (2 * n)) * float(bernoulli_number(2 * n)) / math.factorial(2 * n)
+    const, pref, abs_pref, rel = _eisenstein_consts(n)
     s, tail = _eisenstein_q_sum(n, tau, policy, tau_deriv=False)
-    return ComplexVal(const + pref * s, abs(pref) * tail)
+    value = const + pref * s
+    # the tail, the rounding of const and pref * s, and of the final sum
+    return ComplexVal(value, abs_pref * tail + rel * (abs(const) + abs_pref * abs(s))
+                      + 2.0**-53 * abs(value))
 
 
 def eisenstein_normalized(n: int, tau: TauPoint, policy: SeriesPolicy = DEFAULT_POLICY) -> ComplexVal:
@@ -286,7 +370,9 @@ def eisenstein_normalized(n: int, tau: TauPoint, policy: SeriesPolicy = DEFAULT_
         raise ValueError("n must be >= 1")
     const = -float(bernoulli_number(2 * n)) / (4 * n)
     s, tail = _eisenstein_q_sum(n, tau, policy, tau_deriv=False)
-    return ComplexVal(const + s, tail)
+    value = const + s
+    # first-order rounding of float(B_{2n}), the division and the final sum
+    return ComplexVal(value, tail + 2.0**-53 * (2 * abs(const) + abs(value)))
 
 
 def eisenstein_tau_derivative(n: int, tau: TauPoint, policy: SeriesPolicy = DEFAULT_POLICY) -> ComplexVal:
@@ -299,28 +385,159 @@ def eisenstein_tau_derivative(n: int, tau: TauPoint, policy: SeriesPolicy = DEFA
 
 
 # ---------------------------------------------------------------------------
-# Elliptic Bernoulli functions
+# Batched series over arrays of points
 # ---------------------------------------------------------------------------
 
 _LATTICE_EPS = 1e-12
 
 
-def _on_lattice(x: float, y: float) -> bool:
-    return abs(x - round(x)) < _LATTICE_EPS and abs(y - round(y)) < _LATTICE_EPS
+def _kahan_add(s: np.ndarray, c: np.ndarray, x: np.ndarray):
+    """`_Kahan.add` elementwise on the states (s, c); returns the new states."""
+    y = x - c
+    t = s + y
+    return t, (t - s) - y
 
 
-def _bernoulli_poly_float(m: int, y: float) -> float:
+def _lattice_check(x: np.ndarray, y: np.ndarray, message) -> None:
+    """Raise LatticePointError, with `message(i)` for the first offending i,
+    if some x - y*tau is a lattice point."""
+    hit = ((np.abs(x - np.rint(x)) < _LATTICE_EPS)
+           & (np.abs(y - np.rint(y)) < _LATTICE_EPS))
+    if hit.any():
+        raise LatticePointError(message(int(np.argmax(hit))))
+
+
+def _points_series(start: np.ndarray, start_rnd: np.ndarray, terms,
+                   state: Tuple[np.ndarray, ...], cap: int, tol: float, what: str):
+    """Run the j-series `sum_j terms(j, *state)` over a batch of points.
+
+    `terms(j, *state)` gives, for the points still running, the two jth
+    terms, |term 1| + |term 2| and a first-order bound, in units of 2^-53,
+    on the rounding error of the pair as computed.  `state` holds the
+    per-point inputs; each point starts from `start`, whose rounding bound
+    is `start_rnd`.  A point stops after its jth pair once j >= 2 and the
+    pair is below tol relative to max(|sum|, 1); it then leaves the batch.  Returns per point the Kahan
+    states (s, c), the j it stopped at, its last |term 1| + |term 2| and its
+    summed rounding bound.  Raises NonConvergenceError if a point is still
+    running after `cap` terms."""
+    n = len(start)
+    out_s = np.empty(n, dtype=complex)
+    out_c = np.empty(n, dtype=complex)
+    out_j = np.empty(n)
+    out_last = np.empty(n)
+    out_rnd = np.empty(n)
+    idx = np.arange(n)
+    s, c, rnd = start + 0j, np.zeros(n, dtype=complex), start_rnd
+    j = 0
+    while idx.size and j < cap:
+        j += 1
+        t1, t2, last, r = terms(j, *state)
+        # the pair is added as one term; its rounding is within `r`
+        s, c = _kahan_add(s, c, t1 + t2)
+        rnd = rnd + r
+        if j < 2:
+            continue
+        done = last <= tol * np.maximum(np.abs(s), 1.0)
+        if np.count_nonzero(done):
+            k = idx[done]
+            out_s[k], out_c[k], out_rnd[k] = s[done], c[done], rnd[done]
+            out_j[k], out_last[k] = j, last[done]
+            keep = ~done
+            idx, s, c, rnd = idx[keep], s[keep], c[keep], rnd[keep]
+            state = tuple(a[keep] for a in state)
+    if idx.size:
+        raise NonConvergenceError(f"{what} hit max_terms={cap}",
+                                  ComplexVal(complex(s[0]), float("inf")))
+    return out_s, out_c, out_j, out_last, out_rnd
+
+
+def _exp_err(a) -> np.ndarray:
+    """First-order relative error, in units of 2^-53, of exp(a) for an
+    argument `a` built from a few rounded products of 2 pi i: each rounding
+    of `a` becomes a relative error of the result."""
+    return 6.0 * np.abs(a) + 4.0
+
+
+# ---------------------------------------------------------------------------
+# Elliptic Bernoulli functions
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _bernoulli_poly_float_coeffs(m: int) -> Tuple[float, ...]:
+    return tuple(math.comb(m, j) * float(bernoulli_number(j)) for j in range(m + 1))
+
+
+def _bernoulli_poly_float(m: int, y):
     acc = 0.0
-    for j in range(m + 1):
-        acc = acc * y + math.comb(m, j) * float(bernoulli_number(j))
+    for c in _bernoulli_poly_float_coeffs(m):
+        acc = acc * y + c
     return acc
 
 
-def _pow_00(base: float, e: int) -> float:
-    # 0^0 = 1 by convention (matters only for m = 1 factors).
-    if e == 0:
-        return 1.0
-    return base**e
+def elliptic_bernoulli_points(m: int, x, y, tau: TauPoint,
+                              policy: SeriesPolicy = DEFAULT_POLICY) -> ComplexArray:
+    """`elliptic_bernoulli` at every point (x[i], y[i]) of two equal-length
+    arrays, in one batched run of its series."""
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    _lattice_check(x, y, lambda i: (f"B_{m}({float(x[i])}, {float(y[i])}; tau): "
+                                    "x - y*tau is a lattice point"))
+    if m == 0 or not x.size:
+        return ComplexArray(np.ones(len(x), dtype=complex), np.zeros(len(x)))
+    cap = _check_tau(tau, policy)
+    t = tau.tau
+    y = y - np.floor(y)
+    # x is off-integer where y snaps to exactly 0 (lattice check above)
+    y = np.where((y < _LATTICE_EPS) | (y > 1 - _LATTICE_EPS), 0.0, y)
+    decay = abs(cmath.exp(TWO_PI_I * t))  # = |q| < 1
+    # Rounding of a term P w / D, D = e(+-x) - w: the exponentials carry the
+    # relative errors of their arguments (see _exp_err), e(+-x)'s and w's;
+    # w = e(-+y tau) q^j has at most 12 pi |tau| (j + 1) + 11 ulps.  D turns
+    # both into errors relative to itself, |w| and |e(+-x)| being at most 1;
+    # |D| >= 1 - |q| for the second term.  The power, the product, the
+    # quotient and the sum of the pair add m + 11 ulps.
+    g = 12.0 * math.pi * abs(t)
+    kappa = 1.0 / (1.0 - decay)
+
+    def terms(j, y, emy, epy, emx, epx, err_x):
+        # e(-y tau) q^j = e((j - y) tau);  e(y tau) q^j = e((j + y) tau)
+        qj = cmath.exp(TWO_PI_I * j * t)
+        w1, w2 = emy * qj, epy * qj
+        d1 = emx - w1
+        t1, t2 = w1 / d1, -(w2 / (epx - w2))
+        if m > 1:
+            t1, t2 = (y - j) ** (m - 1) * t1, (y + j) ** (m - 1) * t2
+        a1, a2 = np.abs(t1), np.abs(t2)
+        size = a1 + a2
+        err_w = g * (j + 1) + 11.0
+        rnd = (a1 / np.abs(d1) + kappa * a2) * (err_x + err_w) + size * (m + 11.0 + err_w)
+        return t1, t2, size, rnd
+
+    emx = np.exp(-TWO_PI_I * x)
+    s, c, j, last, rnd = _points_series(
+        np.zeros(len(x), dtype=complex), np.zeros(len(x)), terms,
+        (y, np.exp(-TWO_PI_I * y * t), np.exp(TWO_PI_I * y * t), emx, emx.conj(),
+         _exp_err(TWO_PI_I * x)),
+        cap, policy.tol, "elliptic Bernoulli series")
+    arg = TWO_PI_I * (-x + y * t)
+    v = np.exp(arg)
+    closing = y ** (m - 1) * v / (v - 1)
+    acc, _ = _kahan_add(s, c, closing)
+    r = decay * ((j + 1 + y) / np.maximum(j - y, 0.5)) ** (m - 1) if m > 1 else decay
+    r = np.minimum(r, 0.99)
+    tail = m * (2.0 * last * r / (1.0 - r) + 1e-16 * np.abs(acc) * j)
+    value = m * acc + _bernoulli_poly_float(m, y)
+    # first-order rounding: the terms, the closing term (as above, with
+    # v - 1 for the denominator), the Kahan sum, m * acc, the Bernoulli
+    # polynomial's Horner steps (at most sum_j |C(m, j) B_j| on [0, 1)) and
+    # the final sum
+    rnd = rnd + np.abs(closing) * (m + 10.0 + _exp_err(arg) * (1.0 + np.abs(v) / np.abs(v - 1)))
+    rnd = (m * (rnd + 3.0 * np.abs(acc))
+           + 2.0 * (m + 1) * sum(map(abs, _bernoulli_poly_float_coeffs(m))) + np.abs(value))
+    return ComplexArray(value, tail + 2.0**-53 * rnd)
 
 
 def elliptic_bernoulli(m: int, x: float, y: float, tau: TauPoint,
@@ -335,48 +552,7 @@ def elliptic_bernoulli(m: int, x: float, y: float, tau: TauPoint,
     the reduced y.  m = 0 returns 1 (the generating-series residue), which the
     Machide sums need.
     """
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    if _on_lattice(x, y):
-        raise LatticePointError(f"B_{m}({x}, {y}; tau): x - y*tau is a lattice point")
-    if m == 0:
-        return ComplexVal(1.0 + 0j, 0.0)
-    cap = _check_tau(tau, policy)
-    t = tau.tau
-    y = y - math.floor(y)
-    if y < _LATTICE_EPS or y > 1 - _LATTICE_EPS:
-        # x is off-integer here (lattice check above); snap y to exactly 0
-        y = 0.0
-    emx = cmath.exp(-TWO_PI_I * x)
-    epx = cmath.exp(TWO_PI_I * x)
-    # e(-y tau) q^j = e((j - y) tau);  e(y tau) q^j = e((j + y) tau)
-    acc = _Kahan()
-    decay = abs(cmath.exp(TWO_PI_I * t))  # = |q| < 1
-    j = 0
-    last = 0.0
-    while j < cap:
-        j += 1
-        w1 = cmath.exp(TWO_PI_I * (j - y) * t)
-        w2 = cmath.exp(TWO_PI_I * (j + y) * t)
-        t1 = _pow_00(y - j, m - 1) * w1 / (emx - w1)
-        t2 = _pow_00(y + j, m - 1) * w2 / (epx - w2)
-        acc.add(t1)
-        acc.add(-t2)
-        last = abs(t1) + abs(t2)
-        if last <= policy.tol * max(abs(acc.value), 1.0) and j >= 2:
-            break
-    else:
-        raise NonConvergenceError(
-            f"elliptic Bernoulli series hit max_terms={cap}",
-            ComplexVal(acc.value, float("inf")),
-        )
-    v = cmath.exp(TWO_PI_I * (-x + y * t))
-    closing = _pow_00(y, m - 1) * v / (v - 1)
-    acc.add(closing)
-    r = decay * ((j + 1 + y) / max(j - y, 0.5)) ** (m - 1)
-    r = min(r, 0.99)
-    tail = m * (2.0 * last * r / (1.0 - r) + 1e-16 * abs(acc.value) * j)
-    return ComplexVal(m * acc.value + _bernoulli_poly_float(m, y), tail)
+    return elliptic_bernoulli_points(m, [x], [y], tau, policy)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -384,12 +560,33 @@ def elliptic_bernoulli(m: int, x: float, y: float, tau: TauPoint,
 # ---------------------------------------------------------------------------
 
 
-def _decompose(z: complex, tau: TauPoint) -> Tuple[float, float]:
+def _decompose(z, tau: TauPoint):
     """Write z = x - y*tau with real x, y."""
     t = tau.tau
     y = -z.imag / t.imag
     x = z.real + y * t.real
     return x, y
+
+
+def weierstrass_zeta_points(z, tau: TauPoint,
+                            policy: SeriesPolicy = DEFAULT_POLICY) -> ComplexArray:
+    """`weierstrass_zeta` at every point of the array z, with one batched
+    B_1 series and one E_2."""
+    z = np.asarray(z, dtype=complex)
+    x, y = _decompose(z, tau)
+    _lattice_check(x, y, lambda i: f"zeta pole: z = {complex(z[i])} is on the lattice")
+    nx = np.floor(x)
+    ny = np.floor(y)
+    x0, y0 = x - nx, y - ny
+    b1 = elliptic_bernoulli_points(1, x0, y0, tau, policy)
+    # keep z0 consistent with the snap inside B_1
+    y0 = np.where((y0 < _LATTICE_EPS) | (y0 > 1 - _LATTICE_EPS), np.rint(y0), y0)
+    z0 = x0 - y0 * tau.tau
+    e2 = eisenstein(1, tau, policy)
+    e2 = ComplexArray(e2.value, e2.err)
+    zeta0 = (b1 - y0) * -TWO_PI_I + e2 * z0
+    # z = z0 + nx - ny*tau
+    return zeta0 + e2 * (nx - ny * tau.tau) + ComplexArray(TWO_PI_I * ny, 0.0)
 
 
 def weierstrass_zeta(z: complex, tau: TauPoint,
@@ -404,21 +601,7 @@ def weierstrass_zeta(z: complex, tau: TauPoint,
     restoring the shift with the quasi-periods zeta(z+1) = zeta(z) + E_2 and
     zeta(z+tau) = zeta(z) + E_2 tau - 2 pi i.
     """
-    z = complex(z)
-    x, y = _decompose(z, tau)
-    if _on_lattice(x, y):
-        raise LatticePointError(f"zeta pole: z = {z} is on the lattice")
-    nx = math.floor(x)
-    ny = math.floor(y)
-    x0, y0 = x - nx, y - ny
-    b1 = elliptic_bernoulli(1, x0, y0, tau, policy)
-    if y0 < _LATTICE_EPS or y0 > 1 - _LATTICE_EPS:
-        y0 = round(y0)  # keep z0 consistent with the snap inside B_1
-    z0 = x0 - y0 * tau.tau
-    e2 = eisenstein(1, tau, policy)
-    zeta0 = -TWO_PI_I * (b1 - y0) + e2 * z0
-    # z = z0 + nx - ny*tau
-    return zeta0 + e2 * (nx - ny * tau.tau) + ComplexVal(TWO_PI_I * ny, 0.0)
+    return weierstrass_zeta_points([complex(z)], tau, policy)[0]
 
 
 _phi_polys: List[List[int]] = [[0, 1]]
@@ -445,12 +628,76 @@ def _phi_poly(k: int) -> List[int]:
         return _phi_polys[k]
 
 
-def _phi(k: int, w: complex) -> complex:
-    p = _phi_poly(k)
-    num = 0j
-    for c in reversed(p):
+def _phi(k: int, w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Phi_k(w), and S = P_{k+1}(|w|) / |1 - w|^{k+3}, which bounds both
+    |w Phi_k'(w)| = |Phi_{k+1}(w)| and, for |w| <= 1, half of
+    P_k(|w|) / |1 - w|^{k+2}: the scales of the error that a relative error
+    of w and the rounding of the evaluation cause."""
+    num = np.zeros_like(w)
+    for c in reversed(_phi_poly(k)):
         num = num * w + c
-    return num / (1 - w) ** (k + 2)
+    den = 1 - w
+    r = np.abs(w)
+    num_abs = np.zeros_like(r)
+    for c in reversed(_phi_poly(k + 1)):
+        num_abs = num_abs * r + c
+    return num / den ** (k + 2), num_abs / np.abs(den) ** (k + 3)
+
+
+def weierstrass_p_deriv_points(k: int, z, tau: TauPoint,
+                               policy: SeriesPolicy = DEFAULT_POLICY) -> ComplexArray:
+    """`weierstrass_p_deriv` at every point of the array z, in one batched
+    run of its Fourier series."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    z = np.asarray(z, dtype=complex)
+    t = tau.tau
+    x, y = _decompose(z, tau)
+    _lattice_check(x, y, lambda i: f"pe pole: z = {complex(z[i])} is on the lattice")
+    y0 = y - np.rint(y)
+    # pe^{(k)}(-z) = (-1)^k pe^{(k)}(z)
+    neg = y0 < -_LATTICE_EPS
+    sign = np.where(neg, (-1.0) ** k, 1.0)
+    x = np.where(neg, -x, x)
+    y0 = np.where(neg, -y0, np.where(np.abs(y0) <= _LATTICE_EPS, 0.0, y0))
+    x0 = x - np.floor(x)
+    arg = TWO_PI_I * (x0 - y0 * t)
+    u = np.exp(arg)
+    q = tau.nome
+    aq = abs(q)
+    cap = _check_tau(tau, policy)
+    par = (-1.0) ** k
+    qj = 1.0 + 0j
+    # Rounding, in ulps of S (see _phi): the Horner steps, the power and the
+    # quotient, plus the relative error of the argument, which is u's (as
+    # exp gives it) and j times q's and one product's for q^j
+    bl = (k + 2).bit_length()
+    own = 10.0 * k + 44.0 + 12.0 * bl
+    err_u = _exp_err(arg)
+    err_q = float(_exp_err(TWO_PI_I * t)) + 3.0
+
+    def terms(j, u, err_u):
+        nonlocal qj
+        qj *= q
+        t1, s1 = _phi(k, u * qj)
+        t2, s2 = _phi(k, qj / u)
+        size = np.abs(t1) + np.abs(t2)
+        return t1, par * t2, size, (s1 + s2) * (err_u + (own + 6.0 + j * err_q)) + size
+
+    start, s0 = _phi(k, u)
+    acc, _, j, last, rnd = _points_series(start, s0 * (err_u + own), terms, (u, err_u),
+                                          cap, policy.tol, "pe Fourier series")
+    pref = TWO_PI_I ** (k + 2)
+    r = min(aq * 2.0, 0.99)
+    tail = abs(pref) * (2.0 * last * r / (1.0 - r) + 1e-16 * np.abs(acc) * j)
+    value = sign * pref * acc
+    # pref carries k + 2 half-ulps of pi and its binary powering; the
+    # product and the Kahan sum add a few more
+    rnd = abs(pref) * (rnd + 2.0 * np.abs(acc)) + (k + 2 * bl + 6.0) * np.abs(value)
+    val = ComplexArray(value, tail + 2.0**-53 * rnd)
+    if k == 0:
+        val = val - eisenstein(1, tau, policy)
+    return val
 
 
 def weierstrass_p_deriv(k: int, z: complex, tau: TauPoint,
@@ -465,54 +712,7 @@ def weierstrass_p_deriv(k: int, z: complex, tau: TauPoint,
     with Phi_k = (u d/du)^k [u/(1-u)^2].  z is reduced modulo the lattice so
     that 0 <= Im(z after reduction) <= Im(tau)/2, using evenness.
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    z = complex(z)
-    t = tau.tau
-    x, y = _decompose(z, tau)
-    if _on_lattice(x, y):
-        raise LatticePointError(f"pe pole: z = {z} is on the lattice")
-    sign = 1.0
-    y0 = y - round(y)
-    if y0 < -_LATTICE_EPS:
-        # pe^{(k)}(-z) = (-1)^k pe^{(k)}(z)
-        sign = (-1.0) ** k
-        x, y0 = -x, -y0
-    elif abs(y0) <= _LATTICE_EPS:
-        y0 = 0.0
-    x0 = x - math.floor(x)
-    u = cmath.exp(TWO_PI_I * (x0 - y0 * t))
-    q = tau.nome
-    aq = abs(q)
-    cap = _check_tau(tau, policy)
-    acc = _Kahan()
-    acc.add(_phi(k, u))
-    par = (-1.0) ** k
-    qj = 1.0 + 0j
-    j = 0
-    last = 0.0
-    while j < cap:
-        j += 1
-        qj *= q
-        t1 = _phi(k, u * qj)
-        t2 = par * _phi(k, qj / u)
-        acc.add(t1)
-        acc.add(t2)
-        last = abs(t1) + abs(t2)
-        if last <= policy.tol * max(abs(acc.value), 1.0) and j >= 2:
-            break
-    else:
-        raise NonConvergenceError(
-            f"pe Fourier series hit max_terms={cap}",
-            ComplexVal(acc.value, float("inf")),
-        )
-    pref = TWO_PI_I ** (k + 2)
-    r = min(aq * 2.0, 0.99)
-    tail = abs(pref) * (2.0 * last * r / (1.0 - r) + 1e-16 * abs(acc.value) * j)
-    val = ComplexVal(sign * pref * acc.value, tail)
-    if k == 0:
-        val = val - eisenstein(1, tau, policy)
-    return val
+    return weierstrass_p_deriv_points(k, [complex(z)], tau, policy)[0]
 
 
 def weierstrass_zeta_deriv(j: int, z: complex, tau: TauPoint,

@@ -2,32 +2,36 @@
 functions, Machide's elliptic Dedekind-Rademacher sums, and the residual
 verifiers built on them.
 
-Double sums over (lambda, mu) run in row-major order with compensated
-accumulation so repeated runs are bit-identical.
+Double sums over (lambda, mu) evaluate each factor at all points at once with
+the batched kernels of `qseries` and add the products with `math.fsum`, which
+is correctly rounded and independent of order, so repeated runs are
+bit-identical.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Tuple
+from typing import Tuple, Union
+
+import numpy as np
 
 from .exact import CoprimePair
 from .qseries import (
     DEFAULT_POLICY,
+    ComplexArray,
     ComplexVal,
     SeriesPolicy,
     TauPoint,
-    _Kahan,
     eisenstein,
     eisenstein_tau_derivative,
-    elliptic_bernoulli,
+    elliptic_bernoulli_points,
     sigma_log_tau_derivative,
     weierstrass_p_deriv,
+    weierstrass_p_deriv_points,
     weierstrass_zeta,
-    weierstrass_zeta_deriv,
+    weierstrass_zeta_points,
 )
 
 TWO_PI_I = 2j * math.pi
@@ -63,21 +67,45 @@ class EllipticSumResult:
     tau: TauPoint
 
 
-def _sum_complexvals(terms) -> ComplexVal:
-    acc = _Kahan()
-    err = 0.0
-    mag = 0.0
-    for t in terms:
-        acc.add(t.value)
-        err += t.err
-        mag += abs(t.value)
-    return ComplexVal(acc.value, err + 2.0**-52 * mag)
+def _grid(rows: int, cols: int, origin: bool = True) -> Tuple[np.ndarray, np.ndarray]:
+    """(i, j) over 0 <= i < rows, 0 <= j < cols in row-major order, as integer
+    arrays; without (0, 0) if not `origin`."""
+    return np.divmod(np.arange(0 if origin else 1, rows * cols), cols)
 
 
-def _zeta_bracket(z: complex, mu_over_p: float, e2: ComplexVal,
-                  tau: TauPoint, policy: SeriesPolicy) -> ComplexVal:
+def _division_points(p: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(lambda, mu) of the p-division points (lambda + mu tau)/p other than 0."""
+    return _grid(p, p, origin=False)
+
+
+def _division_z(lam: np.ndarray, mu: np.ndarray, tau: TauPoint, p: int) -> np.ndarray:
+    """(lambda + mu tau)/p with each part correctly rounded.  numpy divides
+    a complex array by p through a rounded 1/p, an ulp the steep factors
+    of the sums would amplify."""
+    t = tau.tau
+    return (lam + mu * t.real) / p + 1j * (mu * t.imag / p)
+
+
+def _halves(a: ComplexArray) -> Tuple[ComplexArray, ComplexArray]:
+    """The first and second halves of a batch that evaluated two factors at once."""
+    n = len(a) // 2
+    return ComplexArray(a.value[:n], a.err[:n]), ComplexArray(a.value[n:], a.err[n:])
+
+
+def _fsum(*parts: Union[ComplexArray, ComplexVal]) -> ComplexVal:
+    """The sum of all the values, with the summed errs plus one rounding of
+    2^-52 |v| per term; correctly rounded and independent of order."""
+    v = np.concatenate([np.atleast_1d(t.value) for t in parts])
+    err = np.concatenate([np.atleast_1d(t.err) for t in parts])
+    return ComplexVal(complex(math.fsum(v.real), math.fsum(v.imag)),
+                      math.fsum(err) + 2.0**-52 * math.fsum(np.hypot(v.real, v.imag)))
+
+
+def _zeta_bracket(z: np.ndarray, mu_over_p: np.ndarray, e2: ComplexVal,
+                  tau: TauPoint, policy: SeriesPolicy) -> ComplexArray:
     """zeta(z) - E_2 z + 2 pi i * (mu/p); the recurring odd-symbol factor."""
-    return weierstrass_zeta(z, tau, policy) - e2 * z + ComplexVal(TWO_PI_I * mu_over_p, 0.0)
+    return (weierstrass_zeta_points(z, tau, policy) - ComplexArray(e2.value, e2.err) * z
+            + ComplexArray(TWO_PI_I * mu_over_p, 0.0))
 
 
 def elliptic_apostol_sum(n: int, pair: CoprimePair, tau: TauPoint,
@@ -105,30 +133,20 @@ def elliptic_apostol_sum(n: int, pair: CoprimePair, tau: TauPoint,
     if n < 1:
         raise ValueError("n must be >= 1")
     p, q = pair.p, pair.q
-    t = tau.tau
-    terms = []
+    lam, mu = _division_points(p)
     if route is Route.ZETA_DERIVATIVE:
         e2 = eisenstein(1, tau, policy)
-        for lam in range(p):
-            for mu in range(p):
-                if lam == 0 and mu == 0:
-                    continue
-                z = (lam + mu * t) / p
-                zd = weierstrass_zeta_deriv(2 * n, z, tau, policy)
-                terms.append(zd * _zeta_bracket(q * z, q * mu / p, e2, tau, policy))
-        total = _sum_complexvals(terms)
+        z = _division_z(lam, mu, tau, p)
+        # zeta^{(2n)} = -pe^{(2n-1)}
+        zd = -weierstrass_p_deriv_points(2 * n - 1, z, tau, policy)
+        total = _fsum(zd * _zeta_bracket(q * z, q * mu / p, e2, tau, policy))
         val = total * (1.0 / ((TWO_PI_I**2).real * p * math.factorial(2 * n)))
     else:
         q_inv = pow(q % p, -1, p) if p > 1 else 0
-        for lam in range(p):
-            for mu in range(p):
-                if lam == 0 and mu == 0:
-                    continue
-                b_hi = elliptic_bernoulli(2 * n + 1, -lam / p, mu / p, tau, policy)
-                b_lo = elliptic_bernoulli(1, -q_inv * lam / p, q_inv * mu / p,
-                                          tau, policy)
-                terms.append(b_hi * b_lo)
-        total = _sum_complexvals(terms)
+        b_hi = elliptic_bernoulli_points(2 * n + 1, -lam / p, mu / p, tau, policy)
+        b_lo = elliptic_bernoulli_points(1, -q_inv * lam / p, q_inv * mu / p,
+                                         tau, policy)
+        total = _fsum(b_hi * b_lo)
         val = total * (-(TWO_PI_I ** (2 * n)) * p ** (2 * n - 1)
                        / math.factorial(2 * n + 1))
     return EllipticSumResult(val, route, p, q, n, tau)
@@ -168,20 +186,13 @@ def generating_D(pair: CoprimePair, tau: TauPoint, x: float,
     p, q = pair.p, pair.q
     if abs(x) >= 1 / (2 * p):
         raise ValueError(f"|x| must be < 1/(2p) = {1/(2*p)}, got {x}")
-    t = tau.tau
     e2 = eisenstein(1, tau, policy)
-    terms = []
-    for lam in range(p):
-        for mu in range(p):
-            if lam == 0 and mu == 0:
-                continue
-            z = (lam + mu * t) / p
-            terms.append(
-                _zeta_bracket(z - x, mu / p, e2, tau, policy)
-                * _zeta_bracket(q * z, q * mu / p, e2, tau, policy)
-            )
-    total = _sum_complexvals(terms)
-    return total * (1.0 / ((TWO_PI_I**2).real * p))
+    lam, mu = _division_points(p)
+    z = _division_z(lam, mu, tau, p)
+    # both brackets in one batch
+    first, second = _halves(_zeta_bracket(np.concatenate((z - x, q * z)),
+                                          np.concatenate((mu, q * mu)) / p, e2, tau, policy))
+    return _fsum(first * second) * (1.0 / ((TWO_PI_I**2).real * p))
 
 
 def generating_R(pair: CoprimePair, tau: TauPoint, x: float,
@@ -282,17 +293,12 @@ def machide_sum(spec: MachideSpec, tau: TauPoint,
     zp, z = spec.vec_z
     tau_a = TauPoint(ap / a * tau.tau)
     tau_b = TauPoint(bp / b * tau.tau)
-    terms = []
-    for j in range(c):
-        for jp in range(cp):
-            f1 = elliptic_bernoulli(
-                spec.m, ap * (jp + zp) / cp - xp, a * (j + z) / c - x, tau_a, policy
-            )
-            f2 = elliptic_bernoulli(
-                spec.n, bp * (jp + zp) / cp - yp, b * (j + z) / c - y, tau_b, policy
-            )
-            terms.append(f1 * f2)
-    return _sum_complexvals(terms) * (1.0 / cp)
+    j, jp = _grid(c, cp)
+    f1 = elliptic_bernoulli_points(
+        spec.m, ap * (jp + zp) / cp - xp, a * (j + z) / c - x, tau_a, policy)
+    f2 = elliptic_bernoulli_points(
+        spec.n, bp * (jp + zp) / cp - yp, b * (j + z) / c - y, tau_b, policy)
+    return _fsum(f1 * f2) * (1.0 / cp)
 
 
 def machide_reciprocity_residuals(pair: CoprimePair, s: float, t: float,
@@ -324,9 +330,15 @@ def machide_reciprocity_residuals(pair: CoprimePair, s: float, t: float,
     arr2 = (vb, vc, va, vy, vz, vx)
     arr3 = (vc, va, vb, vz, vx, vy)
 
+    sums = {}
+
     def S(arr, m, n):
-        spec = MachideSpec(arr[0], arr[1], arr[2], arr[3], arr[4], arr[5], m, n)
-        return machide_sum(spec, tau, policy)
+        # r1..r3 share three of their nine sums; evaluate each once
+        key = (arr, m, n)
+        if key not in sums:
+            spec = MachideSpec(arr[0], arr[1], arr[2], arr[3], arr[4], arr[5], m, n)
+            sums[key] = machide_sum(spec, tau, policy)
+        return sums[key]
 
     r1 = S(arr2, 2, 0) * (-c / (2 * b)) + S(arr3, 0, 2) * (c / (2 * a))
     r2 = S(arr1, 2, 0) * (b / (2 * a)) - S(arr2, 0, 2) * (b / (2 * c))
@@ -345,16 +357,12 @@ def machide_reciprocity_residuals(pair: CoprimePair, s: float, t: float,
 def _b1_division_sum(p: int, q: int, s: float, tau: TauPoint,
                      policy: SeriesPolicy) -> ComplexVal:
     """(1/p) sum_{(l,m) != 0}^{p-1} B_1(l/p - s, m/p) B_1(q l/p, q m/p)."""
-    terms = []
-    for lam in range(p):
-        for mu in range(p):
-            if lam == 0 and mu == 0:
-                continue
-            terms.append(
-                elliptic_bernoulli(1, lam / p - s, mu / p, tau, policy)
-                * elliptic_bernoulli(1, q * lam / p, q * mu / p, tau, policy)
-            )
-    return _sum_complexvals(terms) * (1.0 / p)
+    lam, mu = _division_points(p)
+    # both factors in one batch
+    first, second = _halves(elliptic_bernoulli_points(
+        1, np.concatenate((lam / p - s, q * lam / p)), np.concatenate((mu, q * mu)) / p,
+        tau, policy))
+    return _fsum(first * second) * (1.0 / p)
 
 
 def proposition31_residual(pair: CoprimePair, s: float, tau: TauPoint,
@@ -368,10 +376,11 @@ def proposition31_residual(pair: CoprimePair, s: float, tau: TauPoint,
         raise ValueError(f"need 0 < |s| < 1/(2 max(p,q)), got {s}")
     lhs = _b1_division_sum(p, q, s, tau, policy) + _b1_division_sum(q, p, s, tau, policy)
     e2 = eisenstein(1, tau, policy)
-    rhs = -(elliptic_bernoulli(1, p * s, 0.0, tau, policy)
-            * elliptic_bernoulli(1, q * s, 0.0, tau, policy))
-    rhs = rhs + elliptic_bernoulli(2, p * s, 0.0, tau, policy) * (q / (2 * p))
-    rhs = rhs + elliptic_bernoulli(2, q * s, 0.0, tau, policy) * (p / (2 * q))
+    b1 = elliptic_bernoulli_points(1, [p * s, q * s], [0.0, 0.0], tau, policy)
+    b2 = elliptic_bernoulli_points(2, [p * s, q * s], [0.0, 0.0], tau, policy)
+    rhs = -(b1[0] * b1[1])
+    rhs = rhs + b2[0] * (q / (2 * p))
+    rhs = rhs + b2[1] * (p / (2 * q))
     # dB_1(s,0)/ds = (1/2 pi i)[pe(s) + E_2]
     db1 = (weierstrass_p_deriv(0, s, tau, policy) + e2) * (1.0 / TWO_PI_I)
     rhs = rhs + db1 * (1.0 / (TWO_PI_I * p * q))
@@ -390,10 +399,6 @@ def proposition31_constant_closed_form(pair: CoprimePair, tau: TauPoint,
     p, q = pair.p, pair.q
     e2 = eisenstein(1, tau, policy)
     b2_origin = e2 * (-1.0 / (1j * math.pi * TWO_PI_I))
-    terms = [b2_origin]
-    for lam in range(q):
-        for mu in range(q):
-            if lam == 0 and mu == 0:
-                continue
-            terms.append(elliptic_bernoulli(2, p * lam / q, p * mu / q, tau, policy))
-    return _sum_complexvals(terms) * (1.0 / (2 * p * q))
+    lam, mu = _division_points(q)
+    b2 = elliptic_bernoulli_points(2, p * lam / q, p * mu / q, tau, policy)
+    return _fsum(b2_origin, b2) * (1.0 / (2 * p * q))

@@ -185,6 +185,47 @@ class TestGPoly:
         assert term1 + term2 - term3 == LaurentPoly.zero()
 
 
+_monomials = st.dictionaries(
+    st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
+    st.fractions(max_denominator=50).filter(lambda c: c != 0),
+    max_size=8,
+)
+
+
+class TestLaurentEvaluate:
+    @given(coeffs=_monomials, p=st.integers(-30, 30).filter(bool),
+           q=st.integers(-30, 30).filter(bool))
+    @settings(max_examples=80, deadline=None)
+    @example(coeffs={(-3, 2): Fraction(5, 7), (4, -1): Fraction(-2, 3)}, p=-2, q=-9)
+    @example(coeffs={(0, 0): Fraction(1, 2)}, p=1, q=-1)
+    def test_matches_per_monomial_formula(self, coeffs, p, q):
+        poly = LaurentPoly(coeffs)
+        expected = sum((c * Fraction(p) ** i * Fraction(q) ** j
+                        for (i, j), c in coeffs.items()), Fraction(0))
+        got = poly.evaluate(p, q)
+        assert isinstance(got, Fraction) or (not coeffs and got == 0)
+        assert got == expected
+
+    @pytest.mark.parametrize("w", [2, 4, 6, 12])
+    def test_g_poly_values(self, w):
+        g = g_poly(w)
+        for p, q in ((3, 2), (13, 7), (1, 1), (1999, 1000)):
+            expected = sum(c * Fraction(p) ** i * Fraction(q) ** j
+                           for (i, j), c in g.coeffs.items())
+            assert g.evaluate(p, q) == expected
+
+    def test_zero_argument(self):
+        poly = LaurentPoly({(0, 2): Fraction(1, 3), (1, 0): Fraction(2)})
+        assert poly.evaluate(0, 3) == 3
+        assert poly.evaluate(2, 0) == 4
+        with pytest.raises(ZeroDivisionError):
+            LaurentPoly({(-1, 0): Fraction(1)}).evaluate(0, 1)
+
+    def test_complex_coefficients_keep_general_path(self):
+        poly = LaurentPoly({(1, -1): 2j, (0, 1): Fraction(1, 2)})
+        assert poly.evaluate(2, 4) == 2j * 2 / 4 + Fraction(1, 2) * 4
+
+
 class TestReciprocity:
     def test_example_value(self):
         pair = CoprimePair(3, 1)

@@ -10,10 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ellded.exact import bernoulli_number
 from ellded.qseries import (
     DEFAULT_POLICY,
+    ComplexArray,
+    ComplexVal,
     LatticeCutoff,
     LatticePointError,
+    NonConvergenceError,
     SeriesPolicy,
     SlowNomeWarning,
     TauPoint,
@@ -21,14 +25,19 @@ from ellded.qseries import (
     eisenstein_normalized,
     eisenstein_tau_derivative,
     elliptic_bernoulli,
+    elliptic_bernoulli_points,
     kronecker_direct,
     parse_tau,
     sigma_log_tau_derivative,
     weierstrass_p_deriv,
+    weierstrass_p_deriv_points,
     weierstrass_zeta,
     weierstrass_zeta_deriv,
+    weierstrass_zeta_points,
     zeta_odd,
 )
+
+import loop_reference as ref
 
 TWO_PI_I = 2j * math.pi
 
@@ -79,6 +88,33 @@ class TestEisenstein:
             g = eisenstein_normalized(n, tau)
             ratio = 2 * TWO_PI_I ** (2 * n) / math.factorial(2 * n - 1)
             assert abs(e.value - ratio * g.value) < 1e-9 * abs(e.value)
+
+    @pytest.mark.parametrize("tau", [0.3 + 1.1j, 0.1 + 0.8j, -0.4 + 1.5j, 0.2 + 0.3j])
+    def test_err_bounds_mpmath_reference(self, tau):
+        # the q-expansion summed at 40 digits; err must cover the final
+        # rounding of const + pref * s (of const + s for G), not only the
+        # series tail
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            q = mpmath.exp(2j * mpmath.pi * mpmath.mpc(tau.real, tau.imag))
+            for n in range(1, 9):
+                s, qk, k = mpmath.mpf(0), mpmath.mpf(1), 0
+                while True:
+                    k += 1
+                    qk *= q
+                    term = sum(mpmath.mpf(d) ** (2 * n - 1)
+                               for d in range(1, k + 1) if k % d == 0) * qk
+                    s += term
+                    if abs(term) < mpmath.mpf(10) ** -45 * max(1, abs(s)):
+                        break
+                ref = (2 * mpmath.zeta(2 * n)
+                       + 2 * (2j * mpmath.pi) ** (2 * n) / mpmath.factorial(2 * n - 1) * s)
+                val = eisenstein(n, TauPoint(tau))
+                assert abs(val.value - complex(ref)) <= val.err, (n, val, complex(ref))
+                b = bernoulli_number(2 * n)
+                ref = -mpmath.mpf(b.numerator) / b.denominator / (4 * n) + s
+                val = eisenstein_normalized(n, TauPoint(tau))
+                assert abs(val.value - complex(ref)) <= val.err, (n, val, complex(ref))
 
     def test_err_bound_honest(self):
         # tightening tol tenfold moves the value by less than the coarser err
@@ -336,3 +372,265 @@ class TestZetaOdd:
         K = 10**4
         direct = math.fsum(k**-s for k in range(1, K + 1)) + K ** (1 - s) / (s - 1)
         assert abs(zeta_odd(3) - direct) < 1e-13
+
+
+# ---------------------------------------------------------------------------
+# Batched kernels against the per-point loop reference
+# ---------------------------------------------------------------------------
+
+#: the Im(tau) strata of the division-sum workloads, down to slow convergence
+KERNEL_IM_TAUS = (1.1, 0.3, 0.11, 0.06)
+
+
+def _agree(batch: ComplexArray, reference: list) -> None:
+    """Every kernel value agrees with its loop value within their combined err."""
+    assert len(batch) == len(reference)
+    for i, r in enumerate(reference):
+        v = batch[i]
+        assert isinstance(v.value, complex) and isinstance(v.err, float)
+        assert abs(v.value - r.value) <= v.err + r.err, (i, v, r)
+
+
+def _division_grid(p: int):
+    """(lambda/p, mu/p) over the p-division residues other than (0, 0)."""
+    return [(lam / p, mu / p) for lam in range(p) for mu in range(p)
+            if (lam, mu) != (0, 0)]
+
+
+def _tau_strategy():
+    return st.builds(lambda re, im: TauPoint(complex(re, im)),
+                     st.floats(-0.5, 0.5), st.sampled_from(KERNEL_IM_TAUS))
+
+
+class TestBatchedKernels:
+    @given(m=st.integers(0, 7), p=st.integers(2, 23), tau=_tau_strategy())
+    @settings(max_examples=12, deadline=None)
+    def test_elliptic_bernoulli_matches_loop(self, m, p, tau):
+        grid = _division_grid(p)
+        # negative x, y = 0 and y just below 1, where the kernel snaps y to 0
+        pts = grid + [(-x, y) for x, y in grid] + [(0.3, 1 - 1e-13), (-0.7, 0.0)]
+        xs, ys = zip(*pts)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SlowNomeWarning)
+            batch = elliptic_bernoulli_points(m, xs, ys, tau)
+            _agree(batch, [ref.elliptic_bernoulli(m, x, y, tau) for x, y in pts])
+
+    @given(k=st.integers(0, 7), p=st.integers(2, 23), tau=_tau_strategy())
+    @settings(max_examples=12, deadline=None)
+    def test_p_deriv_matches_loop(self, k, p, tau):
+        t = tau.tau
+        zs = [x + y * t for x, y in _division_grid(p)]
+        zs += [-z for z in zs] + [zs[0] + 1 + t, 0.3 - (1 - 1e-13) * t]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SlowNomeWarning)
+            batch = weierstrass_p_deriv_points(k, zs, tau)
+            _agree(batch, [ref.weierstrass_p_deriv(k, z, tau) for z in zs])
+
+    @given(p=st.integers(2, 23), q=st.integers(-7, 7), tau=_tau_strategy())
+    @settings(max_examples=12, deadline=None)
+    def test_zeta_matches_loop(self, p, q, tau):
+        t = tau.tau
+        zs = [x + y * t for x, y in _division_grid(p)]
+        # q z leaves the fundamental cell; the quasi-periods bring it back
+        zs += [q * z + 0.5 / p for z in zs] + [0.3 - (1 - 1e-13) * t, 0.3 + 1e-13 * t]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SlowNomeWarning)
+            batch = weierstrass_zeta_points(zs, tau)
+            _agree(batch, [ref.weierstrass_zeta(z, tau) for z in zs])
+
+    def test_scalar_functions_are_one_point_calls(self):
+        tau = TauPoint(0.2 + 0.7j)
+        assert elliptic_bernoulli(3, 0.3, 0.6, tau) == elliptic_bernoulli_points(
+            3, [0.3], [0.6], tau)[0]
+        assert weierstrass_zeta(0.3 + 0.2j, tau) == weierstrass_zeta_points(
+            [0.3 + 0.2j], tau)[0]
+        assert weierstrass_p_deriv(2, 0.3 + 0.2j, tau) == weierstrass_p_deriv_points(
+            2, [0.3 + 0.2j], tau)[0]
+
+    def test_points_are_independent(self):
+        # a point's value does not depend on the batch it is evaluated in
+        tau = TauPoint(0.1 + 0.3j)
+        xs = np.linspace(0.05, 0.95, 17)
+        ys = np.linspace(0.9, 0.1, 17)
+        batch = elliptic_bernoulli_points(4, xs, ys, tau)
+        for i in (0, 7, 16):
+            assert batch[i] == elliptic_bernoulli_points(4, xs[i:i + 1], ys[i:i + 1], tau)[0]
+
+    def test_lattice_point_anywhere_in_batch(self):
+        tau = TauPoint(1.1j)
+        with pytest.raises(LatticePointError):
+            elliptic_bernoulli_points(2, [0.3, 2.0, 0.5], [0.1, -1.0, 0.2], tau)
+        with pytest.raises(LatticePointError):
+            weierstrass_zeta_points([0.3 + 0.1j, 1 + tau.tau], tau)
+        with pytest.raises(LatticePointError):
+            weierstrass_p_deriv_points(1, [0.3 + 0.1j, 0.2, -tau.tau], tau)
+
+    def test_term_cap_anywhere_in_batch(self):
+        tau = TauPoint(0.2 + 0.3j)
+        policy = SeriesPolicy(max_terms=3)
+        xs, ys = [0.3, 0.4], [0.2, 0.5]
+        for call in (lambda: elliptic_bernoulli_points(2, xs, ys, tau, policy),
+                     lambda: weierstrass_p_deriv_points(2, [0.3 + 0.1j, 0.1], tau, policy),
+                     lambda: weierstrass_zeta_points([0.3 + 0.1j, 0.1], tau, policy)):
+            with pytest.raises(NonConvergenceError) as info:
+                call()
+            assert isinstance(info.value.partial, ComplexVal)
+            assert info.value.partial.err == float("inf")
+        # the loop reference gives up at the same cap
+        with pytest.raises(NonConvergenceError):
+            ref.elliptic_bernoulli(2, 0.3, 0.2, tau, policy)
+
+    def test_one_slow_nome_warning_per_call(self):
+        tau = TauPoint(0.1 + 0.08j)
+
+        def warnings_of(call):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", SlowNomeWarning)
+                call()
+            return sum(issubclass(w.category, SlowNomeWarning) for w in caught)
+
+        grid = _division_grid(7)
+        xs, ys = zip(*grid)
+        zs = [x + y * tau.tau for x, y in grid]
+        assert warnings_of(lambda: elliptic_bernoulli_points(3, xs, ys, tau)) == 1
+        assert warnings_of(lambda: weierstrass_p_deriv_points(3, zs, tau)) == 1
+        # zeta runs two series, B_1 over the batch and E_2 once
+        assert warnings_of(lambda: weierstrass_zeta_points(zs, tau)) == 2
+        assert warnings_of(lambda: weierstrass_zeta_points(zs[:1], tau)) == 2
+
+
+class TestComplexArray:
+    """The elementwise arithmetic must match ComplexVal's bit for bit, so the
+    err rules of the batched and scalar paths cannot drift apart."""
+
+    finite = st.floats(-1e100, 1e100, allow_nan=False)
+    errs = st.floats(0, 1e100, allow_nan=False)
+    vals = st.builds(lambda re, im, e: ComplexVal(complex(re, im), e), finite, finite, errs)
+
+    @staticmethod
+    def _array(vs):
+        return ComplexArray(np.array([v.value for v in vs], dtype=complex),
+                            np.array([v.err for v in vs]))
+
+    @staticmethod
+    def _same(batch, expected):
+        for i, e in enumerate(expected):
+            got = batch[i]
+            assert got.value == e.value and got.err == e.err, (i, got, e)
+
+    @given(st.lists(st.tuples(vals, vals), min_size=1, max_size=20), finite, finite)
+    @settings(max_examples=60, deadline=None)
+    def test_mul_matches_complexval(self, pairs, re, im):
+        a = self._array([u for u, _ in pairs])
+        b = self._array([v for _, v in pairs])
+        self._same(a * b, [u * v for u, v in pairs])
+        self._same(a * pairs[0][1], [u * pairs[0][1] for u, _ in pairs])
+        c = complex(re, im)
+        self._same(a * c, [u * c for u, _ in pairs])
+        self._same(a * re, [u * re for u, _ in pairs])
+        plain = np.array([v.value for _, v in pairs])
+        self._same(a * plain, [u * v.value for u, v in pairs])
+
+    @given(st.lists(st.tuples(vals, vals), min_size=1, max_size=20), finite)
+    @settings(max_examples=40, deadline=None)
+    def test_add_sub_match_complexval(self, pairs, re):
+        a = self._array([u for u, _ in pairs])
+        b = self._array([v for _, v in pairs])
+        self._same(a + b, [u + v for u, v in pairs])
+        self._same(a - b, [u - v for u, v in pairs])
+        self._same(-a, [-u for u, _ in pairs])
+        self._same(a + re, [u + re for u, _ in pairs])
+        self._same(a - pairs[0][1], [u - pairs[0][1] for u, _ in pairs])
+
+
+class TestKernelErrAgainstMpmath:
+    """err of the batched B_m and pe^(k) bounds the actual error: each
+    kernel's own series, reduction and closing terms summed at 30 digits."""
+
+    TAUS = (0.25 + 1.1j, -0.2 + 0.3j, 0.3 + 0.06j)
+    # 7-division points, one with y near 1 where e(-x) - e((1-y) tau) is
+    # small, and a half period, where the odd derivatives of pe vanish and
+    # the terms cancel; negative x is covered by the loop comparisons
+    GRID = ((3 / 7, 6 / 7), (6 / 7, 1 / 7), (0.0, 0.5))
+
+    @staticmethod
+    def _e(mp, a):
+        return mp.exp(2j * mp.pi * a)
+
+    def _bernoulli(self, mp, m, x, y, tau):
+        y = y - mp.floor(y)
+        q, s, j = self._e(mp, tau), mp.mpc(0), 0
+        # e((j - y) tau) and e((j + y) tau), stepped by q; at 30 digits the
+        # products lose nothing a binary64 result could show
+        w1, w2 = self._e(mp, -y * tau), self._e(mp, y * tau)
+        while True:
+            j += 1
+            w1, w2 = w1 * q, w2 * q
+            t1 = (y - j) ** (m - 1) * w1 / (self._e(mp, -x) - w1)
+            t2 = (y + j) ** (m - 1) * w2 / (self._e(mp, x) - w2)
+            s += t1 - t2
+            if abs(t1) + abs(t2) < 1e-25 and j > 3:
+                break
+        v = self._e(mp, -x + y * tau)
+        s += (y ** (m - 1) if m > 1 else 1) * v / (v - 1)
+        poly = sum(math.comb(m, i) * mp.mpf(bernoulli_number(i).numerator)
+                   / bernoulli_number(i).denominator * y ** (m - i) for i in range(m + 1))
+        return m * s + poly
+
+    def _pe(self, mp, k, z, tau):
+        from ellded.qseries import _phi_poly
+
+        def phi(w):
+            num = mp.mpc(0)
+            for c in reversed(_phi_poly(k)):
+                num = num * w + c
+            return num / (1 - w) ** (k + 2)
+
+        y = -z.imag / tau.imag
+        x = z.real + y * tau.real
+        sign, y0 = 1, y - mp.nint(y)
+        if y0 < 0:
+            sign, x, y0 = (-1) ** k, -x, -y0
+        u, q = self._e(mp, x - mp.floor(x) - y0 * tau), self._e(mp, tau)
+        s, j, qj = phi(u), 0, mp.mpf(1)
+        while True:
+            j += 1
+            qj *= q
+            t = phi(u * qj) + (-1) ** k * phi(qj / u)
+            s += t
+            if abs(t) < 1e-25 * max(1, abs(s)) and j > 3:
+                break
+        val = sign * (2j * mp.pi) ** (k + 2) * s
+        if k == 0:
+            e2, n = mp.mpc(0), 0
+            while abs(q) ** n * n * n > 1e-25 or n < 4:
+                n += 1
+                e2 += sum(d for d in range(1, n + 1) if n % d == 0) * q**n
+            val -= mp.pi**2 / 3 - 8 * mp.pi**2 * e2
+        return val
+
+    @pytest.mark.parametrize("tau", TAUS)
+    def test_elliptic_bernoulli(self, tau):
+        mp = pytest.importorskip("mpmath")
+        xs, ys = zip(*self.GRID)
+        with mp.workdps(30), warnings.catch_warnings():
+            warnings.simplefilter("ignore", SlowNomeWarning)
+            t = mp.mpc(tau.real, tau.imag)
+            for m in range(1, 8):
+                batch = elliptic_bernoulli_points(m, xs, ys, TauPoint(tau))
+                for i, (x, y) in enumerate(self.GRID):
+                    ref = complex(self._bernoulli(mp, m, mp.mpf(x), mp.mpf(y), t))
+                    assert abs(batch[i].value - ref) <= batch[i].err, (m, x, y, batch[i], ref)
+
+    @pytest.mark.parametrize("tau", TAUS)
+    def test_p_deriv(self, tau):
+        mp = pytest.importorskip("mpmath")
+        zs = [x + y * tau for x, y in self.GRID]
+        with mp.workdps(30), warnings.catch_warnings():
+            warnings.simplefilter("ignore", SlowNomeWarning)
+            t = mp.mpc(tau.real, tau.imag)
+            for k in range(8):
+                batch = weierstrass_p_deriv_points(k, zs, TauPoint(tau))
+                for i, z in enumerate(zs):
+                    ref = complex(self._pe(mp, k, mp.mpc(z.real, z.imag), t))
+                    assert abs(batch[i].value - ref) <= batch[i].err, (k, z, batch[i], ref)

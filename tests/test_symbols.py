@@ -237,3 +237,95 @@ class TestProposition31:
     def test_s_domain_guard(self):
         with pytest.raises(ValueError):
             proposition31_residual(CoprimePair(3, 2), 0.4, TAU_I)
+
+
+# ---------------------------------------------------------------------------
+# Division-point sums against the per-point loop reference
+# ---------------------------------------------------------------------------
+
+import warnings  # noqa: E402
+
+import loop_reference as ref  # noqa: E402
+from ellded.qseries import SlowNomeWarning  # noqa: E402
+
+
+def _within_combined_err(a, b):
+    """Criterion 11: two routes agree within their combined err."""
+    assert abs(a.value - b.value) <= a.err + b.err, (a, b)
+
+
+_pairs = st.integers(2, 13).flatmap(
+    lambda p: st.tuples(st.just(p), st.integers(1, p - 1).filter(lambda q: math.gcd(p, q) == 1)))
+_taus = st.builds(lambda re, im: TauPoint(complex(re, im)),
+                  st.floats(-0.5, 0.5), st.sampled_from((1.1, 0.3, 0.11, 0.06)))
+
+
+class TestAgainstLoopReference:
+    @given(n=st.integers(1, 3), pq=_pairs, tau=_taus)
+    @settings(max_examples=10, deadline=None)
+    def test_elliptic_apostol_sum_both_routes(self, n, pq, tau):
+        pair = CoprimePair(*pq)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SlowNomeWarning)
+            for route in Route:
+                _within_combined_err(elliptic_apostol_sum(n, pair, tau, route).value,
+                                     ref.elliptic_apostol_sum(n, pair, tau, route))
+
+    @given(pq=_pairs, tau=_taus, u=st.floats(-0.9, 0.9))
+    @settings(max_examples=10, deadline=None)
+    def test_generating_D(self, pq, tau, u):
+        pair = CoprimePair(*pq)
+        x = u / (2 * pair.p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SlowNomeWarning)
+            _within_combined_err(generating_D(pair, tau, x), ref.generating_D(pair, tau, x))
+
+    @given(pq=_pairs, tau=_taus, u=st.floats(0.1, 0.9), neg=st.booleans())
+    @settings(max_examples=10, deadline=None)
+    def test_proposition31(self, pq, tau, u, neg):
+        pair = CoprimePair(*pq)
+        s = (-u if neg else u) / (2 * max(pq))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SlowNomeWarning)
+            _within_combined_err(proposition31_residual(pair, s, tau),
+                                 ref.proposition31_residual(pair, s, tau))
+            _within_combined_err(proposition31_constant_closed_form(pair, tau),
+                                 ref.proposition31_constant_closed_form(pair, tau))
+
+    @given(pq=_pairs, tau=_taus, m=st.integers(0, 2), n=st.integers(0, 2),
+           s=st.floats(0.005, 0.02), t=st.floats(0.003, 0.012))
+    @settings(max_examples=10, deadline=None)
+    def test_machide_sum(self, pq, tau, m, n, s, t):
+        p, q = pq
+        try:
+            spec = MachideSpec((1, 1), (p, p), (q, q), (s, 0.0), (p * t, 0.0),
+                               (-q * t, 0.0), m, n)
+        except ValueError:
+            return  # degenerate spec, rejected before any sum is formed
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SlowNomeWarning)
+            _within_combined_err(machide_sum(spec, tau), ref.machide_sum(spec, tau))
+
+    def test_machide_rectangular_grid(self):
+        # c != c' exercises the (j, j') grid in row-major order
+        spec = MachideSpec((2, 3), (1, 2), (3, 5), (0.11, 0.2), (0.05, 0.3),
+                           (0.07, 0.01), 2, 1)
+        _within_combined_err(machide_sum(spec, TAU_G), ref.machide_sum(spec, TAU_G))
+
+    def test_division_points_rounded_like_the_loops(self):
+        # (lambda + mu tau)/p in numpy divides through a rounded 1/p; the
+        # sums' steep factors turned that ulp into reciprocity residuals
+        # several times larger
+        from ellded.symbols import _division_points, _division_z
+        for p, tau in ((14, TauPoint(0.0218 + 1.1j)), (23, TAU_G), (7, TauPoint(-0.3 + 0.06j))):
+            lam, mu = _division_points(p)
+            z = _division_z(lam, mu, tau, p)
+            assert [complex(v) for v in z] == [(l + m * tau.tau) / p
+                                               for l, m in zip(lam.tolist(), mu.tolist())]
+
+    def test_repeat_runs_bit_identical(self):
+        pair = CoprimePair(7, 3)
+        a = elliptic_apostol_sum(2, pair, TAU_G, Route.BERNOULLI_PRODUCT).value
+        b = elliptic_apostol_sum(2, pair, TAU_G, Route.BERNOULLI_PRODUCT).value
+        assert a == b
+        assert generating_D(pair, TAU_G, 0.01) == generating_D(pair, TAU_G, 0.01)

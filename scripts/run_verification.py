@@ -50,6 +50,11 @@ def command_grid(cfg: SweepConfig):
         for n, p, q in ((1, 2, 1), (2, 3, 2)):
             yield "three-term", ["verify", "three-term", "-n", str(n),
                                  "-p", str(p), "-q", str(q), "--tau", tau]
+    # near the real axis thm13 only: thm11's fixed tol lies below the error
+    # of the elliptic sums there
+    for p, q in cfg.pairs:
+        yield "thm13", ["verify", "thm13", "-p", str(p), "-q", str(q),
+                        "--tau", "0.2+0.11i"]
     for p, q in cfg.pairs:
         yield "lemma32", ["verify", "lemma32", "-p", str(p), "-q", str(q),
                           "--tau", "0+1i"]

@@ -2,7 +2,8 @@
 suite, emitting machine-readable reports.
 
 Exit codes: 0 all checks pass / value printed, 1 at least one check failed,
-2 usage error, 3 domain error (coprimality, half-plane, singularity).
+2 usage error, 3 domain error (coprimality, half-plane, singularity, a
+value beyond the floating-point range).
 """
 
 from __future__ import annotations
@@ -673,7 +674,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         _emit(records, cfg.fmt, sys.stdout)
         return EXIT_PASS if all(r["pass"] for r in records) else EXIT_FAIL
     except (ValueError, LatticePointError, NonConvergenceError,
-            ZeroDivisionError) as exc:
+            ZeroDivisionError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

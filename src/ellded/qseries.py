@@ -4,8 +4,10 @@ Bernoulli functions and brute-force lattice-sum oracles.
 All evaluation is binary64 complex with explicit truncation-error tracking
 (`ComplexVal.err` bounds the discarded series tails via geometric estimates,
 plus a first-order bound on the rounding).
-Each series runs in a fixed ascending order with compensated (Kahan)
-accumulation per point, so repeated runs are bit-identical.
+Each series runs in a fixed ascending order and adds its terms with one
+compensated (Kahan) step, `_kahan_add`, on Python scalars for the Eisenstein
+sums and elementwise on arrays for the batched kernels, so repeated runs are
+bit-identical.
 
 The Weierstrass and elliptic Bernoulli functions are array kernels
 (`*_points`) that run one series over a whole batch of points: every point
@@ -257,24 +259,13 @@ def _check_tau(tau: TauPoint, policy: SeriesPolicy) -> int:
     return policy.max_terms
 
 
-class _Kahan:
-    """Compensated complex accumulator (fixed-order, bit-reproducible)."""
-
-    __slots__ = ("s", "c")
-
-    def __init__(self):
-        self.s = 0j
-        self.c = 0j
-
-    def add(self, x: complex):
-        y = x - self.c
-        t = self.s + y
-        self.c = (t - self.s) - y
-        self.s = t
-
-    @property
-    def value(self) -> complex:
-        return self.s
+def _kahan_add(s, c, x):
+    """Compensated (Kahan) addition of x to the running sum s with
+    compensation c, on Python scalars or elementwise on numpy arrays;
+    returns the new (s, c)."""
+    y = x - c
+    t = s + y
+    return t, (t - s) - y
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +298,7 @@ def _eisenstein_q_sum(n: int, tau: TauPoint, policy: SeriesPolicy,
     cap = _check_tau(tau, policy)
     q = tau.nome
     aq = abs(q)
-    acc = _Kahan()
+    acc, comp = 0j, 0j
     qk = 1.0 + 0j
     small_streak = 0
     last = 0.0
@@ -318,9 +309,9 @@ def _eisenstein_q_sum(n: int, tau: TauPoint, policy: SeriesPolicy,
         term = _divisor_power_sum(2 * n - 1, k) * qk
         if tau_deriv:
             term *= TWO_PI_I * k
-        acc.add(term)
+        acc, comp = _kahan_add(acc, comp, term)
         last = abs(term)
-        scale = max(abs(acc.value), 1e-300)
+        scale = max(abs(acc), 1e-300)
         if last <= policy.tol * scale or last == 0.0:
             small_streak += 1
             if small_streak >= 3:
@@ -330,14 +321,14 @@ def _eisenstein_q_sum(n: int, tau: TauPoint, policy: SeriesPolicy,
     else:
         raise NonConvergenceError(
             f"Eisenstein q-series (n={n}) hit max_terms={cap}",
-            ComplexVal(acc.value, float("inf")),
+            ComplexVal(acc, float("inf")),
         )
     # Ratio of consecutive terms is <= ((k+1)/k)^{2n+1} |q|; bound the tail
     # geometrically with a safety factor.
     r = aq * ((k + 1) / k) ** (2 * n + (2 if tau_deriv else 1))
     r = min(r, 0.99)
-    tail = 2.0 * last * r / (1.0 - r) + 1e-16 * abs(acc.value) * max(k, 1)
-    return acc.value, tail
+    tail = 2.0 * last * r / (1.0 - r) + 1e-16 * abs(acc) * max(k, 1)
+    return acc, tail
 
 
 @lru_cache(maxsize=None)
@@ -379,9 +370,9 @@ def eisenstein_tau_derivative(n: int, tau: TauPoint, policy: SeriesPolicy = DEFA
     """dE_{2n}/dtau by termwise differentiation of the q-expansion."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    pref = 2 * TWO_PI_I ** (2 * n) / math.factorial(2 * n - 1)
+    _, pref, abs_pref, _ = _eisenstein_consts(n)
     s, tail = _eisenstein_q_sum(n, tau, policy, tau_deriv=True)
-    return ComplexVal(pref * s, abs(pref) * tail)
+    return ComplexVal(pref * s, abs_pref * tail)
 
 
 # ---------------------------------------------------------------------------
@@ -389,13 +380,6 @@ def eisenstein_tau_derivative(n: int, tau: TauPoint, policy: SeriesPolicy = DEFA
 # ---------------------------------------------------------------------------
 
 _LATTICE_EPS = 1e-12
-
-
-def _kahan_add(s: np.ndarray, c: np.ndarray, x: np.ndarray):
-    """`_Kahan.add` elementwise on the states (s, c); returns the new states."""
-    y = x - c
-    t = s + y
-    return t, (t - s) - y
 
 
 def _lattice_check(x: np.ndarray, y: np.ndarray, message) -> None:
@@ -727,30 +711,22 @@ def weierstrass_zeta_deriv(j: int, z: complex, tau: TauPoint,
 
 def sigma_log_tau_derivative(z: complex, tau: TauPoint,
                              policy: SeriesPolicy = DEFAULT_POLICY) -> ComplexVal:
-    """d(log sigma(z; tau))/dtau by termwise tau-differentiation of the
-    expansion log sigma(z) = log z - sum_{n>=2} E_{2n}(tau) z^{2n} / (2n).
+    """d(log sigma(z; tau))/dtau at fixed z, for any z off the lattice.
 
-    Valid for |z| inside the lattice injectivity radius; callers keep |z|
-    well below 1/2.
+    sigma = e^{E_2 z^2 / 2} theta_1(pi z) / (pi theta_1'(0)), the heat
+    equation theta_zz = 4 pi i theta_tau of theta_1 and Ramanujan's
+    2 pi i E_2' = 5 E_4 - E_2^2 give
+
+        2 d(log sigma)/dtau - E_2' z^2 - E_2 / (pi i)
+            = ((zeta(z) - E_2 z)^2 - pe(z)) / (2 pi i),
+
+    so the value is ((zeta - E_2 z)^2 - pe + 2 E_2) / (4 pi i) + E_2' z^2 / 2.
     """
     z = complex(z)
-    acc = _Kahan()
-    err = 0.0
-    prev = float("inf")
-    n = 1
-    while n < 60:
-        n += 1
-        d = eisenstein_tau_derivative(n, tau, policy)
-        term = -d.value * z ** (2 * n) / (2 * n)
-        acc.add(term)
-        err += d.err * abs(z) ** (2 * n) / (2 * n)
-        mag = abs(term)
-        if mag <= policy.tol * max(abs(acc.value), 1e-30) and mag <= prev:
-            break
-        prev = mag
-    ratio = min(abs(z) ** 2 * 4.0, 0.9)  # |z| < 1/2 keeps this < 1
-    err += 2.0 * abs(prev if prev != float("inf") else 0.0) * ratio / (1 - ratio)
-    return ComplexVal(acc.value, err)
+    e2 = eisenstein(1, tau, policy)
+    b = weierstrass_zeta(z, tau, policy) - e2 * z
+    val = (b * b - weierstrass_p_deriv(0, z, tau, policy) + e2 * 2.0) * (1.0 / (4j * math.pi))
+    return val + eisenstein_tau_derivative(1, tau, policy) * (z * z / 2)
 
 
 # ---------------------------------------------------------------------------

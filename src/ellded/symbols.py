@@ -27,10 +27,8 @@ from .qseries import (
     eisenstein,
     eisenstein_tau_derivative,
     elliptic_bernoulli_points,
-    sigma_log_tau_derivative,
     weierstrass_p_deriv,
     weierstrass_p_deriv_points,
-    weierstrass_zeta,
     weierstrass_zeta_points,
 )
 
@@ -198,29 +196,25 @@ def generating_D(pair: CoprimePair, tau: TauPoint, x: float,
 def generating_R(pair: CoprimePair, tau: TauPoint, x: float,
                  policy: SeriesPolicy = DEFAULT_POLICY) -> ComplexVal:
     """Generating function R^-(p, q; tau; x): zeta-product block, two
-    sigma-log blocks and the pe block."""
+    sigma-log blocks and the pe block.
+
+    With zblock(c) = zeta(c x) - E_2 c x, each sigma-log block
+    2 d(log sigma(c x))/dtau - E_2' (c x)^2 - E_2 / (pi i) equals
+    (zblock(c)^2 - pe(c x)) / (2 pi i) by the heat equation of theta_1 (see
+    `qseries.sigma_log_tau_derivative`)."""
     pair.require_u()
     p, q = pair.p, pair.q
     if not 0 < abs(x) < 1 / (2 * max(p, q)):
         raise ValueError(f"need 0 < |x| < 1/(2 max(p,q)), got {x}")
     e2 = eisenstein(1, tau, policy)
-    de2 = eisenstein_tau_derivative(1, tau, policy)
-
-    def zblock(c: int) -> ComplexVal:
-        return weierstrass_zeta(c * x, tau, policy) - e2 * (c * x)
-
-    def sblock(c: int) -> ComplexVal:
-        return (
-            sigma_log_tau_derivative(c * x, tau, policy) * 2.0
-            - de2 * (c * x) ** 2
-            - e2 * (1.0 / (1j * math.pi))
-        )
-
-    out = zblock(p) * zblock(q) * (-1.0 / (TWO_PI_I**2).real)
-    out = out + sblock(p) * (q / (4j * math.pi * p))
-    out = out + sblock(q) * (p / (4j * math.pi * q))
-    out = out + (weierstrass_p_deriv(0, x, tau, policy) + e2) * (1.0 / ((TWO_PI_I**2).real * p * q))
-    return out
+    zeta = weierstrass_zeta_points([p * x, q * x], tau, policy)
+    pe = weierstrass_p_deriv_points(0, [p * x, q * x, x], tau, policy)
+    zp, zq = zeta[0] - e2 * (p * x), zeta[1] - e2 * (q * x)
+    scale = 1.0 / (TWO_PI_I**2).real
+    out = zp * zq * -scale
+    out = out + (zp * zp - pe[0]) * (scale * q / (2 * p))
+    out = out + (zq * zq - pe[1]) * (scale * p / (2 * q))
+    return out + (pe[2] + e2) * (scale / (p * q))
 
 
 def expected_constant(pair: CoprimePair, tau: TauPoint,

@@ -16,7 +16,6 @@ from ellded.qseries import (
     _bernoulli_poly_float,
     _check_tau,
     _decompose,
-    _Kahan,
     _phi_poly,
     eisenstein,
 )
@@ -24,6 +23,26 @@ from ellded.symbols import Route
 
 TWO_PI_I = 2j * math.pi
 _LATTICE_EPS = 1e-12
+
+
+class _Kahan:
+    """Compensated complex accumulator (fixed-order, bit-reproducible)."""
+
+    __slots__ = ("s", "c")
+
+    def __init__(self):
+        self.s = 0j
+        self.c = 0j
+
+    def add(self, x: complex):
+        y = x - self.c
+        t = self.s + y
+        self.c = (t - self.s) - y
+        self.s = t
+
+    @property
+    def value(self) -> complex:
+        return self.s
 
 
 def _on_lattice(x, y):

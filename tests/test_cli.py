@@ -142,6 +142,16 @@ class TestVerifyExitCodes:
             ["eval", "eisenstein", "-n", "1", "--tau=-1i"])
         assert code == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["eval", "eisenstein", "-n", "60", "--tau", "0.2+0.11i"],
+        ["eval", "eisenstein", "-n", "200", "--tau", "0.2+1.1i"],
+    ])
+    def test_overflow_is_domain_error(self, argv):
+        # sigma_119(k) past the float range; (2 pi i)^400 likewise
+        code, out, err = run_cli(argv)
+        assert code == 3 and out == ""
+        assert err.startswith("error:")
+
 
 class TestVerifyFamilies:
     @pytest.mark.parametrize("argv", [
@@ -155,6 +165,7 @@ class TestVerifyFamilies:
         ["verify", "eq64", "-w", "4", "--tau", "0.2+1.2i"],
         ["verify", "basis-rank", "-w", "10", "--num-tau", "4", "--seed", "7"],
         ["verify", "limit", "-n", "1", "-p", "3", "-q", "1"],
+        ["verify", "thm13", "-p", "13", "-q", "8", "--tau", "0.2+0.11i"],
     ])
     def test_all_pass_and_validate(self, argv):
         code, out, _ = run_cli(argv)

@@ -19,10 +19,9 @@ from .qseries import (
     TauPoint,
     eisenstein,
     eisenstein_normalized,
-    eisenstein_tau_derivative,
     zeta_odd,
 )
-from .symbols import reciprocity_rhs
+from .symbols import _eisenstein_table, reciprocity_rhs
 
 TWO_PI_I = 2j * math.pi
 
@@ -78,20 +77,15 @@ def c_coefficients(n: int, tau: TauPoint,
     For n = 1 the two Kronecker deltas coincide at j = 1, doubling the
     derivative term; that doubling is what the degenerate case requires.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    e_top = eisenstein(n + 1, tau, policy)
-    de = eisenstein_tau_derivative(n, tau, policy)
-    cs: List[ComplexVal] = []
-    for j in range(n + 2):
-        if j == 0 or j == n + 1:
-            cs.append(e_top)
-            continue
-        cj = -(eisenstein(j, tau, policy) * eisenstein(n + 1 - j, tau, policy))
+    e_top, prods, de = _eisenstein_table(n, tau, policy)
+    cs: List[ComplexVal] = [e_top]
+    for j, prod in enumerate(prods, 1):
+        cj = -prod
         delta = (1 if j == 1 else 0) + (1 if j == n else 0)
         if delta:
             cj = cj - de * (delta * 1j * math.pi / n)
         cs.append(cj)
+    cs.append(e_top)
     return CoefficientVector(n, tuple(cs))
 
 
@@ -126,12 +120,9 @@ def coefficient_scale(n: int, tau: TauPoint,
     simultaneously (at special points where every form of weight 2n+2 is
     zero), so max |c_j| is not a usable scale.
     """
-    scale = abs(eisenstein(n + 1, tau, policy).value)
-    scale = max(scale, math.pi / n * abs(eisenstein_tau_derivative(n, tau, policy).value))
-    for j in range(1, n + 1):
-        scale = max(scale, abs(eisenstein(j, tau, policy).value
-                               * eisenstein(n + 1 - j, tau, policy).value))
-    return scale
+    e_top, prods, de = _eisenstein_table(n, tau, policy)
+    return max(abs(e_top.value), math.pi / n * abs(de.value),
+               *(abs(prod.value) for prod in prods))
 
 
 def t_weighted(n: int, pair: CoprimePair, tau: TauPoint,
@@ -180,32 +171,20 @@ def eisenstein_period_data(n: int, zeta_tol: float = 1e-12) -> PeriodData:
 def reciprocity_laurent(w: int, tau: TauPoint,
                         policy: SeriesPolicy = DEFAULT_POLICY) -> Tuple[LaurentPoly, float]:
     """R^-_w(.,.;tau) as a sparse Laurent polynomial in (p, q) with numeric
-    Eisenstein coefficients; returns (poly, coefficient error bound)."""
+    Eisenstein coefficients; returns (poly, coefficient error bound).
+
+    With w = 2n, R^-_w = (T^-_w + (2n+1) E_{2n+2}) / ((2 pi i)^2 pq), where
+    T^-_w = sum_j c_j p^{2j} q^{2n+2-2j} (`c_coefficients`) and c_0 = E_{2n+2}.
+    """
     if w < 2 or w % 2 != 0:
         raise ValueError("w must be an even integer >= 2")
     n = w // 2
     inv = 1.0 / (TWO_PI_I**2).real
-    e_top = eisenstein(n + 1, tau, policy)
-    de = eisenstein_tau_derivative(n, tau, policy)
-    coeffs = {}
-    err = e_top.err + de.err
-
-    def bump(e, c):
-        coeffs[e] = coeffs.get(e, 0j) + c
-
-    for j in range(1, n + 1):
-        ej = eisenstein(j, tau, policy)
-        ek = eisenstein(n + 1 - j, tau, policy)
-        prod = ej * ek
-        bump((2 * j - 1, 2 * n + 1 - 2 * j), -inv * prod.value)
-        err = max(err, prod.err)
-    bump((2 * n + 1, -1), inv * e_top.value)
-    bump((-1, 2 * n + 1), inv * e_top.value)
-    bump((-1, -1), inv * (2 * n + 1) * e_top.value)
-    dcoef = -de.value / (4j * math.pi * n)
-    bump((2 * n - 1, 1), dcoef)
-    bump((1, 2 * n - 1), dcoef)
-    return LaurentPoly(coeffs), err
+    cs = c_coefficients(n, tau, policy).c
+    terms = {(2 * j - 1, 2 * n + 1 - 2 * j): c * inv for j, c in enumerate(cs)}
+    terms[(-1, -1)] = cs[0] * ((2 * n + 1) * inv)
+    return (LaurentPoly({e: c.value for e, c in terms.items()}),
+            max(c.err for c in terms.values()))
 
 
 def verify_eq64_onedim(w: int, tau: TauPoint,

@@ -70,6 +70,8 @@ class TauPoint:
     tau: complex
 
     def __post_init__(self):
+        if not cmath.isfinite(self.tau):
+            raise ValueError(f"tau must be finite, got {self.tau}")
         if not self.tau.imag > 0:
             raise ValueError(f"tau must satisfy Im(tau) > 0, got {self.tau}")
 
@@ -272,32 +274,30 @@ def _kahan_add(s, c, x):
 # Eisenstein series via the divisor-sum q-expansion
 # ---------------------------------------------------------------------------
 
-_sigma_cache: dict = {}
-_sigma_lock = threading.Lock()
-_divisors_cache: List[List[int]] = [[], [1]]
 
-
+@lru_cache(maxsize=None)
 def _divisor_power_sum(ell: int, k: int) -> float:
-    """sigma_ell(k) = sum_{d | k} d^ell, cached per exponent."""
-    key = ell
-    with _sigma_lock:
-        table = _sigma_cache.setdefault(key, {})
-        if k not in table:
-            while len(_divisors_cache) <= k:
-                m = len(_divisors_cache)
-                _divisors_cache.append([d for d in range(1, m + 1) if m % d == 0])
-            table[k] = float(sum(d**ell for d in _divisors_cache[k]))
-        return table[k]
+    """sigma_ell(k) = sum_{d | k} d^ell, summed exactly in integers as
+    d^ell + (k/d)^ell over the divisors d <= sqrt(k)."""
+    total = 0
+    for d in range(1, math.isqrt(k) + 1):
+        if k % d == 0:
+            total += d**ell + ((k // d) ** ell if d * d != k else 0)
+    return float(total)
 
 
 def _eisenstein_q_sum(n: int, tau: TauPoint, policy: SeriesPolicy,
                       tau_deriv: bool) -> Tuple[complex, float]:
     """sum_k sigma_{2n-1}(k) q^k, optionally with the termwise 2 pi i k factor.
 
-    Returns (sum, tail bound)."""
+    Returns (sum, bound on the tail and the rounding)."""
     cap = _check_tau(tau, policy)
     q = tau.nome
     aq = abs(q)
+    # q^k carries k times q's relative error and one product's; the term's
+    # own products and the Kahan step add a few ulps
+    err_q = float(_exp_err(TWO_PI_I * tau.tau)) + 2.0
+    rnd = 0.0
     acc, comp = 0j, 0j
     qk = 1.0 + 0j
     small_streak = 0
@@ -311,6 +311,7 @@ def _eisenstein_q_sum(n: int, tau: TauPoint, policy: SeriesPolicy,
             term *= TWO_PI_I * k
         acc, comp = _kahan_add(acc, comp, term)
         last = abs(term)
+        rnd += last * (k * err_q + 4.0)
         scale = max(abs(acc), 1e-300)
         if last <= policy.tol * scale or last == 0.0:
             small_streak += 1
@@ -327,8 +328,7 @@ def _eisenstein_q_sum(n: int, tau: TauPoint, policy: SeriesPolicy,
     # geometrically with a safety factor.
     r = aq * ((k + 1) / k) ** (2 * n + (2 if tau_deriv else 1))
     r = min(r, 0.99)
-    tail = 2.0 * last * r / (1.0 - r) + 1e-16 * abs(acc) * max(k, 1)
-    return acc, tail
+    return acc, 2.0 * last * r / (1.0 - r) + 2.0**-53 * rnd
 
 
 @lru_cache(maxsize=None)
@@ -383,8 +383,11 @@ _LATTICE_EPS = 1e-12
 
 
 def _lattice_check(x: np.ndarray, y: np.ndarray, message) -> None:
-    """Raise LatticePointError, with `message(i)` for the first offending i,
-    if some x - y*tau is a lattice point."""
+    """Raise ValueError if some x or y is not finite, and LatticePointError,
+    with `message(i)` for the first offending i, if some x - y*tau is a
+    lattice point."""
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("points must be finite")
     hit = ((np.abs(x - np.rint(x)) < _LATTICE_EPS)
            & (np.abs(y - np.rint(y)) < _LATTICE_EPS))
     if hit.any():

@@ -150,6 +150,17 @@ def elliptic_apostol_sum(n: int, pair: CoprimePair, tau: TauPoint,
     return EllipticSumResult(val, route, p, q, n, tau)
 
 
+def _eisenstein_table(n: int, tau: TauPoint, policy: SeriesPolicy
+                      ) -> Tuple[ComplexVal, Tuple[ComplexVal, ...], ComplexVal]:
+    """The Eisenstein values that R^-_{2n} is built from: E_{2n+2}, the
+    products E_{2j} E_{2n+2-2j} for j = 1..n, and dE_{2n}/dtau."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    prods = tuple(eisenstein(j, tau, policy) * eisenstein(n + 1 - j, tau, policy)
+                  for j in range(1, n + 1))
+    return eisenstein(n + 1, tau, policy), prods, eisenstein_tau_derivative(n, tau, policy)
+
+
 def reciprocity_rhs(n: int, pair: CoprimePair, tau: TauPoint,
                     policy: SeriesPolicy = DEFAULT_POLICY) -> ComplexVal:
     """The reciprocity function R^-_{2n}(p, q; tau) in closed form:
@@ -159,19 +170,14 @@ def reciprocity_rhs(n: int, pair: CoprimePair, tau: TauPoint,
                              - (2n+1) E_{2n+2} ]
         - 1/(4 pi i n) dE_{2n}/dtau (p^{2n-1} q + p q^{2n-1}).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    e_top, prods, de = _eisenstein_table(n, tau, policy)
     pair.require_u()
     p, q = pair.p, pair.q
-    e_top = eisenstein(n + 1, tau, policy)
     bracket = ComplexVal(0j, 0.0)
-    for j in range(1, n + 1):
-        bracket = bracket + eisenstein(j, tau, policy) * eisenstein(n + 1 - j, tau, policy) * float(
-            p ** (2 * j) * q ** (2 * n + 2 - 2 * j)
-        )
+    for j, prod in enumerate(prods, 1):
+        bracket = bracket + prod * float(p ** (2 * j) * q ** (2 * n + 2 - 2 * j))
     bracket = bracket - e_top * float(p ** (2 * n + 2) + q ** (2 * n + 2))
     bracket = bracket - e_top * float(2 * n + 1)
-    de = eisenstein_tau_derivative(n, tau, policy)
     out = bracket * (-1.0 / ((TWO_PI_I**2).real * p * q))
     out = out + de * (-(p ** (2 * n - 1) * q + p * q ** (2 * n - 1)) / (4j * math.pi * n))
     return out

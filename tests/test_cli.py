@@ -152,6 +152,18 @@ class TestVerifyExitCodes:
         assert code == 3 and out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("argv", [
+        ["eval", "eisenstein", "-n", "2", "--tau", "nan+1i"],
+        ["eval", "elliptic-bernoulli", "-m", "2", "--x", "0.1", "--y", "nan", "--tau", "1i"],
+        ["eval", "generating", "--which", "d", "-p", "3", "-q", "2", "--x", "nan",
+         "--tau", "0.1+1i"],
+    ])
+    def test_non_finite_is_domain_error(self, argv):
+        # --max-terms 10 makes an input that slips through fail fast
+        code, out, err = run_cli(argv + ["--max-terms", "10"])
+        assert code == 3 and out == ""
+        assert "finite" in err
+
 
 class TestVerifyFamilies:
     @pytest.mark.parametrize("argv", [

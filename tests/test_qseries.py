@@ -53,6 +53,12 @@ class TestTauPoint:
         t = TauPoint(0.25 + 2j)
         assert abs(t.nome - cmath.exp(TWO_PI_I * (0.25 + 2j))) < 1e-15
 
+    @pytest.mark.parametrize("tau", [complex(math.nan, 1), complex(math.inf, 1),
+                                     complex(0, math.inf)])
+    def test_non_finite_rejected(self, tau):
+        with pytest.raises(ValueError, match="finite"):
+            TauPoint(tau)
+
     def test_parse(self):
         assert parse_tau("0.3+1.1i").tau == 0.3 + 1.1j
         assert parse_tau("0+2i").tau == 2j
@@ -89,28 +95,33 @@ class TestEisenstein:
             ratio = 2 * TWO_PI_I ** (2 * n) / math.factorial(2 * n - 1)
             assert abs(e.value - ratio * g.value) < 1e-9 * abs(e.value)
 
-    @pytest.mark.parametrize("tau", [0.3 + 1.1j, 0.1 + 0.8j, -0.4 + 1.5j, 0.2 + 0.3j])
+    @pytest.mark.parametrize("tau", [0.3 + 1.1j, 0.1 + 0.8j, -0.4 + 1.5j, 0.2 + 0.3j,
+                                     -0.4 + 0.3j, 0.2 + 0.11j, 0.3 + 0.06j, -0.4 + 0.06j])
     def test_err_bounds_mpmath_reference(self, tau):
-        # the q-expansion summed at 40 digits; err must cover the final
-        # rounding of const + pref * s (of const + s for G), not only the
-        # series tail
+        # the q-expansion and its tau-derivative summed at 40 digits; err
+        # must cover the final rounding of const + pref * s (of const + s for
+        # G), and at small Im(tau) the rounding of the terms, which are far
+        # larger than the sum and carry the error that q^k accumulates
         mpmath = pytest.importorskip("mpmath")
-        with mpmath.workdps(40):
+        with warnings.catch_warnings(), mpmath.workdps(40):
+            warnings.simplefilter("ignore", SlowNomeWarning)
             q = mpmath.exp(2j * mpmath.pi * mpmath.mpc(tau.real, tau.imag))
             for n in range(1, 9):
-                s, qk, k = mpmath.mpf(0), mpmath.mpf(1), 0
+                s, ds, qk, k = mpmath.mpf(0), mpmath.mpf(0), mpmath.mpf(1), 0
                 while True:
                     k += 1
                     qk *= q
-                    term = sum(mpmath.mpf(d) ** (2 * n - 1)
-                               for d in range(1, k + 1) if k % d == 0) * qk
+                    term = sum(d ** (2 * n - 1) for d in range(1, k + 1) if k % d == 0) * qk
                     s += term
-                    if abs(term) < mpmath.mpf(10) ** -45 * max(1, abs(s)):
+                    ds += 2j * mpmath.pi * k * term
+                    if k * abs(term) < mpmath.mpf(10) ** -45 * max(1, abs(s)):
                         break
-                ref = (2 * mpmath.zeta(2 * n)
-                       + 2 * (2j * mpmath.pi) ** (2 * n) / mpmath.factorial(2 * n - 1) * s)
+                pref = 2 * (2j * mpmath.pi) ** (2 * n) / mpmath.factorial(2 * n - 1)
+                ref = 2 * mpmath.zeta(2 * n) + pref * s
                 val = eisenstein(n, TauPoint(tau))
                 assert abs(val.value - complex(ref)) <= val.err, (n, val, complex(ref))
+                val = eisenstein_tau_derivative(n, TauPoint(tau))
+                assert abs(val.value - complex(pref * ds)) <= val.err, (n, val, complex(pref * ds))
                 b = bernoulli_number(2 * n)
                 ref = -mpmath.mpf(b.numerator) / b.denominator / (4 * n) + s
                 val = eisenstein_normalized(n, TauPoint(tau))
@@ -353,6 +364,21 @@ class TestPolicyGuards:
     def test_invalid_policy(self):
         with pytest.raises(ValueError):
             SeriesPolicy(tol=0)
+
+    @pytest.mark.parametrize("x,y", [(0.1, math.nan), (math.nan, 0.2), (math.inf, 0.2),
+                                     (0.1, -math.inf)])
+    def test_non_finite_point_rejected(self, x, y):
+        # rejected before any series runs; the cap of 10 terms makes a point
+        # that slips through fail fast instead of running into the default cap
+        policy = SeriesPolicy(max_terms=10)
+        tau = TauPoint(0.1 + 1j)
+        z = complex(x, y)
+        for f in (lambda: elliptic_bernoulli(2, x, y, tau, policy),
+                  lambda: elliptic_bernoulli_points(1, [0.3, x], [0.2, y], tau, policy),
+                  lambda: weierstrass_zeta(z, tau, policy),
+                  lambda: weierstrass_p_deriv(3, z, tau, policy)):
+            with pytest.raises(ValueError, match="finite"):
+                f()
         with pytest.raises(ValueError):
             SeriesPolicy(max_terms=0)
 

@@ -17,7 +17,6 @@ from .qseries import (
     ComplexVal,
     SeriesPolicy,
     TauPoint,
-    eisenstein,
     eisenstein_normalized,
     zeta_odd,
 )
@@ -131,7 +130,7 @@ def t_weighted(n: int, pair: CoprimePair, tau: TauPoint,
     - (2n+1) E_{2n+2} / ((2 pi i)^2 pq) ]."""
     p, q = pair.p, pair.q
     r = reciprocity_rhs(n, pair, tau, policy)
-    e_top = eisenstein(n + 1, tau, policy)
+    e_top = _eisenstein_table(n, tau, policy)[0]
     s = r - e_top * ((2 * n + 1) / ((TWO_PI_I**2).real * p * q))
     return s * ((TWO_PI_I**2).real * p * q)
 

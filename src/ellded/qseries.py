@@ -13,6 +13,10 @@ The Weierstrass and elliptic Bernoulli functions are array kernels
 (`*_points`) that run one series over a whole batch of points: every point
 keeps its own Kahan state, stopping rule and tail bound, and drops out of the
 batch once it has converged.  The scalar functions are one-point calls to them.
+
+The Eisenstein q-sums are memoised per (n, tau, policy, tau_deriv) in a
+bounded `lru_cache`; tau is checked, and warned about, on every call before
+the cache is read.
 """
 
 from __future__ import annotations
@@ -244,6 +248,14 @@ class NonConvergenceError(RuntimeError):
         self.partial = partial
 
 
+_SLOW_IM_TAU = 0.11
+
+
+def _term_cap(tau: TauPoint, policy: SeriesPolicy) -> int:
+    """The term cap at tau: ten times max_terms where the nome is slow."""
+    return policy.max_terms * 10 if tau.tau.imag < _SLOW_IM_TAU else policy.max_terms
+
+
 def _check_tau(tau: TauPoint, policy: SeriesPolicy) -> int:
     """Reject or warn on small Im(tau); returns the effective term cap."""
     im = tau.tau.imag
@@ -251,14 +263,13 @@ def _check_tau(tau: TauPoint, policy: SeriesPolicy) -> int:
         raise ValueError(
             f"Im(tau) = {im} below the accepted bound {policy.min_im_tau}"
         )
-    if im < 0.11:
+    if im < _SLOW_IM_TAU:
         warnings.warn(
             f"Im(tau) = {im} gives |q| = {abs(tau.nome):.3f}; convergence is slow",
             SlowNomeWarning,
             stacklevel=3,
         )
-        return policy.max_terms * 10
-    return policy.max_terms
+    return _term_cap(tau, policy)
 
 
 def _kahan_add(s, c, x):
@@ -286,12 +297,21 @@ def _divisor_power_sum(ell: int, k: int) -> float:
     return float(total)
 
 
+#: entries of the q-sum cache: a few tau's worth of every weight the
+#: identities use; bounded because basis_rank draws fresh tau
+Q_SUM_CACHE_SIZE = 512
+
+
+@lru_cache(maxsize=Q_SUM_CACHE_SIZE)
 def _eisenstein_q_sum(n: int, tau: TauPoint, policy: SeriesPolicy,
                       tau_deriv: bool) -> Tuple[complex, float]:
     """sum_k sigma_{2n-1}(k) q^k, optionally with the termwise 2 pi i k factor.
 
-    Returns (sum, bound on the tail and the rounding)."""
-    cap = _check_tau(tau, policy)
+    Returns (sum, bound on the tail and the rounding).  Does not check tau:
+    callers run `_check_tau` first, on every call, since the cache would
+    skip it.  A NonConvergenceError is raised afresh each time, as
+    `lru_cache` keeps only returned values."""
+    cap = _term_cap(tau, policy)
     q = tau.nome
     aq = abs(q)
     # q^k carries k times q's relative error and one product's; the term's
@@ -342,11 +362,22 @@ def _eisenstein_consts(n: int) -> Tuple[complex, complex, float, float]:
     return const, pref, abs(pref), 2.0**-53 * (2 * n + 2 * (2 * n).bit_length() + 4)
 
 
+def _check_n_tau(n: int, tau: TauPoint, policy: SeriesPolicy) -> None:
+    """The checks every Eisenstein call runs, before any cache is read."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    _check_tau(tau, policy)
+
+
 def eisenstein(n: int, tau: TauPoint, policy: SeriesPolicy = DEFAULT_POLICY) -> ComplexVal:
     """Eisenstein series E_{2n}(tau) = 2 zeta(2n) + (2 (2 pi i)^{2n} / (2n-1)!)
     sum_k sigma_{2n-1}(k) q^k, with 2 zeta(2n) = -(2 pi i)^{2n} B_{2n} / (2n)!."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_n_tau(n, tau, policy)
+    return _eisenstein(n, tau, policy)
+
+
+def _eisenstein(n: int, tau: TauPoint, policy: SeriesPolicy) -> ComplexVal:
+    """`eisenstein` without the checks of n and tau."""
     const, pref, abs_pref, rel = _eisenstein_consts(n)
     s, tail = _eisenstein_q_sum(n, tau, policy, tau_deriv=False)
     value = const + pref * s
@@ -357,8 +388,7 @@ def eisenstein(n: int, tau: TauPoint, policy: SeriesPolicy = DEFAULT_POLICY) -> 
 
 def eisenstein_normalized(n: int, tau: TauPoint, policy: SeriesPolicy = DEFAULT_POLICY) -> ComplexVal:
     """G_{2n}(tau) = -B_{2n}/(4n) + sum_k sigma_{2n-1}(k) q^k."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_n_tau(n, tau, policy)
     const = -float(bernoulli_number(2 * n)) / (4 * n)
     s, tail = _eisenstein_q_sum(n, tau, policy, tau_deriv=False)
     value = const + s
@@ -368,8 +398,12 @@ def eisenstein_normalized(n: int, tau: TauPoint, policy: SeriesPolicy = DEFAULT_
 
 def eisenstein_tau_derivative(n: int, tau: TauPoint, policy: SeriesPolicy = DEFAULT_POLICY) -> ComplexVal:
     """dE_{2n}/dtau by termwise differentiation of the q-expansion."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_n_tau(n, tau, policy)
+    return _eisenstein_tau_derivative(n, tau, policy)
+
+
+def _eisenstein_tau_derivative(n: int, tau: TauPoint, policy: SeriesPolicy) -> ComplexVal:
+    """`eisenstein_tau_derivative` without the checks of n and tau."""
     _, pref, abs_pref, _ = _eisenstein_consts(n)
     s, tail = _eisenstein_q_sum(n, tau, policy, tau_deriv=True)
     return ComplexVal(pref * s, abs_pref * tail)

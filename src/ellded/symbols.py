@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Tuple, Union
 
 import numpy as np
@@ -24,8 +25,10 @@ from .qseries import (
     ComplexVal,
     SeriesPolicy,
     TauPoint,
+    _check_n_tau,
+    _eisenstein,
+    _eisenstein_tau_derivative,
     eisenstein,
-    eisenstein_tau_derivative,
     elliptic_bernoulli_points,
     weierstrass_p_deriv,
     weierstrass_p_deriv_points,
@@ -150,15 +153,28 @@ def elliptic_apostol_sum(n: int, pair: CoprimePair, tau: TauPoint,
     return EllipticSumResult(val, route, p, q, n, tau)
 
 
-def _eisenstein_table(n: int, tau: TauPoint, policy: SeriesPolicy
-                      ) -> Tuple[ComplexVal, Tuple[ComplexVal, ...], ComplexVal]:
+#: entries of the Eisenstein-table cache; bounded because basis_rank draws
+#: fresh tau
+TABLE_CACHE_SIZE = 128
+
+EisensteinTable = Tuple[ComplexVal, Tuple[ComplexVal, ...], ComplexVal]
+
+
+def _eisenstein_table(n: int, tau: TauPoint, policy: SeriesPolicy) -> EisensteinTable:
     """The Eisenstein values that R^-_{2n} is built from: E_{2n+2}, the
-    products E_{2j} E_{2n+2-2j} for j = 1..n, and dE_{2n}/dtau."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    prods = tuple(eisenstein(j, tau, policy) * eisenstein(n + 1 - j, tau, policy)
-                  for j in range(1, n + 1))
-    return eisenstein(n + 1, tau, policy), prods, eisenstein_tau_derivative(n, tau, policy)
+    products E_{2j} E_{2n+2-2j} for j = 1..n, and dE_{2n}/dtau.
+
+    n and tau are checked on every call, with one SlowNomeWarning for the
+    whole table; the values come from a bounded per-(n, tau, policy) cache."""
+    _check_n_tau(n, tau, policy)
+    return _eisenstein_table_values(n, tau, policy)
+
+
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _eisenstein_table_values(n: int, tau: TauPoint, policy: SeriesPolicy) -> EisensteinTable:
+    e = [_eisenstein(j, tau, policy) for j in range(1, n + 2)]
+    prods = tuple(e[j - 1] * e[n - j] for j in range(1, n + 1))
+    return e[n], prods, _eisenstein_tau_derivative(n, tau, policy)
 
 
 def reciprocity_rhs(n: int, pair: CoprimePair, tau: TauPoint,

@@ -12,7 +12,10 @@ bit-identical.
 The Weierstrass and elliptic Bernoulli functions are array kernels
 (`*_points`) that run one series over a whole batch of points: every point
 keeps its own Kahan state, stopping rule and tail bound, and drops out of the
-batch once it has converged.  The scalar functions are one-point calls to them.
+batch once it has converged.  The terms are evaluated in blocks of
+consecutive j, as 2-D arrays over (j, point) of at most BLOCK_ELEMENTS
+entries, and then added one j at a time, so values equal a term-by-term run's
+bit for bit.  The scalar functions are one-point calls to them.
 
 The Eisenstein q-sums are memoised per (n, tau, policy, tau_deriv) in a
 bounded `lru_cache`; tau is checked, and warned about, on every call before
@@ -23,11 +26,10 @@ from __future__ import annotations
 
 import cmath
 import math
-import threading
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -428,16 +430,34 @@ def _lattice_check(x: np.ndarray, y: np.ndarray, message) -> None:
         raise LatticePointError(message(int(np.argmax(hit))))
 
 
+#: term rows of a series' first block; each later block doubles it
+FIRST_BLOCK = 8
+#: point-terms in one block at most: bounds the memory of the block arrays
+#: for large batches, where the width falls to BLOCK_ELEMENTS // points
+BLOCK_ELEMENTS = 4096
+
+
 def _points_series(start: np.ndarray, start_rnd: np.ndarray, terms,
                    state: Tuple[np.ndarray, ...], cap: int, tol: float, what: str):
-    """Run the j-series `sum_j terms(j, *state)` over a batch of points.
+    """Run the j-series `sum_j terms(js, *state)` over a batch of points.
 
-    `terms(j, *state)` gives, for the points still running, the two jth
-    terms, |term 1| + |term 2| and a first-order bound, in units of 2^-53,
-    on the rounding error of the pair as computed.  `state` holds the
-    per-point inputs; each point starts from `start`, whose rounding bound
-    is `start_rnd`.  A point stops after its jth pair once j >= 2 and the
-    pair is below tol relative to max(|sum|, 1); it then leaves the batch.  Returns per point the Kahan
+    The terms come in blocks of consecutive j.  `terms(js, *state)` gets the
+    block's j as Python ints and the per-point inputs `state` of the points
+    still running as rows (1 x points); it returns 2-D arrays with one row
+    per j and one column per point: the two jth terms, |term 1| + |term 2|
+    and a first-order bound, in units of 2^-53, on the rounding error of the
+    pair as computed.  Each row must equal what a term-by-term run computes
+    at that j; with 2-D operands on both sides, numpy rounds a broadcast
+    complex product as it rounds an array times a scalar, while a 1-D array
+    times a 1 x 1 array rounds as Python's scalar product does.  Each point starts from `start`, whose
+    rounding bound is `start_rnd`.
+
+    The rows are added in order, each pair as one Kahan step.  A point stops
+    after its jth pair once j >= 2 and the pair is below tol relative to
+    max(|sum|, 1); its later rows in the block are discarded and it leaves
+    the batch at the block's end.  Blocks start at FIRST_BLOCK rows and
+    double, within BLOCK_ELEMENTS point-terms and the cap, so every result
+    is bit-identical to a term-by-term run's.  Returns per point the Kahan
     states (s, c), the j it stopped at, its last |term 1| + |term 2| and its
     summed rounding bound.  Raises NonConvergenceError if a point is still
     running after `cap` terms."""
@@ -450,22 +470,35 @@ def _points_series(start: np.ndarray, start_rnd: np.ndarray, terms,
     idx = np.arange(n)
     s, c, rnd = start + 0j, np.zeros(n, dtype=complex), start_rnd
     j = 0
+    width = FIRST_BLOCK
     while idx.size and j < cap:
-        j += 1
-        t1, t2, last, r = terms(j, *state)
+        rows = min(width, max(BLOCK_ELEMENTS // idx.size, 1), cap - j)
+        t1, t2, last, r = terms(range(j + 1, j + rows + 1), *(a[None] for a in state))
         # the pair is added as one term; its rounding is within `r`
-        s, c = _kahan_add(s, c, t1 + t2)
-        rnd = rnd + r
-        if j < 2:
-            continue
-        done = last <= tol * np.maximum(np.abs(s), 1.0)
+        pair = t1 + t2
+        sums = np.empty_like(pair)
+        comps = np.empty_like(pair)
+        for i in range(rows):
+            s, c = _kahan_add(s, c, pair[i])
+            sums[i], comps[i] = s, c
+        # the rounding bound after each row, summed row by row
+        rnds = np.cumsum(np.vstack((rnd, r)), axis=0)[1:]
+        rnd = rnds[-1]
+        stop = last <= tol * np.maximum(np.abs(sums), 1.0)
+        if j == 0:
+            stop[0] = False  # no point stops at j = 1
+        first = stop.argmax(axis=0)
+        cols = np.arange(idx.size)
+        done = stop[first, cols]
         if np.count_nonzero(done):
-            k = idx[done]
-            out_s[k], out_c[k], out_rnd[k] = s[done], c[done], rnd[done]
-            out_j[k], out_last[k] = j, last[done]
+            k, at, col = idx[done], first[done], cols[done]
+            out_s[k], out_c[k], out_rnd[k] = sums[at, col], comps[at, col], rnds[at, col]
+            out_j[k], out_last[k] = j + 1 + at, last[at, col]
             keep = ~done
             idx, s, c, rnd = idx[keep], s[keep], c[keep], rnd[keep]
             state = tuple(a[keep] for a in state)
+        j += rows
+        width *= 2
     if idx.size:
         raise NonConvergenceError(f"{what} hit max_terms={cap}",
                                   ComplexVal(complex(s[0]), float("inf")))
@@ -523,9 +556,10 @@ def elliptic_bernoulli_points(m: int, x, y, tau: TauPoint,
     g = 12.0 * math.pi * abs(t)
     kappa = 1.0 / (1.0 - decay)
 
-    def terms(j, y, emy, epy, emx, epx, err_x):
-        # e(-y tau) q^j = e((j - y) tau);  e(y tau) q^j = e((j + y) tau)
-        qj = cmath.exp(TWO_PI_I * j * t)
+    def terms(js, y, emy, epy, emx, epx, err_x):
+        # one row per j;  e(-y tau) q^j = e((j - y) tau),  e(y tau) q^j = e((j + y) tau)
+        qj = np.array([cmath.exp(TWO_PI_I * j * t) for j in js])[:, None]
+        j = np.array(js, dtype=float)[:, None]
         w1, w2 = emy * qj, epy * qj
         d1 = emx - w1
         t1, t2 = w1 / d1, -(w2 / (epx - w2))
@@ -625,42 +659,34 @@ def weierstrass_zeta(z: complex, tau: TauPoint,
     return weierstrass_zeta_points([complex(z)], tau, policy)[0]
 
 
-_phi_polys: List[List[int]] = [[0, 1]]
-_phi_lock = threading.Lock()
-
-
-def _phi_poly(k: int) -> List[int]:
+@lru_cache(maxsize=None)
+def _phi_poly(k: int) -> Tuple[int, ...]:
     """Numerator P_k of (u d/du)^k [u/(1-u)^2] = P_k(u)/(1-u)^{k+2}.
 
-    Recurrence: P_{k+1}(u) = u [ P_k'(u)(1-u) + (k+2) P_k(u) ].
+    Recurrence: P_{k+1}(u) = u [ P_k'(u)(1-u) + (k+2) P_k(u) ], whose
+    coefficient of u^{i+1} is (i+1) a_{i+1} + (k+2-i) a_i for P_k = sum a_i u^i.
     """
-    with _phi_lock:
-        while len(_phi_polys) <= k:
-            kk = len(_phi_polys) - 1
-            p = _phi_polys[-1]
-            dp = [i * c for i, c in enumerate(p)][1:] or [0]
-            # P'(u)(1-u)
-            a = dp + [0]
-            for i, c in enumerate(dp):
-                a[i + 1] -= c
-            b = [(kk + 2) * c for c in p] + [0] * (len(a) - len(p))
-            s = [ai + bi for ai, bi in zip(a, b)]
-            _phi_polys.append([0] + s)
-        return _phi_polys[k]
+    p = (0, 1)
+    for kk in range(k):
+        a = p + (0,)
+        p = (0,) + tuple((i + 1) * a[i + 1] + (kk + 2 - i) * a[i] for i in range(len(p)))
+    return p
 
 
-def _phi(k: int, w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def _phi(k: int, w: np.ndarray, pk: Tuple[int, ...],
+         pk1: Tuple[int, ...]) -> Tuple[np.ndarray, np.ndarray]:
     """Phi_k(w), and S = P_{k+1}(|w|) / |1 - w|^{k+3}, which bounds both
     |w Phi_k'(w)| = |Phi_{k+1}(w)| and, for |w| <= 1, half of
     P_k(|w|) / |1 - w|^{k+2}: the scales of the error that a relative error
-    of w and the rounding of the evaluation cause."""
+    of w and the rounding of the evaluation cause.  pk and pk1 are
+    `_phi_poly(k)` and `_phi_poly(k + 1)`."""
     num = np.zeros_like(w)
-    for c in reversed(_phi_poly(k)):
+    for c in reversed(pk):
         num = num * w + c
     den = 1 - w
     r = np.abs(w)
     num_abs = np.zeros_like(r)
-    for c in reversed(_phi_poly(k + 1)):
+    for c in reversed(pk1):
         num_abs = num_abs * r + c
     return num / den ** (k + 2), num_abs / np.abs(den) ** (k + 3)
 
@@ -697,15 +723,23 @@ def weierstrass_p_deriv_points(k: int, z, tau: TauPoint,
     err_u = _exp_err(arg)
     err_q = float(_exp_err(TWO_PI_I * t)) + 3.0
 
-    def terms(j, u, err_u):
+    pk, pk1 = _phi_poly(k), _phi_poly(k + 1)
+
+    def terms(js, u, err_u):
+        # one row per j; q^j is the running product, one factor q per j
         nonlocal qj
-        qj *= q
-        t1, s1 = _phi(k, u * qj)
-        t2, s2 = _phi(k, qj / u)
+        powers = []
+        for _ in js:
+            qj *= q
+            powers.append(qj)
+        qjs = np.array(powers)[:, None]
+        j = np.array(js, dtype=float)[:, None]
+        t1, s1 = _phi(k, u * qjs, pk, pk1)
+        t2, s2 = _phi(k, qjs / u, pk, pk1)
         size = np.abs(t1) + np.abs(t2)
         return t1, par * t2, size, (s1 + s2) * (err_u + (own + 6.0 + j * err_q)) + size
 
-    start, s0 = _phi(k, u)
+    start, s0 = _phi(k, u, pk, pk1)
     acc, _, j, last, rnd = _points_series(start, s0 * (err_u + own), terms, (u, err_u),
                                           cap, policy.tol, "pe Fourier series")
     pref = TWO_PI_I ** (k + 2)

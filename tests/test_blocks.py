@@ -1,0 +1,279 @@
+"""Block evaluation of the division-point series: every kernel value, err,
+stopping point and error bit-identical to a term-by-term run, whatever the
+batch and wherever its blocks end."""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from ellded import qseries, symbols
+from ellded.exact import CoprimePair
+from ellded.qseries import (
+    ComplexArray,
+    ComplexVal,
+    NonConvergenceError,
+    SeriesPolicy,
+    TauPoint,
+    elliptic_bernoulli_points,
+    weierstrass_p_deriv_points,
+    weierstrass_zeta_points,
+)
+from ellded.symbols import Route
+
+pytestmark = pytest.mark.filterwarnings("ignore::ellded.qseries.SlowNomeWarning")
+
+PIN_TAUS = [0.0 + 1.5j, 0.3 + 1.1j, -0.45 + 0.3j, 0.2 + 0.11j, 0.3 + 0.06j]
+#: negative x, y = 0 and y = 1 - 1e-13 (which B_m snaps to 0)
+PIN_X = [-0.37, 0.21, -0.9, 0.13, 0.77, 0.5, -0.05]
+PIN_Y = [0.0, 1 - 1e-13, 0.25, 0.5, -0.3, 0.9, 0.02]
+PIN_PQ = [(2, 1), (3, 2), (7, 4), (13, 7), (23, 12)]
+
+#: SHA-256 of `_pinned_reprs()` as computed with the term-by-term series
+#: (numpy 2.4.6, x86-64)
+PINNED_SHA256 = "a60ac5bf1ea650144199dec9334c4f9bf5bebec321039039874d56fcc6e3e1e8"
+
+
+def _reprs(v):
+    """Exact reprs of a ComplexVal or of every element of a ComplexArray."""
+    if isinstance(v, ComplexArray):
+        return [repr(v[i]) for i in range(len(v))]
+    return [repr(v)]
+
+
+def _outcome(call):
+    """Element reprs of a kernel result, or the error type, message and
+    partial it raised."""
+    try:
+        return _reprs(call())
+    except NonConvergenceError as e:
+        return ["NonConvergenceError", str(e), repr(e.partial)]
+
+
+def _pinned_reprs():
+    """Reprs of the kernel and division-sum outputs that the pin covers."""
+    out = []
+    capped = SeriesPolicy(max_terms=3)
+    for t in PIN_TAUS:
+        tau = TauPoint(t)
+        zs = [x - y * t for x, y in zip(PIN_X, PIN_Y)]
+        for m in range(8):
+            out += _reprs(elliptic_bernoulli_points(m, PIN_X, PIN_Y, tau))
+        for k in range(8):
+            out += _reprs(weierstrass_p_deriv_points(k, zs, tau))
+        out += _reprs(weierstrass_zeta_points(zs, tau))
+        out += _outcome(lambda: elliptic_bernoulli_points(3, PIN_X, PIN_Y, tau, capped))
+        out += _outcome(lambda: weierstrass_p_deriv_points(2, zs, tau, capped))
+        out += _outcome(lambda: weierstrass_zeta_points(zs, tau, capped))
+    # one point at a cap of 9 terms, at tau where the series stops near j = 9:
+    # the last block is one term of one point, where a product that
+    # broadcasts a 1-D array against a 2-D one can round differently
+    edge = SeriesPolicy(max_terms=9)
+    for t in (0.1 + 0.505j, -0.3 + 0.505j):
+        tau = TauPoint(t)
+        for x in np.linspace(-0.95, 0.95, 12):
+            for y in (0.0, 0.05):
+                for m in (1, 3):
+                    out += _outcome(lambda: elliptic_bernoulli_points(m, [x], [y], tau, edge))
+                for k in (0, 2):
+                    out += _outcome(lambda: weierstrass_p_deriv_points(k, [x - y * t], tau, edge))
+                out += _outcome(lambda: weierstrass_zeta_points([x - y * t], tau, edge))
+    for t in (0.3 + 1.1j, 0.3 + 0.06j):
+        tau = TauPoint(t)
+        for n in range(1, 4):
+            for p, q in PIN_PQ:
+                for route in Route:
+                    out += _reprs(symbols.elliptic_apostol_sum(
+                        n, CoprimePair(p, q), tau, route).value)
+        pair = CoprimePair(5, 3)
+        out += _reprs(symbols.generating_D(pair, tau, 0.05))
+        out += _reprs(symbols.generating_R(pair, tau, 0.05))
+        out += _reprs(symbols.proposition31_residual(pair, 0.04, tau))
+        out += _reprs(symbols.proposition31_constant_closed_form(pair, tau))
+        for r in symbols.machide_reciprocity_residuals(CoprimePair(3, 2), 0.013, 0.007, tau):
+            out += _reprs(r)
+    return out
+
+
+def test_pinned_bit_identity():
+    reprs = _pinned_reprs()
+    digest = hashlib.sha256("\n".join(reprs).encode()).hexdigest()
+    assert digest == PINNED_SHA256
+
+
+# ---------------------------------------------------------------------------
+# Blocks against the term-by-term loop
+# ---------------------------------------------------------------------------
+
+
+def _series_by_term(start, start_rnd, terms, state, cap, tol, what):
+    """`qseries._points_series` one term at a time: the terms are asked for
+    one j at a time and a point leaves the batch at the j it stops at.  The
+    reference that the blocks must reproduce bit for bit."""
+    n = len(start)
+    out_s = np.empty(n, dtype=complex)
+    out_c = np.empty(n, dtype=complex)
+    out_j = np.empty(n)
+    out_last = np.empty(n)
+    out_rnd = np.empty(n)
+    idx = np.arange(n)
+    s, c, rnd = start + 0j, np.zeros(n, dtype=complex), start_rnd
+    j = 0
+    while idx.size and j < cap:
+        j += 1
+        t1, t2, last, r = (a[0] for a in terms(range(j, j + 1), *(a[None] for a in state)))
+        s, c = qseries._kahan_add(s, c, t1 + t2)
+        rnd = rnd + r
+        if j < 2:
+            continue
+        done = last <= tol * np.maximum(np.abs(s), 1.0)
+        if np.count_nonzero(done):
+            k = idx[done]
+            out_s[k], out_c[k], out_rnd[k] = s[done], c[done], rnd[done]
+            out_j[k], out_last[k] = j, last[done]
+            keep = ~done
+            idx, s, c, rnd = idx[keep], s[keep], c[keep], rnd[keep]
+            state = tuple(a[keep] for a in state)
+    if idx.size:
+        raise NonConvergenceError(f"{what} hit max_terms={cap}",
+                                  ComplexVal(complex(s[0]), float("inf")))
+    return out_s, out_c, out_j, out_last, out_rnd
+
+
+@pytest.fixture
+def stops(monkeypatch):
+    """Records the j at which each point of every series run stopped."""
+    seen = []
+    run = qseries._points_series
+
+    def spy(*args):
+        out = run(*args)
+        seen.append(out[2].tolist())
+        return out
+
+    monkeypatch.setattr(qseries, "_points_series", spy)
+    return seen
+
+
+def _kernels(points, tau, policy=qseries.DEFAULT_POLICY):
+    """Calls of every batched kernel on the (x, y) points."""
+    xs, ys = [x for x, _ in points], [y for _, y in points]
+    zs = [x - y * tau.tau for x, y in points]
+    calls = [lambda m=m: elliptic_bernoulli_points(m, xs, ys, tau, policy) for m in (1, 2, 5)]
+    calls += [lambda k=k: weierstrass_p_deriv_points(k, zs, tau, policy) for k in (0, 1, 4)]
+    return calls + [lambda: weierstrass_zeta_points(zs, tau, policy)]
+
+
+@pytest.mark.parametrize("t", [0.0 + 1.5j, -0.45 + 0.7j, 0.2 + 0.11j, 0.3 + 0.06j])
+@pytest.mark.parametrize("max_terms", [3, 8, 9, 10**6])
+def test_blocks_match_term_by_term(monkeypatch, t, max_terms):
+    """Values, errs and partials equal the term-by-term loop's, over a batch
+    wider than one block holds (BLOCK_ELEMENTS // 600 < FIRST_BLOCK rows)."""
+    rng = np.random.default_rng(7)
+    points = list(zip(rng.uniform(-1.0, 1.0, 600), rng.uniform(-0.5, 1.0, 600)))
+    points += [(1e-7, 0.0), (0.3, 1e-9), (-0.2, 1 - 1e-13), (0.4, 0.5)]
+    tau = TauPoint(t)
+    policy = SeriesPolicy(max_terms=max_terms)
+    calls = _kernels(points, tau, policy) + _kernels(points[-4:], tau, policy)
+    blocks = [_outcome(call) for call in calls]
+    monkeypatch.setattr(qseries, "_points_series", _series_by_term)
+    assert [_outcome(call) for call in calls] == blocks
+
+
+# ---------------------------------------------------------------------------
+# Batches against one-point calls, at the block boundaries
+# ---------------------------------------------------------------------------
+
+
+def _assert_batch_matches_points(points, tau, policy=qseries.DEFAULT_POLICY):
+    """Each kernel's batch result equals its one-point calls: element by
+    element if the batch converges, else the batch raises with the partial
+    of its first point that raises alone."""
+    for batch, single in zip(_kernels(points, tau, policy),
+                             zip(*(_kernels([pt], tau, policy) for pt in points))):
+        alone = [_outcome(call) for call in single]
+        got = _outcome(batch)
+        failed = [o for o in alone if o[0] == "NonConvergenceError"]
+        if failed:
+            # a batch raises the first error its points meet, the series' cap
+            # before E_2's, with the partial of the first point that raises
+            # it alone
+            same = [o for o in failed if o[1] == got[1]]
+            assert same and got == same[0]
+        else:
+            assert got == [o[0] for o in alone]
+
+
+def test_stop_at_second_term(stops):
+    """Near the pole at 0, pe stops at the first j its rule allows."""
+    tau = TauPoint(0.1 + 1.5j)
+    points = [(1e-3, 0.0), (0.3, -0.2), (1e-2, 0.0)]
+    _assert_batch_matches_points(points, tau)
+    assert 2.0 in sum(stops, [])
+
+
+@pytest.mark.parametrize("t", [0.1 + 0.565j, 0.1 + 0.505j])
+def test_stop_at_block_edges(stops, t):
+    """Points of one batch stop on the first block's last row and on the
+    next block's first row."""
+    tau = TauPoint(t)
+    points = [(0.3, 0.0), (0.3, 0.0), (-0.45, 0.3), (0.1, 0.8)]
+    _assert_batch_matches_points(points, tau)
+    edges = {qseries.FIRST_BLOCK, qseries.FIRST_BLOCK + 1}
+    assert any(edges <= set(run) for run in stops if len(run) == len(points))
+
+
+def test_mixed_batch_at_small_im_tau(stops):
+    """Points that stop in the first block share a batch with points that
+    run through several."""
+    tau = TauPoint(0.3 + 0.06j)
+    points = [(1e-7, 0.0), (1e-3, 0.0), (0.3, 1e-9), (0.2, 0.5), (-0.4, 0.49),
+              (1e-7, 1 - 1e-9), (0.25, 1 - 1e-11)]
+    _assert_batch_matches_points(points, tau)
+    mixed = [run for run in stops if len(run) == len(points)]
+    assert any(min(run) <= qseries.FIRST_BLOCK and max(run) > 3 * qseries.FIRST_BLOCK
+               for run in mixed)
+
+
+@pytest.mark.parametrize("max_terms", [3, 8, 9])
+def test_term_caps_near_first_block(max_terms):
+    """Caps below, at and just above the first block's size."""
+    assert qseries.FIRST_BLOCK == 8
+    for t in (0.1 + 0.565j, 0.1 + 0.505j, 0.1 + 1.5j):
+        points = [(0.3, 0.0), (1e-3, 0.0), (-0.45, 0.3), (0.1, 0.8)]
+        _assert_batch_matches_points(points, TauPoint(t), SeriesPolicy(max_terms=max_terms))
+
+
+def test_single_point_and_empty_batch():
+    tau = TauPoint(0.2 + 0.3j)
+    _assert_batch_matches_points([(0.3, 0.4)], tau)
+    for call in _kernels([], tau):
+        out = call()
+        assert len(out) == 0 and out.value.shape == out.err.shape == (0,)
+
+
+# ---------------------------------------------------------------------------
+# The pe numerators
+# ---------------------------------------------------------------------------
+
+
+def _phi_poly_recurrence(k):
+    """P_k by the list recurrence the cached `_phi_poly` replaced."""
+    polys = [[0, 1]]
+    while len(polys) <= k:
+        kk = len(polys) - 1
+        p = polys[-1]
+        dp = [i * c for i, c in enumerate(p)][1:] or [0]
+        a = dp + [0]
+        for i, c in enumerate(dp):
+            a[i + 1] -= c
+        b = [(kk + 2) * c for c in p] + [0] * (len(a) - len(p))
+        polys.append([0] + [ai + bi for ai, bi in zip(a, b)])
+    return polys[k]
+
+
+def test_phi_poly_matches_recurrence():
+    qseries._phi_poly.cache_clear()
+    for k in (40, *range(41)):
+        assert qseries._phi_poly(k) == tuple(_phi_poly_recurrence(k))
+    assert qseries._phi_poly.cache_info().currsize == 41

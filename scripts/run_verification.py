@@ -76,7 +76,10 @@ def run_sweep(cfg: SweepConfig) -> dict:
         buf = io.StringIO()
         t_cmd = time.perf_counter()
         with redirect_stdout(buf):
-            code = cli_main(argv)
+            try:
+                code = cli_main(argv)
+            except SystemExit as exc:  # argparse's usage error
+                code = exc.code
         stats = families.setdefault(
             family, {"checks": 0, "failed": 0, "elapsed_s": 0.0})
         stats["elapsed_s"] += time.perf_counter() - t_cmd
@@ -92,7 +95,10 @@ def run_sweep(cfg: SweepConfig) -> dict:
             else:
                 stats["worst_residual"] = max(stats.get("worst_residual", 0.0),
                                               float(r))
-        if code not in (0,):
+        if code not in (0, 1) or not buf.getvalue():
+            # an error exit or a command that checked nothing fails the sweep
+            stats["failed"] += 1
+        if code != 0:
             stats["exit_codes"] = stats.get("exit_codes", []) + [code]
     for stats in families.values():
         stats["elapsed_s"] = round(stats["elapsed_s"], 2)
@@ -124,8 +130,10 @@ def main(argv=None) -> int:
     for family, stats in sorted(report["families"].items()):
         if "nonzero_exact" in stats:
             margin = f"nonzero_exact={stats['nonzero_exact']}"
-        else:
+        elif "worst_residual" in stats:
             margin = f"worst_residual={stats['worst_residual']:.3e}"
+        else:
+            margin = f"no records, exit codes {stats.get('exit_codes')}"
         print(f"{family:22s} checks={stats['checks']:5d} "
               f"failed={stats['failed']:3d} "
               f"elapsed={stats['elapsed_s']:6.2f}s {margin}")

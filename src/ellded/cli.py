@@ -92,11 +92,11 @@ CHECK_TOLS: Dict[str, float] = {
 
 @dataclass
 class RunConfig:
-    subcommand: str
+    #: the subcommand's own arguments, as parsed (tau as a TauPoint)
     params: Dict[str, object]
+    #: --tol, else ELLDED_TOL in verify mode; None selects CHECK_TOLS
     tol: Optional[float]
     seed: int
-    fmt: str
     max_terms: Optional[int]
 
     def policy(self) -> SeriesPolicy:
@@ -104,25 +104,27 @@ class RunConfig:
             return SeriesPolicy(max_terms=self.max_terms)
         return SeriesPolicy()
 
-    def check_tol(self, family: str) -> float:
-        if self.tol is not None:
-            return self.tol
-        env = os.environ.get("ELLDED_TOL")
-        if env is not None:
-            t = float(env)
-            _validate_tol(t)
-            return t
-        return CHECK_TOLS[family]
+    def family_tol(self, family: str) -> float:
+        return CHECK_TOLS[family] if self.tol is None else self.tol
 
-
-def _validate_tol(t: float) -> None:
-    if not 0 < t <= 1e-3:
-        raise argparse.ArgumentTypeError(f"tol must be in (0, 1e-3], got {t}")
+    def check(self, check: str, residual: float, family: Optional[str] = None,
+              **extra) -> dict:
+        """A verify record whose params are the echoed arguments plus extra;
+        its tol is that of `family`, which defaults to the check's name."""
+        tol = self.family_tol(family or check)
+        return {
+            "check": check,
+            "params": {**_echo(self.params), **extra},
+            "residual": residual,
+            "tol": tol,
+            "pass": bool(residual < tol),
+        }
 
 
 def _tol_arg(s: str) -> float:
     t = float(s)
-    _validate_tol(t)
+    if not 0 < t <= 1e-3:
+        raise argparse.ArgumentTypeError(f"tol must be in (0, 1e-3], got {t}")
     return t
 
 
@@ -168,131 +170,85 @@ def _emit(records: List[dict], fmt: str, out) -> None:
             out.write("\n")
 
 
-def _check_record(check: str, params: dict, residual: float, tol: float) -> dict:
-    return {
-        "check": check,
-        "params": params,
-        "residual": residual,
-        "tol": tol,
-        "pass": bool(residual < tol) if tol > 0 else bool(residual == 0),
-    }
+def _echo(params: Dict[str, object]) -> dict:
+    """Parsed arguments as JSON: a TauPoint as its string, a complex number
+    as [re, im], a pair as a list."""
+    out = {}
+    for name, value in params.items():
+        if isinstance(value, TauPoint):
+            value = str(value)
+        elif isinstance(value, complex):
+            value = [value.real, value.imag]
+        elif isinstance(value, tuple):
+            value = list(value)
+        out[name] = value
+    return out
 
 
 # ---------------------------------------------------------------------------
-# eval subcommands
+# eval subcommands: each returns the record's value; main() adds the op
+# and the echoed arguments
 # ---------------------------------------------------------------------------
 
 
-def _eval_bernoulli(cfg: RunConfig) -> dict:
-    k = cfg.params["k"]
-    return {"op": "bernoulli", "params": {"k": k},
-            "value": rational_str(bernoulli_number(k))}
+def _eval_bernoulli(cfg: RunConfig, k):
+    return rational_str(bernoulli_number(k))
 
 
-def _eval_apostol_sum(cfg: RunConfig) -> dict:
-    k, q, p = cfg.params["k"], cfg.params["q"], cfg.params["p"]
-    return {"op": "apostol-sum", "params": {"k": k, "q": q, "p": p},
-            "value": rational_str(apostol_sum(k, q, p))}
+def _eval_apostol_sum(cfg: RunConfig, k, q, p):
+    return rational_str(apostol_sum(k, q, p))
 
 
-def _eval_g_poly(cfg: RunConfig) -> dict:
-    w = cfg.params["w"]
-    return {"op": "g-poly", "params": {"w": w}, "value": g_poly(w).to_json_obj()}
+def _eval_g_poly(cfg: RunConfig, w):
+    return g_poly(w).to_json_obj()
 
 
-def _eval_eisenstein(cfg: RunConfig) -> dict:
-    n, tau, kind = cfg.params["n"], cfg.params["tau"], cfg.params["kind"]
+def _eval_eisenstein(cfg: RunConfig, n, kind, tau):
     fn = {"e": eisenstein, "g": eisenstein_normalized,
           "deriv": eisenstein_tau_derivative}[kind]
-    val = fn(n, tau, cfg.policy())
-    return {"op": "eisenstein", "params": {"n": n, "tau": str(tau), "kind": kind},
-            "value": val.to_json_obj()}
+    return fn(n, tau, cfg.policy()).to_json_obj()
 
 
-def _eval_elliptic_bernoulli(cfg: RunConfig) -> dict:
-    m, x, y, tau = (cfg.params[k] for k in ("m", "x", "y", "tau"))
-    val = elliptic_bernoulli(m, x, y, tau, cfg.policy())
-    return {"op": "elliptic-bernoulli",
-            "params": {"m": m, "x": x, "y": y, "tau": str(tau)},
-            "value": val.to_json_obj()}
+def _eval_elliptic_bernoulli(cfg: RunConfig, m, x, y, tau):
+    return elliptic_bernoulli(m, x, y, tau, cfg.policy()).to_json_obj()
 
 
-def _eval_zeta_w(cfg: RunConfig) -> dict:
-    z, tau, order = cfg.params["z"], cfg.params["tau"], cfg.params["order"]
+def _eval_zeta_w(cfg: RunConfig, z, order, tau):
     if order == 0:
         val = weierstrass_zeta(z, tau, cfg.policy())
     else:
         val = weierstrass_zeta_deriv(order, z, tau, cfg.policy())
-    return {"op": "zeta-w",
-            "params": {"z": [z.real, z.imag], "tau": str(tau), "order": order},
-            "value": val.to_json_obj()}
+    return val.to_json_obj()
 
 
-def _eval_elliptic_sum(cfg: RunConfig) -> dict:
-    n, p, q, tau = (cfg.params[k] for k in ("n", "p", "q", "tau"))
-    route = Route(cfg.params["route"])
-    res = elliptic_apostol_sum(n, CoprimePair(p, q), tau, route, cfg.policy())
-    return {"op": "elliptic-sum",
-            "params": {"n": n, "p": p, "q": q, "tau": str(tau),
-                       "route": route.value},
-            "value": res.value.to_json_obj()}
+def _eval_elliptic_sum(cfg: RunConfig, n, p, q, route, tau):
+    res = elliptic_apostol_sum(n, CoprimePair(p, q), tau, Route(route), cfg.policy())
+    return res.value.to_json_obj()
 
 
-def _eval_reciprocity_rhs(cfg: RunConfig) -> dict:
-    n, p, q, tau = (cfg.params[k] for k in ("n", "p", "q", "tau"))
-    val = reciprocity_rhs(n, CoprimePair(p, q), tau, cfg.policy())
-    return {"op": "reciprocity-rhs",
-            "params": {"n": n, "p": p, "q": q, "tau": str(tau)},
-            "value": val.to_json_obj()}
+def _eval_reciprocity_rhs(cfg: RunConfig, n, p, q, tau):
+    return reciprocity_rhs(n, CoprimePair(p, q), tau, cfg.policy()).to_json_obj()
 
 
-def _eval_generating(cfg: RunConfig) -> dict:
-    which, p, q, x, tau = (cfg.params[k] for k in ("which", "p", "q", "x", "tau"))
+def _eval_generating(cfg: RunConfig, which, p, q, x, tau):
     pair = CoprimePair(p, q)
     if which == "d":
         val = generating_D(pair, tau, x, cfg.policy())
     else:
         val = generating_R(pair, tau, x, cfg.policy())
-    return {"op": "generating",
-            "params": {"which": which, "p": p, "q": q, "x": x, "tau": str(tau)},
-            "value": val.to_json_obj()}
+    return val.to_json_obj()
 
 
-def _eval_machide(cfg: RunConfig) -> dict:
-    p = cfg.params
-    spec = MachideSpec(p["vec_a"], p["vec_b"], p["vec_c"],
-                       p["vec_x"], p["vec_y"], p["vec_z"], p["m"], p["n"])
-    val = machide_sum(spec, p["tau"], cfg.policy())
-    return {"op": "machide",
-            "params": {"vec_a": list(p["vec_a"]), "vec_b": list(p["vec_b"]),
-                       "vec_c": list(p["vec_c"]), "vec_x": list(p["vec_x"]),
-                       "vec_y": list(p["vec_y"]), "vec_z": list(p["vec_z"]),
-                       "m": p["m"], "n": p["n"], "tau": str(p["tau"])},
-            "value": val.to_json_obj()}
+def _eval_machide(cfg: RunConfig, m, n, vec_a, vec_b, vec_c, vec_x, vec_y, vec_z, tau):
+    spec = MachideSpec(vec_a, vec_b, vec_c, vec_x, vec_y, vec_z, m, n)
+    return machide_sum(spec, tau, cfg.policy()).to_json_obj()
 
 
-def _eval_period_data(cfg: RunConfig) -> dict:
-    n = cfg.params["n"]
+def _eval_period_data(cfg: RunConfig, n):
     pd = eisenstein_period_data(n)
-    return {"op": "period-data", "params": {"n": n},
-            "value": {"r2n": {"re": pd.r2n.real, "im": pd.r2n.imag},
-                      "petersson": pd.petersson,
-                      "odd_period": pd.odd_period.to_json_obj()}}
-
-
-EVAL_HANDLERS = {
-    "bernoulli": _eval_bernoulli,
-    "apostol-sum": _eval_apostol_sum,
-    "g-poly": _eval_g_poly,
-    "eisenstein": _eval_eisenstein,
-    "elliptic-bernoulli": _eval_elliptic_bernoulli,
-    "zeta-w": _eval_zeta_w,
-    "elliptic-sum": _eval_elliptic_sum,
-    "reciprocity-rhs": _eval_reciprocity_rhs,
-    "generating": _eval_generating,
-    "machide": _eval_machide,
-    "period-data": _eval_period_data,
-}
+    return {"r2n": {"re": pd.r2n.real, "im": pd.r2n.imag},
+            "petersson": pd.petersson,
+            "odd_period": pd.odd_period.to_json_obj()}
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +256,8 @@ EVAL_HANDLERS = {
 # ---------------------------------------------------------------------------
 
 
-def _verify_apostol_reciprocity(cfg: RunConfig) -> List[dict]:
-    w_max, pq_max = cfg.params["w_max"], cfg.params["pq_max"]
-    tol = cfg.check_tol("apostol-reciprocity")
+def _verify_apostol_reciprocity(cfg: RunConfig, w_max, pq_max) -> List[dict]:
+    tol = cfg.family_tol("apostol-reciprocity")
     records = []
     for w in range(2, w_max + 1, 2):
         for p in range(1, pq_max + 1):
@@ -320,36 +275,33 @@ def _verify_apostol_reciprocity(cfg: RunConfig) -> List[dict]:
     return records
 
 
-def _verify_thm11(cfg: RunConfig) -> List[dict]:
-    n, p, q, tau = (cfg.params[k] for k in ("n", "p", "q", "tau"))
+def _verify_thm11(cfg: RunConfig, n, p, q, tau) -> List[dict]:
     policy = cfg.policy()
     pair = CoprimePair(p, q)
-    params = {"n": n, "p": p, "q": q, "tau": str(tau)}
     d = elliptic_apostol_sum(n, pair, tau, Route.ZETA_DERIVATIVE, policy).value
     d_shift = elliptic_apostol_sum(n, CoprimePair(p, q + p), tau,
                                    Route.ZETA_DERIVATIVE, policy).value
     d_neg = elliptic_apostol_sum(n, CoprimePair(p, -q), tau,
                                  Route.ZETA_DERIVATIVE, policy).value
     records = [
-        _check_record("thm11.periodicity", params, abs((d_shift - d).value),
-                      cfg.check_tol("thm11.periodicity")),
-        _check_record("thm11.oddness", params, abs((d_neg + d).value),
-                      cfg.check_tol("thm11.oddness")),
+        cfg.check("thm11.periodicity", abs((d_shift - d).value)),
+        cfg.check("thm11.oddness", abs((d_neg + d).value)),
     ]
     d_swap = elliptic_apostol_sum(n, CoprimePair(q, p), tau,
                                   Route.ZETA_DERIVATIVE, policy).value
     r = reciprocity_rhs(n, pair, tau, policy)
-    records.append(
-        _check_record("thm11.reciprocity", params, abs((d + d_swap - r).value),
-                      cfg.check_tol("thm11.reciprocity")))
+    records.append(cfg.check("thm11.reciprocity", abs((d + d_swap - r).value)))
     return records
 
 
-def _verify_thm13(cfg: RunConfig) -> List[dict]:
-    p, q, tau = (cfg.params[k] for k in ("p", "q", "tau"))
+def _verify_three_term(cfg: RunConfig, n, p, q, tau) -> List[dict]:
+    r = verify_three_term(n, CoprimePair(p, q), tau, cfg.policy())
+    return [cfg.check("three-term", abs(r.value))]
+
+
+def _verify_thm13(cfg: RunConfig, p, q, tau) -> List[dict]:
     policy = cfg.policy()
     pair = CoprimePair(p, q)
-    params = {"p": p, "q": q, "tau": str(tau)}
     xs = (0.003, 0.007, 0.011)
     vals = []
     for x in xs:
@@ -360,69 +312,39 @@ def _verify_thm13(cfg: RunConfig) -> List[dict]:
     spread = max(abs((a - b).value) for a in vals for b in vals)
     const = expected_constant(pair, tau, policy)
     return [
-        _check_record("thm13.constancy", {**params, "x": list(xs)}, spread,
-                      cfg.check_tol("thm13.constancy")),
-        _check_record("thm13.constant", {**params, "x": xs[0]},
-                      abs((vals[0] - const).value),
-                      cfg.check_tol("thm13.constant")),
+        cfg.check("thm13.constancy", spread, x=list(xs)),
+        cfg.check("thm13.constant", abs((vals[0] - const).value), x=xs[0]),
     ]
 
 
-def _verify_prop31(cfg: RunConfig) -> List[dict]:
-    p, q, tau = (cfg.params[k] for k in ("p", "q", "tau"))
-    s1, s2 = cfg.params["s1"], cfg.params["s2"]
+def _verify_prop31(cfg: RunConfig, p, q, s1, s2, tau) -> List[dict]:
     policy = cfg.policy()
     pair = CoprimePair(p, q)
-    params = {"p": p, "q": q, "tau": str(tau), "s1": s1, "s2": s2}
     r1 = proposition31_residual(pair, s1, tau, policy)
     r2 = proposition31_residual(pair, s2, tau, policy)
     const = expected_constant(pair, tau, policy)
     closed = proposition31_constant_closed_form(pair, tau, policy)
     return [
-        _check_record("prop31.constancy", params, abs((r1 - r2).value),
-                      cfg.check_tol("prop31.constancy")),
-        _check_record("prop31.constant", params, abs((r2 - const).value),
-                      cfg.check_tol("prop31.constant")),
-        _check_record("prop31.closed-form", params, abs((r2 - closed).value),
-                      cfg.check_tol("prop31.closed-form")),
+        cfg.check("prop31.constancy", abs((r1 - r2).value)),
+        cfg.check("prop31.constant", abs((r2 - const).value)),
+        cfg.check("prop31.closed-form", abs((r2 - closed).value)),
     ]
 
 
-def _verify_lemma32(cfg: RunConfig) -> List[dict]:
-    p, q, s, t, tau = (cfg.params[k] for k in ("p", "q", "s", "t", "tau"))
+def _verify_lemma32(cfg: RunConfig, p, q, s, t, tau) -> List[dict]:
     rs = machide_reciprocity_residuals(CoprimePair(p, q), s, t, tau, cfg.policy())
-    tol = cfg.check_tol("lemma32")
-    params = {"p": p, "q": q, "s": s, "t": t, "tau": str(tau)}
-    return [
-        _check_record(f"lemma32.combo{i + 1}", params, abs(r.value), tol)
-        for i, r in enumerate(rs)
-    ]
+    return [cfg.check(f"lemma32.combo{i + 1}", abs(r.value), family="lemma32")
+            for i, r in enumerate(rs)]
 
 
-def _verify_eq73(cfg: RunConfig) -> List[dict]:
-    n, tau = cfg.params["n"], cfg.params["tau"]
+def _verify_eq73(cfg: RunConfig, n, tau) -> List[dict]:
     policy = cfg.policy()
-    tol = cfg.check_tol("eq73")
     scale = coefficient_scale(n, tau, policy)
-    records = []
-    for k in range(1, 2 * n + 3):
-        r = verify_eq73(n, k, tau, policy)
-        records.append(_check_record(
-            "eq73", {"n": n, "k": k, "tau": str(tau)},
-            abs(r.value) / scale, tol))
-    return records
+    return [cfg.check("eq73", abs(verify_eq73(n, k, tau, policy).value) / scale, k=k)
+            for k in range(1, 2 * n + 3)]
 
 
-def _verify_three_term(cfg: RunConfig) -> List[dict]:
-    n, p, q, tau = (cfg.params[k] for k in ("n", "p", "q", "tau"))
-    r = verify_three_term(n, CoprimePair(p, q), tau, cfg.policy())
-    return [_check_record("three-term",
-                          {"n": n, "p": p, "q": q, "tau": str(tau)},
-                          abs(r.value), cfg.check_tol("three-term"))]
-
-
-def _verify_eq64(cfg: RunConfig) -> List[dict]:
-    w, tau = cfg.params["w"], cfg.params["tau"]
+def _verify_eq64(cfg: RunConfig, w, tau) -> List[dict]:
     policy = cfg.policy()
     res = verify_eq64_onedim(w, tau, policy)
     lhs, _ = reciprocity_laurent(w, tau, policy)
@@ -430,26 +352,19 @@ def _verify_eq64(cfg: RunConfig) -> List[dict]:
     # of the Eisenstein data they are built from
     denom = max(lhs.max_abs_coeff(),
                 coefficient_scale(w // 2, tau, policy) / (2 * math.pi) ** 2)
-    rel = res.max_abs_coeff() / denom
-    return [_check_record("eq64", {"w": w, "tau": str(tau)}, rel,
-                          cfg.check_tol("eq64"))]
+    return [cfg.check("eq64", res.max_abs_coeff() / denom)]
 
 
-def _verify_basis_rank(cfg: RunConfig) -> List[dict]:
-    w, num_tau = cfg.params["w"], cfg.params["num_tau"]
-    taus = random_taus(num_tau, cfg.seed)
-    rank = basis_rank(w, taus, cfg.policy())
+def _verify_basis_rank(cfg: RunConfig, w, num_tau) -> List[dict]:
+    rank = basis_rank(w, random_taus(num_tau, cfg.seed), cfg.policy())
     d, _ = dim_data(w)
-    rec = _check_record("basis-rank",
-                        {"w": w, "num_tau": num_tau, "seed": cfg.seed},
-                        float(abs(rank - (d + 1))), cfg.check_tol("basis-rank"))
+    rec = cfg.check("basis-rank", float(abs(rank - (d + 1))), seed=cfg.seed)
     rec["rank"] = rank
     rec["expected_rank"] = d + 1
     return [rec]
 
 
-def _verify_limit(cfg: RunConfig) -> List[dict]:
-    n, p, q = (cfg.params[k] for k in ("n", "p", "q"))
+def _verify_limit(cfg: RunConfig, n, p, q) -> List[dict]:
     policy = cfg.policy()
     pair = CoprimePair(p, q)
     exact_limit = (-(TWO_PI_I ** (2 * n)) / math.factorial(2 * n + 1)
@@ -459,51 +374,86 @@ def _verify_limit(cfg: RunConfig) -> List[dict]:
         d = elliptic_apostol_sum(n, pair, TauPoint(complex(0, t)),
                                  Route.ZETA_DERIVATIVE, policy).value
         devs[t] = abs(d.value - exact_limit)
-    params = {"n": n, "p": p, "q": q}
     return [
-        _check_record("limit.value", {**params, "tau": "0+20i"}, devs[20.0],
-                      cfg.check_tol("limit.value")),
+        cfg.check("limit.value", devs[20.0], tau="0+20i"),
         # the residual must not grow as Im(tau) doubles (floor allows both
         # being at the machine-noise level)
-        _check_record("limit.monotone", params,
-                      max(0.0, devs[20.0] - devs[10.0]),
-                      cfg.check_tol("limit.monotone")),
+        cfg.check("limit.monotone", max(0.0, devs[20.0] - devs[10.0])),
     ]
-
-
-VERIFY_HANDLERS = {
-    "apostol-reciprocity": _verify_apostol_reciprocity,
-    "thm11": _verify_thm11,
-    "thm13": _verify_thm13,
-    "prop31": _verify_prop31,
-    "lemma32": _verify_lemma32,
-    "eq73": _verify_eq73,
-    "three-term": _verify_three_term,
-    "eq64": _verify_eq64,
-    "basis-rank": _verify_basis_rank,
-    "limit": _verify_limit,
-}
 
 
 # ---------------------------------------------------------------------------
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=_tol_arg, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", dest="fmt", choices=("json", "csv", "pretty"),
-                   default="json")
-    p.add_argument("--max-terms", type=int, default=None)
-
-
-def _tau_opt(p: argparse.ArgumentParser, required: bool = True) -> None:
-    # parse only the complex syntax here (bad syntax -> usage error);
-    # the half-plane constraint is enforced in main() so it exits with the
+#: Every argument of every subcommand, by flag: its add_argument keywords.
+_ARGS: Dict[str, dict] = {
+    **{flag: dict(type=int, required=True)
+       for flag in ("-k", "-m", "-n", "-p", "-q", "-w")},
+    # parse only the complex syntax here (bad syntax -> usage error); the
+    # half-plane constraint is enforced in main() so it exits with the
     # domain code instead
-    p.add_argument("--tau", type=_complex_arg, required=required,
-                   help='upper-half-plane point "a+bi"')
+    "--tau": dict(type=_complex_arg, required=True,
+                  help='upper-half-plane point "a+bi"'),
+    "--kind": dict(choices=("e", "g", "deriv"), default="e"),
+    "--x": dict(type=float, required=True),
+    "--y": dict(type=float, required=True),
+    "--z": dict(type=_complex_arg, required=True),
+    "--order": dict(type=int, default=0,
+                    help="0 for zeta itself, j >= 1 for its j-th derivative"),
+    "--route": dict(choices=[r.value for r in Route],
+                    default=Route.ZETA_DERIVATIVE.value),
+    "--which": dict(choices=("d", "r"), required=True),
+    **{f"--vec-{c}": dict(type=_int_pair, required=True, metavar="A',A")
+       for c in "abc"},
+    **{f"--vec-{c}": dict(type=_float_pair, required=True, metavar="X',X")
+       for c in "xyz"},
+    "--w-max": dict(type=int, default=10),
+    "--pq-max": dict(type=int, default=30),
+    "--s1": dict(type=float, default=0.006),
+    "--s2": dict(type=float, default=0.009),
+    "--s": dict(type=float, default=0.013),
+    "--t": dict(type=float, default=0.007),
+    "--num-tau": dict(type=int, required=True),
+    # the common flags, which every subcommand takes last
+    "--tol": dict(type=_tol_arg),
+    "--seed": dict(type=int, default=0),
+    "--format": dict(dest="fmt", choices=("json", "csv", "pretty"), default="json"),
+    "--max-terms": dict(type=int),
+}
+
+_COMMON = ("--tol", "--seed", "--format", "--max-terms")
+
+#: mode -> subcommand -> (handler, its own arguments in --help order); a
+#: handler takes the RunConfig and the parsed arguments by name
+_COMMANDS = {
+    "eval": {
+        "bernoulli": (_eval_bernoulli, ("-k",)),
+        "apostol-sum": (_eval_apostol_sum, ("-k", "-q", "-p")),
+        "g-poly": (_eval_g_poly, ("-w",)),
+        "eisenstein": (_eval_eisenstein, ("-n", "--kind", "--tau")),
+        "elliptic-bernoulli": (_eval_elliptic_bernoulli, ("-m", "--x", "--y", "--tau")),
+        "zeta-w": (_eval_zeta_w, ("--z", "--order", "--tau")),
+        "elliptic-sum": (_eval_elliptic_sum, ("-n", "-p", "-q", "--route", "--tau")),
+        "reciprocity-rhs": (_eval_reciprocity_rhs, ("-n", "-p", "-q", "--tau")),
+        "generating": (_eval_generating, ("--which", "-p", "-q", "--x", "--tau")),
+        "machide": (_eval_machide, ("-m", "-n", "--vec-a", "--vec-b", "--vec-c",
+                                    "--vec-x", "--vec-y", "--vec-z", "--tau")),
+        "period-data": (_eval_period_data, ("-n",)),
+    },
+    "verify": {
+        "apostol-reciprocity": (_verify_apostol_reciprocity, ("--w-max", "--pq-max")),
+        "thm11": (_verify_thm11, ("-n", "-p", "-q", "--tau")),
+        "three-term": (_verify_three_term, ("-n", "-p", "-q", "--tau")),
+        "thm13": (_verify_thm13, ("-p", "-q", "--tau")),
+        "prop31": (_verify_prop31, ("-p", "-q", "--s1", "--s2", "--tau")),
+        "lemma32": (_verify_lemma32, ("-p", "-q", "--s", "--t", "--tau")),
+        "eq73": (_verify_eq73, ("-n", "--tau")),
+        "eq64": (_verify_eq64, ("-w", "--tau")),
+        "basis-rank": (_verify_basis_rank, ("-w", "--num-tau")),
+        "limit": (_verify_limit, ("-n", "-p", "-q")),
+    },
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -512,166 +462,41 @@ def build_parser() -> argparse.ArgumentParser:
         description="Classical and elliptic Apostol-Dedekind sums: evaluation "
                     "and identity verification.")
     top = root.add_subparsers(dest="mode", required=True)
-
-    ev = top.add_parser("eval", help="evaluate a single quantity")
-    evs = ev.add_subparsers(dest="subcommand", required=True)
-
-    p = evs.add_parser("bernoulli")
-    p.add_argument("-k", type=int, required=True)
-    _add_common(p)
-
-    p = evs.add_parser("apostol-sum")
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("-q", type=int, required=True)
-    p.add_argument("-p", type=int, required=True)
-    _add_common(p)
-
-    p = evs.add_parser("g-poly")
-    p.add_argument("-w", type=int, required=True)
-    _add_common(p)
-
-    p = evs.add_parser("eisenstein")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("--kind", choices=("e", "g", "deriv"), default="e")
-    _tau_opt(p)
-    _add_common(p)
-
-    p = evs.add_parser("elliptic-bernoulli")
-    p.add_argument("-m", type=int, required=True)
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--y", type=float, required=True)
-    _tau_opt(p)
-    _add_common(p)
-
-    p = evs.add_parser("zeta-w")
-    p.add_argument("--z", type=_complex_arg, required=True)
-    p.add_argument("--order", type=int, default=0,
-                   help="0 for zeta itself, j >= 1 for its j-th derivative")
-    _tau_opt(p)
-    _add_common(p)
-
-    p = evs.add_parser("elliptic-sum")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-p", type=int, required=True)
-    p.add_argument("-q", type=int, required=True)
-    p.add_argument("--route", choices=[r.value for r in Route],
-                   default=Route.ZETA_DERIVATIVE.value)
-    _tau_opt(p)
-    _add_common(p)
-
-    p = evs.add_parser("reciprocity-rhs")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-p", type=int, required=True)
-    p.add_argument("-q", type=int, required=True)
-    _tau_opt(p)
-    _add_common(p)
-
-    p = evs.add_parser("generating")
-    p.add_argument("--which", choices=("d", "r"), required=True)
-    p.add_argument("-p", type=int, required=True)
-    p.add_argument("-q", type=int, required=True)
-    p.add_argument("--x", type=float, required=True)
-    _tau_opt(p)
-    _add_common(p)
-
-    p = evs.add_parser("machide")
-    p.add_argument("-m", type=int, required=True)
-    p.add_argument("-n", type=int, required=True)
-    for name in ("vec-a", "vec-b", "vec-c"):
-        p.add_argument(f"--{name}", type=_int_pair, required=True,
-                       metavar="A',A")
-    for name in ("vec-x", "vec-y", "vec-z"):
-        p.add_argument(f"--{name}", type=_float_pair, required=True,
-                       metavar="X',X")
-    _tau_opt(p)
-    _add_common(p)
-
-    p = evs.add_parser("period-data")
-    p.add_argument("-n", type=int, required=True)
-    _add_common(p)
-
-    vf = top.add_parser("verify", help="run residual checks")
-    vfs = vf.add_subparsers(dest="subcommand", required=True)
-
-    p = vfs.add_parser("apostol-reciprocity")
-    p.add_argument("--w-max", type=int, default=10)
-    p.add_argument("--pq-max", type=int, default=30)
-    _add_common(p)
-
-    for name in ("thm11", "three-term"):
-        p = vfs.add_parser(name)
-        p.add_argument("-n", type=int, required=True)
-        p.add_argument("-p", type=int, required=True)
-        p.add_argument("-q", type=int, required=True)
-        _tau_opt(p)
-        _add_common(p)
-
-    p = vfs.add_parser("thm13")
-    p.add_argument("-p", type=int, required=True)
-    p.add_argument("-q", type=int, required=True)
-    _tau_opt(p)
-    _add_common(p)
-
-    p = vfs.add_parser("prop31")
-    p.add_argument("-p", type=int, required=True)
-    p.add_argument("-q", type=int, required=True)
-    p.add_argument("--s1", type=float, default=0.006)
-    p.add_argument("--s2", type=float, default=0.009)
-    _tau_opt(p)
-    _add_common(p)
-
-    p = vfs.add_parser("lemma32")
-    p.add_argument("-p", type=int, required=True)
-    p.add_argument("-q", type=int, required=True)
-    p.add_argument("--s", type=float, default=0.013)
-    p.add_argument("--t", type=float, default=0.007)
-    _tau_opt(p)
-    _add_common(p)
-
-    p = vfs.add_parser("eq73")
-    p.add_argument("-n", type=int, required=True)
-    _tau_opt(p)
-    _add_common(p)
-
-    p = vfs.add_parser("eq64")
-    p.add_argument("-w", type=int, required=True)
-    _tau_opt(p)
-    _add_common(p)
-
-    p = vfs.add_parser("basis-rank")
-    p.add_argument("-w", type=int, required=True)
-    p.add_argument("--num-tau", type=int, required=True)
-    _add_common(p)
-
-    p = vfs.add_parser("limit")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-p", type=int, required=True)
-    p.add_argument("-q", type=int, required=True)
-    _add_common(p)
-
+    for mode, help_text in (("eval", "evaluate a single quantity"),
+                            ("verify", "run residual checks")):
+        subs = top.add_parser(mode, help=help_text).add_subparsers(
+            dest="subcommand", required=True)
+        for name, (_, flags) in _COMMANDS[mode].items():
+            p = subs.add_parser(name)
+            for flag in flags + _COMMON:
+                p.add_argument(flag, **_ARGS[flag])
     return root
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
+def main(argv: Optional[List[str]] = None) -> int:
+    args = build_parser().parse_args(argv)
+    # verify resolves ELLDED_TOL once, before any check runs; eval ignores it
+    tol = args.tol
+    if args.mode == "verify" and tol is None and "ELLDED_TOL" in os.environ:
+        try:
+            tol = _tol_arg(os.environ["ELLDED_TOL"])
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            print(f"error: ELLDED_TOL: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     skip = {"mode", "subcommand", "tol", "seed", "fmt", "max_terms"}
     params = {k: v for k, v in vars(args).items() if k not in skip}
-    return RunConfig(args.subcommand, params, args.tol, args.seed,
-                     args.fmt, args.max_terms)
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    cfg = _config_from_args(args)
+    handler, _ = _COMMANDS[args.mode][args.subcommand]
     try:
-        if isinstance(cfg.params.get("tau"), complex):
-            cfg.params["tau"] = TauPoint(cfg.params["tau"])
+        if isinstance(params.get("tau"), complex):
+            params["tau"] = TauPoint(params["tau"])
+        cfg = RunConfig(params, tol, args.seed, args.max_terms)
         if args.mode == "eval":
-            records = [EVAL_HANDLERS[cfg.subcommand](cfg)]
-            _emit(records, cfg.fmt, sys.stdout)
+            record = {"op": args.subcommand, "params": _echo(params),
+                      "value": handler(cfg, **params)}
+            _emit([record], args.fmt, sys.stdout)
             return EXIT_PASS
-        records = VERIFY_HANDLERS[cfg.subcommand](cfg)
-        _emit(records, cfg.fmt, sys.stdout)
+        records = handler(cfg, **params)
+        _emit(records, args.fmt, sys.stdout)
         return EXIT_PASS if all(r["pass"] for r in records) else EXIT_FAIL
     except (ValueError, LatticePointError, NonConvergenceError,
             ZeroDivisionError, OverflowError) as exc:

@@ -224,9 +224,11 @@ def basis_rank(w: int, taus: List[TauPoint],
     their monomial support (singular values above threshold x largest)."""
     polys = [reciprocity_laurent(w, t, policy)[0] for t in taus]
     support = sorted({e for poly in polys for e in poly.coeffs})
+    # the explicit shape keeps an empty sample 2-D, which svd accepts
     mat = np.array(
-        [[complex(poly.coeffs.get(e, 0j)) for e in support] for poly in polys]
-    )
+        [[complex(poly.coeffs.get(e, 0j)) for e in support] for poly in polys],
+        dtype=complex,
+    ).reshape(len(polys), len(support))
     sv = np.linalg.svd(mat, compute_uv=False)
     if sv.size == 0 or sv[0] == 0:
         return 0

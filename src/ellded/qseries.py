@@ -780,23 +780,35 @@ def weierstrass_zeta_deriv(j: int, z: complex, tau: TauPoint,
     return -weierstrass_p_deriv(j - 1, z, tau, policy)
 
 
-def sigma_log_tau_derivative(z: complex, tau: TauPoint,
-                             policy: SeriesPolicy = DEFAULT_POLICY) -> ComplexVal:
-    """d(log sigma(z; tau))/dtau at fixed z, for any z off the lattice.
+def _sigma_log_blocks(z, tau: TauPoint, policy: SeriesPolicy, pe_only=()):
+    """The heat-equation blocks of d(log sigma)/dtau at the points z.
 
     sigma = e^{E_2 z^2 / 2} theta_1(pi z) / (pi theta_1'(0)), the heat
     equation theta_zz = 4 pi i theta_tau of theta_1 and Ramanujan's
-    2 pi i E_2' = 5 E_4 - E_2^2 give
+    2 pi i E_2' = 5 E_4 - E_2^2 give, with b = zeta(z) - E_2 z,
 
-        2 d(log sigma)/dtau - E_2' z^2 - E_2 / (pi i)
-            = ((zeta(z) - E_2 z)^2 - pe(z)) / (2 pi i),
+        2 d(log sigma)/dtau - E_2' z^2 - E_2 / (pi i) = (b^2 - pe(z)) / (2 pi i).
 
-    so the value is ((zeta - E_2 z)^2 - pe + 2 E_2) / (4 pi i) + E_2' z^2 / 2.
-    """
-    z = complex(z)
+    Returns E_2, b, b^2 - pe(z) and pe at the points pe_only, from one zeta
+    batch over z and one pe batch over z and pe_only."""
+    z = np.asarray(z, dtype=complex)
     e2 = eisenstein(1, tau, policy)
-    b = weierstrass_zeta(z, tau, policy) - e2 * z
-    val = (b * b - weierstrass_p_deriv(0, z, tau, policy) + e2 * 2.0) * (1.0 / (4j * math.pi))
+    b = weierstrass_zeta_points(z, tau, policy) - ComplexArray(e2.value, e2.err) * z
+    pe = weierstrass_p_deriv_points(0, np.concatenate((z, np.asarray(pe_only, dtype=complex))),
+                                    tau, policy)
+    n = len(z)
+    heat = b * b - ComplexArray(pe.value[:n], pe.err[:n])
+    return e2, b, heat, ComplexArray(pe.value[n:], pe.err[n:])
+
+
+def sigma_log_tau_derivative(z: complex, tau: TauPoint,
+                             policy: SeriesPolicy = DEFAULT_POLICY) -> ComplexVal:
+    """d(log sigma(z; tau))/dtau at fixed z, for any z off the lattice:
+    ((zeta - E_2 z)^2 - pe + 2 E_2) / (4 pi i) + E_2' z^2 / 2, by the heat
+    equation (see `_sigma_log_blocks`)."""
+    z = complex(z)
+    e2, _, heat, _ = _sigma_log_blocks([z], tau, policy)
+    val = (heat[0] + e2 * 2.0) * (1.0 / (4j * math.pi))
     return val + eisenstein_tau_derivative(1, tau, policy) * (z * z / 2)
 
 

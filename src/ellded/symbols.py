@@ -28,6 +28,7 @@ from .qseries import (
     _check_n_tau,
     _eisenstein,
     _eisenstein_tau_derivative,
+    _sigma_log_blocks,
     eisenstein,
     elliptic_bernoulli_points,
     weierstrass_p_deriv,
@@ -223,20 +224,17 @@ def generating_R(pair: CoprimePair, tau: TauPoint, x: float,
     With zblock(c) = zeta(c x) - E_2 c x, each sigma-log block
     2 d(log sigma(c x))/dtau - E_2' (c x)^2 - E_2 / (pi i) equals
     (zblock(c)^2 - pe(c x)) / (2 pi i) by the heat equation of theta_1 (see
-    `qseries.sigma_log_tau_derivative`)."""
+    `qseries._sigma_log_blocks`, which `sigma_log_tau_derivative` shares)."""
     pair.require_u()
     p, q = pair.p, pair.q
     if not 0 < abs(x) < 1 / (2 * max(p, q)):
         raise ValueError(f"need 0 < |x| < 1/(2 max(p,q)), got {x}")
-    e2 = eisenstein(1, tau, policy)
-    zeta = weierstrass_zeta_points([p * x, q * x], tau, policy)
-    pe = weierstrass_p_deriv_points(0, [p * x, q * x, x], tau, policy)
-    zp, zq = zeta[0] - e2 * (p * x), zeta[1] - e2 * (q * x)
+    e2, b, heat, pe_x = _sigma_log_blocks([p * x, q * x], tau, policy, pe_only=[x])
     scale = 1.0 / (TWO_PI_I**2).real
-    out = zp * zq * -scale
-    out = out + (zp * zp - pe[0]) * (scale * q / (2 * p))
-    out = out + (zq * zq - pe[1]) * (scale * p / (2 * q))
-    return out + (pe[2] + e2) * (scale / (p * q))
+    out = b[0] * b[1] * -scale
+    out = out + heat[0] * (scale * q / (2 * p))
+    out = out + heat[1] * (scale * p / (2 * q))
+    return out + (pe_x[0] + e2) * (scale / (p * q))
 
 
 def expected_constant(pair: CoprimePair, tau: TauPoint,

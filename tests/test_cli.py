@@ -195,6 +195,14 @@ class TestVerifyFamilies:
         rec = json.loads(out)
         assert rec["rank"] == 2 and rec["expected_rank"] == 2
 
+    def test_basis_rank_of_no_sample_fails_the_check(self):
+        code, out, _ = run_cli(
+            ["verify", "basis-rank", "-w", "10", "--num-tau", "0"])
+        assert code == 1
+        rec = json.loads(out)
+        assert rec["rank"] == 0 and rec["expected_rank"] == 2
+        assert rec["pass"] is False
+
 
 class TestFormats:
     def test_csv(self):
@@ -226,6 +234,19 @@ class TestToleranceResolution:
         code, _, _ = run_cli(
             ["verify", "eq73", "-n", "1", "--tau", "0.3+1.0i",
              "--tol", "1e-6"])
+        assert code == 0
+
+    @pytest.mark.parametrize("value", ["5", "abc"])
+    def test_invalid_env_is_usage_error(self, monkeypatch, value):
+        monkeypatch.setenv("ELLDED_TOL", value)
+        code, out, err = run_cli(["verify", "eq73", "-n", "1", "--tau", "1i"])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ELLDED_TOL")
+        # --tol is taken first, and eval never reads the variable
+        code, _, _ = run_cli(["verify", "eq73", "-n", "1", "--tau", "1i",
+                              "--tol", "1e-6"])
+        assert code == 0
+        code, _, _ = run_cli(["eval", "bernoulli", "-k", "2"])
         assert code == 0
 
 

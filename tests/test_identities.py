@@ -186,6 +186,9 @@ class TestBasisRank:
         assert basis_rank(12, random_taus(3, seed=7)) == 1
         assert basis_rank(2, random_taus(1, seed=7)) == 1
 
+    def test_empty_sample_has_rank_zero(self):
+        assert basis_rank(10, []) == 0
+
     @pytest.mark.parametrize("w", [2, 4, 6, 8, 10, 12, 14])
     def test_matches_dimension_and_never_exceeds(self, w):
         d, dim_m = dim_data(w)

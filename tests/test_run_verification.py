@@ -4,6 +4,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_verification.py"
 _spec = importlib.util.spec_from_file_location("run_verification", SCRIPT)
 run_verification = importlib.util.module_from_spec(_spec)
@@ -41,3 +43,26 @@ def test_nonzero_exact_residual_is_counted(monkeypatch):
     assert stats["nonzero_exact"] == 2 and stats["failed"] == 2
     assert "worst_residual" not in stats
     assert not report["all_pass"]
+
+
+def _exit_without_records(code):
+    def fake_cli(argv):
+        if code == 2:
+            raise SystemExit(2)  # as argparse does on a usage error
+        return code
+    return fake_cli
+
+
+@pytest.mark.parametrize("code", [0, 2, 3])
+def test_error_exit_or_no_records_fails(monkeypatch, tmp_path, capsys, code):
+    monkeypatch.setattr(run_verification, "cli_main", _exit_without_records(code))
+    monkeypatch.setattr(run_verification, "command_grid",
+                        lambda cfg: [("eq73", []), ("apostol-reciprocity", [])])
+    out = tmp_path / "report.json"
+    assert run_verification.main(["--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert not report["all_pass"]
+    for stats in report["families"].values():
+        assert stats["checks"] == 0 and stats["failed"] == 1
+        assert stats.get("exit_codes", []) == ([code] if code else [])
+    assert "no records" in capsys.readouterr().out

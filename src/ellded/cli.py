@@ -128,6 +128,19 @@ def _tol_arg(s: str) -> float:
     return t
 
 
+def _count_arg(least: int):
+    """An argparse type: an int that must be at least `least`."""
+    def parse(s: str) -> int:
+        try:
+            n = int(s)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {s!r}")
+        if n < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {n}")
+        return n
+    return parse
+
+
 def _complex_arg(s: str) -> complex:
     try:
         return complex(s.strip().replace(" ", "").replace("i", "j"))
@@ -408,18 +421,19 @@ _ARGS: Dict[str, dict] = {
        for c in "abc"},
     **{f"--vec-{c}": dict(type=_float_pair, required=True, metavar="X',X")
        for c in "xyz"},
-    "--w-max": dict(type=int, default=10),
-    "--pq-max": dict(type=int, default=30),
+    # a count below its least value is a usage error, not an empty run
+    "--w-max": dict(type=_count_arg(2), default=10),
+    "--pq-max": dict(type=_count_arg(1), default=30),
     "--s1": dict(type=float, default=0.006),
     "--s2": dict(type=float, default=0.009),
     "--s": dict(type=float, default=0.013),
     "--t": dict(type=float, default=0.007),
-    "--num-tau": dict(type=int, required=True),
+    "--num-tau": dict(type=_count_arg(0), required=True),
     # the common flags, which every subcommand takes last
     "--tol": dict(type=_tol_arg),
     "--seed": dict(type=int, default=0),
     "--format": dict(dest="fmt", choices=("json", "csv", "pretty"), default="json"),
-    "--max-terms": dict(type=int),
+    "--max-terms": dict(type=_count_arg(1)),
 }
 
 _COMMON = ("--tol", "--seed", "--format", "--max-terms")

@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Tuple
 
 import numpy as np
@@ -17,10 +18,18 @@ from .qseries import (
     ComplexVal,
     SeriesPolicy,
     TauPoint,
+    _check_n_tau,
     eisenstein_normalized,
     zeta_odd,
 )
-from .symbols import _eisenstein_table, reciprocity_rhs
+from .symbols import (
+    TABLE_CACHE_SIZE,
+    EisensteinTable,
+    _eisenstein_table,
+    _eisenstein_table_values,
+    _eisenstein_tables,
+    reciprocity_rhs,
+)
 
 TWO_PI_I = 2j * math.pi
 
@@ -75,8 +84,22 @@ def c_coefficients(n: int, tau: TauPoint,
 
     For n = 1 the two Kronecker deltas coincide at j = 1, doubling the
     derivative term; that doubling is what the degenerate case requires.
+
+    n and tau are checked on every call; the coefficients are built once per
+    (n, tau, policy), next to the Eisenstein table, in a cache of its size.
     """
-    e_top, prods, de = _eisenstein_table(n, tau, policy)
+    _check_n_tau(n, tau, policy)
+    return _c_coefficients_values(n, tau, policy)
+
+
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _c_coefficients_values(n: int, tau: TauPoint, policy: SeriesPolicy) -> CoefficientVector:
+    return _coefficients_of(n, _eisenstein_table_values(n, tau, policy))
+
+
+def _coefficients_of(n: int, table: EisensteinTable) -> CoefficientVector:
+    """The c_j of `c_coefficients` from the Eisenstein table."""
+    e_top, prods, de = table
     cs: List[ComplexVal] = [e_top]
     for j, prod in enumerate(prods, 1):
         cj = -prod
@@ -175,11 +198,19 @@ def reciprocity_laurent(w: int, tau: TauPoint,
     With w = 2n, R^-_w = (T^-_w + (2n+1) E_{2n+2}) / ((2 pi i)^2 pq), where
     T^-_w = sum_j c_j p^{2j} q^{2n+2-2j} (`c_coefficients`) and c_0 = E_{2n+2}.
     """
+    return _laurent_of(c_coefficients(_half_weight(w), tau, policy))
+
+
+def _half_weight(w: int) -> int:
     if w < 2 or w % 2 != 0:
         raise ValueError("w must be an even integer >= 2")
-    n = w // 2
+    return w // 2
+
+
+def _laurent_of(cv: CoefficientVector) -> Tuple[LaurentPoly, float]:
+    """`reciprocity_laurent` from the coefficients c_j."""
+    n, cs = cv.n, cv.c
     inv = 1.0 / (TWO_PI_I**2).real
-    cs = c_coefficients(n, tau, policy).c
     terms = {(2 * j - 1, 2 * n + 1 - 2 * j): c * inv for j, c in enumerate(cs)}
     terms[(-1, -1)] = cs[0] * ((2 * n + 1) * inv)
     return (LaurentPoly({e: c.value for e, c in terms.items()}),
@@ -221,8 +252,14 @@ def basis_rank(w: int, taus: List[TauPoint],
                policy: SeriesPolicy = DEFAULT_POLICY,
                threshold: float = 1e-8) -> int:
     """Numerical rank of the reciprocity polynomials {R^-_w(.,.;tau_i)} over
-    their monomial support (singular values above threshold x largest)."""
-    polys = [reciprocity_laurent(w, t, policy)[0] for t in taus]
+    their monomial support (singular values above threshold x largest).
+
+    The polynomials equal `reciprocity_laurent`'s; their Eisenstein values
+    come from one pass over the whole sample (`_eisenstein_tables`), which
+    leaves the per-tau caches to the callers that reuse their tau."""
+    n = _half_weight(w)
+    polys = [_laurent_of(_coefficients_of(n, table))[0]
+             for table in _eisenstein_tables(n, taus, policy)]
     support = sorted({e for poly in polys for e in poly.coeffs})
     # the explicit shape keeps an empty sample 2-D, which svd accepts
     mat = np.array(

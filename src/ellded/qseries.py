@@ -19,7 +19,8 @@ bit for bit.  The scalar functions are one-point calls to them.
 
 The Eisenstein q-sums are memoised per (n, tau, policy, tau_deriv) in a
 bounded `lru_cache`; tau is checked, and warned about, on every call before
-the cache is read.
+the cache is read.  `_eisenstein_q_sums` runs the same loop for a whole
+sample of tau at once, in blocks of k, without the cache.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -104,20 +105,44 @@ def parse_tau(s: str) -> TauPoint:
 _EPS = 2.0**-52
 
 
-@dataclass(frozen=True)
 class ComplexVal:
     """A complex value with an a-posteriori error bound.
 
     err bounds the truncated series tails plus a first-order rounding model,
     so that subtracting two large nearly-equal values reports the expected
-    loss of significance."""
+    loss of significance.
 
-    value: complex
-    err: float = 0.0
+    Immutable, compared and hashed by (value, err), with the repr of a
+    dataclass; a slotted class rather than a frozen dataclass because the
+    arithmetic builds one per operation."""
 
-    def __post_init__(self):
-        if self.err < 0:
+    __slots__ = ("value", "err")
+
+    def __init__(self, value: complex, err: float = 0.0):
+        if err < 0:
             raise ValueError("err must be >= 0")
+        _SET_VALUE(self, value)
+        _SET_ERR(self, err)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return ComplexVal, (self.value, self.err)
+
+    def __repr__(self) -> str:
+        return f"ComplexVal(value={self.value!r}, err={self.err!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not ComplexVal:
+            return NotImplemented
+        return (self.value, self.err) == (other.value, other.err)
+
+    def __hash__(self) -> int:
+        return hash((self.value, self.err))
 
     def __add__(self, other):
         if isinstance(other, ComplexVal):
@@ -133,17 +158,23 @@ class ComplexVal:
         return ComplexVal(-self.value, self.err)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, ComplexVal) else -other)
+        # self + (-other) in one step, rounded as that sum is
+        if isinstance(other, ComplexVal):
+            return ComplexVal(
+                self.value + -other.value,
+                self.err + other.err + _EPS * (abs(self.value) + abs(other.value)),
+            )
+        return ComplexVal(self.value + -other, self.err + _EPS * abs(other))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, ComplexVal):
+            a, b = abs(self.value), abs(other.value)
             return ComplexVal(
                 self.value * other.value,
-                abs(self.value) * other.err + abs(other.value) * self.err
-                + self.err * other.err + _EPS * abs(self.value) * abs(other.value),
+                a * other.err + b * self.err + self.err * other.err + _EPS * a * b,
             )
         return ComplexVal(self.value * other, (self.err + _EPS * abs(self.value)) * abs(other))
 
@@ -151,6 +182,11 @@ class ComplexVal:
 
     def to_json_obj(self) -> dict:
         return {"re": self.value.real, "im": self.value.imag, "err": self.err}
+
+
+# the slots' own setters, which bypass ComplexVal.__setattr__
+_SET_VALUE = ComplexVal.value.__set__
+_SET_ERR = ComplexVal.err.__set__
 
 
 def _abs(v):
@@ -299,9 +335,47 @@ def _divisor_power_sum(ell: int, k: int) -> float:
     return float(total)
 
 
+@lru_cache(maxsize=None)
+def _divisor_power_sums(ells: Tuple[int, ...], count: int) -> np.ndarray:
+    """sigma_ell(k) for k = 1..count (rows) and each ell of ells (columns),
+    read-only; count is rounded up to a power of two, so that a growing
+    count reuses few entries."""
+    size = 1 << max(count - 1, 0).bit_length()
+    if size != count:
+        return _divisor_power_sums(ells, size)
+    table = np.array([[_divisor_power_sum(ell, k) for ell in ells]
+                      for k in range(1, count + 1)]).reshape(count, len(ells))
+    table.flags.writeable = False
+    return table
+
+
 #: entries of the q-sum cache: a few tau's worth of every weight the
-#: identities use; bounded because basis_rank draws fresh tau
+#: identities use; bounded because the caller may draw fresh tau
 Q_SUM_CACHE_SIZE = 512
+
+
+def _nome_err(tau: TauPoint) -> float:
+    """err_q, in units of 2^-53: the relative error of q as `cmath.exp`
+    gives it plus one product's.  A q-sum charges k err_q to q^k, and 4 more
+    ulps to its kth term for the term's own products and the Kahan step."""
+    return float(_exp_err(TWO_PI_I * tau.tau)) + 2.0
+
+
+def _q_sum_bound(n: int, tau_deriv: bool, aq: float, k: int, last: float,
+                 rnd: float) -> float:
+    """Bound on the tail and the rounding of a q-sum stopped after its kth
+    term, whose size was `last`, with summed rounding `rnd` (in units of
+    2^-53).  The ratio of consecutive terms is <= ((k+1)/k)^{2n+1} |q|
+    (one more power with the 2 pi i k factor); the tail is bounded
+    geometrically with a safety factor."""
+    r = aq * ((k + 1) / k) ** (2 * n + (2 if tau_deriv else 1))
+    r = min(r, 0.99)
+    return 2.0 * last * r / (1.0 - r) + 2.0**-53 * rnd
+
+
+def _q_sum_error(n: int, cap: int, acc: complex) -> NonConvergenceError:
+    return NonConvergenceError(f"Eisenstein q-series (n={n}) hit max_terms={cap}",
+                               ComplexVal(acc, float("inf")))
 
 
 @lru_cache(maxsize=Q_SUM_CACHE_SIZE)
@@ -309,16 +383,16 @@ def _eisenstein_q_sum(n: int, tau: TauPoint, policy: SeriesPolicy,
                       tau_deriv: bool) -> Tuple[complex, float]:
     """sum_k sigma_{2n-1}(k) q^k, optionally with the termwise 2 pi i k factor.
 
-    Returns (sum, bound on the tail and the rounding).  Does not check tau:
-    callers run `_check_tau` first, on every call, since the cache would
-    skip it.  A NonConvergenceError is raised afresh each time, as
-    `lru_cache` keeps only returned values."""
+    Returns (sum, bound on the tail and the rounding).  The terms are added
+    in order with one Kahan step each; the sum stops after three terms in a
+    row below tol relative to it.  Does not check tau: callers run
+    `_check_tau` first, on every call, since the cache would skip it.  A
+    NonConvergenceError is raised afresh each time, as `lru_cache` keeps
+    only returned values.  `_eisenstein_q_sums` is the same loop over many
+    columns at once."""
     cap = _term_cap(tau, policy)
     q = tau.nome
-    aq = abs(q)
-    # q^k carries k times q's relative error and one product's; the term's
-    # own products and the Kahan step add a few ulps
-    err_q = float(_exp_err(TWO_PI_I * tau.tau)) + 2.0
+    err_q = _nome_err(tau)
     rnd = 0.0
     acc, comp = 0j, 0j
     qk = 1.0 + 0j
@@ -342,15 +416,106 @@ def _eisenstein_q_sum(n: int, tau: TauPoint, policy: SeriesPolicy,
         else:
             small_streak = 0
     else:
-        raise NonConvergenceError(
-            f"Eisenstein q-series (n={n}) hit max_terms={cap}",
-            ComplexVal(acc, float("inf")),
-        )
-    # Ratio of consecutive terms is <= ((k+1)/k)^{2n+1} |q|; bound the tail
-    # geometrically with a safety factor.
-    r = aq * ((k + 1) / k) ** (2 * n + (2 if tau_deriv else 1))
-    r = min(r, 0.99)
-    return acc, 2.0 * last * r / (1.0 - r) + 2.0**-53 * rnd
+        raise _q_sum_error(n, cap, acc)
+    return acc, _q_sum_bound(n, tau_deriv, abs(q), k, last, rnd)
+
+
+def _eisenstein_q_sums(taus: Sequence[TauPoint], cols: Sequence[Tuple[int, bool]],
+                       policy: SeriesPolicy) -> List[List[Tuple[complex, float]]]:
+    """`_eisenstein_q_sum(n, tau, policy, tau_deriv)` for every column
+    (n, tau_deriv) of `cols` at every tau of `taus`, in one pass and without
+    the cache: [tau][column] -> (sum, bound), bit for bit the scalar loop's.
+
+    The terms come in blocks of consecutive k, as 2-D arrays over (k,
+    column) of at most BLOCK_ELEMENTS entries; blocks start at FIRST_BLOCK
+    rows and double.  Each tau forms q^k by the scalar loop's Python complex
+    products.  sigma q^k and its 2 pi i k factor are taken as separate real
+    and imaginary float products: Python's complex products add only zeros
+    to them, which can change the sign of a zero part but not a Kahan sum
+    that starts from +0.  Each column keeps its own Kahan state, added one
+    row at a time, its own rounding sum, three-term stopping rule and term
+    cap; every column is computed until the last one stops, and each result
+    is read at the row where its column stopped.  Does not check tau.  If
+    some columns hit their cap, raises the scalar loop's NonConvergenceError
+    of the first: first tau in order, then first column in order."""
+    ncols = len(cols)
+    ells = tuple(sorted({2 * n - 1 for n, _ in cols}))
+    tau_of = np.repeat(np.arange(len(taus)), ncols)
+    ell_of = np.array([ells.index(2 * n - 1) for n, _ in cols] * len(taus), dtype=int)
+    deriv = (np.arange(len(taus))[:, None] * ncols
+             + [m for m, (_, d) in enumerate(cols) if d]).ravel()
+    err_q = np.array([_nome_err(t) for t in taus])[tau_of]
+    # a cap past int64 is clamped: no pass runs that many terms
+    cap = np.array([min(_term_cap(t, policy), 2**62) for t in taus])[tau_of]
+    qs = [t.nome for t in taus]
+    qks = [1.0 + 0j] * len(taus)
+
+    total = len(tau_of)
+    out_s = np.empty(total, dtype=complex)
+    out_k = np.zeros(total, dtype=int)
+    out_last = np.empty(total)
+    out_rnd = np.empty(total)
+    # every column runs to the end of the pass; `running` marks those that
+    # have neither stopped nor failed
+    running = np.ones(total, dtype=bool)
+    s, c = np.zeros(total, dtype=complex), np.zeros(total, dtype=complex)
+    rnd = np.zeros(total)
+    # whether each column's last two terms were small
+    prev = np.zeros((2, total), dtype=bool)
+    j = 0
+    width = FIRST_BLOCK
+    while running.any():
+        rows = min(width, max(BLOCK_ELEMENTS // total, 1), int(cap[running].min()) - j)
+        powers = []
+        for _ in range(rows):
+            qks = [qk * q for qk, q in zip(qks, qs)]
+            powers += qks
+        qk = np.array(powers, dtype=complex).reshape(rows, len(qs))[:, tau_of]
+        sig = _divisor_power_sums(ells, j + rows)[j:j + rows, ell_of]
+        re, im = sig * qk.real, sig * qk.imag
+        kf = np.arange(j + 1, j + rows + 1, dtype=float)[:, None]
+        if deriv.size:
+            d = kf * TWO_PI_I.imag
+            re[:, deriv], im[:, deriv] = -(im[:, deriv] * d), re[:, deriv] * d
+        term = np.empty(re.shape, dtype=complex)
+        term.real, term.imag = re, im
+        sums = np.empty_like(term)
+        for i in range(rows):
+            s, c = _kahan_add(s, c, term[i])
+            sums[i] = s
+        last = np.hypot(re, im)  # _abs(term)
+        # the rounding bound after each row, summed row by row from rnd
+        inc = last * (kf * err_q + 4.0)
+        inc[0] += rnd
+        rnds = np.cumsum(inc, axis=0)
+        rnd = rnds[-1]
+        small = np.vstack((prev, (last <= policy.tol * np.maximum(_abs(sums), 1e-300))
+                           | (last == 0.0)))
+        prev = small[-2:]
+        stop = small[2:] & small[1:-1] & small[:-2]
+        done = running & stop.any(axis=0)
+        j += rows
+        width *= 2
+        if done.any():
+            col = np.flatnonzero(done)
+            at = stop[:, col].argmax(axis=0)
+            out_s[col], out_k[col] = sums[at, col], j - rows + 1 + at
+            out_last[col], out_rnd[col] = last[at, col], rnds[at, col]
+        # a column still running at its cap has failed; keep its partial sum
+        failed = running & ~done & (cap == j)
+        out_s[failed] = sums[-1, failed]
+        running &= ~(done | failed)
+    sums, ks, lasts, rnds = (a.tolist() for a in (out_s, out_k, out_last, out_rnd))
+    results = []
+    for i, tau in enumerate(taus):
+        row = []
+        for col, (n, tau_deriv) in enumerate(cols, i * ncols):
+            if not ks[col]:
+                raise _q_sum_error(n, _term_cap(tau, policy), sums[col])
+            row.append((sums[col], _q_sum_bound(n, tau_deriv, abs(qs[i]), ks[col],
+                                                lasts[col], rnds[col])))
+        results.append(row)
+    return results
 
 
 @lru_cache(maxsize=None)
@@ -380,8 +545,12 @@ def eisenstein(n: int, tau: TauPoint, policy: SeriesPolicy = DEFAULT_POLICY) -> 
 
 def _eisenstein(n: int, tau: TauPoint, policy: SeriesPolicy) -> ComplexVal:
     """`eisenstein` without the checks of n and tau."""
+    return _eisenstein_of_sum(n, *_eisenstein_q_sum(n, tau, policy, tau_deriv=False))
+
+
+def _eisenstein_of_sum(n: int, s: complex, tail: float) -> ComplexVal:
+    """E_{2n} from its q-sum s and the sum's bound."""
     const, pref, abs_pref, rel = _eisenstein_consts(n)
-    s, tail = _eisenstein_q_sum(n, tau, policy, tau_deriv=False)
     value = const + pref * s
     # the tail, the rounding of const and pref * s, and of the final sum
     return ComplexVal(value, abs_pref * tail + rel * (abs(const) + abs_pref * abs(s))
@@ -406,8 +575,14 @@ def eisenstein_tau_derivative(n: int, tau: TauPoint, policy: SeriesPolicy = DEFA
 
 def _eisenstein_tau_derivative(n: int, tau: TauPoint, policy: SeriesPolicy) -> ComplexVal:
     """`eisenstein_tau_derivative` without the checks of n and tau."""
+    return _eisenstein_tau_derivative_of_sum(
+        n, *_eisenstein_q_sum(n, tau, policy, tau_deriv=True))
+
+
+def _eisenstein_tau_derivative_of_sum(n: int, s: complex, tail: float) -> ComplexVal:
+    """dE_{2n}/dtau from its q-sum s (with the 2 pi i k factor) and the
+    sum's bound."""
     _, pref, abs_pref, _ = _eisenstein_consts(n)
-    s, tail = _eisenstein_q_sum(n, tau, policy, tau_deriv=True)
     return ComplexVal(pref * s, abs_pref * tail)
 
 
@@ -852,8 +1027,10 @@ def kronecker_direct(k: int, z: complex, tau: TauPoint,
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=256)
 def zeta_odd(n: int, tol: float = 1e-12) -> float:
-    """zeta(2n+1) by direct summation plus an Euler-Maclaurin tail below tol."""
+    """zeta(2n+1) by direct summation plus an Euler-Maclaurin tail below tol;
+    memoised per (n, tol), as the period data of every eq64 check needs it."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if tol <= 0:

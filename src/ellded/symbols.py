@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -27,7 +27,10 @@ from .qseries import (
     TauPoint,
     _check_n_tau,
     _eisenstein,
+    _eisenstein_of_sum,
+    _eisenstein_q_sums,
     _eisenstein_tau_derivative,
+    _eisenstein_tau_derivative_of_sum,
     _sigma_log_blocks,
     eisenstein,
     elliptic_bernoulli_points,
@@ -154,8 +157,8 @@ def elliptic_apostol_sum(n: int, pair: CoprimePair, tau: TauPoint,
     return EllipticSumResult(val, route, p, q, n, tau)
 
 
-#: entries of the Eisenstein-table cache; bounded because basis_rank draws
-#: fresh tau
+#: entries of the Eisenstein-table cache; bounded because a caller may
+#: draw fresh tau (`_eisenstein_tables` does not use it)
 TABLE_CACHE_SIZE = 128
 
 EisensteinTable = Tuple[ComplexVal, Tuple[ComplexVal, ...], ComplexVal]
@@ -173,9 +176,29 @@ def _eisenstein_table(n: int, tau: TauPoint, policy: SeriesPolicy) -> Eisenstein
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _eisenstein_table_values(n: int, tau: TauPoint, policy: SeriesPolicy) -> EisensteinTable:
-    e = [_eisenstein(j, tau, policy) for j in range(1, n + 2)]
-    prods = tuple(e[j - 1] * e[n - j] for j in range(1, n + 1))
-    return e[n], prods, _eisenstein_tau_derivative(n, tau, policy)
+    return _table_of(n, [_eisenstein(j, tau, policy) for j in range(1, n + 2)],
+                     _eisenstein_tau_derivative(n, tau, policy))
+
+
+def _table_of(n: int, e: Sequence[ComplexVal], de: ComplexVal) -> EisensteinTable:
+    """The table from E_2, ..., E_{2n+2} (the list e) and dE_{2n}/dtau."""
+    return e[n], tuple(e[j - 1] * e[n - j] for j in range(1, n + 1)), de
+
+
+def _eisenstein_tables(n: int, taus: Sequence[TauPoint],
+                       policy: SeriesPolicy) -> List[EisensteinTable]:
+    """`_eisenstein_table(n, tau, policy)` at every tau of `taus`, equal to
+    it bit for bit, from one `_eisenstein_q_sums` pass that neither reads
+    nor fills the caches.
+
+    Every tau is checked in order first, each with its own SlowNomeWarning,
+    so a tau that fails its check raises before any series runs."""
+    for tau in taus:
+        _check_n_tau(n, tau, policy)
+    cols = [(j, False) for j in range(1, n + 2)] + [(n, True)]
+    return [_table_of(n, [_eisenstein_of_sum(j, *s) for j, s in enumerate(sums[:-1], 1)],
+                      _eisenstein_tau_derivative_of_sum(n, *sums[-1]))
+            for sums in _eisenstein_q_sums(taus, cols, policy)]
 
 
 def reciprocity_rhs(n: int, pair: CoprimePair, tau: TauPoint,

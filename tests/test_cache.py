@@ -23,6 +23,7 @@ GRID_SHA256 = "d96b006ba675f6fb908915b9a07f77e4f2ad6f0c627b225a594e3c9edde14682"
 def _clear_caches():
     qseries._eisenstein_q_sum.cache_clear()
     symbols._eisenstein_table_values.cache_clear()
+    identities._c_coefficients_values.cache_clear()
 
 
 def _grid_reprs():
@@ -109,15 +110,20 @@ class TestCacheContract:
                 qseries.eisenstein(3, tau, policy)
             with pytest.raises(NonConvergenceError):
                 symbols.reciprocity_rhs(2, CoprimePair(3, 2), tau, policy)
+            with pytest.raises(NonConvergenceError):
+                identities.c_coefficients(2, tau, policy)
         assert qseries._eisenstein_q_sum.cache_info().currsize == 0
         assert symbols._eisenstein_table_values.cache_info().currsize == 0
+        assert identities._c_coefficients_values.cache_info().currsize == 0
 
     def test_bounded(self):
         _clear_caches()
         for i in range(5000):
-            symbols._eisenstein_table(1, TauPoint(complex(i * 1e-4, 1.2)),
-                                      qseries.DEFAULT_POLICY)
-        for cached in (qseries._eisenstein_q_sum, symbols._eisenstein_table_values):
+            tau = TauPoint(complex(i * 1e-4, 1.2))
+            symbols._eisenstein_table(1, tau, qseries.DEFAULT_POLICY)
+            identities.c_coefficients(1, tau)
+        for cached in (qseries._eisenstein_q_sum, symbols._eisenstein_table_values,
+                       identities._c_coefficients_values):
             info = cached.cache_info()
             assert info.maxsize is not None and info.misses >= 5000
             assert info.currsize <= info.maxsize

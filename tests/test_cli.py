@@ -124,6 +124,33 @@ class TestVerifyExitCodes:
             run_cli(["verify", "thm11", "-n", "1", "-p", "3"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "apostol-reciprocity", "--w-max", "1"],
+        ["verify", "apostol-reciprocity", "--pq-max", "0"],
+        ["verify", "eq73", "-n", "1", "--tau", "1i", "--max-terms", "0"],
+        ["eval", "bernoulli", "-k", "2", "--max-terms", "0"],
+        ["eval", "eisenstein", "-n", "1", "--tau", "1i", "--max-terms", "-5"],
+        ["verify", "basis-rank", "-w", "10", "--num-tau", "-3"],
+        ["verify", "basis-rank", "-w", "10", "--num-tau", "two"],
+    ])
+    def test_out_of_range_count_is_usage_error(self, argv):
+        # before, these ran nothing (exit 0), hit a domain error (exit 3) or
+        # reported rank 0 for a negative sample
+        out = io.StringIO()
+        with pytest.raises(SystemExit) as exc, redirect_stdout(out), \
+                redirect_stderr(io.StringIO()):
+            main(argv)
+        assert exc.value.code == 2 and out.getvalue() == ""
+
+    def test_least_counts_accepted(self):
+        code, out, _ = run_cli(
+            ["verify", "apostol-reciprocity", "--w-max", "2", "--pq-max", "1"])
+        assert code == 0 and len(out.splitlines()) == 1
+        # one term is a valid cap; the series just does not converge in it
+        code, _, err = run_cli(
+            ["eval", "eisenstein", "-n", "1", "--tau", "1i", "--max-terms", "1"])
+        assert code == 3 and "max_terms=1" in err
+
     def test_bad_tol_rejected(self):
         with pytest.raises(SystemExit) as exc:
             run_cli(["verify", "eq73", "-n", "1", "--tau", "1i",

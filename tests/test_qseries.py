@@ -2,7 +2,10 @@
 Bernoulli functions and the lattice-sum oracles."""
 
 import cmath
+import copy
+import dataclasses
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -392,6 +395,14 @@ class TestZetaOdd:
         assert all(1 < v < 1.21 for v in vals)
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
+    def test_memoised_and_still_checked(self):
+        assert zeta_odd(5, 1e-10) == zeta_odd(5, 1e-10) == zeta_odd.__wrapped__(5, 1e-10)
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                zeta_odd(0)
+            with pytest.raises(ValueError):
+                zeta_odd(2, 0.0)
+
     def test_two_cutoffs_consistent(self):
         # independent direct sum with integral tail at a fixed cutoff
         s = 7
@@ -567,6 +578,48 @@ class TestComplexArray:
         self._same(-a, [-u for u, _ in pairs])
         self._same(a + re, [u + re for u, _ in pairs])
         self._same(a - pairs[0][1], [u - pairs[0][1] for u, _ in pairs])
+
+
+class TestComplexVal:
+    """ComplexVal behaves as the frozen dataclass it replaced."""
+
+    @dataclasses.dataclass(frozen=True)
+    class Frozen:
+        value: complex
+        err: float = 0.0
+
+    finite = st.floats(-1e100, 1e100, allow_nan=False)
+    errs = st.floats(0, 1e100, allow_nan=False)
+
+    def test_repr_eq_hash_as_dataclass(self):
+        v = ComplexVal(1.5 - 2j, 0.25)
+        old = self.Frozen(1.5 - 2j, 0.25)
+        assert repr(v) == repr(old).replace(type(old).__qualname__, "ComplexVal")
+        assert repr(ComplexVal(3j)) == "ComplexVal(value=3j, err=0.0)"
+        assert v == ComplexVal(1.5 - 2j, 0.25) and v != ComplexVal(1.5 - 2j, 0.5)
+        assert hash(v) == hash((1.5 - 2j, 0.25))
+        assert v != (1.5 - 2j, 0.25) and v != old
+        assert len({v, ComplexVal(1.5 - 2j, 0.25)}) == 1
+
+    def test_immutable_copy_pickle(self):
+        v = ComplexVal(1 + 1j, 1e-9)
+        for name in ("value", "err", "other"):
+            with pytest.raises(AttributeError):
+                setattr(v, name, 0.0)
+        with pytest.raises(AttributeError):
+            del v.err
+        for w in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+            assert type(w) is ComplexVal and repr(w) == repr(v)
+        with pytest.raises(ValueError):
+            ComplexVal(1j, -1e-300)
+
+    @given(finite, finite, errs, finite, finite, errs, finite)
+    @settings(max_examples=60, deadline=None)
+    def test_sub_is_add_of_negation(self, a, b, e, c, d, f, x):
+        u, v = ComplexVal(complex(a, b), e), ComplexVal(complex(c, d), f)
+        assert repr(u - v) == repr(u + (-v))
+        assert repr(u - x) == repr(u + (-x))
+        assert repr(u - complex(c, d)) == repr(u + (-complex(c, d)))
 
 
 class TestKernelErrAgainstMpmath:

@@ -22,13 +22,16 @@ from dataclasses import dataclass
 from ellded.cli import main as cli_main
 
 
+#: the tau and coprime pairs that the float families run at
+TAUS = ("0+1i", "0.3+1.1i")
+PAIRS = ((3, 2), (5, 3))
+
+
 @dataclass
 class SweepConfig:
     seed: int = 7
     fast: bool = False
     out: str = "verification_report.json"
-    taus: tuple = ("0+1i", "0.3+1.1i")
-    pairs: tuple = ((3, 2), (5, 3))
 
 
 def command_grid(cfg: SweepConfig):
@@ -36,8 +39,8 @@ def command_grid(cfg: SweepConfig):
     pq_max = 12 if cfg.fast else 30
     yield "apostol-reciprocity", [
         "verify", "apostol-reciprocity", "--w-max", "10", "--pq-max", str(pq_max)]
-    for tau in cfg.taus:
-        for p, q in cfg.pairs:
+    for tau in TAUS:
+        for p, q in PAIRS:
             for n in (1, 2):
                 yield "thm11", ["verify", "thm11", "-n", str(n), "-p", str(p),
                                 "-q", str(q), "--tau", tau]
@@ -52,14 +55,14 @@ def command_grid(cfg: SweepConfig):
                                  "-p", str(p), "-q", str(q), "--tau", tau]
     # near the real axis thm13 only: thm11's fixed tol lies below the error
     # of the elliptic sums there
-    for p, q in cfg.pairs:
+    for p, q in PAIRS:
         yield "thm13", ["verify", "thm13", "-p", str(p), "-q", str(q),
                         "--tau", "0.2+0.11i"]
-    for p, q in cfg.pairs:
+    for p, q in PAIRS:
         yield "lemma32", ["verify", "lemma32", "-p", str(p), "-q", str(q),
                           "--tau", "0+1i"]
     for w in (2, 4, 6, 8, 12):
-        for tau in cfg.taus:
+        for tau in TAUS:
             yield "eq64", ["verify", "eq64", "-w", str(w), "--tau", tau]
     for w in range(2, 16, 2):
         yield "basis-rank", ["verify", "basis-rank", "-w", str(w),

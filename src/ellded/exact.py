@@ -218,11 +218,6 @@ class LaurentPoly:
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
 
-    def scale(self, s: Coeff) -> "LaurentPoly":
-        if s == 0:
-            return LaurentPoly.zero()
-        return LaurentPoly({e: c * s for e, c in self.coeffs.items()})
-
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         out: Dict[ExpPair, Coeff] = {}
         for (i1, j1), c1 in self.coeffs.items():

@@ -32,6 +32,10 @@ from .symbols import (
 )
 
 TWO_PI_I = 2j * math.pi
+#: tolerance of the zeta(2n+1) values in the Eisenstein period data
+ZETA_TOL = 1e-12
+#: `basis_rank` counts singular values above this share of the largest
+RANK_THRESHOLD = 1e-8
 
 __all__ = [
     "CoefficientVector",
@@ -169,7 +173,7 @@ def verify_three_term(n: int, pair: CoprimePair, tau: TauPoint,
     return t1 * float(p) + t2 * float(q) - t3 * float(p + q)
 
 
-def eisenstein_period_data(n: int, zeta_tol: float = 1e-12) -> PeriodData:
+def eisenstein_period_data(n: int) -> PeriodData:
     """Period data of the normalized weight-(2n+2) Eisenstein series:
 
         r_{2n}   = (2n)! zeta(2n+1) / (2 (2 pi i)^{2n+1}),
@@ -180,7 +184,7 @@ def eisenstein_period_data(n: int, zeta_tol: float = 1e-12) -> PeriodData:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    z = zeta_odd(n, zeta_tol)
+    z = zeta_odd(n, ZETA_TOL)
     r2n = math.factorial(2 * n) * z / (2 * TWO_PI_I ** (2 * n + 1))
     pet = (
         math.factorial(2 * n) / (4 * math.pi) ** (2 * n + 1)
@@ -218,8 +222,7 @@ def _laurent_of(cv: CoefficientVector) -> Tuple[LaurentPoly, float]:
 
 
 def verify_eq64_onedim(w: int, tau: TauPoint,
-                       policy: SeriesPolicy = DEFAULT_POLICY,
-                       zeta_tol: float = 1e-12) -> LaurentPoly:
+                       policy: SeriesPolicy = DEFAULT_POLICY) -> LaurentPoly:
     """Coefficient residual of the span identity in the one-dimensional case:
 
         R^-_w(p,q;tau) + (2 i pi^w / w!) (r_w(G_{w+2}) / (G,G))
@@ -231,7 +234,7 @@ def verify_eq64_onedim(w: int, tau: TauPoint,
         raise ValueError(f"w = {w} has d_w = {d} > 0; the one-dimensional form needs d_w = 0")
     n = w // 2
     lhs, _ = reciprocity_laurent(w, tau, policy)
-    pd = eisenstein_period_data(n, zeta_tol)
+    pd = eisenstein_period_data(n)
     g_val = eisenstein_normalized(n + 1, tau, policy)
     scalar = -(2j * math.pi**w / math.factorial(w)) * pd.r2n / pd.petersson * g_val.value
     rhs = LaurentPoly({e: scalar * complex(c) for e, c in pd.odd_period.coeffs.items()})
@@ -249,10 +252,9 @@ def random_taus(count: int, seed: int) -> List[TauPoint]:
 
 
 def basis_rank(w: int, taus: List[TauPoint],
-               policy: SeriesPolicy = DEFAULT_POLICY,
-               threshold: float = 1e-8) -> int:
+               policy: SeriesPolicy = DEFAULT_POLICY) -> int:
     """Numerical rank of the reciprocity polynomials {R^-_w(.,.;tau_i)} over
-    their monomial support (singular values above threshold x largest).
+    their monomial support (singular values above RANK_THRESHOLD x largest).
 
     The polynomials equal `reciprocity_laurent`'s; their Eisenstein values
     come from one pass over the whole sample (`_eisenstein_tables`), which
@@ -269,4 +271,4 @@ def basis_rank(w: int, taus: List[TauPoint],
     sv = np.linalg.svd(mat, compute_uv=False)
     if sv.size == 0 or sv[0] == 0:
         return 0
-    return int(np.sum(sv > threshold * sv[0]))
+    return int(np.sum(sv > RANK_THRESHOLD * sv[0]))

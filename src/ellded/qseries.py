@@ -5,22 +5,24 @@ All evaluation is binary64 complex with explicit truncation-error tracking
 (`ComplexVal.err` bounds the discarded series tails via geometric estimates,
 plus a first-order bound on the rounding).
 Each series runs in a fixed ascending order and adds its terms with one
-compensated (Kahan) step, `_kahan_add`, on Python scalars for the Eisenstein
-sums and elementwise on arrays for the batched kernels, so repeated runs are
-bit-identical.
+compensated (Kahan) step, `_kahan_add`, on Python scalars for the scalar
+Eisenstein sums and elementwise on arrays for the batched series, so repeated
+runs are bit-identical.
+
+Every batched series runs on one engine, `_block_series`.  Each column of a
+batch, a point of a kernel or one q-sum of the Eisenstein pass, keeps its own
+Kahan state, stopping rule, term cap and rounding bound, and leaves the batch
+once it has stopped or failed.  The terms are evaluated in blocks of
+consecutive j, as 2-D arrays over (j, column) of at most BLOCK_ELEMENTS
+entries, and then added one j at a time, so values equal a term-by-term run's
+bit for bit.
 
 The Weierstrass and elliptic Bernoulli functions are array kernels
-(`*_points`) that run one series over a whole batch of points: every point
-keeps its own Kahan state, stopping rule and tail bound, and drops out of the
-batch once it has converged.  The terms are evaluated in blocks of
-consecutive j, as 2-D arrays over (j, point) of at most BLOCK_ELEMENTS
-entries, and then added one j at a time, so values equal a term-by-term run's
-bit for bit.  The scalar functions are one-point calls to them.
-
+(`*_points`) on the engine; the scalar functions are one-point calls to them.
 The Eisenstein q-sums are memoised per (n, tau, policy, tau_deriv) in a
-bounded `lru_cache`; tau is checked, and warned about, on every call before
-the cache is read.  `_eisenstein_q_sums` runs the same loop for a whole
-sample of tau at once, in blocks of k, without the cache.
+bounded `lru_cache` over a scalar loop; tau is checked, and warned about, on
+every call before the cache is read.  `_eisenstein_q_sums` computes the same
+sums for a whole sample of tau on the engine, without the cache.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Sequence, Tuple
 
@@ -290,8 +292,10 @@ _SLOW_IM_TAU = 0.11
 
 
 def _term_cap(tau: TauPoint, policy: SeriesPolicy) -> int:
-    """The term cap at tau: ten times max_terms where the nome is slow."""
-    return policy.max_terms * 10 if tau.tau.imag < _SLOW_IM_TAU else policy.max_terms
+    """The term cap at tau: ten times max_terms where the nome is slow, and
+    at most 2^62, which fits an int64: no series runs that many terms."""
+    return min(policy.max_terms * 10 if tau.tau.imag < _SLOW_IM_TAU else policy.max_terms,
+               2**62)
 
 
 def _check_tau(tau: TauPoint, policy: SeriesPolicy) -> int:
@@ -317,6 +321,91 @@ def _kahan_add(s, c, x):
     y = x - c
     t = s + y
     return t, (t - s) - y
+
+
+# ---------------------------------------------------------------------------
+# Block series: one series in every column of a batch
+# ---------------------------------------------------------------------------
+
+#: term rows of a series' first block; each later block doubles it
+FIRST_BLOCK = 8
+#: column-terms in one block at most: bounds the memory of the block arrays
+#: for large batches, where the width falls to BLOCK_ELEMENTS // columns
+BLOCK_ELEMENTS = 4096
+
+
+def _block_series(start: np.ndarray, start_rnd: np.ndarray, terms,
+                  state: Tuple[np.ndarray, ...], cap: np.ndarray, small, streak: int):
+    """Run the series `start + sum_j terms(js, *state)` in every column of a
+    batch; each column starts from `start`, whose rounding bound is
+    `start_rnd`.
+
+    The terms come in blocks of consecutive j.  `terms(js, *state)` gets the
+    block's j as Python ints and the per-column inputs `state` of the columns
+    still running as rows (1 x columns); it returns 2-D arrays with one row
+    per j and one column per running column: the jth term, its size and a
+    first-order bound, in units of 2^-53, on its rounding error.  Each row
+    must equal what a term-by-term run computes at that j; with 2-D operands
+    on both sides, numpy rounds a broadcast complex product as it rounds an
+    array times a scalar, while a 1-D array times a 1 x 1 array rounds as
+    Python's scalar product does.
+
+    The rows are added in order, one Kahan step each.  `small(size, sums)`
+    tells elementwise whether a term is small next to the sum after it; a
+    column stops after its jth term, j >= 2, once its last `streak` terms
+    were small, and fails if it is still running after its `cap` terms.  A
+    column that stops or fails leaves the batch at the end of its block.
+    Blocks start at FIRST_BLOCK rows and double, within BLOCK_ELEMENTS
+    column-terms and the least cap, so every result is bit-identical to a
+    term-by-term run's.  Returns per column the Kahan state (s, c) where it
+    stopped, the j it stopped at, its last size and its summed rounding
+    bound; a failed column has j = 0 and its partial sum as s."""
+    n = len(start)
+    out_s, out_c = np.empty(n, dtype=complex), np.empty(n, dtype=complex)
+    out_j, out_last, out_rnd = np.zeros(n, dtype=int), np.empty(n), np.empty(n)
+    idx = np.arange(n)
+    s, c, rnd = start + 0j, np.zeros(n, dtype=complex), start_rnd
+    # whether each column's last streak - 1 terms were small
+    prev = np.zeros((streak - 1, n), dtype=bool)
+    j = 0
+    width = FIRST_BLOCK
+    while idx.size:
+        least = int(cap.min())
+        rows = min(width, max(BLOCK_ELEMENTS // idx.size, 1), least - j)
+        term, size, r = terms(range(j + 1, j + rows + 1), *(a[None] for a in state))
+        sums, comps = np.empty_like(term), np.empty_like(term)
+        for i in range(rows):
+            s, c = _kahan_add(s, c, term[i])
+            sums[i], comps[i] = s, c
+        # the rounding bound after each row, summed row by row
+        rnds = np.cumsum(np.concatenate((rnd[None], r)), axis=0)[1:]
+        rnd = rnds[-1]
+        runs = small(size, sums)
+        if streak > 1:
+            runs = np.concatenate((prev, runs))
+            prev = runs[rows:]
+        # stop[i]: the `streak` terms up to row i were small
+        stop = runs[streak - 1:]
+        for d in range(1, streak):
+            stop = stop & runs[streak - 1 - d:streak - 1 - d + rows]
+        if j == 0:
+            stop[0] = False
+        j += rows
+        first = stop.argmax(axis=0)
+        cols = np.arange(idx.size)
+        done = stop[first, cols]
+        # j reaches a column's cap only where it is the least, at a block's end
+        leave = done | (cap == j) if j == least else done
+        if np.count_nonzero(leave):
+            out_s[idx[leave]] = s[leave]  # a failed column's partial sum
+            k, at, col = idx[done], first[done], cols[done]
+            out_s[k], out_c[k], out_rnd[k] = sums[at, col], comps[at, col], rnds[at, col]
+            out_j[k], out_last[k] = j - rows + 1 + at, size[at, col]
+            keep = ~leave
+            idx, s, c, rnd, cap = idx[keep], s[keep], c[keep], rnd[keep], cap[keep]
+            prev, state = prev[:, keep], tuple(a[keep] for a in state)
+        width *= 2
+    return out_s, out_c, out_j, out_last, out_rnd
 
 
 # ---------------------------------------------------------------------------
@@ -423,89 +512,50 @@ def _eisenstein_q_sum(n: int, tau: TauPoint, policy: SeriesPolicy,
 def _eisenstein_q_sums(taus: Sequence[TauPoint], cols: Sequence[Tuple[int, bool]],
                        policy: SeriesPolicy) -> List[List[Tuple[complex, float]]]:
     """`_eisenstein_q_sum(n, tau, policy, tau_deriv)` for every column
-    (n, tau_deriv) of `cols` at every tau of `taus`, in one pass and without
-    the cache: [tau][column] -> (sum, bound), bit for bit the scalar loop's.
+    (n, tau_deriv) of `cols` at every tau of `taus`, in one `_block_series`
+    run and without the cache: [tau][column] -> (sum, bound), bit for bit the
+    scalar loop's.
 
-    The terms come in blocks of consecutive k, as 2-D arrays over (k,
-    column) of at most BLOCK_ELEMENTS entries; blocks start at FIRST_BLOCK
-    rows and double.  Each tau forms q^k by the scalar loop's Python complex
-    products.  sigma q^k and its 2 pi i k factor are taken as separate real
-    and imaginary float products: Python's complex products add only zeros
-    to them, which can change the sign of a zero part but not a Kahan sum
-    that starts from +0.  Each column keeps its own Kahan state, added one
-    row at a time, its own rounding sum, three-term stopping rule and term
-    cap; every column is computed until the last one stops, and each result
-    is read at the row where its column stopped.  Does not check tau.  If
-    some columns hit their cap, raises the scalar loop's NonConvergenceError
-    of the first: first tau in order, then first column in order."""
+    Each tau forms q^k by the scalar loop's Python complex products.  sigma
+    q^k and its 2 pi i k factor are taken as separate real and imaginary
+    float products: Python's complex products add only zeros to them, which
+    can change the sign of a zero part but not a Kahan sum that starts from
+    +0.  Each column has the scalar loop's rounding sum, three-term stopping
+    rule and term cap.  Does not check tau.  If some columns hit their cap,
+    raises the scalar loop's NonConvergenceError of the first: first tau in
+    order, then first column in order."""
     ncols = len(cols)
     ells = tuple(sorted({2 * n - 1 for n, _ in cols}))
     tau_of = np.repeat(np.arange(len(taus)), ncols)
     ell_of = np.array([ells.index(2 * n - 1) for n, _ in cols] * len(taus), dtype=int)
-    deriv = (np.arange(len(taus))[:, None] * ncols
-             + [m for m, (_, d) in enumerate(cols) if d]).ravel()
+    deriv = np.array([d for _, d in cols] * len(taus), dtype=bool)
     err_q = np.array([_nome_err(t) for t in taus])[tau_of]
-    # a cap past int64 is clamped: no pass runs that many terms
-    cap = np.array([min(_term_cap(t, policy), 2**62) for t in taus])[tau_of]
+    cap = np.array([_term_cap(t, policy) for t in taus], dtype=int)[tau_of]
     qs = [t.nome for t in taus]
     qks = [1.0 + 0j] * len(taus)
 
-    total = len(tau_of)
-    out_s = np.empty(total, dtype=complex)
-    out_k = np.zeros(total, dtype=int)
-    out_last = np.empty(total)
-    out_rnd = np.empty(total)
-    # every column runs to the end of the pass; `running` marks those that
-    # have neither stopped nor failed
-    running = np.ones(total, dtype=bool)
-    s, c = np.zeros(total, dtype=complex), np.zeros(total, dtype=complex)
-    rnd = np.zeros(total)
-    # whether each column's last two terms were small
-    prev = np.zeros((2, total), dtype=bool)
-    j = 0
-    width = FIRST_BLOCK
-    while running.any():
-        rows = min(width, max(BLOCK_ELEMENTS // total, 1), int(cap[running].min()) - j)
+    def terms(ks, tau_i, ell_i, deriv, err_q):
+        # one row per k; q^k is the running product at every tau
+        nonlocal qks
         powers = []
-        for _ in range(rows):
+        for _ in ks:
             qks = [qk * q for qk, q in zip(qks, qs)]
             powers += qks
-        qk = np.array(powers, dtype=complex).reshape(rows, len(qs))[:, tau_of]
-        sig = _divisor_power_sums(ells, j + rows)[j:j + rows, ell_of]
+        qk = np.array(powers, dtype=complex).reshape(len(ks), len(qs))[:, tau_i[0]]
+        sig = _divisor_power_sums(ells, ks[-1])[ks[0] - 1:ks[-1], ell_i[0]]
         re, im = sig * qk.real, sig * qk.imag
-        kf = np.arange(j + 1, j + rows + 1, dtype=float)[:, None]
-        if deriv.size:
-            d = kf * TWO_PI_I.imag
-            re[:, deriv], im[:, deriv] = -(im[:, deriv] * d), re[:, deriv] * d
+        kf = np.array(ks, dtype=float)[:, None]
+        d, m = kf * TWO_PI_I.imag, deriv[0]
+        re[:, m], im[:, m] = -(im[:, m] * d), re[:, m] * d
         term = np.empty(re.shape, dtype=complex)
         term.real, term.imag = re, im
-        sums = np.empty_like(term)
-        for i in range(rows):
-            s, c = _kahan_add(s, c, term[i])
-            sums[i] = s
-        last = np.hypot(re, im)  # _abs(term)
-        # the rounding bound after each row, summed row by row from rnd
-        inc = last * (kf * err_q + 4.0)
-        inc[0] += rnd
-        rnds = np.cumsum(inc, axis=0)
-        rnd = rnds[-1]
-        small = np.vstack((prev, (last <= policy.tol * np.maximum(_abs(sums), 1e-300))
-                           | (last == 0.0)))
-        prev = small[-2:]
-        stop = small[2:] & small[1:-1] & small[:-2]
-        done = running & stop.any(axis=0)
-        j += rows
-        width *= 2
-        if done.any():
-            col = np.flatnonzero(done)
-            at = stop[:, col].argmax(axis=0)
-            out_s[col], out_k[col] = sums[at, col], j - rows + 1 + at
-            out_last[col], out_rnd[col] = last[at, col], rnds[at, col]
-        # a column still running at its cap has failed; keep its partial sum
-        failed = running & ~done & (cap == j)
-        out_s[failed] = sums[-1, failed]
-        running &= ~(done | failed)
-    sums, ks, lasts, rnds = (a.tolist() for a in (out_s, out_k, out_last, out_rnd))
+        size = np.hypot(re, im)  # _abs(term)
+        return term, size, size * (kf * err_q + 4.0)
+
+    sums, _, ks, lasts, rnds = (a.tolist() for a in _block_series(
+        np.zeros(len(tau_of), dtype=complex), np.zeros(len(tau_of)), terms,
+        (tau_of, ell_of, deriv, err_q), cap,
+        lambda size, s: (size <= policy.tol * np.maximum(_abs(s), 1e-300)) | (size == 0.0), 3))
     results = []
     for i, tau in enumerate(taus):
         row = []
@@ -605,79 +655,27 @@ def _lattice_check(x: np.ndarray, y: np.ndarray, message) -> None:
         raise LatticePointError(message(int(np.argmax(hit))))
 
 
-#: term rows of a series' first block; each later block doubles it
-FIRST_BLOCK = 8
-#: point-terms in one block at most: bounds the memory of the block arrays
-#: for large batches, where the width falls to BLOCK_ELEMENTS // points
-BLOCK_ELEMENTS = 4096
-
-
 def _points_series(start: np.ndarray, start_rnd: np.ndarray, terms,
                    state: Tuple[np.ndarray, ...], cap: int, tol: float, what: str):
-    """Run the j-series `sum_j terms(js, *state)` over a batch of points.
+    """`_block_series` over a batch of points, whose `terms` return per j
+    and point the two jth terms, added as one, |term 1| + |term 2| and the
+    pair's rounding bound.  A point stops after its jth pair once j >= 2 and
+    the pair is below tol relative to max(|sum|, 1).  Raises
+    NonConvergenceError, with the partial sum of the first point that
+    failed, if some point is still running after `cap` terms."""
 
-    The terms come in blocks of consecutive j.  `terms(js, *state)` gets the
-    block's j as Python ints and the per-point inputs `state` of the points
-    still running as rows (1 x points); it returns 2-D arrays with one row
-    per j and one column per point: the two jth terms, |term 1| + |term 2|
-    and a first-order bound, in units of 2^-53, on the rounding error of the
-    pair as computed.  Each row must equal what a term-by-term run computes
-    at that j; with 2-D operands on both sides, numpy rounds a broadcast
-    complex product as it rounds an array times a scalar, while a 1-D array
-    times a 1 x 1 array rounds as Python's scalar product does.  Each point starts from `start`, whose
-    rounding bound is `start_rnd`.
+    def pairs(js, *rows):
+        t1, t2, size, r = terms(js, *rows)
+        return t1 + t2, size, r
 
-    The rows are added in order, each pair as one Kahan step.  A point stops
-    after its jth pair once j >= 2 and the pair is below tol relative to
-    max(|sum|, 1); its later rows in the block are discarded and it leaves
-    the batch at the block's end.  Blocks start at FIRST_BLOCK rows and
-    double, within BLOCK_ELEMENTS point-terms and the cap, so every result
-    is bit-identical to a term-by-term run's.  Returns per point the Kahan
-    states (s, c), the j it stopped at, its last |term 1| + |term 2| and its
-    summed rounding bound.  Raises NonConvergenceError if a point is still
-    running after `cap` terms."""
-    n = len(start)
-    out_s = np.empty(n, dtype=complex)
-    out_c = np.empty(n, dtype=complex)
-    out_j = np.empty(n)
-    out_last = np.empty(n)
-    out_rnd = np.empty(n)
-    idx = np.arange(n)
-    s, c, rnd = start + 0j, np.zeros(n, dtype=complex), start_rnd
-    j = 0
-    width = FIRST_BLOCK
-    while idx.size and j < cap:
-        rows = min(width, max(BLOCK_ELEMENTS // idx.size, 1), cap - j)
-        t1, t2, last, r = terms(range(j + 1, j + rows + 1), *(a[None] for a in state))
-        # the pair is added as one term; its rounding is within `r`
-        pair = t1 + t2
-        sums = np.empty_like(pair)
-        comps = np.empty_like(pair)
-        for i in range(rows):
-            s, c = _kahan_add(s, c, pair[i])
-            sums[i], comps[i] = s, c
-        # the rounding bound after each row, summed row by row
-        rnds = np.cumsum(np.vstack((rnd, r)), axis=0)[1:]
-        rnd = rnds[-1]
-        stop = last <= tol * np.maximum(np.abs(sums), 1.0)
-        if j == 0:
-            stop[0] = False  # no point stops at j = 1
-        first = stop.argmax(axis=0)
-        cols = np.arange(idx.size)
-        done = stop[first, cols]
-        if np.count_nonzero(done):
-            k, at, col = idx[done], first[done], cols[done]
-            out_s[k], out_c[k], out_rnd[k] = sums[at, col], comps[at, col], rnds[at, col]
-            out_j[k], out_last[k] = j + 1 + at, last[at, col]
-            keep = ~done
-            idx, s, c, rnd = idx[keep], s[keep], c[keep], rnd[keep]
-            state = tuple(a[keep] for a in state)
-        j += rows
-        width *= 2
-    if idx.size:
+    s, c, j, last, rnd = _block_series(
+        start, start_rnd, pairs, state, np.full(len(start), cap),
+        lambda size, sums: size <= tol * np.maximum(np.abs(sums), 1.0), 1)
+    if not j.all():
+        # j.argmin() is the first point that failed, with j = 0
         raise NonConvergenceError(f"{what} hit max_terms={cap}",
-                                  ComplexVal(complex(s[0]), float("inf")))
-    return out_s, out_c, out_j, out_last, out_rnd
+                                  ComplexVal(complex(s[j.argmin()]), float("inf")))
+    return s, c, j, last, rnd
 
 
 def _exp_err(a) -> np.ndarray:

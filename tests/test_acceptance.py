@@ -11,8 +11,6 @@ import sys
 import time
 from contextlib import redirect_stdout
 
-import pytest
-
 from ellded.exact import (
     CoprimePair,
     apostol_sum,

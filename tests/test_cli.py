@@ -3,7 +3,6 @@ conformance."""
 
 import io
 import json
-import os
 from contextlib import redirect_stdout, redirect_stderr
 from pathlib import Path
 

@@ -14,6 +14,10 @@ IM_TAUS = [1.5, 1.1, 0.8, 0.3, 0.11, 0.06]
 #: every (n, tau_deriv) column the pass is pinned on
 COLUMNS = [(n, d) for n in range(1, 14) for d in (False, True)]
 POLICIES = [qseries.DEFAULT_POLICY, SeriesPolicy(max_terms=3), SeriesPolicy(max_terms=10)]
+#: under max_terms = 10, a pass over these tau has, in order, columns that
+#: stop inside the first block, columns whose three-term streak runs across
+#: its end, and columns that hit their cap
+BOUNDARY_TAUS = [TauPoint(0.1 + 2.0j), TauPoint(-0.3 + 0.9j)]
 
 #: the uncached scalar loop, which the pass must reproduce
 scalar_q_sum = qseries._eisenstein_q_sum.__wrapped__
@@ -33,6 +37,18 @@ def _scalar_sums(taus, cols, policy):
     return [[scalar_q_sum(n, tau, policy, d) for n, d in cols] for tau in taus]
 
 
+def _scalar_stop(n, tau, tau_deriv, cap):
+    """The k after which the scalar loop stops at a tau whose cap is
+    max_terms, or None if it is still running after cap terms."""
+    for k in range(1, cap + 1):
+        try:
+            scalar_q_sum(n, tau, SeriesPolicy(max_terms=k), tau_deriv)
+            return k
+        except NonConvergenceError:
+            pass
+    return None
+
+
 def _sample(rng, size):
     return [TauPoint(complex(rng.uniform(-0.5, 0.5), rng.choice(IM_TAUS)))
             for _ in range(size)]
@@ -43,12 +59,18 @@ def _sample(rng, size):
 def test_pass_matches_scalar_loop(policy, size):
     rng = random.Random(size)
     samples = [[TauPoint(complex(0.2, im))] * size for im in IM_TAUS]
-    samples += [_sample(rng, size) for _ in range(3)]
+    samples += [_sample(rng, size) for _ in range(3)] + [BOUNDARY_TAUS]
     for taus in samples:
         for cols in (COLUMNS, rng.sample(COLUMNS, 5), [COLUMNS[-1], COLUMNS[0]]):
             expected = _outcome(lambda: _scalar_sums(taus, cols, policy))
             got = _outcome(lambda: qseries._eisenstein_q_sums(taus, cols, policy))
             assert got == expected, ([t.tau for t in taus], cols)
+    if policy.max_terms == 10:
+        # the columns that the boundary sample's pass runs before its first
+        # capped one stop inside the first block and just past its end
+        ks = [_scalar_stop(n, tau, d, 10) for tau in BOUNDARY_TAUS for n, d in COLUMNS]
+        before, first = ks[:ks.index(None)], qseries.FIRST_BLOCK
+        assert min(before) < first and {first + 1, first + 2} & set(before)
 
 
 def test_pass_raises_first_failure_in_sample_order():

@@ -2,7 +2,6 @@
 the basis-rank demonstration."""
 
 import math
-from fractions import Fraction
 
 import pytest
 

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from ellded.exact import bernoulli_number
 from ellded.qseries import (
-    DEFAULT_POLICY,
     ComplexArray,
     ComplexVal,
     LatticeCutoff,

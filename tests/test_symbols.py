@@ -2,7 +2,6 @@
 functions and Machide sums."""
 
 import math
-import random
 
 import pytest
 from hypothesis import given, settings

@@ -109,6 +109,19 @@ def _bernoulli_int_coeffs(k: int) -> Tuple[int, Tuple[int, ...]]:
     return d, tuple(c.numerator * (d // c.denominator) for c in coeffs)
 
 
+@functools.lru_cache(maxsize=None)
+def _bernoulli_centred_coeffs(k: int) -> Tuple[int, Tuple[int, ...]]:
+    """(D, (a_0, a_2, a_4, ...)) with D as in `_bernoulli_int_coeffs` and
+
+        D 2^k p^k B_k((u + p) / (2p)) = sum_t a_{2t} p^{2t} u^{k-2t},
+
+    the expansion of B_k about 1/2: 2^i B_i(1/2) = (2 - 2^i) B_i.  The odd
+    terms drop out (B_1 has the factor 2 - 2 = 0, B_i = 0 for odd i >= 3),
+    so for odd k the polynomial is u times a polynomial in u^2."""
+    d, table = _bernoulli_int_coeffs(k)
+    return d, tuple(c * (2 - 2**i) for i, c in enumerate(table))[::2]
+
+
 def bernoulli_polynomial(k: int, x: Union[Fraction, int]) -> Fraction:
     """Exact value of the kth Bernoulli polynomial at rational x."""
     if k < 0:
@@ -139,12 +152,17 @@ def apostol_sum(k: int, q: int, p: int) -> Fraction:
     sum would differ by (p^{1-k} - 1) B_k / 2, which vanishes for odd k >= 3
     but would break the exact vanishing of the even-k sums.
 
-    Direct O(p) summation, term by term from the definition, in exact integer
-    arithmetic: with r = mu q mod p and D the lcm of the Bernoulli denominators,
-    P(r) = D p^k B_k(r/p) is an integer polynomial in r, the sawtooth is
-    (2 mu - p) / (2p), and the single division is by 2 D p^{k+1} at the end.
-    It uses no reciprocity law, so it doubles as the independent oracle for
-    the exact reciprocity check and the elliptic degeneration checks.
+    Direct O(p) summation from the definition, in exact integer arithmetic,
+    using only two facts about B_k.  With r = mu q mod p and u = 2r - p,
+    Q(u) = D 2^k p^k B_k(r/p) is an integer polynomial in u with only odd
+    powers for odd k (the expansion of B_k about 1/2), so Horner runs in u^2.
+    Reflection, B_k(1 - x) = (-1)^k B_k(x), maps mu -> p - mu to u -> -u and
+    the sawtooth to its negative: the two terms are equal for odd k, so the
+    half range 1 <= mu < p/2 is summed and doubled (at even p the term
+    mu = p/2 has sawtooth 0), and they cancel for even k.  The single division
+    is by 2^k D p^{k+1} at the end.  It uses no reciprocity law, so it doubles
+    as the independent oracle for the exact reciprocity check and the
+    elliptic degeneration checks.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -152,19 +170,28 @@ def apostol_sum(k: int, q: int, p: int) -> Fraction:
         raise ValueError("p must be >= 1")
     if math.gcd(p, q) != 1:
         raise ValueError(f"gcd(p, q) must be 1, got ({p}, {q})")
-    d, table = _bernoulli_int_coeffs(k)
-    # c_j = D C(k, j) B_j p^j, so that P(r) = sum_j c_j r^{k-j}
-    coeffs = [c * p**j for j, c in enumerate(table)]
+    if k % 2 == 0:
+        return Fraction(0)  # the terms at mu and p - mu cancel by reflection
+    d, table = _bernoulli_centred_coeffs(k)
+    # Q(u) = u sum_t c_t u^{k-1-2t} with c_t = a_{2t} p^{2t}
+    coeffs = [a * p ** (2 * t) for t, a in enumerate(table)]
     # gcd(p, q) = 1 and 1 <= mu <= p-1 give 1 <= r <= p-1: r/p is never an
     # integer, so the k = 1 Fourier value B~_1(integer) = 0 never applies here.
+    step = 2 * (q % p)
     acc = 0
-    for mu in range(1, p):
-        r = mu * q % p
+    u = -p
+    # weight = 2 mu - p, the sawtooth times 2p, for mu = 1 .. ceil(p/2) - 1
+    for weight in range(2 - p, 0, 2):
+        u += step
+        if u >= p:
+            u -= 2 * p
+        v = u * u
         poly = 0
         for c in coeffs:
-            poly = poly * r + c
-        acc += (2 * mu - p) * poly
-    return Fraction(acc, 2 * d * p ** (k + 1))
+            poly = poly * v + c
+        acc += weight * u * poly
+    # 2 acc / (2p * 2^k D p^k): the doubling cancels the sawtooth's 2
+    return Fraction(acc, 2**k * d * p ** (k + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +379,17 @@ def _g_poly_coeffs(w: int) -> Mapping[ExpPair, Coeff]:
     return MappingProxyType(coeffs)
 
 
+@functools.lru_cache(maxsize=None)
+def _g_int_terms(w: int) -> Tuple[int, Tuple[Tuple[int, int, int], ...]]:
+    """(den, ((i + 1, j + 1, den c_ij), ...)) over the monomials c_ij p^i q^j
+    of g_w: den is their common denominator, so that den pq g_w(p, q) is an
+    integer polynomial with exponents i + 1, j + 1 >= 0."""
+    coeffs = _g_poly_coeffs(w)
+    den = math.lcm(*(c.denominator for c in coeffs.values()))
+    return den, tuple((i + 1, j + 1, c.numerator * (den // c.denominator))
+                      for (i, j), c in coeffs.items())
+
+
 def verify_apostol_reciprocity(w: int, pair: CoprimePair) -> Fraction:
     """Residual of the exact reciprocity law
 
@@ -363,8 +401,10 @@ def verify_apostol_reciprocity(w: int, pair: CoprimePair) -> Fraction:
         raise ValueError("w must be an even integer >= 2")
     pair.require_u()
     p, q = pair.p, pair.q
-    lhs = Fraction(p) ** w * apostol_sum(w + 1, q, p) + Fraction(q) ** w * apostol_sum(w + 1, p, q)
-    return lhs + 2 * (w + 1) * g_poly(w).evaluate(p, q)
+    den, terms = _g_int_terms(w)
+    g_num = sum(n * p**i * q**j for i, j, n in terms)
+    return (p**w * apostol_sum(w + 1, q, p) + q**w * apostol_sum(w + 1, p, q)
+            + Fraction(2 * (w + 1) * g_num, den * p * q))
 
 
 def dim_data(w: int) -> Tuple[int, int]:

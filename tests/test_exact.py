@@ -1,6 +1,7 @@
 """Exact-rational layer: Bernoulli machinery, Apostol sums, g_w."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from ellded.exact import (
     CoprimePair,
     LaurentPoly,
+    _bernoulli_int_coeffs,
     apostol_sum,
     bernoulli_function,
     bernoulli_number,
@@ -102,6 +104,44 @@ def reference_apostol_sum(k, q, p):
     )
 
 
+def full_range_horner_apostol_sum(k: int, q: int, p: int) -> Fraction:
+    """The full-range kernel that the centred, half-range kernel replaced,
+    kept verbatim as a second reference: Horner in r over all p - 1 terms."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if p < 1:
+        raise ValueError("p must be >= 1")
+    if math.gcd(p, q) != 1:
+        raise ValueError(f"gcd(p, q) must be 1, got ({p}, {q})")
+    d, table = _bernoulli_int_coeffs(k)
+    # c_j = D C(k, j) B_j p^j, so that P(r) = sum_j c_j r^{k-j}
+    coeffs = [c * p**j for j, c in enumerate(table)]
+    # gcd(p, q) = 1 and 1 <= mu <= p-1 give 1 <= r <= p-1: r/p is never an
+    # integer, so the k = 1 Fourier value B~_1(integer) = 0 never applies here.
+    acc = 0
+    for mu in range(1, p):
+        r = mu * q % p
+        poly = 0
+        for c in coeffs:
+            poly = poly * r + c
+        acc += (2 * mu - p) * poly
+    return Fraction(acc, 2 * d * p ** (k + 1))
+
+
+def _benchmark_range_sample(count: int, seed: int = 11):
+    """Seeded (k, q, p) over the exact-reciprocity benchmark's ranges: k odd
+    in 3..13, coprime p, q in [1, 2000], half of the p even."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        k = rng.randrange(3, 14, 2)
+        p = rng.randint(1, 1000) * 2 - len(out) % 2
+        q = rng.randint(1, 2000)
+        if math.gcd(p, q) == 1:
+            out.append((k, q, p))
+    return out
+
+
 class TestApostolSum:
     def test_empty(self):
         assert apostol_sum(3, 7, 1) == 0
@@ -142,10 +182,29 @@ class TestApostolSum:
         (13, 377, 1999, "3165211165216101226105773550188439551499038/"
                         "8138911451501750747538217172562287688025999"),
         (3, 1234, 1999, "57616590/7988005999"),
+        # even p: the half range stops below mu = p/2, whose sawtooth is 0
+        (13, 777, 2000, "1566410302827156488222385019678198533394381/"
+                        "16384000000000000000000000000000000000000000"),
+        (3, 1999, 2000, "1333331666667/80000000000"),
+        # p = 2: the half range is empty
+        (5, 1, 2, "0/1"),
+        (3, -7, 2, "0/1"),
+        # negative q
+        (11, -1234, 1999, "-52037299981251491852727309385228910/"
+                          "2036764117802210446778721319780021999"),
+        (13, -1, 1997, "-1336938111820875924212282975686885164941137371/"
+                       "8033685818244578187476895185528855951871677"),
+        # k = 1 at large p
+        (1, 611, 1999, "1007/3998"),
+        (1, -1, 2000, "-665667/4000"),
     ])
     def test_golden_values(self, k, q, p, value):
         # computed by the term-by-term Fraction formula
         assert rational_str(apostol_sum(k, q, p)) == value
+
+    @pytest.mark.parametrize("k,q,p", _benchmark_range_sample(40))
+    def test_matches_full_range_horner(self, k, q, p):
+        assert apostol_sum(k, q, p) == full_range_horner_apostol_sum(k, q, p)
 
 
 class TestGPoly:

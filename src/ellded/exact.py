@@ -266,18 +266,6 @@ class LaurentPoly:
         if p == 0 or q == 0:
             if any(i < 0 or j < 0 for (i, j) in self.coeffs):
                 raise ZeroDivisionError("Laurent polynomial has a pole at 0")
-        if (self.coeffs and isinstance(p, int) and isinstance(q, int)
-                and all(isinstance(c, Fraction) for c in self.coeffs.values())):
-            # p^{i_min} q^{j_min} D^{-1} sum_{i,j} (D c_ij) p^{i-i_min} q^{j-j_min}
-            # in integers, D the common denominator
-            i_min = min(i for i, _ in self.coeffs)
-            j_min = min(j for _, j in self.coeffs)
-            den = math.lcm(*(c.denominator for c in self.coeffs.values()))
-            num = sum(c.numerator * (den // c.denominator) * p ** (i - i_min) * q ** (j - j_min)
-                      for (i, j), c in self.coeffs.items())
-            num *= p ** max(i_min, 0) * q ** max(j_min, 0)
-            den *= p ** max(-i_min, 0) * q ** max(-j_min, 0)
-            return Fraction(num, den)
         acc = 0
         for (i, j), c in self.coeffs.items():
             if isinstance(c, Fraction) and isinstance(p, int) and isinstance(q, int):

@@ -19,6 +19,9 @@ bit for bit.
 
 The Weierstrass and elliptic Bernoulli functions are array kernels
 (`*_points`) on the engine; the scalar functions are one-point calls to them.
+The Weierstrass kernels run at tau reduced to the fundamental domain
+(`_reduction`) and map their values back by weight; the elliptic Bernoulli
+and Eisenstein functions run at tau itself.
 The Eisenstein q-sums are memoised per (n, tau, policy, tau_deriv) in a
 bounded `lru_cache` over a scalar loop; tau is checked, and warned about, on
 every call before the cache is read.  `_eisenstein_q_sums` computes the same
@@ -32,7 +35,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -715,6 +718,26 @@ def elliptic_bernoulli_points(m: int, x, y, tau: TauPoint,
     if m == 0 or not x.size:
         return ComplexArray(np.ones(len(x), dtype=complex), np.zeros(len(x)))
     cap = _check_tau(tau, policy)
+    return _bernoulli_series(m, x, y, tau, cap, policy)
+
+
+#: argument errors (dx, dy, dtau) of points and tau taken as exact
+_EXACT_ARGS = (0.0, 0.0, 0.0)
+#: 2 pi in units of 2^-53: turns an absolute error of an exponential's
+#: argument, over 2 pi i, into its relative error in ulps
+_TWO_PI_ULPS = 2.0 * math.pi * 2.0**53
+
+
+def _bernoulli_series(m: int, x: np.ndarray, y: np.ndarray, tau: TauPoint, cap: int,
+                      policy: SeriesPolicy, arg_err=_EXACT_ARGS) -> ComplexArray:
+    """B_m(x, y; tau), m >= 1, at points that passed the lattice check, by
+    the series of `elliptic_bernoulli` with term cap `cap`.
+
+    `arg_err` = (dx, dy, dtau) bounds the absolute errors of x, y and tau,
+    for m = 1 (the order that zeta evaluates at a reduced tau): they add
+    2 pi dx to the argument of e(+-x), 2 pi (dy |tau| + (j + 1) dtau) to
+    that of w = e((j -+ y) tau), 2 pi (dx + dy |tau| + y dtau) to that of
+    the closing term's exponential, and dy to B_1(y) = y - 1/2."""
     t = tau.tau
     y = y - np.floor(y)
     # x is off-integer where y snaps to exactly 0 (lattice check above)
@@ -728,6 +751,16 @@ def elliptic_bernoulli_points(m: int, x, y, tau: TauPoint,
     # quotient and the sum of the pair add m + 11 ulps.
     g = 12.0 * math.pi * abs(t)
     kappa = 1.0 / (1.0 - decay)
+    err_x = _exp_err(TWO_PI_I * x)
+    err_v = err_b = 0.0
+    if arg_err is not _EXACT_ARGS:
+        # w's share of the argument errors rides on e(+-x)'s, tripled: the
+        # rounding below charges A (err_x + err_w) + size err_w, and
+        # A = |t1| / |D1| + kappa |t2| >= size / 2 as |D1| <= 2
+        dx, dy, dt = arg_err
+        g += _TWO_PI_ULPS * dt
+        err_x = err_x + _TWO_PI_ULPS * (dx + 3.0 * dy * abs(t))
+        err_v, err_b = _TWO_PI_ULPS * (dx + dy * abs(t) + y * dt), dy
 
     def terms(js, y, emy, epy, emx, epx, err_x):
         # one row per j;  e(-y tau) q^j = e((j - y) tau),  e(y tau) q^j = e((j + y) tau)
@@ -748,7 +781,7 @@ def elliptic_bernoulli_points(m: int, x, y, tau: TauPoint,
     s, c, j, last, rnd = _points_series(
         np.zeros(len(x), dtype=complex), np.zeros(len(x)), terms,
         (y, np.exp(-TWO_PI_I * y * t), np.exp(TWO_PI_I * y * t), emx, emx.conj(),
-         _exp_err(TWO_PI_I * x)),
+         err_x),
         cap, policy.tol, "elliptic Bernoulli series")
     arg = TWO_PI_I * (-x + y * t)
     v = np.exp(arg)
@@ -762,10 +795,11 @@ def elliptic_bernoulli_points(m: int, x, y, tau: TauPoint,
     # v - 1 for the denominator), the Kahan sum, m * acc, the Bernoulli
     # polynomial's Horner steps (at most sum_j |C(m, j) B_j| on [0, 1)) and
     # the final sum
-    rnd = rnd + np.abs(closing) * (m + 10.0 + _exp_err(arg) * (1.0 + np.abs(v) / np.abs(v - 1)))
+    err_v = _exp_err(arg) + err_v
+    rnd = rnd + np.abs(closing) * (m + 10.0 + err_v * (1.0 + np.abs(v) / np.abs(v - 1)))
     rnd = (m * (rnd + 3.0 * np.abs(acc))
            + 2.0 * (m + 1) * sum(map(abs, _bernoulli_poly_float_coeffs(m))) + np.abs(value))
-    return ComplexArray(value, tail + 2.0**-53 * rnd)
+    return ComplexArray(value, tail + 2.0**-53 * rnd + err_b)
 
 
 def elliptic_bernoulli(m: int, x: float, y: float, tau: TauPoint,
@@ -784,6 +818,144 @@ def elliptic_bernoulli(m: int, x: float, y: float, tau: TauPoint,
 
 
 # ---------------------------------------------------------------------------
+# Reduction of tau to the fundamental domain
+# ---------------------------------------------------------------------------
+
+#: entries of the per-tau reduction cache
+REDUCTION_CACHE_SIZE = 512
+
+
+class _Reduction(NamedTuple):
+    """tau' = gamma tau = (a tau + b) / (c tau + d) for gamma = (a b; c d) in
+    SL_2(Z), with tau' in the fundamental domain F up to rounding.
+
+    The lattice of tau is m times that of tau', m = c tau + d, so a point
+    z = x - y tau is m z' with z' = x' - y' tau', (x', y') = (a x + b y,
+    c x + d y), and pe^(k)(z; tau) = m^-(k+2) pe^(k)(z'; tau'),
+    zeta(z; tau) = m^-1 zeta(z'; tau') by homogeneity (Cohen, A Course in
+    Computational Algebraic Number Theory, 7.4).  `m` is as computed,
+    `m_err` bounds its relative error in units of 2^-53 and `dtau` bounds
+    |tau' - gamma tau| for the computed tau'."""
+
+    tau: TauPoint
+    a: int
+    b: int
+    c: int
+    d: int
+    m: complex
+    m_err: float
+    dtau: float
+
+    def weight(self, w: int) -> ComplexVal:
+        """m^-w, with w times m's relative error and the rounding of the
+        binary powering (at most 2 bit_length(w) complex products, each
+        within sqrt(5) ulps) and of the final quotient (within 6)."""
+        v = self.m ** -w
+        return ComplexVal(v, abs(v) * 2.0**-53 * (w * self.m_err + 6.0 * w.bit_length() + 6.0))
+
+    def e2_shift(self) -> ComplexVal:
+        """2 pi i c / m, the quasi-modular term of E_2(tau) = m^-2 E_2(tau')
+        + 2 pi i c / m (Zagier, Elliptic modular forms and their
+        applications, 2.3), with m's relative error and a few ulps for pi,
+        the product and the quotient."""
+        v = TWO_PI_I * self.c / self.m
+        return ComplexVal(v, abs(v) * 2.0**-53 * (self.m_err + 8.0))
+
+
+@lru_cache(maxsize=REDUCTION_CACHE_SIZE)
+def _reduction(tau: TauPoint) -> Optional[_Reduction]:
+    """The reduction of tau into F = {|Re tau| <= 1/2, |tau| >= 1}, by
+    Cohen's Algorithm 7.4.2 (shift Re tau into [-1/2, 1/2], invert while
+    |tau| < 1); None on the closed F, where the kernels run at tau itself.
+    tau' is computed from gamma and tau in one step."""
+    t = tau.tau
+    if abs(t.real) <= 0.5 and abs(t) >= 1.0:
+        return None
+    a, b, c, d = 1, 0, 0, 1
+    s = t
+    while True:
+        n = math.floor(s.real + 0.5)
+        s, a, b = s - n, a - n * c, b - n * d
+        if abs(s) >= 1.0:
+            break
+        s, a, b, c, d = -1.0 / s, -c, -d, a, b
+    num, m = a * t + b, c * t + d
+    # a t + b rounds a Re t, a Im t and the real sum once each: within
+    # 2^-53 (|a Re t| + |a Im t| + |Re(a t + b)|); likewise c t + d.  The
+    # quotient adds 6 ulps.
+    num_err = (abs(a) * (abs(t.real) + abs(t.imag)) + abs(num.real)) / abs(num)
+    m_err = (abs(c) * (abs(t.real) + abs(t.imag)) + abs(m.real)) / abs(m)
+    tp = num / m
+    return _Reduction(TauPoint(tp), a, b, c, d, m, m_err,
+                      abs(tp) * 2.0**-53 * (num_err + m_err + 6.0))
+
+
+class _Frame(NamedTuple):
+    """Points x - y tau where a kernel evaluates them: at the caller's tau,
+    or at the reduced tau' with the reduction `red`; `arg_err` = (dx, dy,
+    dtau) bounds the absolute errors of x, y and tau there."""
+
+    x: np.ndarray
+    y: np.ndarray
+    tau: TauPoint
+    arg_err: tuple
+    red: Optional[_Reduction]
+
+    def z(self) -> ComplexArray:
+        """x - y tau, with the argument errors and the rounding of the
+        product and the difference (2^-53 |y| |tau| and 2^-53 |x - y tau|)."""
+        dx, dy, dt = self.arg_err
+        t = self.tau.tau
+        return ComplexArray(self.x - self.y * t,
+                            dx + dy * abs(t) + np.abs(self.y) * dt
+                            + 2.0**-52 * (np.abs(self.x) + np.abs(self.y) * abs(t)))
+
+
+def _frame(x: np.ndarray, y: np.ndarray, tau: TauPoint) -> _Frame:
+    """The points x - y tau in the frame of tau's reduction.
+
+    x and y come from `_decompose`, within 2^-53 (|x| + 2 |y Re tau|) and
+    2^-53 |y|; gamma carries those errors into x' and y', and the integer
+    products and the sums add 2^-53 (|a x| + |b y| + |x'|) to x' and the
+    same in c, d to y'.  A y within _LATTICE_EPS of an integer is snapped
+    to it first, as the kernels snap it at tau, and a y' that the kernels
+    would snap at tau' is snapped here; both shifts count as errors of y
+    and y'."""
+    red = _reduction(tau)
+    if red is None:
+        return _Frame(x, y, tau, _EXACT_ARGS, None)
+    snapped = _snap(y)
+    ex = 2.0**-52 * (np.abs(x) + np.abs(y * tau.tau.real))
+    ey = 2.0**-52 * np.abs(y) + np.abs(y - snapped)
+    y = snapped
+    a, b, c, d = red.a, red.b, red.c, red.d
+    xr, yr = a * x + b * y, c * x + d * y
+    dx = abs(a) * ex + abs(b) * ey + 2.0**-53 * np.abs(xr)
+    dy = abs(c) * ex + abs(d) * ey + 2.0**-53 * np.abs(yr)
+    snapped = _snap(yr)
+    return _Frame(xr, snapped, red.tau, (dx, dy + np.abs(yr - snapped), red.dtau), red)
+
+
+def _snap(y: np.ndarray) -> np.ndarray:
+    """y, with each y within _LATTICE_EPS of an integer set to it."""
+    n = np.rint(y)
+    return np.where(np.abs(y - n) <= _LATTICE_EPS, n, y)
+
+
+def _e2(tau: TauPoint, policy: SeriesPolicy, dtau: float) -> ComplexVal:
+    """E_2(tau), its err widened for an error dtau of tau by
+    |dE_2/dtau| = 16 pi^3 |sum_n n sigma_1(n) q^n| <= 16 pi^3 sum_n n^3 |q|^n.
+    A reduced tau has the larger Im, so its check neither warns nor rejects
+    where the caller's passed."""
+    e2 = eisenstein(1, tau, policy)
+    if not dtau:
+        return e2
+    r = abs(tau.nome)
+    slope = 16.0 * math.pi**3 * r * (1.0 + 4.0 * r + r * r) / (1.0 - r) ** 4
+    return ComplexVal(e2.value, e2.err + slope * dtau)
+
+
+# ---------------------------------------------------------------------------
 # Weierstrass functions
 # ---------------------------------------------------------------------------
 
@@ -796,33 +968,63 @@ def _decompose(z, tau: TauPoint):
     return x, y
 
 
-def weierstrass_zeta_points(z, tau: TauPoint,
-                            policy: SeriesPolicy = DEFAULT_POLICY) -> ComplexArray:
-    """`weierstrass_zeta` at every point of the array z, with one batched
-    B_1 series and one E_2."""
+def _checked_points(z, tau: TauPoint, pole: str):
+    """z as an array and its (x, y), after the lattice check."""
     z = np.asarray(z, dtype=complex)
     x, y = _decompose(z, tau)
-    _lattice_check(x, y, lambda i: f"zeta pole: z = {complex(z[i])} is on the lattice")
+    _lattice_check(x, y, lambda i: f"{pole} pole: z = {complex(z[i])} is on the lattice")
+    return z, x, y
+
+
+def _zeta_series(x: np.ndarray, y: np.ndarray, tau: TauPoint, cap: int,
+                 policy: SeriesPolicy, arg_err) -> ComplexArray:
+    """zeta(x - y tau; tau) from one B_1 batch and E_2; `arg_err` as in
+    `_Frame`, which B_1 and E_2 carry and E_2 (x - y tau) adds to."""
     nx = np.floor(x)
     ny = np.floor(y)
     x0, y0 = x - nx, y - ny
-    b1 = elliptic_bernoulli_points(1, x0, y0, tau, policy)
+    b1 = _bernoulli_series(1, x0, y0, tau, cap, policy, arg_err)
     # keep z0 consistent with the snap inside B_1
     y0 = np.where((y0 < _LATTICE_EPS) | (y0 > 1 - _LATTICE_EPS), np.rint(y0), y0)
     z0 = x0 - y0 * tau.tau
-    e2 = eisenstein(1, tau, policy)
-    e2 = ComplexArray(e2.value, e2.err)
-    zeta0 = (b1 - y0) * -TWO_PI_I + e2 * z0
+    e2 = _e2(tau, policy, arg_err[2])
+    e2a = ComplexArray(e2.value, e2.err)
+    zeta0 = (b1 - y0) * -TWO_PI_I + e2a * z0
     # z = z0 + nx - ny*tau
-    return zeta0 + e2 * (nx - ny * tau.tau) + ComplexArray(TWO_PI_I * ny, 0.0)
+    zeta = zeta0 + e2a * (nx - ny * tau.tau) + ComplexArray(TWO_PI_I * ny, 0.0)
+    if arg_err is _EXACT_ARGS:
+        return zeta
+    dx, dy, dt = arg_err
+    return ComplexArray(zeta.value, zeta.err + abs(e2.value) * (
+        dx + dy * abs(tau.tau) + np.abs(y) * dt))
+
+
+def _zeta_in_frame(z: np.ndarray, tau: TauPoint, policy: SeriesPolicy):
+    """zeta at the points z in the frame of tau's reduction, and the frame;
+    the checks and warnings are the caller's tau's."""
+    z, x, y = _checked_points(z, tau, "zeta")
+    cap = _check_tau(tau, policy)
+    # and E_2's check: unreduced, zeta runs a B_1 and an E_2 series at tau
+    _check_tau(tau, policy)
+    f = _frame(x, y, tau)
+    return _zeta_series(f.x, f.y, f.tau, cap, policy, f.arg_err), f
+
+
+def weierstrass_zeta_points(z, tau: TauPoint,
+                            policy: SeriesPolicy = DEFAULT_POLICY) -> ComplexArray:
+    """`weierstrass_zeta` at every point of the array z, with one batched
+    B_1 series and one E_2, at tau reduced to F."""
+    zeta, f = _zeta_in_frame(z, tau, policy)
+    return zeta if f.red is None else zeta * f.red.weight(1)
 
 
 def weierstrass_zeta(z: complex, tau: TauPoint,
                      policy: SeriesPolicy = DEFAULT_POLICY) -> ComplexVal:
     """Weierstrass zeta(z; tau).
 
-    Decomposes z = x - y*tau, reduces (x, y) into [0,1)^2 where the elliptic
-    Bernoulli series converges, and inverts
+    Outside F, evaluates m^-1 zeta(z'; tau') at tau reduced to F (see
+    `_Reduction`).  Decomposes z = x - y*tau, reduces (x, y) into [0,1)^2
+    where the elliptic Bernoulli series converges, and inverts
 
         B_1(x, y; tau) = -(1/2 pi i)[zeta(x - y tau) - E_2 (x - y tau)] + y,
 
@@ -830,6 +1032,23 @@ def weierstrass_zeta(z: complex, tau: TauPoint,
     zeta(z+tau) = zeta(z) + E_2 tau - 2 pi i.
     """
     return weierstrass_zeta_points([complex(z)], tau, policy)[0]
+
+
+def _zeta_block(z, tau: TauPoint, policy: SeriesPolicy) -> ComplexArray:
+    """b(z) = zeta(z) - E_2 z at the points z, never from an E_2 of another
+    tau than zeta's: zeta(z) - E_2 z on F, else, by the rules of
+    `_Reduction` and `_Reduction.e2_shift`, m^-1 b'(z') - 2 pi i c z' with
+    b' = zeta - E_2 z at tau'."""
+    z = np.asarray(z, dtype=complex)
+    zeta, f = _zeta_in_frame(z, tau, policy)
+    e2 = _e2(f.tau, policy, f.arg_err[2])
+    e2a = ComplexArray(e2.value, e2.err)
+    if f.red is None:
+        return zeta - e2a * z
+    zr = f.z()
+    c = f.red.c
+    return ((zeta - e2a * zr) * f.red.weight(1)
+            + zr * ComplexVal(-TWO_PI_I * c, 2.0**-52 * abs(TWO_PI_I * c)))
 
 
 @lru_cache(maxsize=None)
@@ -864,16 +1083,13 @@ def _phi(k: int, w: np.ndarray, pk: Tuple[int, ...],
     return num / den ** (k + 2), num_abs / np.abs(den) ** (k + 3)
 
 
-def weierstrass_p_deriv_points(k: int, z, tau: TauPoint,
-                               policy: SeriesPolicy = DEFAULT_POLICY) -> ComplexArray:
-    """`weierstrass_p_deriv` at every point of the array z, in one batched
-    run of its Fourier series."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    z = np.asarray(z, dtype=complex)
+def _p_deriv_series(k: int, x: np.ndarray, y: np.ndarray, tau: TauPoint, cap: int,
+                    policy: SeriesPolicy, arg_err) -> ComplexArray:
+    """pe^(k)(x - y tau; tau) by the Fourier series of `weierstrass_p_deriv`
+    with term cap `cap`.  `arg_err` as in `_Frame`: the errors of x, y and
+    tau add 2 pi (dx + dy |tau| + |y0| dtau) to the argument of u and
+    2 pi dtau to that of q, which E_2 also carries."""
     t = tau.tau
-    x, y = _decompose(z, tau)
-    _lattice_check(x, y, lambda i: f"pe pole: z = {complex(z[i])} is on the lattice")
     y0 = y - np.rint(y)
     # pe^{(k)}(-z) = (-1)^k pe^{(k)}(z)
     neg = y0 < -_LATTICE_EPS
@@ -885,7 +1101,6 @@ def weierstrass_p_deriv_points(k: int, z, tau: TauPoint,
     u = np.exp(arg)
     q = tau.nome
     aq = abs(q)
-    cap = _check_tau(tau, policy)
     par = (-1.0) ** k
     qj = 1.0 + 0j
     # Rounding, in ulps of S (see _phi): the Horner steps, the power and the
@@ -895,6 +1110,10 @@ def weierstrass_p_deriv_points(k: int, z, tau: TauPoint,
     own = 10.0 * k + 44.0 + 12.0 * bl
     err_u = _exp_err(arg)
     err_q = float(_exp_err(TWO_PI_I * t)) + 3.0
+    if arg_err is not _EXACT_ARGS:
+        dx, dy, dt = arg_err
+        err_u = err_u + _TWO_PI_ULPS * (dx + dy * abs(t) + y0 * dt)
+        err_q += _TWO_PI_ULPS * dt
 
     pk, pk1 = _phi_poly(k), _phi_poly(k + 1)
 
@@ -924,15 +1143,38 @@ def weierstrass_p_deriv_points(k: int, z, tau: TauPoint,
     rnd = abs(pref) * (rnd + 2.0 * np.abs(acc)) + (k + 2 * bl + 6.0) * np.abs(value)
     val = ComplexArray(value, tail + 2.0**-53 * rnd)
     if k == 0:
-        val = val - eisenstein(1, tau, policy)
+        val = val - _e2(tau, policy, arg_err[2])
     return val
+
+
+def _p_deriv_in_frame(k: int, z, tau: TauPoint, policy: SeriesPolicy):
+    """pe^(k) at the points z in the frame of tau's reduction, and the
+    frame; the checks and warnings are the caller's tau's."""
+    z, x, y = _checked_points(z, tau, "pe")
+    cap = _check_tau(tau, policy)
+    if k == 0:
+        # and E_2's check: unreduced, pe runs its series and E_2 at tau
+        _check_tau(tau, policy)
+    f = _frame(x, y, tau)
+    return _p_deriv_series(k, f.x, f.y, f.tau, cap, policy, f.arg_err), f
+
+
+def weierstrass_p_deriv_points(k: int, z, tau: TauPoint,
+                               policy: SeriesPolicy = DEFAULT_POLICY) -> ComplexArray:
+    """`weierstrass_p_deriv` at every point of the array z, in one batched
+    run of its Fourier series at tau reduced to F."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    pe, f = _p_deriv_in_frame(k, z, tau, policy)
+    return pe if f.red is None else pe * f.red.weight(k + 2)
 
 
 def weierstrass_p_deriv(k: int, z: complex, tau: TauPoint,
                         policy: SeriesPolicy = DEFAULT_POLICY) -> ComplexVal:
     """kth z-derivative of the Weierstrass pe function.
 
-    Fourier form in u = e(z), differentiated termwise:
+    Outside F, evaluates m^-(k+2) pe^(k)(z'; tau') at tau reduced to F (see
+    `_Reduction`), by the Fourier form in u = e(z), differentiated termwise:
 
         pe^{(k)}(z) = -E_2 [k=0] + (2 pi i)^{k+2} [ Phi_k(u)
                       + sum_{j>=1} ( Phi_k(u q^j) + (-1)^k Phi_k(q^j / u) ) ]
@@ -941,6 +1183,24 @@ def weierstrass_p_deriv(k: int, z: complex, tau: TauPoint,
     that 0 <= Im(z after reduction) <= Im(tau)/2, using evenness.
     """
     return weierstrass_p_deriv_points(k, [complex(z)], tau, policy)[0]
+
+
+def _pe_blocks(z, n: int, tau: TauPoint, policy: SeriesPolicy):
+    """pe at the first n points of z and pe + E_2 at the others, from one
+    pe batch.  pe + E_2 never mixes E_2 of two tau: on F it is pe + E_2,
+    else m^-2 (pe + E_2)(z'; tau') + 2 pi i c / m."""
+    pe, f = _p_deriv_in_frame(0, z, tau, policy)
+    head = ComplexArray(pe.value[:n], pe.err[:n])
+    rest = ComplexArray(pe.value[n:], pe.err[n:]) + _e2(f.tau, policy, f.arg_err[2])
+    if f.red is None:
+        return head, rest
+    w = f.red.weight(2)
+    return head * w, rest * w + f.red.e2_shift()
+
+
+def _pe_plus_e2(z, tau: TauPoint, policy: SeriesPolicy) -> ComplexArray:
+    """pe(z) + E_2 at the points z (see `_pe_blocks`)."""
+    return _pe_blocks(z, 0, tau, policy)[1]
 
 
 def weierstrass_zeta_deriv(j: int, z: complex, tau: TauPoint,
@@ -962,16 +1222,14 @@ def _sigma_log_blocks(z, tau: TauPoint, policy: SeriesPolicy, pe_only=()):
 
         2 d(log sigma)/dtau - E_2' z^2 - E_2 / (pi i) = (b^2 - pe(z)) / (2 pi i).
 
-    Returns E_2, b, b^2 - pe(z) and pe at the points pe_only, from one zeta
-    batch over z and one pe batch over z and pe_only."""
+    Returns b, b^2 - pe(z) and pe + E_2 at the points pe_only, from one
+    zeta batch over z (`_zeta_block`) and one pe batch over z and pe_only
+    (`_pe_blocks`), at tau reduced to F, without E_2 at the caller's tau."""
     z = np.asarray(z, dtype=complex)
-    e2 = eisenstein(1, tau, policy)
-    b = weierstrass_zeta_points(z, tau, policy) - ComplexArray(e2.value, e2.err) * z
-    pe = weierstrass_p_deriv_points(0, np.concatenate((z, np.asarray(pe_only, dtype=complex))),
-                                    tau, policy)
-    n = len(z)
-    heat = b * b - ComplexArray(pe.value[:n], pe.err[:n])
-    return e2, b, heat, ComplexArray(pe.value[n:], pe.err[n:])
+    b = _zeta_block(z, tau, policy)
+    pe, pe_e2 = _pe_blocks(np.concatenate((z, np.asarray(pe_only, dtype=complex))),
+                           len(z), tau, policy)
+    return b, b * b - pe, pe_e2
 
 
 def sigma_log_tau_derivative(z: complex, tau: TauPoint,
@@ -980,7 +1238,8 @@ def sigma_log_tau_derivative(z: complex, tau: TauPoint,
     ((zeta - E_2 z)^2 - pe + 2 E_2) / (4 pi i) + E_2' z^2 / 2, by the heat
     equation (see `_sigma_log_blocks`)."""
     z = complex(z)
-    e2, _, heat, _ = _sigma_log_blocks([z], tau, policy)
+    _, heat, _ = _sigma_log_blocks([z], tau, policy)
+    e2 = eisenstein(1, tau, policy)
     val = (heat[0] + e2 * 2.0) * (1.0 / (4j * math.pi))
     return val + eisenstein_tau_derivative(1, tau, policy) * (z * z / 2)
 

@@ -31,12 +31,12 @@ from .qseries import (
     _eisenstein_q_sums,
     _eisenstein_tau_derivative,
     _eisenstein_tau_derivative_of_sum,
+    _pe_plus_e2,
     _sigma_log_blocks,
+    _zeta_block,
     eisenstein,
     elliptic_bernoulli_points,
-    weierstrass_p_deriv,
     weierstrass_p_deriv_points,
-    weierstrass_zeta_points,
 )
 
 TWO_PI_I = 2j * math.pi
@@ -106,11 +106,11 @@ def _fsum(*parts: Union[ComplexArray, ComplexVal]) -> ComplexVal:
                       math.fsum(err) + 2.0**-52 * math.fsum(np.hypot(v.real, v.imag)))
 
 
-def _zeta_bracket(z: np.ndarray, mu_over_p: np.ndarray, e2: ComplexVal,
+def _zeta_bracket(z: np.ndarray, mu_over_p: np.ndarray,
                   tau: TauPoint, policy: SeriesPolicy) -> ComplexArray:
-    """zeta(z) - E_2 z + 2 pi i * (mu/p); the recurring odd-symbol factor."""
-    return (weierstrass_zeta_points(z, tau, policy) - ComplexArray(e2.value, e2.err) * z
-            + ComplexArray(TWO_PI_I * mu_over_p, 0.0))
+    """zeta(z) - E_2 z + 2 pi i * (mu/p); the recurring odd-symbol factor,
+    from the E_2-free block `qseries._zeta_block`."""
+    return _zeta_block(z, tau, policy) + ComplexArray(TWO_PI_I * mu_over_p, 0.0)
 
 
 def elliptic_apostol_sum(n: int, pair: CoprimePair, tau: TauPoint,
@@ -140,11 +140,10 @@ def elliptic_apostol_sum(n: int, pair: CoprimePair, tau: TauPoint,
     p, q = pair.p, pair.q
     lam, mu = _division_points(p)
     if route is Route.ZETA_DERIVATIVE:
-        e2 = eisenstein(1, tau, policy)
         z = _division_z(lam, mu, tau, p)
         # zeta^{(2n)} = -pe^{(2n-1)}
         zd = -weierstrass_p_deriv_points(2 * n - 1, z, tau, policy)
-        total = _fsum(zd * _zeta_bracket(q * z, q * mu / p, e2, tau, policy))
+        total = _fsum(zd * _zeta_bracket(q * z, q * mu / p, tau, policy))
         val = total * (1.0 / ((TWO_PI_I**2).real * p * math.factorial(2 * n)))
     else:
         q_inv = pow(q % p, -1, p) if p > 1 else 0
@@ -230,12 +229,11 @@ def generating_D(pair: CoprimePair, tau: TauPoint, x: float,
     p, q = pair.p, pair.q
     if abs(x) >= 1 / (2 * p):
         raise ValueError(f"|x| must be < 1/(2p) = {1/(2*p)}, got {x}")
-    e2 = eisenstein(1, tau, policy)
     lam, mu = _division_points(p)
     z = _division_z(lam, mu, tau, p)
     # both brackets in one batch
     first, second = _halves(_zeta_bracket(np.concatenate((z - x, q * z)),
-                                          np.concatenate((mu, q * mu)) / p, e2, tau, policy))
+                                          np.concatenate((mu, q * mu)) / p, tau, policy))
     return _fsum(first * second) * (1.0 / ((TWO_PI_I**2).real * p))
 
 
@@ -247,17 +245,19 @@ def generating_R(pair: CoprimePair, tau: TauPoint, x: float,
     With zblock(c) = zeta(c x) - E_2 c x, each sigma-log block
     2 d(log sigma(c x))/dtau - E_2' (c x)^2 - E_2 / (pi i) equals
     (zblock(c)^2 - pe(c x)) / (2 pi i) by the heat equation of theta_1 (see
-    `qseries._sigma_log_blocks`, which `sigma_log_tau_derivative` shares)."""
+    `qseries._sigma_log_blocks`, which `sigma_log_tau_derivative` shares).
+    The blocks and pe(x) + E_2 come without E_2 at tau, so that at a
+    reduced tau they never mix two tau's E_2."""
     pair.require_u()
     p, q = pair.p, pair.q
     if not 0 < abs(x) < 1 / (2 * max(p, q)):
         raise ValueError(f"need 0 < |x| < 1/(2 max(p,q)), got {x}")
-    e2, b, heat, pe_x = _sigma_log_blocks([p * x, q * x], tau, policy, pe_only=[x])
+    b, heat, pe_e2 = _sigma_log_blocks([p * x, q * x], tau, policy, pe_only=[x])
     scale = 1.0 / (TWO_PI_I**2).real
     out = b[0] * b[1] * -scale
     out = out + heat[0] * (scale * q / (2 * p))
     out = out + heat[1] * (scale * p / (2 * q))
-    return out + (pe_x[0] + e2) * (scale / (p * q))
+    return out + pe_e2[0] * (scale / (p * q))
 
 
 def expected_constant(pair: CoprimePair, tau: TauPoint,
@@ -412,14 +412,13 @@ def proposition31_residual(pair: CoprimePair, s: float, tau: TauPoint,
     if not 0 < abs(s) < 1 / (2 * max(p, q)):
         raise ValueError(f"need 0 < |s| < 1/(2 max(p,q)), got {s}")
     lhs = _b1_division_sum(p, q, s, tau, policy) + _b1_division_sum(q, p, s, tau, policy)
-    e2 = eisenstein(1, tau, policy)
     b1 = elliptic_bernoulli_points(1, [p * s, q * s], [0.0, 0.0], tau, policy)
     b2 = elliptic_bernoulli_points(2, [p * s, q * s], [0.0, 0.0], tau, policy)
     rhs = -(b1[0] * b1[1])
     rhs = rhs + b2[0] * (q / (2 * p))
     rhs = rhs + b2[1] * (p / (2 * q))
     # dB_1(s,0)/ds = (1/2 pi i)[pe(s) + E_2]
-    db1 = (weierstrass_p_deriv(0, s, tau, policy) + e2) * (1.0 / TWO_PI_I)
+    db1 = _pe_plus_e2([s], tau, policy)[0] * (1.0 / TWO_PI_I)
     rhs = rhs + db1 * (1.0 / (TWO_PI_I * p * q))
     return lhs - rhs
 

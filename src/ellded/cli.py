@@ -27,6 +27,7 @@ from .exact import (
     verify_apostol_reciprocity,
 )
 from .qseries import (
+    TWO_PI_I,
     LatticePointError,
     NonConvergenceError,
     SeriesPolicy,
@@ -61,8 +62,6 @@ from .identities import (
     verify_eq73,
     verify_three_term,
 )
-
-TWO_PI_I = 2j * math.pi
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -412,7 +411,7 @@ _ARGS: Dict[str, dict] = {
     "--x": dict(type=float, required=True),
     "--y": dict(type=float, required=True),
     "--z": dict(type=_complex_arg, required=True),
-    "--order": dict(type=int, default=0,
+    "--order": dict(type=_count_arg(0), default=0,
                     help="0 for zeta itself, j >= 1 for its j-th derivative"),
     "--route": dict(choices=[r.value for r in Route],
                     default=Route.ZETA_DERIVATIVE.value),

@@ -10,13 +10,12 @@ at integers, i.e. bernoulli_function(1, integer) == 0, not B_1 = -1/2.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Dict, Iterable, Mapping, Tuple, Union
+from typing import Dict, Mapping, Tuple, Union
 
 Coeff = Union[Fraction, complex]
 ExpPair = Tuple[int, int]
@@ -314,26 +313,6 @@ class LaurentPoly:
                 c = complex(c)
                 items.append({"i": i, "j": j, "coeff": {"re": c.real, "im": c.imag}})
         return items
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
-
-    @classmethod
-    def from_json_obj(cls, items: Iterable[dict]) -> "LaurentPoly":
-        out: Dict[ExpPair, Coeff] = {}
-        for it in items:
-            c = it["coeff"]
-            coeff: Coeff
-            if isinstance(c, str):
-                coeff = Fraction(c)
-            else:
-                coeff = complex(c["re"], c["im"])
-            out[(it["i"], it["j"])] = coeff
-        return cls(out)
-
-    @classmethod
-    def from_json(cls, s: str) -> "LaurentPoly":
-        return cls.from_json_obj(json.loads(s))
 
 
 # ---------------------------------------------------------------------------

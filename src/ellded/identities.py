@@ -15,6 +15,7 @@ import numpy as np
 from .exact import CoprimePair, LaurentPoly, bernoulli_number, dim_data, g_poly
 from .qseries import (
     DEFAULT_POLICY,
+    TWO_PI_I,
     ComplexVal,
     SeriesPolicy,
     TauPoint,
@@ -31,7 +32,6 @@ from .symbols import (
     reciprocity_rhs,
 )
 
-TWO_PI_I = 2j * math.pi
 #: tolerance of the zeta(2n+1) values in the Eisenstein period data
 ZETA_TOL = 1e-12
 #: `basis_rank` counts singular values above this share of the largest

@@ -32,9 +32,11 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -312,9 +314,20 @@ def _check_tau(tau: TauPoint, policy: SeriesPolicy) -> int:
         warnings.warn(
             f"Im(tau) = {im} gives |q| = {abs(tau.nome):.3f}; convergence is slow",
             SlowNomeWarning,
-            stacklevel=3,
+            stacklevel=_outside_stacklevel(),
         )
     return _term_cap(tau, policy)
+
+
+def _outside_stacklevel() -> int:
+    """The `stacklevel` at which a warning issued by the caller names the
+    first frame outside the package, as `skip_file_prefixes` (Python 3.12)
+    would; the frames are walked so that 3.10 and 3.11 get the same."""
+    package = os.path.dirname(__file__) + os.sep
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_code.co_filename.startswith(package):
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 def _kahan_add(s, c, x):
@@ -593,11 +606,6 @@ def eisenstein(n: int, tau: TauPoint, policy: SeriesPolicy = DEFAULT_POLICY) -> 
     """Eisenstein series E_{2n}(tau) = 2 zeta(2n) + (2 (2 pi i)^{2n} / (2n-1)!)
     sum_k sigma_{2n-1}(k) q^k, with 2 zeta(2n) = -(2 pi i)^{2n} B_{2n} / (2n)!."""
     _check_n_tau(n, tau, policy)
-    return _eisenstein(n, tau, policy)
-
-
-def _eisenstein(n: int, tau: TauPoint, policy: SeriesPolicy) -> ComplexVal:
-    """`eisenstein` without the checks of n and tau."""
     return _eisenstein_of_sum(n, *_eisenstein_q_sum(n, tau, policy, tau_deriv=False))
 
 
@@ -623,11 +631,6 @@ def eisenstein_normalized(n: int, tau: TauPoint, policy: SeriesPolicy = DEFAULT_
 def eisenstein_tau_derivative(n: int, tau: TauPoint, policy: SeriesPolicy = DEFAULT_POLICY) -> ComplexVal:
     """dE_{2n}/dtau by termwise differentiation of the q-expansion."""
     _check_n_tau(n, tau, policy)
-    return _eisenstein_tau_derivative(n, tau, policy)
-
-
-def _eisenstein_tau_derivative(n: int, tau: TauPoint, policy: SeriesPolicy) -> ComplexVal:
-    """`eisenstein_tau_derivative` without the checks of n and tau."""
     return _eisenstein_tau_derivative_of_sum(
         n, *_eisenstein_q_sum(n, tau, policy, tau_deriv=True))
 
@@ -721,20 +724,19 @@ def elliptic_bernoulli_points(m: int, x, y, tau: TauPoint,
     return _bernoulli_series(m, x, y, tau, cap, policy)
 
 
-#: argument errors (dx, dy, dtau) of points and tau taken as exact
-_EXACT_ARGS = (0.0, 0.0, 0.0)
 #: 2 pi in units of 2^-53: turns an absolute error of an exponential's
 #: argument, over 2 pi i, into its relative error in ulps
 _TWO_PI_ULPS = 2.0 * math.pi * 2.0**53
 
 
 def _bernoulli_series(m: int, x: np.ndarray, y: np.ndarray, tau: TauPoint, cap: int,
-                      policy: SeriesPolicy, arg_err=_EXACT_ARGS) -> ComplexArray:
+                      policy: SeriesPolicy, arg_err=(0.0, 0.0, 0.0)) -> ComplexArray:
     """B_m(x, y; tau), m >= 1, at points that passed the lattice check, by
     the series of `elliptic_bernoulli` with term cap `cap`.
 
     `arg_err` = (dx, dy, dtau) bounds the absolute errors of x, y and tau,
-    for m = 1 (the order that zeta evaluates at a reduced tau): they add
+    zeros where they are exact (every B_m but zeta's B_1 at a reduced tau),
+    which leave every bit of the result as it is: they add
     2 pi dx to the argument of e(+-x), 2 pi (dy |tau| + (j + 1) dtau) to
     that of w = e((j -+ y) tau), 2 pi (dx + dy |tau| + y dtau) to that of
     the closing term's exponential, and dy to B_1(y) = y - 1/2."""
@@ -751,16 +753,13 @@ def _bernoulli_series(m: int, x: np.ndarray, y: np.ndarray, tau: TauPoint, cap: 
     # quotient and the sum of the pair add m + 11 ulps.
     g = 12.0 * math.pi * abs(t)
     kappa = 1.0 / (1.0 - decay)
-    err_x = _exp_err(TWO_PI_I * x)
-    err_v = err_b = 0.0
-    if arg_err is not _EXACT_ARGS:
-        # w's share of the argument errors rides on e(+-x)'s, tripled: the
-        # rounding below charges A (err_x + err_w) + size err_w, and
-        # A = |t1| / |D1| + kappa |t2| >= size / 2 as |D1| <= 2
-        dx, dy, dt = arg_err
-        g += _TWO_PI_ULPS * dt
-        err_x = err_x + _TWO_PI_ULPS * (dx + 3.0 * dy * abs(t))
-        err_v, err_b = _TWO_PI_ULPS * (dx + dy * abs(t) + y * dt), dy
+    # w's share of the argument errors rides on e(+-x)'s, tripled: the
+    # rounding below charges A (err_x + err_w) + size err_w, and
+    # A = |t1| / |D1| + kappa |t2| >= size / 2 as |D1| <= 2
+    dx, dy, dt = arg_err
+    g += _TWO_PI_ULPS * dt
+    err_x = _exp_err(TWO_PI_I * x) + _TWO_PI_ULPS * (dx + 3.0 * dy * abs(t))
+    err_v = _TWO_PI_ULPS * (dx + dy * abs(t) + y * dt)
 
     def terms(js, y, emy, epy, emx, epx, err_x):
         # one row per j;  e(-y tau) q^j = e((j - y) tau),  e(y tau) q^j = e((j + y) tau)
@@ -799,7 +798,7 @@ def _bernoulli_series(m: int, x: np.ndarray, y: np.ndarray, tau: TauPoint, cap: 
     rnd = rnd + np.abs(closing) * (m + 10.0 + err_v * (1.0 + np.abs(v) / np.abs(v - 1)))
     rnd = (m * (rnd + 3.0 * np.abs(acc))
            + 2.0 * (m + 1) * sum(map(abs, _bernoulli_poly_float_coeffs(m))) + np.abs(value))
-    return ComplexArray(value, tail + 2.0**-53 * rnd + err_b)
+    return ComplexArray(value, tail + 2.0**-53 * rnd + dy)
 
 
 def elliptic_bernoulli(m: int, x: float, y: float, tau: TauPoint,
@@ -820,10 +819,6 @@ def elliptic_bernoulli(m: int, x: float, y: float, tau: TauPoint,
 # ---------------------------------------------------------------------------
 # Reduction of tau to the fundamental domain
 # ---------------------------------------------------------------------------
-
-#: entries of the per-tau reduction cache
-REDUCTION_CACHE_SIZE = 512
-
 
 class _Reduction(NamedTuple):
     """tau' = gamma tau = (a tau + b) / (c tau + d) for gamma = (a b; c d) in
@@ -862,7 +857,6 @@ class _Reduction(NamedTuple):
         return ComplexVal(v, abs(v) * 2.0**-53 * (self.m_err + 8.0))
 
 
-@lru_cache(maxsize=REDUCTION_CACHE_SIZE)
 def _reduction(tau: TauPoint) -> Optional[_Reduction]:
     """The reduction of tau into F = {|Re tau| <= 1/2, |tau| >= 1}, by
     Cohen's Algorithm 7.4.2 (shift Re tau into [-1/2, 1/2], invert while
@@ -893,7 +887,8 @@ def _reduction(tau: TauPoint) -> Optional[_Reduction]:
 class _Frame(NamedTuple):
     """Points x - y tau where a kernel evaluates them: at the caller's tau,
     or at the reduced tau' with the reduction `red`; `arg_err` = (dx, dy,
-    dtau) bounds the absolute errors of x, y and tau there."""
+    dtau) bounds the absolute errors of x, y and tau there, zeros at the
+    caller's tau."""
 
     x: np.ndarray
     y: np.ndarray
@@ -923,7 +918,7 @@ def _frame(x: np.ndarray, y: np.ndarray, tau: TauPoint) -> _Frame:
     and y'."""
     red = _reduction(tau)
     if red is None:
-        return _Frame(x, y, tau, _EXACT_ARGS, None)
+        return _Frame(x, y, tau, (0.0, 0.0, 0.0), None)
     snapped = _snap(y)
     ex = 2.0**-52 * (np.abs(x) + np.abs(y * tau.tau.real))
     ey = 2.0**-52 * np.abs(y) + np.abs(y - snapped)
@@ -948,8 +943,6 @@ def _e2(tau: TauPoint, policy: SeriesPolicy, dtau: float) -> ComplexVal:
     A reduced tau has the larger Im, so its check neither warns nor rejects
     where the caller's passed."""
     e2 = eisenstein(1, tau, policy)
-    if not dtau:
-        return e2
     r = abs(tau.nome)
     slope = 16.0 * math.pi**3 * r * (1.0 + 4.0 * r + r * r) / (1.0 - r) ** 4
     return ComplexVal(e2.value, e2.err + slope * dtau)
@@ -992,29 +985,29 @@ def _zeta_series(x: np.ndarray, y: np.ndarray, tau: TauPoint, cap: int,
     zeta0 = (b1 - y0) * -TWO_PI_I + e2a * z0
     # z = z0 + nx - ny*tau
     zeta = zeta0 + e2a * (nx - ny * tau.tau) + ComplexArray(TWO_PI_I * ny, 0.0)
-    if arg_err is _EXACT_ARGS:
-        return zeta
     dx, dy, dt = arg_err
     return ComplexArray(zeta.value, zeta.err + abs(e2.value) * (
         dx + dy * abs(tau.tau) + np.abs(y) * dt))
 
 
-def _zeta_in_frame(z: np.ndarray, tau: TauPoint, policy: SeriesPolicy):
-    """zeta at the points z in the frame of tau's reduction, and the frame;
-    the checks and warnings are the caller's tau's."""
-    z, x, y = _checked_points(z, tau, "zeta")
-    cap = _check_tau(tau, policy)
-    # and E_2's check: unreduced, zeta runs a B_1 and an E_2 series at tau
-    _check_tau(tau, policy)
+def _in_frame(series, z, tau: TauPoint, policy: SeriesPolicy, pole: str, checks: int):
+    """`series(x, y, tau, cap, policy, arg_err)` at the points z in the
+    frame of tau's reduction, and the frame.  The lattice check and the
+    term cap are the caller's tau's, and so are the `checks` checks and
+    warnings: one for each series that the kernel runs at tau unreduced
+    (zeta a B_1 and an E_2, pe its own and, for k = 0, an E_2)."""
+    z, x, y = _checked_points(z, tau, pole)
+    for _ in range(checks):
+        cap = _check_tau(tau, policy)
     f = _frame(x, y, tau)
-    return _zeta_series(f.x, f.y, f.tau, cap, policy, f.arg_err), f
+    return series(f.x, f.y, f.tau, cap, policy, f.arg_err), f
 
 
 def weierstrass_zeta_points(z, tau: TauPoint,
                             policy: SeriesPolicy = DEFAULT_POLICY) -> ComplexArray:
     """`weierstrass_zeta` at every point of the array z, with one batched
     B_1 series and one E_2, at tau reduced to F."""
-    zeta, f = _zeta_in_frame(z, tau, policy)
+    zeta, f = _in_frame(_zeta_series, z, tau, policy, "zeta", 2)
     return zeta if f.red is None else zeta * f.red.weight(1)
 
 
@@ -1040,7 +1033,7 @@ def _zeta_block(z, tau: TauPoint, policy: SeriesPolicy) -> ComplexArray:
     `_Reduction` and `_Reduction.e2_shift`, m^-1 b'(z') - 2 pi i c z' with
     b' = zeta - E_2 z at tau'."""
     z = np.asarray(z, dtype=complex)
-    zeta, f = _zeta_in_frame(z, tau, policy)
+    zeta, f = _in_frame(_zeta_series, z, tau, policy, "zeta", 2)
     e2 = _e2(f.tau, policy, f.arg_err[2])
     e2a = ComplexArray(e2.value, e2.err)
     if f.red is None:
@@ -1108,12 +1101,9 @@ def _p_deriv_series(k: int, x: np.ndarray, y: np.ndarray, tau: TauPoint, cap: in
     # exp gives it) and j times q's and one product's for q^j
     bl = (k + 2).bit_length()
     own = 10.0 * k + 44.0 + 12.0 * bl
-    err_u = _exp_err(arg)
-    err_q = float(_exp_err(TWO_PI_I * t)) + 3.0
-    if arg_err is not _EXACT_ARGS:
-        dx, dy, dt = arg_err
-        err_u = err_u + _TWO_PI_ULPS * (dx + dy * abs(t) + y0 * dt)
-        err_q += _TWO_PI_ULPS * dt
+    dx, dy, dt = arg_err
+    err_u = _exp_err(arg) + _TWO_PI_ULPS * (dx + dy * abs(t) + y0 * dt)
+    err_q = float(_exp_err(TWO_PI_I * t)) + 3.0 + _TWO_PI_ULPS * dt
 
     pk, pk1 = _phi_poly(k), _phi_poly(k + 1)
 
@@ -1147,25 +1137,13 @@ def _p_deriv_series(k: int, x: np.ndarray, y: np.ndarray, tau: TauPoint, cap: in
     return val
 
 
-def _p_deriv_in_frame(k: int, z, tau: TauPoint, policy: SeriesPolicy):
-    """pe^(k) at the points z in the frame of tau's reduction, and the
-    frame; the checks and warnings are the caller's tau's."""
-    z, x, y = _checked_points(z, tau, "pe")
-    cap = _check_tau(tau, policy)
-    if k == 0:
-        # and E_2's check: unreduced, pe runs its series and E_2 at tau
-        _check_tau(tau, policy)
-    f = _frame(x, y, tau)
-    return _p_deriv_series(k, f.x, f.y, f.tau, cap, policy, f.arg_err), f
-
-
 def weierstrass_p_deriv_points(k: int, z, tau: TauPoint,
                                policy: SeriesPolicy = DEFAULT_POLICY) -> ComplexArray:
     """`weierstrass_p_deriv` at every point of the array z, in one batched
     run of its Fourier series at tau reduced to F."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    pe, f = _p_deriv_in_frame(k, z, tau, policy)
+    pe, f = _in_frame(partial(_p_deriv_series, k), z, tau, policy, "pe", 2 if k == 0 else 1)
     return pe if f.red is None else pe * f.red.weight(k + 2)
 
 
@@ -1189,18 +1167,13 @@ def _pe_blocks(z, n: int, tau: TauPoint, policy: SeriesPolicy):
     """pe at the first n points of z and pe + E_2 at the others, from one
     pe batch.  pe + E_2 never mixes E_2 of two tau: on F it is pe + E_2,
     else m^-2 (pe + E_2)(z'; tau') + 2 pi i c / m."""
-    pe, f = _p_deriv_in_frame(0, z, tau, policy)
+    pe, f = _in_frame(partial(_p_deriv_series, 0), z, tau, policy, "pe", 2)
     head = ComplexArray(pe.value[:n], pe.err[:n])
     rest = ComplexArray(pe.value[n:], pe.err[n:]) + _e2(f.tau, policy, f.arg_err[2])
     if f.red is None:
         return head, rest
     w = f.red.weight(2)
     return head * w, rest * w + f.red.e2_shift()
-
-
-def _pe_plus_e2(z, tau: TauPoint, policy: SeriesPolicy) -> ComplexArray:
-    """pe(z) + E_2 at the points z (see `_pe_blocks`)."""
-    return _pe_blocks(z, 0, tau, policy)[1]
 
 
 def weierstrass_zeta_deriv(j: int, z: complex, tau: TauPoint,

@@ -21,25 +21,23 @@ import numpy as np
 from .exact import CoprimePair
 from .qseries import (
     DEFAULT_POLICY,
+    TWO_PI_I,
     ComplexArray,
     ComplexVal,
     SeriesPolicy,
     TauPoint,
     _check_n_tau,
-    _eisenstein,
     _eisenstein_of_sum,
+    _eisenstein_q_sum,
     _eisenstein_q_sums,
-    _eisenstein_tau_derivative,
     _eisenstein_tau_derivative_of_sum,
-    _pe_plus_e2,
+    _pe_blocks,
     _sigma_log_blocks,
     _zeta_block,
     eisenstein,
     elliptic_bernoulli_points,
     weierstrass_p_deriv_points,
 )
-
-TWO_PI_I = 2j * math.pi
 
 __all__ = [
     "Route",
@@ -175,13 +173,22 @@ def _eisenstein_table(n: int, tau: TauPoint, policy: SeriesPolicy) -> Eisenstein
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _eisenstein_table_values(n: int, tau: TauPoint, policy: SeriesPolicy) -> EisensteinTable:
-    return _table_of(n, [_eisenstein(j, tau, policy) for j in range(1, n + 2)],
-                     _eisenstein_tau_derivative(n, tau, policy))
+    return _table_of(n, [_eisenstein_q_sum(j, tau, policy, tau_deriv=d)
+                         for j, d in _table_columns(n)])
 
 
-def _table_of(n: int, e: Sequence[ComplexVal], de: ComplexVal) -> EisensteinTable:
-    """The table from E_2, ..., E_{2n+2} (the list e) and dE_{2n}/dtau."""
-    return e[n], tuple(e[j - 1] * e[n - j] for j in range(1, n + 1)), de
+def _table_columns(n: int) -> List[Tuple[int, bool]]:
+    """The q-sums (n, tau_deriv) a table is built from: those of E_2, ...,
+    E_{2n+2}, then that of dE_{2n}/dtau."""
+    return [(j, False) for j in range(1, n + 2)] + [(n, True)]
+
+
+def _table_of(n: int, sums: Sequence[Tuple[complex, float]]) -> EisensteinTable:
+    """The table from the q-sums of `_table_columns(n)`, each a (sum,
+    bound) pair, in their order."""
+    e = [_eisenstein_of_sum(j, *s) for j, s in enumerate(sums[:-1], 1)]
+    return (e[n], tuple(e[j - 1] * e[n - j] for j in range(1, n + 1)),
+            _eisenstein_tau_derivative_of_sum(n, *sums[-1]))
 
 
 def _eisenstein_tables(n: int, taus: Sequence[TauPoint],
@@ -194,10 +201,7 @@ def _eisenstein_tables(n: int, taus: Sequence[TauPoint],
     so a tau that fails its check raises before any series runs."""
     for tau in taus:
         _check_n_tau(n, tau, policy)
-    cols = [(j, False) for j in range(1, n + 2)] + [(n, True)]
-    return [_table_of(n, [_eisenstein_of_sum(j, *s) for j, s in enumerate(sums[:-1], 1)],
-                      _eisenstein_tau_derivative_of_sum(n, *sums[-1]))
-            for sums in _eisenstein_q_sums(taus, cols, policy)]
+    return [_table_of(n, sums) for sums in _eisenstein_q_sums(taus, _table_columns(n), policy)]
 
 
 def reciprocity_rhs(n: int, pair: CoprimePair, tau: TauPoint,
@@ -418,7 +422,7 @@ def proposition31_residual(pair: CoprimePair, s: float, tau: TauPoint,
     rhs = rhs + b2[0] * (q / (2 * p))
     rhs = rhs + b2[1] * (p / (2 * q))
     # dB_1(s,0)/ds = (1/2 pi i)[pe(s) + E_2]
-    db1 = _pe_plus_e2([s], tau, policy)[0] * (1.0 / TWO_PI_I)
+    db1 = _pe_blocks([s], 0, tau, policy)[1][0] * (1.0 / TWO_PI_I)
     rhs = rhs + db1 * (1.0 / (TWO_PI_I * p * q))
     return lhs - rhs
 

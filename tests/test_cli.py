@@ -131,6 +131,7 @@ class TestVerifyExitCodes:
         ["eval", "eisenstein", "-n", "1", "--tau", "1i", "--max-terms", "-5"],
         ["verify", "basis-rank", "-w", "10", "--num-tau", "-3"],
         ["verify", "basis-rank", "-w", "10", "--num-tau", "two"],
+        ["eval", "zeta-w", "--z", "0.1+0.2i", "--order", "-1", "--tau", "0+1i"],
     ])
     def test_out_of_range_count_is_usage_error(self, argv):
         # before, these ran nothing (exit 0), hit a domain error (exit 3) or

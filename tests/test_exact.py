@@ -1,5 +1,6 @@
 """Exact-rational layer: Bernoulli machinery, Apostol sums, g_w."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -356,8 +357,10 @@ class TestLaurentPoly:
         max_size=8,
     ))
     def test_json_roundtrip(self, coeffs):
+        # to_json_obj is lossless: each item parses back to its Fraction
         p = LaurentPoly(dict(coeffs))
-        assert LaurentPoly.from_json(p.to_json()) == p
+        items = json.loads(json.dumps(p.to_json_obj()))
+        assert LaurentPoly({(it["i"], it["j"]): Fraction(it["coeff"]) for it in items}) == p
 
     @given(st.integers(1, 9), st.integers(1, 9))
     def test_g2_evaluation_matches_expansion(self, p, q):

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellded.exact import bernoulli_number
+from ellded.exact import CoprimePair, bernoulli_number
+from ellded.identities import basis_rank
 from ellded.qseries import (
     ComplexArray,
     ComplexVal,
@@ -38,6 +39,7 @@ from ellded.qseries import (
     weierstrass_zeta_points,
     zeta_odd,
 )
+from ellded.symbols import reciprocity_rhs
 
 import loop_reference as ref
 
@@ -362,6 +364,21 @@ class TestPolicyGuards:
     def test_slow_nome_warns(self):
         with pytest.warns(SlowNomeWarning):
             eisenstein(1, TauPoint(0.08j))
+
+    @pytest.mark.parametrize("call", [
+        lambda tau: eisenstein(1, tau),
+        lambda tau: weierstrass_zeta_points([0.3 + 0.01j], tau),
+        lambda tau: weierstrass_p_deriv_points(0, [0.3 + 0.01j], tau),
+        lambda tau: reciprocity_rhs(2, CoprimePair(3, 2), tau),
+        lambda tau: basis_rank(4, [tau]),
+    ], ids=["eisenstein", "zeta", "pe", "reciprocity_rhs", "basis_rank"])
+    def test_slow_nome_warning_names_the_callers_line(self, call):
+        # the first frame outside the package, however deep the warning is
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", SlowNomeWarning)
+            call(TauPoint(0.1 + 0.08j))
+        slow = [w for w in caught if issubclass(w.category, SlowNomeWarning)]
+        assert slow and all(w.filename == __file__ for w in slow)
 
     def test_invalid_policy(self):
         with pytest.raises(ValueError):

@@ -62,15 +62,6 @@ def test_reduced_tau_in_F_and_its_bounds(t):
     assert abs(law.value - e2.value) <= law.err + e2.err
 
 
-def test_reduction_memoised_per_tau():
-    qseries._reduction.cache_clear()
-    tau = TauPoint(0.3 + 0.06j)
-    weierstrass_zeta_points([0.1 + 0.01j], tau)
-    weierstrass_p_deriv_points(3, [0.1 + 0.01j], tau)
-    info = qseries._reduction.cache_info()
-    assert info.misses == 1 and info.hits >= 1
-
-
 def test_caller_tau_checked_and_capped():
     # the caller's tau is checked, warned about and rejected as unreduced
     slow = TauPoint(0.08j)
@@ -138,7 +129,7 @@ def test_err_bounds_mpmath(t):
     got = {k: weierstrass_p_deriv_points(k, zs, tau) for k in ORDERS}
     got["zeta"] = weierstrass_zeta_points(zs, tau)
     got["b"] = qseries._zeta_block(zs, tau, DEFAULT_POLICY)
-    got["pe+e2"] = qseries._pe_plus_e2(zs, tau, DEFAULT_POLICY)
+    got["pe+e2"] = qseries._pe_blocks(zs, 0, tau, DEFAULT_POLICY)[1]
     with mp.workdps(30):
         refs = _references(mp, [mp.mpc(z.real, z.imag) for z in zs], mp.mpc(t.real, t.imag))
     for i, (z, ref) in enumerate(zip(zs, refs)):
@@ -156,7 +147,7 @@ def test_snapped_point_err_mpmath(t):
     got = {k: weierstrass_p_deriv_points(k, [z], tau)[0] for k in ORDERS}
     got["zeta"] = weierstrass_zeta_points([z], tau)[0]
     got["b"] = qseries._zeta_block([z], tau, DEFAULT_POLICY)[0]
-    got["pe+e2"] = qseries._pe_plus_e2([z], tau, DEFAULT_POLICY)[0]
+    got["pe+e2"] = qseries._pe_blocks([z], 0, tau, DEFAULT_POLICY)[1][0]
     with mp.workdps(30):
         ref = _references(mp, [mp.mpc(z.real, z.imag)], mp.mpc(t.real, t.imag))[0]
     for key, v in got.items():

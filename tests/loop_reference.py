@@ -123,6 +123,15 @@ def _phi(k, w):
     return num / (1 - w) ** (k + 2)
 
 
+def _phi_majorant(k, w):
+    """Bound |_phi(k, v)| for every |v| <= |w| < 1: _phi(k, w) is the power
+    series sum n^(k+1) w^n, whose coefficients are non-negative.  The bound
+    shrinks by at least |q| when w is multiplied by q, so it stops the series
+    where the terms themselves can cancel to near zero at one j and not the
+    next (at a real negative nome they alternate between small and large)."""
+    return abs(_phi(k, abs(w)))
+
+
 def weierstrass_p_deriv(k, z, tau, policy=DEFAULT_POLICY):
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -152,11 +161,10 @@ def weierstrass_p_deriv(k, z, tau, policy=DEFAULT_POLICY):
     while j < cap:
         j += 1
         qj *= q
-        t1 = _phi(k, u * qj)
-        t2 = par * _phi(k, qj / u)
-        acc.add(t1)
-        acc.add(t2)
-        last = abs(t1) + abs(t2)
+        w1, w2 = u * qj, qj / u
+        acc.add(_phi(k, w1))
+        acc.add(par * _phi(k, w2))
+        last = _phi_majorant(k, w1) + _phi_majorant(k, w2)
         if last <= policy.tol * max(abs(acc.value), 1.0) and j >= 2:
             break
     else:

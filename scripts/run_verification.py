@@ -3,7 +3,8 @@
 
 Drives every `ellded verify` family over a representative parameter grid and
 collects per family: pass/fail counts, wall time, and either the worst
-floating-point residual or, for exact families, the number of nonzero exact
+floating-point residual with the worst margin residual/tol (the tol each
+record carries) or, for exact families, the number of nonzero exact
 residuals.  Intended as the one-shot reproduction script for the identity
 checks.
 
@@ -101,6 +102,8 @@ def run_sweep(cfg: SweepConfig) -> dict:
             else:
                 stats["worst_residual"] = max(stats.get("worst_residual", 0.0),
                                               float(r))
+                stats["worst_residual_over_tol"] = max(
+                    stats.get("worst_residual_over_tol", 0.0), float(r) / rec["tol"])
         if code not in (0, 1) or not buf.getvalue():
             # an error exit or a command that checked nothing fails the sweep
             stats["failed"] += 1
@@ -137,7 +140,8 @@ def main(argv=None) -> int:
         if "nonzero_exact" in stats:
             margin = f"nonzero_exact={stats['nonzero_exact']}"
         elif "worst_residual" in stats:
-            margin = f"worst_residual={stats['worst_residual']:.3e}"
+            margin = (f"worst_residual={stats['worst_residual']:.3e} "
+                      f"residual/tol={stats['worst_residual_over_tol']:.3g}")
         else:
             margin = f"no records, exit codes {stats.get('exit_codes')}"
         print(f"{family:22s} checks={stats['checks']:5d} "

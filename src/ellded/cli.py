@@ -398,7 +398,8 @@ def _verify_limit(cfg: RunConfig, n, p, q) -> List[dict]:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-#: Every argument of every subcommand, by flag: its add_argument keywords.
+#: Every argument of every subcommand, by flag: its add_argument keywords;
+#: `_COMMANDS` gives a count flag (-k, -m, -n) its least value.
 _ARGS: Dict[str, dict] = {
     **{flag: dict(type=int, required=True)
        for flag in ("-k", "-m", "-n", "-p", "-q", "-w")},
@@ -438,33 +439,36 @@ _ARGS: Dict[str, dict] = {
 _COMMON = ("--tol", "--seed", "--format", "--max-terms")
 
 #: mode -> subcommand -> (handler, its own arguments in --help order); a
-#: handler takes the RunConfig and the parsed arguments by name
+#: handler takes the RunConfig and the parsed arguments by name.  A count
+#: flag comes with its least value, below which it is a usage error; the
+#: parity of -w stays a domain error.
 _COMMANDS = {
     "eval": {
-        "bernoulli": (_eval_bernoulli, ("-k",)),
-        "apostol-sum": (_eval_apostol_sum, ("-k", "-q", "-p")),
+        "bernoulli": (_eval_bernoulli, (("-k", 0),)),
+        "apostol-sum": (_eval_apostol_sum, (("-k", 1), "-q", "-p")),
         "g-poly": (_eval_g_poly, ("-w",)),
-        "eisenstein": (_eval_eisenstein, ("-n", "--kind", "--tau")),
-        "elliptic-bernoulli": (_eval_elliptic_bernoulli, ("-m", "--x", "--y", "--tau")),
+        "eisenstein": (_eval_eisenstein, (("-n", 1), "--kind", "--tau")),
+        "elliptic-bernoulli": (_eval_elliptic_bernoulli,
+                               (("-m", 0), "--x", "--y", "--tau")),
         "zeta-w": (_eval_zeta_w, ("--z", "--order", "--tau")),
-        "elliptic-sum": (_eval_elliptic_sum, ("-n", "-p", "-q", "--route", "--tau")),
-        "reciprocity-rhs": (_eval_reciprocity_rhs, ("-n", "-p", "-q", "--tau")),
+        "elliptic-sum": (_eval_elliptic_sum, (("-n", 1), "-p", "-q", "--route", "--tau")),
+        "reciprocity-rhs": (_eval_reciprocity_rhs, (("-n", 1), "-p", "-q", "--tau")),
         "generating": (_eval_generating, ("--which", "-p", "-q", "--x", "--tau")),
-        "machide": (_eval_machide, ("-m", "-n", "--vec-a", "--vec-b", "--vec-c",
+        "machide": (_eval_machide, (("-m", 0), ("-n", 0), "--vec-a", "--vec-b", "--vec-c",
                                     "--vec-x", "--vec-y", "--vec-z", "--tau")),
-        "period-data": (_eval_period_data, ("-n",)),
+        "period-data": (_eval_period_data, (("-n", 1),)),
     },
     "verify": {
         "apostol-reciprocity": (_verify_apostol_reciprocity, ("--w-max", "--pq-max")),
-        "thm11": (_verify_thm11, ("-n", "-p", "-q", "--tau")),
-        "three-term": (_verify_three_term, ("-n", "-p", "-q", "--tau")),
+        "thm11": (_verify_thm11, (("-n", 1), "-p", "-q", "--tau")),
+        "three-term": (_verify_three_term, (("-n", 1), "-p", "-q", "--tau")),
         "thm13": (_verify_thm13, ("-p", "-q", "--tau")),
         "prop31": (_verify_prop31, ("-p", "-q", "--s1", "--s2", "--tau")),
         "lemma32": (_verify_lemma32, ("-p", "-q", "--s", "--t", "--tau")),
-        "eq73": (_verify_eq73, ("-n", "--tau")),
+        "eq73": (_verify_eq73, (("-n", 1), "--tau")),
         "eq64": (_verify_eq64, ("-w", "--tau")),
         "basis-rank": (_verify_basis_rank, ("-w", "--num-tau")),
-        "limit": (_verify_limit, ("-n", "-p", "-q")),
+        "limit": (_verify_limit, (("-n", 1), "-p", "-q")),
     },
 }
 
@@ -482,7 +486,11 @@ def build_parser() -> argparse.ArgumentParser:
         for name, (_, flags) in _COMMANDS[mode].items():
             p = subs.add_parser(name)
             for flag in flags + _COMMON:
-                p.add_argument(flag, **_ARGS[flag])
+                if isinstance(flag, tuple):
+                    flag, least = flag
+                    p.add_argument(flag, **dict(_ARGS[flag], type=_count_arg(least)))
+                else:
+                    p.add_argument(flag, **_ARGS[flag])
     return root
 
 

@@ -19,6 +19,8 @@ bit for bit.
 
 The Weierstrass and elliptic Bernoulli functions are array kernels
 (`*_points`) on the engine; the scalar functions are one-point calls to them.
+`elliptic_bernoulli_points` also takes an order per point, so that the B_m
+factors of every order that a symbol needs share one pass.
 The Weierstrass kernels run at tau reduced to the fundamental domain
 (`_reduction`) and map their values back by weight; the elliptic Bernoulli
 and Eisenstein functions run at tau itself.
@@ -343,7 +345,8 @@ def _kahan_add(s, c, x):
 # Block series: one series in every column of a batch
 # ---------------------------------------------------------------------------
 
-#: term rows of a series' first block; each later block doubles it
+#: term rows of a series' first block; each later block runs twice the rows
+#: of the one before
 FIRST_BLOCK = 8
 #: column-terms in one block at most: bounds the memory of the block arrays
 #: for large batches, where the width falls to BLOCK_ELEMENTS // columns
@@ -371,11 +374,14 @@ def _block_series(start: np.ndarray, start_rnd: np.ndarray, terms,
     column stops after its jth term, j >= 2, once its last `streak` terms
     were small, and fails if it is still running after its `cap` terms.  A
     column that stops or fails leaves the batch at the end of its block.
-    Blocks start at FIRST_BLOCK rows and double, within BLOCK_ELEMENTS
-    column-terms and the least cap, so every result is bit-identical to a
-    term-by-term run's.  Returns per column the Kahan state (s, c) where it
-    stopped, the j it stopped at, its last size and its summed rounding
-    bound; a failed column has j = 0 and its partial sum as s."""
+    The first block has FIRST_BLOCK rows and each later one twice the rows
+    the last one ran, within BLOCK_ELEMENTS column-terms and the least cap,
+    so every result is bit-identical to a term-by-term run's; once the wide
+    part of a batch has left, its narrow rest grows again from the rows it
+    ran, not at once to BLOCK_ELEMENTS // columns.  Returns per column the
+    Kahan state (s, c) where it stopped, the j it stopped at, its last size
+    and its summed rounding bound; a failed column has j = 0 and its
+    partial sum as s."""
     n = len(start)
     out_s, out_c = np.empty(n, dtype=complex), np.empty(n, dtype=complex)
     out_j, out_last, out_rnd = np.zeros(n, dtype=int), np.empty(n), np.empty(n)
@@ -420,7 +426,7 @@ def _block_series(start: np.ndarray, start_rnd: np.ndarray, terms,
             keep = ~leave
             idx, s, c, rnd, cap = idx[keep], s[keep], c[keep], rnd[keep], cap[keep]
             prev, state = prev[:, keep], tuple(a[keep] for a in state)
-        width *= 2
+        width = 2 * rows
     return out_s, out_c, out_j, out_last, out_rnd
 
 
@@ -708,20 +714,33 @@ def _bernoulli_poly_float(m: int, y):
     return acc
 
 
-def elliptic_bernoulli_points(m: int, x, y, tau: TauPoint,
+def elliptic_bernoulli_points(m, x, y, tau: TauPoint,
                               policy: SeriesPolicy = DEFAULT_POLICY) -> ComplexArray:
     """`elliptic_bernoulli` at every point (x[i], y[i]) of two equal-length
-    arrays, in one batched run of its series."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
+    arrays, in one batched run of its series.
+
+    `m` is one order for every point, or an integer array of orders aligned
+    with x and y; all the orders then run in the same pass, each point's
+    value and err equal to a one-order call's bit for bit."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    _lattice_check(x, y, lambda i: (f"B_{m}({float(x[i])}, {float(y[i])}; tau): "
-                                    "x - y*tau is a lattice point"))
-    if m == 0 or not x.size:
-        return ComplexArray(np.ones(len(x), dtype=complex), np.zeros(len(x)))
-    cap = _check_tau(tau, policy)
-    return _bernoulli_series(m, x, y, tau, cap, policy)
+    per_point = np.ndim(m) > 0
+    if per_point:
+        m = np.asarray(m)
+        if m.dtype.kind not in "iu" or m.shape != x.shape:
+            raise ValueError("m must be an int or an integer array aligned with x and y")
+    if np.any(m < 0):
+        raise ValueError("m must be >= 0")
+    _lattice_check(x, y, lambda i: (f"B_{m[i] if per_point else m}({float(x[i])}, "
+                                    f"{float(y[i])}; tau): x - y*tau is a lattice point"))
+    # B_0 = 1 with err 0: only the points of order >= 1 run
+    out = ComplexArray(np.ones(len(x), dtype=complex), np.zeros(len(x)))
+    run = np.broadcast_to(m > 0, x.shape)
+    if run.any():
+        b = _bernoulli_series(m[run] if per_point else m, x[run], y[run], tau,
+                              _check_tau(tau, policy), policy)
+        out.value[run], out.err[run] = b.value, b.err
+    return out
 
 
 #: 2 pi in units of 2^-53: turns an absolute error of an exponential's
@@ -729,10 +748,18 @@ def elliptic_bernoulli_points(m: int, x, y, tau: TauPoint,
 _TWO_PI_ULPS = 2.0 * math.pi * 2.0**53
 
 
-def _bernoulli_series(m: int, x: np.ndarray, y: np.ndarray, tau: TauPoint, cap: int,
+def _bernoulli_series(m, x: np.ndarray, y: np.ndarray, tau: TauPoint, cap: int,
                       policy: SeriesPolicy, arg_err=(0.0, 0.0, 0.0)) -> ComplexArray:
     """B_m(x, y; tau), m >= 1, at points that passed the lattice check, by
     the series of `elliptic_bernoulli` with term cap `cap`.
+
+    `m` is one order, or an integer array with an order per point, where
+    all the orders run in one pass.  Every step that depends on the order,
+    the power (y -+ j)^(m-1) of a term, the closing term, the tail, the
+    Bernoulli polynomial and the rounding bound, runs once per order on the
+    points of that order with m a Python int, as a one-order call runs it:
+    numpy squares for ** 2, while an integer-array exponent goes through
+    pow, which need not round the same way.
 
     `arg_err` = (dx, dy, dtau) bounds the absolute errors of x, y and tau,
     zeros where they are exact (every B_m but zeta's B_1 at a reduced tau),
@@ -740,6 +767,11 @@ def _bernoulli_series(m: int, x: np.ndarray, y: np.ndarray, tau: TauPoint, cap: 
     2 pi dx to the argument of e(+-x), 2 pi (dy |tau| + (j + 1) dtau) to
     that of w = e((j -+ y) tau), 2 pi (dx + dy |tau| + y dtau) to that of
     the closing term's exponential, and dy to B_1(y) = y - 1/2."""
+    orders = None
+    if np.ndim(m):
+        orders = np.flatnonzero(np.bincount(m)).tolist()
+        if len(orders) == 1:
+            m, orders = orders[0], None
     t = tau.tau
     y = y - np.floor(y)
     # x is off-integer where y snaps to exactly 0 (lattice check above)
@@ -761,44 +793,66 @@ def _bernoulli_series(m: int, x: np.ndarray, y: np.ndarray, tau: TauPoint, cap: 
     err_x = _exp_err(TWO_PI_I * x) + _TWO_PI_ULPS * (dx + 3.0 * dy * abs(t))
     err_v = _TWO_PI_ULPS * (dx + dy * abs(t) + y * dt)
 
-    def terms(js, y, emy, epy, emx, epx, err_x):
+    def terms(js, y, emy, epy, emx, epx, err_x, *order_row):
         # one row per j;  e(-y tau) q^j = e((j - y) tau),  e(y tau) q^j = e((j + y) tau)
         qj = np.array([cmath.exp(TWO_PI_I * j * t) for j in js])[:, None]
         j = np.array(js, dtype=float)[:, None]
         w1, w2 = emy * qj, epy * qj
         d1 = emx - w1
         t1, t2 = w1 / d1, -(w2 / (epx - w2))
-        if m > 1:
-            t1, t2 = (y - j) ** (m - 1) * t1, (y + j) ** (m - 1) * t2
+        if orders is None:
+            if m > 1:
+                t1, t2 = (y - j) ** (m - 1) * t1, (y + j) ** (m - 1) * t2
+            mc = m
+        else:
+            mc = order_row[0]
+            for k in orders:
+                if k > 1:
+                    on = mc[0] == k
+                    t1[:, on] = (y[:, on] - j) ** (k - 1) * t1[:, on]
+                    t2[:, on] = (y[:, on] + j) ** (k - 1) * t2[:, on]
         a1, a2 = np.abs(t1), np.abs(t2)
         size = a1 + a2
         err_w = g * (j + 1) + 11.0
-        rnd = (a1 / np.abs(d1) + kappa * a2) * (err_x + err_w) + size * (m + 11.0 + err_w)
+        rnd = (a1 / np.abs(d1) + kappa * a2) * (err_x + err_w) + size * (mc + 11.0 + err_w)
         return t1, t2, size, rnd
 
     emx = np.exp(-TWO_PI_I * x)
     s, c, j, last, rnd = _points_series(
         np.zeros(len(x), dtype=complex), np.zeros(len(x)), terms,
         (y, np.exp(-TWO_PI_I * y * t), np.exp(TWO_PI_I * y * t), emx, emx.conj(),
-         err_x),
+         err_x) + (() if orders is None else (m,)),
         cap, policy.tol, "elliptic Bernoulli series")
-    arg = TWO_PI_I * (-x + y * t)
-    v = np.exp(arg)
-    closing = y ** (m - 1) * v / (v - 1)
-    acc, _ = _kahan_add(s, c, closing)
-    r = decay * ((j + 1 + y) / np.maximum(j - y, 0.5)) ** (m - 1) if m > 1 else decay
-    r = np.minimum(r, 0.99)
-    tail = m * (2.0 * last * r / (1.0 - r) + 1e-16 * np.abs(acc) * j)
-    value = m * acc + _bernoulli_poly_float(m, y)
-    # first-order rounding: the terms, the closing term (as above, with
-    # v - 1 for the denominator), the Kahan sum, m * acc, the Bernoulli
-    # polynomial's Horner steps (at most sum_j |C(m, j) B_j| on [0, 1)) and
-    # the final sum
-    err_v = _exp_err(arg) + err_v
-    rnd = rnd + np.abs(closing) * (m + 10.0 + err_v * (1.0 + np.abs(v) / np.abs(v - 1)))
-    rnd = (m * (rnd + 3.0 * np.abs(acc))
-           + 2.0 * (m + 1) * sum(map(abs, _bernoulli_poly_float_coeffs(m))) + np.abs(value))
-    return ComplexArray(value, tail + 2.0**-53 * rnd + dy)
+
+    def finish(m, x, y, s, c, j, last, rnd, err_v):
+        arg = TWO_PI_I * (-x + y * t)
+        v = np.exp(arg)
+        closing = y ** (m - 1) * v / (v - 1)
+        acc, _ = _kahan_add(s, c, closing)
+        r = decay * ((j + 1 + y) / np.maximum(j - y, 0.5)) ** (m - 1) if m > 1 else decay
+        r = np.minimum(r, 0.99)
+        tail = m * (2.0 * last * r / (1.0 - r) + 1e-16 * np.abs(acc) * j)
+        value = m * acc + _bernoulli_poly_float(m, y)
+        # first-order rounding: the terms, the closing term (as above, with
+        # v - 1 for the denominator), the Kahan sum, m * acc, the Bernoulli
+        # polynomial's Horner steps (at most sum_j |C(m, j) B_j| on [0, 1))
+        # and the final sum
+        err_v = _exp_err(arg) + err_v
+        rnd = rnd + np.abs(closing) * (m + 10.0 + err_v * (1.0 + np.abs(v) / np.abs(v - 1)))
+        rnd = (m * (rnd + 3.0 * np.abs(acc))
+               + 2.0 * (m + 1) * sum(map(abs, _bernoulli_poly_float_coeffs(m)))
+               + np.abs(value))
+        return value, tail + 2.0**-53 * rnd
+
+    cols = (x, y, s, c, j, last, rnd, err_v)
+    if orders is None:
+        value, err = finish(m, *cols)
+    else:
+        value, err = np.empty(len(x), dtype=complex), np.empty(len(x))
+        for k in orders:
+            on = m == k
+            value[on], err[on] = finish(k, *(a[on] for a in cols))
+    return ComplexArray(value, err + dy)
 
 
 def elliptic_bernoulli(m: int, x: float, y: float, tau: TauPoint,

@@ -89,10 +89,22 @@ def _division_z(lam: np.ndarray, mu: np.ndarray, tau: TauPoint, p: int) -> np.nd
     return (lam + mu * t.real) / p + 1j * (mu * t.imag / p)
 
 
-def _halves(a: ComplexArray) -> Tuple[ComplexArray, ComplexArray]:
-    """The first and second halves of a batch that evaluated two factors at once."""
-    n = len(a) // 2
-    return ComplexArray(a.value[:n], a.err[:n]), ComplexArray(a.value[n:], a.err[n:])
+def _parts(a: ComplexArray, sizes: Sequence[int]) -> List[ComplexArray]:
+    """A batch that evaluated several factors at once, cut into consecutive
+    parts of the given sizes."""
+    ends = np.cumsum(sizes).tolist()
+    return [ComplexArray(a.value[e - n:e], a.err[e - n:e]) for n, e in zip(sizes, ends)]
+
+
+def _bernoulli_factors(factors: Sequence[Tuple[int, np.ndarray, np.ndarray]],
+                       tau: TauPoint, policy: SeriesPolicy) -> List[ComplexArray]:
+    """B_m at the points (x, y) of each factor (m, x, y), every order in one
+    `elliptic_bernoulli_points` pass; one ComplexArray per factor."""
+    sizes = [len(x) for _, x, _ in factors]
+    return _parts(elliptic_bernoulli_points(
+        np.repeat([m for m, _, _ in factors], sizes),
+        np.concatenate([x for _, x, _ in factors]),
+        np.concatenate([y for _, _, y in factors]), tau, policy), sizes)
 
 
 def _fsum(*parts: Union[ComplexArray, ComplexVal]) -> ComplexVal:
@@ -145,9 +157,8 @@ def elliptic_apostol_sum(n: int, pair: CoprimePair, tau: TauPoint,
         val = total * (1.0 / ((TWO_PI_I**2).real * p * math.factorial(2 * n)))
     else:
         q_inv = pow(q % p, -1, p) if p > 1 else 0
-        b_hi = elliptic_bernoulli_points(2 * n + 1, -lam / p, mu / p, tau, policy)
-        b_lo = elliptic_bernoulli_points(1, -q_inv * lam / p, q_inv * mu / p,
-                                         tau, policy)
+        b_hi, b_lo = _bernoulli_factors([(2 * n + 1, -lam / p, mu / p),
+                                         (1, -q_inv * lam / p, q_inv * mu / p)], tau, policy)
         total = _fsum(b_hi * b_lo)
         val = total * (-(TWO_PI_I ** (2 * n)) * p ** (2 * n - 1)
                        / math.factorial(2 * n + 1))
@@ -236,8 +247,9 @@ def generating_D(pair: CoprimePair, tau: TauPoint, x: float,
     lam, mu = _division_points(p)
     z = _division_z(lam, mu, tau, p)
     # both brackets in one batch
-    first, second = _halves(_zeta_bracket(np.concatenate((z - x, q * z)),
-                                          np.concatenate((mu, q * mu)) / p, tau, policy))
+    first, second = _parts(_zeta_bracket(np.concatenate((z - x, q * z)),
+                                         np.concatenate((mu, q * mu)) / p, tau, policy),
+                           [len(z)] * 2)
     return _fsum(first * second) * (1.0 / ((TWO_PI_I**2).real * p))
 
 
@@ -322,24 +334,37 @@ class MachideSpec:
             raise ValueError("degenerate spec: b'z' - c'y' in gcd(b',c') Z (or within 1e-9)")
 
 
-def machide_sum(spec: MachideSpec, tau: TauPoint,
-                policy: SeriesPolicy = DEFAULT_POLICY) -> ComplexVal:
-    """S^tau_{m,n}: the (1/c') double residue-class sum of two elliptic
-    Bernoulli factors at the rescaled parameters (a'/a) tau and (b'/b) tau."""
+def _machide_factors(spec: MachideSpec) -> List[Tuple[int, np.ndarray, np.ndarray]]:
+    """The two elliptic Bernoulli factors (order, x, y) of S^tau_{m,n} over
+    0 <= j' < c', 0 <= j < c: B_m at (a'(j'+z')/c' - x', a(j+z)/c - x) and
+    B_n at (b'(j'+z')/c' - y', b(j+z)/c - y)."""
     ap, a = spec.vec_a
     bp, b = spec.vec_b
     cp, c = spec.vec_c
     xp, x = spec.vec_x
     yp, y = spec.vec_y
     zp, z = spec.vec_z
+    j, jp = _grid(c, cp)
+    return [(spec.m, ap * (jp + zp) / cp - xp, a * (j + z) / c - x),
+            (spec.n, bp * (jp + zp) / cp - yp, b * (j + z) / c - y)]
+
+
+def machide_sum(spec: MachideSpec, tau: TauPoint,
+                policy: SeriesPolicy = DEFAULT_POLICY) -> ComplexVal:
+    """S^tau_{m,n}: the (1/c') double residue-class sum of two elliptic
+    Bernoulli factors at the rescaled parameters (a'/a) tau and (b'/b) tau;
+    one pass for both where the two are equal."""
+    ap, a = spec.vec_a
+    bp, b = spec.vec_b
     tau_a = TauPoint(ap / a * tau.tau)
     tau_b = TauPoint(bp / b * tau.tau)
-    j, jp = _grid(c, cp)
-    f1 = elliptic_bernoulli_points(
-        spec.m, ap * (jp + zp) / cp - xp, a * (j + z) / c - x, tau_a, policy)
-    f2 = elliptic_bernoulli_points(
-        spec.n, bp * (jp + zp) / cp - yp, b * (j + z) / c - y, tau_b, policy)
-    return _fsum(f1 * f2) * (1.0 / cp)
+    factors = _machide_factors(spec)
+    if tau_a == tau_b:
+        f1, f2 = _bernoulli_factors(factors, tau_a, policy)
+    else:
+        f1 = elliptic_bernoulli_points(*factors[0], tau_a, policy)
+        f2 = elliptic_bernoulli_points(*factors[1], tau_b, policy)
+    return _fsum(f1 * f2) * (1.0 / spec.vec_c[0])
 
 
 def machide_reciprocity_residuals(pair: CoprimePair, s: float, t: float,
@@ -361,6 +386,10 @@ def machide_reciprocity_residuals(pair: CoprimePair, s: float, t: float,
               + (c/a) S_{0,2}(A3) - S_{1,1}(A3)
 
     with a = 1, b = p, c = q.  All three are zero in exact arithmetic.
+
+    The three use eight distinct sums.  Every vector has equal components,
+    so both factors of each sum run at tau itself, and all sixteen factors,
+    the five B_0 = 1 among them, come from one pass.
     """
     pair.require_u()
     p, q = pair.p, pair.q
@@ -370,23 +399,20 @@ def machide_reciprocity_residuals(pair: CoprimePair, s: float, t: float,
     arr1 = (va, vb, vc, vx, vy, vz)
     arr2 = (vb, vc, va, vy, vz, vx)
     arr3 = (vc, va, vb, vz, vx, vy)
+    keys = [(arr2, 2, 0), (arr3, 0, 2), (arr1, 2, 0), (arr2, 0, 2),
+            (arr1, 0, 2), (arr1, 1, 1), (arr2, 1, 1), (arr3, 1, 1)]
+    specs = [MachideSpec(*arr, m, n) for arr, m, n in keys]
+    f = _bernoulli_factors([xy for spec in specs for xy in _machide_factors(spec)],
+                           tau, policy)
+    S = {key: _fsum(f1 * f2) * (1.0 / spec.vec_c[0])
+         for key, spec, f1, f2 in zip(keys, specs, f[::2], f[1::2])}
 
-    sums = {}
-
-    def S(arr, m, n):
-        # r1..r3 share three of their nine sums; evaluate each once
-        key = (arr, m, n)
-        if key not in sums:
-            spec = MachideSpec(arr[0], arr[1], arr[2], arr[3], arr[4], arr[5], m, n)
-            sums[key] = machide_sum(spec, tau, policy)
-        return sums[key]
-
-    r1 = S(arr2, 2, 0) * (-c / (2 * b)) + S(arr3, 0, 2) * (c / (2 * a))
-    r2 = S(arr1, 2, 0) * (b / (2 * a)) - S(arr2, 0, 2) * (b / (2 * c))
-    r3 = (S(arr1, 0, 2) * (a / (2 * b)) - S(arr1, 1, 1)
-          + S(arr1, 2, 0) * (b / (2 * a))
-          - S(arr2, 1, 1) - S(arr2, 2, 0) * (c / (2 * b))
-          + S(arr3, 0, 2) * (c / a) - S(arr3, 1, 1))
+    r1 = S[arr2, 2, 0] * (-c / (2 * b)) + S[arr3, 0, 2] * (c / (2 * a))
+    r2 = S[arr1, 2, 0] * (b / (2 * a)) - S[arr2, 0, 2] * (b / (2 * c))
+    r3 = (S[arr1, 0, 2] * (a / (2 * b)) - S[arr1, 1, 1]
+          + S[arr1, 2, 0] * (b / (2 * a))
+          - S[arr2, 1, 1] - S[arr2, 2, 0] * (c / (2 * b))
+          + S[arr3, 0, 2] * (c / a) - S[arr3, 1, 1])
     return r1, r2, r3
 
 
@@ -395,29 +421,27 @@ def machide_reciprocity_residuals(pair: CoprimePair, s: float, t: float,
 # ---------------------------------------------------------------------------
 
 
-def _b1_division_sum(p: int, q: int, s: float, tau: TauPoint,
-                     policy: SeriesPolicy) -> ComplexVal:
-    """(1/p) sum_{(l,m) != 0}^{p-1} B_1(l/p - s, m/p) B_1(q l/p, q m/p)."""
-    lam, mu = _division_points(p)
-    # both factors in one batch
-    first, second = _halves(elliptic_bernoulli_points(
-        1, np.concatenate((lam / p - s, q * lam / p)), np.concatenate((mu, q * mu)) / p,
-        tau, policy))
-    return _fsum(first * second) * (1.0 / p)
-
-
 def proposition31_residual(pair: CoprimePair, s: float, tau: TauPoint,
                            policy: SeriesPolicy = DEFAULT_POLICY) -> ComplexVal:
     """Left side of the B_1-level reciprocity identity minus its four
     s-dependent right-side terms.  The contract is that the result does not
-    depend on s and equals -E_2(tau)/((2 pi i)^2 pq)."""
+    depend on s and equals -E_2(tau)/((2 pi i)^2 pq).
+
+    The left side is the sum of the two division sums
+    (1/p) sum_{(l,m) != 0}^{p-1} B_1(l/p - s, m/p) B_1(q l/p, q m/p) and the
+    same with p and q swapped; their four factors and the B_1 and B_2 at
+    (ps, 0) and (qs, 0) come from one pass."""
     pair.require_u()
     p, q = pair.p, pair.q
     if not 0 < abs(s) < 1 / (2 * max(p, q)):
         raise ValueError(f"need 0 < |s| < 1/(2 max(p,q)), got {s}")
-    lhs = _b1_division_sum(p, q, s, tau, policy) + _b1_division_sum(q, p, s, tau, policy)
-    b1 = elliptic_bernoulli_points(1, [p * s, q * s], [0.0, 0.0], tau, policy)
-    b2 = elliptic_bernoulli_points(2, [p * s, q * s], [0.0, 0.0], tau, policy)
+    factors = []
+    for u, v in ((p, q), (q, p)):
+        lam, mu = _division_points(u)
+        factors += [(1, lam / u - s, mu / u), (1, v * lam / u, v * mu / u)]
+    factors += [(m, [p * s, q * s], [0.0, 0.0]) for m in (1, 2)]
+    f1p, f2p, f1q, f2q, b1, b2 = _bernoulli_factors(factors, tau, policy)
+    lhs = _fsum(f1p * f2p) * (1.0 / p) + _fsum(f1q * f2q) * (1.0 / q)
     rhs = -(b1[0] * b1[1])
     rhs = rhs + b2[0] * (q / (2 * p))
     rhs = rhs + b2[1] * (p / (2 * q))

@@ -287,3 +287,59 @@ def test_phi_poly_matches_recurrence():
     for k in (40, *range(41)):
         assert qseries._phi_poly(k) == tuple(_phi_poly_recurrence(k))
     assert qseries._phi_poly.cache_info().currsize == 41
+
+
+# ---------------------------------------------------------------------------
+# Passes per symbol and the block rule
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """Records, for every `_block_series` pass, its columns, the rows of
+    each block it ran and the last j any column stopped at."""
+    seen = []
+    run = qseries._block_series
+
+    def spy(start, start_rnd, terms, state, cap, small, streak):
+        rows = []
+
+        def counted(js, *cols):
+            rows.append(len(js))
+            return terms(js, *cols)
+
+        out = run(start, start_rnd, counted, state, cap, small, streak)
+        seen.append((len(start), rows, int(out[2].max(initial=0))))
+        return out
+
+    monkeypatch.setattr(qseries, "_block_series", spy)
+    return seen
+
+
+def test_one_bernoulli_pass_per_symbol(passes):
+    """The Machide triple takes its eleven B_m factors from one pass; a
+    Prop. 3.1 residual its B_1 and B_2 from one and pe from another; the
+    Bernoulli route both factors from one."""
+    tau = TauPoint(0.3 + 1.1j)
+    symbols.machide_reciprocity_residuals(CoprimePair(5, 3), 0.013, 0.007, tau)
+    assert len(passes) == 1
+    passes.clear()
+    symbols.proposition31_residual(CoprimePair(5, 3), 0.04, tau)
+    assert len(passes) == 2
+    passes.clear()
+    symbols.elliptic_apostol_sum(2, CoprimePair(5, 3), tau, Route.BERNOULLI_PRODUCT)
+    assert len(passes) == 1
+
+
+def test_narrow_tail_grows_from_the_rows_it_ran(passes):
+    """In the merged Prop. 3.1 batch at (23, 17) and Im tau = 0.06, the
+    B_1 division sums run in blocks of two rows and stop by j = 76, and
+    B_2 at (23 s, 0), (17 s, 0) runs on to j = 87: the two columns left
+    grow from two rows again, and the pass runs under 2 j + FIRST_BLOCK
+    rows in all."""
+    symbols.proposition31_residual(CoprimePair(23, 17), 0.3 / 46, TauPoint(0.2 + 0.06j))
+    columns, rows, last = passes[0]
+    assert columns == 2 * (23**2 - 1) + 2 * (17**2 - 1) + 4
+    assert sum(rows) < 2 * last + qseries.FIRST_BLOCK
+    for columns, rows, last in passes:
+        assert sum(rows) < 2 * last + qseries.FIRST_BLOCK

@@ -132,6 +132,19 @@ class TestVerifyExitCodes:
         ["verify", "basis-rank", "-w", "10", "--num-tau", "-3"],
         ["verify", "basis-rank", "-w", "10", "--num-tau", "two"],
         ["eval", "zeta-w", "--z", "0.1+0.2i", "--order", "-1", "--tau", "0+1i"],
+        # each subcommand's own least -k, -m, -n
+        ["eval", "eisenstein", "-n", "0", "--tau", "1i"],
+        ["eval", "period-data", "-n", "0"],
+        ["verify", "eq73", "-n", "0", "--tau", "1i"],
+        ["verify", "thm11", "-n", "0", "-p", "3", "-q", "2", "--tau", "1i"],
+        ["eval", "elliptic-sum", "-n", "0", "-p", "3", "-q", "2", "--tau", "1i"],
+        ["eval", "bernoulli", "-k", "-1"],
+        ["eval", "apostol-sum", "-k", "0", "-q", "2", "-p", "3"],
+        ["eval", "elliptic-bernoulli", "-m", "-1", "--x", "0.1", "--y", "0.2",
+         "--tau", "1i"],
+        ["eval", "machide", "-m", "-1", "-n", "0", "--vec-a", "1,1", "--vec-b", "1,1",
+         "--vec-c", "2,2", "--vec-x", "0.1,0", "--vec-y", "0.2,0", "--vec-z", "0.3,0",
+         "--tau", "1i"],
     ])
     def test_out_of_range_count_is_usage_error(self, argv):
         # before, these ran nothing (exit 0), hit a domain error (exit 3) or
@@ -146,6 +159,18 @@ class TestVerifyExitCodes:
         code, out, _ = run_cli(
             ["verify", "apostol-reciprocity", "--w-max", "2", "--pq-max", "1"])
         assert code == 0 and len(out.splitlines()) == 1
+        for argv in (["eval", "bernoulli", "-k", "0"],
+                     ["eval", "apostol-sum", "-k", "1", "-q", "2", "-p", "3"],
+                     ["eval", "elliptic-bernoulli", "-m", "0", "--x", "0.1", "--y", "0.2",
+                      "--tau", "1i"],
+                     ["eval", "machide", "-m", "0", "-n", "0", "--vec-a", "1,1",
+                      "--vec-b", "1,1", "--vec-c", "2,2", "--vec-x", "0.1,0",
+                      "--vec-y", "0.2,0", "--vec-z", "0.3,0", "--tau", "1i"],
+                     ["eval", "period-data", "-n", "1"]):
+            assert run_cli(argv)[0] == 0, argv
+        # the parity of w is a domain error, not a count
+        code, _, err = run_cli(["eval", "g-poly", "-w", "3"])
+        assert code == 3 and "even" in err
         # one term is a valid cap; the series just does not converge in it
         code, _, err = run_cli(
             ["eval", "eisenstein", "-n", "1", "--tau", "1i", "--max-terms", "1"])

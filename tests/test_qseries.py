@@ -535,6 +535,50 @@ class TestBatchedKernels:
         with pytest.raises(NonConvergenceError):
             ref.elliptic_bernoulli(2, 0.3, 0.2, tau, policy)
 
+    @pytest.mark.parametrize("t", [0.3 + 1.1j, 0.3 + 0.06j])
+    def test_mixed_orders_match_one_order_calls(self, t):
+        """A call with an order per point, unsorted and with B_0 among them,
+        equals the one-order calls of each order bit for bit."""
+        tau = TauPoint(t)
+        grid = _division_grid(7) + [(0.3, 1 - 1e-13), (-0.7, 0.0)]
+        xs, ys = (np.array(a) for a in zip(*grid))
+        orders = np.array([(3, 0, 1, 5, 2, 1, 0)[i % 7] for i in range(len(grid))])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SlowNomeWarning)
+            mixed = elliptic_bernoulli_points(orders, xs, ys, tau)
+            for k in np.unique(orders):
+                on = orders == k
+                alone = elliptic_bernoulli_points(int(k), xs[on], ys[on], tau)
+                assert mixed.value[on].tobytes() == alone.value.tobytes()
+                assert mixed.err[on].tobytes() == alone.err.tobytes()
+
+    def test_mixed_orders_errors(self):
+        """A lattice point is named with its own order; under a capped
+        policy the partial is that of the first point, in the caller's order,
+        that fails alone."""
+        tau = TauPoint(1j)
+        with pytest.raises(LatticePointError, match=r"^B_5\(2\.0, -1\.0"):
+            elliptic_bernoulli_points([2, 5, 1], [0.3, 2.0, 0.5], [0.1, -1.0, 0.2], tau)
+        with pytest.raises(ValueError, match="m must be >= 0"):
+            elliptic_bernoulli_points([2, -1], [0.3, 0.4], [0.1, 0.2], tau)
+        with pytest.raises(ValueError, match="aligned"):
+            elliptic_bernoulli_points([2, 1, 1], [0.3, 0.4], [0.1, 0.2], tau)
+        policy = SeriesPolicy(max_terms=5)
+        # B_0, two points that converge within the cap, then two that do
+        # not: B_3 ahead of a B_1
+        orders, xs, ys = [0, 1, 2, 3, 1], [0.3, 0.5, 0.3, 0.4, 0.3], [0.2, 0.0, 0.2, 0.5, 0.9]
+        alone = []
+        for k, x, y in zip(orders, xs, ys):
+            try:
+                elliptic_bernoulli_points(k, [x], [y], tau, policy)
+            except NonConvergenceError as e:
+                alone.append(e)
+        assert len(alone) == 2
+        with pytest.raises(NonConvergenceError) as info:
+            elliptic_bernoulli_points(orders, xs, ys, tau, policy)
+        assert str(info.value) == str(alone[0])
+        assert repr(info.value.partial) == repr(alone[0].partial)
+
     def test_one_slow_nome_warning_per_call(self):
         tau = TauPoint(0.1 + 0.08j)
 
@@ -548,6 +592,9 @@ class TestBatchedKernels:
         xs, ys = zip(*grid)
         zs = [x + y * tau.tau for x, y in grid]
         assert warnings_of(lambda: elliptic_bernoulli_points(3, xs, ys, tau)) == 1
+        # one pass for every order of a mixed-order call
+        orders = [(0, 3, 1, 2)[i % 4] for i in range(len(xs))]
+        assert warnings_of(lambda: elliptic_bernoulli_points(orders, xs, ys, tau)) == 1
         assert warnings_of(lambda: weierstrass_p_deriv_points(3, zs, tau)) == 1
         # zeta runs two series, B_1 over the batch and E_2 once
         assert warnings_of(lambda: weierstrass_zeta_points(zs, tau)) == 2

@@ -21,10 +21,34 @@ def test_fast_sweep_fields():
     assert sum(s["elapsed_s"] for s in families.values()) <= report["elapsed_s"] + 0.1
     exact = families["apostol-reciprocity"]
     assert exact["nonzero_exact"] == 0 and "worst_residual" not in exact
+    assert "worst_residual_over_tol" not in exact
     for family, stats in families.items():
         if family != "apostol-reciprocity":
             assert "nonzero_exact" not in stats
             assert 0 <= stats["worst_residual"] < 1e-6
+            # every family passed, so every margin is below 1
+            assert 0 <= stats["worst_residual_over_tol"] < 1
+
+
+def test_worst_margin_is_over_each_records_own_tol(monkeypatch, tmp_path, capsys):
+    # the largest residual is not the worst margin: its tol is looser
+    records = [{"residual": 4e-9, "tol": 1e-8, "pass": True},
+               {"residual": 6e-8, "tol": 1e-6, "pass": True},
+               {"residual": 0.0, "tol": 1e-9, "pass": True}]
+
+    def fake_cli(argv):
+        for rec in records:
+            print(json.dumps(rec))
+        return 0
+
+    monkeypatch.setattr(run_verification, "cli_main", fake_cli)
+    monkeypatch.setattr(run_verification, "command_grid", lambda cfg: [("thm11", [])])
+    out = tmp_path / "report.json"
+    assert run_verification.main(["--out", str(out)]) == 0
+    stats = json.loads(out.read_text())["families"]["thm11"]
+    assert stats["worst_residual"] == 6e-8
+    assert stats["worst_residual_over_tol"] == 4e-9 / 1e-8
+    assert "residual/tol=0.4" in capsys.readouterr().out
 
 
 def test_nonzero_exact_residual_is_counted(monkeypatch):

@@ -39,7 +39,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -724,21 +724,19 @@ def elliptic_bernoulli_points(m, x, y, tau: TauPoint,
     value and err equal to a one-order call's bit for bit."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    per_point = np.ndim(m) > 0
-    if per_point:
-        m = np.asarray(m)
-        if m.dtype.kind not in "iu" or m.shape != x.shape:
-            raise ValueError("m must be an int or an integer array aligned with x and y")
+    m = np.asarray(m)
+    if m.dtype.kind not in "iu" or (m.ndim and m.shape != x.shape):
+        raise ValueError("m must be an int or an integer array aligned with x and y")
+    m = np.full(x.shape, m, dtype=np.intp)
     if np.any(m < 0):
         raise ValueError("m must be >= 0")
-    _lattice_check(x, y, lambda i: (f"B_{m[i] if per_point else m}({float(x[i])}, "
-                                    f"{float(y[i])}; tau): x - y*tau is a lattice point"))
+    _lattice_check(x, y, lambda i: (f"B_{m[i]}({float(x[i])}, {float(y[i])}; tau): "
+                                    "x - y*tau is a lattice point"))
     # B_0 = 1 with err 0: only the points of order >= 1 run
     out = ComplexArray(np.ones(len(x), dtype=complex), np.zeros(len(x)))
-    run = np.broadcast_to(m > 0, x.shape)
+    run = m > 0
     if run.any():
-        b = _bernoulli_series(m[run] if per_point else m, x[run], y[run], tau,
-                              _check_tau(tau, policy), policy)
+        b = _bernoulli_series(m[run], x[run], y[run], tau, _check_tau(tau, policy), policy)
         out.value[run], out.err[run] = b.value, b.err
     return out
 
@@ -753,13 +751,13 @@ def _bernoulli_series(m, x: np.ndarray, y: np.ndarray, tau: TauPoint, cap: int,
     """B_m(x, y; tau), m >= 1, at points that passed the lattice check, by
     the series of `elliptic_bernoulli` with term cap `cap`.
 
-    `m` is one order, or an integer array with an order per point, where
-    all the orders run in one pass.  Every step that depends on the order,
-    the power (y -+ j)^(m-1) of a term, the closing term, the tail, the
-    Bernoulli polynomial and the rounding bound, runs once per order on the
-    points of that order with m a Python int, as a one-order call runs it:
-    numpy squares for ** 2, while an integer-array exponent goes through
-    pow, which need not round the same way.
+    `m` is an integer array with an order per point; all the orders run in
+    one pass.  Every step that depends on the order, the power
+    (y -+ j)^(m-1) of a term, the closing term, the tail, the Bernoulli
+    polynomial and the rounding bound, runs once per order
+    (`_order_groups`) with m a Python int: numpy squares for ** 2, while an
+    integer-array exponent goes through pow, which need not round the same
+    way.  So each point's result does not depend on the other orders.
 
     `arg_err` = (dx, dy, dtau) bounds the absolute errors of x, y and tau,
     zeros where they are exact (every B_m but zeta's B_1 at a reduced tau),
@@ -767,11 +765,7 @@ def _bernoulli_series(m, x: np.ndarray, y: np.ndarray, tau: TauPoint, cap: int,
     2 pi dx to the argument of e(+-x), 2 pi (dy |tau| + (j + 1) dtau) to
     that of w = e((j -+ y) tau), 2 pi (dx + dy |tau| + y dtau) to that of
     the closing term's exponential, and dy to B_1(y) = y - 1/2."""
-    orders = None
-    if np.ndim(m):
-        orders = np.flatnonzero(np.bincount(m)).tolist()
-        if len(orders) == 1:
-            m, orders = orders[0], None
+    orders = sorted(set(m.tolist()))
     t = tau.tau
     y = y - np.floor(y)
     # x is off-integer where y snaps to exactly 0 (lattice check above)
@@ -793,35 +787,31 @@ def _bernoulli_series(m, x: np.ndarray, y: np.ndarray, tau: TauPoint, cap: int,
     err_x = _exp_err(TWO_PI_I * x) + _TWO_PI_ULPS * (dx + 3.0 * dy * abs(t))
     err_v = _TWO_PI_ULPS * (dx + dy * abs(t) + y * dt)
 
-    def terms(js, y, emy, epy, emx, epx, err_x, *order_row):
+    def terms(js, y, emy, epy, emx, epx, err_x, mc):
         # one row per j;  e(-y tau) q^j = e((j - y) tau),  e(y tau) q^j = e((j + y) tau)
         qj = np.array([cmath.exp(TWO_PI_I * j * t) for j in js])[:, None]
         j = np.array(js, dtype=float)[:, None]
         w1, w2 = emy * qj, epy * qj
         d1 = emx - w1
         t1, t2 = w1 / d1, -(w2 / (epx - w2))
-        if orders is None:
-            if m > 1:
-                t1, t2 = (y - j) ** (m - 1) * t1, (y + j) ** (m - 1) * t2
-            mc = m
-        else:
-            mc = order_row[0]
-            for k in orders:
-                if k > 1:
-                    on = mc[0] == k
-                    t1[:, on] = (y[:, on] - j) ** (k - 1) * t1[:, on]
-                    t2[:, on] = (y[:, on] + j) ** (k - 1) * t2[:, on]
+        groups = _order_groups(orders, mc[0])
+        for k, on in groups:
+            if k > 1:
+                t1[:, on] = (y[:, on] - j) ** (k - 1) * t1[:, on]
+                t2[:, on] = (y[:, on] + j) ** (k - 1) * t2[:, on]
         a1, a2 = np.abs(t1), np.abs(t2)
         size = a1 + a2
         err_w = g * (j + 1) + 11.0
-        rnd = (a1 / np.abs(d1) + kappa * a2) * (err_x + err_w) + size * (mc + 11.0 + err_w)
+        rnd = (a1 / np.abs(d1) + kappa * a2) * (err_x + err_w)
+        for k, on in groups:
+            rnd[:, on] += size[:, on] * (k + 11.0 + err_w)
         return t1, t2, size, rnd
 
     emx = np.exp(-TWO_PI_I * x)
     s, c, j, last, rnd = _points_series(
         np.zeros(len(x), dtype=complex), np.zeros(len(x)), terms,
         (y, np.exp(-TWO_PI_I * y * t), np.exp(TWO_PI_I * y * t), emx, emx.conj(),
-         err_x) + (() if orders is None else (m,)),
+         err_x, m),
         cap, policy.tol, "elliptic Bernoulli series")
 
     def finish(m, x, y, s, c, j, last, rnd, err_v):
@@ -845,14 +835,20 @@ def _bernoulli_series(m, x: np.ndarray, y: np.ndarray, tau: TauPoint, cap: int,
         return value, tail + 2.0**-53 * rnd
 
     cols = (x, y, s, c, j, last, rnd, err_v)
-    if orders is None:
-        value, err = finish(m, *cols)
-    else:
-        value, err = np.empty(len(x), dtype=complex), np.empty(len(x))
-        for k in orders:
-            on = m == k
-            value[on], err[on] = finish(k, *(a[on] for a in cols))
+    value, err = np.empty(len(x), dtype=complex), np.empty(len(x))
+    for k, on in _order_groups(orders, m):
+        value[on], err[on] = finish(k, *(a[on] for a in cols))
     return ComplexArray(value, err + dy)
+
+
+def _order_groups(orders: List[int], m: np.ndarray
+                  ) -> List[Tuple[int, Union[slice, np.ndarray]]]:
+    """(k, the columns of m of order k) for each of the sorted distinct
+    `orders` of m; for one order the columns are all of them, as a slice,
+    which costs no masking."""
+    if len(orders) == 1:
+        return [(orders[0], slice(None))]
+    return [(k, m == k) for k in orders]
 
 
 def elliptic_bernoulli(m: int, x: float, y: float, tau: TauPoint,
@@ -1030,7 +1026,8 @@ def _zeta_series(x: np.ndarray, y: np.ndarray, tau: TauPoint, cap: int,
     nx = np.floor(x)
     ny = np.floor(y)
     x0, y0 = x - nx, y - ny
-    b1 = _bernoulli_series(1, x0, y0, tau, cap, policy, arg_err)
+    b1 = _bernoulli_series(np.ones(len(x0), dtype=np.intp), x0, y0, tau, cap, policy,
+                           arg_err)
     # keep z0 consistent with the snap inside B_1
     y0 = np.where((y0 < _LATTICE_EPS) | (y0 > 1 - _LATTICE_EPS), np.rint(y0), y0)
     z0 = x0 - y0 * tau.tau

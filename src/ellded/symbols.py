@@ -352,18 +352,12 @@ def _machide_factors(spec: MachideSpec) -> List[Tuple[int, np.ndarray, np.ndarra
 def machide_sum(spec: MachideSpec, tau: TauPoint,
                 policy: SeriesPolicy = DEFAULT_POLICY) -> ComplexVal:
     """S^tau_{m,n}: the (1/c') double residue-class sum of two elliptic
-    Bernoulli factors at the rescaled parameters (a'/a) tau and (b'/b) tau;
-    one pass for both where the two are equal."""
+    Bernoulli factors at the rescaled parameters (a'/a) tau and (b'/b) tau."""
     ap, a = spec.vec_a
     bp, b = spec.vec_b
-    tau_a = TauPoint(ap / a * tau.tau)
-    tau_b = TauPoint(bp / b * tau.tau)
-    factors = _machide_factors(spec)
-    if tau_a == tau_b:
-        f1, f2 = _bernoulli_factors(factors, tau_a, policy)
-    else:
-        f1 = elliptic_bernoulli_points(*factors[0], tau_a, policy)
-        f2 = elliptic_bernoulli_points(*factors[1], tau_b, policy)
+    (m, x1, y1), (n, x2, y2) = _machide_factors(spec)
+    f1 = elliptic_bernoulli_points(m, x1, y1, TauPoint(ap / a * tau.tau), policy)
+    f2 = elliptic_bernoulli_points(n, x2, y2, TauPoint(bp / b * tau.tau), policy)
     return _fsum(f1 * f2) * (1.0 / spec.vec_c[0])
 
 

@@ -563,6 +563,14 @@ class TestBatchedKernels:
             elliptic_bernoulli_points([2, -1], [0.3, 0.4], [0.1, 0.2], tau)
         with pytest.raises(ValueError, match="aligned"):
             elliptic_bernoulli_points([2, 1, 1], [0.3, 0.4], [0.1, 0.2], tau)
+        with pytest.raises(ValueError, match="aligned"):
+            elliptic_bernoulli_points([2.0, 1.0], [0.3, 0.4], [0.1, 0.2], tau)
+        # unsigned orders are taken as they are
+        unsigned = elliptic_bernoulli_points(np.array([2, 1], dtype=np.uint64),
+                                             [0.3, 0.4], [0.1, 0.2], tau)
+        signed = elliptic_bernoulli_points([2, 1], [0.3, 0.4], [0.1, 0.2], tau)
+        assert unsigned.value.tobytes() == signed.value.tobytes()
+        assert unsigned.err.tobytes() == signed.err.tobytes()
         policy = SeriesPolicy(max_terms=5)
         # B_0, two points that converge within the cap, then two that do
         # not: B_3 ahead of a B_1

@@ -794,17 +794,14 @@ def _bernoulli_series(m, x: np.ndarray, y: np.ndarray, tau: TauPoint, cap: int,
         w1, w2 = emy * qj, epy * qj
         d1 = emx - w1
         t1, t2 = w1 / d1, -(w2 / (epx - w2))
-        groups = _order_groups(orders, mc[0])
-        for k, on in groups:
+        for k, on in _order_groups(orders, mc[0]):
             if k > 1:
                 t1[:, on] = (y[:, on] - j) ** (k - 1) * t1[:, on]
                 t2[:, on] = (y[:, on] + j) ** (k - 1) * t2[:, on]
         a1, a2 = np.abs(t1), np.abs(t2)
         size = a1 + a2
         err_w = g * (j + 1) + 11.0
-        rnd = (a1 / np.abs(d1) + kappa * a2) * (err_x + err_w)
-        for k, on in groups:
-            rnd[:, on] += size[:, on] * (k + 11.0 + err_w)
+        rnd = (a1 / np.abs(d1) + kappa * a2) * (err_x + err_w) + size * (mc + 11.0 + err_w)
         return t1, t2, size, rnd
 
     emx = np.exp(-TWO_PI_I * x)

@@ -39,7 +39,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -668,13 +668,16 @@ def _lattice_check(x: np.ndarray, y: np.ndarray, message) -> None:
 
 
 def _points_series(start: np.ndarray, start_rnd: np.ndarray, terms,
-                   state: Tuple[np.ndarray, ...], cap: int, tol: float, what: str):
+                   state: Tuple[np.ndarray, ...], cap: int, tol: float, what: str,
+                   rank: Optional[np.ndarray] = None):
     """`_block_series` over a batch of points, whose `terms` return per j
     and point the two jth terms, added as one, |term 1| + |term 2| and the
     pair's rounding bound.  A point stops after its jth pair once j >= 2 and
     the pair is below tol relative to max(|sum|, 1).  Raises
     NonConvergenceError, with the partial sum of the first point that
-    failed, if some point is still running after `cap` terms."""
+    failed, if some point is still running after `cap` terms; first in the
+    batch, or by `rank`, the points' places in the caller's order, where
+    the batch runs them in another."""
 
     def pairs(js, *rows):
         t1, t2, size, r = terms(js, *rows)
@@ -684,9 +687,11 @@ def _points_series(start: np.ndarray, start_rnd: np.ndarray, terms,
         start, start_rnd, pairs, state, np.full(len(start), cap),
         lambda size, sums: size <= tol * np.maximum(np.abs(sums), 1.0), 1)
     if not j.all():
-        # j.argmin() is the first point that failed, with j = 0
+        # a failed point has j = 0
+        failed = np.flatnonzero(j == 0)
+        first = failed[0] if rank is None else failed[np.argmin(rank[failed])]
         raise NonConvergenceError(f"{what} hit max_terms={cap}",
-                                  ComplexVal(complex(s[j.argmin()]), float("inf")))
+                                  ComplexVal(complex(s[first]), float("inf")))
     return s, c, j, last, rnd
 
 
@@ -732,11 +737,13 @@ def elliptic_bernoulli_points(m, x, y, tau: TauPoint,
         raise ValueError("m must be >= 0")
     _lattice_check(x, y, lambda i: (f"B_{m[i]}({float(x[i])}, {float(y[i])}; tau): "
                                     "x - y*tau is a lattice point"))
-    # B_0 = 1 with err 0: only the points of order >= 1 run
+    # B_0 = 1 with err 0: only the points of order >= 1 run, sorted by order
     out = ComplexArray(np.ones(len(x), dtype=complex), np.zeros(len(x)))
-    run = m > 0
-    if run.any():
-        b = _bernoulli_series(m[run], x[run], y[run], tau, _check_tau(tau, policy), policy)
+    run = np.flatnonzero(m > 0)
+    if run.size:
+        run = run[np.argsort(m[run], kind="stable")]
+        b = _bernoulli_series(m[run], x[run], y[run], tau, _check_tau(tau, policy), policy,
+                              rank=run)
         out.value[run], out.err[run] = b.value, b.err
     return out
 
@@ -746,18 +753,20 @@ def elliptic_bernoulli_points(m, x, y, tau: TauPoint,
 _TWO_PI_ULPS = 2.0 * math.pi * 2.0**53
 
 
-def _bernoulli_series(m, x: np.ndarray, y: np.ndarray, tau: TauPoint, cap: int,
-                      policy: SeriesPolicy, arg_err=(0.0, 0.0, 0.0)) -> ComplexArray:
+def _bernoulli_series(m: np.ndarray, x: np.ndarray, y: np.ndarray, tau: TauPoint, cap: int,
+                      policy: SeriesPolicy, arg_err=(0.0, 0.0, 0.0),
+                      rank: Optional[np.ndarray] = None) -> ComplexArray:
     """B_m(x, y; tau), m >= 1, at points that passed the lattice check, by
     the series of `elliptic_bernoulli` with term cap `cap`.
 
-    `m` is an integer array with an order per point; all the orders run in
-    one pass.  Every step that depends on the order, the power
+    `m` is an ascending integer array with an order per point; all the
+    orders run in one pass, each on a slice of the columns
+    (`_order_groups`).  Every step that depends on the order, the power
     (y -+ j)^(m-1) of a term, the closing term, the tail, the Bernoulli
-    polynomial and the rounding bound, runs once per order
-    (`_order_groups`) with m a Python int: numpy squares for ** 2, while an
-    integer-array exponent goes through pow, which need not round the same
-    way.  So each point's result does not depend on the other orders.
+    polynomial and the rounding bound, runs once per order with m a Python
+    int: numpy squares for ** 2, while an integer-array exponent goes
+    through pow, which need not round the same way.  So each point's result
+    does not depend on the other orders.  `rank` is as in `_points_series`.
 
     `arg_err` = (dx, dy, dtau) bounds the absolute errors of x, y and tau,
     zeros where they are exact (every B_m but zeta's B_1 at a reduced tau),
@@ -765,7 +774,6 @@ def _bernoulli_series(m, x: np.ndarray, y: np.ndarray, tau: TauPoint, cap: int,
     2 pi dx to the argument of e(+-x), 2 pi (dy |tau| + (j + 1) dtau) to
     that of w = e((j -+ y) tau), 2 pi (dx + dy |tau| + y dtau) to that of
     the closing term's exponential, and dy to B_1(y) = y - 1/2."""
-    orders = sorted(set(m.tolist()))
     t = tau.tau
     y = y - np.floor(y)
     # x is off-integer where y snaps to exactly 0 (lattice check above)
@@ -794,14 +802,17 @@ def _bernoulli_series(m, x: np.ndarray, y: np.ndarray, tau: TauPoint, cap: int,
         w1, w2 = emy * qj, epy * qj
         d1 = emx - w1
         t1, t2 = w1 / d1, -(w2 / (epx - w2))
-        for k, on in _order_groups(orders, mc[0]):
+        groups = _order_groups(mc[0])
+        for k, on in groups:
             if k > 1:
                 t1[:, on] = (y[:, on] - j) ** (k - 1) * t1[:, on]
                 t2[:, on] = (y[:, on] + j) ** (k - 1) * t2[:, on]
         a1, a2 = np.abs(t1), np.abs(t2)
         size = a1 + a2
         err_w = g * (j + 1) + 11.0
-        rnd = (a1 / np.abs(d1) + kappa * a2) * (err_x + err_w) + size * (mc + 11.0 + err_w)
+        rnd = (a1 / np.abs(d1) + kappa * a2) * (err_x + err_w)
+        for k, on in groups:
+            rnd[:, on] += size[:, on] * (k + 11.0 + err_w)
         return t1, t2, size, rnd
 
     emx = np.exp(-TWO_PI_I * x)
@@ -809,7 +820,7 @@ def _bernoulli_series(m, x: np.ndarray, y: np.ndarray, tau: TauPoint, cap: int,
         np.zeros(len(x), dtype=complex), np.zeros(len(x)), terms,
         (y, np.exp(-TWO_PI_I * y * t), np.exp(TWO_PI_I * y * t), emx, emx.conj(),
          err_x, m),
-        cap, policy.tol, "elliptic Bernoulli series")
+        cap, policy.tol, "elliptic Bernoulli series", rank)
 
     def finish(m, x, y, s, c, j, last, rnd, err_v):
         arg = TWO_PI_I * (-x + y * t)
@@ -833,19 +844,22 @@ def _bernoulli_series(m, x: np.ndarray, y: np.ndarray, tau: TauPoint, cap: int,
 
     cols = (x, y, s, c, j, last, rnd, err_v)
     value, err = np.empty(len(x), dtype=complex), np.empty(len(x))
-    for k, on in _order_groups(orders, m):
+    for k, on in _order_groups(m):
         value[on], err[on] = finish(k, *(a[on] for a in cols))
     return ComplexArray(value, err + dy)
 
 
-def _order_groups(orders: List[int], m: np.ndarray
-                  ) -> List[Tuple[int, Union[slice, np.ndarray]]]:
-    """(k, the columns of m of order k) for each of the sorted distinct
-    `orders` of m; for one order the columns are all of them, as a slice,
-    which costs no masking."""
-    if len(orders) == 1:
-        return [(orders[0], slice(None))]
-    return [(k, m == k) for k in orders]
+def _order_groups(m: np.ndarray) -> List[Tuple[int, slice]]:
+    """(k, the slice of the columns of order k) for each order k, as a
+    Python int, of the ascending order row m; a slice selects without
+    copying, so one order costs no masking."""
+    if not m.size:
+        return []
+    if m[0] == m[-1]:
+        # one order, as in zeta's B_1: no cuts to look for
+        return [(int(m[0]), slice(None))]
+    cuts = [0, *(np.flatnonzero(m[1:] != m[:-1]) + 1).tolist(), len(m)]
+    return [(int(m[lo]), slice(lo, hi)) for lo, hi in zip(cuts, cuts[1:])]
 
 
 def elliptic_bernoulli(m: int, x: float, y: float, tau: TauPoint,

@@ -113,7 +113,7 @@ def test_pinned_bit_identity():
 # ---------------------------------------------------------------------------
 
 
-def _series_by_term(start, start_rnd, terms, state, cap, tol, what):
+def _series_by_term(start, start_rnd, terms, state, cap, tol, what, rank=None):
     """`qseries._points_series` one term at a time: the terms are asked for
     one j at a time and a point leaves the batch at the j it stops at.  The
     reference that the blocks must reproduce bit for bit."""
@@ -142,8 +142,9 @@ def _series_by_term(start, start_rnd, terms, state, cap, tol, what):
             idx, s, c, rnd = idx[keep], s[keep], c[keep], rnd[keep]
             state = tuple(a[keep] for a in state)
     if idx.size:
+        first = 0 if rank is None else np.argmin(rank[idx])
         raise NonConvergenceError(f"{what} hit max_terms={cap}",
-                                  ComplexVal(complex(s[0]), float("inf")))
+                                  ComplexVal(complex(s[first]), float("inf")))
     return out_s, out_c, out_j, out_last, out_rnd
 
 

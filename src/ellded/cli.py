@@ -36,7 +36,6 @@ from .qseries import (
     eisenstein_normalized,
     eisenstein_tau_derivative,
     elliptic_bernoulli,
-    weierstrass_zeta,
     weierstrass_zeta_deriv,
 )
 from .symbols import (
@@ -226,11 +225,7 @@ def _eval_elliptic_bernoulli(cfg: RunConfig, m, x, y, tau):
 
 
 def _eval_zeta_w(cfg: RunConfig, z, order, tau):
-    if order == 0:
-        val = weierstrass_zeta(z, tau, cfg.policy())
-    else:
-        val = weierstrass_zeta_deriv(order, z, tau, cfg.policy())
-    return val.to_json_obj()
+    return weierstrass_zeta_deriv(order, z, tau, cfg.policy()).to_json_obj()
 
 
 def _eval_elliptic_sum(cfg: RunConfig, n, p, q, route, tau):

@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import List, Tuple
 
@@ -228,17 +229,25 @@ def verify_eq64_onedim(w: int, tau: TauPoint,
         R^-_w(p,q;tau) + (2 i pi^w / w!) (r_w(G_{w+2}) / (G,G))
                          r^-(G_{w+2})(p,q) G_{w+2}(tau)
 
-    for weights with no cusp forms (w in {2, 4, 6, 8, 12})."""
+    for weights with no cusp forms (w in {2, 4, 6, 8, 12}).  The scalar is
+    formed exactly as (2 pi i)^w alpha_w (`_eq64_alpha`) and r^-(G_{w+2})
+    is g_w."""
     d, _ = dim_data(w)
     if d != 0:
         raise ValueError(f"w = {w} has d_w = {d} > 0; the one-dimensional form needs d_w = 0")
-    n = w // 2
     lhs, _ = reciprocity_laurent(w, tau, policy)
-    pd = eisenstein_period_data(n)
-    g_val = eisenstein_normalized(n + 1, tau, policy)
-    scalar = -(2j * math.pi**w / math.factorial(w)) * pd.r2n / pd.petersson * g_val.value
-    rhs = LaurentPoly({e: scalar * complex(c) for e, c in pd.odd_period.coeffs.items()})
+    g_val = eisenstein_normalized(w // 2 + 1, tau, policy)
+    scalar = -(TWO_PI_I**w) * float(_eq64_alpha(w)) * g_val.value
+    rhs = LaurentPoly({e: scalar * complex(c) for e, c in g_poly(w).coeffs.items()})
     return lhs - rhs
+
+
+@lru_cache(maxsize=None)
+def _eq64_alpha(w: int) -> Fraction:
+    """alpha_w = 4 (w+2) / (w! B_{w+2}), with (2 i pi^w / w!) r_w / (G,G)
+    = (2 pi i)^w alpha_w for the period data of `eisenstein_period_data`,
+    whose zeta(w+1) cancels in the ratio."""
+    return Fraction(4 * (w + 2)) / (math.factorial(w) * bernoulli_number(w + 2))
 
 
 def random_taus(count: int, seed: int) -> List[TauPoint]:

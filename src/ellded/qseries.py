@@ -23,7 +23,8 @@ The Weierstrass and elliptic Bernoulli functions are array kernels
 factors of every order that a symbol needs share one pass.
 The Weierstrass kernels run at tau reduced to the fundamental domain
 (`_reduction`) and map their values back by weight; the elliptic Bernoulli
-and Eisenstein functions run at tau itself.
+and Eisenstein functions run at tau itself.  Each kernel call, B_m pass
+and Eisenstein call checks the caller's tau, and warns about it, once.
 The Eisenstein q-sums are memoised per (n, tau, policy, tau_deriv) in a
 bounded `lru_cache` over a scalar loop; tau is checked, and warned about, on
 every call before the cache is read.  `_eisenstein_q_sums` computes the same
@@ -671,20 +672,15 @@ def _points_series(start: np.ndarray, start_rnd: np.ndarray, terms,
                    state: Tuple[np.ndarray, ...], cap: int, tol: float, what: str,
                    rank: Optional[np.ndarray] = None):
     """`_block_series` over a batch of points, whose `terms` return per j
-    and point the two jth terms, added as one, |term 1| + |term 2| and the
-    pair's rounding bound.  A point stops after its jth pair once j >= 2 and
-    the pair is below tol relative to max(|sum|, 1).  Raises
+    and point the jth term, the sum of the series' two jth terms, with
+    |term 1| + |term 2| as its size.  A point stops after its jth term once
+    j >= 2 and that size is below tol relative to max(|sum|, 1).  Raises
     NonConvergenceError, with the partial sum of the first point that
     failed, if some point is still running after `cap` terms; first in the
     batch, or by `rank`, the points' places in the caller's order, where
     the batch runs them in another."""
-
-    def pairs(js, *rows):
-        t1, t2, size, r = terms(js, *rows)
-        return t1 + t2, size, r
-
     s, c, j, last, rnd = _block_series(
-        start, start_rnd, pairs, state, np.full(len(start), cap),
+        start, start_rnd, terms, state, np.full(len(start), cap),
         lambda size, sums: size <= tol * np.maximum(np.abs(sums), 1.0), 1)
     if not j.all():
         # a failed point has j = 0
@@ -813,7 +809,7 @@ def _bernoulli_series(m: np.ndarray, x: np.ndarray, y: np.ndarray, tau: TauPoint
         rnd = (a1 / np.abs(d1) + kappa * a2) * (err_x + err_w)
         for k, on in groups:
             rnd[:, on] += size[:, on] * (k + 11.0 + err_w)
-        return t1, t2, size, rnd
+        return t1 + t2, size, rnd
 
     emx = np.exp(-TWO_PI_I * x)
     s, c, j, last, rnd = _points_series(
@@ -968,7 +964,9 @@ class _Frame(NamedTuple):
 
 
 def _frame(x: np.ndarray, y: np.ndarray, tau: TauPoint) -> _Frame:
-    """The points x - y tau in the frame of tau's reduction.
+    """The points x - y tau in the frame of tau's reduction.  The frame's
+    tau lies in F, so nothing run there checks it: `_in_frame` checks the
+    caller's tau, once per kernel call.
 
     x and y come from `_decompose`, within 2^-53 (|x| + 2 |y Re tau|) and
     2^-53 |y|; gamma carries those errors into x' and y', and the integer
@@ -999,11 +997,12 @@ def _snap(y: np.ndarray) -> np.ndarray:
 
 
 def _e2(tau: TauPoint, policy: SeriesPolicy, dtau: float) -> ComplexVal:
-    """E_2(tau), its err widened for an error dtau of tau by
+    """E_2 at a frame's tau, from the memoised q-sum, its err widened for an
+    error dtau of tau by
     |dE_2/dtau| = 16 pi^3 |sum_n n sigma_1(n) q^n| <= 16 pi^3 sum_n n^3 |q|^n.
-    A reduced tau has the larger Im, so its check neither warns nor rejects
-    where the caller's passed."""
-    e2 = eisenstein(1, tau, policy)
+    tau is not checked: it lies in F, whose Im is at least the caller's, so
+    a check could neither warn nor reject where `_in_frame`'s passed."""
+    e2 = _eisenstein_of_sum(1, *_eisenstein_q_sum(1, tau, policy, tau_deriv=False))
     r = abs(tau.nome)
     slope = 16.0 * math.pi**3 * r * (1.0 + 4.0 * r + r * r) / (1.0 - r) ** 4
     return ComplexVal(e2.value, e2.err + slope * dtau)
@@ -1020,14 +1019,6 @@ def _decompose(z, tau: TauPoint):
     y = -z.imag / t.imag
     x = z.real + y * t.real
     return x, y
-
-
-def _checked_points(z, tau: TauPoint, pole: str):
-    """z as an array and its (x, y), after the lattice check."""
-    z = np.asarray(z, dtype=complex)
-    x, y = _decompose(z, tau)
-    _lattice_check(x, y, lambda i: f"{pole} pole: z = {complex(z[i])} is on the lattice")
-    return z, x, y
 
 
 def _zeta_series(x: np.ndarray, y: np.ndarray, tau: TauPoint, cap: int,
@@ -1052,15 +1043,14 @@ def _zeta_series(x: np.ndarray, y: np.ndarray, tau: TauPoint, cap: int,
         dx + dy * abs(tau.tau) + np.abs(y) * dt))
 
 
-def _in_frame(series, z, tau: TauPoint, policy: SeriesPolicy, pole: str, checks: int):
+def _in_frame(series, z, tau: TauPoint, policy: SeriesPolicy, pole: str):
     """`series(x, y, tau, cap, policy, arg_err)` at the points z in the
-    frame of tau's reduction, and the frame.  The lattice check and the
-    term cap are the caller's tau's, and so are the `checks` checks and
-    warnings: one for each series that the kernel runs at tau unreduced
-    (zeta a B_1 and an E_2, pe its own and, for k = 0, an E_2)."""
-    z, x, y = _checked_points(z, tau, pole)
-    for _ in range(checks):
-        cap = _check_tau(tau, policy)
+    frame of tau's reduction, and the frame.  The lattice check, the tau
+    check, its one warning, and the term cap are the caller's (z, tau)'s."""
+    z = np.asarray(z, dtype=complex)
+    x, y = _decompose(z, tau)
+    _lattice_check(x, y, lambda i: f"{pole} pole: z = {complex(z[i])} is on the lattice")
+    cap = _check_tau(tau, policy)
     f = _frame(x, y, tau)
     return series(f.x, f.y, f.tau, cap, policy, f.arg_err), f
 
@@ -1069,7 +1059,7 @@ def weierstrass_zeta_points(z, tau: TauPoint,
                             policy: SeriesPolicy = DEFAULT_POLICY) -> ComplexArray:
     """`weierstrass_zeta` at every point of the array z, with one batched
     B_1 series and one E_2, at tau reduced to F."""
-    zeta, f = _in_frame(_zeta_series, z, tau, policy, "zeta", 2)
+    zeta, f = _in_frame(_zeta_series, z, tau, policy, "zeta")
     return zeta if f.red is None else zeta * f.red.weight(1)
 
 
@@ -1095,7 +1085,7 @@ def _zeta_block(z, tau: TauPoint, policy: SeriesPolicy) -> ComplexArray:
     `_Reduction` and `_Reduction.e2_shift`, m^-1 b'(z') - 2 pi i c z' with
     b' = zeta - E_2 z at tau'."""
     z = np.asarray(z, dtype=complex)
-    zeta, f = _in_frame(_zeta_series, z, tau, policy, "zeta", 2)
+    zeta, f = _in_frame(_zeta_series, z, tau, policy, "zeta")
     e2 = _e2(f.tau, policy, f.arg_err[2])
     e2a = ComplexArray(e2.value, e2.err)
     if f.red is None:
@@ -1181,7 +1171,7 @@ def _p_deriv_series(k: int, x: np.ndarray, y: np.ndarray, tau: TauPoint, cap: in
         t1, s1 = _phi(k, u * qjs, pk, pk1)
         t2, s2 = _phi(k, qjs / u, pk, pk1)
         size = np.abs(t1) + np.abs(t2)
-        return t1, par * t2, size, (s1 + s2) * (err_u + (own + 6.0 + j * err_q)) + size
+        return t1 + par * t2, size, (s1 + s2) * (err_u + (own + 6.0 + j * err_q)) + size
 
     start, s0 = _phi(k, u, pk, pk1)
     acc, _, j, last, rnd = _points_series(start, s0 * (err_u + own), terms, (u, err_u),
@@ -1205,7 +1195,7 @@ def weierstrass_p_deriv_points(k: int, z, tau: TauPoint,
     run of its Fourier series at tau reduced to F."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    pe, f = _in_frame(partial(_p_deriv_series, k), z, tau, policy, "pe", 2 if k == 0 else 1)
+    pe, f = _in_frame(partial(_p_deriv_series, k), z, tau, policy, "pe")
     return pe if f.red is None else pe * f.red.weight(k + 2)
 
 
@@ -1229,7 +1219,7 @@ def _pe_blocks(z, n: int, tau: TauPoint, policy: SeriesPolicy):
     """pe at the first n points of z and pe + E_2 at the others, from one
     pe batch.  pe + E_2 never mixes E_2 of two tau: on F it is pe + E_2,
     else m^-2 (pe + E_2)(z'; tau') + 2 pi i c / m."""
-    pe, f = _in_frame(partial(_p_deriv_series, 0), z, tau, policy, "pe", 2)
+    pe, f = _in_frame(partial(_p_deriv_series, 0), z, tau, policy, "pe")
     head = ComplexArray(pe.value[:n], pe.err[:n])
     rest = ComplexArray(pe.value[n:], pe.err[n:]) + _e2(f.tau, policy, f.arg_err[2])
     if f.red is None:

@@ -128,8 +128,8 @@ def _series_by_term(start, start_rnd, terms, state, cap, tol, what, rank=None):
     j = 0
     while idx.size and j < cap:
         j += 1
-        t1, t2, last, r = (a[0] for a in terms(range(j, j + 1), *(a[None] for a in state)))
-        s, c = qseries._kahan_add(s, c, t1 + t2)
+        term, last, r = (a[0] for a in terms(range(j, j + 1), *(a[None] for a in state)))
+        s, c = qseries._kahan_add(s, c, term)
         rnd = rnd + r
         if j < 2:
             continue

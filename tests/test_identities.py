@@ -2,6 +2,7 @@
 the basis-rank demonstration."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -9,6 +10,7 @@ from ellded.exact import CoprimePair, bernoulli_number, dim_data, g_poly
 from ellded.qseries import TauPoint
 from ellded.symbols import reciprocity_rhs
 from ellded.identities import (
+    _eq64_alpha,
     basis_rank,
     c_coefficients,
     coefficient_scale,
@@ -154,6 +156,17 @@ class TestOneDimSpan:
         res = verify_eq64_onedim(w, tau)
         lhs, _ = reciprocity_laurent(w, tau)
         assert res.max_abs_coeff() < 1e-7 * lhs.max_abs_coeff()
+
+    def test_alpha_is_the_period_ratio(self):
+        # the exact alpha_w against the float scalar it replaced, built from
+        # the period data, whose zeta(w+1) cancels
+        assert [_eq64_alpha(w) for w in (2, 4, 6, 8, 12)] == [
+            -240, 42, Fraction(-4, 3), Fraction(11, 840), Fraction(1, 9979200)]
+        for w in range(2, 26, 2):
+            pd = eisenstein_period_data(w // 2)
+            ratio = (2j * math.pi**w / math.factorial(w)) * pd.r2n / pd.petersson
+            exact = TWO_PI_I**w * float(_eq64_alpha(w))
+            assert abs(exact - ratio) <= 1e-13 * abs(ratio), w
 
     def test_rejects_cuspidal_weight(self):
         with pytest.raises(ValueError):

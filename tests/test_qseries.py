@@ -603,10 +603,12 @@ class TestBatchedKernels:
         # one pass for every order of a mixed-order call
         orders = [(0, 3, 1, 2)[i % 4] for i in range(len(xs))]
         assert warnings_of(lambda: elliptic_bernoulli_points(orders, xs, ys, tau)) == 1
+        # zeta and pe check the caller's tau once and run their series, E_2
+        # included, at the reduced tau, which is never slow
         assert warnings_of(lambda: weierstrass_p_deriv_points(3, zs, tau)) == 1
-        # zeta runs two series, B_1 over the batch and E_2 once
-        assert warnings_of(lambda: weierstrass_zeta_points(zs, tau)) == 2
-        assert warnings_of(lambda: weierstrass_zeta_points(zs[:1], tau)) == 2
+        assert warnings_of(lambda: weierstrass_p_deriv_points(0, zs, tau)) == 1
+        assert warnings_of(lambda: weierstrass_zeta_points(zs, tau)) == 1
+        assert warnings_of(lambda: weierstrass_zeta_points(zs[:1], tau)) == 1
 
 
 class TestComplexArray:

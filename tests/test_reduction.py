@@ -63,14 +63,15 @@ def test_reduced_tau_in_F_and_its_bounds(t):
 
 
 def test_caller_tau_checked_and_capped():
-    # the caller's tau is checked, warned about and rejected as unreduced
+    # the caller's tau is checked, warned about and rejected as unreduced,
+    # once per kernel call
     slow = TauPoint(0.08j)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", SlowNomeWarning)
         weierstrass_zeta_points([0.3 + 0.01j], slow)
         weierstrass_p_deriv_points(0, [0.3 + 0.01j], slow)
         weierstrass_p_deriv_points(1, [0.3 + 0.01j], slow)
-    assert sum(issubclass(w.category, SlowNomeWarning) for w in caught) == 5
+    assert sum(issubclass(w.category, SlowNomeWarning) for w in caught) == 3
     for call in (weierstrass_zeta_points, lambda z, t, p: weierstrass_p_deriv_points(2, z, t, p)):
         with pytest.raises(ValueError, match="below the accepted bound"):
             call([0.3 + 0.01j], slow, SeriesPolicy(min_im_tau=0.1))
@@ -93,9 +94,10 @@ POINTS = [(3 / 7, 6 / 7), (-0.45, 0.3), (0.0, 0.5), (2.3, -1.7), (0.05, 0.0)]
 ORDERS = tuple(range(8))
 
 
-def _references(mp, zs, tau):
-    """zeta, pe^(k) for k in ORDERS, b = zeta - E_2 z and pe + E_2 at each
-    z of zs, from theta_1 with nome e^{i pi tau} at the unreduced tau.  By
+def _references(mp, zs, tau, orders=ORDERS):
+    """zeta, pe^(k) for k in `orders` (ascending, from 0), b = zeta - E_2 z
+    and pe + E_2 at each z of zs, as mpmath numbers, from theta_1 with nome
+    e^{i pi tau} at the unreduced tau.  By
     sigma(z) = e^{E_2 z^2/2} theta_1(pi z) / (pi theta_1'(0)),
     b = pi (log theta_1)'(pi z), pe + E_2 = -pi^2 (log theta_1)''(pi z) and
     pe^(k) = -pi^(k+2) (log theta_1)^(k+2)(pi z) for k >= 1; the Taylor
@@ -104,7 +106,7 @@ def _references(mp, zs, tau):
     nome = mp.exp(1j * mp.pi * tau)
     q = mp.exp(2j * mp.pi * tau)
     e2 = mp.pi**2 / 3 * (1 - 24 * mp.nsum(lambda n: n * q**n / (1 - q**n), [1, mp.inf]))
-    top = ORDERS[-1] + 2
+    top = orders[-1] + 2
     refs = []
     for z in zs:
         a = [mp.jtheta(1, mp.pi * z, nome, r) / mp.factorial(r) for r in range(top + 1)]
@@ -115,9 +117,9 @@ def _references(mp, zs, tau):
         b = mp.pi * log[1]
         pe_e2 = -mp.pi**2 * 2 * log[2]
         out = {"zeta": b + e2 * z, "b": b, "pe+e2": pe_e2, 0: pe_e2 - e2}
-        for k in ORDERS[1:]:
+        for k in orders[1:]:
             out[k] = -mp.pi ** (k + 2) * mp.factorial(k + 2) * log[k + 2]
-        refs.append({key: complex(v) for key, v in out.items()})
+        refs.append(out)
     return refs
 
 
@@ -152,6 +154,30 @@ def test_snapped_point_err_mpmath(t):
         ref = _references(mp, [mp.mpc(z.real, z.imag)], mp.mpc(t.real, t.imag))[0]
     for key, v in got.items():
         assert abs(v.value - ref[key]) <= v.err, (key, v, ref[key])
+
+
+@pytest.mark.parametrize("t", [0.3 + 1.1j, 0.2 + 0.3j, 0.3 + 0.06j])
+def test_elliptic_apostol_sum_err_mpmath(t):
+    # D^-_{2n}(p, q) by both routes against its defining sum over the
+    # p-division points z = (lam + mu tau)/p of the theta_1 references,
+    # 1/((2 pi i)^2 p (2n)!) sum zeta^(2n)(z) (b(q z) + 2 pi i q mu/p), with
+    # zeta^(2n) = -pe^(2n-1); only the orders that n = 1, 2 need
+    mp = pytest.importorskip("mpmath")
+    tau = TauPoint(t)
+    for p, q in [(2, 1), (3, 2), (5, 3)]:
+        points = [(lam, mu) for lam in range(p) for mu in range(p) if (lam, mu) != (0, 0)]
+        with mp.workdps(30):
+            mt = mp.mpc(t.real, t.imag)
+            zs = [(lam + mu * mt) / p for lam, mu in points]
+            pe = _references(mp, zs, mt, (0, 1, 3))
+            bracket = [r["b"] + 2j * mp.pi * q * mu / p
+                       for r, (_, mu) in zip(_references(mp, [q * z for z in zs], mt, (0,)), points)]
+            refs = {n: -mp.fsum(r[2 * n - 1] * b for r, b in zip(pe, bracket))
+                    / ((2j * mp.pi) ** 2 * p * mp.factorial(2 * n)) for n in (1, 2)}
+        for n, ref in refs.items():
+            for route in Route:
+                d = symbols.elliptic_apostol_sum(n, CoprimePair(p, q), tau, route).value
+                assert abs(d.value - ref) <= d.err, (n, p, q, route, d, ref)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from .exact import (
 )
 from .qseries import (
     ComplexVal,
-    LatticeCutoff,
     LatticePointError,
     NonConvergenceError,
     SeriesPolicy,
@@ -30,7 +29,6 @@ from .qseries import (
     eisenstein_normalized,
     eisenstein_tau_derivative,
     elliptic_bernoulli,
-    kronecker_direct,
     parse_tau,
     weierstrass_p_deriv,
     weierstrass_zeta,

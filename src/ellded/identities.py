@@ -9,7 +9,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -21,6 +21,9 @@ from .qseries import (
     SeriesPolicy,
     TauPoint,
     _check_n_tau,
+    _cmul,
+    _eisenstein_consts,
+    _eisenstein_q_sums,
     eisenstein_normalized,
     zeta_odd,
 )
@@ -29,7 +32,7 @@ from .symbols import (
     EisensteinTable,
     _eisenstein_table,
     _eisenstein_table_values,
-    _eisenstein_tables,
+    _table_columns,
     reciprocity_rhs,
 )
 
@@ -265,19 +268,44 @@ def basis_rank(w: int, taus: List[TauPoint],
     """Numerical rank of the reciprocity polynomials {R^-_w(.,.;tau_i)} over
     their monomial support (singular values above RANK_THRESHOLD x largest).
 
-    The polynomials equal `reciprocity_laurent`'s; their Eisenstein values
-    come from one pass over the whole sample (`_eisenstein_tables`), which
+    The polynomials equal `reciprocity_laurent`'s; their coefficients come
+    from one Eisenstein pass over the whole sample (`_rank_matrix`), which
     leaves the per-tau caches to the callers that reuse their tau."""
-    n = _half_weight(w)
-    polys = [_laurent_of(_coefficients_of(n, table))[0]
-             for table in _eisenstein_tables(n, taus, policy)]
-    support = sorted({e for poly in polys for e in poly.coeffs})
-    # the explicit shape keeps an empty sample 2-D, which svd accepts
-    mat = np.array(
-        [[complex(poly.coeffs.get(e, 0j)) for e in support] for poly in polys],
-        dtype=complex,
-    ).reshape(len(polys), len(support))
-    sv = np.linalg.svd(mat, compute_uv=False)
+    sv = np.linalg.svd(_rank_matrix(_half_weight(w), taus, policy), compute_uv=False)
     if sv.size == 0 or sv[0] == 0:
         return 0
     return int(np.sum(sv > RANK_THRESHOLD * sv[0]))
+
+
+def _rank_matrix(n: int, taus: Sequence[TauPoint], policy: SeriesPolicy) -> np.ndarray:
+    """The coefficients of R^-_{2n}(.,.;tau), one row per tau of `taus`, in
+    the sorted order of their support: (-1, -1), then (2j-1, 2n+1-2j) for
+    j = 0..n+1.  Each entry equals `reciprocity_laurent`'s bit for bit: the
+    Eisenstein table, c_j and Laurent steps run on (tau x column) arrays
+    with every complex product rounded by `_cmul` as Python rounds it, and
+    no err is formed, since the rank reads none.
+
+    Every tau is checked in order first, each with its own SlowNomeWarning,
+    so a tau that fails its check raises before any series runs; the q-sums
+    come from one `_eisenstein_q_sums` pass, which neither reads nor fills
+    the caches."""
+    for tau in taus:
+        _check_n_tau(n, tau, policy)
+    cols = _table_columns(n)
+    sums = np.array([[s for s, _ in row] for row in _eisenstein_q_sums(taus, cols, policy)],
+                    dtype=complex).reshape(len(taus), len(cols))
+    consts = [_eisenstein_consts(j) for j in range(1, n + 2)]
+    # E_2, ..., E_{2n+2} and dE_{2n}/dtau, as `_table_of` forms them
+    e = (np.array([const for const, _, _, _ in consts])
+         + _cmul(np.array([pref for _, pref, _, _ in consts]), sums[:, :-1]))
+    de = _cmul(consts[n - 1][1], sums[:, -1])
+    # c_0..c_{n+1}, as `_coefficients_of` forms them
+    c = np.empty((len(taus), n + 2), dtype=complex)
+    c[:, 0] = c[:, n + 1] = e[:, n]
+    c[:, 1:n + 1] = -_cmul(e[:, :n], e[:, n - 1::-1])
+    for j in sorted({1, n}):
+        delta = (1 if j == 1 else 0) + (1 if j == n else 0)
+        c[:, j] = c[:, j] + -_cmul(de, delta * 1j * math.pi / n)
+    # the Laurent coefficients, as `_laurent_of` forms them
+    inv = 1.0 / (TWO_PI_I**2).real
+    return np.column_stack((_cmul(c[:, 0], (2 * n + 1) * inv), _cmul(c, inv)))

@@ -1,5 +1,5 @@
-"""q-series engine: Eisenstein series, Weierstrass functions, elliptic
-Bernoulli functions and brute-force lattice-sum oracles.
+"""q-series engine: Eisenstein series, Weierstrass functions and elliptic
+Bernoulli functions.
 
 All evaluation is binary64 complex with explicit truncation-error tracking
 (`ComplexVal.err` bounds the discarded series tails via geometric estimates,
@@ -53,7 +53,6 @@ __all__ = [
     "ComplexVal",
     "ComplexArray",
     "SeriesPolicy",
-    "LatticeCutoff",
     "SlowNomeWarning",
     "parse_tau",
     "eisenstein",
@@ -67,7 +66,6 @@ __all__ = [
     "weierstrass_p_deriv_points",
     "weierstrass_zeta_deriv",
     "sigma_log_tau_derivative",
-    "kronecker_direct",
     "zeta_odd",
 ]
 
@@ -261,7 +259,7 @@ class ComplexArray:
 
 @dataclass(frozen=True)
 class SeriesPolicy:
-    """Truncation contract shared by every q-series and lattice sum."""
+    """Truncation contract shared by every q-series."""
 
     tol: float = 1e-12
     max_terms: int = 10**6
@@ -275,17 +273,6 @@ class SeriesPolicy:
 
 
 DEFAULT_POLICY = SeriesPolicy()
-
-
-@dataclass(frozen=True)
-class LatticeCutoff:
-    """Truncation radius for direct lattice sums: max(|m|, |n|) <= radius."""
-
-    radius: int
-
-    def __post_init__(self):
-        if self.radius < 1:
-            raise ValueError("radius must be >= 1")
 
 
 class NonConvergenceError(RuntimeError):
@@ -346,8 +333,8 @@ def _kahan_add(s, c, x):
 # Block series: one series in every column of a batch
 # ---------------------------------------------------------------------------
 
-#: term rows of a series' first block; each later block runs twice the rows
-#: of the one before
+#: term rows of a kernel series' first block; each later block runs twice
+#: the rows of the one before
 FIRST_BLOCK = 8
 #: column-terms in one block at most: bounds the memory of the block arrays
 #: for large batches, where the width falls to BLOCK_ELEMENTS // columns
@@ -355,7 +342,8 @@ BLOCK_ELEMENTS = 4096
 
 
 def _block_series(start: np.ndarray, start_rnd: np.ndarray, terms,
-                  state: Tuple[np.ndarray, ...], cap: np.ndarray, small, streak: int):
+                  state: Tuple[np.ndarray, ...], cap: np.ndarray, small, streak: int,
+                  first: int = FIRST_BLOCK):
     """Run the series `start + sum_j terms(js, *state)` in every column of a
     batch; each column starts from `start`, whose rounding bound is
     `start_rnd`.
@@ -375,7 +363,7 @@ def _block_series(start: np.ndarray, start_rnd: np.ndarray, terms,
     column stops after its jth term, j >= 2, once its last `streak` terms
     were small, and fails if it is still running after its `cap` terms.  A
     column that stops or fails leaves the batch at the end of its block.
-    The first block has FIRST_BLOCK rows and each later one twice the rows
+    The first block has `first` rows and each later one twice the rows
     the last one ran, within BLOCK_ELEMENTS column-terms and the least cap,
     so every result is bit-identical to a term-by-term run's; once the wide
     part of a batch has left, its narrow rest grows again from the rows it
@@ -391,7 +379,7 @@ def _block_series(start: np.ndarray, start_rnd: np.ndarray, terms,
     # whether each column's last streak - 1 terms were small
     prev = np.zeros((streak - 1, n), dtype=bool)
     j = 0
-    width = FIRST_BLOCK
+    width = first
     while idx.size:
         least = int(cap.min())
         rows = min(width, max(BLOCK_ELEMENTS // idx.size, 1), least - j)
@@ -532,6 +520,26 @@ def _eisenstein_q_sum(n: int, tau: TauPoint, policy: SeriesPolicy,
     return acc, _q_sum_bound(n, tau_deriv, abs(q), k, last, rnd)
 
 
+def _q_sum_rows(aq: float, ell: int, tol: float, streak: int) -> int:
+    """An estimate of the terms a q-sum with |q| = aq runs before its
+    stopping rule fires, from model terms k^ell aq^k: the first k >= 2 that
+    ends `streak` model terms in a row below tol/100 times the largest
+    before them; at most BLOCK_ELEMENTS.  The series runs longer where
+    sigma_ell(k) exceeds k^ell and where its terms cancel, which the
+    hundredth allows for near the fundamental domain; an estimate that
+    falls short costs a second block, not a value."""
+    log_q = math.log(aq) if aq > 0.0 else -math.inf
+    log_tol = math.log(tol) - math.log(100.0)
+    peak, run = -math.inf, 0
+    for k in range(1, BLOCK_ELEMENTS + 1):
+        t = ell * math.log(k) + k * log_q
+        peak = max(peak, t)
+        run = run + 1 if t <= log_tol + peak else 0
+        if run >= streak and k >= 2:
+            return k
+    return BLOCK_ELEMENTS
+
+
 def _eisenstein_q_sums(taus: Sequence[TauPoint], cols: Sequence[Tuple[int, bool]],
                        policy: SeriesPolicy) -> List[List[Tuple[complex, float]]]:
     """`_eisenstein_q_sum(n, tau, policy, tau_deriv)` for every column
@@ -544,10 +552,13 @@ def _eisenstein_q_sums(taus: Sequence[TauPoint], cols: Sequence[Tuple[int, bool]
     float products: Python's complex products add only zeros to them, which
     can change the sign of a zero part but not a Kahan sum that starts from
     +0.  Each column has the scalar loop's rounding sum, three-term stopping
-    rule and term cap.  Does not check tau.  If some columns hit their cap,
-    raises the scalar loop's NonConvergenceError of the first: first tau in
-    order, then first column in order."""
-    ncols = len(cols)
+    rule and term cap.  The first block runs the terms `_q_sum_rows`
+    estimates for the largest |q| and the largest power of k (2n - 1, one
+    more with the 2 pi i k factor), so that a sample near the fundamental
+    domain runs in one block.  Does not check tau.  If some columns hit
+    their cap, raises the scalar loop's NonConvergenceError of the first:
+    first tau in order, then first column in order."""
+    ncols, streak = len(cols), 3
     ells = tuple(sorted({2 * n - 1 for n, _ in cols}))
     tau_of = np.repeat(np.arange(len(taus)), ncols)
     ell_of = np.array([ells.index(2 * n - 1) for n, _ in cols] * len(taus), dtype=int)
@@ -575,10 +586,13 @@ def _eisenstein_q_sums(taus: Sequence[TauPoint], cols: Sequence[Tuple[int, bool]
         size = np.hypot(re, im)  # _abs(term)
         return term, size, size * (kf * err_q + 4.0)
 
+    first = _q_sum_rows(max(map(abs, qs), default=0.0),
+                        max((2 * n - 1 + d for n, d in cols), default=1), policy.tol, streak)
     sums, _, ks, lasts, rnds = (a.tolist() for a in _block_series(
         np.zeros(len(tau_of), dtype=complex), np.zeros(len(tau_of)), terms,
         (tau_of, ell_of, deriv, err_q), cap,
-        lambda size, s: (size <= policy.tol * np.maximum(_abs(s), 1e-300)) | (size == 0.0), 3))
+        lambda size, s: (size <= policy.tol * np.maximum(_abs(s), 1e-300)) | (size == 0.0),
+        streak, first))
     results = []
     for i, tau in enumerate(taus):
         row = []
@@ -1267,41 +1281,6 @@ def sigma_log_tau_derivative(z: complex, tau: TauPoint,
     e2 = eisenstein(1, tau, policy)
     val = (heat[0] + e2 * 2.0) * (1.0 / (4j * math.pi))
     return val + eisenstein_tau_derivative(1, tau, policy) * (z * z / 2)
-
-
-# ---------------------------------------------------------------------------
-# Direct lattice-sum oracle (absolutely convergent weights only)
-# ---------------------------------------------------------------------------
-
-
-def kronecker_direct(k: int, z: complex, tau: TauPoint,
-                     cutoff: LatticeCutoff) -> ComplexVal:
-    """Truncated Kronecker lattice sum
-
-        C_k(z) ~ sum_{|m|,|n| <= R, (m,n) != 0} chi(w conj(z)) / w^k,
-
-    with w = m tau + n and chi(t) = exp(2 pi i Im(t) / Im(tau)).  Only the
-    absolutely convergent range k >= 3 is supported; the reported err is the
-    O(R^{2-k}) lattice tail bound.
-    """
-    if k < 3:
-        raise ValueError("k must be >= 3 (conditionally convergent sums are out of scope)")
-    t = complex(tau.tau)
-    R = cutoff.radius
-    ms = np.arange(-R, R + 1)
-    ns = np.arange(-R, R + 1)
-    M, N = np.meshgrid(ms, ns, indexing="ij")
-    W = M * t + N
-    mask = (M != 0) | (N != 0)
-    Wm = np.where(mask, W, 1.0)
-    chi = np.exp(2j * np.pi * (Wm * np.conjugate(z)).imag / t.imag)
-    terms = np.where(mask, chi / Wm**k, 0.0)
-    # inner sum over n first, then over m (Eisenstein summation order)
-    val = complex(terms.sum(axis=1).sum())
-    # points at ring max(|m|,|n|) = s number ~ 8s and satisfy |w| >= c*s
-    c = min(1.0, t.imag) / (1.0 + abs(t.real))
-    tail = 8.0 * c ** (-k) * R ** (2 - k) / (k - 2)
-    return ComplexVal(val, tail)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ from .qseries import (
     _check_n_tau,
     _eisenstein_of_sum,
     _eisenstein_q_sum,
-    _eisenstein_q_sums,
     _eisenstein_tau_derivative_of_sum,
     _pe_blocks,
     _sigma_log_blocks,
@@ -166,7 +165,7 @@ def elliptic_apostol_sum(n: int, pair: CoprimePair, tau: TauPoint,
 
 
 #: entries of the Eisenstein-table cache; bounded because a caller may
-#: draw fresh tau (`_eisenstein_tables` does not use it)
+#: draw fresh tau (`identities.basis_rank` does not use it)
 TABLE_CACHE_SIZE = 128
 
 EisensteinTable = Tuple[ComplexVal, Tuple[ComplexVal, ...], ComplexVal]
@@ -200,19 +199,6 @@ def _table_of(n: int, sums: Sequence[Tuple[complex, float]]) -> EisensteinTable:
     e = [_eisenstein_of_sum(j, *s) for j, s in enumerate(sums[:-1], 1)]
     return (e[n], tuple(e[j - 1] * e[n - j] for j in range(1, n + 1)),
             _eisenstein_tau_derivative_of_sum(n, *sums[-1]))
-
-
-def _eisenstein_tables(n: int, taus: Sequence[TauPoint],
-                       policy: SeriesPolicy) -> List[EisensteinTable]:
-    """`_eisenstein_table(n, tau, policy)` at every tau of `taus`, equal to
-    it bit for bit, from one `_eisenstein_q_sums` pass that neither reads
-    nor fills the caches.
-
-    Every tau is checked in order first, each with its own SlowNomeWarning,
-    so a tau that fails its check raises before any series runs."""
-    for tau in taus:
-        _check_n_tau(n, tau, policy)
-    return [_table_of(n, sums) for sums in _eisenstein_q_sums(taus, _table_columns(n), policy)]
 
 
 def reciprocity_rhs(n: int, pair: CoprimePair, tau: TauPoint,

@@ -18,12 +18,10 @@ from ellded.exact import (
     verify_apostol_reciprocity,
 )
 from ellded.qseries import (
-    LatticeCutoff,
     TauPoint,
     eisenstein,
     eisenstein_tau_derivative,
     elliptic_bernoulli,
-    kronecker_direct,
 )
 from ellded.symbols import (
     Route,
@@ -45,6 +43,8 @@ from ellded.identities import (
     verify_eq73,
 )
 from ellded.cli import main as cli_main
+
+from lattice_reference import LatticeCutoff, kronecker_direct
 
 TWO_PI_I = 2j * math.pi
 

@@ -1,6 +1,7 @@
 """The batched Eisenstein pass: every q-sum, bound and error bit-identical to
-the scalar loop, and `basis_rank` built from it without touching the per-tau
-caches."""
+the scalar loop, its first block sized from |q|, and the matrix `basis_rank`
+decomposes built from it, equal to `reciprocity_laurent`'s coefficients,
+without touching the per-tau caches."""
 
 import random
 import warnings
@@ -14,10 +15,11 @@ IM_TAUS = [1.5, 1.1, 0.8, 0.3, 0.11, 0.06]
 #: every (n, tau_deriv) column the pass is pinned on
 COLUMNS = [(n, d) for n in range(1, 14) for d in (False, True)]
 POLICIES = [qseries.DEFAULT_POLICY, SeriesPolicy(max_terms=3), SeriesPolicy(max_terms=10)]
-#: under max_terms = 10, a pass over these tau has, in order, columns that
-#: stop inside the first block, columns whose three-term streak runs across
-#: its end, and columns that hit their cap
-BOUNDARY_TAUS = [TauPoint(0.1 + 2.0j), TauPoint(-0.3 + 0.9j)]
+#: under max_terms = 10, a pass over these tau has columns that stop inside
+#: its first block and on each of the two rows after it: both lie next to
+#: the zero q = -2.98e-8 of the weight-26 q-sum sum_k sigma_25(k) q^k, whose
+#: terms cancel there, so that it runs past the rows |q| sizes the block to
+BOUNDARY_TAUS = [TauPoint(0.5 + 2.7578251j), TauPoint(0.5 + 2.75782510497882j)]
 
 #: the uncached scalar loop, which the pass must reproduce
 scalar_q_sum = qseries._eisenstein_q_sum.__wrapped__
@@ -49,6 +51,26 @@ def _scalar_stop(n, tau, tau_deriv, cap):
     return None
 
 
+@pytest.fixture
+def blocks(monkeypatch):
+    """Records the rows of each block of every `_block_series` pass."""
+    seen = []
+    run = qseries._block_series
+
+    def spy(start, start_rnd, terms, *rest):
+        rows = []
+        seen.append(rows)
+
+        def counted(js, *cols):
+            rows.append(len(js))
+            return terms(js, *cols)
+
+        return run(start, start_rnd, counted, *rest)
+
+    monkeypatch.setattr(qseries, "_block_series", spy)
+    return seen
+
+
 def _sample(rng, size):
     return [TauPoint(complex(rng.uniform(-0.5, 0.5), rng.choice(IM_TAUS)))
             for _ in range(size)]
@@ -56,7 +78,7 @@ def _sample(rng, size):
 
 @pytest.mark.parametrize("policy", POLICIES, ids=["default", "max3", "max10"])
 @pytest.mark.parametrize("size", [1, 4, 10])
-def test_pass_matches_scalar_loop(policy, size):
+def test_pass_matches_scalar_loop(blocks, policy, size):
     rng = random.Random(size)
     samples = [[TauPoint(complex(0.2, im))] * size for im in IM_TAUS]
     samples += [_sample(rng, size) for _ in range(3)] + [BOUNDARY_TAUS]
@@ -66,11 +88,25 @@ def test_pass_matches_scalar_loop(policy, size):
             got = _outcome(lambda: qseries._eisenstein_q_sums(taus, cols, policy))
             assert got == expected, ([t.tau for t in taus], cols)
     if policy.max_terms == 10:
-        # the columns that the boundary sample's pass runs before its first
-        # capped one stop inside the first block and just past its end
+        # the boundary sample's columns stop inside its pass's first block
+        # and on both rows after it
+        blocks.clear()
+        qseries._eisenstein_q_sums(BOUNDARY_TAUS, COLUMNS, policy)
+        first = blocks[0][0]
         ks = [_scalar_stop(n, tau, d, 10) for tau in BOUNDARY_TAUS for n, d in COLUMNS]
-        before, first = ks[:ks.index(None)], qseries.FIRST_BLOCK
-        assert min(before) < first and {first + 1, first + 2} & set(before)
+        assert min(ks) < first and {first + 1, first + 2} <= set(ks)
+
+
+def test_basis_rank_pass_runs_one_block(blocks):
+    """Near the fundamental domain the first block, sized from |q|, holds
+    every term of a basis-rank pass."""
+    corners = [TauPoint(complex(re, im)) for re in (-0.4, 0.4) for im in (0.8, 1.5)]
+    for w in range(2, 26, 2):
+        for taus in [corners] + [identities.random_taus(size, seed)
+                                 for size in (1, 4, 10) for seed in range(8)]:
+            blocks.clear()
+            identities.basis_rank(w, taus)
+            assert [len(rows) for rows in blocks] == [1], (w, [t.tau for t in taus])
 
 
 def test_pass_raises_first_failure_in_sample_order():
@@ -113,33 +149,44 @@ def _slow_warnings(call):
     return sum(issubclass(w.category, SlowNomeWarning) for w in caught)
 
 
+def _rows(matrix):
+    return [[repr(complex(x)) for x in row] for row in matrix]
+
+
+def _coefficient_rows(polys):
+    """Each polynomial's coefficients in the sorted order of its support."""
+    return [[repr(p.coeffs[e]) for e in sorted(p.coeffs)] for p in polys]
+
+
 @pytest.mark.parametrize("w", [2, 10, 24])
 def test_basis_rank_tables_equal_the_cached_tables(w):
+    """The matrix basis_rank decomposes, built from one pass that leaves the
+    caches alone, equals what the cached Eisenstein tables give, down to
+    Im tau = 0.09."""
     n = w // 2
     taus = identities.random_taus(7, w) + [TauPoint(0.3 + 0.09j), TauPoint(-0.2 + 0.3j)]
     before = _cache_infos()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SlowNomeWarning)
-        batched = symbols._eisenstein_tables(n, taus, qseries.DEFAULT_POLICY)
+        matrix = identities._rank_matrix(n, taus, qseries.DEFAULT_POLICY)
         assert _cache_infos() == before
-        cached = [symbols._eisenstein_table(n, t, qseries.DEFAULT_POLICY) for t in taus]
-    assert [repr(t) for t in batched] == [repr(t) for t in cached]
+        cached = [identities._laurent_of(identities._coefficients_of(
+            n, symbols._eisenstein_table(n, t, qseries.DEFAULT_POLICY)))[0] for t in taus]
+    assert _rows(matrix) == _coefficient_rows(cached)
 
 
-@pytest.mark.parametrize("w", [2, 12, 22])
+@pytest.mark.parametrize("w", range(2, 42, 2))
 def test_basis_rank_leaves_the_caches_and_warnings_unchanged(w):
     taus = identities.random_taus(6, 3) + [TauPoint(0.25 + 0.1j)]
     before = _cache_infos()
     assert _slow_warnings(lambda: identities.basis_rank(w, taus)) == 1
     assert _cache_infos() == before
-    # the per-tau route warns as often, and its polynomials are the ones
-    # basis_rank builds
+    # the per-tau route warns as often, and its coefficients are the rows
+    # of the matrix basis_rank decomposes, entry by entry
     polys = []
     assert _slow_warnings(
         lambda: polys.extend(identities.reciprocity_laurent(w, t)[0] for t in taus)) == 1
-    n = w // 2
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SlowNomeWarning)
-        tables = symbols._eisenstein_tables(n, taus, qseries.DEFAULT_POLICY)
-    own = [identities._laurent_of(identities._coefficients_of(n, t))[0] for t in tables]
-    assert [repr(p.coeffs) for p in own] == [repr(p.coeffs) for p in polys]
+        matrix = identities._rank_matrix(w // 2, taus, qseries.DEFAULT_POLICY)
+    assert _rows(matrix) == _coefficient_rows(polys)

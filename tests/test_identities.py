@@ -2,12 +2,14 @@
 the basis-rank demonstration."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import pytest
 
+from ellded import qseries
 from ellded.exact import CoprimePair, bernoulli_number, dim_data, g_poly
-from ellded.qseries import TauPoint
+from ellded.qseries import SlowNomeWarning, TauPoint
 from ellded.symbols import reciprocity_rhs
 from ellded.identities import (
     _eq64_alpha,
@@ -199,7 +201,25 @@ class TestBasisRank:
         assert basis_rank(2, random_taus(1, seed=7)) == 1
 
     def test_empty_sample_has_rank_zero(self):
-        assert basis_rank(10, []) == 0
+        for w in range(2, 42, 2):
+            assert basis_rank(w, []) == 0
+
+    def test_rejected_tau_raises_before_any_series(self, monkeypatch):
+        # every tau is checked in order, each with its own warning, and the
+        # first rejected one raises before a q-sum runs or a cache is read
+        taus = [TauPoint(0.1 + 0.09j), TauPoint(0.2 + 1.1j), TauPoint(0.3 + 0.08j),
+                TauPoint(0.1 + 0.04j), TauPoint(0.2 + 0.07j)]
+        ran = []
+        monkeypatch.setattr(qseries, "_block_series", lambda *args: ran.append(args))
+        before = qseries._eisenstein_q_sum.cache_info()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", SlowNomeWarning)
+            with pytest.raises(ValueError, match="Im\\(tau\\) = 0.04 below"):
+                basis_rank(6, taus)
+        assert [str(w.message).split(" gives")[0] for w in caught
+                if issubclass(w.category, SlowNomeWarning)] == ["Im(tau) = 0.09",
+                                                                "Im(tau) = 0.08"]
+        assert not ran and qseries._eisenstein_q_sum.cache_info() == before
 
     @pytest.mark.parametrize("w", [2, 4, 6, 8, 10, 12, 14])
     def test_matches_dimension_and_never_exceeds(self, w):

@@ -18,7 +18,6 @@ from ellded.identities import basis_rank
 from ellded.qseries import (
     ComplexArray,
     ComplexVal,
-    LatticeCutoff,
     LatticePointError,
     NonConvergenceError,
     SeriesPolicy,
@@ -29,7 +28,6 @@ from ellded.qseries import (
     eisenstein_tau_derivative,
     elliptic_bernoulli,
     elliptic_bernoulli_points,
-    kronecker_direct,
     parse_tau,
     sigma_log_tau_derivative,
     weierstrass_p_deriv,
@@ -42,6 +40,7 @@ from ellded.qseries import (
 from ellded.symbols import reciprocity_rhs
 
 import loop_reference as ref
+from lattice_reference import LatticeCutoff, kronecker_direct
 
 TWO_PI_I = 2j * math.pi
 

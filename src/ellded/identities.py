@@ -23,8 +23,9 @@ from .qseries import (
     _check_n_tau,
     _cmul,
     _eisenstein_consts,
+    _eisenstein_normalized_of_sum,
+    _eisenstein_q_sum,
     _eisenstein_q_sums,
-    eisenstein_normalized,
     zeta_odd,
 )
 from .symbols import (
@@ -32,8 +33,8 @@ from .symbols import (
     EisensteinTable,
     _eisenstein_table,
     _eisenstein_table_values,
+    _reciprocity_rhs_of,
     _table_columns,
-    reciprocity_rhs,
 )
 
 #: tolerance of the zeta(2n+1) values in the Eisenstein period data
@@ -125,20 +126,33 @@ def verify_eq73(n: int, k: int, tau: TauPoint,
 
         sum_{i: 2i >= k-1} C(2i, k-1) c_i + sum_{i: 2i <= k} C(2n+2-2i, 2n+2-k) c_i
             = c_{(k-1)/2} (k odd) or c_{k/2} (k even).
+
+    n, k and tau are checked on every call; the residuals of all 2n+2 k are
+    built once per (n, tau, policy), next to the c_j, in a cache of its size.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 1 <= k <= 2 * n + 2:
         raise ValueError(f"k must be in [1, {2*n+2}], got {k}")
-    cv = c_coefficients(n, tau, policy)
-    lhs = ComplexVal(0j, 0.0)
-    for i in range(n + 2):
-        if 2 * i >= k - 1:
-            lhs = lhs + cv.c[i] * float(math.comb(2 * i, k - 1))
-        if 2 * i <= k:
-            lhs = lhs + cv.c[i] * float(math.comb(2 * n + 2 - 2 * i, 2 * n + 2 - k))
-    rhs = cv.c[(k - 1) // 2] if k % 2 == 1 else cv.c[k // 2]
-    return lhs - rhs
+    _check_n_tau(n, tau, policy)
+    return _eq73_residuals(n, tau, policy)[k - 1]
+
+
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _eq73_residuals(n: int, tau: TauPoint, policy: SeriesPolicy) -> Tuple[ComplexVal, ...]:
+    """The residuals of `verify_eq73` for k = 1..2n+2, from the cached c_j."""
+    cs = _c_coefficients_values(n, tau, policy).c
+    out = []
+    for k in range(1, 2 * n + 3):
+        lhs = ComplexVal(0j, 0.0)
+        for i in range(n + 2):
+            if 2 * i >= k - 1:
+                lhs = lhs + cs[i] * float(math.comb(2 * i, k - 1))
+            if 2 * i <= k:
+                lhs = lhs + cs[i] * float(math.comb(2 * n + 2 - 2 * i, 2 * n + 2 - k))
+        rhs = cs[(k - 1) // 2] if k % 2 == 1 else cs[k // 2]
+        out.append(lhs - rhs)
+    return tuple(out)
 
 
 def coefficient_scale(n: int, tau: TauPoint,
@@ -159,21 +173,27 @@ def t_weighted(n: int, pair: CoprimePair, tau: TauPoint,
                policy: SeriesPolicy = DEFAULT_POLICY) -> ComplexVal:
     """T^-_{2n}(p,q;tau) = (2 pi i)^2 pq [ R^-_{2n}(p,q;tau)
     - (2n+1) E_{2n+2} / ((2 pi i)^2 pq) ]."""
+    return _t_weighted_of(n, pair, _eisenstein_table(n, tau, policy))
+
+
+def _t_weighted_of(n: int, pair: CoprimePair, table: EisensteinTable) -> ComplexVal:
+    """`t_weighted` from the Eisenstein table of (n, tau)."""
     p, q = pair.p, pair.q
-    r = reciprocity_rhs(n, pair, tau, policy)
-    e_top = _eisenstein_table(n, tau, policy)[0]
-    s = r - e_top * ((2 * n + 1) / ((TWO_PI_I**2).real * p * q))
+    r = _reciprocity_rhs_of(n, pair, table)
+    s = r - table[0] * ((2 * n + 1) / ((TWO_PI_I**2).real * p * q))
     return s * ((TWO_PI_I**2).real * p * q)
 
 
 def verify_three_term(n: int, pair: CoprimePair, tau: TauPoint,
                       policy: SeriesPolicy = DEFAULT_POLICY) -> ComplexVal:
-    """Residual of p T(p+q,q) + q T(p,p+q) - (p+q) T(p,q)."""
+    """Residual of p T(p+q,q) + q T(p,p+q) - (p+q) T(p,q); the three T
+    share one Eisenstein table, so n and tau are checked once."""
     pair.require_u()
     p, q = pair.p, pair.q
-    t1 = t_weighted(n, CoprimePair(p + q, q), tau, policy)
-    t2 = t_weighted(n, CoprimePair(p, p + q), tau, policy)
-    t3 = t_weighted(n, pair, tau, policy)
+    table = _eisenstein_table(n, tau, policy)
+    t1 = _t_weighted_of(n, CoprimePair(p + q, q), table)
+    t2 = _t_weighted_of(n, CoprimePair(p, p + q), table)
+    t3 = _t_weighted_of(n, pair, table)
     return t1 * float(p) + t2 * float(q) - t3 * float(p + q)
 
 
@@ -234,12 +254,15 @@ def verify_eq64_onedim(w: int, tau: TauPoint,
 
     for weights with no cusp forms (w in {2, 4, 6, 8, 12}).  The scalar is
     formed exactly as (2 pi i)^w alpha_w (`_eq64_alpha`) and r^-(G_{w+2})
-    is g_w."""
+    is g_w.  n = w/2 and tau are checked once for both Eisenstein terms."""
     d, _ = dim_data(w)
     if d != 0:
         raise ValueError(f"w = {w} has d_w = {d} > 0; the one-dimensional form needs d_w = 0")
-    lhs, _ = reciprocity_laurent(w, tau, policy)
-    g_val = eisenstein_normalized(w // 2 + 1, tau, policy)
+    n = _half_weight(w)
+    _check_n_tau(n, tau, policy)
+    lhs, _ = _laurent_of(_c_coefficients_values(n, tau, policy))
+    g_val = _eisenstein_normalized_of_sum(
+        n + 1, *_eisenstein_q_sum(n + 1, tau, policy, tau_deriv=False))
     scalar = -(TWO_PI_I**w) * float(_eq64_alpha(w)) * g_val.value
     rhs = LaurentPoly({e: scalar * complex(c) for e, c in g_poly(w).coeffs.items()})
     return lhs - rhs
@@ -291,9 +314,7 @@ def _rank_matrix(n: int, taus: Sequence[TauPoint], policy: SeriesPolicy) -> np.n
     the caches."""
     for tau in taus:
         _check_n_tau(n, tau, policy)
-    cols = _table_columns(n)
-    sums = np.array([[s for s, _ in row] for row in _eisenstein_q_sums(taus, cols, policy)],
-                    dtype=complex).reshape(len(taus), len(cols))
+    sums = _eisenstein_q_sums(taus, _table_columns(n), policy)
     consts = [_eisenstein_consts(j) for j in range(1, n + 2)]
     # E_2, ..., E_{2n+2} and dE_{2n}/dtau, as `_table_of` forms them
     e = (np.array([const for const, _, _, _ in consts])

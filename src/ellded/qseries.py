@@ -28,7 +28,8 @@ and Eisenstein call checks the caller's tau, and warns about it, once.
 The Eisenstein q-sums are memoised per (n, tau, policy, tau_deriv) in a
 bounded `lru_cache` over a scalar loop; tau is checked, and warned about, on
 every call before the cache is read.  `_eisenstein_q_sums` computes the same
-sums for a whole sample of tau on the engine, without the cache.
+sums for a whole sample of tau on the engine, without the cache and without
+their bounds, as one (tau x column) array.
 """
 
 from __future__ import annotations
@@ -488,8 +489,8 @@ def _eisenstein_q_sum(n: int, tau: TauPoint, policy: SeriesPolicy,
     row below tol relative to it.  Does not check tau: callers run
     `_check_tau` first, on every call, since the cache would skip it.  A
     NonConvergenceError is raised afresh each time, as `lru_cache` keeps
-    only returned values.  `_eisenstein_q_sums` is the same loop over many
-    columns at once."""
+    only returned values.  `_eisenstein_q_sums` runs the same loop over many
+    columns at once and keeps only the sums."""
     cap = _term_cap(tau, policy)
     q = tau.nome
     err_q = _nome_err(tau)
@@ -541,34 +542,33 @@ def _q_sum_rows(aq: float, ell: int, tol: float, streak: int) -> int:
 
 
 def _eisenstein_q_sums(taus: Sequence[TauPoint], cols: Sequence[Tuple[int, bool]],
-                       policy: SeriesPolicy) -> List[List[Tuple[complex, float]]]:
-    """`_eisenstein_q_sum(n, tau, policy, tau_deriv)` for every column
-    (n, tau_deriv) of `cols` at every tau of `taus`, in one `_block_series`
-    run and without the cache: [tau][column] -> (sum, bound), bit for bit the
-    scalar loop's.
+                       policy: SeriesPolicy) -> np.ndarray:
+    """The sum of `_eisenstein_q_sum(n, tau, policy, tau_deriv)` for every
+    column (n, tau_deriv) of `cols` at every tau of `taus`, in one
+    `_block_series` run and without the cache: a (tau x column) complex
+    array, bit for bit the scalar loop's sums.  No bound is formed.
 
     Each tau forms q^k by the scalar loop's Python complex products.  sigma
     q^k and its 2 pi i k factor are taken as separate real and imaginary
     float products: Python's complex products add only zeros to them, which
     can change the sign of a zero part but not a Kahan sum that starts from
-    +0.  Each column has the scalar loop's rounding sum, three-term stopping
-    rule and term cap.  The first block runs the terms `_q_sum_rows`
-    estimates for the largest |q| and the largest power of k (2n - 1, one
-    more with the 2 pi i k factor), so that a sample near the fundamental
-    domain runs in one block.  Does not check tau.  If some columns hit
-    their cap, raises the scalar loop's NonConvergenceError of the first:
-    first tau in order, then first column in order."""
+    +0.  Each column has the scalar loop's three-term stopping rule and term
+    cap.  The first block runs the terms `_q_sum_rows` estimates for the
+    largest |q| and the largest power of k (2n - 1, one more with the
+    2 pi i k factor), so that a sample near the fundamental domain runs in
+    one block.  Does not check tau.  If some columns hit their cap, raises
+    the scalar loop's NonConvergenceError of the first: first tau in order,
+    then first column in order."""
     ncols, streak = len(cols), 3
     ells = tuple(sorted({2 * n - 1 for n, _ in cols}))
     tau_of = np.repeat(np.arange(len(taus)), ncols)
     ell_of = np.array([ells.index(2 * n - 1) for n, _ in cols] * len(taus), dtype=int)
     deriv = np.array([d for _, d in cols] * len(taus), dtype=bool)
-    err_q = np.array([_nome_err(t) for t in taus])[tau_of]
     cap = np.array([_term_cap(t, policy) for t in taus], dtype=int)[tau_of]
     qs = [t.nome for t in taus]
     qks = [1.0 + 0j] * len(taus)
 
-    def terms(ks, tau_i, ell_i, deriv, err_q):
+    def terms(ks, tau_i, ell_i, deriv):
         # one row per k; q^k is the running product at every tau
         nonlocal qks
         powers = []
@@ -578,31 +578,26 @@ def _eisenstein_q_sums(taus: Sequence[TauPoint], cols: Sequence[Tuple[int, bool]
         qk = np.array(powers, dtype=complex).reshape(len(ks), len(qs))[:, tau_i[0]]
         sig = _divisor_power_sums(ells, ks[-1])[ks[0] - 1:ks[-1], ell_i[0]]
         re, im = sig * qk.real, sig * qk.imag
-        kf = np.array(ks, dtype=float)[:, None]
-        d, m = kf * TWO_PI_I.imag, deriv[0]
+        d, m = np.array(ks, dtype=float)[:, None] * TWO_PI_I.imag, deriv[0]
         re[:, m], im[:, m] = -(im[:, m] * d), re[:, m] * d
         term = np.empty(re.shape, dtype=complex)
         term.real, term.imag = re, im
         size = np.hypot(re, im)  # _abs(term)
-        return term, size, size * (kf * err_q + 4.0)
+        # no rounding bound: the pass forms none
+        return term, size, np.zeros_like(size)
 
     first = _q_sum_rows(max(map(abs, qs), default=0.0),
                         max((2 * n - 1 + d for n, d in cols), default=1), policy.tol, streak)
-    sums, _, ks, lasts, rnds = (a.tolist() for a in _block_series(
+    sums, _, ks, _, _ = _block_series(
         np.zeros(len(tau_of), dtype=complex), np.zeros(len(tau_of)), terms,
-        (tau_of, ell_of, deriv, err_q), cap,
+        (tau_of, ell_of, deriv), cap,
         lambda size, s: (size <= policy.tol * np.maximum(_abs(s), 1e-300)) | (size == 0.0),
-        streak, first))
-    results = []
-    for i, tau in enumerate(taus):
-        row = []
-        for col, (n, tau_deriv) in enumerate(cols, i * ncols):
-            if not ks[col]:
-                raise _q_sum_error(n, _term_cap(tau, policy), sums[col])
-            row.append((sums[col], _q_sum_bound(n, tau_deriv, abs(qs[i]), ks[col],
-                                                lasts[col], rnds[col])))
-        results.append(row)
-    return results
+        streak, first)
+    failed = np.flatnonzero(ks == 0)
+    if failed.size:
+        i, col = divmod(int(failed[0]), ncols)
+        raise _q_sum_error(cols[col][0], _term_cap(taus[i], policy), complex(sums[failed[0]]))
+    return sums.reshape(len(taus), ncols)
 
 
 @lru_cache(maxsize=None)
@@ -642,8 +637,12 @@ def _eisenstein_of_sum(n: int, s: complex, tail: float) -> ComplexVal:
 def eisenstein_normalized(n: int, tau: TauPoint, policy: SeriesPolicy = DEFAULT_POLICY) -> ComplexVal:
     """G_{2n}(tau) = -B_{2n}/(4n) + sum_k sigma_{2n-1}(k) q^k."""
     _check_n_tau(n, tau, policy)
+    return _eisenstein_normalized_of_sum(n, *_eisenstein_q_sum(n, tau, policy, tau_deriv=False))
+
+
+def _eisenstein_normalized_of_sum(n: int, s: complex, tail: float) -> ComplexVal:
+    """G_{2n} from its q-sum s and the sum's bound."""
     const = -float(bernoulli_number(2 * n)) / (4 * n)
-    s, tail = _eisenstein_q_sum(n, tau, policy, tau_deriv=False)
     value = const + s
     # first-order rounding of float(B_{2n}), the division and the final sum
     return ComplexVal(value, tail + 2.0**-53 * (2 * abs(const) + abs(value)))

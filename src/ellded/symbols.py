@@ -210,7 +210,13 @@ def reciprocity_rhs(n: int, pair: CoprimePair, tau: TauPoint,
                              - (2n+1) E_{2n+2} ]
         - 1/(4 pi i n) dE_{2n}/dtau (p^{2n-1} q + p q^{2n-1}).
     """
-    e_top, prods, de = _eisenstein_table(n, tau, policy)
+    return _reciprocity_rhs_of(n, pair, _eisenstein_table(n, tau, policy))
+
+
+def _reciprocity_rhs_of(n: int, pair: CoprimePair, table: EisensteinTable) -> ComplexVal:
+    """`reciprocity_rhs` from the Eisenstein table of (n, tau), which the
+    caller has checked."""
+    e_top, prods, de = table
     pair.require_u()
     p, q = pair.p, pair.q
     bracket = ComplexVal(0j, 0.0)

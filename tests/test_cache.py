@@ -29,6 +29,7 @@ def _clear_caches():
     qseries._eisenstein_q_sum.cache_clear()
     symbols._eisenstein_table_values.cache_clear()
     identities._c_coefficients_values.cache_clear()
+    identities._eq73_residuals.cache_clear()
 
 
 def _grid_reprs():
@@ -102,6 +103,24 @@ class TestCacheContract:
         pair = CoprimePair(3, 2)
         for _ in range(2):
             assert _warnings_of(lambda: symbols.reciprocity_rhs(2, pair, self.slow)) == 1
+            assert _warnings_of(lambda: identities.verify_eq73(2, 3, self.slow)) == 1
+        # the public calls that combine several Eisenstein values check tau
+        # once, at 0.1+0.08i as at 0.08i
+        for tau in (self.slow, TauPoint(0.1 + 0.08j)):
+            for _ in range(2):
+                assert _warnings_of(lambda: identities.verify_three_term(2, pair, tau)) == 1
+                assert _warnings_of(lambda: identities.t_weighted(2, pair, tau)) == 1
+                assert _warnings_of(lambda: identities.verify_eq64_onedim(4, tau)) == 1
+
+    def test_eq73_table_built_once_per_n_tau(self):
+        _clear_caches()
+        tau = TauPoint(0.3 + 1.1j)
+        for _ in range(2):
+            for k in range(1, 9):
+                identities.verify_eq73(3, k, tau)
+        info = identities._eq73_residuals.cache_info()
+        assert (info.misses, info.hits) == (1, 15)
+        assert identities._c_coefficients_values.cache_info().misses == 1
 
     def test_rejection_not_cached(self):
         _clear_caches()
@@ -111,6 +130,8 @@ class TestCacheContract:
                 qseries.eisenstein(2, self.slow, policy)
             with pytest.raises(ValueError, match="below the accepted bound"):
                 symbols._eisenstein_table(2, self.slow, policy)
+            with pytest.raises(ValueError, match="below the accepted bound"):
+                identities.verify_eq73(2, 1, self.slow, policy)
 
     def test_nonconvergence_not_cached(self):
         _clear_caches()
@@ -123,9 +144,12 @@ class TestCacheContract:
                 symbols.reciprocity_rhs(2, CoprimePair(3, 2), tau, policy)
             with pytest.raises(NonConvergenceError):
                 identities.c_coefficients(2, tau, policy)
+            with pytest.raises(NonConvergenceError):
+                identities.verify_eq73(2, 1, tau, policy)
         assert qseries._eisenstein_q_sum.cache_info().currsize == 0
         assert symbols._eisenstein_table_values.cache_info().currsize == 0
         assert identities._c_coefficients_values.cache_info().currsize == 0
+        assert identities._eq73_residuals.cache_info().currsize == 0
 
     def test_bounded(self):
         _clear_caches()
@@ -133,8 +157,9 @@ class TestCacheContract:
             tau = TauPoint(complex(i * 1e-4, 1.2))
             symbols._eisenstein_table(1, tau, qseries.DEFAULT_POLICY)
             identities.c_coefficients(1, tau)
+            identities.verify_eq73(1, 1, tau)
         for cached in (qseries._eisenstein_q_sum, symbols._eisenstein_table_values,
-                       identities._c_coefficients_values):
+                       identities._c_coefficients_values, identities._eq73_residuals):
             info = cached.cache_info()
             assert info.maxsize is not None and info.misses >= 5000
             assert info.currsize <= info.maxsize

@@ -1,5 +1,5 @@
-"""The batched Eisenstein pass: every q-sum, bound and error bit-identical to
-the scalar loop, its first block sized from |q|, and the matrix `basis_rank`
+"""The batched Eisenstein pass: every q-sum and error bit-identical to the
+scalar loop, its first block sized from |q|, and the matrix `basis_rank`
 decomposes built from it, equal to `reciprocity_laurent`'s coefficients,
 without touching the per-tau caches."""
 
@@ -26,17 +26,20 @@ scalar_q_sum = qseries._eisenstein_q_sum.__wrapped__
 
 
 def _outcome(call):
-    """repr of a result, or the error's message and partial."""
+    """The repr of every sum of a (tau x column) result, row by row, or the
+    error's message and partial."""
     try:
-        return repr(call())
+        return [[repr(complex(s)) for s in row] for row in call()]
     except NonConvergenceError as e:
         return ("NonConvergenceError", str(e), repr(e.partial))
 
 
 def _scalar_sums(taus, cols, policy):
-    """The scalar loop over the sample, tau by tau and column by column, so
-    that its first error is the one the pass must raise."""
-    return [[scalar_q_sum(n, tau, policy, d) for n, d in cols] for tau in taus]
+    """The scalar loop's sums over the sample, tau by tau and column by
+    column, so that its first error is the one the pass must raise; the
+    scalar bound, which the pass does not form, is checked against mpmath in
+    test_qseries."""
+    return [[scalar_q_sum(n, tau, policy, d)[0] for n, d in cols] for tau in taus]
 
 
 def _scalar_stop(n, tau, tau_deriv, cap):
@@ -128,18 +131,20 @@ def test_pass_raises_first_failure_in_sample_order():
 
 
 def test_empty_sample_and_columns_and_huge_cap():
-    assert qseries._eisenstein_q_sums([], COLUMNS, qseries.DEFAULT_POLICY) == []
-    assert qseries._eisenstein_q_sums([TauPoint(1j)], [], qseries.DEFAULT_POLICY) == [[]]
+    policy = qseries.DEFAULT_POLICY
+    assert qseries._eisenstein_q_sums([], COLUMNS, policy).shape == (0, len(COLUMNS))
+    assert qseries._eisenstein_q_sums([TauPoint(1j)], [], policy).shape == (1, 0)
     # a cap beyond int64, which the scalar loop takes as a Python int
     taus, policy = [TauPoint(0.1 + 0.9j)], SeriesPolicy(max_terms=10**30)
-    assert (qseries._eisenstein_q_sums(taus, COLUMNS, policy)
-            == _scalar_sums(taus, COLUMNS, policy))
+    assert (_outcome(lambda: qseries._eisenstein_q_sums(taus, COLUMNS, policy))
+            == _outcome(lambda: _scalar_sums(taus, COLUMNS, policy)))
 
 
 def _cache_infos():
     return [f.cache_info() for f in (qseries._eisenstein_q_sum,
                                      symbols._eisenstein_table_values,
-                                     identities._c_coefficients_values)]
+                                     identities._c_coefficients_values,
+                                     identities._eq73_residuals)]
 
 
 def _slow_warnings(call):

@@ -20,11 +20,15 @@ bit for bit.
 The Weierstrass and elliptic Bernoulli functions are array kernels
 (`*_points`) on the engine; the scalar functions are one-point calls to them.
 `elliptic_bernoulli_points` also takes an order per point, so that the B_m
-factors of every order that a symbol needs share one pass.
+factors of every order that a symbol needs share one pass.  Integer powers
+in the series are IEEE products (`_ipow`), not numpy's pow, so their bits
+do not depend on the host.
 The Weierstrass kernels run at tau reduced to the fundamental domain
 (`_reduction`) and map their values back by weight; the elliptic Bernoulli
-and Eisenstein functions run at tau itself.  Each kernel call, B_m pass
-and Eisenstein call checks the caller's tau, and warns about it, once.
+and Eisenstein functions run at tau itself.  b = zeta - E_2 z comes straight
+from one B_1 batch (`_b_series`), with no E_2, and zeta is b + E_2 z.  Each
+kernel call, B_m pass and Eisenstein call checks the caller's tau, and warns
+about it, once.
 The Eisenstein q-sums are memoised per (n, tau, policy, tau_deriv) in a
 bounded `lru_cache` over a scalar loop; tau is checked, and warned about, on
 every call before the cache is read.  `_eisenstein_q_sums` computes the same
@@ -328,6 +332,23 @@ def _kahan_add(s, c, x):
     y = x - c
     t = s + y
     return t, (t - s) - y
+
+
+def _ipow(a, e: int):
+    """a ** e elementwise for an int e >= 0, by binary powering: at most
+    e - 1 IEEE products, each the same on every host.  numpy's pow, which
+    `**` calls for e >= 3, rounds as the host's SIMD library does and is
+    ~100 times slower on negative bases."""
+    if e == 0:
+        return np.ones_like(a)
+    out = None
+    while True:
+        if e & 1:
+            out = a if out is None else out * a
+        e >>= 1
+        if not e:
+            return out
+        a = a * a
 
 
 # ---------------------------------------------------------------------------
@@ -773,20 +794,27 @@ def _bernoulli_series(m: np.ndarray, x: np.ndarray, y: np.ndarray, tau: TauPoint
     (`_order_groups`).  Every step that depends on the order, the power
     (y -+ j)^(m-1) of a term, the closing term, the tail, the Bernoulli
     polynomial and the rounding bound, runs once per order with m a Python
-    int: numpy squares for ** 2, while an integer-array exponent goes
-    through pow, which need not round the same way.  So each point's result
-    does not depend on the other orders.  `rank` is as in `_points_series`.
+    int, so each point's result does not depend on the other orders.  The
+    powers are IEEE products (`_ipow`), at most m - 2 of them, which the
+    m ulps charged to a term's power cover.  `rank` is as in
+    `_points_series`.
 
     `arg_err` = (dx, dy, dtau) bounds the absolute errors of x, y and tau,
-    zeros where they are exact (every B_m but zeta's B_1 at a reduced tau),
-    which leave every bit of the result as it is: they add
-    2 pi dx to the argument of e(+-x), 2 pi (dy |tau| + (j + 1) dtau) to
-    that of w = e((j -+ y) tau), 2 pi (dx + dy |tau| + y dtau) to that of
-    the closing term's exponential, and dy to B_1(y) = y - 1/2."""
+    zeros where they are exact, which leave every bit of the result as it
+    is.  A y within _LATTICE_EPS of an integer is snapped to it, and the
+    shift adds to dy.  The errors add 2 pi dx to the argument of e(+-x),
+    2 pi (dy |tau| + (j + 1) dtau) to that of w = e((j -+ y) tau) and
+    2 pi (dx + dy |tau| + y dtau) to that of the closing term's
+    exponential.  dy also moves the powers (y -+ j)^(m-1), by (m - 1) dy /
+    (j -+ y) relative, the closing term's y^(m-1), by (m - 1)
+    y^(m-2) dy times the rest, and B_m(y), by m |B_{m-1}(y)| dy."""
     t = tau.tau
     y = y - np.floor(y)
     # x is off-integer where y snaps to exactly 0 (lattice check above)
-    y = np.where((y < _LATTICE_EPS) | (y > 1 - _LATTICE_EPS), 0.0, y)
+    snap = (y < _LATTICE_EPS) | (y > 1 - _LATTICE_EPS)
+    dx, dy, dt = arg_err
+    dy = dy + np.where(snap, np.minimum(y, 1.0 - y), 0.0)
+    y = np.where(snap, 0.0, y)
     decay = abs(cmath.exp(TWO_PI_I * t))  # = |q| < 1
     # Rounding of a term P w / D, D = e(+-x) - w: the exponentials carry the
     # relative errors of their arguments (see _exp_err), e(+-x)'s and w's;
@@ -799,12 +827,14 @@ def _bernoulli_series(m: np.ndarray, x: np.ndarray, y: np.ndarray, tau: TauPoint
     # w's share of the argument errors rides on e(+-x)'s, tripled: the
     # rounding below charges A (err_x + err_w) + size err_w, and
     # A = |t1| / |D1| + kappa |t2| >= size / 2 as |D1| <= 2
-    dx, dy, dt = arg_err
     g += _TWO_PI_ULPS * dt
     err_x = _exp_err(TWO_PI_I * x) + _TWO_PI_ULPS * (dx + 3.0 * dy * abs(t))
     err_v = _TWO_PI_ULPS * (dx + dy * abs(t) + y * dt)
+    # dy in ulps, for the powers; only where some y moved
+    dy_ulps = 2.0**53 * dy
+    moved = bool(dy_ulps.any())
 
-    def terms(js, y, emy, epy, emx, epx, err_x, mc):
+    def terms(js, y, emy, epy, emx, epx, err_x, mc, dy_ulps):
         # one row per j;  e(-y tau) q^j = e((j - y) tau),  e(y tau) q^j = e((j + y) tau)
         qj = np.array([cmath.exp(TWO_PI_I * j * t) for j in js])[:, None]
         j = np.array(js, dtype=float)[:, None]
@@ -814,29 +844,33 @@ def _bernoulli_series(m: np.ndarray, x: np.ndarray, y: np.ndarray, tau: TauPoint
         groups = _order_groups(mc[0])
         for k, on in groups:
             if k > 1:
-                t1[:, on] = (y[:, on] - j) ** (k - 1) * t1[:, on]
-                t2[:, on] = (y[:, on] + j) ** (k - 1) * t2[:, on]
+                t1[:, on] = _ipow(y[:, on] - j, k - 1) * t1[:, on]
+                t2[:, on] = _ipow(y[:, on] + j, k - 1) * t2[:, on]
         a1, a2 = np.abs(t1), np.abs(t2)
         size = a1 + a2
         err_w = g * (j + 1) + 11.0
         rnd = (a1 / np.abs(d1) + kappa * a2) * (err_x + err_w)
         for k, on in groups:
             rnd[:, on] += size[:, on] * (k + 11.0 + err_w)
+            if k > 1 and moved:
+                # dy moving (y -+ j)^(k-1) by (k - 1) dy / (j -+ y) relative
+                rnd[:, on] += (k - 1) * dy_ulps[:, on] * (a1[:, on] / (j - y[:, on])
+                                                          + a2[:, on] / (j + y[:, on]))
         return t1 + t2, size, rnd
 
     emx = np.exp(-TWO_PI_I * x)
     s, c, j, last, rnd = _points_series(
         np.zeros(len(x), dtype=complex), np.zeros(len(x)), terms,
         (y, np.exp(-TWO_PI_I * y * t), np.exp(TWO_PI_I * y * t), emx, emx.conj(),
-         err_x, m),
+         err_x, m, dy_ulps),
         cap, policy.tol, "elliptic Bernoulli series", rank)
 
-    def finish(m, x, y, s, c, j, last, rnd, err_v):
+    def finish(m, x, y, s, c, j, last, rnd, err_v, dy):
         arg = TWO_PI_I * (-x + y * t)
         v = np.exp(arg)
-        closing = y ** (m - 1) * v / (v - 1)
+        closing = _ipow(y, m - 1) * v / (v - 1)
         acc, _ = _kahan_add(s, c, closing)
-        r = decay * ((j + 1 + y) / np.maximum(j - y, 0.5)) ** (m - 1) if m > 1 else decay
+        r = decay * _ipow((j + 1 + y) / np.maximum(j - y, 0.5), m - 1) if m > 1 else decay
         r = np.minimum(r, 0.99)
         tail = m * (2.0 * last * r / (1.0 - r) + 1e-16 * np.abs(acc) * j)
         value = m * acc + _bernoulli_poly_float(m, y)
@@ -845,17 +879,24 @@ def _bernoulli_series(m: np.ndarray, x: np.ndarray, y: np.ndarray, tau: TauPoint
         # polynomial's Horner steps (at most sum_j |C(m, j) B_j| on [0, 1))
         # and the final sum
         err_v = _exp_err(arg) + err_v
-        rnd = rnd + np.abs(closing) * (m + 10.0 + err_v * (1.0 + np.abs(v) / np.abs(v - 1)))
+        ratio = np.abs(v) / np.abs(v - 1)
+        rnd = rnd + np.abs(closing) * (m + 10.0 + err_v * (1.0 + ratio))
+        if m > 1:
+            # dy moving the closing term's y^(m-1)
+            rnd = rnd + (m - 1) * _ipow(y, m - 2) * ratio * (2.0**53 * dy)
         rnd = (m * (rnd + 3.0 * np.abs(acc))
                + 2.0 * (m + 1) * sum(map(abs, _bernoulli_poly_float_coeffs(m)))
                + np.abs(value))
-        return value, tail + 2.0**-53 * rnd
+        # dy moving B_m(y), whose slope m B_{m-1}(y) is at most
+        # m sum_j |C(m-1, j) B_j| on [0, 1)
+        slope = m * sum(map(abs, _bernoulli_poly_float_coeffs(m - 1)))
+        return value, tail + 2.0**-53 * rnd + dy * slope
 
-    cols = (x, y, s, c, j, last, rnd, err_v)
+    cols = (x, y, s, c, j, last, rnd, err_v, dy)
     value, err = np.empty(len(x), dtype=complex), np.empty(len(x))
     for k, on in _order_groups(m):
         value[on], err[on] = finish(k, *(a[on] for a in cols))
-    return ComplexArray(value, err + dy)
+    return ComplexArray(value, err)
 
 
 def _order_groups(m: np.ndarray) -> List[Tuple[int, slice]]:
@@ -957,8 +998,8 @@ def _reduction(tau: TauPoint) -> Optional[_Reduction]:
 class _Frame(NamedTuple):
     """Points x - y tau where a kernel evaluates them: at the caller's tau,
     or at the reduced tau' with the reduction `red`; `arg_err` = (dx, dy,
-    dtau) bounds the absolute errors of x, y and tau there, zeros at the
-    caller's tau."""
+    dtau) bounds the absolute errors of x, y and tau there, at the caller's
+    tau only the shift of a snapped y."""
 
     x: np.ndarray
     y: np.ndarray
@@ -987,11 +1028,12 @@ def _frame(x: np.ndarray, y: np.ndarray, tau: TauPoint) -> _Frame:
     same in c, d to y'.  A y within _LATTICE_EPS of an integer is snapped
     to it first, as the kernels snap it at tau, and a y' that the kernels
     would snap at tau' is snapped here; both shifts count as errors of y
-    and y'."""
+    and y', and so does the snap on F, where the rest of x and y is taken
+    as exact."""
     red = _reduction(tau)
-    if red is None:
-        return _Frame(x, y, tau, (0.0, 0.0, 0.0), None)
     snapped = _snap(y)
+    if red is None:
+        return _Frame(x, snapped, tau, (0.0, np.abs(y - snapped), 0.0), None)
     ex = 2.0**-52 * (np.abs(x) + np.abs(y * tau.tau.real))
     ey = 2.0**-52 * np.abs(y) + np.abs(y - snapped)
     y = snapped
@@ -1034,26 +1076,17 @@ def _decompose(z, tau: TauPoint):
     return x, y
 
 
-def _zeta_series(x: np.ndarray, y: np.ndarray, tau: TauPoint, cap: int,
-                 policy: SeriesPolicy, arg_err) -> ComplexArray:
-    """zeta(x - y tau; tau) from one B_1 batch and E_2; `arg_err` as in
-    `_Frame`, which B_1 and E_2 carry and E_2 (x - y tau) adds to."""
-    nx = np.floor(x)
-    ny = np.floor(y)
-    x0, y0 = x - nx, y - ny
-    b1 = _bernoulli_series(np.ones(len(x0), dtype=np.intp), x0, y0, tau, cap, policy,
-                           arg_err)
-    # keep z0 consistent with the snap inside B_1
-    y0 = np.where((y0 < _LATTICE_EPS) | (y0 > 1 - _LATTICE_EPS), np.rint(y0), y0)
-    z0 = x0 - y0 * tau.tau
-    e2 = _e2(tau, policy, arg_err[2])
-    e2a = ComplexArray(e2.value, e2.err)
-    zeta0 = (b1 - y0) * -TWO_PI_I + e2a * z0
-    # z = z0 + nx - ny*tau
-    zeta = zeta0 + e2a * (nx - ny * tau.tau) + ComplexArray(TWO_PI_I * ny, 0.0)
-    dx, dy, dt = arg_err
-    return ComplexArray(zeta.value, zeta.err + abs(e2.value) * (
-        dx + dy * abs(tau.tau) + np.abs(y) * dt))
+def _b_series(x: np.ndarray, y: np.ndarray, tau: TauPoint, cap: int,
+              policy: SeriesPolicy, arg_err) -> ComplexArray:
+    """b = zeta - E_2 z at z = x - y tau, from one B_1 batch and no E_2:
+    b(x - y tau) = -2 pi i (B_1(x0, y0; tau) - y) for (x0, y0) = (x, y)
+    mod 1, as B_1(x0, y0) = -(b(x0 - y0 tau)) / (2 pi i) + y0, b(z + 1) =
+    b(z) and b(z + tau) = b(z) - 2 pi i.  `arg_err` as in `_Frame`: B_1
+    carries it; an error dy of y moves -y as it moves B_1(y) = y - 1/2,
+    whose share of B_1's err already counts it."""
+    b1 = _bernoulli_series(np.ones(len(x), dtype=np.intp), x - np.floor(x), y, tau, cap,
+                           policy, arg_err)
+    return (b1 - y) * -TWO_PI_I
 
 
 def _in_frame(series, z, tau: TauPoint, policy: SeriesPolicy, pole: str):
@@ -1070,9 +1103,10 @@ def _in_frame(series, z, tau: TauPoint, policy: SeriesPolicy, pole: str):
 
 def weierstrass_zeta_points(z, tau: TauPoint,
                             policy: SeriesPolicy = DEFAULT_POLICY) -> ComplexArray:
-    """`weierstrass_zeta` at every point of the array z, with one batched
-    B_1 series and one E_2, at tau reduced to F."""
-    zeta, f = _in_frame(_zeta_series, z, tau, policy, "zeta")
+    """`weierstrass_zeta` at every point of the array z, as b + E_2 z from
+    one batched B_1 series (`_b_series`) and one E_2, at tau reduced to F."""
+    b, f = _in_frame(_b_series, z, tau, policy, "zeta")
+    zeta = b + f.z() * _e2(f.tau, policy, f.arg_err[2])
     return zeta if f.red is None else zeta * f.red.weight(1)
 
 
@@ -1084,29 +1118,25 @@ def weierstrass_zeta(z: complex, tau: TauPoint,
     `_Reduction`).  Decomposes z = x - y*tau, reduces (x, y) into [0,1)^2
     where the elliptic Bernoulli series converges, and inverts
 
-        B_1(x, y; tau) = -(1/2 pi i)[zeta(x - y tau) - E_2 (x - y tau)] + y,
+        B_1(x, y; tau) = -(1/2 pi i)[zeta(x - y tau) - E_2 (x - y tau)] + y
 
-    restoring the shift with the quasi-periods zeta(z+1) = zeta(z) + E_2 and
-    zeta(z+tau) = zeta(z) + E_2 tau - 2 pi i.
+    for b = zeta - E_2 z, whose quasi-periods b(z+1) = b(z) and b(z+tau) =
+    b(z) - 2 pi i restore the shift; zeta is b + E_2 z.
     """
     return weierstrass_zeta_points([complex(z)], tau, policy)[0]
 
 
 def _zeta_block(z, tau: TauPoint, policy: SeriesPolicy) -> ComplexArray:
-    """b(z) = zeta(z) - E_2 z at the points z, never from an E_2 of another
-    tau than zeta's: zeta(z) - E_2 z on F, else, by the rules of
-    `_Reduction` and `_Reduction.e2_shift`, m^-1 b'(z') - 2 pi i c z' with
-    b' = zeta - E_2 z at tau'."""
-    z = np.asarray(z, dtype=complex)
-    zeta, f = _in_frame(_zeta_series, z, tau, policy, "zeta")
-    e2 = _e2(f.tau, policy, f.arg_err[2])
-    e2a = ComplexArray(e2.value, e2.err)
+    """b(z) = zeta(z) - E_2 z at the points z, with no E_2 at all: b from
+    B_1 (`_b_series`) on F, else, by the rules of `_Reduction` and
+    `_Reduction.e2_shift`, m^-1 b'(z') - 2 pi i c z' with b' = zeta - E_2 z
+    at tau'."""
+    b, f = _in_frame(_b_series, z, tau, policy, "zeta")
     if f.red is None:
-        return zeta - e2a * z
-    zr = f.z()
+        return b
     c = f.red.c
-    return ((zeta - e2a * zr) * f.red.weight(1)
-            + zr * ComplexVal(-TWO_PI_I * c, 2.0**-52 * abs(TWO_PI_I * c)))
+    return (b * f.red.weight(1)
+            + f.z() * ComplexVal(-TWO_PI_I * c, 2.0**-52 * abs(TWO_PI_I * c)))
 
 
 @lru_cache(maxsize=None)
@@ -1138,7 +1168,7 @@ def _phi(k: int, w: np.ndarray, pk: Tuple[int, ...],
     num_abs = np.zeros_like(r)
     for c in reversed(pk1):
         num_abs = num_abs * r + c
-    return num / den ** (k + 2), num_abs / np.abs(den) ** (k + 3)
+    return num / _ipow(den, k + 2), num_abs / _ipow(np.abs(den), k + 3)
 
 
 def _p_deriv_series(k: int, x: np.ndarray, y: np.ndarray, tau: TauPoint, cap: int,

@@ -6,6 +6,16 @@ Double sums over (lambda, mu) evaluate each factor at all points at once with
 the batched kernels of `qseries` and add the products with `math.fsum`, which
 is correctly rounded and independent of order, so repeated runs are
 bit-identical.
+
+Every division-point sum here is even under P -> -P: zeta^(2n), the bracket
+zeta - E_2 z + 2 pi i q mu/p and B_1 are odd, B_2 and B_{2n+1} B_1 even.  So
+each runs over one point per pair {P, -P} (`_half_division_points`), its
+term times the pair's weight, 2, or 1 at a 2-torsion point P = -P; a power
+of 2 scales value and err exactly.  Where one factor is shifted by x, as in
+D^-(x) and the Prop. 3.1 sums, the pair adds (f(P - x) + f(P + x)) g(qP),
+as f(-P - x) g(-qP) = f(P + x) g(qP): three factors per pair, not four.
+Both routes of `elliptic_apostol_sum` pair alike, and pairing is no
+reciprocity law, so they stay independent.
 """
 
 from __future__ import annotations
@@ -80,6 +90,16 @@ def _division_points(p: int) -> Tuple[np.ndarray, np.ndarray]:
     return _grid(p, p, origin=False)
 
 
+def _half_division_points(p: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lambda, mu, weight): one point of each pair {P, -P} of the nonzero
+    p-division points, the first of the two in row-major order, with
+    weight 2, or 1 where P = -P, at the three 2-torsion points of an even p."""
+    lam, mu = _division_points(p)
+    i, neg = lam * p + mu, (-lam % p) * p + (-mu % p)
+    keep = i <= neg
+    return lam[keep], mu[keep], np.where(i[keep] == neg[keep], 1.0, 2.0)
+
+
 def _division_z(lam: np.ndarray, mu: np.ndarray, tau: TauPoint, p: int) -> np.ndarray:
     """(lambda + mu tau)/p with each part correctly rounded.  numpy divides
     a complex array by p through a rounded 1/p, an ulp the steep factors
@@ -104,6 +124,11 @@ def _bernoulli_factors(factors: Sequence[Tuple[int, np.ndarray, np.ndarray]],
         np.repeat([m for m, _, _ in factors], sizes),
         np.concatenate([x for _, x, _ in factors]),
         np.concatenate([y for _, _, y in factors]), tau, policy), sizes)
+
+
+def _weighted(a: ComplexArray, w: np.ndarray) -> ComplexArray:
+    """a with value and err times the weights w, powers of 2, so exactly."""
+    return ComplexArray(a.value * w, a.err * w)
 
 
 def _fsum(*parts: Union[ComplexArray, ComplexVal]) -> ComplexVal:
@@ -147,18 +172,18 @@ def elliptic_apostol_sum(n: int, pair: CoprimePair, tau: TauPoint,
     if n < 1:
         raise ValueError("n must be >= 1")
     p, q = pair.p, pair.q
-    lam, mu = _division_points(p)
+    lam, mu, w = _half_division_points(p)
     if route is Route.ZETA_DERIVATIVE:
         z = _division_z(lam, mu, tau, p)
         # zeta^{(2n)} = -pe^{(2n-1)}
         zd = -weierstrass_p_deriv_points(2 * n - 1, z, tau, policy)
-        total = _fsum(zd * _zeta_bracket(q * z, q * mu / p, tau, policy))
+        total = _fsum(_weighted(zd * _zeta_bracket(q * z, q * mu / p, tau, policy), w))
         val = total * (1.0 / ((TWO_PI_I**2).real * p * math.factorial(2 * n)))
     else:
         q_inv = pow(q % p, -1, p) if p > 1 else 0
         b_hi, b_lo = _bernoulli_factors([(2 * n + 1, -lam / p, mu / p),
                                          (1, -q_inv * lam / p, q_inv * mu / p)], tau, policy)
-        total = _fsum(b_hi * b_lo)
+        total = _fsum(_weighted(b_hi * b_lo, w))
         val = total * (-(TWO_PI_I ** (2 * n)) * p ** (2 * n - 1)
                        / math.factorial(2 * n + 1))
     return EllipticSumResult(val, route, p, q, n, tau)
@@ -236,13 +261,14 @@ def generating_D(pair: CoprimePair, tau: TauPoint, x: float,
     p, q = pair.p, pair.q
     if abs(x) >= 1 / (2 * p):
         raise ValueError(f"|x| must be < 1/(2p) = {1/(2*p)}, got {x}")
-    lam, mu = _division_points(p)
+    lam, mu, w = _half_division_points(p)
     z = _division_z(lam, mu, tau, p)
-    # both brackets in one batch
-    first, second = _parts(_zeta_bracket(np.concatenate((z - x, q * z)),
-                                         np.concatenate((mu, q * mu)) / p, tau, policy),
-                           [len(z)] * 2)
-    return _fsum(first * second) * (1.0 / ((TWO_PI_I**2).real * p))
+    # the brackets at P - x, P + x and qP in one batch; the pair {P, -P}
+    # adds (f(P - x) + f(P + x)) f(qP), as f(-P -+ x) = -f(P +- x)
+    minus, plus, second = _parts(_zeta_bracket(np.concatenate((z - x, z + x, q * z)),
+                                               np.concatenate((mu, mu, q * mu)) / p,
+                                               tau, policy), [len(z)] * 3)
+    return _fsum(_weighted((minus + plus) * second, w / 2)) * (1.0 / ((TWO_PI_I**2).real * p))
 
 
 def generating_R(pair: CoprimePair, tau: TauPoint, x: float,
@@ -421,13 +447,16 @@ def proposition31_residual(pair: CoprimePair, s: float, tau: TauPoint,
     p, q = pair.p, pair.q
     if not 0 < abs(s) < 1 / (2 * max(p, q)):
         raise ValueError(f"need 0 < |s| < 1/(2 max(p,q)), got {s}")
-    factors = []
+    factors, weights = [], []
     for u, v in ((p, q), (q, p)):
-        lam, mu = _division_points(u)
-        factors += [(1, lam / u - s, mu / u), (1, v * lam / u, v * mu / u)]
+        lam, mu, w = _half_division_points(u)
+        factors += [(1, lam / u - s, mu / u), (1, lam / u + s, mu / u),
+                    (1, v * lam / u, v * mu / u)]
+        weights.append(w / 2)
     factors += [(m, [p * s, q * s], [0.0, 0.0]) for m in (1, 2)]
-    f1p, f2p, f1q, f2q, b1, b2 = _bernoulli_factors(factors, tau, policy)
-    lhs = _fsum(f1p * f2p) * (1.0 / p) + _fsum(f1q * f2q) * (1.0 / q)
+    *f, b1, b2 = _bernoulli_factors(factors, tau, policy)
+    lhs = (_fsum(_weighted((f[0] + f[1]) * f[2], weights[0])) * (1.0 / p)
+           + _fsum(_weighted((f[3] + f[4]) * f[5], weights[1])) * (1.0 / q))
     rhs = -(b1[0] * b1[1])
     rhs = rhs + b2[0] * (q / (2 * p))
     rhs = rhs + b2[1] * (p / (2 * q))
@@ -449,6 +478,6 @@ def proposition31_constant_closed_form(pair: CoprimePair, tau: TauPoint,
     p, q = pair.p, pair.q
     e2 = eisenstein(1, tau, policy)
     b2_origin = e2 * (-1.0 / (1j * math.pi * TWO_PI_I))
-    lam, mu = _division_points(q)
+    lam, mu, w = _half_division_points(q)
     b2 = elliptic_bernoulli_points(2, p * lam / q, p * mu / q, tau, policy)
-    return _fsum(b2_origin, b2) * (1.0 / (2 * p * q))
+    return _fsum(b2_origin, _weighted(b2, w)) * (1.0 / (2 * p * q))

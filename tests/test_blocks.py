@@ -36,9 +36,9 @@ PIN_PQ = [(2, 1), (3, 2), (7, 4), (13, 7), (23, 12)]
 #: SHA-256 of `_pinned_reprs()`, the outputs that no tau reduction touches:
 #: every B_m, the zeta and pe kernels and the zeta-route sums in F, the
 #: Bernoulli route, the Machide residuals and the closed form of C(tau); as
-#: computed with the term-by-term series and, for this subset, with the
-#: kernels before tau was reduced (numpy 2.4.6, x86-64)
-PINNED_SHA256 = "5ba0ef6a8c772637fcfce0f39a3a903e20b3a882f314fdcff808f0503e71e297"
+#: computed with the division sums over one point per pair {P, -P}, zeta
+#: from B_1 and integer powers by multiplication (numpy 2.4.6, x86-64)
+PINNED_SHA256 = "df956e26974a75424c3c512d5f5758598c70a49709ac9e271d036dbc50ec0b47"
 
 
 def _reprs(v):
@@ -334,13 +334,13 @@ def test_one_bernoulli_pass_per_symbol(passes):
 
 def test_narrow_tail_grows_from_the_rows_it_ran(passes):
     """In the merged Prop. 3.1 batch at (23, 17) and Im tau = 0.06, the
-    B_1 division sums run in blocks of two rows and stop by j = 76, and
-    B_2 at (23 s, 0), (17 s, 0) runs on to j = 87: the two columns left
-    grow from two rows again, and the pass runs under 2 j + FIRST_BLOCK
-    rows in all."""
+    B_1 division sums, three factors per pair {P, -P}, run in blocks of
+    three rows and stop by j = 76, and B_2 at (23 s, 0), (17 s, 0) runs
+    on to j = 87: the two columns left grow from three rows again, and
+    the pass runs under 2 j + FIRST_BLOCK rows in all."""
     symbols.proposition31_residual(CoprimePair(23, 17), 0.3 / 46, TauPoint(0.2 + 0.06j))
     columns, rows, last = passes[0]
-    assert columns == 2 * (23**2 - 1) + 2 * (17**2 - 1) + 4
+    assert columns == 3 * (23**2 - 1) // 2 + 3 * (17**2 - 1) // 2 + 4
     assert sum(rows) < 2 * last + qseries.FIRST_BLOCK
     for columns, rows, last in passes:
         assert sum(rows) < 2 * last + qseries.FIRST_BLOCK

@@ -21,8 +21,9 @@ GRID_TAUS_IN_F = [complex(0.0, 1.5), 0.3 + 1.1j]
 
 #: SHA-256 of the pinned reprs of `_grid_reprs()`, every value that no tau
 #: reduction touches, as computed with the unreduced kernels (whose whole
-#: grid matched its value before the caches were added)
-GRID_SHA256 = "4606af585ebd18b6566511883dcb1e9d4ed0b3865203065870dc9e1fb6b7126b"
+#: grid matched its value before the caches were added) and zeta as
+#: b + E_2 z with b from B_1
+GRID_SHA256 = "268d7a14fcbb13e3eb6e7351f3168004c9a64cb1f1b27bf056332c48695249f0"
 
 
 def _clear_caches():

@@ -93,7 +93,7 @@ CASES = (
 )
 
 GOLDEN_SHA256 = (
-    "d7f01168fdcaf105786651ff4b07b583b2b5477123b3e42f614b741c6c47e2aa")
+    "d54796c3f473f528d7143f8944e9bf3b40e0ba6a1ae039989950db7bc639cdac")
 
 
 def _run(argv):

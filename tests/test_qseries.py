@@ -775,6 +775,23 @@ class TestKernelErrAgainstMpmath:
                     ref = complex(self._bernoulli(mp, m, mp.mpf(x), mp.mpf(y), t))
                     assert abs(batch[i].value - ref) <= batch[i].err, (m, x, y, batch[i], ref)
 
+    @pytest.mark.parametrize("tau", [1j, 0.2 + 1.1j, 0.3 + 0.06j])
+    def test_elliptic_bernoulli_snapped_y(self, tau):
+        """A y within 1e-12 of an integer, which the kernel snaps to it, in
+        F and outside: the shift counts in err for every order; near x = 0
+        the closing term's y^(m-1) moves most."""
+        mp = pytest.importorskip("mpmath")
+        pts = ((0.3, 1 - 1e-13), (0.3, 1e-13), (-0.7, 2 - 1e-13), (0.05, 1 - 1e-13))
+        xs, ys = zip(*pts)
+        with mp.workdps(30), warnings.catch_warnings():
+            warnings.simplefilter("ignore", SlowNomeWarning)
+            t = mp.mpc(tau.real, tau.imag)
+            for m in range(1, 8):
+                batch = elliptic_bernoulli_points(m, xs, ys, TauPoint(tau))
+                for i, (x, y) in enumerate(pts):
+                    ref = complex(self._bernoulli(mp, m, mp.mpf(x), mp.mpf(y), t))
+                    assert abs(batch[i].value - ref) <= batch[i].err, (m, x, y, batch[i], ref)
+
     @pytest.mark.parametrize("tau", TAUS)
     def test_p_deriv(self, tau):
         mp = pytest.importorskip("mpmath")

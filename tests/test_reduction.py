@@ -140,10 +140,11 @@ def test_err_bounds_mpmath(t):
             assert abs(v.value - ref[key]) <= v.err, (key, z, v, ref[key])
 
 
-@pytest.mark.parametrize("t", [0.3j, 0.3 + 0.06j])
+@pytest.mark.parametrize("t", [0.3j, 0.3 + 0.06j, 1j, 0.2 + 1.1j])
 def test_snapped_point_err_mpmath(t):
     # y = 1 - 1e-13 is snapped to 1 before the reduction, as the kernels
-    # snap it at tau; the reduced frame counts the shift in err
+    # snap it at tau; the frame counts the shift in err, on F as well as
+    # at a reduced tau
     mp = pytest.importorskip("mpmath")
     tau, z = TauPoint(t), 0.3 - (1 - 1e-13) * t
     got = {k: weierstrass_p_deriv_points(k, [z], tau)[0] for k in ORDERS}

@@ -328,3 +328,54 @@ class TestAgainstLoopReference:
         b = elliptic_apostol_sum(2, pair, TAU_G, Route.BERNOULLI_PRODUCT).value
         assert a == b
         assert generating_D(pair, TAU_G, 0.01) == generating_D(pair, TAU_G, 0.01)
+
+
+# ---------------------------------------------------------------------------
+# One point per pair {P, -P}
+# ---------------------------------------------------------------------------
+
+from ellded.symbols import _half_division_points  # noqa: E402
+
+
+@pytest.mark.parametrize("p", range(1, 25))
+def test_half_division_points_one_per_pair(p):
+    lam, mu, w = _half_division_points(p)
+    points = list(zip(lam.tolist(), mu.tolist()))
+
+    def pair(P):
+        return frozenset({P, (-P[0] % p, -P[1] % p)})
+
+    pairs = {pair((a, b)) for a in range(p) for b in range(p) if (a, b) != (0, 0)}
+    assert len(points) == len(pairs) and {pair(P) for P in points} == pairs
+    assert w.sum() == p * p - 1
+    torsion = {P for P in points if len(pair(P)) == 1}
+    assert torsion == {P for P, v in zip(points, w.tolist()) if v == 1.0}
+    assert set(w.tolist()) <= {1.0, 2.0}
+    assert len(torsion) == (3 if p % 2 == 0 else 0)
+    if p == 2:
+        assert torsion == set(points)
+
+
+#: even p (weight-1 points) next to odd, with an even q for the sums over q
+PAIRED_PQ = [(2, 1), (4, 3), (12, 5), (23, 12)]
+
+
+@pytest.mark.parametrize("im", [1.1, 0.06])
+@pytest.mark.parametrize("p, q", PAIRED_PQ)
+def test_paired_sums_against_loop_reference(p, q, im):
+    """The sums over one point per pair {P, -P} against the per-point loops
+    over all of them: both routes, D^-(x), the Prop. 3.1 residual and the
+    closed form of its constant (over q and, swapped, over p)."""
+    tau, pair = TauPoint(complex(0.2, im)), CoprimePair(p, q)
+    x, s = 0.3 / (2 * p), 0.3 / (2 * max(p, q))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SlowNomeWarning)
+        for route in Route:
+            _within_combined_err(elliptic_apostol_sum(2, pair, tau, route).value,
+                                 ref.elliptic_apostol_sum(2, pair, tau, route))
+        _within_combined_err(generating_D(pair, tau, x), ref.generating_D(pair, tau, x))
+        _within_combined_err(proposition31_residual(pair, s, tau),
+                             ref.proposition31_residual(pair, s, tau))
+        for u, v in ((p, q), (q, p)):
+            _within_combined_err(proposition31_constant_closed_form(CoprimePair(u, v), tau),
+                                 ref.proposition31_constant_closed_form(CoprimePair(u, v), tau))

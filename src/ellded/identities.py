@@ -20,7 +20,9 @@ from .qseries import (
     ComplexVal,
     SeriesPolicy,
     TauPoint,
-    _check_n_tau,
+    _Checked,
+    _checked,
+    _checked_n,
     _cmul,
     _eisenstein_consts,
     _eisenstein_normalized_of_sum,
@@ -32,7 +34,6 @@ from .symbols import (
     TABLE_CACHE_SIZE,
     EisensteinTable,
     _eisenstein_table,
-    _eisenstein_table_values,
     _reciprocity_rhs_of,
     _table_columns,
 )
@@ -94,16 +95,14 @@ def c_coefficients(n: int, tau: TauPoint,
     For n = 1 the two Kronecker deltas coincide at j = 1, doubling the
     derivative term; that doubling is what the degenerate case requires.
 
-    n and tau are checked on every call; the coefficients are built once per
-    (n, tau, policy), next to the Eisenstein table, in a cache of its size.
+    The c_j are built once per (n, tau, policy), beside the Eisenstein table.
     """
-    _check_n_tau(n, tau, policy)
-    return _c_coefficients_values(n, tau, policy)
+    return _c_coefficients_values(_checked_n(n), _checked(tau, policy))
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
-def _c_coefficients_values(n: int, tau: TauPoint, policy: SeriesPolicy) -> CoefficientVector:
-    return _coefficients_of(n, _eisenstein_table_values(n, tau, policy))
+def _c_coefficients_values(n: int, at: _Checked) -> CoefficientVector:
+    return _coefficients_of(n, _eisenstein_table(n, at))
 
 
 def _coefficients_of(n: int, table: EisensteinTable) -> CoefficientVector:
@@ -127,21 +126,18 @@ def verify_eq73(n: int, k: int, tau: TauPoint,
         sum_{i: 2i >= k-1} C(2i, k-1) c_i + sum_{i: 2i <= k} C(2n+2-2i, 2n+2-k) c_i
             = c_{(k-1)/2} (k odd) or c_{k/2} (k even).
 
-    n, k and tau are checked on every call; the residuals of all 2n+2 k are
-    built once per (n, tau, policy), next to the c_j, in a cache of its size.
+    The residuals of all 2n+2 k are built once per (n, tau, policy), beside the c_j.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _checked_n(n)
     if not 1 <= k <= 2 * n + 2:
         raise ValueError(f"k must be in [1, {2*n+2}], got {k}")
-    _check_n_tau(n, tau, policy)
-    return _eq73_residuals(n, tau, policy)[k - 1]
+    return _eq73_residuals(n, _checked(tau, policy))[k - 1]
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
-def _eq73_residuals(n: int, tau: TauPoint, policy: SeriesPolicy) -> Tuple[ComplexVal, ...]:
+def _eq73_residuals(n: int, at: _Checked) -> Tuple[ComplexVal, ...]:
     """The residuals of `verify_eq73` for k = 1..2n+2, from the cached c_j."""
-    cs = _c_coefficients_values(n, tau, policy).c
+    cs = _c_coefficients_values(n, at).c
     out = []
     for k in range(1, 2 * n + 3):
         lhs = ComplexVal(0j, 0.0)
@@ -164,7 +160,7 @@ def coefficient_scale(n: int, tau: TauPoint,
     simultaneously (at special points where every form of weight 2n+2 is
     zero), so max |c_j| is not a usable scale.
     """
-    e_top, prods, de = _eisenstein_table(n, tau, policy)
+    e_top, prods, de = _eisenstein_table(_checked_n(n), _checked(tau, policy))
     return max(abs(e_top.value), math.pi / n * abs(de.value),
                *(abs(prod.value) for prod in prods))
 
@@ -173,7 +169,7 @@ def t_weighted(n: int, pair: CoprimePair, tau: TauPoint,
                policy: SeriesPolicy = DEFAULT_POLICY) -> ComplexVal:
     """T^-_{2n}(p,q;tau) = (2 pi i)^2 pq [ R^-_{2n}(p,q;tau)
     - (2n+1) E_{2n+2} / ((2 pi i)^2 pq) ]."""
-    return _t_weighted_of(n, pair, _eisenstein_table(n, tau, policy))
+    return _t_weighted_of(n, pair, _eisenstein_table(_checked_n(n), _checked(tau, policy)))
 
 
 def _t_weighted_of(n: int, pair: CoprimePair, table: EisensteinTable) -> ComplexVal:
@@ -187,10 +183,10 @@ def _t_weighted_of(n: int, pair: CoprimePair, table: EisensteinTable) -> Complex
 def verify_three_term(n: int, pair: CoprimePair, tau: TauPoint,
                       policy: SeriesPolicy = DEFAULT_POLICY) -> ComplexVal:
     """Residual of p T(p+q,q) + q T(p,p+q) - (p+q) T(p,q); the three T
-    share one Eisenstein table, so n and tau are checked once."""
+    share one Eisenstein table."""
     pair.require_u()
     p, q = pair.p, pair.q
-    table = _eisenstein_table(n, tau, policy)
+    table = _eisenstein_table(_checked_n(n), _checked(tau, policy))
     t1 = _t_weighted_of(n, CoprimePair(p + q, q), table)
     t2 = _t_weighted_of(n, CoprimePair(p, p + q), table)
     t3 = _t_weighted_of(n, pair, table)
@@ -206,8 +202,7 @@ def eisenstein_period_data(n: int) -> PeriodData:
 
     which coincides with the degree-2n reciprocity polynomial g_{2n}.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _checked_n(n)
     z = zeta_odd(n, ZETA_TOL)
     r2n = math.factorial(2 * n) * z / (2 * TWO_PI_I ** (2 * n + 1))
     pet = (
@@ -254,15 +249,14 @@ def verify_eq64_onedim(w: int, tau: TauPoint,
 
     for weights with no cusp forms (w in {2, 4, 6, 8, 12}).  The scalar is
     formed exactly as (2 pi i)^w alpha_w (`_eq64_alpha`) and r^-(G_{w+2})
-    is g_w.  n = w/2 and tau are checked once for both Eisenstein terms."""
+    is g_w."""
     d, _ = dim_data(w)
     if d != 0:
         raise ValueError(f"w = {w} has d_w = {d} > 0; the one-dimensional form needs d_w = 0")
     n = _half_weight(w)
-    _check_n_tau(n, tau, policy)
-    lhs, _ = _laurent_of(_c_coefficients_values(n, tau, policy))
-    g_val = _eisenstein_normalized_of_sum(
-        n + 1, *_eisenstein_q_sum(n + 1, tau, policy, tau_deriv=False))
+    at = _checked(tau, policy)
+    lhs, _ = _laurent_of(_c_coefficients_values(n, at))
+    g_val = _eisenstein_normalized_of_sum(n + 1, *_eisenstein_q_sum(n + 1, at, tau_deriv=False))
     scalar = -(TWO_PI_I**w) * float(_eq64_alpha(w)) * g_val.value
     rhs = LaurentPoly({e: scalar * complex(c) for e, c in g_poly(w).coeffs.items()})
     return lhs - rhs
@@ -294,34 +288,31 @@ def basis_rank(w: int, taus: List[TauPoint],
     The polynomials equal `reciprocity_laurent`'s; their coefficients come
     from one Eisenstein pass over the whole sample (`_rank_matrix`), which
     leaves the per-tau caches to the callers that reuse their tau."""
-    sv = np.linalg.svd(_rank_matrix(_half_weight(w), taus, policy), compute_uv=False)
+    n = _half_weight(w)
+    # in order, each with its own warning: a rejected tau raises before any series
+    ats = [_checked(tau, policy) for tau in taus]
+    sv = np.linalg.svd(_rank_matrix(n, ats), compute_uv=False)
     if sv.size == 0 or sv[0] == 0:
         return 0
     return int(np.sum(sv > RANK_THRESHOLD * sv[0]))
 
 
-def _rank_matrix(n: int, taus: Sequence[TauPoint], policy: SeriesPolicy) -> np.ndarray:
-    """The coefficients of R^-_{2n}(.,.;tau), one row per tau of `taus`, in
-    the sorted order of their support: (-1, -1), then (2j-1, 2n+1-2j) for
+def _rank_matrix(n: int, ats: Sequence[_Checked]) -> np.ndarray:
+    """The coefficients of R^-_{2n}(.,.;tau), one row per record of `ats`,
+    in the sorted order of their support: (-1, -1), then (2j-1, 2n+1-2j) for
     j = 0..n+1.  Each entry equals `reciprocity_laurent`'s bit for bit: the
     Eisenstein table, c_j and Laurent steps run on (tau x column) arrays
     with every complex product rounded by `_cmul` as Python rounds it, and
-    no err is formed, since the rank reads none.
-
-    Every tau is checked in order first, each with its own SlowNomeWarning,
-    so a tau that fails its check raises before any series runs; the q-sums
-    come from one `_eisenstein_q_sums` pass, which neither reads nor fills
-    the caches."""
-    for tau in taus:
-        _check_n_tau(n, tau, policy)
-    sums = _eisenstein_q_sums(taus, _table_columns(n), policy)
+    no err is formed, since the rank reads none.  The q-sums come from one
+    `_eisenstein_q_sums` pass, which neither reads nor fills the caches."""
+    sums = _eisenstein_q_sums(ats, _table_columns(n))
     consts = [_eisenstein_consts(j) for j in range(1, n + 2)]
     # E_2, ..., E_{2n+2} and dE_{2n}/dtau, as `_table_of` forms them
     e = (np.array([const for const, _, _, _ in consts])
          + _cmul(np.array([pref for _, pref, _, _ in consts]), sums[:, :-1]))
     de = _cmul(consts[n - 1][1], sums[:, -1])
     # c_0..c_{n+1}, as `_coefficients_of` forms them
-    c = np.empty((len(taus), n + 2), dtype=complex)
+    c = np.empty((len(ats), n + 2), dtype=complex)
     c[:, 0] = c[:, n + 1] = e[:, n]
     c[:, 1:n + 1] = -_cmul(e[:, :n], e[:, n - 1::-1])
     for j in sorted({1, n}):

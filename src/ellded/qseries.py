@@ -26,12 +26,10 @@ do not depend on the host.
 The Weierstrass kernels run at tau reduced to the fundamental domain
 (`_reduction`) and map their values back by weight; the elliptic Bernoulli
 and Eisenstein functions run at tau itself.  b = zeta - E_2 z comes straight
-from one B_1 batch (`_b_series`), with no E_2, and zeta is b + E_2 z.  Each
-kernel call, B_m pass and Eisenstein call checks the caller's tau, and warns
-about it, once.
-The Eisenstein q-sums are memoised per (n, tau, policy, tau_deriv) in a
-bounded `lru_cache` over a scalar loop; tau is checked, and warned about, on
-every call before the cache is read.  `_eisenstein_q_sums` computes the same
+from one B_1 batch (`_b_series`), with no E_2, and zeta is b + E_2 z.
+Each public call checks its tau once, into a `_Checked` record.
+The Eisenstein q-sums are memoised per (n, record, tau_deriv) in a bounded
+`lru_cache` over a scalar loop.  `_eisenstein_q_sums` computes the same
 sums for a whole sample of tau on the engine, without the cache and without
 their bounds, as one (tau x column) array.
 """
@@ -275,6 +273,8 @@ class SeriesPolicy:
             raise ValueError("tol must be > 0")
         if self.max_terms < 1:
             raise ValueError("max_terms must be >= 1")
+        if math.isnan(self.min_im_tau):
+            raise ValueError("min_im_tau must be a number, got nan")
 
 
 DEFAULT_POLICY = SeriesPolicy()
@@ -291,27 +291,28 @@ class NonConvergenceError(RuntimeError):
 _SLOW_IM_TAU = 0.11
 
 
-def _term_cap(tau: TauPoint, policy: SeriesPolicy) -> int:
-    """The term cap at tau: ten times max_terms where the nome is slow, and
-    at most 2^62, which fits an int64: no series runs that many terms."""
-    return min(policy.max_terms * 10 if tau.tau.imag < _SLOW_IM_TAU else policy.max_terms,
-               2**62)
+class _Checked(NamedTuple):
+    """A tau checked by `_checked`, with its policy and term cap: what every kernel
+    entry, block series and Eisenstein cache takes, so none sees an unchecked tau."""
+
+    tau: TauPoint
+    policy: SeriesPolicy
+    cap: int
 
 
-def _check_tau(tau: TauPoint, policy: SeriesPolicy) -> int:
-    """Reject or warn on small Im(tau); returns the effective term cap."""
-    im = tau.tau.imag
+def _checked(tau: TauPoint, policy: SeriesPolicy) -> _Checked:
+    """tau checked under policy: ValueError below min_im_tau, one
+    SlowNomeWarning where the nome is slow, and the term cap, ten times
+    max_terms there and at most 2^62, an int64 that no series reaches."""
+    im, cap = tau.tau.imag, policy.max_terms
     if im < policy.min_im_tau:
-        raise ValueError(
-            f"Im(tau) = {im} below the accepted bound {policy.min_im_tau}"
-        )
+        raise ValueError(f"Im(tau) = {im} below the accepted bound {policy.min_im_tau}")
     if im < _SLOW_IM_TAU:
-        warnings.warn(
-            f"Im(tau) = {im} gives |q| = {abs(tau.nome):.3f}; convergence is slow",
-            SlowNomeWarning,
-            stacklevel=_outside_stacklevel(),
-        )
-    return _term_cap(tau, policy)
+        warnings.warn(f"Im(tau) = {im} gives |q| = {abs(tau.nome):.3f}; convergence is slow",
+                      SlowNomeWarning, stacklevel=_outside_stacklevel())
+        cap *= 10
+    # tuple.__new__ skips the NamedTuple's Python-level __new__ on every public call
+    return tuple.__new__(_Checked, (tau, policy, min(cap, 2**62)))
 
 
 def _outside_stacklevel() -> int:
@@ -501,20 +502,17 @@ def _q_sum_error(n: int, cap: int, acc: complex) -> NonConvergenceError:
 
 
 @lru_cache(maxsize=Q_SUM_CACHE_SIZE)
-def _eisenstein_q_sum(n: int, tau: TauPoint, policy: SeriesPolicy,
-                      tau_deriv: bool) -> Tuple[complex, float]:
-    """sum_k sigma_{2n-1}(k) q^k, optionally with the termwise 2 pi i k factor.
+def _eisenstein_q_sum(n: int, at: _Checked, tau_deriv: bool) -> Tuple[complex, float]:
+    """sum_k sigma_{2n-1}(k) q^k at `at`'s tau, times 2 pi i k termwise if tau_deriv.
 
     Returns (sum, bound on the tail and the rounding).  The terms are added
     in order with one Kahan step each; the sum stops after three terms in a
-    row below tol relative to it.  Does not check tau: callers run
-    `_check_tau` first, on every call, since the cache would skip it.  A
-    NonConvergenceError is raised afresh each time, as `lru_cache` keeps
-    only returned values.  `_eisenstein_q_sums` runs the same loop over many
-    columns at once and keeps only the sums."""
-    cap = _term_cap(tau, policy)
-    q = tau.nome
-    err_q = _nome_err(tau)
+    row below tol relative to it.  A NonConvergenceError is raised afresh
+    each time, as `lru_cache` keeps only returned values; `_eisenstein_q_sums`
+    runs the same loop over many columns at once and keeps only the sums."""
+    cap, tol = at.cap, at.policy.tol
+    q = at.tau.nome
+    err_q = _nome_err(at.tau)
     rnd = 0.0
     acc, comp = 0j, 0j
     qk = 1.0 + 0j
@@ -531,7 +529,7 @@ def _eisenstein_q_sum(n: int, tau: TauPoint, policy: SeriesPolicy,
         last = abs(term)
         rnd += last * (k * err_q + 4.0)
         scale = max(abs(acc), 1e-300)
-        if last <= policy.tol * scale or last == 0.0:
+        if last <= tol * scale or last == 0.0:
             small_streak += 1
             if small_streak >= 3:
                 break
@@ -562,11 +560,10 @@ def _q_sum_rows(aq: float, ell: int, tol: float, streak: int) -> int:
     return BLOCK_ELEMENTS
 
 
-def _eisenstein_q_sums(taus: Sequence[TauPoint], cols: Sequence[Tuple[int, bool]],
-                       policy: SeriesPolicy) -> np.ndarray:
-    """The sum of `_eisenstein_q_sum(n, tau, policy, tau_deriv)` for every
-    column (n, tau_deriv) of `cols` at every tau of `taus`, in one
-    `_block_series` run and without the cache: a (tau x column) complex
+def _eisenstein_q_sums(ats: Sequence[_Checked], cols: Sequence[Tuple[int, bool]]) -> np.ndarray:
+    """The sum of `_eisenstein_q_sum(n, at, tau_deriv)` for every column
+    (n, tau_deriv) of `cols` at every `at` of `ats`, under one policy, in
+    one `_block_series` run and without the cache: a (tau x column) complex
     array, bit for bit the scalar loop's sums.  No bound is formed.
 
     Each tau forms q^k by the scalar loop's Python complex products.  sigma
@@ -577,17 +574,20 @@ def _eisenstein_q_sums(taus: Sequence[TauPoint], cols: Sequence[Tuple[int, bool]
     cap.  The first block runs the terms `_q_sum_rows` estimates for the
     largest |q| and the largest power of k (2n - 1, one more with the
     2 pi i k factor), so that a sample near the fundamental domain runs in
-    one block.  Does not check tau.  If some columns hit their cap, raises
-    the scalar loop's NonConvergenceError of the first: first tau in order,
-    then first column in order."""
+    one block.  If some columns hit their cap, raises the scalar loop's
+    NonConvergenceError of the first: first tau in order, then first column
+    in order."""
     ncols, streak = len(cols), 3
+    if not ats:
+        return np.empty((0, ncols), dtype=complex)
+    tol = ats[0].policy.tol
     ells = tuple(sorted({2 * n - 1 for n, _ in cols}))
-    tau_of = np.repeat(np.arange(len(taus)), ncols)
-    ell_of = np.array([ells.index(2 * n - 1) for n, _ in cols] * len(taus), dtype=int)
-    deriv = np.array([d for _, d in cols] * len(taus), dtype=bool)
-    cap = np.array([_term_cap(t, policy) for t in taus], dtype=int)[tau_of]
-    qs = [t.nome for t in taus]
-    qks = [1.0 + 0j] * len(taus)
+    tau_of = np.repeat(np.arange(len(ats)), ncols)
+    ell_of = np.array([ells.index(2 * n - 1) for n, _ in cols] * len(ats), dtype=int)
+    deriv = np.array([d for _, d in cols] * len(ats), dtype=bool)
+    cap = np.array([at.cap for at in ats], dtype=int)[tau_of]
+    qs = [at.tau.nome for at in ats]
+    qks = [1.0 + 0j] * len(ats)
 
     def terms(ks, tau_i, ell_i, deriv):
         # one row per k; q^k is the running product at every tau
@@ -608,17 +608,17 @@ def _eisenstein_q_sums(taus: Sequence[TauPoint], cols: Sequence[Tuple[int, bool]
         return term, size, np.zeros_like(size)
 
     first = _q_sum_rows(max(map(abs, qs), default=0.0),
-                        max((2 * n - 1 + d for n, d in cols), default=1), policy.tol, streak)
+                        max((2 * n - 1 + d for n, d in cols), default=1), tol, streak)
     sums, _, ks, _, _ = _block_series(
         np.zeros(len(tau_of), dtype=complex), np.zeros(len(tau_of)), terms,
         (tau_of, ell_of, deriv), cap,
-        lambda size, s: (size <= policy.tol * np.maximum(_abs(s), 1e-300)) | (size == 0.0),
+        lambda size, s: (size <= tol * np.maximum(_abs(s), 1e-300)) | (size == 0.0),
         streak, first)
     failed = np.flatnonzero(ks == 0)
     if failed.size:
         i, col = divmod(int(failed[0]), ncols)
-        raise _q_sum_error(cols[col][0], _term_cap(taus[i], policy), complex(sums[failed[0]]))
-    return sums.reshape(len(taus), ncols)
+        raise _q_sum_error(cols[col][0], ats[i].cap, complex(sums[failed[0]]))
+    return sums.reshape(len(ats), ncols)
 
 
 @lru_cache(maxsize=None)
@@ -632,18 +632,22 @@ def _eisenstein_consts(n: int) -> Tuple[complex, complex, float, float]:
     return const, pref, abs(pref), 2.0**-53 * (2 * n + 2 * (2 * n).bit_length() + 4)
 
 
-def _check_n_tau(n: int, tau: TauPoint, policy: SeriesPolicy) -> None:
-    """The checks every Eisenstein call runs, before any cache is read."""
+def _checked_n(n: int) -> int:
+    """n, checked to be >= 1, as every Eisenstein call does before its tau."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    _check_tau(tau, policy)
+    return n
 
 
 def eisenstein(n: int, tau: TauPoint, policy: SeriesPolicy = DEFAULT_POLICY) -> ComplexVal:
     """Eisenstein series E_{2n}(tau) = 2 zeta(2n) + (2 (2 pi i)^{2n} / (2n-1)!)
     sum_k sigma_{2n-1}(k) q^k, with 2 zeta(2n) = -(2 pi i)^{2n} B_{2n} / (2n)!."""
-    _check_n_tau(n, tau, policy)
-    return _eisenstein_of_sum(n, *_eisenstein_q_sum(n, tau, policy, tau_deriv=False))
+    return _eisenstein(_checked_n(n), _checked(tau, policy))
+
+
+def _eisenstein(n: int, at: _Checked) -> ComplexVal:
+    """E_{2n} at `at`'s tau, from the memoised q-sum."""
+    return _eisenstein_of_sum(n, *_eisenstein_q_sum(n, at, tau_deriv=False))
 
 
 def _eisenstein_of_sum(n: int, s: complex, tail: float) -> ComplexVal:
@@ -657,8 +661,8 @@ def _eisenstein_of_sum(n: int, s: complex, tail: float) -> ComplexVal:
 
 def eisenstein_normalized(n: int, tau: TauPoint, policy: SeriesPolicy = DEFAULT_POLICY) -> ComplexVal:
     """G_{2n}(tau) = -B_{2n}/(4n) + sum_k sigma_{2n-1}(k) q^k."""
-    _check_n_tau(n, tau, policy)
-    return _eisenstein_normalized_of_sum(n, *_eisenstein_q_sum(n, tau, policy, tau_deriv=False))
+    _checked_n(n)
+    return _eisenstein_normalized_of_sum(n, *_eisenstein_q_sum(n, _checked(tau, policy), False))
 
 
 def _eisenstein_normalized_of_sum(n: int, s: complex, tail: float) -> ComplexVal:
@@ -671,9 +675,9 @@ def _eisenstein_normalized_of_sum(n: int, s: complex, tail: float) -> ComplexVal
 
 def eisenstein_tau_derivative(n: int, tau: TauPoint, policy: SeriesPolicy = DEFAULT_POLICY) -> ComplexVal:
     """dE_{2n}/dtau by termwise differentiation of the q-expansion."""
-    _check_n_tau(n, tau, policy)
+    _checked_n(n)
     return _eisenstein_tau_derivative_of_sum(
-        n, *_eisenstein_q_sum(n, tau, policy, tau_deriv=True))
+        n, *_eisenstein_q_sum(n, _checked(tau, policy), tau_deriv=True))
 
 
 def _eisenstein_tau_derivative_of_sum(n: int, s: complex, tail: float) -> ComplexVal:
@@ -757,6 +761,11 @@ def elliptic_bernoulli_points(m, x, y, tau: TauPoint,
     `m` is one order for every point, or an integer array of orders aligned
     with x and y; all the orders then run in the same pass, each point's
     value and err equal to a one-order call's bit for bit."""
+    return _bernoulli_points(m, x, y, _checked(tau, policy))
+
+
+def _bernoulli_points(m, x, y, at: _Checked) -> ComplexArray:
+    """`elliptic_bernoulli_points` at `at`'s tau."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     m = np.asarray(m)
@@ -772,8 +781,7 @@ def elliptic_bernoulli_points(m, x, y, tau: TauPoint,
     run = np.flatnonzero(m > 0)
     if run.size:
         run = run[np.argsort(m[run], kind="stable")]
-        b = _bernoulli_series(m[run], x[run], y[run], tau, _check_tau(tau, policy), policy,
-                              rank=run)
+        b = _bernoulli_series(m[run], x[run], y[run], at, rank=run)
         out.value[run], out.err[run] = b.value, b.err
     return out
 
@@ -783,11 +791,10 @@ def elliptic_bernoulli_points(m, x, y, tau: TauPoint,
 _TWO_PI_ULPS = 2.0 * math.pi * 2.0**53
 
 
-def _bernoulli_series(m: np.ndarray, x: np.ndarray, y: np.ndarray, tau: TauPoint, cap: int,
-                      policy: SeriesPolicy, arg_err=(0.0, 0.0, 0.0),
-                      rank: Optional[np.ndarray] = None) -> ComplexArray:
+def _bernoulli_series(m: np.ndarray, x: np.ndarray, y: np.ndarray, at: _Checked,
+                      arg_err=(0.0, 0.0, 0.0), rank: Optional[np.ndarray] = None) -> ComplexArray:
     """B_m(x, y; tau), m >= 1, at points that passed the lattice check, by
-    the series of `elliptic_bernoulli` with term cap `cap`.
+    the series of `elliptic_bernoulli` at `at`'s tau.
 
     `m` is an ascending integer array with an order per point; all the
     orders run in one pass, each on a slice of the columns
@@ -808,7 +815,7 @@ def _bernoulli_series(m: np.ndarray, x: np.ndarray, y: np.ndarray, tau: TauPoint
     exponential.  dy also moves the powers (y -+ j)^(m-1), by (m - 1) dy /
     (j -+ y) relative, the closing term's y^(m-1), by (m - 1)
     y^(m-2) dy times the rest, and B_m(y), by m |B_{m-1}(y)| dy."""
-    t = tau.tau
+    t = at.tau.tau
     y = y - np.floor(y)
     # x is off-integer where y snaps to exactly 0 (lattice check above)
     snap = (y < _LATTICE_EPS) | (y > 1 - _LATTICE_EPS)
@@ -863,7 +870,7 @@ def _bernoulli_series(m: np.ndarray, x: np.ndarray, y: np.ndarray, tau: TauPoint
         np.zeros(len(x), dtype=complex), np.zeros(len(x)), terms,
         (y, np.exp(-TWO_PI_I * y * t), np.exp(TWO_PI_I * y * t), emx, emx.conj(),
          err_x, m, dy_ulps),
-        cap, policy.tol, "elliptic Bernoulli series", rank)
+        at.cap, at.policy.tol, "elliptic Bernoulli series", rank)
 
     def finish(m, x, y, s, c, j, last, rnd, err_v, dy):
         arg = TWO_PI_I * (-x + y * t)
@@ -997,13 +1004,13 @@ def _reduction(tau: TauPoint) -> Optional[_Reduction]:
 
 class _Frame(NamedTuple):
     """Points x - y tau where a kernel evaluates them: at the caller's tau,
-    or at the reduced tau' with the reduction `red`; `arg_err` = (dx, dy,
-    dtau) bounds the absolute errors of x, y and tau there, at the caller's
-    tau only the shift of a snapped y."""
+    or at the reduced tau' with the reduction `red`, in the record `at`;
+    `arg_err` = (dx, dy, dtau) bounds the absolute errors of x, y and tau
+    there, at the caller's tau only the shift of a snapped y."""
 
     x: np.ndarray
     y: np.ndarray
-    tau: TauPoint
+    at: _Checked
     arg_err: tuple
     red: Optional[_Reduction]
 
@@ -1011,16 +1018,16 @@ class _Frame(NamedTuple):
         """x - y tau, with the argument errors and the rounding of the
         product and the difference (2^-53 |y| |tau| and 2^-53 |x - y tau|)."""
         dx, dy, dt = self.arg_err
-        t = self.tau.tau
+        t = self.at.tau.tau
         return ComplexArray(self.x - self.y * t,
                             dx + dy * abs(t) + np.abs(self.y) * dt
                             + 2.0**-52 * (np.abs(self.x) + np.abs(self.y) * abs(t)))
 
 
-def _frame(x: np.ndarray, y: np.ndarray, tau: TauPoint) -> _Frame:
-    """The points x - y tau in the frame of tau's reduction.  The frame's
-    tau lies in F, so nothing run there checks it: `_in_frame` checks the
-    caller's tau, once per kernel call.
+def _frame(x: np.ndarray, y: np.ndarray, at: _Checked) -> _Frame:
+    """The points x - y tau in the frame of the reduction of `at`'s tau.
+    tau' keeps the caller's policy and cap: Im tau' >= Im tau, so it passes
+    wherever tau passed.
 
     x and y come from `_decompose`, within 2^-53 (|x| + 2 |y Re tau|) and
     2^-53 |y|; gamma carries those errors into x' and y', and the integer
@@ -1030,11 +1037,11 @@ def _frame(x: np.ndarray, y: np.ndarray, tau: TauPoint) -> _Frame:
     would snap at tau' is snapped here; both shifts count as errors of y
     and y', and so does the snap on F, where the rest of x and y is taken
     as exact."""
-    red = _reduction(tau)
+    red = _reduction(at.tau)
     snapped = _snap(y)
     if red is None:
-        return _Frame(x, snapped, tau, (0.0, np.abs(y - snapped), 0.0), None)
-    ex = 2.0**-52 * (np.abs(x) + np.abs(y * tau.tau.real))
+        return _Frame(x, snapped, at, (0.0, np.abs(y - snapped), 0.0), None)
+    ex = 2.0**-52 * (np.abs(x) + np.abs(y * at.tau.tau.real))
     ey = 2.0**-52 * np.abs(y) + np.abs(y - snapped)
     y = snapped
     a, b, c, d = red.a, red.b, red.c, red.d
@@ -1042,7 +1049,8 @@ def _frame(x: np.ndarray, y: np.ndarray, tau: TauPoint) -> _Frame:
     dx = abs(a) * ex + abs(b) * ey + 2.0**-53 * np.abs(xr)
     dy = abs(c) * ex + abs(d) * ey + 2.0**-53 * np.abs(yr)
     snapped = _snap(yr)
-    return _Frame(xr, snapped, red.tau, (dx, dy + np.abs(yr - snapped), red.dtau), red)
+    return _Frame(xr, snapped, _Checked(red.tau, at.policy, at.cap),
+                  (dx, dy + np.abs(yr - snapped), red.dtau), red)
 
 
 def _snap(y: np.ndarray) -> np.ndarray:
@@ -1051,14 +1059,12 @@ def _snap(y: np.ndarray) -> np.ndarray:
     return np.where(np.abs(y - n) <= _LATTICE_EPS, n, y)
 
 
-def _e2(tau: TauPoint, policy: SeriesPolicy, dtau: float) -> ComplexVal:
+def _e2(at: _Checked, dtau: float) -> ComplexVal:
     """E_2 at a frame's tau, from the memoised q-sum, its err widened for an
     error dtau of tau by
-    |dE_2/dtau| = 16 pi^3 |sum_n n sigma_1(n) q^n| <= 16 pi^3 sum_n n^3 |q|^n.
-    tau is not checked: it lies in F, whose Im is at least the caller's, so
-    a check could neither warn nor reject where `_in_frame`'s passed."""
-    e2 = _eisenstein_of_sum(1, *_eisenstein_q_sum(1, tau, policy, tau_deriv=False))
-    r = abs(tau.nome)
+    |dE_2/dtau| = 16 pi^3 |sum_n n sigma_1(n) q^n| <= 16 pi^3 sum_n n^3 |q|^n."""
+    e2 = _eisenstein(1, at)
+    r = abs(at.tau.nome)
     slope = 16.0 * math.pi**3 * r * (1.0 + 4.0 * r + r * r) / (1.0 - r) ** 4
     return ComplexVal(e2.value, e2.err + slope * dtau)
 
@@ -1076,37 +1082,33 @@ def _decompose(z, tau: TauPoint):
     return x, y
 
 
-def _b_series(x: np.ndarray, y: np.ndarray, tau: TauPoint, cap: int,
-              policy: SeriesPolicy, arg_err) -> ComplexArray:
+def _b_series(x: np.ndarray, y: np.ndarray, at: _Checked, arg_err) -> ComplexArray:
     """b = zeta - E_2 z at z = x - y tau, from one B_1 batch and no E_2:
     b(x - y tau) = -2 pi i (B_1(x0, y0; tau) - y) for (x0, y0) = (x, y)
     mod 1, as B_1(x0, y0) = -(b(x0 - y0 tau)) / (2 pi i) + y0, b(z + 1) =
     b(z) and b(z + tau) = b(z) - 2 pi i.  `arg_err` as in `_Frame`: B_1
     carries it; an error dy of y moves -y as it moves B_1(y) = y - 1/2,
     whose share of B_1's err already counts it."""
-    b1 = _bernoulli_series(np.ones(len(x), dtype=np.intp), x - np.floor(x), y, tau, cap,
-                           policy, arg_err)
+    b1 = _bernoulli_series(np.ones(len(x), dtype=np.intp), x - np.floor(x), y, at, arg_err)
     return (b1 - y) * -TWO_PI_I
 
 
-def _in_frame(series, z, tau: TauPoint, policy: SeriesPolicy, pole: str):
-    """`series(x, y, tau, cap, policy, arg_err)` at the points z in the
-    frame of tau's reduction, and the frame.  The lattice check, the tau
-    check, its one warning, and the term cap are the caller's (z, tau)'s."""
+def _in_frame(series, z, at: _Checked, pole: str):
+    """`series(x, y, at, arg_err)` at the points z in the frame of the
+    reduction of `at`'s tau, after their lattice check; and the frame."""
     z = np.asarray(z, dtype=complex)
-    x, y = _decompose(z, tau)
+    x, y = _decompose(z, at.tau)
     _lattice_check(x, y, lambda i: f"{pole} pole: z = {complex(z[i])} is on the lattice")
-    cap = _check_tau(tau, policy)
-    f = _frame(x, y, tau)
-    return series(f.x, f.y, f.tau, cap, policy, f.arg_err), f
+    f = _frame(x, y, at)
+    return series(f.x, f.y, f.at, f.arg_err), f
 
 
 def weierstrass_zeta_points(z, tau: TauPoint,
                             policy: SeriesPolicy = DEFAULT_POLICY) -> ComplexArray:
     """`weierstrass_zeta` at every point of the array z, as b + E_2 z from
     one batched B_1 series (`_b_series`) and one E_2, at tau reduced to F."""
-    b, f = _in_frame(_b_series, z, tau, policy, "zeta")
-    zeta = b + f.z() * _e2(f.tau, policy, f.arg_err[2])
+    b, f = _in_frame(_b_series, z, _checked(tau, policy), "zeta")
+    zeta = b + f.z() * _e2(f.at, f.arg_err[2])
     return zeta if f.red is None else zeta * f.red.weight(1)
 
 
@@ -1126,12 +1128,12 @@ def weierstrass_zeta(z: complex, tau: TauPoint,
     return weierstrass_zeta_points([complex(z)], tau, policy)[0]
 
 
-def _zeta_block(z, tau: TauPoint, policy: SeriesPolicy) -> ComplexArray:
+def _zeta_block(z, at: _Checked) -> ComplexArray:
     """b(z) = zeta(z) - E_2 z at the points z, with no E_2 at all: b from
     B_1 (`_b_series`) on F, else, by the rules of `_Reduction` and
     `_Reduction.e2_shift`, m^-1 b'(z') - 2 pi i c z' with b' = zeta - E_2 z
     at tau'."""
-    b, f = _in_frame(_b_series, z, tau, policy, "zeta")
+    b, f = _in_frame(_b_series, z, at, "zeta")
     if f.red is None:
         return b
     c = f.red.c
@@ -1171,13 +1173,12 @@ def _phi(k: int, w: np.ndarray, pk: Tuple[int, ...],
     return num / _ipow(den, k + 2), num_abs / _ipow(np.abs(den), k + 3)
 
 
-def _p_deriv_series(k: int, x: np.ndarray, y: np.ndarray, tau: TauPoint, cap: int,
-                    policy: SeriesPolicy, arg_err) -> ComplexArray:
+def _p_deriv_series(k: int, x: np.ndarray, y: np.ndarray, at: _Checked, arg_err) -> ComplexArray:
     """pe^(k)(x - y tau; tau) by the Fourier series of `weierstrass_p_deriv`
-    with term cap `cap`.  `arg_err` as in `_Frame`: the errors of x, y and
-    tau add 2 pi (dx + dy |tau| + |y0| dtau) to the argument of u and
-    2 pi dtau to that of q, which E_2 also carries."""
-    t = tau.tau
+    at `at`'s tau.  `arg_err` as in `_Frame`: the errors of x, y and tau add
+    2 pi (dx + dy |tau| + |y0| dtau) to the argument of u and 2 pi dtau to
+    that of q, which E_2 also carries."""
+    t = at.tau.tau
     y0 = y - np.rint(y)
     # pe^{(k)}(-z) = (-1)^k pe^{(k)}(z)
     neg = y0 < -_LATTICE_EPS
@@ -1187,7 +1188,7 @@ def _p_deriv_series(k: int, x: np.ndarray, y: np.ndarray, tau: TauPoint, cap: in
     x0 = x - np.floor(x)
     arg = TWO_PI_I * (x0 - y0 * t)
     u = np.exp(arg)
-    q = tau.nome
+    q = at.tau.nome
     aq = abs(q)
     par = (-1.0) ** k
     qj = 1.0 + 0j
@@ -1218,7 +1219,7 @@ def _p_deriv_series(k: int, x: np.ndarray, y: np.ndarray, tau: TauPoint, cap: in
 
     start, s0 = _phi(k, u, pk, pk1)
     acc, _, j, last, rnd = _points_series(start, s0 * (err_u + own), terms, (u, err_u),
-                                          cap, policy.tol, "pe Fourier series")
+                                          at.cap, at.policy.tol, "pe Fourier series")
     pref = TWO_PI_I ** (k + 2)
     r = min(aq * 2.0, 0.99)
     tail = abs(pref) * (2.0 * last * r / (1.0 - r) + 1e-16 * np.abs(acc) * j)
@@ -1228,7 +1229,7 @@ def _p_deriv_series(k: int, x: np.ndarray, y: np.ndarray, tau: TauPoint, cap: in
     rnd = abs(pref) * (rnd + 2.0 * np.abs(acc)) + (k + 2 * bl + 6.0) * np.abs(value)
     val = ComplexArray(value, tail + 2.0**-53 * rnd)
     if k == 0:
-        val = val - _e2(tau, policy, arg_err[2])
+        val = val - _e2(at, arg_err[2])
     return val
 
 
@@ -1238,7 +1239,12 @@ def weierstrass_p_deriv_points(k: int, z, tau: TauPoint,
     run of its Fourier series at tau reduced to F."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    pe, f = _in_frame(partial(_p_deriv_series, k), z, tau, policy, "pe")
+    return _p_deriv_points(k, z, _checked(tau, policy))
+
+
+def _p_deriv_points(k: int, z, at: _Checked) -> ComplexArray:
+    """`weierstrass_p_deriv_points` at `at`'s tau."""
+    pe, f = _in_frame(partial(_p_deriv_series, k), z, at, "pe")
     return pe if f.red is None else pe * f.red.weight(k + 2)
 
 
@@ -1258,13 +1264,13 @@ def weierstrass_p_deriv(k: int, z: complex, tau: TauPoint,
     return weierstrass_p_deriv_points(k, [complex(z)], tau, policy)[0]
 
 
-def _pe_blocks(z, n: int, tau: TauPoint, policy: SeriesPolicy):
+def _pe_blocks(z, n: int, at: _Checked):
     """pe at the first n points of z and pe + E_2 at the others, from one
     pe batch.  pe + E_2 never mixes E_2 of two tau: on F it is pe + E_2,
     else m^-2 (pe + E_2)(z'; tau') + 2 pi i c / m."""
-    pe, f = _in_frame(partial(_p_deriv_series, 0), z, tau, policy, "pe")
+    pe, f = _in_frame(partial(_p_deriv_series, 0), z, at, "pe")
     head = ComplexArray(pe.value[:n], pe.err[:n])
-    rest = ComplexArray(pe.value[n:], pe.err[n:]) + _e2(f.tau, policy, f.arg_err[2])
+    rest = ComplexArray(pe.value[n:], pe.err[n:]) + _e2(f.at, f.arg_err[2])
     if f.red is None:
         return head, rest
     w = f.red.weight(2)
@@ -1281,7 +1287,7 @@ def weierstrass_zeta_deriv(j: int, z: complex, tau: TauPoint,
     return -weierstrass_p_deriv(j - 1, z, tau, policy)
 
 
-def _sigma_log_blocks(z, tau: TauPoint, policy: SeriesPolicy, pe_only=()):
+def _sigma_log_blocks(z, at: _Checked, pe_only=()):
     """The heat-equation blocks of d(log sigma)/dtau at the points z.
 
     sigma = e^{E_2 z^2 / 2} theta_1(pi z) / (pi theta_1'(0)), the heat
@@ -1294,9 +1300,9 @@ def _sigma_log_blocks(z, tau: TauPoint, policy: SeriesPolicy, pe_only=()):
     zeta batch over z (`_zeta_block`) and one pe batch over z and pe_only
     (`_pe_blocks`), at tau reduced to F, without E_2 at the caller's tau."""
     z = np.asarray(z, dtype=complex)
-    b = _zeta_block(z, tau, policy)
+    b = _zeta_block(z, at)
     pe, pe_e2 = _pe_blocks(np.concatenate((z, np.asarray(pe_only, dtype=complex))),
-                           len(z), tau, policy)
+                           len(z), at)
     return b, b * b - pe, pe_e2
 
 
@@ -1306,10 +1312,11 @@ def sigma_log_tau_derivative(z: complex, tau: TauPoint,
     ((zeta - E_2 z)^2 - pe + 2 E_2) / (4 pi i) + E_2' z^2 / 2, by the heat
     equation (see `_sigma_log_blocks`)."""
     z = complex(z)
-    _, heat, _ = _sigma_log_blocks([z], tau, policy)
-    e2 = eisenstein(1, tau, policy)
-    val = (heat[0] + e2 * 2.0) * (1.0 / (4j * math.pi))
-    return val + eisenstein_tau_derivative(1, tau, policy) * (z * z / 2)
+    at = _checked(tau, policy)
+    _, heat, _ = _sigma_log_blocks([z], at)
+    val = (heat[0] + _eisenstein(1, at) * 2.0) * (1.0 / (4j * math.pi))
+    de2 = _eisenstein_tau_derivative_of_sum(1, *_eisenstein_q_sum(1, at, tau_deriv=True))
+    return val + de2 * (z * z / 2)
 
 
 # ---------------------------------------------------------------------------

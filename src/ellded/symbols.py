@@ -36,16 +36,19 @@ from .qseries import (
     ComplexVal,
     SeriesPolicy,
     TauPoint,
-    _check_n_tau,
+    _bernoulli_points,
+    _Checked,
+    _checked,
+    _checked_n,
+    _eisenstein,
     _eisenstein_of_sum,
     _eisenstein_q_sum,
     _eisenstein_tau_derivative_of_sum,
+    _p_deriv_points,
     _pe_blocks,
     _sigma_log_blocks,
     _zeta_block,
     eisenstein,
-    elliptic_bernoulli_points,
-    weierstrass_p_deriv_points,
 )
 
 __all__ = [
@@ -116,14 +119,14 @@ def _parts(a: ComplexArray, sizes: Sequence[int]) -> List[ComplexArray]:
 
 
 def _bernoulli_factors(factors: Sequence[Tuple[int, np.ndarray, np.ndarray]],
-                       tau: TauPoint, policy: SeriesPolicy) -> List[ComplexArray]:
+                       at: _Checked) -> List[ComplexArray]:
     """B_m at the points (x, y) of each factor (m, x, y), every order in one
     `elliptic_bernoulli_points` pass; one ComplexArray per factor."""
     sizes = [len(x) for _, x, _ in factors]
-    return _parts(elliptic_bernoulli_points(
+    return _parts(_bernoulli_points(
         np.repeat([m for m, _, _ in factors], sizes),
         np.concatenate([x for _, x, _ in factors]),
-        np.concatenate([y for _, _, y in factors]), tau, policy), sizes)
+        np.concatenate([y for _, _, y in factors]), at), sizes)
 
 
 def _weighted(a: ComplexArray, w: np.ndarray) -> ComplexArray:
@@ -140,11 +143,10 @@ def _fsum(*parts: Union[ComplexArray, ComplexVal]) -> ComplexVal:
                       math.fsum(err) + 2.0**-52 * math.fsum(np.hypot(v.real, v.imag)))
 
 
-def _zeta_bracket(z: np.ndarray, mu_over_p: np.ndarray,
-                  tau: TauPoint, policy: SeriesPolicy) -> ComplexArray:
+def _zeta_bracket(z: np.ndarray, mu_over_p: np.ndarray, at: _Checked) -> ComplexArray:
     """zeta(z) - E_2 z + 2 pi i * (mu/p); the recurring odd-symbol factor,
     from the E_2-free block `qseries._zeta_block`."""
-    return _zeta_block(z, tau, policy) + ComplexArray(TWO_PI_I * mu_over_p, 0.0)
+    return _zeta_block(z, at) + ComplexArray(TWO_PI_I * mu_over_p, 0.0)
 
 
 def elliptic_apostol_sum(n: int, pair: CoprimePair, tau: TauPoint,
@@ -169,20 +171,20 @@ def elliptic_apostol_sum(n: int, pair: CoprimePair, tau: TauPoint,
 
     with q* q = 1 (mod p).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _checked_n(n)
+    at = _checked(tau, policy)
     p, q = pair.p, pair.q
     lam, mu, w = _half_division_points(p)
     if route is Route.ZETA_DERIVATIVE:
         z = _division_z(lam, mu, tau, p)
         # zeta^{(2n)} = -pe^{(2n-1)}
-        zd = -weierstrass_p_deriv_points(2 * n - 1, z, tau, policy)
-        total = _fsum(_weighted(zd * _zeta_bracket(q * z, q * mu / p, tau, policy), w))
+        zd = -_p_deriv_points(2 * n - 1, z, at)
+        total = _fsum(_weighted(zd * _zeta_bracket(q * z, q * mu / p, at), w))
         val = total * (1.0 / ((TWO_PI_I**2).real * p * math.factorial(2 * n)))
     else:
         q_inv = pow(q % p, -1, p) if p > 1 else 0
         b_hi, b_lo = _bernoulli_factors([(2 * n + 1, -lam / p, mu / p),
-                                         (1, -q_inv * lam / p, q_inv * mu / p)], tau, policy)
+                                         (1, -q_inv * lam / p, q_inv * mu / p)], at)
         total = _fsum(_weighted(b_hi * b_lo, w))
         val = total * (-(TWO_PI_I ** (2 * n)) * p ** (2 * n - 1)
                        / math.factorial(2 * n + 1))
@@ -196,20 +198,12 @@ TABLE_CACHE_SIZE = 128
 EisensteinTable = Tuple[ComplexVal, Tuple[ComplexVal, ...], ComplexVal]
 
 
-def _eisenstein_table(n: int, tau: TauPoint, policy: SeriesPolicy) -> EisensteinTable:
-    """The Eisenstein values that R^-_{2n} is built from: E_{2n+2}, the
-    products E_{2j} E_{2n+2-2j} for j = 1..n, and dE_{2n}/dtau.
-
-    n and tau are checked on every call, with one SlowNomeWarning for the
-    whole table; the values come from a bounded per-(n, tau, policy) cache."""
-    _check_n_tau(n, tau, policy)
-    return _eisenstein_table_values(n, tau, policy)
-
-
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
-def _eisenstein_table_values(n: int, tau: TauPoint, policy: SeriesPolicy) -> EisensteinTable:
-    return _table_of(n, [_eisenstein_q_sum(j, tau, policy, tau_deriv=d)
-                         for j, d in _table_columns(n)])
+def _eisenstein_table(n: int, at: _Checked) -> EisensteinTable:
+    """The Eisenstein values that R^-_{2n} is built from at `at`'s tau:
+    E_{2n+2}, the products E_{2j} E_{2n+2-2j} for j = 1..n, and
+    dE_{2n}/dtau; from a bounded per-(n, record) cache."""
+    return _table_of(n, [_eisenstein_q_sum(j, at, tau_deriv=d) for j, d in _table_columns(n)])
 
 
 def _table_columns(n: int) -> List[Tuple[int, bool]]:
@@ -235,12 +229,11 @@ def reciprocity_rhs(n: int, pair: CoprimePair, tau: TauPoint,
                              - (2n+1) E_{2n+2} ]
         - 1/(4 pi i n) dE_{2n}/dtau (p^{2n-1} q + p q^{2n-1}).
     """
-    return _reciprocity_rhs_of(n, pair, _eisenstein_table(n, tau, policy))
+    return _reciprocity_rhs_of(n, pair, _eisenstein_table(_checked_n(n), _checked(tau, policy)))
 
 
 def _reciprocity_rhs_of(n: int, pair: CoprimePair, table: EisensteinTable) -> ComplexVal:
-    """`reciprocity_rhs` from the Eisenstein table of (n, tau), which the
-    caller has checked."""
+    """`reciprocity_rhs` from the Eisenstein table of (n, tau)."""
     e_top, prods, de = table
     pair.require_u()
     p, q = pair.p, pair.q
@@ -261,13 +254,14 @@ def generating_D(pair: CoprimePair, tau: TauPoint, x: float,
     p, q = pair.p, pair.q
     if abs(x) >= 1 / (2 * p):
         raise ValueError(f"|x| must be < 1/(2p) = {1/(2*p)}, got {x}")
+    at = _checked(tau, policy)
     lam, mu, w = _half_division_points(p)
     z = _division_z(lam, mu, tau, p)
     # the brackets at P - x, P + x and qP in one batch; the pair {P, -P}
     # adds (f(P - x) + f(P + x)) f(qP), as f(-P -+ x) = -f(P +- x)
     minus, plus, second = _parts(_zeta_bracket(np.concatenate((z - x, z + x, q * z)),
                                                np.concatenate((mu, mu, q * mu)) / p,
-                                               tau, policy), [len(z)] * 3)
+                                               at), [len(z)] * 3)
     return _fsum(_weighted((minus + plus) * second, w / 2)) * (1.0 / ((TWO_PI_I**2).real * p))
 
 
@@ -286,7 +280,7 @@ def generating_R(pair: CoprimePair, tau: TauPoint, x: float,
     p, q = pair.p, pair.q
     if not 0 < abs(x) < 1 / (2 * max(p, q)):
         raise ValueError(f"need 0 < |x| < 1/(2 max(p,q)), got {x}")
-    b, heat, pe_e2 = _sigma_log_blocks([p * x, q * x], tau, policy, pe_only=[x])
+    b, heat, pe_e2 = _sigma_log_blocks([p * x, q * x], _checked(tau, policy), pe_only=[x])
     scale = 1.0 / (TWO_PI_I**2).real
     out = b[0] * b[1] * -scale
     out = out + heat[0] * (scale * q / (2 * p))
@@ -340,6 +334,8 @@ class MachideSpec:
                 raise ValueError(f"vec_{name} components must be positive integers")
         if self.m < 0 or self.n < 0:
             raise ValueError("m, n must be >= 0")
+        if not all(map(math.isfinite, (*self.vec_x, *self.vec_y, *self.vec_z))):
+            raise ValueError("vec_x, vec_y and vec_z components must be finite")
         ap, _ = self.vec_a
         bp, _ = self.vec_b
         cp, _ = self.vec_c
@@ -374,8 +370,11 @@ def machide_sum(spec: MachideSpec, tau: TauPoint,
     ap, a = spec.vec_a
     bp, b = spec.vec_b
     (m, x1, y1), (n, x2, y2) = _machide_factors(spec)
-    f1 = elliptic_bernoulli_points(m, x1, y1, TauPoint(ap / a * tau.tau), policy)
-    f2 = elliptic_bernoulli_points(n, x2, y2, TauPoint(bp / b * tau.tau), policy)
+    tau1, tau2 = TauPoint(ap / a * tau.tau), TauPoint(bp / b * tau.tau)
+    at1 = _checked(tau1, policy)
+    at2 = at1 if tau2 == tau1 else _checked(tau2, policy)
+    f1 = _bernoulli_points(m, x1, y1, at1)
+    f2 = _bernoulli_points(n, x2, y2, at2)
     return _fsum(f1 * f2) * (1.0 / spec.vec_c[0])
 
 
@@ -415,7 +414,7 @@ def machide_reciprocity_residuals(pair: CoprimePair, s: float, t: float,
             (arr1, 0, 2), (arr1, 1, 1), (arr2, 1, 1), (arr3, 1, 1)]
     specs = [MachideSpec(*arr, m, n) for arr, m, n in keys]
     f = _bernoulli_factors([xy for spec in specs for xy in _machide_factors(spec)],
-                           tau, policy)
+                           _checked(tau, policy))
     S = {key: _fsum(f1 * f2) * (1.0 / spec.vec_c[0])
          for key, spec, f1, f2 in zip(keys, specs, f[::2], f[1::2])}
 
@@ -447,6 +446,7 @@ def proposition31_residual(pair: CoprimePair, s: float, tau: TauPoint,
     p, q = pair.p, pair.q
     if not 0 < abs(s) < 1 / (2 * max(p, q)):
         raise ValueError(f"need 0 < |s| < 1/(2 max(p,q)), got {s}")
+    at = _checked(tau, policy)
     factors, weights = [], []
     for u, v in ((p, q), (q, p)):
         lam, mu, w = _half_division_points(u)
@@ -454,14 +454,14 @@ def proposition31_residual(pair: CoprimePair, s: float, tau: TauPoint,
                     (1, v * lam / u, v * mu / u)]
         weights.append(w / 2)
     factors += [(m, [p * s, q * s], [0.0, 0.0]) for m in (1, 2)]
-    *f, b1, b2 = _bernoulli_factors(factors, tau, policy)
+    *f, b1, b2 = _bernoulli_factors(factors, at)
     lhs = (_fsum(_weighted((f[0] + f[1]) * f[2], weights[0])) * (1.0 / p)
            + _fsum(_weighted((f[3] + f[4]) * f[5], weights[1])) * (1.0 / q))
     rhs = -(b1[0] * b1[1])
     rhs = rhs + b2[0] * (q / (2 * p))
     rhs = rhs + b2[1] * (p / (2 * q))
     # dB_1(s,0)/ds = (1/2 pi i)[pe(s) + E_2]
-    db1 = _pe_blocks([s], 0, tau, policy)[1][0] * (1.0 / TWO_PI_I)
+    db1 = _pe_blocks([s], 0, at)[1][0] * (1.0 / TWO_PI_I)
     rhs = rhs + db1 * (1.0 / (TWO_PI_I * p * q))
     return lhs - rhs
 
@@ -472,12 +472,14 @@ def proposition31_constant_closed_form(pair: CoprimePair, tau: TauPoint,
 
     The (0,0) term is the regular value B_2(0, 0; tau) =
     -(1/ pi i)(1/(2 pi i)) E_2(tau), the constant term of the tau-derivative
-    expansion of B_2(x, 0; tau) at x = 0.
+    expansion of B_2(x, 0; tau) at x = 0.  The sum over the other points
+    vanishes, within its err, so the value is `expected_constant` plus
+    rounding: no independent route to C(tau).
     """
     pair.require_u()
     p, q = pair.p, pair.q
-    e2 = eisenstein(1, tau, policy)
-    b2_origin = e2 * (-1.0 / (1j * math.pi * TWO_PI_I))
+    at = _checked(tau, policy)
+    b2_origin = _eisenstein(1, at) * (-1.0 / (1j * math.pi * TWO_PI_I))
     lam, mu, w = _half_division_points(q)
-    b2 = elliptic_bernoulli_points(2, p * lam / q, p * mu / q, tau, policy)
+    b2 = _bernoulli_points(2, p * lam / q, p * mu / q, at)
     return _fsum(b2_origin, _weighted(b2, w)) * (1.0 / (2 * p * q))

@@ -14,7 +14,7 @@ from ellded.qseries import (
     NonConvergenceError,
     TauPoint,
     _bernoulli_poly_float,
-    _check_tau,
+    _checked,
     _decompose,
     _phi_poly,
     eisenstein,
@@ -63,7 +63,7 @@ def elliptic_bernoulli(m, x, y, tau, policy=DEFAULT_POLICY):
         raise LatticePointError(f"B_{m}({x}, {y}; tau): x - y*tau is a lattice point")
     if m == 0:
         return ComplexVal(1.0 + 0j, 0.0)
-    cap = _check_tau(tau, policy)
+    cap = _checked(tau, policy).cap
     t = tau.tau
     y = y - math.floor(y)
     if y < _LATTICE_EPS or y > 1 - _LATTICE_EPS:
@@ -151,7 +151,7 @@ def weierstrass_p_deriv(k, z, tau, policy=DEFAULT_POLICY):
     u = cmath.exp(TWO_PI_I * (x0 - y0 * t))
     q = tau.nome
     aq = abs(q)
-    cap = _check_tau(tau, policy)
+    cap = _checked(tau, policy).cap
     acc = _Kahan()
     acc.add(_phi(k, u))
     par = (-1.0) ** k

@@ -28,7 +28,7 @@ GRID_SHA256 = "268d7a14fcbb13e3eb6e7351f3168004c9a64cb1f1b27bf056332c48695249f0"
 
 def _clear_caches():
     qseries._eisenstein_q_sum.cache_clear()
-    symbols._eisenstein_table_values.cache_clear()
+    symbols._eisenstein_table.cache_clear()
     identities._c_coefficients_values.cache_clear()
     identities._eq73_residuals.cache_clear()
 
@@ -43,7 +43,7 @@ def _grid_reprs():
         for n in range(1, 9):
             out += [qseries.eisenstein(n, tau), qseries.eisenstein_normalized(n, tau),
                     qseries.eisenstein_tau_derivative(n, tau),
-                    symbols._eisenstein_table(n, tau, qseries.DEFAULT_POLICY),
+                    symbols._eisenstein_table(n, qseries._checked(tau, qseries.DEFAULT_POLICY)),
                     identities.c_coefficients(n, tau),
                     identities.coefficient_scale(n, tau),
                     identities.reciprocity_laurent(2 * n, tau)]
@@ -130,7 +130,7 @@ class TestCacheContract:
             with pytest.raises(ValueError, match="below the accepted bound"):
                 qseries.eisenstein(2, self.slow, policy)
             with pytest.raises(ValueError, match="below the accepted bound"):
-                symbols._eisenstein_table(2, self.slow, policy)
+                symbols._eisenstein_table(2, qseries._checked(self.slow, policy))
             with pytest.raises(ValueError, match="below the accepted bound"):
                 identities.verify_eq73(2, 1, self.slow, policy)
 
@@ -148,7 +148,7 @@ class TestCacheContract:
             with pytest.raises(NonConvergenceError):
                 identities.verify_eq73(2, 1, tau, policy)
         assert qseries._eisenstein_q_sum.cache_info().currsize == 0
-        assert symbols._eisenstein_table_values.cache_info().currsize == 0
+        assert symbols._eisenstein_table.cache_info().currsize == 0
         assert identities._c_coefficients_values.cache_info().currsize == 0
         assert identities._eq73_residuals.cache_info().currsize == 0
 
@@ -156,10 +156,10 @@ class TestCacheContract:
         _clear_caches()
         for i in range(5000):
             tau = TauPoint(complex(i * 1e-4, 1.2))
-            symbols._eisenstein_table(1, tau, qseries.DEFAULT_POLICY)
+            symbols._eisenstein_table(1, qseries._checked(tau, qseries.DEFAULT_POLICY))
             identities.c_coefficients(1, tau)
             identities.verify_eq73(1, 1, tau)
-        for cached in (qseries._eisenstein_q_sum, symbols._eisenstein_table_values,
+        for cached in (qseries._eisenstein_q_sum, symbols._eisenstein_table,
                        identities._c_coefficients_values, identities._eq73_residuals):
             info = cached.cache_info()
             assert info.maxsize is not None and info.misses >= 5000

@@ -194,6 +194,14 @@ class TestVerifyExitCodes:
             ["eval", "eisenstein", "-n", "1", "--tau=-1i"])
         assert code == 3
 
+    def test_b0_checks_tau(self):
+        # B_0 = 1 runs no series, but its tau is checked as every other
+        # command's is
+        code, out, err = run_cli(["eval", "elliptic-bernoulli", "-m", "0", "--x", "0.3",
+                                  "--y", "0.2", "--tau", "0.1+0.01i"])
+        assert code == 3 and out == ""
+        assert "below the accepted bound" in err
+
     @pytest.mark.parametrize("argv", [
         ["eval", "eisenstein", "-n", "60", "--tau", "0.2+0.11i"],
         ["eval", "eisenstein", "-n", "200", "--tau", "0.2+1.1i"],
@@ -209,6 +217,8 @@ class TestVerifyExitCodes:
         ["eval", "elliptic-bernoulli", "-m", "2", "--x", "0.1", "--y", "nan", "--tau", "1i"],
         ["eval", "generating", "--which", "d", "-p", "3", "-q", "2", "--x", "nan",
          "--tau", "0.1+1i"],
+        ["verify", "lemma32", "-p", "3", "-q", "2", "--s", "nan", "--tau", "0.3+1.1i"],
+        ["verify", "lemma32", "-p", "3", "-q", "2", "--t", "inf", "--tau", "0.3+1.1i"],
     ])
     def test_non_finite_is_domain_error(self, argv):
         # --max-terms 10 makes an input that slips through fail fast

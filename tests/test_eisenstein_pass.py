@@ -25,6 +25,13 @@ BOUNDARY_TAUS = [TauPoint(0.5 + 2.7578251j), TauPoint(0.5 + 2.75782510497882j)]
 scalar_q_sum = qseries._eisenstein_q_sum.__wrapped__
 
 
+def _records(taus, policy):
+    """The checked records of a sample, without their SlowNomeWarnings."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SlowNomeWarning)
+        return [qseries._checked(tau, policy) for tau in taus]
+
+
 def _outcome(call):
     """The repr of every sum of a (tau x column) result, row by row, or the
     error's message and partial."""
@@ -39,7 +46,7 @@ def _scalar_sums(taus, cols, policy):
     column, so that its first error is the one the pass must raise; the
     scalar bound, which the pass does not form, is checked against mpmath in
     test_qseries."""
-    return [[scalar_q_sum(n, tau, policy, d)[0] for n, d in cols] for tau in taus]
+    return [[scalar_q_sum(n, at, d)[0] for n, d in cols] for at in _records(taus, policy)]
 
 
 def _scalar_stop(n, tau, tau_deriv, cap):
@@ -47,7 +54,7 @@ def _scalar_stop(n, tau, tau_deriv, cap):
     max_terms, or None if it is still running after cap terms."""
     for k in range(1, cap + 1):
         try:
-            scalar_q_sum(n, tau, SeriesPolicy(max_terms=k), tau_deriv)
+            scalar_q_sum(n, *_records([tau], SeriesPolicy(max_terms=k)), tau_deriv)
             return k
         except NonConvergenceError:
             pass
@@ -88,13 +95,13 @@ def test_pass_matches_scalar_loop(blocks, policy, size):
     for taus in samples:
         for cols in (COLUMNS, rng.sample(COLUMNS, 5), [COLUMNS[-1], COLUMNS[0]]):
             expected = _outcome(lambda: _scalar_sums(taus, cols, policy))
-            got = _outcome(lambda: qseries._eisenstein_q_sums(taus, cols, policy))
+            got = _outcome(lambda: qseries._eisenstein_q_sums(_records(taus, policy), cols))
             assert got == expected, ([t.tau for t in taus], cols)
     if policy.max_terms == 10:
         # the boundary sample's columns stop inside its pass's first block
         # and on both rows after it
         blocks.clear()
-        qseries._eisenstein_q_sums(BOUNDARY_TAUS, COLUMNS, policy)
+        qseries._eisenstein_q_sums(_records(BOUNDARY_TAUS, policy), COLUMNS)
         first = blocks[0][0]
         ks = [_scalar_stop(n, tau, d, 10) for tau in BOUNDARY_TAUS for n, d in COLUMNS]
         assert min(ks) < first and {first + 1, first + 2} <= set(ks)
@@ -122,7 +129,7 @@ def test_pass_raises_first_failure_in_sample_order():
     for taus, message in (([slow, fast], "(n=13) hit max_terms=30"),
                           ([fast, slow], "(n=13) hit max_terms=3")):
         with pytest.raises(NonConvergenceError) as exc:
-            qseries._eisenstein_q_sums(taus, cols, policy)
+            qseries._eisenstein_q_sums(_records(taus, policy), cols)
         with pytest.raises(NonConvergenceError) as ref:
             _scalar_sums(taus, cols, policy)
         assert str(exc.value) == str(ref.value)
@@ -132,17 +139,17 @@ def test_pass_raises_first_failure_in_sample_order():
 
 def test_empty_sample_and_columns_and_huge_cap():
     policy = qseries.DEFAULT_POLICY
-    assert qseries._eisenstein_q_sums([], COLUMNS, policy).shape == (0, len(COLUMNS))
-    assert qseries._eisenstein_q_sums([TauPoint(1j)], [], policy).shape == (1, 0)
+    assert qseries._eisenstein_q_sums([], COLUMNS).shape == (0, len(COLUMNS))
+    assert qseries._eisenstein_q_sums(_records([TauPoint(1j)], policy), []).shape == (1, 0)
     # a cap beyond int64, which the scalar loop takes as a Python int
     taus, policy = [TauPoint(0.1 + 0.9j)], SeriesPolicy(max_terms=10**30)
-    assert (_outcome(lambda: qseries._eisenstein_q_sums(taus, COLUMNS, policy))
+    assert (_outcome(lambda: qseries._eisenstein_q_sums(_records(taus, policy), COLUMNS))
             == _outcome(lambda: _scalar_sums(taus, COLUMNS, policy)))
 
 
 def _cache_infos():
     return [f.cache_info() for f in (qseries._eisenstein_q_sum,
-                                     symbols._eisenstein_table_values,
+                                     symbols._eisenstein_table,
                                      identities._c_coefficients_values,
                                      identities._eq73_residuals)]
 
@@ -173,10 +180,11 @@ def test_basis_rank_tables_equal_the_cached_tables(w):
     before = _cache_infos()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SlowNomeWarning)
-        matrix = identities._rank_matrix(n, taus, qseries.DEFAULT_POLICY)
+        ats = _records(taus, qseries.DEFAULT_POLICY)
+        matrix = identities._rank_matrix(n, ats)
         assert _cache_infos() == before
         cached = [identities._laurent_of(identities._coefficients_of(
-            n, symbols._eisenstein_table(n, t, qseries.DEFAULT_POLICY)))[0] for t in taus]
+            n, symbols._eisenstein_table(n, at)))[0] for at in ats]
     assert _rows(matrix) == _coefficient_rows(cached)
 
 
@@ -193,5 +201,5 @@ def test_basis_rank_leaves_the_caches_and_warnings_unchanged(w):
         lambda: polys.extend(identities.reciprocity_laurent(w, t)[0] for t in taus)) == 1
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SlowNomeWarning)
-        matrix = identities._rank_matrix(w // 2, taus, qseries.DEFAULT_POLICY)
+        matrix = identities._rank_matrix(w // 2, _records(taus, qseries.DEFAULT_POLICY))
     assert _rows(matrix) == _coefficient_rows(polys)

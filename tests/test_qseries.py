@@ -13,9 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ellded import identities, qseries, symbols
 from ellded.exact import CoprimePair, bernoulli_number
 from ellded.identities import basis_rank
 from ellded.qseries import (
+    DEFAULT_POLICY,
     ComplexArray,
     ComplexVal,
     LatticePointError,
@@ -37,7 +39,19 @@ from ellded.qseries import (
     weierstrass_zeta_points,
     zeta_odd,
 )
-from ellded.symbols import reciprocity_rhs
+from ellded.symbols import (
+    MachideSpec,
+    Route,
+    elliptic_apostol_sum,
+    expected_constant,
+    generating_D,
+    generating_R,
+    machide_reciprocity_residuals,
+    machide_sum,
+    proposition31_constant_closed_form,
+    proposition31_residual,
+    reciprocity_rhs,
+)
 
 import loop_reference as ref
 from lattice_reference import LatticeCutoff, kronecker_direct
@@ -355,7 +369,111 @@ class TestKroneckerDirect:
         assert d2 < 0.8 * d1
 
 
+#: the tau at which every public call below warns
+SLOW_TAU = TauPoint(0.1 + 0.08j)
+
+
+def _grid_xy():
+    return zip(*_division_grid(7))
+
+
+def _grid_z(tau):
+    return [x + y * tau.tau for x, y in _division_grid(7)]
+
+
+_PAIR = CoprimePair(3, 2)
+_SPEC = MachideSpec((1, 1), (1, 1), (1, 1), (0.5, 0.0), (0.5, 0.0), (0.3, 0.0), 2, 1)
+#: every public function of qseries, symbols and identities that takes tau,
+#: as call(tau, policy), with the SlowNomeWarnings it issues at SLOW_TAU: one
+#: per call, and machide_sum one per distinct rescaled tau
+PUBLIC_TAU_CALLS = {
+    "eisenstein": (lambda t, pol: eisenstein(2, t, pol), 1),
+    "eisenstein_normalized": (lambda t, pol: eisenstein_normalized(2, t, pol), 1),
+    "eisenstein_tau_derivative": (lambda t, pol: eisenstein_tau_derivative(2, t, pol), 1),
+    "elliptic_bernoulli": (lambda t, pol: elliptic_bernoulli(3, 0.3, 0.2, t, pol), 1),
+    "elliptic_bernoulli_points": (
+        lambda t, pol: elliptic_bernoulli_points(3, *_grid_xy(), t, pol), 1),
+    # one pass for every order of a mixed-order call
+    "elliptic_bernoulli_points_mixed": (lambda t, pol: elliptic_bernoulli_points(
+        [(0, 3, 1, 2)[i % 4] for i in range(48)], *_grid_xy(), t, pol), 1),
+    "elliptic_bernoulli_points_b0": (
+        lambda t, pol: elliptic_bernoulli_points(0, *_grid_xy(), t, pol), 1),
+    # zeta and pe check the caller's tau once and run their series, E_2
+    # included, at the reduced tau, which is never slow
+    "weierstrass_zeta": (lambda t, pol: weierstrass_zeta(0.3 + 0.01j, t, pol), 1),
+    "weierstrass_zeta_points": (lambda t, pol: weierstrass_zeta_points(_grid_z(t), t, pol), 1),
+    "weierstrass_zeta_points_one": (
+        lambda t, pol: weierstrass_zeta_points(_grid_z(t)[:1], t, pol), 1),
+    "weierstrass_p_deriv": (lambda t, pol: weierstrass_p_deriv(0, 0.3 + 0.01j, t, pol), 1),
+    "weierstrass_p_deriv_points": (
+        lambda t, pol: weierstrass_p_deriv_points(3, _grid_z(t), t, pol), 1),
+    "weierstrass_p_deriv_points_pe": (
+        lambda t, pol: weierstrass_p_deriv_points(0, _grid_z(t), t, pol), 1),
+    "weierstrass_zeta_deriv": (lambda t, pol: weierstrass_zeta_deriv(2, 0.3 + 0.01j, t, pol), 1),
+    "sigma_log_tau_derivative": (
+        lambda t, pol: sigma_log_tau_derivative(0.3 + 0.01j, t, pol), 1),
+    "elliptic_apostol_sum_zeta": (
+        lambda t, pol: elliptic_apostol_sum(1, CoprimePair(5, 3), t, policy=pol), 1),
+    "elliptic_apostol_sum_bernoulli": (lambda t, pol: elliptic_apostol_sum(
+        1, CoprimePair(5, 3), t, Route.BERNOULLI_PRODUCT, pol), 1),
+    "reciprocity_rhs": (lambda t, pol: reciprocity_rhs(2, _PAIR, t, pol), 1),
+    "generating_D": (lambda t, pol: generating_D(_PAIR, t, 0.05, pol), 1),
+    "generating_R": (lambda t, pol: generating_R(_PAIR, t, 0.05, pol), 1),
+    "expected_constant": (lambda t, pol: expected_constant(_PAIR, t, pol), 1),
+    "machide_sum": (lambda t, pol: machide_sum(_SPEC, t, pol), 1),
+    # factors at tau and at 3 tau / 4, both slow
+    "machide_sum_two_taus": (lambda t, pol: machide_sum(
+        dataclasses.replace(_SPEC, vec_b=(3, 4)), t, pol), 2),
+    # factors at 2 tau, not slow, and at tau
+    "machide_sum_one_slow": (lambda t, pol: machide_sum(
+        dataclasses.replace(_SPEC, vec_a=(2, 1)), t, pol), 1),
+    "machide_reciprocity_residuals": (
+        lambda t, pol: machide_reciprocity_residuals(_PAIR, 0.013, 0.007, t, pol), 1),
+    "proposition31_residual": (lambda t, pol: proposition31_residual(_PAIR, 0.05, t, pol), 1),
+    "proposition31_constant_closed_form": (
+        lambda t, pol: proposition31_constant_closed_form(_PAIR, t, pol), 1),
+    "c_coefficients": (lambda t, pol: identities.c_coefficients(2, t, pol), 1),
+    "verify_eq73": (lambda t, pol: identities.verify_eq73(2, 3, t, pol), 1),
+    "coefficient_scale": (lambda t, pol: identities.coefficient_scale(2, t, pol), 1),
+    "t_weighted": (lambda t, pol: identities.t_weighted(2, _PAIR, t, pol), 1),
+    "verify_three_term": (lambda t, pol: identities.verify_three_term(2, _PAIR, t, pol), 1),
+    "reciprocity_laurent": (lambda t, pol: identities.reciprocity_laurent(4, t, pol), 1),
+    "verify_eq64_onedim": (lambda t, pol: identities.verify_eq64_onedim(4, t, pol), 1),
+    "basis_rank": (lambda t, pol: basis_rank(4, [t], pol), 1),
+}
+
+
 class TestPolicyGuards:
+    @pytest.mark.parametrize("name", PUBLIC_TAU_CALLS)
+    def test_one_slow_nome_warning_per_call(self, name, monkeypatch):
+        call, count = PUBLIC_TAU_CALLS[name]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", SlowNomeWarning)
+            call(SLOW_TAU, DEFAULT_POLICY)
+        assert sum(issubclass(w.category, SlowNomeWarning) for w in caught) == count
+        # a rejected tau raises before any series runs or any cache is read
+        ran = []
+        monkeypatch.setattr(qseries, "_block_series", lambda *args: ran.append(args))
+        caches = (qseries._eisenstein_q_sum, symbols._eisenstein_table,
+                  identities._c_coefficients_values, identities._eq73_residuals)
+        before = [f.cache_info() for f in caches]
+        with pytest.raises(ValueError, match="below the accepted bound 0.1"):
+            call(SLOW_TAU, SeriesPolicy(min_im_tau=0.1))
+        assert not ran and [f.cache_info() for f in caches] == before
+
+    @pytest.mark.parametrize("call", [
+        lambda tau: weierstrass_zeta_points([0.3, 1.0], tau),
+        lambda tau: weierstrass_p_deriv_points(1, [0.0], tau),
+        lambda tau: sigma_log_tau_derivative(tau.tau, tau),
+        lambda tau: elliptic_bernoulli_points(2, [0.3, 0.0], [0.2, 0.0], tau),
+        lambda tau: elliptic_bernoulli(0, 0.3, 0.2, tau),
+    ], ids=["zeta", "pe", "sigma_log", "bernoulli", "bernoulli_b0"])
+    def test_tau_checked_before_points(self, call):
+        # a lattice point at a rejected tau reports the tau, and a call of
+        # B_0 alone checks tau too
+        with pytest.raises(ValueError, match="below the accepted bound"):
+            call(TauPoint(0.1 + 0.01j))
+
     def test_small_im_rejected(self):
         with pytest.raises(ValueError):
             eisenstein(1, TauPoint(0.03j))
@@ -382,6 +500,11 @@ class TestPolicyGuards:
     def test_invalid_policy(self):
         with pytest.raises(ValueError):
             SeriesPolicy(tol=0)
+
+    def test_nan_min_im_tau_rejected(self):
+        # im < nan is always false: a nan bound would reject no tau
+        with pytest.raises(ValueError, match="min_im_tau"):
+            SeriesPolicy(min_im_tau=math.nan, max_terms=50)
 
     @pytest.mark.parametrize("x,y", [(0.1, math.nan), (math.nan, 0.2), (math.inf, 0.2),
                                      (0.1, -math.inf)])
@@ -585,29 +708,6 @@ class TestBatchedKernels:
             elliptic_bernoulli_points(orders, xs, ys, tau, policy)
         assert str(info.value) == str(alone[0])
         assert repr(info.value.partial) == repr(alone[0].partial)
-
-    def test_one_slow_nome_warning_per_call(self):
-        tau = TauPoint(0.1 + 0.08j)
-
-        def warnings_of(call):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always", SlowNomeWarning)
-                call()
-            return sum(issubclass(w.category, SlowNomeWarning) for w in caught)
-
-        grid = _division_grid(7)
-        xs, ys = zip(*grid)
-        zs = [x + y * tau.tau for x, y in grid]
-        assert warnings_of(lambda: elliptic_bernoulli_points(3, xs, ys, tau)) == 1
-        # one pass for every order of a mixed-order call
-        orders = [(0, 3, 1, 2)[i % 4] for i in range(len(xs))]
-        assert warnings_of(lambda: elliptic_bernoulli_points(orders, xs, ys, tau)) == 1
-        # zeta and pe check the caller's tau once and run their series, E_2
-        # included, at the reduced tau, which is never slow
-        assert warnings_of(lambda: weierstrass_p_deriv_points(3, zs, tau)) == 1
-        assert warnings_of(lambda: weierstrass_p_deriv_points(0, zs, tau)) == 1
-        assert warnings_of(lambda: weierstrass_zeta_points(zs, tau)) == 1
-        assert warnings_of(lambda: weierstrass_zeta_points(zs[:1], tau)) == 1
 
 
 class TestComplexArray:

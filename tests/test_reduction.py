@@ -64,7 +64,7 @@ def test_reduced_tau_in_F_and_its_bounds(t):
 
 def test_caller_tau_checked_and_capped():
     # the caller's tau is checked, warned about and rejected as unreduced,
-    # once per kernel call
+    # once per public call
     slow = TauPoint(0.08j)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", SlowNomeWarning)
@@ -130,8 +130,9 @@ def test_err_bounds_mpmath(t):
     zs = [x - y * t for x, y in POINTS]
     got = {k: weierstrass_p_deriv_points(k, zs, tau) for k in ORDERS}
     got["zeta"] = weierstrass_zeta_points(zs, tau)
-    got["b"] = qseries._zeta_block(zs, tau, DEFAULT_POLICY)
-    got["pe+e2"] = qseries._pe_blocks(zs, 0, tau, DEFAULT_POLICY)[1]
+    at = qseries._checked(tau, DEFAULT_POLICY)
+    got["b"] = qseries._zeta_block(zs, at)
+    got["pe+e2"] = qseries._pe_blocks(zs, 0, at)[1]
     with mp.workdps(30):
         refs = _references(mp, [mp.mpc(z.real, z.imag) for z in zs], mp.mpc(t.real, t.imag))
     for i, (z, ref) in enumerate(zip(zs, refs)):
@@ -149,8 +150,9 @@ def test_snapped_point_err_mpmath(t):
     tau, z = TauPoint(t), 0.3 - (1 - 1e-13) * t
     got = {k: weierstrass_p_deriv_points(k, [z], tau)[0] for k in ORDERS}
     got["zeta"] = weierstrass_zeta_points([z], tau)[0]
-    got["b"] = qseries._zeta_block([z], tau, DEFAULT_POLICY)[0]
-    got["pe+e2"] = qseries._pe_blocks([z], 0, tau, DEFAULT_POLICY)[1][0]
+    at = qseries._checked(tau, DEFAULT_POLICY)
+    got["b"] = qseries._zeta_block([z], at)[0]
+    got["pe+e2"] = qseries._pe_blocks([z], 0, at)[1][0]
     with mp.workdps(30):
         ref = _references(mp, [mp.mpc(z.real, z.imag)], mp.mpc(t.real, t.imag))[0]
     for key, v in got.items():

@@ -3,12 +3,13 @@ functions and Machide sums."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellded.exact import CoprimePair, apostol_sum, g_poly
-from ellded.qseries import TauPoint, eisenstein
+from ellded.qseries import TauPoint, eisenstein, elliptic_bernoulli_points
 from ellded.symbols import (
     MachideSpec,
     Route,
@@ -21,6 +22,7 @@ from ellded.symbols import (
     proposition31_constant_closed_form,
     proposition31_residual,
     reciprocity_rhs,
+    _fsum,
 )
 
 TWO_PI_I = 2j * math.pi
@@ -201,6 +203,23 @@ class TestMachide:
             MachideSpec((0, 1), (1, 1), (1, 1),
                         (0.5, 0.0), (0.5, 0.0), (0.0, 0.0), 1, 1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("vec", ["vec_x", "vec_y", "vec_z"])
+    @pytest.mark.parametrize("slot", [0, 1])
+    def test_non_finite_vectors_rejected(self, vec, slot, bad):
+        # rejected as such, before the degeneracy checks round them
+        reals = {"vec_x": [0.5, 0.0], "vec_y": [0.5, 0.0], "vec_z": [0.3, 0.0]}
+        reals[vec][slot] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            MachideSpec((1, 1), (1, 1), (1, 1), *map(tuple, reals.values()), 1, 1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_residual_parameters_rejected(self, bad):
+        # s enters vec_x; t enters vec_y and vec_z
+        for s, t in ((bad, 0.007), (0.013, bad)):
+            with pytest.raises(ValueError, match="must be finite"):
+                machide_reciprocity_residuals(CoprimePair(3, 2), s, t, TAU_I)
+
     @pytest.mark.parametrize("pq", [(3, 2), (5, 3)])
     def test_lemma_combinations_vanish(self, pq):
         rs = machide_reciprocity_residuals(CoprimePair(*pq), 0.013, 0.007, TAU_I)
@@ -236,6 +255,21 @@ class TestProposition31:
     def test_s_domain_guard(self):
         with pytest.raises(ValueError):
             proposition31_residual(CoprimePair(3, 2), 0.4, TAU_I)
+
+    @pytest.mark.parametrize("t", [0.3 + 1.1j, 0.2 + 0.06j])
+    @pytest.mark.parametrize("pq", [(5, 3), (3, 4), (23, 12), (12, 23), (7, 10)])
+    def test_closed_form_division_sum_vanishes(self, pq, t):
+        """The closed form's sum over P != 0, sum B_2(pP; tau) over the
+        q-division points, is zero within its err while its terms are not:
+        the closed form is expected_constant plus rounding, not an
+        independent route to C(tau)."""
+        p, q = pq
+        lam, mu = np.divmod(np.arange(1, q * q), q)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SlowNomeWarning)
+            b2 = elliptic_bernoulli_points(2, p * lam / q, p * mu / q, TauPoint(t))
+        total = _fsum(b2)
+        assert abs(total.value) <= total.err < 0.01 * math.fsum(np.abs(b2.value))
 
 
 # ---------------------------------------------------------------------------

@@ -428,7 +428,8 @@ _ARGS: Dict[str, dict] = {
     "--tol": dict(type=_tol_arg),
     "--seed": dict(type=int, default=0),
     "--format": dict(dest="fmt", choices=("json", "csv", "pretty"), default="json"),
-    "--max-terms": dict(type=_count_arg(1)),
+    "--max-terms": dict(type=_count_arg(1),
+                        help="most terms any one series may use; exit 3 if one needs more"),
 }
 
 _COMMON = ("--tol", "--seed", "--format", "--max-terms")

@@ -11,11 +11,11 @@ runs are bit-identical.
 
 Every batched series runs on one engine, `_block_series`.  Each column of a
 batch, a point of a kernel or one q-sum of the Eisenstein pass, keeps its own
-Kahan state, stopping rule, term cap and rounding bound, and leaves the batch
-once it has stopped or failed.  The terms are evaluated in blocks of
-consecutive j, as 2-D arrays over (j, column) of at most BLOCK_ELEMENTS
-entries, and then added one j at a time, so values equal a term-by-term run's
-bit for bit.
+Kahan state, stopping rule and rounding bound under the batch's one term
+cap, and leaves the batch once it has stopped or failed.  The terms are
+evaluated in blocks of consecutive j, as 2-D arrays over (j, column) of at
+most BLOCK_ELEMENTS entries, and then added one j at a time, so values equal
+a term-by-term run's bit for bit.
 
 The Weierstrass and elliptic Bernoulli functions are array kernels
 (`*_points`) on the engine; the scalar functions are one-point calls to them.
@@ -27,7 +27,8 @@ The Weierstrass kernels run at tau reduced to the fundamental domain
 (`_reduction`) and map their values back by weight; the elliptic Bernoulli
 and Eisenstein functions run at tau itself.  b = zeta - E_2 z comes straight
 from one B_1 batch (`_b_series`), with no E_2, and zeta is b + E_2 z.
-Each public call checks its tau once, into a `_Checked` record.
+Each public call checks its tau once, into a `_Checked` record of plain
+numbers: tau, tol and max_terms, the term cap of every series at every tau.
 The Eisenstein q-sums are memoised per (n, record, tau_deriv) in a bounded
 `lru_cache` over a scalar loop.  `_eisenstein_q_sums` computes the same
 sums for a whole sample of tau on the engine, without the cache and without
@@ -271,6 +272,8 @@ class SeriesPolicy:
     def __post_init__(self):
         if not self.tol > 0:
             raise ValueError("tol must be > 0")
+        if not isinstance(self.max_terms, int):
+            raise ValueError(f"max_terms must be an int, got {self.max_terms!r}")
         if self.max_terms < 1:
             raise ValueError("max_terms must be >= 1")
         if math.isnan(self.min_im_tau):
@@ -288,31 +291,32 @@ class NonConvergenceError(RuntimeError):
         self.partial = partial
 
 
+#: Im tau below which `_checked` issues a SlowNomeWarning
 _SLOW_IM_TAU = 0.11
 
 
 class _Checked(NamedTuple):
-    """A tau checked by `_checked`, with its policy and term cap: what every kernel
-    entry, block series and Eisenstein cache takes, so none sees an unchecked tau."""
+    """A tau checked by `_checked`, with the policy's tol and its max_terms as
+    the term cap, all plain numbers: what every kernel entry, block series and
+    Eisenstein cache takes, so none sees an unchecked tau, and a cache key
+    that hashes and compares at C level."""
 
-    tau: TauPoint
-    policy: SeriesPolicy
+    tau: complex
+    tol: float
     cap: int
 
 
 def _checked(tau: TauPoint, policy: SeriesPolicy) -> _Checked:
-    """tau checked under policy: ValueError below min_im_tau, one
-    SlowNomeWarning where the nome is slow, and the term cap, ten times
-    max_terms there and at most 2^62, an int64 that no series reaches."""
-    im, cap = tau.tau.imag, policy.max_terms
+    """tau checked under policy: ValueError below min_im_tau and one
+    SlowNomeWarning where the nome is slow."""
+    im = tau.tau.imag
     if im < policy.min_im_tau:
         raise ValueError(f"Im(tau) = {im} below the accepted bound {policy.min_im_tau}")
     if im < _SLOW_IM_TAU:
         warnings.warn(f"Im(tau) = {im} gives |q| = {abs(tau.nome):.3f}; convergence is slow",
                       SlowNomeWarning, stacklevel=_outside_stacklevel())
-        cap *= 10
     # tuple.__new__ skips the NamedTuple's Python-level __new__ on every public call
-    return tuple.__new__(_Checked, (tau, policy, min(cap, 2**62)))
+    return tuple.__new__(_Checked, (tau.tau, policy.tol, policy.max_terms))
 
 
 def _outside_stacklevel() -> int:
@@ -365,7 +369,7 @@ BLOCK_ELEMENTS = 4096
 
 
 def _block_series(start: np.ndarray, start_rnd: np.ndarray, terms,
-                  state: Tuple[np.ndarray, ...], cap: np.ndarray, small, streak: int,
+                  state: Tuple[np.ndarray, ...], cap: int, small, streak: int,
                   first: int = FIRST_BLOCK):
     """Run the series `start + sum_j terms(js, *state)` in every column of a
     batch; each column starts from `start`, whose rounding bound is
@@ -384,10 +388,10 @@ def _block_series(start: np.ndarray, start_rnd: np.ndarray, terms,
     The rows are added in order, one Kahan step each.  `small(size, sums)`
     tells elementwise whether a term is small next to the sum after it; a
     column stops after its jth term, j >= 2, once its last `streak` terms
-    were small, and fails if it is still running after its `cap` terms.  A
+    were small, and fails if it is still running after `cap` terms.  A
     column that stops or fails leaves the batch at the end of its block.
     The first block has `first` rows and each later one twice the rows
-    the last one ran, within BLOCK_ELEMENTS column-terms and the least cap,
+    the last one ran, within BLOCK_ELEMENTS column-terms and the cap,
     so every result is bit-identical to a term-by-term run's; once the wide
     part of a batch has left, its narrow rest grows again from the rows it
     ran, not at once to BLOCK_ELEMENTS // columns.  Returns per column the
@@ -404,8 +408,7 @@ def _block_series(start: np.ndarray, start_rnd: np.ndarray, terms,
     j = 0
     width = first
     while idx.size:
-        least = int(cap.min())
-        rows = min(width, max(BLOCK_ELEMENTS // idx.size, 1), least - j)
+        rows = min(width, max(BLOCK_ELEMENTS // idx.size, 1), cap - j)
         term, size, r = terms(range(j + 1, j + rows + 1), *(a[None] for a in state))
         sums, comps = np.empty_like(term), np.empty_like(term)
         for i in range(rows):
@@ -428,15 +431,14 @@ def _block_series(start: np.ndarray, start_rnd: np.ndarray, terms,
         first = stop.argmax(axis=0)
         cols = np.arange(idx.size)
         done = stop[first, cols]
-        # j reaches a column's cap only where it is the least, at a block's end
-        leave = done | (cap == j) if j == least else done
+        leave = done | (j == cap)
         if np.count_nonzero(leave):
             out_s[idx[leave]] = s[leave]  # a failed column's partial sum
             k, at, col = idx[done], first[done], cols[done]
             out_s[k], out_c[k], out_rnd[k] = sums[at, col], comps[at, col], rnds[at, col]
             out_j[k], out_last[k] = j - rows + 1 + at, size[at, col]
             keep = ~leave
-            idx, s, c, rnd, cap = idx[keep], s[keep], c[keep], rnd[keep], cap[keep]
+            idx, s, c, rnd = idx[keep], s[keep], c[keep], rnd[keep]
             prev, state = prev[:, keep], tuple(a[keep] for a in state)
         width = 2 * rows
     return out_s, out_c, out_j, out_last, out_rnd
@@ -477,11 +479,11 @@ def _divisor_power_sums(ells: Tuple[int, ...], count: int) -> np.ndarray:
 Q_SUM_CACHE_SIZE = 512
 
 
-def _nome_err(tau: TauPoint) -> float:
+def _nome_err(t: complex) -> float:
     """err_q, in units of 2^-53: the relative error of q as `cmath.exp`
     gives it plus one product's.  A q-sum charges k err_q to q^k, and 4 more
     ulps to its kth term for the term's own products and the Kahan step."""
-    return float(_exp_err(TWO_PI_I * tau.tau)) + 2.0
+    return float(_exp_err(TWO_PI_I * t)) + 2.0
 
 
 def _q_sum_bound(n: int, tau_deriv: bool, aq: float, k: int, last: float,
@@ -510,8 +512,8 @@ def _eisenstein_q_sum(n: int, at: _Checked, tau_deriv: bool) -> Tuple[complex, f
     row below tol relative to it.  A NonConvergenceError is raised afresh
     each time, as `lru_cache` keeps only returned values; `_eisenstein_q_sums`
     runs the same loop over many columns at once and keeps only the sums."""
-    cap, tol = at.cap, at.policy.tol
-    q = at.tau.nome
+    cap, tol = at.cap, at.tol
+    q = cmath.exp(TWO_PI_I * at.tau)
     err_q = _nome_err(at.tau)
     rnd = 0.0
     acc, comp = 0j, 0j
@@ -562,31 +564,31 @@ def _q_sum_rows(aq: float, ell: int, tol: float, streak: int) -> int:
 
 def _eisenstein_q_sums(ats: Sequence[_Checked], cols: Sequence[Tuple[int, bool]]) -> np.ndarray:
     """The sum of `_eisenstein_q_sum(n, at, tau_deriv)` for every column
-    (n, tau_deriv) of `cols` at every `at` of `ats`, under one policy, in
-    one `_block_series` run and without the cache: a (tau x column) complex
-    array, bit for bit the scalar loop's sums.  No bound is formed.
+    (n, tau_deriv) of `cols` at every `at` of `ats`, records made under one
+    policy and so with one tol and one term cap, in one `_block_series` run
+    and without the cache: a (tau x column) complex array, bit for bit the
+    scalar loop's sums.  No bound is formed.
 
     Each tau forms q^k by the scalar loop's Python complex products.  sigma
     q^k and its 2 pi i k factor are taken as separate real and imaginary
     float products: Python's complex products add only zeros to them, which
     can change the sign of a zero part but not a Kahan sum that starts from
-    +0.  Each column has the scalar loop's three-term stopping rule and term
-    cap.  The first block runs the terms `_q_sum_rows` estimates for the
+    +0.  Each column has the scalar loop's three-term stopping rule.  The
+    first block runs the terms `_q_sum_rows` estimates for the
     largest |q| and the largest power of k (2n - 1, one more with the
     2 pi i k factor), so that a sample near the fundamental domain runs in
-    one block.  If some columns hit their cap, raises the scalar loop's
+    one block.  If some columns hit the cap, raises the scalar loop's
     NonConvergenceError of the first: first tau in order, then first column
     in order."""
     ncols, streak = len(cols), 3
     if not ats:
         return np.empty((0, ncols), dtype=complex)
-    tol = ats[0].policy.tol
+    tol, cap = ats[0].tol, ats[0].cap
     ells = tuple(sorted({2 * n - 1 for n, _ in cols}))
     tau_of = np.repeat(np.arange(len(ats)), ncols)
     ell_of = np.array([ells.index(2 * n - 1) for n, _ in cols] * len(ats), dtype=int)
     deriv = np.array([d for _, d in cols] * len(ats), dtype=bool)
-    cap = np.array([at.cap for at in ats], dtype=int)[tau_of]
-    qs = [at.tau.nome for at in ats]
+    qs = [cmath.exp(TWO_PI_I * at.tau) for at in ats]
     qks = [1.0 + 0j] * len(ats)
 
     def terms(ks, tau_i, ell_i, deriv):
@@ -616,8 +618,8 @@ def _eisenstein_q_sums(ats: Sequence[_Checked], cols: Sequence[Tuple[int, bool]]
         streak, first)
     failed = np.flatnonzero(ks == 0)
     if failed.size:
-        i, col = divmod(int(failed[0]), ncols)
-        raise _q_sum_error(cols[col][0], ats[i].cap, complex(sums[failed[0]]))
+        i = int(failed[0])
+        raise _q_sum_error(cols[i % ncols][0], cap, complex(sums[i]))
     return sums.reshape(len(ats), ncols)
 
 
@@ -718,7 +720,7 @@ def _points_series(start: np.ndarray, start_rnd: np.ndarray, terms,
     batch, or by `rank`, the points' places in the caller's order, where
     the batch runs them in another."""
     s, c, j, last, rnd = _block_series(
-        start, start_rnd, terms, state, np.full(len(start), cap),
+        start, start_rnd, terms, state, cap,
         lambda size, sums: size <= tol * np.maximum(np.abs(sums), 1.0), 1)
     if not j.all():
         # a failed point has j = 0
@@ -815,7 +817,7 @@ def _bernoulli_series(m: np.ndarray, x: np.ndarray, y: np.ndarray, at: _Checked,
     exponential.  dy also moves the powers (y -+ j)^(m-1), by (m - 1) dy /
     (j -+ y) relative, the closing term's y^(m-1), by (m - 1)
     y^(m-2) dy times the rest, and B_m(y), by m |B_{m-1}(y)| dy."""
-    t = at.tau.tau
+    t = at.tau
     y = y - np.floor(y)
     # x is off-integer where y snaps to exactly 0 (lattice check above)
     snap = (y < _LATTICE_EPS) | (y > 1 - _LATTICE_EPS)
@@ -870,7 +872,7 @@ def _bernoulli_series(m: np.ndarray, x: np.ndarray, y: np.ndarray, at: _Checked,
         np.zeros(len(x), dtype=complex), np.zeros(len(x)), terms,
         (y, np.exp(-TWO_PI_I * y * t), np.exp(TWO_PI_I * y * t), emx, emx.conj(),
          err_x, m, dy_ulps),
-        at.cap, at.policy.tol, "elliptic Bernoulli series", rank)
+        at.cap, at.tol, "elliptic Bernoulli series", rank)
 
     def finish(m, x, y, s, c, j, last, rnd, err_v, dy):
         arg = TWO_PI_I * (-x + y * t)
@@ -950,7 +952,7 @@ class _Reduction(NamedTuple):
     `m_err` bounds its relative error in units of 2^-53 and `dtau` bounds
     |tau' - gamma tau| for the computed tau'."""
 
-    tau: TauPoint
+    tau: complex
     a: int
     b: int
     c: int
@@ -975,12 +977,11 @@ class _Reduction(NamedTuple):
         return ComplexVal(v, abs(v) * 2.0**-53 * (self.m_err + 8.0))
 
 
-def _reduction(tau: TauPoint) -> Optional[_Reduction]:
-    """The reduction of tau into F = {|Re tau| <= 1/2, |tau| >= 1}, by
+def _reduction(t: complex) -> Optional[_Reduction]:
+    """The reduction of tau = t into F = {|Re tau| <= 1/2, |tau| >= 1}, by
     Cohen's Algorithm 7.4.2 (shift Re tau into [-1/2, 1/2], invert while
     |tau| < 1); None on the closed F, where the kernels run at tau itself.
-    tau' is computed from gamma and tau in one step."""
-    t = tau.tau
+    tau' is computed from gamma and t in one step."""
     if abs(t.real) <= 0.5 and abs(t) >= 1.0:
         return None
     a, b, c, d = 1, 0, 0, 1
@@ -998,7 +999,7 @@ def _reduction(tau: TauPoint) -> Optional[_Reduction]:
     num_err = (abs(a) * (abs(t.real) + abs(t.imag)) + abs(num.real)) / abs(num)
     m_err = (abs(c) * (abs(t.real) + abs(t.imag)) + abs(m.real)) / abs(m)
     tp = num / m
-    return _Reduction(TauPoint(tp), a, b, c, d, m, m_err,
+    return _Reduction(tp, a, b, c, d, m, m_err,
                       abs(tp) * 2.0**-53 * (num_err + m_err + 6.0))
 
 
@@ -1018,7 +1019,7 @@ class _Frame(NamedTuple):
         """x - y tau, with the argument errors and the rounding of the
         product and the difference (2^-53 |y| |tau| and 2^-53 |x - y tau|)."""
         dx, dy, dt = self.arg_err
-        t = self.at.tau.tau
+        t = self.at.tau
         return ComplexArray(self.x - self.y * t,
                             dx + dy * abs(t) + np.abs(self.y) * dt
                             + 2.0**-52 * (np.abs(self.x) + np.abs(self.y) * abs(t)))
@@ -1026,7 +1027,7 @@ class _Frame(NamedTuple):
 
 def _frame(x: np.ndarray, y: np.ndarray, at: _Checked) -> _Frame:
     """The points x - y tau in the frame of the reduction of `at`'s tau.
-    tau' keeps the caller's policy and cap: Im tau' >= Im tau, so it passes
+    tau' keeps the caller's tol and cap: Im tau' >= Im tau, so it passes
     wherever tau passed.
 
     x and y come from `_decompose`, within 2^-53 (|x| + 2 |y Re tau|) and
@@ -1041,7 +1042,7 @@ def _frame(x: np.ndarray, y: np.ndarray, at: _Checked) -> _Frame:
     snapped = _snap(y)
     if red is None:
         return _Frame(x, snapped, at, (0.0, np.abs(y - snapped), 0.0), None)
-    ex = 2.0**-52 * (np.abs(x) + np.abs(y * at.tau.tau.real))
+    ex = 2.0**-52 * (np.abs(x) + np.abs(y * at.tau.real))
     ey = 2.0**-52 * np.abs(y) + np.abs(y - snapped)
     y = snapped
     a, b, c, d = red.a, red.b, red.c, red.d
@@ -1049,7 +1050,7 @@ def _frame(x: np.ndarray, y: np.ndarray, at: _Checked) -> _Frame:
     dx = abs(a) * ex + abs(b) * ey + 2.0**-53 * np.abs(xr)
     dy = abs(c) * ex + abs(d) * ey + 2.0**-53 * np.abs(yr)
     snapped = _snap(yr)
-    return _Frame(xr, snapped, _Checked(red.tau, at.policy, at.cap),
+    return _Frame(xr, snapped, _Checked(red.tau, at.tol, at.cap),
                   (dx, dy + np.abs(yr - snapped), red.dtau), red)
 
 
@@ -1064,7 +1065,7 @@ def _e2(at: _Checked, dtau: float) -> ComplexVal:
     error dtau of tau by
     |dE_2/dtau| = 16 pi^3 |sum_n n sigma_1(n) q^n| <= 16 pi^3 sum_n n^3 |q|^n."""
     e2 = _eisenstein(1, at)
-    r = abs(at.tau.nome)
+    r = abs(cmath.exp(TWO_PI_I * at.tau))
     slope = 16.0 * math.pi**3 * r * (1.0 + 4.0 * r + r * r) / (1.0 - r) ** 4
     return ComplexVal(e2.value, e2.err + slope * dtau)
 
@@ -1074,9 +1075,8 @@ def _e2(at: _Checked, dtau: float) -> ComplexVal:
 # ---------------------------------------------------------------------------
 
 
-def _decompose(z, tau: TauPoint):
-    """Write z = x - y*tau with real x, y."""
-    t = tau.tau
+def _decompose(z, t: complex):
+    """Write z = x - y*t with real x, y."""
     y = -z.imag / t.imag
     x = z.real + y * t.real
     return x, y
@@ -1178,17 +1178,18 @@ def _p_deriv_series(k: int, x: np.ndarray, y: np.ndarray, at: _Checked, arg_err)
     at `at`'s tau.  `arg_err` as in `_Frame`: the errors of x, y and tau add
     2 pi (dx + dy |tau| + |y0| dtau) to the argument of u and 2 pi dtau to
     that of q, which E_2 also carries."""
-    t = at.tau.tau
+    t = at.tau
+    # y0 is +0 or beyond _LATTICE_EPS: `_frame` has snapped y
     y0 = y - np.rint(y)
     # pe^{(k)}(-z) = (-1)^k pe^{(k)}(z)
-    neg = y0 < -_LATTICE_EPS
+    neg = y0 < 0
     sign = np.where(neg, (-1.0) ** k, 1.0)
     x = np.where(neg, -x, x)
-    y0 = np.where(neg, -y0, np.where(np.abs(y0) <= _LATTICE_EPS, 0.0, y0))
+    y0 = np.where(neg, -y0, y0)
     x0 = x - np.floor(x)
     arg = TWO_PI_I * (x0 - y0 * t)
     u = np.exp(arg)
-    q = at.tau.nome
+    q = cmath.exp(TWO_PI_I * t)
     aq = abs(q)
     par = (-1.0) ** k
     qj = 1.0 + 0j
@@ -1219,7 +1220,7 @@ def _p_deriv_series(k: int, x: np.ndarray, y: np.ndarray, at: _Checked, arg_err)
 
     start, s0 = _phi(k, u, pk, pk1)
     acc, _, j, last, rnd = _points_series(start, s0 * (err_u + own), terms, (u, err_u),
-                                          at.cap, at.policy.tol, "pe Fourier series")
+                                          at.cap, at.tol, "pe Fourier series")
     pref = TWO_PI_I ** (k + 2)
     r = min(aq * 2.0, 0.99)
     tail = abs(pref) * (2.0 * last * r / (1.0 - r) + 1e-16 * np.abs(acc) * j)

@@ -101,7 +101,7 @@ def elliptic_bernoulli(m, x, y, tau, policy=DEFAULT_POLICY):
 
 def weierstrass_zeta(z, tau, policy=DEFAULT_POLICY):
     z = complex(z)
-    x, y = _decompose(z, tau)
+    x, y = _decompose(z, tau.tau)
     if _on_lattice(x, y):
         raise LatticePointError(f"zeta pole: z = {z} is on the lattice")
     nx = math.floor(x)
@@ -137,7 +137,7 @@ def weierstrass_p_deriv(k, z, tau, policy=DEFAULT_POLICY):
         raise ValueError("k must be >= 0")
     z = complex(z)
     t = tau.tau
-    x, y = _decompose(z, tau)
+    x, y = _decompose(z, tau.tau)
     if _on_lattice(x, y):
         raise LatticePointError(f"pe pole: z = {z} is on the lattice")
     sign = 1.0

@@ -37,8 +37,9 @@ PIN_PQ = [(2, 1), (3, 2), (7, 4), (13, 7), (23, 12)]
 #: every B_m, the zeta and pe kernels and the zeta-route sums in F, the
 #: Bernoulli route, the Machide residuals and the closed form of C(tau); as
 #: computed with the division sums over one point per pair {P, -P}, zeta
-#: from B_1 and integer powers by multiplication (numpy 2.4.6, x86-64)
-PINNED_SHA256 = "df956e26974a75424c3c512d5f5758598c70a49709ac9e271d036dbc50ec0b47"
+#: from B_1, integer powers by multiplication and max_terms as the cap at
+#: every tau (numpy 2.4.6, x86-64)
+PINNED_SHA256 = "8c1b5eb3626ec1aa264ac02eb8890bdcacd53f4ce55ba3e660ed4f2290cf2b47"
 
 
 def _reprs(v):

@@ -501,6 +501,29 @@ class TestPolicyGuards:
         with pytest.raises(ValueError):
             SeriesPolicy(tol=0)
 
+    @pytest.mark.parametrize("max_terms", [2.5, 3.0, "3"])
+    def test_non_int_max_terms_rejected(self, max_terms):
+        with pytest.raises(ValueError, match="max_terms must be an int"):
+            SeriesPolicy(max_terms=max_terms)
+        # an int beyond int64 stays a valid cap
+        assert SeriesPolicy(max_terms=10**30).max_terms == 10**30
+
+    @pytest.mark.parametrize("t", [0.3 + 0.3j, 0.3 + 0.06j])
+    @pytest.mark.parametrize("call", [
+        lambda tau, pol: elliptic_bernoulli_points(3, [0.2], [0.3], tau, pol),
+        lambda tau, pol: weierstrass_zeta_points([0.2 - 0.3 * tau.tau], tau, pol),
+        lambda tau, pol: weierstrass_p_deriv_points(2, [0.2 - 0.3 * tau.tau], tau, pol),
+        lambda tau, pol: eisenstein(2, tau, pol),
+        lambda tau, pol: eisenstein_tau_derivative(2, tau, pol),
+        lambda tau, pol: basis_rank(4, [tau], pol),
+    ], ids=["bernoulli", "zeta", "pe", "eisenstein", "eisenstein_tau_derivative",
+            "basis_rank"])
+    @pytest.mark.filterwarnings("ignore::ellded.qseries.SlowNomeWarning")
+    def test_every_series_names_the_callers_cap(self, call, t):
+        # max_terms caps every series at every tau, however slow its nome
+        with pytest.raises(NonConvergenceError, match=r"max_terms=1$"):
+            call(TauPoint(t), SeriesPolicy(max_terms=1))
+
     def test_nan_min_im_tau_rejected(self):
         # im < nan is always false: a nan bound would reject no tau
         with pytest.raises(ValueError, match="min_im_tau"):

@@ -1,0 +1,136 @@
+#!/usr/bin/env python3
+"""Same-process A/B timing of two checkouts of ellded on a benchmark op list.
+
+Both checkouts are loaded into one process, each as its own copy of the
+`ellded` package together with its own `perfbench/workloads.py`.  One op list
+is drawn from side A's generator; every op then runs on both sides back to
+back, the side that goes first alternating from op to op and from repeat to
+repeat, so that drift of the machine's speed falls on both sides alike.  An
+op's time on a side is the minimum over the repeats.  Exceptions are caught
+and counted per side: an op that raises is fast and would otherwise read as
+a gain.
+
+    python3 scripts/ab_interleaved.py A_CHECKOUT B_CHECKOUT \\
+        [--workload division-sums] [--seed 1855] [--ops 500] [--repeats 3]
+
+Prints, per op kind and in total, each side's summed time, the ratio B/A
+(below 1 where B is faster) and the gain A/B - 1, then the exceptions of
+each side.  Running a checkout against itself (an A/A run) shows the noise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import math
+import sys
+import time
+import warnings
+from collections import defaultdict
+from pathlib import Path
+from types import ModuleType
+from typing import Dict, List, NamedTuple, Sequence
+
+
+def _owned(name: str) -> bool:
+    """Whether a module name belongs to one side's load."""
+    return name in ("ellded", "workloads") or name.startswith("ellded.")
+
+
+def load_side(root: Path) -> ModuleType:
+    """The `perfbench/workloads` module of the checkout at root, bound to the
+    `ellded` of its own `src/`.  The modules the process had under those
+    names before are restored afterwards, so sides never share one."""
+    saved = {name: sys.modules.pop(name) for name in list(sys.modules) if _owned(name)}
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    try:
+        workloads = importlib.import_module("workloads")
+        src = (root / "src").resolve()
+        if not Path(sys.modules["ellded"].__file__).resolve().is_relative_to(src):
+            raise ImportError(f"ellded was not imported from {src}")
+        return workloads
+    finally:
+        del sys.path[:2]
+        for name in [name for name in sys.modules if _owned(name)]:
+            del sys.modules[name]
+        sys.modules.update(saved)
+
+
+class SideResult(NamedTuple):
+    #: per op, the minimum time over the repeats, in seconds
+    times: List[float]
+    #: (op index, exception type and message) of every op that raised
+    errors: List[tuple]
+
+
+def interleave(sides: Sequence[ModuleType], ops: Sequence, repeats: int) -> List[SideResult]:
+    """Run every op on every side, `repeats` times, alternating which side
+    goes first; returns per side the minimum time of each op and the ops
+    that raised (on their first repeat)."""
+    best = [[math.inf] * len(ops) for _ in sides]
+    errors: List[List[tuple]] = [[] for _ in sides]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for rep in range(repeats):
+            for i, op in enumerate(ops):
+                order = range(len(sides)) if (i + rep) % 2 == 0 else reversed(range(len(sides)))
+                for s in order:
+                    t0 = time.perf_counter()
+                    try:
+                        sides[s].run_op(op)
+                    except Exception as exc:  # counted, never skipped
+                        if rep == 0:
+                            errors[s].append((i, f"{type(exc).__name__}: {exc}"))
+                    best[s][i] = min(best[s][i], time.perf_counter() - t0)
+    return [SideResult(t, e) for t, e in zip(best, errors)]
+
+
+def kind_totals(ops: Sequence, result: SideResult) -> Dict[str, float]:
+    """Summed time per op kind, and over all ops under "all"."""
+    totals: Dict[str, float] = defaultdict(float)
+    for op, t in zip(ops, result.times):
+        totals[op.kind] += t
+        totals["all"] += t
+    return dict(totals)
+
+
+def report(ops: Sequence, a: SideResult, b: SideResult) -> Dict[str, float]:
+    """Print per-kind times, ratio B/A and gain A/B - 1, and each side's
+    exceptions; returns the ratio per kind."""
+    ta, tb = kind_totals(ops, a), kind_totals(ops, b)
+    ratios = {}
+    print(f"{'kind':<14}{'ops':>5}{'A s':>10}{'B s':>10}{'B/A':>8}{'gain':>9}")
+    for kind in sorted(ta, key=lambda k: (k == "all", k)):
+        count = len(ops) if kind == "all" else sum(op.kind == kind for op in ops)
+        ratios[kind] = tb[kind] / ta[kind]
+        print(f"{kind:<14}{count:>5}{ta[kind]:>10.4f}{tb[kind]:>10.4f}"
+              f"{ratios[kind]:>8.4f}{ta[kind] / tb[kind] - 1:>+9.2%}")
+    for name, side in (("A", a), ("B", b)):
+        print(f"exceptions {name}: {len(side.errors)}")
+        for i, msg in side.errors[:10]:
+            print(f"  op {i} ({ops[i].kind}): {msg}")
+    return ratios
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("a", type=Path, help="checkout A (the reference)")
+    ap.add_argument("b", type=Path, help="checkout B")
+    ap.add_argument("--workload", default="division-sums")
+    ap.add_argument("--seed", type=int, default=1855)
+    ap.add_argument("--ops", type=int, default=500)
+    ap.add_argument("--repeats", type=int, default=3)
+    args = ap.parse_args(argv)
+    sides = [load_side(args.a.resolve()), load_side(args.b.resolve())]
+    ops = sides[0].generate(args.workload, args.seed, args.ops)
+    for side in sides:
+        side.warm_up(args.workload)
+    a, b = interleave(sides, ops, args.repeats)
+    print(f"{args.workload}, seed {args.seed}: {len(ops)} ops, "
+          f"minimum of {args.repeats} repeats; A = {args.a}, B = {args.b}")
+    report(ops, a, b)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -14,8 +14,12 @@ batch, a point of a kernel or one q-sum of the Eisenstein pass, keeps its own
 Kahan state, stopping rule and rounding bound under the batch's one term
 cap, and leaves the batch once it has stopped or failed.  The terms are
 evaluated in blocks of consecutive j, as 2-D arrays over (j, column) of at
-most BLOCK_ELEMENTS entries, and then added one j at a time, so values equal
-a term-by-term run's bit for bit.
+most BLOCK_ELEMENTS entries, and then added one j at a time, each Kahan
+step written in place into the block's rows, so values equal a
+term-by-term run's bit for bit.  The first block is sized from |q|, by
+`_points_rows` for the kernels and `_q_sum_rows` for the Eisenstein pass,
+so that a pass near the fundamental domain runs one block, which it
+returns as it stands once every column has stopped in it.
 
 The Weierstrass and elliptic Bernoulli functions are array kernels
 (`*_points`) on the engine; the scalar functions are one-point calls to them.
@@ -360,9 +364,6 @@ def _ipow(a, e: int):
 # Block series: one series in every column of a batch
 # ---------------------------------------------------------------------------
 
-#: term rows of a kernel series' first block; each later block runs twice
-#: the rows of the one before
-FIRST_BLOCK = 8
 #: column-terms in one block at most: bounds the memory of the block arrays
 #: for large batches, where the width falls to BLOCK_ELEMENTS // columns
 BLOCK_ELEMENTS = 4096
@@ -370,34 +371,38 @@ BLOCK_ELEMENTS = 4096
 
 def _block_series(start: np.ndarray, start_rnd: np.ndarray, terms,
                   state: Tuple[np.ndarray, ...], cap: int, small, streak: int,
-                  first: int = FIRST_BLOCK):
+                  first: int):
     """Run the series `start + sum_j terms(js, *state)` in every column of a
     batch; each column starts from `start`, whose rounding bound is
     `start_rnd`.
 
     The terms come in blocks of consecutive j.  `terms(js, *state)` gets the
     block's j as Python ints and the per-column inputs `state` of the columns
-    still running as rows (1 x columns); it returns 2-D arrays with one row
-    per j and one column per running column: the jth term, its size and a
-    first-order bound, in units of 2^-53, on its rounding error.  Each row
-    must equal what a term-by-term run computes at that j; with 2-D operands
-    on both sides, numpy rounds a broadcast complex product as it rounds an
-    array times a scalar, while a 1-D array times a 1 x 1 array rounds as
-    Python's scalar product does.
+    still running as rows (1 x columns); it returns fresh 2-D arrays, which
+    the engine may overwrite, with one row per j and one column per running
+    column: the jth term, its size and a first-order bound, in units of
+    2^-53, on its rounding error.  Each row must equal what a term-by-term
+    run computes at that j; with 2-D operands on both sides, numpy rounds a
+    broadcast complex product as it rounds an array times a scalar, while a
+    1-D array times a 1 x 1 array rounds as Python's scalar product does.
 
-    The rows are added in order, one Kahan step each.  `small(size, sums)`
-    tells elementwise whether a term is small next to the sum after it; a
-    column stops after its jth term, j >= 2, once its last `streak` terms
-    were small, and fails if it is still running after `cap` terms.  A
-    column that stops or fails leaves the batch at the end of its block.
-    The first block has `first` rows and each later one twice the rows
-    the last one ran, within BLOCK_ELEMENTS column-terms and the cap,
-    so every result is bit-identical to a term-by-term run's; once the wide
-    part of a batch has left, its narrow rest grows again from the rows it
-    ran, not at once to BLOCK_ELEMENTS // columns.  Returns per column the
-    Kahan state (s, c) where it stopped, the j it stopped at, its last size
-    and its summed rounding bound; a failed column has j = 0 and its
-    partial sum as s."""
+    The rows are added in order, one Kahan step each, written straight into
+    the block's rows of sums and compensations; the rounding bounds are
+    summed row by row in place.  `small(size, sums)` tells elementwise
+    whether a term is small next to the sum after it; a column stops after
+    its jth term, j >= 2, once its last `streak` terms were small, and fails
+    if it is still running after `cap` terms.  A column that stops or fails
+    leaves the batch at the end of its block.  The first block has `first`
+    rows, which the caller sizes from |q| to hold the whole series where it
+    can, and each later one twice the rows the last one ran, within
+    BLOCK_ELEMENTS column-terms and the cap, so every result is
+    bit-identical to a term-by-term run's; once the wide part of a batch
+    has left, its narrow rest grows again from the rows it ran, not at once
+    to BLOCK_ELEMENTS // columns.  A block in which every column stops,
+    with none gone before it, is returned as it stands, with no compaction
+    and no scatter.  Returns per column the Kahan state (s, c) where it
+    stopped, the j it stopped at, its last size and its summed rounding
+    bound; a failed column has j = 0 and its partial sum as s."""
     n = len(start)
     out_s, out_c = np.empty(n, dtype=complex), np.empty(n, dtype=complex)
     out_j, out_last, out_rnd = np.zeros(n, dtype=int), np.empty(n), np.empty(n)
@@ -411,11 +416,18 @@ def _block_series(start: np.ndarray, start_rnd: np.ndarray, terms,
         rows = min(width, max(BLOCK_ELEMENTS // idx.size, 1), cap - j)
         term, size, r = terms(range(j + 1, j + rows + 1), *(a[None] for a in state))
         sums, comps = np.empty_like(term), np.empty_like(term)
+        y = np.empty_like(s)
         for i in range(rows):
-            s, c = _kahan_add(s, c, term[i])
-            sums[i], comps[i] = s, c
+            # _kahan_add(s, c, term[i]), into row i
+            t, comp = sums[i], comps[i]
+            np.subtract(term[i], c, out=y)
+            np.add(s, y, out=t)
+            np.subtract(t, s, out=comp)
+            np.subtract(comp, y, out=comp)
+            s, c = t, comp
         # the rounding bound after each row, summed row by row
-        rnds = np.cumsum(np.concatenate((rnd[None], r)), axis=0)[1:]
+        r[0] += rnd
+        rnds = np.add.accumulate(r, axis=0, out=r)
         rnd = rnds[-1]
         runs = small(size, sums)
         if streak > 1:
@@ -428,13 +440,17 @@ def _block_series(start: np.ndarray, start_rnd: np.ndarray, terms,
         if j == 0:
             stop[0] = False
         j += rows
-        first = stop.argmax(axis=0)
+        at = stop.argmax(axis=0)
         cols = np.arange(idx.size)
-        done = stop[first, cols]
+        done = stop[at, cols]
+        if idx.size == n and done.all():
+            # every column stopped in this block, and none left before it
+            return (sums[at, cols], comps[at, cols], j - rows + 1 + at, size[at, cols],
+                    rnds[at, cols])
         leave = done | (j == cap)
         if np.count_nonzero(leave):
             out_s[idx[leave]] = s[leave]  # a failed column's partial sum
-            k, at, col = idx[done], first[done], cols[done]
+            k, at, col = idx[done], at[done], cols[done]
             out_s[k], out_c[k], out_rnd[k] = sums[at, col], comps[at, col], rnds[at, col]
             out_j[k], out_last[k] = j - rows + 1 + at, size[at, col]
             keep = ~leave
@@ -708,20 +724,46 @@ def _lattice_check(x: np.ndarray, y: np.ndarray, message) -> None:
         raise LatticePointError(message(int(np.argmax(hit))))
 
 
+def _points_rows(aq: float, ell: int, reach: float, tol: float) -> int:
+    """The terms a kernel series with |q| = aq runs before its stopping rule
+    fires at every point of a batch: the first j >= 2 at which the model
+    size (j + 1)^ell (aq^(j - reach) + aq^j) of its jth term pair is at most
+    tol; at most BLOCK_ELEMENTS.  ell is the largest power of j in a term
+    and reach the largest shift of its exponent, |y| in aq^(j -+ y), so
+    that the two terms of a pair are at most the model and the rule, size
+    at most tol max(|sum|, 1), has fired by then (up to the denominators
+    1 - aq^(j - reach), near 1 where the model nears tol).  The first j is
+    found from that of ell = 0 upwards, which is no later."""
+    if aq == 0.0:
+        return 2
+    log_q = math.log(aq)
+    if not log_q < 0.0:
+        return BLOCK_ELEMENTS
+    log_tol = math.log(tol) - math.log1p(aq**reach)
+    j0 = reach + log_tol / log_q
+    if j0 >= BLOCK_ELEMENTS:
+        return BLOCK_ELEMENTS
+    j = max(2, math.floor(j0))
+    while ell * math.log(j + 1) + (j - reach) * log_q > log_tol and j < BLOCK_ELEMENTS:
+        j += 1
+    return j
+
+
 def _points_series(start: np.ndarray, start_rnd: np.ndarray, terms,
-                   state: Tuple[np.ndarray, ...], cap: int, tol: float, what: str,
-                   rank: Optional[np.ndarray] = None):
+                   state: Tuple[np.ndarray, ...], cap: int, first: int, tol: float,
+                   what: str, rank: Optional[np.ndarray] = None):
     """`_block_series` over a batch of points, whose `terms` return per j
     and point the jth term, the sum of the series' two jth terms, with
-    |term 1| + |term 2| as its size.  A point stops after its jth term once
-    j >= 2 and that size is below tol relative to max(|sum|, 1).  Raises
+    |term 1| + |term 2| as its size; its first block has `first` rows
+    (`_points_rows`).  A point stops after its jth term once j >= 2 and
+    that size is below tol relative to max(|sum|, 1).  Raises
     NonConvergenceError, with the partial sum of the first point that
     failed, if some point is still running after `cap` terms; first in the
     batch, or by `rank`, the points' places in the caller's order, where
     the batch runs them in another."""
     s, c, j, last, rnd = _block_series(
         start, start_rnd, terms, state, cap,
-        lambda size, sums: size <= tol * np.maximum(np.abs(sums), 1.0), 1)
+        lambda size, sums: size <= tol * np.maximum(np.abs(sums), 1.0), 1, first)
     if not j.all():
         # a failed point has j = 0
         failed = np.flatnonzero(j == 0)
@@ -746,6 +788,12 @@ def _exp_err(a) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _bernoulli_poly_float_coeffs(m: int) -> Tuple[float, ...]:
     return tuple(math.comb(m, j) * float(bernoulli_number(j)) for j in range(m + 1))
+
+
+@lru_cache(maxsize=None)
+def _bernoulli_poly_abs_sum(m: int) -> float:
+    """sum_j |C(m, j) B_j|, which bounds |B_m(y)| on [0, 1)."""
+    return sum(map(abs, _bernoulli_poly_float_coeffs(m)))
 
 
 def _bernoulli_poly_float(m: int, y):
@@ -868,11 +916,13 @@ def _bernoulli_series(m: np.ndarray, x: np.ndarray, y: np.ndarray, at: _Checked,
         return t1 + t2, size, rnd
 
     emx = np.exp(-TWO_PI_I * x)
+    # a term pair is at most (j + 1)^(m-1) (|q|^(j-y) + |q|^(j+y)), 0 <= y < 1
+    first = _points_rows(decay, int(m[-1]) - 1 if m.size else 0, 1.0, at.tol)
     s, c, j, last, rnd = _points_series(
         np.zeros(len(x), dtype=complex), np.zeros(len(x)), terms,
         (y, np.exp(-TWO_PI_I * y * t), np.exp(TWO_PI_I * y * t), emx, emx.conj(),
          err_x, m, dy_ulps),
-        at.cap, at.tol, "elliptic Bernoulli series", rank)
+        at.cap, first, at.tol, "elliptic Bernoulli series", rank)
 
     def finish(m, x, y, s, c, j, last, rnd, err_v, dy):
         arg = TWO_PI_I * (-x + y * t)
@@ -894,11 +944,11 @@ def _bernoulli_series(m: np.ndarray, x: np.ndarray, y: np.ndarray, at: _Checked,
             # dy moving the closing term's y^(m-1)
             rnd = rnd + (m - 1) * _ipow(y, m - 2) * ratio * (2.0**53 * dy)
         rnd = (m * (rnd + 3.0 * np.abs(acc))
-               + 2.0 * (m + 1) * sum(map(abs, _bernoulli_poly_float_coeffs(m)))
+               + 2.0 * (m + 1) * _bernoulli_poly_abs_sum(m)
                + np.abs(value))
         # dy moving B_m(y), whose slope m B_{m-1}(y) is at most
         # m sum_j |C(m-1, j) B_j| on [0, 1)
-        slope = m * sum(map(abs, _bernoulli_poly_float_coeffs(m - 1)))
+        slope = m * _bernoulli_poly_abs_sum(m - 1)
         return value, tail + 2.0**-53 * rnd + dy * slope
 
     cols = (x, y, s, c, j, last, rnd, err_v, dy)
@@ -1213,14 +1263,19 @@ def _p_deriv_series(k: int, x: np.ndarray, y: np.ndarray, at: _Checked, arg_err)
             powers.append(qj)
         qjs = np.array(powers)[:, None]
         j = np.array(js, dtype=float)[:, None]
-        t1, s1 = _phi(k, u * qjs, pk, pk1)
-        t2, s2 = _phi(k, qjs / u, pk, pk1)
+        # Phi_k at u q^j and at q^j / u in one call, stacked
+        rows = len(js)
+        tt, ss = _phi(k, np.concatenate((u * qjs, qjs / u)), pk, pk1)
+        t1, t2, s1, s2 = tt[:rows], tt[rows:], ss[:rows], ss[rows:]
         size = np.abs(t1) + np.abs(t2)
         return t1 + par * t2, size, (s1 + s2) * (err_u + (own + 6.0 + j * err_q)) + size
 
     start, s0 = _phi(k, u, pk, pk1)
+    # Phi_k(w) = w + O(w^2): a term pair is about |q|^(j-y0) + |q|^(j+y0),
+    # 0 <= y0 <= 1/2, whatever k
+    first = _points_rows(aq, 0, 0.5, at.tol)
     acc, _, j, last, rnd = _points_series(start, s0 * (err_u + own), terms, (u, err_u),
-                                          at.cap, at.tol, "pe Fourier series")
+                                          at.cap, first, at.tol, "pe Fourier series")
     pref = TWO_PI_I ** (k + 2)
     r = min(aq * 2.0, 0.99)
     tail = abs(pref) * (2.0 * last * r / (1.0 - r) + 1e-16 * np.abs(acc) * j)

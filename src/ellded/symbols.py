@@ -93,14 +93,24 @@ def _division_points(p: int) -> Tuple[np.ndarray, np.ndarray]:
     return _grid(p, p, origin=False)
 
 
+#: entries of the division-point cache: one table per p; bounded because a
+#: caller may run any p
+DIVISION_CACHE_SIZE = 128
+
+
+@lru_cache(maxsize=DIVISION_CACHE_SIZE)
 def _half_division_points(p: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(lambda, mu, weight): one point of each pair {P, -P} of the nonzero
     p-division points, the first of the two in row-major order, with
-    weight 2, or 1 where P = -P, at the three 2-torsion points of an even p."""
+    weight 2, or 1 where P = -P, at the three 2-torsion points of an even p.
+    Built once per p and shared, so the arrays are read-only."""
     lam, mu = _division_points(p)
     i, neg = lam * p + mu, (-lam % p) * p + (-mu % p)
     keep = i <= neg
-    return lam[keep], mu[keep], np.where(i[keep] == neg[keep], 1.0, 2.0)
+    out = lam[keep], mu[keep], np.where(i[keep] == neg[keep], 1.0, 2.0)
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def _division_z(lam: np.ndarray, mu: np.ndarray, tau: TauPoint, p: int) -> np.ndarray:

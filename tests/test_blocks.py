@@ -114,10 +114,11 @@ def test_pinned_bit_identity():
 # ---------------------------------------------------------------------------
 
 
-def _series_by_term(start, start_rnd, terms, state, cap, tol, what, rank=None):
-    """`qseries._points_series` one term at a time: the terms are asked for
-    one j at a time and a point leaves the batch at the j it stops at.  The
-    reference that the blocks must reproduce bit for bit."""
+def _series_by_term(start, start_rnd, terms, state, cap, first, tol, what, rank=None):
+    """`qseries._points_series` one term at a time, whatever its `first`
+    block: the terms are asked for one j at a time and a point leaves the
+    batch at the j it stops at.  The reference that the blocks must
+    reproduce bit for bit."""
     n = len(start)
     out_s = np.empty(n, dtype=complex)
     out_c = np.empty(n, dtype=complex)
@@ -177,7 +178,8 @@ def _kernels(points, tau, policy=qseries.DEFAULT_POLICY):
 @pytest.mark.parametrize("max_terms", [3, 8, 9, 10**6])
 def test_blocks_match_term_by_term(monkeypatch, t, max_terms):
     """Values, errs and partials equal the term-by-term loop's, over a batch
-    wider than one block holds (BLOCK_ELEMENTS // 600 < FIRST_BLOCK rows)."""
+    of 604 points, whose blocks hold at most BLOCK_ELEMENTS // 604 = 6 rows
+    whatever the first block's size."""
     rng = np.random.default_rng(7)
     points = list(zip(rng.uniform(-1.0, 1.0, 600), rng.uniform(-0.5, 1.0, 600)))
     points += [(1e-7, 0.0), (0.3, 1e-9), (-0.2, 1 - 1e-13), (0.4, 0.5)]
@@ -194,23 +196,28 @@ def test_blocks_match_term_by_term(monkeypatch, t, max_terms):
 # ---------------------------------------------------------------------------
 
 
+def _assert_call_matches_points(batch, single):
+    """A kernel's batch call equals its one-point calls: element by element
+    if the batch converges, else the batch raises with the partial of its
+    first point that raises alone."""
+    alone = [_outcome(call) for call in single]
+    got = _outcome(batch)
+    failed = [o for o in alone if o[0] == "NonConvergenceError"]
+    if failed:
+        # a batch raises the first error its points meet, the series' cap
+        # before E_2's, with the partial of the first point that raises it
+        # alone
+        same = [o for o in failed if o[1] == got[1]]
+        assert same and got == same[0]
+    else:
+        assert got == [o[0] for o in alone]
+
+
 def _assert_batch_matches_points(points, tau, policy=qseries.DEFAULT_POLICY):
-    """Each kernel's batch result equals its one-point calls: element by
-    element if the batch converges, else the batch raises with the partial
-    of its first point that raises alone."""
+    """Each kernel's batch result equals its one-point calls."""
     for batch, single in zip(_kernels(points, tau, policy),
                              zip(*(_kernels([pt], tau, policy) for pt in points))):
-        alone = [_outcome(call) for call in single]
-        got = _outcome(batch)
-        failed = [o for o in alone if o[0] == "NonConvergenceError"]
-        if failed:
-            # a batch raises the first error its points meet, the series' cap
-            # before E_2's, with the partial of the first point that raises
-            # it alone
-            same = [o for o in failed if o[1] == got[1]]
-            assert same and got == same[0]
-        else:
-            assert got == [o[0] for o in alone]
+        _assert_call_matches_points(batch, single)
 
 
 def test_stop_at_second_term(stops):
@@ -222,38 +229,51 @@ def test_stop_at_second_term(stops):
 
 
 @pytest.mark.parametrize("t", [0.1 + 0.565j, 0.1 + 0.62j])
-def test_stop_at_block_edges(stops, t):
+def test_stop_at_block_edges(stops, passes, t):
     """Points of one batch stop on the first block's last row and on the
-    next block's first row: B_1 at Im tau = 0.565, B_2 at 0.62 (pe and zeta
-    run at the reduced tau there, where they stop after a few terms)."""
-    tau = TauPoint(t)
-    points = [(0.3, 0.0), (0.3, 0.0), (-0.45, 0.3), (0.1, 0.8)]
-    _assert_batch_matches_points(points, tau)
-    edges = {qseries.FIRST_BLOCK, qseries.FIRST_BLOCK + 1}
-    assert any(edges <= set(run) for run in stops if len(run) == len(points))
+    next block's first row: B_1 at Im tau = 0.565 and B_2 at 0.62, where
+    the series stop at j = 8 or 9, over a batch so wide that its first
+    block holds BLOCK_ELEMENTS // 512 = 8 rows, fewer than `_points_rows`
+    sizes it to."""
+    tau, m = TauPoint(t), {0.565: 1, 0.62: 2}[t.imag]
+    rng = np.random.default_rng(5)
+    xs, ys = rng.uniform(-1.0, 1.0, 512), rng.uniform(0.0, 1.0, 512)
+    batch = elliptic_bernoulli_points(m, xs, ys, tau)
+    (_, rows, _), = passes
+    run, = stops
+    assert rows[0] == qseries.BLOCK_ELEMENTS // len(xs) == 8 and len(rows) == 2
+    assert {rows[0], rows[0] + 1} <= set(run)
+    for i in range(len(xs)):
+        assert batch[i] == elliptic_bernoulli_points(m, xs[i:i + 1], ys[i:i + 1], tau)[0]
 
 
 def test_mixed_batch_at_small_im_tau(stops):
-    """Points that stop in the first block share a batch with points that
-    run through several: B_1 next to the lattice point -tau, where its sum
-    is large (pe and zeta run at the reduced tau, where every point stops
+    """Points that stop after a few terms share a batch with points that
+    run on for many: B_1 next to the lattice point -tau, where its sum is
+    large (pe and zeta run at the reduced tau, where every point stops
     after a few terms)."""
     tau = TauPoint(0.3 + 0.06j)
     points = [(1e-7, 0.0), (1e-3, 0.0), (0.3, 1e-9), (0.2, 0.5), (-0.4, 0.49),
               (1e-7, 1 - 1e-9), (0.25, 1 - 1e-11), (0.0, 1 - 2e-12)]
     _assert_batch_matches_points(points, tau)
     mixed = [run for run in stops if len(run) == len(points)]
-    assert any(min(run) <= qseries.FIRST_BLOCK and max(run) > 3 * qseries.FIRST_BLOCK
-               for run in mixed)
+    assert any(min(run) <= 8 and max(run) > 24 for run in mixed)
 
 
-@pytest.mark.parametrize("max_terms", [3, 8, 9])
-def test_term_caps_near_first_block(max_terms):
-    """Caps below, at and just above the first block's size."""
-    assert qseries.FIRST_BLOCK == 8
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_term_caps_near_first_block(passes, offset):
+    """Caps just below, at and just above each kernel's first block, the
+    rows `_points_rows` sizes it to from |q| and the largest order."""
+    points = [(0.3, 0.0), (1e-3, 0.0), (-0.45, 0.3), (0.1, 0.8)]
     for t in (0.1 + 0.565j, 0.1 + 0.505j, 0.1 + 1.5j):
-        points = [(0.3, 0.0), (1e-3, 0.0), (-0.45, 0.3), (0.1, 0.8)]
-        _assert_batch_matches_points(points, TauPoint(t), SeriesPolicy(max_terms=max_terms))
+        tau = TauPoint(t)
+        for i, call in enumerate(_kernels(points, tau)):
+            passes.clear()
+            call()
+            (_, rows, _), = passes
+            policy = SeriesPolicy(max_terms=rows[0] + offset)
+            _assert_call_matches_points(_kernels(points, tau, policy)[i],
+                                        [_kernels([pt], tau, policy)[i] for pt in points])
 
 
 def test_single_point_and_empty_batch():
@@ -303,14 +323,14 @@ def passes(monkeypatch):
     seen = []
     run = qseries._block_series
 
-    def spy(start, start_rnd, terms, state, cap, small, streak):
+    def spy(start, start_rnd, terms, state, cap, small, streak, first):
         rows = []
 
         def counted(js, *cols):
             rows.append(len(js))
             return terms(js, *cols)
 
-        out = run(start, start_rnd, counted, state, cap, small, streak)
+        out = run(start, start_rnd, counted, state, cap, small, streak, first)
         seen.append((len(start), rows, int(out[2].max(initial=0))))
         return out
 
@@ -336,12 +356,32 @@ def test_one_bernoulli_pass_per_symbol(passes):
 def test_narrow_tail_grows_from_the_rows_it_ran(passes):
     """In the merged Prop. 3.1 batch at (23, 17) and Im tau = 0.06, the
     B_1 division sums, three factors per pair {P, -P}, run in blocks of
-    three rows and stop by j = 76, and B_2 at (23 s, 0), (17 s, 0) runs
-    on to j = 87: the two columns left grow from three rows again, and
-    the pass runs under 2 j + FIRST_BLOCK rows in all."""
+    three rows (BLOCK_ELEMENTS // columns, far below the first block that
+    |q| calls for) and stop by j = 76, and B_2 at (23 s, 0), (17 s, 0)
+    runs on to j = 87: the two columns left grow from three rows again,
+    and each pass runs under 2 j + its first block's rows in all."""
     symbols.proposition31_residual(CoprimePair(23, 17), 0.3 / 46, TauPoint(0.2 + 0.06j))
     columns, rows, last = passes[0]
     assert columns == 3 * (23**2 - 1) // 2 + 3 * (17**2 - 1) // 2 + 4
-    assert sum(rows) < 2 * last + qseries.FIRST_BLOCK
+    assert rows[0] == 3 and last == 87
     for columns, rows, last in passes:
-        assert sum(rows) < 2 * last + qseries.FIRST_BLOCK
+        assert sum(rows) < 2 * last + rows[0]
+
+
+@pytest.mark.parametrize("t", [0.3 + 1.1j, 0.0 + 1.5j, -0.5 + 0.87j, 0.45 + 0.9j])
+def test_passes_in_F_run_one_block(passes, t):
+    """At tau in F, every B_1 or pe pass of at most 64 points, those of
+    the zeta route, D^-(x) and R^-(x), runs exactly one block, of at most
+    its largest stopping j + 2 rows."""
+    tau = TauPoint(t)
+    for p, q in PIN_PQ + [(5, 3), (8, 3), (11, 4)]:
+        pair = CoprimePair(p, q)
+        for n in (1, 2, 3):
+            symbols.elliptic_apostol_sum(n, pair, tau, Route.ZETA_DERIVATIVE)
+        x = 0.3 / (2 * p)
+        symbols.generating_D(pair, tau, x)
+        symbols.generating_R(pair, tau, x)
+    small = [(rows, last) for columns, rows, last in passes if columns <= 64]
+    assert len(small) > 50
+    for rows, last in small:
+        assert len(rows) == 1 and rows[0] <= last + 2

@@ -390,6 +390,19 @@ def test_half_division_points_one_per_pair(p):
         assert torsion == set(points)
 
 
+@pytest.mark.parametrize("p", [1, 2, 7])
+def test_half_division_points_built_once_read_only(p):
+    """The table of a p is built once and shared: a second call returns the
+    same arrays, which refuse writes."""
+    first = _half_division_points(p)
+    again = _half_division_points(p)
+    assert all(a is b for a, b in zip(first, again))
+    for a in first:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[...] = 0
+
+
 #: even p (weight-1 points) next to odd, with an even q for the sums over q
 PAIRED_PQ = [(2, 1), (4, 3), (12, 5), (23, 12)]
 

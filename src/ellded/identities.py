@@ -16,27 +16,22 @@ import numpy as np
 from .exact import CoprimePair, LaurentPoly, bernoulli_number, dim_data, g_poly
 from .qseries import (
     DEFAULT_POLICY,
+    TABLE_CACHE_SIZE,
     TWO_PI_I,
     ComplexVal,
+    EisensteinTable,
     SeriesPolicy,
     TauPoint,
     _Checked,
     _checked,
     _checked_n,
     _cmul,
-    _eisenstein_consts,
-    _eisenstein_normalized_of_sum,
-    _eisenstein_q_sum,
-    _eisenstein_q_sums,
+    _eisenstein_normalized,
+    _eisenstein_table,
+    _eisenstein_tables,
     zeta_odd,
 )
-from .symbols import (
-    TABLE_CACHE_SIZE,
-    EisensteinTable,
-    _eisenstein_table,
-    _reciprocity_rhs_of,
-    _table_columns,
-)
+from .symbols import _reciprocity_rhs_of
 
 #: tolerance of the zeta(2n+1) values in the Eisenstein period data
 ZETA_TOL = 1e-12
@@ -256,7 +251,7 @@ def verify_eq64_onedim(w: int, tau: TauPoint,
     n = _half_weight(w)
     at = _checked(tau, policy)
     lhs, _ = _laurent_of(_c_coefficients_values(n, at))
-    g_val = _eisenstein_normalized_of_sum(n + 1, *_eisenstein_q_sum(n + 1, at, tau_deriv=False))
+    g_val = _eisenstein_normalized(n + 1, at)
     scalar = -(TWO_PI_I**w) * float(_eq64_alpha(w)) * g_val.value
     rhs = LaurentPoly({e: scalar * complex(c) for e, c in g_poly(w).coeffs.items()})
     return lhs - rhs
@@ -303,18 +298,14 @@ def _rank_matrix(n: int, ats: Sequence[_Checked]) -> np.ndarray:
     j = 0..n+1.  Each entry equals `reciprocity_laurent`'s bit for bit: the
     Eisenstein table, c_j and Laurent steps run on (tau x column) arrays
     with every complex product rounded by `_cmul` as Python rounds it, and
-    no err is formed, since the rank reads none.  The q-sums come from one
-    `_eisenstein_q_sums` pass, which neither reads nor fills the caches."""
-    sums = _eisenstein_q_sums(ats, _table_columns(n))
-    consts = [_eisenstein_consts(j) for j in range(1, n + 2)]
-    # E_2, ..., E_{2n+2} and dE_{2n}/dtau, as `_table_of` forms them
-    e = (np.array([const for const, _, _, _ in consts])
-         + _cmul(np.array([pref for _, pref, _, _ in consts]), sums[:, :-1]))
-    de = _cmul(consts[n - 1][1], sums[:, -1])
+    no err is formed, since the rank reads none.  The tables come from one
+    pass over the sample (`_eisenstein_tables`), which neither reads nor
+    fills the caches."""
+    e_top, prods, de = _eisenstein_tables(n, ats)
     # c_0..c_{n+1}, as `_coefficients_of` forms them
     c = np.empty((len(ats), n + 2), dtype=complex)
-    c[:, 0] = c[:, n + 1] = e[:, n]
-    c[:, 1:n + 1] = -_cmul(e[:, :n], e[:, n - 1::-1])
+    c[:, 0] = c[:, n + 1] = e_top
+    c[:, 1:n + 1] = -prods
     for j in sorted({1, n}):
         delta = (1 if j == 1 else 0) + (1 if j == n else 0)
         c[:, j] = c[:, j] + -_cmul(de, delta * 1j * math.pi / n)

@@ -12,7 +12,9 @@ runs are bit-identical.
 Every batched series runs on one engine, `_block_series`.  Each column of a
 batch, a point of a kernel or one q-sum of the Eisenstein pass, keeps its own
 Kahan state, stopping rule and rounding bound under the batch's one term
-cap, and leaves the batch once it has stopped or failed.  The terms are
+cap, and leaves the batch once it has stopped; the engine raises the term
+cap's NonConvergenceError for the first column still running after
+max_terms, so no caller has a failure path of its own.  The terms are
 evaluated in blocks of consecutive j, as 2-D arrays over (j, column) of at
 most BLOCK_ELEMENTS entries, and then added one j at a time, each Kahan
 step written in place into the block's rows, so values equal a
@@ -34,9 +36,14 @@ from one B_1 batch (`_b_series`), with no E_2, and zeta is b + E_2 z.
 Each public call checks its tau once, into a `_Checked` record of plain
 numbers: tau, tol and max_terms, the term cap of every series at every tau.
 The Eisenstein q-sums are memoised per (n, record, tau_deriv) in a bounded
-`lru_cache` over a scalar loop.  `_eisenstein_q_sums` computes the same
-sums for a whole sample of tau on the engine, without the cache and without
-their bounds, as one (tau x column) array.
+`lru_cache` over a scalar loop, which a single q-sum runs several times
+faster than the engine.  `_eisenstein_q_sums` computes the same sums for a
+whole sample of tau on the engine, without the cache and without their
+bounds, as one (tau x column) array.  The Eisenstein table that R^-_{2n} and
+the identities are built from, E_{2n+2}, the products E_{2j} E_{2n+2-2j}
+and dE_{2n}/dtau, lives here in both its shapes: per tau from the cached
+q-sums (`_eisenstein_table`, itself cached), and over a sample from one
+engine pass (`_eisenstein_tables`), so that no other module reads a q-sum.
 """
 
 from __future__ import annotations
@@ -371,7 +378,7 @@ BLOCK_ELEMENTS = 4096
 
 def _block_series(start: np.ndarray, start_rnd: np.ndarray, terms,
                   state: Tuple[np.ndarray, ...], cap: int, small, streak: int,
-                  first: int):
+                  first: int, what, rank: Optional[np.ndarray] = None):
     """Run the series `start + sum_j terms(js, *state)` in every column of a
     batch; each column starts from `start`, whose rounding bound is
     `start_rnd`.
@@ -390,9 +397,12 @@ def _block_series(start: np.ndarray, start_rnd: np.ndarray, terms,
     the block's rows of sums and compensations; the rounding bounds are
     summed row by row in place.  `small(size, sums)` tells elementwise
     whether a term is small next to the sum after it; a column stops after
-    its jth term, j >= 2, once its last `streak` terms were small, and fails
-    if it is still running after `cap` terms.  A column that stops or fails
-    leaves the batch at the end of its block.  The first block has `first`
+    its jth term, j >= 2, once its last `streak` terms were small, and
+    leaves the batch at the end of its block.  If some columns are still
+    running after `cap` terms, raises NonConvergenceError "`what(i)` hit
+    max_terms=cap" with the partial sum of the first of them, i: first in
+    the batch, or by `rank`, the columns' places in the caller's order,
+    where the batch runs them in another.  The first block has `first`
     rows, which the caller sizes from |q| to hold the whole series where it
     can, and each later one twice the rows the last one ran, within
     BLOCK_ELEMENTS column-terms and the cap, so every result is
@@ -402,10 +412,10 @@ def _block_series(start: np.ndarray, start_rnd: np.ndarray, terms,
     with none gone before it, is returned as it stands, with no compaction
     and no scatter.  Returns per column the Kahan state (s, c) where it
     stopped, the j it stopped at, its last size and its summed rounding
-    bound; a failed column has j = 0 and its partial sum as s."""
+    bound."""
     n = len(start)
     out_s, out_c = np.empty(n, dtype=complex), np.empty(n, dtype=complex)
-    out_j, out_last, out_rnd = np.zeros(n, dtype=int), np.empty(n), np.empty(n)
+    out_j, out_last, out_rnd = np.empty(n, dtype=int), np.empty(n), np.empty(n)
     idx = np.arange(n)
     s, c, rnd = start + 0j, np.zeros(n, dtype=complex), start_rnd
     # whether each column's last streak - 1 terms were small
@@ -447,13 +457,16 @@ def _block_series(start: np.ndarray, start_rnd: np.ndarray, terms,
             # every column stopped in this block, and none left before it
             return (sums[at, cols], comps[at, cols], j - rows + 1 + at, size[at, cols],
                     rnds[at, cols])
-        leave = done | (j == cap)
-        if np.count_nonzero(leave):
-            out_s[idx[leave]] = s[leave]  # a failed column's partial sum
+        if j == cap and not done.all():
+            failed = np.flatnonzero(~done)
+            i = failed[0] if rank is None else failed[np.argmin(rank[idx[failed]])]
+            raise NonConvergenceError(f"{what(idx[i])} hit max_terms={cap}",
+                                      ComplexVal(complex(s[i]), float("inf")))
+        if np.count_nonzero(done):
             k, at, col = idx[done], at[done], cols[done]
             out_s[k], out_c[k], out_rnd[k] = sums[at, col], comps[at, col], rnds[at, col]
             out_j[k], out_last[k] = j - rows + 1 + at, size[at, col]
-            keep = ~leave
+            keep = ~done
             idx, s, c, rnd = idx[keep], s[keep], c[keep], rnd[keep]
             prev, state = prev[:, keep], tuple(a[keep] for a in state)
         width = 2 * rows
@@ -514,9 +527,9 @@ def _q_sum_bound(n: int, tau_deriv: bool, aq: float, k: int, last: float,
     return 2.0 * last * r / (1.0 - r) + 2.0**-53 * rnd
 
 
-def _q_sum_error(n: int, cap: int, acc: complex) -> NonConvergenceError:
-    return NonConvergenceError(f"Eisenstein q-series (n={n}) hit max_terms={cap}",
-                               ComplexVal(acc, float("inf")))
+def _q_sum_what(n: int) -> str:
+    """What a q-sum's NonConvergenceError names."""
+    return f"Eisenstein q-series (n={n})"
 
 
 @lru_cache(maxsize=Q_SUM_CACHE_SIZE)
@@ -554,7 +567,8 @@ def _eisenstein_q_sum(n: int, at: _Checked, tau_deriv: bool) -> Tuple[complex, f
         else:
             small_streak = 0
     else:
-        raise _q_sum_error(n, cap, acc)
+        raise NonConvergenceError(f"{_q_sum_what(n)} hit max_terms={cap}",
+                                  ComplexVal(acc, float("inf")))
     return acc, _q_sum_bound(n, tau_deriv, abs(q), k, last, rnd)
 
 
@@ -593,9 +607,9 @@ def _eisenstein_q_sums(ats: Sequence[_Checked], cols: Sequence[Tuple[int, bool]]
     first block runs the terms `_q_sum_rows` estimates for the
     largest |q| and the largest power of k (2n - 1, one more with the
     2 pi i k factor), so that a sample near the fundamental domain runs in
-    one block.  If some columns hit the cap, raises the scalar loop's
-    NonConvergenceError of the first: first tau in order, then first column
-    in order."""
+    one block.  If some columns hit the cap, the engine raises the scalar
+    loop's NonConvergenceError of the first: first tau in order, then first
+    column in order."""
     ncols, streak = len(cols), 3
     if not ats:
         return np.empty((0, ncols), dtype=complex)
@@ -627,15 +641,11 @@ def _eisenstein_q_sums(ats: Sequence[_Checked], cols: Sequence[Tuple[int, bool]]
 
     first = _q_sum_rows(max(map(abs, qs), default=0.0),
                         max((2 * n - 1 + d for n, d in cols), default=1), tol, streak)
-    sums, _, ks, _, _ = _block_series(
+    sums, _, _, _, _ = _block_series(
         np.zeros(len(tau_of), dtype=complex), np.zeros(len(tau_of)), terms,
         (tau_of, ell_of, deriv), cap,
         lambda size, s: (size <= tol * np.maximum(_abs(s), 1e-300)) | (size == 0.0),
-        streak, first)
-    failed = np.flatnonzero(ks == 0)
-    if failed.size:
-        i = int(failed[0])
-        raise _q_sum_error(cols[i % ncols][0], cap, complex(sums[i]))
+        streak, first, lambda i: _q_sum_what(cols[i % ncols][0]))
     return sums.reshape(len(ats), ncols)
 
 
@@ -665,11 +675,7 @@ def eisenstein(n: int, tau: TauPoint, policy: SeriesPolicy = DEFAULT_POLICY) -> 
 
 def _eisenstein(n: int, at: _Checked) -> ComplexVal:
     """E_{2n} at `at`'s tau, from the memoised q-sum."""
-    return _eisenstein_of_sum(n, *_eisenstein_q_sum(n, at, tau_deriv=False))
-
-
-def _eisenstein_of_sum(n: int, s: complex, tail: float) -> ComplexVal:
-    """E_{2n} from its q-sum s and the sum's bound."""
+    s, tail = _eisenstein_q_sum(n, at, False)
     const, pref, abs_pref, rel = _eisenstein_consts(n)
     value = const + pref * s
     # the tail, the rounding of const and pref * s, and of the final sum
@@ -679,12 +685,12 @@ def _eisenstein_of_sum(n: int, s: complex, tail: float) -> ComplexVal:
 
 def eisenstein_normalized(n: int, tau: TauPoint, policy: SeriesPolicy = DEFAULT_POLICY) -> ComplexVal:
     """G_{2n}(tau) = -B_{2n}/(4n) + sum_k sigma_{2n-1}(k) q^k."""
-    _checked_n(n)
-    return _eisenstein_normalized_of_sum(n, *_eisenstein_q_sum(n, _checked(tau, policy), False))
+    return _eisenstein_normalized(_checked_n(n), _checked(tau, policy))
 
 
-def _eisenstein_normalized_of_sum(n: int, s: complex, tail: float) -> ComplexVal:
-    """G_{2n} from its q-sum s and the sum's bound."""
+def _eisenstein_normalized(n: int, at: _Checked) -> ComplexVal:
+    """G_{2n} at `at`'s tau, from the memoised q-sum."""
+    s, tail = _eisenstein_q_sum(n, at, False)
     const = -float(bernoulli_number(2 * n)) / (4 * n)
     value = const + s
     # first-order rounding of float(B_{2n}), the division and the final sum
@@ -693,16 +699,46 @@ def _eisenstein_normalized_of_sum(n: int, s: complex, tail: float) -> ComplexVal
 
 def eisenstein_tau_derivative(n: int, tau: TauPoint, policy: SeriesPolicy = DEFAULT_POLICY) -> ComplexVal:
     """dE_{2n}/dtau by termwise differentiation of the q-expansion."""
-    _checked_n(n)
-    return _eisenstein_tau_derivative_of_sum(
-        n, *_eisenstein_q_sum(n, _checked(tau, policy), tau_deriv=True))
+    return _eisenstein_tau_derivative(_checked_n(n), _checked(tau, policy))
 
 
-def _eisenstein_tau_derivative_of_sum(n: int, s: complex, tail: float) -> ComplexVal:
-    """dE_{2n}/dtau from its q-sum s (with the 2 pi i k factor) and the
-    sum's bound."""
+def _eisenstein_tau_derivative(n: int, at: _Checked) -> ComplexVal:
+    """dE_{2n}/dtau at `at`'s tau, from the memoised q-sum with the 2 pi i k
+    factor."""
+    s, tail = _eisenstein_q_sum(n, at, True)
     _, pref, abs_pref, _ = _eisenstein_consts(n)
     return ComplexVal(pref * s, abs_pref * tail)
+
+
+#: entries of the Eisenstein-table cache; bounded because a caller may
+#: draw fresh tau (`_eisenstein_tables` does not use it)
+TABLE_CACHE_SIZE = 128
+
+EisensteinTable = Tuple[ComplexVal, Tuple[ComplexVal, ...], ComplexVal]
+
+
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _eisenstein_table(n: int, at: _Checked) -> EisensteinTable:
+    """The Eisenstein values that R^-_{2n} is built from at `at`'s tau:
+    E_{2n+2}, the products E_{2j} E_{2n+2-2j} for j = 1..n, and
+    dE_{2n}/dtau; from a bounded per-(n, record) cache."""
+    e = [_eisenstein(j, at) for j in range(1, n + 2)]
+    return (e[n], tuple(e[j - 1] * e[n - j] for j in range(1, n + 1)),
+            _eisenstein_tau_derivative(n, at))
+
+
+def _eisenstein_tables(n: int, ats: Sequence[_Checked]) -> Tuple[np.ndarray, ...]:
+    """The values of `_eisenstein_table(n, at)` for every record of `ats`,
+    bit for bit and without their errs: E_{2n+2} and dE_{2n}/dtau per tau,
+    and the products as a (tau x j) array.  Their q-sums come from one
+    `_eisenstein_q_sums` pass, which neither reads nor fills the caches,
+    and every complex product is rounded by `_cmul` as Python rounds it."""
+    sums = _eisenstein_q_sums(ats, [(j, False) for j in range(1, n + 2)] + [(n, True)])
+    consts = [_eisenstein_consts(j) for j in range(1, n + 2)]
+    # E_2, ..., E_{2n+2}, as `_eisenstein` forms them
+    e = (np.array([const for const, _, _, _ in consts])
+         + _cmul(np.array([pref for _, pref, _, _ in consts]), sums[:, :-1]))
+    return e[:, n], _cmul(e[:, :n], e[:, n - 1::-1]), _cmul(consts[n - 1][1], sums[:, -1])
 
 
 # ---------------------------------------------------------------------------
@@ -747,30 +783,6 @@ def _points_rows(aq: float, ell: int, reach: float, tol: float) -> int:
     while ell * math.log(j + 1) + (j - reach) * log_q > log_tol and j < BLOCK_ELEMENTS:
         j += 1
     return j
-
-
-def _points_series(start: np.ndarray, start_rnd: np.ndarray, terms,
-                   state: Tuple[np.ndarray, ...], cap: int, first: int, tol: float,
-                   what: str, rank: Optional[np.ndarray] = None):
-    """`_block_series` over a batch of points, whose `terms` return per j
-    and point the jth term, the sum of the series' two jth terms, with
-    |term 1| + |term 2| as its size; its first block has `first` rows
-    (`_points_rows`).  A point stops after its jth term once j >= 2 and
-    that size is below tol relative to max(|sum|, 1).  Raises
-    NonConvergenceError, with the partial sum of the first point that
-    failed, if some point is still running after `cap` terms; first in the
-    batch, or by `rank`, the points' places in the caller's order, where
-    the batch runs them in another."""
-    s, c, j, last, rnd = _block_series(
-        start, start_rnd, terms, state, cap,
-        lambda size, sums: size <= tol * np.maximum(np.abs(sums), 1.0), 1, first)
-    if not j.all():
-        # a failed point has j = 0
-        failed = np.flatnonzero(j == 0)
-        first = failed[0] if rank is None else failed[np.argmin(rank[failed])]
-        raise NonConvergenceError(f"{what} hit max_terms={cap}",
-                                  ComplexVal(complex(s[first]), float("inf")))
-    return s, c, j, last, rnd
 
 
 def _exp_err(a) -> np.ndarray:
@@ -854,7 +866,8 @@ def _bernoulli_series(m: np.ndarray, x: np.ndarray, y: np.ndarray, at: _Checked,
     int, so each point's result does not depend on the other orders.  The
     powers are IEEE products (`_ipow`), at most m - 2 of them, which the
     m ulps charged to a term's power cover.  `rank` is as in
-    `_points_series`.
+    `_block_series`.  Raises ValueError where |q| rounds to 1, at which
+    the series cannot converge and its error model would divide by zero.
 
     `arg_err` = (dx, dy, dtau) bounds the absolute errors of x, y and tau,
     zeros where they are exact, which leave every bit of the result as it
@@ -873,6 +886,9 @@ def _bernoulli_series(m: np.ndarray, x: np.ndarray, y: np.ndarray, at: _Checked,
     dy = dy + np.where(snap, np.minimum(y, 1.0 - y), 0.0)
     y = np.where(snap, 0.0, y)
     decay = abs(cmath.exp(TWO_PI_I * t))  # = |q| < 1
+    if decay == 1.0:
+        raise ValueError(f"|q| rounds to 1 at tau = {t}: the elliptic Bernoulli series "
+                         "cannot converge")
     # Rounding of a term P w / D, D = e(+-x) - w: the exponentials carry the
     # relative errors of their arguments (see _exp_err), e(+-x)'s and w's;
     # w = e(-+y tau) q^j has at most 12 pi |tau| (j + 1) + 11 ulps.  D turns
@@ -918,11 +934,14 @@ def _bernoulli_series(m: np.ndarray, x: np.ndarray, y: np.ndarray, at: _Checked,
     emx = np.exp(-TWO_PI_I * x)
     # a term pair is at most (j + 1)^(m-1) (|q|^(j-y) + |q|^(j+y)), 0 <= y < 1
     first = _points_rows(decay, int(m[-1]) - 1 if m.size else 0, 1.0, at.tol)
-    s, c, j, last, rnd = _points_series(
+    # a point stops after its jth term pair, j >= 2, once the pair's size
+    # |term 1| + |term 2| is at most tol max(|sum|, 1)
+    s, c, j, last, rnd = _block_series(
         np.zeros(len(x), dtype=complex), np.zeros(len(x)), terms,
         (y, np.exp(-TWO_PI_I * y * t), np.exp(TWO_PI_I * y * t), emx, emx.conj(),
          err_x, m, dy_ulps),
-        at.cap, first, at.tol, "elliptic Bernoulli series", rank)
+        at.cap, lambda size, sums: size <= at.tol * np.maximum(np.abs(sums), 1.0), 1, first,
+        lambda i: "elliptic Bernoulli series", rank)
 
     def finish(m, x, y, s, c, j, last, rnd, err_v, dy):
         arg = TWO_PI_I * (-x + y * t)
@@ -1274,8 +1293,11 @@ def _p_deriv_series(k: int, x: np.ndarray, y: np.ndarray, at: _Checked, arg_err)
     # Phi_k(w) = w + O(w^2): a term pair is about |q|^(j-y0) + |q|^(j+y0),
     # 0 <= y0 <= 1/2, whatever k
     first = _points_rows(aq, 0, 0.5, at.tol)
-    acc, _, j, last, rnd = _points_series(start, s0 * (err_u + own), terms, (u, err_u),
-                                          at.cap, first, at.tol, "pe Fourier series")
+    # the B_m kernel's stopping rule, on the pairs Phi_k(u q^j), Phi_k(q^j / u)
+    acc, _, j, last, rnd = _block_series(
+        start, s0 * (err_u + own), terms, (u, err_u), at.cap,
+        lambda size, sums: size <= at.tol * np.maximum(np.abs(sums), 1.0), 1, first,
+        lambda i: "pe Fourier series")
     pref = TWO_PI_I ** (k + 2)
     r = min(aq * 2.0, 0.99)
     tail = abs(pref) * (2.0 * last * r / (1.0 - r) + 1e-16 * np.abs(acc) * j)
@@ -1371,7 +1393,7 @@ def sigma_log_tau_derivative(z: complex, tau: TauPoint,
     at = _checked(tau, policy)
     _, heat, _ = _sigma_log_blocks([z], at)
     val = (heat[0] + _eisenstein(1, at) * 2.0) * (1.0 / (4j * math.pi))
-    de2 = _eisenstein_tau_derivative_of_sum(1, *_eisenstein_q_sum(1, at, tau_deriv=True))
+    de2 = _eisenstein_tau_derivative(1, at)
     return val + de2 * (z * z / 2)
 
 

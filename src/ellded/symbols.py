@@ -34,6 +34,7 @@ from .qseries import (
     TWO_PI_I,
     ComplexArray,
     ComplexVal,
+    EisensteinTable,
     SeriesPolicy,
     TauPoint,
     _bernoulli_points,
@@ -41,9 +42,7 @@ from .qseries import (
     _checked,
     _checked_n,
     _eisenstein,
-    _eisenstein_of_sum,
-    _eisenstein_q_sum,
-    _eisenstein_tau_derivative_of_sum,
+    _eisenstein_table,
     _p_deriv_points,
     _pe_blocks,
     _sigma_log_blocks,
@@ -82,15 +81,10 @@ class EllipticSumResult:
     tau: TauPoint
 
 
-def _grid(rows: int, cols: int, origin: bool = True) -> Tuple[np.ndarray, np.ndarray]:
+def _grid(rows: int, cols: int) -> Tuple[np.ndarray, np.ndarray]:
     """(i, j) over 0 <= i < rows, 0 <= j < cols in row-major order, as integer
-    arrays; without (0, 0) if not `origin`."""
-    return np.divmod(np.arange(0 if origin else 1, rows * cols), cols)
-
-
-def _division_points(p: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(lambda, mu) of the p-division points (lambda + mu tau)/p other than 0."""
-    return _grid(p, p, origin=False)
+    arrays."""
+    return np.divmod(np.arange(rows * cols), cols)
 
 
 #: entries of the division-point cache: one table per p; bounded because a
@@ -104,7 +98,8 @@ def _half_division_points(p: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     p-division points, the first of the two in row-major order, with
     weight 2, or 1 where P = -P, at the three 2-torsion points of an even p.
     Built once per p and shared, so the arrays are read-only."""
-    lam, mu = _division_points(p)
+    # the nonzero points: (0, 0) leads the grid
+    lam, mu = (a[1:] for a in _grid(p, p))
     i, neg = lam * p + mu, (-lam % p) * p + (-mu % p)
     keep = i <= neg
     out = lam[keep], mu[keep], np.where(i[keep] == neg[keep], 1.0, 2.0)
@@ -199,35 +194,6 @@ def elliptic_apostol_sum(n: int, pair: CoprimePair, tau: TauPoint,
         val = total * (-(TWO_PI_I ** (2 * n)) * p ** (2 * n - 1)
                        / math.factorial(2 * n + 1))
     return EllipticSumResult(val, route, p, q, n, tau)
-
-
-#: entries of the Eisenstein-table cache; bounded because a caller may
-#: draw fresh tau (`identities.basis_rank` does not use it)
-TABLE_CACHE_SIZE = 128
-
-EisensteinTable = Tuple[ComplexVal, Tuple[ComplexVal, ...], ComplexVal]
-
-
-@lru_cache(maxsize=TABLE_CACHE_SIZE)
-def _eisenstein_table(n: int, at: _Checked) -> EisensteinTable:
-    """The Eisenstein values that R^-_{2n} is built from at `at`'s tau:
-    E_{2n+2}, the products E_{2j} E_{2n+2-2j} for j = 1..n, and
-    dE_{2n}/dtau; from a bounded per-(n, record) cache."""
-    return _table_of(n, [_eisenstein_q_sum(j, at, tau_deriv=d) for j, d in _table_columns(n)])
-
-
-def _table_columns(n: int) -> List[Tuple[int, bool]]:
-    """The q-sums (n, tau_deriv) a table is built from: those of E_2, ...,
-    E_{2n+2}, then that of dE_{2n}/dtau."""
-    return [(j, False) for j in range(1, n + 2)] + [(n, True)]
-
-
-def _table_of(n: int, sums: Sequence[Tuple[complex, float]]) -> EisensteinTable:
-    """The table from the q-sums of `_table_columns(n)`, each a (sum,
-    bound) pair, in their order."""
-    e = [_eisenstein_of_sum(j, *s) for j, s in enumerate(sums[:-1], 1)]
-    return (e[n], tuple(e[j - 1] * e[n - j] for j in range(1, n + 1)),
-            _eisenstein_tau_derivative_of_sum(n, *sums[-1]))
 
 
 def reciprocity_rhs(n: int, pair: CoprimePair, tau: TauPoint,

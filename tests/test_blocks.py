@@ -74,9 +74,8 @@ def _pinned_reprs():
             out += _reprs(weierstrass_zeta_points(zs, tau))
             out += _outcome(lambda: weierstrass_p_deriv_points(2, zs, tau, capped))
             out += _outcome(lambda: weierstrass_zeta_points(zs, tau, capped))
-    # one point at a cap of 9 terms, at tau where the series stops near j = 9:
-    # the last block is one term of one point, where a product that
-    # broadcasts a 1-D array against a 2-D one can round differently
+    # one point at a cap of 9 terms, at tau where the series stops near
+    # j = 9: each call runs one block of 9 rows, cut by the cap
     edge = SeriesPolicy(max_terms=9)
     for t in (0.1 + 0.505j, -0.3 + 0.505j):
         tau = TauPoint(t)
@@ -114,9 +113,10 @@ def test_pinned_bit_identity():
 # ---------------------------------------------------------------------------
 
 
-def _series_by_term(start, start_rnd, terms, state, cap, first, tol, what, rank=None):
-    """`qseries._points_series` one term at a time, whatever its `first`
-    block: the terms are asked for one j at a time and a point leaves the
+def _series_by_term(start, start_rnd, terms, state, cap, small, streak, first, what,
+                    rank=None):
+    """`qseries._block_series` one term at a time, whatever its `first`
+    block: the terms are asked for one j at a time and a column leaves the
     batch at the j it stops at.  The reference that the blocks must
     reproduce bit for bit."""
     n = len(start)
@@ -127,25 +127,28 @@ def _series_by_term(start, start_rnd, terms, state, cap, first, tol, what, rank=
     out_rnd = np.empty(n)
     idx = np.arange(n)
     s, c, rnd = start + 0j, np.zeros(n, dtype=complex), start_rnd
+    # the small terms in a row up to j, per column
+    run = np.zeros(n, dtype=int)
     j = 0
     while idx.size and j < cap:
         j += 1
         term, last, r = (a[0] for a in terms(range(j, j + 1), *(a[None] for a in state)))
         s, c = qseries._kahan_add(s, c, term)
         rnd = rnd + r
+        run = np.where(small(last, s), run + 1, 0)
         if j < 2:
             continue
-        done = last <= tol * np.maximum(np.abs(s), 1.0)
+        done = run >= streak
         if np.count_nonzero(done):
             k = idx[done]
             out_s[k], out_c[k], out_rnd[k] = s[done], c[done], rnd[done]
             out_j[k], out_last[k] = j, last[done]
             keep = ~done
-            idx, s, c, rnd = idx[keep], s[keep], c[keep], rnd[keep]
+            idx, s, c, rnd, run = idx[keep], s[keep], c[keep], rnd[keep], run[keep]
             state = tuple(a[keep] for a in state)
     if idx.size:
         first = 0 if rank is None else np.argmin(rank[idx])
-        raise NonConvergenceError(f"{what} hit max_terms={cap}",
+        raise NonConvergenceError(f"{what(idx[first])} hit max_terms={cap}",
                                   ComplexVal(complex(s[first]), float("inf")))
     return out_s, out_c, out_j, out_last, out_rnd
 
@@ -154,14 +157,14 @@ def _series_by_term(start, start_rnd, terms, state, cap, first, tol, what, rank=
 def stops(monkeypatch):
     """Records the j at which each point of every series run stopped."""
     seen = []
-    run = qseries._points_series
+    run = qseries._block_series
 
     def spy(*args):
         out = run(*args)
         seen.append(out[2].tolist())
         return out
 
-    monkeypatch.setattr(qseries, "_points_series", spy)
+    monkeypatch.setattr(qseries, "_block_series", spy)
     return seen
 
 
@@ -187,7 +190,7 @@ def test_blocks_match_term_by_term(monkeypatch, t, max_terms):
     policy = SeriesPolicy(max_terms=max_terms)
     calls = _kernels(points, tau, policy) + _kernels(points[-4:], tau, policy)
     blocks = [_outcome(call) for call in calls]
-    monkeypatch.setattr(qseries, "_points_series", _series_by_term)
+    monkeypatch.setattr(qseries, "_block_series", _series_by_term)
     assert [_outcome(call) for call in calls] == blocks
 
 
@@ -260,6 +263,41 @@ def test_mixed_batch_at_small_im_tau(stops):
     assert any(min(run) <= 8 and max(run) > 24 for run in mixed)
 
 
+@pytest.mark.parametrize("m", [1, 3])
+def test_one_row_last_block_of_one_point(monkeypatch, m):
+    """A batch of 512 points, whose blocks BLOCK_ELEMENTS cuts to 8 rows,
+    at a cap of 9 terms: 511 points of B_1 stop within the first block and
+    the slow last point, of B_1 or B_3, runs on into a last block of one
+    row and one point, where a product that broadcasts a 1-D array against
+    a 2-D one can round differently.  There B_1 stops on the cap and B_3
+    fails; either way the slow point's result equals its one-point call's,
+    which runs one block of 9 rows."""
+    blocks = []
+    run = qseries._block_series
+
+    def spy(start, start_rnd, terms, *rest):
+        def counted(js, *cols):
+            blocks.append((len(js), cols[0].shape[1]))
+            return terms(js, *cols)
+
+        return run(start, start_rnd, counted, *rest)
+
+    monkeypatch.setattr(qseries, "_block_series", spy)
+    tau, policy = TauPoint(0.1 + 0.6j), SeriesPolicy(max_terms=9)
+    rng = np.random.default_rng(5)
+    xs = [*rng.uniform(-1.0, 1.0, 511), 0.3]
+    ys = [*rng.uniform(0.0, 0.3, 511), 0.97]
+    batch = _outcome(lambda: elliptic_bernoulli_points([1] * 511 + [m], xs, ys, tau, policy))
+    assert blocks == [(8, 512), (1, 1)]
+    blocks.clear()
+    alone = _outcome(lambda: elliptic_bernoulli_points(m, xs[-1:], ys[-1:], tau, policy))
+    assert blocks == [(9, 1)]
+    if m == 1:
+        assert batch[-1] == alone[0]
+    else:
+        assert alone[0] == "NonConvergenceError" and batch == alone
+
+
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_term_caps_near_first_block(passes, offset):
     """Caps just below, at and just above each kernel's first block, the
@@ -323,14 +361,14 @@ def passes(monkeypatch):
     seen = []
     run = qseries._block_series
 
-    def spy(start, start_rnd, terms, state, cap, small, streak, first):
+    def spy(start, start_rnd, terms, *rest):
         rows = []
 
         def counted(js, *cols):
             rows.append(len(js))
             return terms(js, *cols)
 
-        out = run(start, start_rnd, counted, state, cap, small, streak, first)
+        out = run(start, start_rnd, counted, *rest)
         seen.append((len(start), rows, int(out[2].max(initial=0))))
         return out
 

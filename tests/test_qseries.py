@@ -546,6 +546,22 @@ class TestPolicyGuards:
         with pytest.raises(ValueError):
             SeriesPolicy(max_terms=0)
 
+    @pytest.mark.filterwarnings("ignore::ellded.qseries.SlowNomeWarning")
+    def test_bernoulli_where_nome_rounds_to_one(self):
+        # Im tau = 1e-20 passes a min_im_tau of 0, but |q| rounds to 1: the
+        # series cannot converge, and B_m names tau instead of dividing by
+        # 1 - |q| = 0
+        policy = SeriesPolicy(min_im_tau=0.0, max_terms=50)
+        tau = TauPoint(0.1 + 1e-20j)
+        assert abs(tau.nome) == 1.0
+        for m in (1, [1, 3]):
+            with pytest.raises(ValueError, match=r"\|q\| rounds to 1 at tau = \(0\.1\+1e-20j\)"):
+                elliptic_bernoulli_points(m, [0.3, 0.4], [0.2, 0.5], tau, policy)
+        with pytest.raises(ValueError, match=r"\|q\| rounds to 1"):
+            elliptic_bernoulli(1, 0.3, 0.2, tau, policy)
+        # B_0 runs no series
+        assert elliptic_bernoulli(0, 0.3, 0.2, tau, policy) == ComplexVal(1.0, 0.0)
+
 
 class TestZetaOdd:
     def test_zeta3(self):

@@ -349,9 +349,9 @@ class TestAgainstLoopReference:
         # (lambda + mu tau)/p in numpy divides through a rounded 1/p; the
         # sums' steep factors turned that ulp into reciprocity residuals
         # several times larger
-        from ellded.symbols import _division_points, _division_z
+        from ellded.symbols import _division_z, _grid
         for p, tau in ((14, TauPoint(0.0218 + 1.1j)), (23, TAU_G), (7, TauPoint(-0.3 + 0.06j))):
-            lam, mu = _division_points(p)
+            lam, mu = _grid(p, p)
             z = _division_z(lam, mu, tau, p)
             assert [complex(v) for v in z] == [(l + m * tau.tau) / p
                                                for l, m in zip(lam.tolist(), mu.tolist())]

@@ -1,6 +1,16 @@
 """Eisenstein period data, the one-dimensional span identity, the basis-rank
 demonstration, and the three-term / coefficient identities for the weighted
-reciprocity polynomials."""
+reciprocity polynomials.
+
+Each identity check at one tau reads values built once per (n, tau, policy)
+in bounded caches of `TABLE_CACHE_SIZE`: `verify_three_term` and
+`t_weighted` the Eisenstein table, `c_coefficients` the c_j
+(`_c_coefficients_values`), `verify_eq73` the tuple of its residuals
+(`_eq73_residuals`), `reciprocity_laurent` R^-_{2n}'s Laurent coefficients
+(`_laurent_terms`), `verify_eq64_onedim` its residual (`_eq64_residual`) and
+`coefficient_scale` its value (`_coefficient_scale`).  The caches hold
+immutable values only; the Laurent results are fresh copies on every call.
+`basis_rank` draws fresh tau and bypasses them (`_rank_matrix`)."""
 
 from __future__ import annotations
 
@@ -9,11 +19,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Sequence, Tuple
+from types import MappingProxyType
+from typing import List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from .exact import CoprimePair, LaurentPoly, bernoulli_number, dim_data, g_poly
+from .exact import CoprimePair, ExpPair, LaurentPoly, bernoulli_number, dim_data, g_poly
 from .qseries import (
     DEFAULT_POLICY,
     TABLE_CACHE_SIZE,
@@ -155,7 +166,13 @@ def coefficient_scale(n: int, tau: TauPoint,
     simultaneously (at special points where every form of weight 2n+2 is
     zero), so max |c_j| is not a usable scale.
     """
-    e_top, prods, de = _eisenstein_table(_checked_n(n), _checked(tau, policy))
+    return _coefficient_scale(_checked_n(n), _checked(tau, policy))
+
+
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _coefficient_scale(n: int, at: _Checked) -> float:
+    """`coefficient_scale` from the cached Eisenstein table."""
+    e_top, prods, de = _eisenstein_table(n, at)
     return max(abs(e_top.value), math.pi / n * abs(de.value),
                *(abs(prod.value) for prod in prods))
 
@@ -215,14 +232,26 @@ def reciprocity_laurent(w: int, tau: TauPoint,
 
     With w = 2n, R^-_w = (T^-_w + (2n+1) E_{2n+2}) / ((2 pi i)^2 pq), where
     T^-_w = sum_j c_j p^{2j} q^{2n+2-2j} (`c_coefficients`) and c_0 = E_{2n+2}.
+
+    The coefficients are built once per (n, tau, policy), beside the c_j;
+    every call gets its own copy of them.
     """
-    return _laurent_of(c_coefficients(_half_weight(w), tau, policy))
+    coeffs, err = _laurent_terms(_half_weight(w), _checked(tau, policy))
+    return LaurentPoly(dict(coeffs)), err
 
 
 def _half_weight(w: int) -> int:
     if w < 2 or w % 2 != 0:
         raise ValueError("w must be an even integer >= 2")
     return w // 2
+
+
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _laurent_terms(n: int, at: _Checked) -> Tuple[Mapping[ExpPair, complex], float]:
+    """`reciprocity_laurent`'s coefficients, read-only, and their error
+    bound, from the cached c_j."""
+    poly, err = _laurent_of(_c_coefficients_values(n, at))
+    return MappingProxyType(poly.coeffs), err
 
 
 def _laurent_of(cv: CoefficientVector) -> Tuple[LaurentPoly, float]:
@@ -244,17 +273,26 @@ def verify_eq64_onedim(w: int, tau: TauPoint,
 
     for weights with no cusp forms (w in {2, 4, 6, 8, 12}).  The scalar is
     formed exactly as (2 pi i)^w alpha_w (`_eq64_alpha`) and r^-(G_{w+2})
-    is g_w."""
+    is g_w.
+
+    The residual is built once per (n, tau, policy), from the cached
+    coefficients of `reciprocity_laurent`; every call gets its own copy."""
     d, _ = dim_data(w)
     if d != 0:
         raise ValueError(f"w = {w} has d_w = {d} > 0; the one-dimensional form needs d_w = 0")
-    n = _half_weight(w)
-    at = _checked(tau, policy)
-    lhs, _ = _laurent_of(_c_coefficients_values(n, at))
+    return LaurentPoly(dict(_eq64_residual(_half_weight(w), _checked(tau, policy))))
+
+
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _eq64_residual(n: int, at: _Checked) -> Mapping[ExpPair, complex]:
+    """The nonzero coefficients of `verify_eq64_onedim`'s residual at
+    w = 2n, read-only."""
+    w = 2 * n
+    lhs = LaurentPoly(dict(_laurent_terms(n, at)[0]))
     g_val = _eisenstein_normalized(n + 1, at)
     scalar = -(TWO_PI_I**w) * float(_eq64_alpha(w)) * g_val.value
     rhs = LaurentPoly({e: scalar * complex(c) for e, c in g_poly(w).coeffs.items()})
-    return lhs - rhs
+    return MappingProxyType((lhs - rhs).coeffs)
 
 
 @lru_cache(maxsize=None)

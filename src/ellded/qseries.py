@@ -748,6 +748,16 @@ def _eisenstein_tables(n: int, ats: Sequence[_Checked]) -> Tuple[np.ndarray, ...
 _LATTICE_EPS = 1e-12
 
 
+def _nome_below_one(t: complex, what: str) -> float:
+    """|q| at tau = t; raises ValueError where it rounds to 1, at which the
+    kernel series `what` cannot converge (and its error model would divide
+    by 1 - |q| = 0)."""
+    decay = abs(cmath.exp(TWO_PI_I * t))
+    if decay == 1.0:
+        raise ValueError(f"|q| rounds to 1 at tau = {t}: the {what} cannot converge")
+    return decay
+
+
 def _lattice_check(x: np.ndarray, y: np.ndarray, message) -> None:
     """Raise ValueError if some x or y is not finite, and LatticePointError,
     with `message(i)` for the first offending i, if some x - y*tau is a
@@ -866,8 +876,8 @@ def _bernoulli_series(m: np.ndarray, x: np.ndarray, y: np.ndarray, at: _Checked,
     int, so each point's result does not depend on the other orders.  The
     powers are IEEE products (`_ipow`), at most m - 2 of them, which the
     m ulps charged to a term's power cover.  `rank` is as in
-    `_block_series`.  Raises ValueError where |q| rounds to 1, at which
-    the series cannot converge and its error model would divide by zero.
+    `_block_series`.  Raises ValueError where |q| rounds to 1
+    (`_nome_below_one`).
 
     `arg_err` = (dx, dy, dtau) bounds the absolute errors of x, y and tau,
     zeros where they are exact, which leave every bit of the result as it
@@ -885,10 +895,7 @@ def _bernoulli_series(m: np.ndarray, x: np.ndarray, y: np.ndarray, at: _Checked,
     dx, dy, dt = arg_err
     dy = dy + np.where(snap, np.minimum(y, 1.0 - y), 0.0)
     y = np.where(snap, 0.0, y)
-    decay = abs(cmath.exp(TWO_PI_I * t))  # = |q| < 1
-    if decay == 1.0:
-        raise ValueError(f"|q| rounds to 1 at tau = {t}: the elliptic Bernoulli series "
-                         "cannot converge")
+    decay = _nome_below_one(t, "elliptic Bernoulli series")
     # Rounding of a term P w / D, D = e(+-x) - w: the exponentials carry the
     # relative errors of their arguments (see _exp_err), e(+-x)'s and w's;
     # w = e(-+y tau) q^j has at most 12 pi |tau| (j + 1) + 11 ulps.  D turns
@@ -1164,7 +1171,10 @@ def _b_series(x: np.ndarray, y: np.ndarray, at: _Checked, arg_err) -> ComplexArr
 
 def _in_frame(series, z, at: _Checked, pole: str):
     """`series(x, y, at, arg_err)` at the points z in the frame of the
-    reduction of `at`'s tau, after their lattice check; and the frame."""
+    reduction of `at`'s tau, after their lattice check; and the frame.
+    Where |q| rounds to 1 it raises before z is decomposed, as y = -Im z /
+    Im tau would then round to a false lattice point."""
+    _nome_below_one(at.tau, f"{pole} series")
     z = np.asarray(z, dtype=complex)
     x, y = _decompose(z, at.tau)
     _lattice_check(x, y, lambda i: f"{pole} pole: z = {complex(z[i])} is on the lattice")

@@ -31,6 +31,16 @@ def _clear_caches():
     symbols._eisenstein_table.cache_clear()
     identities._c_coefficients_values.cache_clear()
     identities._eq73_residuals.cache_clear()
+    identities._coefficient_scale.cache_clear()
+    identities._laurent_terms.cache_clear()
+    identities._eq64_residual.cache_clear()
+
+
+#: the caches of `identities` behind one (n, tau) each
+IDENTITY_CACHES = ("_c_coefficients_values", "_eq73_residuals", "_coefficient_scale",
+                   "_laurent_terms", "_eq64_residual")
+#: the weights with d_w = 0, where eq64 runs
+EQ64_WEIGHTS = (2, 4, 6, 8, 12)
 
 
 def _grid_reprs():
@@ -112,6 +122,8 @@ class TestCacheContract:
                 assert _warnings_of(lambda: identities.verify_three_term(2, pair, tau)) == 1
                 assert _warnings_of(lambda: identities.t_weighted(2, pair, tau)) == 1
                 assert _warnings_of(lambda: identities.verify_eq64_onedim(4, tau)) == 1
+                assert _warnings_of(lambda: identities.reciprocity_laurent(4, tau)) == 1
+                assert _warnings_of(lambda: identities.coefficient_scale(2, tau)) == 1
 
     def test_eq73_table_built_once_per_n_tau(self):
         _clear_caches()
@@ -122,6 +134,67 @@ class TestCacheContract:
         info = identities._eq73_residuals.cache_info()
         assert (info.misses, info.hits) == (1, 15)
         assert identities._c_coefficients_values.cache_info().misses == 1
+
+    def test_eq64_built_once_per_w_tau(self):
+        _clear_caches()
+        taus = [TauPoint(0.3 + 1.1j), TauPoint(-0.2 + 0.9j), TauPoint(0.3 + 1.1j)]
+        for _ in range(2):
+            for w in EQ64_WEIGHTS:
+                for tau in taus:
+                    identities.verify_eq64_onedim(w, tau)
+                    identities.reciprocity_laurent(w, tau)
+                    identities.coefficient_scale(w // 2, tau)
+        distinct = len(EQ64_WEIGHTS) * 2
+        calls = 2 * len(EQ64_WEIGHTS) * len(taus)
+        for name in ("_eq64_residual", "_coefficient_scale"):
+            info = getattr(identities, name).cache_info()
+            assert (name, info.misses, info.hits) == (name, distinct, calls - distinct)
+        # each residual build and each reciprocity_laurent call reads the
+        # Laurent coefficients, which are built once per (w, tau) as well
+        info = identities._laurent_terms.cache_info()
+        assert (info.misses, info.hits) == (distinct, calls)
+        assert identities._c_coefficients_values.cache_info().misses == distinct
+
+    def test_laurent_results_are_copies(self):
+        _clear_caches()
+        tau = TauPoint(0.3 + 1.1j)
+        for w in EQ64_WEIGHTS:
+            res = identities.verify_eq64_onedim(w, tau)
+            poly, err = identities.reciprocity_laurent(w, tau)
+            want = (repr(res), repr(poly), err)
+            for p in (res, poly):
+                p.coeffs[(-1, -1)] = 1.0
+                p.coeffs[(99, 99)] = 2.0
+                p.coeffs.pop((1, w - 1), None)
+            res2 = identities.verify_eq64_onedim(w, tau)
+            poly2, err2 = identities.reciprocity_laurent(w, tau)
+            assert (repr(res2), repr(poly2), err2) == want
+
+    @pytest.mark.parametrize("w", EQ64_WEIGHTS)
+    @pytest.mark.parametrize("t", [0.3 + 1.1j, complex(0.0, 1.5), 0.2 + 0.3j, -0.45 + 0.7j])
+    def test_cached_equal_uncached(self, w, t):
+        # t in F, then outside F; cold, then warm
+        n = w // 2
+        at = qseries._checked(TauPoint(t), qseries.DEFAULT_POLICY)
+
+        def uncached():
+            terms, err = identities._laurent_terms.__wrapped__(n, at)
+            return (repr(dict(identities._eq64_residual.__wrapped__(n, at))),
+                    repr(dict(terms)), repr(err),
+                    repr(identities._coefficient_scale.__wrapped__(n, at)))
+
+        def public():
+            poly, err = identities.reciprocity_laurent(w, TauPoint(t))
+            return (repr(identities.verify_eq64_onedim(w, TauPoint(t)).coeffs),
+                    repr(poly.coeffs), repr(err),
+                    repr(identities.coefficient_scale(n, TauPoint(t))))
+
+        _clear_caches()
+        want = uncached()
+        _clear_caches()
+        assert public() == want
+        assert public() == want
+        assert uncached() == want
 
     def test_rejection_not_cached(self):
         _clear_caches()
@@ -147,10 +220,16 @@ class TestCacheContract:
                 identities.c_coefficients(2, tau, policy)
             with pytest.raises(NonConvergenceError):
                 identities.verify_eq73(2, 1, tau, policy)
+            with pytest.raises(NonConvergenceError):
+                identities.verify_eq64_onedim(4, tau, policy)
+            with pytest.raises(NonConvergenceError):
+                identities.reciprocity_laurent(4, tau, policy)
+            with pytest.raises(NonConvergenceError):
+                identities.coefficient_scale(2, tau, policy)
         assert qseries._eisenstein_q_sum.cache_info().currsize == 0
         assert symbols._eisenstein_table.cache_info().currsize == 0
-        assert identities._c_coefficients_values.cache_info().currsize == 0
-        assert identities._eq73_residuals.cache_info().currsize == 0
+        for name in IDENTITY_CACHES:
+            assert (name, getattr(identities, name).cache_info().currsize) == (name, 0)
 
     def test_bounded(self):
         _clear_caches()
@@ -159,8 +238,10 @@ class TestCacheContract:
             symbols._eisenstein_table(1, qseries._checked(tau, qseries.DEFAULT_POLICY))
             identities.c_coefficients(1, tau)
             identities.verify_eq73(1, 1, tau)
+            identities.verify_eq64_onedim(2, tau)
+            identities.coefficient_scale(1, tau)
         for cached in (qseries._eisenstein_q_sum, symbols._eisenstein_table,
-                       identities._c_coefficients_values, identities._eq73_residuals):
+                       *(getattr(identities, name) for name in IDENTITY_CACHES)):
             info = cached.cache_info()
             assert info.maxsize is not None and info.misses >= 5000
             assert info.currsize <= info.maxsize

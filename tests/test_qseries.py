@@ -455,7 +455,9 @@ class TestPolicyGuards:
         ran = []
         monkeypatch.setattr(qseries, "_block_series", lambda *args: ran.append(args))
         caches = (qseries._eisenstein_q_sum, symbols._eisenstein_table,
-                  identities._c_coefficients_values, identities._eq73_residuals)
+                  identities._c_coefficients_values, identities._eq73_residuals,
+                  identities._coefficient_scale, identities._laurent_terms,
+                  identities._eq64_residual)
         before = [f.cache_info() for f in caches]
         with pytest.raises(ValueError, match="below the accepted bound 0.1"):
             call(SLOW_TAU, SeriesPolicy(min_im_tau=0.1))
@@ -561,6 +563,28 @@ class TestPolicyGuards:
             elliptic_bernoulli(1, 0.3, 0.2, tau, policy)
         # B_0 runs no series
         assert elliptic_bernoulli(0, 0.3, 0.2, tau, policy) == ComplexVal(1.0, 0.0)
+
+    @pytest.mark.filterwarnings("ignore::ellded.qseries.SlowNomeWarning")
+    @pytest.mark.parametrize("z", [0.3, 0.3 + 0.2j])
+    def test_zeta_and_pe_where_nome_rounds_to_one(self, z):
+        # the zeta and pe kernels raise as B_m does, before z is decomposed:
+        # they returned a value that their err dwarfed, and at Im z != 0
+        # y = -Im z / Im tau rounds to an integer, a false lattice point
+        policy = SeriesPolicy(min_im_tau=0.0, max_terms=50)
+        tau = TauPoint(0.1 + 1e-20j)
+        at = qseries._checked(tau, policy)
+        for call in (lambda: weierstrass_zeta(z, tau, policy),
+                     lambda: weierstrass_zeta_points([z, 0.4], tau, policy),
+                     lambda: weierstrass_p_deriv(0, z, tau, policy),
+                     lambda: weierstrass_p_deriv(2, z, tau, policy),
+                     lambda: weierstrass_p_deriv_points(1, [z, 0.4], tau, policy),
+                     lambda: sigma_log_tau_derivative(z, tau, policy),
+                     # the blocks of the symbol layer
+                     lambda: qseries._zeta_block([z], at),
+                     lambda: qseries._pe_blocks([z], 1, at),
+                     lambda: qseries._sigma_log_blocks([z], at, pe_only=[0.4])):
+            with pytest.raises(ValueError, match=r"\|q\| rounds to 1 at tau = \(0\.1\+1e-20j\)"):
+                call()
 
 
 class TestZetaOdd:

@@ -2,15 +2,15 @@
 demonstration, and the three-term / coefficient identities for the weighted
 reciprocity polynomials.
 
-Each identity check at one tau reads values built once per (n, tau, policy)
-in bounded caches of `TABLE_CACHE_SIZE`: `verify_three_term` and
-`t_weighted` the Eisenstein table, `c_coefficients` the c_j
-(`_c_coefficients_values`), `verify_eq73` the tuple of its residuals
-(`_eq73_residuals`), `reciprocity_laurent` R^-_{2n}'s Laurent coefficients
-(`_laurent_terms`), `verify_eq64_onedim` its residual (`_eq64_residual`) and
-`coefficient_scale` its value (`_coefficient_scale`).  The caches hold
-immutable values only; the Laurent results are fresh copies on every call.
-`basis_rank` draws fresh tau and bypasses them (`_rank_matrix`)."""
+Every identity check at one tau reads one immutable `_Record`, built once
+per (n, tau, policy) from one Eisenstein table in one bounded cache of
+`TABLE_CACHE_SIZE` (`_record`): the table itself, which `verify_three_term`
+and `t_weighted` read, the c_j, all 2n+2 eq73 residuals, `coefficient_scale`'s
+value, and R^-_{2n}'s Laurent coefficients with their err and the eq64
+residual at w = 2n, both read-only.  Each public function checks its
+arguments and tau on every call and then reads one field; the Laurent results
+are fresh copies on every call.  `basis_rank` draws fresh tau and bypasses
+the record (`_rank_matrix`)."""
 
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
-from typing import List, Mapping, Sequence, Tuple
+from typing import List, Mapping, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -100,28 +100,48 @@ def c_coefficients(n: int, tau: TauPoint,
 
     For n = 1 the two Kronecker deltas coincide at j = 1, doubling the
     derivative term; that doubling is what the degenerate case requires.
-
-    The c_j are built once per (n, tau, policy), beside the Eisenstein table.
     """
-    return _c_coefficients_values(_checked_n(n), _checked(tau, policy))
+    return _record(_checked_n(n), _checked(tau, policy)).c
+
+
+class _Record(NamedTuple):
+    """Every value an identity check reads at one (n, tau): the Eisenstein
+    table, the c_j, the `verify_eq73` residuals for k = 1..2n+2,
+    `coefficient_scale`, and R^-_{2n}'s Laurent coefficients with their err
+    bound and the `verify_eq64_onedim` residual at w = 2n, both read-only."""
+
+    table: EisensteinTable
+    c: CoefficientVector
+    eq73: Tuple[ComplexVal, ...]
+    scale: float
+    laurent: Mapping[ExpPair, complex]
+    laurent_err: float
+    eq64: Mapping[ExpPair, complex]
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
-def _c_coefficients_values(n: int, at: _Checked) -> CoefficientVector:
-    return _coefficients_of(n, _eisenstein_table(n, at))
+def _record(n: int, at: _Checked) -> _Record:
+    """The record of n at `at`'s tau, from one Eisenstein table and G_{2n+2},
+    whose q-sum the table has read; bounded, as a caller may draw fresh tau."""
+    table = _eisenstein_table(n, at)
+    e_top, prods, de = table
+    cv = _coefficients_of(n, table)
+    laurent, err = _laurent_of(cv)
+    w = 2 * n
+    scalar = -(TWO_PI_I**w) * float(_eq64_alpha(w)) * _eisenstein_normalized(n + 1, at).value
+    eq64 = laurent - LaurentPoly({e: scalar * complex(c) for e, c in g_poly(w).coeffs.items()})
+    scale = max(abs(e_top.value), math.pi / n * abs(de.value),
+                *(abs(prod.value) for prod in prods))
+    return _Record(table, cv, _eq73_of(n, cv.c), scale, MappingProxyType(laurent.coeffs), err,
+                   MappingProxyType(eq64.coeffs))
 
 
 def _coefficients_of(n: int, table: EisensteinTable) -> CoefficientVector:
     """The c_j of `c_coefficients` from the Eisenstein table."""
     e_top, prods, de = table
-    cs: List[ComplexVal] = [e_top]
-    for j, prod in enumerate(prods, 1):
-        cj = -prod
-        delta = (1 if j == 1 else 0) + (1 if j == n else 0)
-        if delta:
-            cj = cj - de * (delta * 1j * math.pi / n)
-        cs.append(cj)
-    cs.append(e_top)
+    cs = [e_top, *(-prod for prod in prods), e_top]
+    for j in sorted({1, n}):
+        cs[j] = cs[j] - de * (((j == 1) + (j == n)) * 1j * math.pi / n)
     return CoefficientVector(n, tuple(cs))
 
 
@@ -131,19 +151,15 @@ def verify_eq73(n: int, k: int, tau: TauPoint,
 
         sum_{i: 2i >= k-1} C(2i, k-1) c_i + sum_{i: 2i <= k} C(2n+2-2i, 2n+2-k) c_i
             = c_{(k-1)/2} (k odd) or c_{k/2} (k even).
-
-    The residuals of all 2n+2 k are built once per (n, tau, policy), beside the c_j.
     """
     _checked_n(n)
     if not 1 <= k <= 2 * n + 2:
         raise ValueError(f"k must be in [1, {2*n+2}], got {k}")
-    return _eq73_residuals(n, _checked(tau, policy))[k - 1]
+    return _record(n, _checked(tau, policy)).eq73[k - 1]
 
 
-@lru_cache(maxsize=TABLE_CACHE_SIZE)
-def _eq73_residuals(n: int, at: _Checked) -> Tuple[ComplexVal, ...]:
-    """The residuals of `verify_eq73` for k = 1..2n+2, from the cached c_j."""
-    cs = _c_coefficients_values(n, at).c
+def _eq73_of(n: int, cs: Tuple[ComplexVal, ...]) -> Tuple[ComplexVal, ...]:
+    """The residuals of `verify_eq73` for k = 1..2n+2 from the c_j."""
     out = []
     for k in range(1, 2 * n + 3):
         lhs = ComplexVal(0j, 0.0)
@@ -152,8 +168,8 @@ def _eq73_residuals(n: int, at: _Checked) -> Tuple[ComplexVal, ...]:
                 lhs = lhs + cs[i] * float(math.comb(2 * i, k - 1))
             if 2 * i <= k:
                 lhs = lhs + cs[i] * float(math.comb(2 * n + 2 - 2 * i, 2 * n + 2 - k))
-        rhs = cs[(k - 1) // 2] if k % 2 == 1 else cs[k // 2]
-        out.append(lhs - rhs)
+        # c_{(k-1)/2} for odd k, c_{k/2} for even k
+        out.append(lhs - cs[k // 2])
     return tuple(out)
 
 
@@ -166,26 +182,19 @@ def coefficient_scale(n: int, tau: TauPoint,
     simultaneously (at special points where every form of weight 2n+2 is
     zero), so max |c_j| is not a usable scale.
     """
-    return _coefficient_scale(_checked_n(n), _checked(tau, policy))
-
-
-@lru_cache(maxsize=TABLE_CACHE_SIZE)
-def _coefficient_scale(n: int, at: _Checked) -> float:
-    """`coefficient_scale` from the cached Eisenstein table."""
-    e_top, prods, de = _eisenstein_table(n, at)
-    return max(abs(e_top.value), math.pi / n * abs(de.value),
-               *(abs(prod.value) for prod in prods))
+    return _record(_checked_n(n), _checked(tau, policy)).scale
 
 
 def t_weighted(n: int, pair: CoprimePair, tau: TauPoint,
                policy: SeriesPolicy = DEFAULT_POLICY) -> ComplexVal:
     """T^-_{2n}(p,q;tau) = (2 pi i)^2 pq [ R^-_{2n}(p,q;tau)
     - (2n+1) E_{2n+2} / ((2 pi i)^2 pq) ]."""
-    return _t_weighted_of(n, pair, _eisenstein_table(_checked_n(n), _checked(tau, policy)))
+    pair.require_u()
+    return _t_weighted_of(n, pair, _record(_checked_n(n), _checked(tau, policy)).table)
 
 
 def _t_weighted_of(n: int, pair: CoprimePair, table: EisensteinTable) -> ComplexVal:
-    """`t_weighted` from the Eisenstein table of (n, tau)."""
+    """`t_weighted` from the Eisenstein table of (n, tau), for a pair in U."""
     p, q = pair.p, pair.q
     r = _reciprocity_rhs_of(n, pair, table)
     s = r - table[0] * ((2 * n + 1) / ((TWO_PI_I**2).real * p * q))
@@ -198,7 +207,7 @@ def verify_three_term(n: int, pair: CoprimePair, tau: TauPoint,
     share one Eisenstein table."""
     pair.require_u()
     p, q = pair.p, pair.q
-    table = _eisenstein_table(_checked_n(n), _checked(tau, policy))
+    table = _record(_checked_n(n), _checked(tau, policy)).table
     t1 = _t_weighted_of(n, CoprimePair(p + q, q), table)
     t2 = _t_weighted_of(n, CoprimePair(p, p + q), table)
     t3 = _t_weighted_of(n, pair, table)
@@ -232,26 +241,16 @@ def reciprocity_laurent(w: int, tau: TauPoint,
 
     With w = 2n, R^-_w = (T^-_w + (2n+1) E_{2n+2}) / ((2 pi i)^2 pq), where
     T^-_w = sum_j c_j p^{2j} q^{2n+2-2j} (`c_coefficients`) and c_0 = E_{2n+2}.
-
-    The coefficients are built once per (n, tau, policy), beside the c_j;
-    every call gets its own copy of them.
+    Every call gets its own copy of the coefficients.
     """
-    coeffs, err = _laurent_terms(_half_weight(w), _checked(tau, policy))
-    return LaurentPoly(dict(coeffs)), err
+    rec = _record(_half_weight(w), _checked(tau, policy))
+    return LaurentPoly(dict(rec.laurent)), rec.laurent_err
 
 
 def _half_weight(w: int) -> int:
     if w < 2 or w % 2 != 0:
         raise ValueError("w must be an even integer >= 2")
     return w // 2
-
-
-@lru_cache(maxsize=TABLE_CACHE_SIZE)
-def _laurent_terms(n: int, at: _Checked) -> Tuple[Mapping[ExpPair, complex], float]:
-    """`reciprocity_laurent`'s coefficients, read-only, and their error
-    bound, from the cached c_j."""
-    poly, err = _laurent_of(_c_coefficients_values(n, at))
-    return MappingProxyType(poly.coeffs), err
 
 
 def _laurent_of(cv: CoefficientVector) -> Tuple[LaurentPoly, float]:
@@ -273,26 +272,11 @@ def verify_eq64_onedim(w: int, tau: TauPoint,
 
     for weights with no cusp forms (w in {2, 4, 6, 8, 12}).  The scalar is
     formed exactly as (2 pi i)^w alpha_w (`_eq64_alpha`) and r^-(G_{w+2})
-    is g_w.
-
-    The residual is built once per (n, tau, policy), from the cached
-    coefficients of `reciprocity_laurent`; every call gets its own copy."""
+    is g_w.  Every call gets its own copy of the residual."""
     d, _ = dim_data(w)
     if d != 0:
         raise ValueError(f"w = {w} has d_w = {d} > 0; the one-dimensional form needs d_w = 0")
-    return LaurentPoly(dict(_eq64_residual(_half_weight(w), _checked(tau, policy))))
-
-
-@lru_cache(maxsize=TABLE_CACHE_SIZE)
-def _eq64_residual(n: int, at: _Checked) -> Mapping[ExpPair, complex]:
-    """The nonzero coefficients of `verify_eq64_onedim`'s residual at
-    w = 2n, read-only."""
-    w = 2 * n
-    lhs = LaurentPoly(dict(_laurent_terms(n, at)[0]))
-    g_val = _eisenstein_normalized(n + 1, at)
-    scalar = -(TWO_PI_I**w) * float(_eq64_alpha(w)) * g_val.value
-    rhs = LaurentPoly({e: scalar * complex(c) for e, c in g_poly(w).coeffs.items()})
-    return MappingProxyType((lhs - rhs).coeffs)
+    return LaurentPoly(dict(_record(_half_weight(w), _checked(tau, policy)).eq64))
 
 
 @lru_cache(maxsize=None)
@@ -320,7 +304,7 @@ def basis_rank(w: int, taus: List[TauPoint],
 
     The polynomials equal `reciprocity_laurent`'s; their coefficients come
     from one Eisenstein pass over the whole sample (`_rank_matrix`), which
-    leaves the per-tau caches to the callers that reuse their tau."""
+    leaves the per-tau record to the callers that reuse their tau."""
     n = _half_weight(w)
     # in order, each with its own warning: a rejected tau raises before any series
     ats = [_checked(tau, policy) for tau in taus]

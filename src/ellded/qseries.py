@@ -42,8 +42,9 @@ whole sample of tau on the engine, without the cache and without their
 bounds, as one (tau x column) array.  The Eisenstein table that R^-_{2n} and
 the identities are built from, E_{2n+2}, the products E_{2j} E_{2n+2-2j}
 and dE_{2n}/dtau, lives here in both its shapes: per tau from the cached
-q-sums (`_eisenstein_table`, itself cached), and over a sample from one
-engine pass (`_eisenstein_tables`), so that no other module reads a q-sum.
+q-sums (`_eisenstein_table`, uncached itself, as `identities` keeps one
+record per (n, tau) built from it), and over a sample from one engine pass
+(`_eisenstein_tables`), so that no other module reads a q-sum.
 """
 
 from __future__ import annotations
@@ -710,18 +711,17 @@ def _eisenstein_tau_derivative(n: int, at: _Checked) -> ComplexVal:
     return ComplexVal(pref * s, abs_pref * tail)
 
 
-#: entries of the Eisenstein-table cache; bounded because a caller may
-#: draw fresh tau (`_eisenstein_tables` does not use it)
+#: entries of the per-(n, tau) record cache of `identities`; bounded
+#: because a caller may draw fresh tau (`_eisenstein_tables` does not use it)
 TABLE_CACHE_SIZE = 128
 
 EisensteinTable = Tuple[ComplexVal, Tuple[ComplexVal, ...], ComplexVal]
 
 
-@lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _eisenstein_table(n: int, at: _Checked) -> EisensteinTable:
     """The Eisenstein values that R^-_{2n} is built from at `at`'s tau:
     E_{2n+2}, the products E_{2j} E_{2n+2-2j} for j = 1..n, and
-    dE_{2n}/dtau; from a bounded per-(n, record) cache."""
+    dE_{2n}/dtau, from the cached q-sums."""
     e = [_eisenstein(j, at) for j in range(1, n + 2)]
     return (e[n], tuple(e[j - 1] * e[n - j] for j in range(1, n + 1)),
             _eisenstein_tau_derivative(n, at))
@@ -731,7 +731,7 @@ def _eisenstein_tables(n: int, ats: Sequence[_Checked]) -> Tuple[np.ndarray, ...
     """The values of `_eisenstein_table(n, at)` for every record of `ats`,
     bit for bit and without their errs: E_{2n+2} and dE_{2n}/dtau per tau,
     and the products as a (tau x j) array.  Their q-sums come from one
-    `_eisenstein_q_sums` pass, which neither reads nor fills the caches,
+    `_eisenstein_q_sums` pass, which neither reads nor fills the q-sum cache,
     and every complex product is rounded by `_cmul` as Python rounds it."""
     sums = _eisenstein_q_sums(ats, [(j, False) for j in range(1, n + 2)] + [(n, True)])
     consts = [_eisenstein_consts(j) for j in range(1, n + 2)]
@@ -840,6 +840,8 @@ def _bernoulli_points(m, x, y, at: _Checked) -> ComplexArray:
     """`elliptic_bernoulli_points` at `at`'s tau."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    if x.shape != y.shape:
+        raise ValueError(f"x and y must have the same shape, got {x.shape} and {y.shape}")
     m = np.asarray(m)
     if m.dtype.kind not in "iu" or (m.ndim and m.shape != x.shape):
         raise ValueError("m must be an int or an integer array aligned with x and y")
@@ -1412,10 +1414,8 @@ def sigma_log_tau_derivative(z: complex, tau: TauPoint,
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=256)
 def zeta_odd(n: int, tol: float = 1e-12) -> float:
-    """zeta(2n+1) by direct summation plus an Euler-Maclaurin tail below tol;
-    memoised per (n, tol), as the period data of every eq64 check needs it."""
+    """zeta(2n+1) by direct summation plus an Euler-Maclaurin tail below tol."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if tol <= 0:

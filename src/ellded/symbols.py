@@ -174,8 +174,10 @@ def elliptic_apostol_sum(n: int, pair: CoprimePair, tau: TauPoint,
         -(2 pi i)^{2n} p^{2n-1} / (2n+1)! sum_{(l,m) != 0}
             B_{2n+1}(-l/p, m/p; tau) B_1(-q* l/p, q* m/p; tau),
 
-    with q* q = 1 (mod p).
+    with q* q = 1 (mod p).  `route` is a Route or its value; any other raises
+    ValueError.
     """
+    route = Route(route)
     _checked_n(n)
     at = _checked(tau, policy)
     p, q = pair.p, pair.q
@@ -205,13 +207,13 @@ def reciprocity_rhs(n: int, pair: CoprimePair, tau: TauPoint,
                              - (2n+1) E_{2n+2} ]
         - 1/(4 pi i n) dE_{2n}/dtau (p^{2n-1} q + p q^{2n-1}).
     """
+    pair.require_u()
     return _reciprocity_rhs_of(n, pair, _eisenstein_table(_checked_n(n), _checked(tau, policy)))
 
 
 def _reciprocity_rhs_of(n: int, pair: CoprimePair, table: EisensteinTable) -> ComplexVal:
-    """`reciprocity_rhs` from the Eisenstein table of (n, tau)."""
+    """`reciprocity_rhs` from the Eisenstein table of (n, tau), for a pair in U."""
     e_top, prods, de = table
-    pair.require_u()
     p, q = pair.p, pair.q
     bracket = ComplexVal(0j, 0.0)
     for j, prod in enumerate(prods, 1):

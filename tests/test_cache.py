@@ -1,5 +1,6 @@
-"""The per-tau Eisenstein caches: values bit-identical cold and warm, and the
-per-call contract (tau checks, warnings, errors) kept outside the caches."""
+"""The per-tau Eisenstein caches, the q-sums and the identities' one record
+per (n, tau): values bit-identical cold and warm, and the per-call contract
+(argument and tau checks, warnings, errors) kept outside the caches."""
 
 import hashlib
 import warnings
@@ -28,17 +29,9 @@ GRID_SHA256 = "268d7a14fcbb13e3eb6e7351f3168004c9a64cb1f1b27bf056332c48695249f0"
 
 def _clear_caches():
     qseries._eisenstein_q_sum.cache_clear()
-    symbols._eisenstein_table.cache_clear()
-    identities._c_coefficients_values.cache_clear()
-    identities._eq73_residuals.cache_clear()
-    identities._coefficient_scale.cache_clear()
-    identities._laurent_terms.cache_clear()
-    identities._eq64_residual.cache_clear()
+    identities._record.cache_clear()
 
 
-#: the caches of `identities` behind one (n, tau) each
-IDENTITY_CACHES = ("_c_coefficients_values", "_eq73_residuals", "_coefficient_scale",
-                   "_laurent_terms", "_eq64_residual")
 #: the weights with d_w = 0, where eq64 runs
 EQ64_WEIGHTS = (2, 4, 6, 8, 12)
 
@@ -131,9 +124,8 @@ class TestCacheContract:
         for _ in range(2):
             for k in range(1, 9):
                 identities.verify_eq73(3, k, tau)
-        info = identities._eq73_residuals.cache_info()
+        info = identities._record.cache_info()
         assert (info.misses, info.hits) == (1, 15)
-        assert identities._c_coefficients_values.cache_info().misses == 1
 
     def test_eq64_built_once_per_w_tau(self):
         _clear_caches()
@@ -146,14 +138,9 @@ class TestCacheContract:
                     identities.coefficient_scale(w // 2, tau)
         distinct = len(EQ64_WEIGHTS) * 2
         calls = 2 * len(EQ64_WEIGHTS) * len(taus)
-        for name in ("_eq64_residual", "_coefficient_scale"):
-            info = getattr(identities, name).cache_info()
-            assert (name, info.misses, info.hits) == (name, distinct, calls - distinct)
-        # each residual build and each reciprocity_laurent call reads the
-        # Laurent coefficients, which are built once per (w, tau) as well
-        info = identities._laurent_terms.cache_info()
-        assert (info.misses, info.hits) == (distinct, calls)
-        assert identities._c_coefficients_values.cache_info().misses == distinct
+        # the three calls of each round read one record per (w, tau)
+        info = identities._record.cache_info()
+        assert (info.misses, info.hits) == (distinct, 3 * calls - distinct)
 
     def test_laurent_results_are_copies(self):
         _clear_caches()
@@ -178,10 +165,9 @@ class TestCacheContract:
         at = qseries._checked(TauPoint(t), qseries.DEFAULT_POLICY)
 
         def uncached():
-            terms, err = identities._laurent_terms.__wrapped__(n, at)
-            return (repr(dict(identities._eq64_residual.__wrapped__(n, at))),
-                    repr(dict(terms)), repr(err),
-                    repr(identities._coefficient_scale.__wrapped__(n, at)))
+            rec = identities._record.__wrapped__(n, at)
+            return (repr(dict(rec.eq64)), repr(dict(rec.laurent)), repr(rec.laurent_err),
+                    repr(rec.scale))
 
         def public():
             poly, err = identities.reciprocity_laurent(w, TauPoint(t))
@@ -227,21 +213,63 @@ class TestCacheContract:
             with pytest.raises(NonConvergenceError):
                 identities.coefficient_scale(2, tau, policy)
         assert qseries._eisenstein_q_sum.cache_info().currsize == 0
-        assert symbols._eisenstein_table.cache_info().currsize == 0
-        for name in IDENTITY_CACHES:
-            assert (name, getattr(identities, name).cache_info().currsize) == (name, 0)
+        assert identities._record.cache_info().currsize == 0
 
     def test_bounded(self):
         _clear_caches()
         for i in range(5000):
             tau = TauPoint(complex(i * 1e-4, 1.2))
-            symbols._eisenstein_table(1, qseries._checked(tau, qseries.DEFAULT_POLICY))
             identities.c_coefficients(1, tau)
             identities.verify_eq73(1, 1, tau)
             identities.verify_eq64_onedim(2, tau)
             identities.coefficient_scale(1, tau)
-        for cached in (qseries._eisenstein_q_sum, symbols._eisenstein_table,
-                       *(getattr(identities, name) for name in IDENTITY_CACHES)):
+        for cached in (qseries._eisenstein_q_sum, identities._record):
             info = cached.cache_info()
             assert info.maxsize is not None and info.misses >= 5000
             assert info.currsize <= info.maxsize
+
+
+def test_one_record_per_n_tau():
+    """Every identity check at one (n, tau) reads one record, built from the
+    n + 2 q-sums of its Eisenstein table; a rejected tau or a
+    NonConvergenceError leaves no record behind."""
+    n, tau, pair = 2, TauPoint(0.3 + 1.1j), CoprimePair(3, 2)
+
+    def checks():
+        return [repr(v) for v in (
+            identities.c_coefficients(n, tau),
+            *(identities.verify_eq73(n, k, tau) for k in range(1, 2 * n + 3)),
+            identities.coefficient_scale(n, tau),
+            identities.reciprocity_laurent(2 * n, tau),
+            identities.verify_eq64_onedim(2 * n, tau),
+            identities.t_weighted(n, pair, tau),
+            identities.verify_three_term(n, pair, tau))]
+
+    def misses():
+        return (identities._record.cache_info().misses,
+                qseries._eisenstein_q_sum.cache_info().misses)
+
+    _clear_caches()
+    with pytest.raises(ValueError, match="below the accepted bound"):
+        identities.verify_three_term(n, pair, TauPoint(0.08j), SeriesPolicy(min_im_tau=0.1))
+    with pytest.raises(NonConvergenceError):
+        identities.verify_three_term(n, pair, TauPoint(0.1 + 0.2j), SeriesPolicy(max_terms=10))
+    assert identities._record.cache_info().currsize == 0
+    _clear_caches()
+    cold = checks()
+    assert misses() == (1, n + 2)
+    assert checks() == cold
+    assert misses() == (1, n + 2)
+
+
+@pytest.mark.parametrize("call", [symbols.reciprocity_rhs, identities.t_weighted])
+def test_pair_outside_u_raises_before_tau(call):
+    """A pair outside U raises before tau is checked: no SlowNomeWarning
+    and no q-sum read."""
+    before = qseries._eisenstein_q_sum.cache_info()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match=r"\(3, -2\) is not in U"):
+            call(2, CoprimePair(3, -2), TauPoint(0.08j))
+    assert caught == []
+    assert qseries._eisenstein_q_sum.cache_info() == before

@@ -3,6 +3,7 @@ conformance."""
 
 import io
 import json
+import warnings
 from contextlib import redirect_stdout, redirect_stderr
 from pathlib import Path
 
@@ -188,6 +189,15 @@ class TestVerifyExitCodes:
              "--tau", "1i"])
         assert code == 3
         assert "error:" in err
+
+    def test_pair_outside_u_rejected_before_tau(self):
+        # the pair is checked first, so the slow tau warns of nothing
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(["eval", "reciprocity-rhs", "-n", "2", "-p", "3",
+                                      "-q", "-2", "--tau", "0.1+0.08i"])
+        assert (code, out, caught) == (3, "", [])
+        assert err.splitlines() == ["error: (3, -2) is not in U (need q >= 1)"]
 
     def test_lower_half_plane_rejected(self):
         code, _, _ = run_cli(

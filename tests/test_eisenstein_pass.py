@@ -150,10 +150,7 @@ def test_empty_sample_and_columns_and_huge_cap():
 
 
 def _cache_infos():
-    return [f.cache_info() for f in (qseries._eisenstein_q_sum,
-                                     symbols._eisenstein_table,
-                                     identities._c_coefficients_values,
-                                     identities._eq73_residuals)]
+    return [f.cache_info() for f in (qseries._eisenstein_q_sum, identities._record)]
 
 
 def _slow_warnings(call):

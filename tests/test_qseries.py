@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellded import identities, qseries, symbols
+from ellded import identities, qseries
 from ellded.exact import CoprimePair, bernoulli_number
 from ellded.identities import basis_rank
 from ellded.qseries import (
@@ -454,10 +454,7 @@ class TestPolicyGuards:
         # a rejected tau raises before any series runs or any cache is read
         ran = []
         monkeypatch.setattr(qseries, "_block_series", lambda *args: ran.append(args))
-        caches = (qseries._eisenstein_q_sum, symbols._eisenstein_table,
-                  identities._c_coefficients_values, identities._eq73_residuals,
-                  identities._coefficient_scale, identities._laurent_terms,
-                  identities._eq64_residual)
+        caches = (qseries._eisenstein_q_sum, identities._record)
         before = [f.cache_info() for f in caches]
         with pytest.raises(ValueError, match="below the accepted bound 0.1"):
             call(SLOW_TAU, SeriesPolicy(min_im_tau=0.1))
@@ -596,8 +593,8 @@ class TestZetaOdd:
         assert all(1 < v < 1.21 for v in vals)
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
-    def test_memoised_and_still_checked(self):
-        assert zeta_odd(5, 1e-10) == zeta_odd(5, 1e-10) == zeta_odd.__wrapped__(5, 1e-10)
+    def test_repeatable_and_still_checked(self):
+        assert zeta_odd(5, 1e-10) == zeta_odd(5, 1e-10)
         for _ in range(2):
             with pytest.raises(ValueError):
                 zeta_odd(0)
@@ -771,6 +768,15 @@ class TestBatchedKernels:
             elliptic_bernoulli_points(orders, xs, ys, tau, policy)
         assert str(info.value) == str(alone[0])
         assert repr(info.value.partial) == repr(alone[0].partial)
+
+    @pytest.mark.parametrize("x, y", [([0.1], [0.3, 0.4]), ([0.1, 0.2], [0.3])])
+    def test_points_of_unequal_shape_rejected(self, x, y, monkeypatch):
+        # before any series runs
+        ran = []
+        monkeypatch.setattr(qseries, "_block_series", lambda *args: ran.append(args))
+        with pytest.raises(ValueError, match="x and y must have the same shape"):
+            elliptic_bernoulli_points(2, x, y, TauPoint(0.3 + 1.1j))
+        assert not ran
 
 
 class TestComplexArray:

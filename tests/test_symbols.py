@@ -65,6 +65,15 @@ class TestEllipticApostolSum:
         with pytest.raises(ValueError):
             _d(1, 4, 2, TAU_I)
 
+    def test_route_by_value(self):
+        # a route's value runs that route; any other raises
+        for route in Route:
+            by_value, by_member = _d(2, 7, 3, TAU_G, route.value), _d(2, 7, 3, TAU_G, route)
+            assert by_value.route is route
+            assert repr(by_value) == repr(by_member)
+        with pytest.raises(ValueError, match="no-such-route"):
+            _d(2, 7, 3, TAU_G, "no-such-route")
+
     @given(st.data())
     @settings(max_examples=10, deadline=None)
     def test_symbol_axioms_sampled(self, data):

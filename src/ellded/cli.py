@@ -32,6 +32,7 @@ from .qseries import (
     NonConvergenceError,
     SeriesPolicy,
     TauPoint,
+    _parse_complex,
     eisenstein,
     eisenstein_normalized,
     eisenstein_tau_derivative,
@@ -141,9 +142,9 @@ def _count_arg(least: int):
 
 def _complex_arg(s: str) -> complex:
     try:
-        return complex(s.strip().replace(" ", "").replace("i", "j"))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"cannot parse complex number {s!r}")
+        return _parse_complex(s)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _int_pair(s: str):

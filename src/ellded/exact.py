@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
@@ -69,28 +68,19 @@ class CoprimePair:
 # Bernoulli numbers / polynomials / periodic functions
 # ---------------------------------------------------------------------------
 
-_bernoulli_cache = [Fraction(1)]
-_bernoulli_lock = threading.Lock()
-
-
+@functools.lru_cache(maxsize=None)
 def bernoulli_number(k: int) -> Fraction:
     """B_k in the convention with B_1 = -1/2.
 
-    Defining recurrence sum_{j=0}^{k} C(k+1, j) B_j = 0, memoized; safe for
-    concurrent callers.
+    Defining recurrence sum_{j=0}^{k} C(k+1, j) B_j = 0, memoized.  B_k is
+    built from B_0..B_{k-1} in ascending order, each from the cached ones
+    below it, so a cold call recurses two deep whatever k is.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    if k >= len(_bernoulli_cache):
-        with _bernoulli_lock:
-            while len(_bernoulli_cache) <= k:
-                m = len(_bernoulli_cache)
-                acc = sum(
-                    Fraction(math.comb(m + 1, j)) * _bernoulli_cache[j]
-                    for j in range(m)
-                )
-                _bernoulli_cache.append(-acc / (m + 1))
-    return _bernoulli_cache[k]
+    if k == 0:
+        return Fraction(1)
+    return -sum(Fraction(math.comb(k + 1, j)) * bernoulli_number(j) for j in range(k)) / (k + 1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -260,11 +250,9 @@ class LaurentPoly:
         return LaurentPoly({(j, i): c for (i, j), c in self.coeffs.items()})
 
     def evaluate(self, p, q):
-        """Evaluate at nonzero (p, q); exact when arguments and coefficients
-        are rational."""
-        if p == 0 or q == 0:
-            if any(i < 0 or j < 0 for (i, j) in self.coeffs):
-                raise ZeroDivisionError("Laurent polynomial has a pole at 0")
+        """Evaluate at (p, q); exact when arguments and coefficients are
+        rational.  A negative power of a zero argument raises
+        ZeroDivisionError, as Python's power does."""
         acc = 0
         for (i, j), c in self.coeffs.items():
             if isinstance(c, Fraction) and isinstance(p, int) and isinstance(q, int):
@@ -320,6 +308,14 @@ class LaurentPoly:
 # ---------------------------------------------------------------------------
 
 
+def _checked_weight(w: int) -> int:
+    """w, checked to be an even integer >= 2, as every function of a
+    weight w does."""
+    if w < 2 or w % 2 != 0:
+        raise ValueError("w must be an even integer >= 2")
+    return w
+
+
 def g_poly(w: int) -> LaurentPoly:
     """The degree-w odd reciprocity Laurent polynomial g_w(p, q).
 
@@ -327,10 +323,8 @@ def g_poly(w: int) -> LaurentPoly:
                          / (2 (2j)! (w+2-2j)!) p^{2j} q^{w+2-2j}
                          + B_{w+2} / (2(w+2)) ].
     """
-    if w < 2 or w % 2 != 0:
-        raise ValueError("w must be an even integer >= 2")
     # LaurentPoly is mutable: every call gets its own copy of the cached table
-    return LaurentPoly(dict(_g_poly_coeffs(w)))
+    return LaurentPoly(dict(_g_poly_coeffs(_checked_weight(w))))
 
 
 @functools.lru_cache(maxsize=None)
@@ -364,8 +358,7 @@ def verify_apostol_reciprocity(w: int, pair: CoprimePair) -> Fraction:
 
     the contract is that this is exactly 0 for (p, q) in U and even w >= 2.
     """
-    if w < 2 or w % 2 != 0:
-        raise ValueError("w must be an even integer >= 2")
+    _checked_weight(w)
     pair.require_u()
     p, q = pair.p, pair.q
     den, terms = _g_int_terms(w)
@@ -376,7 +369,6 @@ def verify_apostol_reciprocity(w: int, pair: CoprimePair) -> Fraction:
 
 def dim_data(w: int) -> Tuple[int, int]:
     """(d_w, dim M_{w+2}): cusp-form dimension bracket formula and d_w + 1."""
-    if w < 2 or w % 2 != 0:
-        raise ValueError("w must be an even integer >= 2")
+    _checked_weight(w)
     d = (w + 2) // 12 - 1 if w % 12 == 0 else (w + 2) // 12
     return d, d + 1

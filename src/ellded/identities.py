@@ -24,10 +24,10 @@ from typing import List, Mapping, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .exact import CoprimePair, ExpPair, LaurentPoly, bernoulli_number, dim_data, g_poly
+from .exact import (CoprimePair, ExpPair, LaurentPoly, _checked_weight, bernoulli_number,
+                    dim_data, g_poly)
 from .qseries import (
     DEFAULT_POLICY,
-    TABLE_CACHE_SIZE,
     TWO_PI_I,
     ComplexVal,
     EisensteinTable,
@@ -44,8 +44,9 @@ from .qseries import (
 )
 from .symbols import _reciprocity_rhs_of
 
-#: tolerance of the zeta(2n+1) values in the Eisenstein period data
-ZETA_TOL = 1e-12
+#: entries of the per-(n, tau) record cache (`_record`); bounded because a
+#: caller may draw fresh tau (`basis_rank` does not use it)
+TABLE_CACHE_SIZE = 128
 #: `basis_rank` counts singular values above this share of the largest
 RANK_THRESHOLD = 1e-8
 
@@ -224,7 +225,7 @@ def eisenstein_period_data(n: int) -> PeriodData:
     which coincides with the degree-2n reciprocity polynomial g_{2n}.
     """
     _checked_n(n)
-    z = zeta_odd(n, ZETA_TOL)
+    z = zeta_odd(n)
     r2n = math.factorial(2 * n) * z / (2 * TWO_PI_I ** (2 * n + 1))
     pet = (
         math.factorial(2 * n) / (4 * math.pi) ** (2 * n + 1)
@@ -243,14 +244,8 @@ def reciprocity_laurent(w: int, tau: TauPoint,
     T^-_w = sum_j c_j p^{2j} q^{2n+2-2j} (`c_coefficients`) and c_0 = E_{2n+2}.
     Every call gets its own copy of the coefficients.
     """
-    rec = _record(_half_weight(w), _checked(tau, policy))
+    rec = _record(_checked_weight(w) // 2, _checked(tau, policy))
     return LaurentPoly(dict(rec.laurent)), rec.laurent_err
-
-
-def _half_weight(w: int) -> int:
-    if w < 2 or w % 2 != 0:
-        raise ValueError("w must be an even integer >= 2")
-    return w // 2
 
 
 def _laurent_of(cv: CoefficientVector) -> Tuple[LaurentPoly, float]:
@@ -276,7 +271,7 @@ def verify_eq64_onedim(w: int, tau: TauPoint,
     d, _ = dim_data(w)
     if d != 0:
         raise ValueError(f"w = {w} has d_w = {d} > 0; the one-dimensional form needs d_w = 0")
-    return LaurentPoly(dict(_record(_half_weight(w), _checked(tau, policy)).eq64))
+    return LaurentPoly(dict(_record(w // 2, _checked(tau, policy)).eq64))
 
 
 @lru_cache(maxsize=None)
@@ -305,7 +300,7 @@ def basis_rank(w: int, taus: List[TauPoint],
     The polynomials equal `reciprocity_laurent`'s; their coefficients come
     from one Eisenstein pass over the whole sample (`_rank_matrix`), which
     leaves the per-tau record to the callers that reuse their tau."""
-    n = _half_weight(w)
+    n = _checked_weight(w) // 2
     # in order, each with its own warning: a rejected tau raises before any series
     ats = [_checked(tau, policy) for tau in taus]
     sv = np.linalg.svd(_rank_matrix(n, ats), compute_uv=False)

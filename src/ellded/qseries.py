@@ -33,8 +33,14 @@ The Weierstrass kernels run at tau reduced to the fundamental domain
 (`_reduction`) and map their values back by weight; the elliptic Bernoulli
 and Eisenstein functions run at tau itself.  b = zeta - E_2 z comes straight
 from one B_1 batch (`_b_series`), with no E_2, and zeta is b + E_2 z.
-Each public call checks its tau once, into a `_Checked` record of plain
-numbers: tau, tol and max_terms, the term cap of every series at every tau.
+Each input rule has one home, and the series only evaluate.  Each public
+call checks its tau once, in `_checked`, into a `_Checked` record of plain
+numbers: tau, tol and max_terms, the term cap of every series at every tau;
+a tau below the policy's min_im_tau, or where |q| rounds to 1, raises
+there, before any series runs.  The points of a kernel call pass one check,
+`_lattice_check` (one shape, 1-D, finite, off the lattice), and a y within
+_LATTICE_EPS of an integer is snapped to it (`_snap`, on the same
+near-integer test) before the series, which count the shift in err.
 The Eisenstein q-sums are memoised per (n, record, tau_deriv) in a bounded
 `lru_cache` over a scalar loop, which a single q-sum runs several times
 faster than the engine.  `_eisenstein_q_sums` computes the same sums for a
@@ -114,16 +120,25 @@ class TauPoint:
         return f"{self.tau.real}+{self.tau.imag}i"
 
 
+def _parse_complex(s: str) -> complex:
+    """The complex number of a literal "a+bi", "bi" or "a", spaces ignored,
+    with i or I for the imaginary unit (or Python's j); ValueError if it is
+    none.  Only the unit, the last character, is mapped, so that "inf" and
+    "nan" parts read as Python reads them."""
+    t = s.strip().replace(" ", "")
+    if t.endswith(("i", "I")):
+        t = t[:-1] + "j"
+    try:
+        return complex(t)
+    except ValueError as e:
+        raise ValueError(f"cannot parse complex number {s!r}") from e
+
+
 def parse_tau(s: str) -> TauPoint:
     """Parse "a+bi" (decimal a, b) into a TauPoint."""
-    t = s.strip().replace(" ", "").replace("I", "i")
-    if not t.endswith("i"):
+    if not s.strip().endswith(("i", "I")):
         raise ValueError(f"tau must be of the form 'a+bi', got {s!r}")
-    try:
-        z = complex(t.replace("i", "j"))
-    except ValueError as e:
-        raise ValueError(f"cannot parse tau {s!r}") from e
-    return TauPoint(z)
+    return TauPoint(_parse_complex(s))
 
 
 _EPS = 2.0**-52
@@ -319,13 +334,19 @@ class _Checked(NamedTuple):
 
 
 def _checked(tau: TauPoint, policy: SeriesPolicy) -> _Checked:
-    """tau checked under policy: ValueError below min_im_tau and one
-    SlowNomeWarning where the nome is slow."""
+    """tau checked under policy: ValueError below min_im_tau and where |q|
+    rounds to 1, at which no q-series converges (and the kernels' error
+    models would divide by 1 - |q| = 0), and one SlowNomeWarning where the
+    nome is slow.  Only a slow tau can round |q| to 1, so a fast one pays
+    for neither test."""
     im = tau.tau.imag
     if im < policy.min_im_tau:
         raise ValueError(f"Im(tau) = {im} below the accepted bound {policy.min_im_tau}")
     if im < _SLOW_IM_TAU:
-        warnings.warn(f"Im(tau) = {im} gives |q| = {abs(tau.nome):.3f}; convergence is slow",
+        aq = abs(tau.nome)
+        if aq >= 1.0:
+            raise ValueError(f"|q| rounds to 1 at tau = {tau.tau}: no q-series can converge")
+        warnings.warn(f"Im(tau) = {im} gives |q| = {aq:.3f}; convergence is slow",
                       SlowNomeWarning, stacklevel=_outside_stacklevel())
     # tuple.__new__ skips the NamedTuple's Python-level __new__ on every public call
     return tuple.__new__(_Checked, (tau.tau, policy.tol, policy.max_terms))
@@ -662,7 +683,8 @@ def _eisenstein_consts(n: int) -> Tuple[complex, complex, float, float]:
 
 
 def _checked_n(n: int) -> int:
-    """n, checked to be >= 1, as every Eisenstein call does before its tau."""
+    """n, checked to be >= 1, as every Eisenstein call does before its tau,
+    and `zeta_odd`."""
     if n < 1:
         raise ValueError("n must be >= 1")
     return n
@@ -711,10 +733,6 @@ def _eisenstein_tau_derivative(n: int, at: _Checked) -> ComplexVal:
     return ComplexVal(pref * s, abs_pref * tail)
 
 
-#: entries of the per-(n, tau) record cache of `identities`; bounded
-#: because a caller may draw fresh tau (`_eisenstein_tables` does not use it)
-TABLE_CACHE_SIZE = 128
-
 EisensteinTable = Tuple[ComplexVal, Tuple[ComplexVal, ...], ComplexVal]
 
 
@@ -748,24 +766,25 @@ def _eisenstein_tables(n: int, ats: Sequence[_Checked]) -> Tuple[np.ndarray, ...
 _LATTICE_EPS = 1e-12
 
 
-def _nome_below_one(t: complex, what: str) -> float:
-    """|q| at tau = t; raises ValueError where it rounds to 1, at which the
-    kernel series `what` cannot converge (and its error model would divide
-    by 1 - |q| = 0)."""
-    decay = abs(cmath.exp(TWO_PI_I * t))
-    if decay == 1.0:
-        raise ValueError(f"|q| rounds to 1 at tau = {t}: the {what} cannot converge")
-    return decay
+def _near_integer(v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """rint(v), and where v lies within _LATTICE_EPS of it: the one test of
+    the lattice check and of the snap of y."""
+    n = np.rint(v)
+    return n, np.abs(v - n) <= _LATTICE_EPS
 
 
 def _lattice_check(x: np.ndarray, y: np.ndarray, message) -> None:
-    """Raise ValueError if some x or y is not finite, and LatticePointError,
-    with `message(i)` for the first offending i, if some x - y*tau is a
-    lattice point."""
+    """The one check of the points x - y tau of a kernel call, before any
+    series runs: ValueError unless x and y are 1-D arrays of one shape and
+    finite, and LatticePointError, with `message(i)` for the first
+    offending i, where both x and y are near an integer."""
+    if x.shape != y.shape:
+        raise ValueError(f"x and y must have the same shape, got {x.shape} and {y.shape}")
+    if x.ndim != 1:
+        raise ValueError(f"points must be a 1-D array, got shape {x.shape}")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError("points must be finite")
-    hit = ((np.abs(x - np.rint(x)) < _LATTICE_EPS)
-           & (np.abs(y - np.rint(y)) < _LATTICE_EPS))
+    hit = _near_integer(x)[1] & _near_integer(y)[1]
     if hit.any():
         raise LatticePointError(message(int(np.argmax(hit))))
 
@@ -837,11 +856,11 @@ def elliptic_bernoulli_points(m, x, y, tau: TauPoint,
 
 
 def _bernoulli_points(m, x, y, at: _Checked) -> ComplexArray:
-    """`elliptic_bernoulli_points` at `at`'s tau."""
+    """`elliptic_bernoulli_points` at `at`'s tau.  A y within _LATTICE_EPS
+    of an integer is snapped to it, as `_frame` snaps it, and the shift
+    counts as an error of y."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise ValueError(f"x and y must have the same shape, got {x.shape} and {y.shape}")
     m = np.asarray(m)
     if m.dtype.kind not in "iu" or (m.ndim and m.shape != x.shape):
         raise ValueError("m must be an int or an integer array aligned with x and y")
@@ -855,7 +874,10 @@ def _bernoulli_points(m, x, y, at: _Checked) -> ComplexArray:
     run = np.flatnonzero(m > 0)
     if run.size:
         run = run[np.argsort(m[run], kind="stable")]
-        b = _bernoulli_series(m[run], x[run], y[run], at, rank=run)
+        y = y[run]
+        snapped = _snap(y)
+        b = _bernoulli_series(m[run], x[run], snapped, at, (0.0, np.abs(y - snapped), 0.0),
+                              rank=run)
         out.value[run], out.err[run] = b.value, b.err
     return out
 
@@ -866,9 +888,11 @@ _TWO_PI_ULPS = 2.0 * math.pi * 2.0**53
 
 
 def _bernoulli_series(m: np.ndarray, x: np.ndarray, y: np.ndarray, at: _Checked,
-                      arg_err=(0.0, 0.0, 0.0), rank: Optional[np.ndarray] = None) -> ComplexArray:
-    """B_m(x, y; tau), m >= 1, at points that passed the lattice check, by
-    the series of `elliptic_bernoulli` at `at`'s tau.
+                      arg_err, rank: Optional[np.ndarray] = None) -> ComplexArray:
+    """B_m(x, y; tau), m >= 1, by the series of `elliptic_bernoulli` at
+    `at`'s tau, at points that passed the lattice check, with y snapped by
+    the caller (`_snap`): each y is an integer or beyond _LATTICE_EPS of
+    one.
 
     `m` is an ascending integer array with an order per point; all the
     orders run in one pass, each on a slice of the columns
@@ -878,26 +902,22 @@ def _bernoulli_series(m: np.ndarray, x: np.ndarray, y: np.ndarray, at: _Checked,
     int, so each point's result does not depend on the other orders.  The
     powers are IEEE products (`_ipow`), at most m - 2 of them, which the
     m ulps charged to a term's power cover.  `rank` is as in
-    `_block_series`.  Raises ValueError where |q| rounds to 1
-    (`_nome_below_one`).
+    `_block_series`.
 
     `arg_err` = (dx, dy, dtau) bounds the absolute errors of x, y and tau,
-    zeros where they are exact, which leave every bit of the result as it
-    is.  A y within _LATTICE_EPS of an integer is snapped to it, and the
-    shift adds to dy.  The errors add 2 pi dx to the argument of e(+-x),
+    dy an array with one entry per point, which carries the caller's snap
+    shift, and zeros where they are exact, which leave every bit of the
+    result as it is.  The errors add 2 pi dx to the argument of e(+-x),
     2 pi (dy |tau| + (j + 1) dtau) to that of w = e((j -+ y) tau) and
     2 pi (dx + dy |tau| + y dtau) to that of the closing term's
     exponential.  dy also moves the powers (y -+ j)^(m-1), by (m - 1) dy /
     (j -+ y) relative, the closing term's y^(m-1), by (m - 1)
     y^(m-2) dy times the rest, and B_m(y), by m |B_{m-1}(y)| dy."""
     t = at.tau
+    # into [0, 1); x is off-integer where y is 0 (lattice check)
     y = y - np.floor(y)
-    # x is off-integer where y snaps to exactly 0 (lattice check above)
-    snap = (y < _LATTICE_EPS) | (y > 1 - _LATTICE_EPS)
     dx, dy, dt = arg_err
-    dy = dy + np.where(snap, np.minimum(y, 1.0 - y), 0.0)
-    y = np.where(snap, 0.0, y)
-    decay = _nome_below_one(t, "elliptic Bernoulli series")
+    decay = abs(cmath.exp(TWO_PI_I * t))
     # Rounding of a term P w / D, D = e(+-x) - w: the exponentials carry the
     # relative errors of their arguments (see _exp_err), e(+-x)'s and w's;
     # w = e(-+y tau) q^j has at most 12 pi |tau| (j + 1) + 11 ulps.  D turns
@@ -1009,7 +1029,7 @@ def elliptic_bernoulli(m: int, x: float, y: float, tau: TauPoint,
 
     with y reduced into [0, 1) first and B_m(y) the Bernoulli polynomial of
     the reduced y.  m = 0 returns 1 (the generating-series residue), which the
-    Machide sums need.
+    Machide sums need, once tau and the point have passed their checks.
     """
     return elliptic_bernoulli_points(m, [x], [y], tau, policy)[0]
 
@@ -1112,10 +1132,10 @@ def _frame(x: np.ndarray, y: np.ndarray, at: _Checked) -> _Frame:
     2^-53 |y|; gamma carries those errors into x' and y', and the integer
     products and the sums add 2^-53 (|a x| + |b y| + |x'|) to x' and the
     same in c, d to y'.  A y within _LATTICE_EPS of an integer is snapped
-    to it first, as the kernels snap it at tau, and a y' that the kernels
-    would snap at tau' is snapped here; both shifts count as errors of y
-    and y', and so does the snap on F, where the rest of x and y is taken
-    as exact."""
+    to it first (`_snap`, as `_bernoulli_points` snaps B_m's y), and so is
+    y' at tau', as the series take y snapped; both shifts count as errors
+    of y and y', and so does the snap on F, where the rest of x and y is
+    taken as exact."""
     red = _reduction(at.tau)
     snapped = _snap(y)
     if red is None:
@@ -1134,8 +1154,8 @@ def _frame(x: np.ndarray, y: np.ndarray, at: _Checked) -> _Frame:
 
 def _snap(y: np.ndarray) -> np.ndarray:
     """y, with each y within _LATTICE_EPS of an integer set to it."""
-    n = np.rint(y)
-    return np.where(np.abs(y - n) <= _LATTICE_EPS, n, y)
+    n, near = _near_integer(y)
+    return np.where(near, n, y)
 
 
 def _e2(at: _Checked, dtau: float) -> ComplexVal:
@@ -1173,10 +1193,7 @@ def _b_series(x: np.ndarray, y: np.ndarray, at: _Checked, arg_err) -> ComplexArr
 
 def _in_frame(series, z, at: _Checked, pole: str):
     """`series(x, y, at, arg_err)` at the points z in the frame of the
-    reduction of `at`'s tau, after their lattice check; and the frame.
-    Where |q| rounds to 1 it raises before z is decomposed, as y = -Im z /
-    Im tau would then round to a false lattice point."""
-    _nome_below_one(at.tau, f"{pole} series")
+    reduction of `at`'s tau, after their lattice check; and the frame."""
     z = np.asarray(z, dtype=complex)
     x, y = _decompose(z, at.tau)
     _lattice_check(x, y, lambda i: f"{pole} pole: z = {complex(z[i])} is on the lattice")
@@ -1416,8 +1433,7 @@ def sigma_log_tau_derivative(z: complex, tau: TauPoint,
 
 def zeta_odd(n: int, tol: float = 1e-12) -> float:
     """zeta(2n+1) by direct summation plus an Euler-Maclaurin tail below tol."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _checked_n(n)
     if tol <= 0:
         raise ValueError("tol must be > 0")
     s = 2 * n + 1

@@ -236,6 +236,20 @@ class TestVerifyExitCodes:
         assert code == 3 and out == ""
         assert "finite" in err
 
+    @pytest.mark.parametrize("tau", ["inf+1i", "nan+1i", "0.3+infi", "-inf+1I"])
+    def test_non_finite_tau_literal_is_domain_error(self, tau):
+        # only the imaginary unit is mapped, so the i of "inf" stays a
+        # letter: each is a tau that TauPoint rejects (exit 3), not a
+        # literal that cannot be parsed (exit 2)
+        code, out, err = run_cli(["eval", "eisenstein", "-n", "1", f"--tau={tau}"])
+        assert (code, out) == (3, "")
+        assert err.splitlines() == [f"error: tau must be finite, got {complex(tau[:-1] + 'j')}"]
+
+    def test_lattice_point_z_is_domain_error(self):
+        code, out, err = run_cli(["eval", "zeta-w", "--z", "0", "--tau", "0.3+1.1i"])
+        assert (code, out) == (3, "")
+        assert err.splitlines() == ["error: zeta pole: z = 0j is on the lattice"]
+
 
 class TestVerifyFamilies:
     @pytest.mark.parametrize("argv", [

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -47,6 +48,22 @@ class TestBernoulliNumber:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             bernoulli_number(-1)
+
+    def test_cold_high_index_recursion_is_shallow(self):
+        # each B_j is built from the cached ones below it, in ascending
+        # order, so a cold B_400 recurses a few frames deep, not 400: it
+        # runs within 60 frames of this one
+        bernoulli_number.cache_clear()
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 60)
+        try:
+            bernoulli_number(400)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert sum(math.comb(401, j) * bernoulli_number(j) for j in range(401)) == 0
 
 
 class TestBernoulliPolynomial:
@@ -278,6 +295,8 @@ class TestLaurentEvaluate:
         poly = LaurentPoly({(0, 2): Fraction(1, 3), (1, 0): Fraction(2)})
         assert poly.evaluate(0, 3) == 3
         assert poly.evaluate(2, 0) == 4
+        # a negative power of the other, nonzero argument is no pole
+        assert LaurentPoly({(-1, 0): Fraction(1)}).evaluate(2, 0) == Fraction(1, 2)
         with pytest.raises(ZeroDivisionError):
             LaurentPoly({(-1, 0): Fraction(1)}).evaluate(0, 1)
 

@@ -84,6 +84,24 @@ class TestTauPoint:
         with pytest.raises(ValueError):
             parse_tau("abc+1i")
 
+    @pytest.mark.parametrize("text, z", [
+        ("0.3+1.1i", 0.3 + 1.1j), (" 0.3 + 1.1I ", 0.3 + 1.1j), ("-2i", -2j), ("0.5", 0.5),
+        ("1e-3+2e1i", 0.001 + 20j), ("0.3+1.1j", 0.3 + 1.1j), ("inf+1i", complex(math.inf, 1)),
+        ("1-infi", complex(1, -math.inf)), ("infinity+1i", complex(math.inf, 1))])
+    def test_complex_literal_maps_only_the_unit(self, text, z):
+        # the i of "inf" stays a letter
+        assert qseries._parse_complex(text) == z
+
+    def test_infinite_tau_literal_is_a_non_finite_tau(self):
+        # not a literal that cannot be parsed
+        with pytest.raises(ValueError, match="tau must be finite"):
+            parse_tau("inf+1i")
+
+    @pytest.mark.parametrize("text", ["abc+1i", "1+2", "1+i2", "", "1+2k"])
+    def test_bad_complex_literal_rejected(self, text):
+        with pytest.raises(ValueError, match="cannot parse complex number"):
+            qseries._parse_complex(text)
+
 
 class TestEisenstein:
     def test_large_im_constant_term(self):
@@ -558,30 +576,44 @@ class TestPolicyGuards:
                 elliptic_bernoulli_points(m, [0.3, 0.4], [0.2, 0.5], tau, policy)
         with pytest.raises(ValueError, match=r"\|q\| rounds to 1"):
             elliptic_bernoulli(1, 0.3, 0.2, tau, policy)
-        # B_0 runs no series
-        assert elliptic_bernoulli(0, 0.3, 0.2, tau, policy) == ComplexVal(1.0, 0.0)
+        # B_0 runs no series, but its tau is checked as every other call's is
+        with pytest.raises(ValueError, match=r"\|q\| rounds to 1 at tau = \(0\.1\+1e-20j\)"):
+            elliptic_bernoulli(0, 0.3, 0.2, tau, policy)
 
     @pytest.mark.filterwarnings("ignore::ellded.qseries.SlowNomeWarning")
     @pytest.mark.parametrize("z", [0.3, 0.3 + 0.2j])
     def test_zeta_and_pe_where_nome_rounds_to_one(self, z):
         # the zeta and pe kernels raise as B_m does, before z is decomposed:
         # they returned a value that their err dwarfed, and at Im z != 0
-        # y = -Im z / Im tau rounds to an integer, a false lattice point
+        # y = -Im z / Im tau rounds to an integer, a false lattice point.
+        # The tau check itself raises, so no record, and so no block of the
+        # symbol layer, exists for such a tau
         policy = SeriesPolicy(min_im_tau=0.0, max_terms=50)
         tau = TauPoint(0.1 + 1e-20j)
-        at = qseries._checked(tau, policy)
         for call in (lambda: weierstrass_zeta(z, tau, policy),
                      lambda: weierstrass_zeta_points([z, 0.4], tau, policy),
                      lambda: weierstrass_p_deriv(0, z, tau, policy),
                      lambda: weierstrass_p_deriv(2, z, tau, policy),
                      lambda: weierstrass_p_deriv_points(1, [z, 0.4], tau, policy),
                      lambda: sigma_log_tau_derivative(z, tau, policy),
-                     # the blocks of the symbol layer
-                     lambda: qseries._zeta_block([z], at),
-                     lambda: qseries._pe_blocks([z], 1, at),
-                     lambda: qseries._sigma_log_blocks([z], at, pe_only=[0.4])):
+                     lambda: qseries._checked(tau, policy)):
             with pytest.raises(ValueError, match=r"\|q\| rounds to 1 at tau = \(0\.1\+1e-20j\)"):
                 call()
+
+    @pytest.mark.filterwarnings("error::ellded.qseries.SlowNomeWarning")
+    @pytest.mark.parametrize("name", PUBLIC_TAU_CALLS)
+    def test_every_call_rejects_a_nome_rounding_to_one(self, name, monkeypatch):
+        # one check for every function, B_0 and the Eisenstein series among
+        # them: it raises, with no warning, before any series runs or any
+        # cache is read
+        call, _ = PUBLIC_TAU_CALLS[name]
+        ran = []
+        monkeypatch.setattr(qseries, "_block_series", lambda *args: ran.append(args))
+        caches = (qseries._eisenstein_q_sum, identities._record)
+        before = [f.cache_info() for f in caches]
+        with pytest.raises(ValueError, match=r"^\|q\| rounds to 1 at tau = "):
+            call(TauPoint(0.1 + 1e-20j), SeriesPolicy(min_im_tau=0.0, max_terms=50))
+        assert not ran and [f.cache_info() for f in caches] == before
 
 
 class TestZetaOdd:
@@ -778,6 +810,50 @@ class TestBatchedKernels:
             elliptic_bernoulli_points(2, x, y, TauPoint(0.3 + 1.1j))
         assert not ran
 
+    @pytest.mark.parametrize("t", [0.3 + 1.1j, 0.3 + 0.3j])
+    @pytest.mark.parametrize("call", [
+        lambda tau: elliptic_bernoulli_points(2, 0.1, 0.3, tau),
+        lambda tau: elliptic_bernoulli_points(0, 0.1, 0.3, tau),
+        lambda tau: elliptic_bernoulli_points(2, [[0.1]], [[0.3]], tau),
+        lambda tau: elliptic_bernoulli_points([[2, 1]], [[0.1, 0.2]], [[0.3, 0.4]], tau),
+        lambda tau: elliptic_bernoulli_points(2, 1.0, 2.0, tau),
+        lambda tau: weierstrass_zeta_points(0.3 + 0.1j, tau),
+        lambda tau: weierstrass_zeta_points([[0.3 + 0.1j, 0.2]], tau),
+        lambda tau: weierstrass_zeta_points(1 + tau.tau, tau),
+        lambda tau: weierstrass_p_deriv_points(1, 0.3 + 0.1j, tau),
+        lambda tau: weierstrass_p_deriv_points(1, [[0.3 + 0.1j], [0.2]], tau),
+        lambda tau: weierstrass_p_deriv_points(0, [[0.3 + 0.1j, 2.0]], tau),
+    ], ids=["b_0d", "b0_0d", "b_2d", "b_mixed_2d", "b_0d_lattice", "zeta_0d", "zeta_2d",
+            "zeta_0d_lattice", "pe_0d", "pe_2d", "pe_2d_lattice"])
+    def test_points_not_1d_rejected(self, call, t, monkeypatch):
+        # a 0-d or 2-D batch raises ValueError before any series runs, on F
+        # and at a reduced tau, a lattice point among them included
+        ran = []
+        monkeypatch.setattr(qseries, "_block_series", lambda *args: ran.append(args))
+        with pytest.raises(ValueError, match=r"points must be a 1-D array, got shape \("):
+            call(TauPoint(t))
+        assert not ran
+
+    @pytest.mark.parametrize("x, y, error", [
+        ([0.3, 2.0], [0.1, 1.0 - 5e-13], LatticePointError),
+        ([0.3, 5e-13], [0.1, -3.0], LatticePointError),
+        ([0.3, math.nan], [0.1, 0.2], ValueError),
+        ([[0.1, 0.2]], [[0.3]], ValueError),
+    ])
+    def test_rejections_keep_their_type(self, x, y, error):
+        # the one point check rejects what the kernels rejected, as they did,
+        # a point within the snap distance of the lattice included
+        tau = TauPoint(0.3 + 1.1j)
+        kernels = [lambda: elliptic_bernoulli_points(2, x, y, tau)]
+        if np.ndim(x) == 1:
+            z = np.array(x) - np.array(y) * tau.tau
+            kernels += [lambda: weierstrass_zeta_points(z, tau),
+                        lambda: weierstrass_p_deriv_points(1, z, tau)]
+        for kernel in kernels:
+            with pytest.raises(error) as info:
+                kernel()
+            assert type(info.value) is error
+
 
 class TestComplexArray:
     """The elementwise arithmetic must match ComplexVal's bit for bit, so the
@@ -950,7 +1026,9 @@ class TestKernelErrAgainstMpmath:
         F and outside: the shift counts in err for every order; near x = 0
         the closing term's y^(m-1) moves most."""
         mp = pytest.importorskip("mpmath")
-        pts = ((0.3, 1 - 1e-13), (0.3, 1e-13), (-0.7, 2 - 1e-13), (0.05, 1 - 1e-13))
+        pts = ((0.3, 1 - 1e-13), (0.3, 1e-13), (-0.7, 2 - 1e-13), (0.05, 1 - 1e-13),
+               # y just below 0 or near a negative integer
+               (0.3, -1e-13), (0.3, -2 + 1e-13), (0.05, -1e-17), (-0.4, -3 - 5e-13))
         xs, ys = zip(*pts)
         with mp.workdps(30), warnings.catch_warnings():
             warnings.simplefilter("ignore", SlowNomeWarning)

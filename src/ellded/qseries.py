@@ -14,9 +14,11 @@ batch, a point of a kernel or one q-sum of the Eisenstein pass, keeps its own
 Kahan state, stopping rule and rounding bound under the batch's one term
 cap, and leaves the batch once it has stopped; the engine raises the term
 cap's NonConvergenceError for the first column still running after
-max_terms, so no caller has a failure path of its own.  The terms are
-evaluated in blocks of consecutive j, as 2-D arrays over (j, column) of at
-most BLOCK_ELEMENTS entries, and then added one j at a time, each Kahan
+max_terms, so no caller has a failure path of its own.  The kernels share
+one stopping rule, `_pair_small`, which a NaN term meets, and raise
+OverflowError where a value or err leaves binary64 (`_finite`).  The terms
+are evaluated in blocks of consecutive j, as 2-D arrays over (j, column) of
+at most BLOCK_ELEMENTS entries, and then added one j at a time, each Kahan
 step written in place into the block's rows, so values equal a
 term-by-term run's bit for bit.  The first block is sized from |q|, by
 `_points_rows` for the kernels and `_q_sum_rows` for the Eisenstein pass,
@@ -25,10 +27,10 @@ returns as it stands once every column has stopped in it.
 
 The Weierstrass and elliptic Bernoulli functions are array kernels
 (`*_points`) on the engine; the scalar functions are one-point calls to them.
-`elliptic_bernoulli_points` also takes an order per point, so that the B_m
-factors of every order that a symbol needs share one pass.  Integer powers
-in the series are IEEE products (`_ipow`), not numpy's pow, so their bits
-do not depend on the host.
+`elliptic_bernoulli_points` also takes an order per point and runs one
+pass per order, so that a symbol takes the B_m factors of every order it
+needs from one call.  Integer powers in the series are IEEE products
+(`_ipow`), not numpy's pow, so their bits do not depend on the host.
 The Weierstrass kernels run at tau reduced to the fundamental domain
 (`_reduction`) and map their values back by weight; the elliptic Bernoulli
 and Eisenstein functions run at tau itself.  b = zeta - E_2 z comes straight
@@ -62,7 +64,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -400,7 +402,7 @@ BLOCK_ELEMENTS = 4096
 
 def _block_series(start: np.ndarray, start_rnd: np.ndarray, terms,
                   state: Tuple[np.ndarray, ...], cap: int, small, streak: int,
-                  first: int, what, rank: Optional[np.ndarray] = None):
+                  first: int, what):
     """Run the series `start + sum_j terms(js, *state)` in every column of a
     batch; each column starts from `start`, whose rounding bound is
     `start_rnd`.
@@ -422,19 +424,17 @@ def _block_series(start: np.ndarray, start_rnd: np.ndarray, terms,
     its jth term, j >= 2, once its last `streak` terms were small, and
     leaves the batch at the end of its block.  If some columns are still
     running after `cap` terms, raises NonConvergenceError "`what(i)` hit
-    max_terms=cap" with the partial sum of the first of them, i: first in
-    the batch, or by `rank`, the columns' places in the caller's order,
-    where the batch runs them in another.  The first block has `first`
-    rows, which the caller sizes from |q| to hold the whole series where it
-    can, and each later one twice the rows the last one ran, within
-    BLOCK_ELEMENTS column-terms and the cap, so every result is
-    bit-identical to a term-by-term run's; once the wide part of a batch
-    has left, its narrow rest grows again from the rows it ran, not at once
-    to BLOCK_ELEMENTS // columns.  A block in which every column stops,
-    with none gone before it, is returned as it stands, with no compaction
-    and no scatter.  Returns per column the Kahan state (s, c) where it
-    stopped, the j it stopped at, its last size and its summed rounding
-    bound."""
+    max_terms=cap" with the partial sum of the first of them in the batch,
+    i.  The first block has `first` rows, which the caller sizes from |q|
+    to hold the whole series where it can, and each later one twice the
+    rows the last one ran, within BLOCK_ELEMENTS column-terms and the cap,
+    so every result is bit-identical to a term-by-term run's; once the
+    wide part of a batch has left, its narrow rest grows again from the
+    rows it ran, not at once to BLOCK_ELEMENTS // columns.  A block in
+    which every column stops, with none gone before it, is returned as it
+    stands, with no compaction and no scatter.  Returns per column the
+    Kahan state (s, c) where it stopped, the j it stopped at, its last size
+    and its summed rounding bound."""
     n = len(start)
     out_s, out_c = np.empty(n, dtype=complex), np.empty(n, dtype=complex)
     out_j, out_last, out_rnd = np.empty(n, dtype=int), np.empty(n), np.empty(n)
@@ -480,8 +480,7 @@ def _block_series(start: np.ndarray, start_rnd: np.ndarray, terms,
             return (sums[at, cols], comps[at, cols], j - rows + 1 + at, size[at, cols],
                     rnds[at, cols])
         if j == cap and not done.all():
-            failed = np.flatnonzero(~done)
-            i = failed[0] if rank is None else failed[np.argmin(rank[idx[failed]])]
+            i = np.flatnonzero(~done)[0]
             raise NonConvergenceError(f"{what(idx[i])} hit max_terms={cap}",
                                       ComplexVal(complex(s[i]), float("inf")))
         if np.count_nonzero(done):
@@ -814,6 +813,22 @@ def _points_rows(aq: float, ell: int, reach: float, tol: float) -> int:
     return j
 
 
+def _pair_small(tol: float):
+    """The kernels' stopping rule for `_block_series`: a term pair is small
+    once its size is not above tol max(|sum|, 1).  Written as a negation,
+    it also holds where the size or the sum is NaN, so that a series that
+    has left binary64 stops there, and `_finite` raises."""
+    return lambda size, sums: ~(size > tol * np.maximum(np.abs(sums), 1.0))
+
+
+def _finite(v: ComplexArray, what: str) -> ComplexArray:
+    """A kernel's result v, or OverflowError naming `what` if some value or
+    err is not finite."""
+    if np.isfinite(v.value).all() and np.isfinite(v.err).all():
+        return v
+    raise OverflowError(f"{what} leaves the floating-point range")
+
+
 def _exp_err(a) -> np.ndarray:
     """First-order relative error, in units of 2^-53, of exp(a) for an
     argument `a` built from a few rounded products of 2 pi i: each rounding
@@ -847,11 +862,12 @@ def _bernoulli_poly_float(m: int, y):
 def elliptic_bernoulli_points(m, x, y, tau: TauPoint,
                               policy: SeriesPolicy = DEFAULT_POLICY) -> ComplexArray:
     """`elliptic_bernoulli` at every point (x[i], y[i]) of two equal-length
-    arrays, in one batched run of its series.
+    arrays, in one batched run of its series per order.
 
     `m` is one order for every point, or an integer array of orders aligned
-    with x and y; all the orders then run in the same pass, each point's
-    value and err equal to a one-order call's bit for bit."""
+    with x and y; each order then runs its own pass, in ascending order, so
+    each point's value and err equal a one-order call's bit for bit, and
+    under a term cap the lowest order that fails raises."""
     return _bernoulli_points(m, x, y, _checked(tau, policy))
 
 
@@ -869,16 +885,17 @@ def _bernoulli_points(m, x, y, at: _Checked) -> ComplexArray:
         raise ValueError("m must be >= 0")
     _lattice_check(x, y, lambda i: (f"B_{m[i]}({float(x[i])}, {float(y[i])}; tau): "
                                     "x - y*tau is a lattice point"))
-    # B_0 = 1 with err 0: only the points of order >= 1 run, sorted by order
+    snapped = _snap(y)
+    dy = np.abs(y - snapped)
+    # B_0 = 1 with err 0; one pass per order >= 1, the whole batch's if it
+    # holds one order
     out = ComplexArray(np.ones(len(x), dtype=complex), np.zeros(len(x)))
-    run = np.flatnonzero(m > 0)
-    if run.size:
-        run = run[np.argsort(m[run], kind="stable")]
-        y = y[run]
-        snapped = _snap(y)
-        b = _bernoulli_series(m[run], x[run], snapped, at, (0.0, np.abs(y - snapped), 0.0),
-                              rank=run)
-        out.value[run], out.err[run] = b.value, b.err
+    for k in sorted(set(m.tolist()) - {0}):
+        on = m == k
+        if on.all():
+            return _bernoulli_series(k, x, snapped, at, (0.0, dy, 0.0))
+        b = _bernoulli_series(k, x[on], snapped[on], at, (0.0, dy[on], 0.0))
+        out.value[on], out.err[on] = b.value, b.err
     return out
 
 
@@ -887,22 +904,13 @@ def _bernoulli_points(m, x, y, at: _Checked) -> ComplexArray:
 _TWO_PI_ULPS = 2.0 * math.pi * 2.0**53
 
 
-def _bernoulli_series(m: np.ndarray, x: np.ndarray, y: np.ndarray, at: _Checked,
-                      arg_err, rank: Optional[np.ndarray] = None) -> ComplexArray:
+def _bernoulli_series(m: int, x: np.ndarray, y: np.ndarray, at: _Checked,
+                      arg_err) -> ComplexArray:
     """B_m(x, y; tau), m >= 1, by the series of `elliptic_bernoulli` at
     `at`'s tau, at points that passed the lattice check, with y snapped by
     the caller (`_snap`): each y is an integer or beyond _LATTICE_EPS of
-    one.
-
-    `m` is an ascending integer array with an order per point; all the
-    orders run in one pass, each on a slice of the columns
-    (`_order_groups`).  Every step that depends on the order, the power
-    (y -+ j)^(m-1) of a term, the closing term, the tail, the Bernoulli
-    polynomial and the rounding bound, runs once per order with m a Python
-    int, so each point's result does not depend on the other orders.  The
-    powers are IEEE products (`_ipow`), at most m - 2 of them, which the
-    m ulps charged to a term's power cover.  `rank` is as in
-    `_block_series`.
+    one.  The powers (y -+ j)^(m-1) are IEEE products (`_ipow`), at most
+    m - 2 of them, which the m ulps charged to a term's power cover.
 
     `arg_err` = (dx, dy, dtau) bounds the absolute errors of x, y and tau,
     dy an array with one entry per point, which carries the caller's snap
@@ -931,92 +939,63 @@ def _bernoulli_series(m: np.ndarray, x: np.ndarray, y: np.ndarray, at: _Checked,
     # A = |t1| / |D1| + kappa |t2| >= size / 2 as |D1| <= 2
     g += _TWO_PI_ULPS * dt
     err_x = _exp_err(TWO_PI_I * x) + _TWO_PI_ULPS * (dx + 3.0 * dy * abs(t))
-    err_v = _TWO_PI_ULPS * (dx + dy * abs(t) + y * dt)
     # dy in ulps, for the powers; only where some y moved
     dy_ulps = 2.0**53 * dy
-    moved = bool(dy_ulps.any())
+    moved = m > 1 and bool(dy_ulps.any())
 
-    def terms(js, y, emy, epy, emx, epx, err_x, mc, dy_ulps):
+    def terms(js, y, emy, epy, emx, epx, err_x, dy_ulps):
         # one row per j;  e(-y tau) q^j = e((j - y) tau),  e(y tau) q^j = e((j + y) tau)
         qj = np.array([cmath.exp(TWO_PI_I * j * t) for j in js])[:, None]
         j = np.array(js, dtype=float)[:, None]
         w1, w2 = emy * qj, epy * qj
         d1 = emx - w1
         t1, t2 = w1 / d1, -(w2 / (epx - w2))
-        groups = _order_groups(mc[0])
-        for k, on in groups:
-            if k > 1:
-                t1[:, on] = _ipow(y[:, on] - j, k - 1) * t1[:, on]
-                t2[:, on] = _ipow(y[:, on] + j, k - 1) * t2[:, on]
+        if m > 1:
+            t1, t2 = _ipow(y - j, m - 1) * t1, _ipow(y + j, m - 1) * t2
         a1, a2 = np.abs(t1), np.abs(t2)
         size = a1 + a2
         err_w = g * (j + 1) + 11.0
         rnd = (a1 / np.abs(d1) + kappa * a2) * (err_x + err_w)
-        for k, on in groups:
-            rnd[:, on] += size[:, on] * (k + 11.0 + err_w)
-            if k > 1 and moved:
-                # dy moving (y -+ j)^(k-1) by (k - 1) dy / (j -+ y) relative
-                rnd[:, on] += (k - 1) * dy_ulps[:, on] * (a1[:, on] / (j - y[:, on])
-                                                          + a2[:, on] / (j + y[:, on]))
+        rnd += size * (m + 11.0 + err_w)
+        if moved:
+            # dy moving (y -+ j)^(m-1) by (m - 1) dy / (j -+ y) relative
+            rnd += (m - 1) * dy_ulps * (a1 / (j - y) + a2 / (j + y))
         return t1 + t2, size, rnd
 
     emx = np.exp(-TWO_PI_I * x)
     # a term pair is at most (j + 1)^(m-1) (|q|^(j-y) + |q|^(j+y)), 0 <= y < 1
-    first = _points_rows(decay, int(m[-1]) - 1 if m.size else 0, 1.0, at.tol)
-    # a point stops after its jth term pair, j >= 2, once the pair's size
-    # |term 1| + |term 2| is at most tol max(|sum|, 1)
+    first = _points_rows(decay, m - 1, 1.0, at.tol)
     s, c, j, last, rnd = _block_series(
         np.zeros(len(x), dtype=complex), np.zeros(len(x)), terms,
         (y, np.exp(-TWO_PI_I * y * t), np.exp(TWO_PI_I * y * t), emx, emx.conj(),
-         err_x, m, dy_ulps),
-        at.cap, lambda size, sums: size <= at.tol * np.maximum(np.abs(sums), 1.0), 1, first,
-        lambda i: "elliptic Bernoulli series", rank)
+         err_x, dy_ulps),
+        at.cap, _pair_small(at.tol), 1, first, lambda i: "elliptic Bernoulli series")
 
-    def finish(m, x, y, s, c, j, last, rnd, err_v, dy):
-        arg = TWO_PI_I * (-x + y * t)
-        v = np.exp(arg)
-        closing = _ipow(y, m - 1) * v / (v - 1)
-        acc, _ = _kahan_add(s, c, closing)
-        r = decay * _ipow((j + 1 + y) / np.maximum(j - y, 0.5), m - 1) if m > 1 else decay
-        r = np.minimum(r, 0.99)
-        tail = m * (2.0 * last * r / (1.0 - r) + 1e-16 * np.abs(acc) * j)
-        value = m * acc + _bernoulli_poly_float(m, y)
-        # first-order rounding: the terms, the closing term (as above, with
-        # v - 1 for the denominator), the Kahan sum, m * acc, the Bernoulli
-        # polynomial's Horner steps (at most sum_j |C(m, j) B_j| on [0, 1))
-        # and the final sum
-        err_v = _exp_err(arg) + err_v
-        ratio = np.abs(v) / np.abs(v - 1)
-        rnd = rnd + np.abs(closing) * (m + 10.0 + err_v * (1.0 + ratio))
-        if m > 1:
-            # dy moving the closing term's y^(m-1)
-            rnd = rnd + (m - 1) * _ipow(y, m - 2) * ratio * (2.0**53 * dy)
-        rnd = (m * (rnd + 3.0 * np.abs(acc))
-               + 2.0 * (m + 1) * _bernoulli_poly_abs_sum(m)
-               + np.abs(value))
-        # dy moving B_m(y), whose slope m B_{m-1}(y) is at most
-        # m sum_j |C(m-1, j) B_j| on [0, 1)
-        slope = m * _bernoulli_poly_abs_sum(m - 1)
-        return value, tail + 2.0**-53 * rnd + dy * slope
-
-    cols = (x, y, s, c, j, last, rnd, err_v, dy)
-    value, err = np.empty(len(x), dtype=complex), np.empty(len(x))
-    for k, on in _order_groups(m):
-        value[on], err[on] = finish(k, *(a[on] for a in cols))
-    return ComplexArray(value, err)
-
-
-def _order_groups(m: np.ndarray) -> List[Tuple[int, slice]]:
-    """(k, the slice of the columns of order k) for each order k, as a
-    Python int, of the ascending order row m; a slice selects without
-    copying, so one order costs no masking."""
-    if not m.size:
-        return []
-    if m[0] == m[-1]:
-        # one order, as in zeta's B_1: no cuts to look for
-        return [(int(m[0]), slice(None))]
-    cuts = [0, *(np.flatnonzero(m[1:] != m[:-1]) + 1).tolist(), len(m)]
-    return [(int(m[lo]), slice(lo, hi)) for lo, hi in zip(cuts, cuts[1:])]
+    arg = TWO_PI_I * (-x + y * t)
+    v = np.exp(arg)
+    closing = _ipow(y, m - 1) * v / (v - 1)
+    acc, _ = _kahan_add(s, c, closing)
+    r = decay * _ipow((j + 1 + y) / np.maximum(j - y, 0.5), m - 1) if m > 1 else decay
+    r = np.minimum(r, 0.99)
+    tail = m * (2.0 * last * r / (1.0 - r) + 1e-16 * np.abs(acc) * j)
+    value = m * acc + _bernoulli_poly_float(m, y)
+    # first-order rounding: the terms, the closing term (as above, with
+    # v - 1 for the denominator), the Kahan sum, m * acc, the Bernoulli
+    # polynomial's Horner steps (at most sum_j |C(m, j) B_j| on [0, 1))
+    # and the final sum
+    err_v = _exp_err(arg) + _TWO_PI_ULPS * (dx + dy * abs(t) + y * dt)
+    ratio = np.abs(v) / np.abs(v - 1)
+    rnd = rnd + np.abs(closing) * (m + 10.0 + err_v * (1.0 + ratio))
+    if m > 1:
+        # dy moving the closing term's y^(m-1)
+        rnd = rnd + (m - 1) * _ipow(y, m - 2) * ratio * (2.0**53 * dy)
+    rnd = (m * (rnd + 3.0 * np.abs(acc))
+           + 2.0 * (m + 1) * _bernoulli_poly_abs_sum(m)
+           + np.abs(value))
+    # dy moving B_m(y), whose slope m B_{m-1}(y) is at most
+    # m sum_j |C(m-1, j) B_j| on [0, 1)
+    slope = m * _bernoulli_poly_abs_sum(m - 1)
+    return _finite(ComplexArray(value, tail + 2.0**-53 * rnd + dy * slope), f"B_{m}")
 
 
 def elliptic_bernoulli(m: int, x: float, y: float, tau: TauPoint,
@@ -1187,7 +1166,7 @@ def _b_series(x: np.ndarray, y: np.ndarray, at: _Checked, arg_err) -> ComplexArr
     b(z) and b(z + tau) = b(z) - 2 pi i.  `arg_err` as in `_Frame`: B_1
     carries it; an error dy of y moves -y as it moves B_1(y) = y - 1/2,
     whose share of B_1's err already counts it."""
-    b1 = _bernoulli_series(np.ones(len(x), dtype=np.intp), x - np.floor(x), y, at, arg_err)
+    b1 = _bernoulli_series(1, x - np.floor(x), y, at, arg_err)
     return (b1 - y) * -TWO_PI_I
 
 
@@ -1322,10 +1301,9 @@ def _p_deriv_series(k: int, x: np.ndarray, y: np.ndarray, at: _Checked, arg_err)
     # Phi_k(w) = w + O(w^2): a term pair is about |q|^(j-y0) + |q|^(j+y0),
     # 0 <= y0 <= 1/2, whatever k
     first = _points_rows(aq, 0, 0.5, at.tol)
-    # the B_m kernel's stopping rule, on the pairs Phi_k(u q^j), Phi_k(q^j / u)
+    # on the pairs Phi_k(u q^j), Phi_k(q^j / u)
     acc, _, j, last, rnd = _block_series(
-        start, s0 * (err_u + own), terms, (u, err_u), at.cap,
-        lambda size, sums: size <= at.tol * np.maximum(np.abs(sums), 1.0), 1, first,
+        start, s0 * (err_u + own), terms, (u, err_u), at.cap, _pair_small(at.tol), 1, first,
         lambda i: "pe Fourier series")
     pref = TWO_PI_I ** (k + 2)
     r = min(aq * 2.0, 0.99)
@@ -1352,7 +1330,7 @@ def weierstrass_p_deriv_points(k: int, z, tau: TauPoint,
 def _p_deriv_points(k: int, z, at: _Checked) -> ComplexArray:
     """`weierstrass_p_deriv_points` at `at`'s tau."""
     pe, f = _in_frame(partial(_p_deriv_series, k), z, at, "pe")
-    return pe if f.red is None else pe * f.red.weight(k + 2)
+    return _finite(pe if f.red is None else pe * f.red.weight(k + 2), f"pe^({k})")
 
 
 def weierstrass_p_deriv(k: int, z: complex, tau: TauPoint,

@@ -125,8 +125,9 @@ def _parts(a: ComplexArray, sizes: Sequence[int]) -> List[ComplexArray]:
 
 def _bernoulli_factors(factors: Sequence[Tuple[int, np.ndarray, np.ndarray]],
                        at: _Checked) -> List[ComplexArray]:
-    """B_m at the points (x, y) of each factor (m, x, y), every order in one
-    `elliptic_bernoulli_points` pass; one ComplexArray per factor."""
+    """B_m at the points (x, y) of each factor (m, x, y), from one
+    `elliptic_bernoulli_points` call, which runs one pass per order; one
+    ComplexArray per factor."""
     sizes = [len(x) for _, x, _ in factors]
     return _parts(_bernoulli_points(
         np.repeat([m for m, _, _ in factors], sizes),
@@ -377,8 +378,9 @@ def machide_reciprocity_residuals(pair: CoprimePair, s: float, t: float,
     with a = 1, b = p, c = q.  All three are zero in exact arithmetic.
 
     The three use eight distinct sums.  Every vector has equal components,
-    so both factors of each sum run at tau itself, and all sixteen factors,
-    the five B_0 = 1 among them, come from one pass.
+    so both factors of each sum run at tau itself, and all sixteen factors
+    come from one call: one pass of B_1 and one of B_2, as the five
+    B_0 = 1 among them run none.
     """
     pair.require_u()
     p, q = pair.p, pair.q
@@ -419,7 +421,8 @@ def proposition31_residual(pair: CoprimePair, s: float, tau: TauPoint,
     The left side is the sum of the two division sums
     (1/p) sum_{(l,m) != 0}^{p-1} B_1(l/p - s, m/p) B_1(q l/p, q m/p) and the
     same with p and q swapped; their four factors and the B_1 and B_2 at
-    (ps, 0) and (qs, 0) come from one pass."""
+    (ps, 0) and (qs, 0) come from one call, one pass of B_1 and one of
+    B_2."""
     pair.require_u()
     p, q = pair.p, pair.q
     if not 0 < abs(s) < 1 / (2 * max(p, q)):

@@ -113,8 +113,7 @@ def test_pinned_bit_identity():
 # ---------------------------------------------------------------------------
 
 
-def _series_by_term(start, start_rnd, terms, state, cap, small, streak, first, what,
-                    rank=None):
+def _series_by_term(start, start_rnd, terms, state, cap, small, streak, first, what):
     """`qseries._block_series` one term at a time, whatever its `first`
     block: the terms are asked for one j at a time and a column leaves the
     batch at the j it stops at.  The reference that the blocks must
@@ -147,9 +146,8 @@ def _series_by_term(start, start_rnd, terms, state, cap, small, streak, first, w
             idx, s, c, rnd, run = idx[keep], s[keep], c[keep], rnd[keep], run[keep]
             state = tuple(a[keep] for a in state)
     if idx.size:
-        first = 0 if rank is None else np.argmin(rank[idx])
-        raise NonConvergenceError(f"{what(idx[first])} hit max_terms={cap}",
-                                  ComplexVal(complex(s[first]), float("inf")))
+        raise NonConvergenceError(f"{what(idx[0])} hit max_terms={cap}",
+                                  ComplexVal(complex(s[0]), float("inf")))
     return out_s, out_c, out_j, out_last, out_rnd
 
 
@@ -265,13 +263,14 @@ def test_mixed_batch_at_small_im_tau(stops):
 
 @pytest.mark.parametrize("m", [1, 3])
 def test_one_row_last_block_of_one_point(monkeypatch, m):
-    """A batch of 512 points, whose blocks BLOCK_ELEMENTS cuts to 8 rows,
-    at a cap of 9 terms: 511 points of B_1 stop within the first block and
-    the slow last point, of B_1 or B_3, runs on into a last block of one
-    row and one point, where a product that broadcasts a 1-D array against
-    a 2-D one can round differently.  There B_1 stops on the cap and B_3
-    fails; either way the slow point's result equals its one-point call's,
-    which runs one block of 9 rows."""
+    """A batch of 512 points at a cap of 9 terms, 511 points of B_1 that
+    stop within 8 rows and a slow last point, of B_1 or B_3.  Of B_1, the
+    batch's blocks are cut by BLOCK_ELEMENTS to 8 rows, and the slow point
+    runs on into a last block of one row and one point, where a product
+    that broadcasts a 1-D array against a 2-D one can round differently;
+    there it stops on the cap.  Of B_3, it runs in a pass of its own, one
+    block of 9 rows, and fails.  Either way the slow point's result equals
+    its one-point call's, which runs one block of 9 rows."""
     blocks = []
     run = qseries._block_series
 
@@ -288,7 +287,7 @@ def test_one_row_last_block_of_one_point(monkeypatch, m):
     xs = [*rng.uniform(-1.0, 1.0, 511), 0.3]
     ys = [*rng.uniform(0.0, 0.3, 511), 0.97]
     batch = _outcome(lambda: elliptic_bernoulli_points([1] * 511 + [m], xs, ys, tau, policy))
-    assert blocks == [(8, 512), (1, 1)]
+    assert blocks == ([(8, 512), (1, 1)] if m == 1 else [(8, 511), (9, 1)])
     blocks.clear()
     alone = _outcome(lambda: elliptic_bernoulli_points(m, xs[-1:], ys[-1:], tau, policy))
     assert blocks == [(9, 1)]
@@ -376,41 +375,63 @@ def passes(monkeypatch):
     return seen
 
 
-def test_one_bernoulli_pass_per_symbol(passes):
-    """The Machide triple takes its eleven B_m factors from one pass; a
-    Prop. 3.1 residual its B_1 and B_2 from one and pe from another; the
-    Bernoulli route both factors from one."""
+@pytest.fixture
+def orders(monkeypatch):
+    """Records the order and the points of every B_m pass."""
+    seen = []
+    run = qseries._bernoulli_series
+
+    def spy(m, x, *rest):
+        seen.append((m, len(x)))
+        return run(m, x, *rest)
+
+    monkeypatch.setattr(qseries, "_bernoulli_series", spy)
+    return seen
+
+
+def test_one_bernoulli_pass_per_symbol(passes, orders):
+    """A symbol runs one B_m pass per order it needs, in ascending order:
+    the Machide triple B_1 and B_2 (its B_0 run none), a Prop. 3.1
+    residual B_1 and B_2 and then pe, the Bernoulli route B_1 and
+    B_{2n+1}."""
     tau = TauPoint(0.3 + 1.1j)
-    symbols.machide_reciprocity_residuals(CoprimePair(5, 3), 0.013, 0.007, tau)
-    assert len(passes) == 1
-    passes.clear()
-    symbols.proposition31_residual(CoprimePair(5, 3), 0.04, tau)
-    assert len(passes) == 2
-    passes.clear()
-    symbols.elliptic_apostol_sum(2, CoprimePair(5, 3), tau, Route.BERNOULLI_PRODUCT)
-    assert len(passes) == 1
+    for call, expected, extra in [
+            (lambda: symbols.machide_reciprocity_residuals(CoprimePair(5, 3), 0.013, 0.007, tau),
+             [1, 2], 0),
+            (lambda: symbols.proposition31_residual(CoprimePair(5, 3), 0.04, tau), [1, 2], 1),
+            (lambda: symbols.elliptic_apostol_sum(2, CoprimePair(5, 3), tau,
+                                                  Route.BERNOULLI_PRODUCT), [1, 5], 0)]:
+        passes.clear()
+        orders.clear()
+        call()
+        assert [m for m, _ in orders] == expected
+        assert all(type(m) is int for m, _ in orders)
+        assert len(passes) == len(expected) + extra
+        assert [columns for columns, _, _ in passes[:len(orders)]] == [n for _, n in orders]
 
 
 def test_narrow_tail_grows_from_the_rows_it_ran(passes):
-    """In the merged Prop. 3.1 batch at (23, 17) and Im tau = 0.06, the
-    B_1 division sums, three factors per pair {P, -P}, run in blocks of
-    three rows (BLOCK_ELEMENTS // columns, far below the first block that
-    |q| calls for) and stop by j = 76, and B_2 at (23 s, 0), (17 s, 0)
-    runs on to j = 87: the two columns left grow from three rows again,
-    and each pass runs under 2 j + its first block's rows in all."""
-    symbols.proposition31_residual(CoprimePair(23, 17), 0.3 / 46, TauPoint(0.2 + 0.06j))
-    columns, rows, last = passes[0]
-    assert columns == 3 * (23**2 - 1) // 2 + 3 * (17**2 - 1) // 2 + 4
-    assert rows[0] == 3 and last == 87
-    for columns, rows, last in passes:
-        assert sum(rows) < 2 * last + rows[0]
+    """A B_1 batch at Im tau = 0.06 of 1200 points next to the lattice
+    point -tau and two in the cell: the wide part runs in blocks of three
+    rows (BLOCK_ELEMENTS // columns, far below the first block that |q|
+    calls for) and leaves first, and the two columns left grow from three
+    rows again, not at once to BLOCK_ELEMENTS // 2, so that the pass runs
+    under 2 j + its first block's rows in all."""
+    xs, ys = [1e-7] * 1200 + [0.3, 0.2], [1 - 1e-9] * 1200 + [0.5, 0.9]
+    elliptic_bernoulli_points(1, xs, ys, TauPoint(0.2 + 0.06j))
+    (columns, rows, last), = passes
+    assert columns == 1202 and rows[0] == 3 and last > 64
+    assert rows[-3:] == [6, 12, 24]
+    assert sum(rows) < 2 * last + rows[0]
 
 
 @pytest.mark.parametrize("t", [0.3 + 1.1j, 0.0 + 1.5j, -0.5 + 0.87j, 0.45 + 0.9j])
-def test_passes_in_F_run_one_block(passes, t):
-    """At tau in F, every B_1 or pe pass of at most 64 points, those of
-    the zeta route, D^-(x) and R^-(x), runs exactly one block, of at most
-    its largest stopping j + 2 rows."""
+def test_passes_in_F_run_one_block(passes, orders, t):
+    """At tau in F, every pass of at most 64 points runs exactly one block,
+    of at most its largest stopping j + 2 rows: the B_1 and pe passes of
+    the zeta route, D^-(x) and R^-(x); and so does every pass of the
+    Bernoulli route, the Machide triple and Prop. 3.1 at pairs whose B_m
+    passes, one per order, hold at most 70 points."""
     tau = TauPoint(t)
     for p, q in PIN_PQ + [(5, 3), (8, 3), (11, 4)]:
         pair = CoprimePair(p, q)
@@ -421,5 +442,15 @@ def test_passes_in_F_run_one_block(passes, t):
         symbols.generating_R(pair, tau, x)
     small = [(rows, last) for columns, rows, last in passes if columns <= 64]
     assert len(small) > 50
-    for rows, last in small:
+    passes.clear()
+    orders.clear()
+    for p, q in [(2, 1), (3, 2), (7, 4), (5, 3), (8, 3), (11, 4)]:
+        for n in (1, 2, 3):
+            symbols.elliptic_apostol_sum(n, CoprimePair(p, q), tau, Route.BERNOULLI_PRODUCT)
+    symbols.machide_reciprocity_residuals(CoprimePair(5, 3), 0.013, 0.007, tau)
+    symbols.proposition31_residual(CoprimePair(5, 3), 0.04, tau)
+    # two B_m passes per call, and Prop. 3.1's pe pass
+    assert len(orders) == 6 * 3 * 2 + 2 + 2 and len(passes) == len(orders) + 1
+    assert all(type(m) is int and columns <= 70 for m, columns in orders)
+    for rows, last in small + [(rows, last) for _, rows, last in passes]:
         assert len(rows) == 1 and rows[0] <= last + 2

@@ -250,6 +250,21 @@ class TestVerifyExitCodes:
         assert (code, out) == (3, "")
         assert err.splitlines() == ["error: zeta pole: z = 0j is on the lattice"]
 
+    @pytest.mark.parametrize("argv, name", [
+        (["eval", "elliptic-bernoulli", "-m", "186", "--x", "0.1", "--y", "0.2"], "B_186"),
+        (["eval", "zeta-w", "--z", "0.3", "--order", "151"], "pe^(150)"),
+        (["eval", "elliptic-sum", "-n", "93", "-p", "5", "-q", "3",
+          "--route", "bernoulli_product"], "B_187"),
+        (["eval", "zeta-w", "--z", "1e-10", "--order", "41"], "pe^(40)"),
+    ])
+    def test_value_beyond_binary64_is_domain_error(self, argv, name):
+        # no NaN or Infinity in the JSON, and no run on to max_terms
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code, out, err = run_cli(argv + ["--tau", "0.3+1.1i"])
+        assert (code, out) == (3, "")
+        assert err.splitlines() == [f"error: {name} leaves the floating-point range"]
+
 
 class TestVerifyFamilies:
     @pytest.mark.parametrize("argv", [

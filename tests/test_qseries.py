@@ -411,7 +411,7 @@ PUBLIC_TAU_CALLS = {
     "elliptic_bernoulli": (lambda t, pol: elliptic_bernoulli(3, 0.3, 0.2, t, pol), 1),
     "elliptic_bernoulli_points": (
         lambda t, pol: elliptic_bernoulli_points(3, *_grid_xy(), t, pol), 1),
-    # one pass for every order of a mixed-order call
+    # one pass per order of a mixed-order call
     "elliptic_bernoulli_points_mixed": (lambda t, pol: elliptic_bernoulli_points(
         [(0, 3, 1, 2)[i % 4] for i in range(48)], *_grid_xy(), t, pol), 1),
     "elliptic_bernoulli_points_b0": (
@@ -616,6 +616,51 @@ class TestPolicyGuards:
         assert not ran and [f.cache_info() for f in caches] == before
 
 
+#: calls whose B_m or pe^(k) leaves binary64, with the name the error gives
+#: it; the last outside F, where a finite pe^(120) at the reduced tau
+#: overflows in its weight
+BEYOND_BINARY64 = [
+    (lambda: elliptic_bernoulli(186, 0.1, 0.2, TauPoint(0.3 + 1.1j)), "B_186"),
+    (lambda: weierstrass_zeta_deriv(151, 0.3, TauPoint(0.3 + 1.1j)), r"pe\^\(150\)"),
+    (lambda: elliptic_apostol_sum(93, CoprimePair(5, 3), TauPoint(0.3 + 1.1j),
+                                  Route.BERNOULLI_PRODUCT), "B_187"),
+    (lambda: weierstrass_zeta_deriv(41, 1e-10, TauPoint(0.3 + 1.1j)), r"pe\^\(40\)"),
+    (lambda: weierstrass_zeta_deriv(121, 0.3, TauPoint(0.3 + 0.06j)), r"pe\^\(120\)"),
+]
+
+
+class TestBeyondBinary64:
+    @pytest.mark.parametrize("call, name", BEYOND_BINARY64,
+                             ids=["b186", "pe150", "bernoulli_route_n93", "pe40_near_pole",
+                                  "pe120_reduced"])
+    def test_raises_overflow_error_at_once(self, call, name, monkeypatch):
+        """OverflowError naming the function, where the value or its err is
+        not finite; a NaN term stops its series, which no longer runs on to
+        max_terms."""
+        stops = []
+        run = qseries._block_series
+
+        def spy(*args):
+            out = run(*args)
+            stops.append(int(out[2].max(initial=0)))
+            return out
+
+        monkeypatch.setattr(qseries, "_block_series", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("ignore", SlowNomeWarning)
+            with pytest.raises(OverflowError, match=rf"^{name} leaves the floating-point range$"):
+                call()
+        assert stops and max(stops) < 64
+
+    def test_large_order_in_range_keeps_its_value(self):
+        # B_160 at the same point stays within binary64
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            v = elliptic_bernoulli(160, 0.1, 0.2, TauPoint(0.3 + 1.1j))
+        assert cmath.isfinite(v.value) and math.isfinite(v.err) and abs(v.value) > 1e156
+
+
 class TestZetaOdd:
     def test_zeta3(self):
         assert abs(zeta_odd(1) - 1.2020569031595943) < 1e-12
@@ -768,8 +813,9 @@ class TestBatchedKernels:
 
     def test_mixed_orders_errors(self):
         """A lattice point is named with its own order; under a capped
-        policy the partial is that of the first point, in the caller's order,
-        that fails alone."""
+        policy the error is that of the first point of the lowest order
+        that fails alone, as the orders run one pass each in ascending
+        order."""
         tau = TauPoint(1j)
         with pytest.raises(LatticePointError, match=r"^B_5\(2\.0, -1\.0"):
             elliptic_bernoulli_points([2, 5, 1], [0.3, 2.0, 0.5], [0.1, -1.0, 0.2], tau)
@@ -787,7 +833,7 @@ class TestBatchedKernels:
         assert unsigned.err.tobytes() == signed.err.tobytes()
         policy = SeriesPolicy(max_terms=5)
         # B_0, two points that converge within the cap, then two that do
-        # not: B_3 ahead of a B_1
+        # not: B_3 ahead of a B_1, whose pass runs first
         orders, xs, ys = [0, 1, 2, 3, 1], [0.3, 0.5, 0.3, 0.4, 0.3], [0.2, 0.0, 0.2, 0.5, 0.9]
         alone = []
         for k, x, y in zip(orders, xs, ys):
@@ -798,8 +844,8 @@ class TestBatchedKernels:
         assert len(alone) == 2
         with pytest.raises(NonConvergenceError) as info:
             elliptic_bernoulli_points(orders, xs, ys, tau, policy)
-        assert str(info.value) == str(alone[0])
-        assert repr(info.value.partial) == repr(alone[0].partial)
+        assert str(info.value) == str(alone[1])
+        assert repr(info.value.partial) == repr(alone[1].partial)
 
     @pytest.mark.parametrize("x, y", [([0.1], [0.3, 0.4]), ([0.1, 0.2], [0.3])])
     def test_points_of_unequal_shape_rejected(self, x, y, monkeypatch):
@@ -1038,6 +1084,29 @@ class TestKernelErrAgainstMpmath:
                 for i, (x, y) in enumerate(pts):
                     ref = complex(self._bernoulli(mp, m, mp.mpf(x), mp.mpf(y), t))
                     assert abs(batch[i].value - ref) <= batch[i].err, (m, x, y, batch[i], ref)
+
+    @given(points=st.lists(
+               st.tuples(st.integers(0, 7), st.floats(-1.5, 1.5), st.floats(-1.5, 1.5))
+               # off the lattice, as the kernel's check requires
+               .filter(lambda p: max(abs(p[1] - round(p[1])), abs(p[2] - round(p[2]))) > 1e-12),
+               min_size=1, max_size=5),
+           re=st.floats(-0.5, 0.5), im=st.floats(0.05, 1.5))
+    @settings(max_examples=60, deadline=None)
+    def test_elliptic_bernoulli_mixed_orders(self, points, re, im):
+        """A batch of mixed orders at random points and tau: every point
+        equals its one-order, one-point call bit for bit and lies within
+        err of the 30-digit sum."""
+        mp = pytest.importorskip("mpmath")
+        orders, xs, ys = zip(*points)
+        tau = TauPoint(complex(re, im))
+        with mp.workdps(30), warnings.catch_warnings():
+            warnings.simplefilter("ignore", SlowNomeWarning)
+            batch = elliptic_bernoulli_points(list(orders), xs, ys, tau)
+            t = mp.mpc(re, im)
+            for i, (m, x, y) in enumerate(points):
+                assert repr(batch[i]) == repr(elliptic_bernoulli_points(m, [x], [y], tau)[0])
+                ref = complex(self._bernoulli(mp, m, mp.mpf(x), mp.mpf(y), t)) if m else 1
+                assert abs(batch[i].value - ref) <= batch[i].err, (m, x, y, tau, batch[i], ref)
 
     @pytest.mark.parametrize("tau", TAUS)
     def test_p_deriv(self, tau):

@@ -36,7 +36,6 @@ from .qseries import (
     _Checked,
     _checked,
     _checked_n,
-    _cmul,
     _eisenstein_normalized,
     _eisenstein_table,
     _eisenstein_tables,
@@ -297,9 +296,10 @@ def basis_rank(w: int, taus: List[TauPoint],
     """Numerical rank of the reciprocity polynomials {R^-_w(.,.;tau_i)} over
     their monomial support (singular values above RANK_THRESHOLD x largest).
 
-    The polynomials equal `reciprocity_laurent`'s; their coefficients come
-    from one Eisenstein pass over the whole sample (`_rank_matrix`), which
-    leaves the per-tau record to the callers that reuse their tau."""
+    The polynomials equal `reciprocity_laurent`'s up to rounding; their
+    coefficients come from one Eisenstein product over the whole sample
+    (`_rank_matrix`), which leaves the per-tau record to the callers that
+    reuse their tau."""
     n = _checked_weight(w) // 2
     # in order, each with its own warning: a rejected tau raises before any series
     ats = [_checked(tau, policy) for tau in taus]
@@ -312,20 +312,18 @@ def basis_rank(w: int, taus: List[TauPoint],
 def _rank_matrix(n: int, ats: Sequence[_Checked]) -> np.ndarray:
     """The coefficients of R^-_{2n}(.,.;tau), one row per record of `ats`,
     in the sorted order of their support: (-1, -1), then (2j-1, 2n+1-2j) for
-    j = 0..n+1.  Each entry equals `reciprocity_laurent`'s bit for bit: the
-    Eisenstein table, c_j and Laurent steps run on (tau x column) arrays
-    with every complex product rounded by `_cmul` as Python rounds it, and
-    no err is formed, since the rank reads none.  The tables come from one
-    pass over the sample (`_eisenstein_tables`), which neither reads nor
-    fills the caches."""
+    j = 0..n+1.  Each entry equals `reciprocity_laurent`'s up to rounding:
+    the Eisenstein table, c_j and Laurent steps run on (tau x column) numpy
+    arrays, and no err is formed, since the rank reads none.  The tables
+    come from one product over the sample (`_eisenstein_tables`), which
+    neither reads nor fills the caches."""
     e_top, prods, de = _eisenstein_tables(n, ats)
     # c_0..c_{n+1}, as `_coefficients_of` forms them
     c = np.empty((len(ats), n + 2), dtype=complex)
     c[:, 0] = c[:, n + 1] = e_top
     c[:, 1:n + 1] = -prods
     for j in sorted({1, n}):
-        delta = (1 if j == 1 else 0) + (1 if j == n else 0)
-        c[:, j] = c[:, j] + -_cmul(de, delta * 1j * math.pi / n)
+        c[:, j] -= de * (((j == 1) + (j == n)) * 1j * math.pi / n)
     # the Laurent coefficients, as `_laurent_of` forms them
     inv = 1.0 / (TWO_PI_I**2).real
-    return np.column_stack((_cmul(c[:, 0], (2 * n + 1) * inv), _cmul(c, inv)))
+    return np.column_stack((c[:, 0] * ((2 * n + 1) * inv), c * inv))

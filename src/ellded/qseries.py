@@ -4,26 +4,26 @@ Bernoulli functions.
 All evaluation is binary64 complex with explicit truncation-error tracking
 (`ComplexVal.err` bounds the discarded series tails via geometric estimates,
 plus a first-order bound on the rounding).
-Each series runs in a fixed ascending order and adds its terms with one
-compensated (Kahan) step, `_kahan_add`, on Python scalars for the scalar
-Eisenstein sums and elementwise on arrays for the batched series, so repeated
-runs are bit-identical.
+The scalar Eisenstein loop and the kernels' series run in a fixed ascending
+order and add their terms with one compensated (Kahan) step, `_kahan_add`,
+on Python scalars for the loop and elementwise on arrays for the kernels, so
+repeated runs are bit-identical.
 
-Every batched series runs on one engine, `_block_series`.  Each column of a
-batch, a point of a kernel or one q-sum of the Eisenstein pass, keeps its own
-Kahan state, stopping rule and rounding bound under the batch's one term
-cap, and leaves the batch once it has stopped; the engine raises the term
-cap's NonConvergenceError for the first column still running after
-max_terms, so no caller has a failure path of its own.  The kernels share
-one stopping rule, `_pair_small`, which a NaN term meets, and raise
-OverflowError where a value or err leaves binary64 (`_finite`).  The terms
-are evaluated in blocks of consecutive j, as 2-D arrays over (j, column) of
-at most BLOCK_ELEMENTS entries, and then added one j at a time, each Kahan
+The kernels' series run on one engine, `_block_series`.  Each column of a
+batch, a point of a kernel, keeps its own Kahan state and rounding bound
+under the batch's one term cap and one stopping rule, a term pair not above
+tol max(|sum|, 1), which a NaN pair also meets, and leaves the batch once
+it has stopped; the engine raises the term cap's NonConvergenceError for
+the first column still running after max_terms, so no kernel has a failure
+path of its own.  The kernels run under `np.errstate(all="ignore")`: rows
+past the stop may overflow unseen, and `_finite` is the one check, which
+raises OverflowError where a value or err leaves binary64.  The terms are
+evaluated in blocks of consecutive j, as 2-D arrays over (j, column) of at
+most BLOCK_ELEMENTS entries, and then added one j at a time, each Kahan
 step written in place into the block's rows, so values equal a
-term-by-term run's bit for bit.  The first block is sized from |q|, by
-`_points_rows` for the kernels and `_q_sum_rows` for the Eisenstein pass,
-so that a pass near the fundamental domain runs one block, which it
-returns as it stands once every column has stopped in it.
+term-by-term run's bit for bit.  The first block is sized from |q|
+(`_points_rows`), so that a pass near the fundamental domain runs one
+block, which it returns as it stands once every column has stopped in it.
 
 The Weierstrass and elliptic Bernoulli functions are array kernels
 (`*_points`) on the engine; the scalar functions are one-point calls to them.
@@ -44,14 +44,15 @@ there, before any series runs.  The points of a kernel call pass one check,
 _LATTICE_EPS of an integer is snapped to it (`_snap`, on the same
 near-integer test) before the series, which count the shift in err.
 The Eisenstein q-sums are memoised per (n, record, tau_deriv) in a bounded
-`lru_cache` over a scalar loop, which a single q-sum runs several times
-faster than the engine.  `_eisenstein_q_sums` computes the same sums for a
-whole sample of tau on the engine, without the cache and without their
-bounds, as one (tau x column) array.  The Eisenstein table that R^-_{2n} and
-the identities are built from, E_{2n+2}, the products E_{2j} E_{2n+2-2j}
-and dE_{2n}/dtau, lives here in both its shapes: per tau from the cached
-q-sums (`_eisenstein_table`, uncached itself, as `identities` keeps one
-record per (n, tau) built from it), and over a sample from one engine pass
+`lru_cache` over a scalar loop.  `_eisenstein_q_sums` computes the same sums
+for a whole sample of tau, without the cache and without their bounds, as
+one matrix product of the powers q^k and the divisor sums: a (tau x column)
+array equal to the loop's sums up to rounding, for `basis_rank`, whose
+output is a rank.  The Eisenstein table that R^-_{2n} and the identities
+are built from, E_{2n+2}, the products E_{2j} E_{2n+2-2j} and dE_{2n}/dtau,
+lives here in both its shapes: per tau from the cached q-sums
+(`_eisenstein_table`, uncached itself, as `identities` keeps one record per
+(n, tau) built from it), and over a sample from one product
 (`_eisenstein_tables`), so that no other module reads a q-sum.
 """
 
@@ -401,17 +402,17 @@ BLOCK_ELEMENTS = 4096
 
 
 def _block_series(start: np.ndarray, start_rnd: np.ndarray, terms,
-                  state: Tuple[np.ndarray, ...], cap: int, small, streak: int,
-                  first: int, what):
-    """Run the series `start + sum_j terms(js, *state)` in every column of a
-    batch; each column starts from `start`, whose rounding bound is
-    `start_rnd`.
+                  state: Tuple[np.ndarray, ...], cap: int, tol: float, first: int,
+                  what: str):
+    """Run the kernel series `start + sum_j terms(js, *state)` in every
+    column of a batch; each column starts from `start`, whose rounding bound
+    is `start_rnd`.
 
     The terms come in blocks of consecutive j.  `terms(js, *state)` gets the
     block's j as Python ints and the per-column inputs `state` of the columns
     still running as rows (1 x columns); it returns fresh 2-D arrays, which
     the engine may overwrite, with one row per j and one column per running
-    column: the jth term, its size and a first-order bound, in units of
+    column: the jth term pair, its size and a first-order bound, in units of
     2^-53, on its rounding error.  Each row must equal what a term-by-term
     run computes at that j; with 2-D operands on both sides, numpy rounds a
     broadcast complex product as it rounds an array times a scalar, while a
@@ -419,29 +420,28 @@ def _block_series(start: np.ndarray, start_rnd: np.ndarray, terms,
 
     The rows are added in order, one Kahan step each, written straight into
     the block's rows of sums and compensations; the rounding bounds are
-    summed row by row in place.  `small(size, sums)` tells elementwise
-    whether a term is small next to the sum after it; a column stops after
-    its jth term, j >= 2, once its last `streak` terms were small, and
-    leaves the batch at the end of its block.  If some columns are still
-    running after `cap` terms, raises NonConvergenceError "`what(i)` hit
-    max_terms=cap" with the partial sum of the first of them in the batch,
-    i.  The first block has `first` rows, which the caller sizes from |q|
-    to hold the whole series where it can, and each later one twice the
-    rows the last one ran, within BLOCK_ELEMENTS column-terms and the cap,
-    so every result is bit-identical to a term-by-term run's; once the
-    wide part of a batch has left, its narrow rest grows again from the
-    rows it ran, not at once to BLOCK_ELEMENTS // columns.  A block in
-    which every column stops, with none gone before it, is returned as it
-    stands, with no compaction and no scatter.  Returns per column the
-    Kahan state (s, c) where it stopped, the j it stopped at, its last size
-    and its summed rounding bound."""
+    summed row by row in place.  A column stops after its jth term pair,
+    j >= 2, once that pair's size is not above tol max(|sum|, 1): the one
+    stopping rule, which, written as a negation, also holds where the size
+    or the sum is NaN, so that a series that has left binary64 stops there
+    and its kernel raises (`_finite`).  A stopped column leaves the batch at
+    the end of its block.  If some columns are still running after `cap`
+    terms, raises NonConvergenceError "`what` hit max_terms=cap" with the
+    partial sum of the first of them in the batch.  The first block has
+    `first` rows, which the caller sizes from |q| to hold the whole series
+    where it can, and each later one twice the rows the last one ran,
+    within BLOCK_ELEMENTS column-terms and the cap, so every result is
+    bit-identical to a term-by-term run's; once the wide part of a batch has
+    left, its narrow rest grows again from the rows it ran, not at once to
+    BLOCK_ELEMENTS // columns.  A block in which every column stops, with
+    none gone before it, is returned as it stands, with no compaction and
+    no scatter.  Returns per column the Kahan state (s, c) where it stopped,
+    the j it stopped at, its last size and its summed rounding bound."""
     n = len(start)
     out_s, out_c = np.empty(n, dtype=complex), np.empty(n, dtype=complex)
     out_j, out_last, out_rnd = np.empty(n, dtype=int), np.empty(n), np.empty(n)
     idx = np.arange(n)
     s, c, rnd = start + 0j, np.zeros(n, dtype=complex), start_rnd
-    # whether each column's last streak - 1 terms were small
-    prev = np.zeros((streak - 1, n), dtype=bool)
     j = 0
     width = first
     while idx.size:
@@ -461,14 +461,8 @@ def _block_series(start: np.ndarray, start_rnd: np.ndarray, terms,
         r[0] += rnd
         rnds = np.add.accumulate(r, axis=0, out=r)
         rnd = rnds[-1]
-        runs = small(size, sums)
-        if streak > 1:
-            runs = np.concatenate((prev, runs))
-            prev = runs[rows:]
-        # stop[i]: the `streak` terms up to row i were small
-        stop = runs[streak - 1:]
-        for d in range(1, streak):
-            stop = stop & runs[streak - 1 - d:streak - 1 - d + rows]
+        # stop[i]: the term pair of row i is small
+        stop = ~(size > tol * np.maximum(np.abs(sums), 1.0))
         if j == 0:
             stop[0] = False
         j += rows
@@ -481,7 +475,7 @@ def _block_series(start: np.ndarray, start_rnd: np.ndarray, terms,
                     rnds[at, cols])
         if j == cap and not done.all():
             i = np.flatnonzero(~done)[0]
-            raise NonConvergenceError(f"{what(idx[i])} hit max_terms={cap}",
+            raise NonConvergenceError(f"{what} hit max_terms={cap}",
                                       ComplexVal(complex(s[i]), float("inf")))
         if np.count_nonzero(done):
             k, at, col = idx[done], at[done], cols[done]
@@ -489,7 +483,7 @@ def _block_series(start: np.ndarray, start_rnd: np.ndarray, terms,
             out_j[k], out_last[k] = j - rows + 1 + at, size[at, col]
             keep = ~done
             idx, s, c, rnd = idx[keep], s[keep], c[keep], rnd[keep]
-            prev, state = prev[:, keep], tuple(a[keep] for a in state)
+            state = tuple(a[keep] for a in state)
         width = 2 * rows
     return out_s, out_c, out_j, out_last, out_rnd
 
@@ -561,7 +555,8 @@ def _eisenstein_q_sum(n: int, at: _Checked, tau_deriv: bool) -> Tuple[complex, f
     in order with one Kahan step each; the sum stops after three terms in a
     row below tol relative to it.  A NonConvergenceError is raised afresh
     each time, as `lru_cache` keeps only returned values; `_eisenstein_q_sums`
-    runs the same loop over many columns at once and keeps only the sums."""
+    forms the same sums over a sample as one matrix product, with the same
+    stopping rule and no bound."""
     cap, tol = at.cap, at.tol
     q = cmath.exp(TWO_PI_I * at.tau)
     err_q = _nome_err(at.tau)
@@ -593,14 +588,14 @@ def _eisenstein_q_sum(n: int, at: _Checked, tau_deriv: bool) -> Tuple[complex, f
     return acc, _q_sum_bound(n, tau_deriv, abs(q), k, last, rnd)
 
 
-def _q_sum_rows(aq: float, ell: int, tol: float, streak: int) -> int:
+def _q_sum_rows(aq: float, ell: int, tol: float) -> int:
     """An estimate of the terms a q-sum with |q| = aq runs before its
-    stopping rule fires, from model terms k^ell aq^k: the first k >= 2 that
-    ends `streak` model terms in a row below tol/100 times the largest
-    before them; at most BLOCK_ELEMENTS.  The series runs longer where
-    sigma_ell(k) exceeds k^ell and where its terms cancel, which the
-    hundredth allows for near the fundamental domain; an estimate that
-    falls short costs a second block, not a value."""
+    stopping rule fires, from model terms k^ell aq^k: the first k that ends
+    three model terms in a row below tol/100 times the largest before them;
+    at most BLOCK_ELEMENTS.  The series runs longer where sigma_ell(k)
+    exceeds k^ell and where its terms cancel, which the hundredth allows for
+    near the fundamental domain; an estimate that falls short costs a
+    second product, not a value."""
     log_q = math.log(aq) if aq > 0.0 else -math.inf
     log_tol = math.log(tol) - math.log(100.0)
     peak, run = -math.inf, 0
@@ -608,7 +603,7 @@ def _q_sum_rows(aq: float, ell: int, tol: float, streak: int) -> int:
         t = ell * math.log(k) + k * log_q
         peak = max(peak, t)
         run = run + 1 if t <= log_tol + peak else 0
-        if run >= streak and k >= 2:
+        if run >= 3:
             return k
     return BLOCK_ELEMENTS
 
@@ -616,58 +611,45 @@ def _q_sum_rows(aq: float, ell: int, tol: float, streak: int) -> int:
 def _eisenstein_q_sums(ats: Sequence[_Checked], cols: Sequence[Tuple[int, bool]]) -> np.ndarray:
     """The sum of `_eisenstein_q_sum(n, at, tau_deriv)` for every column
     (n, tau_deriv) of `cols` at every `at` of `ats`, records made under one
-    policy and so with one tol and one term cap, in one `_block_series` run
-    and without the cache: a (tau x column) complex array, bit for bit the
-    scalar loop's sums.  No bound is formed.
+    policy and so with one tol and one term cap, without the cache and
+    without their bounds: a (tau x column) complex array, equal to the
+    scalar loop's sums up to rounding.
 
-    Each tau forms q^k by the scalar loop's Python complex products.  sigma
-    q^k and its 2 pi i k factor are taken as separate real and imaginary
-    float products: Python's complex products add only zeros to them, which
-    can change the sign of a zero part but not a Kahan sum that starts from
-    +0.  Each column has the scalar loop's three-term stopping rule.  The
-    first block runs the terms `_q_sum_rows` estimates for the
-    largest |q| and the largest power of k (2n - 1, one more with the
-    2 pi i k factor), so that a sample near the fundamental domain runs in
-    one block.  If some columns hit the cap, the engine raises the scalar
-    loop's NonConvergenceError of the first: first tau in order, then first
-    column in order."""
-    ncols, streak = len(cols), 3
+    The first `count` terms of every sum come from one matrix product: q^k
+    for k = 1..count at every tau, a running product (tau x k), times
+    sigma_{2n-1}(k), by 2 pi i k in the tau_deriv columns (k x column).
+    `count` starts at the terms `_q_sum_rows` estimates for the largest |q|
+    and the largest power of k, within the cap, and doubles within the cap
+    until every sum ends in three terms of at most tol times its size, the
+    scalar loop's stopping rule, so that no sum stops before the loop's
+    would.  At count = cap, a sum still short raises the scalar loop's
+    NonConvergenceError, for the first in order, first tau then first
+    column, with the sum of its first cap terms as the partial."""
     if not ats:
-        return np.empty((0, ncols), dtype=complex)
+        return np.empty((0, len(cols)), dtype=complex)
     tol, cap = ats[0].tol, ats[0].cap
     ells = tuple(sorted({2 * n - 1 for n, _ in cols}))
-    tau_of = np.repeat(np.arange(len(ats)), ncols)
-    ell_of = np.array([ells.index(2 * n - 1) for n, _ in cols] * len(ats), dtype=int)
-    deriv = np.array([d for _, d in cols] * len(ats), dtype=bool)
-    qs = [cmath.exp(TWO_PI_I * at.tau) for at in ats]
-    qks = [1.0 + 0j] * len(ats)
-
-    def terms(ks, tau_i, ell_i, deriv):
-        # one row per k; q^k is the running product at every tau
-        nonlocal qks
-        powers = []
-        for _ in ks:
-            qks = [qk * q for qk, q in zip(qks, qs)]
-            powers += qks
-        qk = np.array(powers, dtype=complex).reshape(len(ks), len(qs))[:, tau_i[0]]
-        sig = _divisor_power_sums(ells, ks[-1])[ks[0] - 1:ks[-1], ell_i[0]]
-        re, im = sig * qk.real, sig * qk.imag
-        d, m = np.array(ks, dtype=float)[:, None] * TWO_PI_I.imag, deriv[0]
-        re[:, m], im[:, m] = -(im[:, m] * d), re[:, m] * d
-        term = np.empty(re.shape, dtype=complex)
-        term.real, term.imag = re, im
-        size = np.hypot(re, im)  # _abs(term)
-        # no rounding bound: the pass forms none
-        return term, size, np.zeros_like(size)
-
-    first = _q_sum_rows(max(map(abs, qs), default=0.0),
-                        max((2 * n - 1 + d for n, d in cols), default=1), tol, streak)
-    sums, _, _, _, _ = _block_series(
-        np.zeros(len(tau_of), dtype=complex), np.zeros(len(tau_of)), terms,
-        (tau_of, ell_of, deriv), cap,
-        lambda size, s: (size <= tol * np.maximum(_abs(s), 1e-300)) | (size == 0.0),
-        streak, first, lambda i: _q_sum_what(cols[i % ncols][0]))
-    return sums.reshape(len(ats), ncols)
+    ell_of = [ells.index(2 * n - 1) for n, _ in cols]
+    deriv = np.array([d for _, d in cols], dtype=bool)
+    qs = np.array([cmath.exp(TWO_PI_I * at.tau) for at in ats])
+    count = min(cap, _q_sum_rows(float(np.abs(qs).max()),
+                                 max((2 * n - 1 + d for n, d in cols), default=1), tol))
+    while True:
+        powers = np.cumprod(np.broadcast_to(qs, (count, len(qs))), axis=0).T
+        k = np.arange(1, count + 1, dtype=float)[:, None]
+        sigma = _divisor_power_sums(ells, count)[:count, ell_of]
+        weights = sigma * np.where(deriv, TWO_PI_I * k, 1.0)
+        sums = powers @ weights
+        # the sizes of every sum's last three terms, (tau x 3 x column)
+        last = np.abs(powers[:, -3:, None]) * np.abs(weights[-3:])
+        short = (last > tol * np.maximum(np.abs(sums), 1e-300)[:, None]).any(axis=1) | (count < 3)
+        if not short.any():
+            return sums
+        if count == cap:
+            i, col = np.argwhere(short)[0]
+            raise NonConvergenceError(f"{_q_sum_what(cols[col][0])} hit max_terms={cap}",
+                                      ComplexVal(complex(sums[i, col]), float("inf")))
+        count = min(2 * count, cap)
 
 
 @lru_cache(maxsize=None)
@@ -746,16 +728,16 @@ def _eisenstein_table(n: int, at: _Checked) -> EisensteinTable:
 
 def _eisenstein_tables(n: int, ats: Sequence[_Checked]) -> Tuple[np.ndarray, ...]:
     """The values of `_eisenstein_table(n, at)` for every record of `ats`,
-    bit for bit and without their errs: E_{2n+2} and dE_{2n}/dtau per tau,
-    and the products as a (tau x j) array.  Their q-sums come from one
-    `_eisenstein_q_sums` pass, which neither reads nor fills the q-sum cache,
-    and every complex product is rounded by `_cmul` as Python rounds it."""
+    up to rounding and without their errs: E_{2n+2} and dE_{2n}/dtau per
+    tau, and the products as a (tau x j) array.  Their q-sums come from one
+    `_eisenstein_q_sums` product, which neither reads nor fills the q-sum
+    cache."""
     sums = _eisenstein_q_sums(ats, [(j, False) for j in range(1, n + 2)] + [(n, True)])
     consts = [_eisenstein_consts(j) for j in range(1, n + 2)]
     # E_2, ..., E_{2n+2}, as `_eisenstein` forms them
     e = (np.array([const for const, _, _, _ in consts])
-         + _cmul(np.array([pref for _, pref, _, _ in consts]), sums[:, :-1]))
-    return e[:, n], _cmul(e[:, :n], e[:, n - 1::-1]), _cmul(consts[n - 1][1], sums[:, -1])
+         + np.array([pref for _, pref, _, _ in consts]) * sums[:, :-1])
+    return e[:, n], e[:, :n] * e[:, n - 1::-1], consts[n - 1][1] * sums[:, -1]
 
 
 # ---------------------------------------------------------------------------
@@ -811,14 +793,6 @@ def _points_rows(aq: float, ell: int, reach: float, tol: float) -> int:
     while ell * math.log(j + 1) + (j - reach) * log_q > log_tol and j < BLOCK_ELEMENTS:
         j += 1
     return j
-
-
-def _pair_small(tol: float):
-    """The kernels' stopping rule for `_block_series`: a term pair is small
-    once its size is not above tol max(|sum|, 1).  Written as a negation,
-    it also holds where the size or the sum is NaN, so that a series that
-    has left binary64 stops there, and `_finite` raises."""
-    return lambda size, sums: ~(size > tol * np.maximum(np.abs(sums), 1.0))
 
 
 def _finite(v: ComplexArray, what: str) -> ComplexArray:
@@ -904,13 +878,16 @@ def _bernoulli_points(m, x, y, at: _Checked) -> ComplexArray:
 _TWO_PI_ULPS = 2.0 * math.pi * 2.0**53
 
 
+@np.errstate(all="ignore")
 def _bernoulli_series(m: int, x: np.ndarray, y: np.ndarray, at: _Checked,
                       arg_err) -> ComplexArray:
     """B_m(x, y; tau), m >= 1, by the series of `elliptic_bernoulli` at
     `at`'s tau, at points that passed the lattice check, with y snapped by
     the caller (`_snap`): each y is an integer or beyond _LATTICE_EPS of
     one.  The powers (y -+ j)^(m-1) are IEEE products (`_ipow`), at most
-    m - 2 of them, which the m ulps charged to a term's power cover.
+    m - 2 of them, which the m ulps charged to a term's power cover.  Runs
+    with no numpy warning: rows past the stop may overflow, and `_finite`
+    is the one overflow check.
 
     `arg_err` = (dx, dy, dtau) bounds the absolute errors of x, y and tau,
     dy an array with one entry per point, which carries the caller's snap
@@ -969,7 +946,7 @@ def _bernoulli_series(m: int, x: np.ndarray, y: np.ndarray, at: _Checked,
         np.zeros(len(x), dtype=complex), np.zeros(len(x)), terms,
         (y, np.exp(-TWO_PI_I * y * t), np.exp(TWO_PI_I * y * t), emx, emx.conj(),
          err_x, dy_ulps),
-        at.cap, _pair_small(at.tol), 1, first, lambda i: "elliptic Bernoulli series")
+        at.cap, at.tol, first, "elliptic Bernoulli series")
 
     arg = TWO_PI_I * (-x + y * t)
     v = np.exp(arg)
@@ -1303,8 +1280,8 @@ def _p_deriv_series(k: int, x: np.ndarray, y: np.ndarray, at: _Checked, arg_err)
     first = _points_rows(aq, 0, 0.5, at.tol)
     # on the pairs Phi_k(u q^j), Phi_k(q^j / u)
     acc, _, j, last, rnd = _block_series(
-        start, s0 * (err_u + own), terms, (u, err_u), at.cap, _pair_small(at.tol), 1, first,
-        lambda i: "pe Fourier series")
+        start, s0 * (err_u + own), terms, (u, err_u), at.cap, at.tol, first,
+        "pe Fourier series")
     pref = TWO_PI_I ** (k + 2)
     r = min(aq * 2.0, 0.99)
     tail = abs(pref) * (2.0 * last * r / (1.0 - r) + 1e-16 * np.abs(acc) * j)
@@ -1327,8 +1304,10 @@ def weierstrass_p_deriv_points(k: int, z, tau: TauPoint,
     return _p_deriv_points(k, z, _checked(tau, policy))
 
 
+@np.errstate(all="ignore")
 def _p_deriv_points(k: int, z, at: _Checked) -> ComplexArray:
-    """`weierstrass_p_deriv_points` at `at`'s tau."""
+    """`weierstrass_p_deriv_points` at `at`'s tau, the reduction weight
+    included, with no numpy warning: `_finite` is the one overflow check."""
     pe, f = _in_frame(partial(_p_deriv_series, k), z, at, "pe")
     return _finite(pe if f.red is None else pe * f.red.weight(k + 2), f"pe^({k})")
 

@@ -113,10 +113,10 @@ def test_pinned_bit_identity():
 # ---------------------------------------------------------------------------
 
 
-def _series_by_term(start, start_rnd, terms, state, cap, small, streak, first, what):
+def _series_by_term(start, start_rnd, terms, state, cap, tol, first, what):
     """`qseries._block_series` one term at a time, whatever its `first`
     block: the terms are asked for one j at a time and a column leaves the
-    batch at the j it stops at.  The reference that the blocks must
+    batch at the j >= 2 it stops at.  The reference that the blocks must
     reproduce bit for bit."""
     n = len(start)
     out_s = np.empty(n, dtype=complex)
@@ -126,27 +126,24 @@ def _series_by_term(start, start_rnd, terms, state, cap, small, streak, first, w
     out_rnd = np.empty(n)
     idx = np.arange(n)
     s, c, rnd = start + 0j, np.zeros(n, dtype=complex), start_rnd
-    # the small terms in a row up to j, per column
-    run = np.zeros(n, dtype=int)
     j = 0
     while idx.size and j < cap:
         j += 1
         term, last, r = (a[0] for a in terms(range(j, j + 1), *(a[None] for a in state)))
         s, c = qseries._kahan_add(s, c, term)
         rnd = rnd + r
-        run = np.where(small(last, s), run + 1, 0)
         if j < 2:
             continue
-        done = run >= streak
+        done = ~(last > tol * np.maximum(np.abs(s), 1.0))
         if np.count_nonzero(done):
             k = idx[done]
             out_s[k], out_c[k], out_rnd[k] = s[done], c[done], rnd[done]
             out_j[k], out_last[k] = j, last[done]
             keep = ~done
-            idx, s, c, rnd, run = idx[keep], s[keep], c[keep], rnd[keep], run[keep]
+            idx, s, c, rnd = idx[keep], s[keep], c[keep], rnd[keep]
             state = tuple(a[keep] for a in state)
     if idx.size:
-        raise NonConvergenceError(f"{what(idx[0])} hit max_terms={cap}",
+        raise NonConvergenceError(f"{what} hit max_terms={cap}",
                                   ComplexVal(complex(s[0]), float("inf")))
     return out_s, out_c, out_j, out_last, out_rnd
 

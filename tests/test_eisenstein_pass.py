@@ -1,27 +1,32 @@
-"""The batched Eisenstein pass: every q-sum and error bit-identical to the
-scalar loop, its first block sized from |q|, and the matrix `basis_rank`
-decomposes built from it, equal to `reciprocity_laurent`'s coefficients,
-without touching the per-tau caches."""
+"""The Eisenstein product behind `basis_rank`: every q-sum has the scalar
+loop's outcome and error message and lies within the loop's bound of
+mpmath, and the matrix `basis_rank` decomposes, built from it without
+touching the per-tau caches, equals `reciprocity_laurent`'s coefficients up
+to rounding and has the same rank."""
 
+import cmath
 import random
 import warnings
 
+import numpy as np
 import pytest
 
 from ellded import identities, qseries, symbols
+from ellded.exact import dim_data
 from ellded.qseries import NonConvergenceError, SeriesPolicy, SlowNomeWarning, TauPoint
 
 IM_TAUS = [1.5, 1.1, 0.8, 0.3, 0.11, 0.06]
-#: every (n, tau_deriv) column the pass is pinned on
+#: every (n, tau_deriv) column the product is checked on
 COLUMNS = [(n, d) for n in range(1, 14) for d in (False, True)]
-POLICIES = [qseries.DEFAULT_POLICY, SeriesPolicy(max_terms=3), SeriesPolicy(max_terms=10)]
-#: under max_terms = 10, a pass over these tau has columns that stop inside
-#: its first block and on each of the two rows after it: both lie next to
-#: the zero q = -2.98e-8 of the weight-26 q-sum sum_k sigma_25(k) q^k, whose
-#: terms cancel there, so that it runs past the rows |q| sizes the block to
+#: caps of 1 and 2 terms, under which the loop's three-term rule never
+#: fires, and of 3 and 10, under which some columns stop and some fail
+POLICIES = [qseries.DEFAULT_POLICY] + [SeriesPolicy(max_terms=cap) for cap in (1, 2, 3, 10)]
+#: next to the zero q = -2.98e-8 of the weight-26 q-sum sum_k sigma_25(k) q^k,
+#: whose terms cancel there, so that under max_terms = 10 it runs past the
+#: terms `_q_sum_rows` estimates and the product doubles its terms
 BOUNDARY_TAUS = [TauPoint(0.5 + 2.7578251j), TauPoint(0.5 + 2.75782510497882j)]
 
-#: the uncached scalar loop, which the pass must reproduce
+#: the uncached scalar loop, whose outcome the product must have
 scalar_q_sum = qseries._eisenstein_q_sum.__wrapped__
 
 
@@ -32,53 +37,25 @@ def _records(taus, policy):
         return [qseries._checked(tau, policy) for tau in taus]
 
 
-def _outcome(call):
-    """The repr of every sum of a (tau x column) result, row by row, or the
-    error's message and partial."""
+def _assert_same_outcome(ats, cols):
+    """The product returns where the scalar loop returns, every sum within
+    the loop's bound of the loop's, and raises the loop's first error, first
+    tau then first column, where it raises, with the same message and a
+    partial that is the same sum of the first cap terms up to rounding."""
     try:
-        return [[repr(complex(s)) for s in row] for row in call()]
-    except NonConvergenceError as e:
-        return ("NonConvergenceError", str(e), repr(e.partial))
-
-
-def _scalar_sums(taus, cols, policy):
-    """The scalar loop's sums over the sample, tau by tau and column by
-    column, so that its first error is the one the pass must raise; the
-    scalar bound, which the pass does not form, is checked against mpmath in
-    test_qseries."""
-    return [[scalar_q_sum(n, at, d)[0] for n, d in cols] for at in _records(taus, policy)]
-
-
-def _scalar_stop(n, tau, tau_deriv, cap):
-    """The k after which the scalar loop stops at a tau whose cap is
-    max_terms, or None if it is still running after cap terms."""
-    for k in range(1, cap + 1):
-        try:
-            scalar_q_sum(n, *_records([tau], SeriesPolicy(max_terms=k)), tau_deriv)
-            return k
-        except NonConvergenceError:
-            pass
-    return None
-
-
-@pytest.fixture
-def blocks(monkeypatch):
-    """Records the rows of each block of every `_block_series` pass."""
-    seen = []
-    run = qseries._block_series
-
-    def spy(start, start_rnd, terms, *rest):
-        rows = []
-        seen.append(rows)
-
-        def counted(js, *cols):
-            rows.append(len(js))
-            return terms(js, *cols)
-
-        return run(start, start_rnd, counted, *rest)
-
-    monkeypatch.setattr(qseries, "_block_series", spy)
-    return seen
+        expected = [[scalar_q_sum(n, at, d) for n, d in cols] for at in ats]
+    except NonConvergenceError as ref:
+        with pytest.raises(NonConvergenceError) as exc:
+            qseries._eisenstein_q_sums(ats, cols)
+        assert str(exc.value) == str(ref)
+        assert exc.value.partial.err == ref.partial.err == float("inf")
+        assert abs(exc.value.partial.value - ref.partial.value) <= 1e-12 * abs(ref.partial.value)
+        return
+    sums = qseries._eisenstein_q_sums(ats, cols)
+    assert sums.shape == (len(ats), len(cols))
+    for row, want in zip(sums, expected):
+        for s, (ref, bound) in zip(row, want):
+            assert abs(s - ref) <= bound, (s, ref, bound)
 
 
 def _sample(rng, size):
@@ -86,37 +63,38 @@ def _sample(rng, size):
             for _ in range(size)]
 
 
-@pytest.mark.parametrize("policy", POLICIES, ids=["default", "max3", "max10"])
+@pytest.mark.parametrize("policy", POLICIES, ids=["default", "max1", "max2", "max3", "max10"])
 @pytest.mark.parametrize("size", [1, 4, 10])
-def test_pass_matches_scalar_loop(blocks, policy, size):
+def test_pass_matches_scalar_loop(policy, size):
     rng = random.Random(size)
     samples = [[TauPoint(complex(0.2, im))] * size for im in IM_TAUS]
     samples += [_sample(rng, size) for _ in range(3)] + [BOUNDARY_TAUS]
+    # q underflows to 0, so every term is 0 and small: under a cap below
+    # three terms the loop still fails
+    samples.append([TauPoint(0.1 + 200j)])
     for taus in samples:
         for cols in (COLUMNS, rng.sample(COLUMNS, 5), [COLUMNS[-1], COLUMNS[0]]):
-            expected = _outcome(lambda: _scalar_sums(taus, cols, policy))
-            got = _outcome(lambda: qseries._eisenstein_q_sums(_records(taus, policy), cols))
-            assert got == expected, ([t.tau for t in taus], cols)
-    if policy.max_terms == 10:
-        # the boundary sample's columns stop inside its pass's first block
-        # and on both rows after it
-        blocks.clear()
-        qseries._eisenstein_q_sums(_records(BOUNDARY_TAUS, policy), COLUMNS)
-        first = blocks[0][0]
-        ks = [_scalar_stop(n, tau, d, 10) for tau in BOUNDARY_TAUS for n, d in COLUMNS]
-        assert min(ks) < first and {first + 1, first + 2} <= set(ks)
+            _assert_same_outcome(_records(taus, policy), cols)
 
 
-def test_basis_rank_pass_runs_one_block(blocks):
-    """Near the fundamental domain the first block, sized from |q|, holds
-    every term of a basis-rank pass."""
-    corners = [TauPoint(complex(re, im)) for re in (-0.4, 0.4) for im in (0.8, 1.5)]
-    for w in range(2, 26, 2):
-        for taus in [corners] + [identities.random_taus(size, seed)
-                                 for size in (1, 4, 10) for seed in range(8)]:
-            blocks.clear()
-            identities.basis_rank(w, taus)
-            assert [len(rows) for rows in blocks] == [1], (w, [t.tau for t in taus])
+def test_boundary_sample_runs_past_the_estimate():
+    # the loop runs some column of the boundary sample past the terms the
+    # product starts from, so that its outcome in test_pass_matches_scalar_loop
+    # is the doubled product's
+    ats = _records(BOUNDARY_TAUS, SeriesPolicy(max_terms=10))
+    q = max(abs(cmath.exp(qseries.TWO_PI_I * at.tau)) for at in ats)
+    first = qseries._q_sum_rows(q, 2 * 13, ats[0].tol)
+    stops = []
+    for at in ats:
+        for n, d in COLUMNS:
+            for cap in range(1, 11):
+                try:
+                    scalar_q_sum(n, at._replace(cap=cap), d)
+                except NonConvergenceError:
+                    continue
+                stops.append(cap)
+                break
+    assert max(stops) > first
 
 
 def test_pass_raises_first_failure_in_sample_order():
@@ -127,16 +105,17 @@ def test_pass_raises_first_failure_in_sample_order():
     cols = [(13, True), (1, False)]
     partials = []
     for taus in ([slow, fast], [fast, slow]):
+        _assert_same_outcome(_records(taus, policy)[:1], cols[:1])
         with pytest.raises(NonConvergenceError) as exc:
             qseries._eisenstein_q_sums(_records(taus, policy), cols)
-        with pytest.raises(NonConvergenceError) as ref:
-            _scalar_sums(taus[:1], cols[:1], policy)
-        assert str(exc.value) == str(ref.value)
+        with pytest.raises(NonConvergenceError) as first:
+            qseries._eisenstein_q_sums(_records(taus, policy)[:1], cols[:1])
         assert str(exc.value).endswith("(n=13) hit max_terms=3")
-        assert repr(exc.value.partial) == repr(ref.value.partial)
-        partials.append(repr(exc.value.partial))
+        assert (str(exc.value), repr(exc.value.partial)) == (str(first.value),
+                                                              repr(first.value.partial))
+        partials.append(exc.value.partial.value)
     # the two tau's partials differ, so the error shows which tau came first
-    assert partials[0] != partials[1]
+    assert abs(partials[0] - partials[1]) > 1e-3 * abs(partials[1])
 
 
 def test_empty_sample_and_columns_and_huge_cap():
@@ -144,9 +123,32 @@ def test_empty_sample_and_columns_and_huge_cap():
     assert qseries._eisenstein_q_sums([], COLUMNS).shape == (0, len(COLUMNS))
     assert qseries._eisenstein_q_sums(_records([TauPoint(1j)], policy), []).shape == (1, 0)
     # a cap beyond int64, which the scalar loop takes as a Python int
-    taus, policy = [TauPoint(0.1 + 0.9j)], SeriesPolicy(max_terms=10**30)
-    assert (_outcome(lambda: qseries._eisenstein_q_sums(_records(taus, policy), COLUMNS))
-            == _outcome(lambda: _scalar_sums(taus, COLUMNS, policy)))
+    _assert_same_outcome(_records([TauPoint(0.1 + 0.9j)], SeriesPolicy(max_terms=10**30)),
+                         COLUMNS)
+
+
+@pytest.mark.parametrize("re", [-0.45, 0.0, 0.3])
+@pytest.mark.parametrize("im", IM_TAUS)
+def test_sums_within_the_loop_bound_of_mpmath(re, im):
+    """Each sum of the product lies within the scalar loop's bound of the
+    q-sum summed at 30 digits, down to Im tau = 0.06, where the terms are
+    far larger than the sums they cancel to."""
+    mp = pytest.importorskip("mpmath")
+    ats = _records([TauPoint(complex(re, im))], qseries.DEFAULT_POLICY)
+    sums = qseries._eisenstein_q_sums(ats, COLUMNS)[0]
+    with mp.workdps(30):
+        q = mp.exp(2j * mp.pi * mp.mpc(re, im))
+        for (n, d), s in zip(COLUMNS, sums):
+            ref, qk, k = mp.mpc(0), mp.mpf(1), 0
+            while True:
+                k += 1
+                qk *= q
+                term = sum(e ** (2 * n - 1) for e in range(1, k + 1) if k % e == 0) * qk
+                ref += 2j * mp.pi * k * term if d else term
+                if k * abs(term) < mp.mpf(10) ** -28 * max(1, abs(ref)):
+                    break
+            bound = scalar_q_sum(n, ats[0], d)[1]
+            assert abs(s - complex(ref)) <= bound, (n, d, s, complex(ref), bound)
 
 
 def _cache_infos():
@@ -160,20 +162,20 @@ def _slow_warnings(call):
     return sum(issubclass(w.category, SlowNomeWarning) for w in caught)
 
 
-def _rows(matrix):
-    return [[repr(complex(x)) for x in row] for row in matrix]
-
-
-def _coefficient_rows(polys):
-    """Each polynomial's coefficients in the sorted order of its support."""
-    return [[repr(p.coeffs[e]) for e in sorted(p.coeffs)] for p in polys]
+def _assert_rows_match(matrix, laurents):
+    """Each row of the matrix is the coefficients of its (polynomial, err)
+    pair, in the sorted order of its support, within that err."""
+    assert matrix.shape == (len(laurents), len(laurents[0][0].coeffs))
+    for row, (p, err) in zip(matrix, laurents):
+        want = np.array([p.coeffs[e] for e in sorted(p.coeffs)])
+        assert np.abs(row - want).max() <= err, (row, want, err)
 
 
 @pytest.mark.parametrize("w", [2, 10, 24])
 def test_basis_rank_tables_equal_the_cached_tables(w):
-    """The matrix basis_rank decomposes, built from one pass that leaves the
-    caches alone, equals what the cached Eisenstein tables give, down to
-    Im tau = 0.09."""
+    """The matrix basis_rank decomposes, built from one product that leaves
+    the caches alone, equals what the cached Eisenstein tables give within
+    their err, down to Im tau = 0.09."""
     n = w // 2
     taus = identities.random_taus(7, w) + [TauPoint(0.3 + 0.09j), TauPoint(-0.2 + 0.3j)]
     before = _cache_infos()
@@ -183,8 +185,8 @@ def test_basis_rank_tables_equal_the_cached_tables(w):
         matrix = identities._rank_matrix(n, ats)
         assert _cache_infos() == before
         cached = [identities._laurent_of(identities._coefficients_of(
-            n, symbols._eisenstein_table(n, at)))[0] for at in ats]
-    assert _rows(matrix) == _coefficient_rows(cached)
+            n, symbols._eisenstein_table(n, at))) for at in ats]
+    _assert_rows_match(matrix, cached)
 
 
 @pytest.mark.parametrize("w", range(2, 42, 2))
@@ -194,11 +196,29 @@ def test_basis_rank_leaves_the_caches_and_warnings_unchanged(w):
     assert _slow_warnings(lambda: identities.basis_rank(w, taus)) == 1
     assert _cache_infos() == before
     # the per-tau route warns as often, and its coefficients are the rows
-    # of the matrix basis_rank decomposes, entry by entry
-    polys = []
+    # of the matrix basis_rank decomposes, within their err
+    laurents = []
     assert _slow_warnings(
-        lambda: polys.extend(identities.reciprocity_laurent(w, t)[0] for t in taus)) == 1
+        lambda: laurents.extend(identities.reciprocity_laurent(w, t) for t in taus)) == 1
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SlowNomeWarning)
         matrix = identities._rank_matrix(w // 2, _records(taus, qseries.DEFAULT_POLICY))
-    assert _rows(matrix) == _coefficient_rows(polys)
+    _assert_rows_match(matrix, laurents)
+
+
+@pytest.mark.parametrize("w", range(2, 26, 2))
+def test_basis_rank_equals_the_per_tau_rank(w):
+    """basis_rank equals the rank of the matrix of the per-tau
+    `reciprocity_laurent` coefficients, dim M_{w+2} once the sample is large
+    enough, with the singular values past that rank at rounding level."""
+    dim = dim_data(w)[1]
+    for size in range(4, 11):
+        for seed in range(3):
+            taus = identities.random_taus(size, 100 * w + seed)
+            rows = [[p.coeffs[e] for e in sorted(p.coeffs)]
+                    for p in (identities.reciprocity_laurent(w, t)[0] for t in taus)]
+            sv = np.linalg.svd(np.array(rows), compute_uv=False)
+            rank = int(np.sum(sv > identities.RANK_THRESHOLD * sv[0]))
+            assert identities.basis_rank(w, taus) == rank == min(dim, size)
+            if size > dim:
+                assert sv[dim] < 1e-12 * sv[0]

@@ -206,11 +206,12 @@ class TestBasisRank:
 
     def test_rejected_tau_raises_before_any_series(self, monkeypatch):
         # every tau is checked in order, each with its own warning, and the
-        # first rejected one raises before a q-sum runs or a cache is read
+        # first rejected one raises before a q-sum runs, the Eisenstein
+        # product is formed or a cache is read
         taus = [TauPoint(0.1 + 0.09j), TauPoint(0.2 + 1.1j), TauPoint(0.3 + 0.08j),
                 TauPoint(0.1 + 0.04j), TauPoint(0.2 + 0.07j)]
         ran = []
-        monkeypatch.setattr(qseries, "_block_series", lambda *args: ran.append(args))
+        monkeypatch.setattr(qseries, "_eisenstein_q_sums", lambda *args: ran.append(args))
         before = qseries._eisenstein_q_sum.cache_info()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", SlowNomeWarning)

@@ -103,6 +103,23 @@ class TestTauPoint:
             qseries._parse_complex(text)
 
 
+def _mp_q_sums(mp, n, tau):
+    """sum_k sigma_{2n-1}(k) q^k and its tau-derivative, 2 pi i k termwise,
+    at mpmath's working precision, summed until a term is below 10^-(dps+5)
+    of the sum."""
+    q = mp.exp(2j * mp.pi * mp.mpc(tau.real, tau.imag))
+    eps = mp.mpf(10) ** -(mp.mp.dps + 5)
+    s, ds, qk, k = mp.mpf(0), mp.mpf(0), mp.mpf(1), 0
+    while True:
+        k += 1
+        qk *= q
+        term = sum(d ** (2 * n - 1) for d in range(1, k + 1) if k % d == 0) * qk
+        s += term
+        ds += 2j * mp.pi * k * term
+        if k * abs(term) < eps * max(1, abs(s)):
+            return s, ds
+
+
 class TestEisenstein:
     def test_large_im_constant_term(self):
         # |q| ~ e^{-80 pi}; only the constant term 2 zeta(4) survives
@@ -140,17 +157,8 @@ class TestEisenstein:
         mpmath = pytest.importorskip("mpmath")
         with warnings.catch_warnings(), mpmath.workdps(40):
             warnings.simplefilter("ignore", SlowNomeWarning)
-            q = mpmath.exp(2j * mpmath.pi * mpmath.mpc(tau.real, tau.imag))
             for n in range(1, 9):
-                s, ds, qk, k = mpmath.mpf(0), mpmath.mpf(0), mpmath.mpf(1), 0
-                while True:
-                    k += 1
-                    qk *= q
-                    term = sum(d ** (2 * n - 1) for d in range(1, k + 1) if k % d == 0) * qk
-                    s += term
-                    ds += 2j * mpmath.pi * k * term
-                    if k * abs(term) < mpmath.mpf(10) ** -45 * max(1, abs(s)):
-                        break
+                s, ds = _mp_q_sums(mpmath, n, tau)
                 pref = 2 * (2j * mpmath.pi) ** (2 * n) / mpmath.factorial(2 * n - 1)
                 ref = 2 * mpmath.zeta(2 * n) + pref * s
                 val = eisenstein(n, TauPoint(tau))
@@ -161,6 +169,22 @@ class TestEisenstein:
                 ref = -mpmath.mpf(b.numerator) / b.denominator / (4 * n) + s
                 val = eisenstein_normalized(n, TauPoint(tau))
                 assert abs(val.value - complex(ref)) <= val.err, (n, val, complex(ref))
+
+    @given(n=st.integers(1, 8), re=st.floats(-0.5, 0.5),
+           im=st.floats(math.log(0.06), math.log(1.5)).map(math.exp))
+    @settings(max_examples=40, deadline=None)
+    def test_err_bounds_mpmath_at_random_tau(self, n, re, im):
+        """E_2n and dE_2n/dtau lie within err of their 30-digit sums at
+        random tau, Im tau log-uniform down to 0.06."""
+        mp = pytest.importorskip("mpmath")
+        tau = complex(re, im)
+        with warnings.catch_warnings(), mp.workdps(30):
+            warnings.simplefilter("ignore", SlowNomeWarning)
+            s, ds = _mp_q_sums(mp, n, tau)
+            pref = 2 * (2j * mp.pi) ** (2 * n) / mp.factorial(2 * n - 1)
+            for val, ref in ((eisenstein(n, TauPoint(tau)), 2 * mp.zeta(2 * n) + pref * s),
+                             (eisenstein_tau_derivative(n, TauPoint(tau)), pref * ds)):
+                assert abs(val.value - complex(ref)) <= val.err, (n, tau, val, complex(ref))
 
     def test_err_bound_honest(self):
         # tightening tol tenfold moves the value by less than the coarser err
@@ -469,9 +493,11 @@ class TestPolicyGuards:
             warnings.simplefilter("always", SlowNomeWarning)
             call(SLOW_TAU, DEFAULT_POLICY)
         assert sum(issubclass(w.category, SlowNomeWarning) for w in caught) == count
-        # a rejected tau raises before any series runs or any cache is read
+        # a rejected tau raises before any series runs, any Eisenstein
+        # product is formed or any cache is read
         ran = []
         monkeypatch.setattr(qseries, "_block_series", lambda *args: ran.append(args))
+        monkeypatch.setattr(qseries, "_eisenstein_q_sums", lambda *args: ran.append(args))
         caches = (qseries._eisenstein_q_sum, identities._record)
         before = [f.cache_info() for f in caches]
         with pytest.raises(ValueError, match="below the accepted bound 0.1"):
@@ -604,11 +630,12 @@ class TestPolicyGuards:
     @pytest.mark.parametrize("name", PUBLIC_TAU_CALLS)
     def test_every_call_rejects_a_nome_rounding_to_one(self, name, monkeypatch):
         # one check for every function, B_0 and the Eisenstein series among
-        # them: it raises, with no warning, before any series runs or any
-        # cache is read
+        # them: it raises, with no warning, before any series runs, any
+        # Eisenstein product is formed or any cache is read
         call, _ = PUBLIC_TAU_CALLS[name]
         ran = []
         monkeypatch.setattr(qseries, "_block_series", lambda *args: ran.append(args))
+        monkeypatch.setattr(qseries, "_eisenstein_q_sums", lambda *args: ran.append(args))
         caches = (qseries._eisenstein_q_sum, identities._record)
         before = [f.cache_info() for f in caches]
         with pytest.raises(ValueError, match=r"^\|q\| rounds to 1 at tau = "):
@@ -646,18 +673,18 @@ class TestBeyondBinary64:
             return out
 
         monkeypatch.setattr(qseries, "_block_series", spy)
+        # no RuntimeWarning on the way: under the test config's
+        # error::RuntimeWarning one would raise in place of the OverflowError
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
             warnings.simplefilter("ignore", SlowNomeWarning)
             with pytest.raises(OverflowError, match=rf"^{name} leaves the floating-point range$"):
                 call()
         assert stops and max(stops) < 64
 
     def test_large_order_in_range_keeps_its_value(self):
-        # B_160 at the same point stays within binary64
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            v = elliptic_bernoulli(160, 0.1, 0.2, TauPoint(0.3 + 1.1j))
+        # B_160 at the same point stays within binary64, and its rows past
+        # the stop, which overflow, raise no RuntimeWarning
+        v = elliptic_bernoulli(160, 0.1, 0.2, TauPoint(0.3 + 1.1j))
         assert cmath.isfinite(v.value) and math.isfinite(v.err) and abs(v.value) > 1e156
 
 

@@ -95,7 +95,7 @@ class RunConfig:
     params: Dict[str, object]
     #: --tol, else ELLDED_TOL in verify mode; None selects CHECK_TOLS
     tol: Optional[float]
-    seed: int
+    #: --max-terms, on the subcommands whose series take it
     max_terms: Optional[int]
 
     def policy(self) -> SeriesPolicy:
@@ -363,10 +363,10 @@ def _verify_eq64(cfg: RunConfig, w, tau) -> List[dict]:
     return [cfg.check("eq64", res.max_abs_coeff() / denom)]
 
 
-def _verify_basis_rank(cfg: RunConfig, w, num_tau) -> List[dict]:
-    rank = basis_rank(w, random_taus(num_tau, cfg.seed), cfg.policy())
+def _verify_basis_rank(cfg: RunConfig, w, num_tau, seed) -> List[dict]:
+    rank = basis_rank(w, random_taus(num_tau, seed), cfg.policy())
     d, _ = dim_data(w)
-    rec = cfg.check("basis-rank", float(abs(rank - (d + 1))), seed=cfg.seed)
+    rec = cfg.check("basis-rank", float(abs(rank - (d + 1))))
     rec["rank"] = rank
     rec["expected_rank"] = d + 1
     return [rec]
@@ -425,47 +425,51 @@ _ARGS: Dict[str, dict] = {
     "--s": dict(type=float, default=0.013),
     "--t": dict(type=float, default=0.007),
     "--num-tau": dict(type=_count_arg(0), required=True),
-    # the common flags, which every subcommand takes last
-    "--tol": dict(type=_tol_arg),
     "--seed": dict(type=int, default=0),
-    "--format": dict(dest="fmt", choices=("json", "csv", "pretty"), default="json"),
     "--max-terms": dict(type=_count_arg(1),
                         help="most terms any one series may use; exit 3 if one needs more"),
+    # the common flags, which a subcommand takes last: --tol on verify only
+    "--tol": dict(type=_tol_arg),
+    "--format": dict(dest="fmt", choices=("json", "csv", "pretty"), default="json"),
 }
 
-_COMMON = ("--tol", "--seed", "--format", "--max-terms")
+#: mode -> the common flags of its subcommands
+_COMMON = {"eval": ("--format",), "verify": ("--tol", "--format")}
 
 #: mode -> subcommand -> (handler, its own arguments in --help order); a
 #: handler takes the RunConfig and the parsed arguments by name.  A count
 #: flag comes with its least value, below which it is a usage error; the
-#: parity of -w stays a domain error.
+#: parity of -w stays a domain error.  --max-terms goes on the subcommands
+#: that run a q-series, so a subcommand refuses every flag it would not read.
 _COMMANDS = {
     "eval": {
         "bernoulli": (_eval_bernoulli, (("-k", 0),)),
         "apostol-sum": (_eval_apostol_sum, (("-k", 1), "-q", "-p")),
         "g-poly": (_eval_g_poly, ("-w",)),
-        "eisenstein": (_eval_eisenstein, (("-n", 1), "--kind", "--tau")),
+        "eisenstein": (_eval_eisenstein, (("-n", 1), "--kind", "--tau", "--max-terms")),
         "elliptic-bernoulli": (_eval_elliptic_bernoulli,
-                               (("-m", 0), "--x", "--y", "--tau")),
-        "zeta-w": (_eval_zeta_w, ("--z", "--order", "--tau")),
-        "elliptic-sum": (_eval_elliptic_sum, (("-n", 1), "-p", "-q", "--route", "--tau")),
-        "reciprocity-rhs": (_eval_reciprocity_rhs, (("-n", 1), "-p", "-q", "--tau")),
-        "generating": (_eval_generating, ("--which", "-p", "-q", "--x", "--tau")),
+                               (("-m", 0), "--x", "--y", "--tau", "--max-terms")),
+        "zeta-w": (_eval_zeta_w, ("--z", "--order", "--tau", "--max-terms")),
+        "elliptic-sum": (_eval_elliptic_sum,
+                         (("-n", 1), "-p", "-q", "--route", "--tau", "--max-terms")),
+        "reciprocity-rhs": (_eval_reciprocity_rhs,
+                            (("-n", 1), "-p", "-q", "--tau", "--max-terms")),
+        "generating": (_eval_generating, ("--which", "-p", "-q", "--x", "--tau", "--max-terms")),
         "machide": (_eval_machide, (("-m", 0), ("-n", 0), "--vec-a", "--vec-b", "--vec-c",
-                                    "--vec-x", "--vec-y", "--vec-z", "--tau")),
+                                    "--vec-x", "--vec-y", "--vec-z", "--tau", "--max-terms")),
         "period-data": (_eval_period_data, (("-n", 1),)),
     },
     "verify": {
         "apostol-reciprocity": (_verify_apostol_reciprocity, ("--w-max", "--pq-max")),
-        "thm11": (_verify_thm11, (("-n", 1), "-p", "-q", "--tau")),
-        "three-term": (_verify_three_term, (("-n", 1), "-p", "-q", "--tau")),
-        "thm13": (_verify_thm13, ("-p", "-q", "--tau")),
-        "prop31": (_verify_prop31, ("-p", "-q", "--s1", "--s2", "--tau")),
-        "lemma32": (_verify_lemma32, ("-p", "-q", "--s", "--t", "--tau")),
-        "eq73": (_verify_eq73, (("-n", 1), "--tau")),
-        "eq64": (_verify_eq64, ("-w", "--tau")),
-        "basis-rank": (_verify_basis_rank, ("-w", "--num-tau")),
-        "limit": (_verify_limit, (("-n", 1), "-p", "-q")),
+        "thm11": (_verify_thm11, (("-n", 1), "-p", "-q", "--tau", "--max-terms")),
+        "three-term": (_verify_three_term, (("-n", 1), "-p", "-q", "--tau", "--max-terms")),
+        "thm13": (_verify_thm13, ("-p", "-q", "--tau", "--max-terms")),
+        "prop31": (_verify_prop31, ("-p", "-q", "--s1", "--s2", "--tau", "--max-terms")),
+        "lemma32": (_verify_lemma32, ("-p", "-q", "--s", "--t", "--tau", "--max-terms")),
+        "eq73": (_verify_eq73, (("-n", 1), "--tau", "--max-terms")),
+        "eq64": (_verify_eq64, ("-w", "--tau", "--max-terms")),
+        "basis-rank": (_verify_basis_rank, ("-w", "--num-tau", "--seed", "--max-terms")),
+        "limit": (_verify_limit, (("-n", 1), "-p", "-q", "--max-terms")),
     },
 }
 
@@ -482,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
             dest="subcommand", required=True)
         for name, (_, flags) in _COMMANDS[mode].items():
             p = subs.add_parser(name)
-            for flag in flags + _COMMON:
+            for flag in flags + _COMMON[mode]:
                 if isinstance(flag, tuple):
                     flag, least = flag
                     p.add_argument(flag, **dict(_ARGS[flag], type=_count_arg(least)))
@@ -493,21 +497,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    # verify resolves ELLDED_TOL once, before any check runs; eval ignores it
-    tol = args.tol
+    # verify resolves ELLDED_TOL once, before any check runs; eval has no tol
+    tol = getattr(args, "tol", None)
     if args.mode == "verify" and tol is None and "ELLDED_TOL" in os.environ:
         try:
             tol = _tol_arg(os.environ["ELLDED_TOL"])
         except (ValueError, argparse.ArgumentTypeError) as exc:
             print(f"error: ELLDED_TOL: {exc}", file=sys.stderr)
             return EXIT_USAGE
-    skip = {"mode", "subcommand", "tol", "seed", "fmt", "max_terms"}
+    skip = {"mode", "subcommand", "tol", "fmt", "max_terms"}
     params = {k: v for k, v in vars(args).items() if k not in skip}
     handler, _ = _COMMANDS[args.mode][args.subcommand]
     try:
         if isinstance(params.get("tau"), complex):
             params["tau"] = TauPoint(params["tau"])
-        cfg = RunConfig(params, tol, args.seed, args.max_terms)
+        cfg = RunConfig(params, tol, getattr(args, "max_terms", None))
         if args.mode == "eval":
             record = {"op": args.subcommand, "params": _echo(params),
                       "value": handler(cfg, **params)}

@@ -38,8 +38,9 @@ from one B_1 batch (`_b_series`), with no E_2, and zeta is b + E_2 z.
 Each input rule has one home, and the series only evaluate.  Each public
 call checks its tau once, in `_checked`, into a `_Checked` record of plain
 numbers: tau, tol and max_terms, the term cap of every series at every tau;
-a tau below the policy's min_im_tau, or where |q| rounds to 1, raises
-there, before any series runs.  The points of a kernel call pass one check,
+a tau below the policy's min_im_tau, or where |q| is too close to 1 for
+any series to reach tol in binary64, raises there, before any series
+runs.  The points of a kernel call pass one check,
 `_lattice_check` (one shape, 1-D, finite, off the lattice), and a y within
 _LATTICE_EPS of an integer is snapped to it (`_snap`, on the same
 near-integer test) before the series, which count the shift in err.
@@ -48,12 +49,20 @@ The Eisenstein q-sums are memoised per (n, record, tau_deriv) in a bounded
 for a whole sample of tau, without the cache and without their bounds, as
 one matrix product of the powers q^k and the divisor sums: a (tau x column)
 array equal to the loop's sums up to rounding, for `basis_rank`, whose
-output is a rank.  The Eisenstein table that R^-_{2n} and the identities
-are built from, E_{2n+2}, the products E_{2j} E_{2n+2-2j} and dE_{2n}/dtau,
-lives here in both its shapes: per tau from the cached q-sums
-(`_eisenstein_table`, uncached itself, as `identities` keeps one record per
-(n, tau) built from it), and over a sample from one product
-(`_eisenstein_tables`), so that no other module reads a q-sum.
+output is a rank.  Both read sigma_ell(k) from one exact-integer sieve,
+`_divisor_power_sums`, cached per power-of-two count: the loop as ints,
+each rounded as it meets q^k, the product as a float view of the table.
+The loop's stopping rule, three terms in a row at most tol |sum|, is the
+one judge of enough terms in both: the product starts from the kernels'
+estimate (`_points_rows`) and doubles until its sums meet the rule.  A
+q-sum whose sigma, (2n)! or B_{2n} leaves binary64 raises one
+OverflowError that names it, as `_finite` names B_m and pe^(k).  The
+Eisenstein table that R^-_{2n} and the identities are built from, E_{2n+2},
+the products E_{2j} E_{2n+2-2j} and dE_{2n}/dtau, lives here in both its
+shapes: per tau from the cached q-sums (`_eisenstein_table`, uncached
+itself, as `identities` keeps one record per (n, tau) built from it), and
+over a sample from one product (`_eisenstein_tables`), so that no other
+module reads a q-sum.
 """
 
 from __future__ import annotations
@@ -338,17 +347,22 @@ class _Checked(NamedTuple):
 
 def _checked(tau: TauPoint, policy: SeriesPolicy) -> _Checked:
     """tau checked under policy: ValueError below min_im_tau and where |q|
-    rounds to 1, at which no q-series converges (and the kernels' error
-    models would divide by 1 - |q| = 0), and one SlowNomeWarning where the
-    nome is slow.  Only a slow tau can round |q| to 1, so a fast one pays
-    for neither test."""
+    is too close to 1 for any q-series to converge, and one SlowNomeWarning
+    where the nome is slow.  |q| is too close to 1 where it rounds to 1
+    (and the kernels' error models would divide by 1 - |q| = 0), or where
+    the log(tol) / log|q| terms a series needs to fall below tol outnumber
+    the 2^53 that binary64 counts: 1 - |q| < ~3e-15 at tol = 1e-12.  The
+    rule reads tol, never max_terms, so a small cap still fails with the
+    cap's own error.  Only a slow tau can come that close, so a fast one
+    pays for neither test."""
     im = tau.tau.imag
     if im < policy.min_im_tau:
         raise ValueError(f"Im(tau) = {im} below the accepted bound {policy.min_im_tau}")
     if im < _SLOW_IM_TAU:
         aq = abs(tau.nome)
-        if aq >= 1.0:
-            raise ValueError(f"|q| rounds to 1 at tau = {tau.tau}: no q-series can converge")
+        if aq >= 1.0 or math.log(policy.tol) / math.log(aq) > 2.0**53:
+            raise ValueError(f"|q| is too close to 1 at tau = {tau.tau}: "
+                             "no q-series can converge")
         warnings.warn(f"Im(tau) = {im} gives |q| = {aq:.3f}; convergence is slow",
                       SlowNomeWarning, stacklevel=_outside_stacklevel())
     # tuple.__new__ skips the NamedTuple's Python-level __new__ on every public call
@@ -494,26 +508,35 @@ def _block_series(start: np.ndarray, start_rnd: np.ndarray, terms,
 
 
 @lru_cache(maxsize=None)
-def _divisor_power_sum(ell: int, k: int) -> float:
-    """sigma_ell(k) = sum_{d | k} d^ell, summed exactly in integers as
-    d^ell + (k/d)^ell over the divisors d <= sqrt(k)."""
-    total = 0
-    for d in range(1, math.isqrt(k) + 1):
-        if k % d == 0:
-            total += d**ell + ((k // d) ** ell if d * d != k else 0)
-    return float(total)
+def _divisor_power_sums(ell: int, count: int) -> Tuple[int, ...]:
+    """(sigma_ell(1), ..., sigma_ell(count)), sigma_ell(k) = sum_{d | k} d^ell,
+    as exact ints from one sieve over d, for a power-of-two count, so that a
+    growing sum reuses few tables: the one source of sigma, which the
+    scalar loop reads as ints and the product as `_divisor_power_floats`."""
+    sigma = [0] * count
+    for d in range(1, count + 1):
+        power = d**ell
+        for i in range(d - 1, count, d):
+            sigma[i] += power
+    return tuple(sigma)
+
+
+#: the least int on which float() overflows: ints from 2^1024 - 2^970 on
+#: round to 2^1024
+_FLOAT_END = 2**1024 - 2**970
 
 
 @lru_cache(maxsize=None)
-def _divisor_power_sums(ells: Tuple[int, ...], count: int) -> np.ndarray:
-    """sigma_ell(k) for k = 1..count (rows) and each ell of ells (columns),
-    read-only; count is rounded up to a power of two, so that a growing
-    count reuses few entries."""
-    size = 1 << max(count - 1, 0).bit_length()
-    if size != count:
-        return _divisor_power_sums(ells, size)
-    table = np.array([[_divisor_power_sum(ell, k) for ell in ells]
-                      for k in range(1, count + 1)]).reshape(count, len(ells))
+def _divisor_power_floats(ells: Tuple[int, ...], count: int) -> np.ndarray:
+    """The float view of `_divisor_power_sums(ell, count)` for each ell of
+    ells: float(sigma_ell(k)) for k = 1..rows (rows) and ell (columns),
+    read-only.  rows = count, or fewer where sigma leaves binary64: the view
+    ends before the first k at which sigma of the largest ell, which is the
+    largest sigma, does."""
+    top = _divisor_power_sums(max(ells, default=1), count)
+    rows = next((k for k, s in enumerate(top) if s >= _FLOAT_END), count)
+    table = np.array([_divisor_power_sums(ell, count)[:rows] for ell in ells],
+                     dtype=float).reshape(len(ells), rows).T
     table.flags.writeable = False
     return table
 
@@ -521,6 +544,11 @@ def _divisor_power_sums(ells: Tuple[int, ...], count: int) -> np.ndarray:
 #: entries of the q-sum cache: a few tau's worth of every weight the
 #: identities use; bounded because the caller may draw fresh tau
 Q_SUM_CACHE_SIZE = 512
+
+#: the terms of a q-sum's first sigma table and the product's least first
+#: count: random_taus' window (Im tau 0.8 to 1.5) needs fewer at every
+#: weight up to 26, so that a basis_rank sample there runs one product
+_FIRST_TERMS = 32
 
 
 def _nome_err(t: complex) -> float:
@@ -553,59 +581,49 @@ def _eisenstein_q_sum(n: int, at: _Checked, tau_deriv: bool) -> Tuple[complex, f
 
     Returns (sum, bound on the tail and the rounding).  The terms are added
     in order with one Kahan step each; the sum stops after three terms in a
-    row below tol relative to it.  A NonConvergenceError is raised afresh
-    each time, as `lru_cache` keeps only returned values; `_eisenstein_q_sums`
-    forms the same sums over a sample as one matrix product, with the same
-    stopping rule and no bound."""
+    row below tol relative to it.  sigma comes as exact ints from the
+    `_divisor_power_sums` tables, the next one, twice as long, fetched where
+    k runs past the last; int times complex rounds the int to float first,
+    so each term is float(sigma) q^k, and a sigma beyond binary64 raises the
+    q-sum's OverflowError at the term that meets it.  A NonConvergenceError
+    is raised afresh each time, as `lru_cache` keeps only returned values;
+    `_eisenstein_q_sums` forms the same sums over a sample as one matrix
+    product, with the same stopping rule and no bound."""
     cap, tol = at.cap, at.tol
     q = cmath.exp(TWO_PI_I * at.tau)
     err_q = _nome_err(at.tau)
+    sigma = _divisor_power_sums(2 * n - 1, _FIRST_TERMS)
     rnd = 0.0
     acc, comp = 0j, 0j
     qk = 1.0 + 0j
     small_streak = 0
     last = 0.0
     k = 0
-    while k < cap:
-        k += 1
-        qk *= q
-        term = _divisor_power_sum(2 * n - 1, k) * qk
-        if tau_deriv:
-            term *= TWO_PI_I * k
-        acc, comp = _kahan_add(acc, comp, term)
-        last = abs(term)
-        rnd += last * (k * err_q + 4.0)
-        scale = max(abs(acc), 1e-300)
-        if last <= tol * scale or last == 0.0:
-            small_streak += 1
-            if small_streak >= 3:
-                break
+    try:
+        while k < cap:
+            k += 1
+            if k > len(sigma):
+                sigma = _divisor_power_sums(2 * n - 1, 2 * len(sigma))
+            qk *= q
+            term = sigma[k - 1] * qk
+            if tau_deriv:
+                term *= TWO_PI_I * k
+            acc, comp = _kahan_add(acc, comp, term)
+            last = abs(term)
+            rnd += last * (k * err_q + 4.0)
+            scale = max(abs(acc), 1e-300)
+            if last <= tol * scale or last == 0.0:
+                small_streak += 1
+                if small_streak >= 3:
+                    break
+            else:
+                small_streak = 0
         else:
-            small_streak = 0
-    else:
-        raise NonConvergenceError(f"{_q_sum_what(n)} hit max_terms={cap}",
-                                  ComplexVal(acc, float("inf")))
+            raise NonConvergenceError(f"{_q_sum_what(n)} hit max_terms={cap}",
+                                      ComplexVal(acc, float("inf")))
+    except OverflowError:
+        raise _out_of_range(_q_sum_what(n)) from None
     return acc, _q_sum_bound(n, tau_deriv, abs(q), k, last, rnd)
-
-
-def _q_sum_rows(aq: float, ell: int, tol: float) -> int:
-    """An estimate of the terms a q-sum with |q| = aq runs before its
-    stopping rule fires, from model terms k^ell aq^k: the first k that ends
-    three model terms in a row below tol/100 times the largest before them;
-    at most BLOCK_ELEMENTS.  The series runs longer where sigma_ell(k)
-    exceeds k^ell and where its terms cancel, which the hundredth allows for
-    near the fundamental domain; an estimate that falls short costs a
-    second product, not a value."""
-    log_q = math.log(aq) if aq > 0.0 else -math.inf
-    log_tol = math.log(tol) - math.log(100.0)
-    peak, run = -math.inf, 0
-    for k in range(1, BLOCK_ELEMENTS + 1):
-        t = ell * math.log(k) + k * log_q
-        peak = max(peak, t)
-        run = run + 1 if t <= log_tol + peak else 0
-        if run >= 3:
-            return k
-    return BLOCK_ELEMENTS
 
 
 def _eisenstein_q_sums(ats: Sequence[_Checked], cols: Sequence[Tuple[int, bool]]) -> np.ndarray:
@@ -618,26 +636,31 @@ def _eisenstein_q_sums(ats: Sequence[_Checked], cols: Sequence[Tuple[int, bool]]
     The first `count` terms of every sum come from one matrix product: q^k
     for k = 1..count at every tau, a running product (tau x k), times
     sigma_{2n-1}(k), by 2 pi i k in the tau_deriv columns (k x column).
-    `count` starts at the terms `_q_sum_rows` estimates for the largest |q|
-    and the largest power of k, within the cap, and doubles within the cap
-    until every sum ends in three terms of at most tol times its size, the
-    scalar loop's stopping rule, so that no sum stops before the loop's
-    would.  At count = cap, a sum still short raises the scalar loop's
-    NonConvergenceError, for the first in order, first tau then first
-    column, with the sum of its first cap terms as the partial."""
+    `count` starts at the rows `_points_rows` gives the kernels for the
+    largest |q| and the largest power of k, at least _FIRST_TERMS, within
+    the cap, and doubles within the cap until every sum ends in three terms
+    of at most tol times its size, the scalar loop's stopping rule, so that
+    no sum stops before the loop's would.  At count = cap, a sum still short
+    raises the scalar loop's NonConvergenceError, for the first in order,
+    first tau then first column, with the sum of its first cap terms as the
+    partial.  sigma comes from the float view of the least power-of-two
+    table that holds count terms; where that view ends before count, the
+    product runs on the terms it holds, and a sum still short there raises
+    the OverflowError the loop raises where sigma leaves binary64, for the
+    column of the largest n, whose sigma leaves it first."""
     if not ats:
         return np.empty((0, len(cols)), dtype=complex)
     tol, cap = ats[0].tol, ats[0].cap
-    ells = tuple(sorted({2 * n - 1 for n, _ in cols}))
-    ell_of = [ells.index(2 * n - 1) for n, _ in cols]
+    ells = tuple(2 * n - 1 for n, _ in cols)
     deriv = np.array([d for _, d in cols], dtype=bool)
     qs = np.array([cmath.exp(TWO_PI_I * at.tau) for at in ats])
-    count = min(cap, _q_sum_rows(float(np.abs(qs).max()),
-                                 max((2 * n - 1 + d for n, d in cols), default=1), tol))
+    ell = max((2 * n - 1 + d for n, d in cols), default=1)
+    count = min(cap, max(_FIRST_TERMS, _points_rows(float(np.abs(qs).max()), ell, 0.0, tol)))
     while True:
+        sigma = _divisor_power_floats(ells, 1 << (count - 1).bit_length())[:count]
+        fits, count = len(sigma) == count, len(sigma)
         powers = np.cumprod(np.broadcast_to(qs, (count, len(qs))), axis=0).T
         k = np.arange(1, count + 1, dtype=float)[:, None]
-        sigma = _divisor_power_sums(ells, count)[:count, ell_of]
         weights = sigma * np.where(deriv, TWO_PI_I * k, 1.0)
         sums = powers @ weights
         # the sizes of every sum's last three terms, (tau x 3 x column)
@@ -645,6 +668,8 @@ def _eisenstein_q_sums(ats: Sequence[_Checked], cols: Sequence[Tuple[int, bool]]
         short = (last > tol * np.maximum(np.abs(sums), 1e-300)[:, None]).any(axis=1) | (count < 3)
         if not short.any():
             return sums
+        if not fits:
+            raise _out_of_range(_q_sum_what(max(n for n, _ in cols)))
         if count == cap:
             i, col = np.argwhere(short)[0]
             raise NonConvergenceError(f"{_q_sum_what(cols[col][0])} hit max_terms={cap}",
@@ -657,9 +682,13 @@ def _eisenstein_consts(n: int) -> Tuple[complex, complex, float, float]:
     """const and pref of E_{2n}, |pref|, and the first-order relative
     rounding of const and pref: math.pi carries 2n half-ulps into
     (2 pi i)^{2n}, the binary powering and the B_{2n} and factorial
-    divisions a few more, and pref * s one."""
-    pref = 2 * TWO_PI_I ** (2 * n) / math.factorial(2 * n - 1)
-    const = -(TWO_PI_I ** (2 * n)) * float(bernoulli_number(2 * n)) / math.factorial(2 * n)
+    divisions a few more, and pref * s one.  OverflowError, named as the
+    q-sum's, where (2n)! or B_{2n} leaves binary64 as it meets a float."""
+    try:
+        pref = 2 * TWO_PI_I ** (2 * n) / math.factorial(2 * n - 1)
+        const = -(TWO_PI_I ** (2 * n)) * float(bernoulli_number(2 * n)) / math.factorial(2 * n)
+    except OverflowError:
+        raise _out_of_range(_q_sum_what(n)) from None
     return const, pref, abs(pref), 2.0**-53 * (2 * n + 2 * (2 * n).bit_length() + 4)
 
 
@@ -695,7 +724,10 @@ def eisenstein_normalized(n: int, tau: TauPoint, policy: SeriesPolicy = DEFAULT_
 def _eisenstein_normalized(n: int, at: _Checked) -> ComplexVal:
     """G_{2n} at `at`'s tau, from the memoised q-sum."""
     s, tail = _eisenstein_q_sum(n, at, False)
-    const = -float(bernoulli_number(2 * n)) / (4 * n)
+    try:
+        const = -float(bernoulli_number(2 * n)) / (4 * n)
+    except OverflowError:
+        raise _out_of_range(_q_sum_what(n)) from None
     value = const + s
     # first-order rounding of float(B_{2n}), the division and the final sum
     return ComplexVal(value, tail + 2.0**-53 * (2 * abs(const) + abs(value)))
@@ -779,7 +811,10 @@ def _points_rows(aq: float, ell: int, reach: float, tol: float) -> int:
     that the two terms of a pair are at most the model and the rule, size
     at most tol max(|sum|, 1), has fired by then (up to the denominators
     1 - aq^(j - reach), near 1 where the model nears tol).  The first j is
-    found from that of ell = 0 upwards, which is no later."""
+    found from that of ell = 0 upwards, which is no later.  With reach 0 it
+    also sizes the first product of `_eisenstein_q_sums`, whose kth term
+    sigma_ell(k) k^d q^k is about k^(ell + d) aq^k; an estimate that falls
+    short costs one more, doubled, product, not a value."""
     if aq == 0.0:
         return 2
     log_q = math.log(aq)
@@ -800,7 +835,12 @@ def _finite(v: ComplexArray, what: str) -> ComplexArray:
     err is not finite."""
     if np.isfinite(v.value).all() and np.isfinite(v.err).all():
         return v
-    raise OverflowError(f"{what} leaves the floating-point range")
+    raise _out_of_range(what)
+
+
+def _out_of_range(what: str) -> OverflowError:
+    """The OverflowError of a series `what` whose value leaves binary64."""
+    return OverflowError(f"{what} leaves the floating-point range")
 
 
 def _exp_err(a) -> np.ndarray:

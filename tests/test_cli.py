@@ -1,6 +1,7 @@
 """Command-line interface: output formats, exit codes, determinism, schema
 conformance."""
 
+import argparse
 import io
 import json
 import warnings
@@ -11,7 +12,7 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from ellded.cli import main
+from ellded.cli import build_parser, main
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "schema"
 
@@ -21,6 +22,12 @@ def run_cli(argv):
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def _subparsers(parser):
+    """The subparsers of `parser`, by name."""
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
 
 
 def _load_schema(name):
@@ -156,6 +163,42 @@ class TestVerifyExitCodes:
             main(argv)
         assert exc.value.code == 2 and out.getvalue() == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["eval", "bernoulli", "-k", "4", "--seed", "3"],
+        ["eval", "bernoulli", "-k", "4", "--tol", "1e-6"],
+        ["eval", "bernoulli", "-k", "4", "--max-terms", "5"],
+        ["eval", "period-data", "-n", "1", "--max-terms", "5"],
+        ["eval", "eisenstein", "-n", "1", "--tau", "1i", "--tol", "1e-6"],
+        ["eval", "eisenstein", "-n", "1", "--tau", "1i", "--seed", "1"],
+        ["verify", "thm11", "-n", "1", "-p", "3", "-q", "2", "--tau", "1i", "--seed", "1"],
+        ["verify", "apostol-reciprocity", "--w-max", "2", "--max-terms", "5"],
+    ])
+    def test_flag_the_subcommand_never_reads_is_usage_error(self, argv):
+        # before, each was accepted and silently ignored
+        out = io.StringIO()
+        with pytest.raises(SystemExit) as exc, redirect_stdout(out), \
+                redirect_stderr(io.StringIO()):
+            main(argv)
+        assert exc.value.code == 2 and out.getvalue() == ""
+
+    def test_each_subcommand_takes_the_common_flags_it_reads(self):
+        # --format everywhere, --tol on verify, --seed on basis-rank, and
+        # --max-terms where a q-series runs: 48 settable values, from 84
+        root = build_parser()
+        total = 0
+        for mode, subs in _subparsers(root).items():
+            for name, parser in _subparsers(subs).items():
+                flags = {o for a in parser._actions for o in a.option_strings}
+                common = flags & {"--tol", "--seed", "--format", "--max-terms"}
+                want = {"--format"} | ({"--tol"} if mode == "verify" else set())
+                if name == "basis-rank":
+                    want.add("--seed")
+                if "--tau" in flags or name in ("limit", "basis-rank"):
+                    want.add("--max-terms")
+                assert common == want, (mode, name)
+                total += len(common)
+        assert total == 48
+
     def test_least_counts_accepted(self):
         code, out, _ = run_cli(
             ["verify", "apostol-reciprocity", "--w-max", "2", "--pq-max", "1"])
@@ -221,6 +264,20 @@ class TestVerifyExitCodes:
         code, out, err = run_cli(argv)
         assert code == 3 and out == ""
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("argv, n", [
+        (["eval", "eisenstein", "-n", "100", "--tau", "0+1i"], 100),
+        (["eval", "eisenstein", "-n", "86", "--tau", "0+5i", "--kind", "deriv"], 86),
+        (["eval", "reciprocity-rhs", "-n", "100", "-p", "3", "-q", "2", "--tau", "0+1i"], 86),
+        (["verify", "basis-rank", "-w", "200", "--num-tau", "4"], 101),
+    ])
+    def test_eisenstein_overflow_names_the_series(self, argv, n):
+        # one error line naming the q-series, where it was int's "int too
+        # large to convert to float"
+        code, out, err = run_cli(argv)
+        assert (code, out) == (3, "")
+        assert err.splitlines() == [
+            f"error: Eisenstein q-series (n={n}) leaves the floating-point range"]
 
     @pytest.mark.parametrize("argv", [
         ["eval", "eisenstein", "-n", "2", "--tau", "nan+1i"],

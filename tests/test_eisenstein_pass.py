@@ -4,7 +4,8 @@ mpmath, and the matrix `basis_rank` decomposes, built from it without
 touching the per-tau caches, equals `reciprocity_laurent`'s coefficients up
 to rounding and has the same rank."""
 
-import cmath
+import itertools
+import math
 import random
 import warnings
 
@@ -21,10 +22,12 @@ COLUMNS = [(n, d) for n in range(1, 14) for d in (False, True)]
 #: caps of 1 and 2 terms, under which the loop's three-term rule never
 #: fires, and of 3 and 10, under which some columns stop and some fail
 POLICIES = [qseries.DEFAULT_POLICY] + [SeriesPolicy(max_terms=cap) for cap in (1, 2, 3, 10)]
-#: next to the zero q = -2.98e-8 of the weight-26 q-sum sum_k sigma_25(k) q^k,
-#: whose terms cancel there, so that under max_terms = 10 it runs past the
-#: terms `_q_sum_rows` estimates and the product doubles its terms
-BOUNDARY_TAUS = [TauPoint(0.5 + 2.7578251j), TauPoint(0.5 + 2.75782510497882j)]
+#: next to the zero q = -0.169 of the weight-8 q-sum sum_k sigma_3(k) q^k,
+#: whose terms cancel there, so that the scalar loop runs 46 terms, past the
+#: product's first count, and the product of that column alone doubles it
+BOUNDARY_TAUS = [TauPoint(0.5 + 0.28284206059543j), TauPoint(0.5 + 0.28284206059543004j)]
+#: the column whose sum vanishes at BOUNDARY_TAUS
+BOUNDARY_COLUMN = (2, False)
 
 #: the uncached scalar loop, whose outcome the product must have
 scalar_q_sum = qseries._eisenstein_q_sum.__wrapped__
@@ -73,28 +76,96 @@ def test_pass_matches_scalar_loop(policy, size):
     # three terms the loop still fails
     samples.append([TauPoint(0.1 + 200j)])
     for taus in samples:
-        for cols in (COLUMNS, rng.sample(COLUMNS, 5), [COLUMNS[-1], COLUMNS[0]]):
+        for cols in (COLUMNS, rng.sample(COLUMNS, 5), [COLUMNS[-1], COLUMNS[0]],
+                     [BOUNDARY_COLUMN]):
             _assert_same_outcome(_records(taus, policy), cols)
 
 
-def test_boundary_sample_runs_past_the_estimate():
-    # the loop runs some column of the boundary sample past the terms the
-    # product starts from, so that its outcome in test_pass_matches_scalar_loop
-    # is the doubled product's
-    ats = _records(BOUNDARY_TAUS, SeriesPolicy(max_terms=10))
-    q = max(abs(cmath.exp(qseries.TWO_PI_I * at.tau)) for at in ats)
-    first = qseries._q_sum_rows(q, 2 * 13, ats[0].tol)
-    stops = []
-    for at in ats:
-        for n, d in COLUMNS:
-            for cap in range(1, 11):
-                try:
-                    scalar_q_sum(n, at._replace(cap=cap), d)
-                except NonConvergenceError:
-                    continue
-                stops.append(cap)
-                break
-    assert max(stops) > first
+def _divisor_power_sum(ell, k):
+    """sigma_ell(k) by trial division over d <= sqrt(k)."""
+    return sum(d**ell + ((k // d) ** ell if d * d != k else 0)
+               for d in range(1, math.isqrt(k) + 1) if k % d == 0)
+
+
+@pytest.mark.parametrize("ell", range(1, 48, 2))
+def test_sigma_table_and_its_float_view(ell):
+    table = qseries._divisor_power_sums(ell, 1024)
+    assert table == tuple(_divisor_power_sum(ell, k) for k in range(1, 1025))
+    assert all(type(s) is int for s in table)
+    # a smaller power-of-two table is the same sieve's prefix
+    assert qseries._divisor_power_sums(ell, 32) == table[:32]
+    view = qseries._divisor_power_floats((ell, 1), 1024)
+    assert view.shape == (1024, 2) and not view.flags.writeable
+    assert view[:, 0].tolist() == [float(s) for s in table]
+
+
+def test_float_view_ends_where_sigma_leaves_binary64():
+    # sigma_201(k) fits binary64 up to k = 34 (34^201 < 2^1023), and the
+    # view of every column ends there, at the largest ell's first overflow
+    top = qseries._divisor_power_sums(201, 64)
+    view = qseries._divisor_power_floats((3, 201), 64)
+    assert view.shape == (34, 2)
+    assert view[:, 1].tolist() == [float(s) for s in top[:34]]
+    with pytest.raises(OverflowError):
+        float(top[34])
+
+
+def test_product_runs_on_the_float_view_it_holds(monkeypatch):
+    # at w = 150 the first count, 123 terms, reaches past k = 110, from
+    # which sigma_151(k) leaves binary64, but the sums end well before: the
+    # product runs once on the 110 rows the view holds and returns the rank
+    counts = _spy_products(monkeypatch)
+    assert identities.basis_rank(150, identities.random_taus(4, 0)) == 4
+    assert counts == [128]
+    assert len(qseries._divisor_power_floats((151,), 128)) == 110
+
+
+def _spy_products(monkeypatch):
+    """The count of the sigma table that each product reads, one entry per
+    product formed."""
+    counts = []
+    read = qseries._divisor_power_floats
+
+    def spy(ells, count):
+        counts.append(count)
+        return read(ells, count)
+
+    monkeypatch.setattr(qseries, "_divisor_power_floats", spy)
+    return counts
+
+
+def _loop_stop(n, at, tau_deriv):
+    """The term after which the scalar loop stops at `at`."""
+    for cap in itertools.count(1):
+        try:
+            scalar_q_sum(n, at._replace(cap=cap), tau_deriv)
+            return cap
+        except NonConvergenceError:
+            pass
+
+
+@pytest.mark.parametrize("w", range(2, 26, 2))
+def test_one_product_over_the_random_tau_window(w, monkeypatch):
+    # basis_rank's samples, Im tau in [0.8, 1.5], take one product at every
+    # weight up to 24, the floor of the first count covering them
+    counts = _spy_products(monkeypatch)
+    for size in range(4, 11):
+        for seed in range(5):
+            counts.clear()
+            identities.basis_rank(w, identities.random_taus(size, 100 * w + seed))
+            assert counts == [qseries._FIRST_TERMS], (size, seed, counts)
+
+
+def test_boundary_sample_runs_past_the_estimate(monkeypatch):
+    # the loop runs the boundary column past the terms the product starts
+    # from, so that the product doubles them, and its outcome in
+    # test_pass_matches_scalar_loop is the doubled product's
+    ats = _records(BOUNDARY_TAUS, qseries.DEFAULT_POLICY)
+    counts = _spy_products(monkeypatch)
+    qseries._eisenstein_q_sums(ats, [BOUNDARY_COLUMN])
+    n, d = BOUNDARY_COLUMN
+    assert len(counts) >= 2
+    assert max(_loop_stop(n, at, d) for at in ats) > counts[0]
 
 
 def test_pass_raises_first_failure_in_sample_order():

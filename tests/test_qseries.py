@@ -598,12 +598,12 @@ class TestPolicyGuards:
         tau = TauPoint(0.1 + 1e-20j)
         assert abs(tau.nome) == 1.0
         for m in (1, [1, 3]):
-            with pytest.raises(ValueError, match=r"\|q\| rounds to 1 at tau = \(0\.1\+1e-20j\)"):
+            with pytest.raises(ValueError, match=r"\|q\| is too close to 1 at tau = \(0\.1\+1e-20j\)"):
                 elliptic_bernoulli_points(m, [0.3, 0.4], [0.2, 0.5], tau, policy)
-        with pytest.raises(ValueError, match=r"\|q\| rounds to 1"):
+        with pytest.raises(ValueError, match=r"\|q\| is too close to 1"):
             elliptic_bernoulli(1, 0.3, 0.2, tau, policy)
         # B_0 runs no series, but its tau is checked as every other call's is
-        with pytest.raises(ValueError, match=r"\|q\| rounds to 1 at tau = \(0\.1\+1e-20j\)"):
+        with pytest.raises(ValueError, match=r"\|q\| is too close to 1 at tau = \(0\.1\+1e-20j\)"):
             elliptic_bernoulli(0, 0.3, 0.2, tau, policy)
 
     @pytest.mark.filterwarnings("ignore::ellded.qseries.SlowNomeWarning")
@@ -623,7 +623,7 @@ class TestPolicyGuards:
                      lambda: weierstrass_p_deriv_points(1, [z, 0.4], tau, policy),
                      lambda: sigma_log_tau_derivative(z, tau, policy),
                      lambda: qseries._checked(tau, policy)):
-            with pytest.raises(ValueError, match=r"\|q\| rounds to 1 at tau = \(0\.1\+1e-20j\)"):
+            with pytest.raises(ValueError, match=r"\|q\| is too close to 1 at tau = \(0\.1\+1e-20j\)"):
                 call()
 
     @pytest.mark.filterwarnings("error::ellded.qseries.SlowNomeWarning")
@@ -631,15 +631,18 @@ class TestPolicyGuards:
     def test_every_call_rejects_a_nome_rounding_to_one(self, name, monkeypatch):
         # one check for every function, B_0 and the Eisenstein series among
         # them: it raises, with no warning, before any series runs, any
-        # Eisenstein product is formed or any cache is read
+        # Eisenstein product is formed or any cache is read.  At 1e-17i |q|
+        # is 1 - 2^-53, short of 1, but no series could sum the ~2.5e17
+        # terms it needs to reach tol
         call, _ = PUBLIC_TAU_CALLS[name]
         ran = []
         monkeypatch.setattr(qseries, "_block_series", lambda *args: ran.append(args))
         monkeypatch.setattr(qseries, "_eisenstein_q_sums", lambda *args: ran.append(args))
         caches = (qseries._eisenstein_q_sum, identities._record)
         before = [f.cache_info() for f in caches]
-        with pytest.raises(ValueError, match=r"^\|q\| rounds to 1 at tau = "):
-            call(TauPoint(0.1 + 1e-20j), SeriesPolicy(min_im_tau=0.0, max_terms=50))
+        for tau in (0.1 + 1e-20j, 0.1 + 1e-17j):
+            with pytest.raises(ValueError, match=r"^\|q\| is too close to 1 at tau = "):
+                call(TauPoint(tau), SeriesPolicy(min_im_tau=0.0, max_terms=50))
         assert not ran and [f.cache_info() for f in caches] == before
 
 
@@ -653,6 +656,21 @@ BEYOND_BINARY64 = [
                                   Route.BERNOULLI_PRODUCT), "B_187"),
     (lambda: weierstrass_zeta_deriv(41, 1e-10, TauPoint(0.3 + 1.1j)), r"pe\^\(40\)"),
     (lambda: weierstrass_zeta_deriv(121, 0.3, TauPoint(0.3 + 0.06j)), r"pe\^\(120\)"),
+]
+
+#: Eisenstein calls whose q-series leaves binary64, with the n it names:
+#: sigma in the scalar loop (n = 100 at tau = i), (2n)! at n = 86 and
+#: B_{2n} at n = 135 where q is small, the first n of an identity's table
+#: to overflow, and the largest n of basis_rank's product
+EISENSTEIN_BEYOND_BINARY64 = [
+    (lambda: eisenstein(100, TauPoint(1j)), 100),
+    (lambda: eisenstein_normalized(100, TauPoint(1j)), 100),
+    (lambda: eisenstein_tau_derivative(100, TauPoint(1j)), 100),
+    (lambda: eisenstein(86, TauPoint(5j)), 86),
+    (lambda: eisenstein_normalized(135, TauPoint(50j)), 135),
+    (lambda: identities.c_coefficients(100, TauPoint(1j)), 86),
+    (lambda: reciprocity_rhs(100, CoprimePair(3, 2), TauPoint(1j)), 86),
+    (lambda: basis_rank(200, identities.random_taus(4, 0)), 101),
 ]
 
 
@@ -680,6 +698,26 @@ class TestBeyondBinary64:
             with pytest.raises(OverflowError, match=rf"^{name} leaves the floating-point range$"):
                 call()
         assert stops and max(stops) < 64
+
+    @pytest.mark.parametrize("call, n", EISENSTEIN_BEYOND_BINARY64,
+                             ids=["e100", "g100", "de100", "e86_const", "g135_bernoulli",
+                                  "c_coefficients100", "reciprocity_rhs100", "basis_rank200"])
+    def test_eisenstein_names_its_overflow(self, call, n):
+        """The Eisenstein q-series raises one OverflowError naming itself
+        where sigma_{2n-1}(k), (2n)! or B_{2n} leaves binary64 as it meets a
+        float, in place of int's "int too large to convert to float"."""
+        with pytest.raises(OverflowError,
+                           match=rf"^Eisenstein q-series \(n={n}\) leaves the floating-point range$"):
+            call()
+
+    def test_eisenstein_in_range_keeps_its_bits(self):
+        # at tau = i the q-sum of E_160 stops before sigma_159(k) leaves
+        # binary64, and each term rounds the int sigma as float(sigma) did
+        tau = TauPoint(1j)
+        assert eisenstein(80, tau) == ComplexVal(3.9999999999999876 - 3.9188697572715184e-14j,
+                                                 3.289133714343814e-13)
+        assert eisenstein_tau_derivative(80, tau) == ComplexVal(
+            3.135095805817225e-12 + 320.00000000000006j, 4.0084429037823715e-11)
 
     def test_large_order_in_range_keeps_its_value(self):
         # B_160 at the same point stays within binary64, and its rows past

@@ -54,12 +54,14 @@ def command_grid(cfg: SweepConfig):
         for n, p, q in ((1, 2, 1), (2, 3, 2)):
             yield "three-term", ["verify", "three-term", "-n", str(n),
                                  "-p", str(p), "-q", str(q), "--tau", tau]
-    # near the real axis thm13 only: thm11's fixed tol lies below the error
-    # of the elliptic sums there; Im tau = 0.06 is the smallest the
-    # benchmark's division sums use, where zeta and pe run at tau reduced
-    # to the fundamental domain
+    # near the real axis: Im tau = 0.06 is the smallest the benchmark's
+    # division sums use; the zeta route and R run at tau reduced to the
+    # fundamental domain
     for tau in ("0.2+0.11i", "0.3+0.06i"):
         for p, q in PAIRS:
+            for n in (1, 2):
+                yield "thm11", ["verify", "thm11", "-n", str(n), "-p", str(p),
+                                "-q", str(q), "--tau", tau]
             yield "thm13", ["verify", "thm13", "-p", str(p), "-q", str(q),
                             "--tau", tau]
     for p, q in PAIRS:

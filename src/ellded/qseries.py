@@ -33,8 +33,12 @@ needs from one call.  Integer powers in the series are IEEE products
 (`_ipow`), not numpy's pow, so their bits do not depend on the host.
 The Weierstrass kernels run at tau reduced to the fundamental domain
 (`_reduction`) and map their values back by weight; the elliptic Bernoulli
-and Eisenstein functions run at tau itself.  b = zeta - E_2 z comes straight
-from one B_1 batch (`_b_series`), with no E_2, and zeta is b + E_2 z.
+and Eisenstein functions run at tau itself.  A symbol that reduces as a
+whole, by its own weight, calls the series at tau' directly (`_p_deriv_at`,
+`_b_series`, `_eisenstein_table`) and bounds the derivatives of the
+Eisenstein series there (`_eisenstein_majorants`).  b = zeta - E_2 z comes
+straight from one B_1 batch (`_b_series`), with no E_2, and zeta is
+b + E_2 z.
 Each input rule has one home, and the series only evaluate.  Each public
 call checks its tau once, in `_checked`, into a `_Checked` record of plain
 numbers: tau, tol and max_terms, the term cap of every series at every tau;
@@ -50,8 +54,9 @@ for a whole sample of tau, without the cache and without their bounds, as
 one matrix product of the powers q^k and the divisor sums: a (tau x column)
 array equal to the loop's sums up to rounding, for `basis_rank`, whose
 output is a rank.  Both read sigma_ell(k) from one exact-integer sieve,
-`_divisor_power_sums`, cached per power-of-two count: the loop as ints,
-each rounded as it meets q^k, the product as a float view of the table.
+`_divisor_power_sums`, cached per power-of-two count up to
+SIGMA_CACHE_TERMS terms and built afresh past it: the loop as ints, each
+rounded as it meets q^k, the product as a float view of the table.
 The loop's stopping rule, three terms in a row at most tol |sum|, is the
 one judge of enough terms in both: the product starts from the kernels'
 estimate (`_points_rows`) and doubles until its sums meet the rule.  A
@@ -73,7 +78,7 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache, partial, wraps
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -507,12 +512,35 @@ def _block_series(start: np.ndarray, start_rnd: np.ndarray, terms,
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+#: the longest sigma table the caches keep: at Im tau = 0.05, the default
+#: least, a q-sum up to n = 50 ends within a quarter of it; a longer table,
+#: which a series nearer |q| = 1 asks for under a lowered min_im_tau, is
+#: built afresh each time
+SIGMA_CACHE_TERMS = 1 << 12
+
+
+def _short_tables_cached(build):
+    """`build(key, count)` behind an unbounded `lru_cache` for a count of at
+    most SIGMA_CACHE_TERMS, and uncached past it, so that a capped series
+    near |q| = 1 leaves no table of 2^20 entries behind; the cache is the
+    wrapper's `cache`."""
+    cached = lru_cache(maxsize=None)(build)
+
+    @wraps(build)
+    def table(key, count: int):
+        return (cached if count <= SIGMA_CACHE_TERMS else build)(key, count)
+
+    table.cache = cached
+    return table
+
+
+@_short_tables_cached
 def _divisor_power_sums(ell: int, count: int) -> Tuple[int, ...]:
     """(sigma_ell(1), ..., sigma_ell(count)), sigma_ell(k) = sum_{d | k} d^ell,
     as exact ints from one sieve over d, for a power-of-two count, so that a
     growing sum reuses few tables: the one source of sigma, which the
-    scalar loop reads as ints and the product as `_divisor_power_floats`."""
+    scalar loop reads as ints and the product as `_divisor_power_floats`.
+    Cached up to SIGMA_CACHE_TERMS terms (`_short_tables_cached`)."""
     sigma = [0] * count
     for d in range(1, count + 1):
         power = d**ell
@@ -526,13 +554,13 @@ def _divisor_power_sums(ell: int, count: int) -> Tuple[int, ...]:
 _FLOAT_END = 2**1024 - 2**970
 
 
-@lru_cache(maxsize=None)
+@_short_tables_cached
 def _divisor_power_floats(ells: Tuple[int, ...], count: int) -> np.ndarray:
     """The float view of `_divisor_power_sums(ell, count)` for each ell of
     ells: float(sigma_ell(k)) for k = 1..rows (rows) and ell (columns),
-    read-only.  rows = count, or fewer where sigma leaves binary64: the view
-    ends before the first k at which sigma of the largest ell, which is the
-    largest sigma, does."""
+    read-only, cached as the int tables are.  rows = count, or fewer where
+    sigma leaves binary64: the view ends before the first k at which sigma
+    of the largest ell, which is the largest sigma, does."""
     top = _divisor_power_sums(max(ells, default=1), count)
     rows = next((k for k, s in enumerate(top) if s >= _FLOAT_END), count)
     table = np.array([_divisor_power_sums(ell, count)[:rows] for ell in ells],
@@ -756,6 +784,36 @@ def _eisenstein_table(n: int, at: _Checked) -> EisensteinTable:
     e = [_eisenstein(j, at) for j in range(1, n + 2)]
     return (e[n], tuple(e[j - 1] * e[n - j] for j in range(1, n + 1)),
             _eisenstein_tau_derivative(n, at))
+
+
+def _eisenstein_majorants(n: int, aq: float) -> Tuple[float, float, float]:
+    """Bounds on |E_{2n}|, |dE_{2n}/dtau| and |d^2 E_{2n}/dtau^2| at any tau
+    with |q| = aq < 1/2: |const| + |pref| S_0, |pref| S_1 and |pref| S_2,
+    S_d = sum_k sigma_{2n-1}(k) (2 pi k)^d aq^k, the q-sum's terms made
+    positive.  sigma_{2n-1}(k) <= k^{2n}, as k has at most k divisors, so
+    each term is at most |pref| (2 pi k)^d k^{2n} aq^k, with |pref| k^{2n}
+    aq^k formed in logs, as k^{2n} alone leaves binary64 at large n where
+    the term does not.  The sums stop at the first k at which the ratio
+    ((k+1)/k)^{2n+2} aq of consecutive terms, which falls with k and bounds
+    every d's, is at most 1/2, and bound their tails geometrically from it.
+    They are what `_e2` bounds for E_2, in the form that `reciprocity_rhs`
+    needs to charge an error of tau to R^-_{2n}."""
+    const, _, abs_pref, _ = _eisenstein_consts(n)
+    if aq == 0.0:
+        return abs(const), 0.0, 0.0
+    log_pref, log_q = math.log(abs_pref), math.log(aq)
+    s0 = s1 = s2 = 0.0
+    k = 1
+    while True:
+        t = math.exp(log_pref + 2 * n * math.log(k) + k * log_q)
+        u = 2.0 * math.pi * k
+        ratio = ((k + 1) / k) ** (2 * n + 2) * aq
+        if ratio <= 0.5:
+            # the last term and its geometric tail
+            t /= 1.0 - ratio
+            return abs(const) + s0 + t, s1 + t * u, s2 + t * u * u
+        s0, s1, s2 = s0 + t, s1 + t * u, s2 + t * u * u
+        k += 1
 
 
 def _eisenstein_tables(n: int, ats: Sequence[_Checked]) -> Tuple[np.ndarray, ...]:
@@ -1350,6 +1408,16 @@ def _p_deriv_points(k: int, z, at: _Checked) -> ComplexArray:
     included, with no numpy warning: `_finite` is the one overflow check."""
     pe, f = _in_frame(partial(_p_deriv_series, k), z, at, "pe")
     return _finite(pe if f.red is None else pe * f.red.weight(k + 2), f"pe^({k})")
+
+
+@np.errstate(all="ignore")
+def _p_deriv_at(k: int, x: np.ndarray, y: np.ndarray, at: _Checked, arg_err) -> ComplexArray:
+    """pe^(k)(x - y tau) at `at`'s tau itself, for points that the caller
+    gives off the lattice, with y snapped, and with `arg_err` as in
+    `_Frame`: no check, no frame and no weight, for a sum that a symbol
+    evaluates at a reduced tau as a whole.  No numpy warning; `_finite` is
+    the one overflow check."""
+    return _finite(_p_deriv_series(k, x, y, at, arg_err), f"pe^({k})")
 
 
 def weierstrass_p_deriv(k: int, z: complex, tau: TauPoint,

@@ -16,6 +16,20 @@ D^-(x) and the Prop. 3.1 sums, the pair adds (f(P - x) + f(P + x)) g(qP),
 as f(-P - x) g(-qP) = f(P + x) g(qP): three factors per pair, not four.
 Both routes of `elliptic_apostol_sum` pair alike, and pairing is no
 reciprocity law, so they stay independent.
+
+D^-_{2n}(p, q; .) and R^-_{2n}(p, q; .) are modular forms of weight 2n + 2
+for SL_2(Z).  So off the fundamental domain F the zeta route of
+`elliptic_apostol_sum` and `reciprocity_rhs` check the caller's tau once,
+then evaluate the whole sum, or the closed form, at tau' = gamma tau in F
+(`qseries._reduction`) and return it times m^-(2n+2), m = c tau + d
+(`_Reduction.weight`, with m's error).  Their err also charges the error
+`_Reduction.dtau` of the computed tau': the zeta route as an argument error
+of its kernels, R through a majorant of |dR/dtau'| (`_reciprocity_slope`).
+On the closed F both run at tau itself, as before.  Unreduced on purpose:
+the Bernoulli route and every B_m (the Machide and Prop. 3.1 sums), which
+stay oracles at the caller's tau, `generating_D` and `generating_R`, whose
+kernels reduce point by point, and `_reciprocity_rhs_of` as the identity
+record reads it, at tau itself.
 """
 
 from __future__ import annotations
@@ -37,14 +51,19 @@ from .qseries import (
     EisensteinTable,
     SeriesPolicy,
     TauPoint,
+    _b_series,
     _bernoulli_points,
     _Checked,
     _checked,
     _checked_n,
     _eisenstein,
+    _eisenstein_majorants,
     _eisenstein_table,
+    _p_deriv_at,
     _p_deriv_points,
     _pe_blocks,
+    _reduction,
+    _Reduction,
     _sigma_log_blocks,
     _zeta_block,
     eisenstein,
@@ -177,6 +196,13 @@ def elliptic_apostol_sum(n: int, pair: CoprimePair, tau: TauPoint,
 
     with q* q = 1 (mod p).  `route` is a Route or its value; any other raises
     ValueError.
+
+    Off F the zeta route runs at tau' = gamma tau in F as a whole, over the
+    division points of tau' (`_reduced_zeta_factors`), times m^-(2n+2), D
+    being of weight 2n + 2; its err charges the error of tau' through the
+    kernels' argument errors and that of m^-(2n+2).  The Bernoulli route
+    runs at the caller's tau everywhere, so the two routes agree only as
+    far as D is modular.
     """
     route = Route(route)
     _checked_n(n)
@@ -184,10 +210,15 @@ def elliptic_apostol_sum(n: int, pair: CoprimePair, tau: TauPoint,
     p, q = pair.p, pair.q
     lam, mu, w = _half_division_points(p)
     if route is Route.ZETA_DERIVATIVE:
-        z = _division_z(lam, mu, tau, p)
-        # zeta^{(2n)} = -pe^{(2n-1)}
-        zd = -_p_deriv_points(2 * n - 1, z, at)
-        total = _fsum(_weighted(zd * _zeta_bracket(q * z, q * mu / p, at), w))
+        red = _reduction(at.tau)
+        if red is None:
+            z = _division_z(lam, mu, tau, p)
+            # zeta^{(2n)} = -pe^{(2n-1)}
+            zd = -_p_deriv_points(2 * n - 1, z, at)
+            total = _fsum(_weighted(zd * _zeta_bracket(q * z, q * mu / p, at), w))
+        else:
+            zd, bracket = _reduced_zeta_factors(n, pair, lam, mu, red, at)
+            total = _fsum(_weighted(zd * bracket, w)) * red.weight(2 * n + 2)
         val = total * (1.0 / ((TWO_PI_I**2).real * p * math.factorial(2 * n)))
     else:
         q_inv = pow(q % p, -1, p) if p > 1 else 0
@@ -199,6 +230,31 @@ def elliptic_apostol_sum(n: int, pair: CoprimePair, tau: TauPoint,
     return EllipticSumResult(val, route, p, q, n, tau)
 
 
+def _reduced_zeta_factors(n: int, pair: CoprimePair, lam: np.ndarray, mu: np.ndarray,
+                          red: _Reduction, at: _Checked) -> Tuple[ComplexArray, ComplexArray]:
+    """zeta^{(2n)}(z') and the bracket zeta(q z') - E_2 q z' + 2 pi i q mu/p
+    at the division points z' = (lam + mu tau')/p of tau' = red.tau, in F,
+    straight from the series there: z' = x - y tau' with x = lam/p and
+    y = -mu/p, q z' with q lam/p and -q mu/p, each correctly rounded, so
+    within 2^-53 of itself, which err charges with red.dtau as the
+    argument errors of the kernels (`_Frame.arg_err`).  No point needs a
+    check or a snap: y is a multiple of 1/p, an integer only where it is
+    exactly 0, and x and y are integers together only at the origin, which
+    the division points skip.  The bracket is b = zeta - E_2 z from B_1
+    (`_b_series`), with no E_2."""
+    p, q = pair.p, pair.q
+    at = _Checked(red.tau, at.tol, at.cap)
+
+    def arg_err(x, y):
+        return 2.0**-53 * np.abs(x), 2.0**-53 * np.abs(y), red.dtau
+
+    x, y = lam / p, -mu / p
+    xq, yq = q * lam / p, -q * mu / p
+    # zeta^{(2n)} = -pe^{(2n-1)}
+    zd = -_p_deriv_at(2 * n - 1, x, y, at, arg_err(x, y))
+    return zd, _b_series(xq, yq, at, arg_err(xq, yq)) + ComplexArray(TWO_PI_I * (q * mu / p), 0.0)
+
+
 def reciprocity_rhs(n: int, pair: CoprimePair, tau: TauPoint,
                     policy: SeriesPolicy = DEFAULT_POLICY) -> ComplexVal:
     """The reciprocity function R^-_{2n}(p, q; tau) in closed form:
@@ -207,9 +263,36 @@ def reciprocity_rhs(n: int, pair: CoprimePair, tau: TauPoint,
                              - E_{2n+2} (p^{2n+2} + q^{2n+2})
                              - (2n+1) E_{2n+2} ]
         - 1/(4 pi i n) dE_{2n}/dtau (p^{2n-1} q + p q^{2n-1}).
+
+    Off F, R(tau) = m^-(2n+2) R(tau'), R being of weight 2n + 2: the
+    Eisenstein table is read at tau' = gamma tau in F, a few terms per
+    q-sum, and err adds |dR/dtau'| dtau by the majorant `_reciprocity_slope`
+    and the error of m^-(2n+2).  On the closed F, and for the identity
+    record (`_reciprocity_rhs_of`), R is the closed form at tau itself.
     """
     pair.require_u()
-    return _reciprocity_rhs_of(n, pair, _eisenstein_table(_checked_n(n), _checked(tau, policy)))
+    n, at = _checked_n(n), _checked(tau, policy)
+    red = _reduction(at.tau)
+    if red is None:
+        return _reciprocity_rhs_of(n, pair, _eisenstein_table(n, at))
+    at = _Checked(red.tau, at.tol, at.cap)
+    r = _reciprocity_rhs_of(n, pair, _eisenstein_table(n, at))
+    slope = _reciprocity_slope(n, pair, math.exp(-2.0 * math.pi * red.tau.imag))
+    return ComplexVal(r.value, r.err + slope * red.dtau) * red.weight(2 * n + 2)
+
+
+def _reciprocity_slope(n: int, pair: CoprimePair, aq: float) -> float:
+    """A bound on |dR^-_{2n}/dtau| at a tau with |q| = aq < 1/2: the closed
+    form of `reciprocity_rhs` differentiated, with every E_{2j} and its
+    tau-derivatives replaced by their bounds (`_eisenstein_majorants`)."""
+    p, q = pair.p, pair.q
+    e, de, d2e = zip(*(_eisenstein_majorants(j, aq) for j in range(1, n + 2)))
+    bracket = sum((de[j - 1] * e[n - j] + e[j - 1] * de[n - j])
+                  * float(p ** (2 * j) * q ** (2 * n + 2 - 2 * j))
+                  for j in range(1, n + 1))
+    bracket += de[n] * float(p ** (2 * n + 2) + q ** (2 * n + 2) + 2 * n + 1)
+    return (bracket / (4.0 * math.pi**2 * p * q)
+            + d2e[n - 1] * (p ** (2 * n - 1) * q + p * q ** (2 * n - 1)) / (4.0 * math.pi * n))
 
 
 def _reciprocity_rhs_of(n: int, pair: CoprimePair, table: EisensteinTable) -> ComplexVal:

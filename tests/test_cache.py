@@ -17,14 +17,14 @@ GRID_TAUS = [complex(0.0, 1.5), complex(-0.0, 1.5), 0.3 + 1.1j, -0.45 + 0.7j,
              0.2 + 0.3j, 0.1 + 0.11j]
 GRID_PAIRS = [(3, 2), (5, 3), (7, 4)]
 #: the grid's tau in the fundamental domain, where the zeta and pe kernels
-#: run unreduced
+#: and reciprocity_rhs run unreduced
 GRID_TAUS_IN_F = [complex(0.0, 1.5), 0.3 + 1.1j]
 
 #: SHA-256 of the pinned reprs of `_grid_reprs()`, every value that no tau
 #: reduction touches, as computed with the unreduced kernels (whose whole
 #: grid matched its value before the caches were added) and zeta as
 #: b + E_2 z with b from B_1
-GRID_SHA256 = "268d7a14fcbb13e3eb6e7351f3168004c9a64cb1f1b27bf056332c48695249f0"
+GRID_SHA256 = "d45ad5679881a8ed38cd16804d15095cec8f8b52b32cf4d32ec82ea63284e393"
 
 
 def _clear_caches():
@@ -38,8 +38,8 @@ EQ64_WEIGHTS = (2, 4, 6, 8, 12)
 
 def _grid_reprs():
     """repr of every cached or cache-reading value over the grid: those
-    that the pin covers, and the zeta and pe kernels at tau outside F,
-    which read the caches at the reduced tau."""
+    that the pin covers, and the zeta and pe kernels and reciprocity_rhs at
+    tau outside F, which read the caches at the reduced tau."""
     out, reduced = [], []
     for t in GRID_TAUS:
         tau = TauPoint(t)
@@ -53,8 +53,9 @@ def _grid_reprs():
             out += [identities.verify_eq73(n, k, tau) for k in range(1, 2 * n + 3)]
             for p, q in GRID_PAIRS:
                 pair = CoprimePair(p, q)
-                out += [symbols.reciprocity_rhs(n, pair, tau),
-                        identities.t_weighted(n, pair, tau),
+                rhs = symbols.reciprocity_rhs(n, pair, tau)
+                (out if t in GRID_TAUS_IN_F else reduced).append(rhs)
+                out += [identities.t_weighted(n, pair, tau),
                         identities.verify_three_term(n, pair, tau)]
         kernels = [qseries.weierstrass_zeta_points([0.3 + 0.1j, 0.45 - 0.2j], tau),
                    qseries.weierstrass_p_deriv_points(0, [0.3 + 0.1j, 0.45 - 0.2j], tau)]
@@ -200,8 +201,10 @@ class TestCacheContract:
         for _ in range(2):
             with pytest.raises(NonConvergenceError):
                 qseries.eisenstein(3, tau, policy)
+            # R runs at tau reduced to 4i, where 10 terms suffice; no q-sum
+            # stops within 2
             with pytest.raises(NonConvergenceError):
-                symbols.reciprocity_rhs(2, CoprimePair(3, 2), tau, policy)
+                symbols.reciprocity_rhs(2, CoprimePair(3, 2), tau, SeriesPolicy(max_terms=2))
             with pytest.raises(NonConvergenceError):
                 identities.c_coefficients(2, tau, policy)
             with pytest.raises(NonConvergenceError):

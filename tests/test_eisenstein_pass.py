@@ -99,6 +99,25 @@ def test_sigma_table_and_its_float_view(ell):
     assert view[:, 0].tolist() == [float(s) for s in table]
 
 
+def test_sigma_tables_past_the_bound_are_not_cached():
+    # a table of at most SIGMA_CACHE_TERMS terms is cached, a longer one,
+    # int or float, is built afresh and kept by no cache
+    bound = qseries.SIGMA_CACHE_TERMS
+    ints, floats = qseries._divisor_power_sums.cache, qseries._divisor_power_floats.cache
+    ints.cache_clear()
+    floats.cache_clear()
+    assert qseries._divisor_power_sums(3, bound) is qseries._divisor_power_sums(3, bound)
+    assert ints.cache_info().currsize == 1
+    long = qseries._divisor_power_sums(3, 2 * bound)
+    assert long[:bound] == qseries._divisor_power_sums(3, bound)
+    assert [long[k - 1] for k in (bound + 1, 2 * bound)] == [
+        _divisor_power_sum(3, k) for k in (bound + 1, 2 * bound)]
+    assert qseries._divisor_power_sums(3, 2 * bound) is not long
+    view = qseries._divisor_power_floats((3,), 2 * bound)
+    assert view[:, 0].tolist() == [float(s) for s in long]
+    assert ints.cache_info().currsize == 1 and floats.cache_info().currsize == 0
+
+
 def test_float_view_ends_where_sigma_leaves_binary64():
     # sigma_201(k) fits binary64 up to k = 34 (34^201 < 2^1023), and the
     # view of every column ends there, at the largest ell's first overflow

@@ -1,11 +1,16 @@
-"""tau reduced to the fundamental domain F for the zeta and pe kernels: the
-reduction, the err of the reduced kernels and of the E_2-free blocks against
-mpmath, and the reduced zeta route against the unreduced Bernoulli route."""
+"""tau reduced to the fundamental domain F for the zeta and pe kernels, the
+zeta route of the elliptic sum and R^-_{2n}: the reduction, the err of the
+reduced kernels, of the E_2-free blocks, of the reduced zeta route and of
+the reduced R against mpmath at tau itself, and the reduced zeta route
+against the unreduced Bernoulli route."""
 
+import cmath
 import math
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ellded import qseries, symbols
 from ellded.exact import CoprimePair
@@ -211,3 +216,115 @@ def test_thm13_constant_with_e2_free_blocks():
     v = (symbols.generating_D(pair, tau, x) + symbols.generating_D(CoprimePair(11, 17), tau, x)
          - symbols.generating_R(pair, tau, x) - symbols.expected_constant(pair, tau))
     assert abs(v.value) <= min(v.err, 1e-11)
+
+
+# ---------------------------------------------------------------------------
+# R^-_{2n} and the zeta route at tau reduced to F against mpmath at tau
+# ---------------------------------------------------------------------------
+
+
+def _mp_eisenstein(mp, k, tau, deriv=0):
+    """E_{2k}(tau), or its deriv-th tau-derivative, in the package's
+    normalisation
+    -(2 pi i)^{2k} B_{2k}/(2k)! + (2 (2 pi i)^{2k}/(2k-1)!) sum sigma_{2k-1}(m) q^m,
+    from its q-expansion summed in mpmath at tau itself, up to the m past
+    which every term is below 1e-40 of the term bound m^{2k+2} |q|^m."""
+    q = mp.exp(2j * mp.pi * tau)
+    log_aq = float(mp.log(abs(q)))
+    count = 10
+    while (2 * k + 2) * math.log(count) + count * log_aq > math.log(1e-40):
+        count += 1
+    sigma = [0] * (count + 1)
+    for d in range(1, count + 1):
+        for m in range(d, count + 1, d):
+            sigma[m] += d ** (2 * k - 1)
+    terms, qm = [], mp.mpc(1)
+    for m in range(1, count + 1):
+        qm *= q
+        terms.append(sigma[m] * qm * (2j * mp.pi * m) ** deriv)
+    two_pi_i = 2j * mp.pi
+    pref = 2 * two_pi_i ** (2 * k) / mp.factorial(2 * k - 1)
+    if deriv:
+        return pref * mp.fsum(terms)
+    return -two_pi_i ** (2 * k) * mp.bernoulli(2 * k) / mp.factorial(2 * k) + pref * mp.fsum(terms)
+
+
+@pytest.mark.parametrize("t", [1j, 0.5 + math.sqrt(3) / 2 * 1j, -0.3 + 1.1j, 2j])
+def test_eisenstein_majorants_mpmath(t):
+    # the bounds on |E_2k|, |E_2k'| and |E_2k''| that R's err charges an
+    # error of tau' with, against mpmath at tau' in F
+    mp = pytest.importorskip("mpmath")
+    aq = abs(cmath.exp(2j * math.pi * t))
+    with mp.workdps(30):
+        for k in range(1, 10):
+            bounds = qseries._eisenstein_majorants(k, aq)
+            for d, bound in enumerate(bounds):
+                assert abs(_mp_eisenstein(mp, k, mp.mpc(t.real, t.imag), d)) <= bound, (k, d)
+
+
+def _mp_reciprocity_rhs(mp, n, p, q, tau):
+    """R^-_{2n}(p, q; tau) by the closed form of `reciprocity_rhs`, from the
+    mpmath Eisenstein series at tau itself."""
+    e = [None] + [_mp_eisenstein(mp, k, tau) for k in range(1, n + 2)]
+    de = _mp_eisenstein(mp, n, tau, deriv=1)
+    bracket = (mp.fsum(e[j] * e[n + 1 - j] * p ** (2 * j) * q ** (2 * n + 2 - 2 * j)
+                       for j in range(1, n + 1))
+               - e[n + 1] * (p ** (2 * n + 2) + q ** (2 * n + 2)) - (2 * n + 1) * e[n + 1])
+    return (-bracket / ((2j * mp.pi) ** 2 * p * q)
+            - (p ** (2 * n - 1) * q + p * q ** (2 * n - 1)) / (4j * mp.pi * n) * de)
+
+
+@pytest.mark.parametrize("t", [0.2 + 0.3j, 0.3 + 0.06j, -0.5 + 0.05j])
+def test_reciprocity_rhs_err_mpmath(t):
+    # R at tau reduced to F, times m^-(2n+2), against its closed form at
+    # tau itself; (1, 1) is where the closed form cancels to ~0
+    mp = pytest.importorskip("mpmath")
+    tau = TauPoint(t)
+    with mp.workdps(40):
+        mt = mp.mpc(t.real, t.imag)
+        for n in range(1, 5):
+            for p, q in [(1, 1), (3, 2), (5, 3), (13, 8)]:
+                r = symbols.reciprocity_rhs(n, CoprimePair(p, q), tau)
+                ref = _mp_reciprocity_rhs(mp, n, p, q, mt)
+                assert abs(r.value - ref) <= r.err, (n, p, q, r, ref)
+
+
+def _mp_zeta_route(mp, n, p, q, t):
+    """D^-_{2n}(p, q; tau) by its defining sum over the p-division points at
+    tau itself, from the theta_1 references (as in
+    `test_elliptic_apostol_sum_err_mpmath`)."""
+    points = [(lam, mu) for lam in range(p) for mu in range(p) if (lam, mu) != (0, 0)]
+    zs = [(lam + mu * t) / p for lam, mu in points]
+    pe = _references(mp, zs, t, (0, 2 * n - 1))
+    bracket = [r["b"] + 2j * mp.pi * q * mu / p
+               for r, (_, mu) in zip(_references(mp, [q * z for z in zs], t, (0,)), points)]
+    return (-mp.fsum(r[2 * n - 1] * b for r, b in zip(pe, bracket))
+            / ((2j * mp.pi) ** 2 * p * mp.factorial(2 * n)))
+
+
+#: tau off F: Re tau in [-1, 1], Im tau log-uniform in [0.05, 0.9]
+_taus_off_F = st.builds(
+    complex, st.floats(-1.0, 1.0),
+    st.floats(math.log(0.05), math.log(0.9)).map(math.exp),
+).filter(lambda t: qseries._reduction(t) is not None)
+_pairs = st.sampled_from([(1, 1), (2, 1), (3, 2), (4, 3), (5, 2), (5, 3)])
+
+
+@given(t=_taus_off_F, n=st.integers(1, 4), pq=_pairs)
+@settings(max_examples=25, deadline=None)
+def test_reduced_reciprocity_rhs_err_random_tau(t, n, pq):
+    mp = pytest.importorskip("mpmath")
+    r = symbols.reciprocity_rhs(n, CoprimePair(*pq), TauPoint(t))
+    with mp.workdps(40):
+        ref = _mp_reciprocity_rhs(mp, n, *pq, mp.mpc(t.real, t.imag))
+    assert abs(r.value - ref) <= r.err, (r, ref)
+
+
+@given(t=_taus_off_F, n=st.integers(1, 2), pq=_pairs)
+@settings(max_examples=10, deadline=None)
+def test_reduced_zeta_route_err_random_tau(t, n, pq):
+    mp = pytest.importorskip("mpmath")
+    d = symbols.elliptic_apostol_sum(n, CoprimePair(*pq), TauPoint(t)).value
+    with mp.workdps(30):
+        ref = _mp_zeta_route(mp, n, *pq, mp.mpc(t.real, t.imag))
+    assert abs(d.value - ref) <= d.err, (d, ref)

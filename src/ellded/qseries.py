@@ -35,16 +35,19 @@ The Weierstrass kernels run at tau reduced to the fundamental domain
 (`_reduction`) and map their values back by weight; the elliptic Bernoulli
 and Eisenstein functions run at tau itself.  A symbol that reduces as a
 whole, by its own weight, calls the series at tau' directly (`_p_deriv_at`,
-`_b_series`, `_eisenstein_table`) and bounds the derivatives of the
-Eisenstein series there (`_eisenstein_majorants`).  b = zeta - E_2 z comes
-straight from one B_1 batch (`_b_series`), with no E_2, and zeta is
-b + E_2 z.
+`_b_series`, `_eisenstein_table`).  b = zeta - E_2 z comes straight from
+one B_1 batch (`_b_series`), with no E_2, and zeta is b + E_2 z.
 Each input rule has one home, and the series only evaluate.  Each public
 call checks its tau once, in `_checked`, into a `_Checked` record of plain
-numbers: tau, tol and max_terms, the term cap of every series at every tau;
-a tau below the policy's min_im_tau, or where |q| is too close to 1 for
-any series to reach tol in binary64, raises there, before any series
-runs.  The points of a kernel call pass one check,
+numbers: tau, tol, max_terms, the term cap of every series at every tau,
+and dtau, the error of tau, 0 for the caller's; a tau below the policy's
+min_im_tau, or where |q| is too close to 1 for any series to reach tol in
+binary64, raises there, before any series runs.  The record of a reduced
+tau' (`_Reduction.checked`) carries the reduction's error of tau', and
+that is the one model of it: the kernels charge it in the arguments of
+their exponentials, and the q-sums through the error of q (`_nome_err`),
+so that E_{2n} and dE_{2n}/dtau at tau', and all that is built from them,
+carry it in their err.  The points of a kernel call pass one check,
 `_lattice_check` (one shape, 1-D, finite, off the lattice), and a y within
 _LATTICE_EPS of an integer is snapped to it (`_snap`, on the same
 near-integer test) before the series, which count the shift in err.
@@ -341,13 +344,18 @@ _SLOW_IM_TAU = 0.11
 
 class _Checked(NamedTuple):
     """A tau checked by `_checked`, with the policy's tol and its max_terms as
-    the term cap, all plain numbers: what every kernel entry, block series and
-    Eisenstein cache takes, so none sees an unchecked tau, and a cache key
-    that hashes and compares at C level."""
+    the term cap, and dtau, a bound on the absolute error of tau: all plain
+    numbers, what every kernel entry, block series and Eisenstein cache
+    takes, so none sees an unchecked tau, and a cache key that hashes and
+    compares at C level.  A caller's tau is exact, dtau = 0; a tau' that a
+    reduction computed carries its error (`_Reduction.checked`), which
+    every series at it charges: the kernels in the arguments of their
+    exponentials, the q-sums through the error of q (`_nome_err`)."""
 
     tau: complex
     tol: float
     cap: int
+    dtau: float
 
 
 def _checked(tau: TauPoint, policy: SeriesPolicy) -> _Checked:
@@ -371,7 +379,7 @@ def _checked(tau: TauPoint, policy: SeriesPolicy) -> _Checked:
         warnings.warn(f"Im(tau) = {im} gives |q| = {aq:.3f}; convergence is slow",
                       SlowNomeWarning, stacklevel=_outside_stacklevel())
     # tuple.__new__ skips the NamedTuple's Python-level __new__ on every public call
-    return tuple.__new__(_Checked, (tau.tau, policy.tol, policy.max_terms))
+    return tuple.__new__(_Checked, (tau.tau, policy.tol, policy.max_terms, 0.0))
 
 
 def _outside_stacklevel() -> int:
@@ -579,11 +587,20 @@ Q_SUM_CACHE_SIZE = 512
 _FIRST_TERMS = 32
 
 
-def _nome_err(t: complex) -> float:
-    """err_q, in units of 2^-53: the relative error of q as `cmath.exp`
-    gives it plus one product's.  A q-sum charges k err_q to q^k, and 4 more
-    ulps to its kth term for the term's own products and the Kahan step."""
-    return float(_exp_err(TWO_PI_I * t)) + 2.0
+#: 2 pi in units of 2^-53: turns an absolute error of an exponential's
+#: argument, over 2 pi i, into its relative error in ulps
+_TWO_PI_ULPS = 2.0 * math.pi * 2.0**53
+
+
+def _nome_err(at: _Checked) -> float:
+    """err_q, in units of 2^-53: the relative error of q at `at`'s tau as
+    `cmath.exp` gives it plus one product's, and 2 pi dtau for the error
+    dtau of tau.  A q-sum charges k err_q to q^k, and 4 more ulps to its
+    kth term for the term's own products and the Kahan step; the dtau
+    share, 2 pi k dtau |term_k| summed, is the first-order move of the sum
+    and of its tau-derivative under that error of tau, so that E_{2n} and
+    dE_{2n}/dtau at a reduced tau' carry it in their err."""
+    return float(_exp_err(TWO_PI_I * at.tau)) + 2.0 + _TWO_PI_ULPS * at.dtau
 
 
 def _q_sum_bound(n: int, tau_deriv: bool, aq: float, k: int, last: float,
@@ -619,7 +636,7 @@ def _eisenstein_q_sum(n: int, at: _Checked, tau_deriv: bool) -> Tuple[complex, f
     product, with the same stopping rule and no bound."""
     cap, tol = at.cap, at.tol
     q = cmath.exp(TWO_PI_I * at.tau)
-    err_q = _nome_err(at.tau)
+    err_q = _nome_err(at)
     sigma = _divisor_power_sums(2 * n - 1, _FIRST_TERMS)
     rnd = 0.0
     acc, comp = 0j, 0j
@@ -786,36 +803,6 @@ def _eisenstein_table(n: int, at: _Checked) -> EisensteinTable:
             _eisenstein_tau_derivative(n, at))
 
 
-def _eisenstein_majorants(n: int, aq: float) -> Tuple[float, float, float]:
-    """Bounds on |E_{2n}|, |dE_{2n}/dtau| and |d^2 E_{2n}/dtau^2| at any tau
-    with |q| = aq < 1/2: |const| + |pref| S_0, |pref| S_1 and |pref| S_2,
-    S_d = sum_k sigma_{2n-1}(k) (2 pi k)^d aq^k, the q-sum's terms made
-    positive.  sigma_{2n-1}(k) <= k^{2n}, as k has at most k divisors, so
-    each term is at most |pref| (2 pi k)^d k^{2n} aq^k, with |pref| k^{2n}
-    aq^k formed in logs, as k^{2n} alone leaves binary64 at large n where
-    the term does not.  The sums stop at the first k at which the ratio
-    ((k+1)/k)^{2n+2} aq of consecutive terms, which falls with k and bounds
-    every d's, is at most 1/2, and bound their tails geometrically from it.
-    They are what `_e2` bounds for E_2, in the form that `reciprocity_rhs`
-    needs to charge an error of tau to R^-_{2n}."""
-    const, _, abs_pref, _ = _eisenstein_consts(n)
-    if aq == 0.0:
-        return abs(const), 0.0, 0.0
-    log_pref, log_q = math.log(abs_pref), math.log(aq)
-    s0 = s1 = s2 = 0.0
-    k = 1
-    while True:
-        t = math.exp(log_pref + 2 * n * math.log(k) + k * log_q)
-        u = 2.0 * math.pi * k
-        ratio = ((k + 1) / k) ** (2 * n + 2) * aq
-        if ratio <= 0.5:
-            # the last term and its geometric tail
-            t /= 1.0 - ratio
-            return abs(const) + s0 + t, s1 + t * u, s2 + t * u * u
-        s0, s1, s2 = s0 + t, s1 + t * u, s2 + t * u * u
-        k += 1
-
-
 def _eisenstein_tables(n: int, ats: Sequence[_Checked]) -> Tuple[np.ndarray, ...]:
     """The values of `_eisenstein_table(n, at)` for every record of `ats`,
     up to rounding and without their errs: E_{2n+2} and dE_{2n}/dtau per
@@ -965,15 +952,10 @@ def _bernoulli_points(m, x, y, at: _Checked) -> ComplexArray:
     for k in sorted(set(m.tolist()) - {0}):
         on = m == k
         if on.all():
-            return _bernoulli_series(k, x, snapped, at, (0.0, dy, 0.0))
-        b = _bernoulli_series(k, x[on], snapped[on], at, (0.0, dy[on], 0.0))
+            return _bernoulli_series(k, x, snapped, at, (0.0, dy))
+        b = _bernoulli_series(k, x[on], snapped[on], at, (0.0, dy[on]))
         out.value[on], out.err[on] = b.value, b.err
     return out
-
-
-#: 2 pi in units of 2^-53: turns an absolute error of an exponential's
-#: argument, over 2 pi i, into its relative error in ulps
-_TWO_PI_ULPS = 2.0 * math.pi * 2.0**53
 
 
 @np.errstate(all="ignore")
@@ -987,10 +969,10 @@ def _bernoulli_series(m: int, x: np.ndarray, y: np.ndarray, at: _Checked,
     with no numpy warning: rows past the stop may overflow, and `_finite`
     is the one overflow check.
 
-    `arg_err` = (dx, dy, dtau) bounds the absolute errors of x, y and tau,
-    dy an array with one entry per point, which carries the caller's snap
-    shift, and zeros where they are exact, which leave every bit of the
-    result as it is.  The errors add 2 pi dx to the argument of e(+-x),
+    `arg_err` = (dx, dy) bounds the absolute errors of x and y, dy an
+    array with one entry per point, which carries the caller's snap shift,
+    and `at.dtau` that of tau; zeros where they are exact leave every bit
+    of the result as it is.  The errors add 2 pi dx to the argument of e(+-x),
     2 pi (dy |tau| + (j + 1) dtau) to that of w = e((j -+ y) tau) and
     2 pi (dx + dy |tau| + y dtau) to that of the closing term's
     exponential.  dy also moves the powers (y -+ j)^(m-1), by (m - 1) dy /
@@ -999,7 +981,8 @@ def _bernoulli_series(m: int, x: np.ndarray, y: np.ndarray, at: _Checked,
     t = at.tau
     # into [0, 1); x is off-integer where y is 0 (lattice check)
     y = y - np.floor(y)
-    dx, dy, dt = arg_err
+    dx, dy = arg_err
+    dt = at.dtau
     decay = abs(cmath.exp(TWO_PI_I * t))
     # Rounding of a term P w / D, D = e(+-x) - w: the exponentials carry the
     # relative errors of their arguments (see _exp_err), e(+-x)'s and w's;
@@ -1120,6 +1103,12 @@ class _Reduction(NamedTuple):
         v = self.m ** -w
         return ComplexVal(v, abs(v) * 2.0**-53 * (w * self.m_err + 6.0 * w.bit_length() + 6.0))
 
+    def checked(self, at: _Checked) -> _Checked:
+        """tau' as a checked record, with the tol and cap of `at`, the
+        caller's, and dtau as its error.  It needs no check: Im tau' >=
+        Im tau, so tau' passes wherever tau passed."""
+        return tuple.__new__(_Checked, (self.tau, at.tol, at.cap, self.dtau))
+
     def e2_shift(self) -> ComplexVal:
         """2 pi i c / m, the quasi-modular term of E_2(tau) = m^-2 E_2(tau')
         + 2 pi i c / m (Zagier, Elliptic modular forms and their
@@ -1157,9 +1146,10 @@ def _reduction(t: complex) -> Optional[_Reduction]:
 
 class _Frame(NamedTuple):
     """Points x - y tau where a kernel evaluates them: at the caller's tau,
-    or at the reduced tau' with the reduction `red`, in the record `at`;
-    `arg_err` = (dx, dy, dtau) bounds the absolute errors of x, y and tau
-    there, at the caller's tau only the shift of a snapped y."""
+    or at the reduced tau' with the reduction `red`, in the record `at`,
+    whose dtau bounds the error of tau there; `arg_err` = (dx, dy) bounds
+    the absolute errors of x and y, at the caller's tau only the shift of a
+    snapped y."""
 
     x: np.ndarray
     y: np.ndarray
@@ -1170,17 +1160,16 @@ class _Frame(NamedTuple):
     def z(self) -> ComplexArray:
         """x - y tau, with the argument errors and the rounding of the
         product and the difference (2^-53 |y| |tau| and 2^-53 |x - y tau|)."""
-        dx, dy, dt = self.arg_err
+        dx, dy = self.arg_err
         t = self.at.tau
         return ComplexArray(self.x - self.y * t,
-                            dx + dy * abs(t) + np.abs(self.y) * dt
+                            dx + dy * abs(t) + np.abs(self.y) * self.at.dtau
                             + 2.0**-52 * (np.abs(self.x) + np.abs(self.y) * abs(t)))
 
 
 def _frame(x: np.ndarray, y: np.ndarray, at: _Checked) -> _Frame:
-    """The points x - y tau in the frame of the reduction of `at`'s tau.
-    tau' keeps the caller's tol and cap: Im tau' >= Im tau, so it passes
-    wherever tau passed.
+    """The points x - y tau in the frame of the reduction of `at`'s tau,
+    whose record for tau' is `_Reduction.checked`.
 
     x and y come from `_decompose`, within 2^-53 (|x| + 2 |y Re tau|) and
     2^-53 |y|; gamma carries those errors into x' and y', and the integer
@@ -1193,7 +1182,7 @@ def _frame(x: np.ndarray, y: np.ndarray, at: _Checked) -> _Frame:
     red = _reduction(at.tau)
     snapped = _snap(y)
     if red is None:
-        return _Frame(x, snapped, at, (0.0, np.abs(y - snapped), 0.0), None)
+        return _Frame(x, snapped, at, (0.0, np.abs(y - snapped)), None)
     ex = 2.0**-52 * (np.abs(x) + np.abs(y * at.tau.real))
     ey = 2.0**-52 * np.abs(y) + np.abs(y - snapped)
     y = snapped
@@ -1202,24 +1191,13 @@ def _frame(x: np.ndarray, y: np.ndarray, at: _Checked) -> _Frame:
     dx = abs(a) * ex + abs(b) * ey + 2.0**-53 * np.abs(xr)
     dy = abs(c) * ex + abs(d) * ey + 2.0**-53 * np.abs(yr)
     snapped = _snap(yr)
-    return _Frame(xr, snapped, _Checked(red.tau, at.tol, at.cap),
-                  (dx, dy + np.abs(yr - snapped), red.dtau), red)
+    return _Frame(xr, snapped, red.checked(at), (dx, dy + np.abs(yr - snapped)), red)
 
 
 def _snap(y: np.ndarray) -> np.ndarray:
     """y, with each y within _LATTICE_EPS of an integer set to it."""
     n, near = _near_integer(y)
     return np.where(near, n, y)
-
-
-def _e2(at: _Checked, dtau: float) -> ComplexVal:
-    """E_2 at a frame's tau, from the memoised q-sum, its err widened for an
-    error dtau of tau by
-    |dE_2/dtau| = 16 pi^3 |sum_n n sigma_1(n) q^n| <= 16 pi^3 sum_n n^3 |q|^n."""
-    e2 = _eisenstein(1, at)
-    r = abs(cmath.exp(TWO_PI_I * at.tau))
-    slope = 16.0 * math.pi**3 * r * (1.0 + 4.0 * r + r * r) / (1.0 - r) ** 4
-    return ComplexVal(e2.value, e2.err + slope * dtau)
 
 
 # ---------------------------------------------------------------------------
@@ -1239,8 +1217,8 @@ def _b_series(x: np.ndarray, y: np.ndarray, at: _Checked, arg_err) -> ComplexArr
     b(x - y tau) = -2 pi i (B_1(x0, y0; tau) - y) for (x0, y0) = (x, y)
     mod 1, as B_1(x0, y0) = -(b(x0 - y0 tau)) / (2 pi i) + y0, b(z + 1) =
     b(z) and b(z + tau) = b(z) - 2 pi i.  `arg_err` as in `_Frame`: B_1
-    carries it; an error dy of y moves -y as it moves B_1(y) = y - 1/2,
-    whose share of B_1's err already counts it."""
+    carries it and `at.dtau`; an error dy of y moves -y as it moves
+    B_1(y) = y - 1/2, whose share of B_1's err already counts it."""
     b1 = _bernoulli_series(1, x - np.floor(x), y, at, arg_err)
     return (b1 - y) * -TWO_PI_I
 
@@ -1260,7 +1238,7 @@ def weierstrass_zeta_points(z, tau: TauPoint,
     """`weierstrass_zeta` at every point of the array z, as b + E_2 z from
     one batched B_1 series (`_b_series`) and one E_2, at tau reduced to F."""
     b, f = _in_frame(_b_series, z, _checked(tau, policy), "zeta")
-    zeta = b + f.z() * _e2(f.at, f.arg_err[2])
+    zeta = b + f.z() * _eisenstein(1, f.at)
     return zeta if f.red is None else zeta * f.red.weight(1)
 
 
@@ -1327,9 +1305,9 @@ def _phi(k: int, w: np.ndarray, pk: Tuple[int, ...],
 
 def _p_deriv_series(k: int, x: np.ndarray, y: np.ndarray, at: _Checked, arg_err) -> ComplexArray:
     """pe^(k)(x - y tau; tau) by the Fourier series of `weierstrass_p_deriv`
-    at `at`'s tau.  `arg_err` as in `_Frame`: the errors of x, y and tau add
-    2 pi (dx + dy |tau| + |y0| dtau) to the argument of u and 2 pi dtau to
-    that of q, which E_2 also carries."""
+    at `at`'s tau.  `arg_err` as in `_Frame`: the errors of x, y and tau,
+    `at.dtau`, add 2 pi (dx + dy |tau| + |y0| dtau) to the argument of u
+    and 2 pi dtau to that of q, which E_2 carries in its err (`_nome_err`)."""
     t = at.tau
     # y0 is +0 or beyond _LATTICE_EPS: `_frame` has snapped y
     y0 = y - np.rint(y)
@@ -1350,7 +1328,8 @@ def _p_deriv_series(k: int, x: np.ndarray, y: np.ndarray, at: _Checked, arg_err)
     # exp gives it) and j times q's and one product's for q^j
     bl = (k + 2).bit_length()
     own = 10.0 * k + 44.0 + 12.0 * bl
-    dx, dy, dt = arg_err
+    dx, dy = arg_err
+    dt = at.dtau
     err_u = _exp_err(arg) + _TWO_PI_ULPS * (dx + dy * abs(t) + y0 * dt)
     err_q = float(_exp_err(TWO_PI_I * t)) + 3.0 + _TWO_PI_ULPS * dt
 
@@ -1389,7 +1368,7 @@ def _p_deriv_series(k: int, x: np.ndarray, y: np.ndarray, at: _Checked, arg_err)
     rnd = abs(pref) * (rnd + 2.0 * np.abs(acc)) + (k + 2 * bl + 6.0) * np.abs(value)
     val = ComplexArray(value, tail + 2.0**-53 * rnd)
     if k == 0:
-        val = val - _e2(at, arg_err[2])
+        val = val - _eisenstein(1, at)
     return val
 
 
@@ -1413,10 +1392,10 @@ def _p_deriv_points(k: int, z, at: _Checked) -> ComplexArray:
 @np.errstate(all="ignore")
 def _p_deriv_at(k: int, x: np.ndarray, y: np.ndarray, at: _Checked, arg_err) -> ComplexArray:
     """pe^(k)(x - y tau) at `at`'s tau itself, for points that the caller
-    gives off the lattice, with y snapped, and with `arg_err` as in
-    `_Frame`: no check, no frame and no weight, for a sum that a symbol
-    evaluates at a reduced tau as a whole.  No numpy warning; `_finite` is
-    the one overflow check."""
+    gives off the lattice, with y snapped, with `arg_err` as in `_Frame`
+    and the error of tau in `at`: no check, no frame and no weight, for a
+    sum that a symbol evaluates at a reduced tau as a whole.  No numpy
+    warning; `_finite` is the one overflow check."""
     return _finite(_p_deriv_series(k, x, y, at, arg_err), f"pe^({k})")
 
 
@@ -1442,7 +1421,7 @@ def _pe_blocks(z, n: int, at: _Checked):
     else m^-2 (pe + E_2)(z'; tau') + 2 pi i c / m."""
     pe, f = _in_frame(partial(_p_deriv_series, 0), z, at, "pe")
     head = ComplexArray(pe.value[:n], pe.err[:n])
-    rest = ComplexArray(pe.value[n:], pe.err[n:]) + _e2(f.at, f.arg_err[2])
+    rest = ComplexArray(pe.value[n:], pe.err[n:]) + _eisenstein(1, f.at)
     if f.red is None:
         return head, rest
     w = f.red.weight(2)

@@ -23,13 +23,15 @@ for SL_2(Z).  So off the fundamental domain F the zeta route of
 then evaluate the whole sum, or the closed form, at tau' = gamma tau in F
 (`qseries._reduction`) and return it times m^-(2n+2), m = c tau + d
 (`_Reduction.weight`, with m's error).  Their err also charges the error
-`_Reduction.dtau` of the computed tau': the zeta route as an argument error
-of its kernels, R through a majorant of |dR/dtau'| (`_reciprocity_slope`).
-On the closed F both run at tau itself, as before.  Unreduced on purpose:
-the Bernoulli route and every B_m (the Machide and Prop. 3.1 sums), which
-stay oracles at the caller's tau, `generating_D` and `generating_R`, whose
-kernels reduce point by point, and `_reciprocity_rhs_of` as the identity
-record reads it, at tau itself.
+`_Reduction.dtau` of the computed tau', which its record carries
+(`_Reduction.checked`): the zeta route's kernels charge it in their
+arguments, and R through the err of each Eisenstein value at tau', whose
+q-sum charges it in the error of q.  On the closed F both run at tau
+itself, as before.  Unreduced on purpose: the Bernoulli route and every
+B_m (the Machide and Prop. 3.1 sums), which stay oracles at the caller's
+tau, `generating_D` and `generating_R`, whose kernels reduce point by
+point, and `_reciprocity_rhs_of` as the identity record reads it, at tau
+itself.
 """
 
 from __future__ import annotations
@@ -57,7 +59,6 @@ from .qseries import (
     _checked,
     _checked_n,
     _eisenstein,
-    _eisenstein_majorants,
     _eisenstein_table,
     _p_deriv_at,
     _p_deriv_points,
@@ -236,17 +237,17 @@ def _reduced_zeta_factors(n: int, pair: CoprimePair, lam: np.ndarray, mu: np.nda
     at the division points z' = (lam + mu tau')/p of tau' = red.tau, in F,
     straight from the series there: z' = x - y tau' with x = lam/p and
     y = -mu/p, q z' with q lam/p and -q mu/p, each correctly rounded, so
-    within 2^-53 of itself, which err charges with red.dtau as the
-    argument errors of the kernels (`_Frame.arg_err`).  No point needs a
-    check or a snap: y is a multiple of 1/p, an integer only where it is
-    exactly 0, and x and y are integers together only at the origin, which
-    the division points skip.  The bracket is b = zeta - E_2 z from B_1
+    within 2^-53 of itself, which err charges as the argument errors of the
+    kernels (`_Frame.arg_err`), and red.dtau with tau' in its record.  No
+    point needs a check or a snap: y is a multiple of 1/p, an integer only
+    where it is exactly 0, and x and y are integers together only at the
+    origin, which the division points skip.  The bracket is b = zeta - E_2 z from B_1
     (`_b_series`), with no E_2."""
     p, q = pair.p, pair.q
-    at = _Checked(red.tau, at.tol, at.cap)
+    at = red.checked(at)
 
     def arg_err(x, y):
-        return 2.0**-53 * np.abs(x), 2.0**-53 * np.abs(y), red.dtau
+        return 2.0**-53 * np.abs(x), 2.0**-53 * np.abs(y)
 
     x, y = lam / p, -mu / p
     xq, yq = q * lam / p, -q * mu / p
@@ -266,33 +267,19 @@ def reciprocity_rhs(n: int, pair: CoprimePair, tau: TauPoint,
 
     Off F, R(tau) = m^-(2n+2) R(tau'), R being of weight 2n + 2: the
     Eisenstein table is read at tau' = gamma tau in F, a few terms per
-    q-sum, and err adds |dR/dtau'| dtau by the majorant `_reciprocity_slope`
-    and the error of m^-(2n+2).  On the closed F, and for the identity
-    record (`_reciprocity_rhs_of`), R is the closed form at tau itself.
+    q-sum, from the record of tau' (`_Reduction.checked`), so each of its
+    values charges the error dtau of tau' in its err through the error of
+    q; err adds the error of m^-(2n+2).  On the closed F, and for the
+    identity record (`_reciprocity_rhs_of`), R is the closed form at tau
+    itself.
     """
     pair.require_u()
     n, at = _checked_n(n), _checked(tau, policy)
     red = _reduction(at.tau)
     if red is None:
         return _reciprocity_rhs_of(n, pair, _eisenstein_table(n, at))
-    at = _Checked(red.tau, at.tol, at.cap)
-    r = _reciprocity_rhs_of(n, pair, _eisenstein_table(n, at))
-    slope = _reciprocity_slope(n, pair, math.exp(-2.0 * math.pi * red.tau.imag))
-    return ComplexVal(r.value, r.err + slope * red.dtau) * red.weight(2 * n + 2)
-
-
-def _reciprocity_slope(n: int, pair: CoprimePair, aq: float) -> float:
-    """A bound on |dR^-_{2n}/dtau| at a tau with |q| = aq < 1/2: the closed
-    form of `reciprocity_rhs` differentiated, with every E_{2j} and its
-    tau-derivatives replaced by their bounds (`_eisenstein_majorants`)."""
-    p, q = pair.p, pair.q
-    e, de, d2e = zip(*(_eisenstein_majorants(j, aq) for j in range(1, n + 2)))
-    bracket = sum((de[j - 1] * e[n - j] + e[j - 1] * de[n - j])
-                  * float(p ** (2 * j) * q ** (2 * n + 2 - 2 * j))
-                  for j in range(1, n + 1))
-    bracket += de[n] * float(p ** (2 * n + 2) + q ** (2 * n + 2) + 2 * n + 1)
-    return (bracket / (4.0 * math.pi**2 * p * q)
-            + d2e[n - 1] * (p ** (2 * n - 1) * q + p * q ** (2 * n - 1)) / (4.0 * math.pi * n))
+    r = _reciprocity_rhs_of(n, pair, _eisenstein_table(n, red.checked(at)))
+    return r * red.weight(2 * n + 2)
 
 
 def _reciprocity_rhs_of(n: int, pair: CoprimePair, table: EisensteinTable) -> ComplexVal:

@@ -36,10 +36,10 @@ def _clear_caches():
 EQ64_WEIGHTS = (2, 4, 6, 8, 12)
 
 
-def _grid_reprs():
-    """repr of every cached or cache-reading value over the grid: those
-    that the pin covers, and the zeta and pe kernels and reciprocity_rhs at
-    tau outside F, which read the caches at the reduced tau."""
+def _grid_values():
+    """Every cached or cache-reading value over the grid: those that the
+    pin covers, and the zeta and pe kernels and reciprocity_rhs at tau
+    outside F, which read the caches at the reduced tau."""
     out, reduced = [], []
     for t in GRID_TAUS:
         tau = TauPoint(t)
@@ -65,6 +65,12 @@ def _grid_reprs():
             reduced += kernels
         out.append(symbols.expected_constant(CoprimePair(5, 3), tau))
     out += [identities.basis_rank(w, identities.random_taus(6, 3)) for w in (2, 10, 22)]
+    return out, reduced
+
+
+def _grid_reprs():
+    """repr of every value of `_grid_values()`, in its two lists."""
+    out, reduced = _grid_values()
     return [repr(v) for v in out], [repr(v) for v in reduced]
 
 

@@ -1,13 +1,16 @@
 """tau reduced to the fundamental domain F for the zeta and pe kernels, the
 zeta route of the elliptic sum and R^-_{2n}: the reduction, the err of the
 reduced kernels, of the E_2-free blocks, of the reduced zeta route and of
-the reduced R against mpmath at tau itself, and the reduced zeta route
-against the unreduced Bernoulli route."""
+the reduced R against mpmath at tau itself, the charge of an error of tau'
+in the err of the Eisenstein series there, the reduced zeta route against
+the unreduced Bernoulli route, and a pin of the reduced values."""
 
 import cmath
+import hashlib
 import math
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +28,8 @@ from ellded.qseries import (
     weierstrass_zeta_points,
 )
 from ellded.symbols import Route
+from test_blocks import PIN_PQ
+from test_cache import _grid_values
 
 pytestmark = pytest.mark.filterwarnings("ignore::ellded.qseries.SlowNomeWarning")
 
@@ -250,16 +255,23 @@ def _mp_eisenstein(mp, k, tau, deriv=0):
 
 
 @pytest.mark.parametrize("t", [1j, 0.5 + math.sqrt(3) / 2 * 1j, -0.3 + 1.1j, 2j])
-def test_eisenstein_majorants_mpmath(t):
-    # the bounds on |E_2k|, |E_2k'| and |E_2k''| that R's err charges an
-    # error of tau' with, against mpmath at tau' in F
+def test_eisenstein_charge_of_dtau_mpmath(t):
+    # E_2k and dE_2k/dtau at tau moved by delta in eight directions, from a
+    # record whose dtau is delta, against mpmath at tau itself: the charge
+    # of an error of tau' that R, zeta and pe at a reduced tau' read in the
+    # err of each Eisenstein value, through the error of q (`_nome_err`)
     mp = pytest.importorskip("mpmath")
-    aq = abs(cmath.exp(2j * math.pi * t))
     with mp.workdps(30):
-        for k in range(1, 10):
-            bounds = qseries._eisenstein_majorants(k, aq)
-            for d, bound in enumerate(bounds):
-                assert abs(_mp_eisenstein(mp, k, mp.mpc(t.real, t.imag), d)) <= bound, (k, d)
+        mt = mp.mpc(t.real, t.imag)
+        refs = {(k, d): _mp_eisenstein(mp, k, mt, d) for k in range(1, 10) for d in (0, 1)}
+    for delta in (1e-14, 1e-13, 1e-12):
+        for j in range(8):
+            at = qseries._Checked(t + delta * cmath.exp(1j * math.pi * j / 4),
+                                  DEFAULT_POLICY.tol, DEFAULT_POLICY.max_terms, delta)
+            for k in range(1, 10):
+                got = qseries._eisenstein(k, at), qseries._eisenstein_tau_derivative(k, at)
+                for d, v in enumerate(got):
+                    assert abs(v.value - refs[k, d]) <= v.err, (k, d, delta, j, v, refs[k, d])
 
 
 def _mp_reciprocity_rhs(mp, n, p, q, tau):
@@ -328,3 +340,60 @@ def test_reduced_zeta_route_err_random_tau(t, n, pq):
     with mp.workdps(30):
         ref = _mp_zeta_route(mp, n, *pq, mp.mpc(t.real, t.imag))
     assert abs(d.value - ref) <= d.err, (d, ref)
+
+
+#: (x, y) of a point z = x - y tau off the lattice: x and y in [-2, 2], not
+#: both within 0.05 of an integer
+_points_off_lattice = st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)).filter(
+    lambda xy: max(abs(v - round(v)) for v in xy) > 0.05)
+
+
+@given(t=_taus_off_F, xys=st.lists(_points_off_lattice, min_size=1, max_size=3))
+@settings(max_examples=15, deadline=None)
+def test_reduced_kernels_err_random_tau(t, xys):
+    # zeta and pe^(k), k = 0..3, at tau reduced to F: zeta and pe read E_2
+    # at tau', whose err carries the error of tau'
+    mp = pytest.importorskip("mpmath")
+    tau = TauPoint(t)
+    zs = [x - y * t for x, y in xys]
+    got = {k: weierstrass_p_deriv_points(k, zs, tau) for k in range(4)}
+    got["zeta"] = weierstrass_zeta_points(zs, tau)
+    # 50 digits: near a half period of a small Im tau, the references
+    # cancel ~25 digits, where 30 left the value of pe'' wrong in its
+    # tenth digit
+    with mp.workdps(50):
+        refs = _references(mp, [mp.mpc(z.real, z.imag) for z in zs], mp.mpc(t.real, t.imag),
+                           (0, 1, 2, 3))
+    for i, (z, ref) in enumerate(zip(zs, refs)):
+        for key, vals in got.items():
+            v = vals[i]
+            assert abs(v.value - ref[key]) <= v.err, (key, z, v, ref[key])
+
+
+# ---------------------------------------------------------------------------
+# The values that run at tau reduced to F, pinned
+# ---------------------------------------------------------------------------
+
+#: SHA-256 of `_reduced_value_reprs()`: the values, not the errs, of what
+#: runs at tau reduced to F, the `reduced` list of the cache grid (zeta,
+#: pe and R^-_{2n} off F) and the zeta-route sums of the pinned pairs at
+#: 0.3+0.06i; their errs are bounded against mpmath above instead
+REDUCED_VALUES_SHA256 = "b8f4ddc625e8c31c13db44a7a99f14fb937ec5c00c214ed48126b7809b0b2d97"
+
+
+def _reduced_value_reprs():
+    """repr of each value of the reduced outputs, element by element."""
+    vals = _grid_values()[1]
+    tau = TauPoint(0.3 + 0.06j)
+    vals += [symbols.elliptic_apostol_sum(n, CoprimePair(p, q), tau).value
+             for n in range(1, 4) for p, q in PIN_PQ]
+    out = []
+    for v in vals:
+        out += [repr(complex(x)) for x in np.atleast_1d(v.value)]
+    return out
+
+
+def test_reduced_values_pinned():
+    reprs = _reduced_value_reprs()
+    assert len(reprs) == 3 * (8 * 3 + 2 * 2) + 3 * 5
+    assert hashlib.sha256("\n".join(reprs).encode()).hexdigest() == REDUCED_VALUES_SHA256

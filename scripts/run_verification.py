@@ -64,6 +64,13 @@ def command_grid(cfg: SweepConfig):
                                 "-q", str(q), "--tau", tau]
             yield "thm13", ["verify", "thm13", "-p", str(p), "-q", str(q),
                             "--tau", tau]
+    # at the edge of the closed F, where the zeta route and R run at tau
+    # itself, and at its T-translate, where they run at tau' = tau - 1
+    for tau in ("0.5+1.1i", "1.5+1.1i"):
+        for p, q in PAIRS:
+            for n in (1, 2):
+                yield "thm11", ["verify", "thm11", "-n", str(n), "-p", str(p),
+                                "-q", str(q), "--tau", tau]
     for p, q in PAIRS:
         yield "lemma32", ["verify", "lemma32", "-p", str(p), "-q", str(q),
                           "--tau", "0+1i"]

@@ -33,10 +33,14 @@ needs from one call.  Integer powers in the series are IEEE products
 (`_ipow`), not numpy's pow, so their bits do not depend on the host.
 The Weierstrass kernels run at tau reduced to the fundamental domain
 (`_reduction`) and map their values back by weight; the elliptic Bernoulli
-and Eisenstein functions run at tau itself.  A symbol that reduces as a
-whole, by its own weight, calls the series at tau' directly (`_p_deriv_at`,
-`_b_series`, `_eisenstein_table`).  b = zeta - E_2 z comes straight from
-one B_1 batch (`_b_series`), with no E_2, and zeta is b + E_2 z.
+and Eisenstein functions run at tau itself.  A symbol that is a modular form
+as a whole reduces by its own weight through one helper, `_by_weight`: it
+hands the symbol's evaluator the caller's record on the closed F, else the
+record of tau', and multiplies by m^-w; the evaluator calls the series at
+the record it is given directly (`_p_deriv_at`, `_b_series`,
+`_eisenstein_table`), with no check, frame or weight of its own.
+b = zeta - E_2 z comes straight from one B_1 batch (`_b_series`), with no
+E_2, and zeta is b + E_2 z.
 Each input rule has one home, and the series only evaluate.  Each public
 call checks its tau once, in `_checked`, into a `_Checked` record of plain
 numbers: tau, tol, max_terms, the term cap of every series at every tau,
@@ -317,9 +321,10 @@ class SeriesPolicy:
     min_im_tau: float = 0.05
 
     def __post_init__(self):
-        if not self.tol > 0:
+        # a bool is an int, so True would pass as 1
+        if isinstance(self.tol, bool) or not self.tol > 0:
             raise ValueError("tol must be > 0")
-        if not isinstance(self.max_terms, int):
+        if isinstance(self.max_terms, bool) or not isinstance(self.max_terms, int):
             raise ValueError(f"max_terms must be an int, got {self.max_terms!r}")
         if self.max_terms < 1:
             raise ValueError("max_terms must be >= 1")
@@ -1144,6 +1149,18 @@ def _reduction(t: complex) -> Optional[_Reduction]:
                       abs(tp) * 2.0**-53 * (num_err + m_err + 6.0))
 
 
+def _by_weight(w: int, evaluate, at: _Checked) -> ComplexVal:
+    """`evaluate(at)` for a modular form of weight w that `evaluate` gives
+    at any checked record: on the closed F at `at` itself, else m^-w
+    evaluate(tau') at tau' = gamma tau in F, from the record of tau'
+    (`_Reduction.checked`), which carries the error of tau', and with the
+    error of m^-w (`_Reduction.weight`)."""
+    red = _reduction(at.tau)
+    if red is None:
+        return evaluate(at)
+    return evaluate(red.checked(at)) * red.weight(w)
+
+
 class _Frame(NamedTuple):
     """Points x - y tau where a kernel evaluates them: at the caller's tau,
     or at the reduced tau' with the reduction `red`, in the record `at`,
@@ -1218,7 +1235,9 @@ def _b_series(x: np.ndarray, y: np.ndarray, at: _Checked, arg_err) -> ComplexArr
     mod 1, as B_1(x0, y0) = -(b(x0 - y0 tau)) / (2 pi i) + y0, b(z + 1) =
     b(z) and b(z + tau) = b(z) - 2 pi i.  `arg_err` as in `_Frame`: B_1
     carries it and `at.dtau`; an error dy of y moves -y as it moves
-    B_1(y) = y - 1/2, whose share of B_1's err already counts it."""
+    B_1(y) = y - 1/2, whose share of B_1's err already counts it.  The
+    kernels call it in their frame (`_in_frame`); a symbol summed by
+    `_by_weight` calls it at the record it is given, with no frame."""
     b1 = _bernoulli_series(1, x - np.floor(x), y, at, arg_err)
     return (b1 - y) * -TWO_PI_I
 
@@ -1394,8 +1413,9 @@ def _p_deriv_at(k: int, x: np.ndarray, y: np.ndarray, at: _Checked, arg_err) -> 
     """pe^(k)(x - y tau) at `at`'s tau itself, for points that the caller
     gives off the lattice, with y snapped, with `arg_err` as in `_Frame`
     and the error of tau in `at`: no check, no frame and no weight, for a
-    sum that a symbol evaluates at a reduced tau as a whole.  No numpy
-    warning; `_finite` is the one overflow check."""
+    sum that a symbol evaluates as a whole at the record `_by_weight` gives
+    it, the caller's on F or that of tau' off F.  No numpy warning;
+    `_finite` is the one overflow check."""
     return _finite(_p_deriv_series(k, x, y, at, arg_err), f"pe^({k})")
 
 

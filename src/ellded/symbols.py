@@ -18,20 +18,19 @@ Both routes of `elliptic_apostol_sum` pair alike, and pairing is no
 reciprocity law, so they stay independent.
 
 D^-_{2n}(p, q; .) and R^-_{2n}(p, q; .) are modular forms of weight 2n + 2
-for SL_2(Z).  So off the fundamental domain F the zeta route of
-`elliptic_apostol_sum` and `reciprocity_rhs` check the caller's tau once,
-then evaluate the whole sum, or the closed form, at tau' = gamma tau in F
-(`qseries._reduction`) and return it times m^-(2n+2), m = c tau + d
-(`_Reduction.weight`, with m's error).  Their err also charges the error
-`_Reduction.dtau` of the computed tau', which its record carries
-(`_Reduction.checked`): the zeta route's kernels charge it in their
-arguments, and R through the err of each Eisenstein value at tau', whose
-q-sum charges it in the error of q.  On the closed F both run at tau
-itself, as before.  Unreduced on purpose: the Bernoulli route and every
-B_m (the Machide and Prop. 3.1 sums), which stay oracles at the caller's
-tau, `generating_D` and `generating_R`, whose kernels reduce point by
-point, and `_reciprocity_rhs_of` as the identity record reads it, at tau
-itself.
+for SL_2(Z).  So the zeta route of `elliptic_apostol_sum` (`_zeta_sum`) and
+`reciprocity_rhs` each build their sum, or closed form, at whatever checked
+record they are given, and make one call to `qseries._by_weight`, the one
+home of the reduction: on the closed F it evaluates them at the caller's
+tau, else at tau' = gamma tau in F, from the record of tau', which carries
+the error of tau', times m^-(2n+2) with m's error.  The zeta route's
+kernels charge that error in their arguments, and R through the err of each
+Eisenstein value at tau', whose q-sum charges it in the error of q.
+`_zeta_sum` at the caller's own record is the zeta route held at tau.
+Unreduced on purpose: the Bernoulli route and every B_m (the Machide and
+Prop. 3.1 sums), which stay oracles at the caller's tau, `generating_D`
+and `generating_R`, whose kernels reduce point by point, and
+`_reciprocity_rhs_of` as the identity record reads it, at tau itself.
 """
 
 from __future__ import annotations
@@ -55,16 +54,14 @@ from .qseries import (
     TauPoint,
     _b_series,
     _bernoulli_points,
+    _by_weight,
     _Checked,
     _checked,
     _checked_n,
     _eisenstein,
     _eisenstein_table,
     _p_deriv_at,
-    _p_deriv_points,
     _pe_blocks,
-    _reduction,
-    _Reduction,
     _sigma_log_blocks,
     _zeta_block,
     eisenstein,
@@ -198,10 +195,12 @@ def elliptic_apostol_sum(n: int, pair: CoprimePair, tau: TauPoint,
     with q* q = 1 (mod p).  `route` is a Route or its value; any other raises
     ValueError.
 
-    Off F the zeta route runs at tau' = gamma tau in F as a whole, over the
-    division points of tau' (`_reduced_zeta_factors`), times m^-(2n+2), D
-    being of weight 2n + 2; its err charges the error of tau' through the
-    kernels' argument errors and that of m^-(2n+2).  The Bernoulli route
+    The zeta route is one path, `_zeta_sum` at the record that
+    `qseries._by_weight` gives it, D being of weight 2n + 2: on the closed
+    F the caller's tau, else tau' = gamma tau in F, over the division points
+    of tau', times m^-(2n+2).  Its err charges the correctly rounded
+    x = lam/p and y = -mu/p of every point as the kernels' argument errors,
+    and off F the error of tau' and that of m^-(2n+2).  The Bernoulli route
     runs at the caller's tau everywhere, so the two routes agree only as
     far as D is modular.
     """
@@ -209,19 +208,11 @@ def elliptic_apostol_sum(n: int, pair: CoprimePair, tau: TauPoint,
     _checked_n(n)
     at = _checked(tau, policy)
     p, q = pair.p, pair.q
-    lam, mu, w = _half_division_points(p)
     if route is Route.ZETA_DERIVATIVE:
-        red = _reduction(at.tau)
-        if red is None:
-            z = _division_z(lam, mu, tau, p)
-            # zeta^{(2n)} = -pe^{(2n-1)}
-            zd = -_p_deriv_points(2 * n - 1, z, at)
-            total = _fsum(_weighted(zd * _zeta_bracket(q * z, q * mu / p, at), w))
-        else:
-            zd, bracket = _reduced_zeta_factors(n, pair, lam, mu, red, at)
-            total = _fsum(_weighted(zd * bracket, w)) * red.weight(2 * n + 2)
+        total = _by_weight(2 * n + 2, lambda a: _zeta_sum(n, pair, a), at)
         val = total * (1.0 / ((TWO_PI_I**2).real * p * math.factorial(2 * n)))
     else:
+        lam, mu, w = _half_division_points(p)
         q_inv = pow(q % p, -1, p) if p > 1 else 0
         b_hi, b_lo = _bernoulli_factors([(2 * n + 1, -lam / p, mu / p),
                                          (1, -q_inv * lam / p, q_inv * mu / p)], at)
@@ -231,20 +222,21 @@ def elliptic_apostol_sum(n: int, pair: CoprimePair, tau: TauPoint,
     return EllipticSumResult(val, route, p, q, n, tau)
 
 
-def _reduced_zeta_factors(n: int, pair: CoprimePair, lam: np.ndarray, mu: np.ndarray,
-                          red: _Reduction, at: _Checked) -> Tuple[ComplexArray, ComplexArray]:
-    """zeta^{(2n)}(z') and the bracket zeta(q z') - E_2 q z' + 2 pi i q mu/p
-    at the division points z' = (lam + mu tau')/p of tau' = red.tau, in F,
-    straight from the series there: z' = x - y tau' with x = lam/p and
-    y = -mu/p, q z' with q lam/p and -q mu/p, each correctly rounded, so
-    within 2^-53 of itself, which err charges as the argument errors of the
-    kernels (`_Frame.arg_err`), and red.dtau with tau' in its record.  No
-    point needs a check or a snap: y is a multiple of 1/p, an integer only
-    where it is exactly 0, and x and y are integers together only at the
-    origin, which the division points skip.  The bracket is b = zeta - E_2 z from B_1
-    (`_b_series`), with no E_2."""
+def _zeta_sum(n: int, pair: CoprimePair, at: _Checked) -> ComplexVal:
+    """The zeta route's double sum before its constant: zeta^{(2n)}(z) times
+    the bracket zeta(q z) - E_2 q z + 2 pi i q mu/p over the division points
+    z = (lam + mu tau)/p of the tau of `at`, whatever record it is, paired
+    as `_half_division_points` pairs them.  The factors come straight from
+    the series: z = x - y tau with x = lam/p and y = -mu/p, q z with q lam/p
+    and -q mu/p, each correctly rounded, so within 2^-53 of itself, which
+    err charges as the argument errors of the kernels (`_Frame.arg_err`),
+    and `at.dtau` with tau.  No point needs a check or a snap: y is a
+    multiple of 1/p, an integer only where it is exactly 0, and x and y are
+    integers together only at the origin, which the division points skip.
+    The bracket is b = zeta - E_2 z from B_1 (`_b_series`), with no E_2.
+    At the caller's own record this is the zeta route held at tau."""
     p, q = pair.p, pair.q
-    at = red.checked(at)
+    lam, mu, w = _half_division_points(p)
 
     def arg_err(x, y):
         return 2.0**-53 * np.abs(x), 2.0**-53 * np.abs(y)
@@ -253,7 +245,8 @@ def _reduced_zeta_factors(n: int, pair: CoprimePair, lam: np.ndarray, mu: np.nda
     xq, yq = q * lam / p, -q * mu / p
     # zeta^{(2n)} = -pe^{(2n-1)}
     zd = -_p_deriv_at(2 * n - 1, x, y, at, arg_err(x, y))
-    return zd, _b_series(xq, yq, at, arg_err(xq, yq)) + ComplexArray(TWO_PI_I * (q * mu / p), 0.0)
+    bracket = _b_series(xq, yq, at, arg_err(xq, yq)) + ComplexArray(TWO_PI_I * (q * mu / p), 0.0)
+    return _fsum(_weighted(zd * bracket, w))
 
 
 def reciprocity_rhs(n: int, pair: CoprimePair, tau: TauPoint,
@@ -265,21 +258,17 @@ def reciprocity_rhs(n: int, pair: CoprimePair, tau: TauPoint,
                              - (2n+1) E_{2n+2} ]
         - 1/(4 pi i n) dE_{2n}/dtau (p^{2n-1} q + p q^{2n-1}).
 
-    Off F, R(tau) = m^-(2n+2) R(tau'), R being of weight 2n + 2: the
-    Eisenstein table is read at tau' = gamma tau in F, a few terms per
-    q-sum, from the record of tau' (`_Reduction.checked`), so each of its
-    values charges the error dtau of tau' in its err through the error of
-    q; err adds the error of m^-(2n+2).  On the closed F, and for the
-    identity record (`_reciprocity_rhs_of`), R is the closed form at tau
-    itself.
+    R being of weight 2n + 2, the closed form is evaluated at the record
+    that `qseries._by_weight` gives it: on the closed F the caller's tau,
+    else tau' = gamma tau in F, a few terms per q-sum, times m^-(2n+2).
+    There each Eisenstein value charges the error dtau of tau' in its err
+    through the error of q, and err adds the error of m^-(2n+2).  The
+    identity record (`_reciprocity_rhs_of`) reads R at tau itself.
     """
     pair.require_u()
     n, at = _checked_n(n), _checked(tau, policy)
-    red = _reduction(at.tau)
-    if red is None:
-        return _reciprocity_rhs_of(n, pair, _eisenstein_table(n, at))
-    r = _reciprocity_rhs_of(n, pair, _eisenstein_table(n, red.checked(at)))
-    return r * red.weight(2 * n + 2)
+    return _by_weight(2 * n + 2,
+                      lambda a: _reciprocity_rhs_of(n, pair, _eisenstein_table(n, a)), at)
 
 
 def _reciprocity_rhs_of(n: int, pair: CoprimePair, table: EisensteinTable) -> ComplexVal:

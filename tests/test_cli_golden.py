@@ -93,7 +93,7 @@ CASES = (
 )
 
 GOLDEN_SHA256 = (
-    "d54796c3f473f528d7143f8944e9bf3b40e0ba6a1ae039989950db7bc639cdac")
+    "aed4009b13a3696ad8e1082f02d4b26f5242466a0c8567987c088494c5193dda")
 
 
 def _run(argv):

@@ -543,8 +543,10 @@ class TestPolicyGuards:
     def test_invalid_policy(self):
         with pytest.raises(ValueError):
             SeriesPolicy(tol=0)
+        with pytest.raises(ValueError, match="tol must be > 0"):
+            SeriesPolicy(tol=True)
 
-    @pytest.mark.parametrize("max_terms", [2.5, 3.0, "3"])
+    @pytest.mark.parametrize("max_terms", [2.5, 3.0, "3", True, False])
     def test_non_int_max_terms_rejected(self, max_terms):
         with pytest.raises(ValueError, match="max_terms must be an int"):
             SeriesPolicy(max_terms=max_terms)

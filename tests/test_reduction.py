@@ -3,7 +3,8 @@ zeta route of the elliptic sum and R^-_{2n}: the reduction, the err of the
 reduced kernels, of the E_2-free blocks, of the reduced zeta route and of
 the reduced R against mpmath at tau itself, the charge of an error of tau'
 in the err of the Eisenstein series there, the reduced zeta route against
-the unreduced Bernoulli route, and a pin of the reduced values."""
+the unreduced Bernoulli route and against the zeta route held at tau, and a
+pin of the reduced values."""
 
 import cmath
 import hashlib
@@ -104,6 +105,15 @@ POINTS = [(3 / 7, 6 / 7), (-0.45, 0.3), (0.0, 0.5), (2.3, -1.7), (0.05, 0.0)]
 ORDERS = tuple(range(8))
 
 
+def _dps(t: complex) -> int:
+    """The mpmath digits of the theta_1 references at tau = t: 50, and one
+    more per unit of 1/Im tau.  Near a half period of a small Im tau their
+    log-derivatives cancel ~1.2 digits per unit of 1/Im tau, ~25 at
+    Im tau = 0.05, where 30 digits left pe'' at z = 1/2 wrong in its tenth
+    digit, 7,755 times err off."""
+    return 50 + math.ceil(1 / t.imag)
+
+
 def _references(mp, zs, tau, orders=ORDERS):
     """zeta, pe^(k) for k in `orders` (ascending, from 0), b = zeta - E_2 z
     and pe + E_2 at each z of zs, as mpmath numbers, from theta_1 with nome
@@ -133,17 +143,23 @@ def _references(mp, zs, tau, orders=ORDERS):
     return refs
 
 
-@pytest.mark.parametrize("t", OUTSIDE_F + IN_F[:1] + IN_F[4:5])
-def test_err_bounds_mpmath(t):
+#: (tau, points): POINTS at tau off F and on F, and the half period 1/2 at
+#: 0.05i, where the references cancel most
+ERR_BOUND_CASES = ([(t, POINTS) for t in OUTSIDE_F + IN_F[:1] + IN_F[4:5]]
+                   + [(0.05j, [(0.5, 0.0)])])
+
+
+@pytest.mark.parametrize("t, points", ERR_BOUND_CASES, ids=[str(t) for t, _ in ERR_BOUND_CASES])
+def test_err_bounds_mpmath(t, points):
     mp = pytest.importorskip("mpmath")
     tau = TauPoint(t)
-    zs = [x - y * t for x, y in POINTS]
+    zs = [x - y * t for x, y in points]
     got = {k: weierstrass_p_deriv_points(k, zs, tau) for k in ORDERS}
     got["zeta"] = weierstrass_zeta_points(zs, tau)
     at = qseries._checked(tau, DEFAULT_POLICY)
     got["b"] = qseries._zeta_block(zs, at)
     got["pe+e2"] = qseries._pe_blocks(zs, 0, at)[1]
-    with mp.workdps(30):
+    with mp.workdps(_dps(t)):
         refs = _references(mp, [mp.mpc(z.real, z.imag) for z in zs], mp.mpc(t.real, t.imag))
     for i, (z, ref) in enumerate(zip(zs, refs)):
         for key, vals in got.items():
@@ -163,7 +179,7 @@ def test_snapped_point_err_mpmath(t):
     at = qseries._checked(tau, DEFAULT_POLICY)
     got["b"] = qseries._zeta_block([z], at)[0]
     got["pe+e2"] = qseries._pe_blocks([z], 0, at)[1][0]
-    with mp.workdps(30):
+    with mp.workdps(_dps(t)):
         ref = _references(mp, [mp.mpc(z.real, z.imag)], mp.mpc(t.real, t.imag))[0]
     for key, v in got.items():
         assert abs(v.value - ref[key]) <= v.err, (key, v, ref[key])
@@ -179,7 +195,7 @@ def test_elliptic_apostol_sum_err_mpmath(t):
     tau = TauPoint(t)
     for p, q in [(2, 1), (3, 2), (5, 3)]:
         points = [(lam, mu) for lam in range(p) for mu in range(p) if (lam, mu) != (0, 0)]
-        with mp.workdps(30):
+        with mp.workdps(_dps(t)):
             mt = mp.mpc(t.real, t.imag)
             zs = [(lam + mu * mt) / p for lam, mu in points]
             pe = _references(mp, zs, mt, (0, 1, 3))
@@ -212,6 +228,21 @@ def test_reduced_zeta_route_against_bernoulli_route(t):
                 assert abs(a.value - b.value) <= a.err + b.err, (n, p, q, a, b)
                 # the reduced route's err is the smaller one
                 assert a.err < b.err
+
+
+@pytest.mark.parametrize("t", [0.2 + 0.3j, -0.35 + 0.11j, 0.6 + 0.8j, 1.7 + 0.3j])
+def test_zeta_route_held_at_tau(t):
+    # the zeta route's sum at the caller's own record off F, unreduced,
+    # against `elliptic_apostol_sum`, which sums it at tau' in F
+    tau = TauPoint(t)
+    at = qseries._checked(tau, DEFAULT_POLICY)
+    for n in range(1, 4):
+        for p, q in [(3, 2), (7, 4), (13, 7)]:
+            pair = CoprimePair(p, q)
+            held = symbols._zeta_sum(n, pair, at) * (
+                1.0 / ((qseries.TWO_PI_I**2).real * p * math.factorial(2 * n)))
+            d = symbols.elliptic_apostol_sum(n, pair, tau).value
+            assert abs(held.value - d.value) <= held.err + d.err, (n, p, q, held, d)
 
 
 def test_thm13_constant_with_e2_free_blocks():
@@ -337,7 +368,7 @@ def test_reduced_reciprocity_rhs_err_random_tau(t, n, pq):
 def test_reduced_zeta_route_err_random_tau(t, n, pq):
     mp = pytest.importorskip("mpmath")
     d = symbols.elliptic_apostol_sum(n, CoprimePair(*pq), TauPoint(t)).value
-    with mp.workdps(30):
+    with mp.workdps(_dps(t)):
         ref = _mp_zeta_route(mp, n, *pq, mp.mpc(t.real, t.imag))
     assert abs(d.value - ref) <= d.err, (d, ref)
 
@@ -358,10 +389,7 @@ def test_reduced_kernels_err_random_tau(t, xys):
     zs = [x - y * t for x, y in xys]
     got = {k: weierstrass_p_deriv_points(k, zs, tau) for k in range(4)}
     got["zeta"] = weierstrass_zeta_points(zs, tau)
-    # 50 digits: near a half period of a small Im tau, the references
-    # cancel ~25 digits, where 30 left the value of pe'' wrong in its
-    # tenth digit
-    with mp.workdps(50):
+    with mp.workdps(_dps(t)):
         refs = _references(mp, [mp.mpc(z.real, z.imag) for z in zs], mp.mpc(t.real, t.imag),
                            (0, 1, 2, 3))
     for i, (z, ref) in enumerate(zip(zs, refs)):

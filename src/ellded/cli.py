@@ -310,7 +310,10 @@ def _verify_three_term(cfg: RunConfig, n, p, q, tau) -> List[dict]:
 def _verify_thm13(cfg: RunConfig, p, q, tau) -> List[dict]:
     policy = cfg.policy()
     pair = CoprimePair(p, q)
-    xs = (0.003, 0.007, 0.011)
+    # x must lie in the window 0 < |x| < h = 1/(2 max(p, q)); the three
+    # fixed x are scaled into it where 0.011 does not fit
+    h = 1 / (2 * max(p, q))
+    xs = tuple(x if 0.011 < h else x * (h / 0.0125) for x in (0.003, 0.007, 0.011))
     vals = []
     for x in xs:
         v = (generating_D(pair, tau, x, policy)

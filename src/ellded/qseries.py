@@ -51,10 +51,18 @@ tau' (`_Reduction.checked`) carries the reduction's error of tau', and
 that is the one model of it: the kernels charge it in the arguments of
 their exponentials, and the q-sums through the error of q (`_nome_err`),
 so that E_{2n} and dE_{2n}/dtau at tau', and all that is built from them,
-carry it in their err.  The points of a kernel call pass one check,
-`_lattice_check` (one shape, 1-D, finite, off the lattice), and a y within
-_LATTICE_EPS of an integer is snapped to it (`_snap`, on the same
-near-integer test) before the series, which count the shift in err.
+carry it in their err.  Points come into a Weierstrass series one way, as
+coordinates (x, y) of z = x - y tau with bounds (dx, dy) on their errors,
+which the series count in err: straight from an evaluator of `_by_weight`,
+else through `_frame`, which snaps a y within _LATTICE_EPS of an integer
+to it (`_snap`) and, off F, maps the points and their errors by gamma.
+Only the public kernels hold a complex z:
+one helper, `_kernel_frame`, decomposes it, passes it through the one
+point check, `_lattice_check` (one shape, 1-D, finite, off the lattice, on
+the same near-integer test), and charges the decomposition's rounding, on
+F as off it.  The E_2-free blocks that the symbols read (`_zeta_block`,
+`_pe_blocks`, `_sigma_log_blocks`) take a frame of the coordinates their
+caller already has, each with its own rounding.
 The Eisenstein q-sums are memoised per (n, record, tau_deriv) in a bounded
 `lru_cache` over a scalar loop.  `_eisenstein_q_sums` computes the same sums
 for a whole sample of tau, without the cache and without their bounds, as
@@ -85,7 +93,7 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache, partial, wraps
+from functools import lru_cache, wraps
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -1162,11 +1170,11 @@ def _by_weight(w: int, evaluate, at: _Checked) -> ComplexVal:
 
 
 class _Frame(NamedTuple):
-    """Points x - y tau where a kernel evaluates them: at the caller's tau,
+    """Points x - y tau where a series evaluates them: at the caller's tau,
     or at the reduced tau' with the reduction `red`, in the record `at`,
     whose dtau bounds the error of tau there; `arg_err` = (dx, dy) bounds
-    the absolute errors of x and y, at the caller's tau only the shift of a
-    snapped y."""
+    the absolute errors of x and y, the caller's and the snap's, mapped by
+    gamma off F."""
 
     x: np.ndarray
     y: np.ndarray
@@ -1184,31 +1192,28 @@ class _Frame(NamedTuple):
                             + 2.0**-52 * (np.abs(self.x) + np.abs(self.y) * abs(t)))
 
 
-def _frame(x: np.ndarray, y: np.ndarray, at: _Checked) -> _Frame:
+def _frame(x: np.ndarray, y: np.ndarray, at: _Checked, arg_err) -> _Frame:
     """The points x - y tau in the frame of the reduction of `at`'s tau,
     whose record for tau' is `_Reduction.checked`.
 
-    x and y come from `_decompose`, within 2^-53 (|x| + 2 |y Re tau|) and
-    2^-53 |y|; gamma carries those errors into x' and y', and the integer
+    `arg_err` = (dx, dy) are the caller's bounds on the errors of x and y.
+    A y within _LATTICE_EPS of an integer is snapped to it first (`_snap`,
+    as `_bernoulli_points` snaps B_m's y), and the shift adds to dy; that is
+    all on F.  Off F, gamma carries dx and dy into x' and y', the integer
     products and the sums add 2^-53 (|a x| + |b y| + |x'|) to x' and the
-    same in c, d to y'.  A y within _LATTICE_EPS of an integer is snapped
-    to it first (`_snap`, as `_bernoulli_points` snaps B_m's y), and so is
-    y' at tau', as the series take y snapped; both shifts count as errors
-    of y and y', and so does the snap on F, where the rest of x and y is
-    taken as exact."""
+    same in c, d to y', and y' is snapped as y was, as the series take y
+    snapped."""
     red = _reduction(at.tau)
     snapped = _snap(y)
+    ex, ey = arg_err[0], arg_err[1] + np.abs(y - snapped)
     if red is None:
-        return _Frame(x, snapped, at, (0.0, np.abs(y - snapped)), None)
-    ex = 2.0**-52 * (np.abs(x) + np.abs(y * at.tau.real))
-    ey = 2.0**-52 * np.abs(y) + np.abs(y - snapped)
-    y = snapped
+        return _Frame(x, snapped, at, (ex, ey), None)
     a, b, c, d = red.a, red.b, red.c, red.d
-    xr, yr = a * x + b * y, c * x + d * y
+    xr, yr = a * x + b * snapped, c * x + d * snapped
     dx = abs(a) * ex + abs(b) * ey + 2.0**-53 * np.abs(xr)
     dy = abs(c) * ex + abs(d) * ey + 2.0**-53 * np.abs(yr)
-    snapped = _snap(yr)
-    return _Frame(xr, snapped, red.checked(at), (dx, dy + np.abs(yr - snapped)), red)
+    y = _snap(yr)
+    return _Frame(xr, y, red.checked(at), (dx, dy + np.abs(yr - y)), red)
 
 
 def _snap(y: np.ndarray) -> np.ndarray:
@@ -1229,6 +1234,19 @@ def _decompose(z, t: complex):
     return x, y
 
 
+def _kernel_frame(z, at: _Checked, pole: str) -> _Frame:
+    """The frame of the points z of a public kernel call: z = x - y tau
+    decomposed (`_decompose`), lattice-checked (`_lattice_check`) and
+    framed (`_frame`) with the decomposition's rounding as the errors of x
+    and y, 2^-52 (|x| + |y Re tau|) and 2^-52 |y|, which cover its
+    2^-53 (|x| + 2 |y Re tau|) and 2^-53 |y|."""
+    z = np.asarray(z, dtype=complex)
+    x, y = _decompose(z, at.tau)
+    _lattice_check(x, y, lambda i: f"{pole} pole: z = {complex(z[i])} is on the lattice")
+    return _frame(x, y, at, (2.0**-52 * (np.abs(x) + np.abs(y * at.tau.real)),
+                             2.0**-52 * np.abs(y)))
+
+
 def _b_series(x: np.ndarray, y: np.ndarray, at: _Checked, arg_err) -> ComplexArray:
     """b = zeta - E_2 z at z = x - y tau, from one B_1 batch and no E_2:
     b(x - y tau) = -2 pi i (B_1(x0, y0; tau) - y) for (x0, y0) = (x, y)
@@ -1236,28 +1254,18 @@ def _b_series(x: np.ndarray, y: np.ndarray, at: _Checked, arg_err) -> ComplexArr
     b(z) and b(z + tau) = b(z) - 2 pi i.  `arg_err` as in `_Frame`: B_1
     carries it and `at.dtau`; an error dy of y moves -y as it moves
     B_1(y) = y - 1/2, whose share of B_1's err already counts it.  The
-    kernels call it in their frame (`_in_frame`); a symbol summed by
+    kernels and the blocks call it in their frame; a symbol summed by
     `_by_weight` calls it at the record it is given, with no frame."""
     b1 = _bernoulli_series(1, x - np.floor(x), y, at, arg_err)
     return (b1 - y) * -TWO_PI_I
-
-
-def _in_frame(series, z, at: _Checked, pole: str):
-    """`series(x, y, at, arg_err)` at the points z in the frame of the
-    reduction of `at`'s tau, after their lattice check; and the frame."""
-    z = np.asarray(z, dtype=complex)
-    x, y = _decompose(z, at.tau)
-    _lattice_check(x, y, lambda i: f"{pole} pole: z = {complex(z[i])} is on the lattice")
-    f = _frame(x, y, at)
-    return series(f.x, f.y, f.at, f.arg_err), f
 
 
 def weierstrass_zeta_points(z, tau: TauPoint,
                             policy: SeriesPolicy = DEFAULT_POLICY) -> ComplexArray:
     """`weierstrass_zeta` at every point of the array z, as b + E_2 z from
     one batched B_1 series (`_b_series`) and one E_2, at tau reduced to F."""
-    b, f = _in_frame(_b_series, z, _checked(tau, policy), "zeta")
-    zeta = b + f.z() * _eisenstein(1, f.at)
+    f = _kernel_frame(z, _checked(tau, policy), "zeta")
+    zeta = _b_series(f.x, f.y, f.at, f.arg_err) + f.z() * _eisenstein(1, f.at)
     return zeta if f.red is None else zeta * f.red.weight(1)
 
 
@@ -1277,12 +1285,12 @@ def weierstrass_zeta(z: complex, tau: TauPoint,
     return weierstrass_zeta_points([complex(z)], tau, policy)[0]
 
 
-def _zeta_block(z, at: _Checked) -> ComplexArray:
-    """b(z) = zeta(z) - E_2 z at the points z, with no E_2 at all: b from
-    B_1 (`_b_series`) on F, else, by the rules of `_Reduction` and
-    `_Reduction.e2_shift`, m^-1 b'(z') - 2 pi i c z' with b' = zeta - E_2 z
-    at tau'."""
-    b, f = _in_frame(_b_series, z, at, "zeta")
+def _zeta_block(f: _Frame) -> ComplexArray:
+    """b(z) = zeta(z) - E_2 z at the points z of the frame f, with no E_2
+    at all: b from B_1 (`_b_series`) on F, else, by the rules of
+    `_Reduction` and `_Reduction.e2_shift`, m^-1 b'(z') - 2 pi i c z' with
+    b' = zeta - E_2 z at tau'."""
+    b = _b_series(f.x, f.y, f.at, f.arg_err)
     if f.red is None:
         return b
     c = f.red.c
@@ -1324,11 +1332,12 @@ def _phi(k: int, w: np.ndarray, pk: Tuple[int, ...],
 
 def _p_deriv_series(k: int, x: np.ndarray, y: np.ndarray, at: _Checked, arg_err) -> ComplexArray:
     """pe^(k)(x - y tau; tau) by the Fourier series of `weierstrass_p_deriv`
-    at `at`'s tau.  `arg_err` as in `_Frame`: the errors of x, y and tau,
+    at `at`'s tau, at points off the lattice with y snapped.  `arg_err` as
+    in `_Frame`, the caller's bounds: the errors of x, y and tau,
     `at.dtau`, add 2 pi (dx + dy |tau| + |y0| dtau) to the argument of u
     and 2 pi dtau to that of q, which E_2 carries in its err (`_nome_err`)."""
     t = at.tau
-    # y0 is +0 or beyond _LATTICE_EPS: `_frame` has snapped y
+    # y0 is +0 or beyond _LATTICE_EPS: the caller has snapped y (`_frame`)
     y0 = y - np.rint(y)
     # pe^{(k)}(-z) = (-1)^k pe^{(k)}(z)
     neg = y0 < 0
@@ -1404,7 +1413,8 @@ def weierstrass_p_deriv_points(k: int, z, tau: TauPoint,
 def _p_deriv_points(k: int, z, at: _Checked) -> ComplexArray:
     """`weierstrass_p_deriv_points` at `at`'s tau, the reduction weight
     included, with no numpy warning: `_finite` is the one overflow check."""
-    pe, f = _in_frame(partial(_p_deriv_series, k), z, at, "pe")
+    f = _kernel_frame(z, at, "pe")
+    pe = _p_deriv_series(k, f.x, f.y, f.at, f.arg_err)
     return _finite(pe if f.red is None else pe * f.red.weight(k + 2), f"pe^({k})")
 
 
@@ -1435,11 +1445,11 @@ def weierstrass_p_deriv(k: int, z: complex, tau: TauPoint,
     return weierstrass_p_deriv_points(k, [complex(z)], tau, policy)[0]
 
 
-def _pe_blocks(z, n: int, at: _Checked):
-    """pe at the first n points of z and pe + E_2 at the others, from one
-    pe batch.  pe + E_2 never mixes E_2 of two tau: on F it is pe + E_2,
-    else m^-2 (pe + E_2)(z'; tau') + 2 pi i c / m."""
-    pe, f = _in_frame(partial(_p_deriv_series, 0), z, at, "pe")
+def _pe_blocks(f: _Frame, n: int):
+    """pe at the first n points of the frame f and pe + E_2 at the others,
+    from one pe batch.  pe + E_2 never mixes E_2 of two tau: on F it is
+    pe + E_2, else m^-2 (pe + E_2)(z'; tau') + 2 pi i c / m."""
+    pe = _p_deriv_series(0, f.x, f.y, f.at, f.arg_err)
     head = ComplexArray(pe.value[:n], pe.err[:n])
     rest = ComplexArray(pe.value[n:], pe.err[n:]) + _eisenstein(1, f.at)
     if f.red is None:
@@ -1458,8 +1468,9 @@ def weierstrass_zeta_deriv(j: int, z: complex, tau: TauPoint,
     return -weierstrass_p_deriv(j - 1, z, tau, policy)
 
 
-def _sigma_log_blocks(z, at: _Checked, pe_only=()):
-    """The heat-equation blocks of d(log sigma)/dtau at the points z.
+def _sigma_log_blocks(f: _Frame, n: int):
+    """The heat-equation blocks of d(log sigma)/dtau at the first n points
+    z of the frame f.
 
     sigma = e^{E_2 z^2 / 2} theta_1(pi z) / (pi theta_1'(0)), the heat
     equation theta_zz = 4 pi i theta_tau of theta_1 and Ramanujan's
@@ -1467,13 +1478,12 @@ def _sigma_log_blocks(z, at: _Checked, pe_only=()):
 
         2 d(log sigma)/dtau - E_2' z^2 - E_2 / (pi i) = (b^2 - pe(z)) / (2 pi i).
 
-    Returns b, b^2 - pe(z) and pe + E_2 at the points pe_only, from one
-    zeta batch over z (`_zeta_block`) and one pe batch over z and pe_only
-    (`_pe_blocks`), at tau reduced to F, without E_2 at the caller's tau."""
-    z = np.asarray(z, dtype=complex)
-    b = _zeta_block(z, at)
-    pe, pe_e2 = _pe_blocks(np.concatenate((z, np.asarray(pe_only, dtype=complex))),
-                           len(z), at)
+    Returns b, b^2 - pe(z) and pe + E_2 at the other points of f, from one
+    zeta batch over the n points (`_zeta_block`) and one pe batch over all
+    of f (`_pe_blocks`), at tau reduced to F, without E_2 at the caller's
+    tau.  The errors in f's arg_err are arrays, one entry per point."""
+    b = _zeta_block(f._replace(x=f.x[:n], y=f.y[:n], arg_err=tuple(e[:n] for e in f.arg_err)))
+    pe, pe_e2 = _pe_blocks(f, n)
     return b, b * b - pe, pe_e2
 
 
@@ -1484,7 +1494,7 @@ def sigma_log_tau_derivative(z: complex, tau: TauPoint,
     equation (see `_sigma_log_blocks`)."""
     z = complex(z)
     at = _checked(tau, policy)
-    _, heat, _ = _sigma_log_blocks([z], at)
+    _, heat, _ = _sigma_log_blocks(_kernel_frame([z], at, "zeta"), 1)
     val = (heat[0] + _eisenstein(1, at) * 2.0) * (1.0 / (4j * math.pi))
     de2 = _eisenstein_tau_derivative(1, at)
     return val + de2 * (z * z / 2)
@@ -1498,7 +1508,7 @@ def sigma_log_tau_derivative(z: complex, tau: TauPoint,
 def zeta_odd(n: int, tol: float = 1e-12) -> float:
     """zeta(2n+1) by direct summation plus an Euler-Maclaurin tail below tol."""
     _checked_n(n)
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be > 0")
     s = 2 * n + 1
     K = 10

@@ -17,6 +17,15 @@ as f(-P - x) g(-qP) = f(P + x) g(qP): three factors per pair, not four.
 Both routes of `elliptic_apostol_sum` pair alike, and pairing is no
 reciprocity law, so they stay independent.
 
+Every zeta and pe factor is evaluated at its points' coordinates: z =
+x - y tau with x and y formed from the exact lambda, mu, p, q and the
+caller's x or s, each rounding charged as an argument error of the series
+(`_zeta_sum`, and the frames, `qseries._frame`, that `generating_D`,
+`generating_R` and `proposition31_residual` hand to the E_2-free blocks).
+No symbol builds a complex z or decomposes one, and no lattice check sees
+its points: division points lie off the lattice, and the windows on x and
+s keep the shifted and real points off it.
+
 D^-_{2n}(p, q; .) and R^-_{2n}(p, q; .) are modular forms of weight 2n + 2
 for SL_2(Z).  So the zeta route of `elliptic_apostol_sum` (`_zeta_sum`) and
 `reciprocity_rhs` each build their sum, or closed form, at whatever checked
@@ -60,6 +69,7 @@ from .qseries import (
     _checked_n,
     _eisenstein,
     _eisenstein_table,
+    _frame,
     _p_deriv_at,
     _pe_blocks,
     _sigma_log_blocks,
@@ -125,14 +135,6 @@ def _half_division_points(p: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return out
 
 
-def _division_z(lam: np.ndarray, mu: np.ndarray, tau: TauPoint, p: int) -> np.ndarray:
-    """(lambda + mu tau)/p with each part correctly rounded.  numpy divides
-    a complex array by p through a rounded 1/p, an ulp the steep factors
-    of the sums would amplify."""
-    t = tau.tau
-    return (lam + mu * t.real) / p + 1j * (mu * t.imag / p)
-
-
 def _parts(a: ComplexArray, sizes: Sequence[int]) -> List[ComplexArray]:
     """A batch that evaluated several factors at once, cut into consecutive
     parts of the given sizes."""
@@ -164,12 +166,6 @@ def _fsum(*parts: Union[ComplexArray, ComplexVal]) -> ComplexVal:
     err = np.concatenate([np.atleast_1d(t.err) for t in parts])
     return ComplexVal(complex(math.fsum(v.real), math.fsum(v.imag)),
                       math.fsum(err) + 2.0**-52 * math.fsum(np.hypot(v.real, v.imag)))
-
-
-def _zeta_bracket(z: np.ndarray, mu_over_p: np.ndarray, at: _Checked) -> ComplexArray:
-    """zeta(z) - E_2 z + 2 pi i * (mu/p); the recurring odd-symbol factor,
-    from the E_2-free block `qseries._zeta_block`."""
-    return _zeta_block(z, at) + ComplexArray(TWO_PI_I * mu_over_p, 0.0)
 
 
 def elliptic_apostol_sum(n: int, pair: CoprimePair, tau: TauPoint,
@@ -288,18 +284,28 @@ def _reciprocity_rhs_of(n: int, pair: CoprimePair, table: EisensteinTable) -> Co
 def generating_D(pair: CoprimePair, tau: TauPoint, x: float,
                  policy: SeriesPolicy = DEFAULT_POLICY) -> ComplexVal:
     """Generating function D^-(p, q; tau; x) of the D^-_{2n}: the double sum
-    of two odd-symbol brackets, the first shifted by x."""
+    of two odd-symbol brackets, the first shifted by x.
+
+    Its points z = x' - y tau come as coordinates: P -+ x at x' = lam/p -+ x,
+    y = -mu/p, and qP at x' = q lam/p, y = -q mu/p, for the division
+    points P = (lam + mu tau)/p.  Each quotient and each sum lam/p -+ x is
+    correctly rounded, and err charges those roundings as the block's
+    argument errors.  |x| < 1/(2p) keeps P -+ x off the lattice, so no
+    point needs a lattice check."""
     p, q = pair.p, pair.q
-    if abs(x) >= 1 / (2 * p):
-        raise ValueError(f"|x| must be < 1/(2p) = {1/(2*p)}, got {x}")
+    if not abs(x) < 1 / (2 * p):
+        raise ValueError(f"x must be finite with |x| < 1/(2p) = {1/(2*p)}, got {x}")
     at = _checked(tau, policy)
     lam, mu, w = _half_division_points(p)
-    z = _division_z(lam, mu, tau, p)
+    lp = lam / p
     # the brackets at P - x, P + x and qP in one batch; the pair {P, -P}
     # adds (f(P - x) + f(P + x)) f(qP), as f(-P -+ x) = -f(P +- x)
-    minus, plus, second = _parts(_zeta_bracket(np.concatenate((z - x, z + x, q * z)),
-                                               np.concatenate((mu, mu, q * mu)) / p,
-                                               at), [len(z)] * 3)
+    xs = np.concatenate((lp - x, lp + x, q * lam / p))
+    ys = np.concatenate((-mu / p, -mu / p, -q * mu / p))
+    dx = 2.0**-53 * (np.abs(xs) + np.concatenate((lp, lp, np.zeros_like(lp))))
+    f = _frame(xs, ys, at, (dx, 2.0**-53 * np.abs(ys)))
+    minus, plus, second = _parts(_zeta_block(f) + ComplexArray(TWO_PI_I * -ys, 0.0),
+                                 [len(lam)] * 3)
     return _fsum(_weighted((minus + plus) * second, w / 2)) * (1.0 / ((TWO_PI_I**2).real * p))
 
 
@@ -313,12 +319,16 @@ def generating_R(pair: CoprimePair, tau: TauPoint, x: float,
     (zblock(c)^2 - pe(c x)) / (2 pi i) by the heat equation of theta_1 (see
     `qseries._sigma_log_blocks`, which `sigma_log_tau_derivative` shares).
     The blocks and pe(x) + E_2 come without E_2 at tau, so that at a
-    reduced tau they never mix two tau's E_2."""
+    reduced tau they never mix two tau's E_2.  The points are real: p x
+    and q x, correctly rounded products whose rounding err charges, and x;
+    0 < |x| < 1/(2 max(p,q)) keeps them off the lattice."""
     pair.require_u()
     p, q = pair.p, pair.q
     if not 0 < abs(x) < 1 / (2 * max(p, q)):
         raise ValueError(f"need 0 < |x| < 1/(2 max(p,q)), got {x}")
-    b, heat, pe_e2 = _sigma_log_blocks([p * x, q * x], _checked(tau, policy), pe_only=[x])
+    xs = np.array([p * x, q * x, x])
+    f = _frame(xs, np.zeros(3), _checked(tau, policy), (2.0**-53 * np.abs(xs * (1, 1, 0)), 0.0))
+    b, heat, pe_e2 = _sigma_log_blocks(f, 2)
     scale = 1.0 / (TWO_PI_I**2).real
     out = b[0] * b[1] * -scale
     out = out + heat[0] * (scale * q / (2 * p))
@@ -501,7 +511,7 @@ def proposition31_residual(pair: CoprimePair, s: float, tau: TauPoint,
     rhs = rhs + b2[0] * (q / (2 * p))
     rhs = rhs + b2[1] * (p / (2 * q))
     # dB_1(s,0)/ds = (1/2 pi i)[pe(s) + E_2]
-    db1 = _pe_blocks([s], 0, at)[1][0] * (1.0 / TWO_PI_I)
+    db1 = _pe_blocks(_frame(np.array([s]), np.zeros(1), at, (0.0, 0.0)), 0)[1][0] * (1.0 / TWO_PI_I)
     rhs = rhs + db1 * (1.0 / (TWO_PI_I * p * q))
     return lhs - rhs
 

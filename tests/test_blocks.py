@@ -39,9 +39,11 @@ PIN_PQ = [(2, 1), (3, 2), (7, 4), (13, 7), (23, 12)]
 #: computed with the division sums over one point per pair {P, -P}, zeta
 #: from B_1, integer powers by multiplication, max_terms as the cap at
 #: every tau, and the zeta route in F summed at the correctly rounded
-#: x = lam/p, y = -mu/p of each division point, the path it takes off F
-#: (numpy 2.4.6, x86-64)
-PINNED_SHA256 = "a9bf7b31ecfc2a726e408900fd9f0fda63dfa24c02ab39eb5d4fa610579a3fee"
+#: x = lam/p, y = -mu/p of each division point, the path it takes off F,
+#: the zeta and pe kernels in F charging the rounding of their
+#: decomposition z = x - y tau, and generating_D and generating_R summed
+#: at the coordinates x and y of their points (numpy 2.4.6, x86-64)
+PINNED_SHA256 = "06a2095967a66796feae7d409b9d94497d4c003c20d581352bf0a683a1de0ac9"
 
 
 def _reprs(v):

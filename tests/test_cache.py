@@ -22,9 +22,10 @@ GRID_TAUS_IN_F = [complex(0.0, 1.5), 0.3 + 1.1j]
 
 #: SHA-256 of the pinned reprs of `_grid_reprs()`, every value that no tau
 #: reduction touches, as computed with the unreduced kernels (whose whole
-#: grid matched its value before the caches were added) and zeta as
-#: b + E_2 z with b from B_1
-GRID_SHA256 = "d45ad5679881a8ed38cd16804d15095cec8f8b52b32cf4d32ec82ea63284e393"
+#: grid matched its value before the caches were added), zeta as
+#: b + E_2 z with b from B_1, and the kernels' err in F charging the
+#: rounding of their decomposition z = x - y tau
+GRID_SHA256 = "c95c4d34da95a052388380d09fe8d037f8ff2bf58e9e80d54d679f5cbddd7c24"
 
 
 def _clear_caches():

@@ -345,6 +345,19 @@ class TestVerifyFamilies:
             jsonschema.validate(rec, VERIFY_SCHEMA)
             assert rec["pass"] is True
 
+    @pytest.mark.parametrize("p, q", [(47, 3), (50, 49), (61, 17)])
+    def test_thm13_x_scaled_into_window(self, p, q):
+        # from max(p, q) = 46 on, 0.011 lies outside the window
+        # |x| < h = 1/(2 max(p, q)), and the three x are h (0.24, 0.56, 0.88)
+        code, out, _ = run_cli(["verify", "thm13", "-p", str(p), "-q", str(q),
+                                "--tau", "0.3+1.1i"])
+        assert code == 0
+        h = 1 / (2 * max(p, q))
+        recs = [json.loads(line) for line in out.strip().splitlines()]
+        assert recs[0]["params"]["x"] == [v * (h / 0.0125) for v in (0.003, 0.007, 0.011)]
+        assert max(recs[0]["params"]["x"]) < h
+        assert all(rec["pass"] for rec in recs)
+
     def test_basis_rank_reports_rank(self):
         code, out, _ = run_cli(
             ["verify", "basis-rank", "-w", "14", "--num-tau", "5",

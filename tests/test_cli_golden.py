@@ -93,7 +93,7 @@ CASES = (
 )
 
 GOLDEN_SHA256 = (
-    "aed4009b13a3696ad8e1082f02d4b26f5242466a0c8567987c088494c5193dda")
+    "8c7e9babee6fc0bd5ce22e67f7cfc3222d7455962ffa1f169baae0bd8c7d40b5")
 
 
 def _run(argv):

@@ -744,6 +744,9 @@ class TestZetaOdd:
                 zeta_odd(0)
             with pytest.raises(ValueError):
                 zeta_odd(2, 0.0)
+            # NaN passed `tol <= 0` and gave zeta(3) wrong from its 8th digit
+            with pytest.raises(ValueError, match="tol must be > 0"):
+                zeta_odd(1, float("nan"))
 
     def test_two_cutoffs_consistent(self):
         # independent direct sum with integral tail at a fixed cutoff

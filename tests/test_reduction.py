@@ -1,6 +1,7 @@
 """tau reduced to the fundamental domain F for the zeta and pe kernels, the
 zeta route of the elliptic sum and R^-_{2n}: the reduction, the err of the
-reduced kernels, of the E_2-free blocks, of the reduced zeta route and of
+reduced kernels, of the kernels in F near lattice points away from the
+origin cell, of the E_2-free blocks, of the reduced zeta route and of
 the reduced R against mpmath at tau itself, the charge of an error of tau'
 in the err of the Eisenstein series there, the reduced zeta route against
 the unreduced Bernoulli route and against the zeta route held at tau, and a
@@ -143,10 +144,14 @@ def _references(mp, zs, tau, orders=ORDERS):
     return refs
 
 
-#: (tau, points): POINTS at tau off F and on F, and the half period 1/2 at
-#: 0.05i, where the references cancel most
+#: (tau, points): POINTS at tau off F and on F, the half period 1/2 at
+#: 0.05i, where the references cancel most, and a point in F 6e-4 from the
+#: lattice point -5 tau, where zeta read 7.2 times its err while the
+#: kernels took the x and y of the decomposition of z as exact on F
 ERR_BOUND_CASES = ([(t, POINTS) for t in OUTSIDE_F + IN_F[:1] + IN_F[4:5]]
-                   + [(0.05j, [(0.5, 0.0)])])
+                   + [(0.05j, [(0.5, 0.0)]),
+                      (-0.1166967753952336 + 1.8058395980904347j,
+                       [(0.000606964196382398, 5.000119024394501)])])
 
 
 @pytest.mark.parametrize("t, points", ERR_BOUND_CASES, ids=[str(t) for t, _ in ERR_BOUND_CASES])
@@ -156,11 +161,45 @@ def test_err_bounds_mpmath(t, points):
     zs = [x - y * t for x, y in points]
     got = {k: weierstrass_p_deriv_points(k, zs, tau) for k in ORDERS}
     got["zeta"] = weierstrass_zeta_points(zs, tau)
-    at = qseries._checked(tau, DEFAULT_POLICY)
-    got["b"] = qseries._zeta_block(zs, at)
-    got["pe+e2"] = qseries._pe_blocks(zs, 0, at)[1]
+    f = qseries._kernel_frame(zs, qseries._checked(tau, DEFAULT_POLICY), "zeta")
+    got["b"] = qseries._zeta_block(f)
+    got["pe+e2"] = qseries._pe_blocks(f, 0)[1]
     with mp.workdps(_dps(t)):
         refs = _references(mp, [mp.mpc(z.real, z.imag) for z in zs], mp.mpc(t.real, t.imag))
+    for i, (z, ref) in enumerate(zip(zs, refs)):
+        for key, vals in got.items():
+            v = vals[i]
+            assert abs(v.value - ref[key]) <= v.err, (key, z, v, ref[key])
+
+
+#: tau in the closed F: |Re tau| <= 1/2, |tau| >= 1, Im tau up to 1 above
+#: the arc
+_taus_in_F = st.builds(
+    lambda re, up: complex(re, math.sqrt(1 - re * re) + up),
+    st.floats(-0.5, 0.5), st.floats(0.0, 1.0),
+).filter(lambda t: qseries._reduction(t) is None)
+
+#: a point within 1e-4 to 1e-1 of the lattice point a + b tau, |a|, |b| <= 5,
+#: as (a, b, distance, angle)
+_near_lattice = st.tuples(st.integers(-5, 5), st.integers(-5, 5),
+                          st.floats(math.log(1e-4), math.log(1e-1)).map(math.exp),
+                          st.floats(0.0, 2 * math.pi))
+
+
+@given(t=_taus_in_F, near=st.lists(_near_lattice, min_size=1, max_size=3))
+@settings(max_examples=25, deadline=None)
+def test_kernels_near_lattice_err_in_F(t, near):
+    # zeta and pe^(k), k = 0..3, on F near lattice points off the origin
+    # cell, where the steep functions amplify the rounding of the
+    # decomposition z = x - y tau, which err charges on F as off it
+    mp = pytest.importorskip("mpmath")
+    tau = TauPoint(t)
+    zs = [a + b * t + r * cmath.exp(1j * angle) for a, b, r, angle in near]
+    got = {k: weierstrass_p_deriv_points(k, zs, tau) for k in range(4)}
+    got["zeta"] = weierstrass_zeta_points(zs, tau)
+    with mp.workdps(_dps(t)):
+        refs = _references(mp, [mp.mpc(z.real, z.imag) for z in zs], mp.mpc(t.real, t.imag),
+                           (0, 1, 2, 3))
     for i, (z, ref) in enumerate(zip(zs, refs)):
         for key, vals in got.items():
             v = vals[i]
@@ -176,9 +215,9 @@ def test_snapped_point_err_mpmath(t):
     tau, z = TauPoint(t), 0.3 - (1 - 1e-13) * t
     got = {k: weierstrass_p_deriv_points(k, [z], tau)[0] for k in ORDERS}
     got["zeta"] = weierstrass_zeta_points([z], tau)[0]
-    at = qseries._checked(tau, DEFAULT_POLICY)
-    got["b"] = qseries._zeta_block([z], at)[0]
-    got["pe+e2"] = qseries._pe_blocks([z], 0, at)[1][0]
+    f = qseries._kernel_frame([z], qseries._checked(tau, DEFAULT_POLICY), "zeta")
+    got["b"] = qseries._zeta_block(f)[0]
+    got["pe+e2"] = qseries._pe_blocks(f, 0)[1][0]
     with mp.workdps(_dps(t)):
         ref = _references(mp, [mp.mpc(z.real, z.imag)], mp.mpc(t.real, t.imag))[0]
     for key, v in got.items():

@@ -5,13 +5,19 @@ Both checkouts are loaded into one process, each as its own copy of the
 `ellded` package together with its own `perfbench/workloads.py`.  One op list
 is drawn from side A's generator; every op then runs on both sides back to
 back, the side that goes first alternating from op to op and from repeat to
-repeat, so that drift of the machine's speed falls on both sides alike.  An
-op's time on a side is the minimum over the repeats.  Exceptions are caught
-and counted per side: an op that raises is fast and would otherwise read as
-a gain.
+repeat, so that drift of the machine's speed falls on both sides alike.
+Each repeat loads both sides afresh and warms them up as the benchmark
+does, so that no repeat reads the records and q-sums an earlier one
+cached; an op's time on a side is the minimum over the repeats.
+Exceptions are caught and counted per side: an op that raises is fast and
+would otherwise read as a gain.
 
     python3 scripts/ab_interleaved.py A_CHECKOUT B_CHECKOUT \\
-        [--workload division-sums] [--seed 1855] [--ops 500] [--repeats 3]
+        [--workload division-sums] [--seed 1855] [--ops N] [--repeats 3]
+
+--ops defaults to the benchmark's ops per round for the workload
+(`workloads.op_count` at BENCHMARK.json's run_seconds), so that the op mix
+is the one a benchmark round runs.
 
 Prints, per op kind and in total, each side's summed time, the ratio B/A
 (below 1 where B is faster) and the gain A/B - 1, then the exceptions of
@@ -22,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import json
 import math
 import sys
 import time
@@ -30,6 +37,13 @@ from collections import defaultdict
 from pathlib import Path
 from types import ModuleType
 from typing import Dict, List, NamedTuple, Sequence
+
+
+def run_seconds() -> float:
+    """The seconds of a benchmark run, which set its ops per round, from the
+    BENCHMARK.json of the repository that holds this script."""
+    path = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+    return json.loads(path.read_text())["run_seconds"]
 
 
 def _owned(name: str) -> bool:
@@ -63,15 +77,21 @@ class SideResult(NamedTuple):
     errors: List[tuple]
 
 
-def interleave(sides: Sequence[ModuleType], ops: Sequence, repeats: int) -> List[SideResult]:
-    """Run every op on every side, `repeats` times, alternating which side
-    goes first; returns per side the minimum time of each op and the ops
-    that raised (on their first repeat)."""
-    best = [[math.inf] * len(ops) for _ in sides]
-    errors: List[List[tuple]] = [[] for _ in sides]
+def interleave(roots: Sequence[Path], workload: str, ops: Sequence,
+               repeats: int) -> List[SideResult]:
+    """Run every op on the side of every checkout root, `repeats` times,
+    alternating which side goes first, each repeat on sides loaded afresh
+    (`load_side`) and warmed up for the workload; returns per side the
+    minimum time of each op and the ops that raised (on their first
+    repeat)."""
+    best = [[math.inf] * len(ops) for _ in roots]
+    errors: List[List[tuple]] = [[] for _ in roots]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for rep in range(repeats):
+            sides = [load_side(root) for root in roots]
+            for side in sides:
+                side.warm_up(workload)
             for i, op in enumerate(ops):
                 order = range(len(sides)) if (i + rep) % 2 == 0 else reversed(range(len(sides)))
                 for s in order:
@@ -118,14 +138,15 @@ def main(argv=None) -> int:
     ap.add_argument("b", type=Path, help="checkout B")
     ap.add_argument("--workload", default="division-sums")
     ap.add_argument("--seed", type=int, default=1855)
-    ap.add_argument("--ops", type=int, default=500)
+    ap.add_argument("--ops", type=int, default=None,
+                    help="ops to run (default: the benchmark's ops per round)")
     ap.add_argument("--repeats", type=int, default=3)
     args = ap.parse_args(argv)
-    sides = [load_side(args.a.resolve()), load_side(args.b.resolve())]
-    ops = sides[0].generate(args.workload, args.seed, args.ops)
-    for side in sides:
-        side.warm_up(args.workload)
-    a, b = interleave(sides, ops, args.repeats)
+    roots = [args.a.resolve(), args.b.resolve()]
+    generator = load_side(roots[0])
+    count = generator.op_count(args.workload, run_seconds()) if args.ops is None else args.ops
+    ops = generator.generate(args.workload, args.seed, count)
+    a, b = interleave(roots, args.workload, ops, args.repeats)
     print(f"{args.workload}, seed {args.seed}: {len(ops)} ops, "
           f"minimum of {args.repeats} repeats; A = {args.a}, B = {args.b}")
     report(ops, a, b)

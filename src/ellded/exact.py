@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
@@ -62,6 +63,18 @@ class CoprimePair:
         if not self.in_u:
             raise ValueError(f"({self.p}, {self.q}) is not in U (need q >= 1)")
         return self
+
+
+def _checked_int(value, name: str) -> int:
+    """value as an int, where it is an int or another integral number such
+    as a numpy integer; anything else, a bool or a float of integral value
+    too, raises ValueError before any cache sees it, as an equal float
+    would read an int's cache entry."""
+    if type(value) is int:
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    return int(value)
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +166,7 @@ def apostol_sum(k: int, q: int, p: int) -> Fraction:
     as the independent oracle for the exact reciprocity check and the
     elliptic degeneration checks.
     """
+    k = _checked_int(k, "k")
     if k < 1:
         raise ValueError("k must be >= 1")
     if p < 1:
@@ -309,8 +323,9 @@ class LaurentPoly:
 
 
 def _checked_weight(w: int) -> int:
-    """w, checked to be an even integer >= 2, as every function of a
-    weight w does."""
+    """w as an int (`_checked_int`), checked to be even and >= 2, as every
+    function of a weight w does."""
+    w = _checked_int(w, "w")
     if w < 2 or w % 2 != 0:
         raise ValueError("w must be an even integer >= 2")
     return w
@@ -358,7 +373,7 @@ def verify_apostol_reciprocity(w: int, pair: CoprimePair) -> Fraction:
 
     the contract is that this is exactly 0 for (p, q) in U and even w >= 2.
     """
-    _checked_weight(w)
+    w = _checked_weight(w)
     pair.require_u()
     p, q = pair.p, pair.q
     den, terms = _g_int_terms(w)
@@ -369,6 +384,6 @@ def verify_apostol_reciprocity(w: int, pair: CoprimePair) -> Fraction:
 
 def dim_data(w: int) -> Tuple[int, int]:
     """(d_w, dim M_{w+2}): cusp-form dimension bracket formula and d_w + 1."""
-    _checked_weight(w)
+    w = _checked_weight(w)
     d = (w + 2) // 12 - 1 if w % 12 == 0 else (w + 2) // 12
     return d, d + 1

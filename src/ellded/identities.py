@@ -24,8 +24,8 @@ from typing import List, Mapping, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .exact import (CoprimePair, ExpPair, LaurentPoly, _checked_weight, bernoulli_number,
-                    dim_data, g_poly)
+from .exact import (CoprimePair, ExpPair, LaurentPoly, _checked_int, _checked_weight,
+                    bernoulli_number, dim_data, g_poly)
 from .qseries import (
     DEFAULT_POLICY,
     TWO_PI_I,
@@ -152,22 +152,31 @@ def verify_eq73(n: int, k: int, tau: TauPoint,
         sum_{i: 2i >= k-1} C(2i, k-1) c_i + sum_{i: 2i <= k} C(2n+2-2i, 2n+2-k) c_i
             = c_{(k-1)/2} (k odd) or c_{k/2} (k even).
     """
-    _checked_n(n)
+    n, k = _checked_n(n), _checked_int(k, "k")
     if not 1 <= k <= 2 * n + 2:
         raise ValueError(f"k must be in [1, {2*n+2}], got {k}")
     return _record(n, _checked(tau, policy)).eq73[k - 1]
 
 
+@lru_cache(maxsize=None)
+def _eq73_weights(n: int) -> Tuple[Tuple[Tuple[int, float], ...], ...]:
+    """Per k = 1..2n+2, the (i, float(C)) pairs of the left side of
+    `verify_eq73`, in the order its two sums meet them: per i = 0..n+1,
+    C(2i, k-1) where 2i >= k-1, then C(2n+2-2i, 2n+2-k) where 2i <= k."""
+    return tuple(tuple((i, float(math.comb(top, bottom))) for i in range(n + 2)
+                       for top, bottom, used in ((2 * i, k - 1, 2 * i >= k - 1),
+                                                 (2 * n + 2 - 2 * i, 2 * n + 2 - k, 2 * i <= k))
+                       if used) for k in range(1, 2 * n + 3))
+
+
 def _eq73_of(n: int, cs: Tuple[ComplexVal, ...]) -> Tuple[ComplexVal, ...]:
-    """The residuals of `verify_eq73` for k = 1..2n+2 from the c_j."""
+    """The residuals of `verify_eq73` for k = 1..2n+2 from the c_j, over the
+    weights of n (`_eq73_weights`)."""
     out = []
-    for k in range(1, 2 * n + 3):
+    for k, weights in enumerate(_eq73_weights(n), 1):
         lhs = ComplexVal(0j, 0.0)
-        for i in range(n + 2):
-            if 2 * i >= k - 1:
-                lhs = lhs + cs[i] * float(math.comb(2 * i, k - 1))
-            if 2 * i <= k:
-                lhs = lhs + cs[i] * float(math.comb(2 * n + 2 - 2 * i, 2 * n + 2 - k))
+        for i, weight in weights:
+            lhs = lhs + cs[i] * weight
         # c_{(k-1)/2} for odd k, c_{k/2} for even k
         out.append(lhs - cs[k // 2])
     return tuple(out)
@@ -190,7 +199,8 @@ def t_weighted(n: int, pair: CoprimePair, tau: TauPoint,
     """T^-_{2n}(p,q;tau) = (2 pi i)^2 pq [ R^-_{2n}(p,q;tau)
     - (2n+1) E_{2n+2} / ((2 pi i)^2 pq) ]."""
     pair.require_u()
-    return _t_weighted_of(n, pair, _record(_checked_n(n), _checked(tau, policy)).table)
+    n = _checked_n(n)
+    return _t_weighted_of(n, pair, _record(n, _checked(tau, policy)).table)
 
 
 def _t_weighted_of(n: int, pair: CoprimePair, table: EisensteinTable) -> ComplexVal:
@@ -206,8 +216,8 @@ def verify_three_term(n: int, pair: CoprimePair, tau: TauPoint,
     """Residual of p T(p+q,q) + q T(p,p+q) - (p+q) T(p,q); the three T
     share one Eisenstein table."""
     pair.require_u()
-    p, q = pair.p, pair.q
-    table = _record(_checked_n(n), _checked(tau, policy)).table
+    n, p, q = _checked_n(n), pair.p, pair.q
+    table = _record(n, _checked(tau, policy)).table
     t1 = _t_weighted_of(n, CoprimePair(p + q, q), table)
     t2 = _t_weighted_of(n, CoprimePair(p, p + q), table)
     t3 = _t_weighted_of(n, pair, table)
@@ -223,7 +233,7 @@ def eisenstein_period_data(n: int) -> PeriodData:
 
     which coincides with the degree-2n reciprocity polynomial g_{2n}.
     """
-    _checked_n(n)
+    n = _checked_n(n)
     z = zeta_odd(n)
     r2n = math.factorial(2 * n) * z / (2 * TWO_PI_I ** (2 * n + 1))
     pet = (
@@ -270,7 +280,7 @@ def verify_eq64_onedim(w: int, tau: TauPoint,
     d, _ = dim_data(w)
     if d != 0:
         raise ValueError(f"w = {w} has d_w = {d} > 0; the one-dimensional form needs d_w = 0")
-    return LaurentPoly(dict(_record(w // 2, _checked(tau, policy)).eq64))
+    return LaurentPoly(dict(_record(_checked_weight(w) // 2, _checked(tau, policy)).eq64))
 
 
 @lru_cache(maxsize=None)
@@ -316,14 +326,18 @@ def _rank_matrix(n: int, ats: Sequence[_Checked]) -> np.ndarray:
     the Eisenstein table, c_j and Laurent steps run on (tau x column) numpy
     arrays, and no err is formed, since the rank reads none.  The tables
     come from one product over the sample (`_eisenstein_tables`), which
-    neither reads nor fills the caches."""
+    neither reads nor fills the caches.  The matrix is filled in place: c_j
+    in its last n + 2 columns, then each column scaled."""
     e_top, prods, de = _eisenstein_tables(n, ats)
+    out = np.empty((len(ats), n + 3), dtype=complex)
     # c_0..c_{n+1}, as `_coefficients_of` forms them
-    c = np.empty((len(ats), n + 2), dtype=complex)
+    c = out[:, 1:]
     c[:, 0] = c[:, n + 1] = e_top
     c[:, 1:n + 1] = -prods
     for j in sorted({1, n}):
         c[:, j] -= de * (((j == 1) + (j == n)) * 1j * math.pi / n)
     # the Laurent coefficients, as `_laurent_of` forms them
     inv = 1.0 / (TWO_PI_I**2).real
-    return np.column_stack((c[:, 0] * ((2 * n + 1) * inv), c * inv))
+    out[:, 0] = c[:, 0] * ((2 * n + 1) * inv)
+    c *= inv
+    return out

@@ -71,7 +71,10 @@ array equal to the loop's sums up to rounding, for `basis_rank`, whose
 output is a rank.  Both read sigma_ell(k) from one exact-integer sieve,
 `_divisor_power_sums`, cached per power-of-two count up to
 SIGMA_CACHE_TERMS terms and built afresh past it: the loop as ints, each
-rounded as it meets q^k, the product as a float view of the table.
+rounded as it meets q^k, the product as a float view of the table, which
+it reads through a plan per (columns, count) of its weights, cached in at
+most PLAN_CACHE_SIZE entries and, as the tables, only up to
+SIGMA_CACHE_TERMS terms (`_eisenstein_plan`).
 The loop's stopping rule, three terms in a row at most tol |sum|, is the
 one judge of enough terms in both: the product starts from the kernels'
 estimate (`_points_rows`) and doubles until its sums meet the rule.  A
@@ -98,7 +101,7 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exact import bernoulli_number
+from .exact import _checked_int, bernoulli_number
 
 TWO_PI_I = 2j * math.pi
 
@@ -540,12 +543,12 @@ def _block_series(start: np.ndarray, start_rnd: np.ndarray, terms,
 SIGMA_CACHE_TERMS = 1 << 12
 
 
-def _short_tables_cached(build):
-    """`build(key, count)` behind an unbounded `lru_cache` for a count of at
-    most SIGMA_CACHE_TERMS, and uncached past it, so that a capped series
-    near |q| = 1 leaves no table of 2^20 entries behind; the cache is the
-    wrapper's `cache`."""
-    cached = lru_cache(maxsize=None)(build)
+def _short_tables_cached(build, maxsize: Optional[int] = None):
+    """`build(key, count)` behind an `lru_cache` of maxsize entries
+    (unbounded by default) for a count of at most SIGMA_CACHE_TERMS, and
+    uncached past it, so that a capped series near |q| = 1 leaves no table
+    of 2^20 entries behind; the cache is the wrapper's `cache`."""
+    cached = lru_cache(maxsize=maxsize)(build)
 
     @wraps(build)
     def table(key, count: int):
@@ -684,6 +687,33 @@ def _eisenstein_q_sum(n: int, at: _Checked, tau_deriv: bool) -> Tuple[complex, f
     return acc, _q_sum_bound(n, tau_deriv, abs(q), k, last, rnd)
 
 
+#: entries of the plan cache (`_eisenstein_plan`), one per column set and
+#: count: basis_rank's weights 2 to 24 over random_taus' window use twelve;
+#: bounded, as a plan holds count x columns complex, up to MBs at
+#: SIGMA_CACHE_TERMS terms
+PLAN_CACHE_SIZE = 32
+
+
+def _build_plan(cols: Tuple[Tuple[int, bool], ...], count: int):
+    """What `_eisenstein_q_sums` reads of the columns `cols` at `count`
+    terms, all read-only: whether the sigma float view holds count terms
+    (fits), the terms it holds, their weights sigma_{2n-1}(k), by 2 pi i k
+    in the tau_deriv columns (k x column), and |weights| of the last three
+    rows.  Read through `_eisenstein_plan`."""
+    sigma = _divisor_power_floats(tuple(2 * n - 1 for n, _ in cols),
+                                  1 << (count - 1).bit_length())[:count]
+    k = np.arange(1, len(sigma) + 1, dtype=float)[:, None]
+    weights = sigma * np.where(np.array([d for _, d in cols], dtype=bool), TWO_PI_I * k, 1.0)
+    last = np.abs(weights[-3:])
+    weights.flags.writeable = last.flags.writeable = False
+    return len(sigma) == count, len(sigma), weights, last
+
+
+#: `_build_plan` cached per (cols, count) in at most PLAN_CACHE_SIZE
+#: entries, and built afresh past SIGMA_CACHE_TERMS terms
+_eisenstein_plan = _short_tables_cached(_build_plan, PLAN_CACHE_SIZE)
+
+
 def _eisenstein_q_sums(ats: Sequence[_Checked], cols: Sequence[Tuple[int, bool]]) -> np.ndarray:
     """The sum of `_eisenstein_q_sum(n, at, tau_deriv)` for every column
     (n, tau_deriv) of `cols` at every `at` of `ats`, records made under one
@@ -705,24 +735,22 @@ def _eisenstein_q_sums(ats: Sequence[_Checked], cols: Sequence[Tuple[int, bool]]
     table that holds count terms; where that view ends before count, the
     product runs on the terms it holds, and a sum still short there raises
     the OverflowError the loop raises where sigma leaves binary64, for the
-    column of the largest n, whose sigma leaves it first."""
+    column of the largest n, whose sigma leaves it first.  The weights of
+    each (columns, count) come from a read-only plan (`_eisenstein_plan`),
+    cached in at most PLAN_CACHE_SIZE entries and built afresh past
+    SIGMA_CACHE_TERMS terms, as the sigma tables are."""
     if not ats:
         return np.empty((0, len(cols)), dtype=complex)
     tol, cap = ats[0].tol, ats[0].cap
-    ells = tuple(2 * n - 1 for n, _ in cols)
-    deriv = np.array([d for _, d in cols], dtype=bool)
     qs = np.array([cmath.exp(TWO_PI_I * at.tau) for at in ats])
     ell = max((2 * n - 1 + d for n, d in cols), default=1)
     count = min(cap, max(_FIRST_TERMS, _points_rows(float(np.abs(qs).max()), ell, 0.0, tol)))
     while True:
-        sigma = _divisor_power_floats(ells, 1 << (count - 1).bit_length())[:count]
-        fits, count = len(sigma) == count, len(sigma)
+        fits, count, weights, last_weights = _eisenstein_plan(tuple(cols), count)
         powers = np.cumprod(np.broadcast_to(qs, (count, len(qs))), axis=0).T
-        k = np.arange(1, count + 1, dtype=float)[:, None]
-        weights = sigma * np.where(deriv, TWO_PI_I * k, 1.0)
         sums = powers @ weights
         # the sizes of every sum's last three terms, (tau x 3 x column)
-        last = np.abs(powers[:, -3:, None]) * np.abs(weights[-3:])
+        last = np.abs(powers[:, -3:, None]) * last_weights
         short = (last > tol * np.maximum(np.abs(sums), 1e-300)[:, None]).any(axis=1) | (count < 3)
         if not short.any():
             return sums
@@ -751,8 +779,9 @@ def _eisenstein_consts(n: int) -> Tuple[complex, complex, float, float]:
 
 
 def _checked_n(n: int) -> int:
-    """n, checked to be >= 1, as every Eisenstein call does before its tau,
-    and `zeta_odd`."""
+    """n as an int (`_checked_int`), checked to be >= 1, as every Eisenstein
+    call does before its tau and any cache, and `zeta_odd`."""
+    n = _checked_int(n, "n")
     if n < 1:
         raise ValueError("n must be >= 1")
     return n
@@ -816,18 +845,39 @@ def _eisenstein_table(n: int, at: _Checked) -> EisensteinTable:
             _eisenstein_tau_derivative(n, at))
 
 
+@lru_cache(maxsize=None)
+def _table_columns(n: int) -> Tuple[Tuple[int, bool], ...]:
+    """The q-sum columns of `_eisenstein_tables(n, ...)`: the sums of E_2,
+    ..., E_{2n+2}, then that of dE_{2n}/dtau."""
+    return tuple((j, False) for j in range(1, n + 2)) + ((n, True),)
+
+
+@lru_cache(maxsize=None)
+def _table_consts(n: int) -> Tuple[np.ndarray, np.ndarray, complex]:
+    """The consts and prefs of E_2, ..., E_{2n+2} (`_eisenstein_consts`) as
+    read-only arrays, and the pref of dE_{2n}/dtau, for
+    `_eisenstein_tables`; raises the consts' OverflowError."""
+    const, pref = (np.array([_eisenstein_consts(j)[i] for j in range(1, n + 2)]) for i in (0, 1))
+    const.flags.writeable = pref.flags.writeable = False
+    return const, pref, _eisenstein_consts(n)[1]
+
+
 def _eisenstein_tables(n: int, ats: Sequence[_Checked]) -> Tuple[np.ndarray, ...]:
     """The values of `_eisenstein_table(n, at)` for every record of `ats`,
     up to rounding and without their errs: E_{2n+2} and dE_{2n}/dtau per
     tau, and the products as a (tau x j) array.  Their q-sums come from one
     `_eisenstein_q_sums` product, which neither reads nor fills the q-sum
-    cache."""
-    sums = _eisenstein_q_sums(ats, [(j, False) for j in range(1, n + 2)] + [(n, True)])
-    consts = [_eisenstein_consts(j) for j in range(1, n + 2)]
+    cache, over the columns of n (`_table_columns`); the constants of n
+    (`_table_consts`) are read after it, so that a q-sum's OverflowError
+    comes before a constant's.  Both are cached per n without a bound, as
+    `_eisenstein_consts` is: a column tuple holds n + 2 pairs, and the
+    constants exist up to n = 84 only, as (2n+1)! leaves binary64 past
+    it."""
+    sums = _eisenstein_q_sums(ats, _table_columns(n))
+    const, pref, de_pref = _table_consts(n)
     # E_2, ..., E_{2n+2}, as `_eisenstein` forms them
-    e = (np.array([const for const, _, _, _ in consts])
-         + np.array([pref for _, pref, _, _ in consts]) * sums[:, :-1])
-    return e[:, n], e[:, :n] * e[:, n - 1::-1], consts[n - 1][1] * sums[:, -1]
+    e = const + pref * sums[:, :-1]
+    return e[:, n], e[:, :n] * e[:, n - 1::-1], de_pref * sums[:, -1]
 
 
 # ---------------------------------------------------------------------------
@@ -1507,7 +1557,7 @@ def sigma_log_tau_derivative(z: complex, tau: TauPoint,
 
 def zeta_odd(n: int, tol: float = 1e-12) -> float:
     """zeta(2n+1) by direct summation plus an Euler-Maclaurin tail below tol."""
-    _checked_n(n)
+    n = _checked_n(n)
     if not tol > 0:
         raise ValueError("tol must be > 0")
     s = 2 * n + 1

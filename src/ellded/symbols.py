@@ -201,7 +201,7 @@ def elliptic_apostol_sum(n: int, pair: CoprimePair, tau: TauPoint,
     far as D is modular.
     """
     route = Route(route)
-    _checked_n(n)
+    n = _checked_n(n)
     at = _checked(tau, policy)
     p, q = pair.p, pair.q
     if route is Route.ZETA_DERIVATIVE:

@@ -21,10 +21,40 @@ def test_aa_run_on_ten_ops(capsys):
     assert sides[0].symbols.TauPoint is sides[0].qseries.TauPoint
     ops = sides[0].generate("division-sums", 1, 10)
     assert len(ops) == 10
-    a, b = ab.interleave(sides, ops, repeats=1)
+    a, b = ab.interleave([ROOT, ROOT], "division-sums", ops, repeats=1)
     ratios = ab.report(ops, a, b)
     assert a.errors == [] and b.errors == []
     assert all(t > 0 for t in a.times + b.times)
     assert set(ratios) == {op.kind for op in ops} | {"all"}
     assert all(math.isfinite(r) and r > 0 for r in ratios.values())
     assert "exceptions A: 0" in capsys.readouterr().out
+
+
+def test_every_repeat_starts_cold(monkeypatch):
+    """Each repeat runs on sides loaded afresh: the second repeat's sides
+    build the identity records that the first repeat's built, as many as
+    the first's did, where sides kept across repeats would read them all
+    from the cache."""
+    loaded = []
+    load = ab.load_side
+
+    def spy(root):
+        loaded.append(load(root))
+        return loaded[-1]
+
+    monkeypatch.setattr(ab, "load_side", spy)
+    ops = [op for op in load(ROOT).generate("eisenstein-identities", 1, 100)
+           if op.kind in ("eq73", "eq64", "three-term")][:10]
+    ab.interleave([ROOT, ROOT], "eisenstein-identities", ops, repeats=2)
+    assert len(loaded) == 4 and len({id(side.identities) for side in loaded}) == 4
+    misses = [side.identities._record.cache_info().misses for side in loaded]
+    assert misses[0] > len(load(ROOT).WARM_UP["eisenstein-identities"]) and len(set(misses)) == 1
+
+
+def test_ops_default_to_a_benchmark_round(capsys):
+    # 25 s of eisenstein-identities is 1850 ops per round
+    assert ab.main([str(ROOT), str(ROOT), "--workload", "eisenstein-identities",
+                    "--seed", "1", "--repeats", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "eisenstein-identities, seed 1: 1850 ops" in out
+    assert "exceptions A: 0" in out and "exceptions B: 0" in out

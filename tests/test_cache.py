@@ -5,9 +5,10 @@ per (n, tau): values bit-identical cold and warm, and the per-call contract
 import hashlib
 import warnings
 
+import numpy as np
 import pytest
 
-from ellded import identities, qseries, symbols
+from ellded import exact, identities, qseries, symbols
 from ellded.exact import CoprimePair
 from ellded.qseries import NonConvergenceError, SeriesPolicy, SlowNomeWarning, TauPoint
 
@@ -283,3 +284,51 @@ def test_pair_outside_u_raises_before_tau(call):
             call(2, CoprimePair(3, -2), TauPoint(0.08j))
     assert caught == []
     assert qseries._eisenstein_q_sum.cache_info() == before
+
+
+ORDER_TAU = TauPoint(0.1 + 1.1j)
+#: (call of an order v, an int order, one that is no int, the name the
+#: error gives it) for every order a cache is keyed on or built from
+NON_INT_ORDERS = [
+    (lambda v: qseries.eisenstein(v, ORDER_TAU), 2, 2.0, "n"),
+    (lambda v: qseries.eisenstein_tau_derivative(v, ORDER_TAU), 2, True, "n"),
+    (lambda v: identities.verify_eq73(v, 1, ORDER_TAU), 2, 2.0, "n"),
+    (lambda v: identities.verify_eq73(2, v, ORDER_TAU), 1, True, "k"),
+    (lambda v: identities.verify_eq73(2, v, ORDER_TAU), 1, 1.0, "k"),
+    (lambda v: identities.reciprocity_laurent(v, ORDER_TAU), 4, 4.0, "w"),
+    (lambda v: identities.verify_eq64_onedim(v, ORDER_TAU), 4, 4.0, "w"),
+    (lambda v: identities.basis_rank(v, identities.random_taus(4, 1)), 4, 4.0, "w"),
+    (lambda v: symbols.elliptic_apostol_sum(v, CoprimePair(3, 2), ORDER_TAU), 2, 2.0, "n"),
+    (lambda v: exact.apostol_sum(v, 3, 7), 4, 4.0, "k"),
+    (lambda v: exact.apostol_sum(v, 3, 7), 3, True, "k"),
+]
+
+
+def _sigma_tables_are_ints():
+    return all(type(s) is int for ell in range(1, 8, 2) for count in (32, 64)
+               for s in qseries._divisor_power_sums(ell, count))
+
+
+@pytest.mark.parametrize("call, good, bad, name", NON_INT_ORDERS,
+                         ids=["eisenstein", "dtau_bool", "eq73_n", "eq73_k_bool", "eq73_k",
+                              "laurent", "eq64", "basis_rank", "elliptic_sum",
+                              "apostol_k", "apostol_k_bool"])
+def test_non_int_order_rejected_before_the_caches(call, good, bad, name):
+    """An order that is no int raises ValueError before any cache is read:
+    cold, with no sigma table built, and warm, once its int twin has filled
+    the caches, whose entry an equal float would read; every sigma table
+    stays of ints."""
+    _clear_caches()
+    qseries._divisor_power_sums.cache.cache_clear()
+    with pytest.raises(ValueError, match=rf"^{name} must be an int, got {bad!r}$"):
+        call(bad)
+    assert qseries._divisor_power_sums.cache.cache_info().currsize == 0
+    want = repr(call(good))
+    with pytest.raises(ValueError, match=rf"^{name} must be an int, got {bad!r}$"):
+        call(bad)
+    assert _sigma_tables_are_ints()
+    # a numpy integer is an int, cold and warm
+    _clear_caches()
+    qseries._divisor_power_sums.cache.cache_clear()
+    assert repr(call(np.int64(good))) == want == repr(call(good))
+    assert _sigma_tables_are_ints()

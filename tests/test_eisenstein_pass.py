@@ -4,6 +4,7 @@ mpmath, and the matrix `basis_rank` decomposes, built from it without
 touching the per-tau caches, equals `reciprocity_laurent`'s coefficients up
 to rounding and has the same rank."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -141,7 +142,8 @@ def test_product_runs_on_the_float_view_it_holds(monkeypatch):
 
 def _spy_products(monkeypatch):
     """The count of the sigma table that each product reads, one entry per
-    product formed."""
+    product formed: every product builds its plan afresh, past the plan
+    cache, so that each reads its table."""
     counts = []
     read = qseries._divisor_power_floats
 
@@ -150,6 +152,7 @@ def _spy_products(monkeypatch):
         return read(ells, count)
 
     monkeypatch.setattr(qseries, "_divisor_power_floats", spy)
+    monkeypatch.setattr(qseries, "_eisenstein_plan", qseries._eisenstein_plan.__wrapped__)
     return counts
 
 
@@ -312,3 +315,70 @@ def test_basis_rank_equals_the_per_tau_rank(w):
             assert identities.basis_rank(w, taus) == rank == min(dim, size)
             if size > dim:
                 assert sv[dim] < 1e-12 * sv[0]
+
+
+#: SHA-256 of `_rank_matrix_reprs()`: the matrices that basis_rank
+#: decomposes over fixed random_taus samples at w = 2..24, with their ranks,
+#: as the product formed them when each call built its sigma weights, its
+#: constants and its matrix afresh (numpy 2.4.6, x86-64); the plans and
+#: per-n tables that the product and the matrix now read keep every bit
+RANK_MATRIX_SHA256 = "832865ddb59e9a925c0312c9e89964b7223b9b8d6be2c67763bf90da698e0018"
+
+
+def _rank_matrix_reprs():
+    out = []
+    for w in range(2, 26, 2):
+        for size, seed in ((4, 1), (7, 2), (10, 3)):
+            taus = identities.random_taus(size, 100 * w + seed)
+            matrix = identities._rank_matrix(w // 2, _records(taus, qseries.DEFAULT_POLICY))
+            out.append(f"{w} {size} {identities.basis_rank(w, taus)} "
+                       + " ".join(repr(complex(v)) for v in matrix.ravel()))
+    return out
+
+
+def test_rank_matrix_digest():
+    digest = hashlib.sha256("\n".join(_rank_matrix_reprs()).encode()).hexdigest()
+    assert digest == RANK_MATRIX_SHA256
+    # cold plans give the same matrices
+    qseries._eisenstein_plan.cache.cache_clear()
+    assert hashlib.sha256("\n".join(_rank_matrix_reprs()).encode()).hexdigest() == digest
+
+
+def test_plans_bounded_and_short(monkeypatch):
+    """The product reads its weights from plans cached per (columns, count)
+    in at most PLAN_CACHE_SIZE entries, read-only and equal to a fresh
+    build; a plan past SIGMA_CACHE_TERMS terms is built afresh and kept by
+    no cache."""
+    plans = qseries._eisenstein_plan.cache
+    plans.cache_clear()
+    ats = _records(identities.random_taus(5, 0), qseries.DEFAULT_POLICY)
+    for n in range(1, 2 * qseries.PLAN_CACHE_SIZE + 1):
+        cols = ((n, False), (n, True))
+        sums = qseries._eisenstein_q_sums(ats, cols)
+        # a cached plan gives the sums of a fresh one, bit for bit
+        assert qseries._eisenstein_q_sums(ats, list(cols)).tobytes() == sums.tobytes()
+        assert plans.cache_info().currsize == min(n, qseries.PLAN_CACHE_SIZE)
+    plan = qseries._eisenstein_plan(cols, qseries._FIRST_TERMS)
+    fresh = qseries._eisenstein_plan.__wrapped__(cols, qseries._FIRST_TERMS)
+    assert plan[:2] == fresh[:2] == (True, qseries._FIRST_TERMS)
+    for cached, built in zip(plan[2:], fresh[2:]):
+        assert not cached.flags.writeable and cached.tobytes() == built.tobytes()
+    bound = qseries.SIGMA_CACHE_TERMS
+    one = ((1, False),)
+    assert qseries._eisenstein_plan(one, bound) is qseries._eisenstein_plan(one, bound)
+    assert qseries._eisenstein_plan(one, 2 * bound) is not qseries._eisenstein_plan(one, 2 * bound)
+    # at Im tau = 0.001 the sum of E_2 runs past the bound: its product
+    # caches the plans of the counts within it alone
+    plans.cache_clear()
+    counts = []
+    read = qseries._eisenstein_plan
+
+    def spy(cols, count):
+        counts.append(count)
+        return read(cols, count)
+
+    monkeypatch.setattr(qseries, "_eisenstein_plan", spy)
+    slow = _records([TauPoint(0.001j)], SeriesPolicy(min_im_tau=0.0005))
+    qseries._eisenstein_q_sums(slow, one)
+    assert max(counts) > bound
+    assert plans.cache_info().currsize == len({c for c in counts if c <= bound})

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from ellded import qseries
+from ellded import identities, qseries
 from ellded.exact import CoprimePair, bernoulli_number, dim_data, g_poly
 from ellded.qseries import SlowNomeWarning, TauPoint
 from ellded.symbols import reciprocity_rhs
@@ -109,6 +109,30 @@ class TestCoefficientIdentity:
             verify_eq73(1, 0, TAU_I)
         with pytest.raises(ValueError):
             verify_eq73(1, 5, TAU_I)
+
+    @staticmethod
+    def _eq73_loop(n, cs):
+        """The residuals of eq73 by the double loop over k and i that formed
+        them before their weights were tabled per n."""
+        out = []
+        for k in range(1, 2 * n + 3):
+            lhs = qseries.ComplexVal(0j, 0.0)
+            for i in range(n + 2):
+                if 2 * i >= k - 1:
+                    lhs = lhs + cs[i] * float(math.comb(2 * i, k - 1))
+                if 2 * i <= k:
+                    lhs = lhs + cs[i] * float(math.comb(2 * n + 2 - 2 * i, 2 * n + 2 - k))
+            out.append(lhs - cs[k // 2])
+        return tuple(out)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_weight_table_keeps_the_loop_bits(self, n):
+        # the tabled weights run the loop's ComplexVal operations in its
+        # order, so that every residual keeps its bits
+        for tau in (TAU_G, TauPoint(-0.45 + 0.7j), TauPoint(0.2 + 0.3j)):
+            cs = c_coefficients(n, tau).c
+            assert ([repr(r) for r in identities._eq73_of(n, cs)]
+                    == [repr(r) for r in self._eq73_loop(n, cs)])
 
 
 class TestThreeTerm:

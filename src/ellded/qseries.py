@@ -1454,6 +1454,7 @@ def weierstrass_p_deriv_points(k: int, z, tau: TauPoint,
                                policy: SeriesPolicy = DEFAULT_POLICY) -> ComplexArray:
     """`weierstrass_p_deriv` at every point of the array z, in one batched
     run of its Fourier series at tau reduced to F."""
+    k = _checked_int(k, "k")
     if k < 0:
         raise ValueError("k must be >= 0")
     return _p_deriv_points(k, z, _checked(tau, policy))
@@ -1511,6 +1512,7 @@ def _pe_blocks(f: _Frame, n: int):
 def weierstrass_zeta_deriv(j: int, z: complex, tau: TauPoint,
                            policy: SeriesPolicy = DEFAULT_POLICY) -> ComplexVal:
     """zeta^{(j)}(z; tau); for j >= 1 this is -pe^{(j-1)}(z; tau)."""
+    j = _checked_int(j, "j")
     if j < 0:
         raise ValueError("j must be >= 0")
     if j == 0:

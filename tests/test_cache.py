@@ -301,6 +301,11 @@ NON_INT_ORDERS = [
     (lambda v: symbols.elliptic_apostol_sum(v, CoprimePair(3, 2), ORDER_TAU), 2, 2.0, "n"),
     (lambda v: exact.apostol_sum(v, 3, 7), 4, 4.0, "k"),
     (lambda v: exact.apostol_sum(v, 3, 7), 3, True, "k"),
+    (lambda v: qseries.weierstrass_p_deriv(v, 0.1 + 0.2j, ORDER_TAU), 1, 1.0, "k"),
+    (lambda v: qseries.weierstrass_p_deriv(v, 0.1 + 0.2j, ORDER_TAU), 1, True, "k"),
+    (lambda v: qseries.weierstrass_p_deriv_points(v, [0.1 + 0.2j], ORDER_TAU), 2, 2.0, "k"),
+    (lambda v: qseries.weierstrass_zeta_deriv(v, 0.1 + 0.2j, ORDER_TAU), 2, 1.0, "j"),
+    (lambda v: qseries.weierstrass_zeta_deriv(v, 0.1 + 0.2j, ORDER_TAU), 2, True, "j"),
 ]
 
 
@@ -312,7 +317,8 @@ def _sigma_tables_are_ints():
 @pytest.mark.parametrize("call, good, bad, name", NON_INT_ORDERS,
                          ids=["eisenstein", "dtau_bool", "eq73_n", "eq73_k_bool", "eq73_k",
                               "laurent", "eq64", "basis_rank", "elliptic_sum",
-                              "apostol_k", "apostol_k_bool"])
+                              "apostol_k", "apostol_k_bool", "pe_deriv", "pe_deriv_bool",
+                              "pe_deriv_points", "zeta_deriv", "zeta_deriv_bool"])
 def test_non_int_order_rejected_before_the_caches(call, good, bad, name):
     """An order that is no int raises ValueError before any cache is read:
     cold, with no sigma table built, and warm, once its int twin has filled

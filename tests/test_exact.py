@@ -6,14 +6,18 @@ import random
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ellded import exact
 from ellded.exact import (
     CoprimePair,
     LaurentPoly,
+    _bernoulli_centred_coeffs,
     _bernoulli_int_coeffs,
+    _checked_int,
     apostol_sum,
     bernoulli_function,
     bernoulli_number,
@@ -146,6 +150,41 @@ def full_range_horner_apostol_sum(k: int, q: int, p: int) -> Fraction:
     return Fraction(acc, 2 * d * p ** (k + 1))
 
 
+def centred_half_range_apostol_sum(k: int, q: int, p: int) -> Fraction:
+    """The centred, half-range kernel that the chunked binomial moments
+    replaced for long sums, kept verbatim as a third reference: Horner in
+    u^2 over 1 <= mu < p/2, term by term."""
+    k = _checked_int(k, "k")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if p < 1:
+        raise ValueError("p must be >= 1")
+    if math.gcd(p, q) != 1:
+        raise ValueError(f"gcd(p, q) must be 1, got ({p}, {q})")
+    if k % 2 == 0:
+        return Fraction(0)  # the terms at mu and p - mu cancel by reflection
+    d, table = _bernoulli_centred_coeffs(k)
+    # Q(u) = u sum_t c_t u^{k-1-2t} with c_t = a_{2t} p^{2t}
+    coeffs = [a * p ** (2 * t) for t, a in enumerate(table)]
+    # gcd(p, q) = 1 and 1 <= mu <= p-1 give 1 <= r <= p-1: r/p is never an
+    # integer, so the k = 1 Fourier value B~_1(integer) = 0 never applies here.
+    step = 2 * (q % p)
+    acc = 0
+    u = -p
+    # weight = 2 mu - p, the sawtooth times 2p, for mu = 1 .. ceil(p/2) - 1
+    for weight in range(2 - p, 0, 2):
+        u += step
+        if u >= p:
+            u -= 2 * p
+        v = u * u
+        poly = 0
+        for c in coeffs:
+            poly = poly * v + c
+        acc += weight * u * poly
+    # 2 acc / (2p * 2^k D p^k): the doubling cancels the sawtooth's 2
+    return Fraction(acc, 2**k * d * p ** (k + 1))
+
+
 def _benchmark_range_sample(count: int, seed: int = 11):
     """Seeded (k, q, p) over the exact-reciprocity benchmark's ranges: k odd
     in 3..13, coprime p, q in [1, 2000], half of the p even."""
@@ -155,6 +194,29 @@ def _benchmark_range_sample(count: int, seed: int = 11):
         k = rng.randrange(3, 14, 2)
         p = rng.randint(1, 1000) * 2 - len(out) % 2
         q = rng.randint(1, 2000)
+        if math.gcd(p, q) == 1:
+            out.append((k, q, p))
+    return out
+
+
+def _some_q(p: int):
+    """Up to eight q coprime to p, of both signs, small and near p."""
+    cands = (1, -1, 2, -3, p // 3 + 1, -(p // 2 + 1), p - 1, -(2 * p + 5))
+    return sorted({q for q in cands if math.gcd(p, q) == 1})
+
+
+#: half-range lengths n = ceil(p/2) - 1 on both sides of one and two chunks
+CHUNK_EDGE_P = [p for n in (63, 64, 65, 127, 128, 129) for p in (2 * n + 1, 2 * n + 2)]
+
+
+def _seeded_long_sample(count: int, seed: int = 5003):
+    """Seeded (k, q, p): k odd in 1..19, p in [2, 5000], q of both signs."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        k = rng.randrange(1, 20, 2)
+        p = rng.randint(2, 5000)
+        q = rng.choice((-1, 1)) * rng.randint(1, 3 * p)
         if math.gcd(p, q) == 1:
             out.append((k, q, p))
     return out
@@ -223,6 +285,48 @@ class TestApostolSum:
     @pytest.mark.parametrize("k,q,p", _benchmark_range_sample(40))
     def test_matches_full_range_horner(self, k, q, p):
         assert apostol_sum(k, q, p) == full_range_horner_apostol_sum(k, q, p)
+
+    @pytest.mark.parametrize("k", [1, 3, 5, 9, 13, 17])
+    def test_matches_centred_kernel_every_p(self, k):
+        # every p <= 300, the loop's short sums and the chunked long ones
+        for p in range(1, 301):
+            for q in _some_q(p):
+                assert apostol_sum(k, q, p) == centred_half_range_apostol_sum(k, q, p), (k, q, p)
+
+    @pytest.mark.parametrize("p", CHUNK_EDGE_P)
+    def test_matches_centred_kernel_at_chunk_edges(self, p):
+        exact._apostol_plan.cache_clear()
+        for k in (1, 3, 7, 13, 19):
+            for q in _some_q(p):
+                assert apostol_sum(k, q, p) == centred_half_range_apostol_sum(k, q, p), (k, q)
+        # from n = 63 on, at least the sums at k = 7, 13 and 19 are chunked
+        assert exact._apostol_plan.cache_info().currsize >= 3
+
+    @pytest.mark.parametrize("k,q,p", _seeded_long_sample(60))
+    def test_matches_centred_kernel_seeded(self, k, q, p):
+        assert apostol_sum(k, q, p) == centred_half_range_apostol_sum(k, q, p)
+
+    def test_int64_bound_keeps_the_loop(self):
+        # p C(64, 32) >= 2^63: chunk moments could leave int64, so this long
+        # sum runs term by term and builds no plan
+        exact._apostol_plan.cache_clear()
+        value = apostol_sum(31, 777, 2000)
+        assert exact._apostol_plan.cache_info().currsize == 0
+        assert value == centred_half_range_apostol_sum(31, 777, 2000)
+        assert value == full_range_horner_apostol_sum(31, 777, 2000)
+
+    @pytest.mark.parametrize("q,p", [(3, 1999), (-1234, 1999), (377, 1999), (2, 7)])
+    def test_numpy_integers_are_ints(self, q, p):
+        for k in (3, 13):
+            want = apostol_sum(k, q, p)
+            assert apostol_sum(np.int64(k), np.int64(q), np.int64(p)) == want
+            assert apostol_sum(k, np.int32(q), np.int64(p)) == want
+
+    @pytest.mark.parametrize("q,p,name", [(True, 3, "q"), (2.0, 3, "q"), (2, 3.0, "p"),
+                                          (1, True, "p")])
+    def test_non_int_pair_rejected(self, q, p, name):
+        with pytest.raises(ValueError, match=rf"^{name} must be an int"):
+            apostol_sum(3, q, p)
 
 
 class TestGPoly:
@@ -327,6 +431,10 @@ class TestReciprocity:
         with pytest.raises(ValueError):
             verify_apostol_reciprocity(2, CoprimePair(3, -1))
 
+    def test_numpy_pair_is_exact(self):
+        # numpy integers become ints: p**w no longer wraps at int64
+        assert verify_apostol_reciprocity(12, CoprimePair(np.int64(1999), np.int64(3))) == 0
+
 
 class TestDimData:
     @pytest.mark.parametrize("w,expected", [
@@ -347,6 +455,17 @@ class TestCoprimePair:
     def test_membership(self):
         assert CoprimePair(3, 2).in_u
         assert not CoprimePair(3, -2).in_u
+
+    @pytest.mark.parametrize("p,q,name", [(True, 1, "p"), (3, True, "q"), (3.0, 1, "p"),
+                                          (3, 2.0, "q"), ("3", 1, "p")])
+    def test_non_int_rejected(self, p, q, name):
+        with pytest.raises(ValueError, match=rf"^{name} must be an int, got "):
+            CoprimePair(p, q)
+
+    def test_numpy_integers_become_ints(self):
+        pair = CoprimePair(np.int64(1999), np.int32(3))
+        assert type(pair.p) is int and type(pair.q) is int
+        assert pair == CoprimePair(1999, 3)
 
 
 class TestLaurentPoly:

@@ -116,6 +116,12 @@ class TestReciprocityRhs:
         with pytest.raises(ValueError):
             reciprocity_rhs(1, CoprimePair(3, -2), TAU_I)
 
+    def test_numpy_pair_matches_ints(self):
+        # a numpy pair was summed with p**i wrapped at int64
+        tau = TauPoint(0.1 + 1.1j)
+        want = reciprocity_rhs(8, CoprimePair(23, 12), tau)
+        assert reciprocity_rhs(8, CoprimePair(np.int64(23), np.int64(12)), tau) == want
+
 
 class TestGeneratingFunctions:
     def test_d_empty(self):

@@ -53,8 +53,9 @@ class CoprimePair:
     def __post_init__(self):
         # p and q as ints (`_checked_int`): a numpy integer's powers would
         # wrap at int64
-        object.__setattr__(self, "p", _checked_int(self.p, "p"))
-        object.__setattr__(self, "q", _checked_int(self.q, "q"))
+        if type(self.p) is not int or type(self.q) is not int:
+            object.__setattr__(self, "p", _checked_int(self.p, "p"))
+            object.__setattr__(self, "q", _checked_int(self.q, "q"))
         if self.p < 1:
             raise ValueError(f"p must be a positive integer, got {self.p}")
         if math.gcd(self.p, self.q) != 1:
@@ -156,13 +157,11 @@ def bernoulli_function(k: int, x: Union[Fraction, int]) -> Fraction:
 #: one int64 matrix product.
 _CHUNK = 64
 
-#: A half range of n terms at order k costs the centred loop about n (k + 9)
-#: units and the long-sum kernel, with a plan built afresh, about 960 units
-#: while n is short (measured on CPython 3.11), so shorter sums keep the loop.
+#: A half range of n terms at order k costs the centred loop about
+#: n (min(k, 13) + 9) units and the long-sum kernel about 960 units while n is
+#: short (measured on CPython 3.11; past k = 13 the two grow alike with k), so
+#: shorter sums keep the loop.
 _LOOP_COST_CUT = 960
-
-#: Plans of the long-sum kernel kept, each under 2 KB for p <= 2000.
-_PLAN_CACHE_SIZE = 256
 
 
 def apostol_sum(k: int, q: int, p: int) -> Fraction:
@@ -181,16 +180,17 @@ def apostol_sum(k: int, q: int, p: int) -> Fraction:
     summed and doubled (at even p the middle term is 0), and they cancel for
     even k.  The single division is by 2^k D p^{k+1} at the end.
 
-    A short sum, or one whose chunk moments could leave int64, is summed
-    term by term over 1 <= mu < p/2, Horner in u^2.  A long one is indexed
-    by r: with n = ceil(p/2) - 1 and the weight g_r = 2 (r q^{-1} mod p) - p,
-    the sawtooth times 2p, it is sum_{r=1}^{n} g_r f(2r - p) =
-    sum_{i<=k} Delta_i M_i, with Delta_i the step-2 forward differences of f
-    at u = 2 - p and M_i = sum_{s<n} g_{s+1} C(s, i) the binomial moments of
-    the weights (Newton's forward formula).  Each 64-term chunk's moments
-    are one int64 matrix product, and the chunks are combined by Horner in
-    (1 + X)^64 over integers packed at X = 2^b, mod X^{k+1}.  Both ways give
-    the same Fraction.  Neither uses a reciprocity law, so the sum doubles as
+    A short sum, one at an order k >= 32, or one whose chunk moments could
+    leave int64, is summed term by term over 1 <= mu < p/2, Horner in u^2.
+    A long one is indexed by r: with n = ceil(p/2) - 1 and the weight
+    g_r = 2 (r q^{-1} mod p) - p, the sawtooth times 2p, it is
+    sum_{r=1}^{n} g_r f(2r - p) = sum_{i<=k} Delta_i M_i, with Delta_i the
+    step-2 forward differences of f at u = 2 - p and
+    M_i = sum_{s<n} g_{s+1} C(s, i) the binomial moments of the weights
+    (Newton's forward formula).  Each 64-term chunk's moments are one int64
+    matrix product, and the chunks are combined by Horner in (1 + X)^64 over
+    integers packed at X = 2^b, mod X^{k+1}.  Both ways give the same
+    Fraction.  Neither uses a reciprocity law, so the sum doubles as
     the independent oracle for the exact reciprocity check and the elliptic
     degeneration checks.
     """
@@ -206,10 +206,10 @@ def apostol_sum(k: int, q: int, p: int) -> Fraction:
     if k % 2 == 0:
         return Fraction(0)  # the terms at mu and p - mu cancel by reflection
     n = (p + 1) // 2 - 1
-    # a chunk's moments are at most p C(64, i + 1) in size, and the weights
-    # are formed from r 2q^{-1} < 2p^2
-    if (n * (k + 9) >= _LOOP_COST_CUT and p < 2**31
-            and p * math.comb(_CHUNK, min(k + 1, _CHUNK // 2)) < 2**63):
+    # a chunk's moments are at most p C(64, i + 1) in size, which rises with
+    # i for k < 32, and the weights are formed from r 2q^{-1} < 2p^2
+    if (n * (min(k, 13) + 9) >= _LOOP_COST_CUT and k < _CHUNK // 2 and p < 2**31
+            and p * math.comb(_CHUNK, k + 1) < 2**63):
         return _chunked_sum(k, q, p, n)
     d, table = _bernoulli_centred_coeffs(k)
     # Q(u) = u sum_t c_t u^{k-1-2t} with c_t = a_{2t} p^{2t}
@@ -244,7 +244,8 @@ def _chunk_tables(k: int):
     powers are the k - j with e_j != 0 in ascending order, so that
     Delta_i = sum_t rows[i][t] p^{powers[t]} with rows[i] cut after the last
     j >= i; binomials[t, i] = C(t, i) for t < 64 and i <= k, as read-only
-    int64; and top[i] = C(64, i)."""
+    int64; and top[i] = C(64, i).  Only odd k < 32 reach it, so it holds at
+    most 16 entries."""
     import numpy as np
     d, table = _bernoulli_int_coeffs(k)
     js = [j for j in range(k, -1, -1) if table[k - j]]
@@ -259,36 +260,18 @@ def _chunk_tables(k: int):
     return d, tuple(k - j for j in js), rows, binomials, top
 
 
-@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _apostol_plan(k: int, p: int):
-    """(binomials, deltas, width, Y, offset, den) of the long-sum kernel at
-    (k, p):
-
-    - binomials: C(t, i) for t < 64 and i <= k (`_chunk_tables`);
-    - deltas: Delta_0..Delta_k, the step-2 forward differences of f at 2 - p;
-    - width: the bytes of one packed slot, b = 8 width bits;
-    - Y: (1 + X)^64 mod X^{k+1} packed at X = 2^b;
-    - offset: 2^63 in every slot, the bias of the unsigned chunk moments;
-    - den: 2^k D p^{k+1}, the sum's one denominator.
-
-    b holds every moment with its sign, |M_i| <= p C(n, i + 1) (the weights
-    are below p and sum_{s<n} C(s, i) = C(n, i + 1)), and at least 64 bits,
-    a chunk moment's.  C(n, j) rises up to j = n // 2."""
-    d, powers, rows, binomials, top = _chunk_tables(k)
-    pows = [p**e for e in powers]
-    deltas = tuple(sum(map(operator.mul, row, pows)) for row in rows)
-    n = (p + 1) // 2 - 1
-    width = max(8, ((p * math.comb(n, min(k + 1, n // 2))).bit_length() + 8) // 8)
-    y = int.from_bytes(b"".join(c.to_bytes(width, "little") for c in top), "little")
-    offset = int.from_bytes((1 << 63).to_bytes(width, "little") * (k + 1), "little")
-    return binomials, deltas, width, y, offset, 2**k * d * p ** (k + 1)
-
-
 def _chunked_sum(k: int, q: int, p: int, n: int) -> Fraction:
     """The half range sum_{r=1}^{n} g_r f(2r - p) as sum_i Delta_i M_i (see
-    `apostol_sum`), over the plan `_apostol_plan(k, p)`."""
+    `apostol_sum`).
+
+    Slots of b = 8 width bits hold every moment with its sign,
+    |M_i| <= p C(n, i + 1) (the weights are below p and
+    sum_{s<n} C(s, i) = C(n, i + 1)), and at least 64 bits, a chunk
+    moment's; C(n, j) rises up to j = n // 2.  The chunks are combined by
+    Horner in Y = (1 + X)^64 mod X^{k+1}, packed at X = 2^b."""
     import numpy as np
-    binomials, deltas, width, y, offset, den = _apostol_plan(k, p)
+    d, powers, rows, binomials, top = _chunk_tables(k)
+    pows = [p**e for e in powers]
     chunks = -(-n // _CHUNK)
     # g_r = (r 2q^{-1} mod 2p) - p, and 0 past r = n
     step = 2 * pow(q, -1, p)
@@ -297,26 +280,31 @@ def _chunked_sum(k: int, q: int, p: int, n: int) -> Fraction:
     g[n:] = 0
     moments = g.reshape(chunks, _CHUNK) @ binomials
     # each moment plus 2^63, unsigned, little-endian in its slot's low 8 bytes
+    width = max(8, ((p * math.comb(n, min(k + 1, n // 2))).bit_length() + 8) // 8)
     slots = np.zeros((chunks, k + 1, width), np.uint8)
     biased = (moments.view(np.uint64) ^ np.uint64(1 << 63)).astype("<u8", copy=False)
     slots[:, :, :8] = biased.view(np.uint8).reshape(chunks, k + 1, 8)
-    # Horner in (1 + X)^64 from the last chunk, mod X^{k+1}
+    y = int.from_bytes(b"".join(c.to_bytes(width, "little") for c in top), "little")
+    # 2^63 in every slot, the bias taken off each chunk's moments
+    offset = int.from_bytes((1 << 63).to_bytes(width, "little") * (k + 1), "little")
+    # Horner from the last chunk, mod X^{k+1}
     b = 8 * width
     mask = (1 << (b * (k + 1))) - 1
     acc = 0
     for row in slots[::-1]:
         acc = (acc * y + int.from_bytes(row.tobytes(), "little") - offset) & mask
-    # read the signed slots M_0..M_k back from the low end
+    # read the signed slots M_0..M_k back from the low end; Delta_i is
+    # sum_t rows[i][t] p^{powers[t]}
     total = 0
     slot = (1 << b) - 1
-    for delta in deltas:
+    for row in rows:
         digit = acc & slot
         acc >>= b
         if digit >> (b - 1):
             digit -= 1 << b
             acc += 1
-        total += delta * digit
-    return Fraction(total, den)
+        total += sum(map(operator.mul, row, pows)) * digit
+    return Fraction(total, 2**k * d * p ** (k + 1))
 
 
 # ---------------------------------------------------------------------------

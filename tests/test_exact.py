@@ -222,6 +222,19 @@ def _seeded_long_sample(count: int, seed: int = 5003):
     return out
 
 
+def _spy_chunked_sum(monkeypatch):
+    """The arguments of every call of the long-sum kernel from here on."""
+    calls = []
+    kernel = exact._chunked_sum
+
+    def spy(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(exact, "_chunked_sum", spy)
+    return calls
+
+
 class TestApostolSum:
     def test_empty(self):
         assert apostol_sum(3, 7, 1) == 0
@@ -294,26 +307,41 @@ class TestApostolSum:
                 assert apostol_sum(k, q, p) == centred_half_range_apostol_sum(k, q, p), (k, q, p)
 
     @pytest.mark.parametrize("p", CHUNK_EDGE_P)
-    def test_matches_centred_kernel_at_chunk_edges(self, p):
-        exact._apostol_plan.cache_clear()
+    def test_matches_centred_kernel_at_chunk_edges(self, p, monkeypatch):
+        chunked = _spy_chunked_sum(monkeypatch)
         for k in (1, 3, 7, 13, 19):
             for q in _some_q(p):
                 assert apostol_sum(k, q, p) == centred_half_range_apostol_sum(k, q, p), (k, q)
         # from n = 63 on, at least the sums at k = 7, 13 and 19 are chunked
-        assert exact._apostol_plan.cache_info().currsize >= 3
+        assert {7, 13, 19} <= {k for k, _, _, _ in chunked}
 
     @pytest.mark.parametrize("k,q,p", _seeded_long_sample(60))
     def test_matches_centred_kernel_seeded(self, k, q, p):
         assert apostol_sum(k, q, p) == centred_half_range_apostol_sum(k, q, p)
 
-    def test_int64_bound_keeps_the_loop(self):
+    def test_int64_bound_keeps_the_loop(self, monkeypatch):
         # p C(64, 32) >= 2^63: chunk moments could leave int64, so this long
-        # sum runs term by term and builds no plan
-        exact._apostol_plan.cache_clear()
+        # sum runs term by term
+        chunked = _spy_chunked_sum(monkeypatch)
         value = apostol_sum(31, 777, 2000)
-        assert exact._apostol_plan.cache_info().currsize == 0
+        assert chunked == []
         assert value == centred_half_range_apostol_sum(31, 777, 2000)
         assert value == full_range_horner_apostol_sum(31, 777, 2000)
+
+    @pytest.mark.parametrize("k,q,p", [(471, 2, 5), (475, -2, 5)])
+    def test_large_k_keeps_the_loop(self, k, q, p, monkeypatch):
+        # past k = 31 the chunk moments' bound falls again, but two terms at
+        # a huge order stay on the loop rather than build per-k tables
+        chunked = _spy_chunked_sum(monkeypatch)
+        value = apostol_sum(k, q, p)
+        assert chunked == []
+        assert value == centred_half_range_apostol_sum(k, q, p)
+
+    def test_long_sums_are_chunked(self, monkeypatch):
+        chunked = _spy_chunked_sum(monkeypatch)
+        assert apostol_sum(13, 377, 1999) == centred_half_range_apostol_sum(13, 377, 1999)
+        assert apostol_sum(21, 5, 113) == centred_half_range_apostol_sum(21, 5, 113)
+        assert chunked == [(13, 377, 1999, 999), (21, 5, 113, 56)]
 
     @pytest.mark.parametrize("q,p", [(3, 1999), (-1234, 1999), (377, 1999), (2, 7)])
     def test_numpy_integers_are_ints(self, q, p):

@@ -87,19 +87,29 @@ def _checked_int(value, name: str) -> int:
 # Bernoulli numbers / polynomials / periodic functions
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
 def bernoulli_number(k: int) -> Fraction:
     """B_k in the convention with B_1 = -1/2.
 
-    Defining recurrence sum_{j=0}^{k} C(k+1, j) B_j = 0, memoized.  B_k is
+    Defining recurrence sum_{j=0}^{k} C(k+1, j) B_j = 0, memoized per k,
+    which is checked (`_checked_int`) before the cache sees it.  B_k is
     built from B_0..B_{k-1} in ascending order, each from the cached ones
     below it, so a cold call recurses two deep whatever k is.
     """
+    k = _checked_int(k, "k")
     if k < 0:
         raise ValueError("k must be >= 0")
+    return _bernoulli_number(k)
+
+
+@functools.lru_cache(maxsize=None)
+def _bernoulli_number(k: int) -> Fraction:
     if k == 0:
         return Fraction(1)
-    return -sum(Fraction(math.comb(k + 1, j)) * bernoulli_number(j) for j in range(k)) / (k + 1)
+    return -sum(Fraction(math.comb(k + 1, j)) * _bernoulli_number(j) for j in range(k)) / (k + 1)
+
+
+# the memo is the private function's; the public one empties it
+bernoulli_number.cache_clear = _bernoulli_number.cache_clear
 
 
 @functools.lru_cache(maxsize=None)
@@ -132,6 +142,7 @@ def _bernoulli_centred_coeffs(k: int) -> Tuple[int, Tuple[int, ...]]:
 
 def bernoulli_polynomial(k: int, x: Union[Fraction, int]) -> Fraction:
     """Exact value of the kth Bernoulli polynomial at rational x."""
+    k = _checked_int(k, "k")
     if k < 0:
         raise ValueError("k must be >= 0")
     x = Fraction(x)
@@ -144,6 +155,7 @@ def bernoulli_polynomial(k: int, x: Union[Fraction, int]) -> Fraction:
 def bernoulli_function(k: int, x: Union[Fraction, int]) -> Fraction:
     """Periodic Bernoulli function: B_k({x}), with the Fourier value 0 at
     integer x when k = 1."""
+    k = _checked_int(k, "k")
     if k < 1:
         raise ValueError("k must be >= 1")
     x = Fraction(x)

@@ -31,12 +31,13 @@ The Weierstrass and elliptic Bernoulli functions are array kernels
 pass per order, so that a symbol takes the B_m factors of every order it
 needs from one call.  Integer powers in the series are IEEE products
 (`_ipow`), not numpy's pow, so their bits do not depend on the host.
-The Weierstrass kernels run at tau reduced to the fundamental domain
-(`_reduction`) and map their values back by weight; the elliptic Bernoulli
-and Eisenstein functions run at tau itself.  A symbol that is a modular form
-as a whole reduces by its own weight through one helper, `_by_weight`: it
-hands the symbol's evaluator the caller's record on the closed F, else the
-record of tau', and multiplies by m^-w; the evaluator calls the series at
+The Weierstrass and elliptic Bernoulli kernels run at tau reduced to the
+fundamental domain (`_reduction`) and map their values back by weight, B_m
+being a lattice sum of weight m; the Eisenstein functions run at tau
+itself.  A symbol that is a modular form as a whole reduces by its own
+weight through one helper, `_by_weight`: it hands the symbol's evaluator
+the caller's record on the closed F, else the record of tau', and
+multiplies by m^-w; the evaluator calls the series at
 the record it is given directly (`_p_deriv_at`, `_b_series`,
 `_eisenstein_table`), with no check, frame or weight of its own.
 b = zeta - E_2 z comes straight from one B_1 batch (`_b_series`), with no
@@ -51,16 +52,18 @@ tau' (`_Reduction.checked`) carries the reduction's error of tau', and
 that is the one model of it: the kernels charge it in the arguments of
 their exponentials, and the q-sums through the error of q (`_nome_err`),
 so that E_{2n} and dE_{2n}/dtau at tau', and all that is built from them,
-carry it in their err.  Points come into a Weierstrass series one way, as
+carry it in their err.  Points come into every point series one way, as
 coordinates (x, y) of z = x - y tau with bounds (dx, dy) on their errors,
 which the series count in err: straight from an evaluator of `_by_weight`,
-else through `_frame`, which snaps a y within _LATTICE_EPS of an integer
-to it (`_snap`) and, off F, maps the points and their errors by gamma.
-Only the public kernels hold a complex z:
-one helper, `_kernel_frame`, decomposes it, passes it through the one
-point check, `_lattice_check` (one shape, 1-D, finite, off the lattice, on
-the same near-integer test), and charges the decomposition's rounding, on
-F as off it.  The E_2-free blocks that the symbols read (`_zeta_block`,
+else through `_frame`, the one place that snaps a y within _LATTICE_EPS of
+an integer to it (`_snap`) and, off F, maps the points and their errors by
+gamma.  So every point series runs on the closed F or at tau' = gamma tau.
+B_m takes its points as (x, y), which pass the one point check before
+its frame.  Only the Weierstrass kernels hold a complex z: one helper,
+`_kernel_frame`, decomposes it, passes it through the one point check,
+`_lattice_check` (one shape, 1-D, finite, off the lattice, on the same
+near-integer test), and charges the decomposition's rounding, on F as off
+it.  The E_2-free blocks that the symbols read (`_zeta_block`,
 `_pe_blocks`, `_sigma_log_blocks`) take a frame of the coordinates their
 caller already has, each with its own rounding.
 The Eisenstein q-sums are memoised per (n, record, tau_deriv) in a bounded
@@ -993,10 +996,13 @@ def elliptic_bernoulli_points(m, x, y, tau: TauPoint,
     return _bernoulli_points(m, x, y, _checked(tau, policy))
 
 
+@np.errstate(all="ignore")
 def _bernoulli_points(m, x, y, at: _Checked) -> ComplexArray:
-    """`elliptic_bernoulli_points` at `at`'s tau.  A y within _LATTICE_EPS
-    of an integer is snapped to it, as `_frame` snaps it, and the shift
-    counts as an error of y."""
+    """`elliptic_bernoulli_points` at `at`'s tau: the caller's points are
+    lattice-checked and framed (`_frame`), and each order k's series runs
+    at the frame's record, off F times (c tau + d)^-k (`_Reduction.weight`),
+    as B_k is a lattice sum of weight k (see `_Reduction`).  No numpy
+    warning: `_finite` is the one overflow check."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     m = np.asarray(m)
@@ -1007,16 +1013,18 @@ def _bernoulli_points(m, x, y, at: _Checked) -> ComplexArray:
         raise ValueError("m must be >= 0")
     _lattice_check(x, y, lambda i: (f"B_{m[i]}({float(x[i])}, {float(y[i])}; tau): "
                                     "x - y*tau is a lattice point"))
-    snapped = _snap(y)
-    dy = np.abs(y - snapped)
+    f = _frame(x, y, at, (np.zeros(x.shape), 0.0))
+    dx, dy = f.arg_err
     # B_0 = 1 with err 0; one pass per order >= 1, the whole batch's if it
     # holds one order
     out = ComplexArray(np.ones(len(x), dtype=complex), np.zeros(len(x)))
     for k in sorted(set(m.tolist()) - {0}):
         on = m == k
+        b = _bernoulli_series(k, f.x[on], f.y[on], f.at, (dx[on], dy[on]))
+        if f.red is not None:
+            b = _finite(b * f.red.weight(k), f"B_{k}")
         if on.all():
-            return _bernoulli_series(k, x, snapped, at, (0.0, dy))
-        b = _bernoulli_series(k, x[on], snapped[on], at, (0.0, dy[on]))
+            return b
         out.value[on], out.err[on] = b.value, b.err
     return out
 
@@ -1025,12 +1033,12 @@ def _bernoulli_points(m, x, y, at: _Checked) -> ComplexArray:
 def _bernoulli_series(m: int, x: np.ndarray, y: np.ndarray, at: _Checked,
                       arg_err) -> ComplexArray:
     """B_m(x, y; tau), m >= 1, by the series of `elliptic_bernoulli` at
-    `at`'s tau, at points that passed the lattice check, with y snapped by
-    the caller (`_snap`): each y is an integer or beyond _LATTICE_EPS of
-    one.  The powers (y -+ j)^(m-1) are IEEE products (`_ipow`), at most
-    m - 2 of them, which the m ulps charged to a term's power cover.  Runs
-    with no numpy warning: rows past the stop may overflow, and `_finite`
-    is the one overflow check.
+    `at`'s tau, at points that passed the lattice check, with y as a frame
+    (`_frame`) or an evaluator of `_by_weight` gives it: each y is an
+    integer or beyond _LATTICE_EPS of one.  The powers (y -+ j)^(m-1) are
+    IEEE products (`_ipow`), at most m - 2 of them, which the m ulps
+    charged to a term's power cover.  Runs with no numpy warning: rows past
+    the stop may overflow, and `_finite` is the one overflow check.
 
     `arg_err` = (dx, dy) bounds the absolute errors of x and y, dy an
     array with one entry per point, which carries the caller's snap shift,
@@ -1128,8 +1136,10 @@ def elliptic_bernoulli(m: int, x: float, y: float, tau: TauPoint,
                      + y^{m-1} e(-x+y tau) / (e(-x+y tau) - 1) ] + B_m(y),
 
     with y reduced into [0, 1) first and B_m(y) the Bernoulli polynomial of
-    the reduced y.  m = 0 returns 1 (the generating-series residue), which the
-    Machide sums need, once tau and the point have passed their checks.
+    the reduced y.  Outside F, evaluates (c tau + d)^-m B_m(x', y'; tau')
+    at tau reduced to F (see `_Reduction`).  m = 0 returns 1 (the
+    generating-series residue), which the Machide sums need, once tau and
+    the point have passed their checks.
     """
     return elliptic_bernoulli_points(m, [x], [y], tau, policy)[0]
 
@@ -1146,9 +1156,12 @@ class _Reduction(NamedTuple):
     z = x - y tau is m z' with z' = x' - y' tau', (x', y') = (a x + b y,
     c x + d y), and pe^(k)(z; tau) = m^-(k+2) pe^(k)(z'; tau'),
     zeta(z; tau) = m^-1 zeta(z'; tau') by homogeneity (Cohen, A Course in
-    Computational Algebraic Number Theory, 7.4).  `m` is as computed,
-    `m_err` bounds its relative error in units of 2^-53 and `dtau` bounds
-    |tau' - gamma tau| for the computed tau'."""
+    Computational Algebraic Number Theory, 7.4), and B_k(x, y; tau) =
+    m^-k B_k(x', y'; tau'), B_k being a Kronecker-Eisenstein lattice sum
+    of weight k (Weil, Elliptic Functions according to Eisenstein and
+    Kronecker, 1976).  `m` is as computed, `m_err` bounds its relative
+    error in units of 2^-53 and `dtau` bounds |tau' - gamma tau| for the
+    computed tau'."""
 
     tau: complex
     a: int
@@ -1181,19 +1194,26 @@ class _Reduction(NamedTuple):
         return ComplexVal(v, abs(v) * 2.0**-53 * (self.m_err + 8.0))
 
 
+#: The |tau| from which on tau counts as on or beyond the unit circle: 1
+#: less a few ulps, as a tau on the arc can have |tau| and |-1/tau| both
+#: round below 1, where Cohen's loop would invert it back and forth forever
+_ARC = 1.0 - 2.0**-50
+
+
 def _reduction(t: complex) -> Optional[_Reduction]:
     """The reduction of tau = t into F = {|Re tau| <= 1/2, |tau| >= 1}, by
     Cohen's Algorithm 7.4.2 (shift Re tau into [-1/2, 1/2], invert while
-    |tau| < 1); None on the closed F, where the kernels run at tau itself.
-    tau' is computed from gamma and t in one step."""
-    if abs(t.real) <= 0.5 and abs(t) >= 1.0:
+    |tau| < 1, up to rounding: `_ARC`); None on the closed F, where the
+    kernels run at tau itself.  tau' is computed from gamma and t in one
+    step."""
+    if abs(t.real) <= 0.5 and abs(t) >= _ARC:
         return None
     a, b, c, d = 1, 0, 0, 1
     s = t
     while True:
         n = math.floor(s.real + 0.5)
         s, a, b = s - n, a - n * c, b - n * d
-        if abs(s) >= 1.0:
+        if abs(s) >= _ARC:
             break
         s, a, b, c, d = -1.0 / s, -c, -d, a, b
     num, m = a * t + b, c * t + d
@@ -1248,11 +1268,10 @@ def _frame(x: np.ndarray, y: np.ndarray, at: _Checked, arg_err) -> _Frame:
 
     `arg_err` = (dx, dy) are the caller's bounds on the errors of x and y.
     A y within _LATTICE_EPS of an integer is snapped to it first (`_snap`,
-    as `_bernoulli_points` snaps B_m's y), and the shift adds to dy; that is
-    all on F.  Off F, gamma carries dx and dy into x' and y', the integer
-    products and the sums add 2^-53 (|a x| + |b y| + |x'|) to x' and the
-    same in c, d to y', and y' is snapped as y was, as the series take y
-    snapped."""
+    here and nowhere else), and the shift adds to dy; that is all on F.
+    Off F, gamma carries dx and dy into x' and y', the integer products and
+    the sums add 2^-53 (|a x| + |b y| + |x'|) to x' and the same in c, d to
+    y', and y' is snapped as y was, as the series take y snapped."""
     red = _reduction(at.tau)
     snapped = _snap(y)
     ex, ey = arg_err[0], arg_err[1] + np.abs(y - snapped)

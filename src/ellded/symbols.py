@@ -36,10 +36,11 @@ the error of tau', times m^-(2n+2) with m's error.  The zeta route's
 kernels charge that error in their arguments, and R through the err of each
 Eisenstein value at tau', whose q-sum charges it in the error of q.
 `_zeta_sum` at the caller's own record is the zeta route held at tau.
-Unreduced on purpose: the Bernoulli route and every B_m (the Machide and
-Prop. 3.1 sums), which stay oracles at the caller's tau, `generating_D`
-and `generating_R`, whose kernels reduce point by point, and
-`_reciprocity_rhs_of` as the identity record reads it, at tau itself.
+Every B_m factor (the Bernoulli route, the Machide and Prop. 3.1 sums) and
+the blocks of `generating_D` and `generating_R` reduce point by point, in
+their kernels and frames, each by its weight.  E_2 where a symbol reads
+it by itself, and `_reciprocity_rhs_of` as the identity record reads it,
+run at tau itself.
 """
 
 from __future__ import annotations
@@ -197,8 +198,10 @@ def elliptic_apostol_sum(n: int, pair: CoprimePair, tau: TauPoint,
     of tau', times m^-(2n+2).  Its err charges the correctly rounded
     x = lam/p and y = -mu/p of every point as the kernels' argument errors,
     and off F the error of tau' and that of m^-(2n+2).  The Bernoulli route
-    runs at the caller's tau everywhere, so the two routes agree only as
-    far as D is modular.
+    takes its B_m factors from the kernel, which off F evaluates each at
+    tau' times (c tau + d)^-m, B_m being of weight m; so off F both routes
+    read tau', and their agreement tests the two expansions there, not D's
+    modularity.
     """
     route = Route(route)
     n = _checked_n(n)
@@ -447,9 +450,9 @@ def machide_reciprocity_residuals(pair: CoprimePair, s: float, t: float,
     with a = 1, b = p, c = q.  All three are zero in exact arithmetic.
 
     The three use eight distinct sums.  Every vector has equal components,
-    so both factors of each sum run at tau itself, and all sixteen factors
-    come from one call: one pass of B_1 and one of B_2, as the five
-    B_0 = 1 among them run none.
+    so both factors of each sum take the caller's tau, not a rescaled one,
+    and all sixteen factors come from one call: one pass of B_1 and one of
+    B_2, as the five B_0 = 1 among them run none.
     """
     pair.require_u()
     p, q = pair.p, pair.q

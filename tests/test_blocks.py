@@ -20,6 +20,7 @@ from ellded.qseries import (
     weierstrass_zeta_points,
 )
 from ellded.symbols import Route
+from held_reference import bernoulli_points_at
 
 pytestmark = pytest.mark.filterwarnings("ignore::ellded.qseries.SlowNomeWarning")
 
@@ -28,22 +29,23 @@ PIN_TAUS = [0.0 + 1.5j, 0.3 + 1.1j, -0.45 + 0.3j, 0.2 + 0.11j, 0.3 + 0.06j]
 #: run unreduced; elsewhere their values are bounded against mpmath
 #: (tests/test_reduction.py) instead of pinned
 PIN_TAUS_IN_F = [0.0 + 1.5j, 0.3 + 1.1j]
-#: negative x, y = 0 and y = 1 - 1e-13 (which B_m snaps to 0)
+#: negative x, y = 0 and y = 1 - 1e-13 (which the frame snaps to 1)
 PIN_X = [-0.37, 0.21, -0.9, 0.13, 0.77, 0.5, -0.05]
 PIN_Y = [0.0, 1 - 1e-13, 0.25, 0.5, -0.3, 0.9, 0.02]
 PIN_PQ = [(2, 1), (3, 2), (7, 4), (13, 7), (23, 12)]
 
-#: SHA-256 of `_pinned_reprs()`, the outputs that no tau reduction touches:
-#: every B_m, the zeta and pe kernels and the zeta-route sums in F, the
-#: Bernoulli route, the Machide residuals and the closed form of C(tau); as
-#: computed with the division sums over one point per pair {P, -P}, zeta
+#: SHA-256 of `_pinned_reprs()`: every B_m, the zeta and pe kernels and
+#: the zeta-route sums in F, the Bernoulli route, the Machide residuals and
+#: the closed form of C(tau), and the B_m series held at tau at a cap of 9
+#: terms; as computed with the division sums over one point per pair {P, -P}, zeta
 #: from B_1, integer powers by multiplication, max_terms as the cap at
 #: every tau, and the zeta route in F summed at the correctly rounded
 #: x = lam/p, y = -mu/p of each division point, the path it takes off F,
 #: the zeta and pe kernels in F charging the rounding of their
 #: decomposition z = x - y tau, and generating_D and generating_R summed
-#: at the coordinates x and y of their points (numpy 2.4.6, x86-64)
-PINNED_SHA256 = "06a2095967a66796feae7d409b9d94497d4c003c20d581352bf0a683a1de0ac9"
+#: at the coordinates x and y of their points, and B_m off F at tau' in F
+#: times m^-m (numpy 2.4.6, x86-64)
+PINNED_SHA256 = "b4454f79df488739f58eed723328ee4405588f330758c58a5d02b8536c353c2e"
 
 
 def _reprs(v):
@@ -78,15 +80,15 @@ def _pinned_reprs():
             out += _reprs(weierstrass_zeta_points(zs, tau))
             out += _outcome(lambda: weierstrass_p_deriv_points(2, zs, tau, capped))
             out += _outcome(lambda: weierstrass_zeta_points(zs, tau, capped))
-    # one point at a cap of 9 terms, at tau where the series stops near
-    # j = 9: each call runs one block of 9 rows, cut by the cap
+    # one point at a cap of 9 terms, at tau where the series held at tau
+    # stops near j = 9: each call runs one block of 9 rows, cut by the cap
     edge = SeriesPolicy(max_terms=9)
     for t in (0.1 + 0.505j, -0.3 + 0.505j):
         tau = TauPoint(t)
         for x in np.linspace(-0.95, 0.95, 12):
             for y in (0.0, 0.05):
                 for m in (1, 3):
-                    out += _outcome(lambda: elliptic_bernoulli_points(m, [x], [y], tau, edge))
+                    out += _outcome(lambda: _held_points(m, [x], [y], tau, edge))
     for t in (0.3 + 1.1j, 0.3 + 0.06j):
         tau = TauPoint(t)
         routes = list(Route) if t in PIN_TAUS_IN_F else [Route.BERNOULLI_PRODUCT]
@@ -167,11 +169,19 @@ def stops(monkeypatch):
     return seen
 
 
-def _kernels(points, tau, policy=qseries.DEFAULT_POLICY):
-    """Calls of every batched kernel on the (x, y) points."""
+def _held_points(m, xs, ys, tau, policy=qseries.DEFAULT_POLICY):
+    """B_m at tau itself, unreduced, as the kernel ran it before it took its
+    points through `qseries._frame`: the long series a tau far from F asks
+    for, which the tests of the block edges below need."""
+    return bernoulli_points_at(m, xs, ys, qseries._checked(tau, policy))
+
+
+def _kernels(points, tau, policy=qseries.DEFAULT_POLICY, bernoulli=elliptic_bernoulli_points):
+    """Calls of every batched kernel on the (x, y) points, B_m by
+    `bernoulli`."""
     xs, ys = [x for x, _ in points], [y for _, y in points]
     zs = [x - y * tau.tau for x, y in points]
-    calls = [lambda m=m: elliptic_bernoulli_points(m, xs, ys, tau, policy) for m in (1, 2, 5)]
+    calls = [lambda m=m: bernoulli(m, xs, ys, tau, policy) for m in (1, 2, 5)]
     calls += [lambda k=k: weierstrass_p_deriv_points(k, zs, tau, policy) for k in (0, 1, 4)]
     return calls + [lambda: weierstrass_zeta_points(zs, tau, policy)]
 
@@ -215,10 +225,11 @@ def _assert_call_matches_points(batch, single):
         assert got == [o[0] for o in alone]
 
 
-def _assert_batch_matches_points(points, tau, policy=qseries.DEFAULT_POLICY):
+def _assert_batch_matches_points(points, tau, policy=qseries.DEFAULT_POLICY,
+                                 bernoulli=elliptic_bernoulli_points):
     """Each kernel's batch result equals its one-point calls."""
-    for batch, single in zip(_kernels(points, tau, policy),
-                             zip(*(_kernels([pt], tau, policy) for pt in points))):
+    for batch, single in zip(_kernels(points, tau, policy, bernoulli),
+                             zip(*(_kernels([pt], tau, policy, bernoulli) for pt in points))):
         _assert_call_matches_points(batch, single)
 
 
@@ -233,40 +244,40 @@ def test_stop_at_second_term(stops):
 @pytest.mark.parametrize("t", [0.1 + 0.565j, 0.1 + 0.62j])
 def test_stop_at_block_edges(stops, passes, t):
     """Points of one batch stop on the first block's last row and on the
-    next block's first row: B_1 at Im tau = 0.565 and B_2 at 0.62, where
-    the series stop at j = 8 or 9, over a batch so wide that its first
-    block holds BLOCK_ELEMENTS // 512 = 8 rows, fewer than `_points_rows`
-    sizes it to."""
+    next block's first row: B_1 held at Im tau = 0.565 and B_2 at 0.62,
+    where the series stop at j = 8 or 9, over a batch so wide that its
+    first block holds BLOCK_ELEMENTS // 512 = 8 rows, fewer than
+    `_points_rows` sizes it to."""
     tau, m = TauPoint(t), {0.565: 1, 0.62: 2}[t.imag]
     rng = np.random.default_rng(5)
     xs, ys = rng.uniform(-1.0, 1.0, 512), rng.uniform(0.0, 1.0, 512)
-    batch = elliptic_bernoulli_points(m, xs, ys, tau)
+    batch = _held_points(m, xs, ys, tau)
     (_, rows, _), = passes
     run, = stops
     assert rows[0] == qseries.BLOCK_ELEMENTS // len(xs) == 8 and len(rows) == 2
     assert {rows[0], rows[0] + 1} <= set(run)
     for i in range(len(xs)):
-        assert batch[i] == elliptic_bernoulli_points(m, xs[i:i + 1], ys[i:i + 1], tau)[0]
+        assert batch[i] == _held_points(m, xs[i:i + 1], ys[i:i + 1], tau)[0]
 
 
 def test_mixed_batch_at_small_im_tau(stops):
     """Points that stop after a few terms share a batch with points that
-    run on for many: B_1 next to the lattice point -tau, where its sum is
-    large (pe and zeta run at the reduced tau, where every point stops
-    after a few terms)."""
+    run on for many: B_1 held at tau next to the lattice point -tau, where
+    its sum is large (pe and zeta run at the reduced tau, where every point
+    stops after a few terms)."""
     tau = TauPoint(0.3 + 0.06j)
     points = [(1e-7, 0.0), (1e-3, 0.0), (0.3, 1e-9), (0.2, 0.5), (-0.4, 0.49),
               (1e-7, 1 - 1e-9), (0.25, 1 - 1e-11), (0.0, 1 - 2e-12)]
-    _assert_batch_matches_points(points, tau)
+    _assert_batch_matches_points(points, tau, bernoulli=_held_points)
     mixed = [run for run in stops if len(run) == len(points)]
     assert any(min(run) <= 8 and max(run) > 24 for run in mixed)
 
 
 @pytest.mark.parametrize("m", [1, 3])
 def test_one_row_last_block_of_one_point(monkeypatch, m):
-    """A batch of 512 points at a cap of 9 terms, 511 points of B_1 that
-    stop within 8 rows and a slow last point, of B_1 or B_3.  Of B_1, the
-    batch's blocks are cut by BLOCK_ELEMENTS to 8 rows, and the slow point
+    """A batch of 512 points held at tau at a cap of 9 terms, 511 points of
+    B_1 that stop within 8 rows and a slow last point, of B_1 or B_3.  Of
+    B_1, the batch's blocks are cut by BLOCK_ELEMENTS to 8 rows, and the slow point
     runs on into a last block of one row and one point, where a product
     that broadcasts a 1-D array against a 2-D one can round differently;
     there it stops on the cap.  Of B_3, it runs in a pass of its own, one
@@ -287,10 +298,10 @@ def test_one_row_last_block_of_one_point(monkeypatch, m):
     rng = np.random.default_rng(5)
     xs = [*rng.uniform(-1.0, 1.0, 511), 0.3]
     ys = [*rng.uniform(0.0, 0.3, 511), 0.97]
-    batch = _outcome(lambda: elliptic_bernoulli_points([1] * 511 + [m], xs, ys, tau, policy))
+    batch = _outcome(lambda: _held_points([1] * 511 + [m], xs, ys, tau, policy))
     assert blocks == ([(8, 512), (1, 1)] if m == 1 else [(8, 511), (9, 1)])
     blocks.clear()
-    alone = _outcome(lambda: elliptic_bernoulli_points(m, xs[-1:], ys[-1:], tau, policy))
+    alone = _outcome(lambda: _held_points(m, xs[-1:], ys[-1:], tau, policy))
     assert blocks == [(9, 1)]
     if m == 1:
         assert batch[-1] == alone[0]
@@ -412,14 +423,14 @@ def test_one_bernoulli_pass_per_symbol(passes, orders):
 
 
 def test_narrow_tail_grows_from_the_rows_it_ran(passes):
-    """A B_1 batch at Im tau = 0.06 of 1200 points next to the lattice
+    """A B_1 batch held at Im tau = 0.06 of 1200 points next to the lattice
     point -tau and two in the cell: the wide part runs in blocks of three
     rows (BLOCK_ELEMENTS // columns, far below the first block that |q|
     calls for) and leaves first, and the two columns left grow from three
     rows again, not at once to BLOCK_ELEMENTS // 2, so that the pass runs
     under 2 j + its first block's rows in all."""
     xs, ys = [1e-7] * 1200 + [0.3, 0.2], [1 - 1e-9] * 1200 + [0.5, 0.9]
-    elliptic_bernoulli_points(1, xs, ys, TauPoint(0.2 + 0.06j))
+    _held_points(1, xs, ys, TauPoint(0.2 + 0.06j))
     (columns, rows, last), = passes
     assert columns == 1202 and rows[0] == 3 and last > 64
     assert rows[-3:] == [6, 12, 24]

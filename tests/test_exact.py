@@ -53,6 +53,18 @@ class TestBernoulliNumber:
         with pytest.raises(ValueError):
             bernoulli_number(-1)
 
+    def test_order_checked_before_the_cache(self):
+        # True would read B_1's cache entry, and 2.0 would reach range()
+        bernoulli_number(1)
+        for call in (bernoulli_number, lambda k: bernoulli_polynomial(k, Fraction(1, 3)),
+                     lambda k: bernoulli_function(k, Fraction(1, 3))):
+            for k in (True, 2.0):
+                with pytest.raises(ValueError, match="k must be an int"):
+                    call(k)
+        assert bernoulli_number(np.int64(4)) == Fraction(-1, 30)
+        assert bernoulli_polynomial(np.int64(3), Fraction(1, 3)) == Fraction(1, 27)
+        assert bernoulli_function(np.int64(3), Fraction(4, 3)) == Fraction(1, 27)
+
     def test_cold_high_index_recursion_is_shallow(self):
         # each B_j is built from the cached ones below it, in ascending
         # order, so a cold B_400 recurses a few frames deep, not 400: it

@@ -658,6 +658,8 @@ BEYOND_BINARY64 = [
                                   Route.BERNOULLI_PRODUCT), "B_187"),
     (lambda: weierstrass_zeta_deriv(41, 1e-10, TauPoint(0.3 + 1.1j)), r"pe\^\(40\)"),
     (lambda: weierstrass_zeta_deriv(121, 0.3, TauPoint(0.3 + 0.06j)), r"pe\^\(120\)"),
+    # finite at tau' = -1/tau, and beyond binary64 only once times tau^-145
+    (lambda: elliptic_bernoulli(145, 0.1, 0.2, TauPoint(0.06j)), "B_145"),
 ]
 
 #: Eisenstein calls whose q-series leaves binary64, with the n it names:
@@ -679,7 +681,7 @@ EISENSTEIN_BEYOND_BINARY64 = [
 class TestBeyondBinary64:
     @pytest.mark.parametrize("call, name", BEYOND_BINARY64,
                              ids=["b186", "pe150", "bernoulli_route_n93", "pe40_near_pole",
-                                  "pe120_reduced"])
+                                  "pe120_reduced", "b145_reduced"])
     def test_raises_overflow_error_at_once(self, call, name, monkeypatch):
         """OverflowError naming the function, where the value or its err is
         not finite; a NaN term stops its series, which no longer runs on to
@@ -1135,6 +1137,26 @@ class TestKernelErrAgainstMpmath:
                 for i, (x, y) in enumerate(self.GRID):
                     ref = complex(self._bernoulli(mp, m, mp.mpf(x), mp.mpf(y), t))
                     assert abs(batch[i].value - ref) <= batch[i].err, (m, x, y, batch[i], ref)
+
+    def test_elliptic_bernoulli_catches_a_tenth_of_err(self, monkeypatch):
+        """The grid catches an err ten times too loose: with every B_m
+        series' err scaled by 0.1, `test_elliptic_bernoulli` fails, at
+        0.25+1.1i at least, where its worst point reads 0.25 of err."""
+        pytest.importorskip("mpmath")
+        run = qseries._bernoulli_series
+
+        def tenth(*args):
+            b = run(*args)
+            return ComplexArray(b.value, 0.1 * b.err)
+
+        monkeypatch.setattr(qseries, "_bernoulli_series", tenth)
+        failed = []
+        for tau in self.TAUS:
+            try:
+                self.test_elliptic_bernoulli(tau)
+            except AssertionError:
+                failed.append(tau)
+        assert 0.25 + 1.1j in failed
 
     @pytest.mark.parametrize("tau", [1j, 0.2 + 1.1j, 0.3 + 0.06j])
     def test_elliptic_bernoulli_snapped_y(self, tau):

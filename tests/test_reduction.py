@@ -4,8 +4,10 @@ reduced kernels, of the kernels in F near lattice points away from the
 origin cell, of the E_2-free blocks, of the reduced zeta route and of
 the reduced R against mpmath at tau itself, the charge of an error of tau'
 in the err of the Eisenstein series there, the reduced zeta route against
-the unreduced Bernoulli route and against the zeta route held at tau, and a
-pin of the reduced values."""
+the Bernoulli route held at tau and against the zeta route held at tau,
+the Bernoulli route held at tau against the reduced one, the weight-m law
+of B_m with both sides held at their own tau, and a pin of the reduced
+values."""
 
 import cmath
 import hashlib
@@ -30,6 +32,7 @@ from ellded.qseries import (
     weierstrass_zeta_points,
 )
 from ellded.symbols import Route
+from held_reference import bernoulli_points_at, bernoulli_route_at
 from test_blocks import PIN_PQ
 from test_cache import _grid_values
 
@@ -48,6 +51,20 @@ OUTSIDE_F = [0.2 + 0.3j, -0.35 + 0.11j, 0.3 + 0.06j, 0.1 + 0.05j, 0.5 + 0.06j,
 def test_identity_on_closed_F():
     for t in IN_F:
         assert qseries._reduction(t) is None, t
+
+
+@pytest.mark.parametrize("t", [0.16183442887534927 + 0.986817925268177j,
+                               -0.25361880391490776 + 0.9673042449512829j,
+                               -0.47962597155374764 + 0.8774730351475899j])
+def test_reduction_ends_on_the_arc(t):
+    # tau on the unit arc whose |tau| and |-1/tau| both round below 1:
+    # Cohen's loop inverted it back and forth forever, and every kernel
+    # call at it hung
+    assert abs(t) < 1.0 and abs(-1.0 / t) < 1.0
+    assert qseries._reduction(t) is None
+    tau = TauPoint(t)
+    assert len(weierstrass_zeta_points([0.3 - 0.2 * t], tau)) == 1
+    assert len(qseries.elliptic_bernoulli_points(2, [0.3], [0.2], tau)) == 1
 
 
 @pytest.mark.parametrize("t", OUTSIDE_F)
@@ -249,13 +266,16 @@ def test_elliptic_apostol_sum_err_mpmath(t):
 
 
 # ---------------------------------------------------------------------------
-# The reduced zeta route against the unreduced Bernoulli route
+# The reduced routes against the routes held at tau
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("t", [0.3 + 0.06j, -0.5 + 0.05j])
 def test_reduced_zeta_route_against_bernoulli_route(t):
+    # the reduced zeta route against the Bernoulli route held at tau, whose
+    # factors run at the caller's own record, unreduced
     tau = TauPoint(t)
+    at = qseries._checked(tau, DEFAULT_POLICY)
     for n in range(1, 4):
         for p in (2, 3, 7, 13, 23):
             for q in {1, p - 1, (p + 1) // 2} - {0}:
@@ -263,7 +283,7 @@ def test_reduced_zeta_route_against_bernoulli_route(t):
                     continue
                 pair = CoprimePair(p, q)
                 a = symbols.elliptic_apostol_sum(n, pair, tau, Route.ZETA_DERIVATIVE).value
-                b = symbols.elliptic_apostol_sum(n, pair, tau, Route.BERNOULLI_PRODUCT).value
+                b = bernoulli_route_at(n, pair, at)
                 assert abs(a.value - b.value) <= a.err + b.err, (n, p, q, a, b)
                 # the reduced route's err is the smaller one
                 assert a.err < b.err
@@ -281,6 +301,21 @@ def test_zeta_route_held_at_tau(t):
             held = symbols._zeta_sum(n, pair, at) * (
                 1.0 / ((qseries.TWO_PI_I**2).real * p * math.factorial(2 * n)))
             d = symbols.elliptic_apostol_sum(n, pair, tau).value
+            assert abs(held.value - d.value) <= held.err + d.err, (n, p, q, held, d)
+
+
+@pytest.mark.parametrize("t", [0.2 + 0.3j, -0.35 + 0.11j, 0.6 + 0.8j, 1.7 + 0.3j])
+def test_bernoulli_route_held_at_tau(t):
+    # the Bernoulli route with its B_m factors at the caller's own record
+    # off F, unreduced, against `elliptic_apostol_sum`, whose factors run
+    # at tau' in F, each times (c tau + d)^-m
+    tau = TauPoint(t)
+    at = qseries._checked(tau, DEFAULT_POLICY)
+    for n in range(1, 4):
+        for p, q in [(3, 2), (7, 4), (13, 7)]:
+            pair = CoprimePair(p, q)
+            held = bernoulli_route_at(n, pair, at)
+            d = symbols.elliptic_apostol_sum(n, pair, tau, Route.BERNOULLI_PRODUCT).value
             assert abs(held.value - d.value) <= held.err + d.err, (n, p, q, held, d)
 
 
@@ -435,6 +470,53 @@ def test_reduced_kernels_err_random_tau(t, xys):
         for key, vals in got.items():
             v = vals[i]
             assert abs(v.value - ref[key]) <= v.err, (key, z, v, ref[key])
+
+
+# ---------------------------------------------------------------------------
+# The laws of B_m, both sides held at their own tau
+# ---------------------------------------------------------------------------
+
+#: tau with Re tau in [-1, 1] and Im tau in [0.05, 1.5]
+_taus = st.builds(complex, st.floats(-1.0, 1.0), st.floats(0.05, 1.5))
+
+
+def _assert_agree(a, b, what):
+    for i in range(len(a)):
+        assert abs(a[i].value - b[i].value) <= a[i].err + b[i].err, (what, i, a[i], b[i])
+
+
+@given(t=_taus.filter(lambda t: qseries._reduction(t) is not None), m=st.integers(1, 7),
+       xys=st.lists(_points_off_lattice, min_size=1, max_size=3))
+@settings(max_examples=30, deadline=None)
+def test_bernoulli_weight_law_held(t, m, xys):
+    # B_m(x, y; tau) = (c tau + d)^-m B_m(a x + b y, c x + d y; gamma tau)
+    # with gamma from `_reduction`, the law the kernel reduces by: each side from the
+    # series at its own record, the caller's and that of tau', which
+    # carries the error of tau'; x' and y' carry the rounding of their
+    # integer products and sums
+    at = qseries._checked(TauPoint(t), DEFAULT_POLICY)
+    red = qseries._reduction(t)
+    x, y = (np.array(v) for v in zip(*xys))
+    xr, yr = red.a * x + red.b * y, red.c * x + red.d * y
+    arg_err = (2.0**-53 * (np.abs(red.a * x) + np.abs(red.b * y) + np.abs(xr)),
+               2.0**-53 * (np.abs(red.c * x) + np.abs(red.d * y) + np.abs(yr)))
+    lhs = bernoulli_points_at(m, x, y, at)
+    rhs = bernoulli_points_at(m, xr, yr, red.checked(at), arg_err) * red.weight(m)
+    _assert_agree(lhs, rhs, (m, t, xys))
+
+
+@given(t=_taus, m=st.integers(1, 7), xys=st.lists(_points_off_lattice, min_size=1, max_size=3))
+@settings(max_examples=30, deadline=None)
+def test_bernoulli_translation_law_held(t, m, xys):
+    # B_m(x, y; tau) = B_m(x + y, y; tau + 1), each side from the series at
+    # its own record; tau + 1 and x + y are each rounded once
+    t1 = t + 1
+    at = qseries._checked(TauPoint(t), DEFAULT_POLICY)
+    at1 = qseries._checked(TauPoint(t1), DEFAULT_POLICY)._replace(dtau=2.0**-53 * abs(t1.real))
+    x, y = (np.array(v) for v in zip(*xys))
+    lhs = bernoulli_points_at(m, x, y, at)
+    rhs = bernoulli_points_at(m, x + y, y, at1, (2.0**-53 * np.abs(x + y), 0.0))
+    _assert_agree(lhs, rhs, (m, t, xys))
 
 
 # ---------------------------------------------------------------------------

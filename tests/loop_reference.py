@@ -13,7 +13,6 @@ from ellded.qseries import (
     LatticePointError,
     NonConvergenceError,
     TauPoint,
-    _bernoulli_poly_abs_sum,
     _bernoulli_poly_float,
     _checked,
     _decompose,
@@ -73,26 +72,16 @@ def elliptic_bernoulli(m, x, y, tau, policy=DEFAULT_POLICY):
     epx = cmath.exp(TWO_PI_I * x)
     acc = _Kahan()
     decay = abs(cmath.exp(TWO_PI_I * t))
-    # first-order rounding in units of 2^-53: an exponential carries about
-    # 6 |argument| + 4 ulps, which a term P w / (e(+-x) - w) turns into
-    # errors relative to its denominator; the power, product and quotient
-    # add m + 5
-    ex = 6.0 * abs(TWO_PI_I * x) + 4.0
-    rnd = 0.0
     j = 0
     last = 0.0
     while j < cap:
         j += 1
         w1 = cmath.exp(TWO_PI_I * (j - y) * t)
         w2 = cmath.exp(TWO_PI_I * (j + y) * t)
-        d1, d2 = emx - w1, epx - w2
-        t1 = _pow_00(y - j, m - 1) * w1 / d1
-        t2 = _pow_00(y + j, m - 1) * w2 / d2
+        t1 = _pow_00(y - j, m - 1) * w1 / (emx - w1)
+        t2 = _pow_00(y + j, m - 1) * w2 / (epx - w2)
         acc.add(t1)
         acc.add(-t2)
-        ew = 6.0 * abs(TWO_PI_I * (j + 1) * t) + 4.0
-        rnd += (abs(t1) * ((ex + ew) / abs(d1) + ew + m + 5.0)
-                + abs(t2) * ((ex + ew) / abs(d2) + ew + m + 5.0))
         last = abs(t1) + abs(t2)
         if last <= policy.tol * max(abs(acc.value), 1.0) and j >= 2:
             break
@@ -104,15 +93,10 @@ def elliptic_bernoulli(m, x, y, tau, policy=DEFAULT_POLICY):
     v = cmath.exp(TWO_PI_I * (-x + y * t))
     closing = _pow_00(y, m - 1) * v / (v - 1)
     acc.add(closing)
-    ev = 6.0 * abs(TWO_PI_I * (-x + y * t)) + 4.0
-    rnd += abs(closing) * (ev * (1.0 + abs(v) / abs(v - 1)) + m + 5.0)
     r = decay * ((j + 1 + y) / max(j - y, 0.5)) ** (m - 1)
     r = min(r, 0.99)
     tail = m * (2.0 * last * r / (1.0 - r) + 1e-16 * abs(acc.value) * j)
-    value = m * acc.value + _bernoulli_poly_float(m, y)
-    # the sum, m * acc and the Bernoulli polynomial's Horner steps
-    rnd = m * (rnd + 3.0 * abs(acc.value)) + 2.0 * (m + 1) * _bernoulli_poly_abs_sum(m) + abs(value)
-    return ComplexVal(value, tail + 2.0**-53 * rnd)
+    return ComplexVal(m * acc.value + _bernoulli_poly_float(m, y), tail)
 
 
 def weierstrass_zeta(z, tau, policy=DEFAULT_POLICY):

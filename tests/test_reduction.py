@@ -1,13 +1,14 @@
 """tau reduced to the fundamental domain F for the zeta and pe kernels, the
 zeta route of the elliptic sum and R^-_{2n}: the reduction, the err of the
 reduced kernels, of the kernels in F near lattice points away from the
-origin cell, of the E_2-free blocks, of the reduced zeta route and of
-the reduced R against mpmath at tau itself, the charge of an error of tau'
-in the err of the Eisenstein series there, the reduced zeta route against
-the Bernoulli route held at tau and against the zeta route held at tau,
-the Bernoulli route held at tau against the reduced one, the weight-m law
-of B_m with both sides held at their own tau, and a pin of the reduced
-values."""
+origin cell, of the E_2-free blocks, of both reduced routes of the
+elliptic sum and of the reduced R against mpmath at tau itself, the charge
+of an error of tau' in the err of the Eisenstein series there, the reduced
+zeta route against the Bernoulli route held at tau and against the zeta
+route held at tau, the Bernoulli route held at tau against the reduced
+one, the weight-m law of B_m with both sides held at their own tau, and a
+pin of the reduced values.  A route held at tau is the package's
+`symbols._route_sum` at the caller's own record."""
 
 import cmath
 import hashlib
@@ -32,7 +33,8 @@ from ellded.qseries import (
     weierstrass_zeta_points,
 )
 from ellded.symbols import Route
-from held_reference import bernoulli_points_at, bernoulli_route_at
+from held_reference import bernoulli_points_at
+import test_qseries
 from test_blocks import PIN_PQ
 from test_cache import _grid_values
 
@@ -189,6 +191,26 @@ def test_err_bounds_mpmath(t, points):
             assert abs(v.value - ref[key]) <= v.err, (key, z, v, ref[key])
 
 
+def _fails(oracle, *args) -> bool:
+    """Whether the oracle test fails on the given arguments."""
+    try:
+        oracle(*args)
+    except AssertionError:
+        return True
+    return False
+
+
+def _a_tenth_of_err(monkeypatch, name):
+    """`qseries.<name>` with the err of its every result scaled by 0.1."""
+    run = getattr(qseries, name)
+
+    def tenth(*args):
+        v = run(*args)
+        return type(v)(v.value, 0.1 * v.err)
+
+    monkeypatch.setattr(qseries, name, tenth)
+
+
 #: tau in the closed F: |Re tau| <= 1/2, |tau| >= 1, Im tau up to 1 above
 #: the arc
 _taus_in_F = st.builds(
@@ -270,6 +292,14 @@ def test_elliptic_apostol_sum_err_mpmath(t):
 # ---------------------------------------------------------------------------
 
 
+def _bernoulli_route_held(n, pair, at):
+    """D^-_{2n}(p, q; tau) by the Bernoulli route summed at the record `at`
+    itself, unreduced, times the route's constant."""
+    p = pair.p
+    return symbols._route_sum(Route.BERNOULLI_PRODUCT, n, pair, at) * (
+        -(qseries.TWO_PI_I ** (2 * n)) * p ** (2 * n - 1) / math.factorial(2 * n + 1))
+
+
 @pytest.mark.parametrize("t", [0.3 + 0.06j, -0.5 + 0.05j])
 def test_reduced_zeta_route_against_bernoulli_route(t):
     # the reduced zeta route against the Bernoulli route held at tau, whose
@@ -283,7 +313,7 @@ def test_reduced_zeta_route_against_bernoulli_route(t):
                     continue
                 pair = CoprimePair(p, q)
                 a = symbols.elliptic_apostol_sum(n, pair, tau, Route.ZETA_DERIVATIVE).value
-                b = bernoulli_route_at(n, pair, at)
+                b = _bernoulli_route_held(n, pair, at)
                 assert abs(a.value - b.value) <= a.err + b.err, (n, p, q, a, b)
                 # the reduced route's err is the smaller one
                 assert a.err < b.err
@@ -298,7 +328,7 @@ def test_zeta_route_held_at_tau(t):
     for n in range(1, 4):
         for p, q in [(3, 2), (7, 4), (13, 7)]:
             pair = CoprimePair(p, q)
-            held = symbols._zeta_sum(n, pair, at) * (
+            held = symbols._route_sum(Route.ZETA_DERIVATIVE, n, pair, at) * (
                 1.0 / ((qseries.TWO_PI_I**2).real * p * math.factorial(2 * n)))
             d = symbols.elliptic_apostol_sum(n, pair, tau).value
             assert abs(held.value - d.value) <= held.err + d.err, (n, p, q, held, d)
@@ -314,7 +344,7 @@ def test_bernoulli_route_held_at_tau(t):
     for n in range(1, 4):
         for p, q in [(3, 2), (7, 4), (13, 7)]:
             pair = CoprimePair(p, q)
-            held = bernoulli_route_at(n, pair, at)
+            held = _bernoulli_route_held(n, pair, at)
             d = symbols.elliptic_apostol_sum(n, pair, tau, Route.BERNOULLI_PRODUCT).value
             assert abs(held.value - d.value) <= held.err + d.err, (n, p, q, held, d)
 
@@ -377,6 +407,31 @@ def test_eisenstein_charge_of_dtau_mpmath(t):
                 got = qseries._eisenstein(k, at), qseries._eisenstein_tau_derivative(k, at)
                 for d, v in enumerate(got):
                     assert abs(v.value - refs[k, d]) <= v.err, (k, d, delta, j, v, refs[k, d])
+
+
+#: (series, oracle, arguments at which the oracle catches that series' err
+#: scaled by 0.1): pe^(k) at 1j, where the oracle's worst ratio is above
+#: 0.1 of err, and at the point 6e-4 from a lattice point in F that
+#: `test_kernels_near_lattice_err_in_F` found; b = zeta - E_2 z at 1j; both
+#: at a snapped y; and E_2k against its q-expansion and under a moved tau
+TENTH_OF_ERR_CASES = [
+    ("_p_deriv_series", test_err_bounds_mpmath, (1j, POINTS)),
+    ("_p_deriv_series", test_err_bounds_mpmath, ERR_BOUND_CASES[-1]),
+    ("_p_deriv_series", test_snapped_point_err_mpmath, (0.3j,)),
+    ("_b_series", test_err_bounds_mpmath, (1j, POINTS)),
+    ("_b_series", test_snapped_point_err_mpmath, (1j,)),
+    ("_eisenstein", test_qseries.TestEisenstein().test_err_bounds_mpmath_reference,
+     (0.3 + 1.1j,)),
+    ("_eisenstein", test_eisenstein_charge_of_dtau_mpmath, (1j,)),
+    ("_eisenstein", test_eisenstein_charge_of_dtau_mpmath, (2j,)),
+]
+
+
+@pytest.mark.parametrize("name, oracle, args", TENTH_OF_ERR_CASES)
+def test_oracles_catch_a_tenth_of_err(monkeypatch, name, oracle, args):
+    pytest.importorskip("mpmath")
+    _a_tenth_of_err(monkeypatch, name)
+    assert _fails(oracle, *args)
 
 
 def _mp_reciprocity_rhs(mp, n, p, q, tau):
@@ -442,6 +497,18 @@ def test_reduced_reciprocity_rhs_err_random_tau(t, n, pq):
 def test_reduced_zeta_route_err_random_tau(t, n, pq):
     mp = pytest.importorskip("mpmath")
     d = symbols.elliptic_apostol_sum(n, CoprimePair(*pq), TauPoint(t)).value
+    with mp.workdps(_dps(t)):
+        ref = _mp_zeta_route(mp, n, *pq, mp.mpc(t.real, t.imag))
+    assert abs(d.value - ref) <= d.err, (d, ref)
+
+
+@given(t=_taus_off_F, n=st.integers(1, 2), pq=_pairs)
+@settings(max_examples=10, deadline=None)
+def test_reduced_bernoulli_route_err_random_tau(t, n, pq):
+    # the Bernoulli route, summed as a whole at tau' in F and times
+    # m^-(2n+2), against the defining zeta sum at tau itself
+    mp = pytest.importorskip("mpmath")
+    d = symbols.elliptic_apostol_sum(n, CoprimePair(*pq), TauPoint(t), Route.BERNOULLI_PRODUCT).value
     with mp.workdps(_dps(t)):
         ref = _mp_zeta_route(mp, n, *pq, mp.mpc(t.real, t.imag))
     assert abs(d.value - ref) <= d.err, (d, ref)

@@ -218,6 +218,25 @@ class TestMachide:
             MachideSpec((0, 1), (1, 1), (1, 1),
                         (0.5, 0.0), (0.5, 0.0), (0.0, 0.0), 1, 1)
 
+    @pytest.mark.parametrize("field, bad", [("vec_a", (1.5, 1)), ("vec_c", (2, True)),
+                                            ("m", True), ("n", 2.0)])
+    def test_integer_fields_rejected_at_the_spec(self, field, bad):
+        # a float component raised TypeError out of math.gcd, and m = True
+        # or 2.0 passed the spec to fail in the kernel
+        args = dict(vec_a=(1, 1), vec_b=(1, 1), vec_c=(1, 1), vec_x=(0.5, 0.0),
+                    vec_y=(0.5, 0.0), vec_z=(0.3, 0.0), m=1, n=1)
+        args[field] = bad
+        with pytest.raises(ValueError, match=f"^{field} must be an int"):
+            MachideSpec(**args)
+
+    def test_numpy_integers_stored_as_int(self):
+        vecs = [(0.013, 0.0), (0.021, 0.0), (-0.014, 0.0)]
+        spec = MachideSpec((np.int64(1), 1), (np.int64(3), np.int32(3)), (2, np.int64(2)),
+                           *vecs, np.int64(1), np.int64(1))
+        assert all(type(v) is int
+                   for v in (*spec.vec_a, *spec.vec_b, *spec.vec_c, spec.m, spec.n))
+        assert spec == MachideSpec((1, 1), (3, 3), (2, 2), *vecs, 1, 1)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("vec", ["vec_x", "vec_y", "vec_z"])
     @pytest.mark.parametrize("slot", [0, 1])

@@ -9,7 +9,9 @@ at integers, i.e. bernoulli_function(1, integer) == 0, not B_1 = -1/2.
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import math
 import numbers
 import operator
@@ -90,26 +92,56 @@ def _checked_int(value, name: str) -> int:
 def bernoulli_number(k: int) -> Fraction:
     """B_k in the convention with B_1 = -1/2.
 
-    Defining recurrence sum_{j=0}^{k} C(k+1, j) B_j = 0, memoized per k,
-    which is checked (`_checked_int`) before the cache sees it.  B_k is
-    built from B_0..B_{k-1} in ascending order, each from the cached ones
-    below it, so a cold call recurses two deep whatever k is.
+    Read from the table of B_0..B_{K-1} for the least power of two K above
+    k (`_bernoulli_table`), after k is checked (`_checked_int`) before the
+    cache sees it.
     """
     k = _checked_int(k, "k")
     if k < 0:
         raise ValueError("k must be >= 0")
-    return _bernoulli_number(k)
+    return _bernoulli_table(1 << k.bit_length())[k]
+
+
+def _primes_to(m: int) -> Tuple[int, ...]:
+    """The primes up to m >= 1, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * (m + 1)
+    sieve[:2] = b"\0\0"
+    for d in range(2, math.isqrt(m) + 1):
+        if sieve[d]:
+            sieve[d * d::d] = bytes(len(range(d * d, m + 1, d)))
+    return tuple(i for i, flag in enumerate(sieve) if flag)
 
 
 @functools.lru_cache(maxsize=None)
-def _bernoulli_number(k: int) -> Fraction:
-    if k == 0:
-        return Fraction(1)
-    return -sum(Fraction(math.comb(k + 1, j)) * _bernoulli_number(j) for j in range(k)) / (k + 1)
+def _bernoulli_table(size: int) -> Tuple[Fraction, ...]:
+    """B_0, ..., B_{size-1}.  B_{2n} = (-1)^{n-1} 2n T_n / (4^n (4^n - 1))
+    from the tangent numbers T_1..T_N, N = (size - 1) // 2, which the
+    in-place recurrence of Brent and Harvey ("Fast computation of
+    Bernoulli, tangent and secant numbers", 2013) builds in O(N^2) integer
+    multiply-adds; its denominator is the product of the primes l with
+    (l - 1) | 2n (von Staudt-Clausen), so the numerator is one exact
+    integer division."""
+    top = (size - 1) // 2
+    tangent = [0, 1] + [0] * (top - 1)
+    for j in range(2, top + 1):
+        tangent[j] = (j - 1) * tangent[j - 1]
+    for i in range(2, top + 1):
+        for j in range(i, top + 1):
+            tangent[j] = (j - i) * tangent[j - 1] + (j - i + 2) * tangent[j]
+    dens = [1] * (top + 1)
+    for ell in _primes_to(2 * top + 1):
+        # (l - 1) | 2n: every n for l = 2, every multiple of (l - 1)/2 else
+        for n in range((ell - 1) // 2 or 1, top + 1, (ell - 1) // 2 or 1):
+            dens[n] *= ell
+    table = [Fraction(1), Fraction(-1, 2)] + [Fraction(0)] * (size - 2)
+    for n in range(1, top + 1):
+        num = (-1) ** (n - 1) * 2 * n * tangent[n] * dens[n] // (4**n * (4**n - 1))
+        table[2 * n] = Fraction(num, dens[n])
+    return tuple(table[:size])
 
 
-# the memo is the private function's; the public one empties it
-bernoulli_number.cache_clear = _bernoulli_number.cache_clear
+# the memo is the table's; the public function empties it
+bernoulli_number.cache_clear = _bernoulli_table.cache_clear
 
 
 @functools.lru_cache(maxsize=None)
@@ -165,15 +197,25 @@ def bernoulli_function(k: int, x: Union[Fraction, int]) -> Fraction:
     return bernoulli_polynomial(k, frac)
 
 
-#: Terms per chunk of the long-sum kernel: each chunk's binomial moments are
-#: one int64 matrix product.
-_CHUNK = 64
+#: Rows of the power table, and of each block of a long half range
+_ROWS = 1024
+
+#: A long half range is walked this many blocks at a time
+_SPAN_BLOCKS = 64
+
+#: The moduli of the moment kernel are primes below 2^_MODULUS_BITS
+_MODULUS_BITS = 26
+
+#: The moment kernel takes orders k < _MAX_ORDER, and p < 2^31, so that its
+#: weights r 2q^{-1} < 2p^2 fit int64
+_MAX_ORDER = 32
 
 #: A half range of n terms at order k costs the centred loop about
-#: n (min(k, 13) + 9) units and the long-sum kernel about 960 units while n is
-#: short (measured on CPython 3.11; past k = 13 the two grow alike with k), so
-#: shorter sums keep the loop.
-_LOOP_COST_CUT = 960
+#: n (min(k, 13) + 9) units and the moment kernel about 560 units while n is
+#: short (measured on CPython 3.11, Intel Xeon: the two meet between 500 and
+#: 660 units for k = 1 to 13, the kernel taking 10 to 35 us), so shorter
+#: sums keep the loop.
+_LOOP_COST_CUT = 560
 
 
 def apostol_sum(k: int, q: int, p: int) -> Fraction:
@@ -190,21 +232,20 @@ def apostol_sum(k: int, q: int, p: int) -> Fraction:
     B_k(1 - x) = (-1)^k B_k(x), maps mu -> p - mu to u -> -u and the sawtooth
     to its negative: the two terms are equal for odd k, so half the range is
     summed and doubled (at even p the middle term is 0), and they cancel for
-    even k.  The single division is by 2^k D p^{k+1} at the end.
+    even k.  The single division is by 2^k D p^{k+1} at the end, of the
+    integer numerator `_apostol_numerator`.
 
-    A short sum, one at an order k >= 32, or one whose chunk moments could
-    leave int64, is summed term by term over 1 <= mu < p/2, Horner in u^2.
-    A long one is indexed by r: with n = ceil(p/2) - 1 and the weight
-    g_r = 2 (r q^{-1} mod p) - p, the sawtooth times 2p, it is
-    sum_{r=1}^{n} g_r f(2r - p) = sum_{i<=k} Delta_i M_i, with Delta_i the
-    step-2 forward differences of f at u = 2 - p and
-    M_i = sum_{s<n} g_{s+1} C(s, i) the binomial moments of the weights
-    (Newton's forward formula).  Each 64-term chunk's moments are one int64
-    matrix product, and the chunks are combined by Horner in (1 + X)^64 over
-    integers packed at X = 2^b, mod X^{k+1}.  Both ways give the same
-    Fraction.  Neither uses a reciprocity law, so the sum doubles as
-    the independent oracle for the exact reciprocity check and the elliptic
-    degeneration checks.
+    A short sum, one at an order k >= 32 or one at p >= 2^31 is summed term
+    by term over 1 <= mu < p/2, Horner in u^2.  A long one is indexed by r:
+    with n = ceil(p/2) - 1 and the weight g_r = 2 (r q^{-1} mod p) - p, the
+    sawtooth times 2p, it is sum_{r=1}^{n} g_r F(r), F(r) = f(2r - p) a
+    polynomial sum_j e_j p^{k-j} r^j, so it is sum_j e_j p^{k-j} P_j over
+    the power moments P_j = sum_r g_r r^j of the weights.  `_moment_sum`
+    takes each P_j modulo a few primes below 2^26 from exact float64 dot
+    products against a table of s^j, and recovers it by the Chinese
+    remainder theorem.  Both ways give the same Fraction.  Neither uses a
+    reciprocity law, so the sum doubles as the independent oracle for the
+    exact reciprocity check and the elliptic degeneration checks.
     """
     k = _checked_int(k, "k")
     q = _checked_int(q, "q")
@@ -217,13 +258,19 @@ def apostol_sum(k: int, q: int, p: int) -> Fraction:
         raise ValueError(f"gcd(p, q) must be 1, got ({p}, {q})")
     if k % 2 == 0:
         return Fraction(0)  # the terms at mu and p - mu cancel by reflection
+    return Fraction(_apostol_numerator(k, q, p),
+                    2**k * _bernoulli_int_coeffs(k)[0] * p ** (k + 1))
+
+
+def _apostol_numerator(k: int, q: int, p: int) -> int:
+    """The integer A with s_k(q, p) = A / (2^k D p^{k+1}), for an odd k, a
+    p >= 1 and a q coprime to it, all ints, and D as in
+    `_bernoulli_int_coeffs`: the half range of `apostol_sum`,
+    sum_{1 <= mu < p/2} (2 mu - p) f(u)."""
     n = (p + 1) // 2 - 1
-    # a chunk's moments are at most p C(64, i + 1) in size, which rises with
-    # i for k < 32, and the weights are formed from r 2q^{-1} < 2p^2
-    if (n * (min(k, 13) + 9) >= _LOOP_COST_CUT and k < _CHUNK // 2 and p < 2**31
-            and p * math.comb(_CHUNK, k + 1) < 2**63):
-        return _chunked_sum(k, q, p, n)
-    d, table = _bernoulli_centred_coeffs(k)
+    if n * (min(k, 13) + 9) >= _LOOP_COST_CUT and k < _MAX_ORDER and p < 2**31:
+        return _moment_sum(k, q, p, n)
+    _, table = _bernoulli_centred_coeffs(k)
     # Q(u) = u sum_t c_t u^{k-1-2t} with c_t = a_{2t} p^{2t}
     coeffs = [a * p ** (2 * t) for t, a in enumerate(table)]
     # gcd(p, q) = 1 and 1 <= mu <= p-1 give 1 <= r <= p-1: r/p is never an
@@ -242,81 +289,183 @@ def apostol_sum(k: int, q: int, p: int) -> Fraction:
             poly = poly * v + c
         acc += weight * u * poly
     # 2 acc / (2p * 2^k D p^k): the doubling cancels the sawtooth's 2
-    return Fraction(acc, 2**k * d * p ** (k + 1))
+    return acc
 
 
 @functools.lru_cache(maxsize=None)
-def _chunk_tables(k: int):
-    """The long-sum kernel's tables for one odd k, from F(r) = f(2r - p):
+def _moduli() -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """(primes, products): the largest primes below 2^26 in descending
+    order, found by trial division by the primes below 2^13, as many as the
+    largest moment bound of `_moment_sum` needs (2 p n^{k+1} < 2^{992} for
+    k < 32, p < 2^31, n < 2^30), and products[t - 1] the product of the
+    first t of them."""
+    small = _primes_to(2 ** (_MODULUS_BITS // 2))
+    primes = []
+    candidate = 2**_MODULUS_BITS - 1
+    while math.prod(primes) <= 2 ** (32 + 30 * _MAX_ORDER):
+        if all(candidate % ell for ell in small):
+            primes.append(candidate)
+        candidate -= 2
+    return tuple(primes), tuple(itertools.accumulate(primes, operator.mul))
+
+
+def _prime_count(bound: int) -> int:
+    """The least t with P_0 ... P_{t-1} > 2 bound, P_i from `_moduli`: the
+    Chinese remainder theorem mod their product recovers, in the symmetric
+    range, an integer of size at most bound."""
+    return bisect.bisect_right(_moduli()[1], 2 * bound) + 1
+
+
+@functools.lru_cache(maxsize=None)
+def _crt_basis(t: int) -> Tuple[int, Tuple[int, ...]]:
+    """(m, c): m = P_0 ... P_{t-1} and c_i = (m / P_i) ((m / P_i)^{-1} mod P_i),
+    so that sum_i x_i c_i = x mod m for any x_i = x mod P_i."""
+    primes = _moduli()[0][:t]
+    m = math.prod(primes)
+    return m, tuple(m // P * pow(m // P, -1, P) for P in primes)
+
+
+#: `_power_table`'s table: the one of the most powers and moduli asked for
+#: so far, or None
+_power_cache = None
+
+
+def _power_table(powers: int, count: int):
+    """The float64 table T[s, j, i] = s^j mod P_i for s < 1024, P_i from
+    `_moduli`, read-only, with at least `powers` powers j and `count`
+    moduli: one table, grown to the most of each asked for so far, so that
+    the columns of j < powers are a prefix of every row."""
+    global _power_cache
+    table = _power_cache
+    if table is None or table.shape[1] < powers or table.shape[2] < count:
+        import numpy as np
+        if table is not None:
+            powers, count = max(powers, table.shape[1]), max(count, table.shape[2])
+            # freed before its successor is built, so the two never coexist
+            _power_cache = table = None
+        mods = np.array(_moduli()[0][:count], dtype=float)
+        rows = np.arange(_ROWS, dtype=float)[:, None]
+        # built column by column in place: s^j mod P < 2^26, times s < 2^36
+        table = np.empty((_ROWS, powers, count))
+        table[:, 0] = 1
+        for j in range(1, powers):
+            np.multiply(table[:, j - 1], rows, out=table[:, j])
+            np.fmod(table[:, j], mods, out=table[:, j])
+        table.flags.writeable = False
+        _power_cache = table
+    return table
+
+
+def _moment_sum(k: int, q: int, p: int, n: int) -> int:
+    """The half range sum_{r=1}^{n} g_r F(r) of `apostol_sum`, the integer
+    numerator of s_k(q, p), from the power moments P_j = sum_{r<=n} g_r r^j:
 
         F(r) = D 2^k p^k B_k(r/p) = sum_j e_j p^{k-j} r^j,  e_j = 2^k D C(k, j) B_{k-j},
 
-    so Delta_i = sum_{j>=i} e_j p^{k-j} sum_{m<=i} (-1)^{i-m} C(i, m) (m + 1)^j,
-    the i-th difference at r = 1.  Returns (D, powers, rows, binomials, top):
-    powers are the k - j with e_j != 0 in ascending order, so that
-    Delta_i = sum_t rows[i][t] p^{powers[t]} with rows[i] cut after the last
-    j >= i; binomials[t, i] = C(t, i) for t < 64 and i <= k, as read-only
-    int64; and top[i] = C(64, i).  Only odd k < 32 reach it, so it holds at
-    most 16 entries."""
+    so the sum is sum_j e_j p^{k-j} P_j over the j with e_j != 0.  As
+    |g_r| < p, |P_j| < p n^{j+1} <= p n^{k+1}, and the first t moduli of
+    `_moduli` with a product above twice that (`_prime_count`) recover every
+    P_j in the symmetric range by the Chinese remainder theorem.
+
+    The residues come from float64 products of the weights against
+    `_power_table`.  A dot product of at most 1024 weights |g_r| < p and
+    residues below 2^26 is exact while 1024 p <= 2^27; past that the
+    weights are split into 16-bit halves.  A range of n < 1024 is one
+    block, whose dot products are the moments.  A longer one is walked in
+    blocks of 1024 rows r = r_0 + s, whose moments in s are shifted to r
+    by the binomial theorem mod P_i (`_shifted_moments`)."""
     import numpy as np
-    d, table = _bernoulli_int_coeffs(k)
-    js = [j for j in range(k, -1, -1) if table[k - j]]
-    rows = tuple(
-        tuple(2**k * table[k - j] * sum((-1) ** (i - m) * math.comb(i, m) * (m + 1) ** j
-                                        for m in range(i + 1)) for j in js if j >= i)
-        for i in range(k + 1))
-    binomials = np.array([[math.comb(t, i) for i in range(k + 1)] for t in range(_CHUNK)],
-                         dtype=np.int64)
-    binomials.flags.writeable = False
-    top = tuple(math.comb(_CHUNK, i) for i in range(k + 1))
-    return d, tuple(k - j for j in js), rows, binomials, top
-
-
-def _chunked_sum(k: int, q: int, p: int, n: int) -> Fraction:
-    """The half range sum_{r=1}^{n} g_r f(2r - p) as sum_i Delta_i M_i (see
-    `apostol_sum`).
-
-    Slots of b = 8 width bits hold every moment with its sign,
-    |M_i| <= p C(n, i + 1) (the weights are below p and
-    sum_{s<n} C(s, i) = C(n, i + 1)), and at least 64 bits, a chunk
-    moment's; C(n, j) rises up to j = n // 2.  The chunks are combined by
-    Horner in Y = (1 + X)^64 mod X^{k+1}, packed at X = 2^b."""
-    import numpy as np
-    d, powers, rows, binomials, top = _chunk_tables(k)
-    pows = [p**e for e in powers]
-    chunks = -(-n // _CHUNK)
-    # g_r = (r 2q^{-1} mod 2p) - p, and 0 past r = n
+    _, coeffs = _bernoulli_int_coeffs(k)
+    t = _prime_count(p * n ** (k + 1))
+    table = _power_table(k + 1, t)
     step = 2 * pow(q, -1, p)
-    g = np.arange(step, step * _CHUNK * chunks + 1, step, dtype=np.int64) % (2 * p)
-    g -= p
-    g[n:] = 0
-    moments = g.reshape(chunks, _CHUNK) @ binomials
-    # each moment plus 2^63, unsigned, little-endian in its slot's low 8 bytes
-    width = max(8, ((p * math.comb(n, min(k + 1, n // 2))).bit_length() + 8) // 8)
-    slots = np.zeros((chunks, k + 1, width), np.uint8)
-    biased = (moments.view(np.uint64) ^ np.uint64(1 << 63)).astype("<u8", copy=False)
-    slots[:, :, :8] = biased.view(np.uint8).reshape(chunks, k + 1, 8)
-    y = int.from_bytes(b"".join(c.to_bytes(width, "little") for c in top), "little")
-    # 2^63 in every slot, the bias taken off each chunk's moments
-    offset = int.from_bytes((1 << 63).to_bytes(width, "little") * (k + 1), "little")
-    # Horner from the last chunk, mod X^{k+1}
-    b = 8 * width
-    mask = (1 << (b * (k + 1))) - 1
+    if n < _ROWS:
+        # g_r = (r 2q^{-1} mod 2p) - p for r = 1..n, and 0 at r = 0
+        g = np.arange(n + 1, dtype=np.int64) * step % (2 * p) - p
+        g[0] = 0
+        # below 1024 (p - 1) 2^26 < 2^53: exact, and each its own residue
+        dots = _product(g.astype(float)[None], table[:n + 1, :k + 1].reshape(n + 1, -1))
+        residues = dots.reshape(k + 1, -1).astype(np.int64).tolist()
+    else:
+        residues = _shifted_moments(k, step, p, n, table)
+    m, basis = _crt_basis(t)
+    # coeffs[i] = D C(k, i) B_i is e_{k-i} / 2^k: sum_i coeffs[i] p^i P_{k-i}
+    # by Horner in p, each P_j from the residues of the first t moduli
     acc = 0
-    for row in slots[::-1]:
-        acc = (acc * y + int.from_bytes(row.tobytes(), "little") - offset) & mask
-    # read the signed slots M_0..M_k back from the low end; Delta_i is
-    # sum_t rows[i][t] p^{powers[t]}
-    total = 0
-    slot = (1 << b) - 1
-    for row in rows:
-        digit = acc & slot
-        acc >>= b
-        if digit >> (b - 1):
-            digit -= 1 << b
-            acc += 1
-        total += sum(map(operator.mul, row, pows)) * digit
-    return Fraction(total, 2**k * d * p ** (k + 1))
+    for i in range(k, -1, -1):
+        acc *= p
+        if coeffs[i]:
+            moment = sum(map(operator.mul, residues[k - i], basis)) % m
+            acc += coeffs[i] * (moment - m if 2 * moment > m else moment)
+    return acc << k
+
+
+def _product(weights, powers):
+    """weights @ powers for 2-D float64 arrays, in pieces of at most 2^18
+    multiply-adds, which OpenBLAS runs on the calling thread (past that it
+    starts threads of its own)."""
+    import numpy as np
+    depth, width = powers.shape
+    cols = min(width, max(1, 2**18 // depth))
+    rows = max(1, 2**18 // (depth * cols))
+    return np.concatenate([np.concatenate([weights[i:i + rows] @ powers[:, j:j + cols]
+                                           for j in range(0, width, cols)], axis=1)
+                           for i in range(0, len(weights), rows)])
+
+
+def _shifted_moments(k: int, step: int, p: int, n: int, table):
+    """P_j mod P_i (as lists over j <= k, then i) for a half range of
+    n >= 1024 (see `_moment_sum`).  Each block b of rows r = r_b + s,
+    s < 1024, has the moments M_b[m] = sum_s g_r s^m mod P_i, and
+    r^j = sum_m C(j, m) r_b^{j-m} s^m, so
+
+        P_j = sum_m C(j, m) N[e = j - m, m],  N[e, m] = sum_b r_b^e M_b[m]  (mod P_i),
+
+    with N summed in int64 over at most 64 blocks at a time, each product of
+    two residues below 2^52."""
+    import numpy as np
+    count = table.shape[2]
+    mods = np.array(_moduli()[0][:count], dtype=float)
+    imods = mods.astype(np.int64)
+    powers = table[:, :k + 1].reshape(_ROWS, -1)
+    # weights split below 2^16 keep the dot products below 1024 2^16 2^26
+    wide = _ROWS * p > 2 ** (53 - _MODULUS_BITS)
+    # s 2q^{-1} mod 2p: a block's weights are these plus r_b 2q^{-1} mod 2p,
+    # less p and, at or past 2p, 2p more
+    offsets = (np.arange(_ROWS, dtype=np.int64) * step % (2 * p)).astype(float)
+    acc = np.zeros((k + 1, k + 1, count), np.int64)
+    for first in range(0, n + 1, _ROWS * _SPAN_BLOCKS):
+        starts = np.arange(first, min(first + _ROWS * _SPAN_BLOCKS, n + 1), _ROWS,
+                           dtype=np.int64)
+        g = (starts * step % (2 * p)).astype(float)[:, None] + offsets
+        g = np.where(g >= 2 * p, g - 3 * p, g - p)
+        # r = 0 and the rows past n weigh 0
+        g.reshape(-1)[n + 1 - first:] = 0
+        if first == 0:
+            g[0, 0] = 0
+        blocks = len(g)
+        if wide:
+            # g = 2^16 hi + lo with 0 <= lo < 2^16 and |hi| < 2^15
+            hi = np.floor(g / 2**16)
+            g = np.concatenate((hi, g - hi * 2**16))
+        dots = _product(g, powers).reshape(len(g), k + 1, count)
+        if wide:
+            dots = np.fmod(dots[:blocks], mods) * 2**16 + dots[blocks:]
+        moments = np.fmod(dots, mods).astype(np.int64)
+        # r_b^e mod P_i
+        shift = np.empty((blocks, k + 1, count), np.int64)
+        shift[:, 0] = 1
+        shift[:, 1] = np.fmod(starts[:, None].astype(float), mods)
+        for e in range(2, k + 1):
+            shift[:, e] = shift[:, e - 1] * shift[:, 1] % imods
+        acc += np.einsum("bei,bmi->emi", shift, moments)
+        acc %= imods
+    js, ms = np.tril_indices(k + 1)
+    binomials = np.array([math.comb(j, m) for j, m in zip(js, ms)], dtype=np.int64)
+    # below 32 C(31, 15) 2^26 < 2^60
+    out = np.zeros((k + 1, count), np.int64)
+    np.add.at(out, js, acc[js - ms, ms] * binomials[:, None])
+    return out.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -500,8 +649,14 @@ def verify_apostol_reciprocity(w: int, pair: CoprimePair) -> Fraction:
     p, q = pair.p, pair.q
     den, terms = _g_int_terms(w)
     g_num = sum(n * p**i * q**j for i, j, n in terms)
-    return (p**w * apostol_sum(w + 1, q, p) + q**w * apostol_sum(w + 1, p, q)
-            + Fraction(2 * (w + 1) * g_num, den * p * q))
+    # s_{w+1}(q, p) = A / (s p^{w+2}) and s_{w+1}(p, q) = B / (s q^{w+2}),
+    # s = 2^{w+1} D, and 2(w+1) g_w = 2(w+1) g_num / (den p q): one
+    # Fraction over s den p^2 q^2
+    scale = 2 ** (w + 1) * _bernoulli_int_coeffs(w + 1)[0]
+    a = _apostol_numerator(w + 1, q, p)
+    b = _apostol_numerator(w + 1, p, q)
+    return Fraction((a * q * q + b * p * p) * den + 2 * (w + 1) * g_num * scale * p * q,
+                    scale * den * p * p * q * q)
 
 
 def dim_data(w: int) -> Tuple[int, int]:

@@ -1,5 +1,6 @@
 """Exact-rational layer: Bernoulli machinery, Apostol sums, g_w."""
 
+import functools
 import json
 import math
 import random
@@ -31,6 +32,16 @@ from ellded.exact import (
 rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=97
 )
+
+
+@functools.lru_cache(maxsize=None)
+def recurrence_bernoulli_number(k: int) -> Fraction:
+    """B_k by the defining recurrence sum_{j=0}^{k} C(k+1, j) B_j = 0: the
+    O(k^2) Fraction recurrence that `bernoulli_number` used before the
+    tangent numbers, kept verbatim as the reference."""
+    if k == 0:
+        return Fraction(1)
+    return -sum(Fraction(math.comb(k + 1, j)) * recurrence_bernoulli_number(j) for j in range(k)) / (k + 1)
 
 
 class TestBernoulliNumber:
@@ -65,10 +76,17 @@ class TestBernoulliNumber:
         assert bernoulli_polynomial(np.int64(3), Fraction(1, 3)) == Fraction(1, 27)
         assert bernoulli_function(np.int64(3), Fraction(4, 3)) == Fraction(1, 27)
 
+    def test_matches_defining_recurrence(self):
+        # the tangent-number table against the Fraction recurrence it
+        # replaced, for every k <= 500
+        bernoulli_number.cache_clear()
+        for k in range(501):
+            assert bernoulli_number(k) == recurrence_bernoulli_number(k), k
+
     def test_cold_high_index_recursion_is_shallow(self):
-        # each B_j is built from the cached ones below it, in ascending
-        # order, so a cold B_400 recurses a few frames deep, not 400: it
-        # runs within 60 frames of this one
+        # the table of B_0..B_511 is built by loops, so a cold B_400
+        # recurses a few frames deep, not 400: it runs within 60 frames of
+        # this one
         bernoulli_number.cache_clear()
         depth, frame = 0, sys._getframe()
         while frame is not None:
@@ -218,7 +236,12 @@ def _some_q(p: int):
 
 
 #: half-range lengths n = ceil(p/2) - 1 on both sides of one and two chunks
+#: of the binomial-moment kernel that the power moments replaced
 CHUNK_EDGE_P = [p for n in (63, 64, 65, 127, 128, 129) for p in (2 * n + 1, 2 * n + 2)]
+
+#: half-range lengths on both sides of one and two blocks of the power
+#: moments, rows r = 0..n
+BLOCK_EDGE_P = [p for n in (1023, 1024, 1025, 2047, 2048, 2049) for p in (2 * n + 1, 2 * n + 2)]
 
 
 def _seeded_long_sample(count: int, seed: int = 5003):
@@ -234,16 +257,16 @@ def _seeded_long_sample(count: int, seed: int = 5003):
     return out
 
 
-def _spy_chunked_sum(monkeypatch):
+def _spy_moment_sum(monkeypatch):
     """The arguments of every call of the long-sum kernel from here on."""
     calls = []
-    kernel = exact._chunked_sum
+    kernel = exact._moment_sum
 
     def spy(*args):
         calls.append(args)
         return kernel(*args)
 
-    monkeypatch.setattr(exact, "_chunked_sum", spy)
+    monkeypatch.setattr(exact, "_moment_sum", spy)
     return calls
 
 
@@ -302,6 +325,9 @@ class TestApostolSum:
         # k = 1 at large p
         (1, 611, 1999, "1007/3998"),
         (1, -1, 2000, "-665667/4000"),
+        # 49 blocks of power moments, by the centred loop
+        (13, 12345, 100003, "64111298498053175389474302547692662392805006629279840116233100005/"
+                            "100039007020772257918127535100152976441477351388152175350874894323"),
     ])
     def test_golden_values(self, k, q, p, value):
         # computed by the term-by-term Fraction formula
@@ -320,40 +346,83 @@ class TestApostolSum:
 
     @pytest.mark.parametrize("p", CHUNK_EDGE_P)
     def test_matches_centred_kernel_at_chunk_edges(self, p, monkeypatch):
-        chunked = _spy_chunked_sum(monkeypatch)
+        chunked = _spy_moment_sum(monkeypatch)
         for k in (1, 3, 7, 13, 19):
             for q in _some_q(p):
                 assert apostol_sum(k, q, p) == centred_half_range_apostol_sum(k, q, p), (k, q)
-        # from n = 63 on, at least the sums at k = 7, 13 and 19 are chunked
-        assert {7, 13, 19} <= {k for k, _, _, _ in chunked}
+        # from n = 63 on, n (min(k, 13) + 9) >= 630 sends every order to
+        # the moment kernel
+        assert {k for k, _, _, _ in chunked} == {1, 3, 7, 13, 19}
 
     @pytest.mark.parametrize("k,q,p", _seeded_long_sample(60))
     def test_matches_centred_kernel_seeded(self, k, q, p):
         assert apostol_sum(k, q, p) == centred_half_range_apostol_sum(k, q, p)
 
     def test_int64_bound_keeps_the_loop(self, monkeypatch):
-        # p C(64, 32) >= 2^63: chunk moments could leave int64, so this long
-        # sum runs term by term
-        chunked = _spy_chunked_sum(monkeypatch)
+        # p C(64, 32) >= 2^63 kept this long sum off the binomial-moment
+        # kernel; the moment kernel's int64 bound is p < 2^31 on its weights
+        # r 2q^{-1} < 2p^2, and k = 31 is the last order it takes
+        chunked = _spy_moment_sum(monkeypatch)
         value = apostol_sum(31, 777, 2000)
-        assert chunked == []
+        assert chunked == [(31, 777, 2000, 999)]
         assert value == centred_half_range_apostol_sum(31, 777, 2000)
         assert value == full_range_horner_apostol_sum(31, 777, 2000)
 
-    @pytest.mark.parametrize("k,q,p", [(471, 2, 5), (475, -2, 5)])
+    @pytest.mark.parametrize("k,q,p", [(471, 2, 5), (475, -2, 5), (33, 777, 2000)])
     def test_large_k_keeps_the_loop(self, k, q, p, monkeypatch):
-        # past k = 31 the chunk moments' bound falls again, but two terms at
-        # a huge order stay on the loop rather than build per-k tables
-        chunked = _spy_chunked_sum(monkeypatch)
+        # the power table holds s^j for j < 32: a long sum past k = 31, and
+        # two terms at a huge order, stay on the loop
+        chunked = _spy_moment_sum(monkeypatch)
         value = apostol_sum(k, q, p)
         assert chunked == []
         assert value == centred_half_range_apostol_sum(k, q, p)
 
     def test_long_sums_are_chunked(self, monkeypatch):
-        chunked = _spy_chunked_sum(monkeypatch)
+        chunked = _spy_moment_sum(monkeypatch)
         assert apostol_sum(13, 377, 1999) == centred_half_range_apostol_sum(13, 377, 1999)
         assert apostol_sum(21, 5, 113) == centred_half_range_apostol_sum(21, 5, 113)
         assert chunked == [(13, 377, 1999, 999), (21, 5, 113, 56)]
+
+    @pytest.mark.parametrize("p", BLOCK_EDGE_P)
+    def test_matches_centred_kernel_at_block_edges(self, p, monkeypatch):
+        # n < 1024 is one block of dot products; from n = 1024 on the blocks'
+        # moments are shifted by the binomial theorem
+        chunked = _spy_moment_sum(monkeypatch)
+        for k in (1, 13, 31):
+            for q in _some_q(p):
+                assert apostol_sum(k, q, p) == centred_half_range_apostol_sum(k, q, p), (k, q)
+        assert {k for k, _, _, _ in chunked} == {1, 13, 31}
+
+    @pytest.mark.parametrize("p", [2**17 - 1, 2**17, 2**17 + 1])
+    def test_matches_centred_kernel_across_the_weight_split(self, p):
+        # a block's dot products stay below 1024 p 2^26 <= 2^53 up to
+        # p = 2^17; past it the weights are split into 16-bit halves
+        assert (exact._ROWS * p > 2 ** (53 - exact._MODULUS_BITS)) == (p > 2**17)
+        for k in (3, 13):
+            for q in (-1, 65537):
+                assert apostol_sum(k, q, p) == centred_half_range_apostol_sum(k, q, p), (k, q)
+
+    @pytest.mark.parametrize("k", [1, 31])
+    def test_matches_centred_kernel_at_the_orders_ends(self, k):
+        for q in _some_q(2000):
+            assert apostol_sum(k, q, 2000) == centred_half_range_apostol_sum(k, q, 2000), q
+
+    def test_largest_benchmark_modulus_count(self):
+        # k = 13 and n = 999 (p = 1999, 2000) bound the moments of the
+        # exact-reciprocity benchmark most: six moduli
+        assert exact._prime_count(2000 * 999**14) == 6
+        for p in (1999, 2000):
+            for q in _some_q(p):
+                assert apostol_sum(13, q, p) == centred_half_range_apostol_sum(13, q, p), (q, p)
+
+    def test_one_modulus_fewer_fails(self, monkeypatch):
+        # the moduli are the fewest the bound p n^{k+1} allows: one fewer
+        # wraps the moments of (13, 1, 1999), whose weights 2r - p share a sign
+        want = centred_half_range_apostol_sum(13, 1, 1999)
+        assert apostol_sum(13, 1, 1999) == want
+        count = exact._prime_count
+        monkeypatch.setattr(exact, "_prime_count", lambda bound: count(bound) - 1)
+        assert apostol_sum(13, 1, 1999) != want
 
     @pytest.mark.parametrize("q,p", [(3, 1999), (-1234, 1999), (377, 1999), (2, 7)])
     def test_numpy_integers_are_ints(self, q, p):
@@ -449,6 +518,29 @@ class TestLaurentEvaluate:
         assert poly.evaluate(2, 4) == 2j * 2 / 4 + Fraction(1, 2) * 4
 
 
+def three_fraction_residual(w: int, pair: CoprimePair) -> Fraction:
+    """The reciprocity residual as three Fractions, the form that
+    `verify_apostol_reciprocity` took before it read the integer numerators,
+    kept as the reference."""
+    p, q = pair.p, pair.q
+    den, terms = exact._g_int_terms(w)
+    g_num = sum(n * p**i * q**j for i, j, n in terms)
+    return (p**w * apostol_sum(w + 1, q, p) + q**w * apostol_sum(w + 1, p, q)
+            + Fraction(2 * (w + 1) * g_num, den * p * q))
+
+
+def _reciprocity_sample(count: int, seed: int = 3907):
+    """Seeded (w, p, q) in U: w even in 2..24, p and q in [1, 2000], with
+    p = 1, q = 1 and (1, 1) among them."""
+    rng = random.Random(seed)
+    out = [(2, 1, 1), (12, 1, 1), (4, 1, 1999), (10, 2000, 1)]
+    while len(out) < count:
+        w, p, q = rng.randrange(2, 25, 2), rng.randint(1, 2000), rng.randint(1, 2000)
+        if math.gcd(p, q) == 1:
+            out.append((w, p, q))
+    return out
+
+
 class TestReciprocity:
     def test_example_value(self):
         pair = CoprimePair(3, 1)
@@ -470,6 +562,24 @@ class TestReciprocity:
     def test_requires_u(self):
         with pytest.raises(ValueError):
             verify_apostol_reciprocity(2, CoprimePair(3, -1))
+
+    def test_off_by_one_numerator_is_seen(self, monkeypatch):
+        # one denominator does not hide a wrong sum: a numerator one off
+        # leaves a nonzero residual
+        numerator = exact._apostol_numerator
+        monkeypatch.setattr(exact, "_apostol_numerator", lambda k, q, p: numerator(k, q, p) + 1)
+        for w, p, q in ((2, 1, 1), (2, 3, 1), (12, 1999, 3), (6, 1, 2000)):
+            assert verify_apostol_reciprocity(w, CoprimePair(p, q)) != 0
+
+    @pytest.mark.parametrize("w,p,q", _reciprocity_sample(30))
+    def test_matches_three_fraction_residual(self, w, p, q, monkeypatch):
+        pair = CoprimePair(p, q)
+        assert verify_apostol_reciprocity(w, pair) == three_fraction_residual(w, pair) == 0
+        # and off zero, with every numerator one off
+        numerator = exact._apostol_numerator
+        monkeypatch.setattr(exact, "_apostol_numerator", lambda k, q, p: numerator(k, q, p) + 1)
+        residual = verify_apostol_reciprocity(w, pair)
+        assert residual == three_fraction_residual(w, pair) != 0
 
     def test_numpy_pair_is_exact(self):
         # numpy integers become ints: p**w no longer wraps at int64

@@ -17,8 +17,7 @@ import numbers
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from types import MappingProxyType
-from typing import Dict, Mapping, Tuple, Union
+from typing import Dict, Tuple, Union
 
 Coeff = Union[Fraction, complex]
 ExpPair = Tuple[int, int]
@@ -144,19 +143,23 @@ def _bernoulli_table(size: int) -> Tuple[Fraction, ...]:
 bernoulli_number.cache_clear = _bernoulli_table.cache_clear
 
 
-@functools.lru_cache(maxsize=None)
-def _bernoulli_poly_coeffs(k: int) -> Tuple[Fraction, ...]:
-    # B_k(x) = sum_j C(k, j) B_j x^{k-j}; coefficients in descending powers.
-    return tuple(Fraction(math.comb(k, j)) * bernoulli_number(j) for j in range(k + 1))
+def _over_one_denominator(fracs) -> Tuple[int, Tuple[int, ...]]:
+    """(D, (D n / d, ...)) for the rationals n / d given as int pairs (n, d),
+    d > 0: D is the lcm of their reduced denominators."""
+    reduced = [(n // g, d // g) for n, d in fracs for g in (math.gcd(n, d),)]
+    big = math.lcm(*(d for _, d in reduced))
+    return big, tuple(n * (big // d) for n, d in reduced)
 
 
 @functools.lru_cache(maxsize=None)
 def _bernoulli_int_coeffs(k: int) -> Tuple[int, Tuple[int, ...]]:
-    """(D, (D C(k, j) B_j)_j): D is the lcm of the denominators of B_0..B_k,
-    so D B_k(x) has integer coefficients (descending powers)."""
-    coeffs = _bernoulli_poly_coeffs(k)
-    d = math.lcm(*(c.denominator for c in coeffs))
-    return d, tuple(c.numerator * (d // c.denominator) for c in coeffs)
+    """(D, (D C(k, j) B_j)_j): B_k(x) = sum_j C(k, j) B_j x^{k-j}, and D is
+    the lcm of the reduced denominators of the C(k, j) B_j, so D B_k(x) has
+    integer coefficients (descending powers), from the numerators and
+    denominators of `_bernoulli_table`."""
+    table = _bernoulli_table(1 << k.bit_length())
+    return _over_one_denominator((math.comb(k, j) * table[j].numerator, table[j].denominator)
+                                 for j in range(k + 1))
 
 
 @functools.lru_cache(maxsize=None)
@@ -173,15 +176,18 @@ def _bernoulli_centred_coeffs(k: int) -> Tuple[int, Tuple[int, ...]]:
 
 
 def bernoulli_polynomial(k: int, x: Union[Fraction, int]) -> Fraction:
-    """Exact value of the kth Bernoulli polynomial at rational x."""
+    """Exact value of the kth Bernoulli polynomial at rational x = n/d: the
+    integer Horner sum_j a_j n^{k-j} d^j over `_bernoulli_int_coeffs`'
+    (D, a), divided once by D d^k."""
     k = _checked_int(k, "k")
     if k < 0:
         raise ValueError("k must be >= 0")
-    x = Fraction(x)
-    acc = Fraction(0)
-    for c in _bernoulli_poly_coeffs(k):
-        acc = acc * x + c
-    return acc
+    n, d = Fraction(x).as_integer_ratio()
+    big, coeffs = _bernoulli_int_coeffs(k)
+    acc = 0
+    for j, c in enumerate(coeffs):
+        acc = acc * n + c * d**j
+    return Fraction(acc, big * d**k)
 
 
 def bernoulli_function(k: int, x: Union[Fraction, int]) -> Fraction:
@@ -607,34 +613,33 @@ def g_poly(w: int) -> LaurentPoly:
 
     g_w(p,q) = -(1/pq) [ sum_{j=0}^{w/2+1} w! B_{2j} B_{w+2-2j}
                          / (2 (2j)! (w+2-2j)!) p^{2j} q^{w+2-2j}
-                         + B_{w+2} / (2(w+2)) ].
+                         + B_{w+2} / (2(w+2)) ],
+
+    a fresh LaurentPoly (it is mutable) of the Fractions c / den of the
+    integer table `_g_int_terms`.
     """
-    # LaurentPoly is mutable: every call gets its own copy of the cached table
-    return LaurentPoly(dict(_g_poly_coeffs(_checked_weight(w))))
-
-
-@functools.lru_cache(maxsize=None)
-def _g_poly_coeffs(w: int) -> Mapping[ExpPair, Coeff]:
-    coeffs: Dict[ExpPair, Coeff] = {}
-    wfact = math.factorial(w)
-    for j in range(w // 2 + 2):
-        c = -Fraction(wfact) * bernoulli_number(2 * j) * bernoulli_number(w + 2 - 2 * j)
-        c /= 2 * math.factorial(2 * j) * math.factorial(w + 2 - 2 * j)
-        if c != 0:
-            coeffs[(2 * j - 1, w + 1 - 2 * j)] = coeffs.get((2 * j - 1, w + 1 - 2 * j), Fraction(0)) + c
-    coeffs[(-1, -1)] = -bernoulli_number(w + 2) / (2 * (w + 2))
-    return MappingProxyType(coeffs)
+    den, terms = _g_int_terms(_checked_weight(w))
+    return LaurentPoly({(i - 1, j - 1): Fraction(c, den) for i, j, c in terms})
 
 
 @functools.lru_cache(maxsize=None)
 def _g_int_terms(w: int) -> Tuple[int, Tuple[Tuple[int, int, int], ...]]:
     """(den, ((i + 1, j + 1, den c_ij), ...)) over the monomials c_ij p^i q^j
-    of g_w: den is their common denominator, so that den pq g_w(p, q) is an
-    integer polynomial with exponents i + 1, j + 1 >= 0."""
-    coeffs = _g_poly_coeffs(w)
-    den = math.lcm(*(c.denominator for c in coeffs.values()))
-    return den, tuple((i + 1, j + 1, c.numerator * (den // c.denominator))
-                      for (i, j), c in coeffs.items())
+    of g_w: den is the lcm of their reduced denominators, so that
+    den pq g_w(p, q) is an integer polynomial with exponents i + 1, j + 1 >= 0.
+
+    As w! / ((2j)! (w+2-2j)!) = C(w+2, 2j) / ((w+1)(w+2)), the monomial
+    p^i q^j of pq g_w, (i, j) = (2t, w+2-2t) for t = 0..w/2+1 in turn, has
+    the coefficient -C(w+2, i) B_i B_j / (2 (w+1)(w+2)), and the constant
+    -B_{w+2} / (2(w+2)) comes last; each is formed from the numerators and
+    denominators of `_bernoulli_table`."""
+    b = _bernoulli_table(1 << (w + 2).bit_length())
+    exps = [(2 * t, w + 2 - 2 * t) for t in range(w // 2 + 2)]
+    fracs = [(-math.comb(w + 2, i) * b[i].numerator * b[j].numerator,
+              2 * (w + 1) * (w + 2) * b[i].denominator * b[j].denominator) for i, j in exps]
+    fracs.append((-b[w + 2].numerator, 2 * (w + 2) * b[w + 2].denominator))
+    den, nums = _over_one_denominator(fracs)
+    return den, tuple((i, j, c) for (i, j), c in zip(exps + [(0, 0)], nums))
 
 
 def verify_apostol_reciprocity(w: int, pair: CoprimePair) -> Fraction:

@@ -25,7 +25,7 @@ from typing import List, Mapping, NamedTuple, Sequence, Tuple
 import numpy as np
 
 from .exact import (CoprimePair, ExpPair, LaurentPoly, _checked_int, _checked_weight,
-                    bernoulli_number, dim_data, g_poly)
+                    _g_int_terms, bernoulli_number, dim_data, g_poly)
 from .qseries import (
     DEFAULT_POLICY,
     TWO_PI_I,
@@ -129,7 +129,10 @@ def _record(n: int, at: _Checked) -> _Record:
     laurent, err = _laurent_of(cv)
     w = 2 * n
     scalar = -(TWO_PI_I**w) * float(_eq64_alpha(w)) * _eisenstein_normalized(n + 1, at).value
-    eq64 = laurent - LaurentPoly({e: scalar * complex(c) for e, c in g_poly(w).coeffs.items()})
+    # g_w's coefficients c / den as correctly rounded int quotients, the
+    # floats of its Fractions
+    den, terms = _g_int_terms(w)
+    eq64 = laurent - LaurentPoly({(i - 1, j - 1): scalar * (c / den) for i, j, c in terms})
     scale = max(abs(e_top.value), math.pi / n * abs(de.value),
                 *(abs(prod.value) for prod in prods))
     return _Record(table, cv, _eq73_of(n, cv.c), scale, MappingProxyType(laurent.coeffs), err,

@@ -582,13 +582,13 @@ def _divisor_power_sums(ell: int, count: int) -> Tuple[int, ...]:
 _FLOAT_END = 2**1024 - 2**970
 
 
-@_short_tables_cached
 def _divisor_power_floats(ells: Tuple[int, ...], count: int) -> np.ndarray:
     """The float view of `_divisor_power_sums(ell, count)` for each ell of
     ells: float(sigma_ell(k)) for k = 1..rows (rows) and ell (columns),
-    read-only, cached as the int tables are.  rows = count, or fewer where
-    sigma leaves binary64: the view ends before the first k at which sigma
-    of the largest ell, which is the largest sigma, does."""
+    read-only, and uncached: its one caller, `_build_plan`, is read through
+    the plan cache, which keeps the weights built from it.  rows = count, or
+    fewer where sigma leaves binary64: the view ends before the first k at
+    which sigma of the largest ell, which is the largest sigma, does."""
     top = _divisor_power_sums(max(ells, default=1), count)
     rows = next((k for k, s in enumerate(top) if s >= _FLOAT_END), count)
     table = np.array([_divisor_power_sums(ell, count)[:rows] for ell in ells],

@@ -73,6 +73,7 @@ from .qseries import (
     _eisenstein,
     _eisenstein_table,
     _frame,
+    _lattice_check,
     _p_deriv_at,
     _pe_blocks,
     _sigma_log_blocks,
@@ -327,12 +328,14 @@ def generating_R(pair: CoprimePair, tau: TauPoint, x: float,
     The blocks and pe(x) + E_2 come without E_2 at tau, so that at a
     reduced tau they never mix two tau's E_2.  The points are real: p x
     and q x, correctly rounded products whose rounding err charges, and x;
-    0 < |x| < 1/(2 max(p,q)) keeps them off the lattice."""
+    |x| < 1/(2 max(p,q)) keeps them off every lattice point but 0, and the
+    lattice check (`qseries._lattice_check`) rejects an x too near 0."""
     pair.require_u()
     p, q = pair.p, pair.q
     if not 0 < abs(x) < 1 / (2 * max(p, q)):
         raise ValueError(f"need 0 < |x| < 1/(2 max(p,q)), got {x}")
     xs = np.array([p * x, q * x, x])
+    _lattice_check(xs, np.zeros(3), lambda i: f"R^-: the point {xs[i]} is a lattice point")
     f = _frame(xs, np.zeros(3), _checked(tau, policy), (2.0**-53 * np.abs(xs * (1, 1, 0)), 0.0))
     b, heat, pe_e2 = _sigma_log_blocks(f, 2)
     scale = 1.0 / (TWO_PI_I**2).real

@@ -13,6 +13,7 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 from ellded.cli import build_parser, main
+from ellded.qseries import SlowNomeWarning
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "schema"
 
@@ -301,6 +302,23 @@ class TestVerifyExitCodes:
         code, out, err = run_cli(["eval", "eisenstein", "-n", "1", f"--tau={tau}"])
         assert (code, out) == (3, "")
         assert err.splitlines() == [f"error: tau must be finite, got {complex(tau[:-1] + 'j')}"]
+
+    def test_generating_r_near_zero_is_domain_error(self):
+        # p x, q x and x are lattice-checked: no err of Infinity in the JSON
+        code, out, err = run_cli(["eval", "generating", "--which", "r", "-p", "2", "-q", "1",
+                                  "--x", "1e-100", "--tau", "0.1+1i"])
+        assert (code, out) == (3, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    def test_lemma32_cap_is_domain_error(self):
+        # three terms are too few near the real axis; the console-script
+        # check in CI runs the same command
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SlowNomeWarning)
+            code, out, err = run_cli(["verify", "lemma32", "-p", "3", "-q", "2",
+                                      "--tau", "0.3+0.06i", "--max-terms", "3"])
+        assert (code, out) == (3, "")
+        assert err.splitlines() == ["error: elliptic Bernoulli series hit max_terms=3"]
 
     def test_lattice_point_z_is_domain_error(self):
         code, out, err = run_cli(["eval", "zeta-w", "--z", "0", "--tau", "0.3+1.1i"])

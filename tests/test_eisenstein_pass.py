@@ -101,12 +101,11 @@ def test_sigma_table_and_its_float_view(ell):
 
 
 def test_sigma_tables_past_the_bound_are_not_cached():
-    # a table of at most SIGMA_CACHE_TERMS terms is cached, a longer one,
-    # int or float, is built afresh and kept by no cache
+    # a table of at most SIGMA_CACHE_TERMS terms is cached, a longer one is
+    # built afresh and kept by no cache
     bound = qseries.SIGMA_CACHE_TERMS
-    ints, floats = qseries._divisor_power_sums.cache, qseries._divisor_power_floats.cache
+    ints = qseries._divisor_power_sums.cache
     ints.cache_clear()
-    floats.cache_clear()
     assert qseries._divisor_power_sums(3, bound) is qseries._divisor_power_sums(3, bound)
     assert ints.cache_info().currsize == 1
     long = qseries._divisor_power_sums(3, 2 * bound)
@@ -116,7 +115,7 @@ def test_sigma_tables_past_the_bound_are_not_cached():
     assert qseries._divisor_power_sums(3, 2 * bound) is not long
     view = qseries._divisor_power_floats((3,), 2 * bound)
     assert view[:, 0].tolist() == [float(s) for s in long]
-    assert ints.cache_info().currsize == 1 and floats.cache_info().currsize == 0
+    assert ints.cache_info().currsize == 1
 
 
 def test_float_view_ends_where_sigma_leaves_binary64():

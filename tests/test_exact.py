@@ -44,6 +44,100 @@ def recurrence_bernoulli_number(k: int) -> Fraction:
     return -sum(Fraction(math.comb(k + 1, j)) * recurrence_bernoulli_number(j) for j in range(k)) / (k + 1)
 
 
+@functools.lru_cache(maxsize=None)
+def fraction_bernoulli_poly_coeffs(k: int):
+    """The Fraction table that B_k(x) and its integer table were built from
+    before both came from `_bernoulli_table`'s integers, kept verbatim as
+    the reference: B_k(x) = sum_j C(k, j) B_j x^{k-j}, descending powers."""
+    return tuple(Fraction(math.comb(k, j)) * bernoulli_number(j) for j in range(k + 1))
+
+
+def fraction_bernoulli_int_coeffs(k: int):
+    """`_bernoulli_int_coeffs` as it was read off the Fraction table."""
+    coeffs = fraction_bernoulli_poly_coeffs(k)
+    d = math.lcm(*(c.denominator for c in coeffs))
+    return d, tuple(c.numerator * (d // c.denominator) for c in coeffs)
+
+
+def fraction_bernoulli_polynomial(k: int, x) -> Fraction:
+    """B_k(x) by the Fraction Horner over the reference table."""
+    x = Fraction(x)
+    acc = Fraction(0)
+    for c in fraction_bernoulli_poly_coeffs(k):
+        acc = acc * x + c
+    return acc
+
+
+@functools.lru_cache(maxsize=None)
+def fraction_g_poly_coeffs(w: int):
+    """The Fraction table of g_w from w! products, which `g_poly` and
+    `_g_int_terms` read before both came from `_bernoulli_table`'s
+    integers, kept verbatim as the reference."""
+    coeffs = {}
+    wfact = math.factorial(w)
+    for j in range(w // 2 + 2):
+        c = -Fraction(wfact) * bernoulli_number(2 * j) * bernoulli_number(w + 2 - 2 * j)
+        c /= 2 * math.factorial(2 * j) * math.factorial(w + 2 - 2 * j)
+        if c != 0:
+            coeffs[(2 * j - 1, w + 1 - 2 * j)] = coeffs.get((2 * j - 1, w + 1 - 2 * j), Fraction(0)) + c
+    coeffs[(-1, -1)] = -bernoulli_number(w + 2) / (2 * (w + 2))
+    return coeffs
+
+
+def fraction_g_int_terms(w: int):
+    """`_g_int_terms` as it was read off the Fraction table."""
+    coeffs = fraction_g_poly_coeffs(w)
+    den = math.lcm(*(c.denominator for c in coeffs.values()))
+    return den, tuple((i + 1, j + 1, c.numerator * (den // c.denominator))
+                      for (i, j), c in coeffs.items())
+
+
+class TestIntegerTables:
+    """The integer tables, built from `_bernoulli_table`'s numerators and
+    denominators, against the Fraction tables they replaced."""
+
+    def test_bernoulli_int_coeffs_match_fraction_table(self):
+        for k in range(301):
+            assert _bernoulli_int_coeffs(k) == fraction_bernoulli_int_coeffs(k), k
+
+    def test_g_int_terms_match_fraction_table(self):
+        for w in range(2, 301, 2):
+            assert exact._g_int_terms(w) == fraction_g_int_terms(w), w
+            # the same Fractions in the same order
+            assert list(g_poly(w).coeffs.items()) == list(fraction_g_poly_coeffs(w).items()), w
+
+    def test_bernoulli_polynomial_matches_fraction_horner(self):
+        rng = random.Random(4021)
+        xs = [Fraction(0), Fraction(1), Fraction(-3), Fraction(-7, 5), Fraction(1, 2)]
+        xs += [Fraction(rng.randint(-500, 500), rng.randint(1, 400)) for _ in range(40)]
+        for k in range(61):
+            for x in xs:
+                got = bernoulli_polynomial(k, x)
+                assert type(got) is Fraction and got == fraction_bernoulli_polynomial(k, x), (k, x)
+        # an int x, and k = 0, where B_0(x) = 1
+        assert bernoulli_polynomial(7, -2) == fraction_bernoulli_polynomial(7, -2)
+        assert bernoulli_polynomial(0, Fraction(-9, 4)) == 1
+
+    @pytest.mark.parametrize("w", [2, 4, 6, 8, 12])
+    @pytest.mark.parametrize("tau", [1j, 0.3 + 1.1j, -0.4 + 0.9j])
+    def test_eq64_matches_complex_of_g_poly(self, w, tau):
+        # the residual's coefficients, from int quotients c / den, have the
+        # bits of those formed from complex(c) over g_poly's Fractions
+        from ellded import identities
+        from ellded.qseries import DEFAULT_POLICY, TWO_PI_I, TauPoint, _checked
+        at = _checked(TauPoint(tau), DEFAULT_POLICY)
+        n = w // 2
+        scalar = (-(TWO_PI_I**w) * float(identities._eq64_alpha(w))
+                  * identities._eisenstein_normalized(n + 1, at).value)
+        want = (LaurentPoly(dict(identities._record(n, at).laurent))
+                - LaurentPoly({e: scalar * complex(c) for e, c in g_poly(w).coeffs.items()}))
+        got = identities.verify_eq64_onedim(w, TauPoint(tau))
+
+        def bits(poly):
+            return [(e, c.real.hex(), c.imag.hex()) for e, c in poly.coeffs.items()]
+        assert bits(got) == bits(want)
+
+
 class TestBernoulliNumber:
     def test_base_case(self):
         assert bernoulli_number(0) == 1

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellded.exact import CoprimePair, apostol_sum, g_poly
-from ellded.qseries import TauPoint, eisenstein, elliptic_bernoulli_points
+from ellded.qseries import LatticePointError, TauPoint, eisenstein, elliptic_bernoulli_points
 from ellded.symbols import (
     MachideSpec,
     Route,
@@ -181,6 +181,13 @@ class TestGeneratingFunctions:
             generating_D(CoprimePair(3, 2), TAU_I, 0.4)
         with pytest.raises(ValueError):
             generating_R(CoprimePair(3, 2), TAU_I, 0.0)
+
+    @pytest.mark.parametrize("x", [1e-100, -1e-13])
+    def test_r_rejects_points_on_the_lattice(self, x):
+        # p x, q x and x within the lattice check's reach of 0: a
+        # LatticePointError, not an err of Infinity or of 1e23
+        with pytest.raises(LatticePointError, match="is a lattice point"):
+            generating_R(CoprimePair(2, 1), TauPoint(0.1 + 1j), x)
 
     def test_theorem13_constancy_and_constant(self):
         for tau in (TAU_I, TauPoint(0.2 + 1.2j)):

@@ -15,13 +15,13 @@ under the batch's one term cap and one stopping rule, a term pair not above
 tol max(|sum|, 1), which a NaN pair also meets, and leaves the batch once
 it has stopped; the engine raises the term cap's NonConvergenceError for
 the first column still running after max_terms, so no kernel has a failure
-path of its own.  The kernels run under `np.errstate(all="ignore")`: rows
-past the stop may overflow unseen, and `_finite` is the one check, which
-raises OverflowError where a value or err leaves binary64.  The terms are
-evaluated in blocks of consecutive j, as 2-D arrays over (j, column) of at
-most BLOCK_ELEMENTS entries, and then added one j at a time, each Kahan
-step written in place into the block's rows, so values equal a
-term-by-term run's bit for bit.  The first block is sized from |q|
+path of its own.  The series run under `np.errstate(all="ignore")`: rows
+past the stop may overflow unseen, and `_finite` is the one check of an
+array, which raises OverflowError where a value or err leaves binary64.
+The terms are evaluated in blocks of consecutive j, as 2-D arrays over
+(j, column) of at most BLOCK_ELEMENTS entries, and then added one j at a
+time, each Kahan step written in place into the block's rows, so values
+equal a term-by-term run's bit for bit.  The first block is sized from |q|
 (`_points_rows`), so that a pass near the fundamental domain runs one
 block, which it returns as it stands once every column has stopped in it.
 
@@ -32,15 +32,17 @@ pass per order, so that a symbol takes the B_m factors of every order it
 needs from one call.  Integer powers in the series are IEEE products
 (`_ipow`), not numpy's pow, so their bits do not depend on the host.
 The Weierstrass and elliptic Bernoulli kernels run at tau reduced to the
-fundamental domain (`_reduction`) and map their values back by weight, B_m
-being a lattice sum of weight m; the Eisenstein functions run at tau
-itself.  A symbol that is a modular form as a whole reduces by its own
-weight through one helper, `_by_weight`: it hands the symbol's evaluator
-the caller's record on the closed F, else the record of tau', and
-multiplies by m^-w; the evaluator calls the series at
-the record it is given directly (`_p_deriv_at`, `_b_series`,
-`_bernoulli_series`, `_eisenstein_table`), with no check, frame or weight
-of its own.
+fundamental domain (`_reduction`) and leave their frame one way,
+`_Frame.back`, which maps their values back by weight, B_m being a lattice
+sum of weight m, and checks them there by `_finite`; the Eisenstein
+functions run at tau itself.  A symbol that is a modular form as a whole
+reduces by its own weight through one helper, `_by_weight`: it hands the
+symbol's evaluator the caller's record on the closed F, else the record of
+tau', and multiplies by m^-w; the evaluator calls the series at the record
+it is given directly (`_p_deriv_series`, `_b_series`, `_bernoulli_series`,
+`_eisenstein_table`), with no check, frame or weight of its own.  A
+`ComplexVal` checks its value as it is built, so a sum or product that
+leaves binary64 raises OverflowError there, not as NaN or Infinity.
 b = zeta - E_2 z comes straight from one B_1 batch (`_b_series`), with no
 E_2, and zeta is b + E_2 z.
 Each input rule has one home, and the series only evaluate.  Each public
@@ -192,13 +194,17 @@ class ComplexVal:
 
     Immutable, compared and hashed by (value, err), with the repr of a
     dataclass; a slotted class rather than a frozen dataclass because the
-    arithmetic builds one per operation."""
+    arithmetic builds one per operation.  A value that is not finite raises
+    OverflowError where it is built; err may be inf, as a NonConvergenceError
+    partial's is."""
 
     __slots__ = ("value", "err")
 
     def __init__(self, value: complex, err: float = 0.0):
         if err < 0:
             raise ValueError("err must be >= 0")
+        if not cmath.isfinite(value):
+            raise _out_of_range("a value")
         _SET_VALUE(self, value)
         _SET_ERR(self, err)
 
@@ -997,13 +1003,11 @@ def elliptic_bernoulli_points(m, x, y, tau: TauPoint,
     return _bernoulli_points(m, x, y, _checked(tau, policy))
 
 
-@np.errstate(all="ignore")
 def _bernoulli_points(m, x, y, at: _Checked) -> ComplexArray:
     """`elliptic_bernoulli_points` at `at`'s tau: the caller's points are
     lattice-checked and framed (`_frame`), and each order k's series runs
-    at the frame's record, off F times (c tau + d)^-k (`_Reduction.weight`),
-    as B_k is a lattice sum of weight k (see `_Reduction`).  No numpy
-    warning: `_finite` is the one overflow check."""
+    at the frame's record and returns through `_Frame.back`, B_k being a
+    lattice sum of weight k (see `_Reduction`)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     m = np.asarray(m)
@@ -1021,9 +1025,7 @@ def _bernoulli_points(m, x, y, at: _Checked) -> ComplexArray:
     out = ComplexArray(np.ones(len(x), dtype=complex), np.zeros(len(x)))
     for k in sorted(set(m.tolist()) - {0}):
         on = m == k
-        b = _bernoulli_series(k, f.x[on], f.y[on], f.at, (dx[on], dy[on]))
-        if f.red is not None:
-            b = _finite(b * f.red.weight(k), f"B_{k}")
+        b = f.back(_bernoulli_series(k, f.x[on], f.y[on], f.at, (dx[on], dy[on])), k, f"B_{k}")
         if on.all():
             return b
         out.value[on], out.err[on] = b.value, b.err
@@ -1262,6 +1264,17 @@ class _Frame(NamedTuple):
                             dx + dy * abs(t) + np.abs(self.y) * self.at.dtau
                             + 2.0**-52 * (np.abs(self.x) + np.abs(self.y) * abs(t)))
 
+    def back(self, v: ComplexArray, w: int, what: str) -> ComplexArray:
+        """v, the values at the frame's points of a function of weight w,
+        as the caller's tau has them: v itself on the closed F, else v
+        (c tau + d)^-w (`_Reduction.weight`), with no numpy warning and
+        `_finite` naming `what` where the weight takes a value or err out
+        of binary64."""
+        if self.red is None:
+            return v
+        with np.errstate(all="ignore"):
+            return _finite(v * self.red.weight(w), what)
+
 
 def _frame(x: np.ndarray, y: np.ndarray, at: _Checked, arg_err) -> _Frame:
     """The points x - y tau in the frame of the reduction of `at`'s tau,
@@ -1335,8 +1348,7 @@ def weierstrass_zeta_points(z, tau: TauPoint,
     """`weierstrass_zeta` at every point of the array z, as b + E_2 z from
     one batched B_1 series (`_b_series`) and one E_2, at tau reduced to F."""
     f = _kernel_frame(z, _checked(tau, policy), "zeta")
-    zeta = _b_series(f.x, f.y, f.at, f.arg_err) + f.z() * _eisenstein(1, f.at)
-    return zeta if f.red is None else zeta * f.red.weight(1)
+    return f.back(_b_series(f.x, f.y, f.at, f.arg_err) + f.z() * _eisenstein(1, f.at), 1, "zeta")
 
 
 def weierstrass_zeta(z: complex, tau: TauPoint,
@@ -1400,12 +1412,16 @@ def _phi(k: int, w: np.ndarray, pk: Tuple[int, ...],
     return num / _ipow(den, k + 2), num_abs / _ipow(np.abs(den), k + 3)
 
 
+@np.errstate(all="ignore")
 def _p_deriv_series(k: int, x: np.ndarray, y: np.ndarray, at: _Checked, arg_err) -> ComplexArray:
     """pe^(k)(x - y tau; tau) by the Fourier series of `weierstrass_p_deriv`
-    at `at`'s tau, at points off the lattice with y snapped.  `arg_err` as
+    at `at`'s tau, at points off the lattice with y snapped, as a frame
+    (`_frame`) or an evaluator of `_by_weight` gives them.  `arg_err` as
     in `_Frame`, the caller's bounds: the errors of x, y and tau,
     `at.dtau`, add 2 pi (dx + dy |tau| + |y0| dtau) to the argument of u
-    and 2 pi dtau to that of q, which E_2 carries in its err (`_nome_err`)."""
+    and 2 pi dtau to that of q, which E_2 carries in its err (`_nome_err`).
+    Runs with no numpy warning: rows past the stop may overflow, and
+    `_finite` is the one overflow check."""
     t = at.tau
     # y0 is +0 or beyond _LATTICE_EPS: the caller has snapped y (`_frame`)
     y0 = y - np.rint(y)
@@ -1467,7 +1483,7 @@ def _p_deriv_series(k: int, x: np.ndarray, y: np.ndarray, at: _Checked, arg_err)
     val = ComplexArray(value, tail + 2.0**-53 * rnd)
     if k == 0:
         val = val - _eisenstein(1, at)
-    return val
+    return _finite(val, f"pe^({k})")
 
 
 def weierstrass_p_deriv_points(k: int, z, tau: TauPoint,
@@ -1477,27 +1493,8 @@ def weierstrass_p_deriv_points(k: int, z, tau: TauPoint,
     k = _checked_int(k, "k")
     if k < 0:
         raise ValueError("k must be >= 0")
-    return _p_deriv_points(k, z, _checked(tau, policy))
-
-
-@np.errstate(all="ignore")
-def _p_deriv_points(k: int, z, at: _Checked) -> ComplexArray:
-    """`weierstrass_p_deriv_points` at `at`'s tau, the reduction weight
-    included, with no numpy warning: `_finite` is the one overflow check."""
-    f = _kernel_frame(z, at, "pe")
-    pe = _p_deriv_series(k, f.x, f.y, f.at, f.arg_err)
-    return _finite(pe if f.red is None else pe * f.red.weight(k + 2), f"pe^({k})")
-
-
-@np.errstate(all="ignore")
-def _p_deriv_at(k: int, x: np.ndarray, y: np.ndarray, at: _Checked, arg_err) -> ComplexArray:
-    """pe^(k)(x - y tau) at `at`'s tau itself, for points that the caller
-    gives off the lattice, with y snapped, with `arg_err` as in `_Frame`
-    and the error of tau in `at`: no check, no frame and no weight, for a
-    sum that a symbol evaluates as a whole at the record `_by_weight` gives
-    it, the caller's on F or that of tau' off F.  No numpy warning;
-    `_finite` is the one overflow check."""
-    return _finite(_p_deriv_series(k, x, y, at, arg_err), f"pe^({k})")
+    f = _kernel_frame(z, _checked(tau, policy), "pe")
+    return f.back(_p_deriv_series(k, f.x, f.y, f.at, f.arg_err), k + 2, f"pe^({k})")
 
 
 def weierstrass_p_deriv(k: int, z: complex, tau: TauPoint,

@@ -74,7 +74,7 @@ from .qseries import (
     _eisenstein_table,
     _frame,
     _lattice_check,
-    _p_deriv_at,
+    _p_deriv_series,
     _pe_blocks,
     _sigma_log_blocks,
     _zeta_block,
@@ -241,7 +241,7 @@ def _route_sum(route: Route, n: int, pair: CoprimePair, at: _Checked) -> Complex
     if route is Route.ZETA_DERIVATIVE:
         x, y, xq, yq = lam / p, -mu / p, q * lam / p, -q * mu / p
         # zeta^{(2n)} = -pe^{(2n-1)}
-        first = -_p_deriv_at(2 * n - 1, x, y, at, _coordinate_err(x, y))
+        first = -_p_deriv_series(2 * n - 1, x, y, at, _coordinate_err(x, y))
         second = (_b_series(xq, yq, at, _coordinate_err(xq, yq))
                   + ComplexArray(TWO_PI_I * (q * mu / p), 0.0))
     else:
@@ -422,10 +422,13 @@ def _machide_factors(spec: MachideSpec) -> List[Tuple[int, np.ndarray, np.ndarra
             (spec.n, bp * (jp + zp) / cp - yp, b * (j + z) / c - y)]
 
 
+@np.errstate(all="ignore")
 def machide_sum(spec: MachideSpec, tau: TauPoint,
                 policy: SeriesPolicy = DEFAULT_POLICY) -> ComplexVal:
     """S^tau_{m,n}: the (1/c') double residue-class sum of two elliptic
-    Bernoulli factors at the rescaled parameters (a'/a) tau and (b'/b) tau."""
+    Bernoulli factors at the rescaled parameters (a'/a) tau and (b'/b) tau.
+    The product of two large factors may leave binary64 with no numpy
+    warning: the sum, a `ComplexVal`, is checked as it is built."""
     ap, a = spec.vec_a
     bp, b = spec.vec_b
     (m, x1, y1), (n, x2, y2) = _machide_factors(spec)

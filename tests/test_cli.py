@@ -340,6 +340,25 @@ class TestVerifyExitCodes:
         assert (code, out) == (3, "")
         assert err.splitlines() == [f"error: {name} leaves the floating-point range"]
 
+    @pytest.mark.parametrize("argv", [
+        ["eval", "elliptic-sum", "-n", "60", "-p", "3", "-q", "2", "--tau", "0.3+0.06i"],
+        ["eval", "elliptic-sum", "-n", "75", "-p", "23", "-q", "12", "--tau", "0.3+1.1i",
+         "--route", "bernoulli_product"],
+        ["eval", "reciprocity-rhs", "-n", "80", "-p", "23", "-q", "12", "--tau", "0.3+0.06i"],
+        ["eval", "machide", "-m", "160", "-n", "160", "--vec-a", "1,1", "--vec-b", "3,3",
+         "--vec-c", "2,2", "--vec-x", "0.013,0", "--vec-y", "0.021,0", "--vec-z=-0.014,0",
+         "--tau", "1i"],
+        ["verify", "three-term", "-n", "67", "-p", "29", "-q", "30", "--tau", "0+0.3i"],
+    ])
+    def test_sum_beyond_binary64_is_domain_error(self, argv):
+        # a sum of finite kernel values that leaves binary64 raises where
+        # its ComplexVal is built: no NaN or Infinity in the JSON
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SlowNomeWarning)
+            code, out, err = run_cli(argv)
+        assert (code, out) == (3, "")
+        assert err.splitlines() == ["error: a value leaves the floating-point range"]
+
 
 class TestVerifyFamilies:
     @pytest.mark.parametrize("argv", [

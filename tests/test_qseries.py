@@ -730,6 +730,31 @@ class TestBeyondBinary64:
         v = elliptic_bernoulli(160, 0.1, 0.2, TauPoint(0.3 + 1.1j))
         assert cmath.isfinite(v.value) and math.isfinite(v.err) and abs(v.value) > 1e156
 
+    @pytest.mark.parametrize("call", [
+        # the zeta route's sum overflows times m^-122; the Bernoulli route
+        # returns a finite D here
+        lambda: elliptic_apostol_sum(60, CoprimePair(3, 2), TauPoint(0.3 + 0.06j)),
+        # the route constant's intermediate (2 pi i)^150 23^149 overflows, on F
+        lambda: elliptic_apostol_sum(75, CoprimePair(23, 12), TauPoint(0.3 + 1.1j),
+                                     Route.BERNOULLI_PRODUCT),
+        lambda: reciprocity_rhs(80, CoprimePair(23, 12), TauPoint(0.3 + 0.06j)),
+        lambda: identities.t_weighted(67, CoprimePair(59, 30), TauPoint(0.3j)),
+        lambda: identities.verify_three_term(67, CoprimePair(29, 30), TauPoint(0.3j)),
+        # a product of two large B_160 arrays
+        lambda: machide_sum(MachideSpec((1, 1), (3, 3), (2, 2), (0.013, 0.0), (0.021, 0.0),
+                                        (-0.014, 0.0), 160, 160), TauPoint(1j)),
+    ], ids=["zeta_route_n60", "bernoulli_route_n75_on_f", "reciprocity_rhs_n80",
+            "t_weighted_n67", "three_term_n67", "machide_160"])
+    def test_symbol_beyond_binary64_raises(self, call):
+        """A sum whose value leaves binary64 raises where its ComplexVal is
+        built, with no RuntimeWarning on the way, in place of returning NaN
+        or Infinity."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SlowNomeWarning)
+            with pytest.raises(OverflowError,
+                               match=r"^a value leaves the floating-point range$"):
+                call()
+
 
 class TestZetaOdd:
     def test_zeta3(self):
@@ -1052,6 +1077,18 @@ class TestComplexVal:
             assert type(w) is ComplexVal and repr(w) == repr(v)
         with pytest.raises(ValueError):
             ComplexVal(1j, -1e-300)
+
+    @pytest.mark.parametrize("value", [complex("nan"), complex("inf"), complex(1.0, -math.inf),
+                                       complex(0.0, math.nan)],
+                             ids=["nan", "inf", "minus_inf_imag", "nan_imag"])
+    def test_non_finite_value_raises(self, value):
+        with pytest.raises(OverflowError, match=r"^a value leaves the floating-point range$"):
+            ComplexVal(value)
+
+    def test_infinite_err_accepted(self):
+        # a NonConvergenceError partial carries err = inf
+        v = ComplexVal(1.0, float("inf"))
+        assert v.value == 1.0 and v.err == math.inf
 
     @given(finite, finite, errs, finite, finite, errs, finite)
     @settings(max_examples=60, deadline=None)

@@ -24,6 +24,16 @@ time, each Kahan step written in place into the block's rows, so values
 equal a term-by-term run's bit for bit.  The first block is sized from |q|
 (`_points_rows`), so that a pass near the fundamental domain runs one
 block, which it returns as it stands once every column has stopped in it.
+What a pass reads of its tau alone comes from per-tau tables: the
+reduction of tau (`_reduction`), q, |q| and the pe series' error of q
+(`_nome`), the size of the first block (`_points_rows`) and that block's
+rows of q^j, j and the rounding of q^j (`_bernoulli_rows`, `_pe_rows`).
+Each is an `lru_cache` of TAU_CACHE_SIZE entries, enough for the records
+of the few tau in flight, a caller's tau and its tau', which every call
+and pass at them reads; a fresh tau per call would only grow a larger
+table.  The row tables are keyed on the whole record, dtau included, as
+the rounding of q^j charges dtau, so that a tau' of dtau > 0 never reads
+the rows of a caller's tau of the same value.
 
 The Weierstrass and elliptic Bernoulli functions are array kernels
 (`*_points`) on the engine; the scalar functions are one-point calls to them.
@@ -59,7 +69,7 @@ carry it in their err.  Points come into every point series one way, as
 coordinates (x, y) of z = x - y tau with bounds (dx, dy) on their errors,
 which the series count in err: straight from an evaluator of `_by_weight`,
 else through `_frame`, the one place that snaps a y within _LATTICE_EPS of
-an integer to it (`_snap`) and, off F, maps the points and their errors by
+an integer to it (`_snap_err`) and, off F, maps the points and their errors by
 gamma.  So every point series runs on the closed F or at tau' = gamma tau.
 B_m takes its points as (x, y), which pass the one point check before
 its frame.  Only the Weierstrass kernels hold a complex z: one helper,
@@ -185,7 +195,38 @@ def parse_tau(s: str) -> TauPoint:
 _EPS = 2.0**-52
 
 
-class ComplexVal:
+class _ValueErr:
+    """The frozen-dataclass behaviour of a slotted class with the two fields
+    value and err, which a subclass declares as its slots and sets in its
+    __init__ through the slots' own setters: the fields are read-only, and
+    the class has a dataclass's repr, equality and hash, by (value, err),
+    and pickles by them.  Slotted rather than a frozen dataclass because the
+    arithmetic builds one per operation."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, (self.value, self.err)
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__name__}(value={self.value!r}, err={self.err!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.value, self.err) == (other.value, other.err)
+
+    def __hash__(self) -> int:
+        return hash((self.value, self.err))
+
+
+class ComplexVal(_ValueErr):
     """A complex value with an a-posteriori error bound.
 
     err bounds the truncated series tails plus a first-order rounding model,
@@ -193,8 +234,7 @@ class ComplexVal:
     loss of significance.
 
     Immutable, compared and hashed by (value, err), with the repr of a
-    dataclass; a slotted class rather than a frozen dataclass because the
-    arithmetic builds one per operation.  A value that is not finite raises
+    dataclass (`_ValueErr`).  A value that is not finite raises
     OverflowError where it is built; err may be inf, as a NonConvergenceError
     partial's is."""
 
@@ -207,26 +247,6 @@ class ComplexVal:
             raise _out_of_range("a value")
         _SET_VALUE(self, value)
         _SET_ERR(self, err)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return ComplexVal, (self.value, self.err)
-
-    def __repr__(self) -> str:
-        return f"ComplexVal(value={self.value!r}, err={self.err!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is not ComplexVal:
-            return NotImplemented
-        return (self.value, self.err) == (other.value, other.err)
-
-    def __hash__(self) -> int:
-        return hash((self.value, self.err))
 
     def __add__(self, other):
         if isinstance(other, ComplexVal):
@@ -273,15 +293,25 @@ _SET_VALUE = ComplexVal.value.__set__
 _SET_ERR = ComplexVal.err.__set__
 
 
+#: the Python numbers, which `_abs` and `_cmul` take as they are
+_NUMBER = (int, float, complex)
+
+
 def _abs(v):
-    """|v| elementwise, rounded as Python's abs(complex) rounds it."""
+    """|v| elementwise, rounded as Python's abs(complex) rounds it: both are
+    the C library's hypot, so a number takes Python's abs itself."""
+    if isinstance(v, _NUMBER):
+        return abs(v)
     v = np.asarray(v)
     return np.hypot(v.real, v.imag)
 
 
 def _cmul(a, b):
-    """a * b elementwise, rounded as Python's complex product rounds it."""
-    a, b = np.asarray(a), np.asarray(b)
+    """a * b elementwise, rounded as Python's complex product rounds it; a
+    number b enters by its real and imaginary parts as Python floats."""
+    a = np.asarray(a)
+    if not isinstance(b, _NUMBER):
+        b = np.asarray(b)
     re = a.real * b.real - a.imag * b.imag
     out = np.empty(re.shape, dtype=complex)
     out.real = re
@@ -289,18 +319,21 @@ def _cmul(a, b):
     return out
 
 
-@dataclass(frozen=True)
-class ComplexArray:
+class ComplexArray(_ValueErr):
     """`ComplexVal` elementwise over a numpy array of points.
 
     The arithmetic applies ComplexVal's err rules elementwise and rounds as
     Python complex arithmetic does, so each element of a result equals the
     same expression in ComplexVals.  Operands are ComplexArrays, ComplexVals
     or plain numbers and arrays (taken as exact); keep a ComplexArray on the
-    left."""
+    left.  Its fields are read-only, with the repr of a dataclass
+    (`_ValueErr`), as every kernel and arithmetic step builds one."""
 
-    value: np.ndarray
-    err: np.ndarray
+    __slots__ = ("value", "err")
+
+    def __init__(self, value: np.ndarray, err: np.ndarray):
+        _SET_ARRAY_VALUE(self, value)
+        _SET_ARRAY_ERR(self, err)
 
     def __len__(self) -> int:
         return len(self.value)
@@ -331,6 +364,10 @@ class ComplexArray:
             )
         return ComplexArray(_cmul(self.value, other),
                             (self.err + _EPS * _abs(self.value)) * _abs(other))
+
+
+_SET_ARRAY_VALUE = ComplexArray.value.__set__
+_SET_ARRAY_ERR = ComplexArray.err.__set__
 
 
 @dataclass(frozen=True)
@@ -453,6 +490,12 @@ def _ipow(a, e: int):
 #: for large batches, where the width falls to BLOCK_ELEMENTS // columns
 BLOCK_ELEMENTS = 4096
 
+#: entries of each per-tau table (`_reduction`, `_points_rows`, `_nome`,
+#: `_bernoulli_rows`, `_pe_rows`): the records of the few tau in flight, a
+#: caller's tau and its tau', each read by every call and pass at them;
+#: bounded, as each call may bring a fresh tau
+TAU_CACHE_SIZE = 8
+
 
 def _block_series(start: np.ndarray, start_rnd: np.ndarray, terms,
                   state: Tuple[np.ndarray, ...], cap: int, tol: float, first: int,
@@ -488,17 +531,18 @@ def _block_series(start: np.ndarray, start_rnd: np.ndarray, terms,
     left, its narrow rest grows again from the rows it ran, not at once to
     BLOCK_ELEMENTS // columns.  A block in which every column stops, with
     none gone before it, is returned as it stands, with no compaction and
-    no scatter.  Returns per column the Kahan state (s, c) where it stopped,
-    the j it stopped at, its last size and its summed rounding bound."""
+    no scatter, and the scatter arrays are only allocated once a column
+    leaves before the last block.  Returns per column the Kahan state (s, c)
+    where it stopped, the j it stopped at, its last size and its summed
+    rounding bound."""
     n = len(start)
-    out_s, out_c = np.empty(n, dtype=complex), np.empty(n, dtype=complex)
-    out_j, out_last, out_rnd = np.empty(n, dtype=int), np.empty(n), np.empty(n)
-    idx = np.arange(n)
+    # idx: the batch's columns still running, None while all of them are
+    idx = out = None
     s, c, rnd = start + 0j, np.zeros(n, dtype=complex), start_rnd
     j = 0
     width = first
-    while idx.size:
-        rows = min(width, max(BLOCK_ELEMENTS // idx.size, 1), cap - j)
+    while len(s):
+        rows = min(width, max(BLOCK_ELEMENTS // len(s), 1), cap - j)
         term, size, r = terms(range(j + 1, j + rows + 1), *(a[None] for a in state))
         sums, comps = np.empty_like(term), np.empty_like(term)
         y = np.empty_like(s)
@@ -520,17 +564,23 @@ def _block_series(start: np.ndarray, start_rnd: np.ndarray, terms,
             stop[0] = False
         j += rows
         at = stop.argmax(axis=0)
-        cols = np.arange(idx.size)
+        cols = np.arange(len(s))
         done = stop[at, cols]
-        if idx.size == n and done.all():
+        all_done = done.all()
+        if idx is None and all_done:
             # every column stopped in this block, and none left before it
             return (sums[at, cols], comps[at, cols], j - rows + 1 + at, size[at, cols],
                     rnds[at, cols])
-        if j == cap and not done.all():
+        if j == cap and not all_done:
             i = np.flatnonzero(~done)[0]
             raise NonConvergenceError(f"{what} hit max_terms={cap}",
                                       ComplexVal(complex(s[i]), float("inf")))
         if np.count_nonzero(done):
+            if idx is None:
+                idx = np.arange(n)
+                out = (np.empty(n, dtype=complex), np.empty(n, dtype=complex),
+                       np.empty(n, dtype=int), np.empty(n), np.empty(n))
+            out_s, out_c, out_j, out_last, out_rnd = out
             k, at, col = idx[done], at[done], cols[done]
             out_s[k], out_c[k], out_rnd[k] = sums[at, col], comps[at, col], rnds[at, col]
             out_j[k], out_last[k] = j - rows + 1 + at, size[at, col]
@@ -538,7 +588,11 @@ def _block_series(start: np.ndarray, start_rnd: np.ndarray, terms,
             idx, s, c, rnd = idx[keep], s[keep], c[keep], rnd[keep]
             state = tuple(a[keep] for a in state)
         width = 2 * rows
-    return out_s, out_c, out_j, out_last, out_rnd
+    if out is None:
+        # an empty batch
+        return (np.empty(0, dtype=complex), np.empty(0, dtype=complex),
+                np.empty(0, dtype=int), np.empty(0), np.empty(0))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -920,6 +974,7 @@ def _lattice_check(x: np.ndarray, y: np.ndarray, message) -> None:
         raise LatticePointError(message(int(np.argmax(hit))))
 
 
+@lru_cache(maxsize=TAU_CACHE_SIZE)
 def _points_rows(aq: float, ell: int, reach: float, tol: float) -> int:
     """The terms a kernel series with |q| = aq runs before its stopping rule
     fires at every point of a batch: the first j >= 2 at which the model
@@ -966,6 +1021,73 @@ def _exp_err(a) -> np.ndarray:
     argument `a` built from a few rounded products of 2 pi i: each rounding
     of `a` becomes a relative error of the result."""
     return 6.0 * np.abs(a) + 4.0
+
+
+# ---------------------------------------------------------------------------
+# Per-tau tables of the point series
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=TAU_CACHE_SIZE)
+def _nome(at: _Checked) -> Tuple[complex, float, float]:
+    """q = e(tau) at `at`'s tau, as `cmath.exp` gives it, |q|, and err_q,
+    in units of 2^-53, the relative error that each factor q of a running
+    product q^j adds in the pe series: q's own (`_exp_err`), one product's
+    and 2 pi dtau.  Kept per record, dtau included."""
+    t = at.tau
+    q = cmath.exp(TWO_PI_I * t)
+    return q, abs(q), float(_exp_err(TWO_PI_I * t)) + 3.0 + _TWO_PI_ULPS * at.dtau
+
+
+def _read_only(arrays: tuple) -> tuple:
+    """The arrays of a shared table, marked read-only."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _bernoulli_row_table(at: _Checked, js: range) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The part of the rows js of a B_m series at `at`'s tau that depends on
+    tau alone (`_bernoulli_series`), as (rows x 1) columns: q^j = e(j tau),
+    by `cmath.exp` per row, j, and the rounding g (j + 1) + 11 of
+    w = e(-+y tau) q^j, in units of 2^-53, g = 12 pi |tau| + 2 pi dtau."""
+    t = at.tau
+    qj = np.array([cmath.exp(TWO_PI_I * j * t) for j in js])[:, None]
+    j = np.array(js, dtype=float)[:, None]
+    g = 12.0 * math.pi * abs(t)
+    g += _TWO_PI_ULPS * at.dtau
+    return qj, j, g * (j + 1) + 11.0
+
+
+@lru_cache(maxsize=TAU_CACHE_SIZE)
+def _bernoulli_rows(at: _Checked, rows: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_bernoulli_row_table` of a pass's first block, j = 1..rows, kept per
+    record and rows, read-only: every B_m pass at a record, of any order
+    and points, begins with it."""
+    return _read_only(_bernoulli_row_table(at, range(1, rows + 1)))
+
+
+def _pe_row_table(at: _Checked, js: range,
+                  qj: complex = 1.0 + 0j) -> Tuple[np.ndarray, np.ndarray, complex]:
+    """The part of the rows js of a pe series at `at`'s tau that depends on
+    tau alone (`_p_deriv_series`), as (rows x 1) columns: q^j, the running
+    product from qj = q^(js[0] - 1), one factor q (`_nome`) per j, and
+    j err_q, the relative error of q^j; and the last q^j, which the next
+    block runs on from."""
+    q, _, err_q = _nome(at)
+    powers = []
+    for _ in js:
+        qj *= q
+        powers.append(qj)
+    return np.array(powers)[:, None], np.array(js, dtype=float)[:, None] * err_q, qj
+
+
+@lru_cache(maxsize=TAU_CACHE_SIZE)
+def _pe_rows(at: _Checked, rows: int) -> Tuple[np.ndarray, np.ndarray, complex]:
+    """`_pe_row_table` of a pass's first block, j = 1..rows, kept per record
+    and rows, read-only."""
+    qjs, jerr, qj = _pe_row_table(at, range(1, rows + 1))
+    return _read_only((qjs, jerr)) + (qj,)
 
 
 # ---------------------------------------------------------------------------
@@ -1025,9 +1147,9 @@ def _bernoulli_points(m, x, y, at: _Checked) -> ComplexArray:
     out = ComplexArray(np.ones(len(x), dtype=complex), np.zeros(len(x)))
     for k in sorted(set(m.tolist()) - {0}):
         on = m == k
-        b = f.back(_bernoulli_series(k, f.x[on], f.y[on], f.at, (dx[on], dy[on])), k, f"B_{k}")
         if on.all():
-            return b
+            return f.back(_bernoulli_series(k, f.x, f.y, f.at, (dx, dy)), k, f"B_{k}")
+        b = f.back(_bernoulli_series(k, f.x[on], f.y[on], f.at, (dx[on], dy[on])), k, f"B_{k}")
         out.value[on], out.err[on] = b.value, b.err
     return out
 
@@ -1057,19 +1179,19 @@ def _bernoulli_series(m: int, x: np.ndarray, y: np.ndarray, at: _Checked,
     y = y - np.floor(y)
     dx, dy = arg_err
     dt = at.dtau
-    decay = abs(cmath.exp(TWO_PI_I * t))
+    decay = _nome(at)[1]
     # Rounding of a term P w / D, D = e(+-x) - w: the exponentials carry the
     # relative errors of their arguments (see _exp_err), e(+-x)'s and w's;
     # w = e(-+y tau) q^j has at most 12 pi |tau| (j + 1) + 11 ulps.  D turns
     # both into errors relative to itself, |w| and |e(+-x)| being at most 1;
     # |D| >= 1 - |q| for the second term.  The power, the product, the
-    # quotient and the sum of the pair add m + 11 ulps.
-    g = 12.0 * math.pi * abs(t)
+    # quotient and the sum of the pair add m + 11 ulps.  w's share, which
+    # depends on tau alone, comes with q^j from the rows of the record
+    # (`_bernoulli_rows`).
     kappa = 1.0 / (1.0 - decay)
     # w's share of the argument errors rides on e(+-x)'s, tripled: the
     # rounding below charges A (err_x + err_w) + size err_w, and
     # A = |t1| / |D1| + kappa |t2| >= size / 2 as |D1| <= 2
-    g += _TWO_PI_ULPS * dt
     err_x = _exp_err(TWO_PI_I * x) + _TWO_PI_ULPS * (dx + 3.0 * dy * abs(t))
     # dy in ulps, for the powers; only where some y moved
     dy_ulps = 2.0**53 * dy
@@ -1077,8 +1199,8 @@ def _bernoulli_series(m: int, x: np.ndarray, y: np.ndarray, at: _Checked,
 
     def terms(js, y, emy, epy, emx, epx, err_x, dy_ulps):
         # one row per j;  e(-y tau) q^j = e((j - y) tau),  e(y tau) q^j = e((j + y) tau)
-        qj = np.array([cmath.exp(TWO_PI_I * j * t) for j in js])[:, None]
-        j = np.array(js, dtype=float)[:, None]
+        qj, j, err_w = (_bernoulli_rows(at, len(js)) if js.start == 1
+                        else _bernoulli_row_table(at, js))
         w1, w2 = emy * qj, epy * qj
         d1 = emx - w1
         t1, t2 = w1 / d1, -(w2 / (epx - w2))
@@ -1086,7 +1208,6 @@ def _bernoulli_series(m: int, x: np.ndarray, y: np.ndarray, at: _Checked,
             t1, t2 = _ipow(y - j, m - 1) * t1, _ipow(y + j, m - 1) * t2
         a1, a2 = np.abs(t1), np.abs(t2)
         size = a1 + a2
-        err_w = g * (j + 1) + 11.0
         rnd = (a1 / np.abs(d1) + kappa * a2) * (err_x + err_w)
         rnd += size * (m + 11.0 + err_w)
         if moved:
@@ -1103,31 +1224,43 @@ def _bernoulli_series(m: int, x: np.ndarray, y: np.ndarray, at: _Checked,
          err_x, dy_ulps),
         at.cap, at.tol, first, "elliptic Bernoulli series")
 
+    # The closing term and the finish.  At m = 1 the factors y^0, m and
+    # slope = 1 are left out and B_1(y) is y - 1/2, the Horner steps' value:
+    # each is a product by 1 or a sum with 0, which moves no bit of value
+    # or err.
     arg = TWO_PI_I * (-x + y * t)
     v = np.exp(arg)
-    closing = _ipow(y, m - 1) * v / (v - 1)
-    acc, _ = _kahan_add(s, c, closing)
-    r = decay * _ipow((j + 1 + y) / np.maximum(j - y, 0.5), m - 1) if m > 1 else decay
-    r = np.minimum(r, 0.99)
-    tail = m * (2.0 * last * r / (1.0 - r) + 1e-16 * np.abs(acc) * j)
-    value = m * acc + _bernoulli_poly_float(m, y)
+    v1 = v - 1
+    closing = (v if m == 1 else _ipow(y, m - 1) * v) / v1
+    # the Kahan step's sum; its compensation is not needed
+    acc = s + (closing - c)
+    abs_acc = np.abs(acc)
+    if m == 1:
+        r = min(decay, 0.99)
+        tail = 2.0 * last * r / (1.0 - r) + 1e-16 * abs_acc * j
+        value = acc + (y - 0.5)
+    else:
+        r = np.minimum(decay * _ipow((j + 1 + y) / np.maximum(j - y, 0.5), m - 1), 0.99)
+        tail = m * (2.0 * last * r / (1.0 - r) + 1e-16 * abs_acc * j)
+        value = m * acc + _bernoulli_poly_float(m, y)
     # first-order rounding: the terms, the closing term (as above, with
     # v - 1 for the denominator), the Kahan sum, m * acc, the Bernoulli
     # polynomial's Horner steps (at most sum_j |C(m, j) B_j| on [0, 1))
     # and the final sum
     err_v = _exp_err(arg) + _TWO_PI_ULPS * (dx + dy * abs(t) + y * dt)
-    ratio = np.abs(v) / np.abs(v - 1)
+    ratio = np.abs(v) / np.abs(v1)
     rnd = rnd + np.abs(closing) * (m + 10.0 + err_v * (1.0 + ratio))
     if m > 1:
         # dy moving the closing term's y^(m-1)
         rnd = rnd + (m - 1) * _ipow(y, m - 2) * ratio * (2.0**53 * dy)
-    rnd = (m * (rnd + 3.0 * np.abs(acc))
-           + 2.0 * (m + 1) * _bernoulli_poly_abs_sum(m)
-           + np.abs(value))
+    rnd = rnd + 3.0 * abs_acc
+    if m > 1:
+        rnd = m * rnd
+    rnd = rnd + 2.0 * (m + 1) * _bernoulli_poly_abs_sum(m) + np.abs(value)
     # dy moving B_m(y), whose slope m B_{m-1}(y) is at most
-    # m sum_j |C(m-1, j) B_j| on [0, 1)
-    slope = m * _bernoulli_poly_abs_sum(m - 1)
-    return _finite(ComplexArray(value, tail + 2.0**-53 * rnd + dy * slope), f"B_{m}")
+    # m sum_j |C(m-1, j) B_j| on [0, 1), 1 at m = 1
+    slope = dy if m == 1 else dy * (m * _bernoulli_poly_abs_sum(m - 1))
+    return _finite(ComplexArray(value, tail + 2.0**-53 * rnd + slope), f"B_{m}")
 
 
 def elliptic_bernoulli(m: int, x: float, y: float, tau: TauPoint,
@@ -1203,12 +1336,16 @@ class _Reduction(NamedTuple):
 _ARC = 1.0 - 2.0**-50
 
 
+@lru_cache(maxsize=TAU_CACHE_SIZE)
 def _reduction(t: complex) -> Optional[_Reduction]:
     """The reduction of tau = t into F = {|Re tau| <= 1/2, |tau| >= 1}, by
     Cohen's Algorithm 7.4.2 (shift Re tau into [-1/2, 1/2], invert while
     |tau| < 1, up to rounding: `_ARC`); None on the closed F, where the
     kernels run at tau itself.  tau' is computed from gamma and t in one
-    step."""
+    step.  Kept per t in a table of TAU_CACHE_SIZE entries, as every frame
+    and every `_by_weight` of a tau asks for it; a t of Re t = -0.0 reads the
+    entry of +0.0, whose reduction it equals, as the integer sums of the
+    loop and of gamma t clear the sign of a zero."""
     if abs(t.real) <= 0.5 and abs(t) >= _ARC:
         return None
     a, b, c, d = 1, 0, 0, 1
@@ -1260,9 +1397,10 @@ class _Frame(NamedTuple):
         product and the difference (2^-53 |y| |tau| and 2^-53 |x - y tau|)."""
         dx, dy = self.arg_err
         t = self.at.tau
+        ay = np.abs(self.y)
         return ComplexArray(self.x - self.y * t,
-                            dx + dy * abs(t) + np.abs(self.y) * self.at.dtau
-                            + 2.0**-52 * (np.abs(self.x) + np.abs(self.y) * abs(t)))
+                            dx + dy * abs(t) + ay * self.at.dtau
+                            + 2.0**-52 * (np.abs(self.x) + ay * abs(t)))
 
     def back(self, v: ComplexArray, w: int, what: str) -> ComplexArray:
         """v, the values at the frame's points of a function of weight w,
@@ -1281,28 +1419,41 @@ def _frame(x: np.ndarray, y: np.ndarray, at: _Checked, arg_err) -> _Frame:
     whose record for tau' is `_Reduction.checked`.
 
     `arg_err` = (dx, dy) are the caller's bounds on the errors of x and y.
-    A y within _LATTICE_EPS of an integer is snapped to it first (`_snap`,
+    A y within _LATTICE_EPS of an integer is snapped to it first (`_snap_err`,
     here and nowhere else), and the shift adds to dy; that is all on F.
     Off F, gamma carries dx and dy into x' and y', the integer products and
     the sums add 2^-53 (|a x| + |b y| + |x'|) to x' and the same in c, d to
     y', and y' is snapped as y was, as the series take y snapped."""
     red = _reduction(at.tau)
-    snapped = _snap(y)
-    ex, ey = arg_err[0], arg_err[1] + np.abs(y - snapped)
+    snapped, ey = _snap_err(y, arg_err[1])
+    ex = arg_err[0]
     if red is None:
         return _Frame(x, snapped, at, (ex, ey), None)
     a, b, c, d = red.a, red.b, red.c, red.d
     xr, yr = a * x + b * snapped, c * x + d * snapped
     dx = abs(a) * ex + abs(b) * ey + 2.0**-53 * np.abs(xr)
     dy = abs(c) * ex + abs(d) * ey + 2.0**-53 * np.abs(yr)
-    y = _snap(yr)
-    return _Frame(xr, y, red.checked(at), (dx, dy + np.abs(yr - y)), red)
+    y, dy = _snap_err(yr, dy)
+    return _Frame(xr, y, red.checked(at), (dx, dy), red)
 
 
 def _snap(y: np.ndarray) -> np.ndarray:
     """y, with each y within _LATTICE_EPS of an integer set to it."""
+    return _snap_err(y, 0.0)[0]
+
+
+def _snap_err(y: np.ndarray, dy) -> Tuple[np.ndarray, np.ndarray]:
+    """`_snap(y)` and the error dy of y, a number or one entry per point,
+    plus the shift, as one entry per point.  Where no y moves, none lying
+    within _LATTICE_EPS of an integer but the integers themselves, y and dy
+    come back as they are, a number dy spread over the points: rint keeps
+    an integer, -0.0 included, the shift is 0 there, and an error, never
+    -0.0, plus 0 is itself."""
     n, near = _near_integer(y)
-    return np.where(near, n, y)
+    if not (near & (n != y)).any():
+        return y, dy if np.ndim(dy) else np.full(y.shape, float(dy))
+    snapped = np.where(near, n, y)
+    return snapped, dy + np.abs(y - snapped)
 
 
 # ---------------------------------------------------------------------------
@@ -1433,37 +1584,32 @@ def _p_deriv_series(k: int, x: np.ndarray, y: np.ndarray, at: _Checked, arg_err)
     x0 = x - np.floor(x)
     arg = TWO_PI_I * (x0 - y0 * t)
     u = np.exp(arg)
-    q = cmath.exp(TWO_PI_I * t)
-    aq = abs(q)
+    aq = _nome(at)[1]
     par = (-1.0) ** k
     qj = 1.0 + 0j
     # Rounding, in ulps of S (see _phi): the Horner steps, the power and the
     # quotient, plus the relative error of the argument, which is u's (as
-    # exp gives it) and j times q's and one product's for q^j
+    # exp gives it) and j times q's and one product's for q^j (`_nome`)
     bl = (k + 2).bit_length()
     own = 10.0 * k + 44.0 + 12.0 * bl
     dx, dy = arg_err
     dt = at.dtau
     err_u = _exp_err(arg) + _TWO_PI_ULPS * (dx + dy * abs(t) + y0 * dt)
-    err_q = float(_exp_err(TWO_PI_I * t)) + 3.0 + _TWO_PI_ULPS * dt
 
     pk, pk1 = _phi_poly(k), _phi_poly(k + 1)
 
     def terms(js, u, err_u):
-        # one row per j; q^j is the running product, one factor q per j
+        # one row per j; q^j is the running product, one factor q per j,
+        # from the rows of the record in a pass's first block
         nonlocal qj
-        powers = []
-        for _ in js:
-            qj *= q
-            powers.append(qj)
-        qjs = np.array(powers)[:, None]
-        j = np.array(js, dtype=float)[:, None]
+        qjs, jerr, qj = (_pe_rows(at, len(js)) if js.start == 1
+                         else _pe_row_table(at, js, qj))
         # Phi_k at u q^j and at q^j / u in one call, stacked
         rows = len(js)
         tt, ss = _phi(k, np.concatenate((u * qjs, qjs / u)), pk, pk1)
         t1, t2, s1, s2 = tt[:rows], tt[rows:], ss[:rows], ss[rows:]
         size = np.abs(t1) + np.abs(t2)
-        return t1 + par * t2, size, (s1 + s2) * (err_u + (own + 6.0 + j * err_q)) + size
+        return t1 + par * t2, size, (s1 + s2) * (err_u + (own + 6.0 + jerr)) + size
 
     start, s0 = _phi(k, u, pk, pk1)
     # Phi_k(w) = w + O(w^2): a term pair is about |q|^(j-y0) + |q|^(j+y0),
@@ -1475,11 +1621,12 @@ def _p_deriv_series(k: int, x: np.ndarray, y: np.ndarray, at: _Checked, arg_err)
         "pe Fourier series")
     pref = TWO_PI_I ** (k + 2)
     r = min(aq * 2.0, 0.99)
-    tail = abs(pref) * (2.0 * last * r / (1.0 - r) + 1e-16 * np.abs(acc) * j)
+    abs_acc = np.abs(acc)
+    tail = abs(pref) * (2.0 * last * r / (1.0 - r) + 1e-16 * abs_acc * j)
     value = sign * pref * acc
     # pref carries k + 2 half-ulps of pi and its binary powering; the
     # product and the Kahan sum add a few more
-    rnd = abs(pref) * (rnd + 2.0 * np.abs(acc)) + (k + 2 * bl + 6.0) * np.abs(value)
+    rnd = abs(pref) * (rnd + 2.0 * abs_acc) + (k + 2 * bl + 6.0) * np.abs(value)
     val = ComplexArray(value, tail + 2.0**-53 * rnd)
     if k == 0:
         val = val - _eisenstein(1, at)

@@ -50,6 +50,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import accumulate
 from typing import List, Sequence, Tuple, Union
 
 import numpy as np
@@ -142,8 +143,8 @@ def _half_division_points(p: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _parts(a: ComplexArray, sizes: Sequence[int]) -> List[ComplexArray]:
     """A batch that evaluated several factors at once, cut into consecutive
     parts of the given sizes."""
-    ends = np.cumsum(sizes).tolist()
-    return [ComplexArray(a.value[e - n:e], a.err[e - n:e]) for n, e in zip(sizes, ends)]
+    return [ComplexArray(a.value[e - n:e], a.err[e - n:e])
+            for n, e in zip(sizes, accumulate(sizes))]
 
 
 def _bernoulli_factors(factors: Sequence[Tuple[int, np.ndarray, np.ndarray]],
@@ -165,11 +166,14 @@ def _weighted(a: ComplexArray, w: np.ndarray) -> ComplexArray:
 
 def _fsum(*parts: Union[ComplexArray, ComplexVal]) -> ComplexVal:
     """The sum of all the values, with the summed errs plus one rounding of
-    2^-52 |v| per term; correctly rounded and independent of order."""
+    2^-52 |v| per term; correctly rounded and independent of order.
+    `math.fsum` reads the values as Python floats (`tolist`), which it
+    takes faster than numpy scalars, to the same sums."""
     v = np.concatenate([np.atleast_1d(t.value) for t in parts])
     err = np.concatenate([np.atleast_1d(t.err) for t in parts])
-    return ComplexVal(complex(math.fsum(v.real), math.fsum(v.imag)),
-                      math.fsum(err) + 2.0**-52 * math.fsum(np.hypot(v.real, v.imag)))
+    re, im = v.real, v.imag
+    return ComplexVal(complex(math.fsum(re.tolist()), math.fsum(im.tolist())),
+                      math.fsum(err.tolist()) + 2.0**-52 * math.fsum(np.hypot(re, im).tolist()))
 
 
 def elliptic_apostol_sum(n: int, pair: CoprimePair, tau: TauPoint,
@@ -213,6 +217,10 @@ def elliptic_apostol_sum(n: int, pair: CoprimePair, tau: TauPoint,
     return EllipticSumResult(total * const, route, p, pair.q, n, tau)
 
 
+#: a sum over no division points, as `_fsum` adds nothing: 0 with err 0
+_EMPTY_SUM = ComplexVal(0j, 0.0)
+
+
 def _coordinate_err(x: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """2^-53 |x| and 2^-53 |y|: the errors of correctly rounded coordinates
     x and y, as the argument errors of a series (`_Frame.arg_err`)."""
@@ -238,6 +246,9 @@ def _route_sum(route: Route, n: int, pair: CoprimePair, at: _Checked) -> Complex
     this is the route held at tau."""
     p, q = pair.p, pair.q
     lam, mu, w = _half_division_points(p)
+    if not len(lam):
+        # p = 1: the empty sum, with no frame and no pass
+        return _EMPTY_SUM
     if route is Route.ZETA_DERIVATIVE:
         x, y, xq, yq = lam / p, -mu / p, q * lam / p, -q * mu / p
         # zeta^{(2n)} = -pe^{(2n-1)}
@@ -245,7 +256,7 @@ def _route_sum(route: Route, n: int, pair: CoprimePair, at: _Checked) -> Complex
         second = (_b_series(xq, yq, at, _coordinate_err(xq, yq))
                   + ComplexArray(TWO_PI_I * (q * mu / p), 0.0))
     else:
-        q_inv = pow(q % p, -1, p) if p > 1 else 0
+        q_inv = pow(q % p, -1, p)
         x, y, xq, yq = -lam / p, mu / p, -q_inv * lam / p, q_inv * mu / p
         second = _bernoulli_series(1, xq, yq, at, _coordinate_err(xq, yq))
         first = _bernoulli_series(2 * n + 1, x, y, at, _coordinate_err(x, y))
@@ -298,22 +309,27 @@ def generating_D(pair: CoprimePair, tau: TauPoint, x: float,
     points P = (lam + mu tau)/p.  Each quotient and each sum lam/p -+ x is
     correctly rounded, and err charges those roundings as the block's
     argument errors.  |x| < 1/(2p) keeps P -+ x off the lattice, so no
-    point needs a lattice check."""
+    point needs a lattice check.  At p = 1 the sum is empty: 0 with err 0,
+    with no frame and no pass."""
     p, q = pair.p, pair.q
     if not abs(x) < 1 / (2 * p):
         raise ValueError(f"x must be finite with |x| < 1/(2p) = {1/(2*p)}, got {x}")
     at = _checked(tau, policy)
+    scale = 1.0 / ((TWO_PI_I**2).real * p)
     lam, mu, w = _half_division_points(p)
+    if not len(lam):
+        return _EMPTY_SUM * scale
     lp = lam / p
     # the brackets at P - x, P + x and qP in one batch; the pair {P, -P}
     # adds (f(P - x) + f(P + x)) f(qP), as f(-P -+ x) = -f(P +- x)
     xs = np.concatenate((lp - x, lp + x, q * lam / p))
-    ys = np.concatenate((-mu / p, -mu / p, -q * mu / p))
+    y = -mu / p
+    ys = np.concatenate((y, y, -q * mu / p))
     dx = 2.0**-53 * (np.abs(xs) + np.concatenate((lp, lp, np.zeros_like(lp))))
     f = _frame(xs, ys, at, (dx, 2.0**-53 * np.abs(ys)))
     minus, plus, second = _parts(_zeta_block(f) + ComplexArray(TWO_PI_I * -ys, 0.0),
                                  [len(lam)] * 3)
-    return _fsum(_weighted((minus + plus) * second, w / 2)) * (1.0 / ((TWO_PI_I**2).real * p))
+    return _fsum(_weighted((minus + plus) * second, w / 2)) * scale
 
 
 def generating_R(pair: CoprimePair, tau: TauPoint, x: float,
@@ -407,10 +423,12 @@ class MachideSpec:
             raise ValueError("degenerate spec: b'z' - c'y' in gcd(b',c') Z (or within 1e-9)")
 
 
-def _machide_factors(spec: MachideSpec) -> List[Tuple[int, np.ndarray, np.ndarray]]:
-    """The two elliptic Bernoulli factors (order, x, y) of S^tau_{m,n} over
-    0 <= j' < c', 0 <= j < c: B_m at (a'(j'+z')/c' - x', a(j+z)/c - x) and
-    B_n at (b'(j'+z')/c' - y', b(j+z)/c - y)."""
+def _machide_points(spec: MachideSpec) -> Tuple[Tuple[np.ndarray, np.ndarray], ...]:
+    """The points (x, y) of the two elliptic Bernoulli factors of
+    S^tau_{m,n} over 0 <= j' < c', 0 <= j < c: those of B_m at
+    (a'(j'+z')/c' - x', a(j+z)/c - x) and those of B_n at
+    (b'(j'+z')/c' - y', b(j+z)/c - y).  They depend on the spec's vectors
+    alone, not on m and n."""
     ap, a = spec.vec_a
     bp, b = spec.vec_b
     cp, c = spec.vec_c
@@ -418,8 +436,8 @@ def _machide_factors(spec: MachideSpec) -> List[Tuple[int, np.ndarray, np.ndarra
     yp, y = spec.vec_y
     zp, z = spec.vec_z
     j, jp = _grid(c, cp)
-    return [(spec.m, ap * (jp + zp) / cp - xp, a * (j + z) / c - x),
-            (spec.n, bp * (jp + zp) / cp - yp, b * (j + z) / c - y)]
+    return ((ap * (jp + zp) / cp - xp, a * (j + z) / c - x),
+            (bp * (jp + zp) / cp - yp, b * (j + z) / c - y))
 
 
 @np.errstate(all="ignore")
@@ -431,7 +449,8 @@ def machide_sum(spec: MachideSpec, tau: TauPoint,
     warning: the sum, a `ComplexVal`, is checked as it is built."""
     ap, a = spec.vec_a
     bp, b = spec.vec_b
-    (m, x1, y1), (n, x2, y2) = _machide_factors(spec)
+    m, n = spec.m, spec.n
+    (x1, y1), (x2, y2) = _machide_points(spec)
     tau1, tau2 = TauPoint(ap / a * tau.tau), TauPoint(bp / b * tau.tau)
     at1 = _checked(tau1, policy)
     at2 = at1 if tau2 == tau1 else _checked(tau2, policy)
@@ -460,33 +479,37 @@ def machide_reciprocity_residuals(pair: CoprimePair, s: float, t: float,
 
     with a = 1, b = p, c = q.  All three are zero in exact arithmetic.
 
-    The three use eight distinct sums.  Every vector has equal components,
-    so both factors of each sum take the caller's tau, not a rescaled one,
-    and all sixteen factors come from one call: one pass of B_1 and one of
-    B_2, as the five B_0 = 1 among them run none.
+    The three use eight distinct sums over the three arrangements.  Each
+    arrangement is checked once (`MachideSpec`), in the order the sums
+    first meet it, A2, A3, A1, so that a degenerate (s, t) raises the first
+    sum's error, and its factor points are formed once.  Every vector has
+    equal components, so both factors of each sum take the caller's tau,
+    not a rescaled one, and all sixteen factors come from one call: one
+    pass of B_1 and one of B_2, as the five B_0 = 1 among them run none.
     """
     pair.require_u()
     p, q = pair.p, pair.q
     a, b, c = 1, p, q
     va, vb, vc = (1, 1), (p, p), (q, q)
     vx, vy, vz = (s, 0.0), (p * t, 0.0), (-q * t, 0.0)
-    arr1 = (va, vb, vc, vx, vy, vz)
-    arr2 = (vb, vc, va, vy, vz, vx)
-    arr3 = (vc, va, vb, vz, vx, vy)
-    keys = [(arr2, 2, 0), (arr3, 0, 2), (arr1, 2, 0), (arr2, 0, 2),
-            (arr1, 0, 2), (arr1, 1, 1), (arr2, 1, 1), (arr3, 1, 1)]
-    specs = [MachideSpec(*arr, m, n) for arr, m, n in keys]
-    f = _bernoulli_factors([xy for spec in specs for xy in _machide_factors(spec)],
+    specs = {2: MachideSpec(vb, vc, va, vy, vz, vx, 0, 0),
+             3: MachideSpec(vc, va, vb, vz, vx, vy, 0, 0),
+             1: MachideSpec(va, vb, vc, vx, vy, vz, 0, 0)}
+    points = {k: _machide_points(spec) for k, spec in specs.items()}
+    keys = [(2, 2, 0), (3, 0, 2), (1, 2, 0), (2, 0, 2),
+            (1, 0, 2), (1, 1, 1), (2, 1, 1), (3, 1, 1)]
+    f = _bernoulli_factors([factor for k, m, n in keys
+                            for factor in ((m, *points[k][0]), (n, *points[k][1]))],
                            _checked(tau, policy))
-    S = {key: _fsum(f1 * f2) * (1.0 / spec.vec_c[0])
-         for key, spec, f1, f2 in zip(keys, specs, f[::2], f[1::2])}
+    S = {key: _fsum(f1 * f2) * (1.0 / specs[key[0]].vec_c[0])
+         for key, f1, f2 in zip(keys, f[::2], f[1::2])}
 
-    r1 = S[arr2, 2, 0] * (-c / (2 * b)) + S[arr3, 0, 2] * (c / (2 * a))
-    r2 = S[arr1, 2, 0] * (b / (2 * a)) - S[arr2, 0, 2] * (b / (2 * c))
-    r3 = (S[arr1, 0, 2] * (a / (2 * b)) - S[arr1, 1, 1]
-          + S[arr1, 2, 0] * (b / (2 * a))
-          - S[arr2, 1, 1] - S[arr2, 2, 0] * (c / (2 * b))
-          + S[arr3, 0, 2] * (c / a) - S[arr3, 1, 1])
+    r1 = S[2, 2, 0] * (-c / (2 * b)) + S[3, 0, 2] * (c / (2 * a))
+    r2 = S[1, 2, 0] * (b / (2 * a)) - S[2, 0, 2] * (b / (2 * c))
+    r3 = (S[1, 0, 2] * (a / (2 * b)) - S[1, 1, 1]
+          + S[1, 2, 0] * (b / (2 * a))
+          - S[2, 1, 1] - S[2, 2, 0] * (c / (2 * b))
+          + S[3, 0, 2] * (c / a) - S[3, 1, 1])
     return r1, r2, r3
 
 

@@ -471,3 +471,46 @@ def test_passes_in_F_run_one_block(passes, orders, t):
     assert all(type(m) is int and columns <= 70 for m, columns in orders)
     for rows, last in small + [(rows, last) for _, rows, last in passes]:
         assert len(rows) == 1 and rows[0] <= last + 2
+
+
+#: D^-_{2n}(1, 3; tau) by route and n as the sums over the division points
+#: of every p computed it, the empty sum through the route's reduction and
+#: constant: signed zeros, err 0
+EMPTY_SUMS = {
+    0.3 + 1.1j: {"zeta_derivative": ["(-0+0j)", "(-0+0j)", "(-0+0j)"],
+                 "bernoulli_product": ["0j", "(-0+0j)", "0j"]},
+    0.2 + 0.3j: {"zeta_derivative": ["-0j", "(-0+0j)", "0j"],
+                 "bernoulli_product": ["(-0+0j)", "(-0+0j)", "0j"]},
+    0.1 + 0.06j: {"zeta_derivative": ["0j", "-0j", "-0j"],
+                  "bernoulli_product": ["0j", "-0j", "(-0+0j)"]},
+}
+
+
+@pytest.fixture
+def frames(monkeypatch):
+    """Counts the `qseries._frame` calls, as symbols reads it by name."""
+    seen = []
+    run = qseries._frame
+
+    def spy(*args):
+        seen.append(len(args[0]))
+        return run(*args)
+
+    monkeypatch.setattr(qseries, "_frame", spy)
+    monkeypatch.setattr(symbols, "_frame", spy)
+    return seen
+
+
+@pytest.mark.parametrize("t", sorted(EMPTY_SUMS, key=lambda t: -t.imag))
+def test_empty_division_sum_runs_no_pass(passes, frames, t):
+    """At p = 1 the division sums are empty: both routes and D^-(x) return
+    their zero with err 0, its signed zeros as a sum over no points gave
+    them, with no frame and no series pass, on F and off it."""
+    tau = TauPoint(t)
+    for route, reprs in EMPTY_SUMS[t].items():
+        for n, want in zip((1, 2, 3), reprs):
+            assert repr(symbols.elliptic_apostol_sum(n, CoprimePair(1, 3), tau, route).value) \
+                == f"ComplexVal(value={want}, err=0.0)"
+    assert repr(symbols.generating_D(CoprimePair(1, 3), tau, 0.2)) == \
+        "ComplexVal(value=(-0+0j), err=0.0)"
+    assert passes == [] and frames == []

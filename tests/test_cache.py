@@ -3,6 +3,7 @@ per (n, tau): values bit-identical cold and warm, and the per-call contract
 (argument and tau checks, warnings, errors) kept outside the caches."""
 
 import hashlib
+import math
 import warnings
 
 import numpy as np
@@ -29,9 +30,16 @@ GRID_TAUS_IN_F = [complex(0.0, 1.5), 0.3 + 1.1j]
 GRID_SHA256 = "c95c4d34da95a052388380d09fe8d037f8ff2bf58e9e80d54d679f5cbddd7c24"
 
 
+#: the per-tau tables of the point series, each of TAU_CACHE_SIZE entries
+TAU_TABLES = (qseries._reduction, qseries._points_rows, qseries._nome,
+              qseries._bernoulli_rows, qseries._pe_rows)
+
+
 def _clear_caches():
     qseries._eisenstein_q_sum.cache_clear()
     identities._record.cache_clear()
+    for table in TAU_TABLES:
+        table.cache_clear()
 
 
 #: the weights with d_w = 0, where eq64 runs
@@ -338,3 +346,141 @@ def test_non_int_order_rejected_before_the_caches(call, good, bad, name):
     qseries._divisor_power_sums.cache.cache_clear()
     assert repr(call(np.int64(good))) == want == repr(call(good))
     assert _sigma_tables_are_ints()
+
+
+# ---------------------------------------------------------------------------
+# The per-tau tables of the point series
+# ---------------------------------------------------------------------------
+
+#: on F, just off it (one S step) and far off it
+TABLE_TAUS = [0.3 + 1.1j, -0.45 + 0.7j, 0.2 + 0.3j]
+
+
+def _division_calls(tau):
+    """Every symbol over division points at tau: both routes at n = 1..3,
+    D^-(x) and R^-(x), a Prop. 3.1 residual and the Machide triple, at two
+    pairs."""
+    calls = []
+    for p, q in [(5, 3), (7, 4)]:
+        pair = CoprimePair(p, q)
+        calls += [lambda n=n, r=r, pair=pair: symbols.elliptic_apostol_sum(n, pair, tau, r).value
+                  for n in (1, 2, 3) for r in symbols.Route]
+        x = 0.3 / (2 * p)
+        calls += [lambda pair=pair, x=x: symbols.generating_D(pair, tau, x),
+                  lambda pair=pair, x=x: symbols.generating_R(pair, tau, x),
+                  lambda pair=pair, x=x: symbols.proposition31_residual(pair, x, tau),
+                  lambda pair=pair: symbols.machide_reciprocity_residuals(pair, 0.013, 0.007, tau)]
+    return calls
+
+
+@pytest.mark.parametrize("t", TABLE_TAUS)
+def test_tau_tables_cold_and_warm_bit_identical(t):
+    """Each symbol's value and err with every table cleared before it
+    equal those of a run in which every table is warm, its own entries and
+    those of the other symbols at tau, on F and off it."""
+    calls = _division_calls(TauPoint(t))
+    cold = []
+    for call in calls:
+        _clear_caches()
+        cold.append(repr(call()))
+    for call in calls:
+        call()
+    assert [repr(call()) for call in calls] == cold
+
+
+def test_tau_tables_keyed_on_the_whole_record():
+    """A record of tau' with dtau != 0 reads no entry of the caller's
+    record of the same tau, in either order: its rows charge the error of
+    tau, and its B_1 and pe values have the err of a cold run."""
+    tau = TauPoint(0.3 + 1.1j)
+    at = qseries._checked(tau, qseries.DEFAULT_POLICY)
+    held = at._replace(dtau=2.0**-50)
+    assert held.tau == at.tau and held != at
+    xs, ys = np.array([0.1, 0.35, -0.2]), np.array([0.0, 0.25, 0.6])
+    errs = (np.zeros(3), np.zeros(3))
+
+    def values(record):
+        return (repr(qseries._bernoulli_series(1, xs, ys, record, errs)),
+                repr(qseries._p_deriv_series(1, xs, ys, record, errs)))
+
+    _clear_caches()
+    alone = values(held)
+    _clear_caches()
+    caller = values(at)
+    assert values(held) == alone
+    assert values(at) == caller
+    assert alone != caller
+    assert qseries._nome(held)[2] > qseries._nome(at)[2]
+    rows, held_rows = qseries._bernoulli_rows(at, 4), qseries._bernoulli_rows(held, 4)
+    assert (held_rows[0] == rows[0]).all() and (held_rows[2] > rows[2]).all()
+    assert (qseries._pe_rows(held, 4)[1] > qseries._pe_rows(at, 4)[1]).all()
+
+
+def test_tau_tables_small_and_bounded():
+    """Each table holds at most TAU_CACHE_SIZE entries, a small constant,
+    however many fresh tau the calls bring, and its arrays are read-only."""
+    assert 1 <= qseries.TAU_CACHE_SIZE <= 16
+    _clear_caches()
+    pair = CoprimePair(5, 3)
+    for i in range(3 * qseries.TAU_CACHE_SIZE):
+        tau = TauPoint(complex(-0.5 + i / (3 * qseries.TAU_CACHE_SIZE), 0.3 + 0.02 * i))
+        symbols.elliptic_apostol_sum(2, pair, tau, symbols.Route.BERNOULLI_PRODUCT)
+        symbols.generating_R(pair, tau, 0.03)
+    for table in TAU_TABLES:
+        info = table.cache_info()
+        assert info.maxsize == qseries.TAU_CACHE_SIZE
+        assert 0 < info.currsize <= qseries.TAU_CACHE_SIZE
+    at = qseries._checked(TauPoint(0.3 + 1.1j), qseries.DEFAULT_POLICY)
+    for a in qseries._bernoulli_rows(at, 5) + qseries._pe_rows(at, 5)[:2]:
+        assert not a.flags.writeable
+
+
+@pytest.mark.parametrize("im", [0.5, 0.3, 0.06])
+def test_signed_zero_tau_shares_its_reduction(im):
+    """Re tau = -0.0 reads the reduction that Re tau = +0.0 keeps, and it
+    equals its own, bit for bit."""
+    plus, minus = complex(0.0, im), complex(-0.0, im)
+    _clear_caches()
+    own = repr(qseries._reduction(minus))
+    _clear_caches()
+    assert repr(qseries._reduction(plus)) == own
+    assert repr(qseries._reduction(minus)) == own
+    assert qseries._reduction.cache_info().currsize == 1
+
+
+def _fsum_of_numpy_scalars(*parts):
+    """`symbols._fsum` with math.fsum over numpy scalars, as it read them
+    before it handed it Python floats."""
+    v = np.concatenate([np.atleast_1d(t.value) for t in parts])
+    err = np.concatenate([np.atleast_1d(t.err) for t in parts])
+    return qseries.ComplexVal(complex(math.fsum(v.real), math.fsum(v.imag)),
+                              math.fsum(err) + 2.0**-52 * math.fsum(np.hypot(v.real, v.imag)))
+
+
+def _outcome(call):
+    try:
+        return repr(call())
+    except (ValueError, OverflowError) as e:
+        return type(e).__name__, str(e)
+
+
+@pytest.mark.parametrize("values", [
+    [complex(-0.0, -0.0)],
+    [complex(-0.0, -0.0), complex(-0.0, 0.0)],
+    [complex(0.0, -0.0), complex(-0.0, -0.0), complex(-0.0, -0.0)],
+    [1e308 + 1e-300j, 1e308 - 1e-300j, -1e308 + 0j, 1e-320 - 0.0j],
+    [0.1 + 0.2j, 0.3 - 0.4j, 1e16 + 1j, -1e16 - 1j],
+    [complex(math.inf, 0.0)],
+    [complex(math.inf, 0.0), complex(-math.inf, 0.0)],
+    [complex(0.0, math.nan)],
+    [1e308 + 0j, 1e308 + 0j],
+])
+def test_fsum_reads_python_floats_to_the_same_sum(values):
+    """`_fsum` over Python floats gives the bits numpy scalars gave, signed
+    zeros included, and raises the same error on a value or sum that is not
+    finite."""
+    a = qseries.ComplexArray(np.array(values, dtype=complex), np.full(len(values), 0.5))
+    b = qseries.ComplexVal(-0.0 + 0j, 0.0)
+    for parts in [(a,), (a, b)]:
+        assert _outcome(lambda: symbols._fsum(*parts)) == \
+            _outcome(lambda: _fsum_of_numpy_scalars(*parts))

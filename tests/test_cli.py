@@ -61,6 +61,18 @@ class TestEvalOutputs:
         val = json.loads(out)["value"]
         assert val["re"] == 0.0 and val["im"] == 0.0
 
+    @pytest.mark.parametrize("route", ["zeta_derivative", "bernoulli_product"])
+    @pytest.mark.parametrize("tau", ["0.3+1.1i", "0.2+0.3i"])
+    def test_elliptic_sum_empty_exact_zero(self, route, tau):
+        # the empty sum's zero through the route's reduction and constant,
+        # on F and off it, as the CI console-script step checks it
+        code, out, _ = run_cli(
+            ["eval", "elliptic-sum", "-n", "2", "-p", "1", "-q", "3",
+             "--tau", tau, "--route", route])
+        assert code == 0
+        assert json.dumps(json.loads(out)["value"], sort_keys=True) == \
+            '{"err": 0.0, "im": 0.0, "re": -0.0}'
+
     def test_eisenstein_value(self):
         code, out, _ = run_cli(
             ["eval", "eisenstein", "-n", "2", "--tau", "40i"])

@@ -261,6 +261,40 @@ class TestMachide:
             with pytest.raises(ValueError, match="must be finite"):
                 machide_reciprocity_residuals(CoprimePair(3, 2), s, t, TAU_I)
 
+    @staticmethod
+    def _first_spec_error(p, q, s, t):
+        """The ValueError of the first of the triple's eight sums, in the
+        order r1, r2, r3 meet them, whose spec is degenerate, or None."""
+        va, vb, vc = (1, 1), (p, p), (q, q)
+        vx, vy, vz = (s, 0.0), (p * t, 0.0), (-q * t, 0.0)
+        arr = {1: (va, vb, vc, vx, vy, vz), 2: (vb, vc, va, vy, vz, vx),
+               3: (vc, va, vb, vz, vx, vy)}
+        for k, m, n in [(2, 2, 0), (3, 0, 2), (1, 2, 0), (2, 0, 2),
+                        (1, 0, 2), (1, 1, 1), (2, 1, 1), (3, 1, 1)]:
+            try:
+                MachideSpec(*arr[k], m, n)
+            except ValueError as e:
+                return str(e)
+        return None
+
+    @pytest.mark.parametrize("p, q, s, t", [
+        (5, 3, 0.01, 0.01),                     # A2: a'z' - c'x' = p (s - t)
+        (5, 3, 0.013, 1 / 30),                  # A3: a'z' - c'x' = 2 p q t
+        (5, 3, 1 / 3 - 0.007, 0.007),           # A2: b'z' - c'y' = q (s + t)
+        (3, 2, 0.007 + 1 / 3 + 1e-10, 0.007),   # A2: p (s - t) within 1e-9
+        (3, 2, 0.013, 0.007),                   # none
+    ])
+    def test_degenerate_residual_parameters_raise_the_first_sums_error(self, p, q, s, t):
+        """Each arrangement is checked once; a degenerate (s, t) raises the
+        error of the first of the eight sums whose spec is degenerate."""
+        want = self._first_spec_error(p, q, s, t)
+        if want is None:
+            machide_reciprocity_residuals(CoprimePair(p, q), s, t, TAU_G)
+            return
+        with pytest.raises(ValueError) as caught:
+            machide_reciprocity_residuals(CoprimePair(p, q), s, t, TAU_G)
+        assert str(caught.value) == want
+
     @pytest.mark.parametrize("pq", [(3, 2), (5, 3)])
     def test_lemma_combinations_vanish(self, pq):
         rs = machide_reciprocity_residuals(CoprimePair(*pq), 0.013, 0.007, TAU_I)

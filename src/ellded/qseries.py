@@ -12,9 +12,10 @@ repeated runs are bit-identical.
 The kernels' series run on one engine, `_block_series`.  Each column of a
 batch, a point of a kernel, keeps its own Kahan state and rounding bound
 under the batch's one term cap and one stopping rule, a term pair not above
-tol max(|sum|, 1), which a NaN pair also meets, and leaves the batch once
-it has stopped; the engine raises the term cap's NonConvergenceError for
-the first column still running after max_terms, so no kernel has a failure
+tol max(|sum|, 1), which a NaN pair also meets; the batch runs whole to its
+last block, and each column keeps the state of the row where it first
+stopped.  The engine raises the term cap's NonConvergenceError for the
+first column still running after max_terms, so no kernel has a failure
 path of its own.  The series run under `np.errstate(all="ignore")`: rows
 past the stop may overflow unseen, and `_finite` is the one check of an
 array, which raises OverflowError where a value or err leaves binary64.
@@ -26,8 +27,10 @@ equal a term-by-term run's bit for bit.  The first block is sized from |q|
 block, which it returns as it stands once every column has stopped in it.
 What a pass reads of its tau alone comes from per-tau tables: the
 reduction of tau (`_reduction`), q, |q| and the pe series' error of q
-(`_nome`), the size of the first block (`_points_rows`) and that block's
-rows of q^j, j and the rounding of q^j (`_bernoulli_rows`, `_pe_rows`).
+(`_nome`), the size of the first block (`_points_rows`) and the rows of
+q^j, j and the rounding of q^j (`_bernoulli_rows`, `_pe_rows`), one
+read-only table of rows 1..rows per record and rows, of which a block of
+rows js reads the slice that ends the table of js.stop - 1 rows.
 Each is an `lru_cache` of TAU_CACHE_SIZE entries, enough for the records
 of the few tau in flight, a caller's tau and its tau', which every call
 and pass at them reads; a fresh tau per call would only grow a larger
@@ -497,22 +500,22 @@ BLOCK_ELEMENTS = 4096
 TAU_CACHE_SIZE = 8
 
 
-def _block_series(start: np.ndarray, start_rnd: np.ndarray, terms,
-                  state: Tuple[np.ndarray, ...], cap: int, tol: float, first: int,
-                  what: str):
-    """Run the kernel series `start + sum_j terms(js, *state)` in every
-    column of a batch; each column starts from `start`, whose rounding bound
-    is `start_rnd`.
+def _block_series(start: np.ndarray, start_rnd: np.ndarray, terms, cap: int, tol: float,
+                  first: int, what: str):
+    """Run the kernel series `start + sum_j terms(js)` in every column of a
+    batch; each column starts from `start`, whose rounding bound is
+    `start_rnd`.
 
-    The terms come in blocks of consecutive j.  `terms(js, *state)` gets the
-    block's j as Python ints and the per-column inputs `state` of the columns
-    still running as rows (1 x columns); it returns fresh 2-D arrays, which
-    the engine may overwrite, with one row per j and one column per running
-    column: the jth term pair, its size and a first-order bound, in units of
-    2^-53, on its rounding error.  Each row must equal what a term-by-term
-    run computes at that j; with 2-D operands on both sides, numpy rounds a
-    broadcast complex product as it rounds an array times a scalar, while a
-    1-D array times a 1 x 1 array rounds as Python's scalar product does.
+    The terms come in blocks of consecutive j.  `terms(js)` gets the
+    block's j as Python ints and returns fresh 2-D arrays, which the engine
+    may overwrite, with one row per j and one column per column of the
+    batch: the jth term pair, its size and a first-order bound, in units of
+    2^-53, on its rounding error.  A kernel closes over its per-column
+    inputs as rows (1 x columns) and reads its per-tau rows as (rows x 1)
+    columns.  Each row must equal what a term-by-term run computes at that
+    j; with 2-D operands on both sides, numpy rounds a broadcast complex
+    product as it rounds an array times a scalar, while a 1-D array times a
+    1 x 1 array rounds as Python's scalar product does.
 
     The rows are added in order, one Kahan step each, written straight into
     the block's rows of sums and compensations; the rounding bounds are
@@ -520,30 +523,26 @@ def _block_series(start: np.ndarray, start_rnd: np.ndarray, terms,
     j >= 2, once that pair's size is not above tol max(|sum|, 1): the one
     stopping rule, which, written as a negation, also holds where the size
     or the sum is NaN, so that a series that has left binary64 stops there
-    and its kernel raises (`_finite`).  A stopped column leaves the batch at
-    the end of its block.  If some columns are still running after `cap`
-    terms, raises NonConvergenceError "`what` hit max_terms=cap" with the
-    partial sum of the first of them in the batch.  The first block has
-    `first` rows, which the caller sizes from |q| to hold the whole series
-    where it can, and each later one twice the rows the last one ran,
-    within BLOCK_ELEMENTS column-terms and the cap, so every result is
-    bit-identical to a term-by-term run's; once the wide part of a batch has
-    left, its narrow rest grows again from the rows it ran, not at once to
-    BLOCK_ELEMENTS // columns.  A block in which every column stops, with
-    none gone before it, is returned as it stands, with no compaction and
-    no scatter, and the scatter arrays are only allocated once a column
-    leaves before the last block.  Returns per column the Kahan state (s, c)
-    where it stopped, the j it stopped at, its last size and its summed
-    rounding bound."""
+    and its kernel raises (`_finite`).  Every column runs to the batch's
+    last block and keeps the state of the row where it first stopped; on F
+    nearly every batch ends in its first block.  If some columns are still
+    running after `cap` terms, raises NonConvergenceError "`what` hit
+    max_terms=cap" with the partial sum of the first of them in the batch.
+    The first block has `first` rows, which the caller sizes from |q| to
+    hold the whole series where it can, and each later one twice the rows
+    of the last, within BLOCK_ELEMENTS column-terms and the cap, so every
+    result is bit-identical to a term-by-term run's.  A first block in
+    which every column stops is returned as it stands.  Returns per column
+    the Kahan state (s, c) where it stopped, the j it stopped at, its last
+    size and its summed rounding bound; an empty batch asks for no terms."""
     n = len(start)
-    # idx: the batch's columns still running, None while all of them are
-    idx = out = None
     s, c, rnd = start + 0j, np.zeros(n, dtype=complex), start_rnd
+    cols = np.arange(n)
     j = 0
-    width = first
-    while len(s):
-        rows = min(width, max(BLOCK_ELEMENTS // len(s), 1), cap - j)
-        term, size, r = terms(range(j + 1, j + rows + 1), *(a[None] for a in state))
+    rows = first
+    while n:
+        rows = min(rows, max(BLOCK_ELEMENTS // n, 1), cap - j)
+        term, size, r = terms(range(j + 1, j + rows + 1))
         sums, comps = np.empty_like(term), np.empty_like(term)
         y = np.empty_like(s)
         for i in range(rows):
@@ -562,37 +561,34 @@ def _block_series(start: np.ndarray, start_rnd: np.ndarray, terms,
         stop = ~(size > tol * np.maximum(np.abs(sums), 1.0))
         if j == 0:
             stop[0] = False
-        j += rows
         at = stop.argmax(axis=0)
-        cols = np.arange(len(s))
         done = stop[at, cols]
-        all_done = done.all()
-        if idx is None and all_done:
-            # every column stopped in this block, and none left before it
-            return (sums[at, cols], comps[at, cols], j - rows + 1 + at, size[at, cols],
-                    rnds[at, cols])
-        if j == cap and not all_done:
-            i = np.flatnonzero(~done)[0]
+        if j == 0:
+            if done.all():
+                # every column stopped in the first block
+                return sums[at, cols], comps[at, cols], 1 + at, size[at, cols], rnds[at, cols]
+            out_s, out_c, out_j, out_last, out_rnd = out = _series_state(n)
+            running = np.ones(n, dtype=bool)
+        new = running & done
+        at, col = at[new], cols[new]
+        out_s[new], out_c[new], out_rnd[new] = sums[at, col], comps[at, col], rnds[at, col]
+        out_j[new], out_last[new] = j + 1 + at, size[at, col]
+        running &= ~done
+        j += rows
+        if not running.any():
+            return out
+        if j == cap:
+            i = running.argmax()
             raise NonConvergenceError(f"{what} hit max_terms={cap}",
                                       ComplexVal(complex(s[i]), float("inf")))
-        if np.count_nonzero(done):
-            if idx is None:
-                idx = np.arange(n)
-                out = (np.empty(n, dtype=complex), np.empty(n, dtype=complex),
-                       np.empty(n, dtype=int), np.empty(n), np.empty(n))
-            out_s, out_c, out_j, out_last, out_rnd = out
-            k, at, col = idx[done], at[done], cols[done]
-            out_s[k], out_c[k], out_rnd[k] = sums[at, col], comps[at, col], rnds[at, col]
-            out_j[k], out_last[k] = j - rows + 1 + at, size[at, col]
-            keep = ~done
-            idx, s, c, rnd = idx[keep], s[keep], c[keep], rnd[keep]
-            state = tuple(a[keep] for a in state)
-        width = 2 * rows
-    if out is None:
-        # an empty batch
-        return (np.empty(0, dtype=complex), np.empty(0, dtype=complex),
-                np.empty(0, dtype=int), np.empty(0), np.empty(0))
-    return out
+        rows *= 2
+    return _series_state(0)
+
+
+def _series_state(n: int):
+    """Empty arrays for the state `_block_series` returns of n columns."""
+    return (np.empty(n, dtype=complex), np.empty(n, dtype=complex), np.empty(n, dtype=int),
+            np.empty(n), np.empty(n))
 
 
 # ---------------------------------------------------------------------------
@@ -1046,48 +1042,40 @@ def _read_only(arrays: tuple) -> tuple:
     return arrays
 
 
-def _bernoulli_row_table(at: _Checked, js: range) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The part of the rows js of a B_m series at `at`'s tau that depends on
-    tau alone (`_bernoulli_series`), as (rows x 1) columns: q^j = e(j tau),
-    by `cmath.exp` per row, j, and the rounding g (j + 1) + 11 of
-    w = e(-+y tau) q^j, in units of 2^-53, g = 12 pi |tau| + 2 pi dtau."""
+@lru_cache(maxsize=TAU_CACHE_SIZE)
+def _bernoulli_rows(at: _Checked, rows: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The part of the rows j = 1..rows of a B_m series at `at`'s tau that
+    depends on tau alone (`_bernoulli_series`), as read-only (rows x 1)
+    columns: q^j = e(j tau), by `cmath.exp` per row, j, and the rounding
+    g (j + 1) + 11 of w = e(-+y tau) q^j, in units of 2^-53,
+    g = 12 pi |tau| + 2 pi dtau.  Kept per record and rows: every B_m pass
+    at a record, of any order and points, begins with the table of its
+    first block, and a later block of rows js reads the slice
+    [js.start - 1:] of the table of js.stop - 1 rows."""
     t = at.tau
+    js = range(1, rows + 1)
     qj = np.array([cmath.exp(TWO_PI_I * j * t) for j in js])[:, None]
     j = np.array(js, dtype=float)[:, None]
     g = 12.0 * math.pi * abs(t)
     g += _TWO_PI_ULPS * at.dtau
-    return qj, j, g * (j + 1) + 11.0
+    return _read_only((qj, j, g * (j + 1) + 11.0))
 
 
 @lru_cache(maxsize=TAU_CACHE_SIZE)
-def _bernoulli_rows(at: _Checked, rows: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`_bernoulli_row_table` of a pass's first block, j = 1..rows, kept per
-    record and rows, read-only: every B_m pass at a record, of any order
-    and points, begins with it."""
-    return _read_only(_bernoulli_row_table(at, range(1, rows + 1)))
-
-
-def _pe_row_table(at: _Checked, js: range,
-                  qj: complex = 1.0 + 0j) -> Tuple[np.ndarray, np.ndarray, complex]:
-    """The part of the rows js of a pe series at `at`'s tau that depends on
-    tau alone (`_p_deriv_series`), as (rows x 1) columns: q^j, the running
-    product from qj = q^(js[0] - 1), one factor q (`_nome`) per j, and
-    j err_q, the relative error of q^j; and the last q^j, which the next
-    block runs on from."""
+def _pe_rows(at: _Checked, rows: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The part of the rows j = 1..rows of a pe series at `at`'s tau that
+    depends on tau alone (`_p_deriv_series`), as read-only (rows x 1)
+    columns: q^j, the running product of one factor q (`_nome`) per j, and
+    j err_q, the relative error of q^j.  Kept per record and rows, and read
+    by a block as `_bernoulli_rows` is."""
     q, _, err_q = _nome(at)
+    qj = 1.0 + 0j
     powers = []
-    for _ in js:
+    for _ in range(rows):
         qj *= q
         powers.append(qj)
-    return np.array(powers)[:, None], np.array(js, dtype=float)[:, None] * err_q, qj
-
-
-@lru_cache(maxsize=TAU_CACHE_SIZE)
-def _pe_rows(at: _Checked, rows: int) -> Tuple[np.ndarray, np.ndarray, complex]:
-    """`_pe_row_table` of a pass's first block, j = 1..rows, kept per record
-    and rows, read-only."""
-    qjs, jerr, qj = _pe_row_table(at, range(1, rows + 1))
-    return _read_only((qjs, jerr)) + (qj,)
+    return _read_only((np.array(powers)[:, None],
+                       np.arange(1, rows + 1, dtype=float)[:, None] * err_q))
 
 
 # ---------------------------------------------------------------------------
@@ -1196,33 +1184,35 @@ def _bernoulli_series(m: int, x: np.ndarray, y: np.ndarray, at: _Checked,
     # dy in ulps, for the powers; only where some y moved
     dy_ulps = 2.0**53 * dy
     moved = m > 1 and bool(dy_ulps.any())
+    # the terms read the points as rows (1 x points), against the record's
+    # (rows x 1) columns
+    yr, err_x, dy_ulps = y[None], err_x[None], dy_ulps[None]
+    emy, epy = np.exp(-TWO_PI_I * yr * t), np.exp(TWO_PI_I * yr * t)
+    emx = np.exp(-TWO_PI_I * x)[None]
+    epx = emx.conj()
 
-    def terms(js, y, emy, epy, emx, epx, err_x, dy_ulps):
+    def terms(js):
         # one row per j;  e(-y tau) q^j = e((j - y) tau),  e(y tau) q^j = e((j + y) tau)
-        qj, j, err_w = (_bernoulli_rows(at, len(js)) if js.start == 1
-                        else _bernoulli_row_table(at, js))
+        qj, j, err_w = (a[js.start - 1:] for a in _bernoulli_rows(at, js.stop - 1))
         w1, w2 = emy * qj, epy * qj
         d1 = emx - w1
         t1, t2 = w1 / d1, -(w2 / (epx - w2))
         if m > 1:
-            t1, t2 = _ipow(y - j, m - 1) * t1, _ipow(y + j, m - 1) * t2
+            t1, t2 = _ipow(yr - j, m - 1) * t1, _ipow(yr + j, m - 1) * t2
         a1, a2 = np.abs(t1), np.abs(t2)
         size = a1 + a2
         rnd = (a1 / np.abs(d1) + kappa * a2) * (err_x + err_w)
         rnd += size * (m + 11.0 + err_w)
         if moved:
             # dy moving (y -+ j)^(m-1) by (m - 1) dy / (j -+ y) relative
-            rnd += (m - 1) * dy_ulps * (a1 / (j - y) + a2 / (j + y))
+            rnd += (m - 1) * dy_ulps * (a1 / (j - yr) + a2 / (j + yr))
         return t1 + t2, size, rnd
 
-    emx = np.exp(-TWO_PI_I * x)
     # a term pair is at most (j + 1)^(m-1) (|q|^(j-y) + |q|^(j+y)), 0 <= y < 1
     first = _points_rows(decay, m - 1, 1.0, at.tol)
-    s, c, j, last, rnd = _block_series(
-        np.zeros(len(x), dtype=complex), np.zeros(len(x)), terms,
-        (y, np.exp(-TWO_PI_I * y * t), np.exp(TWO_PI_I * y * t), emx, emx.conj(),
-         err_x, dy_ulps),
-        at.cap, at.tol, first, "elliptic Bernoulli series")
+    s, c, j, last, rnd = _block_series(np.zeros(len(x), dtype=complex), np.zeros(len(x)),
+                                       terms, at.cap, at.tol, first,
+                                       "elliptic Bernoulli series")
 
     # The closing term and the finish.  At m = 1 the factors y^0, m and
     # slope = 1 are left out and B_1(y) is y - 1/2, the Horner steps' value:
@@ -1586,7 +1576,6 @@ def _p_deriv_series(k: int, x: np.ndarray, y: np.ndarray, at: _Checked, arg_err)
     u = np.exp(arg)
     aq = _nome(at)[1]
     par = (-1.0) ** k
-    qj = 1.0 + 0j
     # Rounding, in ulps of S (see _phi): the Horner steps, the power and the
     # quotient, plus the relative error of the argument, which is u's (as
     # exp gives it) and j times q's and one product's for q^j (`_nome`)
@@ -1598,27 +1587,26 @@ def _p_deriv_series(k: int, x: np.ndarray, y: np.ndarray, at: _Checked, arg_err)
 
     pk, pk1 = _phi_poly(k), _phi_poly(k + 1)
 
-    def terms(js, u, err_u):
-        # one row per j; q^j is the running product, one factor q per j,
-        # from the rows of the record in a pass's first block
-        nonlocal qj
-        qjs, jerr, qj = (_pe_rows(at, len(js)) if js.start == 1
-                         else _pe_row_table(at, js, qj))
-        # Phi_k at u q^j and at q^j / u in one call, stacked
+    # the terms read the points as rows (1 x points)
+    ur, err_ur = u[None], err_u[None]
+
+    def terms(js):
+        # one row per j, q^j from the rows of the record; Phi_k at u q^j and
+        # at q^j / u in one call, stacked
+        qjs, jerr = (a[js.start - 1:] for a in _pe_rows(at, js.stop - 1))
         rows = len(js)
-        tt, ss = _phi(k, np.concatenate((u * qjs, qjs / u)), pk, pk1)
+        tt, ss = _phi(k, np.concatenate((ur * qjs, qjs / ur)), pk, pk1)
         t1, t2, s1, s2 = tt[:rows], tt[rows:], ss[:rows], ss[rows:]
         size = np.abs(t1) + np.abs(t2)
-        return t1 + par * t2, size, (s1 + s2) * (err_u + (own + 6.0 + jerr)) + size
+        return t1 + par * t2, size, (s1 + s2) * (err_ur + (own + 6.0 + jerr)) + size
 
     start, s0 = _phi(k, u, pk, pk1)
     # Phi_k(w) = w + O(w^2): a term pair is about |q|^(j-y0) + |q|^(j+y0),
     # 0 <= y0 <= 1/2, whatever k
     first = _points_rows(aq, 0, 0.5, at.tol)
     # on the pairs Phi_k(u q^j), Phi_k(q^j / u)
-    acc, _, j, last, rnd = _block_series(
-        start, s0 * (err_u + own), terms, (u, err_u), at.cap, at.tol, first,
-        "pe Fourier series")
+    acc, _, j, last, rnd = _block_series(start, s0 * (err_u + own), terms, at.cap, at.tol,
+                                         first, "pe Fourier series")
     pref = TWO_PI_I ** (k + 2)
     r = min(aq * 2.0, 0.99)
     abs_acc = np.abs(acc)

@@ -122,7 +122,7 @@ def test_pinned_bit_identity():
 # ---------------------------------------------------------------------------
 
 
-def _series_by_term(start, start_rnd, terms, state, cap, tol, first, what):
+def _series_by_term(start, start_rnd, terms, cap, tol, first, what):
     """`qseries._block_series` one term at a time, whatever its `first`
     block: the terms are asked for one j at a time and a column leaves the
     batch at the j >= 2 it stops at.  The reference that the blocks must
@@ -138,7 +138,7 @@ def _series_by_term(start, start_rnd, terms, state, cap, tol, first, what):
     j = 0
     while idx.size and j < cap:
         j += 1
-        term, last, r = (a[0] for a in terms(range(j, j + 1), *(a[None] for a in state)))
+        term, last, r = (a[0][idx] for a in terms(range(j, j + 1)))
         s, c = qseries._kahan_add(s, c, term)
         rnd = rnd + r
         if j < 2:
@@ -150,7 +150,6 @@ def _series_by_term(start, start_rnd, terms, state, cap, tol, first, what):
             out_j[k], out_last[k] = j, last[done]
             keep = ~done
             idx, s, c, rnd = idx[keep], s[keep], c[keep], rnd[keep]
-            state = tuple(a[keep] for a in state)
     if idx.size:
         raise NonConvergenceError(f"{what} hit max_terms={cap}",
                                   ComplexVal(complex(s[0]), float("inf")))
@@ -280,19 +279,19 @@ def test_mixed_batch_at_small_im_tau(stops):
 def test_one_row_last_block_of_one_point(monkeypatch, m):
     """A batch of 512 points held at tau at a cap of 9 terms, 511 points of
     B_1 that stop within 8 rows and a slow last point, of B_1 or B_3.  Of
-    B_1, the batch's blocks are cut by BLOCK_ELEMENTS to 8 rows, and the slow point
-    runs on into a last block of one row and one point, where a product
-    that broadcasts a 1-D array against a 2-D one can round differently;
-    there it stops on the cap.  Of B_3, it runs in a pass of its own, one
-    block of 9 rows, and fails.  Either way the slow point's result equals
-    its one-point call's, which runs one block of 9 rows."""
+    B_1, the batch's blocks are cut by BLOCK_ELEMENTS to 8 rows, and the
+    slow point runs on, with the points that stopped, into a last block of
+    one row, where it stops on the cap.  Of B_3, it runs in a pass of its
+    own, one block of 9 rows, and fails.  Either way the slow point's result
+    equals its one-point call's, which runs one block of 9 rows."""
     blocks = []
     run = qseries._block_series
 
     def spy(start, start_rnd, terms, *rest):
-        def counted(js, *cols):
-            blocks.append((len(js), cols[0].shape[1]))
-            return terms(js, *cols)
+        def counted(js):
+            term, size, rnd = terms(js)
+            blocks.append(term.shape)
+            return term, size, rnd
 
         return run(start, start_rnd, counted, *rest)
 
@@ -302,7 +301,7 @@ def test_one_row_last_block_of_one_point(monkeypatch, m):
     xs = [*rng.uniform(-1.0, 1.0, 511), 0.3]
     ys = [*rng.uniform(0.0, 0.3, 511), 0.97]
     batch = _outcome(lambda: _held_points([1] * 511 + [m], xs, ys, tau, policy))
-    assert blocks == ([(8, 512), (1, 1)] if m == 1 else [(8, 511), (9, 1)])
+    assert blocks == ([(8, 512), (1, 512)] if m == 1 else [(8, 511), (9, 1)])
     blocks.clear()
     alone = _outcome(lambda: _held_points(m, xs[-1:], ys[-1:], tau, policy))
     assert blocks == [(9, 1)]
@@ -427,19 +426,30 @@ def test_one_bernoulli_pass_per_symbol(passes, orders):
         assert [columns for columns, _, _ in passes[:len(orders)]] == [n for _, n in orders]
 
 
-def test_narrow_tail_grows_from_the_rows_it_ran(passes):
-    """A B_1 batch held at Im tau = 0.06 of 1200 points next to the lattice
-    point -tau and two in the cell: the wide part runs in blocks of three
-    rows (BLOCK_ELEMENTS // columns, far below the first block that |q|
-    calls for) and leaves first, and the two columns left grow from three
-    rows again, not at once to BLOCK_ELEMENTS // 2, so that the pass runs
-    under 2 j + its first block's rows in all."""
-    xs, ys = [1e-7] * 1200 + [0.3, 0.2], [1 - 1e-9] * 1200 + [0.5, 0.9]
-    _held_points(1, xs, ys, TauPoint(0.2 + 0.06j))
+#: a B_1 batch held at Im tau = 0.06: 1200 points next to the lattice point
+#: -tau, whose series run long, and two in the cell, which stop early
+WIDE_SLOW_BATCH = ([1e-7] * 1200 + [0.3, 0.2], [1 - 1e-9] * 1200 + [0.5, 0.9],
+                   TauPoint(0.2 + 0.06j))
+
+
+def test_wide_slow_batch_matches_term_by_term(monkeypatch):
+    """Every column of the wide slow batch, the two that stop early among
+    them, equals the term-by-term loop's, bit for bit."""
+    blocks = _reprs(_held_points(1, *WIDE_SLOW_BATCH))
+    monkeypatch.setattr(qseries, "_block_series", _series_by_term)
+    assert _reprs(_held_points(1, *WIDE_SLOW_BATCH)) == blocks
+
+
+def test_wide_slow_batch_runs_blocks_of_its_width(passes):
+    """Every block of the wide slow batch, far below the first block that
+    |q| calls for, runs BLOCK_ELEMENTS // 1202 = 3 rows, as the batch keeps
+    its width to its last block."""
+    _held_points(1, *WIDE_SLOW_BATCH)
     (columns, rows, last), = passes
-    assert columns == 1202 and rows[0] == 3 and last > 64
-    assert rows[-3:] == [6, 12, 24]
-    assert sum(rows) < 2 * last + rows[0]
+    assert columns == 1202 and last > 64
+    assert set(rows) == {qseries.BLOCK_ELEMENTS // columns} == {3}
+    # the last block holds the last stop
+    assert sum(rows) - 3 < last <= sum(rows)
 
 
 @pytest.mark.parametrize("t", [0.3 + 1.1j, 0.0 + 1.5j, -0.5 + 0.87j, 0.45 + 0.9j])

@@ -435,6 +435,55 @@ def test_tau_tables_small_and_bounded():
         assert not a.flags.writeable
 
 
+@pytest.mark.parametrize("dtau", [0.0, 2.0**-50])
+def test_row_tables_are_prefixes(dtau):
+    """A longer row table begins with the shorter one bit for bit, at a
+    caller's record on F and at a record of dtau > 0, as a later block
+    reads its rows as a slice of the table that ends with them; both are
+    read-only."""
+    at = qseries._checked(TauPoint(0.3 + 1.1j), qseries.DEFAULT_POLICY)._replace(dtau=dtau)
+    _clear_caches()
+    for table in (qseries._bernoulli_rows, qseries._pe_rows):
+        short, long = table(at, 5), table(at, 9)
+        assert len(short) == len(long)
+        for a, b in zip(short, long):
+            assert a.shape == (5, 1) and b.shape == (9, 1)
+            assert b[:5].tobytes() == a.tobytes()
+            assert not a.flags.writeable and not b.flags.writeable
+
+
+def test_later_blocks_read_the_record_rows(monkeypatch):
+    """A B_1 pass of 1200 points on F, whose blocks BLOCK_ELEMENTS cuts to
+    3 rows, below the 5 that |q| calls for, reads its rows from the tables
+    of 3 and 6 rows of its record and from no other row builder, and each
+    of its points equals its one-point call."""
+    tau = TauPoint(0.3 + 1.1j)
+    rng = np.random.default_rng(3)
+    xs, ys = rng.uniform(-1.0, 1.0, 1200), rng.uniform(0.0, 1.0, 1200)
+    read = []
+    for name in ("_bernoulli_rows", "_pe_rows"):
+        def spy(at, rows, run=getattr(qseries, name), name=name):
+            read.append((name, rows))
+            return run(at, rows)
+
+        monkeypatch.setattr(qseries, name, spy)
+    batch = qseries.elliptic_bernoulli_points(1, xs, ys, tau)
+    assert qseries.BLOCK_ELEMENTS // len(xs) == 3
+    assert read == [("_bernoulli_rows", 3), ("_bernoulli_rows", 6)]
+    for i in range(len(xs)):
+        alone = qseries.elliptic_bernoulli_points(1, xs[i:i + 1], ys[i:i + 1], tau)
+        assert repr(batch[i]) == repr(alone[0])
+
+
+def test_empty_batch_asks_for_no_terms():
+    asked = []
+    out = qseries._block_series(np.zeros(0, dtype=complex), np.zeros(0),
+                                lambda js: asked.append(js), 50, 1e-12, 5, "empty")
+    assert asked == []
+    assert [(a.shape, a.dtype.kind) for a in out] == [((0,), "c"), ((0,), "c"), ((0,), "i"),
+                                                      ((0,), "f"), ((0,), "f")]
+
+
 @pytest.mark.parametrize("im", [0.5, 0.3, 0.06])
 def test_signed_zero_tau_shares_its_reduction(im):
     """Re tau = -0.0 reads the reduction that Re tau = +0.0 keeps, and it

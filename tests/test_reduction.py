@@ -11,6 +11,7 @@ pin of the reduced values.  A route held at tau is the package's
 `symbols._route_sum` at the caller's own record."""
 
 import cmath
+import dataclasses
 import hashlib
 import math
 import warnings
@@ -24,6 +25,7 @@ from ellded import qseries, symbols
 from ellded.exact import CoprimePair
 from ellded.qseries import (
     DEFAULT_POLICY,
+    ComplexVal,
     NonConvergenceError,
     SeriesPolicy,
     SlowNomeWarning,
@@ -512,6 +514,37 @@ def test_reduced_bernoulli_route_err_random_tau(t, n, pq):
     with mp.workdps(_dps(t)):
         ref = _mp_zeta_route(mp, n, *pq, mp.mpc(t.real, t.imag))
     assert abs(d.value - ref) <= d.err, (d, ref)
+
+
+#: (n, p, q, tau) off F where the reduced Bernoulli route reads its error
+#: at about 0.17 of its err, so that a tenth of that err fails the oracle
+BERNOULLI_ROUTE_TIGHT = [(1, 3, 1, 0.4154528436859902 + 0.2j),
+                         (2, 4, 1, 0.2799461455233637 + 0.8j)]
+
+
+@pytest.mark.parametrize("n, p, q, t", BERNOULLI_ROUTE_TIGHT)
+def test_reduced_bernoulli_route_err_mpmath(n, p, q, t):
+    mp = pytest.importorskip("mpmath")
+    d = symbols.elliptic_apostol_sum(n, CoprimePair(p, q), TauPoint(t),
+                                     Route.BERNOULLI_PRODUCT).value
+    with mp.workdps(_dps(t)):
+        ref = _mp_zeta_route(mp, n, p, q, mp.mpc(t.real, t.imag))
+    assert abs(d.value - ref) <= d.err, (d, ref)
+
+
+@pytest.mark.parametrize("case", BERNOULLI_ROUTE_TIGHT)
+def test_bernoulli_route_oracle_catches_a_tenth_of_err(monkeypatch, case):
+    """D^-_{2n} with its err scaled by 0.1 fails the oracle of the reduced
+    Bernoulli route."""
+    pytest.importorskip("mpmath")
+    run = symbols.elliptic_apostol_sum
+
+    def tenth(*args):
+        r = run(*args)
+        return dataclasses.replace(r, value=ComplexVal(r.value.value, 0.1 * r.value.err))
+
+    monkeypatch.setattr(symbols, "elliptic_apostol_sum", tenth)
+    assert _fails(test_reduced_bernoulli_route_err_mpmath, *case)
 
 
 #: (x, y) of a point z = x - y tau off the lattice: x and y in [-2, 2], not

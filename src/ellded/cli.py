@@ -3,13 +3,15 @@ suite, emitting machine-readable reports.
 
 Exit codes: 0 all checks pass / value printed, 1 at least one check failed,
 2 usage error, 3 domain error (coprimality, half-plane, singularity, a
-value beyond the floating-point range).
+value beyond the floating-point range, or a value or err of the output
+that is not finite, in any --format).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -162,24 +164,31 @@ def _float_pair(s: str):
 # ---------------------------------------------------------------------------
 
 
+def _dumps(obj) -> str:
+    """obj as JSON with sorted keys, or ValueError where it holds a NaN or
+    an infinity, which no output format carries as a number."""
+    try:
+        return json.dumps(obj, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise ValueError("a value or err in the output is not finite") from None
+
+
 def _emit(records: List[dict], fmt: str, out) -> None:
+    """Write the records in `fmt`, each serialised (`_dumps`) before any is
+    written, so a record that is not finite writes nothing."""
     if fmt == "json":
-        for rec in records:
-            out.write(json.dumps(rec, sort_keys=True))
-            out.write("\n")
+        text = "".join(_dumps(rec) + "\n" for rec in records)
     elif fmt == "csv":
         keys = sorted({k for rec in records for k in rec})
-        writer = csv.writer(out, lineterminator="\n")
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(keys)
-        for rec in records:
-            writer.writerow(
-                [json.dumps(rec[k], sort_keys=True) if k in rec else "" for k in keys]
-            )
+        writer.writerows([_dumps(rec[k]) if k in rec else "" for k in keys] for rec in records)
+        text = buf.getvalue()
     else:  # pretty
-        for rec in records:
-            parts = [f"{k}={json.dumps(rec[k], sort_keys=True)}" for k in sorted(rec)]
-            out.write("  ".join(parts))
-            out.write("\n")
+        text = "".join("  ".join(f"{k}={_dumps(rec[k])}" for k in sorted(rec)) + "\n"
+                       for rec in records)
+    out.write(text)
 
 
 def _echo(params: Dict[str, object]) -> dict:

@@ -504,19 +504,10 @@ class LaurentPoly:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            s = out.get(e, 0) + c
-            if s == 0:
-                out.pop(e, None)
-            else:
-                out[e] = s
+            out[e] = out.get(e, 0) + c
         return LaurentPoly(out)
 
     def __neg__(self) -> "LaurentPoly":
@@ -530,11 +521,7 @@ class LaurentPoly:
         for (i1, j1), c1 in self.coeffs.items():
             for (i2, j2), c2 in other.coeffs.items():
                 e = (i1 + i2, j1 + j2)
-                s = out.get(e, 0) + c1 * c2
-                if s == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
+                out[e] = out.get(e, 0) + c1 * c2
         return LaurentPoly(out)
 
     def swap_vars(self) -> "LaurentPoly":
@@ -565,16 +552,8 @@ class LaurentPoly:
                 raise ValueError(
                     "cannot expand a negative power of (p+q); clear denominators first"
                 )
-            # (p+q)^e distributed over the remaining variable's exponent
-            terms = {}
-            for r in range(e + 1):
-                b = math.comb(e, r)
-                bc = c * b if isinstance(c, complex) else Fraction(b) * c
-                if which == "p":
-                    terms[(r, j + e - r)] = terms.get((r, j + e - r), 0) + bc
-                else:
-                    terms[(i + r, e - r)] = terms.get((i + r, e - r), 0) + bc
-            out = out + LaurentPoly(terms)
+            rest = LaurentPoly.monomial(0, j, c) if which == "p" else LaurentPoly.monomial(i, 0, c)
+            out = out + rest * LaurentPoly({(r, e - r): math.comb(e, r) for r in range(e + 1)})
         return out
 
     def max_abs_coeff(self) -> float:

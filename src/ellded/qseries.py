@@ -1427,18 +1427,14 @@ def _frame(x: np.ndarray, y: np.ndarray, at: _Checked, arg_err) -> _Frame:
     return _Frame(xr, y, red.checked(at), (dx, dy), red)
 
 
-def _snap(y: np.ndarray) -> np.ndarray:
-    """y, with each y within _LATTICE_EPS of an integer set to it."""
-    return _snap_err(y, 0.0)[0]
-
-
 def _snap_err(y: np.ndarray, dy) -> Tuple[np.ndarray, np.ndarray]:
-    """`_snap(y)` and the error dy of y, a number or one entry per point,
-    plus the shift, as one entry per point.  Where no y moves, none lying
-    within _LATTICE_EPS of an integer but the integers themselves, y and dy
-    come back as they are, a number dy spread over the points: rint keeps
-    an integer, -0.0 included, the shift is 0 there, and an error, never
-    -0.0, plus 0 is itself."""
+    """y, with each y within _LATTICE_EPS of an integer set to it, and the
+    error dy of y, a number or one entry per point, plus the shift, as one
+    entry per point.  Where no y moves, none lying within _LATTICE_EPS of
+    an integer but the integers themselves, y and dy come back as they
+    are, a number dy spread over the points: rint keeps an integer, -0.0
+    included, the shift is 0 there, and an error, never -0.0, plus 0 is
+    itself."""
     n, near = _near_integer(y)
     if not (near & (n != y)).any():
         return y, dy if np.ndim(dy) else np.full(y.shape, float(dy))
@@ -1688,7 +1684,8 @@ def _sigma_log_blocks(f: _Frame, n: int):
     tau.  The errors in f's arg_err are arrays, one entry per point."""
     b = _zeta_block(f._replace(x=f.x[:n], y=f.y[:n], arg_err=tuple(e[:n] for e in f.arg_err)))
     pe, pe_e2 = _pe_blocks(f, n)
-    return b, b * b - pe, pe_e2
+    with np.errstate(all="ignore"):
+        return b, b * b - pe, pe_e2
 
 
 def sigma_log_tau_derivative(z: complex, tau: TauPoint,

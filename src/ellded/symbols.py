@@ -5,7 +5,10 @@ verifiers built on them.
 Double sums over (lambda, mu) evaluate each factor at all points at once with
 the batched kernels of `qseries` and add the products with `math.fsum`, which
 is correctly rounded and independent of order, so repeated runs are
-bit-identical.
+bit-identical.  The products of each sum run with numpy warnings off, in
+one `np.errstate` scope per public call, never a decorator, which would
+put numpy's frame before the caller's in a SlowNomeWarning: an err that
+overflows there comes back as inf, not as a RuntimeWarning.
 
 Every division-point sum here is even under P -> -P: zeta^(2n), the bracket
 zeta - E_2 z + 2 pi i q mu/p and B_1 are odd, B_2 and B_{2n+1} B_1 even.  So
@@ -260,7 +263,8 @@ def _route_sum(route: Route, n: int, pair: CoprimePair, at: _Checked) -> Complex
         x, y, xq, yq = -lam / p, mu / p, -q_inv * lam / p, q_inv * mu / p
         second = _bernoulli_series(1, xq, yq, at, _coordinate_err(xq, yq))
         first = _bernoulli_series(2 * n + 1, x, y, at, _coordinate_err(x, y))
-    return _fsum(_weighted(first * second, w))
+    with np.errstate(all="ignore"):
+        return _fsum(_weighted(first * second, w))
 
 
 def reciprocity_rhs(n: int, pair: CoprimePair, tau: TauPoint,
@@ -329,7 +333,8 @@ def generating_D(pair: CoprimePair, tau: TauPoint, x: float,
     f = _frame(xs, ys, at, (dx, 2.0**-53 * np.abs(ys)))
     minus, plus, second = _parts(_zeta_block(f) + ComplexArray(TWO_PI_I * -ys, 0.0),
                                  [len(lam)] * 3)
-    return _fsum(_weighted((minus + plus) * second, w / 2)) * scale
+    with np.errstate(all="ignore"):
+        return _fsum(_weighted((minus + plus) * second, w / 2)) * scale
 
 
 def generating_R(pair: CoprimePair, tau: TauPoint, x: float,
@@ -440,7 +445,6 @@ def _machide_points(spec: MachideSpec) -> Tuple[Tuple[np.ndarray, np.ndarray], .
             (bp * (jp + zp) / cp - yp, b * (j + z) / c - y))
 
 
-@np.errstate(all="ignore")
 def machide_sum(spec: MachideSpec, tau: TauPoint,
                 policy: SeriesPolicy = DEFAULT_POLICY) -> ComplexVal:
     """S^tau_{m,n}: the (1/c') double residue-class sum of two elliptic
@@ -456,7 +460,8 @@ def machide_sum(spec: MachideSpec, tau: TauPoint,
     at2 = at1 if tau2 == tau1 else _checked(tau2, policy)
     f1 = _bernoulli_points(m, x1, y1, at1)
     f2 = _bernoulli_points(n, x2, y2, at2)
-    return _fsum(f1 * f2) * (1.0 / spec.vec_c[0])
+    with np.errstate(all="ignore"):
+        return _fsum(f1 * f2) * (1.0 / spec.vec_c[0])
 
 
 def machide_reciprocity_residuals(pair: CoprimePair, s: float, t: float,
@@ -501,8 +506,9 @@ def machide_reciprocity_residuals(pair: CoprimePair, s: float, t: float,
     f = _bernoulli_factors([factor for k, m, n in keys
                             for factor in ((m, *points[k][0]), (n, *points[k][1]))],
                            _checked(tau, policy))
-    S = {key: _fsum(f1 * f2) * (1.0 / specs[key[0]].vec_c[0])
-         for key, f1, f2 in zip(keys, f[::2], f[1::2])}
+    with np.errstate(all="ignore"):
+        S = {key: _fsum(f1 * f2) * (1.0 / specs[key[0]].vec_c[0])
+             for key, f1, f2 in zip(keys, f[::2], f[1::2])}
 
     r1 = S[2, 2, 0] * (-c / (2 * b)) + S[3, 0, 2] * (c / (2 * a))
     r2 = S[1, 2, 0] * (b / (2 * a)) - S[2, 0, 2] * (b / (2 * c))
@@ -542,8 +548,9 @@ def proposition31_residual(pair: CoprimePair, s: float, tau: TauPoint,
         weights.append(w / 2)
     factors += [(m, [p * s, q * s], [0.0, 0.0]) for m in (1, 2)]
     *f, b1, b2 = _bernoulli_factors(factors, at)
-    lhs = (_fsum(_weighted((f[0] + f[1]) * f[2], weights[0])) * (1.0 / p)
-           + _fsum(_weighted((f[3] + f[4]) * f[5], weights[1])) * (1.0 / q))
+    with np.errstate(all="ignore"):
+        lhs = (_fsum(_weighted((f[0] + f[1]) * f[2], weights[0])) * (1.0 / p)
+               + _fsum(_weighted((f[3] + f[4]) * f[5], weights[1])) * (1.0 / q))
     rhs = -(b1[0] * b1[1])
     rhs = rhs + b2[0] * (q / (2 * p))
     rhs = rhs + b2[1] * (p / (2 * q))

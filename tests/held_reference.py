@@ -22,7 +22,7 @@ def bernoulli_points_at(m, x, y, at, arg_err=(0.0, 0.0)):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     m = np.broadcast_to(m, x.shape)
-    snapped = qseries._snap(y)
+    snapped = qseries._snap_err(y, 0.0)[0]
     dx = np.broadcast_to(arg_err[0], x.shape)
     dy = np.broadcast_to(arg_err[1] + np.abs(y - snapped), x.shape)
     out = ComplexArray(np.ones(len(x), dtype=complex), np.zeros(len(x)))

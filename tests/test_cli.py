@@ -4,6 +4,7 @@ conformance."""
 import argparse
 import io
 import json
+import math
 import warnings
 from contextlib import redirect_stdout, redirect_stderr
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from ellded.cli import build_parser, main
+from ellded.cli import _emit, build_parser, main
 from ellded.qseries import SlowNomeWarning
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "schema"
@@ -370,6 +371,46 @@ class TestVerifyExitCodes:
             code, out, err = run_cli(argv)
         assert (code, out) == (3, "")
         assert err.splitlines() == ["error: a value leaves the floating-point range"]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+    @pytest.mark.parametrize("argv", [
+        ["eval", "elliptic-sum", "-n", "1", "-p", "3", "-q", "2"],
+        ["eval", "elliptic-sum", "-n", "1", "-p", "3", "-q", "2", "--route", "bernoulli_product"],
+        ["eval", "generating", "--which", "d", "-p", "3", "-q", "2", "--x", "0.01"],
+        ["eval", "generating", "--which", "r", "-p", "3", "-q", "2", "--x", "0.01"],
+        ["eval", "machide", "-m", "1", "-n", "1", "--vec-a", "1,1", "--vec-b", "1,1",
+         "--vec-c", "1,1", "--vec-x", "0.1,0", "--vec-y", "0.2,0", "--vec-z", "0.3,0"],
+    ])
+    def test_infinite_err_is_domain_error(self, argv, fmt):
+        # at tau = 1e300 + i, tau' = i exactly and the values are right, but
+        # the error of tau' makes the factor errs overflow: no Infinity in
+        # any format, and no RuntimeWarning on the way, which the test
+        # config makes an error
+        code, out, err = run_cli(argv + ["--tau", "1e300+1i", "--format", fmt])
+        assert (code, out) == (3, "")
+        assert err.splitlines() == ["error: a value or err in the output is not finite"]
+
+    @pytest.mark.parametrize("argv, codes", [
+        (["verify", "thm11", "-n", "1", "-p", "3", "-q", "2"], {0}),
+        # these still fail off F at large Re tau (ROADMAP item 5)
+        (["verify", "thm13", "-p", "3", "-q", "2"], {0, 1}),
+        (["verify", "prop31", "-p", "3", "-q", "2"], {0, 1}),
+        (["verify", "lemma32", "-p", "3", "-q", "2"], {0, 1}),
+    ])
+    def test_verify_at_huge_re_tau_writes_no_warning(self, argv, codes):
+        # a verify record carries residuals, not errs, so an err that
+        # overflows leaves it finite and reportable
+        code, out, err = run_cli(argv + ["--tau", "1e300+1i"])
+        assert code in codes and out and err == ""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_emit_writes_nothing_when_a_record_is_not_finite(self, fmt, bad):
+        # every record is serialised before any is written
+        out = io.StringIO()
+        with pytest.raises(ValueError, match="^a value or err in the output is not finite$"):
+            _emit([{"value": 1.0}, {"value": {"err": bad}}], fmt, out)
+        assert out.getvalue() == ""
 
 
 class TestVerifyFamilies:

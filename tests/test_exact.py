@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ellded import exact
@@ -712,7 +712,74 @@ class TestCoprimePair:
         assert pair == CoprimePair(1999, 3)
 
 
+#: a few small coefficients and their negatives, so that sums and products
+#: of sparse polynomials cancel often
+_cancelling = st.sampled_from([Fraction(c) for c in (1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2))])
+
+
+def _laurent(low_i=-3, low_j=-3):
+    """Sparse Fraction Laurent polynomials with exponents i in low_i..3 and
+    j in low_j..3."""
+    return st.dictionaries(st.tuples(st.integers(low_i, 3), st.integers(low_j, 3)),
+                           _cancelling, max_size=6).map(LaurentPoly)
+
+
+@st.composite
+def _cancelling_pair(draw):
+    """(a, b) where b repeats a random subset of a's monomials negated."""
+    a, b = draw(_laurent()), draw(_laurent())
+    drop = draw(st.lists(st.sampled_from(sorted(a.coeffs)), unique=True)) if a else []
+    return a, LaurentPoly({**b.coeffs, **{e: -a.coeffs[e] for e in drop}})
+
+
+def _no_zero(poly: LaurentPoly) -> bool:
+    return all(c != 0 for c in poly.coeffs.values())
+
+
+_nonzero_ints = st.integers(-9, 9).filter(bool)
+
+
 class TestLaurentPoly:
+    @given(_cancelling_pair(), _nonzero_ints, _nonzero_ints)
+    @settings(max_examples=150, deadline=None)
+    def test_arithmetic_stores_no_zero(self, pair, p, q):
+        # evaluation, monomial by monomial, is the independent oracle
+        a, b = pair
+        for got, want in ((a + b, a.evaluate(p, q) + b.evaluate(p, q)),
+                          (a - b, a.evaluate(p, q) - b.evaluate(p, q)),
+                          (a * b, a.evaluate(p, q) * b.evaluate(p, q))):
+            assert _no_zero(got)
+            assert got.evaluate(p, q) == want
+        assert a - a == LaurentPoly.zero() and (a - a).coeffs == {}
+
+    @given(_laurent(low_i=0), _laurent(low_j=0), _nonzero_ints, _nonzero_ints)
+    @settings(max_examples=150, deadline=None)
+    def test_substitution_matches_evaluation(self, in_p, in_q, p, q):
+        assume(p + q != 0)
+        for poly, which, args in ((in_p, "p", (p + q, q)), (in_q, "q", (p, p + q))):
+            sub = poly.substitute_p_plus_q(which)
+            assert _no_zero(sub)
+            assert sub.evaluate(p, q) == poly.evaluate(*args)
+
+    def test_substitution_cancels(self):
+        # (p - q)^2 with p -> p + q is p^2: of the images of its three
+        # monomials, all but one cancel
+        a = LaurentPoly({(2, 0): Fraction(1), (1, 1): Fraction(-2), (0, 2): Fraction(1)})
+        assert (a.substitute_p_plus_q("p") - LaurentPoly.monomial(2, 0)).coeffs == {}
+
+    def test_complex_coefficients_cancel(self):
+        a = LaurentPoly({(1, -1): 0.5 + 0.25j, (0, 2): Fraction(1, 3), (2, 1): 2j})
+        assert (a - a).coeffs == {}
+        assert (a * a - a * a).coeffs == {}
+        sub = LaurentPoly.monomial(2, 1, 1j).substitute_p_plus_q("p")
+        assert sub == LaurentPoly({(2, 1): 1j, (1, 2): 2j, (0, 3): 1j})
+
+    def test_never_equals_a_dict_and_is_unhashable(self):
+        for poly in (LaurentPoly.zero(), LaurentPoly.monomial(1, 0)):
+            assert poly != poly.coeffs and poly.coeffs != poly
+            with pytest.raises(TypeError):
+                hash(poly)
+
     def test_no_zero_coeffs_stored(self):
         p = LaurentPoly({(1, 1): Fraction(0), (0, 0): Fraction(2)})
         assert (1, 1) not in p.coeffs

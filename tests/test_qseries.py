@@ -532,7 +532,9 @@ class TestPolicyGuards:
         lambda tau: weierstrass_p_deriv_points(0, [0.3 + 0.01j], tau),
         lambda tau: reciprocity_rhs(2, CoprimePair(3, 2), tau),
         lambda tau: basis_rank(4, [tau]),
-    ], ids=["eisenstein", "zeta", "pe", "reciprocity_rhs", "basis_rank"])
+        lambda tau: machide_sum(MachideSpec((1, 1), (1, 1), (1, 1), (0.1, 0.0), (0.2, 0.0),
+                                            (0.3, 0.0), 1, 1), tau),
+    ], ids=["eisenstein", "zeta", "pe", "reciprocity_rhs", "basis_rank", "machide_sum"])
     def test_slow_nome_warning_names_the_callers_line(self, call):
         # the first frame outside the package, however deep the warning is
         with warnings.catch_warnings(record=True) as caught:

@@ -16,9 +16,13 @@ tol max(|sum|, 1), which a NaN pair also meets; the batch runs whole to its
 last block, and each column keeps the state of the row where it first
 stopped.  The engine raises the term cap's NonConvergenceError for the
 first column still running after max_terms, so no kernel has a failure
-path of its own.  The series run under `np.errstate(all="ignore")`: rows
-past the stop may overflow unseen, and `_finite` is the one check of an
-array, which raises OverflowError where a value or err leaves binary64.
+path of its own.  Only the value arithmetic sets numpy's error state, to
+`np.errstate(all="ignore")`: the two series, whose rows past the stop may
+overflow unseen, and ComplexArray's `+` and `*`, `_weighted` and `_fsum`,
+whose products or errs may leave binary64.  No function that calls
+`_checked` sets it, as numpy's frame would then stand before the caller's
+in a SlowNomeWarning.  `_finite` is the one check of an array, which
+raises OverflowError where a value or err leaves binary64.
 The terms are evaluated in blocks of consecutive j, as 2-D arrays over
 (j, column) of at most BLOCK_ELEMENTS entries, and then added one j at a
 time, each Kahan step written in place into the block's rows, so values
@@ -116,7 +120,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache, wraps
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -327,7 +331,8 @@ class ComplexArray(_ValueErr):
 
     The arithmetic applies ComplexVal's err rules elementwise and rounds as
     Python complex arithmetic does, so each element of a result equals the
-    same expression in ComplexVals.  Operands are ComplexArrays, ComplexVals
+    same expression in ComplexVals, with no numpy warning where a value or
+    err leaves binary64.  Operands are ComplexArrays, ComplexVals
     or plain numbers and arrays (taken as exact); keep a ComplexArray on the
     left.  Its fields are read-only, with the repr of a dataclass
     (`_ValueErr`), as every kernel and arithmetic step builds one."""
@@ -344,6 +349,7 @@ class ComplexArray(_ValueErr):
     def __getitem__(self, i: int) -> ComplexVal:
         return ComplexVal(complex(self.value[i]), float(self.err[i]))
 
+    @np.errstate(all="ignore")
     def __add__(self, other):
         if isinstance(other, (ComplexArray, ComplexVal)):
             return ComplexArray(
@@ -358,6 +364,7 @@ class ComplexArray(_ValueErr):
     def __sub__(self, other):
         return self + (-other)
 
+    @np.errstate(all="ignore")
     def __mul__(self, other):
         if isinstance(other, (ComplexArray, ComplexVal)):
             a, b = _abs(self.value), _abs(other.value)
@@ -371,6 +378,25 @@ class ComplexArray(_ValueErr):
 
 _SET_ARRAY_VALUE = ComplexArray.value.__set__
 _SET_ARRAY_ERR = ComplexArray.err.__set__
+
+
+@np.errstate(all="ignore")
+def _weighted(a: ComplexArray, w: np.ndarray) -> ComplexArray:
+    """a with value and err times the weights w, powers of 2, so exactly."""
+    return ComplexArray(a.value * w, a.err * w)
+
+
+@np.errstate(all="ignore")
+def _fsum(*parts: Union[ComplexArray, ComplexVal]) -> ComplexVal:
+    """The sum of all the values, with the summed errs plus one rounding of
+    2^-52 |v| per term; correctly rounded and independent of order.
+    `math.fsum` reads the values as Python floats (`tolist`), which it
+    takes faster than numpy scalars, to the same sums."""
+    v = np.concatenate([np.atleast_1d(t.value) for t in parts])
+    err = np.concatenate([np.atleast_1d(t.err) for t in parts])
+    re, im = v.real, v.imag
+    return ComplexVal(complex(math.fsum(re.tolist()), math.fsum(im.tolist())),
+                      math.fsum(err.tolist()) + 2.0**-52 * math.fsum(np.hypot(re, im).tolist()))
 
 
 @dataclass(frozen=True)
@@ -1400,8 +1426,7 @@ class _Frame(NamedTuple):
         of binary64."""
         if self.red is None:
             return v
-        with np.errstate(all="ignore"):
-            return _finite(v * self.red.weight(w), what)
+        return _finite(v * self.red.weight(w), what)
 
 
 def _frame(x: np.ndarray, y: np.ndarray, at: _Checked, arg_err) -> _Frame:
@@ -1684,8 +1709,7 @@ def _sigma_log_blocks(f: _Frame, n: int):
     tau.  The errors in f's arg_err are arrays, one entry per point."""
     b = _zeta_block(f._replace(x=f.x[:n], y=f.y[:n], arg_err=tuple(e[:n] for e in f.arg_err)))
     pe, pe_e2 = _pe_blocks(f, n)
-    with np.errstate(all="ignore"):
-        return b, b * b - pe, pe_e2
+    return b, b * b - pe, pe_e2
 
 
 def sigma_log_tau_derivative(z: complex, tau: TauPoint,

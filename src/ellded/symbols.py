@@ -5,10 +5,7 @@ verifiers built on them.
 Double sums over (lambda, mu) evaluate each factor at all points at once with
 the batched kernels of `qseries` and add the products with `math.fsum`, which
 is correctly rounded and independent of order, so repeated runs are
-bit-identical.  The products of each sum run with numpy warnings off, in
-one `np.errstate` scope per public call, never a decorator, which would
-put numpy's frame before the caller's in a SlowNomeWarning: an err that
-overflows there comes back as inf, not as a RuntimeWarning.
+bit-identical.
 
 Every division-point sum here is even under P -> -P: zeta^(2n), the bracket
 zeta - E_2 z + 2 pi i q mu/p and B_1 are odd, B_2 and B_{2n+1} B_1 even.  So
@@ -54,7 +51,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate
-from typing import List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -77,10 +74,12 @@ from .qseries import (
     _eisenstein,
     _eisenstein_table,
     _frame,
+    _fsum,
     _lattice_check,
     _p_deriv_series,
     _pe_blocks,
     _sigma_log_blocks,
+    _weighted,
     _zeta_block,
     eisenstein,
 )
@@ -160,23 +159,6 @@ def _bernoulli_factors(factors: Sequence[Tuple[int, np.ndarray, np.ndarray]],
         np.repeat([m for m, _, _ in factors], sizes),
         np.concatenate([x for _, x, _ in factors]),
         np.concatenate([y for _, _, y in factors]), at), sizes)
-
-
-def _weighted(a: ComplexArray, w: np.ndarray) -> ComplexArray:
-    """a with value and err times the weights w, powers of 2, so exactly."""
-    return ComplexArray(a.value * w, a.err * w)
-
-
-def _fsum(*parts: Union[ComplexArray, ComplexVal]) -> ComplexVal:
-    """The sum of all the values, with the summed errs plus one rounding of
-    2^-52 |v| per term; correctly rounded and independent of order.
-    `math.fsum` reads the values as Python floats (`tolist`), which it
-    takes faster than numpy scalars, to the same sums."""
-    v = np.concatenate([np.atleast_1d(t.value) for t in parts])
-    err = np.concatenate([np.atleast_1d(t.err) for t in parts])
-    re, im = v.real, v.imag
-    return ComplexVal(complex(math.fsum(re.tolist()), math.fsum(im.tolist())),
-                      math.fsum(err.tolist()) + 2.0**-52 * math.fsum(np.hypot(re, im).tolist()))
 
 
 def elliptic_apostol_sum(n: int, pair: CoprimePair, tau: TauPoint,
@@ -263,8 +245,7 @@ def _route_sum(route: Route, n: int, pair: CoprimePair, at: _Checked) -> Complex
         x, y, xq, yq = -lam / p, mu / p, -q_inv * lam / p, q_inv * mu / p
         second = _bernoulli_series(1, xq, yq, at, _coordinate_err(xq, yq))
         first = _bernoulli_series(2 * n + 1, x, y, at, _coordinate_err(x, y))
-    with np.errstate(all="ignore"):
-        return _fsum(_weighted(first * second, w))
+    return _fsum(_weighted(first * second, w))
 
 
 def reciprocity_rhs(n: int, pair: CoprimePair, tau: TauPoint,
@@ -333,8 +314,7 @@ def generating_D(pair: CoprimePair, tau: TauPoint, x: float,
     f = _frame(xs, ys, at, (dx, 2.0**-53 * np.abs(ys)))
     minus, plus, second = _parts(_zeta_block(f) + ComplexArray(TWO_PI_I * -ys, 0.0),
                                  [len(lam)] * 3)
-    with np.errstate(all="ignore"):
-        return _fsum(_weighted((minus + plus) * second, w / 2)) * scale
+    return _fsum(_weighted((minus + plus) * second, w / 2)) * scale
 
 
 def generating_R(pair: CoprimePair, tau: TauPoint, x: float,
@@ -460,8 +440,7 @@ def machide_sum(spec: MachideSpec, tau: TauPoint,
     at2 = at1 if tau2 == tau1 else _checked(tau2, policy)
     f1 = _bernoulli_points(m, x1, y1, at1)
     f2 = _bernoulli_points(n, x2, y2, at2)
-    with np.errstate(all="ignore"):
-        return _fsum(f1 * f2) * (1.0 / spec.vec_c[0])
+    return _fsum(f1 * f2) * (1.0 / spec.vec_c[0])
 
 
 def machide_reciprocity_residuals(pair: CoprimePair, s: float, t: float,
@@ -506,9 +485,8 @@ def machide_reciprocity_residuals(pair: CoprimePair, s: float, t: float,
     f = _bernoulli_factors([factor for k, m, n in keys
                             for factor in ((m, *points[k][0]), (n, *points[k][1]))],
                            _checked(tau, policy))
-    with np.errstate(all="ignore"):
-        S = {key: _fsum(f1 * f2) * (1.0 / specs[key[0]].vec_c[0])
-             for key, f1, f2 in zip(keys, f[::2], f[1::2])}
+    S = {key: _fsum(f1 * f2) * (1.0 / specs[key[0]].vec_c[0])
+         for key, f1, f2 in zip(keys, f[::2], f[1::2])}
 
     r1 = S[2, 2, 0] * (-c / (2 * b)) + S[3, 0, 2] * (c / (2 * a))
     r2 = S[1, 2, 0] * (b / (2 * a)) - S[2, 0, 2] * (b / (2 * c))
@@ -548,9 +526,8 @@ def proposition31_residual(pair: CoprimePair, s: float, tau: TauPoint,
         weights.append(w / 2)
     factors += [(m, [p * s, q * s], [0.0, 0.0]) for m in (1, 2)]
     *f, b1, b2 = _bernoulli_factors(factors, at)
-    with np.errstate(all="ignore"):
-        lhs = (_fsum(_weighted((f[0] + f[1]) * f[2], weights[0])) * (1.0 / p)
-               + _fsum(_weighted((f[3] + f[4]) * f[5], weights[1])) * (1.0 / q))
+    lhs = (_fsum(_weighted((f[0] + f[1]) * f[2], weights[0])) * (1.0 / p)
+           + _fsum(_weighted((f[3] + f[4]) * f[5], weights[1])) * (1.0 / q))
     rhs = -(b1[0] * b1[1])
     rhs = rhs + b2[0] * (q / (2 * p))
     rhs = rhs + b2[1] * (p / (2 * q))

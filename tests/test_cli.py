@@ -392,7 +392,7 @@ class TestVerifyExitCodes:
 
     @pytest.mark.parametrize("argv, codes", [
         (["verify", "thm11", "-n", "1", "-p", "3", "-q", "2"], {0}),
-        # these still fail off F at large Re tau (ROADMAP item 5)
+        # these still fail off F at large Re tau (ROADMAP item 18)
         (["verify", "thm13", "-p", "3", "-q", "2"], {0, 1}),
         (["verify", "prop31", "-p", "3", "-q", "2"], {0, 1}),
         (["verify", "lemma32", "-p", "3", "-q", "2"], {0, 1}),
@@ -402,6 +402,14 @@ class TestVerifyExitCodes:
         # overflows leaves it finite and reportable
         code, out, err = run_cli(argv + ["--tau", "1e300+1i"])
         assert code in codes and out and err == ""
+
+    def test_zeta_at_huge_re_tau_writes_one_error_line(self):
+        # the err of E_2 z in zeta = b + E_2 z overflows at tau' = i, as
+        # both factors carry the error of tau': one error line, and no
+        # numpy warning before it
+        code, out, err = run_cli(["eval", "zeta-w", "--z", "0.3+0.1i", "--tau", "1e300+1i"])
+        assert (code, out) == (3, "")
+        assert err.splitlines() == ["error: zeta leaves the floating-point range"]
 
     @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])

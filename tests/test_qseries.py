@@ -1003,6 +1003,45 @@ class TestBatchedKernels:
             assert type(info.value) is error
 
 
+HUGE_RE_TAU = TauPoint(1e300 + 1j)
+
+
+@pytest.mark.parametrize("call", [
+    lambda t: eisenstein(2, t),
+    lambda t: eisenstein_normalized(2, t),
+    lambda t: eisenstein_tau_derivative(2, t),
+    lambda t: elliptic_bernoulli(2, 0.3, 0.4, t),
+    lambda t: weierstrass_zeta(0.3 + 0.1j, t),
+    lambda t: weierstrass_p_deriv(1, 0.3 + 0.1j, t),
+    lambda t: sigma_log_tau_derivative(0.3 + 0.1j, t),
+    lambda t: elliptic_apostol_sum(1, CoprimePair(3, 2), t),
+    lambda t: elliptic_apostol_sum(1, CoprimePair(3, 2), t, Route.BERNOULLI_PRODUCT),
+    lambda t: reciprocity_rhs(1, CoprimePair(3, 2), t),
+    lambda t: generating_D(CoprimePair(3, 2), t, 0.01),
+    lambda t: generating_R(CoprimePair(3, 2), t, 0.01),
+    lambda t: machide_sum(MachideSpec((1, 1), (1, 1), (1, 1), (0.1, 0.0), (0.2, 0.0),
+                                      (0.3, 0.0), 1, 1), t),
+    lambda t: machide_reciprocity_residuals(CoprimePair(3, 2), 0.01, 0.02, t),
+    lambda t: proposition31_residual(CoprimePair(3, 2), 0.01, t),
+    lambda t: proposition31_constant_closed_form(CoprimePair(3, 2), t),
+    lambda t: expected_constant(CoprimePair(3, 2), t),
+], ids=["eisenstein", "eisenstein_normalized", "eisenstein_tau_derivative",
+        "elliptic_bernoulli", "weierstrass_zeta", "weierstrass_p_deriv",
+        "sigma_log_tau_derivative", "zeta_route", "bernoulli_route", "reciprocity_rhs",
+        "generating_D", "generating_R", "machide_sum", "machide_reciprocity_residuals",
+        "proposition31_residual", "proposition31_constant_closed_form",
+        "expected_constant"])
+def test_huge_re_tau_returns_or_raises_with_no_warning(call):
+    """At tau = 1e300 + i, whose tau' = i carries an error near 1e284, a
+    kernel or symbol returns or raises OverflowError or ValueError, and
+    never a numpy RuntimeWarning, which the test config makes an error:
+    no caller sets numpy's error state, so its arithmetic must."""
+    try:
+        call(HUGE_RE_TAU)
+    except (OverflowError, ValueError):
+        pass
+
+
 class TestComplexArray:
     """The elementwise arithmetic must match ComplexVal's bit for bit, so the
     err rules of the batched and scalar paths cannot drift apart."""
@@ -1045,6 +1084,24 @@ class TestComplexArray:
         self._same(-a, [-u for u, _ in pairs])
         self._same(a + re, [u + re for u, _ in pairs])
         self._same(a - pairs[0][1], [u - pairs[0][1] for u, _ in pairs])
+
+    def test_overflow_is_inf_with_no_warning(self):
+        # the test config makes a RuntimeWarning an error
+        a = ComplexArray(np.array([1.5e308 + 0j]), np.array([1.5e308]))
+        prod, total = a * a, a + a
+        assert np.isinf(prod.value.real).all() and np.isinf(prod.err).all()
+        assert np.isinf(total.value.real).all() and np.isinf(total.err).all()
+        assert np.isinf((a - (-a)).err).all()
+
+    def test_fsum_of_a_huge_value_has_err_inf(self):
+        # |1.5e308 + 1.5e308i| overflows in the rounding bound, the value not
+        v = qseries._fsum(ComplexArray(np.array([1.5e308 + 1.5e308j]), np.zeros(1)))
+        assert v.value == 1.5e308 + 1.5e308j and v.err == math.inf
+
+    def test_fsum_of_a_weighted_overflow_raises(self):
+        a = ComplexArray(np.array([1.5e308 + 0j]), np.zeros(1))
+        with pytest.raises(OverflowError, match=r"^a value leaves the floating-point range$"):
+            qseries._fsum(qseries._weighted(a, np.array([2.0])))
 
 
 class TestComplexVal:

@@ -409,11 +409,14 @@ def _moment_sum(k: int, q: int, p: int, n: int) -> int:
 def _product(weights, powers):
     """weights @ powers for 2-D float64 arrays, in pieces of at most 2^18
     multiply-adds, which OpenBLAS runs on the calling thread (past that it
-    starts threads of its own)."""
+    starts threads of its own); one product, with no copies, where the
+    whole fits in one piece."""
     import numpy as np
     depth, width = powers.shape
     cols = min(width, max(1, 2**18 // depth))
     rows = max(1, 2**18 // (depth * cols))
+    if cols == width and rows >= len(weights):
+        return weights @ powers
     return np.concatenate([np.concatenate([weights[i:i + rows] @ powers[:, j:j + cols]
                                            for j in range(0, width, cols)], axis=1)
                            for i in range(0, len(weights), rows)])

@@ -45,8 +45,12 @@ the rows of a caller's tau of the same value.
 The Weierstrass and elliptic Bernoulli functions are array kernels
 (`*_points`) on the engine; the scalar functions are one-point calls to them.
 `elliptic_bernoulli_points` also takes an order per point and runs one
-pass per order, so that a symbol takes the B_m factors of every order it
-needs from one call.  Integer powers in the series are IEEE products
+pass per order.  A symbol that needs B_m of several orders takes them from
+one layered pass (`_bernoulli_layers`): each layer an order over a slice of
+one point set, the layers' columns side by side in one `_block_series`
+batch, with the work that does not depend on m done once; each layer
+equals its one-order pass (`_bernoulli_series`, the one-layer case) bit
+for bit.  Integer powers in the series are IEEE products
 (`_ipow`), not numpy's pow, so their bits do not depend on the host.
 The Weierstrass and elliptic Bernoulli kernels run at tau reduced to the
 fundamental domain (`_reduction`) and leave their frame one way,
@@ -61,7 +65,9 @@ it is given directly (`_p_deriv_series`, `_b_series`, `_bernoulli_series`,
 `ComplexVal` checks its value as it is built, so a sum or product that
 leaves binary64 raises OverflowError there, not as NaN or Infinity.
 b = zeta - E_2 z comes straight from one B_1 batch (`_b_series`), with no
-E_2, and zeta is b + E_2 z.
+E_2, and zeta is b + E_2 z.  The heat identity B_2 = B_1^2 - pe / (2 pi i)^2
+at k = 0 ties pe to B_1 and B_2, so that the shifted symbols read pe
+through one layered B_1, B_2 pass and run no pe pass.
 Each input rule has one home, and the series only evaluate.  Each public
 call checks its tau once, in `_checked`, into a `_Checked` record of plain
 numbers: tau, tol, max_terms, the term cap of every series at every tau,
@@ -83,9 +89,9 @@ its frame.  Only the Weierstrass kernels hold a complex z: one helper,
 `_kernel_frame`, decomposes it, passes it through the one point check,
 `_lattice_check` (one shape, 1-D, finite, off the lattice, on the same
 near-integer test), and charges the decomposition's rounding, on F as off
-it.  The E_2-free blocks that the symbols read (`_zeta_block`,
-`_pe_blocks`, `_sigma_log_blocks`) take a frame of the coordinates their
-caller already has, each with its own rounding.
+it.  The B_m passes of the shifted symbols take a frame of the
+coordinates their caller already has, each with its own rounding, and
+their sums leave it once, by their weight (`_Frame.back_sum`).
 The Eisenstein q-sums are memoised per (n, record, tau_deriv) in a bounded
 `lru_cache` over a scalar loop.  `_eisenstein_q_sums` computes the same sums
 for a whole sample of tau, without the cache and without their bounds, as
@@ -120,7 +126,8 @@ import sys
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache, wraps
-from typing import NamedTuple, Optional, Sequence, Tuple, Union
+from itertools import accumulate
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -1168,16 +1175,36 @@ def _bernoulli_points(m, x, y, at: _Checked) -> ComplexArray:
     return out
 
 
-@np.errstate(all="ignore")
 def _bernoulli_series(m: int, x: np.ndarray, y: np.ndarray, at: _Checked,
                       arg_err) -> ComplexArray:
-    """B_m(x, y; tau), m >= 1, by the series of `elliptic_bernoulli` at
-    `at`'s tau, at points that passed the lattice check, with y as a frame
-    (`_frame`) or an evaluator of `_by_weight` gives it: each y is an
-    integer or beyond _LATTICE_EPS of one.  The powers (y -+ j)^(m-1) are
-    IEEE products (`_ipow`), at most m - 2 of them, which the m ulps
-    charged to a term's power cover.  Runs with no numpy warning: rows past
-    the stop may overflow, and `_finite` is the one overflow check.
+    """B_m(x, y; tau), m >= 1, at every point: the one-layer pass of
+    `_bernoulli_layers`."""
+    return _bernoulli_layers(((m, None),), x, y, at, arg_err)[0]
+
+
+@np.errstate(all="ignore")
+def _bernoulli_layers(layers, x: np.ndarray, y: np.ndarray, at: _Checked,
+                      arg_err) -> List[ComplexArray]:
+    """B_m(x, y; tau) for each layer (m, sl) of `layers`, an order m >= 1
+    and a slice sl of the points, or None for all of them, for which no
+    array is cut, by the series of `elliptic_bernoulli` at `at`'s tau, from
+    one `_block_series` batch whose columns are the layers' points side by
+    side: one ComplexArray per layer.  The points
+    passed the lattice check, with y as a frame (`_frame`) or an evaluator
+    of `_by_weight` gives it: each y is an integer or beyond _LATTICE_EPS
+    of one.  What does not depend on m is computed once over all the
+    points: e(+-x), e(-+y tau), w, D = e(+-x) - w, the ratios w / D, |D|,
+    the closing exponential and the argument errors; each layer adds its
+    own powers, sizes, roundings and finish.  The first block is sized for
+    the highest order.  Every column keeps the state of the row where it
+    first stopped, and each row is elementwise arithmetic, so a layer's
+    value and err equal the one-order pass `_bernoulli_series(m, x[sl],
+    y[sl], ...)` bit for bit; under a term cap the first column still
+    running names the error, with that pass's partial.  The powers
+    (y -+ j)^(m-1) are IEEE products (`_ipow`), at most m - 2 of them,
+    which the m ulps charged to a term's power cover.  Runs with no numpy
+    warning: rows past the stop may overflow, and `_finite` is the one
+    overflow check.
 
     `arg_err` = (dx, dy) bounds the absolute errors of x and y, dy an
     array with one entry per point, which carries the caller's snap shift,
@@ -1207,9 +1234,10 @@ def _bernoulli_series(m: int, x: np.ndarray, y: np.ndarray, at: _Checked,
     # rounding below charges A (err_x + err_w) + size err_w, and
     # A = |t1| / |D1| + kappa |t2| >= size / 2 as |D1| <= 2
     err_x = _exp_err(TWO_PI_I * x) + _TWO_PI_ULPS * (dx + 3.0 * dy * abs(t))
-    # dy in ulps, for the powers; only where some y moved
+    # dy in ulps, for the powers; a layer charges it only where some y moved
     dy_ulps = 2.0**53 * dy
-    moved = m > 1 and bool(dy_ulps.any())
+    moved = [m > 1 and bool((dy_ulps if sl is None else dy_ulps[sl]).any())
+             for m, sl in layers]
     # the terms read the points as rows (1 x points), against the record's
     # (rows x 1) columns
     yr, err_x, dy_ulps = y[None], err_x[None], dy_ulps[None]
@@ -1223,22 +1251,28 @@ def _bernoulli_series(m: int, x: np.ndarray, y: np.ndarray, at: _Checked,
         w1, w2 = emy * qj, epy * qj
         d1 = emx - w1
         t1, t2 = w1 / d1, -(w2 / (epx - w2))
-        if m > 1:
-            t1, t2 = _ipow(yr - j, m - 1) * t1, _ipow(yr + j, m - 1) * t2
-        a1, a2 = np.abs(t1), np.abs(t2)
-        size = a1 + a2
-        rnd = (a1 / np.abs(d1) + kappa * a2) * (err_x + err_w)
-        rnd += size * (m + 11.0 + err_w)
-        if moved:
-            # dy moving (y -+ j)^(m-1) by (m - 1) dy / (j -+ y) relative
-            rnd += (m - 1) * dy_ulps * (a1 / (j - yr) + a2 / (j + yr))
-        return t1 + t2, size, rnd
+        free = t1, t2, np.abs(d1), err_x + err_w, yr, dy_ulps
+        out = []
+        for (m, sl), dy_moved in zip(layers, moved):
+            u1, u2, ad1, err_xw, yk, dyk = free if sl is None else (a[:, sl] for a in free)
+            if m > 1:
+                u1, u2 = _ipow(yk - j, m - 1) * u1, _ipow(yk + j, m - 1) * u2
+            a1, a2 = np.abs(u1), np.abs(u2)
+            size = a1 + a2
+            rnd = (a1 / ad1 + kappa * a2) * err_xw
+            rnd += size * (m + 11.0 + err_w)
+            if dy_moved:
+                # dy moving (y -+ j)^(m-1) by (m - 1) dy / (j -+ y) relative
+                rnd += (m - 1) * dyk * (a1 / (j - yk) + a2 / (j + yk))
+            out.append((u1 + u2, size, rnd))
+        return out[0] if len(out) == 1 else [np.concatenate(a, axis=1) for a in zip(*out)]
 
     # a term pair is at most (j + 1)^(m-1) (|q|^(j-y) + |q|^(j+y)), 0 <= y < 1
-    first = _points_rows(decay, m - 1, 1.0, at.tol)
-    s, c, j, last, rnd = _block_series(np.zeros(len(x), dtype=complex), np.zeros(len(x)),
-                                       terms, at.cap, at.tol, first,
-                                       "elliptic Bernoulli series")
+    first = _points_rows(decay, max(m for m, _ in layers) - 1, 1.0, at.tol)
+    sizes = [len(x if sl is None else x[sl]) for _, sl in layers]
+    width = sum(sizes)
+    state = _block_series(np.zeros(width, dtype=complex), np.zeros(width), terms, at.cap,
+                          at.tol, first, "elliptic Bernoulli series")
 
     # The closing term and the finish.  At m = 1 the factors y^0, m and
     # slope = 1 are left out and B_1(y) is y - 1/2, the Horner steps' value:
@@ -1247,36 +1281,41 @@ def _bernoulli_series(m: int, x: np.ndarray, y: np.ndarray, at: _Checked,
     arg = TWO_PI_I * (-x + y * t)
     v = np.exp(arg)
     v1 = v - 1
-    closing = (v if m == 1 else _ipow(y, m - 1) * v) / v1
-    # the Kahan step's sum; its compensation is not needed
-    acc = s + (closing - c)
-    abs_acc = np.abs(acc)
-    if m == 1:
-        r = min(decay, 0.99)
-        tail = 2.0 * last * r / (1.0 - r) + 1e-16 * abs_acc * j
-        value = acc + (y - 0.5)
-    else:
-        r = np.minimum(decay * _ipow((j + 1 + y) / np.maximum(j - y, 0.5), m - 1), 0.99)
-        tail = m * (2.0 * last * r / (1.0 - r) + 1e-16 * abs_acc * j)
-        value = m * acc + _bernoulli_poly_float(m, y)
-    # first-order rounding: the terms, the closing term (as above, with
-    # v - 1 for the denominator), the Kahan sum, m * acc, the Bernoulli
-    # polynomial's Horner steps (at most sum_j |C(m, j) B_j| on [0, 1))
-    # and the final sum
     err_v = _exp_err(arg) + _TWO_PI_ULPS * (dx + dy * abs(t) + y * dt)
     ratio = np.abs(v) / np.abs(v1)
-    rnd = rnd + np.abs(closing) * (m + 10.0 + err_v * (1.0 + ratio))
-    if m > 1:
-        # dy moving the closing term's y^(m-1)
-        rnd = rnd + (m - 1) * _ipow(y, m - 2) * ratio * (2.0**53 * dy)
-    rnd = rnd + 3.0 * abs_acc
-    if m > 1:
-        rnd = m * rnd
-    rnd = rnd + 2.0 * (m + 1) * _bernoulli_poly_abs_sum(m) + np.abs(value)
-    # dy moving B_m(y), whose slope m B_{m-1}(y) is at most
-    # m sum_j |C(m-1, j) B_j| on [0, 1), 1 at m = 1
-    slope = dy if m == 1 else dy * (m * _bernoulli_poly_abs_sum(m - 1))
-    return _finite(ComplexArray(value, tail + 2.0**-53 * rnd + slope), f"B_{m}")
+    free, out = (y, v, v1, dy, err_v, ratio), []
+    for (m, sl), end, n in zip(layers, accumulate(sizes), sizes):
+        yk, vk, v1k, dyk, err_vk, ratio_k = free if sl is None else (a[sl] for a in free)
+        s, c, j, last, rnd = state if n == width else (a[end - n:end] for a in state)
+        closing = (vk if m == 1 else _ipow(yk, m - 1) * vk) / v1k
+        # the Kahan step's sum; its compensation is not needed
+        acc = s + (closing - c)
+        abs_acc = np.abs(acc)
+        if m == 1:
+            r = min(decay, 0.99)
+            tail = 2.0 * last * r / (1.0 - r) + 1e-16 * abs_acc * j
+            value = acc + (yk - 0.5)
+        else:
+            r = np.minimum(decay * _ipow((j + 1 + yk) / np.maximum(j - yk, 0.5), m - 1), 0.99)
+            tail = m * (2.0 * last * r / (1.0 - r) + 1e-16 * abs_acc * j)
+            value = m * acc + _bernoulli_poly_float(m, yk)
+        # first-order rounding: the terms, the closing term (as above, with
+        # v - 1 for the denominator), the Kahan sum, m * acc, the Bernoulli
+        # polynomial's Horner steps (at most sum_j |C(m, j) B_j| on [0, 1))
+        # and the final sum
+        rnd = rnd + np.abs(closing) * (m + 10.0 + err_vk * (1.0 + ratio_k))
+        if m > 1:
+            # dy moving the closing term's y^(m-1)
+            rnd = rnd + (m - 1) * _ipow(yk, m - 2) * ratio_k * (2.0**53 * dyk)
+        rnd = rnd + 3.0 * abs_acc
+        if m > 1:
+            rnd = m * rnd
+        rnd = rnd + 2.0 * (m + 1) * _bernoulli_poly_abs_sum(m) + np.abs(value)
+        # dy moving B_m(y), whose slope m B_{m-1}(y) is at most
+        # m sum_j |C(m-1, j) B_j| on [0, 1), 1 at m = 1
+        slope = dyk if m == 1 else dyk * (m * _bernoulli_poly_abs_sum(m - 1))
+        out.append(_finite(ComplexArray(value, tail + 2.0**-53 * rnd + slope), f"B_{m}"))
+    return out
 
 
 def elliptic_bernoulli(m: int, x: float, y: float, tau: TauPoint,
@@ -1427,6 +1466,14 @@ class _Frame(NamedTuple):
         if self.red is None:
             return v
         return _finite(v * self.red.weight(w), what)
+
+    def back_sum(self, v: ComplexVal, w: int) -> ComplexVal:
+        """v, a sum over the frame's points of a function of weight w, as
+        the caller's tau has it: v on the closed F, else v (c tau + d)^-w,
+        one product however many points the sum has.  As a symbol that
+        `_by_weight` reduces, it checks its value as it is built, and its
+        err may overflow, which the output refuses."""
+        return v if self.red is None else v * self.red.weight(w)
 
 
 def _frame(x: np.ndarray, y: np.ndarray, at: _Checked, arg_err) -> _Frame:
@@ -1693,33 +1740,24 @@ def weierstrass_zeta_deriv(j: int, z: complex, tau: TauPoint,
     return -weierstrass_p_deriv(j - 1, z, tau, policy)
 
 
-def _sigma_log_blocks(f: _Frame, n: int):
-    """The heat-equation blocks of d(log sigma)/dtau at the first n points
-    z of the frame f.
+def sigma_log_tau_derivative(z: complex, tau: TauPoint,
+                             policy: SeriesPolicy = DEFAULT_POLICY) -> ComplexVal:
+    """d(log sigma(z; tau))/dtau at fixed z, for any z off the lattice:
+    ((zeta - E_2 z)^2 - pe + 2 E_2) / (4 pi i) + E_2' z^2 / 2.
 
     sigma = e^{E_2 z^2 / 2} theta_1(pi z) / (pi theta_1'(0)), the heat
     equation theta_zz = 4 pi i theta_tau of theta_1 and Ramanujan's
     2 pi i E_2' = 5 E_4 - E_2^2 give, with b = zeta(z) - E_2 z,
 
-        2 d(log sigma)/dtau - E_2' z^2 - E_2 / (pi i) = (b^2 - pe(z)) / (2 pi i).
+        2 d(log sigma)/dtau - E_2' z^2 - E_2 / (pi i) = (b^2 - pe(z)) / (2 pi i),
 
-    Returns b, b^2 - pe(z) and pe + E_2 at the other points of f, from one
-    zeta batch over the n points (`_zeta_block`) and one pe batch over all
-    of f (`_pe_blocks`), at tau reduced to F, without E_2 at the caller's
-    tau.  The errors in f's arg_err are arrays, one entry per point."""
-    b = _zeta_block(f._replace(x=f.x[:n], y=f.y[:n], arg_err=tuple(e[:n] for e in f.arg_err)))
-    pe, pe_e2 = _pe_blocks(f, n)
-    return b, b * b - pe, pe_e2
-
-
-def sigma_log_tau_derivative(z: complex, tau: TauPoint,
-                             policy: SeriesPolicy = DEFAULT_POLICY) -> ComplexVal:
-    """d(log sigma(z; tau))/dtau at fixed z, for any z off the lattice:
-    ((zeta - E_2 z)^2 - pe + 2 E_2) / (4 pi i) + E_2' z^2 / 2, by the heat
-    equation (see `_sigma_log_blocks`)."""
+    with b from one B_1 batch (`_zeta_block`) and pe from one pe batch
+    (`_pe_blocks`), at tau reduced to F."""
     z = complex(z)
     at = _checked(tau, policy)
-    _, heat, _ = _sigma_log_blocks(_kernel_frame([z], at, "zeta"), 1)
+    f = _kernel_frame([z], at, "zeta")
+    b = _zeta_block(f)
+    heat = b * b - _pe_blocks(f, 1)[0]
     val = (heat[0] + _eisenstein(1, at) * 2.0) * (1.0 / (4j * math.pi))
     de2 = _eisenstein_tau_derivative(1, at)
     return val + de2 * (z * z / 2)

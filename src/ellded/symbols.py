@@ -21,7 +21,7 @@ Every zeta, pe and B_m factor is evaluated at its points' coordinates: z =
 x - y tau with x and y formed from the exact lambda, mu, p, q and the
 caller's x or s, each rounding charged as an argument error of the series
 (`_route_sum`, and the frames, `qseries._frame`, that `generating_D`,
-`generating_R` and `proposition31_residual` hand to the E_2-free blocks).
+`generating_R` and `proposition31_residual` hand to their B_m pass).
 No symbol builds a complex z or decomposes one, and no lattice check sees
 the points of a division sum: division points lie off the lattice, and the
 windows on x and s keep the shifted and real points off it.
@@ -37,11 +37,18 @@ tau', times m^-(2n+2) with m's error.  The routes' series charge that error
 in their arguments, and R through the err of each Eisenstein value at
 tau', whose q-sum charges it in the error of q.  `_route_sum` at the
 caller's own record is the route held at tau.  Only the shifted symbols
-reduce point by point, each factor by its weight, in its kernel or frame:
-the B_m factors of the Machide and Prop. 3.1 sums and the blocks of
-`generating_D` and `generating_R`.  E_2 where a symbol reads it by itself,
-and `_reciprocity_rhs_of` as the identity record reads it, run at tau
-itself.
+reduce in their frame: the Machide factors each by its weight, and
+D^-(x), R^-(x) and the Prop. 3.1 residual as sums of weight 2, once each.
+The odd-symbol bracket zeta - E_2 z - 2 pi i y at z = x - y tau is the
+Kronecker form -2 pi i B_1(x, y; tau), so D^-(x) is a sum of B_1
+products, and the heat identity pe = (2 pi i)^2 (B_1^2 - B_2) turns
+R^-(x) into B_1 and B_2 at p x, q x and x (`_heat_form`).  So Theorem 1.3
+and Prop. 3.1 check one identity, D^-(p, q; x) + D^-(q, p; x) - R^-(x) =
+C(tau), through the same B_1, B_2 pass, and each shifted symbol runs one
+B_m pass (`qseries._bernoulli_layers`) per call.  E_2 where a symbol
+reads it by itself, and `_reciprocity_rhs_of` as the identity record
+reads it, run at tau itself; R^-(x) reads E_2 at tau' and its
+quasi-modular shift instead.
 """
 
 from __future__ import annotations
@@ -65,10 +72,12 @@ from .qseries import (
     SeriesPolicy,
     TauPoint,
     _b_series,
+    _bernoulli_layers,
     _bernoulli_points,
     _bernoulli_series,
     _by_weight,
     _Checked,
+    _Frame,
     _checked,
     _checked_n,
     _eisenstein,
@@ -77,10 +86,8 @@ from .qseries import (
     _fsum,
     _lattice_check,
     _p_deriv_series,
-    _pe_blocks,
-    _sigma_log_blocks,
+    _read_only,
     _weighted,
-    _zeta_block,
     eisenstein,
 )
 
@@ -149,16 +156,73 @@ def _parts(a: ComplexArray, sizes: Sequence[int]) -> List[ComplexArray]:
             for n, e in zip(sizes, accumulate(sizes))]
 
 
-def _bernoulli_factors(factors: Sequence[Tuple[int, np.ndarray, np.ndarray]],
-                       at: _Checked) -> List[ComplexArray]:
-    """B_m at the points (x, y) of each factor (m, x, y), from one
-    `elliptic_bernoulli_points` call, which runs one pass per order; one
-    ComplexArray per factor."""
-    sizes = [len(x) for _, x, _ in factors]
-    return _parts(_bernoulli_points(
-        np.repeat([m for m, _, _ in factors], sizes),
-        np.concatenate([x for _, x, _ in factors]),
-        np.concatenate([y for _, _, y in factors]), at), sizes)
+@lru_cache(maxsize=DIVISION_CACHE_SIZE)
+def _shifted_points(p: int, q: int) -> Tuple[np.ndarray, ...]:
+    """What D^-(p, q; x) reads of its points that does not depend on x, one
+    read-only table per (p, q) over `_half_division_points(p)`: lam/p; the
+    y of the three parts P - x, P + x and qP, -mu/p twice and -q mu/p, and
+    2^-53 |y|, their rounding; the rounding 2^-53 lam/p of lam/p in the
+    two shifted parts and 0 in the third; the x = q lam/p of qP; and the
+    pair weights w/2.  Each coordinate is taken mod 1 first, as (k mod p)/p
+    from integers, which moves no value of B_1, periodic in x and y, and
+    keeps its exponentials' arguments small."""
+    lam, mu, w = _half_division_points(p)
+    lp, y, q = lam / p, -mu % p / p, q % p
+    ys = np.concatenate((y, y, -q * mu % p / p))
+    dlp = 2.0**-53 * np.concatenate((lp, lp, 0 * lp))
+    return _read_only((lp, ys, 2.0**-53 * ys, dlp, q * lam % p / p, w / 2))
+
+
+def _shifted_coords(p: int, q: int, x: float):
+    """The points P - x, P + x and qP of D^-(p, q; x), one block each over
+    the points P of `_half_division_points(p)`, as coordinates x', y and
+    the bounds dx, dy on their roundings, and the pair weights w/2
+    (`_shifted_points`)."""
+    lp, ys, dys, dlp, xq, w = _shifted_points(p, q)
+    xs = np.concatenate((lp - x, lp + x, xq))
+    return xs, ys, 2.0**-53 * np.abs(xs) + dlp, dys, w
+
+
+def _shifted_sum(b1: ComplexArray, w: np.ndarray, p: int) -> ComplexVal:
+    """(1/p) sum_pairs (B_1(P - x) + B_1(P + x)) B_1(qP) w/2, from B_1 at
+    the points of `_shifted_coords`, in their order, and its weights w/2."""
+    minus, plus, second = _parts(b1, [len(w)] * 3)
+    return _fsum(_weighted((minus + plus) * second, w)) * (1.0 / p)
+
+
+def _real_points(pair: CoprimePair, x: float, name: str, what: str):
+    """The real points p x, q x and x of R^-(p, q; x) and of Prop. 3.1 at
+    s = x, and the roundings 2^-53 |p x| and 2^-53 |q x| of the two
+    products, after the window 0 < |x| < 1/(2 max(p, q)), which keeps them
+    off every lattice point but 0, and the lattice check, which rejects an
+    x too near 0, naming `what`."""
+    if not 0 < abs(x) < 1 / (2 * max(pair.p, pair.q)):
+        raise ValueError(f"need 0 < |{name}| < 1/(2 max(p,q)), got {x}")
+    xs = np.array([pair.p * x, pair.q * x, x])
+    _lattice_check(xs, np.zeros(3), lambda i: f"{what}: the point {xs[i]} is a lattice point")
+    return xs, 2.0**-53 * np.abs(xs * (1, 1, 0))
+
+
+def _heat_form(pair: CoprimePair, f: _Frame, b1: ComplexArray, b2: ComplexArray) -> ComplexVal:
+    """R^-(p, q; x) from B_1 and B_2 at the last three points of the frame
+    f, p x, q x and x:
+
+        -B_1(px) B_1(qx) + B_2(px) q/2p + B_2(qx) p/2q
+            + (B_1(x)^2 - B_2(x) + E_2 / (2 pi i)^2) / pq,
+
+    the one home of this form, which R^-(x) and Prop. 3.1 share.  b1 and b2
+    end with B_1 and B_2 at those points as the pass gave them, at the
+    frame's tau.  The B-part is of weight 2: it leaves the frame once,
+    times m^-2 (`_Frame.back_sum`).  E_2 at the caller's tau is E_2 at the
+    frame's on F, else m^-2 E_2(tau') + 2 pi i c / m
+    (`_Reduction.e2_shift`), so that no E_2 is read at tau itself."""
+    p, q = pair.p, pair.q
+    (u1, v1, s1), (u2, v2, s2) = ([b[len(b) - 3 + i] for i in range(3)] for b in (b1, b2))
+    out = -(u1 * v1) + u2 * (q / (2 * p)) + v2 * (p / (2 * q)) + (s1 * s1 - s2) * (1.0 / (p * q))
+    e2 = _eisenstein(1, f.at)
+    if f.red is not None:
+        e2 = e2 * f.red.weight(2) + f.red.e2_shift()
+    return f.back_sum(out, 2) + e2 * (1.0 / ((TWO_PI_I**2).real * p * q))
 
 
 def elliptic_apostol_sum(n: int, pair: CoprimePair, tau: TauPoint,
@@ -287,63 +351,58 @@ def _reciprocity_rhs_of(n: int, pair: CoprimePair, table: EisensteinTable) -> Co
 def generating_D(pair: CoprimePair, tau: TauPoint, x: float,
                  policy: SeriesPolicy = DEFAULT_POLICY) -> ComplexVal:
     """Generating function D^-(p, q; tau; x) of the D^-_{2n}: the double sum
-    of two odd-symbol brackets, the first shifted by x.
+    of two odd-symbol brackets, the first shifted by x,
 
-    Its points z = x' - y tau come as coordinates: P -+ x at x' = lam/p -+ x,
-    y = -mu/p, and qP at x' = q lam/p, y = -q mu/p, for the division
-    points P = (lam + mu tau)/p.  Each quotient and each sum lam/p -+ x is
-    correctly rounded, and err charges those roundings as the block's
+        1/((2 pi i)^2 p) sum_{P != 0} beta(P - x) beta(qP),
+
+    over the p-division points P = (lam + mu tau)/p, of the bracket
+    beta(z) = zeta(z) - E_2 z - 2 pi i y at z = x' - y tau (y = -mu/p at P
+    and P - x, -q mu/p at qP).  That bracket is the Kronecker form
+    -2 pi i B_1(x', y; tau), so
+
+        D^-(x) = (1/p) sum_pairs (B_1(P - x) + B_1(P + x)) B_1(qP) w/2,
+
+    over one point of each pair {P, -P}, as B_1(-P -+ x) = -B_1(P +- x).
+    The B_1 factors come from one pass at the frame's points, with no E_2,
+    and the sum, of weight 2, leaves the frame once, times m^-2
+    (`_Frame.back_sum`).  The coordinates, P -+ x at x' = lam/p -+ x and
+    qP at x' = q lam/p, with y = -mu/p and -q mu/p, come from one table
+    per (p, q) (`_shifted_points`); each quotient and each sum lam/p -+ x
+    is correctly rounded, and err charges those roundings as the pass's
     argument errors.  |x| < 1/(2p) keeps P -+ x off the lattice, so no
     point needs a lattice check.  At p = 1 the sum is empty: 0 with err 0,
     with no frame and no pass."""
-    p, q = pair.p, pair.q
+    p = pair.p
     if not abs(x) < 1 / (2 * p):
         raise ValueError(f"x must be finite with |x| < 1/(2p) = {1/(2*p)}, got {x}")
     at = _checked(tau, policy)
-    scale = 1.0 / ((TWO_PI_I**2).real * p)
-    lam, mu, w = _half_division_points(p)
-    if not len(lam):
-        return _EMPTY_SUM * scale
-    lp = lam / p
-    # the brackets at P - x, P + x and qP in one batch; the pair {P, -P}
-    # adds (f(P - x) + f(P + x)) f(qP), as f(-P -+ x) = -f(P +- x)
-    xs = np.concatenate((lp - x, lp + x, q * lam / p))
-    y = -mu / p
-    ys = np.concatenate((y, y, -q * mu / p))
-    dx = 2.0**-53 * (np.abs(xs) + np.concatenate((lp, lp, np.zeros_like(lp))))
-    f = _frame(xs, ys, at, (dx, 2.0**-53 * np.abs(ys)))
-    minus, plus, second = _parts(_zeta_block(f) + ComplexArray(TWO_PI_I * -ys, 0.0),
-                                 [len(lam)] * 3)
-    return _fsum(_weighted((minus + plus) * second, w / 2)) * scale
+    if p == 1:
+        # the signed zeros of the bracket form's empty sum
+        return _EMPTY_SUM * (1.0 / (TWO_PI_I**2).real)
+    xs, ys, dx, dy, w = _shifted_coords(p, pair.q, x)
+    f = _frame(xs, ys, at, (dx, dy))
+    return f.back_sum(_shifted_sum(_bernoulli_series(1, f.x, f.y, f.at, f.arg_err), w, p), 2)
 
 
 def generating_R(pair: CoprimePair, tau: TauPoint, x: float,
                  policy: SeriesPolicy = DEFAULT_POLICY) -> ComplexVal:
-    """Generating function R^-(p, q; tau; x): zeta-product block, two
-    sigma-log blocks and the pe block.
-
-    With zblock(c) = zeta(c x) - E_2 c x, each sigma-log block
-    2 d(log sigma(c x))/dtau - E_2' (c x)^2 - E_2 / (pi i) equals
-    (zblock(c)^2 - pe(c x)) / (2 pi i) by the heat equation of theta_1 (see
-    `qseries._sigma_log_blocks`, which `sigma_log_tau_derivative` shares).
-    The blocks and pe(x) + E_2 come without E_2 at tau, so that at a
-    reduced tau they never mix two tau's E_2.  The points are real: p x
-    and q x, correctly rounded products whose rounding err charges, and x;
-    |x| < 1/(2 max(p,q)) keeps them off every lattice point but 0, and the
-    lattice check (`qseries._lattice_check`) rejects an x too near 0."""
+    """Generating function R^-(p, q; tau; x), by the heat identity
+    pe = (2 pi i)^2 (B_1^2 - B_2) of the elliptic Bernoulli functions at
+    y = 0: the zeta-product block -(zeta - E_2 z)(p x) (zeta - E_2 z)(q x)
+    / (2 pi i)^2 is -B_1(px) B_1(qx), each sigma-log block
+    ((zeta - E_2 z)^2 - pe) / (2 pi i)^2 at c x is B_2(cx), and
+    (pe(x) + E_2) / (2 pi i)^2 is B_1(x)^2 - B_2(x) + E_2 / (2 pi i)^2
+    (`_heat_form`).  B_1 and B_2 at p x, q x and x come from one layered
+    pass (`qseries._bernoulli_layers`), with no zeta or pe pass.  The
+    points are real: p x and q x, correctly rounded products whose
+    rounding err charges, and x; |x| < 1/(2 max(p,q)) keeps them off every
+    lattice point but 0, and the lattice check (`qseries._lattice_check`)
+    rejects an x too near 0."""
     pair.require_u()
-    p, q = pair.p, pair.q
-    if not 0 < abs(x) < 1 / (2 * max(p, q)):
-        raise ValueError(f"need 0 < |x| < 1/(2 max(p,q)), got {x}")
-    xs = np.array([p * x, q * x, x])
-    _lattice_check(xs, np.zeros(3), lambda i: f"R^-: the point {xs[i]} is a lattice point")
-    f = _frame(xs, np.zeros(3), _checked(tau, policy), (2.0**-53 * np.abs(xs * (1, 1, 0)), 0.0))
-    b, heat, pe_e2 = _sigma_log_blocks(f, 2)
-    scale = 1.0 / (TWO_PI_I**2).real
-    out = b[0] * b[1] * -scale
-    out = out + heat[0] * (scale * q / (2 * p))
-    out = out + heat[1] * (scale * p / (2 * q))
-    return out + pe_e2[0] * (scale / (p * q))
+    xs, dx = _real_points(pair, x, "x", "R^-")
+    f = _frame(xs, np.zeros(3), _checked(tau, policy), (dx, 0.0))
+    layers = ((1, None), (2, None))
+    return _heat_form(pair, f, *_bernoulli_layers(layers, f.x, f.y, f.at, f.arg_err))
 
 
 def expected_constant(pair: CoprimePair, tau: TauPoint,
@@ -468,8 +527,9 @@ def machide_reciprocity_residuals(pair: CoprimePair, s: float, t: float,
     first meet it, A2, A3, A1, so that a degenerate (s, t) raises the first
     sum's error, and its factor points are formed once.  Every vector has
     equal components, so both factors of each sum take the caller's tau,
-    not a rescaled one, and all sixteen factors come from one call: one
-    pass of B_1 and one of B_2, as the five B_0 = 1 among them run none.
+    not a rescaled one.  The sixteen factors read six point sets, all six
+    at order 1 and five of them at order 2, from one layered B_m pass
+    (`qseries._bernoulli_layers`); the five B_0 = 1 among them run none.
     """
     pair.require_u()
     p, q = pair.p, pair.q
@@ -480,13 +540,25 @@ def machide_reciprocity_residuals(pair: CoprimePair, s: float, t: float,
              3: MachideSpec(vc, va, vb, vz, vx, vy, 0, 0),
              1: MachideSpec(va, vb, vc, vx, vy, vz, 0, 0)}
     points = {k: _machide_points(spec) for k, spec in specs.items()}
+    # the point sets (arrangement, factor), the one that no B_2 reads first
+    sets = [(3, 0), (1, 0), (1, 1), (2, 0), (2, 1), (3, 1)]
+    sizes = [len(points[k][i][0]) for k, i in sets]
+    x, y = (np.concatenate([points[k][i][u] for k, i in sets]) for u in (0, 1))
+    at = _checked(tau, policy)
+    _lattice_check(x, y, lambda i: (f"B_1({float(x[i])}, {float(y[i])}; tau): "
+                                    "x - y*tau is a lattice point"))
+    f = _frame(x, y, at, (np.zeros(x.shape), 0.0))
+    b1, b2 = _bernoulli_layers(((1, None), (2, slice(sizes[0], None))),
+                               f.x, f.y, f.at, f.arg_err)
+    # B_0 = 1 with err 0, and B_1 and B_2 back from the frame by weight
+    factors = {0: {k: ComplexArray(np.ones(n, dtype=complex), np.zeros(n))
+                   for k, n in zip(sets, sizes)},
+               1: dict(zip(sets, _parts(f.back(b1, 1, "B_1"), sizes))),
+               2: dict(zip(sets[1:], _parts(f.back(b2, 2, "B_2"), sizes[1:])))}
     keys = [(2, 2, 0), (3, 0, 2), (1, 2, 0), (2, 0, 2),
             (1, 0, 2), (1, 1, 1), (2, 1, 1), (3, 1, 1)]
-    f = _bernoulli_factors([factor for k, m, n in keys
-                            for factor in ((m, *points[k][0]), (n, *points[k][1]))],
-                           _checked(tau, policy))
-    S = {key: _fsum(f1 * f2) * (1.0 / specs[key[0]].vec_c[0])
-         for key, f1, f2 in zip(keys, f[::2], f[1::2])}
+    S = {(k, m, n): _fsum(factors[m][k, 0] * factors[n][k, 1]) * (1.0 / specs[k].vec_c[0])
+         for k, m, n in keys}
 
     r1 = S[2, 2, 0] * (-c / (2 * b)) + S[3, 0, 2] * (c / (2 * a))
     r2 = S[1, 2, 0] * (b / (2 * a)) - S[2, 0, 2] * (b / (2 * c))
@@ -510,31 +582,27 @@ def proposition31_residual(pair: CoprimePair, s: float, tau: TauPoint,
 
     The left side is the sum of the two division sums
     (1/p) sum_{(l,m) != 0}^{p-1} B_1(l/p - s, m/p) B_1(q l/p, q m/p) and the
-    same with p and q swapped; their four factors and the B_1 and B_2 at
-    (ps, 0) and (qs, 0) come from one call, one pass of B_1 and one of
-    B_2."""
+    same with p and q swapped, which mu -> -mu turns into D^-(p, q; s) +
+    D^-(q, p; s), summed at the points of `generating_D`.  The right side
+    is R^-(p, q; s) (`_heat_form`), as dB_1(s, 0)/ds = 2 pi i (B_1(s)^2 -
+    B_2(s)) + E_2 / (2 pi i) by the heat identity, so the residual is
+    Theorem 1.3's D^-(p, q; s) + D^-(q, p; s) - R^-(p, q; s).  Every factor
+    comes from one layered pass (`qseries._bernoulli_layers`): B_1 at the
+    six division-point groups and at (ps, qs, s), B_2 at (ps, qs, s) only.
+    The left side, of weight 2, leaves the frame once, times m^-2."""
     pair.require_u()
     p, q = pair.p, pair.q
-    if not 0 < abs(s) < 1 / (2 * max(p, q)):
-        raise ValueError(f"need 0 < |s| < 1/(2 max(p,q)), got {s}")
+    reals, dreal = _real_points(pair, s, "s", "Prop. 3.1")
     at = _checked(tau, policy)
-    factors, weights = [], []
-    for u, v in ((p, q), (q, p)):
-        lam, mu, w = _half_division_points(u)
-        factors += [(1, lam / u - s, mu / u), (1, lam / u + s, mu / u),
-                    (1, v * lam / u, v * mu / u)]
-        weights.append(w / 2)
-    factors += [(m, [p * s, q * s], [0.0, 0.0]) for m in (1, 2)]
-    *f, b1, b2 = _bernoulli_factors(factors, at)
-    lhs = (_fsum(_weighted((f[0] + f[1]) * f[2], weights[0])) * (1.0 / p)
-           + _fsum(_weighted((f[3] + f[4]) * f[5], weights[1])) * (1.0 / q))
-    rhs = -(b1[0] * b1[1])
-    rhs = rhs + b2[0] * (q / (2 * p))
-    rhs = rhs + b2[1] * (p / (2 * q))
-    # dB_1(s,0)/ds = (1/2 pi i)[pe(s) + E_2]
-    db1 = _pe_blocks(_frame(np.array([s]), np.zeros(1), at, (0.0, 0.0)), 0)[1][0] * (1.0 / TWO_PI_I)
-    rhs = rhs + db1 * (1.0 / (TWO_PI_I * p * q))
-    return lhs - rhs
+    groups = [_shifted_coords(u, v, s) for u, v in ((p, q), (q, p))]
+    xs, ys, dx, dy = (np.concatenate([g[i] for g in groups] + [real])
+                      for i, real in enumerate((reals, np.zeros(3), dreal, np.zeros(3))))
+    f = _frame(xs, ys, at, (dx, dy))
+    b1, b2 = _bernoulli_layers(((1, None), (2, slice(len(xs) - 3, None))),
+                               f.x, f.y, f.at, f.arg_err)
+    first, second, _ = _parts(b1, [len(g[0]) for g in groups] + [3])
+    lhs = _shifted_sum(first, groups[0][4], p) + _shifted_sum(second, groups[1][4], q)
+    return f.back_sum(lhs, 2) - _heat_form(pair, f, b1, b2)
 
 
 def proposition31_constant_closed_form(pair: CoprimePair, tau: TauPoint,

@@ -45,8 +45,11 @@ PIN_PQ = [(2, 1), (3, 2), (7, 4), (13, 7), (23, 12)]
 #: decomposition z = x - y tau, and generating_D and generating_R summed
 #: at the coordinates x and y of their points, B_m off F at tau' in F
 #: times m^-m, and the Bernoulli route summed as a whole, at tau' off F,
-#: charging the rounding of its coordinates (numpy 2.4.6, x86-64)
-PINNED_SHA256 = "622f95e796934b28de030af4e195dd56d90107e4b25be3c59b72f5eccc10593c"
+#: charging the rounding of its coordinates, D^-(x) as a sum of B_1
+#: products from one B_1 pass, and R^-(x) and the Prop. 3.1 residual by the
+#: heat identity from one layered B_1, B_2 pass, each leaving tau' once as
+#: a sum of weight 2 (numpy 2.4.6, x86-64)
+PINNED_SHA256 = "ba717f490706916f184594bda688c9f98e66e47f72d8d4278bbfb8579700451e"
 
 
 def _reprs(v):
@@ -203,6 +206,83 @@ def test_blocks_match_term_by_term(monkeypatch, t, max_terms):
     blocks = [_outcome(call) for call in calls]
     monkeypatch.setattr(qseries, "_block_series", _series_by_term)
     assert [_outcome(call) for call in calls] == blocks
+
+
+# ---------------------------------------------------------------------------
+# Layered B_m passes against their one-order passes
+# ---------------------------------------------------------------------------
+
+#: layered batches: (width, tau, layers as (order, start, stop)), stop
+#: None for the end, and (order,) for a layer of every point, which cuts
+#: no array; on F and held off it, where the long series of Im tau = 0.11
+#: run many blocks of few rows
+LAYER_CASES = [
+    (0, 0.3 + 1.1j, [(1,), (2, 0, None)]),
+    (1, 0.3 + 1.1j, [(1,), (7,)]),
+    (3, -0.45 + 0.7j, [(1,), (2,)]),
+    (7, 0.2 + 0.11j, [(2, 3, None), (1, 0, 4), (5, 0, 0), (3, 1, 6)]),
+    (40, 0.2 + 0.3j, [(1,), (2, 37, None)]),
+    (65, -0.45 + 0.3j, [(6, 0, 64), (1, 1, None), (4, 10, 20)]),
+    (300, 0.0 + 1.5j, [(1, 0, None), (2, 150, None), (7, 299, None)]),
+    (700, 0.2 + 0.11j, [(1, 0, 350), (3, 200, None)]),
+    (1300, 0.3 + 1.1j, [(1,), (2, 0, None), (5, 1297, None)]),
+]
+
+
+def _layer_points(width, seed=3):
+    """width points (x, y) with y integers and near-integers among them,
+    snapped as a frame snaps them, the shift in dy, and dx as the
+    rounding of x."""
+    rng = np.random.default_rng(seed + width)
+    x, y = rng.uniform(-1.0, 1.0, width), rng.uniform(-2.0, 2.0, width)
+    y[::5] = np.rint(y[::5])
+    y[1::7] = np.rint(y[1::7]) + 1e-13
+    x[::5] = rng.uniform(0.05, 0.95, len(x[::5]))
+    y, dy = qseries._snap_err(y, 2.0**-53 * np.abs(y))
+    return x, y, (2.0**-53 * np.abs(x), dy)
+
+
+@pytest.mark.parametrize("dtau", [0.0, 2.0**-50])
+@pytest.mark.parametrize("width, t, layers", LAYER_CASES)
+def test_layers_match_one_order_passes(width, t, layers, dtau):
+    """Each layer of a layered B_m pass equals the one-order pass
+    `_bernoulli_series(m, x[sl], y[sl], ...)` element by element, value and
+    err, at orders 1 to 7 over overlapping slices, held on F and off it, at
+    a caller's tau and at a record with an error of tau."""
+    x, y, (dx, dy) = _layer_points(width)
+    at = qseries._checked(TauPoint(t), qseries.DEFAULT_POLICY)._replace(dtau=dtau)
+    got = qseries._bernoulli_layers([(m, slice(*ends) if ends else None) for m, *ends in layers],
+                                    x, y, at, (dx, dy))
+    assert len(got) == len(layers)
+    for (m, *ends), layer in zip(layers, got):
+        sl = slice(*ends or [None])
+        alone = qseries._bernoulli_series(m, x[sl], y[sl], at, (dx[sl], dy[sl]))
+        assert _reprs(layer) == _reprs(alone), (m, sl)
+
+
+@pytest.mark.parametrize("t, cap, layers", [
+    # B_1 and B_2 at one point stop within the cap, B_4 at three does not:
+    # the first running column is B_4's third, ahead of B_7's first
+    (0.3 + 1.1j, 5, [(1,), (2, 0, 1), (4, 0, None), (7,)]),
+    (0.3 + 1.1j, 3, [(2, 1, None), (1,)]),
+    (0.2 + 0.3j, 6, [(7, 2, None), (1, 0, None)]),
+])
+def test_layered_cap_error_names_first_running_column(t, cap, layers):
+    """Under a term cap a layered pass raises the cap's error, with the
+    message and the partial of the first layer whose one-order pass
+    raises: the first column of the batch still running."""
+    x, y = np.array([0.3, 0.2, 0.41]), np.array([0.0, 0.5, 0.97])
+    errs = (np.zeros(3), np.zeros(3))
+    at = qseries._checked(TauPoint(t), SeriesPolicy(max_terms=cap))
+    alone = [_outcome(lambda: qseries._bernoulli_series(m, x[sl], y[sl], at,
+                                                        (errs[0][sl], errs[1][sl])))
+             for m, sl in ((m, slice(*ends or [None])) for m, *ends in layers)]
+    layers = [(m, slice(*ends) if ends else None) for m, *ends in layers]
+    failed = [o for o in alone if o[0] == "NonConvergenceError"]
+    assert failed
+    got = _outcome(lambda: qseries._bernoulli_layers(layers, x, y, at, errs))
+    assert got == failed[0] == ["NonConvergenceError", f"elliptic Bernoulli series hit "
+                                f"max_terms={cap}", failed[0][2]]
 
 
 # ---------------------------------------------------------------------------
@@ -391,39 +471,64 @@ def passes(monkeypatch):
 
 @pytest.fixture
 def orders(monkeypatch):
-    """Records the order and the points of every B_m pass."""
+    """Records the layers of every B_m pass: (order, points) per layer."""
     seen = []
-    run = qseries._bernoulli_series
+    run = qseries._bernoulli_layers
 
-    def spy(m, x, *rest):
-        seen.append((m, len(x)))
-        return run(m, x, *rest)
+    def spy(layers, x, *rest):
+        seen.append([(m, len(x if sl is None else x[sl])) for m, sl in layers])
+        return run(layers, x, *rest)
 
-    # symbols imports the function by name for the Bernoulli route
-    monkeypatch.setattr(qseries, "_bernoulli_series", spy)
-    monkeypatch.setattr(symbols, "_bernoulli_series", spy)
+    # symbols imports the function by name for the shifted symbols
+    monkeypatch.setattr(qseries, "_bernoulli_layers", spy)
+    monkeypatch.setattr(symbols, "_bernoulli_layers", spy)
     return seen
 
 
 def test_one_bernoulli_pass_per_symbol(passes, orders):
-    """A symbol runs one B_m pass per order it needs, in ascending order:
-    the Machide triple B_1 and B_2 (its B_0 run none), a Prop. 3.1
-    residual B_1 and B_2 and then pe, the Bernoulli route B_1 and
-    B_{2n+1}."""
+    """A symbol runs one B_m pass, whose layers are the orders it needs in
+    ascending order: the Machide triple B_1 over its six point sets and
+    B_2 over five (its B_0 run none), a Prop. 3.1 residual B_1 over all
+    its points and B_2 over (ps, qs, s), and no pe pass; the Bernoulli
+    route runs B_1 and B_{2n+1} as two passes."""
     tau = TauPoint(0.3 + 1.1j)
-    for call, expected, extra in [
+    for call, expected in [
             (lambda: symbols.machide_reciprocity_residuals(CoprimePair(5, 3), 0.013, 0.007, tau),
-             [1, 2], 0),
-            (lambda: symbols.proposition31_residual(CoprimePair(5, 3), 0.04, tau), [1, 2], 1),
+             [[(1, 70), (2, 45)]]),
+            (lambda: symbols.proposition31_residual(CoprimePair(5, 3), 0.04, tau),
+             [[(1, 3 * 12 + 3 * 4 + 3), (2, 3)]]),
             (lambda: symbols.elliptic_apostol_sum(2, CoprimePair(5, 3), tau,
-                                                  Route.BERNOULLI_PRODUCT), [1, 5], 0)]:
+                                                  Route.BERNOULLI_PRODUCT),
+             [[(1, 12)], [(5, 12)]])]:
         passes.clear()
         orders.clear()
         call()
-        assert [m for m, _ in orders] == expected
-        assert all(type(m) is int for m, _ in orders)
-        assert len(passes) == len(expected) + extra
-        assert [columns for columns, _, _ in passes[:len(orders)]] == [n for _, n in orders]
+        assert orders == expected
+        assert all(type(m) is int for layers in orders for m, _ in layers)
+        assert [columns for columns, _, _ in passes] == [sum(n for _, n in layers)
+                                                          for layers in orders]
+
+
+#: the series passes of each shifted symbol's call, at tau in F and off it
+SHIFTED_PASSES = {"thm13": 9, "prop31": 1, "lemma32": 1}
+
+
+@pytest.mark.parametrize("t", [0.3 + 1.1j, 0.2 + 0.3j, 0.3 + 0.06j])
+def test_passes_per_shifted_symbol_call(passes, t):
+    """A Theorem 1.3 op, D^-(p, q; x) + D^-(q, p; x) - R^-(x) at three x,
+    runs 9 series passes, one per symbol; a Prop. 3.1 residual runs one,
+    and so does the Machide triple of Lemma 3.2."""
+    tau, pair, swap = TauPoint(t), CoprimePair(5, 3), CoprimePair(3, 5)
+    calls = {
+        "thm13": lambda: [symbols.generating_D(pair, tau, x) + symbols.generating_D(swap, tau, x)
+                          - symbols.generating_R(pair, tau, x) for x in (0.003, 0.007, 0.011)],
+        "prop31": lambda: symbols.proposition31_residual(pair, 0.04, tau),
+        "lemma32": lambda: symbols.machide_reciprocity_residuals(pair, 0.013, 0.007, tau),
+    }
+    for kind, call in calls.items():
+        passes.clear()
+        call()
+        assert len(passes) == SHIFTED_PASSES[kind], kind
 
 
 #: a B_1 batch held at Im tau = 0.06: 1200 points next to the lattice point
@@ -458,7 +563,7 @@ def test_passes_in_F_run_one_block(passes, orders, t):
     of at most its largest stopping j + 2 rows: the B_1 and pe passes of
     the zeta route, D^-(x) and R^-(x); and so does every pass of the
     Bernoulli route, the Machide triple and Prop. 3.1 at pairs whose B_m
-    passes, one per order, hold at most 70 points."""
+    layers hold at most 70 points each."""
     tau = TauPoint(t)
     for p, q in PIN_PQ + [(5, 3), (8, 3), (11, 4)]:
         pair = CoprimePair(p, q)
@@ -468,7 +573,7 @@ def test_passes_in_F_run_one_block(passes, orders, t):
         symbols.generating_D(pair, tau, x)
         symbols.generating_R(pair, tau, x)
     small = [(rows, last) for columns, rows, last in passes if columns <= 64]
-    assert len(small) > 50
+    assert len(small) > 40
     passes.clear()
     orders.clear()
     for p, q in [(2, 1), (3, 2), (7, 4), (5, 3), (8, 3), (11, 4)]:
@@ -476,9 +581,10 @@ def test_passes_in_F_run_one_block(passes, orders, t):
             symbols.elliptic_apostol_sum(n, CoprimePair(p, q), tau, Route.BERNOULLI_PRODUCT)
     symbols.machide_reciprocity_residuals(CoprimePair(5, 3), 0.013, 0.007, tau)
     symbols.proposition31_residual(CoprimePair(5, 3), 0.04, tau)
-    # two B_m passes per call, and Prop. 3.1's pe pass
-    assert len(orders) == 6 * 3 * 2 + 2 + 2 and len(passes) == len(orders) + 1
-    assert all(type(m) is int and columns <= 70 for m, columns in orders)
+    # two B_m passes per route call, and one each for the Machide triple
+    # and Prop. 3.1
+    assert len(orders) == 6 * 3 * 2 + 1 + 1 and len(passes) == len(orders)
+    assert all(type(m) is int and columns <= 70 for layers in orders for m, columns in layers)
     for rows, last in small + [(rows, last) for _, rows, last in passes]:
         assert len(rows) == 1 and rows[0] <= last + 2
 

@@ -93,7 +93,7 @@ CASES = (
 )
 
 GOLDEN_SHA256 = (
-    "4c57e890d8e5dd41b7be8e5dcc2529dea65ca51f1834328fac78336bb9b1d18e")
+    "b8e7b9bb77279a62487a443f515f5966a1f9fd5a331f8acb587248931b0a6171")
 
 
 def _run(argv):

@@ -1342,3 +1342,48 @@ class TestSigmaLogTauDerivativeAgainstMpmath:
                 v = sigma_log_tau_derivative(z, TauPoint(tau))
                 ref = self._reference(mp, mp.mpc(z.real, z.imag), mp.mpc(tau.real, tau.imag))
                 assert abs(v.value - ref) <= v.err <= 1e-6, (z, v, ref)
+
+
+#: (x, y, tau) at which the heat identity catches B_2's err scaled by 0.1:
+#: off F just past Re tau = 1/2 and just inside the unit circle, and on F,
+#: where the residual reads 0.27, 0.25 and 0.27 of the combined err, and
+#: B_2's err is most of it
+HEAT_TENTH_CASES = [
+    (0.2901395790460032, 0.6633737623100991, 0.5014883939184078 + 0.880329706322305j),
+    (-0.30551058135533904, -0.6666559107045804, 0.4881982041472184 + 0.8436483399807285j),
+    (0.29223022281365674, -0.42842453045574513, 0.07024391329563207 + 1.0482175925429456j),
+]
+
+#: (x, y) in (-1, 1)^2 at least 1e-3 from every lattice point
+_heat_points = st.tuples(st.floats(-0.999, 0.999), st.floats(-0.999, 0.999)).filter(
+    lambda p: max(abs(p[0] - round(p[0])), abs(p[1] - round(p[1]))) > 1e-3)
+
+
+class TestHeatIdentity:
+    """B_2(x, y; tau) = B_1(x, y; tau)^2 - pe(x - y tau; tau) / (2 pi i)^2,
+    the heat equation of theta_1 in Kronecker's form: three kernels on two
+    series checking each other within their combined err, on F and off it.
+    R^-(x) and Prop. 3.1 read pe at k = 0 through it, as B_1^2 - B_2."""
+
+    @staticmethod
+    def _residual(x, y, t, b2_scale=1.0):
+        tau = TauPoint(t)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SlowNomeWarning)
+            b1, b2 = (elliptic_bernoulli_points(m, [x], [y], tau)[0] for m in (1, 2))
+            pe = weierstrass_p_deriv_points(0, [x - y * t], tau)[0]
+        b2 = ComplexVal(b2.value, b2_scale * b2.err)
+        return b2 - (b1 * b1 - pe * (1.0 / (TWO_PI_I**2).real))
+
+    @given(point=_heat_points, re=st.floats(-1.5, 1.5), im=st.floats(0.06, 1.5))
+    @settings(max_examples=60, deadline=None)
+    def test_within_combined_err(self, point, re, im):
+        r = self._residual(*point, complex(re, im))
+        assert abs(r.value) <= r.err, (point, re, im, r)
+
+    @pytest.mark.parametrize("x, y, t", HEAT_TENTH_CASES)
+    def test_catches_a_tenth_of_b2_err(self, x, y, t):
+        r = self._residual(x, y, t)
+        assert abs(r.value) <= r.err
+        r = self._residual(x, y, t, 0.1)
+        assert abs(r.value) > r.err, r

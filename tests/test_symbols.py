@@ -490,3 +490,52 @@ def test_paired_sums_against_loop_reference(p, q, im):
         for u, v in ((p, q), (q, p)):
             _within_combined_err(proposition31_constant_closed_form(CoprimePair(u, v), tau),
                                  ref.proposition31_constant_closed_form(CoprimePair(u, v), tau))
+
+
+#: (p, q, u) of the R^-(x) checks, at x = u / (2 max(p, q)): x of both
+#: signs, q on both sides of p, and q = 1
+GENERATING_R_CASES = [(3, 2, 0.3), (5, 3, -0.7), (7, 11, 0.45), (2, 1, 0.9), (4, 7, -0.2)]
+
+
+@pytest.mark.parametrize("t", [0.3 + 1.1j, -0.45 + 0.7j, 0.2 + 0.3j, 0.3 + 0.06j, 1.2 + 0.8j])
+def test_generating_R_against_zeta_closed_form(t):
+    """R^-(x), from B_1 and B_2 by the heat identity, against its closed
+    form in zeta, pe and E_2, a route that reads no B_2: the public
+    kernels, each reduced by its own weight, and E_2 at tau itself,
+
+        (-b(px) b(qx) + (q/2p)(b(px)^2 - pe(px)) + (p/2q)(b(qx)^2 - pe(qx))
+         + (pe(x) + E_2) / pq) / (2 pi i)^2,   b = zeta(z) - E_2 z,
+
+    within the combined err, on F and off it."""
+    from ellded.qseries import weierstrass_p_deriv, weierstrass_zeta
+    tau = TauPoint(t)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SlowNomeWarning)
+        e2 = eisenstein(1, tau)
+        for p, q, u in GENERATING_R_CASES:
+            x = u / (2 * max(p, q))
+            b = [weierstrass_zeta(z, tau) - e2 * z for z in (p * x, q * x)]
+            pe = [weierstrass_p_deriv(0, z, tau) for z in (p * x, q * x, x)]
+            form = (-(b[0] * b[1]) + (b[0] * b[0] - pe[0]) * (q / (2 * p))
+                    + (b[1] * b[1] - pe[1]) * (p / (2 * q)) + (pe[2] + e2) * (1.0 / (p * q)))
+            _within_combined_err(generating_R(CoprimePair(p, q), tau, x),
+                                 form * (1.0 / (2j * math.pi) ** 2).real)
+
+
+@given(pq=st.tuples(st.integers(1, 13), st.integers(1, 13)).filter(
+           lambda pq: math.gcd(*pq) == 1 and max(pq) > 1),
+       u=st.floats(0.05, 0.95), neg=st.booleans(),
+       re=st.floats(-1.0, 1.0), im=st.floats(0.06, 1.5))
+@settings(max_examples=30, deadline=None)
+def test_proposition31_residual_is_thm13_expression(pq, u, neg, re, im):
+    """Prop. 3.1's residual at s is Theorem 1.3's expression
+    D^-(p, q; s) + D^-(q, p; s) - R^-(p, q; s) at x = s, within their
+    combined err, on F and off it: its division sums are the two D^- at
+    s, and its right side is R^-(s) by the heat identity."""
+    pair, swap = CoprimePair(*pq), CoprimePair(pq[1], pq[0])
+    s = (-u if neg else u) / (2 * max(pq))
+    tau = TauPoint(complex(re, im))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SlowNomeWarning)
+        thm13 = generating_D(pair, tau, s) + generating_D(swap, tau, s) - generating_R(pair, tau, s)
+        _within_combined_err(proposition31_residual(pair, s, tau), thm13)

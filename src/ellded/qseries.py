@@ -18,8 +18,10 @@ stopped.  The engine raises the term cap's NonConvergenceError for the
 first column still running after max_terms, so no kernel has a failure
 path of its own.  Only the value arithmetic sets numpy's error state, to
 `np.errstate(all="ignore")`: the two series, whose rows past the stop may
-overflow unseen, and ComplexArray's `+` and `*`, `_weighted` and `_fsum`,
-whose products or errs may leave binary64.  No function that calls
+overflow unseen, ComplexArray's `+` and `*`, `_weighted` and `_fsum`,
+whose products or errs may leave binary64, and the frame maps
+`_decompose` and `_frame`, whose products may leave it at a huge Re tau,
+for the point check or `_finite` to name.  No function that calls
 `_checked` sets it, as numpy's frame would then stand before the caller's
 in a SlowNomeWarning.  `_finite` is the one check of an array, which
 raises OverflowError where a value or err leaves binary64.
@@ -66,8 +68,9 @@ it is given directly (`_p_deriv_series`, `_b_series`, `_bernoulli_series`,
 leaves binary64 raises OverflowError there, not as NaN or Infinity.
 b = zeta - E_2 z comes straight from one B_1 batch (`_b_series`), with no
 E_2, and zeta is b + E_2 z.  The heat identity B_2 = B_1^2 - pe / (2 pi i)^2
-at k = 0 ties pe to B_1 and B_2, so that the shifted symbols read pe
-through one layered B_1, B_2 pass and run no pe pass.
+at k = 0 ties pe to B_1 and B_2, so that the shifted symbols and
+`sigma_log_tau_derivative` read pe through one layered B_1, B_2 pass and
+run no pe pass.
 Each input rule has one home, and the series only evaluate.  Each public
 call checks its tau once, in `_checked`, into a `_Checked` record of plain
 numbers: tau, tol, max_terms, the term cap of every series at every tau,
@@ -85,7 +88,8 @@ else through `_frame`, the one place that snaps a y within _LATTICE_EPS of
 an integer to it (`_snap_err`) and, off F, maps the points and their errors by
 gamma.  So every point series runs on the closed F or at tau' = gamma tau.
 B_m takes its points as (x, y), which pass the one point check before
-its frame.  Only the Weierstrass kernels hold a complex z: one helper,
+its frame.  Only the Weierstrass kernels and `sigma_log_tau_derivative`
+hold a complex z: one helper,
 `_kernel_frame`, decomposes it, passes it through the one point check,
 `_lattice_check` (one shape, 1-D, finite, off the lattice, on the same
 near-integer test), and charges the decomposition's rounding, on F as off
@@ -1476,6 +1480,7 @@ class _Frame(NamedTuple):
         return v if self.red is None else v * self.red.weight(w)
 
 
+@np.errstate(all="ignore")
 def _frame(x: np.ndarray, y: np.ndarray, at: _Checked, arg_err) -> _Frame:
     """The points x - y tau in the frame of the reduction of `at`'s tau,
     whose record for tau' is `_Reduction.checked`.
@@ -1485,7 +1490,9 @@ def _frame(x: np.ndarray, y: np.ndarray, at: _Checked, arg_err) -> _Frame:
     here and nowhere else), and the shift adds to dy; that is all on F.
     Off F, gamma carries dx and dy into x' and y', the integer products and
     the sums add 2^-53 (|a x| + |b y| + |x'|) to x' and the same in c, d to
-    y', and y' is snapped as y was, as the series take y snapped."""
+    y', and y' is snapped as y was, as the series take y snapped.  Runs
+    with no numpy warning: at a huge Re tau, x' and y' may leave binary64,
+    which the series' `_finite` names."""
     red = _reduction(at.tau)
     snapped, ey = _snap_err(y, arg_err[1])
     ex = arg_err[0]
@@ -1519,8 +1526,10 @@ def _snap_err(y: np.ndarray, dy) -> Tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
+@np.errstate(all="ignore")
 def _decompose(z, t: complex):
-    """Write z = x - y*t with real x, y."""
+    """Write z = x - y*t with real x, y; a product that leaves binary64 is
+    left to the point check (`_lattice_check`), with no numpy warning."""
     y = -z.imag / t.imag
     x = z.real + y * t.real
     return x, y
@@ -1546,8 +1555,8 @@ def _b_series(x: np.ndarray, y: np.ndarray, at: _Checked, arg_err) -> ComplexArr
     b(z) and b(z + tau) = b(z) - 2 pi i.  `arg_err` as in `_Frame`: B_1
     carries it and `at.dtau`; an error dy of y moves -y as it moves
     B_1(y) = y - 1/2, whose share of B_1's err already counts it.  The
-    kernels and the blocks call it in their frame; a symbol summed by
-    `_by_weight` calls it at the record it is given, with no frame."""
+    zeta kernel calls it in its frame; a symbol summed by `_by_weight`
+    calls it at the record it is given, with no frame."""
     b1 = _bernoulli_series(1, x - np.floor(x), y, at, arg_err)
     return (b1 - y) * -TWO_PI_I
 
@@ -1574,19 +1583,6 @@ def weierstrass_zeta(z: complex, tau: TauPoint,
     b(z) - 2 pi i restore the shift; zeta is b + E_2 z.
     """
     return weierstrass_zeta_points([complex(z)], tau, policy)[0]
-
-
-def _zeta_block(f: _Frame) -> ComplexArray:
-    """b(z) = zeta(z) - E_2 z at the points z of the frame f, with no E_2
-    at all: b from B_1 (`_b_series`) on F, else, by the rules of
-    `_Reduction` and `_Reduction.e2_shift`, m^-1 b'(z') - 2 pi i c z' with
-    b' = zeta - E_2 z at tau'."""
-    b = _b_series(f.x, f.y, f.at, f.arg_err)
-    if f.red is None:
-        return b
-    c = f.red.c
-    return (b * f.red.weight(1)
-            + f.z() * ComplexVal(-TWO_PI_I * c, 2.0**-52 * abs(TWO_PI_I * c)))
 
 
 @lru_cache(maxsize=None)
@@ -1716,19 +1712,6 @@ def weierstrass_p_deriv(k: int, z: complex, tau: TauPoint,
     return weierstrass_p_deriv_points(k, [complex(z)], tau, policy)[0]
 
 
-def _pe_blocks(f: _Frame, n: int):
-    """pe at the first n points of the frame f and pe + E_2 at the others,
-    from one pe batch.  pe + E_2 never mixes E_2 of two tau: on F it is
-    pe + E_2, else m^-2 (pe + E_2)(z'; tau') + 2 pi i c / m."""
-    pe = _p_deriv_series(0, f.x, f.y, f.at, f.arg_err)
-    head = ComplexArray(pe.value[:n], pe.err[:n])
-    rest = ComplexArray(pe.value[n:], pe.err[n:]) + _eisenstein(1, f.at)
-    if f.red is None:
-        return head, rest
-    w = f.red.weight(2)
-    return head * w, rest * w + f.red.e2_shift()
-
-
 def weierstrass_zeta_deriv(j: int, z: complex, tau: TauPoint,
                            policy: SeriesPolicy = DEFAULT_POLICY) -> ComplexVal:
     """zeta^{(j)}(z; tau); for j >= 1 this is -pe^{(j-1)}(z; tau)."""
@@ -1749,16 +1732,26 @@ def sigma_log_tau_derivative(z: complex, tau: TauPoint,
     equation theta_zz = 4 pi i theta_tau of theta_1 and Ramanujan's
     2 pi i E_2' = 5 E_4 - E_2^2 give, with b = zeta(z) - E_2 z,
 
-        2 d(log sigma)/dtau - E_2' z^2 - E_2 / (pi i) = (b^2 - pe(z)) / (2 pi i),
+        2 d(log sigma)/dtau - E_2' z^2 - E_2 / (pi i) = (b^2 - pe(z)) / (2 pi i).
 
-    with b from one B_1 batch (`_zeta_block`) and pe from one pe batch
-    (`_pe_blocks`), at tau reduced to F."""
+    For z = x - y tau, b = -2 pi i (B_1(x, y) - y) (`_b_series`) and the
+    heat identity pe = (2 pi i)^2 (B_1^2 - B_2) give b^2 - pe = (2 pi i)^2
+    (B_2 - 2 y B_1 + y^2), with B_1 and B_2 from one layered pass
+    (`_bernoulli_layers`) at tau reduced to F, each back by its weight
+    (`_Frame.back`), and x reduced into [0, 1) first, as in `_b_series`,
+    B_m being 1-periodic in x.  E_2 and E_2' are read at tau itself."""
     z = complex(z)
     at = _checked(tau, policy)
     f = _kernel_frame([z], at, "zeta")
-    b = _zeta_block(f)
-    heat = b * b - _pe_blocks(f, 1)[0]
-    val = (heat[0] + _eisenstein(1, at) * 2.0) * (1.0 / (4j * math.pi))
+    layers = _bernoulli_layers(((1, None), (2, None)), f.x - np.floor(f.x), f.y, f.at, f.arg_err)
+    b1, b2 = (f.back(b, m, f"B_{m}")[0] for m, b in enumerate(layers, 1))
+    # the explicit y, the decomposition's, whose rounding 2^-52 |y|, as
+    # `_kernel_frame` charges it, moves y^2 - 2 y B_1 by 2 |B_1 - y| times
+    # it; y^2 rounds once more
+    y = _decompose(z, at.tau)[1]
+    y2 = ComplexVal(y * y, 2.0**-52 * abs(y) * (2.0 * abs(b1.value - y) + 0.5 * abs(y)))
+    heat = (b2 - b1 * (2.0 * y) + y2) * TWO_PI_I**2
+    val = (heat + _eisenstein(1, at) * 2.0) * (1.0 / (4j * math.pi))
     de2 = _eisenstein_tau_derivative(1, at)
     return val + de2 * (z * z / 2)
 

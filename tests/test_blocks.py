@@ -510,20 +510,22 @@ def test_one_bernoulli_pass_per_symbol(passes, orders):
 
 
 #: the series passes of each shifted symbol's call, at tau in F and off it
-SHIFTED_PASSES = {"thm13": 9, "prop31": 1, "lemma32": 1}
+SHIFTED_PASSES = {"thm13": 9, "prop31": 1, "lemma32": 1, "sigma_log": 1}
 
 
 @pytest.mark.parametrize("t", [0.3 + 1.1j, 0.2 + 0.3j, 0.3 + 0.06j])
 def test_passes_per_shifted_symbol_call(passes, t):
     """A Theorem 1.3 op, D^-(p, q; x) + D^-(q, p; x) - R^-(x) at three x,
     runs 9 series passes, one per symbol; a Prop. 3.1 residual runs one,
-    and so does the Machide triple of Lemma 3.2."""
+    and so do the Machide triple of Lemma 3.2 and d(log sigma)/dtau, which
+    reads B_1 and B_2 from one layered pass."""
     tau, pair, swap = TauPoint(t), CoprimePair(5, 3), CoprimePair(3, 5)
     calls = {
         "thm13": lambda: [symbols.generating_D(pair, tau, x) + symbols.generating_D(swap, tau, x)
                           - symbols.generating_R(pair, tau, x) for x in (0.003, 0.007, 0.011)],
         "prop31": lambda: symbols.proposition31_residual(pair, 0.04, tau),
         "lemma32": lambda: symbols.machide_reciprocity_residuals(pair, 0.013, 0.007, tau),
+        "sigma_log": lambda: qseries.sigma_log_tau_derivative(0.3 - 0.02j, tau),
     }
     for kind, call in calls.items():
         passes.clear()

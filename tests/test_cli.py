@@ -411,6 +411,19 @@ class TestVerifyExitCodes:
         assert (code, out) == (3, "")
         assert err.splitlines() == ["error: zeta leaves the floating-point range"]
 
+    @pytest.mark.parametrize("argv, line", [
+        (["eval", "zeta-w", "--z", "0.3+1e10i"], "error: points must be finite"),
+        (["eval", "elliptic-bernoulli", "-m", "1", "--x", "0.3", "--y", "1e10"],
+         "error: B_1 leaves the floating-point range"),
+    ], ids=["zeta-w", "elliptic-bernoulli"])
+    def test_frame_map_at_huge_re_tau_writes_one_error_line(self, argv, line):
+        # y Re tau in the decomposition of z, and b y in the frame's map of
+        # the point, overflow at tau = 1e300 + i: one error line, and no
+        # numpy warning before it, which the test config makes an error
+        code, out, err = run_cli(argv + ["--tau", "1e300+1i"])
+        assert (code, out) == (3, "")
+        assert err.splitlines() == [line]
+
     @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_emit_writes_nothing_when_a_record_is_not_finite(self, fmt, bad):

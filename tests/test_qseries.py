@@ -244,13 +244,17 @@ class TestEllipticBernoulli:
         assert abs(b1.value - route) < 1e-10
 
     def test_b2_sigma_route(self):
-        # 2 pi i B_2(x, 0) = 2 d(log sigma)/dtau - E_2' x^2 - E_2 / (pi i)
+        # 2 pi i B_2(x, 0) = 2 d(log sigma)/dtau - E_2' x^2 - E_2 / (pi i),
+        # with d(log sigma)/dtau built here from zeta and pe, as
+        # sigma_log_tau_derivative reads B_2 itself
         tau = TauPoint(1.2j)
         x = 0.3
         b2 = elliptic_bernoulli(2, x, 0.0, tau)
-        slt = sigma_log_tau_derivative(x, tau).value
         de2 = eisenstein_tau_derivative(1, tau).value
         e2 = eisenstein(1, tau).value
+        b = weierstrass_zeta(x, tau).value - e2 * x
+        pe = weierstrass_p_deriv(0, x, tau).value
+        slt = (b * b - pe + 2 * e2) / (4j * math.pi) + de2 * x**2 / 2
         route = (2 * slt - de2 * x**2 - e2 / (1j * math.pi)) / TWO_PI_I
         assert abs(b2.value - route) < 1e-10
 
@@ -1011,7 +1015,9 @@ HUGE_RE_TAU = TauPoint(1e300 + 1j)
     lambda t: eisenstein_normalized(2, t),
     lambda t: eisenstein_tau_derivative(2, t),
     lambda t: elliptic_bernoulli(2, 0.3, 0.4, t),
+    lambda t: elliptic_bernoulli(1, 0.3, 1e10, t),
     lambda t: weierstrass_zeta(0.3 + 0.1j, t),
+    lambda t: weierstrass_zeta(0.3 + 1e10j, t),
     lambda t: weierstrass_p_deriv(1, 0.3 + 0.1j, t),
     lambda t: sigma_log_tau_derivative(0.3 + 0.1j, t),
     lambda t: elliptic_apostol_sum(1, CoprimePair(3, 2), t),
@@ -1026,7 +1032,8 @@ HUGE_RE_TAU = TauPoint(1e300 + 1j)
     lambda t: proposition31_constant_closed_form(CoprimePair(3, 2), t),
     lambda t: expected_constant(CoprimePair(3, 2), t),
 ], ids=["eisenstein", "eisenstein_normalized", "eisenstein_tau_derivative",
-        "elliptic_bernoulli", "weierstrass_zeta", "weierstrass_p_deriv",
+        "elliptic_bernoulli", "elliptic_bernoulli_frame_overflow",
+        "weierstrass_zeta", "weierstrass_zeta_decompose_overflow", "weierstrass_p_deriv",
         "sigma_log_tau_derivative", "zeta_route", "bernoulli_route", "reciprocity_rhs",
         "generating_D", "generating_R", "machide_sum", "machide_reciprocity_residuals",
         "proposition31_residual", "proposition31_constant_closed_form",
@@ -1313,6 +1320,14 @@ class TestKernelErrAgainstMpmath:
                     assert abs(batch[i].value - ref) <= batch[i].err, (k, z, batch[i], ref)
 
 
+#: a tau in F with a z 6e-4 from its lattice point -5 tau, as in
+#: `tests/test_reduction.py::ERR_BOUND_CASES`, and z = 0.3 - y tau at
+#: y = 1 - 1e-13, which the frame snaps to 1, on F and at 0.3 + 0.06i
+_NEAR_TAU = -0.1166967753952336 + 1.8058395980904347j
+SIGMA_LOG_NEAR_LATTICE_CASES = [(0.000606964196382398 - 5.000119024394501 * _NEAR_TAU, _NEAR_TAU)] + [
+    (0.3 - (1 - 1e-13) * t, t) for t in (1j, 0.2 + 1.1j, 0.3 + 0.06j)]
+
+
 class TestSigmaLogTauDerivativeAgainstMpmath:
     """d(log sigma)/dtau against the tau-derivative, taken by mpmath at 30
     digits, of log(theta_1(pi z) / (pi theta_1'(0))) + E_2 z^2 / 2, at z up
@@ -1342,6 +1357,26 @@ class TestSigmaLogTauDerivativeAgainstMpmath:
                 v = sigma_log_tau_derivative(z, TauPoint(tau))
                 ref = self._reference(mp, mp.mpc(z.real, z.imag), mp.mpc(tau.real, tau.imag))
                 assert abs(v.value - ref) <= v.err <= 1e-6, (z, v, ref)
+
+    @classmethod
+    def _check(cls, z, tau, err_scale=1.0):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30), warnings.catch_warnings():
+            warnings.simplefilter("ignore", SlowNomeWarning)
+            v = sigma_log_tau_derivative(z, TauPoint(tau))
+            ref = cls._reference(mp, mp.mpc(z.real, z.imag), mp.mpc(tau.real, tau.imag))
+        assert abs(v.value - ref) <= err_scale * v.err <= 1e-6, (z, tau, v, ref)
+
+    @pytest.mark.parametrize("z, tau", SIGMA_LOG_NEAR_LATTICE_CASES,
+                             ids=["near-lattice", "snap-1i", "snap-0.2+1.1i", "snap-0.3+0.06i"])
+    def test_err_bounds_reference_near_the_lattice(self, z, tau):
+        self._check(z, tau)
+
+    def test_catches_a_tenth_of_err(self):
+        # z = 0.45 at -0.1 + 0.11i reads 0.50 of its err
+        self._check(0.45, -0.1 + 0.11j)
+        with pytest.raises(AssertionError):
+            self._check(0.45, -0.1 + 0.11j, 0.1)
 
 
 #: (x, y, tau) at which the heat identity catches B_2's err scaled by 0.1:

@@ -182,9 +182,6 @@ def test_err_bounds_mpmath(t, points):
     zs = [x - y * t for x, y in points]
     got = {k: weierstrass_p_deriv_points(k, zs, tau) for k in ORDERS}
     got["zeta"] = weierstrass_zeta_points(zs, tau)
-    f = qseries._kernel_frame(zs, qseries._checked(tau, DEFAULT_POLICY), "zeta")
-    got["b"] = qseries._zeta_block(f)
-    got["pe+e2"] = qseries._pe_blocks(f, 0)[1]
     with mp.workdps(_dps(t)):
         refs = _references(mp, [mp.mpc(z.real, z.imag) for z in zs], mp.mpc(t.real, t.imag))
     for i, (z, ref) in enumerate(zip(zs, refs)):
@@ -256,9 +253,6 @@ def test_snapped_point_err_mpmath(t):
     tau, z = TauPoint(t), 0.3 - (1 - 1e-13) * t
     got = {k: weierstrass_p_deriv_points(k, [z], tau)[0] for k in ORDERS}
     got["zeta"] = weierstrass_zeta_points([z], tau)[0]
-    f = qseries._kernel_frame([z], qseries._checked(tau, DEFAULT_POLICY), "zeta")
-    got["b"] = qseries._zeta_block(f)[0]
-    got["pe+e2"] = qseries._pe_blocks(f, 0)[1][0]
     with mp.workdps(_dps(t)):
         ref = _references(mp, [mp.mpc(z.real, z.imag)], mp.mpc(t.real, t.imag))[0]
     for key, v in got.items():
@@ -414,13 +408,14 @@ def test_eisenstein_charge_of_dtau_mpmath(t):
 #: (series, oracle, arguments at which the oracle catches that series' err
 #: scaled by 0.1): pe^(k) at 1j, where the oracle's worst ratio is above
 #: 0.1 of err, and at the point 6e-4 from a lattice point in F that
-#: `test_kernels_near_lattice_err_in_F` found; b = zeta - E_2 z at 1j; both
-#: at a snapped y; and E_2k against its q-expansion and under a moved tau
+#: `test_kernels_near_lattice_err_in_F` found; b = zeta - E_2 z at that
+#: point, where zeta reads 0.24 of its err and 2.4 with b's scaled; both at
+#: a snapped y; and E_2k against its q-expansion and under a moved tau
 TENTH_OF_ERR_CASES = [
     ("_p_deriv_series", test_err_bounds_mpmath, (1j, POINTS)),
     ("_p_deriv_series", test_err_bounds_mpmath, ERR_BOUND_CASES[-1]),
     ("_p_deriv_series", test_snapped_point_err_mpmath, (0.3j,)),
-    ("_b_series", test_err_bounds_mpmath, (1j, POINTS)),
+    ("_b_series", test_err_bounds_mpmath, ERR_BOUND_CASES[-1]),
     ("_b_series", test_snapped_point_err_mpmath, (1j,)),
     ("_eisenstein", test_qseries.TestEisenstein().test_err_bounds_mpmath_reference,
      (0.3 + 1.1j,)),

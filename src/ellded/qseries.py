@@ -46,14 +46,14 @@ the rows of a caller's tau of the same value.
 
 The Weierstrass and elliptic Bernoulli functions are array kernels
 (`*_points`) on the engine; the scalar functions are one-point calls to them.
-`elliptic_bernoulli_points` also takes an order per point and runs one
-pass per order.  A symbol that needs B_m of several orders takes them from
-one layered pass (`_bernoulli_layers`): each layer an order over a slice of
-one point set, the layers' columns side by side in one `_block_series`
-batch, with the work that does not depend on m done once; each layer
-equals its one-order pass (`_bernoulli_series`, the one-layer case) bit
-for bit.  Integer powers in the series are IEEE products
-(`_ipow`), not numpy's pow, so their bits do not depend on the host.
+`elliptic_bernoulli_points` also takes an order per point.  A call or a
+symbol that needs B_m of several orders takes them from one layered pass
+(`_bernoulli_layers`): each layer an order over some points of one point
+set, the layers' columns side by side in one `_block_series` batch, with
+the work that does not depend on m done once; each layer equals its
+one-order pass (`_bernoulli_series`, the one-layer case) bit for bit.
+Integer powers in the series are IEEE products (`_ipow`), not numpy's pow,
+so their bits do not depend on the host.
 The Weierstrass and elliptic Bernoulli kernels run at tau reduced to the
 fundamental domain (`_reduction`) and leave their frame one way,
 `_Frame.back`, which maps their values back by weight, B_m being a lattice
@@ -1141,20 +1141,22 @@ def _bernoulli_poly_float(m: int, y):
 def elliptic_bernoulli_points(m, x, y, tau: TauPoint,
                               policy: SeriesPolicy = DEFAULT_POLICY) -> ComplexArray:
     """`elliptic_bernoulli` at every point (x[i], y[i]) of two equal-length
-    arrays, in one batched run of its series per order.
+    arrays, in one batched run of its series.
 
     `m` is one order for every point, or an integer array of orders aligned
-    with x and y; each order then runs its own pass, in ascending order, so
-    each point's value and err equal a one-order call's bit for bit, and
-    under a term cap the lowest order that fails raises."""
+    with x and y; each order is then one layer of the pass, in ascending
+    order, so each point's value and err equal a one-order call's bit for
+    bit, and under a term cap the lowest order that fails raises."""
     return _bernoulli_points(m, x, y, _checked(tau, policy))
 
 
 def _bernoulli_points(m, x, y, at: _Checked) -> ComplexArray:
     """`elliptic_bernoulli_points` at `at`'s tau: the caller's points are
-    lattice-checked and framed (`_frame`), and each order k's series runs
-    at the frame's record and returns through `_Frame.back`, B_k being a
-    lattice sum of weight k (see `_Reduction`)."""
+    lattice-checked and framed (`_frame`), each order k >= 1 is the layer
+    of its points (an index array) in one `_bernoulli_layers` pass at the
+    frame's record, and each layer returns through `_Frame.back`, B_k being
+    a lattice sum of weight k (see `_Reduction`), into the array of
+    B_0 = 1."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     m = np.asarray(m)
@@ -1166,16 +1168,14 @@ def _bernoulli_points(m, x, y, at: _Checked) -> ComplexArray:
     _lattice_check(x, y, lambda i: (f"B_{m[i]}({float(x[i])}, {float(y[i])}; tau): "
                                     "x - y*tau is a lattice point"))
     f = _frame(x, y, at, (np.zeros(x.shape), 0.0))
-    dx, dy = f.arg_err
-    # B_0 = 1 with err 0; one pass per order >= 1, the whole batch's if it
-    # holds one order
+    # B_0 = 1 with err 0; each order >= 1 one layer of one pass, over its
+    # points
     out = ComplexArray(np.ones(len(x), dtype=complex), np.zeros(len(x)))
-    for k in sorted(set(m.tolist()) - {0}):
-        on = m == k
-        if on.all():
-            return f.back(_bernoulli_series(k, f.x, f.y, f.at, (dx, dy)), k, f"B_{k}")
-        b = f.back(_bernoulli_series(k, f.x[on], f.y[on], f.at, (dx[on], dy[on])), k, f"B_{k}")
-        out.value[on], out.err[on] = b.value, b.err
+    layers = [(k, np.flatnonzero(m == k)) for k in sorted(set(m.tolist()) - {0})]
+    if layers:
+        for (k, on), b in zip(layers, _bernoulli_layers(layers, f.x, f.y, f.at, f.arg_err)):
+            b = f.back(b, k, f"B_{k}")
+            out.value[on], out.err[on] = b.value, b.err
     return out
 
 
@@ -1190,35 +1190,36 @@ def _bernoulli_series(m: int, x: np.ndarray, y: np.ndarray, at: _Checked,
 def _bernoulli_layers(layers, x: np.ndarray, y: np.ndarray, at: _Checked,
                       arg_err) -> List[ComplexArray]:
     """B_m(x, y; tau) for each layer (m, sl) of `layers`, an order m >= 1
-    and a slice sl of the points, or None for all of them, for which no
-    array is cut, by the series of `elliptic_bernoulli` at `at`'s tau, from
-    one `_block_series` batch whose columns are the layers' points side by
-    side: one ComplexArray per layer.  The points
-    passed the lattice check, with y as a frame (`_frame`) or an evaluator
-    of `_by_weight` gives it: each y is an integer or beyond _LATTICE_EPS
-    of one.  What does not depend on m is computed once over all the
-    points: e(+-x), e(-+y tau), w, D = e(+-x) - w, the ratios w / D, |D|,
-    the closing exponential and the argument errors; each layer adds its
-    own powers, sizes, roundings and finish.  The first block is sized for
-    the highest order.  Every column keeps the state of the row where it
-    first stopped, and each row is elementwise arithmetic, so a layer's
-    value and err equal the one-order pass `_bernoulli_series(m, x[sl],
-    y[sl], ...)` bit for bit; under a term cap the first column still
-    running names the error, with that pass's partial.  The powers
-    (y -+ j)^(m-1) are IEEE products (`_ipow`), at most m - 2 of them,
-    which the m ulps charged to a term's power cover.  Runs with no numpy
-    warning: rows past the stop may overflow, and `_finite` is the one
-    overflow check.
+    and the points sl it covers: a slice, an index array, or None for all
+    of them, for which no array is cut, by the series of
+    `elliptic_bernoulli` at `at`'s tau, from one `_block_series` batch
+    whose columns are the layers' points side by side: one ComplexArray per
+    layer, in the order of `layers`.  The points passed the lattice check,
+    with y as a frame (`_frame`) or an evaluator of `_by_weight` gives it:
+    each y is an integer or beyond _LATTICE_EPS of one.  What does not
+    depend on m is computed once over all the points: e(+-x), e(-+y tau),
+    w, D = e(+-x) - w, the ratios w / D, |D|, the closing exponential and the
+    argument errors; each layer adds its own powers, sizes, roundings and
+    finish.  The first block is sized for the highest order.  Every column
+    keeps the state of the row where it first stopped, and each row is
+    elementwise arithmetic, so a layer's value and err equal the one-order
+    pass `_bernoulli_series(m, x[sl], y[sl], ...)` bit for bit; under a term
+    cap the first column still running names the error, with that pass's
+    partial.  The powers (y -+ j)^(m-1) are IEEE products (`_ipow`), at most
+    m - 2 of them, which the m ulps charged to a term's power cover.  Runs
+    with no numpy warning: rows past the stop may overflow, and `_finite` is
+    the one overflow check.
 
     `arg_err` = (dx, dy) bounds the absolute errors of x and y, dy an
     array with one entry per point, which carries the caller's snap shift,
     and `at.dtau` that of tau; zeros where they are exact leave every bit
-    of the result as it is.  The errors add 2 pi dx to the argument of e(+-x),
-    2 pi (dy |tau| + (j + 1) dtau) to that of w = e((j -+ y) tau) and
-    2 pi (dx + dy |tau| + y dtau) to that of the closing term's
-    exponential.  dy also moves the powers (y -+ j)^(m-1), by (m - 1) dy /
-    (j -+ y) relative, the closing term's y^(m-1), by (m - 1)
-    y^(m-2) dy times the rest, and B_m(y), by m |B_{m-1}(y)| dy."""
+    of the result as it is, as every charge below is an exact 0 there.
+    The errors add 2 pi dx to the argument of e(+-x), 2 pi (dy |tau| +
+    (j + 1) dtau) to that of w = e((j -+ y) tau) and 2 pi (dx + dy |tau| +
+    y dtau) to that of the closing term's exponential.  dy also moves the
+    powers (y -+ j)^(m-1), by (m - 1) dy / (j -+ y) relative, the closing
+    term's y^(m-1), by (m - 1) y^(m-2) dy times the rest, and B_m(y), by
+    m |B_{m-1}(y)| dy."""
     t = at.tau
     # into [0, 1); x is off-integer where y is 0 (lattice check)
     y = y - np.floor(y)
@@ -1238,10 +1239,8 @@ def _bernoulli_layers(layers, x: np.ndarray, y: np.ndarray, at: _Checked,
     # rounding below charges A (err_x + err_w) + size err_w, and
     # A = |t1| / |D1| + kappa |t2| >= size / 2 as |D1| <= 2
     err_x = _exp_err(TWO_PI_I * x) + _TWO_PI_ULPS * (dx + 3.0 * dy * abs(t))
-    # dy in ulps, for the powers; a layer charges it only where some y moved
+    # dy in ulps, for the powers
     dy_ulps = 2.0**53 * dy
-    moved = [m > 1 and bool((dy_ulps if sl is None else dy_ulps[sl]).any())
-             for m, sl in layers]
     # the terms read the points as rows (1 x points), against the record's
     # (rows x 1) columns
     yr, err_x, dy_ulps = y[None], err_x[None], dy_ulps[None]
@@ -1257,7 +1256,7 @@ def _bernoulli_layers(layers, x: np.ndarray, y: np.ndarray, at: _Checked,
         t1, t2 = w1 / d1, -(w2 / (epx - w2))
         free = t1, t2, np.abs(d1), err_x + err_w, yr, dy_ulps
         out = []
-        for (m, sl), dy_moved in zip(layers, moved):
+        for m, sl in layers:
             u1, u2, ad1, err_xw, yk, dyk = free if sl is None else (a[:, sl] for a in free)
             if m > 1:
                 u1, u2 = _ipow(yk - j, m - 1) * u1, _ipow(yk + j, m - 1) * u2
@@ -1265,8 +1264,9 @@ def _bernoulli_layers(layers, x: np.ndarray, y: np.ndarray, at: _Checked,
             size = a1 + a2
             rnd = (a1 / ad1 + kappa * a2) * err_xw
             rnd += size * (m + 11.0 + err_w)
-            if dy_moved:
-                # dy moving (y -+ j)^(m-1) by (m - 1) dy / (j -+ y) relative
+            if m > 1:
+                # dy moving (y -+ j)^(m-1) by (m - 1) dy / (j -+ y) relative,
+                # an exact 0 where dy is 0
                 rnd += (m - 1) * dyk * (a1 / (j - yk) + a2 / (j + yk))
             out.append((u1 + u2, size, rnd))
         return out[0] if len(out) == 1 else [np.concatenate(a, axis=1) for a in zip(*out)]
@@ -1540,10 +1540,21 @@ def _kernel_frame(z, at: _Checked, pole: str) -> _Frame:
     decomposed (`_decompose`), lattice-checked (`_lattice_check`) and
     framed (`_frame`) with the decomposition's rounding as the errors of x
     and y, 2^-52 (|x| + |y Re tau|) and 2^-52 |y|, which cover its
-    2^-53 (|x| + 2 |y Re tau|) and 2^-53 |y|."""
+    2^-53 (|x| + 2 |y Re tau|) and 2^-53 |y|.  A lattice hit where that
+    bound is at least 1/2, so that x and y keep no digit of their
+    fractions, is a ValueError: z cannot be placed against the lattice,
+    which says nothing of a pole."""
     z = np.asarray(z, dtype=complex)
     x, y = _decompose(z, at.tau)
-    _lattice_check(x, y, lambda i: f"{pole} pole: z = {complex(z[i])} is on the lattice")
+
+    def hit(i):
+        ax, ay = abs(float(x[i])), abs(float(y[i]))
+        if 2.0**-52 * max(ax + ay * abs(at.tau.real), ay) >= 0.5:
+            raise ValueError(f"z = {complex(z[i])} cannot be placed against the lattice of "
+                             f"tau = {at.tau}: its coordinates keep no digit of their fractions")
+        return f"{pole} pole: z = {complex(z[i])} is on the lattice"
+
+    _lattice_check(x, y, hit)
     return _frame(x, y, at, (2.0**-52 * (np.abs(x) + np.abs(y * at.tau.real)),
                              2.0**-52 * np.abs(y)))
 

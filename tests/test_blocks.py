@@ -490,9 +490,14 @@ def test_one_bernoulli_pass_per_symbol(passes, orders):
     ascending order: the Machide triple B_1 over its six point sets and
     B_2 over five (its B_0 run none), a Prop. 3.1 residual B_1 over all
     its points and B_2 over (ps, qs, s), and no pe pass; the Bernoulli
-    route runs B_1 and B_{2n+1} as two passes."""
+    route runs B_1 and B_{2n+1} as two passes.  A mixed-order kernel call
+    runs one pass too, one layer per order >= 1, on F and off it."""
     tau = TauPoint(0.3 + 1.1j)
+    ms, points = [2, 5, 1, 0, 5], ([0.3, 0.2, 0.5, 0.1, 0.4], [0.1, 0.7, 0.2, 0.4, 0.6])
     for call, expected in [
+            (lambda: elliptic_bernoulli_points(ms, *points, tau), [[(1, 1), (2, 1), (5, 2)]]),
+            (lambda: elliptic_bernoulli_points(ms, *points, TauPoint(0.3 + 0.06j)),
+             [[(1, 1), (2, 1), (5, 2)]]),
             (lambda: symbols.machide_reciprocity_residuals(CoprimePair(5, 3), 0.013, 0.007, tau),
              [[(1, 70), (2, 45)]]),
             (lambda: symbols.proposition31_residual(CoprimePair(5, 3), 0.04, tau),

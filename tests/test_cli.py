@@ -424,6 +424,20 @@ class TestVerifyExitCodes:
         assert (code, out) == (3, "")
         assert err.splitlines() == [line]
 
+    def test_unplaceable_z_is_not_a_pole(self):
+        # at tau = 1e290 + i, x = 0.3 - 1e300 rounds to an integer, and the
+        # decomposition keeps no digit of x's fraction: z cannot be placed
+        # against the lattice, which is not a pole
+        code, out, err = run_cli(["eval", "zeta-w", "--z", "0.3+1e10i", "--tau", "1e290+1i"])
+        assert (code, out) == (3, "")
+        assert err.splitlines() == [
+            "error: z = (0.3+10000000000j) cannot be placed against the lattice of "
+            "tau = (1e+290+1j): its coordinates keep no digit of their fractions"]
+        # true poles keep their message, far out on the real axis too
+        code, _, err = run_cli(["eval", "zeta-w", "--z", "100000", "--tau", "1i"])
+        assert code == 3
+        assert err.splitlines() == ["error: zeta pole: z = (100000+0j) is on the lattice"]
+
     @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_emit_writes_nothing_when_a_record_is_not_finite(self, fmt, bad):

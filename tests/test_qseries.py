@@ -920,8 +920,8 @@ class TestBatchedKernels:
     def test_mixed_orders_errors(self):
         """A lattice point is named with its own order; under a capped
         policy the error is that of the first point of the lowest order
-        that fails alone, as the orders run one pass each in ascending
-        order."""
+        that fails alone, as the orders run as the layers of one pass, in
+        ascending order."""
         tau = TauPoint(1j)
         with pytest.raises(LatticePointError, match=r"^B_5\(2\.0, -1\.0"):
             elliptic_bernoulli_points([2, 5, 1], [0.3, 2.0, 0.5], [0.1, -1.0, 0.2], tau)
@@ -1245,17 +1245,17 @@ class TestKernelErrAgainstMpmath:
                     assert abs(batch[i].value - ref) <= batch[i].err, (m, x, y, batch[i], ref)
 
     def test_elliptic_bernoulli_catches_a_tenth_of_err(self, monkeypatch):
-        """The grid catches an err ten times too loose: with every B_m
-        series' err scaled by 0.1, `test_elliptic_bernoulli` fails, at
-        0.25+1.1i at least, where its worst point reads 0.25 of err."""
+        """The grid catches an err ten times too loose: with the err of
+        every layer of every B_m pass scaled by 0.1,
+        `test_elliptic_bernoulli` fails, at 0.25+1.1i at least, where its
+        worst point reads 0.25 of err."""
         pytest.importorskip("mpmath")
-        run = qseries._bernoulli_series
+        run = qseries._bernoulli_layers
 
         def tenth(*args):
-            b = run(*args)
-            return ComplexArray(b.value, 0.1 * b.err)
+            return [ComplexArray(b.value, 0.1 * b.err) for b in run(*args)]
 
-        monkeypatch.setattr(qseries, "_bernoulli_series", tenth)
+        monkeypatch.setattr(qseries, "_bernoulli_layers", tenth)
         failed = []
         for tau in self.TAUS:
             try:

@@ -20,8 +20,12 @@ would otherwise read as a gain.
 is the one a benchmark round runs.
 
 Prints, per op kind and in total, each side's summed time, the ratio B/A
-(below 1 where B is faster) and the gain A/B - 1, then the exceptions of
-each side.  Running a checkout against itself (an A/A run) shows the noise.
+(below 1 where B is faster) and the gain A/B - 1; then each side's p50 and
+p90 of the per-op times, as `perfbench/run.py` takes them
+(`statistics.quantiles`, n=10), with their ratio B/A, and the op kinds of
+each side's top decile, the ops at or above its p90; then the exceptions
+of each side.  Running a checkout against itself (an A/A run) shows the
+noise.
 """
 
 from __future__ import annotations
@@ -30,10 +34,11 @@ import argparse
 import importlib
 import json
 import math
+import statistics
 import sys
 import time
 import warnings
-from collections import defaultdict
+from collections import Counter, defaultdict
 from pathlib import Path
 from types import ModuleType
 from typing import Dict, List, NamedTuple, Sequence
@@ -114,9 +119,27 @@ def kind_totals(ops: Sequence, result: SideResult) -> Dict[str, float]:
     return dict(totals)
 
 
+class Latency(NamedTuple):
+    #: the median and 90th percentile of the per-op times, in seconds
+    p50: float
+    p90: float
+    #: ops per kind among those at or above p90, the top decile
+    top: Dict[str, int]
+
+
+def latency(ops: Sequence, result: SideResult) -> Latency:
+    """p50 and p90 of a side's per-op minimum times, taken as
+    `perfbench/run.py` takes its op latencies, and the kinds of the ops in
+    its top decile."""
+    q = statistics.quantiles(result.times, n=10)
+    top = Counter(op.kind for op, t in zip(ops, result.times) if t >= q[8])
+    return Latency(q[4], q[8], dict(top.most_common()))
+
+
 def report(ops: Sequence, a: SideResult, b: SideResult) -> Dict[str, float]:
-    """Print per-kind times, ratio B/A and gain A/B - 1, and each side's
-    exceptions; returns the ratio per kind."""
+    """Print per-kind times, ratio B/A and gain A/B - 1, each side's p50,
+    p90 and top-decile kinds, and each side's exceptions; returns the ratio
+    per kind."""
     ta, tb = kind_totals(ops, a), kind_totals(ops, b)
     ratios = {}
     print(f"{'kind':<14}{'ops':>5}{'A s':>10}{'B s':>10}{'B/A':>8}{'gain':>9}")
@@ -125,6 +148,14 @@ def report(ops: Sequence, a: SideResult, b: SideResult) -> Dict[str, float]:
         ratios[kind] = tb[kind] / ta[kind]
         print(f"{kind:<14}{count:>5}{ta[kind]:>10.4f}{tb[kind]:>10.4f}"
               f"{ratios[kind]:>8.4f}{ta[kind] / tb[kind] - 1:>+9.2%}")
+    la, lb = latency(ops, a), latency(ops, b)
+    for name in ("p50", "p90"):
+        ta, tb = getattr(la, name), getattr(lb, name)
+        print(f"{name + ' ms':<19}{1e3 * ta:>10.4f}{1e3 * tb:>10.4f}{tb / ta:>8.4f}"
+              f"{ta / tb - 1:>+9.2%}")
+    for name, lat in (("A", la), ("B", lb)):
+        kinds = ", ".join(f"{kind} {count}" for kind, count in lat.top.items())
+        print(f"top decile {name}: {kinds}")
     for name, side in (("A", a), ("B", b)):
         print(f"exceptions {name}: {len(side.errors)}")
         for i, msg in side.errors[:10]:

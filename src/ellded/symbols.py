@@ -20,8 +20,9 @@ reciprocity law, so they stay independent.
 Every zeta, pe and B_m factor is evaluated at its points' coordinates: z =
 x - y tau with x and y formed from the exact lambda, mu, p, q and the
 caller's x or s, each rounding charged as an argument error of the series
-(`_route_sum`, and the frames, `qseries._frame`, that `generating_D`,
-`generating_R` and `proposition31_residual` hand to their B_m pass).
+(`_route_sum`, and the frame, `qseries._frame`, of the Theorem 1.3
+record that `generating_D`, `generating_R` and `proposition31_residual`
+read).
 No symbol builds a complex z or decomposes one, and no lattice check sees
 the points of a division sum: division points lie off the lattice, and the
 windows on x and s keep the shifted and real points off it.
@@ -44,11 +45,18 @@ Kronecker form -2 pi i B_1(x, y; tau), so D^-(x) is a sum of B_1
 products, and the heat identity pe = (2 pi i)^2 (B_1^2 - B_2) turns
 R^-(x) into B_1 and B_2 at p x, q x and x (`_heat_form`).  So Theorem 1.3
 and Prop. 3.1 check one identity, D^-(p, q; x) + D^-(q, p; x) - R^-(x) =
-C(tau), through the same B_1, B_2 pass, and each shifted symbol runs one
-B_m pass (`qseries._bernoulli_layers`) per call.  E_2 where a symbol
-reads it by itself, and `_reciprocity_rhs_of` as the identity record
-reads it, run at tau itself; R^-(x) reads E_2 at tau' and its
-quasi-modular shift instead.
+C(tau), and its terms read one record per (p, q, tau, x) (`_theorem13`):
+one frame and one B_m pass (`qseries._bernoulli_layers`) over the points
+of both D^- and the B_1, B_2 points of R^-, each part where it is
+defined, with B_1 at the x-free points qP kept per (p, q, tau).  Each
+term finishes its own part from the record, bit for bit as from a pass
+of its own, so a Theorem 1.3 op runs one pass per x, not three.  A lone
+call pays for the parts it did not ask for: at a fresh x, 1.2 to 1.7
+times the time of a pass of its own for D^-(x), and up to 3 times for
+R^-(x) (README).  Every other shifted symbol runs one B_m pass per call.
+E_2 where a symbol reads it by itself, and `_reciprocity_rhs_of` as the
+identity record reads it, run at tau itself; R^-(x) reads E_2 at tau'
+and its quasi-modular shift instead.
 """
 
 from __future__ import annotations
@@ -58,7 +66,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -77,6 +85,7 @@ from .qseries import (
     _bernoulli_series,
     _by_weight,
     _Checked,
+    _LATTICE_EPS,
     _Frame,
     _checked,
     _checked_n,
@@ -173,51 +182,203 @@ def _shifted_points(p: int, q: int) -> Tuple[np.ndarray, ...]:
     return _read_only((lp, ys, 2.0**-53 * ys, dlp, q * lam % p / p, w / 2))
 
 
-def _shifted_coords(p: int, q: int, x: float):
-    """The points P - x, P + x and qP of D^-(p, q; x), one block each over
-    the points P of `_half_division_points(p)`, as coordinates x', y and
-    the bounds dx, dy on their roundings, and the pair weights w/2
+def _shifted_coords(p: int, q: int, x: float, with_qp: bool):
+    """The points P - x, P + x and, with `with_qp`, qP of D^-(p, q; x), one
+    block each over the points P of `_half_division_points(p)`, as
+    coordinates x', y and the bounds dx, dy on their roundings
     (`_shifted_points`)."""
-    lp, ys, dys, dlp, xq, w = _shifted_points(p, q)
-    xs = np.concatenate((lp - x, lp + x, xq))
-    return xs, ys, 2.0**-53 * np.abs(xs) + dlp, dys, w
+    lp, ys, dys, dlp, xq, _ = _shifted_points(p, q)
+    k = len(ys) if with_qp else 2 * len(lp)
+    xs = np.concatenate((lp - x, lp + x, xq) if with_qp else (lp - x, lp + x))
+    return xs, ys[:k], 2.0**-53 * np.abs(xs) + dlp[:k], dys[:k]
 
 
-def _shifted_sum(b1: ComplexArray, w: np.ndarray, p: int) -> ComplexVal:
-    """(1/p) sum_pairs (B_1(P - x) + B_1(P + x)) B_1(qP) w/2, from B_1 at
-    the points of `_shifted_coords`, in their order, and its weights w/2."""
-    minus, plus, second = _parts(b1, [len(w)] * 3)
-    return _fsum(_weighted((minus + plus) * second, w)) * (1.0 / p)
-
-
-def _real_points(pair: CoprimePair, x: float, name: str, what: str):
-    """The real points p x, q x and x of R^-(p, q; x) and of Prop. 3.1 at
-    s = x, and the roundings 2^-53 |p x| and 2^-53 |q x| of the two
-    products, after the window 0 < |x| < 1/(2 max(p, q)), which keeps them
-    off every lattice point but 0, and the lattice check, which rejects an
-    x too near 0, naming `what`."""
-    if not 0 < abs(x) < 1 / (2 * max(pair.p, pair.q)):
-        raise ValueError(f"need 0 < |{name}| < 1/(2 max(p,q)), got {x}")
-    xs = np.array([pair.p * x, pair.q * x, x])
-    _lattice_check(xs, np.zeros(3), lambda i: f"{what}: the point {xs[i]} is a lattice point")
+def _real_coords(p: int, q: int, x: float):
+    """The real points p x, q x and x of R^-(p, q; x), and the roundings
+    2^-53 |p x| and 2^-53 |q x| of the two products and 0 for x."""
+    xs = np.array([p * x, q * x, x])
     return xs, 2.0**-53 * np.abs(xs * (1, 1, 0))
 
 
-def _heat_form(pair: CoprimePair, f: _Frame, b1: ComplexArray, b2: ComplexArray) -> ComplexVal:
-    """R^-(p, q; x) from B_1 and B_2 at the last three points of the frame
-    f, p x, q x and x:
+def _real_points(p: int, q: int, x: float, name: str, what: str) -> None:
+    """The checks of the real points of R^-(p, q; x) and of Prop. 3.1 at
+    s = x: the window 0 < |x| < 1/(2 max(p, q)), which keeps them off every
+    lattice point but 0, and the lattice check, which rejects an x too near
+    0, naming `what`.  In the window |x| <= |q x| <= |p x| <= 1/2, so a
+    point is within _LATTICE_EPS of the lattice only where x is, and the
+    check runs only there."""
+    if not 0 < abs(x) < 1 / (2 * max(p, q)):
+        raise ValueError(f"need 0 < |{name}| < 1/(2 max(p,q)), got {x}")
+    if abs(x) <= _LATTICE_EPS:
+        xs = _real_coords(p, q, x)[0]
+        _lattice_check(xs, np.zeros(3), lambda i: f"{what}: the point {xs[i]} is a lattice point")
+
+
+#: entries of the Theorem 1.3 record cache (`_theorem13`): one record per
+#: (pair, record of tau, x), which the terms of Theorem 1.3 at that x read
+#: in turn; bounded, as each call may bring a fresh x
+THEOREM13_CACHE_SIZE = 4
+
+#: entries of the cache of B_1 at the x-free points qP of D^-(p, q; x), one
+#: per (p, q, record of tau): a Theorem 1.3 op reads two at each of its x
+QP_CACHE_SIZE = 8
+
+
+class _Bounded(dict):
+    """A dict of at most `size` entries, which drops its oldest on a put."""
+
+    def __init__(self, size: int):
+        super().__init__()
+        self.size = size
+
+    def put(self, key, value):
+        if len(self) >= self.size:
+            del self[next(iter(self))]
+        self[key] = value
+
+
+_RECORDS = _Bounded(THEOREM13_CACHE_SIZE)
+_QP = _Bounded(QP_CACHE_SIZE)
+
+#: the types of x whose records are kept: each computes as a Python float
+#: of its value, so equal keys mean equal bits (x = -0.0 and 0.0 too, as
+#: lam/p -+ x and a zero product move no bit between them)
+_KEPT_X = (float, int, np.float64)
+
+
+class _Theorem13(NamedTuple):
+    """What the terms of Theorem 1.3 at one (p, q, tau, x) read of one B_m
+    pass: the frame's record and reduction (`frame`, its points dropped);
+    for each D^-(u, v; x) the pass served, keyed (u, v), its terms
+    (B_1(P - x) + B_1(P + x)) B_1(qP) w/2; and where R^-(x) is defined the
+    pair (a, b) of the call that made the record, and B_1 and B_2 at
+    (a x, b x, x), else None."""
+
+    frame: _Frame
+    shifted: dict
+    reals: Optional[tuple]
+
+
+def _theorem13(p: int, q: int, at: _Checked, x: float, want: str) -> _Theorem13:
+    """The record of D^-(p, q; x), D^-(q, p; x) and R^-(p, q; x) at `at`'s
+    tau that holds the caller's part `want`, which the caller has checked:
+    "D" for D^-(p, q; x), "R" for R^-(p, q; x), "P" for all three (Prop.
+    3.1).  One record per (pair, `at`, x), the pair in either order, in a
+    cache of THEOREM13_CACHE_SIZE entries; so a Theorem 1.3 op runs one
+    frame and one B_m pass per x, which all three terms read.
+
+    The pass holds the caller's part and every other part defined at the
+    key: D^-(p, q; x) and D^-(q, p; x) beside R^-(x), and beside D^-(p, q;
+    x) where q >= 1, D^-(q, p; x) where |x| < 1/(2q) and R^-(x) where its
+    window and lattice check pass (`_real_points`); a part whose check
+    fails is left out, so a kept record holds every part defined at its
+    key.  The caller's columns lead the batch.  A pass that raises is rerun
+    with the caller's part alone, whose record is not kept, so a part the
+    caller did not ask for never changes what the caller returns or
+    raises.  An x of another type than `_KEPT_X` reads and keeps nothing,
+    and runs the caller's part alone."""
+    key = (p, q, at, x) if q < 1 or p > q else (q, p, at, x)
+    kept = type(x) in _KEPT_X
+    rec = _RECORDS.get(key) if kept else None
+    if rec is not None:
+        return rec
+    pairs = [] if want == "R" else [(p, q)] if want == "D" else [(p, q), (q, p)]
+    reals = want != "D"
+    mine = (pairs, reals)
+    if kept and want == "R":
+        pairs = [(p, q), (q, p)]
+    elif kept and want == "D" and q >= 1:
+        if abs(x) < 1 / (2 * q):
+            pairs = pairs + [(q, p)]
+        try:
+            _real_points(p, q, x, "x", "R^-")
+            reals = True
+        except ValueError:
+            pass
+    try:
+        rec = _pass13(pairs, reals, (p, q), at, x, kept, want == "R")
+    except Exception:
+        if (pairs, reals) == mine:
+            raise
+        return _pass13(*mine, (p, q), at, x, kept, want == "R")
+    if kept:
+        _RECORDS.put(key, rec)
+    return rec
+
+
+def _pass13(pairs, reals: bool, pair: Tuple[int, int], at: _Checked, x: float,
+            keep_qp: bool, reals_first: bool) -> _Theorem13:
+    """One frame and one B_m pass for `_theorem13`: B_1 at P -+ x and qP of
+    each D^-(u, v; x) of `pairs`, in their order, and with `reals` B_1 and
+    B_2 at (p x, q x, x) of the caller's pair (p, q), before them with
+    `reals_first`, else after.  With `keep_qp`, B_1 at qP is read from its
+    cache of QP_CACHE_SIZE entries, one per (u, v, `at`), where it is, and
+    kept there where the pass computed it, so that a later x runs only its
+    P -+ x columns."""
+    blocks, qps = [], []
+    for u, v in pairs:
+        qp = _QP.get((u, v, at)) if keep_qp else None
+        qps.append(qp)
+        blocks.append(_shifted_coords(u, v, x, qp is None))
+    if reals:
+        xs, dx = _real_coords(*pair, x)
+        blocks.insert(0 if reals_first else len(blocks), (xs, np.zeros(3), dx, np.zeros(3)))
+    xs, ys, dx, dy = (np.concatenate(c) for c in zip(*blocks))
+    f = _frame(xs, ys, at, (dx, dy))
+    start = 0 if reals_first else len(xs) - 3
+    layers = ((1, None), (2, slice(start, start + 3))) if reals else ((1, None),)
+    b1, *b2 = _bernoulli_layers(layers, f.x, f.y, f.at, f.arg_err)
+    cut = _parts(b1, [len(block[0]) for block in blocks])
+    real = (pair, cut.pop(0 if reals_first else -1), b2[0]) if reals else None
+    # (B_1(P - x) + B_1(P + x)) B_1(qP) w/2 of every pair in one elementwise run
+    factors, sizes = [], []
+    for (u, v), qp, part in zip(pairs, qps, cut):
+        w = _shifted_points(u, v)[5]
+        n = len(w)
+        if qp is None:
+            qp = ComplexArray(part.value[2 * n:].copy(), part.err[2 * n:].copy())
+            if keep_qp:
+                _QP.put((u, v, at), qp)
+        factors.append((*_parts(part, [n, n]), qp, w))
+        sizes.append(n)
+    products = []
+    if factors:
+        minus, plus, qp, w = (c[0] if len(c) == 1 else _joined(c) for c in zip(*factors))
+        products = _parts(_weighted((minus + plus) * qp, w), sizes)
+    return _Theorem13(f._replace(x=None, y=None, arg_err=None), dict(zip(pairs, products)), real)
+
+
+def _joined(parts):
+    """Arrays, or ComplexArrays, end to end."""
+    if isinstance(parts[0], ComplexArray):
+        return ComplexArray(np.concatenate([a.value for a in parts]),
+                            np.concatenate([a.err for a in parts]))
+    return np.concatenate(parts)
+
+
+def _shifted_sum(rec: _Theorem13, p: int, q: int) -> ComplexVal:
+    """(1/p) sum_pairs (B_1(P - x) + B_1(P + x)) B_1(qP) w/2 of D^-(p, q; x),
+    from the record's terms."""
+    return _fsum(rec.shifted[p, q]) * (1.0 / p)
+
+
+def _heat_form(pair: CoprimePair, rec: _Theorem13) -> ComplexVal:
+    """R^-(p, q; x) from B_1 and B_2 at p x, q x and x of the record:
 
         -B_1(px) B_1(qx) + B_2(px) q/2p + B_2(qx) p/2q
             + (B_1(x)^2 - B_2(x) + E_2 / (2 pi i)^2) / pq,
 
-    the one home of this form, which R^-(x) and Prop. 3.1 share.  b1 and b2
-    end with B_1 and B_2 at those points as the pass gave them, at the
+    the one home of this form, which R^-(x) and Prop. 3.1 share, at the
     frame's tau.  The B-part is of weight 2: it leaves the frame once,
     times m^-2 (`_Frame.back_sum`).  E_2 at the caller's tau is E_2 at the
     frame's on F, else m^-2 E_2(tau') + 2 pi i c / m
     (`_Reduction.e2_shift`), so that no E_2 is read at tau itself."""
     p, q = pair.p, pair.q
-    (u1, v1, s1), (u2, v2, s2) = ([b[len(b) - 3 + i] for i in range(3)] for b in (b1, b2))
+    f = rec.frame
+    # the reals in the order of the pair whose call made the record
+    made, *b = rec.reals
+    order = (0, 1, 2) if made == (p, q) else (1, 0, 2)
+    (u1, v1, s1), (u2, v2, s2) = ([c[i] for i in order] for c in b)
     out = -(u1 * v1) + u2 * (q / (2 * p)) + v2 * (p / (2 * q)) + (s1 * s1 - s2) * (1.0 / (p * q))
     e2 = _eisenstein(1, f.at)
     if f.red is not None:
@@ -379,9 +540,8 @@ def generating_D(pair: CoprimePair, tau: TauPoint, x: float,
     if p == 1:
         # the signed zeros of the bracket form's empty sum
         return _EMPTY_SUM * (1.0 / (TWO_PI_I**2).real)
-    xs, ys, dx, dy, w = _shifted_coords(p, pair.q, x)
-    f = _frame(xs, ys, at, (dx, dy))
-    return f.back_sum(_shifted_sum(_bernoulli_series(1, f.x, f.y, f.at, f.arg_err), w, p), 2)
+    rec = _theorem13(p, pair.q, at, x, "D")
+    return rec.frame.back_sum(_shifted_sum(rec, p, pair.q), 2)
 
 
 def generating_R(pair: CoprimePair, tau: TauPoint, x: float,
@@ -399,10 +559,8 @@ def generating_R(pair: CoprimePair, tau: TauPoint, x: float,
     lattice point but 0, and the lattice check (`qseries._lattice_check`)
     rejects an x too near 0."""
     pair.require_u()
-    xs, dx = _real_points(pair, x, "x", "R^-")
-    f = _frame(xs, np.zeros(3), _checked(tau, policy), (dx, 0.0))
-    layers = ((1, None), (2, None))
-    return _heat_form(pair, f, *_bernoulli_layers(layers, f.x, f.y, f.at, f.arg_err))
+    _real_points(pair.p, pair.q, x, "x", "R^-")
+    return _heat_form(pair, _theorem13(pair.p, pair.q, _checked(tau, policy), x, "R"))
 
 
 def expected_constant(pair: CoprimePair, tau: TauPoint,
@@ -586,23 +744,17 @@ def proposition31_residual(pair: CoprimePair, s: float, tau: TauPoint,
     D^-(q, p; s), summed at the points of `generating_D`.  The right side
     is R^-(p, q; s) (`_heat_form`), as dB_1(s, 0)/ds = 2 pi i (B_1(s)^2 -
     B_2(s)) + E_2 / (2 pi i) by the heat identity, so the residual is
-    Theorem 1.3's D^-(p, q; s) + D^-(q, p; s) - R^-(p, q; s).  Every factor
-    comes from one layered pass (`qseries._bernoulli_layers`): B_1 at the
-    six division-point groups and at (ps, qs, s), B_2 at (ps, qs, s) only.
-    The left side, of weight 2, leaves the frame once, times m^-2."""
+    Theorem 1.3's D^-(p, q; s) + D^-(q, p; s) - R^-(p, q; s), read from the
+    same record (`_theorem13`) as those three at x = s: one layered pass,
+    B_1 at the six division-point groups and at (ps, qs, s), B_2 at
+    (ps, qs, s) only.  The left side, of weight 2, leaves the frame once,
+    times m^-2."""
     pair.require_u()
     p, q = pair.p, pair.q
-    reals, dreal = _real_points(pair, s, "s", "Prop. 3.1")
-    at = _checked(tau, policy)
-    groups = [_shifted_coords(u, v, s) for u, v in ((p, q), (q, p))]
-    xs, ys, dx, dy = (np.concatenate([g[i] for g in groups] + [real])
-                      for i, real in enumerate((reals, np.zeros(3), dreal, np.zeros(3))))
-    f = _frame(xs, ys, at, (dx, dy))
-    b1, b2 = _bernoulli_layers(((1, None), (2, slice(len(xs) - 3, None))),
-                               f.x, f.y, f.at, f.arg_err)
-    first, second, _ = _parts(b1, [len(g[0]) for g in groups] + [3])
-    lhs = _shifted_sum(first, groups[0][4], p) + _shifted_sum(second, groups[1][4], q)
-    return f.back_sum(lhs, 2) - _heat_form(pair, f, b1, b2)
+    _real_points(p, q, s, "s", "Prop. 3.1")
+    rec = _theorem13(p, q, _checked(tau, policy), s, "P")
+    lhs = _shifted_sum(rec, p, q) + _shifted_sum(rec, q, p)
+    return rec.frame.back_sum(lhs, 2) - _heat_form(pair, rec)
 
 
 def proposition31_constant_closed_form(pair: CoprimePair, tau: TauPoint,

@@ -3,7 +3,10 @@ pair on a short op list."""
 
 import importlib.util
 import math
+from collections import Counter
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -58,3 +61,22 @@ def test_ops_default_to_a_benchmark_round(capsys):
     out = capsys.readouterr().out
     assert "eisenstein-identities, seed 1: 1850 ops" in out
     assert "exceptions A: 0" in out and "exceptions B: 0" in out
+
+
+def test_latency_percentiles_and_top_decile(capsys):
+    """Each side's p50 and p90 are the `perfbench/run.py` percentiles of its
+    per-op times, and its top decile counts the kinds of the ops at or
+    above its p90; the report prints both sides' percentiles, in ms, with
+    their ratio B/A, and both sides' top-decile kinds."""
+    ops = ab.load_side(ROOT).generate("division-sums", 1, 20)
+    times = [1e-3 * (i + 1) for i in range(len(ops))]
+    side = ab.SideResult(times, [])
+    lat = ab.latency(ops, side)
+    assert (lat.p50, lat.p90) == (pytest.approx(10.5e-3), pytest.approx(18.9e-3))
+    assert lat.top == dict(Counter(op.kind for op in ops[-2:]))
+    ab.report(ops, side, ab.SideResult([2 * t for t in times], []))
+    out = capsys.readouterr().out
+    assert "p90 ms                18.9000   37.8000  2.0000  -50.00%" in out
+    assert "p50 ms                10.5000   21.0000  2.0000  -50.00%" in out
+    kinds = ", ".join(f"{kind} {n}" for kind, n in lat.top.items())
+    assert f"top decile A: {kinds}" in out and f"top decile B: {kinds}" in out

@@ -2,14 +2,24 @@
 functions and Machide sums."""
 
 import math
+from itertools import permutations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ellded import symbols
 from ellded.exact import CoprimePair, apostol_sum, g_poly
-from ellded.qseries import LatticePointError, TauPoint, eisenstein, elliptic_bernoulli_points
+from ellded.qseries import (
+    DEFAULT_POLICY,
+    LatticePointError,
+    NonConvergenceError,
+    SeriesPolicy,
+    TauPoint,
+    eisenstein,
+    elliptic_bernoulli_points,
+)
 from ellded.symbols import (
     MachideSpec,
     Route,
@@ -539,3 +549,117 @@ def test_proposition31_residual_is_thm13_expression(pq, u, neg, re, im):
         warnings.simplefilter("ignore", SlowNomeWarning)
         thm13 = generating_D(pair, tau, s) + generating_D(swap, tau, s) - generating_R(pair, tau, s)
         _within_combined_err(proposition31_residual(pair, s, tau), thm13)
+
+
+# ---------------------------------------------------------------------------
+# The Theorem 1.3 record: one pass per (p, q, tau, x) that every term reads
+# ---------------------------------------------------------------------------
+
+def _empty_records():
+    symbols._RECORDS.clear()
+    symbols._QP.clear()
+
+
+def _outcome(call):
+    """The repr of what a call returns, or the type, message and partial
+    of what it raises."""
+    try:
+        return repr(call())
+    except (ValueError, ArithmeticError, NonConvergenceError) as e:
+        return type(e).__name__, str(e), repr(getattr(e, "partial", None))
+
+
+def _theorem13_calls(p, q, tau, x, policy=DEFAULT_POLICY):
+    """D^-(p, q; x), D^-(q, p; x), R^-(p, q; x) and the Prop. 3.1 residual
+    at s = x, by name; D^-(q, p; x) only where (q, p) is a pair."""
+    pair = CoprimePair(p, q)
+    calls = {"D": lambda: generating_D(pair, tau, x, policy),
+             "R": lambda: generating_R(pair, tau, x, policy),
+             "P": lambda: proposition31_residual(pair, x, tau, policy)}
+    if q >= 1:
+        calls["D swapped"] = lambda: generating_D(CoprimePair(q, p), tau, x, policy)
+    return calls
+
+
+def _alone(calls):
+    """Each call made alone on emptied caches and keeping no record, so
+    that it runs its own part, and only that, in its own pass."""
+    out = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(symbols, "_KEPT_X", ())
+        for name, call in calls.items():
+            _empty_records()
+            out[name] = _outcome(call)
+    return out
+
+
+def _every_order_equals_alone(calls):
+    """In every call order, each call through the records equals its call
+    alone: the first order on emptied caches, the later ones with the B_1
+    at qP that the earlier left."""
+    alone = _alone(calls)
+    _empty_records()
+    for order in permutations(calls):
+        symbols._RECORDS.clear()
+        assert {name: _outcome(calls[name]) for name in order} == alone, order
+    return alone
+
+
+@given(pq=st.tuples(st.integers(1, 13), st.integers(1, 13)).filter(
+           lambda pq: math.gcd(*pq) == 1 and max(pq) > 1),
+       u=st.floats(0.02, 0.98), neg=st.booleans(),
+       re=st.floats(-1.0, 1.0), im=st.floats(0.06, 1.5))
+@settings(max_examples=20, deadline=None)
+def test_record_reads_equal_calls_alone(pq, u, neg, re, im):
+    """D^-(p, q; x), D^-(q, p; x), R^-(x) and the Prop. 3.1 residual read
+    through a record are repr-equal to the same calls made alone, in every
+    call order, on F and off it."""
+    x = (-u if neg else u) / (2 * max(pq))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SlowNomeWarning)
+        alone = _every_order_equals_alone(_theorem13_calls(*pq, TauPoint(complex(re, im)), x))
+    assert all(isinstance(v, str) for v in alone.values())
+
+
+#: (p, q, x) where some part is undefined: R^-'s lattice check fails at an
+#: x so near 0, D^-(q, p; x) and R^- are undefined where q > p and
+#: 1/(2q) <= |x| < 1/(2p), and outside U at q <= 0; the sums over no
+#: division points at p = 1 and at q = 1
+UNDEFINED_PARTS = [(5, 3, 1e-14), (5, 3, -3e-13), (3, 5, 0.12), (2, 13, -0.2),
+                   (5, -3, 0.05), (7, -2, -0.06), (1, 7, 0.05), (7, 1, -0.05), (1, 1, 0.2)]
+
+
+@pytest.mark.parametrize("t", [0.3 + 1.1j, 0.2 + 0.3j, 0.3 + 0.06j])
+@pytest.mark.parametrize("p, q, x", UNDEFINED_PARTS)
+def test_undefined_part_changes_no_call(p, q, x, t):
+    """Where a part is undefined, each call returns or raises what it
+    returns or raises alone, in every call order."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SlowNomeWarning)
+        _every_order_equals_alone(_theorem13_calls(p, q, TauPoint(t), x))
+
+
+#: (p, q, x, tau, max_terms) at which D^-(p, q; x) converges within the
+#: cap while the B_1 of D^-(q, p; x), and at two of them R^-'s B_m too,
+#: run past it
+CAPPED = [(2, 13, 0.95 / 26, 0.3 + 0.06j, 4), (3, 5, -0.05, 0.3 + 0.06j, 4),
+          (3, 2, 0.95 / 6, 0.3 + 0.06j, 4), (4, 9, 0.7 / 18, 0.3 + 0.06j, 4)]
+
+
+@pytest.mark.parametrize("p, q, x, t, cap", CAPPED)
+def test_capped_speculative_part_changes_no_call(p, q, x, t, cap):
+    """Under a term cap that a part the caller did not ask for runs past
+    while the caller's part converges, the caller gets its value, and every
+    other call raises what it raises alone, in every call order."""
+    calls = _theorem13_calls(p, q, TauPoint(t), x, SeriesPolicy(max_terms=cap))
+    runs, run = [], symbols._pass13
+    with warnings.catch_warnings(), pytest.MonkeyPatch.context() as mp:
+        warnings.simplefilter("ignore", SlowNomeWarning)
+        alone = _every_order_equals_alone(calls)
+        # D^-(p, q; x) on emptied caches: its pass with the other parts
+        # raises, and its rerun with its own part alone returns its value
+        mp.setattr(symbols, "_pass13", lambda *args: runs.append(args[:2]) or run(*args))
+        _empty_records()
+        assert _outcome(calls["D"]) == alone["D"]
+    assert isinstance(alone["D"], str) and alone["D swapped"][0] == "NonConvergenceError"
+    assert len(runs) == 2 and runs[0] != runs[1] == ([(p, q)], False)

@@ -48,12 +48,12 @@ and Prop. 3.1 check one identity, D^-(p, q; x) + D^-(q, p; x) - R^-(x) =
 C(tau), and its terms read one record per (p, q, tau, x) (`_theorem13`):
 one frame and one B_m pass (`qseries._bernoulli_layers`) over the points
 of both D^- and the B_1, B_2 points of R^-, each part where it is
-defined, with B_1 at the x-free points qP kept per (p, q, tau).  Each
-term finishes its own part from the record, bit for bit as from a pass
-of its own, so a Theorem 1.3 op runs one pass per x, not three.  A lone
-call pays for the parts it did not ask for: at a fresh x, 1.2 to 1.7
-times the time of a pass of its own for D^-(x), and up to 3 times for
-R^-(x) (README).  Every other shifted symbol runs one B_m pass per call.
+defined.  Each term finishes its own part from the record, bit for bit
+as from a pass of its own, so a Theorem 1.3 op runs one pass per x, not
+three.  D^-(x) builds the record, so a lone D^-(x) at a fresh x pays for
+the other two parts, about twice the time of a pass of its own (README);
+R^-(x) only reads one, and alone runs its own three points.  Every other
+shifted symbol runs one B_m pass per call.
 E_2 where a symbol reads it by itself, and `_reciprocity_rhs_of` as the
 identity record reads it, run at tau itself; R^-(x) reads E_2 at tau'
 and its quasi-modular shift instead.
@@ -182,22 +182,21 @@ def _shifted_points(p: int, q: int) -> Tuple[np.ndarray, ...]:
     return _read_only((lp, ys, 2.0**-53 * ys, dlp, q * lam % p / p, w / 2))
 
 
-def _shifted_coords(p: int, q: int, x: float, with_qp: bool):
-    """The points P - x, P + x and, with `with_qp`, qP of D^-(p, q; x), one
-    block each over the points P of `_half_division_points(p)`, as
-    coordinates x', y and the bounds dx, dy on their roundings
-    (`_shifted_points`)."""
+def _shifted_coords(p: int, q: int, x: float):
+    """The points P - x, P + x and qP of D^-(p, q; x), one block each over
+    the points P of `_half_division_points(p)`, as coordinates x', y and
+    the bounds dx, dy on their roundings (`_shifted_points`)."""
     lp, ys, dys, dlp, xq, _ = _shifted_points(p, q)
-    k = len(ys) if with_qp else 2 * len(lp)
-    xs = np.concatenate((lp - x, lp + x, xq) if with_qp else (lp - x, lp + x))
-    return xs, ys[:k], 2.0**-53 * np.abs(xs) + dlp[:k], dys[:k]
+    xs = np.concatenate((lp - x, lp + x, xq))
+    return xs, ys, 2.0**-53 * np.abs(xs) + dlp, dys
 
 
 def _real_coords(p: int, q: int, x: float):
-    """The real points p x, q x and x of R^-(p, q; x), and the roundings
-    2^-53 |p x| and 2^-53 |q x| of the two products and 0 for x."""
+    """The real points p x, q x and x of R^-(p, q; x), as coordinates x', y
+    and the bounds dx, dy on their roundings: 2^-53 |p x| and 2^-53 |q x|
+    of the two products, and 0 for x and every y."""
     xs = np.array([p * x, q * x, x])
-    return xs, 2.0**-53 * np.abs(xs * (1, 1, 0))
+    return xs, np.zeros(3), 2.0**-53 * np.abs(xs * (1, 1, 0)), np.zeros(3)
 
 
 def _real_points(p: int, q: int, x: float, name: str, what: str) -> None:
@@ -214,31 +213,13 @@ def _real_points(p: int, q: int, x: float, name: str, what: str) -> None:
         _lattice_check(xs, np.zeros(3), lambda i: f"{what}: the point {xs[i]} is a lattice point")
 
 
-#: entries of the Theorem 1.3 record cache (`_theorem13`): one record per
+#: entries of the Theorem 1.3 records (`_theorem13`): one record per
 #: (pair, record of tau, x), which the terms of Theorem 1.3 at that x read
 #: in turn; bounded, as each call may bring a fresh x
 THEOREM13_CACHE_SIZE = 4
 
-#: entries of the cache of B_1 at the x-free points qP of D^-(p, q; x), one
-#: per (p, q, record of tau): a Theorem 1.3 op reads two at each of its x
-QP_CACHE_SIZE = 8
-
-
-class _Bounded(dict):
-    """A dict of at most `size` entries, which drops its oldest on a put."""
-
-    def __init__(self, size: int):
-        super().__init__()
-        self.size = size
-
-    def put(self, key, value):
-        if len(self) >= self.size:
-            del self[next(iter(self))]
-        self[key] = value
-
-
-_RECORDS = _Bounded(THEOREM13_CACHE_SIZE)
-_QP = _Bounded(QP_CACHE_SIZE)
+#: the Theorem 1.3 records by key, oldest first
+_RECORDS: dict = {}
 
 #: the types of x whose records are kept: each computes as a Python float
 #: of its value, so equal keys mean equal bits (x = -0.0 and 0.0 too, as
@@ -249,10 +230,10 @@ _KEPT_X = (float, int, np.float64)
 class _Theorem13(NamedTuple):
     """What the terms of Theorem 1.3 at one (p, q, tau, x) read of one B_m
     pass: the frame's record and reduction (`frame`, its points dropped);
-    for each D^-(u, v; x) the pass served, keyed (u, v), its terms
-    (B_1(P - x) + B_1(P + x)) B_1(qP) w/2; and where R^-(x) is defined the
-    pair (a, b) of the call that made the record, and B_1 and B_2 at
-    (a x, b x, x), else None."""
+    for each D^-(u, v; x) the pass served, keyed (u, v), B_1 at its points
+    (`_shifted_coords`); and where R^-(x) is defined the pair (a, b) whose
+    real points the pass ran, and B_1 and B_2 at (a x, b x, x), else
+    None."""
 
     frame: _Frame
     shifted: dict
@@ -263,103 +244,69 @@ def _theorem13(p: int, q: int, at: _Checked, x: float, want: str) -> _Theorem13:
     """The record of D^-(p, q; x), D^-(q, p; x) and R^-(p, q; x) at `at`'s
     tau that holds the caller's part `want`, which the caller has checked:
     "D" for D^-(p, q; x), "R" for R^-(p, q; x), "P" for all three (Prop.
-    3.1).  One record per (pair, `at`, x), the pair in either order, in a
-    cache of THEOREM13_CACHE_SIZE entries; so a Theorem 1.3 op runs one
-    frame and one B_m pass per x, which all three terms read.
+    3.1).
 
-    The pass holds the caller's part and every other part defined at the
-    key: D^-(p, q; x) and D^-(q, p; x) beside R^-(x), and beside D^-(p, q;
-    x) where q >= 1, D^-(q, p; x) where |x| < 1/(2q) and R^-(x) where its
-    window and lattice check pass (`_real_points`); a part whose check
-    fails is left out, so a kept record holds every part defined at its
-    key.  The caller's columns lead the batch.  A pass that raises is rerun
-    with the caller's part alone, whose record is not kept, so a part the
-    caller did not ask for never changes what the caller returns or
-    raises.  An x of another type than `_KEPT_X` reads and keeps nothing,
-    and runs the caller's part alone."""
-    key = (p, q, at, x) if q < 1 or p > q else (q, p, at, x)
+    One record per (pair, `at`, x), the pair in either order, is kept, in
+    at most THEOREM13_CACHE_SIZE entries, the oldest dropped first.  Where
+    none is kept, D^-(x) and Prop. 3.1 run one pass over every part
+    defined at the key, and keep it: D^-(u, v; x) for each order (u, v) of
+    the pair where u >= 1 and |x| < 1/(2u), and R^-(x) where the pair is in
+    U and its window and lattice check pass (`_real_points`); so a Theorem
+    1.3 op at one x, which calls D^-(x) first, runs one pass for its three
+    terms.  R^-(x) reads a kept record but builds none: alone, it runs its
+    own three points.  A pass that raises is rerun with the caller's part
+    alone, as the caller's own pass would run it, and that record is not
+    kept, so a part the caller did not ask for never changes what the
+    caller returns or raises.  An x of another type than `_KEPT_X` reads
+    and keeps nothing."""
     kept = type(x) in _KEPT_X
+    key = (max(p, q), min(p, q), at, x) if q >= 1 else (p, q, at, x)
     rec = _RECORDS.get(key) if kept else None
     if rec is not None:
         return rec
-    pairs = [] if want == "R" else [(p, q)] if want == "D" else [(p, q), (q, p)]
-    reals = want != "D"
-    mine = (pairs, reals)
-    if kept and want == "R":
-        pairs = [(p, q), (q, p)]
-    elif kept and want == "D" and q >= 1:
-        if abs(x) < 1 / (2 * q):
-            pairs = pairs + [(q, p)]
+    mine = [] if want == "R" else [(p, q)] if want == "D" else [(p, q), (q, p)]
+    if not kept or want == "R":
+        return _pass13(mine, want != "D", p, q, at, x)
+    a, b = key[:2]
+    reals = b >= 1
+    if reals:
         try:
-            _real_points(p, q, x, "x", "R^-")
-            reals = True
+            _real_points(a, b, x, "x", "R^-")
         except ValueError:
-            pass
+            reals = False
+    every = [(u, v) for u, v in ((a, b), (b, a)) if u >= 1 and abs(x) < 1 / (2 * u)]
     try:
-        rec = _pass13(pairs, reals, (p, q), at, x, kept, want == "R")
+        rec = _pass13(every, reals, a, b, at, x)
     except Exception:
-        if (pairs, reals) == mine:
-            raise
-        return _pass13(*mine, (p, q), at, x, kept, want == "R")
-    if kept:
-        _RECORDS.put(key, rec)
+        return _pass13(mine, want != "D", p, q, at, x)
+    if len(_RECORDS) >= THEOREM13_CACHE_SIZE:
+        del _RECORDS[next(iter(_RECORDS))]
+    _RECORDS[key] = rec
     return rec
 
 
-def _pass13(pairs, reals: bool, pair: Tuple[int, int], at: _Checked, x: float,
-            keep_qp: bool, reals_first: bool) -> _Theorem13:
-    """One frame and one B_m pass for `_theorem13`: B_1 at P -+ x and qP of
-    each D^-(u, v; x) of `pairs`, in their order, and with `reals` B_1 and
-    B_2 at (p x, q x, x) of the caller's pair (p, q), before them with
-    `reals_first`, else after.  With `keep_qp`, B_1 at qP is read from its
-    cache of QP_CACHE_SIZE entries, one per (u, v, `at`), where it is, and
-    kept there where the pass computed it, so that a later x runs only its
-    P -+ x columns."""
-    blocks, qps = [], []
-    for u, v in pairs:
-        qp = _QP.get((u, v, at)) if keep_qp else None
-        qps.append(qp)
-        blocks.append(_shifted_coords(u, v, x, qp is None))
+def _pass13(pairs, reals: bool, p: int, q: int, at: _Checked, x: float) -> _Theorem13:
+    """One frame and one B_m pass for `_theorem13`: B_1 at the points of
+    each D^-(u, v; x) of `pairs` (`_shifted_coords`), in their order, and
+    with `reals`, after them, B_1 and B_2 at (p x, q x, x)."""
+    blocks = [_shifted_coords(u, v, x) for u, v in pairs]
     if reals:
-        xs, dx = _real_coords(*pair, x)
-        blocks.insert(0 if reals_first else len(blocks), (xs, np.zeros(3), dx, np.zeros(3)))
+        blocks.append(_real_coords(p, q, x))
     xs, ys, dx, dy = (np.concatenate(c) for c in zip(*blocks))
     f = _frame(xs, ys, at, (dx, dy))
-    start = 0 if reals_first else len(xs) - 3
-    layers = ((1, None), (2, slice(start, start + 3))) if reals else ((1, None),)
+    layers = ((1, None), (2, slice(len(xs) - 3, None))) if reals else ((1, None),)
     b1, *b2 = _bernoulli_layers(layers, f.x, f.y, f.at, f.arg_err)
     cut = _parts(b1, [len(block[0]) for block in blocks])
-    real = (pair, cut.pop(0 if reals_first else -1), b2[0]) if reals else None
-    # (B_1(P - x) + B_1(P + x)) B_1(qP) w/2 of every pair in one elementwise run
-    factors, sizes = [], []
-    for (u, v), qp, part in zip(pairs, qps, cut):
-        w = _shifted_points(u, v)[5]
-        n = len(w)
-        if qp is None:
-            qp = ComplexArray(part.value[2 * n:].copy(), part.err[2 * n:].copy())
-            if keep_qp:
-                _QP.put((u, v, at), qp)
-        factors.append((*_parts(part, [n, n]), qp, w))
-        sizes.append(n)
-    products = []
-    if factors:
-        minus, plus, qp, w = (c[0] if len(c) == 1 else _joined(c) for c in zip(*factors))
-        products = _parts(_weighted((minus + plus) * qp, w), sizes)
-    return _Theorem13(f._replace(x=None, y=None, arg_err=None), dict(zip(pairs, products)), real)
-
-
-def _joined(parts):
-    """Arrays, or ComplexArrays, end to end."""
-    if isinstance(parts[0], ComplexArray):
-        return ComplexArray(np.concatenate([a.value for a in parts]),
-                            np.concatenate([a.err for a in parts]))
-    return np.concatenate(parts)
+    real = ((p, q), cut.pop(), b2[0]) if reals else None
+    return _Theorem13(f._replace(x=None, y=None, arg_err=None), dict(zip(pairs, cut)), real)
 
 
 def _shifted_sum(rec: _Theorem13, p: int, q: int) -> ComplexVal:
     """(1/p) sum_pairs (B_1(P - x) + B_1(P + x)) B_1(qP) w/2 of D^-(p, q; x),
-    from the record's terms."""
-    return _fsum(rec.shifted[p, q]) * (1.0 / p)
+    from B_1 at its points in the record."""
+    w = _shifted_points(p, q)[5]
+    minus, plus, second = _parts(rec.shifted[p, q], [len(w)] * 3)
+    return _fsum(_weighted((minus + plus) * second, w)) * (1.0 / p)
 
 
 def _heat_form(pair: CoprimePair, rec: _Theorem13) -> ComplexVal:
@@ -375,7 +322,7 @@ def _heat_form(pair: CoprimePair, rec: _Theorem13) -> ComplexVal:
     (`_Reduction.e2_shift`), so that no E_2 is read at tau itself."""
     p, q = pair.p, pair.q
     f = rec.frame
-    # the reals in the order of the pair whose call made the record
+    # the reals in the order of the pair whose real points the pass ran
     made, *b = rec.reals
     order = (0, 1, 2) if made == (p, q) else (1, 0, 2)
     (u1, v1, s1), (u2, v2, s2) = ([c[i] for i in order] for c in b)
@@ -525,7 +472,8 @@ def generating_D(pair: CoprimePair, tau: TauPoint, x: float,
 
     over one point of each pair {P, -P}, as B_1(-P -+ x) = -B_1(P +- x).
     The B_1 factors come from one pass at the frame's points, with no E_2,
-    and the sum, of weight 2, leaves the frame once, times m^-2
+    the Theorem 1.3 record's (`_theorem13`), and the sum, of weight 2,
+    leaves the frame once, times m^-2
     (`_Frame.back_sum`).  The coordinates, P -+ x at x' = lam/p -+ x and
     qP at x' = q lam/p, with y = -mu/p and -q mu/p, come from one table
     per (p, q) (`_shifted_points`); each quotient and each sum lam/p -+ x
@@ -553,7 +501,9 @@ def generating_R(pair: CoprimePair, tau: TauPoint, x: float,
     ((zeta - E_2 z)^2 - pe) / (2 pi i)^2 at c x is B_2(cx), and
     (pe(x) + E_2) / (2 pi i)^2 is B_1(x)^2 - B_2(x) + E_2 / (2 pi i)^2
     (`_heat_form`).  B_1 and B_2 at p x, q x and x come from one layered
-    pass (`qseries._bernoulli_layers`), with no zeta or pe pass.  The
+    pass (`qseries._bernoulli_layers`), with no zeta or pe pass: the
+    Theorem 1.3 record's where one is kept (`_theorem13`), else one of
+    their own.  The
     points are real: p x and q x, correctly rounded products whose
     rounding err charges, and x; |x| < 1/(2 max(p,q)) keeps them off every
     lattice point but 0, and the lattice check (`qseries._lattice_check`)

@@ -471,11 +471,9 @@ def passes(monkeypatch):
 
 @pytest.fixture
 def cold_records():
-    """Empties the Theorem 1.3 records and the B_1 values at qP that they
-    keep, so that a pin of passes counts the same passes whatever ran
-    before it."""
+    """Empties the Theorem 1.3 records, so that a pin of passes counts the
+    same passes whatever ran before it."""
     symbols._RECORDS.clear()
-    symbols._QP.clear()
 
 
 @pytest.fixture
@@ -501,9 +499,9 @@ def test_one_bernoulli_pass_per_symbol(passes, orders, cold_records):
     its points and B_2 over (ps, qs, s), and no pe pass; the Bernoulli
     route runs B_1 and B_{2n+1} as two passes.  D^-(p, q; x) runs the
     Theorem 1.3 record's pass, B_1 at the points of D^-(p, q; x) and
-    D^-(q, p; x) but their qP, which the Prop. 3.1 residual at the same
-    tau left, and B_1 and B_2 at (px, qx, x); R^-(x) at that x reads the
-    record and runs none.  A mixed-order kernel call runs one pass too, one
+    D^-(q, p; x), and B_1 and B_2 at (px, qx, x); R^-(x) at that x reads
+    the record and runs none, and alone at another x runs B_1 and B_2 at
+    its three points.  A mixed-order kernel call runs one pass too, one
     layer per order >= 1, on F and off it."""
     tau = TauPoint(0.3 + 1.1j)
     ms, points = [2, 5, 1, 0, 5], ([0.3, 0.2, 0.5, 0.1, 0.4], [0.1, 0.7, 0.2, 0.4, 0.6])
@@ -516,8 +514,9 @@ def test_one_bernoulli_pass_per_symbol(passes, orders, cold_records):
             (lambda: symbols.proposition31_residual(CoprimePair(5, 3), 0.04, tau),
              [[(1, 3 * 12 + 3 * 4 + 3), (2, 3)]]),
             (lambda: symbols.generating_D(CoprimePair(5, 3), tau, 0.05),
-             [[(1, 2 * 12 + 2 * 4 + 3), (2, 3)]]),
+             [[(1, 3 * 12 + 3 * 4 + 3), (2, 3)]]),
             (lambda: symbols.generating_R(CoprimePair(5, 3), tau, 0.05), []),
+            (lambda: symbols.generating_R(CoprimePair(5, 3), tau, 0.06), [[(1, 3), (2, 3)]]),
             (lambda: symbols.elliptic_apostol_sum(2, CoprimePair(5, 3), tau,
                                                   Route.BERNOULLI_PRODUCT),
              [[(1, 12)], [(5, 12)]])]:

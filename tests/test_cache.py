@@ -538,32 +538,26 @@ def test_fsum_reads_python_floats_to_the_same_sum(values):
 
 
 # ---------------------------------------------------------------------------
-# The Theorem 1.3 records and the B_1 values at qP they keep
+# The Theorem 1.3 records
 # ---------------------------------------------------------------------------
 
 
-def _empty_records():
-    symbols._RECORDS.clear()
-    symbols._QP.clear()
-
-
 def test_theorem13_caches_small_and_bounded():
-    """The records of Theorem 1.3 and the B_1 values at qP each hold at
-    most their module constant of entries, a small constant, however many
-    fresh x and tau the calls bring."""
-    sizes = {"_RECORDS": symbols.THEOREM13_CACHE_SIZE, "_QP": symbols.QP_CACHE_SIZE}
-    assert all(1 <= n <= 16 for n in sizes.values())
-    _empty_records()
+    """The records of Theorem 1.3 hold at most THEOREM13_CACHE_SIZE
+    entries, a small constant, however many fresh x and tau the calls
+    bring."""
+    n = symbols.THEOREM13_CACHE_SIZE
+    assert 1 <= n <= 16
+    symbols._RECORDS.clear()
     pair, swap = CoprimePair(5, 3), CoprimePair(3, 5)
-    for i in range(3 * max(sizes.values())):
+    for i in range(3 * n):
         tau = TauPoint(complex(-0.5 + i / 50, 0.3 + 0.02 * i))
         for x in (0.01 + 0.001 * i, -0.02 - 0.001 * i):
             symbols.generating_D(pair, tau, x)
             symbols.generating_D(swap, tau, x)
             symbols.generating_R(pair, tau, x)
-            for name, n in sizes.items():
-                assert 0 < len(getattr(symbols, name)) <= n
-    assert all(len(getattr(symbols, name)) == n for name, n in sizes.items())
+            assert 0 < len(symbols._RECORDS) <= n
+    assert len(symbols._RECORDS) == n
 
 
 #: calls that differ from D^-(5, 3; 0.05) under the default policy at
@@ -574,14 +568,13 @@ OTHER_RECORDS = [(SeriesPolicy(tol=1e-10), 0.3 + 1.1j), (SeriesPolicy(max_terms=
 
 @pytest.mark.parametrize("policy, t", OTHER_RECORDS)
 def test_theorem13_caches_keyed_on_the_record(monkeypatch, policy, t):
-    """A call under another policy or at another tau reads no entry that a
-    call at the default record left, neither its record nor its B_1 at qP:
-    it runs a pass over all its columns, and returns what it returns on
-    emptied caches."""
+    """A call under another policy or at another tau reads no record that
+    a call at the default record of tau left: it runs a pass over all its
+    columns, and returns what it returns on emptied records."""
     pair, x = CoprimePair(5, 3), 0.05
-    _empty_records()
+    symbols._RECORDS.clear()
     cold = repr(symbols.generating_D(pair, TauPoint(t), x, policy))
-    _empty_records()
+    symbols._RECORDS.clear()
     symbols.generating_D(pair, TauPoint(0.3 + 1.1j), x)
     symbols.generating_D(pair, TauPoint(0.3 + 1.1j), 0.04)
     widths = []

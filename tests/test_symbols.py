@@ -555,11 +555,6 @@ def test_proposition31_residual_is_thm13_expression(pq, u, neg, re, im):
 # The Theorem 1.3 record: one pass per (p, q, tau, x) that every term reads
 # ---------------------------------------------------------------------------
 
-def _empty_records():
-    symbols._RECORDS.clear()
-    symbols._QP.clear()
-
-
 def _outcome(call):
     """The repr of what a call returns, or the type, message and partial
     of what it raises."""
@@ -588,17 +583,15 @@ def _alone(calls):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(symbols, "_KEPT_X", ())
         for name, call in calls.items():
-            _empty_records()
+            symbols._RECORDS.clear()
             out[name] = _outcome(call)
     return out
 
 
 def _every_order_equals_alone(calls):
     """In every call order, each call through the records equals its call
-    alone: the first order on emptied caches, the later ones with the B_1
-    at qP that the earlier left."""
+    alone, each order on emptied records."""
     alone = _alone(calls)
-    _empty_records()
     for order in permutations(calls):
         symbols._RECORDS.clear()
         assert {name: _outcome(calls[name]) for name in order} == alone, order
@@ -656,10 +649,10 @@ def test_capped_speculative_part_changes_no_call(p, q, x, t, cap):
     with warnings.catch_warnings(), pytest.MonkeyPatch.context() as mp:
         warnings.simplefilter("ignore", SlowNomeWarning)
         alone = _every_order_equals_alone(calls)
-        # D^-(p, q; x) on emptied caches: its pass with the other parts
+        # D^-(p, q; x) on emptied records: its pass with the other parts
         # raises, and its rerun with its own part alone returns its value
         mp.setattr(symbols, "_pass13", lambda *args: runs.append(args[:2]) or run(*args))
-        _empty_records()
+        symbols._RECORDS.clear()
         assert _outcome(calls["D"]) == alone["D"]
     assert isinstance(alone["D"], str) and alone["D swapped"][0] == "NonConvergenceError"
     assert len(runs) == 2 and runs[0] != runs[1] == ([(p, q)], False)

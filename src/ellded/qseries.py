@@ -69,8 +69,13 @@ leaves binary64 raises OverflowError there, not as NaN or Infinity.
 b = zeta - E_2 z comes straight from one B_1 batch (`_b_series`), with no
 E_2, and zeta is b + E_2 z.  The heat identity B_2 = B_1^2 - pe / (2 pi i)^2
 at k = 0 ties pe to B_1 and B_2, so that the shifted symbols and
-`sigma_log_tau_derivative` read pe through one layered B_1, B_2 pass and
-run no pe pass.
+`sigma_log_tau_derivative` read pe through B_1 and B_2 and run no pe
+pass.  They read B_1 and B_2 alone, so they take them from one pass of a
+second formula, not the Lambert series: three Jacobi-theta sums of 2N
+Gaussian rows, N at most 4 on F and set by Im tau alone (`_theta_pass`),
+with no factor above 1, so no term cap, tol or large Im tau moves them.
+The Lambert B_m series serves the public B_m, the Bernoulli route and the
+zeta route's bracket.
 Each input rule has one home, and the series only evaluate.  Each public
 call checks its tau once, in `_checked`, into a `_Checked` record of plain
 numbers: tau, tol, max_terms, the term cap of every series at every tau,
@@ -93,7 +98,7 @@ hold a complex z: one helper,
 `_kernel_frame`, decomposes it, passes it through the one point check,
 `_lattice_check` (one shape, 1-D, finite, off the lattice, on the same
 near-integer test), and charges the decomposition's rounding, on F as off
-it.  The B_m passes of the shifted symbols take a frame of the
+it.  The theta passes of the shifted symbols take a frame of the
 coordinates their caller already has, each with its own rounding, and
 their sums leave it once, by their weight (`_Frame.back_sum`).
 The Eisenstein q-sums are memoised per (n, record, tau_deriv) in a bounded
@@ -1340,6 +1345,186 @@ def elliptic_bernoulli(m: int, x: float, y: float, tau: TauPoint,
 
 
 # ---------------------------------------------------------------------------
+# B_1 and B_2 from one Jacobi-theta pass
+# ---------------------------------------------------------------------------
+
+#: 1 / (4 pi^2), for the heat identity B_2 = B_1^2 + pe / (4 pi^2)
+_INV_4PI2 = -1.0 / (TWO_PI_I**2).real
+
+
+@lru_cache(maxsize=TAU_CACHE_SIZE)
+def _theta_rows(at: _Checked):
+    """What a theta pass at `at`'s tau reads of tau alone (`_theta_pass`):
+    N, the least N >= 1 at which the row pairs j = 0..N-1 leave out tails
+    below 2^-53; e^(pi Im tau); the factors -Q^k = -e(k tau), k = 0..N-2,
+    by `cmath.exp` per k; and, as read-only (3 x 1) columns over k = 0,
+    1, 2, the coefficients of the bound D_k on the error of S_k in |e_|
+    for the row j = 0 and for the rows j >= 1 over rho = |u| e^(pi Im
+    tau), in e_'s error (in ulps), in dx + |tau| dy and in 1.
+
+    Over t_0 = 1, the largest row, |t_j| = |u|^j e^(-pi Im tau j (j - 1))
+    <= rho h_j, h_j = e^(-pi Im tau j^2), and each row j >= 1 is charged
+    as if it were that large: its rounding e_j, of Q^k (`_exp_err`) and u,
+    within 2 pi (5 |tau| + 3/2) + 4 ulps, and two products per factor;
+    A_j = t_j G_j, below (2j + 1) |t_j|, its product's (A_0 = 1 is exact)
+    and the 2j powers and sums of G_j, within j (2j + 1) (e_'s error + |d|
+    + 5) ulps, |d| <= 1 and |e_| <= 2; its share of the sums' rounding, once per partial sum
+    it is in, j + 1 as the rows are summed from j = N - 1 down, and 2 ulps
+    for its weights; and the input errors of rows j and -j-1
+    (`_theta_pass`), with |d| <= 1 and y <= 1/2.  S_0 and S_2 are
+    -e_ times sums below sigma_k = sum (2j + 1)^(k+1) |t_j|, which charges
+    e_'s error and the product's 3 ulps, and S_1 adds 2 sum (2j + 1) t_j.
+    A row left out has |t_n| <= e^(-pi Im tau N^2) and |2n + 1| <= 2N + 1,
+    each further one less by at most r, so the tails add T_k <= 2
+    (2N + 1)^k e^(-pi Im tau N^2) / (1 - r): N = 4 at Im tau = sqrt(3)/2,
+    3 at 3, 1 from about 23 on."""
+    t = at.tau
+    im = t.imag
+    n = 0
+    tails = [math.inf]
+    while tails[-1] > 2.0**-53:
+        n += 1
+        tails = [2.0 * (2 * n + 1) ** k * math.exp(-math.pi * im * n * n)
+                 / (1.0 - ((2 * n + 3) / (2 * n + 1)) ** k * math.exp(-math.pi * im * (2 * n + 1)))
+                 for k in range(3)]
+    ks = range(n - 1)
+    err_u = 2.0 * math.pi * (5.0 * abs(t) + 1.5) + 10.0
+    j = np.arange(n, dtype=float)
+    e_j = np.cumsum([0.0] + [float(_exp_err(TWO_PI_I * k * t)) + err_u for k in ks])
+    w, h = 2.0 * j + 1.0, np.exp(-math.pi * im * j * j)
+    # (2j + 1)^k h_j over (k, j)
+    wh = w ** np.arange(3.0)[:, None] * h
+    sigma, grow = wh * w, wh * (w * j)
+    by_e = 2.0**-53 * (sigma * (e_j + j + 3.0 + 3.0 * (j > 0)) + 6.0 * grow + 3.0 * sigma)
+    by_err = 2.0**-53 * (2.0 * grow + sigma)
+    dtau = math.pi * at.dtau
+    ones = np.array(tails) + dtau * (wh * (j * (j + 1.0))).sum(axis=1)
+    # sum (2j + 1) t_j in S_1
+    ones[1] += 2.0**-52 * (wh[1] * (e_j + j + 2.0)).sum()
+    coef = (by_e[:, 0], by_e[:, 1:].sum(axis=1), by_err.sum(axis=1),
+            2.0 * math.pi * (wh * (2.0 * j + 1.0)).sum(axis=1),
+            ones + dtau * (wh * (j + 1.0) ** 2).sum(axis=1))
+    # rho reads e^(pi Im tau) only where rows j >= 1 run, N > 1: Im tau < 23
+    scale = math.exp(math.pi * im) if n > 1 else 0.0
+    return (n, scale, [-cmath.exp(TWO_PI_I * k * t) for k in ks],
+            *_read_only(tuple(c[:, None] for c in coef)))
+
+
+@np.errstate(all="ignore")
+def _theta_pass(x: np.ndarray, y: np.ndarray, at: _Checked, arg_err,
+                two=slice(None)) -> Tuple[ComplexArray, ComplexArray]:
+    """B_1(x, y; tau) at every point and B_2(x, y; tau) at the points of
+    the slice `two`, from one pass of three Jacobi-theta sums at `at`'s
+    tau, on F (DLMF 20.2, 23.6(i)).
+    With x reduced into [-1/2, 1/2] and y into [0, 1/2], through B_1(x, y)
+    = -B_1(-x, 1 - y) and B_2(x, y) = B_2(-x, 1 - y), all exactly,
+
+        S_k = sum_{n=-N}^{N-1} (2n + 1)^k t_n,
+        t_n = (-1)^n e^(pi i tau (n + 1/2 - y)^2) e((2n + 1) x / 2),
+
+    theta_1(pi z) = -i e^(-pi i tau y^2) S_0 at z = x - y tau and
+    pe = pi^2 (S_2 / S_0 - (S_1 / S_0)^2) - E_2, so B_1 = y - S_1 / (2 S_0)
+    and, by the heat identity B_2 = B_1^2 + pe / (4 pi^2),
+
+        B_2 = y (y - S_1 / S_0) + S_2 / (4 S_0) - E_2 / (4 pi^2),
+
+    in which the poles of B_1^2 and pe cancel before any rounding.  The
+    rows are taken over t_0, the largest, and in pairs, so that no factor
+    exceeds 1: t_j = prod_(k<j) (-Q^k u), j = 0..N-1, u = e(x + tau
+    (1 - y)), and t_(-j-1) = -t_j d^(2j+1), d = e(tau y - x), so that
+
+        t_j + t_(-j-1) = -e_ t_j G_j,   t_j - t_(-j-1) = t_j (2 + e_ G_j),
+
+    G_j = 1 + d + ... + d^(2j) and e_ = d - 1 by `np.expm1`: S_0 and S_2
+    are e_ times sums near 1, so B_1 keeps its digits next to the lattice
+    point z = 0, the only one near the reduced point.  N and Q^k, which
+    Im tau alone sets, come from the per-tau rows (`_theta_rows`).  The
+    points passed the lattice check, with y as a frame (`_frame`) gives
+    it.
+
+    err is first order: S_k / S_0 is within (D_k + |S_k / S_0| D_0) /
+    |S_0| for the error bounds D_k of S_k (`_theta_rows`), which charge
+    the roundings, the Gaussian tail, e_'s, within 6 ulps, and its
+    argument's, within 2 pi (4 |tau| y + 3 |x|) ulps of d, and `arg_err` =
+    (dx, dy) and `at.dtau` row by row: d log t_n is pi i (2n + 1) dx,
+    -2 pi i tau (n + 1/2 - y) dy and pi i (n + 1/2 - y)^2 dtau, of which
+    the parts common to every row cancel in the quotients, so that row n
+    is charged pi (2 |n| (dx + |tau| dy) + |n (n + 1 - 2y)| dtau) |t_n|.
+    E_2's err, the explicit y's dy, with the rounding of y's reduction,
+    and the finish are added.  Where the 2N rows are more than the cap,
+    raises NonConvergenceError "theta series hit max_terms=cap", with B_1
+    at the first point from the row pairs within the cap, one at least,
+    as the partial.  Runs with no numpy warning; a row below binary64
+    underflows to 0, and `_finite` is the one overflow check."""
+    t = at.tau
+    n, scale, qk, c_e0, c_e1, c_err, c_x, c_1 = _theta_rows(at)
+    dx, dy = arg_err
+    x0 = x - np.rint(x)
+    floor = np.floor(y)
+    y0 = y - floor
+    # the reduction of y rounds where floor(y) != 0: within 2^-53
+    dy = dy + 2.0**-53 * (floor != 0.0)
+    flip = y0 > 0.5
+    x0 *= 1.0 - 2.0 * flip
+    y0 = np.minimum(y0, 1.0 - y0)
+    u = np.exp(TWO_PI_I * (x0 + t * (1.0 - y0)))
+    e = np.expm1(TWO_PI_I * (t * y0 - x0))
+    d = 1.0 + e
+    # t_j and G_j as the rows N - 1 - j, so that the sums add t_0 last
+    tj, gj = np.empty((2, n, len(x)), dtype=complex)
+    tj[-1] = gj[-1] = 1.0
+    power = 1.0
+    for j in range(n - 2, -1, -1):
+        np.multiply(tj[j + 1], qk[n - 2 - j] * u, out=tj[j])
+        odd = power * d
+        power = odd * d
+        np.add(gj[j + 1], odd, out=gj[j])
+        gj[j] += power
+    w = np.arange(2 * n - 1.0, 0.0, -2.0)[:, None]
+    if 2 * n > at.cap and len(x):
+        m = n - max(at.cap // 2, 1)
+        wt = w[m:, 0] * tj[m:, 0]
+        s1 = 2.0 * wt.sum() + e[0] * (wt * gj[m:, 0]).sum()
+        s0 = -e[0] * (tj[m:, 0] * gj[m:, 0]).sum()
+        partial = (y0[0] - s1 / (2.0 * s0)) * (1.0 - 2.0 * flip[0])
+        raise NonConvergenceError(f"theta series hit max_terms={at.cap}",
+                                  ComplexVal(complex(partial), float("inf")))
+    aj = tj * gj
+    wa = w * aj
+    s0 = -e * aj.sum(axis=0)
+    s1 = 2.0 * (w * tj).sum(axis=0) + e * wa.sum(axis=0)
+    s2 = -e[two] * (w * wa[:, two]).sum(axis=0)
+    ae = np.abs(e)
+    err_e = np.abs(d) * (2.0 * math.pi * (4.0 * abs(t) * y0 + 3.0 * np.abs(x0))) + 6.0 * ae
+    rho, dxy = ae * (np.abs(u) * scale), dx + abs(t) * dy
+
+    def bound(k, sl):
+        return (c_e0[k] * ae[sl] + c_e1[k] * rho[sl] + c_err[k] * err_e[sl]
+                + c_x[k] * dxy[sl] + c_1[k])
+
+    d0, d1 = bound(slice(2), slice(None))
+    r1 = s1 / s0
+    a0, a1 = np.abs(s0), np.abs(r1)
+    # the quotients, 8 ulps each, and S_1's last sum
+    dr1 = (d1 + a1 * d0) / a0 + 2.0**-53 * 9.0 * a1
+    b1 = y0 - 0.5 * r1
+    err_b1 = 0.5 * dr1 + dy + 2.0**-53 * (y0 + 0.5 * a1)
+    r2 = s2 / s0[two]
+    a2 = np.abs(r2)
+    dr2 = (bound(2, two) + a2 * d0[two]) / a0[two] + 2.0**-50 * a2
+    e2 = _eisenstein(1, at)
+    y0, r1, a1 = y0[two], r1[two], a1[two]
+    b2 = y0 * (y0 - r1) + 0.25 * r2 - e2.value * _INV_4PI2
+    # |B_1| <= y + |r_1| / 2 and |y (y - r_1)| <= y (y + |r_1|) bound the
+    # finish's roundings
+    err_b2 = (y0 * dr1[two] + 0.25 * dr2 + (2.0 * y0 + a1) * dy[two]
+              + (e2.err + 2.0**-51 * abs(e2.value)) * _INV_4PI2
+              + 2.0**-53 * (5.0 * y0 * (y0 + a1) + 1.5 * a2))
+    np.negative(b1, out=b1, where=flip)
+    return _finite(ComplexArray(b1, err_b1), "B_1"), _finite(ComplexArray(b2, err_b2), "B_2")
+
+
+# ---------------------------------------------------------------------------
 # Reduction of tau to the fundamental domain
 # ---------------------------------------------------------------------------
 
@@ -1747,15 +1932,14 @@ def sigma_log_tau_derivative(z: complex, tau: TauPoint,
 
     For z = x - y tau, b = -2 pi i (B_1(x, y) - y) (`_b_series`) and the
     heat identity pe = (2 pi i)^2 (B_1^2 - B_2) give b^2 - pe = (2 pi i)^2
-    (B_2 - 2 y B_1 + y^2), with B_1 and B_2 from one layered pass
-    (`_bernoulli_layers`) at tau reduced to F, each back by its weight
-    (`_Frame.back`), and x reduced into [0, 1) first, as in `_b_series`,
-    B_m being 1-periodic in x.  E_2 and E_2' are read at tau itself."""
+    (B_2 - 2 y B_1 + y^2), with B_1 and B_2 from one theta pass
+    (`_theta_pass`) at tau reduced to F, each back by its weight
+    (`_Frame.back`).  E_2 and E_2' are read at tau itself."""
     z = complex(z)
     at = _checked(tau, policy)
     f = _kernel_frame([z], at, "zeta")
-    layers = _bernoulli_layers(((1, None), (2, None)), f.x - np.floor(f.x), f.y, f.at, f.arg_err)
-    b1, b2 = (f.back(b, m, f"B_{m}")[0] for m, b in enumerate(layers, 1))
+    b1, b2 = (f.back(b, m, f"B_{m}")[0]
+              for m, b in enumerate(_theta_pass(f.x, f.y, f.at, f.arg_err), 1))
     # the explicit y, the decomposition's, whose rounding 2^-52 |y|, as
     # `_kernel_frame` charges it, moves y^2 - 2 y B_1 by 2 |B_1 - y| times
     # it; y^2 rounds once more

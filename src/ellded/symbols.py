@@ -46,14 +46,17 @@ products, and the heat identity pe = (2 pi i)^2 (B_1^2 - B_2) turns
 R^-(x) into B_1 and B_2 at p x, q x and x (`_heat_form`).  So Theorem 1.3
 and Prop. 3.1 check one identity, D^-(p, q; x) + D^-(q, p; x) - R^-(x) =
 C(tau), and its terms read one record per (p, q, tau, x) (`_theorem13`):
-one frame and one B_m pass (`qseries._bernoulli_layers`) over the points
-of both D^- and the B_1, B_2 points of R^-, each part where it is
-defined.  Each term finishes its own part from the record, bit for bit
-as from a pass of its own, so a Theorem 1.3 op runs one pass per x, not
-three.  D^-(x) builds the record, so a lone D^-(x) at a fresh x pays for
-the other two parts, about twice the time of a pass of its own (README);
-R^-(x) only reads one, and alone runs its own three points.  Every other
-shifted symbol runs one B_m pass per call.
+one frame and one theta pass (`qseries._theta_pass`) over the points of
+both D^- and the B_1, B_2 points of R^-, each part where it is defined.
+Each term finishes its own part from the record, bit for bit as from a
+pass of its own, so a Theorem 1.3 op runs one pass per x, not three.
+D^-(x) builds the record, so a lone D^-(x) at a fresh x pays for the
+other two parts, 1.1 to 1.3 times the pass of its own part (README);
+R^-(x) only reads one, and alone runs its own three points.  The Machide
+triple and the closed form of C(tau) run one theta pass per call.  The
+shifted symbols read B_1 and B_2 alone, and the theta pass gives them
+from a formula of its own, so no shifted symbol runs the Lambert B_m
+series of the routes and of `machide_sum`.
 E_2 where a symbol reads it by itself, and `_reciprocity_rhs_of` as the
 identity record reads it, run at tau itself; R^-(x) reads E_2 at tau'
 and its quasi-modular shift instead.
@@ -80,7 +83,6 @@ from .qseries import (
     SeriesPolicy,
     TauPoint,
     _b_series,
-    _bernoulli_layers,
     _bernoulli_points,
     _bernoulli_series,
     _by_weight,
@@ -96,6 +98,7 @@ from .qseries import (
     _lattice_check,
     _p_deriv_series,
     _read_only,
+    _theta_pass,
     _weighted,
     eisenstein,
 )
@@ -228,12 +231,12 @@ _KEPT_X = (float, int, np.float64)
 
 
 class _Theorem13(NamedTuple):
-    """What the terms of Theorem 1.3 at one (p, q, tau, x) read of one B_m
-    pass: the frame's record and reduction (`frame`, its points dropped);
-    for each D^-(u, v; x) the pass served, keyed (u, v), B_1 at its points
-    (`_shifted_coords`); and where R^-(x) is defined the pair (a, b) whose
-    real points the pass ran, and B_1 and B_2 at (a x, b x, x), else
-    None."""
+    """What the terms of Theorem 1.3 at one (p, q, tau, x) read of one
+    theta pass: the frame's record and reduction (`frame`, its points
+    dropped); for each D^-(u, v; x) the pass served, keyed (u, v), B_1 at
+    its points (`_shifted_coords`); and where R^-(x) is defined the pair
+    (a, b) whose real points the pass ran, and B_1 and B_2 at (a x, b x,
+    x), else None."""
 
     frame: _Frame
     shifted: dict
@@ -286,18 +289,18 @@ def _theorem13(p: int, q: int, at: _Checked, x: float, want: str) -> _Theorem13:
 
 
 def _pass13(pairs, reals: bool, p: int, q: int, at: _Checked, x: float) -> _Theorem13:
-    """One frame and one B_m pass for `_theorem13`: B_1 at the points of
-    each D^-(u, v; x) of `pairs` (`_shifted_coords`), in their order, and
-    with `reals`, after them, B_1 and B_2 at (p x, q x, x)."""
+    """One frame and one theta pass (`qseries._theta_pass`) for
+    `_theorem13`: B_1 at the points of each D^-(u, v; x) of `pairs`
+    (`_shifted_coords`), in their order, and with `reals`, after them, B_1
+    and B_2 at (p x, q x, x)."""
     blocks = [_shifted_coords(u, v, x) for u, v in pairs]
     if reals:
         blocks.append(_real_coords(p, q, x))
     xs, ys, dx, dy = (np.concatenate(c) for c in zip(*blocks))
     f = _frame(xs, ys, at, (dx, dy))
-    layers = ((1, None), (2, slice(len(xs) - 3, None))) if reals else ((1, None),)
-    b1, *b2 = _bernoulli_layers(layers, f.x, f.y, f.at, f.arg_err)
+    b1, b2 = _theta_pass(f.x, f.y, f.at, f.arg_err, slice(len(xs) - 3 * reals, None))
     cut = _parts(b1, [len(block[0]) for block in blocks])
-    real = ((p, q), cut.pop(), b2[0]) if reals else None
+    real = ((p, q), cut.pop(), b2) if reals else None
     return _Theorem13(f._replace(x=None, y=None, arg_err=None), dict(zip(pairs, cut)), real)
 
 
@@ -471,8 +474,8 @@ def generating_D(pair: CoprimePair, tau: TauPoint, x: float,
         D^-(x) = (1/p) sum_pairs (B_1(P - x) + B_1(P + x)) B_1(qP) w/2,
 
     over one point of each pair {P, -P}, as B_1(-P -+ x) = -B_1(P +- x).
-    The B_1 factors come from one pass at the frame's points, with no E_2,
-    the Theorem 1.3 record's (`_theorem13`), and the sum, of weight 2,
+    The B_1 factors come from one theta pass at the frame's points, the
+    Theorem 1.3 record's (`_theorem13`), and the sum, of weight 2,
     leaves the frame once, times m^-2
     (`_Frame.back_sum`).  The coordinates, P -+ x at x' = lam/p -+ x and
     qP at x' = q lam/p, with y = -mu/p and -q mu/p, come from one table
@@ -500,10 +503,9 @@ def generating_R(pair: CoprimePair, tau: TauPoint, x: float,
     / (2 pi i)^2 is -B_1(px) B_1(qx), each sigma-log block
     ((zeta - E_2 z)^2 - pe) / (2 pi i)^2 at c x is B_2(cx), and
     (pe(x) + E_2) / (2 pi i)^2 is B_1(x)^2 - B_2(x) + E_2 / (2 pi i)^2
-    (`_heat_form`).  B_1 and B_2 at p x, q x and x come from one layered
-    pass (`qseries._bernoulli_layers`), with no zeta or pe pass: the
-    Theorem 1.3 record's where one is kept (`_theorem13`), else one of
-    their own.  The
+    (`_heat_form`).  B_1 and B_2 at p x, q x and x come from one theta
+    pass (`qseries._theta_pass`), with no zeta or pe pass: the Theorem 1.3
+    record's where one is kept (`_theorem13`), else one of their own.  The
     points are real: p x and q x, correctly rounded products whose
     rounding err charges, and x; |x| < 1/(2 max(p,q)) keeps them off every
     lattice point but 0, and the lattice check (`qseries._lattice_check`)
@@ -636,8 +638,9 @@ def machide_reciprocity_residuals(pair: CoprimePair, s: float, t: float,
     sum's error, and its factor points are formed once.  Every vector has
     equal components, so both factors of each sum take the caller's tau,
     not a rescaled one.  The sixteen factors read six point sets, all six
-    at order 1 and five of them at order 2, from one layered B_m pass
-    (`qseries._bernoulli_layers`); the five B_0 = 1 among them run none.
+    at order 1 and five of them at order 2, from one theta pass
+    (`qseries._theta_pass`), whose err charges the rounding of their
+    coordinates; the five B_0 = 1 among them run none.
     """
     pair.require_u()
     p, q = pair.p, pair.q
@@ -655,9 +658,11 @@ def machide_reciprocity_residuals(pair: CoprimePair, s: float, t: float,
     at = _checked(tau, policy)
     _lattice_check(x, y, lambda i: (f"B_1({float(x[i])}, {float(y[i])}; tau): "
                                     "x - y*tau is a lattice point"))
-    f = _frame(x, y, at, (np.zeros(x.shape), 0.0))
-    b1, b2 = _bernoulli_layers(((1, None), (2, slice(sizes[0], None))),
-                               f.x, f.y, f.at, f.arg_err)
+    # each x = a'(j' + z')/c' - x', x' one of s, pt and -qt, rounds four
+    # times, each y = a j / c once
+    offset = max(abs(s), abs(p * t), abs(q * t))
+    f = _frame(x, y, at, (2.0**-53 * (4.0 * np.abs(x) + 3.0 * offset), 2.0**-53 * np.abs(y)))
+    b1, b2 = _theta_pass(f.x, f.y, f.at, f.arg_err, slice(sizes[0], None))
     # B_0 = 1 with err 0, and B_1 and B_2 back from the frame by weight
     factors = {0: {k: ComplexArray(np.ones(n, dtype=complex), np.zeros(n))
                    for k, n in zip(sets, sizes)},
@@ -695,7 +700,7 @@ def proposition31_residual(pair: CoprimePair, s: float, tau: TauPoint,
     is R^-(p, q; s) (`_heat_form`), as dB_1(s, 0)/ds = 2 pi i (B_1(s)^2 -
     B_2(s)) + E_2 / (2 pi i) by the heat identity, so the residual is
     Theorem 1.3's D^-(p, q; s) + D^-(q, p; s) - R^-(p, q; s), read from the
-    same record (`_theorem13`) as those three at x = s: one layered pass,
+    same record (`_theorem13`) as those three at x = s: one theta pass,
     B_1 at the six division-point groups and at (ps, qs, s), B_2 at
     (ps, qs, s) only.  The left side, of weight 2, leaves the frame once,
     times m^-2."""
@@ -715,12 +720,16 @@ def proposition31_constant_closed_form(pair: CoprimePair, tau: TauPoint,
     -(1/ pi i)(1/(2 pi i)) E_2(tau), the constant term of the tau-derivative
     expansion of B_2(x, 0; tau) at x = 0.  The sum over the other points
     vanishes, within its err, so the value is `expected_constant` plus
-    rounding: no independent route to C(tau).
+    rounding: no independent route to C(tau).  B_2 at the points comes from
+    one theta pass (`qseries._theta_pass`) in their frame, back by weight 2,
+    and err charges their correctly rounded coordinates (`_coordinate_err`).
     """
     pair.require_u()
     p, q = pair.p, pair.q
     at = _checked(tau, policy)
     b2_origin = _eisenstein(1, at) * (-1.0 / (1j * math.pi * TWO_PI_I))
     lam, mu, w = _half_division_points(q)
-    b2 = _bernoulli_points(2, p * lam / q, p * mu / q, at)
+    x, y = p * lam / q, p * mu / q
+    f = _frame(x, y, at, _coordinate_err(x, y))
+    b2 = f.back(_theta_pass(f.x, f.y, f.at, f.arg_err)[1], 2, "B_2")
     return _fsum(b2_origin, _weighted(b2, w)) * (1.0 / (2 * p * q))

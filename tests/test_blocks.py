@@ -46,10 +46,11 @@ PIN_PQ = [(2, 1), (3, 2), (7, 4), (13, 7), (23, 12)]
 #: at the coordinates x and y of their points, B_m off F at tau' in F
 #: times m^-m, and the Bernoulli route summed as a whole, at tau' off F,
 #: charging the rounding of its coordinates, D^-(x) as a sum of B_1
-#: products from one B_1 pass, and R^-(x) and the Prop. 3.1 residual by the
-#: heat identity from one layered B_1, B_2 pass, each leaving tau' once as
-#: a sum of weight 2 (numpy 2.4.6, x86-64)
-PINNED_SHA256 = "ba717f490706916f184594bda688c9f98e66e47f72d8d4278bbfb8579700451e"
+#: products, and R^-(x) and the Prop. 3.1 residual by the heat identity,
+#: each leaving tau' once as a sum of weight 2, and the Machide residuals
+#: and the closed form of C(tau), from one theta pass of B_1 and B_2
+#: (numpy 2.4.6, x86-64)
+PINNED_SHA256 = "d4e86ab5e541e77b0cdaba2d170d12335aa798d5670a5ea73bb87b048e38ef6b"
 
 
 def _reprs(v):
@@ -486,60 +487,73 @@ def orders(monkeypatch):
         seen.append([(m, len(x if sl is None else x[sl])) for m, sl in layers])
         return run(layers, x, *rest)
 
-    # symbols imports the function by name for the shifted symbols
     monkeypatch.setattr(qseries, "_bernoulli_layers", spy)
-    monkeypatch.setattr(symbols, "_bernoulli_layers", spy)
     return seen
 
 
-def test_one_bernoulli_pass_per_symbol(passes, orders, cold_records):
-    """A symbol runs one B_m pass, whose layers are the orders it needs in
-    ascending order: the Machide triple B_1 over its six point sets and
-    B_2 over five (its B_0 run none), a Prop. 3.1 residual B_1 over all
-    its points and B_2 over (ps, qs, s), and no pe pass; the Bernoulli
-    route runs B_1 and B_{2n+1} as two passes.  D^-(p, q; x) runs the
-    Theorem 1.3 record's pass, B_1 at the points of D^-(p, q; x) and
-    D^-(q, p; x), and B_1 and B_2 at (px, qx, x); R^-(x) at that x reads
-    the record and runs none, and alone at another x runs B_1 and B_2 at
-    its three points.  A mixed-order kernel call runs one pass too, one
-    layer per order >= 1, on F and off it."""
+@pytest.fixture
+def thetas(monkeypatch):
+    """Records the points of every theta pass (`qseries._theta_pass`)."""
+    seen = []
+    run = qseries._theta_pass
+
+    def spy(x, *rest):
+        seen.append(len(x))
+        return run(x, *rest)
+
+    # symbols imports the function by name for the shifted symbols
+    monkeypatch.setattr(qseries, "_theta_pass", spy)
+    monkeypatch.setattr(symbols, "_theta_pass", spy)
+    return seen
+
+
+def test_one_bernoulli_pass_per_symbol(passes, orders, thetas, cold_records):
+    """A symbol runs one pass for its B_m.  The shifted symbols, which
+    read B_1 and B_2 alone, run one theta pass and no B_m series: the
+    Machide triple over its six point sets, a Prop. 3.1 residual over all
+    its points, and D^-(p, q; x) the Theorem 1.3 record's pass, over the
+    points of D^-(p, q; x) and D^-(q, p; x) and (px, qx, x); R^-(x) at
+    that x reads the record and runs none, and alone at another x runs
+    one over its three points.  A mixed-order kernel call runs one B_m
+    pass, one layer per order >= 1, on F and off it, and the Bernoulli
+    route B_1 and B_{2n+1} as two."""
     tau = TauPoint(0.3 + 1.1j)
     ms, points = [2, 5, 1, 0, 5], ([0.3, 0.2, 0.5, 0.1, 0.4], [0.1, 0.7, 0.2, 0.4, 0.6])
-    for call, expected in [
-            (lambda: elliptic_bernoulli_points(ms, *points, tau), [[(1, 1), (2, 1), (5, 2)]]),
+    for call, expected, theta in [
+            (lambda: elliptic_bernoulli_points(ms, *points, tau), [[(1, 1), (2, 1), (5, 2)]], []),
             (lambda: elliptic_bernoulli_points(ms, *points, TauPoint(0.3 + 0.06j)),
-             [[(1, 1), (2, 1), (5, 2)]]),
+             [[(1, 1), (2, 1), (5, 2)]], []),
             (lambda: symbols.machide_reciprocity_residuals(CoprimePair(5, 3), 0.013, 0.007, tau),
-             [[(1, 70), (2, 45)]]),
+             [], [70]),
             (lambda: symbols.proposition31_residual(CoprimePair(5, 3), 0.04, tau),
-             [[(1, 3 * 12 + 3 * 4 + 3), (2, 3)]]),
-            (lambda: symbols.generating_D(CoprimePair(5, 3), tau, 0.05),
-             [[(1, 3 * 12 + 3 * 4 + 3), (2, 3)]]),
-            (lambda: symbols.generating_R(CoprimePair(5, 3), tau, 0.05), []),
-            (lambda: symbols.generating_R(CoprimePair(5, 3), tau, 0.06), [[(1, 3), (2, 3)]]),
+             [], [3 * 12 + 3 * 4 + 3]),
+            (lambda: symbols.generating_D(CoprimePair(5, 3), tau, 0.05), [], [3 * 12 + 3 * 4 + 3]),
+            (lambda: symbols.generating_R(CoprimePair(5, 3), tau, 0.05), [], []),
+            (lambda: symbols.generating_R(CoprimePair(5, 3), tau, 0.06), [], [3]),
             (lambda: symbols.elliptic_apostol_sum(2, CoprimePair(5, 3), tau,
                                                   Route.BERNOULLI_PRODUCT),
-             [[(1, 12)], [(5, 12)]])]:
+             [[(1, 12)], [(5, 12)]], [])]:
         passes.clear()
         orders.clear()
+        thetas.clear()
         call()
-        assert orders == expected
+        assert orders == expected and thetas == theta
         assert all(type(m) is int for layers in orders for m, _ in layers)
         assert [columns for columns, _, _ in passes] == [sum(n for _, n in layers)
                                                           for layers in orders]
 
 
-#: the series passes of each shifted symbol's call, at tau in F and off it
-SHIFTED_PASSES = {"thm13": 3, "prop31": 1, "lemma32": 1, "sigma_log": 1}
+#: the theta passes of each shifted symbol's call, at tau in F and off it
+SHIFTED_PASSES = {"thm13": 3, "prop31": 1, "lemma32": 1, "sigma_log": 1, "closed_form": 1}
 
 
 @pytest.mark.parametrize("t", [0.3 + 1.1j, 0.2 + 0.3j, 0.3 + 0.06j])
-def test_passes_per_shifted_symbol_call(passes, cold_records, t):
+def test_passes_per_shifted_symbol_call(passes, thetas, cold_records, t):
     """A Theorem 1.3 op, D^-(p, q; x) + D^-(q, p; x) - R^-(x) at three x,
-    runs 3 series passes, one per x, whose record all three terms read; a
-    Prop. 3.1 residual runs one, and so do the Machide triple of Lemma 3.2
-    and d(log sigma)/dtau, which reads B_1 and B_2 from one layered
-    pass."""
+    runs 3 theta passes, one per x, whose record all three terms read; a
+    Prop. 3.1 residual runs one, and so do the Machide triple of Lemma
+    3.2, d(log sigma)/dtau and the closed form of C(tau), which read B_1
+    and B_2 alone.  None runs a B_m or pe series."""
     tau, pair, swap = TauPoint(t), CoprimePair(5, 3), CoprimePair(3, 5)
     calls = {
         "thm13": lambda: [symbols.generating_D(pair, tau, x) + symbols.generating_D(swap, tau, x)
@@ -547,11 +561,13 @@ def test_passes_per_shifted_symbol_call(passes, cold_records, t):
         "prop31": lambda: symbols.proposition31_residual(pair, 0.04, tau),
         "lemma32": lambda: symbols.machide_reciprocity_residuals(pair, 0.013, 0.007, tau),
         "sigma_log": lambda: qseries.sigma_log_tau_derivative(0.3 - 0.02j, tau),
+        "closed_form": lambda: symbols.proposition31_constant_closed_form(pair, tau),
     }
     for kind, call in calls.items():
         passes.clear()
+        thetas.clear()
         call()
-        assert len(passes) == SHIFTED_PASSES[kind], kind
+        assert len(thetas) == SHIFTED_PASSES[kind] and passes == [], kind
 
 
 #: a B_1 batch held at Im tau = 0.06: 1200 points next to the lattice point
@@ -581,13 +597,12 @@ def test_wide_slow_batch_runs_blocks_of_its_width(passes):
 
 
 @pytest.mark.parametrize("t", [0.3 + 1.1j, 0.0 + 1.5j, -0.5 + 0.87j, 0.45 + 0.9j])
-def test_passes_in_F_run_one_block(passes, orders, cold_records, t):
+def test_passes_in_F_run_one_block(passes, orders, thetas, cold_records, t):
     """At tau in F, every pass of at most 64 points runs exactly one block,
     of at most its largest stopping j + 2 rows: the B_1 and pe passes of
-    the zeta route and the Theorem 1.3 record's pass of D^-(x), which
-    R^-(x) reads; and so does every pass of the Bernoulli route, the
-    Machide triple and Prop. 3.1 at pairs whose B_m layers hold at most 70
-    points each."""
+    the zeta route; and so does every pass of the Bernoulli route at pairs
+    whose B_m layers hold at most 70 points each.  D^-(x), R^-(x), the
+    Machide triple and Prop. 3.1 run theta passes, one per call or x."""
     tau = TauPoint(t)
     for p, q in PIN_PQ + [(5, 3), (8, 3), (11, 4)]:
         pair = CoprimePair(p, q)
@@ -603,11 +618,12 @@ def test_passes_in_F_run_one_block(passes, orders, cold_records, t):
     for p, q in [(2, 1), (3, 2), (7, 4), (5, 3), (8, 3), (11, 4)]:
         for n in (1, 2, 3):
             symbols.elliptic_apostol_sum(n, CoprimePair(p, q), tau, Route.BERNOULLI_PRODUCT)
+    thetas.clear()
     symbols.machide_reciprocity_residuals(CoprimePair(5, 3), 0.013, 0.007, tau)
     symbols.proposition31_residual(CoprimePair(5, 3), 0.04, tau)
-    # two B_m passes per route call, and one each for the Machide triple
-    # and Prop. 3.1
-    assert len(orders) == 6 * 3 * 2 + 1 + 1 and len(passes) == len(orders)
+    # two B_m passes per route call, and one theta pass each for the
+    # Machide triple and Prop. 3.1
+    assert len(orders) == 6 * 3 * 2 and len(passes) == len(orders) and thetas == [70, 51]
     assert all(type(m) is int and columns <= 70 for layers in orders for m, columns in layers)
     for rows, last in small + [(rows, last) for _, rows, last in passes]:
         assert len(rows) == 1 and rows[0] <= last + 2

@@ -578,13 +578,13 @@ def test_theorem13_caches_keyed_on_the_record(monkeypatch, policy, t):
     symbols.generating_D(pair, TauPoint(0.3 + 1.1j), x)
     symbols.generating_D(pair, TauPoint(0.3 + 1.1j), 0.04)
     widths = []
-    run = qseries._bernoulli_layers
+    run = qseries._theta_pass
 
-    def spy(layers, x, *rest):
+    def spy(x, *rest):
         widths.append(len(x))
-        return run(layers, x, *rest)
+        return run(x, *rest)
 
-    monkeypatch.setattr(symbols, "_bernoulli_layers", spy)
+    monkeypatch.setattr(symbols, "_theta_pass", spy)
     assert repr(symbols.generating_D(pair, TauPoint(t), x, policy)) == cold
     # B_1 at P -+ x and qP of D^-(5, 3; x) and D^-(3, 5; x), and at (px, qx, x)
     assert widths == [3 * 12 + 3 * 4 + 3]

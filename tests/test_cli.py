@@ -331,7 +331,7 @@ class TestVerifyExitCodes:
             code, out, err = run_cli(["verify", "lemma32", "-p", "3", "-q", "2",
                                       "--tau", "0.3+0.06i", "--max-terms", "3"])
         assert (code, out) == (3, "")
-        assert err.splitlines() == ["error: elliptic Bernoulli series hit max_terms=3"]
+        assert err.splitlines() == ["error: theta series hit max_terms=3"]
 
     def test_lattice_point_z_is_domain_error(self):
         code, out, err = run_cli(["eval", "zeta-w", "--z", "0", "--tau", "0.3+1.1i"])
@@ -482,6 +482,40 @@ class TestVerifyFamilies:
         assert recs[0]["params"]["x"] == [v * (h / 0.0125) for v in (0.003, 0.007, 0.011)]
         assert max(recs[0]["params"]["x"]) < h
         assert all(rec["pass"] for rec in recs)
+
+    @pytest.mark.parametrize("tau", ["0+130i", "0+1000i"])
+    @pytest.mark.parametrize("family", ["thm13", "prop31", "lemma32"])
+    def test_shifted_symbols_at_large_im_tau(self, family, tau):
+        # at Im tau = 130 in F, e(-+y tau) leaves binary64 from y ~ 0.87 on;
+        # the theta rows of the shifted symbols hold no factor above 1
+        code, out, _ = run_cli(["verify", family, "-p", "23", "-q", "12", "--tau", tau])
+        assert code == 0
+        assert all(json.loads(line)["pass"] for line in out.strip().splitlines())
+
+    def test_generating_d_at_large_im_tau_against_mpmath(self):
+        """D^-(23, 12; 0.003) at tau = 130i against its sum over every
+        division point at 30 digits, each B_1 = y - theta_1'/(2i theta_1)
+        by `mpmath.jtheta`."""
+        mp = pytest.importorskip("mpmath")
+        p, q, x = 23, 12, 0.003
+        code, out, _ = run_cli(["eval", "generating", "--which", "d", "-p", str(p), "-q", str(q),
+                                "--x", str(x), "--tau", "0+130i"])
+        assert code == 0
+        value = json.loads(out)["value"]
+        with mp.workdps(30):
+            tau, x = mp.mpc(0, 130), mp.mpf(x)
+            nome = mp.exp(1j * mp.pi * tau)
+
+            def b1(u, v):
+                v -= mp.floor(v)
+                z = mp.pi * (u - v * tau)
+                return v - mp.jtheta(1, z, nome, 1) / (2j * mp.jtheta(1, z, nome))
+
+            ref = mp.fsum(b1(mp.mpf(lam) / p - x, -mp.mpf(mu) / p)
+                          * b1(mp.mpf(q * lam) / p, -mp.mpf(q * mu) / p)
+                          for lam in range(p) for mu in range(p) if (lam, mu) != (0, 0)) / p
+            got = complex(value["re"], value["im"])
+            assert abs(got - complex(ref)) <= value["err"] <= 1e-9
 
     def test_basis_rank_reports_rank(self):
         code, out, _ = run_cli(

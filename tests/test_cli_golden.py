@@ -93,7 +93,7 @@ CASES = (
 )
 
 GOLDEN_SHA256 = (
-    "b8e7b9bb77279a62487a443f515f5966a1f9fd5a331f8acb587248931b0a6171")
+    "2d6e20e3122d986516261b26f426e6d6bd6d0dfb89de8ea57147faed619fdc05")
 
 
 def _run(argv):

@@ -1320,6 +1320,78 @@ class TestKernelErrAgainstMpmath:
                     assert abs(batch[i].value - ref) <= batch[i].err, (k, z, batch[i], ref)
 
 
+class TestThetaPassAgainstMpmath:
+    """B_1, B_2 and pe = (2 pi i)^2 (B_1^2 - B_2) from the theta pass of
+    the shifted symbols (`qseries._theta_pass`), within their err of two
+    30-digit references: Kronecker's Lambert series of
+    `TestKernelErrAgainstMpmath._bernoulli`, a formula of its own, and
+    B_1 = y - theta_1'(pi z) / (2 i theta_1(pi z)) and pe = -E_2 - pi^2
+    (log theta_1)''(pi z) by `mpmath.jtheta`.  The points are the grid and
+    one 1e-9 from the lattice point 0, framed as the symbols frame theirs,
+    at the grid's tau and at tau = 130i, where e(-y tau) leaves binary64."""
+
+    TAUS = TestKernelErrAgainstMpmath.TAUS + (130j,)
+    POINTS = TestKernelErrAgainstMpmath.GRID + ((1e-9, 0.0),)
+
+    @staticmethod
+    def _jtheta(mp, x, y, tau):
+        y = y - mp.floor(y)
+        nome, q, v = mp.exp(1j * mp.pi * tau), mp.exp(2j * mp.pi * tau), mp.pi * (x - y * tau)
+        e2 = mp.pi**2 / 3 * (1 - 24 * mp.nsum(lambda n: n * q**n / (1 - q**n), [1, mp.inf]))
+        th = [mp.jtheta(1, v, nome, k) for k in range(3)]
+        b1 = y - th[1] / (2j * th[0])
+        pe = -e2 - mp.pi**2 * (th[2] / th[0] - (th[1] / th[0]) ** 2)
+        return b1, b1**2 + pe / (4 * mp.pi**2), pe
+
+    @staticmethod
+    def _lambert(mp, x, y, tau):
+        b1, b2 = (TestKernelErrAgainstMpmath()._bernoulli(mp, m, x, y, tau) for m in (1, 2))
+        return b1, b2, (2j * mp.pi) ** 2 * (b1**2 - b2)
+
+    @staticmethod
+    def _framed(t):
+        at = qseries._checked(TauPoint(t), DEFAULT_POLICY)
+        x, y = (np.array(c) for c in zip(*TestThetaPassAgainstMpmath.POINTS))
+        f = qseries._frame(x, y, at, (np.zeros(len(x)), 0.0))
+        return f.x, f.y, f.at, f.arg_err
+
+    def _check(self, x, y, at, arg_err, err_scale=1.0):
+        """The pass at the points, each value within err_scale times its
+        err of both references; returns the errs."""
+        mp = pytest.importorskip("mpmath")
+        b1, b2 = qseries._theta_pass(x, y, at, arg_err)
+        with mp.workdps(30):
+            t = mp.mpc(at.tau.real, at.tau.imag)
+            for i in range(len(x)):
+                got = (b1[i], b2[i], (b1[i] * b1[i] - b2[i]) * TWO_PI_I**2)
+                for ref in (self._jtheta, self._lambert):
+                    refs = ref(mp, mp.mpf(x[i]), mp.mpf(y[i]), t)
+                    for name, v, r in zip(("B_1", "B_2", "pe"), got, refs):
+                        assert abs(v.value - complex(r)) <= err_scale * v.err, \
+                            (name, ref.__name__, x[i], y[i], at.tau, v, complex(r))
+        return b1.err, b2.err
+
+    @pytest.mark.parametrize("t", TAUS)
+    def test_framed_points(self, t):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SlowNomeWarning)
+            self._check(*self._framed(t))
+
+    def test_y_near_one_unsnapped(self):
+        """At y = 1 - 1e-13, which a frame would snap to 1, the pass itself
+        loses no digit: err <= 1e-14, where the Lambert kernel's is 6.5e-13
+        at the snapped point."""
+        at = qseries._checked(TauPoint(1j), DEFAULT_POLICY)
+        errs = self._check(np.array([0.5]), np.array([1 - 1e-13]), at, (0.0, np.zeros(1)))
+        assert max(errs[0][0], errs[1][0]) <= 1e-14
+
+    def test_catches_a_tenth_of_err(self):
+        """With err scaled by 0.1 the points fail at 0.25 + 1.1i, where
+        B_2 next to the lattice point reads 0.27 of its err."""
+        with pytest.raises(AssertionError):
+            self._check(*self._framed(0.25 + 1.1j), err_scale=0.1)
+
+
 #: a tau in F with a z 6e-4 from its lattice point -5 tau, as in
 #: `tests/test_reduction.py::ERR_BOUND_CASES`, and z = 0.3 - y tau at
 #: y = 1 - 1e-13, which the frame snaps to 1, on F and at 0.3 + 0.06i

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellded import symbols
+from ellded import qseries, symbols
 from ellded.exact import CoprimePair, apostol_sum, g_poly
 from ellded.qseries import (
     DEFAULT_POLICY,
@@ -632,27 +632,36 @@ def test_undefined_part_changes_no_call(p, q, x, t):
         _every_order_equals_alone(_theorem13_calls(p, q, TauPoint(t), x))
 
 
-#: (p, q, x, tau, max_terms) at which D^-(p, q; x) converges within the
-#: cap while the B_1 of D^-(q, p; x), and at two of them R^-'s B_m too,
-#: run past it
+#: (p, q, x, tau, max_terms) of the capped Theorem 1.3 calls, off F, where
+#: every part runs at tau' in F, under a cap below the theta pass's rows
 CAPPED = [(2, 13, 0.95 / 26, 0.3 + 0.06j, 4), (3, 5, -0.05, 0.3 + 0.06j, 4),
           (3, 2, 0.95 / 6, 0.3 + 0.06j, 4), (4, 9, 0.7 / 18, 0.3 + 0.06j, 4)]
 
 
 @pytest.mark.parametrize("p, q, x, t, cap", CAPPED)
 def test_capped_speculative_part_changes_no_call(p, q, x, t, cap):
-    """Under a term cap that a part the caller did not ask for runs past
-    while the caller's part converges, the caller gets its value, and every
-    other call raises what it raises alone, in every call order."""
-    calls = _theorem13_calls(p, q, TauPoint(t), x, SeriesPolicy(max_terms=cap))
+    """A theta pass runs 2N rows, N set by tau' alone, so that a term cap
+    fails every part of a record or none.  Under a cap below 2N every call
+    raises the cap's NonConvergenceError as it does alone, in every call
+    order, and D^-(p, q; x)'s pass over every part, which raises, is rerun
+    with its part alone, which raises the same; under a cap of 2N every
+    call returns what it returns uncapped."""
+    tau = TauPoint(t)
     runs, run = [], symbols._pass13
     with warnings.catch_warnings(), pytest.MonkeyPatch.context() as mp:
         warnings.simplefilter("ignore", SlowNomeWarning)
+        at = qseries._checked(tau, DEFAULT_POLICY)
+        red = qseries._reduction(at.tau)
+        rows = 2 * qseries._theta_rows(red.checked(at) if red else at)[0]
+        uncapped = _alone(_theorem13_calls(p, q, tau, x))
+        assert _every_order_equals_alone(
+            _theorem13_calls(p, q, tau, x, SeriesPolicy(max_terms=rows))) == uncapped
+        calls = _theorem13_calls(p, q, tau, x, SeriesPolicy(max_terms=cap))
         alone = _every_order_equals_alone(calls)
-        # D^-(p, q; x) on emptied records: its pass with the other parts
-        # raises, and its rerun with its own part alone returns its value
         mp.setattr(symbols, "_pass13", lambda *args: runs.append(args[:2]) or run(*args))
         symbols._RECORDS.clear()
         assert _outcome(calls["D"]) == alone["D"]
-    assert isinstance(alone["D"], str) and alone["D swapped"][0] == "NonConvergenceError"
+    assert cap < rows and all(isinstance(v, str) for v in uncapped.values())
+    assert {v[:2] for v in alone.values()} == {
+        ("NonConvergenceError", f"theta series hit max_terms={cap}")}
     assert len(runs) == 2 and runs[0] != runs[1] == ([(p, q)], False)

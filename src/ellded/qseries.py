@@ -46,12 +46,8 @@ the rows of a caller's tau of the same value.
 
 The Weierstrass and elliptic Bernoulli functions are array kernels
 (`*_points`) on the engine; the scalar functions are one-point calls to them.
-`elliptic_bernoulli_points` also takes an order per point.  A call or a
-symbol that needs B_m of several orders takes them from one layered pass
-(`_bernoulli_layers`): each layer an order over some points of one point
-set, the layers' columns side by side in one `_block_series` batch, with
-the work that does not depend on m done once; each layer equals its
-one-order pass (`_bernoulli_series`, the one-layer case) bit for bit.
+`elliptic_bernoulli_points` also takes an order per point, and runs one
+B_m pass (`_bernoulli_series`, one order over all its points) per order.
 Integer powers in the series are IEEE products (`_ipow`), not numpy's pow,
 so their bits do not depend on the host.
 The Weierstrass and elliptic Bernoulli kernels run at tau reduced to the
@@ -135,8 +131,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache, wraps
-from itertools import accumulate
-from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -1146,22 +1141,23 @@ def _bernoulli_poly_float(m: int, y):
 def elliptic_bernoulli_points(m, x, y, tau: TauPoint,
                               policy: SeriesPolicy = DEFAULT_POLICY) -> ComplexArray:
     """`elliptic_bernoulli` at every point (x[i], y[i]) of two equal-length
-    arrays, in one batched run of its series.
+    arrays, in one batched run of its series per order.
 
     `m` is one order for every point, or an integer array of orders aligned
-    with x and y; each order is then one layer of the pass, in ascending
-    order, so each point's value and err equal a one-order call's bit for
-    bit, and under a term cap the lowest order that fails raises."""
+    with x and y; each order then runs one pass over its points, in
+    ascending order, so each point's value and err equal a one-order call's
+    bit for bit, and the first pass that raises, the lowest order that
+    fails, raises."""
     return _bernoulli_points(m, x, y, _checked(tau, policy))
 
 
 def _bernoulli_points(m, x, y, at: _Checked) -> ComplexArray:
     """`elliptic_bernoulli_points` at `at`'s tau: the caller's points are
-    lattice-checked and framed (`_frame`), each order k >= 1 is the layer
-    of its points (an index array) in one `_bernoulli_layers` pass at the
-    frame's record, and each layer returns through `_Frame.back`, B_k being
-    a lattice sum of weight k (see `_Reduction`), into the array of
-    B_0 = 1."""
+    lattice-checked and framed (`_frame`), each order k >= 1 runs one
+    `_bernoulli_series` pass over its points at the frame's record, in
+    ascending order, so the first pass that raises, raises, and each
+    returns through `_Frame.back`, B_k being a lattice sum of weight k (see
+    `_Reduction`), into the array of B_0 = 1."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     m = np.asarray(m)
@@ -1173,47 +1169,28 @@ def _bernoulli_points(m, x, y, at: _Checked) -> ComplexArray:
     _lattice_check(x, y, lambda i: (f"B_{m[i]}({float(x[i])}, {float(y[i])}; tau): "
                                     "x - y*tau is a lattice point"))
     f = _frame(x, y, at, (np.zeros(x.shape), 0.0))
-    # B_0 = 1 with err 0; each order >= 1 one layer of one pass, over its
-    # points
+    dx, dy = f.arg_err
+    # B_0 = 1 with err 0; each order >= 1 one pass over its points
     out = ComplexArray(np.ones(len(x), dtype=complex), np.zeros(len(x)))
-    layers = [(k, np.flatnonzero(m == k)) for k in sorted(set(m.tolist()) - {0})]
-    if layers:
-        for (k, on), b in zip(layers, _bernoulli_layers(layers, f.x, f.y, f.at, f.arg_err)):
-            b = f.back(b, k, f"B_{k}")
-            out.value[on], out.err[on] = b.value, b.err
+    for k in sorted(set(m.tolist()) - {0}):
+        on = np.flatnonzero(m == k)
+        b = _bernoulli_series(k, f.x[on], f.y[on], f.at, (dx[on], dy[on]))
+        b = f.back(b, k, f"B_{k}")
+        out.value[on], out.err[on] = b.value, b.err
     return out
 
 
+@np.errstate(all="ignore")
 def _bernoulli_series(m: int, x: np.ndarray, y: np.ndarray, at: _Checked,
                       arg_err) -> ComplexArray:
-    """B_m(x, y; tau), m >= 1, at every point: the one-layer pass of
-    `_bernoulli_layers`."""
-    return _bernoulli_layers(((m, None),), x, y, at, arg_err)[0]
-
-
-@np.errstate(all="ignore")
-def _bernoulli_layers(layers, x: np.ndarray, y: np.ndarray, at: _Checked,
-                      arg_err) -> List[ComplexArray]:
-    """B_m(x, y; tau) for each layer (m, sl) of `layers`, an order m >= 1
-    and the points sl it covers: a slice, an index array, or None for all
-    of them, for which no array is cut, by the series of
-    `elliptic_bernoulli` at `at`'s tau, from one `_block_series` batch
-    whose columns are the layers' points side by side: one ComplexArray per
-    layer, in the order of `layers`.  The points passed the lattice check,
-    with y as a frame (`_frame`) or an evaluator of `_by_weight` gives it:
-    each y is an integer or beyond _LATTICE_EPS of one.  What does not
-    depend on m is computed once over all the points: e(+-x), e(-+y tau),
-    w, D = e(+-x) - w, the ratios w / D, |D|, the closing exponential and the
-    argument errors; each layer adds its own powers, sizes, roundings and
-    finish.  The first block is sized for the highest order.  Every column
-    keeps the state of the row where it first stopped, and each row is
-    elementwise arithmetic, so a layer's value and err equal the one-order
-    pass `_bernoulli_series(m, x[sl], y[sl], ...)` bit for bit; under a term
-    cap the first column still running names the error, with that pass's
-    partial.  The powers (y -+ j)^(m-1) are IEEE products (`_ipow`), at most
-    m - 2 of them, which the m ulps charged to a term's power cover.  Runs
-    with no numpy warning: rows past the stop may overflow, and `_finite` is
-    the one overflow check.
+    """B_m(x, y; tau), m >= 1, at every point, by the series of
+    `elliptic_bernoulli` at `at`'s tau, in one `_block_series` batch.  The
+    points passed the lattice check, with y as a frame (`_frame`) or an
+    evaluator of `_by_weight` gives it: each y is an integer or beyond
+    _LATTICE_EPS of one.  The powers (y -+ j)^(m-1) are IEEE products
+    (`_ipow`), at most m - 2 of them, which the m ulps charged to a term's
+    power cover.  Runs with no numpy warning: rows past the stop may
+    overflow, and `_finite` is the one overflow check.
 
     `arg_err` = (dx, dy) bounds the absolute errors of x and y, dy an
     array with one entry per point, which carries the caller's snap shift,
@@ -1258,30 +1235,23 @@ def _bernoulli_layers(layers, x: np.ndarray, y: np.ndarray, at: _Checked,
         qj, j, err_w = (a[js.start - 1:] for a in _bernoulli_rows(at, js.stop - 1))
         w1, w2 = emy * qj, epy * qj
         d1 = emx - w1
-        t1, t2 = w1 / d1, -(w2 / (epx - w2))
-        free = t1, t2, np.abs(d1), err_x + err_w, yr, dy_ulps
-        out = []
-        for m, sl in layers:
-            u1, u2, ad1, err_xw, yk, dyk = free if sl is None else (a[:, sl] for a in free)
-            if m > 1:
-                u1, u2 = _ipow(yk - j, m - 1) * u1, _ipow(yk + j, m - 1) * u2
-            a1, a2 = np.abs(u1), np.abs(u2)
-            size = a1 + a2
-            rnd = (a1 / ad1 + kappa * a2) * err_xw
-            rnd += size * (m + 11.0 + err_w)
-            if m > 1:
-                # dy moving (y -+ j)^(m-1) by (m - 1) dy / (j -+ y) relative,
-                # an exact 0 where dy is 0
-                rnd += (m - 1) * dyk * (a1 / (j - yk) + a2 / (j + yk))
-            out.append((u1 + u2, size, rnd))
-        return out[0] if len(out) == 1 else [np.concatenate(a, axis=1) for a in zip(*out)]
+        u1, u2 = w1 / d1, -(w2 / (epx - w2))
+        if m > 1:
+            u1, u2 = _ipow(yr - j, m - 1) * u1, _ipow(yr + j, m - 1) * u2
+        a1, a2 = np.abs(u1), np.abs(u2)
+        size = a1 + a2
+        rnd = (a1 / np.abs(d1) + kappa * a2) * (err_x + err_w)
+        rnd += size * (m + 11.0 + err_w)
+        if m > 1:
+            # dy moving (y -+ j)^(m-1) by (m - 1) dy / (j -+ y) relative,
+            # an exact 0 where dy is 0
+            rnd += (m - 1) * dy_ulps * (a1 / (j - yr) + a2 / (j + yr))
+        return u1 + u2, size, rnd
 
     # a term pair is at most (j + 1)^(m-1) (|q|^(j-y) + |q|^(j+y)), 0 <= y < 1
-    first = _points_rows(decay, max(m for m, _ in layers) - 1, 1.0, at.tol)
-    sizes = [len(x if sl is None else x[sl]) for _, sl in layers]
-    width = sum(sizes)
-    state = _block_series(np.zeros(width, dtype=complex), np.zeros(width), terms, at.cap,
-                          at.tol, first, "elliptic Bernoulli series")
+    first = _points_rows(decay, m - 1, 1.0, at.tol)
+    s, c, j, last, rnd = _block_series(np.zeros(len(x), dtype=complex), np.zeros(len(x)), terms,
+                                       at.cap, at.tol, first, "elliptic Bernoulli series")
 
     # The closing term and the finish.  At m = 1 the factors y^0, m and
     # slope = 1 are left out and B_1(y) is y - 1/2, the Horner steps' value:
@@ -1292,39 +1262,34 @@ def _bernoulli_layers(layers, x: np.ndarray, y: np.ndarray, at: _Checked,
     v1 = v - 1
     err_v = _exp_err(arg) + _TWO_PI_ULPS * (dx + dy * abs(t) + y * dt)
     ratio = np.abs(v) / np.abs(v1)
-    free, out = (y, v, v1, dy, err_v, ratio), []
-    for (m, sl), end, n in zip(layers, accumulate(sizes), sizes):
-        yk, vk, v1k, dyk, err_vk, ratio_k = free if sl is None else (a[sl] for a in free)
-        s, c, j, last, rnd = state if n == width else (a[end - n:end] for a in state)
-        closing = (vk if m == 1 else _ipow(yk, m - 1) * vk) / v1k
-        # the Kahan step's sum; its compensation is not needed
-        acc = s + (closing - c)
-        abs_acc = np.abs(acc)
-        if m == 1:
-            r = min(decay, 0.99)
-            tail = 2.0 * last * r / (1.0 - r) + 1e-16 * abs_acc * j
-            value = acc + (yk - 0.5)
-        else:
-            r = np.minimum(decay * _ipow((j + 1 + yk) / np.maximum(j - yk, 0.5), m - 1), 0.99)
-            tail = m * (2.0 * last * r / (1.0 - r) + 1e-16 * abs_acc * j)
-            value = m * acc + _bernoulli_poly_float(m, yk)
-        # first-order rounding: the terms, the closing term (as above, with
-        # v - 1 for the denominator), the Kahan sum, m * acc, the Bernoulli
-        # polynomial's Horner steps (at most sum_j |C(m, j) B_j| on [0, 1))
-        # and the final sum
-        rnd = rnd + np.abs(closing) * (m + 10.0 + err_vk * (1.0 + ratio_k))
-        if m > 1:
-            # dy moving the closing term's y^(m-1)
-            rnd = rnd + (m - 1) * _ipow(yk, m - 2) * ratio_k * (2.0**53 * dyk)
-        rnd = rnd + 3.0 * abs_acc
-        if m > 1:
-            rnd = m * rnd
-        rnd = rnd + 2.0 * (m + 1) * _bernoulli_poly_abs_sum(m) + np.abs(value)
-        # dy moving B_m(y), whose slope m B_{m-1}(y) is at most
-        # m sum_j |C(m-1, j) B_j| on [0, 1), 1 at m = 1
-        slope = dyk if m == 1 else dyk * (m * _bernoulli_poly_abs_sum(m - 1))
-        out.append(_finite(ComplexArray(value, tail + 2.0**-53 * rnd + slope), f"B_{m}"))
-    return out
+    closing = (v if m == 1 else _ipow(y, m - 1) * v) / v1
+    # the Kahan step's sum; its compensation is not needed
+    acc = s + (closing - c)
+    abs_acc = np.abs(acc)
+    if m == 1:
+        r = min(decay, 0.99)
+        tail = 2.0 * last * r / (1.0 - r) + 1e-16 * abs_acc * j
+        value = acc + (y - 0.5)
+    else:
+        r = np.minimum(decay * _ipow((j + 1 + y) / np.maximum(j - y, 0.5), m - 1), 0.99)
+        tail = m * (2.0 * last * r / (1.0 - r) + 1e-16 * abs_acc * j)
+        value = m * acc + _bernoulli_poly_float(m, y)
+    # first-order rounding: the terms, the closing term (as above, with
+    # v - 1 for the denominator), the Kahan sum, m * acc, the Bernoulli
+    # polynomial's Horner steps (at most sum_j |C(m, j) B_j| on [0, 1))
+    # and the final sum
+    rnd = rnd + np.abs(closing) * (m + 10.0 + err_v * (1.0 + ratio))
+    if m > 1:
+        # dy moving the closing term's y^(m-1)
+        rnd = rnd + (m - 1) * _ipow(y, m - 2) * ratio * (2.0**53 * dy)
+    rnd = rnd + 3.0 * abs_acc
+    if m > 1:
+        rnd = m * rnd
+    rnd = rnd + 2.0 * (m + 1) * _bernoulli_poly_abs_sum(m) + np.abs(value)
+    # dy moving B_m(y), whose slope m B_{m-1}(y) is at most
+    # m sum_j |C(m-1, j) B_j| on [0, 1), 1 at m = 1
+    slope = dy if m == 1 else dy * (m * _bernoulli_poly_abs_sum(m - 1))
+    return _finite(ComplexArray(value, tail + 2.0**-53 * rnd + slope), f"B_{m}")
 
 
 def elliptic_bernoulli(m: int, x: float, y: float, tau: TauPoint,

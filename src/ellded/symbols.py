@@ -65,6 +65,7 @@ and its quasi-modular shift instead.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -192,6 +193,16 @@ def _shifted_coords(p: int, q: int, x: float):
     lp, ys, dys, dlp, xq, _ = _shifted_points(p, q)
     xs = np.concatenate((lp - x, lp + x, xq))
     return xs, ys, 2.0**-53 * np.abs(xs) + dlp, dys
+
+
+def _real(v, name: str) -> float:
+    """v as a Python float, where it is a real number (`numbers.Real`: a
+    numpy float32, a Fraction, an int), so that every product and sum with
+    it rounds in binary64 and equals the call at float(v) bit for bit;
+    anything else raises TypeError."""
+    if not isinstance(v, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {v!r}")
+    return float(v)
 
 
 def _real_coords(p: int, q: int, x: float):
@@ -484,7 +495,7 @@ def generating_D(pair: CoprimePair, tau: TauPoint, x: float,
     argument errors.  |x| < 1/(2p) keeps P -+ x off the lattice, so no
     point needs a lattice check.  At p = 1 the sum is empty: 0 with err 0,
     with no frame and no pass."""
-    p = pair.p
+    p, x = pair.p, _real(x, "x")
     if not abs(x) < 1 / (2 * p):
         raise ValueError(f"x must be finite with |x| < 1/(2p) = {1/(2*p)}, got {x}")
     at = _checked(tau, policy)
@@ -511,6 +522,7 @@ def generating_R(pair: CoprimePair, tau: TauPoint, x: float,
     lattice point but 0, and the lattice check (`qseries._lattice_check`)
     rejects an x too near 0."""
     pair.require_u()
+    x = _real(x, "x")
     _real_points(pair.p, pair.q, x, "x", "R^-")
     return _heat_form(pair, _theorem13(pair.p, pair.q, _checked(tau, policy), x, "R"))
 
@@ -644,6 +656,7 @@ def machide_reciprocity_residuals(pair: CoprimePair, s: float, t: float,
     """
     pair.require_u()
     p, q = pair.p, pair.q
+    s, t = _real(s, "s"), _real(t, "t")
     a, b, c = 1, p, q
     va, vb, vc = (1, 1), (p, p), (q, q)
     vx, vy, vz = (s, 0.0), (p * t, 0.0), (-q * t, 0.0)
@@ -705,7 +718,7 @@ def proposition31_residual(pair: CoprimePair, s: float, tau: TauPoint,
     (ps, qs, s) only.  The left side, of weight 2, leaves the frame once,
     times m^-2."""
     pair.require_u()
-    p, q = pair.p, pair.q
+    p, q, s = pair.p, pair.q, _real(s, "s")
     _real_points(p, q, s, "s", "Prop. 3.1")
     rec = _theorem13(p, q, _checked(tau, policy), s, "P")
     lhs = _shifted_sum(rec, p, q) + _shifted_sum(rec, q, p)

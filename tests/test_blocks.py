@@ -210,83 +210,6 @@ def test_blocks_match_term_by_term(monkeypatch, t, max_terms):
 
 
 # ---------------------------------------------------------------------------
-# Layered B_m passes against their one-order passes
-# ---------------------------------------------------------------------------
-
-#: layered batches: (width, tau, layers as (order, start, stop)), stop
-#: None for the end, and (order,) for a layer of every point, which cuts
-#: no array; on F and held off it, where the long series of Im tau = 0.11
-#: run many blocks of few rows
-LAYER_CASES = [
-    (0, 0.3 + 1.1j, [(1,), (2, 0, None)]),
-    (1, 0.3 + 1.1j, [(1,), (7,)]),
-    (3, -0.45 + 0.7j, [(1,), (2,)]),
-    (7, 0.2 + 0.11j, [(2, 3, None), (1, 0, 4), (5, 0, 0), (3, 1, 6)]),
-    (40, 0.2 + 0.3j, [(1,), (2, 37, None)]),
-    (65, -0.45 + 0.3j, [(6, 0, 64), (1, 1, None), (4, 10, 20)]),
-    (300, 0.0 + 1.5j, [(1, 0, None), (2, 150, None), (7, 299, None)]),
-    (700, 0.2 + 0.11j, [(1, 0, 350), (3, 200, None)]),
-    (1300, 0.3 + 1.1j, [(1,), (2, 0, None), (5, 1297, None)]),
-]
-
-
-def _layer_points(width, seed=3):
-    """width points (x, y) with y integers and near-integers among them,
-    snapped as a frame snaps them, the shift in dy, and dx as the
-    rounding of x."""
-    rng = np.random.default_rng(seed + width)
-    x, y = rng.uniform(-1.0, 1.0, width), rng.uniform(-2.0, 2.0, width)
-    y[::5] = np.rint(y[::5])
-    y[1::7] = np.rint(y[1::7]) + 1e-13
-    x[::5] = rng.uniform(0.05, 0.95, len(x[::5]))
-    y, dy = qseries._snap_err(y, 2.0**-53 * np.abs(y))
-    return x, y, (2.0**-53 * np.abs(x), dy)
-
-
-@pytest.mark.parametrize("dtau", [0.0, 2.0**-50])
-@pytest.mark.parametrize("width, t, layers", LAYER_CASES)
-def test_layers_match_one_order_passes(width, t, layers, dtau):
-    """Each layer of a layered B_m pass equals the one-order pass
-    `_bernoulli_series(m, x[sl], y[sl], ...)` element by element, value and
-    err, at orders 1 to 7 over overlapping slices, held on F and off it, at
-    a caller's tau and at a record with an error of tau."""
-    x, y, (dx, dy) = _layer_points(width)
-    at = qseries._checked(TauPoint(t), qseries.DEFAULT_POLICY)._replace(dtau=dtau)
-    got = qseries._bernoulli_layers([(m, slice(*ends) if ends else None) for m, *ends in layers],
-                                    x, y, at, (dx, dy))
-    assert len(got) == len(layers)
-    for (m, *ends), layer in zip(layers, got):
-        sl = slice(*ends or [None])
-        alone = qseries._bernoulli_series(m, x[sl], y[sl], at, (dx[sl], dy[sl]))
-        assert _reprs(layer) == _reprs(alone), (m, sl)
-
-
-@pytest.mark.parametrize("t, cap, layers", [
-    # B_1 and B_2 at one point stop within the cap, B_4 at three does not:
-    # the first running column is B_4's third, ahead of B_7's first
-    (0.3 + 1.1j, 5, [(1,), (2, 0, 1), (4, 0, None), (7,)]),
-    (0.3 + 1.1j, 3, [(2, 1, None), (1,)]),
-    (0.2 + 0.3j, 6, [(7, 2, None), (1, 0, None)]),
-])
-def test_layered_cap_error_names_first_running_column(t, cap, layers):
-    """Under a term cap a layered pass raises the cap's error, with the
-    message and the partial of the first layer whose one-order pass
-    raises: the first column of the batch still running."""
-    x, y = np.array([0.3, 0.2, 0.41]), np.array([0.0, 0.5, 0.97])
-    errs = (np.zeros(3), np.zeros(3))
-    at = qseries._checked(TauPoint(t), SeriesPolicy(max_terms=cap))
-    alone = [_outcome(lambda: qseries._bernoulli_series(m, x[sl], y[sl], at,
-                                                        (errs[0][sl], errs[1][sl])))
-             for m, sl in ((m, slice(*ends or [None])) for m, *ends in layers)]
-    layers = [(m, slice(*ends) if ends else None) for m, *ends in layers]
-    failed = [o for o in alone if o[0] == "NonConvergenceError"]
-    assert failed
-    got = _outcome(lambda: qseries._bernoulli_layers(layers, x, y, at, errs))
-    assert got == failed[0] == ["NonConvergenceError", f"elliptic Bernoulli series hit "
-                                f"max_terms={cap}", failed[0][2]]
-
-
-# ---------------------------------------------------------------------------
 # Batches against one-point calls, at the block boundaries
 # ---------------------------------------------------------------------------
 
@@ -479,15 +402,18 @@ def cold_records():
 
 @pytest.fixture
 def orders(monkeypatch):
-    """Records the layers of every B_m pass: (order, points) per layer."""
+    """Records every B_m pass (`qseries._bernoulli_series`): its order and
+    columns."""
     seen = []
-    run = qseries._bernoulli_layers
+    run = qseries._bernoulli_series
 
-    def spy(layers, x, *rest):
-        seen.append([(m, len(x if sl is None else x[sl])) for m, sl in layers])
-        return run(layers, x, *rest)
+    def spy(m, x, *rest):
+        seen.append((m, len(x)))
+        return run(m, x, *rest)
 
-    monkeypatch.setattr(qseries, "_bernoulli_layers", spy)
+    # symbols imports the function by name for the Bernoulli route
+    monkeypatch.setattr(qseries, "_bernoulli_series", spy)
+    monkeypatch.setattr(symbols, "_bernoulli_series", spy)
     return seen
 
 
@@ -515,14 +441,14 @@ def test_one_bernoulli_pass_per_symbol(passes, orders, thetas, cold_records):
     points of D^-(p, q; x) and D^-(q, p; x) and (px, qx, x); R^-(x) at
     that x reads the record and runs none, and alone at another x runs
     one over its three points.  A mixed-order kernel call runs one B_m
-    pass, one layer per order >= 1, on F and off it, and the Bernoulli
-    route B_1 and B_{2n+1} as two."""
+    pass per order >= 1, in ascending order, on F and off it, and the
+    Bernoulli route B_1 and B_{2n+1} as two."""
     tau = TauPoint(0.3 + 1.1j)
     ms, points = [2, 5, 1, 0, 5], ([0.3, 0.2, 0.5, 0.1, 0.4], [0.1, 0.7, 0.2, 0.4, 0.6])
     for call, expected, theta in [
-            (lambda: elliptic_bernoulli_points(ms, *points, tau), [[(1, 1), (2, 1), (5, 2)]], []),
+            (lambda: elliptic_bernoulli_points(ms, *points, tau), [(1, 1), (2, 1), (5, 2)], []),
             (lambda: elliptic_bernoulli_points(ms, *points, TauPoint(0.3 + 0.06j)),
-             [[(1, 1), (2, 1), (5, 2)]], []),
+             [(1, 1), (2, 1), (5, 2)], []),
             (lambda: symbols.machide_reciprocity_residuals(CoprimePair(5, 3), 0.013, 0.007, tau),
              [], [70]),
             (lambda: symbols.proposition31_residual(CoprimePair(5, 3), 0.04, tau),
@@ -532,15 +458,14 @@ def test_one_bernoulli_pass_per_symbol(passes, orders, thetas, cold_records):
             (lambda: symbols.generating_R(CoprimePair(5, 3), tau, 0.06), [], [3]),
             (lambda: symbols.elliptic_apostol_sum(2, CoprimePair(5, 3), tau,
                                                   Route.BERNOULLI_PRODUCT),
-             [[(1, 12)], [(5, 12)]], [])]:
+             [(1, 12), (5, 12)], [])]:
         passes.clear()
         orders.clear()
         thetas.clear()
         call()
         assert orders == expected and thetas == theta
-        assert all(type(m) is int for layers in orders for m, _ in layers)
-        assert [columns for columns, _, _ in passes] == [sum(n for _, n in layers)
-                                                          for layers in orders]
+        assert all(type(m) is int for m, _ in orders)
+        assert [columns for columns, _, _ in passes] == [n for _, n in orders]
 
 
 #: the theta passes of each shifted symbol's call, at tau in F and off it
@@ -601,7 +526,7 @@ def test_passes_in_F_run_one_block(passes, orders, thetas, cold_records, t):
     """At tau in F, every pass of at most 64 points runs exactly one block,
     of at most its largest stopping j + 2 rows: the B_1 and pe passes of
     the zeta route; and so does every pass of the Bernoulli route at pairs
-    whose B_m layers hold at most 70 points each.  D^-(x), R^-(x), the
+    whose B_m passes hold at most 70 points each.  D^-(x), R^-(x), the
     Machide triple and Prop. 3.1 run theta passes, one per call or x."""
     tau = TauPoint(t)
     for p, q in PIN_PQ + [(5, 3), (8, 3), (11, 4)]:
@@ -624,7 +549,7 @@ def test_passes_in_F_run_one_block(passes, orders, thetas, cold_records, t):
     # two B_m passes per route call, and one theta pass each for the
     # Machide triple and Prop. 3.1
     assert len(orders) == 6 * 3 * 2 and len(passes) == len(orders) and thetas == [70, 51]
-    assert all(type(m) is int and columns <= 70 for layers in orders for m, columns in layers)
+    assert all(type(m) is int and columns <= 70 for m, columns in orders)
     for rows, last in small + [(rows, last) for _, rows, last in passes]:
         assert len(rows) == 1 and rows[0] <= last + 2
 

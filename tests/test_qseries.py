@@ -1246,16 +1246,16 @@ class TestKernelErrAgainstMpmath:
 
     def test_elliptic_bernoulli_catches_a_tenth_of_err(self, monkeypatch):
         """The grid catches an err ten times too loose: with the err of
-        every layer of every B_m pass scaled by 0.1,
-        `test_elliptic_bernoulli` fails, at 0.25+1.1i at least, where its
-        worst point reads 0.25 of err."""
+        every B_m pass scaled by 0.1, `test_elliptic_bernoulli` fails, at
+        0.25+1.1i at least, where its worst point reads 0.25 of err."""
         pytest.importorskip("mpmath")
-        run = qseries._bernoulli_layers
+        run = qseries._bernoulli_series
 
         def tenth(*args):
-            return [ComplexArray(b.value, 0.1 * b.err) for b in run(*args)]
+            b = run(*args)
+            return ComplexArray(b.value, 0.1 * b.err)
 
-        monkeypatch.setattr(qseries, "_bernoulli_layers", tenth)
+        monkeypatch.setattr(qseries, "_bernoulli_series", tenth)
         failed = []
         for tau in self.TAUS:
             try:

@@ -2,6 +2,7 @@
 functions and Machide sums."""
 
 import math
+from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
@@ -665,3 +666,41 @@ def test_capped_speculative_part_changes_no_call(p, q, x, t, cap):
     assert {v[:2] for v in alone.values()} == {
         ("NonConvergenceError", f"theta series hit max_terms={cap}")}
     assert len(runs) == 2 and runs[0] != runs[1] == ([(p, q)], False)
+
+
+#: (symbol, call at x) of the symbols that take a real x, s or t
+REAL_ARG_CALLS = {
+    "D": lambda x, tau: generating_D(CoprimePair(5, 3), tau, x),
+    "R": lambda x, tau: generating_R(CoprimePair(5, 3), tau, x),
+    "P": lambda x, tau: proposition31_residual(CoprimePair(5, 3), x, tau),
+    "machide_s": lambda x, tau: machide_reciprocity_residuals(CoprimePair(5, 3), x, 0.007, tau),
+    "machide_t": lambda x, tau: machide_reciprocity_residuals(CoprimePair(5, 3), 0.013, x, tau),
+}
+
+
+@pytest.mark.parametrize("t", [0.3 + 1.1j, 0.3 + 0.06j])
+@pytest.mark.parametrize("x", [np.float32(0.05), np.float32(0.013), Fraction(1, 20),
+                               Fraction(-7, 1000), 0, np.int64(0)])
+@pytest.mark.parametrize("name", REAL_ARG_CALLS)
+def test_real_argument_computes_as_its_float(name, x, t):
+    """A real x, s or t of another type, a numpy float32, a Fraction or
+    an int, returns or raises what the call at float(x) does, bit for bit,
+    each on emptied records: a float32 x does not round p x in float32,
+    and a Fraction reaches no ufunc."""
+    call, tau = REAL_ARG_CALLS[name], TauPoint(t)
+    outcomes = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SlowNomeWarning)
+        for v in (x, float(x)):
+            symbols._RECORDS.clear()
+            outcomes.append(_outcome(lambda: call(v, tau)))
+    assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("x", [0.01 + 0j, "0.01", None])
+@pytest.mark.parametrize("name", REAL_ARG_CALLS)
+def test_non_real_argument_rejected(name, x):
+    """Any x, s or t that is not a real number raises TypeError before any
+    pass runs."""
+    with pytest.raises(TypeError, match="must be a real number"):
+        REAL_ARG_CALLS[name](x, TAU_I)

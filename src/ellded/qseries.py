@@ -46,8 +46,15 @@ the rows of a caller's tau of the same value.
 
 The Weierstrass and elliptic Bernoulli functions are array kernels
 (`*_points`) on the engine; the scalar functions are one-point calls to them.
-`elliptic_bernoulli_points` also takes an order per point, and runs one
-B_m pass (`_bernoulli_series`, one order over all its points) per order.
+The two Fourier kernels, the Lambert B_m series (`_bernoulli_series`) and
+the pe family (`_p_deriv_series`), each take a tuple of orders over one
+point set and run them as one engine batch, whose columns are the orders'
+points in turn: the orders share the points' exponentials, the q^j rows of
+the record and the engine's run, and each finishes as a pass of its own
+would, so each order equals its one-order call bit for bit.  A block holds
+BLOCK_ELEMENTS terms per order, so a two-order pass keeps the rows of a
+one-order pass.  `elliptic_bernoulli_points` also takes an order per point,
+and runs one one-order pass over each order's points.
 Integer powers in the series are IEEE products (`_ipow`), not numpy's pow,
 so their bits do not depend on the host.
 The Weierstrass and elliptic Bernoulli kernels run at tau reduced to the
@@ -58,20 +65,22 @@ functions run at tau itself.  A symbol that is a modular form as a whole
 reduces by its own weight through one helper, `_by_weight`: it hands the
 symbol's evaluator the caller's record on the closed F, else the record of
 tau', and multiplies by m^-w; the evaluator calls the series at the record
-it is given directly (`_p_deriv_series`, `_b_series`, `_bernoulli_series`,
+it is given directly (`_p_deriv_series`, `_bernoulli_series`,
 `_eisenstein_table`), with no check, frame or weight of its own.  A
 `ComplexVal` checks its value as it is built, so a sum or product that
 leaves binary64 raises OverflowError there, not as NaN or Infinity.
-b = zeta - E_2 z comes straight from one B_1 batch (`_b_series`), with no
-E_2, and zeta is b + E_2 z.  The heat identity B_2 = B_1^2 - pe / (2 pi i)^2
-at k = 0 ties pe to B_1 and B_2, so that the shifted symbols and
-`sigma_log_tau_derivative` read pe through B_1 and B_2 and run no pe
-pass.  They read B_1 and B_2 alone, so they take them from one pass of a
+For the public zeta, b = zeta - E_2 z comes straight from one B_1 batch
+(`_b_series`), with no E_2, and zeta is b + E_2 z.  The heat identity
+B_2 = B_1^2 - pe / (2 pi i)^2 at k = 0 ties pe to B_1 and B_2, so that
+the shifted symbols and `sigma_log_tau_derivative` read pe through B_1
+and B_2 and run no pe pass.  They read B_1 and B_2 alone, so they take them from one pass of a
 second formula, not the Lambert series: three Jacobi-theta sums of 2N
 Gaussian rows, N at most 4 on F and set by Im tau alone (`_theta_pass`),
 with no factor above 1, so no term cap, tol or large Im tau moves them.
-The Lambert B_m series serves the public B_m, the Bernoulli route and the
-zeta route's bracket.
+The Lambert B_m series serves the public B_m and zeta, `machide_sum` and
+the Bernoulli route.  The zeta route reads its bracket from the pe family's
+order -1, pe^(-1) = -(zeta - E_2 z), in the pass of its pe^(2n-1), so the
+two routes of the elliptic sums share no series kernel.
 Each input rule has one home, and the series only evaluate.  Each public
 call checks its tau once, in `_checked`, into a `_Checked` record of plain
 numbers: tau, tol, max_terms, the term cap of every series at every tau,
@@ -541,18 +550,21 @@ def _block_series(start: np.ndarray, start_rnd: np.ndarray, terms, cap: int, tol
                   first: int, what: str):
     """Run the kernel series `start + sum_j terms(js)` in every column of a
     batch; each column starts from `start`, whose rounding bound is
-    `start_rnd`.
+    `start_rnd`.  `start` is (orders x points), or 1-D over points: a
+    kernel of several orders over one point set runs them all in one batch,
+    whose columns are its orders' points in turn.
 
     The terms come in blocks of consecutive j.  `terms(js)` gets the
     block's j as Python ints and returns fresh 2-D arrays, which the engine
     may overwrite, with one row per j and one column per column of the
-    batch: the jth term pair, its size and a first-order bound, in units of
-    2^-53, on its rounding error.  A kernel closes over its per-column
-    inputs as rows (1 x columns) and reads its per-tau rows as (rows x 1)
-    columns.  Each row must equal what a term-by-term run computes at that
-    j; with 2-D operands on both sides, numpy rounds a broadcast complex
-    product as it rounds an array times a scalar, while a 1-D array times a
-    1 x 1 array rounds as Python's scalar product does.
+    batch, the orders one after another: the jth term pair, its size and a
+    first-order bound, in units of 2^-53, on its rounding error.  A kernel
+    closes over its per-column inputs as rows (1 x points) and reads its
+    per-tau rows as (rows x 1) columns.  Each row must equal what a
+    term-by-term run computes at that j; with 2-D operands on both sides,
+    numpy rounds a broadcast complex product as it rounds an array times a
+    scalar, while a 1-D array times a 1 x 1 array rounds as Python's scalar
+    product does.
 
     The rows are added in order, one Kahan step each, written straight into
     the block's rows of sums and compensations; the rounding bounds are
@@ -567,18 +579,19 @@ def _block_series(start: np.ndarray, start_rnd: np.ndarray, terms, cap: int, tol
     max_terms=cap" with the partial sum of the first of them in the batch.
     The first block has `first` rows, which the caller sizes from |q| to
     hold the whole series where it can, and each later one twice the rows
-    of the last, within BLOCK_ELEMENTS column-terms and the cap, so every
-    result is bit-identical to a term-by-term run's.  A first block in
-    which every column stops is returned as it stands.  Returns per column
-    the Kahan state (s, c) where it stopped, the j it stopped at, its last
-    size and its summed rounding bound; an empty batch asks for no terms."""
-    n = len(start)
-    s, c, rnd = start + 0j, np.zeros(n, dtype=complex), start_rnd
+    of the last, within BLOCK_ELEMENTS point-terms per order and the cap,
+    so every result is bit-identical to a term-by-term run's.  A first
+    block in which every column stops is returned as it stands.  Returns
+    per column, 1-D, the Kahan state (s, c) where it stopped, the j it
+    stopped at, its last size and its summed rounding bound; an empty batch
+    asks for no terms."""
+    n = start.size
+    s, c, rnd = start.reshape(n) + 0j, np.zeros(n, dtype=complex), start_rnd.reshape(n)
     cols = np.arange(n)
     j = 0
     rows = first
     while n:
-        rows = min(rows, max(BLOCK_ELEMENTS // n, 1), cap - j)
+        rows = min(rows, max(BLOCK_ELEMENTS // start.shape[-1], 1), cap - j)
         term, size, r = terms(range(j + 1, j + rows + 1))
         sums, comps = np.empty_like(term), np.empty_like(term)
         y = np.empty_like(s)
@@ -1174,23 +1187,27 @@ def _bernoulli_points(m, x, y, at: _Checked) -> ComplexArray:
     out = ComplexArray(np.ones(len(x), dtype=complex), np.zeros(len(x)))
     for k in sorted(set(m.tolist()) - {0}):
         on = np.flatnonzero(m == k)
-        b = _bernoulli_series(k, f.x[on], f.y[on], f.at, (dx[on], dy[on]))
+        b, = _orders(_bernoulli_series((k,), f.x[on], f.y[on], f.at, (dx[on], dy[on])))
         b = f.back(b, k, f"B_{k}")
         out.value[on], out.err[on] = b.value, b.err
     return out
 
 
 @np.errstate(all="ignore")
-def _bernoulli_series(m: int, x: np.ndarray, y: np.ndarray, at: _Checked,
+def _bernoulli_series(ms: Tuple[int, ...], x: np.ndarray, y: np.ndarray, at: _Checked,
                       arg_err) -> ComplexArray:
-    """B_m(x, y; tau), m >= 1, at every point, by the series of
-    `elliptic_bernoulli` at `at`'s tau, in one `_block_series` batch.  The
-    points passed the lattice check, with y as a frame (`_frame`) or an
-    evaluator of `_by_weight` gives it: each y is an integer or beyond
-    _LATTICE_EPS of one.  The powers (y -+ j)^(m-1) are IEEE products
-    (`_ipow`), at most m - 2 of them, which the m ulps charged to a term's
-    power cover.  Runs with no numpy warning: rows past the stop may
-    overflow, and `_finite` is the one overflow check.
+    """B_m(x, y; tau) for each order m >= 1 of `ms` at every point, by the
+    series of `elliptic_bernoulli` at `at`'s tau, in one `_block_series`
+    batch: one row of the result per order.  The orders share the points'
+    exponentials, the rows of the record and the engine's run, and each
+    finishes as a pass of its own would, in the order of `ms`, so each row
+    equals its one-order call bit for bit and the first order whose value
+    leaves binary64 raises.  The points passed the lattice check, with y
+    as a frame (`_frame`) or an evaluator of `_by_weight` gives it: each y
+    is an integer or beyond _LATTICE_EPS of one.  The powers (y -+ j)^(m-1)
+    are IEEE products (`_ipow`), at most m - 2 of them, which the m ulps
+    charged to a term's power cover.  Runs with no numpy warning: rows past
+    the stop may overflow, and `_finite` is the one overflow check.
 
     `arg_err` = (dx, dy) bounds the absolute errors of x and y, dy an
     array with one entry per point, which carries the caller's snap shift,
@@ -1206,7 +1223,6 @@ def _bernoulli_series(m: int, x: np.ndarray, y: np.ndarray, at: _Checked,
     # into [0, 1); x is off-integer where y is 0 (lattice check)
     y = y - np.floor(y)
     dx, dy = arg_err
-    dt = at.dtau
     decay = _nome(at)[1]
     # Rounding of a term P w / D, D = e(+-x) - w: the exponentials carry the
     # relative errors of their arguments (see _exp_err), e(+-x)'s and w's;
@@ -1230,28 +1246,36 @@ def _bernoulli_series(m: int, x: np.ndarray, y: np.ndarray, at: _Checked,
     emx = np.exp(-TWO_PI_I * x)[None]
     epx = emx.conj()
 
+    shape = (len(ms), len(x))
+
     def terms(js):
         # one row per j;  e(-y tau) q^j = e((j - y) tau),  e(y tau) q^j = e((j + y) tau)
         qj, j, err_w = (a[js.start - 1:] for a in _bernoulli_rows(at, js.stop - 1))
         w1, w2 = emy * qj, epy * qj
         d1 = emx - w1
-        u1, u2 = w1 / d1, -(w2 / (epx - w2))
-        if m > 1:
-            u1, u2 = _ipow(yr - j, m - 1) * u1, _ipow(yr + j, m - 1) * u2
-        a1, a2 = np.abs(u1), np.abs(u2)
-        size = a1 + a2
-        rnd = (a1 / np.abs(d1) + kappa * a2) * (err_x + err_w)
-        rnd += size * (m + 11.0 + err_w)
-        if m > 1:
-            # dy moving (y -+ j)^(m-1) by (m - 1) dy / (j -+ y) relative,
-            # an exact 0 where dy is 0
-            rnd += (m - 1) * dy_ulps * (a1 / (j - yr) + a2 / (j + yr))
-        return u1 + u2, size, rnd
+        v1, v2 = w1 / d1, -(w2 / (epx - w2))
+        ad1 = np.abs(d1)
+        term, sizes, rnds = (np.empty((len(js), *shape), dtype=d) for d in (complex, float, float))
+        for i, m in enumerate(ms):
+            u1, u2 = v1, v2
+            if m > 1:
+                u1, u2 = _ipow(yr - j, m - 1) * u1, _ipow(yr + j, m - 1) * u2
+            a1, a2 = np.abs(u1), np.abs(u2)
+            size = a1 + a2
+            rnd = (a1 / ad1 + kappa * a2) * (err_x + err_w)
+            rnd += size * (m + 11.0 + err_w)
+            if m > 1:
+                # dy moving (y -+ j)^(m-1) by (m - 1) dy / (j -+ y) relative,
+                # an exact 0 where dy is 0
+                rnd += (m - 1) * dy_ulps * (a1 / (j - yr) + a2 / (j + yr))
+            term[:, i], sizes[:, i], rnds[:, i] = u1 + u2, size, rnd
+        return tuple(a.reshape(len(js), -1) for a in (term, sizes, rnds))
 
     # a term pair is at most (j + 1)^(m-1) (|q|^(j-y) + |q|^(j+y)), 0 <= y < 1
-    first = _points_rows(decay, m - 1, 1.0, at.tol)
-    s, c, j, last, rnd = _block_series(np.zeros(len(x), dtype=complex), np.zeros(len(x)), terms,
-                                       at.cap, at.tol, first, "elliptic Bernoulli series")
+    first = _points_rows(decay, max(ms) - 1, 1.0, at.tol)
+    zeros = np.zeros(shape)
+    state = (a.reshape(shape) for a in _block_series(
+        zeros, zeros, terms, at.cap, at.tol, first, "elliptic Bernoulli series"))
 
     # The closing term and the finish.  At m = 1 the factors y^0, m and
     # slope = 1 are left out and B_1(y) is y - 1/2, the Horner steps' value:
@@ -1260,36 +1284,46 @@ def _bernoulli_series(m: int, x: np.ndarray, y: np.ndarray, at: _Checked,
     arg = TWO_PI_I * (-x + y * t)
     v = np.exp(arg)
     v1 = v - 1
-    err_v = _exp_err(arg) + _TWO_PI_ULPS * (dx + dy * abs(t) + y * dt)
+    err_v = _exp_err(arg) + _TWO_PI_ULPS * (dx + dy * abs(t) + y * at.dtau)
     ratio = np.abs(v) / np.abs(v1)
-    closing = (v if m == 1 else _ipow(y, m - 1) * v) / v1
-    # the Kahan step's sum; its compensation is not needed
-    acc = s + (closing - c)
-    abs_acc = np.abs(acc)
-    if m == 1:
-        r = min(decay, 0.99)
-        tail = 2.0 * last * r / (1.0 - r) + 1e-16 * abs_acc * j
-        value = acc + (y - 0.5)
-    else:
-        r = np.minimum(decay * _ipow((j + 1 + y) / np.maximum(j - y, 0.5), m - 1), 0.99)
-        tail = m * (2.0 * last * r / (1.0 - r) + 1e-16 * abs_acc * j)
-        value = m * acc + _bernoulli_poly_float(m, y)
-    # first-order rounding: the terms, the closing term (as above, with
-    # v - 1 for the denominator), the Kahan sum, m * acc, the Bernoulli
-    # polynomial's Horner steps (at most sum_j |C(m, j) B_j| on [0, 1))
-    # and the final sum
-    rnd = rnd + np.abs(closing) * (m + 10.0 + err_v * (1.0 + ratio))
-    if m > 1:
-        # dy moving the closing term's y^(m-1)
-        rnd = rnd + (m - 1) * _ipow(y, m - 2) * ratio * (2.0**53 * dy)
-    rnd = rnd + 3.0 * abs_acc
-    if m > 1:
-        rnd = m * rnd
-    rnd = rnd + 2.0 * (m + 1) * _bernoulli_poly_abs_sum(m) + np.abs(value)
-    # dy moving B_m(y), whose slope m B_{m-1}(y) is at most
-    # m sum_j |C(m-1, j) B_j| on [0, 1), 1 at m = 1
-    slope = dy if m == 1 else dy * (m * _bernoulli_poly_abs_sum(m - 1))
-    return _finite(ComplexArray(value, tail + 2.0**-53 * rnd + slope), f"B_{m}")
+    out = ComplexArray(np.empty(shape, dtype=complex), np.empty(shape))
+    for i, (m, (s, c, j, last, rnd)) in enumerate(zip(ms, zip(*state))):
+        closing = (v if m == 1 else _ipow(y, m - 1) * v) / v1
+        # the Kahan step's sum; its compensation is not needed
+        acc = s + (closing - c)
+        abs_acc = np.abs(acc)
+        if m == 1:
+            r = min(decay, 0.99)
+            tail = 2.0 * last * r / (1.0 - r) + 1e-16 * abs_acc * j
+            value = acc + (y - 0.5)
+        else:
+            r = np.minimum(decay * _ipow((j + 1 + y) / np.maximum(j - y, 0.5), m - 1), 0.99)
+            tail = m * (2.0 * last * r / (1.0 - r) + 1e-16 * abs_acc * j)
+            value = m * acc + _bernoulli_poly_float(m, y)
+        # first-order rounding: the terms, the closing term (as above, with
+        # v - 1 for the denominator), the Kahan sum, m * acc, the Bernoulli
+        # polynomial's Horner steps (at most sum_j |C(m, j) B_j| on [0, 1))
+        # and the final sum
+        rnd = rnd + np.abs(closing) * (m + 10.0 + err_v * (1.0 + ratio))
+        if m > 1:
+            # dy moving the closing term's y^(m-1)
+            rnd = rnd + (m - 1) * _ipow(y, m - 2) * ratio * (2.0**53 * dy)
+        rnd = rnd + 3.0 * abs_acc
+        if m > 1:
+            rnd = m * rnd
+        rnd = rnd + 2.0 * (m + 1) * _bernoulli_poly_abs_sum(m) + np.abs(value)
+        # dy moving B_m(y), whose slope m B_{m-1}(y) is at most
+        # m sum_j |C(m-1, j) B_j| on [0, 1), 1 at m = 1
+        slope = dy if m == 1 else dy * (m * _bernoulli_poly_abs_sum(m - 1))
+        b = _finite(ComplexArray(value, tail + 2.0**-53 * rnd + slope), f"B_{m}")
+        out.value[i], out.err[i] = b.value, b.err
+    return out
+
+
+def _orders(v: ComplexArray):
+    """The rows of a kernel result of several orders, one ComplexArray
+    each, in the kernel's order of the orders."""
+    return [ComplexArray(a, e) for a, e in zip(v.value, v.err)]
 
 
 def elliptic_bernoulli(m: int, x: float, y: float, tau: TauPoint,
@@ -1715,10 +1749,10 @@ def _b_series(x: np.ndarray, y: np.ndarray, at: _Checked, arg_err) -> ComplexArr
     mod 1, as B_1(x0, y0) = -(b(x0 - y0 tau)) / (2 pi i) + y0, b(z + 1) =
     b(z) and b(z + tau) = b(z) - 2 pi i.  `arg_err` as in `_Frame`: B_1
     carries it and `at.dtau`; an error dy of y moves -y as it moves
-    B_1(y) = y - 1/2, whose share of B_1's err already counts it.  The
-    zeta kernel calls it in its frame; a symbol summed by `_by_weight`
-    calls it at the record it is given, with no frame."""
-    b1 = _bernoulli_series(1, x - np.floor(x), y, at, arg_err)
+    B_1(y) = y - 1/2, whose share of B_1's err already counts it.  Only
+    the zeta kernel calls it, in its frame; the zeta route of the elliptic
+    sums reads b from the pe family's order -1 instead (`_p_deriv_series`)."""
+    b1, = _orders(_bernoulli_series((1,), x - np.floor(x), y, at, arg_err))
     return (b1 - y) * -TWO_PI_I
 
 
@@ -1760,90 +1794,119 @@ def _phi_poly(k: int) -> Tuple[int, ...]:
     return p
 
 
-def _phi(k: int, w: np.ndarray, pk: Tuple[int, ...],
-         pk1: Tuple[int, ...]) -> Tuple[np.ndarray, np.ndarray]:
-    """Phi_k(w), and S = P_{k+1}(|w|) / |1 - w|^{k+3}, which bounds both
-    |w Phi_k'(w)| = |Phi_{k+1}(w)| and, for |w| <= 1, half of
-    P_k(|w|) / |1 - w|^{k+2}: the scales of the error that a relative error
-    of w and the rounding of the evaluation cause.  pk and pk1 are
-    `_phi_poly(k)` and `_phi_poly(k + 1)`."""
-    num = np.zeros_like(w)
-    for c in reversed(pk):
-        num = num * w + c
+def _phi(ks: Tuple[int, ...], w: np.ndarray):
+    """For each order k of ks, Phi_k(w), and S = P_{k+1}(|w|) / |1 - w|^{k+3},
+    which bounds both |w Phi_k'(w)| = |Phi_{k+1}(w)| and, for |w| <= 1,
+    half of P_k(|w|) / |1 - w|^{k+2}: the scales of the error that a
+    relative error of w and the rounding of the evaluation cause.  The
+    orders share 1 - w, |w| and |1 - w|; the numerators are `_phi_poly(k)`
+    and `_phi_poly(k + 1)`."""
     den = 1 - w
-    r = np.abs(w)
-    num_abs = np.zeros_like(r)
-    for c in reversed(pk1):
-        num_abs = num_abs * r + c
-    return num / _ipow(den, k + 2), num_abs / _ipow(np.abs(den), k + 3)
+    r, aden = np.abs(w), np.abs(den)
+    out = []
+    for k in ks:
+        num = np.zeros_like(w)
+        for c in reversed(_phi_poly(k)):
+            num = num * w + c
+        num_abs = np.zeros_like(r)
+        for c in reversed(_phi_poly(k + 1)):
+            num_abs = num_abs * r + c
+        out.append((num / _ipow(den, k + 2), num_abs / _ipow(aden, k + 3)))
+    return out
 
 
 @np.errstate(all="ignore")
-def _p_deriv_series(k: int, x: np.ndarray, y: np.ndarray, at: _Checked, arg_err) -> ComplexArray:
-    """pe^(k)(x - y tau; tau) by the Fourier series of `weierstrass_p_deriv`
-    at `at`'s tau, at points off the lattice with y snapped, as a frame
-    (`_frame`) or an evaluator of `_by_weight` gives them.  `arg_err` as
-    in `_Frame`, the caller's bounds: the errors of x, y and tau,
+def _p_deriv_series(ks: Tuple[int, ...], x: np.ndarray, y: np.ndarray, at: _Checked,
+                    arg_err) -> ComplexArray:
+    """pe^(k)(x - y tau; tau) for each order k >= -1 of `ks` at every
+    point, by the Fourier series of `weierstrass_p_deriv` at `at`'s tau, in
+    one `_block_series` batch: one row of the result per order.  The
+    orders share u, the rows of the record and the engine's run, and each
+    finishes as a pass of its own would, in the order of `ks`, so each row
+    equals its one-order call bit for bit and the first order whose value
+    leaves binary64 raises.  Order -1 is the family's antiderivative
+    pe^(-1) := -(zeta - E_2 z), with Phi_(-1)(w) = w / (1 - w) and the
+    constant 1/2 beside Phi_(-1)(u) (DLMF 23.8): odd, of period 1, and
+    pe^(-1)(z + tau) = pe^(-1)(z) + 2 pi i, which the reduction of y by
+    rint(y) restores.  The points are off the lattice with y snapped, as a
+    frame (`_frame`) or an evaluator of `_by_weight` gives them.  `arg_err`
+    as in `_Frame`, the caller's bounds: the errors of x, y and tau,
     `at.dtau`, add 2 pi (dx + dy |tau| + |y0| dtau) to the argument of u
     and 2 pi dtau to that of q, which E_2 carries in its err (`_nome_err`).
     Runs with no numpy warning: rows past the stop may overflow, and
     `_finite` is the one overflow check."""
     t = at.tau
-    # y0 is +0 or beyond _LATTICE_EPS: the caller has snapped y (`_frame`)
-    y0 = y - np.rint(y)
-    # pe^{(k)}(-z) = (-1)^k pe^{(k)}(z)
-    neg = y0 < 0
-    sign = np.where(neg, (-1.0) ** k, 1.0)
-    x = np.where(neg, -x, x)
-    y0 = np.where(neg, -y0, y0)
+    # y0 is +0 or beyond _LATTICE_EPS: the caller has snapped y (`_frame`),
+    # never -0, as y - rint(y) is -0 only at y = -0 and rint(y) = +0
+    ny = np.rint(y)
+    y0 = y - ny
+    # pe^{(k)}(-z) = (-1)^k pe^{(k)}(z): flip is -1 where z is negated
+    flip = 1.0 - 2.0 * (y0 < 0)
+    y0 = np.abs(y0)
+    x = x * flip
     x0 = x - np.floor(x)
     arg = TWO_PI_I * (x0 - y0 * t)
     u = np.exp(arg)
     aq = _nome(at)[1]
-    par = (-1.0) ** k
     # Rounding, in ulps of S (see _phi): the Horner steps, the power and the
     # quotient, plus the relative error of the argument, which is u's (as
     # exp gives it) and j times q's and one product's for q^j (`_nome`)
-    bl = (k + 2).bit_length()
-    own = 10.0 * k + 44.0 + 12.0 * bl
+    bls = [(k + 2).bit_length() for k in ks]
+    owns = [10.0 * k + 44.0 + 12.0 * bl for k, bl in zip(ks, bls)]
     dx, dy = arg_err
-    dt = at.dtau
-    err_u = _exp_err(arg) + _TWO_PI_ULPS * (dx + dy * abs(t) + y0 * dt)
-
-    pk, pk1 = _phi_poly(k), _phi_poly(k + 1)
+    err_u = _exp_err(arg) + _TWO_PI_ULPS * (dx + dy * abs(t) + y0 * at.dtau)
+    shape = (len(ks), len(x))
 
     # the terms read the points as rows (1 x points)
     ur, err_ur = u[None], err_u[None]
 
     def terms(js):
         # one row per j, q^j from the rows of the record; Phi_k at u q^j and
-        # at q^j / u in one call, stacked
+        # at q^j / u in one call, stacked; each order into its columns
         qjs, jerr = (a[js.start - 1:] for a in _pe_rows(at, js.stop - 1))
         rows = len(js)
-        tt, ss = _phi(k, np.concatenate((ur * qjs, qjs / ur)), pk, pk1)
-        t1, t2, s1, s2 = tt[:rows], tt[rows:], ss[:rows], ss[rows:]
-        size = np.abs(t1) + np.abs(t2)
-        return t1 + par * t2, size, (s1 + s2) * (err_ur + (own + 6.0 + jerr)) + size
+        w = np.concatenate((ur * qjs, qjs / ur))
+        term, sizes, rnds = (np.empty((rows, *shape), dtype=d) for d in (complex, float, float))
+        for i, (k, (tt, ss), own) in enumerate(zip(ks, _phi(ks, w), owns)):
+            t1, t2, s1, s2 = tt[:rows], tt[rows:], ss[:rows], ss[rows:]
+            size = np.abs(t1) + np.abs(t2)
+            rnd = (s1 + s2) * (err_ur + (own + 6.0 + jerr)) + size
+            term[:, i], sizes[:, i], rnds[:, i] = t1 + (-1.0) ** k * t2, size, rnd
+        return tuple(a.reshape(rows, -1) for a in (term, sizes, rnds))
 
-    start, s0 = _phi(k, u, pk, pk1)
+    start, start_rnd = np.empty(shape, dtype=complex), np.empty(shape)
+    for i, ((v, s0), own) in enumerate(zip(_phi(ks, u), owns)):
+        start[i], start_rnd[i] = v, s0 * (err_u + own)
     # Phi_k(w) = w + O(w^2): a term pair is about |q|^(j-y0) + |q|^(j+y0),
     # 0 <= y0 <= 1/2, whatever k
     first = _points_rows(aq, 0, 0.5, at.tol)
     # on the pairs Phi_k(u q^j), Phi_k(q^j / u)
-    acc, _, j, last, rnd = _block_series(start, s0 * (err_u + own), terms, at.cap, at.tol,
-                                         first, "pe Fourier series")
-    pref = TWO_PI_I ** (k + 2)
+    state = (a.reshape(shape) for a in _block_series(
+        start, start_rnd, terms, at.cap, at.tol, first, "pe Fourier series"))
     r = min(aq * 2.0, 0.99)
-    abs_acc = np.abs(acc)
-    tail = abs(pref) * (2.0 * last * r / (1.0 - r) + 1e-16 * abs_acc * j)
-    value = sign * pref * acc
-    # pref carries k + 2 half-ulps of pi and its binary powering; the
-    # product and the Kahan sum add a few more
-    rnd = abs(pref) * (rnd + 2.0 * abs_acc) + (k + 2 * bl + 6.0) * np.abs(value)
-    val = ComplexArray(value, tail + 2.0**-53 * rnd)
-    if k == 0:
-        val = val - _eisenstein(1, at)
-    return _finite(val, f"pe^({k})")
+    out = ComplexArray(np.empty(shape, dtype=complex), np.empty(shape))
+    for i, (k, bl, (acc, _, j, last, rnd)) in enumerate(zip(ks, bls, zip(*state))):
+        if k == -1:
+            # Phi_(-1)(u) + 1/2 = (1 + u) / (2 (1 - u))
+            acc = acc + 0.5
+        pref = TWO_PI_I ** (k + 2)
+        abs_acc = np.abs(acc)
+        tail = abs(pref) * (2.0 * last * r / (1.0 - r) + 1e-16 * abs_acc * j)
+        value = (flip if k % 2 else flip * flip) * pref * acc
+        # pref carries k + 2 half-ulps of pi and its binary powering; the
+        # product and the Kahan sum add a few more
+        rnd = abs(pref) * (rnd + 2.0 * abs_acc) + (k + 2 * bl + 6.0) * np.abs(value)
+        if k == -1:
+            # the quasi-period: pe^(-1)(z) = pe^(-1)(z + n tau) - 2 pi i n
+            shift = TWO_PI_I * ny
+            value = value - shift
+            rnd = rnd + 2.0 * np.abs(shift) + np.abs(value)
+        val = ComplexArray(value, tail + 2.0**-53 * rnd)
+        if k == 0:
+            val = val - _eisenstein(1, at)
+        _finite(val, f"pe^({k})")
+        out.value[i], out.err[i] = val.value, val.err
+    return out
 
 
 def weierstrass_p_deriv_points(k: int, z, tau: TauPoint,
@@ -1854,7 +1917,8 @@ def weierstrass_p_deriv_points(k: int, z, tau: TauPoint,
     if k < 0:
         raise ValueError("k must be >= 0")
     f = _kernel_frame(z, _checked(tau, policy), "pe")
-    return f.back(_p_deriv_series(k, f.x, f.y, f.at, f.arg_err), k + 2, f"pe^({k})")
+    pe, = _orders(_p_deriv_series((k,), f.x, f.y, f.at, f.arg_err))
+    return f.back(pe, k + 2, f"pe^({k})")
 
 
 def weierstrass_p_deriv(k: int, z: complex, tau: TauPoint,

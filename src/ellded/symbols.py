@@ -15,7 +15,12 @@ of 2 scales value and err exactly.  Where one factor is shifted by x, as in
 D^-(x) and the Prop. 3.1 sums, the pair adds (f(P - x) + f(P + x)) g(qP),
 as f(-P - x) g(-qP) = f(P + x) g(qP): three factors per pair, not four.
 Both routes of `elliptic_apostol_sum` pair alike, and pairing is no
-reciprocity law, so they stay independent.
+reciprocity law, so they stay independent.  Their second factor, odd and
+periodic on the lattice, is read at q P from its values at the half points
+themselves: q permutes the pairs, q P = s P' + a lattice point, and the
+permutation, the sign and the bracket's quasi-period come from one integer
+table per (p, q) (`_division_map`).  So each route runs one series pass,
+of two orders, over the half points.
 
 Every zeta, pe and B_m factor is evaluated at its points' coordinates: z =
 x - y tau with x and y formed from the exact lambda, mu, p, q and the
@@ -56,7 +61,7 @@ R^-(x) only reads one, and alone runs its own three points.  The Machide
 triple and the closed form of C(tau) run one theta pass per call.  The
 shifted symbols read B_1 and B_2 alone, and the theta pass gives them
 from a formula of its own, so no shifted symbol runs the Lambert B_m
-series of the routes and of `machide_sum`.
+series of the Bernoulli route and of `machide_sum`.
 E_2 where a symbol reads it by itself, and `_reciprocity_rhs_of` as the
 identity record reads it, run at tau itself; R^-(x) reads E_2 at tau'
 and its quasi-modular shift instead.
@@ -83,7 +88,6 @@ from .qseries import (
     EisensteinTable,
     SeriesPolicy,
     TauPoint,
-    _b_series,
     _bernoulli_points,
     _bernoulli_series,
     _by_weight,
@@ -97,6 +101,7 @@ from .qseries import (
     _frame,
     _fsum,
     _lattice_check,
+    _orders,
     _p_deriv_series,
     _read_only,
     _theta_pass,
@@ -160,6 +165,35 @@ def _half_division_points(p: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     for a in out:
         a.flags.writeable = False
     return out
+
+
+@lru_cache(maxsize=DIVISION_CACHE_SIZE)
+def _division_map(p: int, q: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """q P over the points P of `_half_division_points(p)`, in integers:
+    q P = s P' + a lattice point, for P' = (lam', mu') the point of index
+    pi of the pair {q P, -q P} and s = +-1, and k = s mu', so that q mu = k
+    + p b for b the lattice point's tau-part.  A function f odd and
+    periodic on the lattice, B_1 among them, has f(q P) = s f(P'), read
+    from f at the half points by pi and s; the bracket zeta - E_2 z + 2 pi
+    i mu/p adds its quasi-period 2 pi i k/p, by k.  The half point of a
+    pair is its first in row-major order, of flat index r = lam' p + mu',
+    and every point before it is a half point but the origin and the
+    (p - 1) // 2 points of row 0 past mu = p/2, so pi = r - 1, less
+    (p - 1) // 2 from r = p on.  One read-only table per (p, q), from q k
+    mod p at k < p and numpy integer ops over the points, with no loop."""
+    lam, mu, _ = _half_division_points(p)
+    ks = q * np.arange(p)
+    i, neg = (c[lam] * p + c[mu] for c in (ks % p, -ks % p))
+    r, s = np.minimum(i, neg), 1.0 - 2.0 * (neg < i)
+    pi = r - 1 - (p - 1) // 2 * (r >= p)
+    return _read_only((pi, s, s * mu[pi]))
+
+
+def _at_multiple(v: ComplexArray, table) -> ComplexArray:
+    """f(q P) at the points P of `_half_division_points(p)` from v = f(P)
+    there, for f odd and periodic on the lattice, by the table of (p, q)
+    (`_division_map`): s f(P') with the err of f(P'), exactly."""
+    return ComplexArray(v.value[table[0]] * table[1], v.err[table[0]])
 
 
 def _parts(a: ComplexArray, sizes: Sequence[int]) -> List[ComplexArray]:
@@ -373,10 +407,15 @@ def elliptic_apostol_sum(n: int, pair: CoprimePair, tau: TauPoint,
     Both routes are one path, `_route_sum` at the record that
     `qseries._by_weight` gives it, D being of weight 2n + 2: on the closed
     F the caller's tau, else tau' = gamma tau in F, over the division points
-    of tau', times m^-(2n+2).  Its err charges the correctly rounded
-    coordinates of every point as the series' argument errors, and off F
-    the error of tau' and that of m^-(2n+2).  The route's constant
-    multiplies the reduced sum.
+    of tau', times m^-(2n+2).  Each route is one series pass of two orders
+    over one point per pair {P, -P}, the zeta route's of the pe family at
+    orders 2n - 1 and -1, whose order -1 gives the bracket, the Bernoulli
+    route's of the Lambert series at orders 1 and 2n + 1; the factor at
+    q P or q* P is read back from the same points through an integer
+    table, which moves no bit.  So the two routes share no series kernel.
+    Its err charges the correctly rounded coordinates of every point as the
+    series' argument errors, and off F the error of tau' and that of
+    m^-(2n+2).  The route's constant multiplies the reduced sum.
     """
     route, n = Route(route), _checked_n(n)
     p = pair.p
@@ -401,36 +440,42 @@ def _coordinate_err(x: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarra
 def _route_sum(route: Route, n: int, pair: CoprimePair, at: _Checked) -> ComplexVal:
     """The double sum of `route` before its constant, over the division
     points of the tau of `at`, whatever record it is, paired as
-    `_half_division_points` pairs them.
+    `_half_division_points` pairs them, from one series pass over the
+    half points, the factor at q P or q* P read back through the integer
+    table of (p, q) or (p, q*) (`_division_map`).
 
-    ZETA_DERIVATIVE: zeta^{(2n)}(z) times the bracket zeta(q z) - E_2 q z +
-    2 pi i q mu/p at z = x - y tau, x = lam/p and y = -mu/p, and q z at
-    q lam/p and -q mu/p; the bracket is b = zeta - E_2 z from B_1
-    (`_b_series`), with no E_2.  BERNOULLI_PRODUCT: B_{2n+1}(-lam/p, mu/p)
-    times B_1(-q* lam/p, q* mu/p), each from `_bernoulli_series`, B_1 first.
-    The factors come straight from the series: each coordinate is correctly
-    rounded, so within 2^-53 of itself, which err charges as the argument
-    errors of the series (`_coordinate_err`), and `at.dtau` with tau.  No
-    point needs a check or a snap: y is a multiple of 1/p, an integer only
-    where it is exactly 0, and x and y are integers together only at the
-    origin, which the division points skip.  At the caller's own record
-    this is the route held at tau."""
+    ZETA_DERIVATIVE: zeta^{(2n)}(z) = -pe^{(2n-1)}(z) times the bracket
+    zeta(q z) - E_2 q z + 2 pi i q mu/p at z = x - y tau, x = lam/p and y
+    = -mu/p, both from one pass of the pe family at orders (2n - 1, -1)
+    (`_p_deriv_series`): the bracket is zeta - E_2 z - 2 pi i y =
+    -pe^(-1)(z) + 2 pi i mu/p, odd and periodic, so at q P it is s
+    (-pe^(-1)(P')) + 2 pi i k/p.  BERNOULLI_PRODUCT: B_{2n+1}(-lam/p, mu/p)
+    times B_1(-q* lam/p, q* mu/p) = s B_1 at P', both from one Lambert
+    pass at orders (1, 2n + 1) (`_bernoulli_series`).  So the two routes
+    share no series kernel.  The factors come straight from the series:
+    each coordinate is correctly rounded, so within 2^-53 of itself, which
+    err charges as the argument errors of the series (`_coordinate_err`),
+    and `at.dtau` with tau; the table moves no bit.  No point needs a
+    check or a snap: y is a multiple of 1/p, an integer only where it is
+    exactly 0, and x and y are integers together only at the origin,
+    which the division points skip.  At the caller's own record this is
+    the route held at tau."""
     p, q = pair.p, pair.q
     lam, mu, w = _half_division_points(p)
     if not len(lam):
         # p = 1: the empty sum, with no frame and no pass
         return _EMPTY_SUM
     if route is Route.ZETA_DERIVATIVE:
-        x, y, xq, yq = lam / p, -mu / p, q * lam / p, -q * mu / p
-        # zeta^{(2n)} = -pe^{(2n-1)}
-        first = -_p_deriv_series(2 * n - 1, x, y, at, _coordinate_err(x, y))
-        second = (_b_series(xq, yq, at, _coordinate_err(xq, yq))
-                  + ComplexArray(TWO_PI_I * (q * mu / p), 0.0))
+        x, y = lam / p, -mu / p
+        first, pe_1 = _orders(_p_deriv_series((2 * n - 1, -1), x, y, at, _coordinate_err(x, y)))
+        # zeta^(2n)(P) times the bracket at q P is -pe^(2n-1)(P) times
+        # s (-pe^(-1)(P')) + 2 pi i k/p: both factors' signs flipped, exactly
+        table = _division_map(p, q)
+        second = _at_multiple(pe_1, table) - ComplexArray(TWO_PI_I * (table[2] / p), 0.0)
     else:
-        q_inv = pow(q % p, -1, p)
-        x, y, xq, yq = -lam / p, mu / p, -q_inv * lam / p, q_inv * mu / p
-        second = _bernoulli_series(1, xq, yq, at, _coordinate_err(xq, yq))
-        first = _bernoulli_series(2 * n + 1, x, y, at, _coordinate_err(x, y))
+        x, y = -lam / p, mu / p
+        b1, first = _orders(_bernoulli_series((1, 2 * n + 1), x, y, at, _coordinate_err(x, y)))
+        second = _at_multiple(b1, _division_map(p, pow(q % p, -1, p)))
     return _fsum(_weighted(first * second, w))
 
 

@@ -28,6 +28,7 @@ def bernoulli_points_at(m, x, y, at, arg_err=(0.0, 0.0)):
     out = ComplexArray(np.ones(len(x), dtype=complex), np.zeros(len(x)))
     for k in sorted(set(m.tolist()) - {0}):
         on = m == k
-        b = qseries._bernoulli_series(k, x[on], snapped[on], at, (dx[on], dy[on]))
+        b, = qseries._orders(qseries._bernoulli_series((k,), x[on], snapped[on], at,
+                                                       (dx[on], dy[on])))
         out.value[on], out.err[on] = b.value, b.err
     return out

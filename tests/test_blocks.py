@@ -3,6 +3,7 @@ stopping point and error bit-identical to a term-by-term run, whatever the
 batch and wherever its blocks end."""
 
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -48,9 +49,12 @@ PIN_PQ = [(2, 1), (3, 2), (7, 4), (13, 7), (23, 12)]
 #: charging the rounding of its coordinates, D^-(x) as a sum of B_1
 #: products, and R^-(x) and the Prop. 3.1 residual by the heat identity,
 #: each leaving tau' once as a sum of weight 2, and the Machide residuals
-#: and the closed form of C(tau), from one theta pass of B_1 and B_2
+#: and the closed form of C(tau), from one theta pass of B_1 and B_2, and
+#: each route from one series pass over the half division points, the
+#: zeta route's bracket from the pe family's order -1, the factor at q P
+#: or q* P read back through the integer table of (p, q) or (p, q*)
 #: (numpy 2.4.6, x86-64)
-PINNED_SHA256 = "d4e86ab5e541e77b0cdaba2d170d12335aa798d5670a5ea73bb87b048e38ef6b"
+PINNED_SHA256 = "f77a0e60a3dcff26c7a1a4cd88332e5a6df857a34c32f339835e3ef6a53eb1ad"
 
 
 def _reprs(v):
@@ -121,6 +125,34 @@ def test_pinned_bit_identity():
     assert digest == PINNED_SHA256
 
 
+#: (kernel, its orders): the Lambert B_m series and the pe family
+TWO_ORDER_KERNELS = [(qseries._bernoulli_series, range(1, 8)),
+                     (qseries._p_deriv_series, range(-1, 8))]
+
+
+@pytest.mark.parametrize("dtau", [0.0, 2.0**-50])
+@pytest.mark.parametrize("t", [0.3 + 1.1j, 0.2 + 0.3j])
+@pytest.mark.parametrize("width", [0, 1, 7, 264, 1300])
+def test_two_order_rows_equal_one_order_calls(t, width, dtau):
+    """Each row of a two-order pass equals the one-order pass of its order
+    bit for bit, value and err, in either order of the two: every pair of
+    Lambert orders 1 to 7 and of pe orders -1 to 7, at widths 0 to 1300,
+    on F and held off F, at the caller's record and at one of dtau =
+    2^-50, as a tau' carries."""
+    rng = np.random.default_rng(width)
+    x, y = rng.uniform(-1.0, 1.0, width), rng.uniform(-1.0, 1.0, width)
+    at = qseries._checked(TauPoint(t), qseries.DEFAULT_POLICY)._replace(dtau=dtau)
+    arg_err = (np.full(width, 2.0**-53), 2.0**-53 * np.abs(y))
+    for kernel, orders in TWO_ORDER_KERNELS:
+        alone = {k: kernel((k,), x, y, at, arg_err) for k in orders}
+        for ks in itertools.permutations(orders, 2):
+            both = kernel(ks, x, y, at, arg_err)
+            assert both.value.shape == both.err.shape == (2, width)
+            for row, k in enumerate(ks):
+                assert both.value[row].tobytes() == alone[k].value[0].tobytes(), (ks, k)
+                assert both.err[row].tobytes() == alone[k].err[0].tobytes(), (ks, k)
+
+
 # ---------------------------------------------------------------------------
 # Blocks against the term-by-term loop
 # ---------------------------------------------------------------------------
@@ -129,9 +161,12 @@ def test_pinned_bit_identity():
 def _series_by_term(start, start_rnd, terms, cap, tol, first, what):
     """`qseries._block_series` one term at a time, whatever its `first`
     block: the terms are asked for one j at a time and a column leaves the
-    batch at the j >= 2 it stops at.  The reference that the blocks must
-    reproduce bit for bit."""
-    n = len(start)
+    batch at the j >= 2 it stops at, a kernel's orders one after another
+    as its columns.  The reference that the blocks must reproduce bit for
+    bit."""
+    shape = start.shape
+    n = start.size
+    start, start_rnd = start.reshape(n), start_rnd.reshape(n)
     out_s = np.empty(n, dtype=complex)
     out_c = np.empty(n, dtype=complex)
     out_j = np.empty(n)
@@ -157,18 +192,18 @@ def _series_by_term(start, start_rnd, terms, cap, tol, first, what):
     if idx.size:
         raise NonConvergenceError(f"{what} hit max_terms={cap}",
                                   ComplexVal(complex(s[0]), float("inf")))
-    return out_s, out_c, out_j, out_last, out_rnd
+    return tuple(a.reshape(shape) for a in (out_s, out_c, out_j, out_last, out_rnd))
 
 
 @pytest.fixture
 def stops(monkeypatch):
-    """Records the j at which each point of every series run stopped."""
+    """Records the j at which each column of every series run stopped."""
     seen = []
     run = qseries._block_series
 
     def spy(*args):
         out = run(*args)
-        seen.append(out[2].tolist())
+        seen.append(out[2].ravel().tolist())
         return out
 
     monkeypatch.setattr(qseries, "_block_series", spy)
@@ -373,8 +408,9 @@ def test_phi_poly_matches_recurrence():
 
 @pytest.fixture
 def passes(monkeypatch):
-    """Records, for every `_block_series` pass, its columns, the rows of
-    each block it ran and the last j any column stopped at."""
+    """Records, for every `_block_series` pass, its points (the columns of
+    each of its orders), the rows of each block it ran and the last j any
+    column stopped at."""
     seen = []
     run = qseries._block_series
 
@@ -386,7 +422,7 @@ def passes(monkeypatch):
             return terms(js, *cols)
 
         out = run(start, start_rnd, counted, *rest)
-        seen.append((len(start), rows, int(out[2].max(initial=0))))
+        seen.append((start.shape[-1], rows, int(out[2].max(initial=0))))
         return out
 
     monkeypatch.setattr(qseries, "_block_series", spy)
@@ -402,14 +438,14 @@ def cold_records():
 
 @pytest.fixture
 def orders(monkeypatch):
-    """Records every B_m pass (`qseries._bernoulli_series`): its order and
-    columns."""
+    """Records every B_m pass (`qseries._bernoulli_series`): its orders and
+    points."""
     seen = []
     run = qseries._bernoulli_series
 
-    def spy(m, x, *rest):
-        seen.append((m, len(x)))
-        return run(m, x, *rest)
+    def spy(ms, x, *rest):
+        seen.append((ms, len(x)))
+        return run(ms, x, *rest)
 
     # symbols imports the function by name for the Bernoulli route
     monkeypatch.setattr(qseries, "_bernoulli_series", spy)
@@ -442,13 +478,14 @@ def test_one_bernoulli_pass_per_symbol(passes, orders, thetas, cold_records):
     that x reads the record and runs none, and alone at another x runs
     one over its three points.  A mixed-order kernel call runs one B_m
     pass per order >= 1, in ascending order, on F and off it, and the
-    Bernoulli route B_1 and B_{2n+1} as two."""
+    Bernoulli route B_1 and B_{2n+1} as one pass of two orders."""
     tau = TauPoint(0.3 + 1.1j)
     ms, points = [2, 5, 1, 0, 5], ([0.3, 0.2, 0.5, 0.1, 0.4], [0.1, 0.7, 0.2, 0.4, 0.6])
     for call, expected, theta in [
-            (lambda: elliptic_bernoulli_points(ms, *points, tau), [(1, 1), (2, 1), (5, 2)], []),
+            (lambda: elliptic_bernoulli_points(ms, *points, tau),
+             [((1,), 1), ((2,), 1), ((5,), 2)], []),
             (lambda: elliptic_bernoulli_points(ms, *points, TauPoint(0.3 + 0.06j)),
-             [(1, 1), (2, 1), (5, 2)], []),
+             [((1,), 1), ((2,), 1), ((5,), 2)], []),
             (lambda: symbols.machide_reciprocity_residuals(CoprimePair(5, 3), 0.013, 0.007, tau),
              [], [70]),
             (lambda: symbols.proposition31_residual(CoprimePair(5, 3), 0.04, tau),
@@ -458,13 +495,13 @@ def test_one_bernoulli_pass_per_symbol(passes, orders, thetas, cold_records):
             (lambda: symbols.generating_R(CoprimePair(5, 3), tau, 0.06), [], [3]),
             (lambda: symbols.elliptic_apostol_sum(2, CoprimePair(5, 3), tau,
                                                   Route.BERNOULLI_PRODUCT),
-             [(1, 12), (5, 12)], [])]:
+             [((1, 5), 12)], [])]:
         passes.clear()
         orders.clear()
         thetas.clear()
         call()
         assert orders == expected and thetas == theta
-        assert all(type(m) is int for m, _ in orders)
+        assert all(type(m) is int for ms, _ in orders for m in ms)
         assert [columns for columns, _, _ in passes] == [n for _, n in orders]
 
 
@@ -524,10 +561,11 @@ def test_wide_slow_batch_runs_blocks_of_its_width(passes):
 @pytest.mark.parametrize("t", [0.3 + 1.1j, 0.0 + 1.5j, -0.5 + 0.87j, 0.45 + 0.9j])
 def test_passes_in_F_run_one_block(passes, orders, thetas, cold_records, t):
     """At tau in F, every pass of at most 64 points runs exactly one block,
-    of at most its largest stopping j + 2 rows: the B_1 and pe passes of
-    the zeta route; and so does every pass of the Bernoulli route at pairs
-    whose B_m passes hold at most 70 points each.  D^-(x), R^-(x), the
-    Machide triple and Prop. 3.1 run theta passes, one per call or x."""
+    of at most its largest stopping j + 2 rows: the one pe pass of the zeta
+    route, of orders 2n - 1 and -1; and so does the one pass of the
+    Bernoulli route, of orders 1 and 2n + 1, at pairs of at most 70 points.
+    D^-(x), R^-(x), the Machide triple and Prop. 3.1 run theta passes, one
+    per call or x."""
     tau = TauPoint(t)
     for p, q in PIN_PQ + [(5, 3), (8, 3), (11, 4)]:
         pair = CoprimePair(p, q)
@@ -537,7 +575,8 @@ def test_passes_in_F_run_one_block(passes, orders, thetas, cold_records, t):
         symbols.generating_D(pair, tau, x)
         symbols.generating_R(pair, tau, x)
     small = [(rows, last) for columns, rows, last in passes if columns <= 64]
-    assert len(small) > 35
+    # one zeta-route pass per call at the six pairs of at most 64 points
+    assert len(small) == 6 * 3
     passes.clear()
     orders.clear()
     for p, q in [(2, 1), (3, 2), (7, 4), (5, 3), (8, 3), (11, 4)]:
@@ -546,12 +585,67 @@ def test_passes_in_F_run_one_block(passes, orders, thetas, cold_records, t):
     thetas.clear()
     symbols.machide_reciprocity_residuals(CoprimePair(5, 3), 0.013, 0.007, tau)
     symbols.proposition31_residual(CoprimePair(5, 3), 0.04, tau)
-    # two B_m passes per route call, and one theta pass each for the
+    # one B_m pass per route call, and one theta pass each for the
     # Machide triple and Prop. 3.1
-    assert len(orders) == 6 * 3 * 2 and len(passes) == len(orders) and thetas == [70, 51]
-    assert all(type(m) is int and columns <= 70 for m, columns in orders)
+    assert len(orders) == 6 * 3 and len(passes) == len(orders) and thetas == [70, 51]
+    assert all(len(ms) == 2 and columns <= 70 for ms, columns in orders)
     for rows, last in small + [(rows, last) for _, rows, last in passes]:
         assert len(rows) == 1 and rows[0] <= last + 2
+
+
+@pytest.fixture
+def kernels(monkeypatch):
+    """Records every call of a point-series kernel, where it is read by
+    name in qseries or symbols: its name, its orders and its points."""
+    seen = []
+    for name in ("_p_deriv_series", "_bernoulli_series", "_b_series", "_theta_pass"):
+        run = getattr(qseries, name)
+
+        def spy(*args, run=run, name=name):
+            orders = args[0] if name in ("_p_deriv_series", "_bernoulli_series") else None
+            points = args[1] if orders is not None else args[0]
+            seen.append((name, orders, len(points)))
+            return run(*args)
+
+        monkeypatch.setattr(qseries, name, spy)
+        if hasattr(symbols, name):
+            monkeypatch.setattr(symbols, name, spy)
+    return seen
+
+
+@pytest.mark.parametrize("t", [0.3 + 1.1j, 0.3 + 0.06j])
+def test_routes_run_one_pass_of_disjoint_kernels(passes, kernels, t):
+    """Each route of D^-_{2n} runs one series pass over the half points:
+    the zeta route one pe pass of orders (2n - 1, -1), the Bernoulli route
+    one Lambert B_m pass of orders (1, 2n + 1), and neither calls the
+    other's kernel, the B_1 series of zeta (`_b_series`) or a theta pass;
+    on F and at 0.3 + 0.06i, where both run at tau' in F."""
+    tau = TauPoint(t)
+    for p, q in [(7, 4), (23, 14), (8, 11)]:
+        h = (p * p - 1 + (3 if p % 2 == 0 else 0)) // 2
+        for n in (1, 3):
+            for route, kernel, orders in [
+                    (Route.ZETA_DERIVATIVE, "_p_deriv_series", (2 * n - 1, -1)),
+                    (Route.BERNOULLI_PRODUCT, "_bernoulli_series", (1, 2 * n + 1))]:
+                passes.clear()
+                kernels.clear()
+                symbols.elliptic_apostol_sum(n, CoprimePair(p, q), tau, route)
+                assert kernels == [(kernel, orders, h)], (p, q, n, route)
+                assert [columns for columns, _, _ in passes] == [h]
+
+
+@pytest.mark.parametrize("t", [0.27 + 0.9j, 0.5 + 0.87j, 0.0 + 1.0j, 0.3 + 1.1j])
+def test_two_order_first_block_holds_the_series(passes, t):
+    """On F, at p = 23, whose half points are 264, and n = 3, each route's
+    two-order pass runs one block, which holds every column's series: the
+    block's rows are cut by BLOCK_ELEMENTS per order, 15 here, not by the
+    528 columns of the two orders, which would cut it to 7."""
+    assert qseries.BLOCK_ELEMENTS // 264 == 15
+    for route in Route:
+        passes.clear()
+        symbols.elliptic_apostol_sum(3, CoprimePair(23, 14), TauPoint(t), route)
+        (columns, rows, last), = passes
+        assert columns == 264 and len(rows) == 1 and last <= rows[0] <= 15
 
 
 #: D^-_{2n}(1, 3; tau) by route and n as the sums over the division points

@@ -400,8 +400,8 @@ def test_tau_tables_keyed_on_the_whole_record():
     errs = (np.zeros(3), np.zeros(3))
 
     def values(record):
-        return (repr(qseries._bernoulli_series(1, xs, ys, record, errs)),
-                repr(qseries._p_deriv_series(1, xs, ys, record, errs)))
+        return (repr(qseries._bernoulli_series((1,), xs, ys, record, errs)),
+                repr(qseries._p_deriv_series((1,), xs, ys, record, errs)))
 
     _clear_caches()
     alone = values(held)

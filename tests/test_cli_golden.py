@@ -93,7 +93,7 @@ CASES = (
 )
 
 GOLDEN_SHA256 = (
-    "2d6e20e3122d986516261b26f426e6d6bd6d0dfb89de8ea57147faed619fdc05")
+    "e4488163554e3e6a2fb6b50b5be3e612e0e9d7e86ec72c0e5ecbbd72a30b0cc6")
 
 
 def _run(argv):

@@ -920,8 +920,8 @@ class TestBatchedKernels:
     def test_mixed_orders_errors(self):
         """A lattice point is named with its own order; under a capped
         policy the error is that of the first point of the lowest order
-        that fails alone, as the orders run as the layers of one pass, in
-        ascending order."""
+        that fails alone, as the orders run one pass each, over their own
+        points, in ascending order."""
         tau = TauPoint(1j)
         with pytest.raises(LatticePointError, match=r"^B_5\(2\.0, -1\.0"):
             elliptic_bernoulli_points([2, 5, 1], [0.3, 2.0, 0.5], [0.1, -1.0, 0.2], tau)

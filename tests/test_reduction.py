@@ -259,6 +259,41 @@ def test_snapped_point_err_mpmath(t):
         assert abs(v.value - ref[key]) <= v.err, (key, v, ref[key])
 
 
+#: (tau, dtau, p): the cases of the pe^(-1) oracle, on F and held off F,
+#: at tau itself, whose records move tau by dtau in eight directions, and
+#: the p whose half division points join the grid
+PE_MINUS_ONE_CASES = [(0.25 + 1.1j, 0.0, (2, 3, 4, 7, 12, 23)),
+                      (0.5 + math.sqrt(3) / 2 * 1j, 2.0**-43, (23,)),
+                      (-0.2 + 0.3j, 2.0**-43, (7, 12)),
+                      (0.3 + 0.06j, 2.0**-40, (3,))]
+
+
+@pytest.mark.parametrize("t, dtau, ps", PE_MINUS_ONE_CASES,
+                         ids=[str(c[0]) for c in PE_MINUS_ONE_CASES])
+def test_pe_minus_one_err_mpmath(t, dtau, ps):
+    """Order -1 of the pe family (`qseries._p_deriv_series`), pe^(-1) =
+    -(zeta - E_2 z), within its err of -b = -pi (log theta_1)'(pi z) by
+    `mpmath.jtheta` at tau: at the kernel grid, at POINTS, and at the half
+    division points x = lam/p, y = -mu/p of the zeta route, whose y below
+    -1/2, 6/7 and -1.7 take the quasi-period step y -> y - rint(y); on F
+    and held off F, from records of tau moved by dtau that carry it."""
+    mp = pytest.importorskip("mpmath")
+    grid = [*test_qseries.TestKernelErrAgainstMpmath.GRID, *POINTS]
+    for p in ps:
+        lam, mu, _ = symbols._half_division_points(p)
+        grid += zip(lam / p, -mu / p)
+    x, y = (np.array(c) for c in zip(*grid))
+    with mp.workdps(_dps(t)):
+        mt = mp.mpc(t.real, t.imag)
+        refs = _references(mp, [mp.mpf(a) - mp.mpf(b) * mt for a, b in grid], mt, (0,))
+    for j in range(8) if dtau else [0]:
+        at = qseries._Checked(t + dtau * cmath.exp(1j * math.pi * j / 4),
+                              DEFAULT_POLICY.tol, DEFAULT_POLICY.max_terms, dtau)
+        v, = qseries._orders(qseries._p_deriv_series((-1,), x, y, at, (0 * x, 0 * y)))
+        for i, ref in enumerate(refs):
+            assert abs(v.value[i] + ref["b"]) <= v.err[i], (grid[i], t, j, v[i], -ref["b"])
+
+
 @pytest.mark.parametrize("t", [0.3 + 1.1j, 0.2 + 0.3j, 0.3 + 0.06j])
 def test_elliptic_apostol_sum_err_mpmath(t):
     # D^-_{2n}(p, q) by both routes against its defining sum over the
@@ -410,13 +445,16 @@ def test_eisenstein_charge_of_dtau_mpmath(t):
 #: 0.1 of err, and at the point 6e-4 from a lattice point in F that
 #: `test_kernels_near_lattice_err_in_F` found; b = zeta - E_2 z at that
 #: point, where zeta reads 0.24 of its err and 2.4 with b's scaled; both at
-#: a snapped y; and E_2k against its q-expansion and under a moved tau
+#: a snapped y; pe^(-1) on F, where it reads 0.2 of its err, and under a
+#: moved tau; and E_2k against its q-expansion and under a moved tau
 TENTH_OF_ERR_CASES = [
     ("_p_deriv_series", test_err_bounds_mpmath, (1j, POINTS)),
     ("_p_deriv_series", test_err_bounds_mpmath, ERR_BOUND_CASES[-1]),
     ("_p_deriv_series", test_snapped_point_err_mpmath, (0.3j,)),
     ("_b_series", test_err_bounds_mpmath, ERR_BOUND_CASES[-1]),
     ("_b_series", test_snapped_point_err_mpmath, (1j,)),
+    ("_p_deriv_series", test_pe_minus_one_err_mpmath, PE_MINUS_ONE_CASES[0]),
+    ("_p_deriv_series", test_pe_minus_one_err_mpmath, PE_MINUS_ONE_CASES[1]),
     ("_eisenstein", test_qseries.TestEisenstein().test_err_bounds_mpmath_reference,
      (0.3 + 1.1j,)),
     ("_eisenstein", test_eisenstein_charge_of_dtau_mpmath, (1j,)),
@@ -621,8 +659,9 @@ def test_bernoulli_translation_law_held(t, m, xys):
 #: SHA-256 of `_reduced_value_reprs()`: the values, not the errs, of what
 #: runs at tau reduced to F, the `reduced` list of the cache grid (zeta,
 #: pe and R^-_{2n} off F) and the zeta-route sums of the pinned pairs at
-#: 0.3+0.06i; their errs are bounded against mpmath above instead
-REDUCED_VALUES_SHA256 = "b8f4ddc625e8c31c13db44a7a99f14fb937ec5c00c214ed48126b7809b0b2d97"
+#: 0.3+0.06i, with the bracket from the pe family's order -1 at the half
+#: division points; their errs are bounded against mpmath above instead
+REDUCED_VALUES_SHA256 = "57954def8cf8d427be579389697ba0c9b2fbac89f74c3b183a671fd5ef9c76aa"
 
 
 def _reduced_value_reprs():

@@ -2,6 +2,7 @@
 functions and Machide sums."""
 
 import math
+import time
 from fractions import Fraction
 from itertools import permutations
 
@@ -476,6 +477,53 @@ def test_half_division_points_built_once_read_only(p):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[...] = 0
+
+
+def _division_map_cases(p):
+    """Every q coprime to p, |q| < 2 p, q > p and q < 0 among them, and
+    each one's inverse mod p, the table the Bernoulli route reads."""
+    qs = [q for q in range(1 - 2 * p, 2 * p) if math.gcd(p, q) == 1]
+    return sorted(set(qs) | {pow(q, -1, p) if p > 1 else 0 for q in qs})
+
+
+@pytest.mark.parametrize("p", range(1, 61))
+def test_division_map_permutes_the_half_points(p):
+    """The integer table of q P over the half points, for every q coprime
+    to p within 2 p and every inverse mod p: pi is a bijection of the half
+    points that keeps their weights, so maps 2-torsion points to 2-torsion
+    points, and q P - s P' is a lattice point a + b tau with b = (q mu -
+    k)/p, the table's shift k = s mu' in units of 1/p."""
+    lam, mu, w = _half_division_points(p)
+    for q in _division_map_cases(p):
+        pi, s, k = symbols._division_map(p, q)
+        assert np.array_equal(np.sort(pi), np.arange(len(lam))), q
+        assert np.array_equal(w[pi], w), q
+        assert set(s.tolist()) <= {-1.0, 1.0} and np.array_equal(k, s * mu[pi]), q
+        assert not ((q * lam - s * lam[pi]) % p).any() and not ((q * mu - k) % p).any(), q
+        for a in (pi, s, k):
+            assert not a.flags.writeable
+
+
+def test_cold_division_map_costs_no_more_than_shifted_points():
+    """A cold table of (p, q), as a benchmark run that loads the package
+    afresh builds it for each pair it meets, costs no more than the
+    shifted symbols' cold table of the same (p, q) (`_shifted_points`):
+    summed over every pair with p up to 23, each pair's build timed as the
+    best of seven taken in turn, so that a pause of the machine falls on
+    one sample, not on a sum; the tables of p warm in both."""
+    pairs = [(p, q) for p in range(2, 24) for q in range(1, p) if math.gcd(p, q) == 1]
+    tables = (symbols._division_map.__wrapped__, symbols._shifted_points.__wrapped__)
+    total = [0.0, 0.0]
+    for p, q in pairs:
+        _half_division_points(p)
+        best = [math.inf, math.inf]
+        for _ in range(7):
+            for i, table in enumerate(tables):
+                start = time.perf_counter()
+                table(p, q)
+                best[i] = min(best[i], time.perf_counter() - start)
+        total = [t + b for t, b in zip(total, best)]
+    assert total[0] <= total[1]
 
 
 #: even p (weight-1 points) next to odd, with an even q for the sums over q

@@ -12,7 +12,7 @@ repeated runs are bit-identical.
 The kernels' series run on one engine, `_block_series`.  Each column of a
 batch, a point of a kernel, keeps its own Kahan state and rounding bound
 under the batch's one term cap and one stopping rule, a term pair not above
-tol max(|sum|, 1), which a NaN pair also meets; the batch runs whole to its
+TOL max(|sum|, 1), which a NaN pair also meets; the batch runs whole to its
 last block, and each column keeps the state of the row where it first
 stopped.  The engine raises the term cap's NonConvergenceError for the
 first column still running after max_terms, so no kernel has a failure
@@ -76,17 +76,18 @@ the shifted symbols and `sigma_log_tau_derivative` read pe through B_1
 and B_2 and run no pe pass.  They read B_1 and B_2 alone, so they take them from one pass of a
 second formula, not the Lambert series: three Jacobi-theta sums of 2N
 Gaussian rows, N at most 4 on F and set by Im tau alone (`_theta_pass`),
-with no factor above 1, so no term cap, tol or large Im tau moves them.
+with no factor above 1, so no term cap, TOL or large Im tau moves them.
 The Lambert B_m series serves the public B_m and zeta, `machide_sum` and
 the Bernoulli route.  The zeta route reads its bracket from the pe family's
 order -1, pe^(-1) = -(zeta - E_2 z), in the pass of its pe^(2n-1), so the
 two routes of the elliptic sums share no series kernel.
-Each input rule has one home, and the series only evaluate.  Each public
-call checks its tau once, in `_checked`, into a `_Checked` record of plain
-numbers: tau, tol, max_terms, the term cap of every series at every tau,
-and dtau, the error of tau, 0 for the caller's; a tau below the policy's
-min_im_tau, or where |q| is too close to 1 for any series to reach tol in
-binary64, raises there, before any series runs.  The record of a reduced
+Every series runs under one contract: the stopping tolerance TOL and the
+floor MIN_IM_TAU on Im tau are constants, and a `SeriesPolicy` sets only
+max_terms, the term cap.  Each input rule has one home, and the series only
+evaluate.  Each public call checks its tau once, in `_checked`, into a
+`_Checked` record of plain numbers: tau, the term cap of every series at
+every tau, and dtau, the error of tau, 0 for the caller's; a tau below
+MIN_IM_TAU raises there, before any series runs.  The record of a reduced
 tau' (`_Reduction.checked`) carries the reduction's error of tau', and
 that is the one model of it: the kernels charge it in the arguments of
 their exponentials, and the q-sums through the error of q (`_nome_err`),
@@ -112,13 +113,13 @@ for a whole sample of tau, without the cache and without their bounds, as
 one matrix product of the powers q^k and the divisor sums: a (tau x column)
 array equal to the loop's sums up to rounding, for `basis_rank`, whose
 output is a rank.  Both read sigma_ell(k) from one exact-integer sieve,
-`_divisor_power_sums`, cached per power-of-two count up to
-SIGMA_CACHE_TERMS terms and built afresh past it: the loop as ints, each
-rounded as it meets q^k, the product as a float view of the table, which
-it reads through a plan per (columns, count) of its weights, cached in at
-most PLAN_CACHE_SIZE entries and, as the tables, only up to
-SIGMA_CACHE_TERMS terms (`_eisenstein_plan`).
-The loop's stopping rule, three terms in a row at most tol |sum|, is the
+`_divisor_power_sums`, cached per power-of-two count: the loop as ints,
+each rounded as it meets q^k, the product as a float view of the table,
+which it reads through a plan per (columns, count) of its weights, cached
+in at most PLAN_CACHE_SIZE entries (`_eisenstein_plan`).  Above the floor
+no q-sum that stays in binary64 asks for more than 4096 terms, so every
+table is cached.
+The loop's stopping rule, three terms in a row at most TOL |sum|, is the
 one judge of enough terms in both: the product starts from the kernels'
 estimate (`_points_rows`) and doubles until its sums meet the rule.  A
 q-sum whose sigma, (2n)! or B_{2n} leaves binary64 raises one
@@ -139,8 +140,8 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache, wraps
-from typing import NamedTuple, Optional, Sequence, Tuple, Union
+from functools import lru_cache
+from typing import ClassVar, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -419,24 +420,30 @@ def _fsum(*parts: Union[ComplexArray, ComplexVal]) -> ComplexVal:
                       math.fsum(err.tolist()) + 2.0**-52 * math.fsum(np.hypot(re, im).tolist()))
 
 
+#: the stopping tolerance of every series: a term, or term pair, at most
+#: TOL times the size of its sum ends it
+TOL = 1e-12
+
+#: the least Im tau any call accepts: |q| <= e^(-0.1 pi) < 0.74, so that
+#: no q-sum that stays in binary64 needs more than 4096 terms
+MIN_IM_TAU = 0.05
+
+
 @dataclass(frozen=True)
 class SeriesPolicy:
-    """Truncation contract shared by every q-series."""
+    """The one settable value of the series contract: max_terms, the term
+    cap of every series.  The tolerance TOL and the floor MIN_IM_TAU are
+    constants, which min_im_tau reads as a class attribute."""
 
-    tol: float = 1e-12
     max_terms: int = 10**6
-    min_im_tau: float = 0.05
+    min_im_tau: ClassVar[float] = MIN_IM_TAU
 
     def __post_init__(self):
         # a bool is an int, so True would pass as 1
-        if isinstance(self.tol, bool) or not self.tol > 0:
-            raise ValueError("tol must be > 0")
         if isinstance(self.max_terms, bool) or not isinstance(self.max_terms, int):
             raise ValueError(f"max_terms must be an int, got {self.max_terms!r}")
         if self.max_terms < 1:
             raise ValueError("max_terms must be >= 1")
-        if math.isnan(self.min_im_tau):
-            raise ValueError("min_im_tau must be a number, got nan")
 
 
 DEFAULT_POLICY = SeriesPolicy()
@@ -455,43 +462,31 @@ _SLOW_IM_TAU = 0.11
 
 
 class _Checked(NamedTuple):
-    """A tau checked by `_checked`, with the policy's tol and its max_terms as
-    the term cap, and dtau, a bound on the absolute error of tau: all plain
-    numbers, what every kernel entry, block series and Eisenstein cache
-    takes, so none sees an unchecked tau, and a cache key that hashes and
-    compares at C level.  A caller's tau is exact, dtau = 0; a tau' that a
-    reduction computed carries its error (`_Reduction.checked`), which
-    every series at it charges: the kernels in the arguments of their
-    exponentials, the q-sums through the error of q (`_nome_err`)."""
+    """A tau checked by `_checked`, with the policy's max_terms as the term
+    cap, and dtau, a bound on the absolute error of tau: all plain numbers,
+    what every kernel entry, block series and Eisenstein cache takes, so
+    none sees an unchecked tau, and a cache key that hashes and compares at
+    C level.  A caller's tau is exact, dtau = 0; a tau' that a reduction
+    computed carries its error (`_Reduction.checked`), which every series
+    at it charges: the kernels in the arguments of their exponentials, the
+    q-sums through the error of q (`_nome_err`)."""
 
     tau: complex
-    tol: float
     cap: int
     dtau: float
 
 
 def _checked(tau: TauPoint, policy: SeriesPolicy) -> _Checked:
-    """tau checked under policy: ValueError below min_im_tau and where |q|
-    is too close to 1 for any q-series to converge, and one SlowNomeWarning
-    where the nome is slow.  |q| is too close to 1 where it rounds to 1
-    (and the kernels' error models would divide by 1 - |q| = 0), or where
-    the log(tol) / log|q| terms a series needs to fall below tol outnumber
-    the 2^53 that binary64 counts: 1 - |q| < ~3e-15 at tol = 1e-12.  The
-    rule reads tol, never max_terms, so a small cap still fails with the
-    cap's own error.  Only a slow tau can come that close, so a fast one
-    pays for neither test."""
+    """tau checked under policy: ValueError below MIN_IM_TAU, and one
+    SlowNomeWarning where the nome is slow, below _SLOW_IM_TAU."""
     im = tau.tau.imag
-    if im < policy.min_im_tau:
-        raise ValueError(f"Im(tau) = {im} below the accepted bound {policy.min_im_tau}")
+    if im < MIN_IM_TAU:
+        raise ValueError(f"Im(tau) = {im} below the accepted bound {MIN_IM_TAU}")
     if im < _SLOW_IM_TAU:
-        aq = abs(tau.nome)
-        if aq >= 1.0 or math.log(policy.tol) / math.log(aq) > 2.0**53:
-            raise ValueError(f"|q| is too close to 1 at tau = {tau.tau}: "
-                             "no q-series can converge")
-        warnings.warn(f"Im(tau) = {im} gives |q| = {aq:.3f}; convergence is slow",
+        warnings.warn(f"Im(tau) = {im} gives |q| = {abs(tau.nome):.3f}; convergence is slow",
                       SlowNomeWarning, stacklevel=_outside_stacklevel())
     # tuple.__new__ skips the NamedTuple's Python-level __new__ on every public call
-    return tuple.__new__(_Checked, (tau.tau, policy.tol, policy.max_terms, 0.0))
+    return tuple.__new__(_Checked, (tau.tau, policy.max_terms, 0.0))
 
 
 def _outside_stacklevel() -> int:
@@ -546,8 +541,8 @@ BLOCK_ELEMENTS = 4096
 TAU_CACHE_SIZE = 8
 
 
-def _block_series(start: np.ndarray, start_rnd: np.ndarray, terms, cap: int, tol: float,
-                  first: int, what: str):
+def _block_series(start: np.ndarray, start_rnd: np.ndarray, terms, cap: int, first: int,
+                  what: str):
     """Run the kernel series `start + sum_j terms(js)` in every column of a
     batch; each column starts from `start`, whose rounding bound is
     `start_rnd`.  `start` is (orders x points), or 1-D over points: a
@@ -569,7 +564,7 @@ def _block_series(start: np.ndarray, start_rnd: np.ndarray, terms, cap: int, tol
     The rows are added in order, one Kahan step each, written straight into
     the block's rows of sums and compensations; the rounding bounds are
     summed row by row in place.  A column stops after its jth term pair,
-    j >= 2, once that pair's size is not above tol max(|sum|, 1): the one
+    j >= 2, once that pair's size is not above TOL max(|sum|, 1): the one
     stopping rule, which, written as a negation, also holds where the size
     or the sum is NaN, so that a series that has left binary64 stops there
     and its kernel raises (`_finite`).  Every column runs to the batch's
@@ -608,7 +603,7 @@ def _block_series(start: np.ndarray, start_rnd: np.ndarray, terms, cap: int, tol
         rnds = np.add.accumulate(r, axis=0, out=r)
         rnd = rnds[-1]
         # stop[i]: the term pair of row i is small
-        stop = ~(size > tol * np.maximum(np.abs(sums), 1.0))
+        stop = ~(size > TOL * np.maximum(np.abs(sums), 1.0))
         if j == 0:
             stop[0] = False
         at = stop.argmax(axis=0)
@@ -646,35 +641,14 @@ def _series_state(n: int):
 # ---------------------------------------------------------------------------
 
 
-#: the longest sigma table the caches keep: at Im tau = 0.05, the default
-#: least, a q-sum up to n = 50 ends within a quarter of it; a longer table,
-#: which a series nearer |q| = 1 asks for under a lowered min_im_tau, is
-#: built afresh each time
-SIGMA_CACHE_TERMS = 1 << 12
-
-
-def _short_tables_cached(build, maxsize: Optional[int] = None):
-    """`build(key, count)` behind an `lru_cache` of maxsize entries
-    (unbounded by default) for a count of at most SIGMA_CACHE_TERMS, and
-    uncached past it, so that a capped series near |q| = 1 leaves no table
-    of 2^20 entries behind; the cache is the wrapper's `cache`."""
-    cached = lru_cache(maxsize=maxsize)(build)
-
-    @wraps(build)
-    def table(key, count: int):
-        return (cached if count <= SIGMA_CACHE_TERMS else build)(key, count)
-
-    table.cache = cached
-    return table
-
-
-@_short_tables_cached
+@lru_cache(maxsize=None)
 def _divisor_power_sums(ell: int, count: int) -> Tuple[int, ...]:
     """(sigma_ell(1), ..., sigma_ell(count)), sigma_ell(k) = sum_{d | k} d^ell,
     as exact ints from one sieve over d, for a power-of-two count, so that a
     growing sum reuses few tables: the one source of sigma, which the
     scalar loop reads as ints and the product as `_divisor_power_floats`.
-    Cached up to SIGMA_CACHE_TERMS terms (`_short_tables_cached`)."""
+    Cached without a bound: at MIN_IM_TAU no q-sum whose sigma stays in
+    binary64 asks for more than 4096 terms."""
     sigma = [0] * count
     for d in range(1, count + 1):
         power = d**ell
@@ -752,7 +726,7 @@ def _eisenstein_q_sum(n: int, at: _Checked, tau_deriv: bool) -> Tuple[complex, f
 
     Returns (sum, bound on the tail and the rounding).  The terms are added
     in order with one Kahan step each; the sum stops after three terms in a
-    row below tol relative to it.  sigma comes as exact ints from the
+    row below TOL relative to it.  sigma comes as exact ints from the
     `_divisor_power_sums` tables, the next one, twice as long, fetched where
     k runs past the last; int times complex rounds the int to float first,
     so each term is float(sigma) q^k, and a sigma beyond binary64 raises the
@@ -760,7 +734,7 @@ def _eisenstein_q_sum(n: int, at: _Checked, tau_deriv: bool) -> Tuple[complex, f
     is raised afresh each time, as `lru_cache` keeps only returned values;
     `_eisenstein_q_sums` forms the same sums over a sample as one matrix
     product, with the same stopping rule and no bound."""
-    cap, tol = at.cap, at.tol
+    cap = at.cap
     q = cmath.exp(TWO_PI_I * at.tau)
     err_q = _nome_err(at)
     sigma = _divisor_power_sums(2 * n - 1, _FIRST_TERMS)
@@ -783,7 +757,7 @@ def _eisenstein_q_sum(n: int, at: _Checked, tau_deriv: bool) -> Tuple[complex, f
             last = abs(term)
             rnd += last * (k * err_q + 4.0)
             scale = max(abs(acc), 1e-300)
-            if last <= tol * scale or last == 0.0:
+            if last <= TOL * scale or last == 0.0:
                 small_streak += 1
                 if small_streak >= 3:
                     break
@@ -799,8 +773,8 @@ def _eisenstein_q_sum(n: int, at: _Checked, tau_deriv: bool) -> Tuple[complex, f
 
 #: entries of the plan cache (`_eisenstein_plan`), one per column set and
 #: count: basis_rank's weights 2 to 24 over random_taus' window use twelve;
-#: bounded, as a plan holds count x columns complex, up to MBs at
-#: SIGMA_CACHE_TERMS terms
+#: bounded, as a plan holds count x columns complex, up to MBs at 4096
+#: terms
 PLAN_CACHE_SIZE = 32
 
 
@@ -819,15 +793,14 @@ def _build_plan(cols: Tuple[Tuple[int, bool], ...], count: int):
     return len(sigma) == count, len(sigma), weights, last
 
 
-#: `_build_plan` cached per (cols, count) in at most PLAN_CACHE_SIZE
-#: entries, and built afresh past SIGMA_CACHE_TERMS terms
-_eisenstein_plan = _short_tables_cached(_build_plan, PLAN_CACHE_SIZE)
+#: `_build_plan` cached per (cols, count) in at most PLAN_CACHE_SIZE entries
+_eisenstein_plan = lru_cache(maxsize=PLAN_CACHE_SIZE)(_build_plan)
 
 
 def _eisenstein_q_sums(ats: Sequence[_Checked], cols: Sequence[Tuple[int, bool]]) -> np.ndarray:
     """The sum of `_eisenstein_q_sum(n, at, tau_deriv)` for every column
     (n, tau_deriv) of `cols` at every `at` of `ats`, records made under one
-    policy and so with one tol and one term cap, without the cache and
+    policy and so with one term cap, without the cache and
     without their bounds: a (tau x column) complex array, equal to the
     scalar loop's sums up to rounding.
 
@@ -837,7 +810,7 @@ def _eisenstein_q_sums(ats: Sequence[_Checked], cols: Sequence[Tuple[int, bool]]
     `count` starts at the rows `_points_rows` gives the kernels for the
     largest |q| and the largest power of k, at least _FIRST_TERMS, within
     the cap, and doubles within the cap until every sum ends in three terms
-    of at most tol times its size, the scalar loop's stopping rule, so that
+    of at most TOL times its size, the scalar loop's stopping rule, so that
     no sum stops before the loop's would.  At count = cap, a sum still short
     raises the scalar loop's NonConvergenceError, for the first in order,
     first tau then first column, with the sum of its first cap terms as the
@@ -847,21 +820,20 @@ def _eisenstein_q_sums(ats: Sequence[_Checked], cols: Sequence[Tuple[int, bool]]
     the OverflowError the loop raises where sigma leaves binary64, for the
     column of the largest n, whose sigma leaves it first.  The weights of
     each (columns, count) come from a read-only plan (`_eisenstein_plan`),
-    cached in at most PLAN_CACHE_SIZE entries and built afresh past
-    SIGMA_CACHE_TERMS terms, as the sigma tables are."""
+    cached in at most PLAN_CACHE_SIZE entries."""
     if not ats:
         return np.empty((0, len(cols)), dtype=complex)
-    tol, cap = ats[0].tol, ats[0].cap
+    cap = ats[0].cap
     qs = np.array([cmath.exp(TWO_PI_I * at.tau) for at in ats])
     ell = max((2 * n - 1 + d for n, d in cols), default=1)
-    count = min(cap, max(_FIRST_TERMS, _points_rows(float(np.abs(qs).max()), ell, 0.0, tol)))
+    count = min(cap, max(_FIRST_TERMS, _points_rows(float(np.abs(qs).max()), ell, 0.0)))
     while True:
         fits, count, weights, last_weights = _eisenstein_plan(tuple(cols), count)
         powers = np.cumprod(np.broadcast_to(qs, (count, len(qs))), axis=0).T
         sums = powers @ weights
         # the sizes of every sum's last three terms, (tau x 3 x column)
         last = np.abs(powers[:, -3:, None]) * last_weights
-        short = (last > tol * np.maximum(np.abs(sums), 1e-300)[:, None]).any(axis=1) | (count < 3)
+        short = (last > TOL * np.maximum(np.abs(sums), 1e-300)[:, None]).any(axis=1) | (count < 3)
         if not short.any():
             return sums
         if not fits:
@@ -1021,15 +993,15 @@ def _lattice_check(x: np.ndarray, y: np.ndarray, message) -> None:
 
 
 @lru_cache(maxsize=TAU_CACHE_SIZE)
-def _points_rows(aq: float, ell: int, reach: float, tol: float) -> int:
+def _points_rows(aq: float, ell: int, reach: float) -> int:
     """The terms a kernel series with |q| = aq runs before its stopping rule
     fires at every point of a batch: the first j >= 2 at which the model
     size (j + 1)^ell (aq^(j - reach) + aq^j) of its jth term pair is at most
-    tol; at most BLOCK_ELEMENTS.  ell is the largest power of j in a term
+    TOL; at most BLOCK_ELEMENTS.  ell is the largest power of j in a term
     and reach the largest shift of its exponent, |y| in aq^(j -+ y), so
     that the two terms of a pair are at most the model and the rule, size
-    at most tol max(|sum|, 1), has fired by then (up to the denominators
-    1 - aq^(j - reach), near 1 where the model nears tol).  The first j is
+    at most TOL max(|sum|, 1), has fired by then (up to the denominators
+    1 - aq^(j - reach), near 1 where the model nears TOL).  The first j is
     found from that of ell = 0 upwards, which is no later.  With reach 0 it
     also sizes the first product of `_eisenstein_q_sums`, whose kth term
     sigma_ell(k) k^d q^k is about k^(ell + d) aq^k; an estimate that falls
@@ -1037,9 +1009,7 @@ def _points_rows(aq: float, ell: int, reach: float, tol: float) -> int:
     if aq == 0.0:
         return 2
     log_q = math.log(aq)
-    if not log_q < 0.0:
-        return BLOCK_ELEMENTS
-    log_tol = math.log(tol) - math.log1p(aq**reach)
+    log_tol = math.log(TOL) - math.log1p(aq**reach)
     j0 = reach + log_tol / log_q
     if j0 >= BLOCK_ELEMENTS:
         return BLOCK_ELEMENTS
@@ -1272,10 +1242,10 @@ def _bernoulli_series(ms: Tuple[int, ...], x: np.ndarray, y: np.ndarray, at: _Ch
         return tuple(a.reshape(len(js), -1) for a in (term, sizes, rnds))
 
     # a term pair is at most (j + 1)^(m-1) (|q|^(j-y) + |q|^(j+y)), 0 <= y < 1
-    first = _points_rows(decay, max(ms) - 1, 1.0, at.tol)
+    first = _points_rows(decay, max(ms) - 1, 1.0)
     zeros = np.zeros(shape)
     state = (a.reshape(shape) for a in _block_series(
-        zeros, zeros, terms, at.cap, at.tol, first, "elliptic Bernoulli series"))
+        zeros, zeros, terms, at.cap, first, "elliptic Bernoulli series"))
 
     # The closing term and the finish.  At m = 1 the factors y^0, m and
     # slope = 1 are left out and B_1(y) is y - 1/2, the Horner steps' value:
@@ -1559,10 +1529,10 @@ class _Reduction(NamedTuple):
         return ComplexVal(v, abs(v) * 2.0**-53 * (w * self.m_err + 6.0 * w.bit_length() + 6.0))
 
     def checked(self, at: _Checked) -> _Checked:
-        """tau' as a checked record, with the tol and cap of `at`, the
-        caller's, and dtau as its error.  It needs no check: Im tau' >=
-        Im tau, so tau' passes wherever tau passed."""
-        return tuple.__new__(_Checked, (self.tau, at.tol, at.cap, self.dtau))
+        """tau' as a checked record, with the cap of `at`, the caller's, and
+        dtau as its error.  It needs no check: Im tau' >= Im tau, so tau'
+        passes wherever tau passed."""
+        return tuple.__new__(_Checked, (self.tau, at.cap, self.dtau))
 
     def e2_shift(self) -> ComplexVal:
         """2 pi i c / m, the quasi-modular term of E_2(tau) = m^-2 E_2(tau')
@@ -1879,10 +1849,10 @@ def _p_deriv_series(ks: Tuple[int, ...], x: np.ndarray, y: np.ndarray, at: _Chec
         start[i], start_rnd[i] = v, s0 * (err_u + own)
     # Phi_k(w) = w + O(w^2): a term pair is about |q|^(j-y0) + |q|^(j+y0),
     # 0 <= y0 <= 1/2, whatever k
-    first = _points_rows(aq, 0, 0.5, at.tol)
+    first = _points_rows(aq, 0, 0.5)
     # on the pairs Phi_k(u q^j), Phi_k(q^j / u)
     state = (a.reshape(shape) for a in _block_series(
-        start, start_rnd, terms, at.cap, at.tol, first, "pe Fourier series"))
+        start, start_rnd, terms, at.cap, first, "pe Fourier series"))
     r = min(aq * 2.0, 0.99)
     out = ComplexArray(np.empty(shape, dtype=complex), np.empty(shape))
     for i, (k, bl, (acc, _, j, last, rnd)) in enumerate(zip(ks, bls, zip(*state))):
@@ -1985,15 +1955,13 @@ def sigma_log_tau_derivative(z: complex, tau: TauPoint,
 # ---------------------------------------------------------------------------
 
 
-def zeta_odd(n: int, tol: float = 1e-12) -> float:
-    """zeta(2n+1) by direct summation plus an Euler-Maclaurin tail below tol."""
+def zeta_odd(n: int) -> float:
+    """zeta(2n+1) by direct summation plus an Euler-Maclaurin tail below TOL."""
     n = _checked_n(n)
-    if not tol > 0:
-        raise ValueError("tol must be > 0")
     s = 2 * n + 1
     K = 10
     # remainder after the K^{-s-1} correction term is O(s^3 K^{-s-3})
-    while s**3 * K ** (-(s + 3)) > tol * 0.01 and K < 10**6:
+    while s**3 * K ** (-(s + 3)) > TOL * 0.01 and K < 10**6:
         K *= 2
     acc = math.fsum(k ** (-s) for k in range(1, K + 1))
     tail = K ** (1 - s) / (s - 1) - 0.5 * K ** (-s) + s / 12.0 * K ** (-(s + 1))

@@ -269,12 +269,6 @@ THEOREM13_CACHE_SIZE = 4
 #: the Theorem 1.3 records by key, oldest first
 _RECORDS: dict = {}
 
-#: the types of x whose records are kept: each computes as a Python float
-#: of its value, so equal keys mean equal bits (x = -0.0 and 0.0 too, as
-#: lam/p -+ x and a zero product move no bit between them)
-_KEPT_X = (float, int, np.float64)
-
-
 class _Theorem13(NamedTuple):
     """What the terms of Theorem 1.3 at one (p, q, tau, x) read of one
     theta pass: the frame's record and reduction (`frame`, its points
@@ -305,15 +299,15 @@ def _theorem13(p: int, q: int, at: _Checked, x: float, want: str) -> _Theorem13:
     own three points.  A pass that raises is rerun with the caller's part
     alone, as the caller's own pass would run it, and that record is not
     kept, so a part the caller did not ask for never changes what the
-    caller returns or raises.  An x of another type than `_KEPT_X` reads
-    and keeps nothing."""
-    kept = type(x) in _KEPT_X
+    caller returns or raises.  x is a Python float (`_real`), so equal keys
+    mean equal bits (x = -0.0 and 0.0 too, as lam/p -+ x and a zero
+    product move no bit between them)."""
     key = (max(p, q), min(p, q), at, x) if q >= 1 else (p, q, at, x)
-    rec = _RECORDS.get(key) if kept else None
+    rec = _RECORDS.get(key)
     if rec is not None:
         return rec
     mine = [] if want == "R" else [(p, q)] if want == "D" else [(p, q), (q, p)]
-    if not kept or want == "R":
+    if want == "R":
         return _pass13(mine, want != "D", p, q, at, x)
     a, b = key[:2]
     reals = b >= 1

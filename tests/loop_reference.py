@@ -11,6 +11,7 @@ from ellded.qseries import (
     DEFAULT_POLICY,
     ComplexVal,
     LatticePointError,
+    TOL,
     NonConvergenceError,
     TauPoint,
     _bernoulli_poly_float,
@@ -83,7 +84,7 @@ def elliptic_bernoulli(m, x, y, tau, policy=DEFAULT_POLICY):
         acc.add(t1)
         acc.add(-t2)
         last = abs(t1) + abs(t2)
-        if last <= policy.tol * max(abs(acc.value), 1.0) and j >= 2:
+        if last <= TOL * max(abs(acc.value), 1.0) and j >= 2:
             break
     else:
         raise NonConvergenceError(
@@ -165,7 +166,7 @@ def weierstrass_p_deriv(k, z, tau, policy=DEFAULT_POLICY):
         acc.add(_phi(k, w1))
         acc.add(par * _phi(k, w2))
         last = _phi_majorant(k, w1) + _phi_majorant(k, w2)
-        if last <= policy.tol * max(abs(acc.value), 1.0) and j >= 2:
+        if last <= TOL * max(abs(acc.value), 1.0) and j >= 2:
             break
     else:
         raise NonConvergenceError(

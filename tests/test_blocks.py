@@ -158,7 +158,7 @@ def test_two_order_rows_equal_one_order_calls(t, width, dtau):
 # ---------------------------------------------------------------------------
 
 
-def _series_by_term(start, start_rnd, terms, cap, tol, first, what):
+def _series_by_term(start, start_rnd, terms, cap, first, what):
     """`qseries._block_series` one term at a time, whatever its `first`
     block: the terms are asked for one j at a time and a column leaves the
     batch at the j >= 2 it stops at, a kernel's orders one after another
@@ -182,7 +182,7 @@ def _series_by_term(start, start_rnd, terms, cap, tol, first, what):
         rnd = rnd + r
         if j < 2:
             continue
-        done = ~(last > tol * np.maximum(np.abs(s), 1.0))
+        done = ~(last > qseries.TOL * np.maximum(np.abs(s), 1.0))
         if np.count_nonzero(done):
             k = idx[done]
             out_s[k], out_c[k], out_rnd[k] = s[done], c[done], rnd[done]

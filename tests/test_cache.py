@@ -201,14 +201,14 @@ class TestCacheContract:
 
     def test_rejection_not_cached(self):
         _clear_caches()
-        policy = SeriesPolicy(min_im_tau=0.1)
+        below = TauPoint(0.04j)
         for _ in range(2):
             with pytest.raises(ValueError, match="below the accepted bound"):
-                qseries.eisenstein(2, self.slow, policy)
+                qseries.eisenstein(2, below)
             with pytest.raises(ValueError, match="below the accepted bound"):
-                symbols._eisenstein_table(2, qseries._checked(self.slow, policy))
+                symbols._eisenstein_table(2, qseries._checked(below, qseries.DEFAULT_POLICY))
             with pytest.raises(ValueError, match="below the accepted bound"):
-                identities.verify_eq73(2, 1, self.slow, policy)
+                identities.verify_eq73(2, 1, below)
 
     def test_nonconvergence_not_cached(self):
         _clear_caches()
@@ -270,7 +270,7 @@ def test_one_record_per_n_tau():
 
     _clear_caches()
     with pytest.raises(ValueError, match="below the accepted bound"):
-        identities.verify_three_term(n, pair, TauPoint(0.08j), SeriesPolicy(min_im_tau=0.1))
+        identities.verify_three_term(n, pair, TauPoint(0.04j))
     with pytest.raises(NonConvergenceError):
         identities.verify_three_term(n, pair, TauPoint(0.1 + 0.2j), SeriesPolicy(max_terms=10))
     assert identities._record.cache_info().currsize == 0
@@ -333,17 +333,17 @@ def test_non_int_order_rejected_before_the_caches(call, good, bad, name):
     the caches, whose entry an equal float would read; every sigma table
     stays of ints."""
     _clear_caches()
-    qseries._divisor_power_sums.cache.cache_clear()
+    qseries._divisor_power_sums.cache_clear()
     with pytest.raises(ValueError, match=rf"^{name} must be an int, got {bad!r}$"):
         call(bad)
-    assert qseries._divisor_power_sums.cache.cache_info().currsize == 0
+    assert qseries._divisor_power_sums.cache_info().currsize == 0
     want = repr(call(good))
     with pytest.raises(ValueError, match=rf"^{name} must be an int, got {bad!r}$"):
         call(bad)
     assert _sigma_tables_are_ints()
     # a numpy integer is an int, cold and warm
     _clear_caches()
-    qseries._divisor_power_sums.cache.cache_clear()
+    qseries._divisor_power_sums.cache_clear()
     assert repr(call(np.int64(good))) == want == repr(call(good))
     assert _sigma_tables_are_ints()
 
@@ -480,7 +480,7 @@ def test_later_blocks_read_the_record_rows(monkeypatch):
 def test_empty_batch_asks_for_no_terms():
     asked = []
     out = qseries._block_series(np.zeros(0, dtype=complex), np.zeros(0),
-                                lambda js: asked.append(js), 50, 1e-12, 5, "empty")
+                                lambda js: asked.append(js), 50, 5, "empty")
     assert asked == []
     assert [(a.shape, a.dtype.kind) for a in out] == [((0,), "c"), ((0,), "c"), ((0,), "i"),
                                                       ((0,), "f"), ((0,), "f")]
@@ -561,8 +561,9 @@ def test_theorem13_caches_small_and_bounded():
 
 
 #: calls that differ from D^-(5, 3; 0.05) under the default policy at
-#: 0.3 + 1.1i in the tol or the cap of their record, or in tau
-OTHER_RECORDS = [(SeriesPolicy(tol=1e-10), 0.3 + 1.1j), (SeriesPolicy(max_terms=50), 0.3 + 1.1j),
+#: 0.3 + 1.1i in the cap of their record, one of them the theta pass's 2N =
+#: 8 rows there, which it just meets, or in tau
+OTHER_RECORDS = [(SeriesPolicy(max_terms=8), 0.3 + 1.1j), (SeriesPolicy(max_terms=50), 0.3 + 1.1j),
                  (qseries.DEFAULT_POLICY, -0.7 + 1.1j), (qseries.DEFAULT_POLICY, 0.3 + 0.9j)]
 
 

@@ -100,24 +100,6 @@ def test_sigma_table_and_its_float_view(ell):
     assert view[:, 0].tolist() == [float(s) for s in table]
 
 
-def test_sigma_tables_past_the_bound_are_not_cached():
-    # a table of at most SIGMA_CACHE_TERMS terms is cached, a longer one is
-    # built afresh and kept by no cache
-    bound = qseries.SIGMA_CACHE_TERMS
-    ints = qseries._divisor_power_sums.cache
-    ints.cache_clear()
-    assert qseries._divisor_power_sums(3, bound) is qseries._divisor_power_sums(3, bound)
-    assert ints.cache_info().currsize == 1
-    long = qseries._divisor_power_sums(3, 2 * bound)
-    assert long[:bound] == qseries._divisor_power_sums(3, bound)
-    assert [long[k - 1] for k in (bound + 1, 2 * bound)] == [
-        _divisor_power_sum(3, k) for k in (bound + 1, 2 * bound)]
-    assert qseries._divisor_power_sums(3, 2 * bound) is not long
-    view = qseries._divisor_power_floats((3,), 2 * bound)
-    assert view[:, 0].tolist() == [float(s) for s in long]
-    assert ints.cache_info().currsize == 1
-
-
 def test_float_view_ends_where_sigma_leaves_binary64():
     # sigma_201(k) fits binary64 up to k = 34 (34^201 < 2^1023), and the
     # view of every column ends there, at the largest ell's first overflow
@@ -339,16 +321,15 @@ def test_rank_matrix_digest():
     digest = hashlib.sha256("\n".join(_rank_matrix_reprs()).encode()).hexdigest()
     assert digest == RANK_MATRIX_SHA256
     # cold plans give the same matrices
-    qseries._eisenstein_plan.cache.cache_clear()
+    qseries._eisenstein_plan.cache_clear()
     assert hashlib.sha256("\n".join(_rank_matrix_reprs()).encode()).hexdigest() == digest
 
 
-def test_plans_bounded_and_short(monkeypatch):
+def test_plans_bounded_and_short():
     """The product reads its weights from plans cached per (columns, count)
     in at most PLAN_CACHE_SIZE entries, read-only and equal to a fresh
-    build; a plan past SIGMA_CACHE_TERMS terms is built afresh and kept by
-    no cache."""
-    plans = qseries._eisenstein_plan.cache
+    build."""
+    plans = qseries._eisenstein_plan
     plans.cache_clear()
     ats = _records(identities.random_taus(5, 0), qseries.DEFAULT_POLICY)
     for n in range(1, 2 * qseries.PLAN_CACHE_SIZE + 1):
@@ -362,22 +343,48 @@ def test_plans_bounded_and_short(monkeypatch):
     assert plan[:2] == fresh[:2] == (True, qseries._FIRST_TERMS)
     for cached, built in zip(plan[2:], fresh[2:]):
         assert not cached.flags.writeable and cached.tobytes() == built.tobytes()
-    bound = qseries.SIGMA_CACHE_TERMS
-    one = ((1, False),)
-    assert qseries._eisenstein_plan(one, bound) is qseries._eisenstein_plan(one, bound)
-    assert qseries._eisenstein_plan(one, 2 * bound) is not qseries._eisenstein_plan(one, 2 * bound)
-    # at Im tau = 0.001 the sum of E_2 runs past the bound: its product
-    # caches the plans of the counts within it alone
-    plans.cache_clear()
-    counts = []
-    read = qseries._eisenstein_plan
 
-    def spy(cols, count):
-        counts.append(count)
-        return read(cols, count)
 
-    monkeypatch.setattr(qseries, "_eisenstein_plan", spy)
-    slow = _records([TauPoint(0.001j)], SeriesPolicy(min_im_tau=0.0005))
-    qseries._eisenstein_q_sums(slow, one)
-    assert max(counts) > bound
-    assert plans.cache_info().currsize == len({c for c in counts if c <= bound})
+#: the most terms a sigma table or a plan holds at the floor, which lets
+#: both caches keep every table
+FLOOR_TERMS = 4096
+
+
+def test_floor_reach(monkeypatch):
+    """At Im tau = MIN_IM_TAU, where |q| is largest, no sigma table and no
+    plan goes past FLOOR_TERMS terms: for every Eisenstein kind at n = 1 to
+    100, the scalar loop, and for basis_rank at w = 2 to 170, the product,
+    whether the q-sums end or leave binary64."""
+    counts = {"sigma": [], "plan": []}
+
+    def spy(name, read):
+        def counted(key, count):
+            counts[name].append(count)
+            return read(key, count)
+        return counted
+
+    monkeypatch.setattr(qseries, "_divisor_power_sums", spy("sigma", qseries._divisor_power_sums))
+    monkeypatch.setattr(qseries, "_eisenstein_plan", spy("plan", qseries._eisenstein_plan))
+    qseries._eisenstein_q_sum.cache_clear()
+    taus = [TauPoint(complex(re, qseries.MIN_IM_TAU)) for re in (0.0, 0.5)]
+    kinds = (qseries.eisenstein, qseries.eisenstein_normalized, qseries.eisenstein_tau_derivative)
+    outcomes = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SlowNomeWarning)
+        for call, n, tau in itertools.product(kinds, range(1, 101), taus):
+            try:
+                call(n, tau)
+                outcomes.add("value")
+            except OverflowError:
+                outcomes.add("overflow")
+        sigma_of_sums = max(counts["sigma"])
+        for w in range(2, 171, 2):
+            try:
+                identities.basis_rank(w, taus)
+                outcomes.add("rank")
+            except OverflowError:
+                outcomes.add("rank overflow")
+    qseries._eisenstein_q_sum.cache_clear()
+    assert outcomes == {"value", "overflow", "rank", "rank overflow"}
+    assert sigma_of_sums <= FLOOR_TERMS and counts["plan"]
+    assert max(counts["sigma"] + counts["plan"]) <= FLOOR_TERMS

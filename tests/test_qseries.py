@@ -187,14 +187,6 @@ class TestEisenstein:
                              (eisenstein_tau_derivative(n, TauPoint(tau)), pref * ds)):
                 assert abs(val.value - complex(ref)) <= val.err, (n, tau, val, complex(ref))
 
-    def test_err_bound_honest(self):
-        # tightening tol tenfold moves the value by less than the coarser err
-        tau = TauPoint(0.1 + 0.8j)
-        for n in (1, 2, 4):
-            coarse = eisenstein(n, tau, SeriesPolicy(tol=1e-8))
-            fine = eisenstein(n, tau, SeriesPolicy(tol=1e-9))
-            assert abs(coarse.value - fine.value) <= coarse.err
-
 
 class TestEisensteinTauDerivative:
     def test_vanishes_at_large_im(self):
@@ -418,6 +410,8 @@ class TestKroneckerDirect:
 
 #: the tau at which every public call below warns
 SLOW_TAU = TauPoint(0.1 + 0.08j)
+#: the error of a tau below the floor at 0.1 + 1e-20i
+FLOOR_ERROR = r"^Im\(tau\) = 1e-20 below the accepted bound 0\.05$"
 
 
 def _grid_xy():
@@ -492,22 +486,12 @@ PUBLIC_TAU_CALLS = {
 
 class TestPolicyGuards:
     @pytest.mark.parametrize("name", PUBLIC_TAU_CALLS)
-    def test_one_slow_nome_warning_per_call(self, name, monkeypatch):
+    def test_one_slow_nome_warning_per_call(self, name):
         call, count = PUBLIC_TAU_CALLS[name]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", SlowNomeWarning)
             call(SLOW_TAU, DEFAULT_POLICY)
         assert sum(issubclass(w.category, SlowNomeWarning) for w in caught) == count
-        # a rejected tau raises before any series runs, any Eisenstein
-        # product is formed or any cache is read
-        ran = []
-        monkeypatch.setattr(qseries, "_block_series", lambda *args: ran.append(args))
-        monkeypatch.setattr(qseries, "_eisenstein_q_sums", lambda *args: ran.append(args))
-        caches = (qseries._eisenstein_q_sum, identities._record)
-        before = [f.cache_info() for f in caches]
-        with pytest.raises(ValueError, match="below the accepted bound 0.1"):
-            call(SLOW_TAU, SeriesPolicy(min_im_tau=0.1))
-        assert not ran and [f.cache_info() for f in caches] == before
 
     @pytest.mark.parametrize("call", [
         lambda tau: weierstrass_zeta_points([0.3, 1.0], tau),
@@ -548,10 +532,16 @@ class TestPolicyGuards:
         assert slow and all(w.filename == __file__ for w in slow)
 
     def test_invalid_policy(self):
-        with pytest.raises(ValueError):
-            SeriesPolicy(tol=0)
-        with pytest.raises(ValueError, match="tol must be > 0"):
-            SeriesPolicy(tol=True)
+        # max_terms is the one field: the tolerance and the floor are the
+        # constants TOL and MIN_IM_TAU, and the floor reads as min_im_tau
+        for tol in (0, True, 1e-10):
+            with pytest.raises(TypeError):
+                SeriesPolicy(tol=tol)
+        with pytest.raises(TypeError):
+            SeriesPolicy(min_im_tau=0.1)
+        assert SeriesPolicy().min_im_tau == qseries.MIN_IM_TAU == 0.05
+        assert qseries.TOL == 1e-12
+        assert qseries._Checked._fields == ("tau", "cap", "dtau")
 
     @pytest.mark.parametrize("max_terms", [2.5, 3.0, "3", True, False])
     def test_non_int_max_terms_rejected(self, max_terms):
@@ -577,8 +567,8 @@ class TestPolicyGuards:
             call(TauPoint(t), SeriesPolicy(max_terms=1))
 
     def test_nan_min_im_tau_rejected(self):
-        # im < nan is always false: a nan bound would reject no tau
-        with pytest.raises(ValueError, match="min_im_tau"):
+        # no policy sets the floor, so no nan floor can pass every tau
+        with pytest.raises(TypeError, match="min_im_tau"):
             SeriesPolicy(min_im_tau=math.nan, max_terms=50)
 
     @pytest.mark.parametrize("x,y", [(0.1, math.nan), (math.nan, 0.2), (math.inf, 0.2),
@@ -598,60 +588,56 @@ class TestPolicyGuards:
         with pytest.raises(ValueError):
             SeriesPolicy(max_terms=0)
 
-    @pytest.mark.filterwarnings("ignore::ellded.qseries.SlowNomeWarning")
+    @pytest.mark.filterwarnings("error::ellded.qseries.SlowNomeWarning")
     def test_bernoulli_where_nome_rounds_to_one(self):
-        # Im tau = 1e-20 passes a min_im_tau of 0, but |q| rounds to 1: the
-        # series cannot converge, and B_m names tau instead of dividing by
-        # 1 - |q| = 0
-        policy = SeriesPolicy(min_im_tau=0.0, max_terms=50)
+        # at Im tau = 1e-20 |q| rounds to 1: B_m names the floor instead of
+        # dividing by 1 - |q| = 0
         tau = TauPoint(0.1 + 1e-20j)
         assert abs(tau.nome) == 1.0
         for m in (1, [1, 3]):
-            with pytest.raises(ValueError, match=r"\|q\| is too close to 1 at tau = \(0\.1\+1e-20j\)"):
-                elliptic_bernoulli_points(m, [0.3, 0.4], [0.2, 0.5], tau, policy)
-        with pytest.raises(ValueError, match=r"\|q\| is too close to 1"):
-            elliptic_bernoulli(1, 0.3, 0.2, tau, policy)
+            with pytest.raises(ValueError, match=FLOOR_ERROR):
+                elliptic_bernoulli_points(m, [0.3, 0.4], [0.2, 0.5], tau)
+        with pytest.raises(ValueError, match=FLOOR_ERROR):
+            elliptic_bernoulli(1, 0.3, 0.2, tau)
         # B_0 runs no series, but its tau is checked as every other call's is
-        with pytest.raises(ValueError, match=r"\|q\| is too close to 1 at tau = \(0\.1\+1e-20j\)"):
-            elliptic_bernoulli(0, 0.3, 0.2, tau, policy)
+        with pytest.raises(ValueError, match=FLOOR_ERROR):
+            elliptic_bernoulli(0, 0.3, 0.2, tau)
 
-    @pytest.mark.filterwarnings("ignore::ellded.qseries.SlowNomeWarning")
+    @pytest.mark.filterwarnings("error::ellded.qseries.SlowNomeWarning")
     @pytest.mark.parametrize("z", [0.3, 0.3 + 0.2j])
     def test_zeta_and_pe_where_nome_rounds_to_one(self, z):
-        # the zeta and pe kernels raise as B_m does, before z is decomposed:
-        # they returned a value that their err dwarfed, and at Im z != 0
-        # y = -Im z / Im tau rounds to an integer, a false lattice point.
-        # The tau check itself raises, so no record, and so no block of the
-        # symbol layer, exists for such a tau
-        policy = SeriesPolicy(min_im_tau=0.0, max_terms=50)
+        # the zeta and pe kernels raise as B_m does, before z is decomposed,
+        # where y = -Im z / Im tau would round to an integer, a false
+        # lattice point.  The tau check itself raises, so no record, and so
+        # no block of the symbol layer, exists for such a tau
         tau = TauPoint(0.1 + 1e-20j)
-        for call in (lambda: weierstrass_zeta(z, tau, policy),
-                     lambda: weierstrass_zeta_points([z, 0.4], tau, policy),
-                     lambda: weierstrass_p_deriv(0, z, tau, policy),
-                     lambda: weierstrass_p_deriv(2, z, tau, policy),
-                     lambda: weierstrass_p_deriv_points(1, [z, 0.4], tau, policy),
-                     lambda: sigma_log_tau_derivative(z, tau, policy),
-                     lambda: qseries._checked(tau, policy)):
-            with pytest.raises(ValueError, match=r"\|q\| is too close to 1 at tau = \(0\.1\+1e-20j\)"):
+        for call in (lambda: weierstrass_zeta(z, tau),
+                     lambda: weierstrass_zeta_points([z, 0.4], tau),
+                     lambda: weierstrass_p_deriv(0, z, tau),
+                     lambda: weierstrass_p_deriv(2, z, tau),
+                     lambda: weierstrass_p_deriv_points(1, [z, 0.4], tau),
+                     lambda: sigma_log_tau_derivative(z, tau),
+                     lambda: qseries._checked(tau, DEFAULT_POLICY)):
+            with pytest.raises(ValueError, match=FLOOR_ERROR):
                 call()
 
     @pytest.mark.filterwarnings("error::ellded.qseries.SlowNomeWarning")
     @pytest.mark.parametrize("name", PUBLIC_TAU_CALLS)
     def test_every_call_rejects_a_nome_rounding_to_one(self, name, monkeypatch):
         # one check for every function, B_0 and the Eisenstein series among
-        # them: it raises, with no warning, before any series runs, any
-        # Eisenstein product is formed or any cache is read.  At 1e-17i |q|
-        # is 1 - 2^-53, short of 1, but no series could sum the ~2.5e17
-        # terms it needs to reach tol
+        # them: a tau below the floor raises, with no warning, before any
+        # series runs, any Eisenstein product is formed or any cache is
+        # read; at 1e-20i |q| rounds to 1, at 0.02i it is 0.88, and a
+        # machide factor at 2 tau is below the floor too
         call, _ = PUBLIC_TAU_CALLS[name]
         ran = []
         monkeypatch.setattr(qseries, "_block_series", lambda *args: ran.append(args))
         monkeypatch.setattr(qseries, "_eisenstein_q_sums", lambda *args: ran.append(args))
         caches = (qseries._eisenstein_q_sum, identities._record)
         before = [f.cache_info() for f in caches]
-        for tau in (0.1 + 1e-20j, 0.1 + 1e-17j):
-            with pytest.raises(ValueError, match=r"^\|q\| is too close to 1 at tau = "):
-                call(TauPoint(tau), SeriesPolicy(min_im_tau=0.0, max_terms=50))
+        for tau in (0.1 + 1e-20j, 0.1 + 0.02j):
+            with pytest.raises(ValueError, match=r"^Im\(tau\) = .* below the accepted bound 0\.05$"):
+                call(TauPoint(tau), DEFAULT_POLICY)
         assert not ran and [f.cache_info() for f in caches] == before
 
 
@@ -772,15 +758,13 @@ class TestZetaOdd:
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_repeatable_and_still_checked(self):
-        assert zeta_odd(5, 1e-10) == zeta_odd(5, 1e-10)
+        assert zeta_odd(5) == zeta_odd(5)
         for _ in range(2):
             with pytest.raises(ValueError):
                 zeta_odd(0)
-            with pytest.raises(ValueError):
-                zeta_odd(2, 0.0)
-            # NaN passed `tol <= 0` and gave zeta(3) wrong from its 8th digit
-            with pytest.raises(ValueError, match="tol must be > 0"):
-                zeta_odd(1, float("nan"))
+            # the tail is summed below TOL, which no caller sets
+            with pytest.raises(TypeError):
+                zeta_odd(2, 1e-10)
 
     def test_two_cutoffs_consistent(self):
         # independent direct sum with integral tail at a fixed cutoff

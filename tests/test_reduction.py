@@ -106,8 +106,8 @@ def test_caller_tau_checked_and_capped():
         weierstrass_p_deriv_points(1, [0.3 + 0.01j], slow)
     assert sum(issubclass(w.category, SlowNomeWarning) for w in caught) == 3
     for call in (weierstrass_zeta_points, lambda z, t, p: weierstrass_p_deriv_points(2, z, t, p)):
-        with pytest.raises(ValueError, match="below the accepted bound"):
-            call([0.3 + 0.01j], slow, SeriesPolicy(min_im_tau=0.1))
+        with pytest.raises(ValueError, match="below the accepted bound 0.05"):
+            call([0.3 + 0.01j], TauPoint(0.04j), DEFAULT_POLICY)
         # no series stops before its second term
         with pytest.raises(NonConvergenceError) as info:
             call([0.3 + 0.01j, 0.1], TauPoint(0.2 + 0.3j), SeriesPolicy(max_terms=1))
@@ -288,7 +288,7 @@ def test_pe_minus_one_err_mpmath(t, dtau, ps):
         refs = _references(mp, [mp.mpf(a) - mp.mpf(b) * mt for a, b in grid], mt, (0,))
     for j in range(8) if dtau else [0]:
         at = qseries._Checked(t + dtau * cmath.exp(1j * math.pi * j / 4),
-                              DEFAULT_POLICY.tol, DEFAULT_POLICY.max_terms, dtau)
+                              DEFAULT_POLICY.max_terms, dtau)
         v, = qseries._orders(qseries._p_deriv_series((-1,), x, y, at, (0 * x, 0 * y)))
         for i, ref in enumerate(refs):
             assert abs(v.value[i] + ref["b"]) <= v.err[i], (grid[i], t, j, v[i], -ref["b"])
@@ -433,7 +433,7 @@ def test_eisenstein_charge_of_dtau_mpmath(t):
     for delta in (1e-14, 1e-13, 1e-12):
         for j in range(8):
             at = qseries._Checked(t + delta * cmath.exp(1j * math.pi * j / 4),
-                                  DEFAULT_POLICY.tol, DEFAULT_POLICY.max_terms, delta)
+                                  DEFAULT_POLICY.max_terms, delta)
             for k in range(1, 10):
                 got = qseries._eisenstein(k, at), qseries._eisenstein_tau_derivative(k, at)
                 for d, v in enumerate(got):

@@ -551,6 +551,26 @@ def test_paired_sums_against_loop_reference(p, q, im):
                                  ref.proposition31_constant_closed_form(CoprimePair(u, v), tau))
 
 
+@pytest.mark.parametrize("t", [0.3 + 1.1j, 0.3 + 0.06j])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("p, q", PAIRED_PQ)
+def test_periodicity_and_oddness_against_unreduced_reference(p, q, n, t):
+    """D^-(p, q) by the zeta route is periodic and odd in q: it agrees
+    with the per-point loop reference at (p, q + p), and its negation with
+    the reference at (p, -q), within their combined err.  The package reads
+    the factor at q P through the table of q mod p (`_division_map`), so
+    its own D at q + p and -q equals D at q by construction; the reference
+    multiplies each point by the unreduced q."""
+    tau = TauPoint(t)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SlowNomeWarning)
+        d = elliptic_apostol_sum(n, CoprimePair(p, q), tau).value
+        _within_combined_err(
+            d, ref.elliptic_apostol_sum(n, CoprimePair(p, q + p), tau, Route.ZETA_DERIVATIVE))
+        _within_combined_err(
+            -d, ref.elliptic_apostol_sum(n, CoprimePair(p, -q), tau, Route.ZETA_DERIVATIVE))
+
+
 #: (p, q, u) of the R^-(x) checks, at x = u / (2 max(p, q)): x of both
 #: signs, q on both sides of p, and q = 1
 GENERATING_R_CASES = [(3, 2, 0.3), (5, 3, -0.7), (7, 11, 0.45), (2, 1, 0.9), (4, 7, -0.2)]
@@ -625,12 +645,20 @@ def _theorem13_calls(p, q, tau, x, policy=DEFAULT_POLICY):
     return calls
 
 
+def _own_pass(p, q, at, x, want):
+    """`symbols._theorem13` with no record: one pass over the caller's
+    part `want` alone, "D" for D^-(p, q; x), "R" for R^-(p, q; x) and "P"
+    for the three parts of Prop. 3.1."""
+    mine = [] if want == "R" else [(p, q)] if want == "D" else [(p, q), (q, p)]
+    return symbols._pass13(mine, want != "D", p, q, at, x)
+
+
 def _alone(calls):
     """Each call made alone on emptied caches and keeping no record, so
     that it runs its own part, and only that, in its own pass."""
     out = {}
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(symbols, "_KEPT_X", ())
+        mp.setattr(symbols, "_theorem13", _own_pass)
         for name, call in calls.items():
             symbols._RECORDS.clear()
             out[name] = _outcome(call)

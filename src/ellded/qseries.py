@@ -141,7 +141,8 @@ import sys
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import ClassVar, NamedTuple, Optional, Sequence, Tuple, Union
+from itertools import accumulate
+from typing import ClassVar, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -407,17 +408,30 @@ def _weighted(a: ComplexArray, w: np.ndarray) -> ComplexArray:
     return ComplexArray(a.value * w, a.err * w)
 
 
-@np.errstate(all="ignore")
 def _fsum(*parts: Union[ComplexArray, ComplexVal]) -> ComplexVal:
-    """The sum of all the values, with the summed errs plus one rounding of
-    2^-52 |v| per term; correctly rounded and independent of order.
-    `math.fsum` reads the values as Python floats (`tolist`), which it
-    takes faster than numpy scalars, to the same sums."""
+    """The sum of all the values of the parts (`_fsums`)."""
     v = np.concatenate([np.atleast_1d(t.value) for t in parts])
     err = np.concatenate([np.atleast_1d(t.err) for t in parts])
-    re, im = v.real, v.imag
-    return ComplexVal(complex(math.fsum(re.tolist()), math.fsum(im.tolist())),
-                      math.fsum(err.tolist()) + 2.0**-52 * math.fsum(np.hypot(re, im).tolist()))
+    return _fsums(ComplexArray(v, err), [len(v)])[0]
+
+
+@np.errstate(all="ignore")
+def _fsums(a: ComplexArray, sizes: Sequence[int]) -> List[ComplexVal]:
+    """The sum of each of the consecutive segments of a of the given sizes,
+    in order, by the one summation rule: the sum of the values, with the
+    summed errs plus one rounding of 2^-52 |v| per term; correctly rounded
+    and independent of order, so that each segment's sum equals its own
+    `_fsum` bit for bit and the first segment whose sum leaves binary64
+    raises.  `math.fsum` reads the values as Python floats (`tolist`),
+    which it takes faster than numpy scalars, to the same sums."""
+    re, im = a.value.real, a.value.imag
+    mag = np.hypot(re, im)
+    out = []
+    for e, n in zip(accumulate(sizes), sizes):
+        s = slice(e - n, e)
+        out.append(ComplexVal(complex(math.fsum(re[s].tolist()), math.fsum(im[s].tolist())),
+                              math.fsum(a.err[s].tolist()) + 2.0**-52 * math.fsum(mag[s].tolist())))
+    return out
 
 
 #: the stopping tolerance of every series: a term, or term pair, at most
@@ -586,7 +600,7 @@ def _block_series(start: np.ndarray, start_rnd: np.ndarray, terms, cap: int, fir
     j = 0
     rows = first
     while n:
-        rows = min(rows, max(BLOCK_ELEMENTS // start.shape[-1], 1), cap - j)
+        rows = _block_rows(rows, start.shape[-1], cap, j)
         term, size, r = terms(range(j + 1, j + rows + 1))
         sums, comps = np.empty_like(term), np.empty_like(term)
         y = np.empty_like(s)
@@ -630,6 +644,15 @@ def _block_series(start: np.ndarray, start_rnd: np.ndarray, terms, cap: int, fir
     return _series_state(0)
 
 
+def _block_rows(rows: int, width: int, cap: int, j: int = 0) -> int:
+    """The rows of the `_block_series` block after term j that asks for
+    `rows`, over `width` points per order: within BLOCK_ELEMENTS
+    point-terms per order and the cap.  The one block-sizing rule, which a
+    kernel that evaluates its first block with its start reads too
+    (`_p_deriv_series`)."""
+    return min(rows, max(BLOCK_ELEMENTS // max(width, 1), 1), cap - j)
+
+
 def _series_state(n: int):
     """Empty arrays for the state `_block_series` returns of n columns."""
     return (np.empty(n, dtype=complex), np.empty(n, dtype=complex), np.empty(n, dtype=int),
@@ -668,10 +691,14 @@ def _divisor_power_floats(ells: Tuple[int, ...], count: int) -> np.ndarray:
     read-only, and uncached: its one caller, `_build_plan`, is read through
     the plan cache, which keeps the weights built from it.  rows = count, or
     fewer where sigma leaves binary64: the view ends before the first k at
-    which sigma of the largest ell, which is the largest sigma, does."""
-    top = _divisor_power_sums(max(ells, default=1), count)
-    rows = next((k for k, s in enumerate(top) if s >= _FLOAT_END), count)
-    table = np.array([_divisor_power_sums(ell, count)[:rows] for ell in ells],
+    which sigma of the largest ell, which is the largest sigma, does.  As
+    sigma_ell(k) >= k^ell, it has done so by k = 2^ceil(1024 / ell), so the
+    tables are sieved up to that power of two at most."""
+    top_ell = max(ells, default=1)
+    size = min(count, 2 ** -(-1024 // top_ell))
+    top = _divisor_power_sums(top_ell, size)
+    rows = next((k for k, s in enumerate(top) if s >= _FLOAT_END), size)
+    table = np.array([_divisor_power_sums(ell, size)[:rows] for ell in ells],
                      dtype=float).reshape(len(ells), rows).T
     table.flags.writeable = False
     return table
@@ -1773,16 +1800,20 @@ def _phi(ks: Tuple[int, ...], w: np.ndarray):
     and `_phi_poly(k + 1)`."""
     den = 1 - w
     r, aden = np.abs(w), np.abs(den)
-    out = []
-    for k in ks:
-        num = np.zeros_like(w)
-        for c in reversed(_phi_poly(k)):
-            num = num * w + c
-        num_abs = np.zeros_like(r)
-        for c in reversed(_phi_poly(k + 1)):
-            num_abs = num_abs * r + c
-        out.append((num / _ipow(den, k + 2), num_abs / _ipow(aden, k + 3)))
-    return out
+    return [(_horner(_phi_poly(k), w) / _ipow(den, k + 2),
+             _horner(_phi_poly(k + 1), r) / _ipow(aden, k + 3)) for k in ks]
+
+
+def _horner(coeffs: Tuple[int, ...], w: np.ndarray) -> np.ndarray:
+    """sum_i coeffs[i] w^i elementwise by Horner's rule, for at least two
+    coefficients, seeded with the leading one: for finite w bit for bit
+    the rule seeded with zeros, as 0 w + c is exactly c.  (At an infinite
+    w, where zeros give NaN, it may give inf: in `_phi` only at a start u
+    whose |u| leaves binary64, where the err is not finite either way.)"""
+    num = coeffs[-1] * w + coeffs[-2]
+    for c in reversed(coeffs[:-2]):
+        num = num * w + c
+    return num
 
 
 @np.errstate(all="ignore")
@@ -1818,11 +1849,10 @@ def _p_deriv_series(ks: Tuple[int, ...], x: np.ndarray, y: np.ndarray, at: _Chec
     arg = TWO_PI_I * (x0 - y0 * t)
     u = np.exp(arg)
     aq = _nome(at)[1]
-    # Rounding, in ulps of S (see _phi): the Horner steps, the power and the
-    # quotient, plus the relative error of the argument, which is u's (as
-    # exp gives it) and j times q's and one product's for q^j (`_nome`)
-    bls = [(k + 2).bit_length() for k in ks]
-    owns = [10.0 * k + 44.0 + 12.0 * bl for k, bl in zip(ks, bls)]
+    owns, pref, apref, coef, odd = _pe_orders(ks)
+    # the relative error of the argument, in ulps of S beside each order's
+    # own: u's (as exp gives it), and j times q's and one product's for q^j
+    # (`_nome`)
     dx, dy = arg_err
     err_u = _exp_err(arg) + _TWO_PI_ULPS * (dx + dy * abs(t) + y0 * at.dtau)
     shape = (len(ks), len(x))
@@ -1830,53 +1860,86 @@ def _p_deriv_series(ks: Tuple[int, ...], x: np.ndarray, y: np.ndarray, at: _Chec
     # the terms read the points as rows (1 x points)
     ur, err_ur = u[None], err_u[None]
 
-    def terms(js):
+    def block(js, head=False):
         # one row per j, q^j from the rows of the record; Phi_k at u q^j and
-        # at q^j / u in one call, stacked; each order into its columns
+        # at q^j / u in one call, stacked, and in the head block at u
+        # itself, the start; each order into its columns
         qjs, jerr = (a[js.start - 1:] for a in _pe_rows(at, js.stop - 1))
         rows = len(js)
-        w = np.concatenate((ur * qjs, qjs / ur))
+        w = np.concatenate((ur * qjs, qjs / ur, ur) if head else (ur * qjs, qjs / ur))
         term, sizes, rnds = (np.empty((rows, *shape), dtype=d) for d in (complex, float, float))
+        start = (np.empty(shape, dtype=complex), np.empty(shape)) if head else None
         for i, (k, (tt, ss), own) in enumerate(zip(ks, _phi(ks, w), owns)):
-            t1, t2, s1, s2 = tt[:rows], tt[rows:], ss[:rows], ss[rows:]
+            t1, t2, s1, s2 = tt[:rows], tt[rows:2 * rows], ss[:rows], ss[rows:2 * rows]
             size = np.abs(t1) + np.abs(t2)
             rnd = (s1 + s2) * (err_ur + (own + 6.0 + jerr)) + size
             term[:, i], sizes[:, i], rnds[:, i] = t1 + (-1.0) ** k * t2, size, rnd
-        return tuple(a.reshape(rows, -1) for a in (term, sizes, rnds))
+            if head:
+                start[0][i], start[1][i] = tt[-1], ss[-1] * (err_u + own)
+        return tuple(a.reshape(rows, -1) for a in (term, sizes, rnds)), start
 
-    start, start_rnd = np.empty(shape, dtype=complex), np.empty(shape)
-    for i, ((v, s0), own) in enumerate(zip(_phi(ks, u), owns)):
-        start[i], start_rnd[i] = v, s0 * (err_u + own)
     # Phi_k(w) = w + O(w^2): a term pair is about |q|^(j-y0) + |q|^(j+y0),
     # 0 <= y0 <= 1/2, whatever k
-    first = _points_rows(aq, 0, 0.5)
+    first = _block_rows(_points_rows(aq, 0, 0.5), len(x), at.cap)
+    head = range(1, first + 1)
+    kept, (start, start_rnd) = block(head, True)
+
+    def terms(js):
+        # the head block's rows once, as evaluated with the start
+        nonlocal kept
+        if js == head and kept is not None:
+            out, kept = kept, None
+            return out
+        return block(js)[0]
+
     # on the pairs Phi_k(u q^j), Phi_k(q^j / u)
-    state = (a.reshape(shape) for a in _block_series(
+    acc, _, j, last, rnd = (a.reshape(shape) for a in _block_series(
         start, start_rnd, terms, at.cap, first, "pe Fourier series"))
+    # each order's finish, over all orders at once: every step is the
+    # elementwise one of a pass of its own, so each row keeps its bits
+    minus_one = [i for i, k in enumerate(ks) if k == -1]
+    for i in minus_one:
+        # Phi_(-1)(u) + 1/2 = (1 + u) / (2 (1 - u))
+        acc[i] += 0.5
     r = min(aq * 2.0, 0.99)
-    out = ComplexArray(np.empty(shape, dtype=complex), np.empty(shape))
-    for i, (k, bl, (acc, _, j, last, rnd)) in enumerate(zip(ks, bls, zip(*state))):
-        if k == -1:
-            # Phi_(-1)(u) + 1/2 = (1 + u) / (2 (1 - u))
-            acc = acc + 0.5
-        pref = TWO_PI_I ** (k + 2)
-        abs_acc = np.abs(acc)
-        tail = abs(pref) * (2.0 * last * r / (1.0 - r) + 1e-16 * abs_acc * j)
-        value = (flip if k % 2 else flip * flip) * pref * acc
-        # pref carries k + 2 half-ulps of pi and its binary powering; the
-        # product and the Kahan sum add a few more
-        rnd = abs(pref) * (rnd + 2.0 * abs_acc) + (k + 2 * bl + 6.0) * np.abs(value)
-        if k == -1:
-            # the quasi-period: pe^(-1)(z) = pe^(-1)(z + n tau) - 2 pi i n
-            shift = TWO_PI_I * ny
-            value = value - shift
-            rnd = rnd + 2.0 * np.abs(shift) + np.abs(value)
-        val = ComplexArray(value, tail + 2.0**-53 * rnd)
+    abs_acc = np.abs(acc)
+    tail = apref * (2.0 * last * r / (1.0 - r) + 1e-16 * abs_acc * j)
+    # flip^k times pref, exactly, as flip is +-1
+    value = np.where(odd, flip, 1.0) * pref * acc
+    # pref carries k + 2 half-ulps of pi and its binary powering; the
+    # product and the Kahan sum add a few more
+    rnd = apref * (rnd + 2.0 * abs_acc) + coef * np.abs(value)
+    for i in minus_one:
+        # the quasi-period: pe^(-1)(z) = pe^(-1)(z + n tau) - 2 pi i n
+        shift = TWO_PI_I * ny
+        value[i] = value[i] - shift
+        rnd[i] = rnd[i] + 2.0 * np.abs(shift) + np.abs(value[i])
+    err = tail + 2.0**-53 * rnd
+    # the orders in turn: E_2 joins order 0, and the first order whose
+    # value or err leaves binary64 raises
+    finite = np.isfinite(value).all(axis=1) & np.isfinite(err).all(axis=1)
+    for i, k in enumerate(ks):
         if k == 0:
-            val = val - _eisenstein(1, at)
-        _finite(val, f"pe^({k})")
-        out.value[i], out.err[i] = val.value, val.err
-    return out
+            val = _finite(ComplexArray(value[i], err[i]) - _eisenstein(1, at), "pe^(0)")
+            value[i], err[i] = val.value, val.err
+        elif not finite[i]:
+            raise _out_of_range(f"pe^({k})")
+    return ComplexArray(value, err)
+
+
+@lru_cache(maxsize=None)
+def _pe_orders(ks: Tuple[int, ...]):
+    """What the pe orders ks read of themselves (`_p_deriv_series`): per
+    order, the rounding of its Phi_k in ulps of S (see _phi), from the
+    Horner steps, the power and the quotient; and as (orders x 1) columns,
+    pref = (2 pi i)^(k + 2), |pref|, the ulps of |value| that pref and the
+    finish add, and whether k is odd."""
+    bls = [(k + 2).bit_length() for k in ks]
+    prefs = [TWO_PI_I ** (k + 2) for k in ks]
+    cols = (prefs, [abs(v) for v in prefs], [k + 2 * bl + 6.0 for k, bl in zip(ks, bls)],
+            [k % 2 == 1 for k in ks])
+    return (tuple(10.0 * k + 44.0 + 12.0 * bl for k, bl in zip(ks, bls)),
+            *_read_only(tuple(np.array(c)[:, None] for c in cols)))
 
 
 def weierstrass_p_deriv_points(k: int, z, tau: TauPoint,

@@ -100,6 +100,7 @@ from .qseries import (
     _eisenstein_table,
     _frame,
     _fsum,
+    _fsums,
     _lattice_check,
     _orders,
     _p_deriv_series,
@@ -203,6 +204,16 @@ def _parts(a: ComplexArray, sizes: Sequence[int]) -> List[ComplexArray]:
             for n, e in zip(sizes, accumulate(sizes))]
 
 
+def _joined(parts: Sequence[ComplexArray]) -> ComplexArray:
+    """Parts one after another as one batch, the inverse of `_parts`: the
+    factors of several sums, which one product then forms at once.  A lone
+    part is returned as it is."""
+    if len(parts) == 1:
+        return parts[0]
+    return ComplexArray(np.concatenate([a.value for a in parts]),
+                        np.concatenate([a.err for a in parts]))
+
+
 @lru_cache(maxsize=DIVISION_CACHE_SIZE)
 def _shifted_points(p: int, q: int) -> Tuple[np.ndarray, ...]:
     """What D^-(p, q; x) reads of its points that does not depend on x, one
@@ -272,8 +283,8 @@ _RECORDS: dict = {}
 class _Theorem13(NamedTuple):
     """What the terms of Theorem 1.3 at one (p, q, tau, x) read of one
     theta pass: the frame's record and reduction (`frame`, its points
-    dropped); for each D^-(u, v; x) the pass served, keyed (u, v), B_1 at
-    its points (`_shifted_coords`); and where R^-(x) is defined the pair
+    dropped); for each D^-(u, v; x) the pass served, keyed (u, v), the
+    terms of its sum (`_shifted_terms`); and where R^-(x) is defined the pair
     (a, b) whose real points the pass ran, and B_1 and B_2 at (a x, b x,
     x), else None."""
 
@@ -331,7 +342,8 @@ def _pass13(pairs, reals: bool, p: int, q: int, at: _Checked, x: float) -> _Theo
     """One frame and one theta pass (`qseries._theta_pass`) for
     `_theorem13`: B_1 at the points of each D^-(u, v; x) of `pairs`
     (`_shifted_coords`), in their order, and with `reals`, after them, B_1
-    and B_2 at (p x, q x, x)."""
+    and B_2 at (p x, q x, x); the terms of each D^-(u, v; x) from one
+    product (`_shifted_terms`)."""
     blocks = [_shifted_coords(u, v, x) for u, v in pairs]
     if reals:
         blocks.append(_real_coords(p, q, x))
@@ -340,15 +352,31 @@ def _pass13(pairs, reals: bool, p: int, q: int, at: _Checked, x: float) -> _Theo
     b1, b2 = _theta_pass(f.x, f.y, f.at, f.arg_err, slice(len(xs) - 3 * reals, None))
     cut = _parts(b1, [len(block[0]) for block in blocks])
     real = ((p, q), cut.pop(), b2) if reals else None
-    return _Theorem13(f._replace(x=None, y=None, arg_err=None), dict(zip(pairs, cut)), real)
+    return _Theorem13(f._replace(x=None, y=None, arg_err=None),
+                      dict(zip(pairs, _shifted_terms(pairs, cut))), real)
 
 
-def _shifted_sum(rec: _Theorem13, p: int, q: int) -> ComplexVal:
-    """(1/p) sum_pairs (B_1(P - x) + B_1(P + x)) B_1(qP) w/2 of D^-(p, q; x),
-    from B_1 at its points in the record."""
-    w = _shifted_points(p, q)[5]
-    minus, plus, second = _parts(rec.shifted[p, q], [len(w)] * 3)
-    return _fsum(_weighted((minus + plus) * second, w)) * (1.0 / p)
+def _shifted_terms(pairs, b1s: Sequence[ComplexArray]) -> List[ComplexArray]:
+    """The terms (B_1(P - x) + B_1(P + x)) B_1(qP) w/2 of D^-(u, v; x) over
+    the points P of `_half_division_points(u)`, for each (u, v) of pairs,
+    from B_1 at its points P - x, P + x and qP (`_shifted_coords`), in
+    the same order in b1s: one product for all of them."""
+    if not pairs:
+        return []
+    ws = [_shifted_points(u, v)[5] for u, v in pairs]
+    minus, plus, second = map(_joined, zip(*(_parts(b1, [len(w)] * 3)
+                                            for b1, w in zip(b1s, ws))))
+    terms = _weighted((minus + plus) * second, np.concatenate(ws))
+    return _parts(terms, [len(w) for w in ws])
+
+
+def _shifted_sums(rec: _Theorem13, pairs) -> List[ComplexVal]:
+    """(1/p) sum_pairs (B_1(P - x) + B_1(P + x)) B_1(qP) w/2 of D^-(p, q; x)
+    for each (p, q) of pairs, from its terms in the record: one segmented
+    sum (`_fsums`) for all of them."""
+    parts = [rec.shifted[pair] for pair in pairs]
+    sums = _fsums(_joined(parts), [len(t) for t in parts])
+    return [total * (1.0 / p) for total, (p, _) in zip(sums, pairs)]
 
 
 def _heat_form(pair: CoprimePair, rec: _Theorem13) -> ComplexVal:
@@ -542,7 +570,7 @@ def generating_D(pair: CoprimePair, tau: TauPoint, x: float,
         # the signed zeros of the bracket form's empty sum
         return _EMPTY_SUM * (1.0 / (TWO_PI_I**2).real)
     rec = _theorem13(p, pair.q, at, x, "D")
-    return rec.frame.back_sum(_shifted_sum(rec, p, pair.q), 2)
+    return rec.frame.back_sum(_shifted_sums(rec, [(p, pair.q)])[0], 2)
 
 
 def generating_R(pair: CoprimePair, tau: TauPoint, x: float,
@@ -722,8 +750,11 @@ def machide_reciprocity_residuals(pair: CoprimePair, s: float, t: float,
                2: dict(zip(sets[1:], _parts(f.back(b2, 2, "B_2"), sizes[1:])))}
     keys = [(2, 2, 0), (3, 0, 2), (1, 2, 0), (2, 0, 2),
             (1, 0, 2), (1, 1, 1), (2, 1, 1), (3, 1, 1)]
-    S = {(k, m, n): _fsum(factors[m][k, 0] * factors[n][k, 1]) * (1.0 / specs[k].vec_c[0])
-         for k, m, n in keys}
+    # the eight sums from one product and one segmented sum (`_fsums`)
+    left = _joined([factors[m][k, 0] for k, m, _ in keys])
+    right = _joined([factors[n][k, 1] for k, _, n in keys])
+    sums = _fsums(left * right, [len(factors[m][k, 0]) for k, m, _ in keys])
+    S = {key: total * (1.0 / specs[key[0]].vec_c[0]) for key, total in zip(keys, sums)}
 
     r1 = S[2, 2, 0] * (-c / (2 * b)) + S[3, 0, 2] * (c / (2 * a))
     r2 = S[1, 2, 0] * (b / (2 * a)) - S[2, 0, 2] * (b / (2 * c))
@@ -760,7 +791,8 @@ def proposition31_residual(pair: CoprimePair, s: float, tau: TauPoint,
     p, q, s = pair.p, pair.q, _real(s, "s")
     _real_points(p, q, s, "s", "Prop. 3.1")
     rec = _theorem13(p, q, _checked(tau, policy), s, "P")
-    lhs = _shifted_sum(rec, p, q) + _shifted_sum(rec, q, p)
+    d_pq, d_qp = _shifted_sums(rec, [(p, q), (q, p)])
+    lhs = d_pq + d_qp
     return rec.frame.back_sum(lhs, 2) - _heat_form(pair, rec)
 
 

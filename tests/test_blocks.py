@@ -4,9 +4,12 @@ batch and wherever its blocks end."""
 
 import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ellded import qseries, symbols
 from ellded.exact import CoprimePair
@@ -401,6 +404,89 @@ def test_phi_poly_matches_recurrence():
     assert qseries._phi_poly.cache_info().currsize == 41
 
 
+def _horner_from_zeros(coeffs, w):
+    """Horner's rule seeded with zeros, as `_phi` ran it before it seeded
+    each rule with the leading coefficient."""
+    num = np.zeros_like(w)
+    for c in reversed(coeffs):
+        num = num * w + c
+    return num
+
+
+#: finite w near the unit circle, where the pe series' Phi_k(u q^j) and
+#: Phi_k(q^j / u) sit, and at the edges: 0 and its signed zeros, |w| just
+#: below 1 and w far outside it, as u at a large Im tau is
+_EDGE_W = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+           1 - 2.0**-52, -(1 - 2.0**-52), complex(0.0, 1 - 2.0**-53),
+           complex(math.cos(2.0), math.sin(2.0)), 1e-300 + 1e-310j, 1e154 - 3e153j]
+
+
+@given(ws=st.lists(st.complex_numbers(allow_nan=False, allow_infinity=False),
+                   min_size=1, max_size=40),
+       near=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=40),
+       k=st.integers(-1, 14))
+@example(ws=_EDGE_W, near=[0.0], k=0)
+@example(ws=_EDGE_W, near=[-1.0, 1.0], k=5)
+@settings(max_examples=150, deadline=None)
+def test_horner_seed_matches_zeros_seed(ws, near, k):
+    """`qseries._horner`, seeded with the leading coefficient, equals the
+    rule seeded with zeros bit for bit over finite arguments: the complex
+    rule at any finite w, w = 0 and its signed zeros, and w on and near the
+    unit circle, 1-D and stacked 2-D as the pe blocks stack it, and the
+    real rule at every finite |w|, for the numerators of Phi_k and of its
+    bound.  (At |w| = inf the zeros give NaN and the seed inf: an err that
+    is not finite either way, which the pass raises on alike.)"""
+    circle = np.exp(1j * math.pi * np.array(near)) * (1 - 2.0**-40 * np.abs(near))
+    # quiet, as in the pe pass: a large w overflows both rules alike
+    with np.errstate(all="ignore"):
+        stacked = circle[:, None] * np.array(ws)[None]
+        # a product that leaves binary64 is no finite w
+        stacked[~np.isfinite(stacked)] = 0.0
+        _assert_horner_seeds_agree(k, [np.array(ws, dtype=complex), circle, stacked])
+
+
+def _assert_horner_seeds_agree(k, ws):
+    for w in ws:
+        # |w| of a finite w may round to inf: the real rule is held to finite |w|
+        r = np.abs(w)
+        for coeffs in (qseries._phi_poly(k), qseries._phi_poly(k + 1)):
+            for v in (w, r[np.isfinite(r)]):
+                assert qseries._horner(coeffs, v).tobytes() == \
+                    _horner_from_zeros(coeffs, v).tobytes(), (coeffs, v)
+
+
+@pytest.mark.parametrize("ks", [(1,), (1, -1), (3, -1, 0)])
+@pytest.mark.parametrize("t, width", [(0.3 + 1.1j, 24), (0.3 + 1.1j, 1300), (0.2 + 0.11j, 604)])
+def test_pe_pass_evaluates_phi_once_per_block(monkeypatch, ks, t, width):
+    """A pe pass of one to three orders calls `_phi` once per block: the
+    start Phi_k(u) comes from the head block's call, as one more row beside
+    the rows Phi_k(u q^j) and Phi_k(q^j / u).  On F at 24 points in one
+    block, at 1300 points in blocks of 3 rows, and at 0.2 + 0.11i, held
+    there, over 604 points in blocks of 6 rows."""
+    calls, blocks = [], []
+    phi, run = qseries._phi, qseries._block_series
+
+    def phi_spy(orders, w):
+        calls.append(w.shape[0])
+        return phi(orders, w)
+
+    def series_spy(start, start_rnd, terms, *rest):
+        def counted(js):
+            blocks.append(len(js))
+            return terms(js)
+
+        return run(start, start_rnd, counted, *rest)
+
+    monkeypatch.setattr(qseries, "_phi", phi_spy)
+    monkeypatch.setattr(qseries, "_block_series", series_spy)
+    rng = np.random.default_rng(width)
+    x, y = rng.uniform(-1.0, 1.0, width), rng.uniform(-0.45, 0.45, width)
+    at = qseries._checked(TauPoint(t), qseries.DEFAULT_POLICY)
+    qseries._p_deriv_series(ks, x, y, at, (np.zeros(width), np.zeros(width)))
+    assert (len(blocks) == 1) == (width == 24)
+    assert calls == [2 * blocks[0] + 1] + [2 * rows for rows in blocks[1:]]
+
+
 # ---------------------------------------------------------------------------
 # Passes per symbol and the block rule
 # ---------------------------------------------------------------------------
@@ -689,3 +775,53 @@ def test_empty_division_sum_runs_no_pass(passes, frames, t):
     assert repr(symbols.generating_D(CoprimePair(1, 3), tau, 0.2)) == \
         "ComplexVal(value=(-0+0j), err=0.0)"
     assert passes == [] and frames == []
+
+
+# ---------------------------------------------------------------------------
+# Several sums from one product and one segmented sum
+# ---------------------------------------------------------------------------
+
+
+def _sum_outcomes(call):
+    """The reprs of a list of sums, or the error type and message raised."""
+    try:
+        return [repr(v) for v in call()]
+    except (OverflowError, ValueError) as e:
+        return [type(e).__name__, str(e)]
+
+
+#: segments of factors a, b: ordinary ones, empty and single ones, one whose
+#: products are finite but whose sum overflows inside `math.fsum`, and one
+#: whose products leave binary64, so that its sum is not finite
+_SEGMENTS = {
+    "normal": lambda rng, n: (rng.normal(size=n) + 1j * rng.normal(size=n), rng.normal(size=n)),
+    "empty": lambda rng, n: (np.zeros(0, dtype=complex), np.zeros(0)),
+    "one": lambda rng, n: (np.array([0.3 - 2j]), np.array([-1.5])),
+    "fsum_overflow": lambda rng, n: (np.full(3, 1.3e154 + 0j), np.full(3, 1.3e154)),
+    "inf_product": lambda rng, n: (np.array([1e200 + 1j, 2.0]), np.array([1e200, 1.0])),
+}
+
+
+@pytest.mark.parametrize("order", [("normal", "empty", "one", "normal"),
+                                   ("normal", "fsum_overflow", "inf_product"),
+                                   ("one", "inf_product", "fsum_overflow", "normal")])
+def test_segmented_sum_matches_one_sum_per_segment(order):
+    """`qseries._fsums` over one product of joined factors equals `_fsum`
+    of each segment's own product bit for bit, value and err; where a
+    segment's sum leaves binary64, it raises what the first such segment's
+    own sum raises."""
+    rng = np.random.default_rng(len(order))
+    pairs = []
+    for name in order:
+        (va, vb) = _SEGMENTS[name](rng, int(rng.integers(2, 300)))
+        a = ComplexArray(va, 2.0**-52 * np.abs(va))
+        b = ComplexArray(vb + 0j, rng.uniform(0.0, 1e-15, len(vb)))
+        pairs.append((a, b))
+    joined = symbols._joined([a for a, _ in pairs]) * symbols._joined([b for _, b in pairs])
+    got = _sum_outcomes(lambda: qseries._fsums(joined, [len(a) for a, _ in pairs]))
+    assert got == _sum_outcomes(lambda: [qseries._fsum(a * b) for a, b in pairs])
+    if "fsum_overflow" in order:
+        # the first segment that leaves binary64 names what went wrong
+        first = "intermediate overflow" if order.index("fsum_overflow") < order.index(
+            "inf_product") else "a value leaves"
+        assert got[0] == "OverflowError" and got[1].startswith(first)
